@@ -43,8 +43,9 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 RESULTS = HERE / "results"
 
-# Set-up is sampled this many more times, each in a fresh interpreter.
-SETUP_PROBES = 5
+# Set-up is sampled this many more times, each in a fresh interpreter, the
+# probes spread evenly through the job list (off the clock of the jobs).
+SETUP_PROBES = 11
 # job_tail_s is the highest job time with at least this many jobs above it.
 TAIL_BEYOND = 10
 # End-to-end metrics and their units.
@@ -93,11 +94,17 @@ def invoke(main, job: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_list(main, jobs: list, tracer: spans.Tracer | None = None) -> dict:
-    """Run every job once; time each job and the whole list."""
+def run_list(main, jobs: list, tracer: spans.Tracer | None = None, between=None) -> dict:
+    """Run every job once; time each job and the whole list.  ``between(job_id)``
+    runs before each job, and its time is left out of the list's wall time."""
     times, outputs = [], []
+    off_clock = 0.0
     list_start = time.perf_counter()
     for job_id, job in enumerate(jobs):
+        if between is not None:
+            pause = time.perf_counter()
+            between(job_id)
+            off_clock += time.perf_counter() - pause
         start = time.perf_counter()
         if tracer is None:
             result = invoke(main, job)
@@ -105,7 +112,7 @@ def run_list(main, jobs: list, tracer: spans.Tracer | None = None) -> dict:
             result = tracer.run_job(job_id, lambda: invoke(main, job))
         times.append(time.perf_counter() - start)
         outputs.append(result)
-    wall = time.perf_counter() - list_start
+    wall = time.perf_counter() - list_start - off_clock
     failed, wrong, report = 0, 0, []
     for job, (code, out, err) in zip(jobs, outputs):
         if code:
@@ -126,21 +133,25 @@ def run_list(main, jobs: list, tracer: spans.Tracer | None = None) -> dict:
     }
 
 
-def setup_probes(workload: str, seed: int) -> list[float]:
-    samples = []
-    for _ in range(SETUP_PROBES):
-        done = subprocess.run(
-            [sys.executable, "-c", _PROBE, str(HERE), workload, str(seed)],
-            cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
-        )
-        samples.append(float(done.stdout.strip().splitlines()[-1]))
-    return samples
+def setup_probe(workload: str, seed: int) -> float:
+    """Set-up time of a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(HERE), workload, str(seed)],
+        cwd=ROOT, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return float(done.stdout.strip().splitlines()[-1])
 
 
 def end_to_end(args, main, jobs, setup_s: float) -> tuple[dict, dict]:
-    ran = run_list(main, jobs)
+    setups = [setup_s]
+    every = len(jobs) // SETUP_PROBES
+
+    def probe(job_id: int) -> None:
+        if job_id % every == every // 2 and len(setups) <= SETUP_PROBES:
+            setups.append(setup_probe(args.workload, args.seed))
+
+    ran = run_list(main, jobs, between=probe)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    setups = [setup_s] + setup_probes(args.workload, args.seed)
     times = sorted(ran["times"])
     values = {
         "jobs_per_s": len(jobs) / ran["wall_s"],

@@ -30,7 +30,7 @@ def comparison_degree(q: int, k: int, i: int) -> int | None:
 def _realizations(q: int, t: int, count: int) -> list[tuple[int, int]]:
     """The first ``count`` pairs (k, i), by increasing k, with degree t."""
     found = []
-    for k in range(0, 200):
+    for k in range(0, 300):
         for i in range(0, 40):
             if comparison_degree(q, k, i) == t:
                 found.append((k, i))
@@ -77,6 +77,10 @@ def _section(rng: random.Random, p: int, shape) -> str:
     return "*".join(parts)
 
 
+# Extra theta certificates at k = 4 per prime in local-lattices.
+_THETA_GROUP = 12
+
+
 def _local_lattices(rng: random.Random) -> list[list[str]]:
     jobs = []
     for p in (2, 3, 5, 7):
@@ -93,12 +97,19 @@ def _local_lattices(rng: random.Random) -> list[list[str]]:
                 jobs.append(
                     ["lattice", "--p", str(p), "--k", str(k), "--level", str(level), "--offset", "0"]
                 )
-        for k in range(0, 5):
-            f = _section(rng, p, _SECTION_SHAPES[k % len(_SECTION_SHAPES)])
-            level = rng.randint(-3, 3)
-            jobs.append(
-                ["theta", "--p", str(p), "--k", str(k), "--f", f, "--level", str(level)]
-            )
+        # One certificate at each k = 0..4, then a group of like cost at k = 4
+        # (about 0.03 s whatever the section and level) that holds the median
+        # job time, so that the median is an order statistic of many like jobs.
+        thetas: list[list[str]] = []
+        for k in (0, 1, 2, 3, 4) + (4,) * _THETA_GROUP:
+            while True:
+                f = _section(rng, p, _SECTION_SHAPES[len(thetas) % len(_SECTION_SHAPES)])
+                level = rng.randint(-3, 3)
+                job = ["theta", "--p", str(p), "--k", str(k), "--f", f, "--level", str(level)]
+                if job not in thetas:
+                    break
+            thetas.append(job)
+        jobs += thetas
     return jobs
 
 
@@ -113,14 +124,16 @@ def _tree_cochains(rng: random.Random) -> list[list[str]]:
                 jobs.append(["harmonic", "--p", str(p), "--k", str(k), "--radius", str(r)])
     for p, k, r in ((2, 0, 4), (2, 1, 4), (2, 2, 4), (3, 0, 3), (3, 1, 3), (3, 2, 3)):
         jobs.append(["residue", "--p", str(p), "--k", str(k), "--f", "1/z", "--radius", str(r)])
-    # Seeded sections in three groups of equal cost: the first sits at the
-    # median job time and the second at the tail, so that those quantiles are
-    # order statistics of many like jobs rather than of one.
-    groups = ((0, 3, 0, 16, ()), (1, 4, 1, 10, ()), (2, 3, 2, 3, ("--audit",)))
-    for k, r, shape, count, flags in groups:
+    # Seeded sections in three groups of equal cost: the first (two shapes of
+    # like cost, 20 sections each, from pools of 26) sits at the median job
+    # time and the second at the tail, so that those quantiles are order
+    # statistics of many like jobs rather than of one.
+    groups = ((0, 3, (0, 1), 40, ()), (1, 4, (1,), 10, ()), (2, 3, (2,), 3, ("--audit",)))
+    for k, r, shapes, count, flags in groups:
         sections: set[str] = set()
         while len(sections) < count:
-            sections.add(_section(rng, 2, _SECTION_SHAPES[shape]))
+            shape = _SECTION_SHAPES[shapes[len(sections) % len(shapes)]]
+            sections.add(_section(rng, 2, shape))
         for f in sorted(sections):
             job = ["residue", "--p", "2", "--k", str(k), "--f", f, "--radius", str(r), *flags]
             if flags:
@@ -135,9 +148,10 @@ _SECTION_GRID = (
     (3, 6, 2), (5, 2, 2), (5, 3, 2), (5, 6, 1), (7, 4, 1),
 )
 # (q, t, jobs) of the stable-line jobs.  Realizations (k, i) of one degree t
-# cost the same, so the q = 2 group sits at the median job time and the
-# q = 3, t = 6 group at the tail.
-_STABLE_LINE_GROUPS = ((2, 4, 16), (3, 4, 1), (3, 5, 1), (3, 6, 10), (3, 7, 1), (3, 8, 1))
+# cost nearly the same, so the q = 2 group sits at the median job time and
+# the q = 3, t = 5 group at the tail, with the sections and comparison maps
+# of like cost beside it and fewer than ten heavier jobs above it.
+_STABLE_LINE_GROUPS = ((2, 4, 64), (3, 4, 1), (3, 5, 20), (3, 6, 1), (3, 7, 1), (3, 8, 1))
 # (q, k) of the comparison-map jobs, all with i = 0.
 _SYMGEOM_GRID = (
     (3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
