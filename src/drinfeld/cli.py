@@ -41,7 +41,7 @@ from .modp import (
 )
 from .rational import FactoredRational, automorphic_act, parse_rational
 from .sampling import random_group_element, random_rational, random_vertex
-from .scalars import ScalarKHat
+from .scalars import Fq, ScalarKHat
 from .theta import (
     complement_b_identity,
     kernel_polynomial_dimension,
@@ -59,6 +59,8 @@ from .tree import (
 )
 
 _MAX_RADIUS = 8
+
+_INT_KEYS = ("p", "q", "k", "i", "radius", "seed", "kmax", "mmax", "level")
 
 _DEFAULTS = {
     "p": 2,
@@ -215,6 +217,18 @@ def _resolve(ctx: click.Context, **explicit) -> dict:
     for key, value in explicit.items():
         if value is not None:
             merged[key] = value
+    for key in explicit:
+        value = merged[key]
+        if key in _INT_KEYS and value is not None:
+            try:
+                int(value)
+            except (TypeError, ValueError):
+                raise InvalidParameters(f"{key} must be an integer, got {value!r}") from None
+    for key in ("k", "kmax", "mmax"):
+        if key in explicit and int(merged[key]) < 0:
+            raise InvalidParameters(f"{key} must be >= 0, got {merged[key]}")
+    if "q" in explicit:
+        Fq(int(merged["q"]))  # rejects q that is not a prime power >= 2
     radius = merged.get("radius")
     if radius is not None and not 0 <= int(radius) <= _MAX_RADIUS:
         raise InvalidParameters(f"radius must be in [0, {_MAX_RADIUS}]")
@@ -225,15 +239,40 @@ def _config_echo(cfg: dict, keys: list) -> dict:
     return {key: cfg[key] for key in keys}
 
 
+def _fraction(cfg: dict, key: str) -> Fraction:
+    try:
+        return Fraction(str(cfg[key]))
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameters(f"{key} must be a rational number, got {cfg[key]!r}") from None
+
+
 def _parse_vertex(cfg: dict) -> Vertex:
     level = cfg["level"] if cfg["level"] is not None else 0
-    return make_vertex(int(cfg["p"]), int(level), Fraction(str(cfg["offset"])))
+    return make_vertex(int(cfg["p"]), int(level), _fraction(cfg, "offset"))
 
 
 # -- command group --------------------------------------------------------------------
 
 
-@click.group()
+class _Cli(click.Group):
+    """The exit-code contract for every entry point, in-process ones included:
+    2 for invalid parameters, 3 for a broken internal invariant."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except InternalInvariantError as exc:
+            click.echo(f"internal invariant violated: {exc}", err=True)
+            ctx.exit(3)
+        except InvalidParameters as exc:
+            click.echo(f"invalid parameters: {exc}", err=True)
+            ctx.exit(2)
+        except DrinfeldError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Cli)
 @click.option(
     "--config",
     "config_path",
@@ -472,7 +511,7 @@ def identity_b_cmd(ctx, p, kmax, mmax, a) -> None:
     """Euler-operator factorization sweep over even k."""
     cfg = _resolve(ctx, p=p, kmax=kmax, mmax=mmax, a=a)
     p, kmax, mmax = int(cfg["p"]), int(cfg["kmax"]), int(cfg["mmax"])
-    shift = ScalarKHat.from_rational(Fraction(str(cfg["a"])), p)
+    shift = ScalarKHat.from_rational(_fraction(cfg, "a"), p)
     rows = []
     for k in range(2, kmax + 1, 2):
         ok = complement_b_identity(k, shift, range(-mmax, mmax + 1), p)
@@ -651,9 +690,8 @@ def sweep_cmd(ctx, p, kmax, seed) -> None:
 
 def main() -> None:
     try:
-        cli(standalone_mode=False)
-    except click.exceptions.Exit as exc:  # --help and friends
-        sys.exit(exc.exit_code)
+        # without standalone mode an exit (--help, or a code set by _Cli) is returned
+        code = cli(standalone_mode=False)
     except click.exceptions.Abort:
         sys.exit(1)
     except click.UsageError as exc:
@@ -662,15 +700,8 @@ def main() -> None:
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)
-    except InternalInvariantError as exc:
-        click.echo(f"internal invariant violated: {exc}", err=True)
-        sys.exit(3)
-    except InvalidParameters as exc:
-        click.echo(f"invalid parameters: {exc}", err=True)
-        sys.exit(2)
-    except DrinfeldError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    if code:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -126,7 +126,8 @@ def res0_integrality(g: FactoredRational, k: int, tree: TruncatedTree) -> dict:
         ok = lattice_contains_vector(edge_lattice(e, k), c.value(e))
         all_in = all_in and ok
         per_edge.append({"edge": e, "in_lattice": ok})
-    vertex_ok = all(
+    # the zero section lies in every lattice; membership tests need f != 0
+    vertex_ok = g.is_zero() or all(
         section_lattice_membership(g, k + 2, v)[0] for v in tree.vertices
     )
     return {

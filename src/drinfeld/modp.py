@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrix,
     ZeroFunction,
 )
-from .linalg import kernel_basis, rank, rref
+from .linalg import kernel_basis, mat_vec, rank, rref
 from .rational import FactoredRational, automorphic_act, raw_gauss_valuation
 from .scalars import FiniteField, Fq, FqElem
 from .symrep import substitution_matrix
@@ -260,7 +260,10 @@ def weight_action_p1(g, f: FqRatFunc, k: int) -> FqRatFunc:
 
 
 def all_invertible_matrices(field: FiniteField) -> list:
-    """Every element of the general linear group of rank 2, as 2x2 tuples."""
+    """Every element of the general linear group of rank 2, as 2x2 tuples.
+
+    The search over the whole group is kept as the reference that the
+    generator-based checks are tested against."""
     elems = list(field.elements())
     out = []
     for a in elems:
@@ -273,10 +276,17 @@ def all_invertible_matrices(field: FiniteField) -> list:
 
 
 def gl2_generators(field: FiniteField) -> list:
-    one, zero, gen = field.one(), field.zero(), field.gen()
+    """Generators of the general linear group of rank 2: the two unipotent
+    elements with entry 1 and diag(w, 1) for a primitive element w.
+
+    Conjugating the unipotents by powers of diag(w, 1) gives every elementary
+    matrix, since the powers of w span F_q over F_p; these generate the
+    determinant-one subgroup, and det diag(w, 1) = w reaches every
+    determinant."""
+    one, zero, w = field.one(), field.zero(), field.primitive_element()
     gens = [((one, one), (zero, one)), ((one, zero), (one, one))]
-    if gen != one:
-        gens.append(((gen, zero), (zero, one)))
+    if w != one:
+        gens.append(((w, zero), (zero, one)))
     return gens
 
 
@@ -348,17 +358,18 @@ def symgeom_parameters(q: int, k: int, i: int) -> tuple[int, int, int]:
     return t, shift, shift
 
 
-def sym_act_fq(field: FiniteField, g, coords: list, t: int, s: int) -> list:
-    """Twisted symmetric-power action on coordinate columns over F_q:
-    F -> det(g)^s * F(dX+bY, cX+aY)."""
+def sym_matrix_fq(field: FiniteField, g, t: int, s: int) -> list:
+    """Matrix over F_q of the twisted symmetric-power action on degree-t
+    forms: F -> det(g)^s * F(dX+bY, cX+aY)."""
     a, b, c, d = _lift_matrix(field, g)
+    scalar = (a * d - b * c) ** s
     m = substitution_matrix(a, b, c, d, t, field.from_int)
-    det = a * d - b * c
-    scalar = det**s
-    return [
-        scalar * sum((m[r][i] * coords[i] for i in range(t + 1)), field.zero())
-        for r in range(t + 1)
-    ]
+    return [[scalar * x for x in row] for row in m]
+
+
+def sym_act_fq(field: FiniteField, g, coords: list, t: int, s: int) -> list:
+    """Twisted symmetric-power action on a coordinate column over F_q."""
+    return mat_vec(sym_matrix_fq(field, g, t, s), coords)
 
 
 def symgeom_iso(q: int, k: int, i: int) -> dict:
@@ -393,9 +404,9 @@ def symgeom_equivariance(q: int, k: int, i: int, g) -> bool:
     """iso(g.F) == (iso F)|_g at weight k, on every monomial."""
     iso = symgeom_iso(q, k, i)
     field, t, shift = iso["field"], iso["t"], iso["shift"]
+    m = sym_matrix_fq(field, g, t, shift)
     for r in range(t + 1):
-        coords = [field.one() if j == r else field.zero() for j in range(t + 1)]
-        lhs = symgeom_apply(iso, sym_act_fq(field, g, coords, t, shift))
+        lhs = symgeom_apply(iso, [row[r] for row in m])
         rhs = weight_action_p1(g, iso["images"][r], k)
         if not (lhs - rhs).is_zero():
             return False
@@ -562,7 +573,11 @@ def quotient_reduce(q: int, k: int, i: int, coeffs: dict) -> tuple:
 
 def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
     """The induced representation on the quotient by the exponent-shift
-    relations, plus every line fixed by the full invertible group."""
+    relations, plus every line fixed by the full invertible group.
+
+    A line's stabiliser is a subgroup, so a line is fixed by the group
+    exactly when each of ``gl2_generators`` fixes it; only those are tested.
+    """
     s = _quotient_structure(q, k, i)
     field, t, shift, free, reduce_vector = (
         s["field"],
@@ -572,14 +587,10 @@ def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
         s["reduce"],
     )
     dim = len(free)
-    group = all_invertible_matrices(field)
     matrices = []
-    for g in group:
-        cols = []
-        for c in free:
-            coords = [field.one() if j == c else field.zero() for j in range(t + 1)]
-            image = sym_act_fq(field, g, coords, t, shift)
-            cols.append(reduce_vector(image))
+    for g in gl2_generators(field):
+        m = sym_matrix_fq(field, g, t, shift)
+        cols = [reduce_vector([row[c] for row in m]) for c in free]
         matrices.append([[cols[j][r] for j in range(dim)] for r in range(dim)])
 
     def normalize(vec: tuple) -> tuple:
@@ -623,7 +634,7 @@ def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
         "shift": shift,
         "free_monomials": free,
         "stable_lines": stable,
-        "group_order": len(group),
+        "group_order": (q * q - 1) * (q * q - q),
     }
 
 

@@ -157,10 +157,15 @@ class ScalarKHat:
         return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "ScalarKHat":
-        base = self if n >= 0 else self.inverse()
+        if n < 0:
+            return self.inverse() ** (-n)
         result = ScalarKHat.one(self.p)
-        for _ in range(abs(n)):
-            result = result * base
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
         return result
 
     def conjugate(self) -> "ScalarKHat":
@@ -274,7 +279,7 @@ def Fq(q: int) -> "FiniteField":
     """The finite field with q = p^f elements, with a deterministic modulus."""
     if q < 2:
         raise InvalidParameters(f"q must be a prime power >= 2, got {q}")
-    p = min(d for d in range(2, q + 1) if q % d == 0)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     f = 0
     m = q
     while m > 1:
@@ -332,6 +337,17 @@ class FiniteField:
         if self.f == 1:
             return self.one()
         return self.elem((0, 1))
+
+    def primitive_element(self) -> "FqElem":
+        """First element, in ``elements`` order, of multiplicative order q-1."""
+        n = self.q - 1
+        primes = [
+            r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))
+        ]
+        one = self.one()
+        for x in self.elements():
+            if not x.is_zero() and all(x ** (n // r) != one for r in primes):
+                return x
 
     def elements(self) -> Iterator["FqElem"]:
         """All q elements, in deterministic base-p order."""

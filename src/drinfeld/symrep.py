@@ -10,7 +10,6 @@ Matrices act on coordinate columns.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Callable, TypeVar
 
 from .errors import InvalidParameters, NonInvertibleDeterminant
@@ -26,18 +25,31 @@ def substitution_matrix(
 ) -> Matrix:
     """Matrix of F(X, Y) -> F(dX + bY, cX + aY) on homogeneous degree-k forms.
 
-    Column i holds the monomial coefficients of (dX+bY)^i (cX+aY)^(k-i).
+    Column i holds the monomial coefficients of (dX+bY)^i (cX+aY)^(k-i): the
+    product of two rows of the power tables below, O(k^3) products in all.
     """
     if k < 0:
         raise InvalidParameters("degree must be >= 0")
+    zero = from_int(0)
+
+    def powers(x: T, y: T) -> list:
+        # row n: coefficients of (xX + yY)^n against X^r Y^(n-r), r = 0..n
+        rows = [[from_int(1)]]
+        for _ in range(k):
+            prev = rows[-1]
+            nxt = [u * y for u in prev] + [zero]
+            for r, u in enumerate(prev):
+                nxt[r + 1] = nxt[r + 1] + u * x
+            rows.append(nxt)
+        return rows
+
+    left, right = powers(d, b), powers(c, a)
     cols = []
     for i in range(k + 1):
-        col = [from_int(0)] * (k + 1)
-        for r in range(i + 1):
-            for t in range(k - i + 1):
-                coeff = from_int(comb(i, r) * comb(k - i, t))
-                term = coeff * d**r * b ** (i - r) * c**t * a ** (k - i - t)
-                col[r + t] = col[r + t] + term
+        col = [zero] * (k + 1)
+        for r, u in enumerate(left[i]):
+            for t, w in enumerate(right[k - i]):
+                col[r + t] = col[r + t] + u * w
         cols.append(col)
     return transpose(cols)  # rows indexed by monomial, columns by source index
 

@@ -8,6 +8,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+from click.testing import CliRunner
+
+from drinfeld.cli import cli
+
 
 def run_cli(*args, env_extra=None, expect_code=0):
     env = dict(os.environ)
@@ -119,6 +124,41 @@ class TestExitCodes:
     def test_unknown_command_is_a_usage_error(self):
         proc = run_cli("no-such-command", expect_code=2)
         assert b"usage error" in proc.stderr
+
+
+class TestInProcessExitCodes:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("harmonic", "--k", "-3"),
+            ("modp", "degrees", "--q", "0"),
+            ("lattice", "--level", "1", "--offset", "abc"),
+            ("identity-b", "--a", "1/0"),
+            ("sweep", "--kmax", "-1"),
+        ],
+    )
+    def test_input_outside_the_domain_is_rejected_with_code_two(self, args):
+        result = CliRunner().invoke(cli, list(args))
+        assert result.exit_code == 2, (args, result.output)
+        assert "invalid parameters" in result.stderr
+
+    def test_non_integer_config_value_is_rejected_with_code_two(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = abc\n")
+        result = CliRunner().invoke(cli, ["--config", str(cfg), "local-dims"])
+        assert result.exit_code == 2
+        assert "invalid parameters" in result.stderr
+
+    def test_residue_of_the_zero_section_is_the_zero_cochain(self):
+        result = CliRunner().invoke(
+            cli, ["residue", "--p", "2", "--k", "0", "--f", "0", "--radius", "2"]
+        )
+        assert result.exit_code == 0, result.output
+        out = json.loads(result.stdout)
+        assert out["support_size"] == 0
+        assert out["cochain"] == []
+        assert out["vertex_membership"] is True
+        assert out["pass"] is True
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ lines, the parity-swapping checks, and integer-valuation profiles."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -243,6 +244,77 @@ class TestQuotientRepresentation:
             coords[pos] = c
         image = sym_act_fq(F, g, coords, t, shift)
         assert quotient_reduce(2, 9, 0, {r: int(image[r].coeffs[0]) for r in range(t + 1)}) == line
+
+
+def _mat_mul_fq(x, y):
+    return tuple(
+        tuple(x[r][0] * y[0][c] + x[r][1] * y[1][c] for c in range(2)) for r in range(2)
+    )
+
+
+def _stable_lines_by_full_group(q, k, i):
+    """Every line of the quotient fixed by each element of the group, found by
+    scanning the whole group."""
+    out = quotient_rep_and_stable_lines(q, k, i)
+    F = Fq(q)
+    t, shift, free = out["t"], out["shift"], out["free_monomials"]
+    dim = len(free)
+    columns = []
+    for g in all_invertible_matrices(F):
+        cols = []
+        for c in free:
+            unit = [F.one() if j == c else F.zero() for j in range(t + 1)]
+            image = sym_act_fq(F, g, unit, t, shift)
+            cols.append(quotient_reduce(q, k, i, dict(enumerate(image))))
+        columns.append(cols)
+
+    def normalize(vec):
+        lead = next(x for x in vec if x != F.zero())
+        inv = lead.inverse()
+        return tuple(inv * x for x in vec)
+
+    lines = {
+        normalize(vec)
+        for vec in itertools.product(list(F.elements()), repeat=dim)
+        if any(x != F.zero() for x in vec)
+    }
+    stable = []
+    for line in sorted(lines, key=lambda v: tuple(x.coeffs for x in v)):
+        fixed = True
+        for cols in columns:
+            image = [
+                sum((cols[j][r] * line[j] for j in range(dim)), F.zero())
+                for r in range(dim)
+            ]
+            if normalize(image) != line:
+                fixed = False
+                break
+        if fixed:
+            stable.append(line)
+    return stable
+
+
+class TestGroupGenerators:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_generators_close_up_to_the_whole_group(self, q):
+        gens = gl2_generators(Fq(q))
+        seen, frontier = set(gens), list(gens)
+        while frontier:
+            frontier = [
+                y
+                for y in {_mat_mul_fq(x, g) for x in frontier for g in gens}
+                if y not in seen
+            ]
+            seen.update(frontier)
+        assert len(seen) == (q * q - 1) * (q * q - q)
+
+    @pytest.mark.parametrize(
+        "q,k,i", [(2, 9, 0), (3, 4, 0), (3, 7, 0), (3, 8, 1), (4, 4, 0), (4, 5, 0)]
+    )
+    def test_generator_stable_lines_match_the_full_group_scan(self, q, k, i):
+        out = quotient_rep_and_stable_lines(q, k, i)
+        assert out["stable_lines"] == _stable_lines_by_full_group(q, k, i)
+        assert out["group_order"] == len(all_invertible_matrices(Fq(q)))
 
 
 class TestParityAndIntegerProfiles:

@@ -82,6 +82,18 @@ class TestValuation:
             assert s.valuation() >= min(x.valuation(), y.valuation())
 
 
+class TestPowers:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_power_matches_repeated_multiplication(self, p):
+        x = ScalarKHat(p, Fraction(-3, 2), Fraction(5, 7))
+        for n in range(-5, 13):
+            base = x if n >= 0 else x.inverse()
+            expected = ScalarKHat.one(p)
+            for _ in range(abs(n)):
+                expected = expected * base
+            assert x**n == expected, (p, n)
+
+
 class TestConjugationAndIntegrality:
     def test_conjugate_flips_uniformizer_sign(self):
         s = scalar(3, 2) + ScalarKHat.pihat(2, 1)
@@ -144,6 +156,12 @@ class TestFiniteFields:
         powers = {g ** i for i in range(1, 4)}
         assert len(powers) == 3  # generator of the cyclic group of order q-1
         assert g ** 3 == field.one()
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_primitive_element_generates_the_multiplicative_group(self, q):
+        field = Fq(q)
+        w = field.primitive_element()
+        assert len({w**n for n in range(q - 1)}) == q - 1
 
     def test_negative_exponent(self):
         field = Fq(9)

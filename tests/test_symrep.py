@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,9 +19,27 @@ from drinfeld import (
     epsilon,
     gamma_level,
     sigma,
+    substitution_matrix,
     sym_act,
 )
+from drinfeld.linalg import transpose
 from drinfeld.sampling import random_group_element
+from drinfeld.scalars import Fq
+
+
+def _reference_substitution_matrix(a, b, c, d, k, from_int):
+    """The term-by-term expansion: each binomial term of
+    (dX+bY)^i (cX+aY)^(k-i) from its own powers, O(k^4) products."""
+    cols = []
+    for i in range(k + 1):
+        col = [from_int(0)] * (k + 1)
+        for r in range(i + 1):
+            for t in range(k - i + 1):
+                coeff = from_int(comb(i, r) * comb(k - i, t))
+                term = coeff * d**r * b ** (i - r) * c**t * a ** (k - i - t)
+                col[r + t] = col[r + t] + term
+        cols.append(col)
+    return transpose(cols)
 
 
 def _unit(k, p, i):
@@ -32,6 +52,37 @@ def _vec_eq(xs, ys):
 
 def _scale(s, xs):
     return [s * x for x in xs]
+
+
+class TestSubstitutionMatrixOracle:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_the_term_expansion_over_the_quadratic_extension(self, p):
+        rng = random.Random(4000 + p)
+        lift = lambda n: ScalarKHat.from_rational(n, p)
+
+        def draw():
+            return ScalarKHat(
+                p,
+                Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)),
+                Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)),
+            )
+
+        for k in range(11):
+            a, b, c, d = draw(), draw(), draw(), draw()
+            assert substitution_matrix(a, b, c, d, k, lift) == (
+                _reference_substitution_matrix(a, b, c, d, k, lift)
+            ), (p, k)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_matches_the_term_expansion_over_finite_fields(self, q):
+        field = Fq(q)
+        elems = list(field.elements())
+        rng = random.Random(5000 + q)
+        for k in range(11):
+            a, b, c, d = (rng.choice(elems) for _ in range(4))
+            assert substitution_matrix(a, b, c, d, k, field.from_int) == (
+                _reference_substitution_matrix(a, b, c, d, k, field.from_int)
+            ), (q, k)
 
 
 class TestDiagonalEigenvalues:
