@@ -454,7 +454,7 @@ def residue_cmd(ctx, p, k, radius, f_text, audit, seed) -> None:
     cochain = res0(g, k, ball, audit=bool(cfg["audit"]), rng=rng)
     star_sums = delta(cochain, ball)
     delta_zero = all(all(x.is_zero() for x in vec) for vec in star_sums.values())
-    integrality = res0_integrality(g, k, ball)
+    integrality = res0_integrality(g, k, ball, cochain=cochain)
     consistent = integrality["in_all_edge_lattices"] or not integrality["vertex_membership"]
     _emit(
         {

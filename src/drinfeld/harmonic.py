@@ -116,14 +116,21 @@ def res0(
     return Cochain(tree.p, k, values)
 
 
-def res0_integrality(g: FactoredRational, k: int, tree: TruncatedTree) -> dict:
+def res0_integrality(
+    g: FactoredRational, k: int, tree: TruncatedTree, cochain: Cochain | None = None
+) -> dict:
     """Whether the residue cochain lands in every edge lattice; certificates
-    list the per-edge outcome alongside the vertex membership precondition."""
-    c = res0(g, k, tree)
+    list the per-edge outcome alongside the vertex membership precondition.
+
+    ``cochain`` is res0(g, k, tree) when the caller already has it. Only the
+    edges it stores need a lattice solve: every other value is the zero
+    vector, which lies in every full-rank lattice."""
+    c = res0(g, k, tree) if cochain is None else cochain
     per_edge = []
     all_in = True
     for e in tree.edges:
-        ok = lattice_contains_vector(edge_lattice(e, k), c.value(e))
+        vec = c.values.get(e)
+        ok = vec is None or lattice_contains_vector(edge_lattice(e, k), vec)
         all_in = all_in and ok
         per_edge.append({"edge": e, "in_lattice": ok})
     # the zero section lies in every lattice; membership tests need f != 0
@@ -149,34 +156,35 @@ def cochain_transport(g: Mat2, c: Cochain) -> Cochain:
 
 
 def _field_kernel(tree: TruncatedTree, k: int) -> dict:
+    """Dual coordinate i of a star sum involves only coordinate i of each
+    edge value, so the kernel is k+1 copies of the kernel of the 0/1
+    interior-by-edge incidence matrix: each incidence kernel vector, placed in
+    one coordinate at a time. This is the basis, in order, that elimination
+    of the interleaved (k+1)·E-column matrix gives."""
     p = tree.p
     zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
     edges = list(tree.edges)
     index = {e: n for n, e in enumerate(edges)}
-    ncols = (k + 1) * len(edges)
     rows = []
     for v in tree.interior_vertices():
-        incident = [index[e] for e in tree.edges_at(v)]
-        for i in range(k + 1):
-            row = [zero] * ncols
-            for n in incident:
-                row[n * (k + 1) + i] = one
-            rows.append(row)
-    if ncols == 0:
-        return {"dimension": 0, "basis": []}
+        row = [zero] * len(edges)
+        for e in tree.edges_at(v):
+            row[index[e]] = one
+        rows.append(row)
     vectors = kernel_basis(rows, zero, one) if rows else [
-        [one if t == s else zero for t in range(ncols)] for s in range(ncols)
+        [one if t == s else zero for t in range(len(edges))] for s in range(len(edges))
     ]
     basis = []
     for vec in vectors:
-        values = {}
-        for e in edges:
-            n = index[e]
-            chunk = vec[n * (k + 1) : (n + 1) * (k + 1)]
-            if any(not x.is_zero() for x in chunk):
+        support = [(e, x) for e, x in zip(edges, vec) if not x.is_zero()]
+        for i in range(k + 1):
+            values = {}
+            for e, x in support:
+                chunk = [zero] * (k + 1)
+                chunk[i] = x
                 values[e] = chunk
-        basis.append(Cochain(p, k, values))
-    return {"dimension": len(vectors), "basis": basis}
+            basis.append(Cochain(p, k, values))
+    return {"dimension": len(basis), "basis": basis}
 
 
 def _modp_kernel(tree: TruncatedTree, k: int) -> dict:

@@ -326,14 +326,6 @@ def edge_membership(
     )
 
 
-def edge_membership_odd(f: FactoredRational, k: int, e: Edge) -> bool:
-    """Two-generator coefficient criterion; defined for odd k only."""
-    if k % 2 == 0:
-        raise InvalidParameters("edge_membership_odd requires odd k")
-    ok, _ = edge_membership(f, k, e)
-    return ok
-
-
 # -- the multiplication comparison -------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .scalars import INF, ScalarKHat
 from .symrep import chi
-from .tree import Edge, Mat2, Vertex, edge_transporter, vertex_transporter
+from .tree import Mat2, Vertex, vertex_transporter
 
 Poly = tuple  # tuple[ScalarKHat, ...], little-endian, no trailing zeros; () is 0
 
@@ -254,13 +254,8 @@ class FactoredRational:
         extra = self.extra
         factors = {_root_key(r): [r, m] for r, m in self.factors}
         zero = ScalarKHat.zero(self.p)
-        candidates = sorted(
-            {_root_key(r): r for r, _ in self.factors} | {_root_key(zero): zero}
-        )
-        candidates = [
-            ({_root_key(r): r for r, _ in self.factors} | {_root_key(zero): zero})[k]
-            for k in candidates
-        ]
+        by_key = {_root_key(r): r for r, _ in self.factors} | {_root_key(zero): zero}
+        candidates = [by_key[key] for key in sorted(by_key)]
         for root in candidates:
             lin = (-root, ScalarKHat.one(self.p))
             while len(extra) > 1:
@@ -327,18 +322,12 @@ class FactoredRational:
         den_factors = [(r, -m) for r, m in self.denominator_roots()] + [
             (r, -m) for r, m in other.denominator_roots()
         ]
-        out = FactoredRational(
+        return FactoredRational(
             self.p, ScalarKHat.one(self.p), den_factors, num
         )._refactored()
-        return out._cancelled()
 
     def __sub__(self, other: "FactoredRational") -> "FactoredRational":
         return self + (-other)
-
-    def _cancelled(self) -> "FactoredRational":
-        """Drop factor pairs that cancelled to multiplicity zero (constructor
-        already merges); nothing else to do, kept for readability."""
-        return self
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactoredRational):
@@ -675,31 +664,6 @@ def laurent_standard(
     return LaurentWindow(p, w_lo, w_hi, coeffs, below, above)
 
 
-def laurent_on_edge(
-    f: FactoredRational, e: Edge, lo: int, hi: int, weight: int = 0
-) -> LaurentWindow:
-    """Pull f back by the edge transporter (at the given weight) and expand on
-    the standard annulus."""
-    moved = automorphic_act(edge_transporter(e).inv(), f, weight)
-    return laurent_standard(moved, lo, hi)
-
-
-def edge_tube_valuation(window: LaurentWindow) -> Fraction | float:
-    """Infimum of the function's valuation over the closed standard annulus:
-    the smaller of the two boundary-circle valuations."""
-    best = INF
-    for j, c in window.coeffs.items():
-        v = c.valuation()
-        best = min(best, v, v + j)
-    for alpha, beta in window.below:
-        j = window.lo - 1
-        best = min(best, alpha + beta * j, alpha + (beta + 1) * j)
-    for alpha, beta in window.above:
-        j = window.hi + 1
-        best = min(best, alpha + beta * j, alpha + (beta + 1) * j)
-    return best
-
-
 # -- parsing ------------------------------------------------------------------------
 
 
@@ -721,6 +685,14 @@ _INNER_TERM = re.compile(
 )
 
 
+def _literal(text: str) -> Fraction:
+    """A rational literal such as '3' or '1/2'; a zero denominator is bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidParameters(f"zero denominator in {text!r}") from None
+
+
 def _parse_root(inner: str, p: int) -> ScalarKHat:
     """Parse the '- root' tail inside '(z ... )' and return the root."""
     total = ScalarKHat.zero(p)
@@ -737,7 +709,7 @@ def _parse_root(inner: str, p: int) -> ScalarKHat:
         elif raw_coef.startswith("p"):
             coef = Fraction(p) ** int(m.group("cpe") or 1)
         else:
-            coef = Fraction(raw_coef)
+            coef = _literal(raw_coef)
         coef *= sign
         if m.group("pihat"):
             term = ScalarKHat.pihat(p, int(m.group("tpe") or 1)) * coef
@@ -783,8 +755,10 @@ def parse_rational(text: str, p: int) -> FactoredRational:
             factor = FactoredRational(p, ScalarKHat.one(p), [(root, e)])
         else:
             factor = FactoredRational.constant(
-                ScalarKHat.from_rational(Fraction(m.group("rat")), p)
+                ScalarKHat.from_rational(_literal(m.group("rat")), p)
             )
+        if op == "/" and factor.is_zero():
+            raise InvalidParameters(f"division by zero in {text!r}")
         result = result * factor if op == "*" else result / factor
         pos = m.end()
     return result

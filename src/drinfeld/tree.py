@@ -246,6 +246,7 @@ class TruncatedTree:
     vertices: list[Vertex]
     edges: list[Edge]
     index: dict[Vertex, int]
+    incident: dict[Vertex, list[Edge]]
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.index
@@ -257,7 +258,8 @@ class TruncatedTree:
         return [v for v in self.vertices if self.is_interior(v)]
 
     def edges_at(self, v: Vertex) -> list[Edge]:
-        return [e for e in self.edges if v in (e.u, e.v)]
+        """The ball's edges at v, in the order of ``edges``."""
+        return list(self.incident.get(v, ()))
 
     def to_json(self) -> dict:
         return {
@@ -274,7 +276,8 @@ class TruncatedTree:
 
 def truncated_tree(p: int, radius: int, center: Vertex | None = None) -> TruncatedTree:
     """Ball of the given radius, vertices in breadth-first order (neighbors
-    visited parent first, then children by offset)."""
+    visited parent first, then children by offset). Each vertex's incident
+    edges are recorded as the edges are appended, so they keep edge order."""
     if radius < 0:
         raise InvalidParameters("radius must be >= 0")
     if center is None:
@@ -282,6 +285,7 @@ def truncated_tree(p: int, radius: int, center: Vertex | None = None) -> Truncat
     vertices = [center]
     index = {center: 0}
     edges: list[Edge] = []
+    incident: dict[Vertex, list[Edge]] = {center: []}
     frontier = [center]
     for _ in range(radius):
         nxt: list[Vertex] = []
@@ -291,9 +295,12 @@ def truncated_tree(p: int, radius: int, center: Vertex | None = None) -> Truncat
                     index[w] = len(vertices)
                     vertices.append(w)
                     nxt.append(w)
-                    edges.append(make_edge(v, w))
+                    e = make_edge(v, w)
+                    edges.append(e)
+                    incident[v].append(e)
+                    incident[w] = [e]
         frontier = nxt
-    return TruncatedTree(p, radius, center, vertices, edges, index)
+    return TruncatedTree(p, radius, center, vertices, edges, index, incident)
 
 
 def geodesic_vertices(u: Vertex, v: Vertex) -> list[Vertex]:

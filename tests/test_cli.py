@@ -135,6 +135,10 @@ class TestInProcessExitCodes:
             ("lattice", "--level", "1", "--offset", "abc"),
             ("identity-b", "--a", "1/0"),
             ("sweep", "--kmax", "-1"),
+            ("residue", "--p", "2", "--k", "0", "--f", "1/0", "--radius", "1"),
+            ("residue", "--p", "2", "--k", "0", "--f", "(z-1/0)", "--radius", "1"),
+            ("residue", "--p", "2", "--k", "0", "--f", "z/0", "--radius", "1"),
+            ("theta", "--p", "2", "--k", "1", "--f", "1/0", "--level", "1"),
         ],
     )
     def test_input_outside_the_domain_is_rejected_with_code_two(self, args):
@@ -148,6 +152,26 @@ class TestInProcessExitCodes:
         result = CliRunner().invoke(cli, ["--config", str(cfg), "local-dims"])
         assert result.exit_code == 2
         assert "invalid parameters" in result.stderr
+
+    @pytest.mark.parametrize("audit", [[], ["--audit", "--seed", "3"]])
+    def test_residue_computes_its_cochain_once(self, monkeypatch, audit):
+        # the CLI and res0_integrality each hold a reference to res0
+        from drinfeld import cli as cli_module, harmonic
+
+        real_res0 = harmonic.res0
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("audit", False))
+            return real_res0(*args, **kwargs)
+
+        monkeypatch.setattr(harmonic, "res0", counted)
+        monkeypatch.setattr(cli_module, "res0", counted)
+        result = CliRunner().invoke(
+            cli, ["residue", "--p", "2", "--k", "1", "--f", "1/z", "--radius", "2", *audit]
+        )
+        assert result.exit_code == 0, result.output
+        assert calls == [bool(audit)]
 
     def test_residue_of_the_zero_section_is_the_zero_cochain(self):
         result = CliRunner().invoke(

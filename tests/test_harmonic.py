@@ -23,11 +23,44 @@ from drinfeld import (
     truncated_tree,
     weyl_flip,
 )
+from drinfeld.linalg import kernel_basis
 from drinfeld.sampling import random_group_element, random_rational
 
 
 def _vec_is_zero(vec):
     return all(x.is_zero() for x in vec)
+
+
+def _reference_field_kernel(tree, k):
+    """Dense elimination of the interleaved (k+1)·E-column star-sum matrix."""
+    p = tree.p
+    zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
+    edges = list(tree.edges)
+    index = {e: n for n, e in enumerate(edges)}
+    ncols = (k + 1) * len(edges)
+    rows = []
+    for v in tree.interior_vertices():
+        incident = [index[e] for e in tree.edges_at(v)]
+        for i in range(k + 1):
+            row = [zero] * ncols
+            for n in incident:
+                row[n * (k + 1) + i] = one
+            rows.append(row)
+    if ncols == 0:
+        return {"dimension": 0, "basis": []}
+    vectors = kernel_basis(rows, zero, one) if rows else [
+        [one if t == s else zero for t in range(ncols)] for s in range(ncols)
+    ]
+    basis = []
+    for vec in vectors:
+        values = {}
+        for e in edges:
+            n = index[e]
+            chunk = vec[n * (k + 1) : (n + 1) * (k + 1)]
+            if any(not x.is_zero() for x in chunk):
+                values[e] = chunk
+        basis.append(Cochain(p, k, values))
+    return {"dimension": len(vectors), "basis": basis}
 
 
 class TestResidueOfSimplePole:
@@ -146,6 +179,28 @@ class TestIntegrality:
         report = res0_integrality(parse_rational("pihat^-1/z", p), 0, t)
         assert report["in_all_edge_lattices"] is False
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("text", ["1/z", "pihat^-1/z", "z^-2*(z-2)", "0"])
+    def test_given_cochain_gives_the_same_report(self, text, k, tree_factory):
+        p = 2
+        t = tree_factory(p, 3)
+        f = parse_rational(text, p)
+        assert res0_integrality(f, k, t) == res0_integrality(
+            f, k, t, cochain=res0(f, k, t)
+        )
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_edges_outside_the_support_are_in_their_lattices(self, k, tree_factory):
+        p = 2
+        t = tree_factory(p, 3)
+        f = parse_rational("pihat^-1/z", p)
+        support = set(res0(f, k, t).support())
+        report = res0_integrality(f, k, t)
+        outside = [row for row in report["edges"] if row["edge"] not in support]
+        assert [row["edge"] for row in report["edges"]] == list(t.edges)
+        assert outside and all(row["in_lattice"] for row in outside)
+        assert not all(row["in_lattice"] for row in report["edges"])
+
 
 class TestTransporterAudit:
     @pytest.mark.parametrize("k", [0, 1])
@@ -174,6 +229,20 @@ class TestKernelDimensions:
         boundary_excess = len(t.edges) - len(t.interior_vertices())
         assert result["dimension"] == (k + 1) * boundary_excess
         assert len(result["basis"]) == result["dimension"]
+
+    @pytest.mark.parametrize(
+        "p, radius",
+        [(p, r) for p in (2, 3, 5) for r in range(4)] + [(2, 4)],
+    )
+    def test_block_field_kernel_equals_dense_elimination(self, p, radius):
+        t = truncated_tree(p, radius)
+        for k in range(4):
+            got = harmonic_kernel(t, k)
+            want = _reference_field_kernel(t, k)
+            assert got["dimension"] == want["dimension"]
+            assert [list(c.values.items()) for c in got["basis"]] == [
+                list(c.values.items()) for c in want["basis"]
+            ]
 
     def test_mod_pihat_kernel_shape(self):
         p = 2

@@ -206,6 +206,13 @@ class TestTruncations:
         for v in t.interior_vertices():
             assert {e for e in t.edges_at(v)} <= set(t.edges)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_edges_at_equals_a_scan_of_every_edge(self, p):
+        for radius in range(5):
+            t = truncated_tree(p, radius)
+            for v in t.vertices:
+                assert t.edges_at(v) == [e for e in t.edges if v in (e.u, e.v)]
+
     def test_ball_is_centered(self):
         t = truncated_tree(2, 2)
         c = standard_vertex(2)
