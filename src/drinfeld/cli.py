@@ -41,7 +41,7 @@ from .modp import (
 )
 from .rational import FactoredRational, automorphic_act, parse_rational
 from .sampling import random_group_element, random_rational, random_vertex
-from .scalars import Fq, ScalarKHat
+from .scalars import Fq, ScalarKHat, _check_prime
 from .theta import (
     complement_b_identity,
     kernel_polynomial_dimension,
@@ -227,6 +227,8 @@ def _resolve(ctx: click.Context, **explicit) -> dict:
     for key in ("k", "kmax", "mmax"):
         if key in explicit and int(merged[key]) < 0:
             raise InvalidParameters(f"{key} must be >= 0, got {merged[key]}")
+    if "p" in explicit:
+        _check_prime(int(merged["p"]))
     if "q" in explicit:
         Fq(int(merged["q"]))  # rejects q that is not a prime power >= 2
     radius = merged.get("radius")
@@ -269,6 +271,9 @@ class _Cli(click.Group):
             ctx.exit(2)
         except DrinfeldError as exc:
             click.echo(f"error: {exc}", err=True)
+            ctx.exit(2)
+        except click.UsageError as exc:
+            click.echo(f"usage error: {exc.format_message()}", err=True)
             ctx.exit(2)
 
 
@@ -672,7 +677,13 @@ def sweep_cmd(ctx, p, kmax, seed) -> None:
     cfg = _resolve(ctx, p=p, kmax=kmax, seed=seed)
     p, kmax, seed = int(cfg["p"]), int(cfg["kmax"]), int(cfg["seed"])
     items = [(p, k, seed) for k in range(kmax + 1)]
-    threads = int(os.environ.get("DRINFELD_THREADS", "1") or "1")
+    raw_threads = os.environ.get("DRINFELD_THREADS", "1") or "1"
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        raise InvalidParameters(
+            f"DRINFELD_THREADS must be an integer, got {raw_threads!r}"
+        ) from None
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_item, items))

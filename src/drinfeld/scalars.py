@@ -20,15 +20,18 @@ INF = math.inf
 RationalLike = Union[int, Fraction]
 
 
+@lru_cache(maxsize=None)
 def _check_prime(p: int) -> None:
+    # only primes are cached: a failed check raises, and lru_cache keeps no result
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise InvalidParameters(f"p must be prime, got {p}")
 
 
 def val_p(x: RationalLike, p: int) -> Fraction | float:
     """p-adic valuation of a rational; inf for 0."""
-    x = Fraction(x)
-    if x == 0:
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if not x:
         return INF
     num, den = x.numerator, x.denominator
     v = 0
@@ -55,6 +58,11 @@ def reduce_rational_mod_p(x: RationalLike, p: int) -> int:
     return (x.numerator * _mod_inverse(x.denominator, p)) % p
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_HALF = Fraction(1, 2)
+
+
 @dataclass(frozen=True)
 class ScalarKHat:
     """Element a + b*pihat of the ramified quadratic extension with pihat^2 = p.
@@ -62,6 +70,11 @@ class ScalarKHat:
     The valuation extends the p-adic one with omega(pihat) = 1/2; since the two
     components have valuations of distinct parity (integers vs half-integers),
     omega(a + b*pihat) = min(val(a), val(b) + 1/2) with no cancellation ever.
+
+    The public constructors check that p is prime and coerce both components
+    to ``Fraction``.  Arithmetic on two valid scalars builds its result with
+    ``_make``, which checks nothing, and skips the products and sums of a
+    zero operand or of a pihat-part that is zero.
     """
 
     p: int
@@ -70,22 +83,27 @@ class ScalarKHat:
 
     def __post_init__(self) -> None:
         _check_prime(self.p)
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rational(x: RationalLike, p: int) -> "ScalarKHat":
-        return ScalarKHat(p, Fraction(x), Fraction(0))
+        _check_prime(p)
+        return _make(p, x if type(x) is Fraction else Fraction(x), _ZERO)
 
     @staticmethod
     def zero(p: int) -> "ScalarKHat":
-        return ScalarKHat(p, Fraction(0), Fraction(0))
+        _check_prime(p)
+        return _make(p, _ZERO, _ZERO)
 
     @staticmethod
     def one(p: int) -> "ScalarKHat":
-        return ScalarKHat(p, Fraction(1), Fraction(0))
+        _check_prime(p)
+        return _make(p, _ONE, _ZERO)
 
     @staticmethod
     def pihat(p: int, exponent: int = 1) -> "ScalarKHat":
@@ -99,13 +117,13 @@ class ScalarKHat:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.b
 
     def rational_value(self) -> Fraction:
-        if self.b != 0:
+        if self.b:
             raise InvalidParameters(f"{self} is not rational")
         return self.a
 
@@ -116,39 +134,57 @@ class ScalarKHat:
             if other.p != self.p:
                 raise ResidueFieldMismatch(f"mixing p={self.p} and p={other.p}")
             return other
-        return ScalarKHat.from_rational(other, self.p)
+        return _make(self.p, other if type(other) is Fraction else Fraction(other), _ZERO)
 
     def __add__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
         o = self._coerce(other)
-        return ScalarKHat(self.p, self.a + o.a, self.b + o.b)
+        if not o.a and not o.b:
+            return self
+        if not self.a and not self.b:
+            return o
+        b = self.b + o.b if self.b and o.b else self.b or o.b
+        return _make(self.p, self.a + o.a, b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarKHat":
-        return ScalarKHat(self.p, -self.a, -self.b)
+        return _make(self.p, -self.a, -self.b)
 
     def __sub__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        if not o.a and not o.b:
+            return self
+        return _make(self.p, self.a - o.a, self.b - o.b if o.b else self.b)
 
     def __rsub__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
         return self._coerce(other) - self
 
     def __mul__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
         o = self._coerce(other)
-        return ScalarKHat(
-            self.p,
-            self.a * o.a + self.p * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
+        a, b, c, d = self.a, self.b, o.a, o.b
+        if not b:
+            if not a:
+                return self
+            if not d:
+                return _make(self.p, a * c, _ZERO) if c else o
+            return _make(self.p, a * c, a * d)
+        if not d:
+            if not c:
+                return o
+            return _make(self.p, a * c, b * c)
+        return _make(self.p, a * c + self.p * b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ScalarKHat":
         """Multiplicative inverse via the conjugate: (a - b*pihat) / (a^2 - p b^2)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        norm = self.a * self.a - self.p * self.b * self.b
-        return ScalarKHat(self.p, self.a / norm, -self.b / norm)
+        a, b = self.a, self.b
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero")
+            return _make(self.p, 1 / a, _ZERO)
+        norm = a * a - self.p * b * b
+        return _make(self.p, a / norm, -b / norm)
 
     def __truediv__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
         return self * self._coerce(other).inverse()
@@ -159,7 +195,7 @@ class ScalarKHat:
     def __pow__(self, n: int) -> "ScalarKHat":
         if n < 0:
             return self.inverse() ** (-n)
-        result = ScalarKHat.one(self.p)
+        result = _make(self.p, _ONE, _ZERO)
         base = self
         while n:
             if n & 1:
@@ -169,16 +205,15 @@ class ScalarKHat:
         return result
 
     def conjugate(self) -> "ScalarKHat":
-        return ScalarKHat(self.p, self.a, -self.b)
+        return _make(self.p, self.a, -self.b)
 
     # -- valuation and reduction ----------------------------------------------
 
     def valuation(self) -> Fraction | float:
         va = val_p(self.a, self.p)
-        vb = val_p(self.b, self.p)
-        if vb is not INF:
-            vb = vb + Fraction(1, 2)
-        return min(va, vb)
+        if not self.b:
+            return va
+        return min(va, val_p(self.b, self.p) + _HALF)
 
     def is_integral(self) -> bool:
         return self.valuation() >= 0
@@ -220,6 +255,20 @@ class ScalarKHat:
         if self.a == 0:
             return f"{self.b}*pihat"
         return f"({self.a} + {self.b}*pihat)"
+
+
+_new_scalar = object.__new__
+
+
+def _make(p: int, a: Fraction, b: Fraction) -> ScalarKHat:
+    """A scalar from a prime p and two ``Fraction``s, unchecked: the fast path
+    for results of arithmetic on scalars that are already valid."""
+    s = _new_scalar(ScalarKHat)
+    fields = s.__dict__
+    fields["p"] = p
+    fields["a"] = a
+    fields["b"] = b
+    return s
 
 
 # -- finite fields -----------------------------------------------------------

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from drinfeld import (
     InvalidParameters,
@@ -343,6 +344,9 @@ def test_criterion_9_cli_determinism():
         env = dict(os.environ)
         if env_extra:
             env.update(env_extra)
+        # the child imports this checkout's src/, installed or not
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "drinfeld.cli", *args],
             capture_output=True,

@@ -7,17 +7,30 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld.cli import cli
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-def run_cli(*args, env_extra=None, expect_code=0):
+
+def child_env(env_extra=None) -> dict:
+    """The environment of a child ``python -m drinfeld.cli``: this checkout's
+    ``src/`` first on its path, so a fresh checkout needs no install."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*args, env_extra=None, expect_code=0):
+    env = child_env(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "drinfeld.cli", *args],
         capture_output=True,
@@ -146,6 +159,14 @@ class TestInProcessExitCodes:
         assert result.exit_code == 2, (args, result.output)
         assert "invalid parameters" in result.stderr
 
+    @pytest.mark.parametrize("threads", ["abc", "1.5"])
+    def test_non_integer_thread_count_is_rejected_with_code_two(self, threads):
+        result = CliRunner(env={"DRINFELD_THREADS": threads}).invoke(
+            cli, ["sweep", "--p", "2", "--kmax", "1", "--seed", "1"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "invalid parameters" in result.stderr
+
     def test_non_integer_config_value_is_rejected_with_code_two(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = abc\n")
@@ -183,6 +204,115 @@ class TestInProcessExitCodes:
         assert out["cochain"] == []
         assert out["vertex_membership"] is True
         assert out["pass"] is True
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Text that is no integer: a numeric string here could ask for any amount of work.
+_JUNK = st.one_of(
+    st.sampled_from(["", " ", "x", "abc", "2.5", "1/0", "1e3", "0x7", "--", "-", "None"]),
+    st.text(max_size=4).filter(lambda s: not _is_int(s)),
+)
+
+
+def _mostly(values):
+    """``values`` most of the time, junk now and then."""
+    return st.tuples(st.integers(0, 7), values, _JUNK).map(
+        lambda t: t[2] if t[0] == 7 else t[1]
+    )
+
+
+def _int_option(lo: int, hi: int):
+    return _mostly(st.integers(lo, hi).map(str))
+
+
+_RATIONAL = _mostly(
+    st.one_of(
+        st.builds(lambda n, d: f"{n}/{d}", st.integers(-9, 9), st.integers(-3, 5)),
+        st.integers(-9, 9).map(str),
+        st.just("1/0"),
+    )
+)
+_EXPONENT = st.one_of(st.just(""), st.integers(-3, 3).map(lambda e: f"^{e}"))
+_FACTOR = st.builds(
+    lambda base, e: base + e,
+    st.one_of(
+        st.just("z"),
+        st.just("pihat"),
+        st.sampled_from(["0", "1", "2", "1/2", "-3/4", "1/0", "p", "pihat", "x"]).map(
+            lambda a: f"(z-{a})"
+        ),
+        st.sampled_from(["1", "2", "-1/3", "0"]),
+    ),
+    _EXPONENT,
+)
+_SECTION = _mostly(
+    st.builds(
+        lambda first, rest: first + "".join(op + f for op, f in rest),
+        _FACTOR,
+        st.lists(st.tuples(st.sampled_from(["*", "/"]), _FACTOR), max_size=3),
+    )
+)
+_P = _Q = _int_option(-3, 10)
+_K, _RADIUS = _int_option(-2, 4), _int_option(-1, 2)
+_LEVEL, _I, _SEED = _int_option(-2, 2), _int_option(-1, 4), _int_option(0, 5)
+
+# Each command with the options it takes.  Left out: harmonic --mod-pihat at
+# p >= 5 and modp stable-lines at q >= 7, which take from seconds to minutes.
+_COMMANDS = {
+    ("tree",): {"p": _P, "radius": _RADIUS},
+    ("lattice",): {"p": _P, "k": _K, "level": _LEVEL, "offset": _RATIONAL},
+    ("local-dims",): {"p": _P, "k": _K},
+    ("harmonic",): {"p": _P, "k": _K, "radius": _RADIUS},
+    ("residue",): {"p": _P, "k": _K, "radius": _RADIUS, "f": _SECTION, "seed": _SEED},
+    ("theta",): {"p": _P, "k": _K, "f": _SECTION, "level": _LEVEL, "offset": _RATIONAL},
+    ("identity-b",): {"p": _P, "kmax": _K, "mmax": _int_option(-1, 3), "a": _RATIONAL},
+    ("sweep",): {"p": _P, "kmax": _K, "seed": _SEED},
+    ("modp", "degrees"): {"q": _Q, "k": _K},
+    ("modp", "sections"): {"q": _Q, "k": _K, "radius": _RADIUS},
+    ("modp", "stable-lines"): {"q": _int_option(-3, 6), "k": _K, "i": _I},
+    ("modp", "symgeom-check"): {"q": _Q, "k": _K, "i": _I},
+    ("modp", "b-forms"): {"q": _Q},
+}
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = {}
+    for name, values in _COMMANDS[command].items():
+        if draw(st.booleans()) or name == "f":
+            options[name] = draw(values)
+    args = [*command, *(f"--{name}={value}" for name, value in options.items())]
+    if command == ("residue",) and draw(st.booleans()):
+        args.append("--audit")
+    p = options.get("p", "2")
+    if command == ("harmonic",) and not (_is_int(p) and int(p) >= 5) and draw(st.booleans()):
+        args.append("--mod-pihat")
+    return args
+
+
+class TestExitCodeFuzz:
+    @given(args=_invocations())
+    @settings(max_examples=200, deadline=None)
+    def test_every_input_exits_zero_with_json_or_two_with_one_line(self, args):
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code in (0, 2), (args, result.output, repr(result.exception))
+        if result.exit_code == 0:
+            assert isinstance(json.loads(result.stdout), dict)
+        else:
+            message = result.stderr.strip()
+            assert "\n" not in message, (args, message)
+            assert message.startswith(("invalid parameters:", "error:", "usage error:")), (
+                args,
+                message,
+            )
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from drinfeld import (
     Fq,
     INF,
+    InvalidParameters,
     NegativeValuation,
     ResidueFieldMismatch,
     ScalarKHat,
@@ -21,6 +22,131 @@ from drinfeld import (
 
 def scalar(x, p, pihat_exp=0):
     return ScalarKHat.from_rational(Fraction(x), p) * ScalarKHat.pihat(p, pihat_exp)
+
+
+# Reference arithmetic: the full formulas, every result through the checking
+# public constructor.  The fast paths of ScalarKHat must agree with these.
+
+
+def _reference_add(x, y):
+    return ScalarKHat(x.p, x.a + y.a, x.b + y.b)
+
+
+def _reference_mul(x, y):
+    return ScalarKHat(x.p, x.a * y.a + x.p * x.b * y.b, x.a * y.b + x.b * y.a)
+
+
+def _reference_inverse(x):
+    norm = x.a * x.a - x.p * x.b * x.b
+    return ScalarKHat(x.p, x.a / norm, -x.b / norm)
+
+
+def _reference_pow(x, n):
+    base = x if n >= 0 else _reference_inverse(x)
+    result = ScalarKHat(x.p, 1, 0)
+    for _ in range(abs(n)):
+        result = _reference_mul(result, base)
+    return result
+
+
+# zero in about half the draws, so every zero-skipping branch is taken
+_components = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+_rationals = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+
+
+class TestFastArithmeticOracle:
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        a=_components,
+        b=_components,
+        c=_components,
+        d=_components,
+        r=_rationals,
+        n=st.integers(-3, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_operations_match_the_reference(self, p, a, b, c, d, r, n):
+        x, y = ScalarKHat(p, a, b), ScalarKHat(p, c, d)
+        rs = ScalarKHat(p, r, 0)
+        neg_y = ScalarKHat(p, -c, -d)
+        cases = [
+            (x * y, _reference_mul(x, y)),
+            (x + y, _reference_add(x, y)),
+            (x - y, _reference_add(x, neg_y)),
+            (-y, neg_y),
+            (x.conjugate(), ScalarKHat(p, a, -b)),
+            (x * r, _reference_mul(x, rs)),
+            (r * x, _reference_mul(rs, x)),
+            (x + r, _reference_add(x, rs)),
+            (r + x, _reference_add(rs, x)),
+            (x - r, _reference_add(x, ScalarKHat(p, -r, 0))),
+            (r - x, _reference_add(rs, ScalarKHat(p, -a, -b))),
+        ]
+        if not y.is_zero():
+            cases.append((x / y, _reference_mul(x, _reference_inverse(y))))
+            cases.append((y.inverse(), _reference_inverse(y)))
+        if not x.is_zero():
+            cases.append((r / x, _reference_mul(rs, _reference_inverse(x))))
+        if not x.is_zero() or n >= 0:
+            cases.append((x**n, _reference_pow(x, n)))
+        if r:
+            cases.append((x / r, _reference_mul(x, _reference_inverse(rs))))
+        for got, expected in cases:
+            assert got == expected
+            assert type(got.a) is Fraction and type(got.b) is Fraction
+            assert hash(got) == hash(expected)
+
+    def test_zero_has_no_inverse(self):
+        for p in (2, 3):
+            with pytest.raises(ZeroDivisionError):
+                ScalarKHat.zero(p).inverse()
+            with pytest.raises(ZeroDivisionError):
+                ScalarKHat.one(p) / ScalarKHat.zero(p)
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ScalarKHat(4, 1, 0),
+            lambda: ScalarKHat.from_rational(1, 6),
+            lambda: ScalarKHat.zero(1),
+            lambda: ScalarKHat.one(0),
+            lambda: ScalarKHat.pihat(9),
+        ],
+    )
+    def test_public_constructors_reject_a_non_prime(self, build):
+        # twice: the memoised prime check must not remember a failure
+        for _ in range(2):
+            with pytest.raises(InvalidParameters):
+                build()
+
+    def test_public_constructors_coerce_to_fractions(self):
+        for s in (ScalarKHat(3, 2, -1), ScalarKHat.from_rational(5, 3), ScalarKHat.one(3)):
+            assert type(s.a) is Fraction and type(s.b) is Fraction
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x, y: x + y,
+            lambda x, y: x - y,
+            lambda x, y: x * y,
+            lambda x, y: x / y,
+        ],
+    )
+    def test_mixing_primes_is_rejected(self, op):
+        x = ScalarKHat(2, Fraction(1, 3), 1)
+        y = ScalarKHat(3, 2, Fraction(-1, 2))
+        with pytest.raises(ResidueFieldMismatch):
+            op(x, y)
+        with pytest.raises(ResidueFieldMismatch):
+            op(y, x)
 
 
 class TestValuation:
