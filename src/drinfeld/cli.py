@@ -41,7 +41,7 @@ from .modp import (
 )
 from .rational import FactoredRational, automorphic_act, parse_rational
 from .sampling import random_group_element, random_rational, random_vertex
-from .scalars import Fq, ScalarKHat, _check_prime
+from .scalars import Fq, FqElem, ScalarKHat, _check_prime
 from .theta import (
     complement_b_identity,
     kernel_polynomial_dimension,
@@ -116,10 +116,9 @@ def _rational_str(f: FactoredRational) -> str:
     return " * ".join(parts)
 
 
-def _fq_elem_json(x):
-    if len(x.coeffs) <= 1:
-        return x.coeffs[0] if x.coeffs else 0
-    return list(x.coeffs)
+def _fq_elem_json(x: FqElem):
+    # the code of a prime-field element is its residue
+    return x.n if x.field.f == 1 else list(x.coeffs)
 
 
 def _fqpoly_str(coeffs) -> str:
@@ -139,6 +138,8 @@ def _fqpoly_str(coeffs) -> str:
 
 
 def _jsonable(x):
+    if type(x) is FqElem:
+        return _fq_elem_json(x)
     if isinstance(x, bool) or x is None or isinstance(x, str):
         return x
     if isinstance(x, int):
@@ -168,8 +169,6 @@ def _jsonable(x):
             {"edge": _jsonable(e), "value": [_jsonable(c) for c in vec]}
             for e, vec in items
         ]
-    if hasattr(x, "coeffs") and isinstance(getattr(x, "coeffs"), tuple):
-        return _fq_elem_json(x)
     if isinstance(x, dict):
         return {
             (key if isinstance(key, str) else str(_jsonable(key))): _jsonable(val)
@@ -609,7 +608,7 @@ def modp_symgeom_cmd(ctx, q, k, i_param) -> None:
     equivariant = all(
         symgeom_equivariance(q, k, i, g) for g in gl2_generators(iso["field"])
     )
-    rank_value = symgeom_injectivity_rank(q, k, i)
+    rank_value = symgeom_injectivity_rank(iso)
     _emit(
         {
             "command": "modp symgeom-check",

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import InvalidParameters, UnresolvedTailBound, ZeroFunction
 from .linalg import (
-    identity,
     inverse,
     mat_mul,
     rank,
@@ -67,10 +66,6 @@ def _freeze(m: Matrix) -> tuple:
 
 def _rows(l: Lattice) -> Matrix:
     return [list(row) for row in l.matrix]
-
-
-def standard_lattice(p: int, k: int) -> Lattice:
-    return Lattice(p, k, _freeze(identity(k + 1, ScalarKHat.zero(p), ScalarKHat.one(p))))
 
 
 def vertex_lattice(v: Vertex, k: int, transporter: Mat2 | None = None) -> Lattice:

@@ -66,6 +66,8 @@ def fqpoly_mul(field: FiniteField, u: tuple, v: tuple) -> tuple:
         return ()
     out = [field.zero()] * (len(u) + len(v) - 1)
     for i, x in enumerate(u):
+        if x.is_zero():
+            continue
         for j, y in enumerate(v):
             out[i + j] = out[i + j] + x * y
     return fqpoly_trim(field, out)
@@ -73,8 +75,12 @@ def fqpoly_mul(field: FiniteField, u: tuple, v: tuple) -> tuple:
 
 def fqpoly_pow(field: FiniteField, u: tuple, n: int) -> tuple:
     out: tuple = (field.one(),)
-    for _ in range(n):
-        out = fqpoly_mul(field, out, u)
+    while n:
+        if n & 1:
+            out = fqpoly_mul(field, out, u)
+        n >>= 1
+        if n:
+            u = fqpoly_mul(field, u, u)
     return out
 
 
@@ -203,10 +209,9 @@ class FqRatFunc:
     def __pow__(self, n: int) -> "FqRatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        out = FqRatFunc.constant(self.field, self.field.one())
-        for _ in range(n):
-            out = out * self
-        return out
+        # powers of coprime polynomials stay coprime, and of a monic one monic
+        f = self.field
+        return FqRatFunc(f, fqpoly_pow(f, self.num, n), fqpoly_pow(f, self.den, n))
 
     def order_at(self, point) -> int:
         """Vanishing order at an F_q-point or at infinity (poles negative)."""
@@ -257,22 +262,6 @@ def weight_action_p1(g, f: FqRatFunc, k: int) -> FqRatFunc:
     else:
         den = fqpoly_mul(field, den, fqpoly_pow(field, d_poly, -e))
     return FqRatFunc.make(field, num, den)
-
-
-def all_invertible_matrices(field: FiniteField) -> list:
-    """Every element of the general linear group of rank 2, as 2x2 tuples.
-
-    The search over the whole group is kept as the reference that the
-    generator-based checks are tested against."""
-    elems = list(field.elements())
-    out = []
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                for d in elems:
-                    if a * d - b * c != field.zero():
-                        out.append(((a, b), (c, d)))
-    return out
 
 
 def gl2_generators(field: FiniteField) -> list:
@@ -342,8 +331,9 @@ def component_degree(q: int, k: int) -> int:
 # -- the symmetric-power comparison map ----------------------------------------------
 
 
-def symgeom_parameters(q: int, k: int, i: int) -> tuple[int, int, int]:
-    """(t, shift, exponent) for the comparison map; raises when t < 0."""
+def symgeom_parameters(q: int, k: int, i: int) -> tuple[int, int]:
+    """(t, shift) for the comparison map; raises when t < 0.  The shift is
+    also the exponent of the window function in the images."""
     if k % 2 == 0:
         t2 = (q - 1) * k - 2 * i * (q + 1)
         shift = i - k // 2
@@ -355,7 +345,7 @@ def symgeom_parameters(q: int, k: int, i: int) -> tuple[int, int, int]:
     t = t2 // 2
     if t < 0:
         raise InvalidParameters(f"no comparison map for q={q}, k={k}, i={i}")
-    return t, shift, shift
+    return t, shift
 
 
 def sym_matrix_fq(field: FiniteField, g, t: int, s: int) -> list:
@@ -372,22 +362,28 @@ def sym_act_fq(field: FiniteField, g, coords: list, t: int, s: int) -> list:
     return mat_vec(sym_matrix_fq(field, g, t, s), coords)
 
 
+def _window_poly(field: FiniteField) -> tuple:
+    """z - z^q, whose reciprocal is the weight-(q+1) window form."""
+    coeffs = [field.zero()] * (field.q + 1)
+    coeffs[1] = field.one()
+    coeffs[field.q] = -field.one()
+    return tuple(coeffs)
+
+
 def symgeom_iso(q: int, k: int, i: int) -> dict:
     """The monomial-by-monomial comparison map from the twisted symmetric power
-    to rational sections: X^r Y^(t-r) goes to z^r (z - z^q)^exponent."""
+    to rational sections: X^r Y^(t-r) goes to z^r (z - z^q)^shift."""
     field = Fq(q)
-    t, shift, exponent = symgeom_parameters(q, k, i)
-    zq_minus = [field.zero()] * (q + 1)
-    zq_minus[1] = field.one()
-    zq_minus[q] = -field.one()
-    window = FqRatFunc.make(field, tuple(zq_minus))
+    t, shift = symgeom_parameters(q, k, i)
+    window_power = FqRatFunc.constant(field, field.one())
+    if shift:
+        window_power = FqRatFunc.make(field, _window_poly(field)) ** shift
     zfun = FqRatFunc.z(field)
-    images = [zfun**r * window**exponent for r in range(t + 1)]
+    images = [zfun**r * window_power for r in range(t + 1)]
     return {
         "field": field,
         "t": t,
         "shift": shift,
-        "exponent": exponent,
         "images": images,
     }
 
@@ -401,22 +397,51 @@ def symgeom_apply(iso: dict, coords: list) -> FqRatFunc:
 
 
 def symgeom_equivariance(q: int, k: int, i: int, g) -> bool:
-    """iso(g.F) == (iso F)|_g at weight k, on every monomial."""
-    iso = symgeom_iso(q, k, i)
-    field, t, shift = iso["field"], iso["t"], iso["shift"]
+    """iso(g.F) == (iso F)|_g at weight k, on every monomial.
+
+    With W = z - z^q and e the shift, column r of the symmetric-power matrix
+    M gives the polynomial P_r = sum_j M[j][r] z^j, and the check reads
+        P_r W^e == (b+dz)^r What^e (a+cz)^(-r - qe - k),
+    where What = (b+dz)(a+cz)^(q-1) - (b+dz)^q is the numerator of
+    W((b+dz)/(a+cz)) over (a+cz)^q.  The two sides are compared by
+    cross-multiplying numerators and denominators, with no gcd.
+    """
+    field = Fq(q)
+    t, shift = symgeom_parameters(q, k, i)
+    a, b, c, d = _lift_matrix(field, g)
     m = sym_matrix_fq(field, g, t, shift)
+    n_poly, d_poly = (b, d), (a, c)
+    one = (field.one(),)
+    lhs_factor = rhs_factor = one
+    if shift:
+        moved = fqpoly_add(
+            field,
+            fqpoly_mul(field, n_poly, fqpoly_pow(field, d_poly, q - 1)),
+            fqpoly_neg(field, fqpoly_pow(field, n_poly, q)),
+        )
+        window = fqpoly_pow(field, _window_poly(field), abs(shift))
+        moved = fqpoly_pow(field, moved, abs(shift))
+        # a negative power of W or What moves to the other side
+        lhs_factor, rhs_factor = (window, moved) if shift > 0 else (moved, window)
+    n_power = one
     for r in range(t + 1):
-        lhs = symgeom_apply(iso, [row[r] for row in m])
-        rhs = weight_action_p1(g, iso["images"][r], k)
-        if not (lhs - rhs).is_zero():
+        lhs = fqpoly_mul(field, [row[r] for row in m], lhs_factor)
+        rhs = fqpoly_mul(field, n_power, rhs_factor)
+        ex = -r - q * shift - k
+        if ex > 0:
+            rhs = fqpoly_mul(field, rhs, fqpoly_pow(field, d_poly, ex))
+        elif ex < 0:
+            lhs = fqpoly_mul(field, lhs, fqpoly_pow(field, d_poly, -ex))
+        if lhs != rhs:
             return False
+        n_power = fqpoly_mul(field, n_power, n_poly)
     return True
 
 
-def symgeom_injectivity_rank(q: int, k: int, i: int) -> int:
-    """Rank of the comparison map as a matrix over F_q."""
-    iso = symgeom_iso(q, k, i)
-    field, t = iso["field"], iso["t"]
+def symgeom_injectivity_rank(iso: dict) -> int:
+    """Rank of the comparison map ``iso`` (from ``symgeom_iso``) as a matrix
+    over F_q."""
+    field = iso["field"]
     common = iso["images"][0].den
     for img in iso["images"]:
         g = fqpoly_gcd(field, common, img.den)
@@ -530,7 +555,7 @@ def global_sections_truncated(
 
 def _quotient_structure(q: int, k: int, i: int) -> dict:
     field = Fq(q)
-    t, shift, _ = symgeom_parameters(q, k, i)
+    t, shift = symgeom_parameters(q, k, i)
     if t < q + 1:
         raise InvalidParameters("the relation set is empty below degree q+1")
     relations = []
@@ -646,10 +671,7 @@ def b_forms_check(q: int) -> bool:
     function is invariant under the determinant-one subgroup, and the
     uniformizer involution swaps the two vertex parities with trivial square."""
     field = Fq(q)
-    zq_minus = [field.zero()] * (q + 1)
-    zq_minus[1] = field.one()
-    zq_minus[q] = -field.one()
-    window = FqRatFunc.make(field, tuple(zq_minus)).inverse()
+    window = FqRatFunc.make(field, _window_poly(field)).inverse()
     for g in sl2_generators(field):
         if not (weight_action_p1(g, window, q + 1) - window).is_zero():
             return False

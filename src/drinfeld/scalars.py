@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Union
 
 from .errors import InvalidParameters, NegativeValuation, ResidueFieldMismatch
@@ -340,7 +340,16 @@ def Fq(q: int) -> "FiniteField":
 
 
 class FiniteField:
-    """F_{p^f} as Z/p[x] modulo a fixed monic irreducible of degree f."""
+    """F_{p^f} as Z/p[x] modulo a fixed monic irreducible of degree f.
+
+    An element is coded by the int n = c_0 + c_1 p + ... + c_{f-1} p^{f-1}
+    of its coefficients on 1, x, ..., x^{f-1}, which is its index in
+    ``elements``.  A prime field computes on the codes mod p.  An extension
+    field multiplies through exp/log tables of ``primitive_element`` w and
+    adds through a Zech table: w^i + w^j = w^(i + Z(j - i)) with
+    w^Z(k) = 1 + w^k.  The three tables have q - 1 entries each and are
+    built on the first product or sum, not by the constructor.
+    """
 
     def __init__(self, p: int, f: int) -> None:
         _check_prime(p)
@@ -350,15 +359,71 @@ class FiniteField:
         self.f = f
         self.q = p**f
         self.modulus = _find_modulus(p, f) if f > 1 else (0, 1)
+        self._zero = _make_fq(self, 0)
+        self._one = _make_fq(self, 1)
 
     def __repr__(self) -> str:
         return f"Fq({self.q})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteField) and (self.p, self.f) == (other.p, other.f)
+        return self is other or (
+            isinstance(other, FiniteField) and (self.p, self.f) == (other.p, other.f)
+        )
 
     def __hash__(self) -> int:
         return hash(("FiniteField", self.p, self.f))
+
+    # -- codes and tables ------------------------------------------------------
+
+    def _digits(self, n: int) -> tuple[int, ...]:
+        p = self.p
+        return tuple(n // p**i % p for i in range(self.f))
+
+    def _code(self, digits: tuple[int, ...]) -> int:
+        return sum(c * self.p**i for i, c in enumerate(digits))
+
+    def _slow_mul(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        # product of coefficient vectors in Z/p[x] mod the modulus
+        return _poly_mod_rem(_poly_mod_mul(u, v, self.p), self.modulus, self.p)
+
+    def _slow_pow(self, n: int, e: int) -> int:
+        if self.f == 1:
+            return pow(n, e, self.p)
+        result, base = (1,), self._digits(n)
+        while e:
+            if e & 1:
+                result = self._slow_mul(result, base)
+            base = self._slow_mul(base, base)
+            e >>= 1
+        return self._code(result)
+
+    @cached_property
+    def _primitive(self) -> int:
+        """Code of the first element, in ``elements`` order, of order q-1."""
+        n = self.q - 1
+        primes = [
+            r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))
+        ]
+        return next(
+            c for c in range(1, self.q) if all(self._slow_pow(c, n // r) != 1 for r in primes)
+        )
+
+    @cached_property
+    def _tables(self) -> tuple[list[int], list[int], list[int]]:
+        """(exp, log, zech) for an extension field: exp[i] is the code of w^i,
+        log inverts it on nonzero codes, and zech[k] = log(1 + w^k), or -1
+        where 1 + w^k = 0."""
+        p, order = self.p, self.q - 1
+        w = self._digits(self._primitive)
+        exp, log = [0] * order, [0] * self.q
+        u = (1,)
+        for i in range(order):
+            n = self._code(u)
+            exp[i], log[n] = n, i
+            u = self._slow_mul(u, w)
+        # adding 1 changes the constant digit only
+        zech = [log[s] if s else -1 for s in (n - n % p + (n + 1) % p for n in exp)]
+        return exp, log, zech
 
     # -- element constructors -------------------------------------------------
 
@@ -368,103 +433,150 @@ class FiniteField:
                 raise ResidueFieldMismatch("element from a different field")
             return coeffs
         if isinstance(coeffs, int):
-            vec = (coeffs % self.p,) + (0,) * (self.f - 1)
-        else:
-            if len(coeffs) > self.f:
-                raise InvalidParameters("coefficient vector too long")
-            vec = tuple(c % self.p for c in coeffs) + (0,) * (self.f - len(coeffs))
-        return FqElem(self, vec)
+            return _make_fq(self, coeffs % self.p)
+        if len(coeffs) > self.f:
+            raise InvalidParameters("coefficient vector too long")
+        return _make_fq(self, self._code(tuple(c % self.p for c in coeffs)))
 
     def zero(self) -> "FqElem":
-        return self.elem(0)
+        return self._zero
 
     def one(self) -> "FqElem":
-        return self.elem(1)
+        return self._one
 
     def gen(self) -> "FqElem":
         """Image of x (a generator of the field over Z/p when f > 1)."""
         if self.f == 1:
-            return self.one()
-        return self.elem((0, 1))
+            return self._one
+        return _make_fq(self, self.p)
 
     def primitive_element(self) -> "FqElem":
         """First element, in ``elements`` order, of multiplicative order q-1."""
-        n = self.q - 1
-        primes = [
-            r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))
-        ]
-        one = self.one()
-        for x in self.elements():
-            if not x.is_zero() and all(x ** (n // r) != one for r in primes):
-                return x
+        return _make_fq(self, self._primitive)
 
     def elements(self) -> Iterator["FqElem"]:
         """All q elements, in deterministic base-p order."""
         for n in range(self.q):
-            yield self.elem(tuple(n // self.p**i % self.p for i in range(self.f)))
+            yield _make_fq(self, n)
 
     def from_int(self, n: int) -> "FqElem":
         """Image of the integer n through Z -> Z/p -> F_q."""
-        return self.elem(n)
+        return _make_fq(self, n % self.p)
 
 
-@dataclass(frozen=True)
 class FqElem:
-    field: FiniteField
-    coeffs: tuple[int, ...]
+    """An element of a finite field, held as its field and its code ``n``
+    (see ``FiniteField``).  Immutable; build one with ``FiniteField.elem``."""
 
-    def _check(self, other: "FqElem") -> None:
-        if self.field != other.field:
-            raise ResidueFieldMismatch("mixing elements of different fields")
+    __slots__ = ("field", "n")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("FqElem is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("FqElem is immutable")
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients on 1, x, ..., x^(f-1), each in [0, p)."""
+        return self.field._digits(self.n)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.n
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FqElem:
+            return NotImplemented
+        return self.n == other.n and (self.field is other.field or self.field == other.field)
+
+    def __hash__(self) -> int:
+        return hash(self.n)
 
     def __add__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        p = self.field.p
-        return FqElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise ResidueFieldMismatch("mixing elements of different fields")
+        a, b = self.n, other.n
+        if field.f == 1:
+            return _make_fq(field, (a + b) % field.p)
+        if not a:
+            return other
+        if not b:
+            return self
+        exp, log, zech = field._tables
+        order = field.q - 1
+        la = log[a]
+        z = zech[(log[b] - la) % order]
+        return field._zero if z < 0 else _make_fq(field, exp[(la + z) % order])
 
     def __neg__(self) -> "FqElem":
-        p = self.field.p
-        return FqElem(self.field, tuple(-a % p for a in self.coeffs))
+        field, a = self.field, self.n
+        if field.f == 1:
+            return _make_fq(field, -a % field.p)
+        if not a or field.p == 2:
+            return self
+        exp, log, _ = field._tables
+        order = field.q - 1
+        return _make_fq(field, exp[(log[a] + order // 2) % order])
 
     def __sub__(self, other: "FqElem") -> "FqElem":
+        field = self.field
+        if field.f == 1 and other.field is field:
+            return _make_fq(field, (self.n - other.n) % field.p)
         return self + (-other)
 
     def __mul__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        p = self.field.p
-        prod = _poly_mod_mul(self.coeffs, other.coeffs, p)
-        if self.field.f > 1:
-            prod = _poly_mod_rem(prod, self.field.modulus, p)
-        vec = tuple(prod) + (0,) * (self.field.f - len(prod))
-        return FqElem(self.field, vec[: self.field.f])
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise ResidueFieldMismatch("mixing elements of different fields")
+        a, b = self.n, other.n
+        if field.f == 1:
+            return _make_fq(field, a * b % field.p)
+        if not a or not b:
+            return field._zero
+        exp, log, _ = field._tables
+        return _make_fq(field, exp[(log[a] + log[b]) % (field.q - 1)])
 
     def inverse(self) -> "FqElem":
-        if self.is_zero():
+        field, a = self.field, self.n
+        if not a:
             raise ZeroDivisionError("inverse of zero in finite field")
-        # x^(q-2) is the inverse; q is tiny here so repeated squaring is plenty.
-        return self ** (self.field.q - 2)
+        if field.f == 1:
+            return _make_fq(field, pow(a, -1, field.p))
+        exp, log, _ = field._tables
+        return _make_fq(field, exp[-log[a] % (field.q - 1)])
 
     def __truediv__(self, other: "FqElem") -> "FqElem":
         return self * other.inverse()
 
-    def __pow__(self, n: int) -> "FqElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def __pow__(self, e: int) -> "FqElem":
+        field, a = self.field, self.n
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero in finite field")
+            return field._zero if e else field._one
+        if field.f == 1:
+            return _make_fq(field, pow(a, e, field.p))
+        exp, log, _ = field._tables
+        return _make_fq(field, exp[log[a] * e % (field.q - 1)])
 
     def __repr__(self) -> str:
         if self.field.f == 1:
-            return str(self.coeffs[0])
+            return str(self.n)
         return "+".join(
             f"{c}x^{i}" if i else str(c) for i, c in enumerate(self.coeffs) if c
         ) or "0"
+
+
+_new_elem = object.__new__
+_set_field = FqElem.field.__set__
+_set_code = FqElem.n.__set__
+
+
+def _make_fq(field: FiniteField, n: int) -> FqElem:
+    """The element of code n in [0, q), unchecked: the fast path for results
+    of arithmetic on elements that are already valid."""
+    e = _new_elem(FqElem)
+    _set_field(e, field)
+    _set_code(e, n)
+    return e

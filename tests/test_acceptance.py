@@ -47,6 +47,7 @@ from drinfeld.modp import (
     quotient_rep_and_stable_lines,
     symgeom_equivariance,
     symgeom_injectivity_rank,
+    symgeom_iso,
     symgeom_parameters,
 )
 from drinfeld.rational import FactoredRational
@@ -296,12 +297,12 @@ def test_criterion_7_modp_representation_suite():
             i = 0
             while True:
                 try:
-                    t, _, _ = symgeom_parameters(q, k, i)
+                    t, _ = symgeom_parameters(q, k, i)
                 except InvalidParameters:
                     break
                 for g in gens:
                     assert symgeom_equivariance(q, k, i, g), (q, k, i)
-                assert symgeom_injectivity_rank(q, k, i) == t + 1, (q, k, i)
+                assert symgeom_injectivity_rank(symgeom_iso(q, k, i)) == t + 1, (q, k, i)
                 triples.append((q, k, i))
                 i += 1
     assert len(triples) == 44

@@ -15,7 +15,6 @@ from drinfeld import InvalidParameters, make_vertex, parse_rational
 from drinfeld.modp import (
     INFINITY_POINT,
     FqRatFunc,
-    all_invertible_matrices,
     b_forms_check,
     component_degree,
     divisor_degree,
@@ -35,7 +34,22 @@ from drinfeld.modp import (
     symgeom_parameters,
     weight_action_p1,
 )
+from drinfeld import modp
 from drinfeld.scalars import Fq
+
+
+def all_invertible_matrices(field):
+    """Every element of the general linear group of rank 2, as 2x2 tuples:
+    the reference that the generator-based checks are tested against."""
+    elems = list(field.elements())
+    out = []
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                for d in elems:
+                    if a * d - b * c != field.zero():
+                        out.append(((a, b), (c, d)))
+    return out
 
 
 def _window_inverse(field):
@@ -156,11 +170,34 @@ class TestComponentDegrees:
                 assert component_degree(q, k) == component_degree(q, k - 1) - 1
 
 
+def _reference_symgeom_equivariance(q, k, i, g):
+    """The comparison on rational functions in normal form: each image of the
+    transformed monomial against the weighted action on the image."""
+    iso = symgeom_iso(q, k, i)
+    field, t, shift = iso["field"], iso["t"], iso["shift"]
+    m = modp.sym_matrix_fq(field, g, t, shift)
+    for r in range(t + 1):
+        lhs = symgeom_apply(iso, [row[r] for row in m])
+        rhs = weight_action_p1(g, iso["images"][r], k)
+        if not (lhs - rhs).is_zero():
+            return False
+    return True
+
+
+# every (q, k, i) the comparison-map tests here and in test_acceptance use
+_SYMGEOM_CASES = [
+    (q, k, i)
+    for q in (2, 3, 4)
+    for k in range(10)
+    for i in range(5)
+    if (q - 1) * k - (k % 2) * (q + 1) - 2 * i * (q + 1) >= 0
+]
+
+
 class TestComparisonMap:
     def test_frozen_parameters_for_q3_k4(self):
-        t, shift, exponent = symgeom_parameters(3, 4, 0)
-        assert (t, shift, exponent) == (4, -2, -2)
-        assert symgeom_injectivity_rank(3, 4, 0) == 5
+        assert symgeom_parameters(3, 4, 0) == (4, -2)
+        assert symgeom_injectivity_rank(symgeom_iso(3, 4, 0)) == 5
 
     def test_negative_degree_parameter_is_rejected(self):
         with pytest.raises(InvalidParameters):
@@ -172,7 +209,7 @@ class TestComparisonMap:
         for g in gl2_generators(F):
             assert symgeom_equivariance(q, k, i, g)
         t = symgeom_parameters(q, k, i)[0]
-        assert symgeom_injectivity_rank(q, k, i) == t + 1
+        assert symgeom_injectivity_rank(symgeom_iso(q, k, i)) == t + 1
 
     def test_image_of_a_monomial_matches_the_window_power(self):
         iso = symgeom_iso(3, 4, 0)
@@ -182,6 +219,27 @@ class TestComparisonMap:
         z = FqRatFunc.z(F)
         expected = z * z * _window_inverse(F) ** 2
         assert (img - expected).is_zero()
+
+    # negative weights with negative i give a positive shift: W^e in the numerator
+    @pytest.mark.parametrize(
+        "q,k,i", _SYMGEOM_CASES + [(9, 10, 0), (5, 12, 0), (2, -8, -2), (3, -6, -2), (4, -8, -3)]
+    )
+    def test_numerator_check_matches_the_rational_function_check(self, q, k, i):
+        for g in gl2_generators(Fq(q)):
+            expected = _reference_symgeom_equivariance(q, k, i, g)
+            assert symgeom_equivariance(q, k, i, g) is expected is True
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+    def test_a_wrong_determinant_twist_is_caught(self, q, monkeypatch):
+        k, i = 4, 0
+        honest = modp.sym_matrix_fq
+        monkeypatch.setattr(
+            modp, "sym_matrix_fq", lambda field, g, t, s: honest(field, g, t, s + 1)
+        )
+        upper, lower, diagonal = gl2_generators(Fq(q))
+        for g, expected in ((upper, True), (lower, True), (diagonal, False)):
+            assert symgeom_equivariance(q, k, i, g) is expected
+            assert _reference_symgeom_equivariance(q, k, i, g) is expected
 
 
 class TestTruncatedSections:

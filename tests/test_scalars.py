@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import (
+    FiniteField,
     Fq,
     INF,
     InvalidParameters,
@@ -297,3 +299,228 @@ class TestFiniteFields:
     def test_mismatched_fields_rejected(self):
         with pytest.raises(ResidueFieldMismatch):
             Fq(4).one() + Fq(9).one()
+
+
+# Reference finite-field arithmetic: the polynomial-basis elements that the
+# int-coded FqElem replaced.  An element is its coefficient tuple on
+# 1, x, ..., x^(f-1); a product multiplies the tuples and reduces modulo the
+# field's modulus.
+
+
+def _ref_poly_mod_mul(u, v, p):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] = (out[i + j] + ui * vj) % p
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_poly_mod_rem(u, m, p):
+    u = list(u)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], -1, p)
+    while len(u) - 1 >= dm and any(u):
+        if u[-1] == 0:
+            u.pop()
+            continue
+        shift = len(u) - 1 - dm
+        c = u[-1] * inv_lead % p
+        for i, mi in enumerate(m):
+            u[shift + i] = (u[shift + i] - c * mi) % p
+        while len(u) > 1 and u[-1] == 0:
+            u.pop()
+    return tuple(u) if u else (0,)
+
+
+class _ReferenceField:
+    """F_{p^f} with the same modulus as Fq(p^f), on coefficient tuples."""
+
+    def __init__(self, q):
+        field = Fq(q)
+        self.p, self.f, self.q, self.modulus = field.p, field.f, field.q, field.modulus
+
+    def elem(self, coeffs):
+        if isinstance(coeffs, int):
+            vec = (coeffs % self.p,) + (0,) * (self.f - 1)
+        else:
+            if len(coeffs) > self.f:
+                raise InvalidParameters("coefficient vector too long")
+            vec = tuple(c % self.p for c in coeffs) + (0,) * (self.f - len(coeffs))
+        return _ReferenceFqElem(self, vec)
+
+    def one(self):
+        return self.elem(1)
+
+    def primitive_element(self):
+        n = self.q - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
+        one = self.one()
+        for x in self.elements():
+            if not x.is_zero() and all(x ** (n // r) != one for r in primes):
+                return x
+
+    def elements(self):
+        for n in range(self.q):
+            yield self.elem(tuple(n // self.p**i % self.p for i in range(self.f)))
+
+
+class _ReferenceFqElem:
+    def __init__(self, field, coeffs):
+        self.field, self.coeffs = field, coeffs
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coeffs)
+
+    def __add__(self, other):
+        p = self.field.p
+        return _ReferenceFqElem(
+            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __neg__(self):
+        p = self.field.p
+        return _ReferenceFqElem(self.field, tuple(-a % p for a in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        p = self.field.p
+        prod = _ref_poly_mod_mul(self.coeffs, other.coeffs, p)
+        if self.field.f > 1:
+            prod = _ref_poly_mod_rem(prod, self.field.modulus, p)
+        vec = tuple(prod) + (0,) * (self.field.f - len(prod))
+        return _ReferenceFqElem(self.field, vec[: self.field.f])
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero in finite field")
+        return self ** (self.field.q - 2)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self.field.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __repr__(self):
+        if self.field.f == 1:
+            return str(self.coeffs[0])
+        return "+".join(
+            f"{c}x^{i}" if i else str(c) for i, c in enumerate(self.coeffs) if c
+        ) or "0"
+
+
+def _same(fast, ref):
+    """Both raised ZeroDivisionError, or both gave the same element."""
+    try:
+        expected = ref()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            fast()
+        return
+    got = fast()
+    assert got.coeffs == expected.coeffs
+    assert repr(got) == repr(expected)
+
+
+class TestFiniteFieldOracle:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_every_operation_matches_the_polynomial_basis(self, q):
+        field, ref = Fq(q), _ReferenceField(q)
+        fast_elems, ref_elems = list(field.elements()), list(ref.elements())
+        assert [x.coeffs for x in fast_elems] == [x.coeffs for x in ref_elems]
+        assert [repr(x) for x in fast_elems] == [repr(x) for x in ref_elems]
+        assert field.primitive_element().coeffs == ref.primitive_element().coeffs
+        for x, rx in zip(fast_elems, ref_elems):
+            assert x.is_zero() == rx.is_zero()
+            _same(lambda: -x, lambda: -rx)
+            _same(x.inverse, rx.inverse)
+            for n in range(-3, q + 2):
+                _same(lambda: x**n, lambda: rx**n)
+            for y, ry in zip(fast_elems, ref_elems):
+                assert (x == y) == (x.coeffs == y.coeffs)
+                assert (x != y) == (x.coeffs != y.coeffs)
+                _same(lambda: x + y, lambda: rx + ry)
+                _same(lambda: x - y, lambda: rx - ry)
+                _same(lambda: x * y, lambda: rx * ry)
+                _same(lambda: x / y, lambda: rx / ry)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_constructors_match_the_polynomial_basis(self, q):
+        field, ref = Fq(q), _ReferenceField(q)
+        for n in range(-2 * q, 2 * q):
+            assert field.elem(n).coeffs == ref.elem(n).coeffs
+            assert field.from_int(n).coeffs == ref.elem(n).coeffs
+        for length in range(field.f + 1):
+            for vec in itertools.product(range(-1, field.p + 1), repeat=length):
+                assert field.elem(vec).coeffs == ref.elem(vec).coeffs
+        with pytest.raises(InvalidParameters):
+            field.elem((0,) * (field.f + 1))
+        assert field.zero().coeffs == ref.elem(0).coeffs
+        assert field.one().coeffs == ref.elem(1).coeffs
+
+
+class TestFieldIdentity:
+    def test_equal_fields_built_apart_give_equal_elements(self):
+        cached, apart = Fq(9), FiniteField(3, 2)
+        assert cached is not apart and cached == apart
+        for x, y in zip(cached.elements(), apart.elements()):
+            assert x == y and hash(x) == hash(y)
+            assert x * y == apart.elem(x.coeffs) * cached.elem(y.coeffs)
+            assert apart.elem(x) is x
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x, y: x + y,
+            lambda x, y: x - y,
+            lambda x, y: x * y,
+            lambda x, y: x / y,
+            lambda x, y: y.field.elem(x),
+        ],
+    )
+    def test_mixing_prime_field_and_extension_is_rejected(self, op):
+        f3, f9 = Fq(3), Fq(9)
+        for x, y in [(f3.one(), f9.gen()), (f9.gen(), f3.one())]:
+            with pytest.raises(ResidueFieldMismatch):
+                op(x, y)
+        assert f3.one() != f9.one() and f9.one() != f3.one()
+
+    def test_elements_are_immutable(self):
+        x = Fq(9).gen()
+        with pytest.raises(AttributeError):
+            x.n = 0
+        with pytest.raises(AttributeError):
+            x.field = Fq(3)
+        with pytest.raises(AttributeError):
+            del x.n
+        with pytest.raises(AttributeError):
+            x.coeffs = (0, 0)
+        assert x.coeffs == (0, 1)
+
+    def test_inverse_of_zero_is_rejected(self):
+        for q in (5, 9):
+            with pytest.raises(ZeroDivisionError):
+                Fq(q).zero().inverse()
+            with pytest.raises(ZeroDivisionError):
+                Fq(q).zero() ** -1
+
+    def test_a_large_field_builds_no_tables(self):
+        field = Fq(2**20)
+        assert field.elem((1,) * 20).coeffs == (1,) * 20
+        assert "_tables" not in vars(field)
