@@ -423,15 +423,20 @@ def symgeom_equivariance(q: int, k: int, i: int, g) -> bool:
         moved = fqpoly_pow(field, moved, abs(shift))
         # a negative power of W or What moves to the other side
         lhs_factor, rhs_factor = (window, moved) if shift > 0 else (moved, window)
+    # the power of a + cz on column r has exponent ex0 - r
+    ex0 = -q * shift - k
+    d_powers = [one]
+    for _ in range(max(abs(ex0), abs(ex0 - t))):
+        d_powers.append(fqpoly_mul(field, d_powers[-1], d_poly))
     n_power = one
     for r in range(t + 1):
         lhs = fqpoly_mul(field, [row[r] for row in m], lhs_factor)
         rhs = fqpoly_mul(field, n_power, rhs_factor)
-        ex = -r - q * shift - k
+        ex = ex0 - r
         if ex > 0:
-            rhs = fqpoly_mul(field, rhs, fqpoly_pow(field, d_poly, ex))
+            rhs = fqpoly_mul(field, rhs, d_powers[ex])
         elif ex < 0:
-            lhs = fqpoly_mul(field, lhs, fqpoly_pow(field, d_poly, -ex))
+            lhs = fqpoly_mul(field, lhs, d_powers[-ex])
         if lhs != rhs:
             return False
         n_power = fqpoly_mul(field, n_power, n_poly)
