@@ -348,7 +348,7 @@ class FiniteField:
     field multiplies through exp/log tables of ``primitive_element`` w and
     adds through a Zech table: w^i + w^j = w^(i + Z(j - i)) with
     w^Z(k) = 1 + w^k.  The three tables have q - 1 entries each and are
-    built on the first product or sum, not by the constructor.
+    built on the first arithmetic operation, not by the constructor.
     """
 
     def __init__(self, p: int, f: int) -> None:
