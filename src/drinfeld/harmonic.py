@@ -12,17 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, PoleInsideAnnulus
 from .lattices import edge_lattice, lattice_contains_vector, section_lattice_membership
 from .linalg import kernel_basis, smith_over_dvr
-from .rational import FactoredRational, automorphic_act, laurent_standard
+from .rational import FactoredRational, _root_key, poly_mul, principal_parts
 from .scalars import ScalarKHat
-from .symrep import dual_act, sym_matrix
+from .symrep import chi, dual_act, sym_matrix
 from .tree import (
     Edge,
     Mat2,
     TruncatedTree,
-    Vertex,
     act_on_edge,
     edge_transporter,
     unipotent_lower,
@@ -71,21 +70,55 @@ def delta(c: Cochain, tree: TruncatedTree) -> dict:
     return out
 
 
-def _negative_coefficients(g: FactoredRational, k: int) -> list:
-    """Laurent coefficients a_{-1}..a_{-k-1} on the standard annulus."""
-    win = laurent_standard(g, -(k + 1), -1)
-    return [win.coefficient(-s - 1) for s in range(k + 1)]
+def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
+    """Residue value on the edge that gamma moves to the standard edge.
 
-
-def _edge_residue(g: FactoredRational, k: int, gamma: Mat2, p: int) -> list:
-    moved = automorphic_act(gamma, g, k + 2)
-    coeffs = _negative_coefficients(moved, k)
-    if all(a.is_zero() for a in coeffs):
-        return [ScalarKHat.zero(p)] * (k + 1)
-    c = sym_matrix(gamma, k, p)
-    sign = ScalarKHat.from_rational(sigma(gamma, p), p)
+    The Laurent coefficient a_{-s-1} of automorphic_act(gamma, f, k + 2) on the
+    standard annulus is the residue of that section times z^s over the inner
+    disc (omega(z) >= 1).  In the coordinate w of f, with gamma = (a b; c d),
+    this is chi^(k+2)(gamma) det^(-k-1) times the residue of
+    f(w) (a w - b)^s (d - c w)^(k-s) dw over the poles y of f whose image
+    (a y - b)/(d - c y) lies in the disc; a pole with principal part
+    sum A_t (w - y)^-t gives sum A_t [u^(t-1)] (alpha + a u)^s (beta - c u)^(k-s)
+    with alpha = a y - b and beta = d - c y.  When the disc holds -a/c, the
+    image of w = infinity, the residue theorem gives minus the sum over the
+    poles outside it instead.
+    """
+    lift = lambda x: ScalarKHat.from_rational(x, p)
+    a, b, c, d = lift(gamma.a), lift(gamma.b), lift(gamma.c), lift(gamma.d)
+    zero = ScalarKHat.zero(p)
+    inner, outer, in_annulus = [], [], []
+    for y, principal in parts:
+        alpha, beta = a * y - b, d - c * y
+        w = alpha.valuation() - beta.valuation()
+        if 0 < w < 1:
+            in_annulus.append(alpha / beta)
+        (inner if w >= 1 else outer).append((alpha, beta, principal))
+    if in_annulus:
+        root = min(in_annulus, key=_root_key)
+        raise PoleInsideAnnulus(
+            f"pole at {root} with valuation {root.valuation()} sits inside the annulus"
+        )
+    infinity_inside = not c.is_zero() and (a / c).valuation() >= 1
+    poles = outer if infinity_inside else inner
+    coeffs = [zero] * (k + 1)
+    for alpha, beta, principal in poles:
+        r = len(principal)
+        left, right = [(ScalarKHat.one(p),)], [(ScalarKHat.one(p),)]
+        for _ in range(k):  # (alpha + a u)^n and (beta - c u)^n below u^r
+            left.append(poly_mul(left[-1], (alpha, a))[:r])
+            right.append(poly_mul(right[-1], (beta, -c))[:r])
+        for s in range(k + 1):
+            series = poly_mul(left[s], right[k - s])
+            for t, x in enumerate(principal[: len(series)]):
+                coeffs[s] = coeffs[s] + x * series[t]
+    if all(x.is_zero() for x in coeffs):
+        return [zero] * (k + 1)
+    sign = -sigma(gamma, p) if infinity_inside else sigma(gamma, p)
+    scale = lift(sign) * chi(gamma, p, k + 2) * lift(gamma.det()) ** (-k - 1)
+    m = sym_matrix(gamma, k, p)
     return [
-        sign * sum((coeffs[s] * c[s][i] for s in range(k + 1)), ScalarKHat.zero(p))
+        scale * sum((coeffs[s] * m[s][i] for s in range(k + 1)), zero)
         for i in range(k + 1)
     ]
 
@@ -93,20 +126,23 @@ def _edge_residue(g: FactoredRational, k: int, gamma: Mat2, p: int) -> list:
 def res0(
     g: FactoredRational, k: int, tree: TruncatedTree, audit: bool = False, rng=None
 ) -> Cochain:
-    """Residue cochain of a weight-(k+2) rational section: on each edge,
-    transport to the standard annulus, read the negative Laurent coefficients,
-    and pair them through the transporter's module action."""
+    """Residue cochain of a weight-(k+2) rational section: on each edge, the
+    negative Laurent coefficients of the section transported to the standard
+    annulus, read from the principal parts of g (computed once), paired
+    through the transporter's module action."""
+    # a pole whose principal part vanishes is cancelled by extra: no pole
+    parts = [(y, A) for y, A in principal_parts(g) if any(not x.is_zero() for x in A)]
     values = {}
     for e in tree.edges:
         gamma = edge_transporter(e).inv()
-        vec = _edge_residue(g, k, gamma, tree.p)
+        vec = _edge_residue(parts, k, gamma, tree.p)
         if audit:
             jitter = unipotent_lower(
                 (rng.randrange(1, 5 * tree.p)) if rng is not None else 1
             )
             # a second transporter for the same edge: standard-edge stabilizer
             alt = (edge_transporter(e) @ jitter).inv()
-            other = _edge_residue(g, k, alt, tree.p)
+            other = _edge_residue(parts, k, alt, tree.p)
             if any(not (a - b).is_zero() for a, b in zip(vec, other)):
                 raise InternalInvariantError(
                     f"residue value at {e} depends on the transporter choice"

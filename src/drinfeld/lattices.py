@@ -30,7 +30,7 @@ from .rational import (
     FactoredRational,
     automorphic_act,
     laurent_standard,
-    raw_gauss_valuation,
+    transported_gauss_valuation,
 )
 from .scalars import FiniteField, ScalarKHat
 from .symrep import dual_act_matrix
@@ -267,8 +267,7 @@ def section_lattice_membership(
     certificate is the transported Gauss valuation."""
     if f.is_zero():
         raise ZeroFunction("membership is only defined for nonzero sections")
-    moved = automorphic_act(vertex_transporter(v).inv(), f, k)
-    val = raw_gauss_valuation(moved)
+    val = transported_gauss_valuation(f, vertex_transporter(v).inv(), k)
     return val >= 0, val
 
 

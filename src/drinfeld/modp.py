@@ -21,7 +21,7 @@ from .errors import (
     ZeroFunction,
 )
 from .linalg import kernel_basis, mat_vec, rank, rref
-from .rational import FactoredRational, automorphic_act, raw_gauss_valuation
+from .rational import FactoredRational, transported_gauss_valuation
 from .scalars import FiniteField, Fq, FqElem
 from .symrep import substitution_matrix
 from .tree import (
@@ -118,14 +118,19 @@ def fqpoly_eval(field: FiniteField, u: tuple, x: FqElem) -> FqElem:
 
 
 def fqpoly_homogeneous_eval(field: FiniteField, u: tuple, n: tuple, d: tuple) -> tuple:
-    """u(n/d) * d^deg(u) as a polynomial."""
+    """u(n/d) * d^deg(u) as a polynomial: the sum of c_i n^i d^(deg - i) over
+    the nonzero coefficients c_i only.  Each power is taken by squaring; in
+    characteristic p the squares of a linear form stay sparse ((x + y z)^p =
+    x^p + y^p z^p), which makes this cheaper than a table of all powers for
+    the sparse windows z - z^q."""
     deg = len(u) - 1
     acc: tuple = ()
     for i, c in enumerate(u):
-        term = fqpoly_mul(
-            field, fqpoly_pow(field, n, i), fqpoly_pow(field, d, deg - i)
-        )
-        acc = fqpoly_add(field, acc, fqpoly_mul(field, term, (c,)))
+        if not c.is_zero():
+            term = fqpoly_mul(
+                field, fqpoly_pow(field, n, i), fqpoly_pow(field, d, deg - i)
+            )
+            acc = fqpoly_add(field, acc, fqpoly_mul(field, term, (c,)))
     return acc
 
 
@@ -708,7 +713,6 @@ def geven_section_membership(f: FactoredRational, k: int, v: Vertex) -> tuple:
     transported valuation must reach floor(k*m/2) - k*m/2 (0 or -1/2)."""
     if f.is_zero():
         raise ZeroFunction("membership is only defined for nonzero sections")
-    moved = automorphic_act(vertex_transporter(v).inv(), f, k)
-    val = raw_gauss_valuation(moved)
+    val = transported_gauss_valuation(f, vertex_transporter(v).inv(), k)
     threshold = Fraction(k * v.m // 2) - Fraction(k * v.m, 2)
     return val >= threshold, val, threshold

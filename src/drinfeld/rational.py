@@ -386,6 +386,16 @@ def derivative(f: FactoredRational, order: int = 1) -> FactoredRational:
     return f.derivative(order)
 
 
+def _homogenised(u: Poly, top: Poly, bottom: Poly) -> Poly:
+    """u(top/bottom) * bottom^deg(u) for linear top and bottom."""
+    n = len(u) - 1
+    acc: Poly = ()
+    for i, coeff in enumerate(u):
+        term = poly_scale(poly_mul(poly_pow(top, i), poly_pow(bottom, n - i)), coeff)
+        acc = poly_add(acc, term)
+    return acc
+
+
 def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
     """f((a z + b)/(c z + d)) for the literal matrix entries of mat."""
     if f.is_zero():
@@ -408,13 +418,7 @@ def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
     extra = f.extra
     n = len(extra) - 1
     if n > 0:
-        az_b = (B, A)
-        cz_d = (D, C)
-        acc: Poly = ()
-        for i, coeff in enumerate(extra):
-            term = poly_scale(poly_mul(poly_pow(az_b, i), poly_pow(cz_d, n - i)), coeff)
-            acc = poly_add(acc, term)
-        extra = acc
+        extra = _homogenised(extra, (B, A), (D, C))
         denom_exp -= n
     if denom_exp != 0:
         if not C.is_zero():
@@ -462,13 +466,40 @@ def raw_gauss_valuation(f: FactoredRational) -> Fraction | float:
     return total
 
 
+def transported_gauss_valuation(
+    f: FactoredRational, g: Mat2, k: int
+) -> Fraction | float:
+    """raw_gauss_valuation(automorphic_act(g, f, k)) without building the
+    transported section.
+
+    The Gauss valuation is multiplicative (Gauss's lemma), so it is read factor
+    by factor: with m = min(omega(a), omega(c)), a factor (w - y) becomes
+    ((b - a y) + (d - c y) z) / (a + c z), extra becomes its homogenisation
+    sum e_i (b + d z)^i (a + c z)^(n - i) over (a + c z)^n, and the automorphy
+    factor chi^k(g) (a + c z)^(-k) contributes k omega(chi(g)) - k m.
+    """
+    if f.is_zero():
+        return INF
+    p = f.p
+    scalar = chi(g, p, k)
+    lift = lambda x: ScalarKHat.from_rational(x, p)
+    a, b, c, d = lift(g.a), lift(g.b), lift(g.c), lift(g.d)
+    degree = len(f.extra) - 1
+    total = scalar.valuation() + f.lead.valuation()
+    for root, mult in f.factors:
+        degree += mult
+        total += mult * min((d - c * root).valuation(), (b - a * root).valuation())
+    if len(f.extra) > 1:
+        total += min(x.valuation() for x in _homogenised(f.extra, (b, d), (a, c)))
+    return total - (k + degree) * min(a.valuation(), c.valuation())
+
+
 def gauss_valuation(f: FactoredRational, v: Vertex) -> Fraction | float:
     """Valuation of f on the tube of vertex v (weight-0 transport, then the
     base-circle valuation)."""
     if f.is_zero():
         raise ZeroFunction("the zero function has no Gauss valuation")
-    moved = automorphic_act(vertex_transporter(v).inv(), f, 0)
-    return raw_gauss_valuation(moved)
+    return transported_gauss_valuation(f, vertex_transporter(v).inv(), 0)
 
 
 def tube_coordinate_level(v: Vertex) -> int:
@@ -590,6 +621,30 @@ class LaurentWindow:
         return min(alpha + beta * j for alpha, beta in side)
 
 
+def principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
+    """For each pole y of f, of order r, the coefficients [A_1, ..., A_r] of
+    (z - y)^-1, ..., (z - y)^-r in the expansion of f around y, in the order
+    of f.factors.  The order is the one f.factors states: when extra vanishes
+    at y the leading coefficients are zero, and all of them are when y is no
+    pole at all."""
+    num, _ = f.num_den()
+    den_roots = f.denominator_roots()
+    one = ScalarKHat.one(f.p)
+    out = []
+    for root, r in den_roots:
+        others = (one,)
+        for other_root, other_r in den_roots:
+            if other_root is not root:
+                others = poly_mul(others, poly_pow((-other_root, one), other_r))
+        # f (z - y)^r = num / others; its Taylor coefficients below r at y
+        num_shift = poly_shift(num, root, r)
+        den_shift = poly_shift(others, root, r)
+        series = poly_mul(num_shift, poly_series_inverse(den_shift, r))[:r]
+        series = tuple(series) + (ScalarKHat.zero(f.p),) * (r - len(series))
+        out.append((root, [series[r - t] for t in range(1, r + 1)]))
+    return out
+
+
 def laurent_standard(
     f: FactoredRational, lo: int, hi: int
 ) -> LaurentWindow:
@@ -608,24 +663,13 @@ def laurent_standard(
     below: list[tuple[Fraction, Fraction]] = []
     above: list[tuple[Fraction, Fraction]] = []
 
-    quotient, remainder = poly_divmod(num, den)
+    quotient, _ = poly_divmod(num, den)
     for j, c in enumerate(quotient):
         if w_lo <= j <= w_hi and not c.is_zero():
             coeffs[j] = coeffs.get(j, zero) + c
 
-    for root, r in den_roots:
-        others = (ScalarKHat.one(p),)
-        for other_root, other_r in den_roots:
-            if _root_key(other_root) != _root_key(root):
-                others = poly_mul(
-                    others, poly_pow((-other_root, ScalarKHat.one(p)), other_r)
-                )
-        num_shift = poly_shift(remainder, root, r)
-        den_shift = poly_shift(others, root, r)
-        series = poly_mul(num_shift, poly_series_inverse(den_shift, r))[:r]
-        series = tuple(series) + (zero,) * (r - len(series))
-        principal = {t: series[r - t] for t in range(1, r + 1)}  # coeff of (z-root)^-t
-
+    for root, parts in principal_parts(f):
+        principal = dict(enumerate(parts, 1))  # t -> coeff of (z-root)^-t
         if root.is_zero():
             for t, a in principal.items():
                 if w_lo <= -t <= w_hi and not a.is_zero():

@@ -3,26 +3,34 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from drinfeld import (
     Cochain,
+    FactoredRational,
+    PoleInsideAnnulus,
     ScalarKHat,
     automorphic_act,
     cochain_transport,
     delta,
+    edge_transporter,
     gamma_level,
     harmonic_kernel,
+    laurent_standard,
     make_edge,
     make_vertex,
     parse_rational,
     res0,
     res0_integrality,
     standard_vertex,
+    sym_matrix,
     truncated_tree,
+    unipotent_lower,
     weyl_flip,
 )
+from drinfeld.harmonic import sigma
 from drinfeld.linalg import kernel_basis
 from drinfeld.sampling import random_group_element, random_rational
 
@@ -61,6 +69,146 @@ def _reference_field_kernel(tree, k):
                 values[e] = chunk
         basis.append(Cochain(p, k, values))
     return {"dimension": len(vectors), "basis": basis}
+
+
+def _reference_edge_residue(g, k, gamma, p):
+    """The residue value by rebuilding the section on the edge: transport to
+    the standard annulus, Laurent-expand, read a_{-1}..a_{-k-1} and pair them
+    through the transporter's module action."""
+    moved = automorphic_act(gamma, g, k + 2)
+    win = laurent_standard(moved, -(k + 1), -1)
+    coeffs = [win.coefficient(-s - 1) for s in range(k + 1)]
+    if all(a.is_zero() for a in coeffs):
+        return [ScalarKHat.zero(p)] * (k + 1)
+    c = sym_matrix(gamma, k, p)
+    sign = ScalarKHat.from_rational(sigma(gamma, p), p)
+    return [
+        sign * sum((coeffs[s] * c[s][i] for s in range(k + 1)), ScalarKHat.zero(p))
+        for i in range(k + 1)
+    ]
+
+
+def _reference_res0(g, k, tree, audit=False, rng=None):
+    """res0 edge by edge through _reference_edge_residue, with the same
+    second-transporter audit."""
+    values = {}
+    for e in tree.edges:
+        vec = _reference_edge_residue(g, k, edge_transporter(e).inv(), tree.p)
+        if audit:
+            jitter = unipotent_lower(rng.randrange(1, 5 * tree.p))
+            alt = (edge_transporter(e) @ jitter).inv()
+            other = _reference_edge_residue(g, k, alt, tree.p)
+            assert all((a - b).is_zero() for a, b in zip(vec, other))
+        if any(not x.is_zero() for x in vec):
+            values[e] = vec
+    return Cochain(tree.p, k, values)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The cochain's values, or the class and message of what it raised."""
+    try:
+        return fn(*args, **kwargs).values
+    except PoleInsideAnnulus as exc:
+        return (type(exc), str(exc))
+
+
+def _oracle_roots(p):
+    """Roots at 0, at units, at p, p^2, 1/p, pihat and 1 + pihat."""
+    lift = lambda x: ScalarKHat.from_rational(x, p)
+    pihat = ScalarKHat.pihat(p)
+    return [
+        lift(0), lift(1), lift(-1), lift(2 if p != 2 else 3),
+        lift(p), lift(p * p), lift(Fraction(1, p)), lift(Fraction(3, p)),
+        pihat, lift(1) + pihat,
+    ]
+
+
+def _oracle_sections(p, rng, count):
+    """Seeded products of (z - y)^m with |m| <= 3 over the oracle roots,
+    scaled by 1, pihat, p or 1/p, and sums of two of them (whose extra is
+    nontrivial)."""
+    roots = _oracle_roots(p)
+    leads = [
+        ScalarKHat.one(p), ScalarKHat.pihat(p), ScalarKHat.from_rational(p, p),
+        ScalarKHat.from_rational(Fraction(1, p), p),
+    ]
+
+    def product():
+        chosen = rng.sample(roots, rng.randint(1, 3))
+        factors = [(y, rng.choice([-3, -2, -1, -1, 1, 2, 3])) for y in chosen]
+        return FactoredRational(p, rng.choice(leads), factors)
+
+    out = []
+    while len(out) < count:
+        f = product() + product() if len(out) % 3 == 2 else product()
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
+class TestResidueOracle:
+    """res0 reads each edge value from the principal parts of the section;
+    the reference rebuilds the section on every edge."""
+
+    @pytest.mark.parametrize("p, radius", [(2, 3), (3, 2), (5, 1)])
+    @pytest.mark.parametrize("k", range(5))
+    def test_whole_cochains_match_the_reference(self, p, radius, k, tree_factory):
+        t = tree_factory(p, radius)
+        rng = random.Random(1000 * p + 10 * radius + k)
+        sections = _oracle_sections(p, rng, 12)
+        assert any(len(f.extra) > 1 for f in sections)
+        raised = 0
+        for f in sections:
+            want = _outcome(_reference_res0, f, k, t)
+            assert _outcome(res0, f, k, t) == want
+            raised += isinstance(want, tuple)
+        assert raised < len(sections)
+
+    @pytest.mark.parametrize("p, radius", [(2, 2), (3, 2), (5, 1)])
+    def test_every_oracle_root_as_a_pole(self, p, radius, tree_factory):
+        t = tree_factory(p, radius)
+        one = ScalarKHat.one(p)
+        for y in _oracle_roots(p):
+            for m in (1, 2, 3):
+                f = FactoredRational(p, one, [(y, -m)])
+                g = f + FactoredRational(p, one, [(ScalarKHat.zero(p), -1)])
+                for k in (0, 2):
+                    for h in (f, g):
+                        assert _outcome(res0, h, k, t) == _outcome(
+                            _reference_res0, h, k, t
+                        )
+
+    def test_the_error_names_the_smallest_pole_of_the_annulus(self, tree_factory):
+        p = 3
+        t = tree_factory(p, 1)
+        f = parse_rational("(z-pihat)^-1*(z+pihat)^-2*(z-p-pihat)^-1", p)
+        got = _outcome(res0, f, 0, t)
+        assert got == (PoleInsideAnnulus, "pole at -1*pihat with valuation 1/2 sits inside the annulus")
+        assert got == _outcome(_reference_res0, f, 0, t)
+
+    def test_a_pole_that_extra_cancels_is_no_pole(self, tree_factory):
+        # 1/z with a factor (z - pihat) in extra against a stated (z - pihat)^-1
+        p = 2
+        t = tree_factory(p, 2)
+        one, pihat = ScalarKHat.one(p), ScalarKHat.pihat(p)
+        z_inv = [(ScalarKHat.zero(p), -1)]
+        cancelled = FactoredRational(p, one, z_inv + [(pihat, -1)], (-pihat, one))
+        halved = FactoredRational(p, one, z_inv + [(pihat, -2)], (-pihat, one))
+        for k in (0, 1, 3):
+            got = _outcome(res0, cancelled, k, t)
+            assert got == _outcome(res0, parse_rational("1/z", p), k, t)
+            assert got == _outcome(_reference_res0, cancelled, k, t)
+            got = _outcome(res0, halved, k, t)
+            assert isinstance(got, tuple)
+            assert got == _outcome(_reference_res0, halved, k, t)
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_audited_cochains_match_the_reference(self, k, tree_factory):
+        p = 3
+        t = tree_factory(p, 2)
+        for n, f in enumerate(_oracle_sections(p, random.Random(77 + k), 6)):
+            want = _outcome(_reference_res0, f, k, t, True, random.Random(n))
+            assert _outcome(res0, f, k, t, True, random.Random(n)) == want
 
 
 class TestResidueOfSimplePole:

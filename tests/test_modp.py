@@ -60,6 +60,42 @@ def _window_inverse(field):
     return FqRatFunc.make(field, tuple(coeffs)).inverse()
 
 
+def _reference_homogeneous_eval(field, u, n, d):
+    """u(n/d) * d^deg(u) with every power rebuilt for every coefficient, zero
+    or not: the reference for modp.fqpoly_homogeneous_eval."""
+    deg = len(u) - 1
+    acc = ()
+    for i, c in enumerate(u):
+        term = modp.fqpoly_mul(
+            field, modp.fqpoly_pow(field, n, i), modp.fqpoly_pow(field, d, deg - i)
+        )
+        acc = modp.fqpoly_add(field, acc, modp.fqpoly_mul(field, term, (c,)))
+    return acc
+
+
+class TestHomogeneousEvaluationOracle:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 49])
+    def test_matches_the_reference(self, q):
+        F = Fq(q)
+        rng = random.Random(q)
+        elems = list(F.elements())
+        pick = lambda: elems[rng.randrange(q)]
+        nonzero = lambda: elems[rng.randrange(1, q)]
+        window = modp._window_poly(F)
+        polys = [(), (nonzero(),), window, modp.fqpoly_mul(F, window, (pick(), nonzero()))]
+        for _ in range(3):
+            dense = [pick() for _ in range(rng.randint(1, 7))] + [nonzero()]
+            sparse = [F.zero()] * rng.randint(2, q + 2) + [nonzero()]
+            sparse[rng.randrange(len(sparse) - 1)] = nonzero()
+            polys += [tuple(dense), tuple(sparse)]
+        linears = [(pick(), nonzero()), (F.zero(), nonzero()), (nonzero(),), (F.one(), F.one())]
+        for u in polys:
+            for n in linears:
+                for d in linears:
+                    got = modp.fqpoly_homogeneous_eval(F, u, n, d)
+                    assert got == _reference_homogeneous_eval(F, u, n, d)
+
+
 class TestRationalFunctions:
     def test_orders_of_a_quotient(self):
         F = Fq(3)

@@ -23,9 +23,13 @@ from drinfeld import (
     laurent_standard,
     make_vertex,
     parse_rational,
+    raw_gauss_valuation,
+    theta,
     weyl_flip,
 )
+from drinfeld.rational import transported_gauss_valuation
 from drinfeld.sampling import random_group_element, random_rational, random_vertex
+from drinfeld.tree import Mat2
 
 
 class TestParsing:
@@ -195,6 +199,66 @@ class TestGaussValuation:
             assert gauss_valuation(f * g, v) == gauss_valuation(
                 f, v
             ) + gauss_valuation(g, v)
+
+
+def _gauss_oracle_section(rng, p, kind):
+    """A seeded section: a product of linear factors, a theta image or a sum
+    (the last two have a nontrivial extra), or zero."""
+    f = random_rational(rng, p)
+    if kind == "theta":
+        return theta(f, rng.randint(0, 2))
+    if kind == "sum":
+        return f + random_rational(rng, p)
+    return FactoredRational.zero(p) if kind == "zero" else f
+
+
+def _gauss_oracle_matrix(rng, p, kind, f):
+    """A random atom product, an upper-triangular matrix (c = 0), or a matrix
+    with d = c*y for a root y of f, which sends y to infinity."""
+    unit = lambda: Fraction(rng.choice([1, -1, 2, 3, 5, 7]), rng.choice([1, 2, 3]))
+    scale = lambda: unit() * Fraction(p) ** rng.randint(-2, 2)
+    if kind == "atoms" or not f.factors and kind == "infinity":
+        return random_group_element(rng, p)
+    if kind == "upper":
+        return Mat2(scale(), rng.choice([0, scale()]), 0, scale())
+    y = rng.choice(f.factors)[0].rational_value()
+    a, c = scale(), scale()
+    b = a * y + scale()  # a*y - b != 0 keeps the matrix invertible
+    return Mat2(a, b, c, c * y)
+
+
+class TestTransportedGaussValuation:
+    @given(
+        seed=st.integers(0, 10**6),
+        p=st.sampled_from([2, 3, 5]),
+        k=st.integers(-3, 6),
+        f_kind=st.sampled_from(["product", "theta", "sum", "zero"]),
+        g_kind=st.sampled_from(["atoms", "upper", "infinity"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_valuation_of_the_transported_section(
+        self, seed, p, k, f_kind, g_kind
+    ):
+        rng = random.Random(seed)
+        f = _gauss_oracle_section(rng, p, f_kind)
+        g = _gauss_oracle_matrix(rng, p, g_kind, f)
+        assert transported_gauss_valuation(f, g, k) == raw_gauss_valuation(
+            automorphic_act(g, f, k)
+        )
+
+    def test_theta_images_and_sums_have_an_extra(self):
+        rng = random.Random(3)
+        kinds = ["theta", "sum"] * 10
+        assert any(len(_gauss_oracle_section(rng, 3, kind).extra) > 1 for kind in kinds)
+
+    @pytest.mark.parametrize("k", [-3, 0, 4])
+    def test_a_pole_sent_to_infinity(self, k):
+        p = 3
+        f = parse_rational("(z-1)^-2*(z-3)*pihat", p)
+        g = Mat2(2, 7, 1, 1)  # d = c*1: the pole at 1 goes to infinity
+        assert transported_gauss_valuation(f, g, k) == raw_gauss_valuation(
+            automorphic_act(g, f, k)
+        )
 
 
 class TestLaurentWindows:
