@@ -53,7 +53,6 @@ from .tree import (
     Vertex,
     act_on_vertex,
     make_vertex,
-    neighbors,
     standard_edge,
     truncated_tree,
 )
@@ -301,9 +300,7 @@ def tree_cmd(ctx: click.Context, p: int | None, radius: int | None) -> None:
     ball = truncated_tree(p, radius)
     q = p
     predicted_vertices = 1 + (q + 1) * (q**radius - 1) // (q - 1) if radius else 1
-    regular = all(
-        len(ball.edges_at(v)) == q + 1 for v in ball.interior_vertices()
-    ) and all(len(neighbors(v)) == q + 1 for v in ball.vertices)
+    regular = all(len(ball.edges_at(v)) == q + 1 for v in ball.interior_vertices())
     counts = {"vertices": len(ball.vertices), "edges": len(ball.edges)}
     predicted = {
         "vertices": predicted_vertices,

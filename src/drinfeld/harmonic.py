@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import poly
 from .errors import InternalInvariantError, PoleInsideAnnulus
 from .lattices import edge_lattice, lattice_contains_vector, section_lattice_membership
 from .linalg import kernel_basis, smith_over_dvr
-from .rational import FactoredRational, _root_key, poly_mul, principal_parts
+from .rational import FactoredRational, _root_key, principal_parts
 from .scalars import ScalarKHat
 from .symrep import chi, dual_act, sym_matrix
 from .tree import (
@@ -106,10 +107,10 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
         r = len(principal)
         left, right = [(ScalarKHat.one(p),)], [(ScalarKHat.one(p),)]
         for _ in range(k):  # (alpha + a u)^n and (beta - c u)^n below u^r
-            left.append(poly_mul(left[-1], (alpha, a))[:r])
-            right.append(poly_mul(right[-1], (beta, -c))[:r])
+            left.append(poly.mul(left[-1], (alpha, a), zero)[:r])
+            right.append(poly.mul(right[-1], (beta, -c), zero)[:r])
         for s in range(k + 1):
-            series = poly_mul(left[s], right[k - s])
+            series = poly.mul(left[s], right[k - s], zero)
             for t, x in enumerate(principal[: len(series)]):
                 coeffs[s] = coeffs[s] + x * series[t]
     if all(x.is_zero() for x in coeffs):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import poly
 from .errors import (
     InternalInvariantError,
     InvalidParameters,
@@ -38,102 +39,6 @@ from .tree import (
 INFINITY_POINT = "inf"
 
 
-# -- polynomials over a finite field ------------------------------------------------
-
-
-def fqpoly_trim(field: FiniteField, coeffs) -> tuple:
-    out = list(coeffs)
-    while out and out[-1] == field.zero():
-        out.pop()
-    return tuple(out)
-
-
-def fqpoly_add(field: FiniteField, u: tuple, v: tuple) -> tuple:
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for i, x in enumerate(v):
-        out[i] = out[i] + x
-    return fqpoly_trim(field, out)
-
-
-def fqpoly_neg(field: FiniteField, u: tuple) -> tuple:
-    return tuple(-x for x in u)
-
-
-def fqpoly_mul(field: FiniteField, u: tuple, v: tuple) -> tuple:
-    if not u or not v:
-        return ()
-    out = [field.zero()] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(v):
-            out[i + j] = out[i + j] + x * y
-    return fqpoly_trim(field, out)
-
-
-def fqpoly_pow(field: FiniteField, u: tuple, n: int) -> tuple:
-    out: tuple = (field.one(),)
-    while n:
-        if n & 1:
-            out = fqpoly_mul(field, out, u)
-        n >>= 1
-        if n:
-            u = fqpoly_mul(field, u, u)
-    return out
-
-
-def fqpoly_divmod(field: FiniteField, u: tuple, v: tuple) -> tuple:
-    if not v:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [field.zero()] * max(0, len(u) - len(v) + 1)
-    r = list(u)
-    inv_lead = v[-1].inverse()
-    while len(fqpoly_trim(field, r)) >= len(v):
-        r = list(fqpoly_trim(field, r))
-        shift = len(r) - len(v)
-        c = r[-1] * inv_lead
-        q[shift] = q[shift] + c
-        for i, vi in enumerate(v):
-            r[shift + i] = r[shift + i] - c * vi
-    return fqpoly_trim(field, q), fqpoly_trim(field, r)
-
-
-def fqpoly_gcd(field: FiniteField, u: tuple, v: tuple) -> tuple:
-    a, b = u, v
-    while b:
-        _, a = a, fqpoly_divmod(field, a, b)[1]
-        a, b = b, a
-    if not a:
-        return ()
-    return fqpoly_mul(field, a, (a[-1].inverse(),))
-
-
-def fqpoly_eval(field: FiniteField, u: tuple, x: FqElem) -> FqElem:
-    acc = field.zero()
-    for c in reversed(u):
-        acc = acc * x + c
-    return acc
-
-
-def fqpoly_homogeneous_eval(field: FiniteField, u: tuple, n: tuple, d: tuple) -> tuple:
-    """u(n/d) * d^deg(u) as a polynomial: the sum of c_i n^i d^(deg - i) over
-    the nonzero coefficients c_i only.  Each power is taken by squaring; in
-    characteristic p the squares of a linear form stay sparse ((x + y z)^p =
-    x^p + y^p z^p), which makes this cheaper than a table of all powers for
-    the sparse windows z - z^q."""
-    deg = len(u) - 1
-    acc: tuple = ()
-    for i, c in enumerate(u):
-        if not c.is_zero():
-            term = fqpoly_mul(
-                field, fqpoly_pow(field, n, i), fqpoly_pow(field, d, deg - i)
-            )
-            acc = fqpoly_add(field, acc, fqpoly_mul(field, term, (c,)))
-    return acc
-
-
 # -- rational functions over a finite field -----------------------------------------
 
 
@@ -147,19 +52,20 @@ class FqRatFunc:
 
     @staticmethod
     def make(field: FiniteField, num, den=None) -> "FqRatFunc":
-        num = fqpoly_trim(field, tuple(num))
-        den = fqpoly_trim(field, tuple(den)) if den is not None else (field.one(),)
+        zero = field.zero()
+        num = poly.trim(tuple(num))
+        den = poly.trim(tuple(den)) if den is not None else (field.one(),)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return FqRatFunc(field, (), (field.one(),))
-        g = fqpoly_gcd(field, num, den)
+        g = poly.monic_gcd(num, den, zero)
         if len(g) > 1:
-            num = fqpoly_divmod(field, num, g)[0]
-            den = fqpoly_divmod(field, den, g)[0]
+            num = poly.divmod(num, g, zero)[0]
+            den = poly.divmod(den, g, zero)[0]
         lead_inv = den[-1].inverse()
-        num = fqpoly_mul(field, num, (lead_inv,))
-        den = fqpoly_mul(field, den, (lead_inv,))
+        num = poly.scale(num, lead_inv)
+        den = poly.scale(den, lead_inv)
         return FqRatFunc(field, num, den)
 
     @staticmethod
@@ -178,30 +84,26 @@ class FqRatFunc:
         return not self.num
 
     def __add__(self, other: "FqRatFunc") -> "FqRatFunc":
-        f = self.field
-        num = fqpoly_add(
-            f,
-            fqpoly_mul(f, self.num, other.den),
-            fqpoly_mul(f, other.num, self.den),
+        f, zero = self.field, self.field.zero()
+        num = poly.add(
+            poly.mul(self.num, other.den, zero), poly.mul(other.num, self.den, zero)
         )
-        return FqRatFunc.make(f, num, fqpoly_mul(f, self.den, other.den))
+        return FqRatFunc.make(f, num, poly.mul(self.den, other.den, zero))
 
     def __neg__(self) -> "FqRatFunc":
-        return FqRatFunc(self.field, fqpoly_neg(self.field, self.num), self.den)
+        return FqRatFunc(self.field, poly.neg(self.num), self.den)
 
     def __sub__(self, other: "FqRatFunc") -> "FqRatFunc":
         return self + (-other)
 
     def __mul__(self, other: "FqRatFunc") -> "FqRatFunc":
-        f = self.field
+        f, zero = self.field, self.field.zero()
         return FqRatFunc.make(
-            f,
-            fqpoly_mul(f, self.num, other.num),
-            fqpoly_mul(f, self.den, other.den),
+            f, poly.mul(self.num, other.num, zero), poly.mul(self.den, other.den, zero)
         )
 
     def scale(self, c: FqElem) -> "FqRatFunc":
-        return FqRatFunc.make(self.field, fqpoly_mul(self.field, self.num, (c,)), self.den)
+        return FqRatFunc.make(self.field, poly.scale(self.num, c), self.den)
 
     def inverse(self) -> "FqRatFunc":
         if self.is_zero():
@@ -215,8 +117,10 @@ class FqRatFunc:
         if n < 0:
             return self.inverse() ** (-n)
         # powers of coprime polynomials stay coprime, and of a monic one monic
-        f = self.field
-        return FqRatFunc(f, fqpoly_pow(f, self.num, n), fqpoly_pow(f, self.den, n))
+        zero, one = self.field.zero(), self.field.one()
+        return FqRatFunc(
+            self.field, poly.power(self.num, n, zero, one), poly.power(self.den, n, zero, one)
+        )
 
     def order_at(self, point) -> int:
         """Vanishing order at an F_q-point or at infinity (poles negative)."""
@@ -227,10 +131,10 @@ class FqRatFunc:
             return (len(self.den) - 1) - (len(self.num) - 1)
         lin = (-point, f.one())
 
-        def multiplicity(poly: tuple) -> int:
+        def multiplicity(u: tuple) -> int:
             count = 0
-            while poly and fqpoly_eval(f, poly, point) == f.zero():
-                poly = fqpoly_divmod(f, poly, lin)[0]
+            while u and poly.evaluate(u, point, f.zero()).is_zero():
+                u = poly.divmod(u, lin, f.zero())[0]
                 count += 1
             return count
 
@@ -253,19 +157,20 @@ def _lift_matrix(field: FiniteField, g) -> tuple:
 def weight_action_p1(g, f: FqRatFunc, k: int) -> FqRatFunc:
     """(a+cz)^(-k) * f((b+dz)/(a+cz)) for g = [[a,b],[c,d]]."""
     field = f.field
+    zero, one = field.zero(), field.one()
     a, b, c, d = _lift_matrix(field, g)
     n_poly = (b, d)  # b + d z
     d_poly = (a, c)  # a + c z
-    num = fqpoly_homogeneous_eval(field, f.num, n_poly, d_poly)
-    den = fqpoly_homogeneous_eval(field, f.den, n_poly, d_poly)
+    num = poly.homogenise(f.num, n_poly, d_poly, zero, one)
+    den = poly.homogenise(f.den, n_poly, d_poly, zero, one)
     # rebalance the homogenization: multiply by d_poly^(deg den - deg num - k)
     e = (len(f.den) - 1) - (len(f.num) - 1) - k if not f.is_zero() else -k
     if f.is_zero():
         return FqRatFunc.zero(field)
     if e >= 0:
-        num = fqpoly_mul(field, num, fqpoly_pow(field, d_poly, e))
+        num = poly.mul(num, poly.power(d_poly, e, zero, one), zero)
     else:
-        den = fqpoly_mul(field, den, fqpoly_pow(field, d_poly, -e))
+        den = poly.mul(den, poly.power(d_poly, -e, zero, one), zero)
     return FqRatFunc.make(field, num, den)
 
 
@@ -416,35 +321,34 @@ def symgeom_equivariance(q: int, k: int, i: int, g) -> bool:
     a, b, c, d = _lift_matrix(field, g)
     m = sym_matrix_fq(field, g, t, shift)
     n_poly, d_poly = (b, d), (a, c)
-    one = (field.one(),)
-    lhs_factor = rhs_factor = one
+    zero, one = field.zero(), field.one()
+    lhs_factor = rhs_factor = (one,)
     if shift:
-        moved = fqpoly_add(
-            field,
-            fqpoly_mul(field, n_poly, fqpoly_pow(field, d_poly, q - 1)),
-            fqpoly_neg(field, fqpoly_pow(field, n_poly, q)),
+        moved = poly.add(
+            poly.mul(n_poly, poly.power(d_poly, q - 1, zero, one), zero),
+            poly.neg(poly.power(n_poly, q, zero, one)),
         )
-        window = fqpoly_pow(field, _window_poly(field), abs(shift))
-        moved = fqpoly_pow(field, moved, abs(shift))
+        window = poly.power(_window_poly(field), abs(shift), zero, one)
+        moved = poly.power(moved, abs(shift), zero, one)
         # a negative power of W or What moves to the other side
         lhs_factor, rhs_factor = (window, moved) if shift > 0 else (moved, window)
     # the power of a + cz on column r has exponent ex0 - r
     ex0 = -q * shift - k
-    d_powers = [one]
+    d_powers = [(one,)]
     for _ in range(max(abs(ex0), abs(ex0 - t))):
-        d_powers.append(fqpoly_mul(field, d_powers[-1], d_poly))
-    n_power = one
+        d_powers.append(poly.mul(d_powers[-1], d_poly, zero))
+    n_power = (one,)
     for r in range(t + 1):
-        lhs = fqpoly_mul(field, [row[r] for row in m], lhs_factor)
-        rhs = fqpoly_mul(field, n_power, rhs_factor)
+        lhs = poly.mul([row[r] for row in m], lhs_factor, zero)
+        rhs = poly.mul(n_power, rhs_factor, zero)
         ex = ex0 - r
         if ex > 0:
-            rhs = fqpoly_mul(field, rhs, d_powers[ex])
+            rhs = poly.mul(rhs, d_powers[ex], zero)
         elif ex < 0:
-            lhs = fqpoly_mul(field, lhs, d_powers[-ex])
+            lhs = poly.mul(lhs, d_powers[-ex], zero)
         if lhs != rhs:
             return False
-        n_power = fqpoly_mul(field, n_power, n_poly)
+        n_power = poly.mul(n_power, n_poly, zero)
     return True
 
 
@@ -452,16 +356,15 @@ def symgeom_injectivity_rank(iso: dict) -> int:
     """Rank of the comparison map ``iso`` (from ``symgeom_iso``) as a matrix
     over F_q."""
     field = iso["field"]
+    zero = field.zero()
     common = iso["images"][0].den
     for img in iso["images"]:
-        g = fqpoly_gcd(field, common, img.den)
-        common = fqpoly_divmod(
-            field, fqpoly_mul(field, common, img.den), g
-        )[0]
+        g = poly.monic_gcd(common, img.den, zero)
+        common = poly.divmod(poly.mul(common, img.den, zero), g, zero)[0]
     numerators = []
     for img in iso["images"]:
-        extra = fqpoly_divmod(field, common, img.den)[0]
-        numerators.append(fqpoly_mul(field, img.num, extra))
+        extra = poly.divmod(common, img.den, zero)[0]
+        numerators.append(poly.mul(img.num, extra, zero))
     width = max(len(n) for n in numerators)
     rows = [list(n) + [field.zero()] * (width - len(n)) for n in numerators]
     return rank(rows, field.zero())

@@ -1,0 +1,152 @@
+"""Dense polynomials in one variable: coefficient tuples, little-endian, with
+no trailing zeros; () is zero.  Coefficients (``ScalarKHat``, ``FqElem``) need
++, -, *, negation, ``inverse()`` and ``is_zero()``; as in ``linalg``, callers
+pass ``zero``/``one`` wherever a routine builds coefficients of its own.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence, TypeVar
+
+from .errors import InvalidParameters
+
+T = TypeVar("T")
+
+Poly = tuple  # tuple[T, ...]
+
+
+def trim(coeffs: Sequence[T]) -> Poly:
+    n = len(coeffs)
+    while n > 0 and coeffs[n - 1].is_zero():
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def add(u: Poly, v: Poly) -> Poly:
+    if len(u) < len(v):
+        u, v = v, u
+    out = list(u)
+    for i, x in enumerate(v):
+        out[i] = out[i] + x
+    return trim(out)
+
+
+def neg(u: Poly) -> Poly:
+    return tuple(-x for x in u)
+
+
+def scale(u: Poly, s: T) -> Poly:
+    return trim([x * s for x in u])
+
+
+def mul(u: Poly, v: Poly, zero: T) -> Poly:
+    """u * v, skipping the zero coefficients of u."""
+    if not u or not v:
+        return ()
+    out = [zero] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(v):
+            out[i + j] = out[i + j] + x * y
+    return trim(out)
+
+
+def power(u: Poly, n: int, zero: T, one: T) -> Poly:
+    """u^n by binary exponentiation; u^0 = (one,), also for u = ()."""
+    if n < 0:
+        raise InvalidParameters("negative polynomial power")
+    out: Poly = (one,)
+    while n:
+        if n & 1:
+            out = mul(out, u, zero)
+        n >>= 1
+        if n:
+            u = mul(u, u, zero)
+    return out
+
+
+def evaluate(u: Poly, x: T, zero: T) -> T:
+    acc = zero
+    for c in reversed(u):
+        acc = acc * x + c
+    return acc
+
+
+def derivative(u: Poly, one: T) -> Poly:
+    out, i = [], one
+    for c in u[1:]:
+        out.append(c * i)
+        i = i + one
+    return trim(out)
+
+
+def divmod(u: Poly, v: Poly, zero: T) -> tuple[Poly, Poly]:
+    """(q, r) with u = q v + r and deg r < deg v."""
+    if not v:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [zero] * max(0, len(u) - len(v) + 1)
+    r = list(trim(u))
+    inv_lead = v[-1].inverse()
+    while len(r) >= len(v):
+        j = len(r) - len(v)
+        c = r[-1] * inv_lead
+        q[j] = c
+        for i, vi in enumerate(v[:-1]):
+            r[j + i] = r[j + i] - c * vi
+        r = list(trim(r[:-1]))
+    return trim(q), tuple(r)
+
+
+def monic_gcd(u: Poly, v: Poly, zero: T) -> Poly:
+    """The monic greatest common divisor; () when u and v are both zero."""
+    while v:
+        u, v = v, divmod(u, v, zero)[1]
+    if not u:
+        return ()
+    return scale(u, u[-1].inverse())
+
+
+def homogenise(u: Poly, top: Poly, bottom: Poly, zero: T, one: T) -> Poly:
+    """u(top/bottom) * bottom^deg(u) as a polynomial: the sum of
+    c_i top^i bottom^(deg - i) over the nonzero coefficients c_i only.  Each
+    power is taken by squaring; in characteristic p the squares of a linear
+    form stay sparse ((x + y z)^p = x^p + y^p z^p), which makes this cheaper
+    than a table of all powers for sparse u such as z - z^q."""
+    deg = len(u) - 1
+    acc: Poly = ()
+    for i, c in enumerate(u):
+        if not c.is_zero():
+            term = mul(power(top, i, zero, one), power(bottom, deg - i, zero, one), zero)
+            acc = add(acc, scale(term, c))
+    return acc
+
+
+def shift(u: Poly, x0: T, upto: int) -> Poly:
+    """Coefficients of u(x0 + w) in w below degree `upto`: the remainders of
+    repeated synthetic division by z - x0."""
+    out = []
+    rest = list(u)
+    while rest and len(out) < upto:
+        acc = rest[-1]
+        quotient = [acc]
+        for c in reversed(rest[:-1]):
+            acc = acc * x0 + c
+            quotient.append(acc)
+        out.append(quotient.pop())
+        rest = quotient[::-1]
+    return trim(out)
+
+
+def series_inverse(u: Poly, upto: int, zero: T) -> Poly:
+    """Multiplicative inverse of a power series with invertible constant term,
+    truncated below degree `upto`."""
+    inv0 = u[0].inverse()
+    out = [zero] * upto
+    out[0] = inv0
+    for n in range(1, upto):
+        acc = zero
+        for i in range(1, min(n, len(u) - 1) + 1):
+            acc = acc + u[i] * out[n - i]
+        out[n] = -inv0 * acc
+    return trim(out)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
+from . import poly
 from .errors import (
     InternalInvariantError,
     InvalidParameters,
@@ -25,112 +26,6 @@ from .errors import (
 from .scalars import INF, ScalarKHat
 from .symrep import chi
 from .tree import Mat2, Vertex, vertex_transporter
-
-Poly = tuple  # tuple[ScalarKHat, ...], little-endian, no trailing zeros; () is 0
-
-
-# -- dense polynomial helpers ---------------------------------------------------
-
-
-def poly_trim(coeffs: Sequence[ScalarKHat]) -> Poly:
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1].is_zero():
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-def poly_add(u: Poly, v: Poly) -> Poly:
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for i, x in enumerate(v):
-        out[i] = out[i] + x
-    return poly_trim(out)
-
-
-def poly_scale(u: Poly, s: ScalarKHat) -> Poly:
-    return poly_trim([x * s for x in u])
-
-
-def poly_mul(u: Poly, v: Poly) -> Poly:
-    if not u or not v:
-        return ()
-    p = u[0].p
-    out = [ScalarKHat.zero(p)] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        for j, y in enumerate(v):
-            out[i + j] = out[i + j] + x * y
-    return poly_trim(out)
-
-
-def poly_pow(u: Poly, n: int) -> Poly:
-    if n < 0:
-        raise InvalidParameters("negative polynomial power")
-    if not u:
-        return () if n > 0 else u
-    out: Poly = (ScalarKHat.one(u[0].p),)
-    for _ in range(n):
-        out = poly_mul(out, u)
-    return out
-
-
-def poly_eval(u: Poly, z0: ScalarKHat) -> ScalarKHat:
-    acc = ScalarKHat.zero(z0.p)
-    for c in reversed(u):
-        acc = acc * z0 + c
-    return acc
-
-
-def poly_deriv(u: Poly) -> Poly:
-    return poly_trim([c * i for i, c in enumerate(u)][1:])
-
-
-def poly_divmod(u: Poly, v: Poly) -> tuple[Poly, Poly]:
-    if not v:
-        raise ZeroDivisionError("polynomial division by zero")
-    p = v[0].p
-    q = [ScalarKHat.zero(p)] * max(0, len(u) - len(v) + 1)
-    r = list(u)
-    inv_lead = v[-1].inverse()
-    while len(r) >= len(v) and poly_trim(r):
-        r = list(poly_trim(r))
-        if len(r) < len(v):
-            break
-        shift = len(r) - len(v)
-        c = r[-1] * inv_lead
-        q[shift] = q[shift] + c
-        for i, vi in enumerate(v):
-            r[shift + i] = r[shift + i] - c * vi
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_shift(u: Poly, x0: ScalarKHat, upto: int) -> Poly:
-    """Coefficients of u(x0 + w) in w, truncated below degree `upto`."""
-    p = x0.p
-    out = [ScalarKHat.zero(p)] * upto
-    basis: Poly = (ScalarKHat.one(p),)
-    step = (x0, ScalarKHat.one(p))  # x0 + w
-    for c in u:
-        for i, bcoef in enumerate(basis[:upto]):
-            out[i] = out[i] + c * bcoef
-        basis = poly_mul(basis, step)[: upto + 1]
-    return tuple(out)
-
-
-def poly_series_inverse(u: Sequence[ScalarKHat], upto: int) -> Poly:
-    """Multiplicative inverse of a power series with invertible constant term,
-    truncated below degree `upto`."""
-    p = u[0].p
-    inv0 = u[0].inverse()
-    out = [ScalarKHat.zero(p)] * upto
-    out[0] = inv0
-    for n in range(1, upto):
-        acc = ScalarKHat.zero(p)
-        for i in range(1, min(n, len(u) - 1) + 1):
-            acc = acc + u[i] * out[n - i]
-        out[n] = -inv0 * acc
-    return tuple(out)
-
 
 # -- factored rational functions --------------------------------------------------
 
@@ -149,12 +44,12 @@ class FactoredRational:
         p: int,
         lead: ScalarKHat,
         factors: Iterable[tuple[ScalarKHat, int]] = (),
-        extra: Poly = None,
+        extra: poly.Poly = None,
     ) -> None:
         self.p = p
         if extra is None:
             extra = (ScalarKHat.one(p),)
-        extra = poly_trim(tuple(extra))
+        extra = poly.trim(tuple(extra))
         if lead.is_zero() or not extra:
             self.lead = ScalarKHat.zero(p)
             self.factors = ()
@@ -170,7 +65,7 @@ class FactoredRational:
         top = extra[-1]
         if not (top - ScalarKHat.one(p)).is_zero():
             lead = lead * top
-            extra = poly_scale(extra, top.inverse())
+            extra = poly.scale(extra, top.inverse())
         self.lead = lead
         self.factors = tuple(
             (root, mult)
@@ -204,7 +99,7 @@ class FactoredRational:
 
     @staticmethod
     def from_poly(p: int, coeffs: Sequence[ScalarKHat]) -> "FactoredRational":
-        t = poly_trim(tuple(coeffs))
+        t = poly.trim(tuple(coeffs))
         if not t:
             return FactoredRational.zero(p)
         return FactoredRational(p, ScalarKHat.one(p), (), t)._refactored()
@@ -214,17 +109,17 @@ class FactoredRational:
     def is_zero(self) -> bool:
         return self.lead.is_zero()
 
-    def num_den(self) -> tuple[Poly, Poly]:
+    def num_den(self) -> tuple[poly.Poly, poly.Poly]:
         """Expanded (numerator, denominator); denominator monic."""
-        one = (ScalarKHat.one(self.p),)
-        num = poly_scale(self.extra, self.lead)
-        den: Poly = one
+        zero, one = ScalarKHat.zero(self.p), ScalarKHat.one(self.p)
+        num = poly.scale(self.extra, self.lead)
+        den: poly.Poly = (one,)
         for root, mult in self.factors:
-            lin = (-root, ScalarKHat.one(self.p))
+            lin = (-root, one)
             if mult > 0:
-                num = poly_mul(num, poly_pow(lin, mult))
+                num = poly.mul(num, poly.power(lin, mult, zero, one), zero)
             else:
-                den = poly_mul(den, poly_pow(lin, -mult))
+                den = poly.mul(den, poly.power(lin, -mult, zero, one), zero)
         return num, den
 
     def degree(self) -> int:
@@ -235,7 +130,7 @@ class FactoredRational:
         return [(r, -m) for r, m in self.factors if m < 0]
 
     def evaluate(self, z0: ScalarKHat) -> ScalarKHat:
-        acc = self.lead * poly_eval(self.extra, z0)
+        acc = self.lead * poly.evaluate(self.extra, z0, ScalarKHat.zero(self.p))
         for root, mult in self.factors:
             base = z0 - root
             if base.is_zero():
@@ -259,7 +154,7 @@ class FactoredRational:
         for root in candidates:
             lin = (-root, ScalarKHat.one(self.p))
             while len(extra) > 1:
-                q, r = poly_divmod(extra, lin)
+                q, r = poly.divmod(extra, lin, zero)
                 if r:
                     break
                 extra = q
@@ -281,7 +176,7 @@ class FactoredRational:
             self.p,
             self.lead * other.lead,
             list(self.factors) + list(other.factors),
-            poly_mul(self.extra, other.extra),
+            poly.mul(self.extra, other.extra, ScalarKHat.zero(self.p)),
         )
 
     __rmul__ = __mul__
@@ -299,14 +194,15 @@ class FactoredRational:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FactoredRational":
-        if n < 0 and len(self.extra) > 1:
-            raise InvalidParameters("cannot invert an unfactored polynomial part")
         if n < 0:
             return self.inverse() ** (-n)
-        out = FactoredRational.one(self.p)
-        for _ in range(n):
-            out = out * self
-        return out
+        zero, one = ScalarKHat.zero(self.p), ScalarKHat.one(self.p)
+        return FactoredRational(
+            self.p,
+            self.lead**n,
+            [(r, m * n) for r, m in self.factors],
+            poly.power(self.extra, n, zero, one),
+        )
 
     def __neg__(self) -> "FactoredRational":
         return FactoredRational(self.p, -self.lead, self.factors, self.extra)
@@ -318,7 +214,8 @@ class FactoredRational:
             return self
         n1, d1 = self.num_den()
         n2, d2 = other.num_den()
-        num = poly_add(poly_mul(n1, d2), poly_mul(n2, d1))
+        zero = ScalarKHat.zero(self.p)
+        num = poly.add(poly.mul(n1, d2, zero), poly.mul(n2, d1, zero))
         den_factors = [(r, -m) for r, m in self.denominator_roots()] + [
             (r, -m) for r, m in other.denominator_roots()
         ]
@@ -334,7 +231,8 @@ class FactoredRational:
             return NotImplemented
         n1, d1 = self.num_den()
         n2, d2 = other.num_den()
-        return poly_mul(n1, d2) == poly_mul(n2, d1)
+        zero = ScalarKHat.zero(self.p)
+        return poly.mul(n1, d2, zero) == poly.mul(n2, d1, zero)
 
     def __hash__(self) -> int:  # pragma: no cover
         raise TypeError("FactoredRational is unhashable")
@@ -351,19 +249,19 @@ class FactoredRational:
     def _derivative_once(self) -> "FactoredRational":
         if self.is_zero():
             return self
-        one = ScalarKHat.one(self.p)
+        zero, one = ScalarKHat.zero(self.p), ScalarKHat.one(self.p)
         lins = [(-r, one) for r, _ in self.factors]
-        prod_all: Poly = (one,)
+        prod_all: poly.Poly = (one,)
         for lin in lins:
-            prod_all = poly_mul(prod_all, lin)
-        bracket = poly_mul(poly_deriv(self.extra), prod_all)
+            prod_all = poly.mul(prod_all, lin, zero)
+        bracket = poly.mul(poly.derivative(self.extra, one), prod_all, zero)
         for i, (root, mult) in enumerate(self.factors):
-            partial: Poly = (one,)
+            partial: poly.Poly = (one,)
             for j, lin in enumerate(lins):
                 if j != i:
-                    partial = poly_mul(partial, lin)
-            term = poly_scale(poly_mul(self.extra, partial), ScalarKHat.from_rational(mult, self.p))
-            bracket = poly_add(bracket, term)
+                    partial = poly.mul(partial, lin, zero)
+            term = poly.scale(poly.mul(self.extra, partial, zero), ScalarKHat.from_rational(mult, self.p))
+            bracket = poly.add(bracket, term)
         reduced = [(r, m - 1) for r, m in self.factors]
         return FactoredRational(self.p, self.lead, reduced, bracket)._refactored()
 
@@ -384,16 +282,6 @@ class FactoredRational:
 def derivative(f: FactoredRational, order: int = 1) -> FactoredRational:
     """Function form of FactoredRational.derivative."""
     return f.derivative(order)
-
-
-def _homogenised(u: Poly, top: Poly, bottom: Poly) -> Poly:
-    """u(top/bottom) * bottom^deg(u) for linear top and bottom."""
-    n = len(u) - 1
-    acc: Poly = ()
-    for i, coeff in enumerate(u):
-        term = poly_scale(poly_mul(poly_pow(top, i), poly_pow(bottom, n - i)), coeff)
-        acc = poly_add(acc, term)
-    return acc
 
 
 def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
@@ -418,7 +306,7 @@ def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
     extra = f.extra
     n = len(extra) - 1
     if n > 0:
-        extra = _homogenised(extra, (B, A), (D, C))
+        extra = poly.homogenise(extra, (B, A), (D, C), ScalarKHat.zero(p), one)
         denom_exp -= n
     if denom_exp != 0:
         if not C.is_zero():
@@ -490,7 +378,8 @@ def transported_gauss_valuation(
         degree += mult
         total += mult * min((d - c * root).valuation(), (b - a * root).valuation())
     if len(f.extra) > 1:
-        total += min(x.valuation() for x in _homogenised(f.extra, (b, d), (a, c)))
+        moved = poly.homogenise(f.extra, (b, d), (a, c), ScalarKHat.zero(p), ScalarKHat.one(p))
+        total += min(x.valuation() for x in moved)
     return total - (k + degree) * min(a.valuation(), c.valuation())
 
 
@@ -612,13 +501,6 @@ class LaurentWindow:
             raise InvalidParameters(f"index {j} outside window [{self.lo}, {self.hi}]")
         return self.coeffs.get(j, ScalarKHat.zero(self.p))
 
-    def lower_bound(self, j: int) -> Fraction | float:
-        if self.lo <= j <= self.hi:
-            return self.coefficient(j).valuation()
-        side = self.below if j < self.lo else self.above
-        if not side:
-            return INF
-        return min(alpha + beta * j for alpha, beta in side)
 
 
 def principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
@@ -629,18 +511,18 @@ def principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
     pole at all."""
     num, _ = f.num_den()
     den_roots = f.denominator_roots()
-    one = ScalarKHat.one(f.p)
+    zero, one = ScalarKHat.zero(f.p), ScalarKHat.one(f.p)
     out = []
     for root, r in den_roots:
         others = (one,)
         for other_root, other_r in den_roots:
             if other_root is not root:
-                others = poly_mul(others, poly_pow((-other_root, one), other_r))
+                others = poly.mul(others, poly.power((-other_root, one), other_r, zero, one), zero)
         # f (z - y)^r = num / others; its Taylor coefficients below r at y
-        num_shift = poly_shift(num, root, r)
-        den_shift = poly_shift(others, root, r)
-        series = poly_mul(num_shift, poly_series_inverse(den_shift, r))[:r]
-        series = tuple(series) + (ScalarKHat.zero(f.p),) * (r - len(series))
+        num_shift = poly.shift(num, root, r)
+        den_shift = poly.shift(others, root, r)
+        series = poly.mul(num_shift, poly.series_inverse(den_shift, r, zero), zero)[:r]
+        series = series + (zero,) * (r - len(series))
         out.append((root, [series[r - t] for t in range(1, r + 1)]))
     return out
 
@@ -663,7 +545,7 @@ def laurent_standard(
     below: list[tuple[Fraction, Fraction]] = []
     above: list[tuple[Fraction, Fraction]] = []
 
-    quotient, _ = poly_divmod(num, den)
+    quotient, _ = poly.divmod(num, den, zero)
     for j, c in enumerate(quotient):
         if w_lo <= j <= w_hi and not c.is_zero():
             coeffs[j] = coeffs.get(j, zero) + c

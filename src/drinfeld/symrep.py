@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, TypeVar
 
+from . import poly
 from .errors import InvalidParameters, NonInvertibleDeterminant
 from .linalg import Matrix, mat_vec, transpose
 from .scalars import ScalarKHat
@@ -27,30 +28,19 @@ def substitution_matrix(
 
     Column i holds the monomial coefficients of (dX+bY)^i (cX+aY)^(k-i): the
     product of two rows of the power tables below, O(k^3) products in all.
+    A degree-n form F is the polynomial F(t, 1), so xX + yY is (y, x).
     """
     if k < 0:
         raise InvalidParameters("degree must be >= 0")
     zero = from_int(0)
-
-    def powers(x: T, y: T) -> list:
-        # row n: coefficients of (xX + yY)^n against X^r Y^(n-r), r = 0..n
-        rows = [[from_int(1)]]
-        for _ in range(k):
-            prev = rows[-1]
-            nxt = [u * y for u in prev] + [zero]
-            for r, u in enumerate(prev):
-                nxt[r + 1] = nxt[r + 1] + u * x
-            rows.append(nxt)
-        return rows
-
-    left, right = powers(d, b), powers(c, a)
+    left, right = [(from_int(1),)], [(from_int(1),)]
+    for _ in range(k):
+        left.append(poly.mul(left[-1], (b, d), zero))
+        right.append(poly.mul(right[-1], (a, c), zero))
     cols = []
     for i in range(k + 1):
-        col = [zero] * (k + 1)
-        for r, u in enumerate(left[i]):
-            for t, w in enumerate(right[k - i]):
-                col[r + t] = col[r + t] + u * w
-        cols.append(col)
+        col = poly.mul(left[i], right[k - i], zero)
+        cols.append(list(col) + [zero] * (k + 1 - len(col)))
     return transpose(cols)  # rows indexed by monomial, columns by source index
 
 

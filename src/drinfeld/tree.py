@@ -261,18 +261,6 @@ class TruncatedTree:
         """The ball's edges at v, in the order of ``edges``."""
         return list(self.incident.get(v, ()))
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "radius": self.radius,
-            "center": {"m": self.center.m, "b": str(self.center.b)},
-            "vertices": [{"m": v.m, "b": str(v.b)} for v in self.vertices],
-            "edges": [
-                sorted([self.index[e.u], self.index[e.v]]) for e in self.edges
-            ],
-            "parity": [vertex_parity(v) for v in self.vertices],
-        }
-
 
 def truncated_tree(p: int, radius: int, center: Vertex | None = None) -> TruncatedTree:
     """Ball of the given radius, vertices in breadth-first order (neighbors

@@ -34,8 +34,8 @@ from drinfeld.modp import (
     symgeom_parameters,
     weight_action_p1,
 )
-from drinfeld import modp
-from drinfeld.scalars import Fq
+from drinfeld import modp, poly
+from drinfeld.scalars import Fq, ScalarKHat
 
 
 def all_invertible_matrices(field):
@@ -60,16 +60,14 @@ def _window_inverse(field):
     return FqRatFunc.make(field, tuple(coeffs)).inverse()
 
 
-def _reference_homogeneous_eval(field, u, n, d):
+def _reference_homogeneous_eval(u, n, d, zero, one):
     """u(n/d) * d^deg(u) with every power rebuilt for every coefficient, zero
-    or not: the reference for modp.fqpoly_homogeneous_eval."""
+    or not: the reference for poly.homogenise."""
     deg = len(u) - 1
     acc = ()
     for i, c in enumerate(u):
-        term = modp.fqpoly_mul(
-            field, modp.fqpoly_pow(field, n, i), modp.fqpoly_pow(field, d, deg - i)
-        )
-        acc = modp.fqpoly_add(field, acc, modp.fqpoly_mul(field, term, (c,)))
+        term = poly.mul(poly.power(n, i, zero, one), poly.power(d, deg - i, zero, one), zero)
+        acc = poly.add(acc, poly.mul(term, (c,), zero))
     return acc
 
 
@@ -82,7 +80,7 @@ class TestHomogeneousEvaluationOracle:
         pick = lambda: elems[rng.randrange(q)]
         nonzero = lambda: elems[rng.randrange(1, q)]
         window = modp._window_poly(F)
-        polys = [(), (nonzero(),), window, modp.fqpoly_mul(F, window, (pick(), nonzero()))]
+        polys = [(), (nonzero(),), window, poly.mul(window, (pick(), nonzero()), F.zero())]
         for _ in range(3):
             dense = [pick() for _ in range(rng.randint(1, 7))] + [nonzero()]
             sparse = [F.zero()] * rng.randint(2, q + 2) + [nonzero()]
@@ -92,8 +90,32 @@ class TestHomogeneousEvaluationOracle:
         for u in polys:
             for n in linears:
                 for d in linears:
-                    got = modp.fqpoly_homogeneous_eval(F, u, n, d)
-                    assert got == _reference_homogeneous_eval(F, u, n, d)
+                    got = poly.homogenise(u, n, d, F.zero(), F.one())
+                    assert got == _reference_homogeneous_eval(u, n, d, F.zero(), F.one())
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_the_reference_over_khat(self, p):
+        rng = random.Random(p)
+        zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
+        values = [
+            ScalarKHat(p, Fraction(a, p**e), Fraction(b))
+            for a in (-2, 1, 3) for b in (-1, 0, 1) for e in (0, 1)
+        ]
+        pick = lambda: rng.choice(values + [zero])
+        nonzero = lambda: rng.choice(values)
+        polys = [(), (nonzero(),)]
+        for _ in range(4):
+            dense = [pick() for _ in range(rng.randint(1, 5))] + [nonzero()]
+            sparse = [zero] * rng.randint(2, 6) + [nonzero()]
+            sparse[rng.randrange(len(sparse) - 1)] = nonzero()
+            polys += [tuple(dense), tuple(sparse)]
+        # compose_mobius passes the entry pairs of a matrix, zero entries kept
+        linears = [(pick(), nonzero()), (zero, nonzero()), (nonzero(), zero), (one, one)]
+        for u in polys:
+            for n in linears:
+                for d in linears:
+                    got = poly.homogenise(u, n, d, zero, one)
+                    assert got == _reference_homogeneous_eval(u, n, d, zero, one)
 
 
 class TestRationalFunctions:
