@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 from . import poly
 from .errors import InternalInvariantError, PoleInsideAnnulus
-from .lattices import edge_lattice, lattice_contains_vector, section_lattice_membership
+from .lattices import (
+    Lattices,
+    lattice_contains_vector,
+    section_lattice_membership,
+    star_local_kernel,
+)
 from .linalg import kernel_basis, smith_over_dvr
 from .rational import FactoredRational, _root_key, principal_parts
 from .scalars import ScalarKHat
@@ -163,11 +168,12 @@ def res0_integrality(
     edges it stores need a lattice solve: every other value is the zero
     vector, which lies in every full-rank lattice."""
     c = res0(g, k, tree) if cochain is None else cochain
+    lattices = Lattices(k)
     per_edge = []
     all_in = True
     for e in tree.edges:
         vec = c.values.get(e)
-        ok = vec is None or lattice_contains_vector(edge_lattice(e, k), vec)
+        ok = vec is None or lattice_contains_vector(lattices.edge(e), vec)
         all_in = all_in and ok
         per_edge.append({"edge": e, "in_lattice": ok})
     # the zero section lies in every lattice; membership tests need f != 0
@@ -225,13 +231,12 @@ def _field_kernel(tree: TruncatedTree, k: int) -> dict:
 
 
 def _modp_kernel(tree: TruncatedTree, k: int) -> dict:
-    from .lattices import star_local_kernel
-
     p = tree.p
     zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
     edges = list(tree.edges)
     index = {e: n for n, e in enumerate(edges)}
-    lattices = [edge_lattice(e, k) for e in edges]
+    table = Lattices(k)
+    lattices = [table.edge(e) for e in edges]
     ncols = (k + 1) * len(edges)
     rows = []
     for v in tree.interior_vertices():
@@ -256,7 +261,7 @@ def _modp_kernel(tree: TruncatedTree, k: int) -> dict:
             sat = [u[i][s] for i in range(ncols)]
             reduced.append([x.reduce_mod_pihat() for x in sat])
     star = {
-        str(v): star_local_kernel(v, k) for v in tree.interior_vertices()
+        str(v): star_local_kernel(v, k, table) for v in tree.interior_vertices()
     }
     return {
         "integral_rank": len(vectors),

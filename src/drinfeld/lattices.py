@@ -136,19 +136,41 @@ def relative_fdim(sup: Lattice, sub: Lattice) -> int:
     return int(total)
 
 
+class Lattices:
+    """The weight-k vertex and edge lattices of one computation, each built on
+    first use and kept only as long as the computation keeps this table."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self._vertex: dict = {}
+        self._edge: dict = {}
+
+    def vertex(self, v: Vertex) -> Lattice:
+        if v not in self._vertex:
+            self._vertex[v] = vertex_lattice(v, self.k)
+        return self._vertex[v]
+
+    def edge(self, e: Edge) -> Lattice:
+        """Intersection of the two endpoint lattices, in a basis adapted to
+        the child endpoint."""
+        if e not in self._edge:
+            self._edge[e] = lattice_intersection(
+                self.vertex(child_endpoint(e)), self.vertex(parent_endpoint(e))
+            )
+        return self._edge[e]
+
+
 def edge_lattice(e: Edge, k: int) -> Lattice:
     """Intersection of the two endpoint lattices, in a basis adapted to the
     child endpoint."""
-    child = vertex_lattice(child_endpoint(e), k)
-    parent = vertex_lattice(parent_endpoint(e), k)
-    return lattice_intersection(child, parent)
+    return Lattices(k).edge(e)
 
 
 def edge_lattice_profile(e: Edge, k: int) -> tuple:
     """Elementary-divisor valuations of the edge lattice relative to the
     child-endpoint lattice, ascending."""
-    child = vertex_lattice(child_endpoint(e), k)
-    return relative_profile(child, edge_lattice(e, k))
+    lattices = Lattices(k)
+    return relative_profile(lattices.vertex(child_endpoint(e)), lattices.edge(e))
 
 
 # -- mod-uniformizer local spaces --------------------------------------------------
@@ -165,30 +187,33 @@ def _reduced_transition(src: Lattice, dst: Lattice, field: FiniteField) -> list:
     return [[field.elem(x.reduce_mod_pihat()) for x in row] for row in t]
 
 
-def d_space_basis(e: Edge, k: int, side: Vertex) -> list:
+def d_space_basis(e: Edge, k: int, side: Vertex, lattices: Lattices | None = None) -> list:
     """Basis of the image of the edge lattice in (side lattice)/(pihat), as
     coordinate vectors against the side's basis."""
+    lattices = lattices or Lattices(k)
     field = FiniteField(e.u.p, 1)
-    t = _reduced_transition(vertex_lattice(side, k), edge_lattice(e, k), field)
+    t = _reduced_transition(lattices.vertex(side), lattices.edge(e), field)
     return _column_space_basis(t, field)
 
 
-def e_space_basis(e: Edge, k: int) -> list:
+def e_space_basis(e: Edge, k: int, lattices: Lattices | None = None) -> list:
     """Basis of the image of the edge lattice in (sum of the two endpoint
     lattices)/(pihat)."""
+    lattices = lattices or Lattices(k)
     field = FiniteField(e.u.p, 1)
     total = lattice_sum(
-        vertex_lattice(child_endpoint(e), k), vertex_lattice(parent_endpoint(e), k)
+        lattices.vertex(child_endpoint(e)), lattices.vertex(parent_endpoint(e))
     )
-    t = _reduced_transition(total, edge_lattice(e, k), field)
+    t = _reduced_transition(total, lattices.edge(e), field)
     return _column_space_basis(t, field)
 
 
-def star_local_kernel(v: Vertex, k: int) -> dict:
+def star_local_kernel(v: Vertex, k: int, lattices: Lattices | None = None) -> dict:
     """Kernel of the local sum map at v: tuples of edge values, one from each
     D-space around v, summing to zero in (vertex lattice)/(pihat)."""
+    lattices = lattices or Lattices(k)
     field = FiniteField(v.p, 1)
-    blocks = [d_space_basis(e, k, v) for e in edges_at(v)]
+    blocks = [d_space_basis(e, k, v, lattices) for e in edges_at(v)]
     columns: list = []
     for basis in blocks:
         columns.extend(basis)
@@ -226,10 +251,11 @@ def local_spaces(e_or_v, k: int, q: int) -> dict:
         raise InvalidParameters("the residue size must match the tree prime")
     if isinstance(e_or_v, Edge):
         e = e_or_v
+        lattices = Lattices(k)
         return {
-            "dimD": len(d_space_basis(e, k, child_endpoint(e))),
-            "dimD_parent": len(d_space_basis(e, k, parent_endpoint(e))),
-            "dimE": len(e_space_basis(e, k)),
+            "dimD": len(d_space_basis(e, k, child_endpoint(e), lattices)),
+            "dimD_parent": len(d_space_basis(e, k, parent_endpoint(e), lattices)),
+            "dimE": len(e_space_basis(e, k, lattices)),
         }
     if isinstance(e_or_v, Vertex):
         return {"dimZhar": star_local_kernel(e_or_v, k)["kernel_dim"]}
@@ -243,10 +269,11 @@ def local_space_report(p: int, k: int) -> dict:
 
     e = standard_edge(p)
     v = standard_vertex(p)
+    lattices = Lattices(k)
     computed = {
-        "dimD": len(d_space_basis(e, k, v)),
-        "dimE": len(e_space_basis(e, k)),
-        "dimZhar": star_local_kernel(v, k)["kernel_dim"],
+        "dimD": len(d_space_basis(e, k, v, lattices)),
+        "dimE": len(e_space_basis(e, k, lattices)),
+        "dimZhar": star_local_kernel(v, k, lattices)["kernel_dim"],
     }
     predicted = local_dimension_formulas(p, k)
     return {

@@ -8,7 +8,8 @@ pass explicit zero/one samples so the routines stay agnostic of the scalar type
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+import heapq
+from typing import Sequence, TypeVar
 
 from .errors import InternalInvariantError
 from .scalars import INF, ScalarKHat
@@ -45,29 +46,71 @@ def mat_vec(a: Matrix, v: Sequence[T]) -> list:
 
 
 def rref(rows: Matrix, zero: T) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices (exact Gauss-Jordan)."""
-    a = [list(r) for r in rows]
-    if not a:
-        return a, []
-    ncols = len(a[0])
+    """Reduced row echelon form and pivot column indices (exact Gauss-Jordan).
+
+    Rows are eliminated as column -> nonzero maps, so a row update walks only
+    the nonzero entries of the pivot row. The reduced form of a row space is
+    unique, so the result does not depend on the elimination order; it comes
+    back dense, the pivot rows in column order followed by the zero rows."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pending = {}  # row id -> {column: nonzero entry}
+    for i, row in enumerate(rows):
+        entries = {c: x for c, x in enumerate(row) if x != zero}
+        if entries:
+            pending[i] = entries
+    # (leading column, row id) of each pending row. Every pending row's
+    # columns are at least the smallest leading column c, so exactly the rows
+    # led by c have an entry in column c.
+    leads = [(min(entries), i) for i, entries in pending.items()]
+    heapq.heapify(leads)
+    reduced: list[dict] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(a)) if a[i][c] != zero), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != zero:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+    one = None  # no sample of 1 is passed in: the first pivot over itself
+    while leads:
+        c, i = heapq.heappop(leads)
+        scale = pending[i].pop(c)
+        if one is None:
+            one = scale / scale
+        inv = one / scale
+        tail = [(j, x * inv) for j, x in pending.pop(i).items()]
+        while leads and leads[0][0] == c:
+            _, i = heapq.heappop(leads)
+            row = pending[i]
+            _eliminate(row, c, tail, zero)
+            if row:
+                heapq.heappush(leads, (min(row), i))
+            else:
+                del pending[i]
+        for row in reduced:
+            if c in row:
+                _eliminate(row, c, tail, zero)
+        pivot_row = dict(tail)
+        pivot_row[c] = one
+        reduced.append(pivot_row)
         pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a, pivots
+    dense = [[zero] * ncols for _ in rows]
+    for out, row in zip(dense, reduced):
+        for j, x in row.items():
+            out[j] = x
+    return dense, pivots
+
+
+def _eliminate(row: dict, c: int, tail: list, zero: T) -> None:
+    """Clear column c of a sparse row with the pivot row for c, which is 1 at
+    c and holds the nonzero entries ``tail`` elsewhere."""
+    f = row.pop(c)
+    for j, y in tail:
+        x = row.get(j)
+        if x is None:
+            row[j] = zero - f * y
+        else:
+            x = x - f * y
+            if x == zero:
+                del row[j]
+            else:
+                row[j] = x
 
 
 def rank(rows: Matrix, zero: T) -> int:
@@ -80,13 +123,16 @@ def kernel_basis(rows: Matrix, zero: T, one: T) -> list[list]:
         return []
     ncols = len(rows[0])
     r, pivots = rref(rows, zero)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         vec = [zero] * ncols
         vec[fc] = one
         for ri, pc in enumerate(pivots):
-            vec[pc] = zero - r[ri][fc]
+            x = r[ri][fc]
+            if x != zero:
+                vec[pc] = zero - x
         basis.append(vec)
     return basis
 

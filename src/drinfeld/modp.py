@@ -21,7 +21,7 @@ from .errors import (
     SingularMatrix,
     ZeroFunction,
 )
-from .linalg import kernel_basis, mat_vec, rank, rref
+from .linalg import identity, kernel_basis, mat_vec, rank, rref
 from .rational import FactoredRational, transported_gauss_valuation
 from .scalars import FiniteField, Fq, FqElem
 from .symrep import substitution_matrix
@@ -374,17 +374,26 @@ def symgeom_injectivity_rank(iso: dict) -> int:
 
 
 def _reduction_point(field: FiniteField, u: Vertex, w: Vertex):
-    """Point of u's component where neighbor w's component meets it."""
-    moved = act_on_vertex(vertex_transporter(u).inv(), w)
-    if moved.m == -1 and moved.b == 0:
+    """Point of u's component where neighbor w's component meets it, read from
+    the labels: 0 for u's parent, and for the child (m+1, b + c·p^m) of
+    u = (m, b) the point 1/c mod p, or infinity when c = 0."""
+    if w.m == u.m - 1 and _child_digit(w, u) is not None:
         return field.zero()
-    if moved.m == 1:
-        c = moved.b
+    if w.m == u.m + 1:
+        c = _child_digit(u, w)
         if c == 0:
             return INFINITY_POINT
-        c_int = int(c)
-        return field.elem(pow(c_int, -1, field.p))
-    raise InternalInvariantError(f"{w} did not normalize to a base neighbor")
+        if c is not None:
+            return field.elem(pow(c, -1, field.p))
+    raise InternalInvariantError(f"{w} is not a neighbor of {u}")
+
+
+def _child_digit(v: Vertex, w: Vertex) -> int | None:
+    """The c in [0, p) with w.b = v.b + c·p^m for v = (m, v.b), or None."""
+    c = (w.b - v.b) / Fraction(v.p) ** v.m
+    if c.denominator == 1 and 0 <= c < v.p:
+        return int(c)
+    return None
 
 
 def _evaluation_row(field: FiniteField, point, dim: int, k: int) -> list:
@@ -413,24 +422,10 @@ def global_sections_truncated(
     deg = component_degree(q, k)
     per_component = max(0, deg + 1)
     ncols = n_vertices * per_component
-    if k % 2 == 1:
-        basis = [
-            [field.one() if t == s else field.zero() for t in range(ncols)]
-            for s in range(ncols)
-        ]
-        return {
-            "dimension": ncols,
-            "direct_dimension": ncols,
-            "matching_rank": 0,
-            "edge_count": n_edges,
-            "vertex_count": n_vertices,
-            "per_component_dimension": per_component,
-            "basis": basis,
-            "pass": True,
-        }
     index = {v: n for n, v in enumerate(tree.vertices)}
+    glued = tree.edges if k % 2 == 0 else []  # odd k has no matching conditions
     rows = []
-    for e in tree.edges:
+    for e in glued:
         u, w = parent_endpoint(e), child_endpoint(e)
         row = [field.zero()] * ncols
         cu, cw = (field.one(), field.one())
@@ -444,13 +439,10 @@ def global_sections_truncated(
     if rows:
         basis = kernel_basis(rows, field.zero(), field.one())
     else:
-        basis = [
-            [field.one() if t == s else field.zero() for t in range(ncols)]
-            for s in range(ncols)
-        ]
+        basis = identity(ncols, field.zero(), field.one())
     direct = len(basis)
     matching_rank = ncols - direct
-    formula = ncols - n_edges
+    formula = ncols - len(glued)
     return {
         "dimension": formula,
         "direct_dimension": direct,

@@ -3,6 +3,7 @@ exit codes, and byte-identical determinism of repeated runs."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -337,3 +338,36 @@ class TestDeterminism:
         fanned = run_cli(*args, env_extra={"DRINFELD_THREADS": "4"}).stdout
         assert serial == fanned
         assert json.loads(serial)["pass"] is True
+
+
+class TestGoldenStdout:
+    """Stdout pinned by sha256 for one invocation per caller of the exact
+    elimination: a change of elimination strategy must leave every byte as it
+    was.  ``stable-lines --q 3 --k 5`` has no relations below degree q + 1 and
+    is rejected before any elimination; ``--k 6`` reaches it."""
+
+    GOLDEN = [
+        (("modp", "sections", "--q", "3", "--k", "4", "--radius", "2"), 0,
+         "083895794ee7220d231be32b6aa110a177a1b2f6ebf164c24a33cb5a759f5ec3"),
+        (("modp", "sections", "--q", "5", "--k", "2", "--radius", "2"), 0,
+         "9e6110454091f07e8b7e159bb470c0fab20a08dbec6e6e39ea1b0ff81e52b048"),
+        (("modp", "symgeom-check", "--q", "5", "--k", "4", "--i", "0"), 0,
+         "9fbcf346b71ffc718792825188f2737b230aa08ccbe8ee32815aaef0248d531e"),
+        (("modp", "stable-lines", "--q", "3", "--k", "5", "--i", "0"), 2,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (("modp", "stable-lines", "--q", "3", "--k", "6", "--i", "0"), 0,
+         "36b1310903e2aec3a9bd46350bf2d261676b7713928da93bd1cb27a4fe3cfd16"),
+        (("harmonic", "--p", "2", "--k", "1", "--radius", "3"), 0,
+         "2fb6ce9c97dce64d88d36f801aacf95fd770ed077101e82230593574b20ad95f"),
+        (("local-dims", "--p", "3", "--k", "4"), 0,
+         "3b57ebf260648e25635d3d429b032b019c29d06589becc4cca143631988f0ce3"),
+        (("lattice", "--p", "5", "--k", "7", "--level", "-2", "--offset", "0"), 0,
+         "2dad988cb67bb05a3f351610f114733d5e2a3891d42fcdaad3027dd015b2007a"),
+        (("theta", "--p", "2", "--k", "2", "--f", "1/z", "--level", "1"), 0,
+         "99db0918405c9ba9f3635ff073f6eacc57063c0ba83d9c6c76c08c5179b222bd"),
+    ]
+
+    @pytest.mark.parametrize("args,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+    def test_stdout_digest(self, args, code, digest):
+        out = run_cli(*args, expect_code=code).stdout
+        assert hashlib.sha256(out).hexdigest() == digest

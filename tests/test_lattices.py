@@ -43,6 +43,7 @@ from drinfeld import (
     vertex_lattice_profile,
     vertex_transporter,
 )
+from drinfeld import lattices
 from drinfeld.sampling import random_group_element, random_rational, random_vertex
 
 
@@ -91,6 +92,27 @@ class TestLocalDimensions:
         assert report["computed"] == expected
         assert report["predicted"] == expected
         assert report["pass"] is True
+
+    @pytest.mark.parametrize("p,k", [(2, 3), (3, 4), (5, 2)])
+    def test_report_builds_each_lattice_once(self, p, k, monkeypatch):
+        """The standard vertex, its parent and its p children: p + 2 vertex
+        lattices, and p + 1 edge lattices, one per edge at the vertex."""
+        built = {"vertex": [], "edge": []}
+        real_vertex, real_intersection = lattices.vertex_lattice, lattices.lattice_intersection
+
+        def vertex_lattice_spy(v, k, transporter=None):
+            built["vertex"].append(v)
+            return real_vertex(v, k, transporter)
+
+        def intersection_spy(l1, l2):
+            built["edge"].append((l1, l2))
+            return real_intersection(l1, l2)
+
+        monkeypatch.setattr(lattices, "vertex_lattice", vertex_lattice_spy)
+        monkeypatch.setattr(lattices, "lattice_intersection", intersection_spy)
+        assert local_space_report(p, k)["pass"] is True
+        assert len(built["vertex"]) == len(set(built["vertex"])) == p + 2
+        assert len(built["edge"]) == p + 1
 
     def test_local_spaces_on_edge_and_vertex(self):
         p = 2

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from drinfeld import InvalidParameters, make_vertex, parse_rational
+from drinfeld.errors import InternalInvariantError
 from drinfeld.modp import (
     INFINITY_POINT,
     FqRatFunc,
@@ -36,6 +37,7 @@ from drinfeld.modp import (
 )
 from drinfeld import modp, poly
 from drinfeld.scalars import Fq, ScalarKHat
+from drinfeld.tree import act_on_vertex, vertex_transporter
 
 
 def all_invertible_matrices(field):
@@ -331,6 +333,43 @@ class TestTruncatedSections:
             twisted = global_sections_truncated(q, k, radius, unit_constants=random_units)
             assert twisted["direct_dimension"] == reference["direct_dimension"]
             assert twisted["pass"] is True
+
+
+def _reference_reduction_point(field, u, w):
+    """Point of u's component where neighbor w's component meets it, by
+    transporting w with the inverse of u's transporter: the parent of u goes
+    to (-1, 0), which meets at 0, and a child of u goes to the base child
+    (1, c), which meets at 1/c (infinity for c = 0)."""
+    moved = act_on_vertex(vertex_transporter(u).inv(), w)
+    if moved.m == -1 and moved.b == 0:
+        return field.zero()
+    if moved.m == 1:
+        c = moved.b
+        if c == 0:
+            return INFINITY_POINT
+        return field.elem(pow(int(c), -1, field.p))
+    raise InternalInvariantError(f"{w} did not normalize to a base neighbor")
+
+
+class TestReductionPointOracle:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_labels_match_transport_on_every_edge(self, q, tree_factory):
+        field = Fq(q)
+        for radius in range(4):
+            for e in tree_factory(q, radius).edges:
+                for u, w in ((e.u, e.v), (e.v, e.u)):
+                    assert modp._reduction_point(field, u, w) == (
+                        _reference_reduction_point(field, u, w)
+                    ), (u, w)
+
+    def test_non_adjacent_pair_raises(self):
+        field = Fq(3)
+        base = make_vertex(3, 0, 0)
+        for w in (base, make_vertex(3, 2, 4), make_vertex(3, 0, Fraction(1, 3)), make_vertex(3, -2, 0)):
+            with pytest.raises(InternalInvariantError):
+                _reference_reduction_point(field, base, w)
+            with pytest.raises(InternalInvariantError):
+                modp._reduction_point(field, base, w)
 
 
 class TestQuotientRepresentation:
