@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -52,12 +50,14 @@ from .tree import (
     Edge,
     Vertex,
     act_on_vertex,
+    ball_size,
     make_vertex,
     standard_edge,
     truncated_tree,
 )
 
 _MAX_RADIUS = 8
+_MAX_BALL_VERTICES = 25_000
 
 _INT_KEYS = ("p", "q", "k", "i", "radius", "seed", "kmax", "mmax", "level")
 
@@ -229,9 +229,17 @@ def _resolve(ctx: click.Context, **explicit) -> dict:
         _check_prime(int(merged["p"]))
     if "q" in explicit:
         Fq(int(merged["q"]))  # rejects q that is not a prime power >= 2
-    radius = merged.get("radius")
-    if radius is not None and not 0 <= int(radius) <= _MAX_RADIUS:
-        raise InvalidParameters(f"radius must be in [0, {_MAX_RADIUS}]")
+    if "radius" in explicit:
+        radius = int(merged["radius"])
+        if not 0 <= radius <= _MAX_RADIUS:
+            raise InvalidParameters(f"radius must be in [0, {_MAX_RADIUS}]")
+        prime = int(merged["p" if "p" in explicit else "q"])
+        size = ball_size(prime, radius)
+        if size > _MAX_BALL_VERTICES:
+            raise InvalidParameters(
+                f"the radius-{radius} ball at p = {prime} has {size} vertices, "
+                f"more than {_MAX_BALL_VERTICES}"
+            )
     return merged
 
 
@@ -298,14 +306,10 @@ def tree_cmd(ctx: click.Context, p: int | None, radius: int | None) -> None:
     cfg = _resolve(ctx, p=p, radius=radius)
     p, radius = int(cfg["p"]), int(cfg["radius"])
     ball = truncated_tree(p, radius)
-    q = p
-    predicted_vertices = 1 + (q + 1) * (q**radius - 1) // (q - 1) if radius else 1
-    regular = all(len(ball.edges_at(v)) == q + 1 for v in ball.interior_vertices())
+    regular = all(len(ball.edges_at(v)) == p + 1 for v in ball.interior_vertices())
     counts = {"vertices": len(ball.vertices), "edges": len(ball.edges)}
-    predicted = {
-        "vertices": predicted_vertices,
-        "edges": predicted_vertices - 1 if radius else 0,
-    }
+    predicted_vertices = ball_size(p, radius)
+    predicted = {"vertices": predicted_vertices, "edges": predicted_vertices - 1}
     _emit(
         {
             "command": "tree",
@@ -637,8 +641,7 @@ def modp_b_forms_cmd(ctx, q) -> None:
     )
 
 
-def _sweep_item(args: tuple) -> dict:
-    p, k, seed = args
+def _sweep_item(p: int, k: int, seed: int) -> dict:
     rng = random.Random((seed << 16) ^ k)
     local = local_space_report(p, k)
     kernel_ok = kernel_polynomial_dimension(k, p=p) == k + 1
@@ -669,22 +672,10 @@ def _sweep_item(args: tuple) -> dict:
 @click.option("--seed", type=int, default=None)
 @click.pass_context
 def sweep_cmd(ctx, p, kmax, seed) -> None:
-    """Batch of pure per-k checks; fans out when DRINFELD_THREADS > 1."""
+    """Batch of pure per-k checks."""
     cfg = _resolve(ctx, p=p, kmax=kmax, seed=seed)
     p, kmax, seed = int(cfg["p"]), int(cfg["kmax"]), int(cfg["seed"])
-    items = [(p, k, seed) for k in range(kmax + 1)]
-    raw_threads = os.environ.get("DRINFELD_THREADS", "1") or "1"
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        raise InvalidParameters(
-            f"DRINFELD_THREADS must be an integer, got {raw_threads!r}"
-        ) from None
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_item, items))
-    else:
-        rows = [_sweep_item(item) for item in items]
+    rows = [_sweep_item(p, k, seed) for k in range(kmax + 1)]
     _emit(
         {
             "command": "sweep",

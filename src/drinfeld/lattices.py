@@ -32,7 +32,7 @@ from .rational import (
     laurent_standard,
     transported_gauss_valuation,
 )
-from .scalars import FiniteField, ScalarKHat
+from .scalars import FiniteField, Fq, ScalarKHat
 from .symrep import dual_act_matrix
 from .tree import (
     Edge,
@@ -191,7 +191,7 @@ def d_space_basis(e: Edge, k: int, side: Vertex, lattices: Lattices | None = Non
     """Basis of the image of the edge lattice in (side lattice)/(pihat), as
     coordinate vectors against the side's basis."""
     lattices = lattices or Lattices(k)
-    field = FiniteField(e.u.p, 1)
+    field = Fq(e.u.p)
     t = _reduced_transition(lattices.vertex(side), lattices.edge(e), field)
     return _column_space_basis(t, field)
 
@@ -200,7 +200,7 @@ def e_space_basis(e: Edge, k: int, lattices: Lattices | None = None) -> list:
     """Basis of the image of the edge lattice in (sum of the two endpoint
     lattices)/(pihat)."""
     lattices = lattices or Lattices(k)
-    field = FiniteField(e.u.p, 1)
+    field = Fq(e.u.p)
     total = lattice_sum(
         lattices.vertex(child_endpoint(e)), lattices.vertex(parent_endpoint(e))
     )
@@ -212,7 +212,7 @@ def star_local_kernel(v: Vertex, k: int, lattices: Lattices | None = None) -> di
     """Kernel of the local sum map at v: tuples of edge values, one from each
     D-space around v, summing to zero in (vertex lattice)/(pihat)."""
     lattices = lattices or Lattices(k)
-    field = FiniteField(v.p, 1)
+    field = Fq(v.p)
     blocks = [d_space_basis(e, k, v, lattices) for e in edges_at(v)]
     columns: list = []
     for basis in blocks:
@@ -308,9 +308,7 @@ def edge_coefficient_requirement(j: int, k: int) -> Fraction:
     return min(inner, outer)
 
 
-def edge_membership(
-    f: FactoredRational, k: int, e: Edge, max_widenings: int = 6
-) -> tuple[bool, dict]:
+def edge_membership(f: FactoredRational, k: int, e: Edge) -> tuple[bool, dict]:
     """Coefficient-wise membership test on the edge annulus: transport to the
     standard edge, expand, and compare every coefficient (exact in a window,
     affine certificates outside) against the generator requirement."""
@@ -318,7 +316,7 @@ def edge_membership(
         return True, {"window": None, "note": "zero section"}
     moved = automorphic_act(edge_transporter(e).inv(), f, k)
     margin = 2
-    for _ in range(max_widenings):
+    for _ in range(6):  # tail widenings before giving up
         lo = -(k + 3) - margin
         hi = max(4, k + 3) + margin
         win = laurent_standard(moved, lo, hi)

@@ -422,7 +422,6 @@ def global_sections_truncated(
     deg = component_degree(q, k)
     per_component = max(0, deg + 1)
     ncols = n_vertices * per_component
-    index = {v: n for n, v in enumerate(tree.vertices)}
     glued = tree.edges if k % 2 == 0 else []  # odd k has no matching conditions
     rows = []
     for e in glued:
@@ -432,9 +431,9 @@ def global_sections_truncated(
         if unit_constants is not None:
             cu, cw = unit_constants(e)
         for j, val in enumerate(_evaluation_row(field, _reduction_point(field, u, w), per_component, k)):
-            row[index[u] * per_component + j] = cu * val
+            row[tree.index[u] * per_component + j] = cu * val
         for j, val in enumerate(_evaluation_row(field, _reduction_point(field, w, u), per_component, k)):
-            row[index[w] * per_component + j] = row[index[w] * per_component + j] - cw * val
+            row[tree.index[w] * per_component + j] = row[tree.index[w] * per_component + j] - cw * val
         rows.append(row)
     if rows:
         basis = kernel_basis(rows, field.zero(), field.one())

@@ -18,12 +18,11 @@ from typing import Iterable, Sequence
 
 from . import poly
 from .errors import (
-    InternalInvariantError,
     InvalidParameters,
     PoleInsideAnnulus,
     ZeroFunction,
 )
-from .scalars import INF, ScalarKHat
+from .scalars import INF, ScalarKHat, val_p
 from .symrep import chi
 from .tree import Mat2, Vertex, vertex_transporter
 
@@ -395,22 +394,15 @@ def tube_coordinate_level(v: Vertex) -> int:
     """Signed scale of the tube of v: differentiating a section once shifts its
     Gauss valuation on that tube by at least this amount.
 
-    Computed as the negative base-circle valuation of the derivative of the
-    coordinate function pulled back through the vertex transporter.  On the
-    diagonal axis this equals the level of the vertex; off the axis the tube
-    can sit at a smaller scale than the level (e.g. it may be a small disc
-    around a rational point), making the value strictly less than the level.
+    This is the negative base-circle valuation of the derivative of the
+    coordinate pulled back through the vertex transporter: the derivative is
+    p^m / (p^m + b z)^2, so v = (m, b) gives 2 min(m, val(b)) - m, and m when
+    b = 0.  On the diagonal axis this is the level of the vertex; off the axis
+    the tube is a small disc around b and the value is below the level.
     """
-    coord = FactoredRational(
-        v.p, ScalarKHat.one(v.p), [(ScalarKHat.zero(v.p), 1)]
-    )
-    moved = automorphic_act(vertex_transporter(v).inv(), coord, 0)
-    scale = -raw_gauss_valuation(moved.derivative())
-    if scale != int(scale):
-        raise InternalInvariantError(
-            f"non-integral tube scale {scale} at {v}"
-        )
-    return int(scale)
+    if v.b == 0:
+        return v.m
+    return 2 * min(v.m, int(val_p(v.b, v.p))) - v.m
 
 
 def gauss_sample_audit(

@@ -57,9 +57,9 @@ def _pole_points(p: int) -> list:
     ]
 
 
-def random_rational(rng: random.Random, p: int, max_factors: int = 3) -> FactoredRational:
-    """Nonzero product of a leading scalar and linear factors with exponents
-    in [-2, 2], poles and zeros at a fixed small point set."""
+def random_rational(rng: random.Random, p: int) -> FactoredRational:
+    """Nonzero product of a leading scalar and up to three linear factors with
+    exponents in [-2, 2], poles and zeros at a fixed small point set."""
     lead_choices = [
         ScalarKHat.one(p),
         ScalarKHat.from_rational(2, p),
@@ -70,15 +70,15 @@ def random_rational(rng: random.Random, p: int, max_factors: int = 3) -> Factore
     lead = rng.choice(lead_choices)
     factors = []
     points = _pole_points(p)
-    for _ in range(rng.randint(0, max_factors)):
+    for _ in range(rng.randint(0, 3)):
         mult = rng.choice([-2, -1, 1, 2])
         factors.append((rng.choice(points), mult))
     return FactoredRational(p, lead, factors)
 
 
-def random_vertex(rng: random.Random, p: int, max_level: int = 2) -> Vertex:
-    """Vertex with level in [-max_level, max_level] and a random offset."""
-    m = rng.randint(-max_level, max_level)
+def random_vertex(rng: random.Random, p: int) -> Vertex:
+    """Vertex with level in [-2, 2] and a random offset."""
+    m = rng.randint(-2, 2)
     b: Fraction | int = 0
     if m > 0:
         b = Fraction(rng.randrange(0, p**m))

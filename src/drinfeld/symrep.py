@@ -59,27 +59,21 @@ def epsilon(g: Mat2, p: int) -> ScalarKHat:
     return ScalarKHat.from_rational(g.det() * Fraction(p) ** (-int(w)), p)
 
 
-def sym_matrix(
-    g: Mat2, k: int, p: int, det_exp: int = 1, chi_exp: int | None = None
-) -> Matrix:
+def sym_matrix(g: Mat2, k: int, p: int) -> Matrix:
     """Matrix over the quadratic extension of the twisted action
-    F -> det(g)^det_exp * chi(g)^chi_exp * F(dX+bY, cX+aY).
-
-    The default twist (det_exp=1, chi_exp=-(k+2)) is the coefficient module the
+    F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY), the coefficient module the
     residue construction pairs against.
     """
-    if chi_exp is None:
-        chi_exp = -(k + 2)
     lift = lambda n: ScalarKHat.from_rational(n, p)
     base = substitution_matrix(
         lift(g.a), lift(g.b), lift(g.c), lift(g.d), k, lambda n: lift(Fraction(n))
     )
-    scalar = lift(g.det()) ** det_exp * chi(g, p, chi_exp)
+    scalar = lift(g.det()) * chi(g, p, -(k + 2))
     return [[x * scalar for x in row] for row in base]
 
 
 def sym_act(g: Mat2, coords: list, k: int, p: int) -> list:
-    """Default-twist action on a polynomial coordinate column."""
+    """Twisted action on a polynomial coordinate column."""
     return mat_vec(sym_matrix(g, k, p), coords)
 
 

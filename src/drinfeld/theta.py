@@ -30,10 +30,10 @@ def theta(f: FactoredRational, k: int) -> FactoredRational:
     return f.derivative(k + 1)
 
 
-def kernel_polynomial_dimension(k: int, degree_cap: int | None = None, p: int = 2) -> int:
+def kernel_polynomial_dimension(k: int, p: int = 2) -> int:
     """Dimension of the kernel of the operator on polynomials of degree up to
-    degree_cap (default k+3), computed by exact rank."""
-    cap = degree_cap if degree_cap is not None else k + 3
+    k+3, computed by exact rank."""
+    cap = k + 3
     zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
     rows = []
     # row r = coefficient of z^r in theta(z^c), columns c = 0..cap

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import InvalidParameters, ResidueFieldMismatch, SingularMatrix
 from .scalars import INF, _check_prime, _mod_inverse, val_p
@@ -238,44 +237,52 @@ def edges_at(v: Vertex) -> list[Edge]:
 # -- truncated balls -------------------------------------------------------------
 
 
+def ball_size(p: int, radius: int) -> int:
+    """Number of vertices within the given distance of a vertex of the
+    (p+1)-regular tree: 1 + (p+1)(p^r - 1)/(p - 1)."""
+    return 1 + (p + 1) * (p**radius - 1) // (p - 1)
+
+
 @dataclass
 class TruncatedTree:
+    """Ball around the base vertex.  ``n_interior`` counts the vertices at
+    distance below the radius, which come first in ``vertices``."""
+
     p: int
     radius: int
-    center: Vertex
     vertices: list[Vertex]
     edges: list[Edge]
     index: dict[Vertex, int]
     incident: dict[Vertex, list[Edge]]
+    n_interior: int
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.index
 
-    def is_interior(self, v: Vertex) -> bool:
-        return distance(self.center, v) <= self.radius - 1
-
     def interior_vertices(self) -> list[Vertex]:
-        return [v for v in self.vertices if self.is_interior(v)]
+        return self.vertices[: self.n_interior]
 
     def edges_at(self, v: Vertex) -> list[Edge]:
         """The ball's edges at v, in the order of ``edges``."""
         return list(self.incident.get(v, ()))
 
 
-def truncated_tree(p: int, radius: int, center: Vertex | None = None) -> TruncatedTree:
-    """Ball of the given radius, vertices in breadth-first order (neighbors
-    visited parent first, then children by offset). Each vertex's incident
-    edges are recorded as the edges are appended, so they keep edge order."""
+def truncated_tree(p: int, radius: int) -> TruncatedTree:
+    """Ball of the given radius around the base vertex, vertices in
+    breadth-first order (neighbors visited parent first, then children by
+    offset).  Each vertex's incident edges are recorded as the edges are
+    appended, so they keep edge order."""
     if radius < 0:
         raise InvalidParameters("radius must be >= 0")
-    if center is None:
-        center = standard_vertex(p)
+    center = standard_vertex(p)
     vertices = [center]
     index = {center: 0}
     edges: list[Edge] = []
     incident: dict[Vertex, list[Edge]] = {center: []}
     frontier = [center]
+    n_interior = 0
     for _ in range(radius):
+        n_interior = len(vertices)
         nxt: list[Vertex] = []
         for v in frontier:
             for w in neighbors(v):
@@ -283,12 +290,12 @@ def truncated_tree(p: int, radius: int, center: Vertex | None = None) -> Truncat
                     index[w] = len(vertices)
                     vertices.append(w)
                     nxt.append(w)
-                    e = make_edge(v, w)
+                    e = Edge(v, w) if v.m < w.m else Edge(w, v)
                     edges.append(e)
                     incident[v].append(e)
                     incident[w] = [e]
         frontier = nxt
-    return TruncatedTree(p, radius, center, vertices, edges, index, incident)
+    return TruncatedTree(p, radius, vertices, edges, index, incident, n_interior)
 
 
 def geodesic_vertices(u: Vertex, v: Vertex) -> list[Vertex]:

@@ -160,13 +160,31 @@ class TestInProcessExitCodes:
         assert result.exit_code == 2, (args, result.output)
         assert "invalid parameters" in result.stderr
 
-    @pytest.mark.parametrize("threads", ["abc", "1.5"])
-    def test_non_integer_thread_count_is_rejected_with_code_two(self, threads):
-        result = CliRunner(env={"DRINFELD_THREADS": threads}).invoke(
-            cli, ["sweep", "--p", "2", "--kmax", "1", "--seed", "1"]
-        )
-        assert result.exit_code == 2, result.output
-        assert "invalid parameters" in result.stderr
+    def test_sweep_ignores_the_thread_count_variable(self):
+        args = ["sweep", "--p", "2", "--kmax", "1", "--seed", "1"]
+        outputs = set()
+        for threads in (None, "1", "4", "abc"):
+            result = CliRunner(env={"DRINFELD_THREADS": threads}).invoke(cli, args)
+            assert result.exit_code == 0, (threads, result.output)
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
+
+    OVERSIZED = [
+        ("tree", "--p", "7", "--radius", "8"),
+        ("modp", "sections", "--q", "5", "--k", "2", "--radius", "8"),
+        ("residue", "--p", "11", "--k", "0", "--f", "1/z", "--radius", "5"),
+    ]
+
+    @pytest.mark.parametrize("args", OVERSIZED, ids=[" ".join(a) for a in OVERSIZED])
+    def test_oversized_ball_is_rejected_before_it_is_built(self, args, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a ball was built")
+
+        monkeypatch.setattr("drinfeld.cli.truncated_tree", refuse)
+        monkeypatch.setattr("drinfeld.modp.truncated_tree", refuse)
+        result = CliRunner().invoke(cli, list(args))
+        assert result.exit_code == 2, (args, result.output)
+        assert "more than 25000" in result.stderr
 
     def test_non_integer_config_value_is_rejected_with_code_two(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -174,6 +192,18 @@ class TestInProcessExitCodes:
         result = CliRunner().invoke(cli, ["--config", str(cfg), "local-dims"])
         assert result.exit_code == 2
         assert "invalid parameters" in result.stderr
+
+    @pytest.mark.parametrize("radius", ["abc", "20"])
+    def test_config_radius_is_ignored_by_a_command_without_one(self, tmp_path, radius):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"radius = {radius}\n")
+        args = ["local-dims", "--p", "2", "--k", "1"]
+        result = CliRunner().invoke(cli, ["--config", str(cfg), *args])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == CliRunner().invoke(cli, args).stdout
+        rejected = CliRunner().invoke(cli, ["--config", str(cfg), "tree"])
+        assert rejected.exit_code == 2
+        assert "invalid parameters" in rejected.stderr
 
     @pytest.mark.parametrize("audit", [[], ["--audit", "--seed", "3"]])
     def test_residue_computes_its_cochain_once(self, monkeypatch, audit):
@@ -344,7 +374,9 @@ class TestGoldenStdout:
     """Stdout pinned by sha256 for one invocation per caller of the exact
     elimination: a change of elimination strategy must leave every byte as it
     was.  ``stable-lines --q 3 --k 5`` has no relations below degree q + 1 and
-    is rejected before any elimination; ``--k 6`` reaches it."""
+    is rejected before any elimination; ``--k 6`` reaches it.  The sweep, the
+    balls (radius 0 included) and an off-axis theta certificate, whose tube
+    level is below its vertex level, are pinned the same way."""
 
     GOLDEN = [
         (("modp", "sections", "--q", "3", "--k", "4", "--radius", "2"), 0,
@@ -365,6 +397,16 @@ class TestGoldenStdout:
          "2dad988cb67bb05a3f351610f114733d5e2a3891d42fcdaad3027dd015b2007a"),
         (("theta", "--p", "2", "--k", "2", "--f", "1/z", "--level", "1"), 0,
          "99db0918405c9ba9f3635ff073f6eacc57063c0ba83d9c6c76c08c5179b222bd"),
+        (("sweep", "--p", "2", "--kmax", "4", "--seed", "3"), 0,
+         "dc90223b3f65edad48e49e4cf5a4a87fe3e3a13f0736119b7f7f4dae6cca0d1e"),
+        (("tree", "--p", "3", "--radius", "4"), 0,
+         "8d23bdc1c790756dfee45f1574be9fa777fcab20609596a16713e9446acef73f"),
+        (("tree", "--p", "2", "--radius", "0"), 0,
+         "e9a24941cfba1c943ef66cd5e8731f6cd843bd8170fe404ac51c72d7e57b0c60"),
+        (("harmonic", "--p", "3", "--k", "1", "--radius", "0"), 0,
+         "d1896f30595b008360587baff89e84bb6afb01d23f3c50240c83c99b34ae9aa6"),
+        (("theta", "--p", "3", "--k", "2", "--f", "1/z", "--level", "2", "--offset", "1/3"), 0,
+         "6274a6f2a71193fb1d385aa407ee02f84c037d99bcf08f2482a25723b2a405d2"),
     ]
 
     @pytest.mark.parametrize("args,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])

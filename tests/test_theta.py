@@ -19,10 +19,12 @@ from drinfeld import (
     kernel_polynomial_dimension,
     make_vertex,
     parse_rational,
+    raw_gauss_valuation,
     res_kills_theta,
     theta,
     theta_integrality,
     tube_coordinate_level,
+    vertex_transporter,
 )
 from drinfeld.sampling import (
     random_group_element,
@@ -146,6 +148,35 @@ class TestIntegrality:
             cert = theta_integrality(f, k, v)
             if cert.applicable:
                 assert cert.output_bound - cert.input_bound == (k + 1) * cert.level
+
+
+def _transported_tube_level(v):
+    """The tube level by its definition: minus the base-circle Gauss valuation
+    of the derivative of the coordinate pulled back through the vertex
+    transporter."""
+    coord = FactoredRational(v.p, ScalarKHat.one(v.p), [(ScalarKHat.zero(v.p), 1)])
+    moved = automorphic_act(vertex_transporter(v).inv(), coord, 0)
+    scale = -raw_gauss_valuation(moved.derivative())
+    assert scale == int(scale), (v, scale)
+    return int(scale)
+
+
+class TestTubeLevel:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_closed_form_matches_the_transported_derivative(self, p):
+        # 60 offsets per level and denominator; below level 0 an offset is
+        # nonzero only when its denominator exceeds p^(-m), so the
+        # denominators start there
+        rng = random.Random(1401 + p)
+        off_axis = 0
+        for m in range(-4, 5):
+            for extra in range(4):
+                den = p ** (max(0, -m) + extra)
+                for _ in range(60):
+                    v = make_vertex(p, m, Fraction(rng.randrange(1, p**8), den))
+                    assert tube_coordinate_level(v) == _transported_tube_level(v), v
+                    off_axis += tube_coordinate_level(v) < m
+        assert off_axis > 0
 
 
 class TestResidueInteraction:

@@ -13,6 +13,7 @@ from drinfeld import (
     SingularMatrix,
     act_on_edge,
     act_on_vertex,
+    ball_size,
     child_endpoint,
     distance,
     edge_transporter,
@@ -218,3 +219,27 @@ class TestTruncations:
         c = standard_vertex(2)
         assert all(distance(c, v) <= 2 for v in t.vertices)
         assert any(distance(c, v) == 2 for v in t.vertices)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_ball_size_counts_the_ball(self, p):
+        for radius in range(5):
+            assert ball_size(p, radius) == len(truncated_tree(p, radius).vertices)
+
+
+class TestBallOracle:
+    """The ball's interior and edges against their definitions: the vertices
+    at distance below the radius from the base vertex, and ``make_edge`` with
+    its adjacency check."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", range(5))
+    def test_interior_is_the_distance_filter(self, p, radius):
+        t = truncated_tree(p, radius)
+        c = standard_vertex(p)
+        assert t.interior_vertices() == [v for v in t.vertices if distance(c, v) <= radius - 1]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", range(5))
+    def test_edges_equal_make_edge(self, p, radius):
+        for e in truncated_tree(p, radius).edges:
+            assert e == make_edge(e.u, e.v) == make_edge(e.v, e.u)
