@@ -2,136 +2,9 @@
 half-integer valuations in a ramified quadratic extension, vertex and edge
 lattices with their reduced local spaces, residue cochains, the higher
 derivative operator, and the residue-field geometry of the components.
-"""
 
-from .errors import (
-    DrinfeldError,
-    InternalInvariantError,
-    InvalidParameters,
-    NegativeValuation,
-    NonInvertibleDeterminant,
-    PoleInsideAnnulus,
-    ResidueFieldMismatch,
-    SingularMatrix,
-    UnresolvedTailBound,
-    ZeroFunction,
-)
-from .harmonic import (
-    Cochain,
-    cochain_transport,
-    delta,
-    harmonic_kernel,
-    res0,
-    res0_integrality,
-    sigma,
-)
-from .lattices import (
-    Lattice,
-    d_space_basis,
-    e_space_basis,
-    edge_coefficient_requirement,
-    edge_lattice,
-    edge_lattice_profile,
-    edge_membership,
-    edge_monomial_generators,
-    lattice_contains,
-    lattice_contains_vector,
-    lattice_equal,
-    lattice_intersection,
-    lattice_sum,
-    local_dimension_formulas,
-    local_space_report,
-    local_spaces,
-    product_module_comparison,
-    relative_fdim,
-    relative_profile,
-    section_lattice_membership,
-    star_local_kernel,
-    vertex_lattice,
-    vertex_lattice_profile,
-)
-from .modp import (
-    FqRatFunc,
-    b_forms_check,
-    component_degree,
-    geven_lattice_profile,
-    geven_section_membership,
-    gl2_generators,
-    global_sections_truncated,
-    h0_dimension,
-    quotient_reduce,
-    quotient_rep_and_stable_lines,
-    section_space_basis,
-    sl2_generators,
-    sym_act_fq,
-    symgeom_equivariance,
-    symgeom_injectivity_rank,
-    symgeom_iso,
-    weight_action_p1,
-)
-from .rational import (
-    FactoredRational,
-    LaurentWindow,
-    automorphic_act,
-    compose_mobius,
-    derivative,
-    gauss_sample_audit,
-    gauss_valuation,
-    laurent_standard,
-    parse_rational,
-    raw_gauss_valuation,
-    tube_coordinate_level,
-)
-from .scalars import INF, FiniteField, Fq, FqElem, ScalarKHat, val_p
-from .symrep import (
-    chi,
-    dual_act,
-    dual_act_matrix,
-    dual_unit,
-    dual_zero,
-    epsilon,
-    substitution_matrix,
-    sym_act,
-    sym_matrix,
-)
-from .theta import (
-    ThetaCertificate,
-    bol_identity_check,
-    complement_b_identity,
-    kernel_polynomial_dimension,
-    res_kills_theta,
-    theta,
-    theta_integrality,
-)
-from .tree import (
-    Edge,
-    Mat2,
-    TruncatedTree,
-    Vertex,
-    act_on_edge,
-    act_on_vertex,
-    ball_size,
-    child_endpoint,
-    children,
-    distance,
-    edge_transporter,
-    edges_at,
-    gamma_level,
-    geodesic_vertices,
-    make_edge,
-    make_vertex,
-    neighbors,
-    parent,
-    parent_endpoint,
-    parity,
-    standard_edge,
-    standard_vertex,
-    truncated_tree,
-    unipotent_lower,
-    unipotent_upper,
-    vertex_parity,
-    vertex_transporter,
-    weyl_flip,
-)
+The command line (``drinfeld.cli``) is the entry point; each name is imported
+from the module that defines it.
+"""
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from fractions import Fraction
 import click
 
 from .errors import DrinfeldError, InternalInvariantError, InvalidParameters
-from .harmonic import Cochain, delta, harmonic_kernel, res0, res0_integrality
+from .harmonic import Cochain, delta, field_kernel, integral_kernel, res0, res0_integrality
 from .lattices import (
     Lattice,
     edge_lattice_profile,
@@ -408,7 +408,7 @@ def harmonic_cmd(ctx, p, k, radius, mod_pihat) -> None:
     interior = len(ball.interior_vertices())
     free_rank = (k + 1) * (len(ball.edges) - interior)
     if bool(cfg["mod_pihat"]):
-        report = harmonic_kernel(ball, k, mod_pihat=True)
+        report = integral_kernel(ball, k)
         predicted_star = local_dimension_formulas(p, k)["dimZhar"]
         stars = {
             key: val["kernel_dim"] for key, val in report["star_local"].items()
@@ -426,7 +426,7 @@ def harmonic_cmd(ctx, p, k, radius, mod_pihat) -> None:
             }
         )
         return
-    report = harmonic_kernel(ball, k, mod_pihat=False)
+    report = field_kernel(ball, k)
     _emit(
         {
             "command": "harmonic",
@@ -459,7 +459,7 @@ def residue_cmd(ctx, p, k, radius, f_text, audit, seed) -> None:
     cochain = res0(g, k, ball, audit=bool(cfg["audit"]), rng=rng)
     star_sums = delta(cochain, ball)
     delta_zero = all(all(x.is_zero() for x in vec) for vec in star_sums.values())
-    integrality = res0_integrality(g, k, ball, cochain=cochain)
+    integrality = res0_integrality(g, k, ball, cochain)
     consistent = integrality["in_all_edge_lattices"] or not integrality["vertex_membership"]
     _emit(
         {
@@ -491,8 +491,8 @@ def theta_cmd(ctx, p, k, f_text, level, offset) -> None:
     f = parse_rational(str(cfg["f"]), p)
     v = _parse_vertex(cfg)
     image = theta(f, k)
-    cert = theta_integrality(f, k, v)
-    kernel_dim = kernel_polynomial_dimension(k, p=p)
+    cert = theta_integrality(f, image, k, v)
+    kernel_dim = kernel_polynomial_dimension(k, p)
     _emit(
         {
             "command": "theta",
@@ -644,7 +644,7 @@ def modp_b_forms_cmd(ctx, q) -> None:
 def _sweep_item(p: int, k: int, seed: int) -> dict:
     rng = random.Random((seed << 16) ^ k)
     local = local_space_report(p, k)
-    kernel_ok = kernel_polynomial_dimension(k, p=p) == k + 1
+    kernel_ok = kernel_polynomial_dimension(k, p) == k + 1
     transport_ok = True
     for _ in range(3):
         g = random_group_element(rng, p)

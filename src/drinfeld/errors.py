@@ -35,9 +35,5 @@ class PoleInsideAnnulus(DrinfeldError):
     """A pole sits strictly inside the expansion annulus, so no Laurent series exists."""
 
 
-class UnresolvedTailBound(DrinfeldError):
-    """Tail certificates stayed inconclusive after the widening cap was reached."""
-
-
 class InternalInvariantError(DrinfeldError):
     """An internal consistency check failed; indicates a bug, not bad input."""

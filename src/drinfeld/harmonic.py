@@ -23,12 +23,11 @@ from .lattices import (
 from .linalg import kernel_basis, smith_over_dvr
 from .rational import FactoredRational, _root_key, principal_parts
 from .scalars import ScalarKHat
-from .symrep import chi, dual_act, sym_matrix
+from .symrep import chi, sym_matrix
 from .tree import (
     Edge,
     Mat2,
     TruncatedTree,
-    act_on_edge,
     edge_transporter,
     unipotent_lower,
     vertex_parity,
@@ -48,9 +47,6 @@ class Cochain:
         if got is not None:
             return list(got)
         return [ScalarKHat.zero(self.p)] * (self.k + 1)
-
-    def is_zero(self) -> bool:
-        return all(all(x.is_zero() for x in vec) for vec in self.values.values())
 
     def support(self) -> list:
         return sorted(
@@ -143,9 +139,7 @@ def res0(
         gamma = edge_transporter(e).inv()
         vec = _edge_residue(parts, k, gamma, tree.p)
         if audit:
-            jitter = unipotent_lower(
-                (rng.randrange(1, 5 * tree.p)) if rng is not None else 1
-            )
+            jitter = unipotent_lower(rng.randrange(1, 5 * tree.p))
             # a second transporter for the same edge: standard-edge stabilizer
             alt = (edge_transporter(e) @ jitter).inv()
             other = _edge_residue(parts, k, alt, tree.p)
@@ -159,20 +153,19 @@ def res0(
 
 
 def res0_integrality(
-    g: FactoredRational, k: int, tree: TruncatedTree, cochain: Cochain | None = None
+    g: FactoredRational, k: int, tree: TruncatedTree, cochain: Cochain
 ) -> dict:
-    """Whether the residue cochain lands in every edge lattice; certificates
-    list the per-edge outcome alongside the vertex membership precondition.
+    """Whether the residue cochain ``cochain`` = res0(g, k, tree) lands in
+    every edge lattice; certificates list the per-edge outcome alongside the
+    vertex membership precondition.
 
-    ``cochain`` is res0(g, k, tree) when the caller already has it. Only the
-    edges it stores need a lattice solve: every other value is the zero
-    vector, which lies in every full-rank lattice."""
-    c = res0(g, k, tree) if cochain is None else cochain
+    Only the edges the cochain stores need a lattice solve: every other value
+    is the zero vector, which lies in every full-rank lattice."""
     lattices = Lattices(k)
     per_edge = []
     all_in = True
     for e in tree.edges:
-        vec = c.values.get(e)
+        vec = cochain.values.get(e)
         ok = vec is None or lattice_contains_vector(lattices.edge(e), vec)
         all_in = all_in and ok
         per_edge.append({"edge": e, "in_lattice": ok})
@@ -187,19 +180,11 @@ def res0_integrality(
     }
 
 
-def cochain_transport(g: Mat2, c: Cochain) -> Cochain:
-    """Push a cochain forward: the value on the image edge is the module action
-    of g on the old value, times the determinant parity sign."""
-    sign = ScalarKHat.from_rational(sigma(g, c.p), c.p)
-    values = {}
-    for e, vec in c.values.items():
-        moved = dual_act(g, list(vec), c.k, c.p)
-        values[act_on_edge(g, e)] = [sign * x for x in moved]
-    return Cochain(c.p, c.k, values)
+def field_kernel(tree: TruncatedTree, k: int) -> dict:
+    """Kernel of the signed star-sum operator over the scalar field, with a
+    free boundary.
 
-
-def _field_kernel(tree: TruncatedTree, k: int) -> dict:
-    """Dual coordinate i of a star sum involves only coordinate i of each
+    Dual coordinate i of a star sum involves only coordinate i of each
     edge value, so the kernel is k+1 copies of the kernel of the 0/1
     interior-by-edge incidence matrix: each incidence kernel vector, placed in
     one coordinate at a time. This is the basis, in order, that elimination
@@ -230,7 +215,11 @@ def _field_kernel(tree: TruncatedTree, k: int) -> dict:
     return {"dimension": len(basis), "basis": basis}
 
 
-def _modp_kernel(tree: TruncatedTree, k: int) -> dict:
+def integral_kernel(tree: TruncatedTree, k: int) -> dict:
+    """Kernel of the signed star-sum operator in edge-lattice coordinates:
+    a saturated integral basis reduced modulo the uniformizer, plus the
+    star-local kernel dimensions that measure the reduced harmonic space
+    vertex by vertex."""
     p = tree.p
     zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
     edges = list(tree.edges)
@@ -261,24 +250,10 @@ def _modp_kernel(tree: TruncatedTree, k: int) -> dict:
             sat = [u[i][s] for i in range(ncols)]
             reduced.append([x.reduce_mod_pihat() for x in sat])
     star = {
-        str(v): star_local_kernel(v, k, table) for v in tree.interior_vertices()
+        str(v): star_local_kernel(v, table) for v in tree.interior_vertices()
     }
     return {
         "integral_rank": len(vectors),
         "reduced_basis": reduced,
         "star_local": star,
     }
-
-
-def harmonic_kernel(tree: TruncatedTree, k: int, mod_pihat: bool = False) -> dict:
-    """Kernel of the signed star-sum operator on the truncation.
-
-    With ``mod_pihat`` false: plain kernel over the scalar field, free
-    boundary.  With ``mod_pihat`` true: kernel in edge-lattice coordinates
-    with a saturated integral basis reduced modulo the uniformizer, plus the
-    star-local kernel dimensions that measure the reduced harmonic space
-    vertex by vertex.
-    """
-    if mod_pihat:
-        return _modp_kernel(tree, k)
-    return _field_kernel(tree, k)

@@ -1,13 +1,11 @@
 """Integral lattices attached to tree vertices and edges inside the
 (k+1)-dimensional dual coefficient module: elementary-divisor profiles,
-mod-uniformizer local spaces with their dimensions, and membership tests for
-rational sections at vertex and edge level.
+mod-uniformizer local spaces with their dimensions, and the membership test
+for rational sections at vertex level.
 
 Conventions: a lattice is stored as a square basis matrix whose columns
 generate it over the valuation ring; edge profiles are reported relative to
-the lattice at the child (deeper) endpoint; edge membership normalizes every
-edge to the standard annulus, whose section module is generated by z^(-k/2)
-for even k and by the pair z^(-(k-1)/2), pihat*z^(-(k+1)/2) for odd k.
+the lattice at the child (deeper) endpoint.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameters, UnresolvedTailBound, ZeroFunction
+from .errors import ZeroFunction
 from .linalg import (
     inverse,
     mat_mul,
@@ -26,20 +24,13 @@ from .linalg import (
     solve,
     transpose,
 )
-from .rational import (
-    FactoredRational,
-    automorphic_act,
-    laurent_standard,
-    transported_gauss_valuation,
-)
+from .rational import FactoredRational, transported_gauss_valuation
 from .scalars import FiniteField, Fq, ScalarKHat
 from .symrep import dual_act_matrix
 from .tree import (
     Edge,
-    Mat2,
     Vertex,
     child_endpoint,
-    edge_transporter,
     edges_at,
     parent_endpoint,
     vertex_transporter,
@@ -68,11 +59,10 @@ def _rows(l: Lattice) -> Matrix:
     return [list(row) for row in l.matrix]
 
 
-def vertex_lattice(v: Vertex, k: int, transporter: Mat2 | None = None) -> Lattice:
+def vertex_lattice(v: Vertex, k: int) -> Lattice:
     """Transport of the standard dual lattice to the vertex v; any transporter
     carrying the base vertex to v yields the same lattice."""
-    g = transporter if transporter is not None else vertex_transporter(v)
-    return Lattice(v.p, k, _freeze(dual_act_matrix(g, k, v.p)))
+    return Lattice(v.p, k, _freeze(dual_act_matrix(vertex_transporter(v), k, v.p)))
 
 
 def vertex_lattice_profile(v: Vertex, k: int) -> tuple:
@@ -114,26 +104,9 @@ def lattice_contains_vector(l: Lattice, vec: list) -> bool:
     return all(x.is_integral() for x in coords)
 
 
-def lattice_contains(outer: Lattice, inner: Lattice) -> bool:
-    return all(lattice_contains_vector(outer, col) for col in inner.columns())
-
-
-def lattice_equal(l1: Lattice, l2: Lattice) -> bool:
-    return lattice_contains(l1, l2) and lattice_contains(l2, l1)
-
-
 def relative_profile(sup: Lattice, sub: Lattice) -> tuple:
     """Ascending elementary-divisor valuations of sub relative to sup."""
     return tuple(smith_valuations(transition_matrix(sup, sub)))
-
-
-def relative_fdim(sup: Lattice, sub: Lattice) -> int:
-    """Residue-field dimension of sup/sub (sum of uniformizer exponents)."""
-    vals = relative_profile(sup, sub)
-    if any(v < 0 for v in vals):
-        raise InvalidParameters("not a sublattice")
-    total = sum(2 * v for v in vals)
-    return int(total)
 
 
 class Lattices:
@@ -160,12 +133,6 @@ class Lattices:
         return self._edge[e]
 
 
-def edge_lattice(e: Edge, k: int) -> Lattice:
-    """Intersection of the two endpoint lattices, in a basis adapted to the
-    child endpoint."""
-    return Lattices(k).edge(e)
-
-
 def edge_lattice_profile(e: Edge, k: int) -> tuple:
     """Elementary-divisor valuations of the edge lattice relative to the
     child-endpoint lattice, ascending."""
@@ -187,19 +154,17 @@ def _reduced_transition(src: Lattice, dst: Lattice, field: FiniteField) -> list:
     return [[field.elem(x.reduce_mod_pihat()) for x in row] for row in t]
 
 
-def d_space_basis(e: Edge, k: int, side: Vertex, lattices: Lattices | None = None) -> list:
+def d_space_basis(e: Edge, side: Vertex, lattices: Lattices) -> list:
     """Basis of the image of the edge lattice in (side lattice)/(pihat), as
     coordinate vectors against the side's basis."""
-    lattices = lattices or Lattices(k)
     field = Fq(e.u.p)
     t = _reduced_transition(lattices.vertex(side), lattices.edge(e), field)
     return _column_space_basis(t, field)
 
 
-def e_space_basis(e: Edge, k: int, lattices: Lattices | None = None) -> list:
+def e_space_basis(e: Edge, lattices: Lattices) -> list:
     """Basis of the image of the edge lattice in (sum of the two endpoint
     lattices)/(pihat)."""
-    lattices = lattices or Lattices(k)
     field = Fq(e.u.p)
     total = lattice_sum(
         lattices.vertex(child_endpoint(e)), lattices.vertex(parent_endpoint(e))
@@ -208,12 +173,11 @@ def e_space_basis(e: Edge, k: int, lattices: Lattices | None = None) -> list:
     return _column_space_basis(t, field)
 
 
-def star_local_kernel(v: Vertex, k: int, lattices: Lattices | None = None) -> dict:
+def star_local_kernel(v: Vertex, lattices: Lattices) -> dict:
     """Kernel of the local sum map at v: tuples of edge values, one from each
     D-space around v, summing to zero in (vertex lattice)/(pihat)."""
-    lattices = lattices or Lattices(k)
     field = Fq(v.p)
-    blocks = [d_space_basis(e, k, v, lattices) for e in edges_at(v)]
+    blocks = [d_space_basis(e, v, lattices) for e in edges_at(v)]
     columns: list = []
     for basis in blocks:
         columns.extend(basis)
@@ -242,26 +206,6 @@ def local_dimension_formulas(q: int, k: int) -> dict:
     }
 
 
-def local_spaces(e_or_v, k: int, q: int) -> dict:
-    """Dimensions of the reduced local spaces: at an edge, the image of the
-    edge lattice in each endpoint reduction and in the reduction of the sum;
-    at a vertex, the star-local harmonic kernel."""
-    prime = e_or_v.p if isinstance(e_or_v, Vertex) else e_or_v.u.p
-    if q != prime:
-        raise InvalidParameters("the residue size must match the tree prime")
-    if isinstance(e_or_v, Edge):
-        e = e_or_v
-        lattices = Lattices(k)
-        return {
-            "dimD": len(d_space_basis(e, k, child_endpoint(e), lattices)),
-            "dimD_parent": len(d_space_basis(e, k, parent_endpoint(e), lattices)),
-            "dimE": len(e_space_basis(e, k, lattices)),
-        }
-    if isinstance(e_or_v, Vertex):
-        return {"dimZhar": star_local_kernel(e_or_v, k)["kernel_dim"]}
-    raise InvalidParameters("expected a tree vertex or edge")
-
-
 def local_space_report(p: int, k: int) -> dict:
     """Brute-force local dimensions at the standard edge and vertex, paired
     with the closed forms."""
@@ -271,9 +215,9 @@ def local_space_report(p: int, k: int) -> dict:
     v = standard_vertex(p)
     lattices = Lattices(k)
     computed = {
-        "dimD": len(d_space_basis(e, k, v, lattices)),
-        "dimE": len(e_space_basis(e, k, lattices)),
-        "dimZhar": star_local_kernel(v, k, lattices)["kernel_dim"],
+        "dimD": len(d_space_basis(e, v, lattices)),
+        "dimE": len(e_space_basis(e, lattices)),
+        "dimZhar": star_local_kernel(v, lattices)["kernel_dim"],
     }
     predicted = local_dimension_formulas(p, k)
     return {
@@ -296,103 +240,3 @@ def section_lattice_membership(
         raise ZeroFunction("membership is only defined for nonzero sections")
     val = transported_gauss_valuation(f, vertex_transporter(v).inv(), k)
     return val >= 0, val
-
-
-def edge_coefficient_requirement(j: int, k: int) -> Fraction:
-    """Minimal valuation a Laurent coefficient at exponent j may have for a
-    weight-k section integral on the standard edge annulus."""
-    if k % 2 == 0:
-        return Fraction(max(0, -j - k // 2))
-    inner = Fraction(max(0, -j - (k - 1) // 2))
-    outer = Fraction(1, 2) + Fraction(max(0, -j - (k + 1) // 2))
-    return min(inner, outer)
-
-
-def edge_membership(f: FactoredRational, k: int, e: Edge) -> tuple[bool, dict]:
-    """Coefficient-wise membership test on the edge annulus: transport to the
-    standard edge, expand, and compare every coefficient (exact in a window,
-    affine certificates outside) against the generator requirement."""
-    if f.is_zero():
-        return True, {"window": None, "note": "zero section"}
-    moved = automorphic_act(edge_transporter(e).inv(), f, k)
-    margin = 2
-    for _ in range(6):  # tail widenings before giving up
-        lo = -(k + 3) - margin
-        hi = max(4, k + 3) + margin
-        win = laurent_standard(moved, lo, hi)
-        violations = []
-        for j in range(win.lo, win.hi + 1):
-            val = win.coefficient(j).valuation()
-            req = edge_coefficient_requirement(j, k)
-            if val < req:
-                violations.append({"j": j, "valuation": val, "required": req})
-        if violations:
-            return False, {"window": (win.lo, win.hi), "violations": violations}
-        rays_ok = True
-        j_below = win.lo - 1
-        for alpha, beta in win.below:
-            if alpha + beta * j_below < edge_coefficient_requirement(j_below, k):
-                rays_ok = False
-        j_above = win.hi + 1
-        for alpha, beta in win.above:
-            if alpha + beta * j_above < edge_coefficient_requirement(j_above, k):
-                rays_ok = False
-        if rays_ok:
-            return True, {"window": (win.lo, win.hi), "violations": []}
-        margin *= 2
-    raise UnresolvedTailBound(
-        "tail certificates stayed below the requirement after widening"
-    )
-
-
-# -- the multiplication comparison -------------------------------------------------
-
-
-def edge_monomial_generators(k: int) -> list[tuple[Fraction, int]]:
-    """(valuation shift, z-exponent) pairs generating the weight-k module on
-    the standard edge annulus."""
-    if k % 2 == 0:
-        return [(Fraction(0), -(k // 2))]
-    return [
-        (Fraction(0), -((k - 1) // 2)),
-        (Fraction(1, 2), -((k + 1) // 2)),
-    ]
-
-
-def product_module_comparison(k1: int, k2: int) -> dict:
-    """Compare the image of multiplication weight-k1 x weight-k2 -> weight-
-    (k1+k2) against the target module, at vertex level and at edge level.
-
-    At a vertex both sides are free of rank one with matching generator
-    valuations at every level. At an edge the image of the monomial generator
-    products can miss the target generator; the defect is the smallest extra
-    valuation needed (0 means the modules agree)."""
-    if k1 < 0 or k2 < 0:
-        raise InvalidParameters("weights must be nonnegative")
-    vertex_ok = all(
-        Fraction(k1 * n, 2) + Fraction(k2 * n, 2) == Fraction((k1 + k2) * n, 2)
-        for n in range(-3, 4)
-    )
-    products = [
-        (w1 + w2, b1 + b2)
-        for w1, b1 in edge_monomial_generators(k1)
-        for w2, b2 in edge_monomial_generators(k2)
-    ]
-
-    def attainable(target_exp: int) -> Fraction:
-        best = None
-        for w, b in products:
-            # multiply by an integral annulus function with a z^(target-b) term
-            cost = w + Fraction(max(0, b - target_exp))
-            best = cost if best is None else min(best, cost)
-        return best
-
-    defects = [
-        attainable(b_t) - w_t for w_t, b_t in edge_monomial_generators(k1 + k2)
-    ]
-    max_defect = max(defects)
-    return {
-        "vertex_surjective": vertex_ok,
-        "edge_equal": max_defect == 0,
-        "edge_defect": max_defect,
-    }

@@ -41,10 +41,6 @@ def _dot(u: Sequence[T], v: Sequence[T]) -> T:
     return acc
 
 
-def mat_vec(a: Matrix, v: Sequence[T]) -> list:
-    return [_dot(row, v) for row in a]
-
-
 def rref(rows: Matrix, zero: T) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices (exact Gauss-Jordan).
 

@@ -1,8 +1,7 @@
 """Residue-field geometry over F_q: rational functions on the projective line
-with the weight-k action, divisors and their section spaces, the symmetric-
-power comparison map, component degrees, global sections over truncated
-trees, quotient representations with stable-line search, and the
-parity-swapping involution checks.
+with the weight-k action, the symmetric-power comparison map, component
+degrees, global sections over truncated trees, quotient representations with
+stable-line search, and the parity-swapping involution checks.
 
 The coordinate on each component is the reduction of the global coordinate;
 matching of sections across an edge happens at the two reduction points of
@@ -15,14 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .errors import (
-    InternalInvariantError,
-    InvalidParameters,
-    SingularMatrix,
-    ZeroFunction,
-)
-from .linalg import identity, kernel_basis, mat_vec, rank, rref
-from .rational import FactoredRational, transported_gauss_valuation
+from .errors import InternalInvariantError, InvalidParameters, SingularMatrix
+from .linalg import identity, kernel_basis, rank, rref
 from .scalars import FiniteField, Fq, FqElem
 from .symrep import substitution_matrix
 from .tree import (
@@ -33,7 +26,6 @@ from .tree import (
     parent_endpoint,
     truncated_tree,
     vertex_parity,
-    vertex_transporter,
 )
 
 INFINITY_POINT = "inf"
@@ -102,9 +94,6 @@ class FqRatFunc:
             f, poly.mul(self.num, other.num, zero), poly.mul(self.den, other.den, zero)
         )
 
-    def scale(self, c: FqElem) -> "FqRatFunc":
-        return FqRatFunc.make(self.field, poly.scale(self.num, c), self.den)
-
     def inverse(self) -> "FqRatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -121,24 +110,6 @@ class FqRatFunc:
         return FqRatFunc(
             self.field, poly.power(self.num, n, zero, one), poly.power(self.den, n, zero, one)
         )
-
-    def order_at(self, point) -> int:
-        """Vanishing order at an F_q-point or at infinity (poles negative)."""
-        f = self.field
-        if self.is_zero():
-            raise ZeroFunction("the zero function has no finite order")
-        if point == INFINITY_POINT:
-            return (len(self.den) - 1) - (len(self.num) - 1)
-        lin = (-point, f.one())
-
-        def multiplicity(u: tuple) -> int:
-            count = 0
-            while u and poly.evaluate(u, point, f.zero()).is_zero():
-                u = poly.divmod(u, lin, f.zero())[0]
-                count += 1
-            return count
-
-        return multiplicity(self.num) - multiplicity(self.den)
 
 
 # -- group elements over F_q ---------------------------------------------------------
@@ -200,33 +171,6 @@ def sl2_generators(field: FiniteField) -> list:
     return gens
 
 
-# -- divisors and section spaces -----------------------------------------------------
-
-
-def divisor_degree(divisor: dict) -> int:
-    return sum(divisor.values())
-
-
-def section_space_basis(field: FiniteField, divisor: dict) -> list:
-    """Basis of the rational functions with div(f) + D >= 0: powers of z times
-    the product of (z - b)^(-n_b) over the finite support."""
-    deg = divisor_degree(divisor)
-    if deg < 0:
-        return []
-    base = FqRatFunc.constant(field, field.one())
-    for point, mult in divisor.items():
-        if point == INFINITY_POINT:
-            continue
-        lin = FqRatFunc.make(field, (-point, field.one()))
-        base = base * lin ** (-mult)
-    zfun = FqRatFunc.z(field)
-    return [zfun**j * base for j in range(deg + 1)]
-
-
-def h0_dimension(divisor: dict) -> int:
-    return max(0, divisor_degree(divisor) + 1)
-
-
 def component_degree(q: int, k: int) -> int:
     """Degree of the reduced weight-k bundle on one component."""
     if k % 2 == 0:
@@ -267,11 +211,6 @@ def sym_matrix_fq(field: FiniteField, g, t: int, s: int) -> list:
     return [[scalar * x for x in row] for row in m]
 
 
-def sym_act_fq(field: FiniteField, g, coords: list, t: int, s: int) -> list:
-    """Twisted symmetric-power action on a coordinate column over F_q."""
-    return mat_vec(sym_matrix_fq(field, g, t, s), coords)
-
-
 def _window_poly(field: FiniteField) -> tuple:
     """z - z^q, whose reciprocal is the weight-(q+1) window form."""
     coeffs = [field.zero()] * (field.q + 1)
@@ -296,14 +235,6 @@ def symgeom_iso(q: int, k: int, i: int) -> dict:
         "shift": shift,
         "images": images,
     }
-
-
-def symgeom_apply(iso: dict, coords: list) -> FqRatFunc:
-    field = iso["field"]
-    total = FqRatFunc.zero(field)
-    for c, img in zip(coords, iso["images"]):
-        total = total + img.scale(c)
-    return total
 
 
 def symgeom_equivariance(q: int, k: int, i: int, g) -> bool:
@@ -405,9 +336,7 @@ def _evaluation_row(field: FiniteField, point, dim: int, k: int) -> list:
     return [sign * point**j for j in range(dim)]
 
 
-def global_sections_truncated(
-    q: int, k: int, radius: int, unit_constants=None
-) -> dict:
+def global_sections_truncated(q: int, k: int, radius: int) -> dict:
     """Dimension of the reduced weight-k sections over the radius-r ball, both
     by the component-count formula and by direct assembly of the edge matching
     conditions (one per edge for even k, none for odd k)."""
@@ -427,13 +356,10 @@ def global_sections_truncated(
     for e in glued:
         u, w = parent_endpoint(e), child_endpoint(e)
         row = [field.zero()] * ncols
-        cu, cw = (field.one(), field.one())
-        if unit_constants is not None:
-            cu, cw = unit_constants(e)
         for j, val in enumerate(_evaluation_row(field, _reduction_point(field, u, w), per_component, k)):
-            row[tree.index[u] * per_component + j] = cu * val
+            row[tree.index[u] * per_component + j] = val
         for j, val in enumerate(_evaluation_row(field, _reduction_point(field, w, u), per_component, k)):
-            row[tree.index[w] * per_component + j] = row[tree.index[w] * per_component + j] - cw * val
+            row[tree.index[w] * per_component + j] = -val
         rows.append(row)
     if rows:
         basis = kernel_basis(rows, field.zero(), field.one())
@@ -487,17 +413,6 @@ def _quotient_structure(q: int, k: int, i: int) -> dict:
         "free": free,
         "reduce": reduce_vector,
     }
-
-
-def quotient_reduce(q: int, k: int, i: int, coeffs: dict) -> tuple:
-    """Class of sum coeffs[r] * X^r Y^(t-r) in the quotient, as coordinates
-    against the free monomial classes."""
-    s = _quotient_structure(q, k, i)
-    field, t = s["field"], s["t"]
-    vec = [field.zero()] * (t + 1)
-    for r, c in coeffs.items():
-        vec[r] = vec[r] + field.elem(c)
-    return s["reduce"](vec)
 
 
 def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
@@ -589,24 +504,3 @@ def b_forms_check(q: int) -> bool:
         if act_on_vertex(iota, w) != v:
             return False
     return True
-
-
-# -- integer-valuation profiles for the even subgroup ---------------------------------
-
-
-def geven_lattice_profile(k: int, n: int) -> tuple:
-    """Uniformizer exponents of the integer-valuation submodule along the
-    level-n to level-(n+1) edge, for odd k."""
-    if k % 2 == 0:
-        raise InvalidParameters("the integer-valuation profile is for odd k")
-    return (k * n // 2, k * (n + 1) // 2)
-
-
-def geven_section_membership(f: FactoredRational, k: int, v: Vertex) -> tuple:
-    """Membership in the integer-valuation submodule over the vertex open: the
-    transported valuation must reach floor(k*m/2) - k*m/2 (0 or -1/2)."""
-    if f.is_zero():
-        raise ZeroFunction("membership is only defined for nonzero sections")
-    val = transported_gauss_valuation(f, vertex_transporter(v).inv(), k)
-    threshold = Fraction(k * v.m // 2) - Fraction(k * v.m, 2)
-    return val >= threshold, val, threshold

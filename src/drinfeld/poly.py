@@ -66,13 +66,6 @@ def power(u: Poly, n: int, zero: T, one: T) -> Poly:
     return out
 
 
-def evaluate(u: Poly, x: T, zero: T) -> T:
-    acc = zero
-    for c in reversed(u):
-        acc = acc * x + c
-    return acc
-
-
 def derivative(u: Poly, one: T) -> Poly:
     out, i = [], one
     for c in u[1:]:

@@ -1,7 +1,6 @@
 """Exact rational functions of one variable over the ramified quadratic
 extension, in factored form, together with the Möbius pullbacks, the weighted
-group action on sections, tube valuations, and Laurent expansions on the
-standard annulus between the base vertex and its parent.
+group action on sections, tube valuations, and principal parts at the poles.
 
 A function is lead * extra(z) * prod (z - root)^mult with extra a monic
 polynomial kept for parts that do not factor over the base field (sums,
@@ -11,17 +10,11 @@ derivatives); the denominator always stays inside the explicit factors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import poly
-from .errors import (
-    InvalidParameters,
-    PoleInsideAnnulus,
-    ZeroFunction,
-)
+from .errors import InvalidParameters, ZeroFunction
 from .scalars import INF, ScalarKHat, val_p
 from .symrep import chi
 from .tree import Mat2, Vertex, vertex_transporter
@@ -96,13 +89,6 @@ class FactoredRational:
         c = coeff if coeff is not None else ScalarKHat.one(p)
         return FactoredRational(p, c, [(ScalarKHat.zero(p), exponent)])
 
-    @staticmethod
-    def from_poly(p: int, coeffs: Sequence[ScalarKHat]) -> "FactoredRational":
-        t = poly.trim(tuple(coeffs))
-        if not t:
-            return FactoredRational.zero(p)
-        return FactoredRational(p, ScalarKHat.one(p), (), t)._refactored()
-
     # -- structure ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -121,25 +107,8 @@ class FactoredRational:
                 den = poly.mul(den, poly.power(lin, -mult, zero, one), zero)
         return num, den
 
-    def degree(self) -> int:
-        num, den = self.num_den()
-        return (len(num) - 1) - (len(den) - 1)
-
     def denominator_roots(self) -> list[tuple[ScalarKHat, int]]:
         return [(r, -m) for r, m in self.factors if m < 0]
-
-    def evaluate(self, z0: ScalarKHat) -> ScalarKHat:
-        acc = self.lead * poly.evaluate(self.extra, z0, ScalarKHat.zero(self.p))
-        for root, mult in self.factors:
-            base = z0 - root
-            if base.is_zero():
-                if mult < 0:
-                    raise ZeroDivisionError(f"pole at {z0}")
-                if mult > 0:
-                    return ScalarKHat.zero(self.p)
-                continue
-            acc = acc * base**mult
-        return acc
 
     def _refactored(self) -> "FactoredRational":
         """Pull candidate linear factors (known roots and 0) out of extra."""
@@ -278,11 +247,6 @@ class FactoredRational:
 # -- Möbius pullback and the weighted action ---------------------------------------
 
 
-def derivative(f: FactoredRational, order: int = 1) -> FactoredRational:
-    """Function form of FactoredRational.derivative."""
-    return f.derivative(order)
-
-
 def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
     """f((a z + b)/(c z + d)) for the literal matrix entries of mat."""
     if f.is_zero():
@@ -341,23 +305,11 @@ def automorphic_act(g: Mat2, f: FactoredRational, k: int) -> FactoredRational:
 # -- tube valuations -----------------------------------------------------------------
 
 
-def raw_gauss_valuation(f: FactoredRational) -> Fraction | float:
-    """Valuation of f on the unit circle of the coordinate (base-vertex tube):
-    omega(lead) + sum mult*min(0, omega(root)) + min over extra coefficients."""
-    if f.is_zero():
-        return INF
-    total = f.lead.valuation()
-    for root, mult in f.factors:
-        total += mult * min(Fraction(0), root.valuation())
-    total += min(c.valuation() for c in f.extra)
-    return total
-
-
 def transported_gauss_valuation(
     f: FactoredRational, g: Mat2, k: int
 ) -> Fraction | float:
-    """raw_gauss_valuation(automorphic_act(g, f, k)) without building the
-    transported section.
+    """Valuation on the unit circle of the coordinate (the base-vertex tube)
+    of automorphic_act(g, f, k), without building the transported section.
 
     The Gauss valuation is multiplicative (Gauss's lemma), so it is read factor
     by factor: with m = min(omega(a), omega(c)), a factor (w - y) becomes
@@ -405,94 +357,7 @@ def tube_coordinate_level(v: Vertex) -> int:
     return 2 * min(v.m, int(val_p(v.b, v.p))) - v.m
 
 
-def gauss_sample_audit(
-    f: FactoredRational, v: Vertex, rng, trials: int = 20
-) -> dict:
-    """Sample exact points on the closed tube of v and compare against the
-    Gauss valuation.
-
-    Sample points are units in the transported coordinate, kept outside the
-    residue class of every unit-valuation pole so that each value is certified
-    to sit at or above the Gauss valuation.  Attaining the minimum needs a unit
-    residue class away from *all* unit-valuation roots and poles; over the
-    ramified quadratic extension the residue field is still F_p, so for small p
-    that class may not exist.  Obstructed verdicts are reported as None rather
-    than False: None means "not decidable by rational points of this field",
-    False means a genuine discrepancy.
-    """
-    p = f.p
-    moved = automorphic_act(vertex_transporter(v).inv(), f, 0)
-    gv = raw_gauss_valuation(moved)
-    unit_residues = set(range(1, p))
-    pole_residues = set()
-    circle_residues = set()  # residues of all unit-valuation roots and poles
-    for root, mult in moved.factors:
-        if root.valuation() == 0:
-            r = root.reduce_mod_pihat()
-            circle_residues.add(r)
-            if mult < 0:
-                pole_residues.add(r)
-    extra_blocks = set()
-    if moved.extra and len(moved.extra) > 1:
-        # residues where the reduced polynomial part drops below its generic
-        # valuation: roots of (extra / p^min_val) mod pihat
-        shift = min(c.valuation() for c in moved.extra)
-        for r in unit_residues:
-            total = ScalarKHat.zero(p)
-            zr = ScalarKHat.from_rational(r, p)
-            for j, c in enumerate(moved.extra):
-                total = total + c * zr**j
-            if total.valuation() > shift:
-                extra_blocks.add(r)
-    attainable = bool(unit_residues - circle_residues - extra_blocks)
-    samplable = bool(unit_residues - pole_residues)
-    sampled = []
-    allowed = sorted(unit_residues - pole_residues)
-    for i in range(trials if samplable else 0):
-        r = allowed[i % len(allowed)]
-        u = r + p * rng.randrange(0, 8)
-        w = rng.randrange(0, p * 8)
-        z_std = ScalarKHat(p, Fraction(u), Fraction(w))
-        sampled.append(moved.evaluate(z_std).valuation())
-    ok = all(val >= gv for val in sampled) if sampled else None
-    if sampled and min(sampled) == gv:
-        attained = True
-    else:
-        attained = None if not attainable else (False if sampled else None)
-    return {
-        "gauss": gv,
-        "samples": sampled,
-        "all_at_or_above": ok,
-        "minimum_attained": attained,
-    }
-
-
-# -- Laurent expansion on the standard annulus ----------------------------------------
-
-
-@dataclass
-class LaurentWindow:
-    """Exact Laurent coefficients of a rational function on the annulus between
-    the base vertex and its parent (coordinate valuation strictly between 0 and
-    1), within [lo, hi], plus affine tail certificates outside the window.
-
-    Each (alpha, beta) pair guarantees every coefficient contribution on that
-    side has valuation >= alpha + beta*j; below-window slopes are <= -1 and
-    above-window slopes are >= 0, so endpoint checks settle ray comparisons.
-    """
-
-    p: int
-    lo: int
-    hi: int
-    coeffs: dict[int, ScalarKHat]
-    below: list[tuple[Fraction, Fraction]]
-    above: list[tuple[Fraction, Fraction]]
-
-    def coefficient(self, j: int) -> ScalarKHat:
-        if not self.lo <= j <= self.hi:
-            raise InvalidParameters(f"index {j} outside window [{self.lo}, {self.hi}]")
-        return self.coeffs.get(j, ScalarKHat.zero(self.p))
-
+# -- principal parts ----------------------------------------------------------------
 
 
 def principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
@@ -517,69 +382,6 @@ def principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
         series = series + (zero,) * (r - len(series))
         out.append((root, [series[r - t] for t in range(1, r + 1)]))
     return out
-
-
-def laurent_standard(
-    f: FactoredRational, lo: int, hi: int
-) -> LaurentWindow:
-    """Laurent data of f on the standard annulus. Poles with coordinate
-    valuation >= 1 expand inward (negative side), <= 0 outward (nonnegative
-    side); a pole strictly inside the open annulus admits no expansion."""
-    p = f.p
-    zero = ScalarKHat.zero(p)
-    if f.is_zero():
-        return LaurentWindow(p, lo, hi, {}, [], [])
-    num, den = f.num_den()
-    den_roots = f.denominator_roots()
-    w_lo = min(lo, -sum(m for _, m in den_roots) - 1)
-    w_hi = max(hi, max(0, len(num) - len(den)) + 1)
-    coeffs: dict[int, ScalarKHat] = {}
-    below: list[tuple[Fraction, Fraction]] = []
-    above: list[tuple[Fraction, Fraction]] = []
-
-    quotient, _ = poly.divmod(num, den, zero)
-    for j, c in enumerate(quotient):
-        if w_lo <= j <= w_hi and not c.is_zero():
-            coeffs[j] = coeffs.get(j, zero) + c
-
-    for root, parts in principal_parts(f):
-        principal = dict(enumerate(parts, 1))  # t -> coeff of (z-root)^-t
-        if root.is_zero():
-            for t, a in principal.items():
-                if w_lo <= -t <= w_hi and not a.is_zero():
-                    coeffs[-t] = coeffs.get(-t, zero) + a
-            continue
-        w = root.valuation()
-        if 0 < w < 1:
-            raise PoleInsideAnnulus(
-                f"pole at {root} with valuation {w} sits inside the annulus"
-            )
-        if w >= 1:
-            # (z-x)^-t = sum_{s>=t} C(s-1,t-1) x^(s-t) z^(-s)
-            for t, a in principal.items():
-                if a.is_zero():
-                    continue
-                for s in range(t, -w_lo + 1):
-                    j = -s
-                    if j > w_hi:
-                        continue
-                    term = a * comb(s - 1, t - 1) * root ** (s - t)
-                    coeffs[j] = coeffs.get(j, zero) + term
-                below.append((a.valuation() - t * w, -w))
-        else:
-            # (z-x)^-t = (-1)^t x^-t sum_{i>=0} C(t-1+i, i) (z/x)^i
-            for t, a in principal.items():
-                if a.is_zero():
-                    continue
-                inv_pow = root ** (-t)
-                sign = -ScalarKHat.one(p) if t % 2 else ScalarKHat.one(p)
-                for j in range(max(0, w_lo), w_hi + 1):
-                    term = sign * a * comb(t - 1 + j, j) * inv_pow * root ** (-j)
-                    coeffs[j] = coeffs.get(j, zero) + term
-                above.append((a.valuation() - t * w, -w))
-
-    coeffs = {j: c for j, c in coeffs.items() if not c.is_zero()}
-    return LaurentWindow(p, w_lo, w_hi, coeffs, below, above)
 
 
 # -- parsing ------------------------------------------------------------------------

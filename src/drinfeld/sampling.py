@@ -1,6 +1,6 @@
 """Seeded samplers for randomized sweeps: group elements as short products of
-standard atoms, rational sections with poles at known points, and sections
-rescaled into a vertex lattice.  Deterministic for a fixed seed.
+standard atoms, rational sections with poles at known points, and vertices
+near the base vertex.  Deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from .rational import FactoredRational
-from .scalars import INF, ScalarKHat
+from .scalars import ScalarKHat
 from .tree import (
     Mat2,
     Vertex,
@@ -85,40 +85,3 @@ def random_vertex(rng: random.Random, p: int) -> Vertex:
     elif m < 0:
         b = Fraction(rng.randrange(0, p), p ** (-m + 1))
     return make_vertex(p, m, b)
-
-
-def rescale_into_vertex_lattice(
-    f: FactoredRational, k: int, v: Vertex
-) -> FactoredRational:
-    """Multiply f by a uniformizer power so it satisfies the weight-k vertex
-    membership bound at v."""
-    from .lattices import section_lattice_membership
-
-    ok, val = section_lattice_membership(f, k, v)
-    if ok:
-        return f
-    if val is INF:
-        return f
-    deficit = -val
-    steps = int(2 * deficit)
-    if Fraction(steps, 2) < deficit:
-        steps += 1
-    return f * ScalarKHat.pihat(f.p, steps)
-
-
-def rescale_to_gauss_bound(
-    f: FactoredRational, v: Vertex, bound: Fraction
-) -> FactoredRational:
-    """Multiply f by the uniformizer power that puts its Gauss valuation at v
-    exactly on the bound (or half a step above when the gap is not a multiple
-    of the uniformizer valuation)."""
-    from .rational import gauss_valuation
-
-    val = gauss_valuation(f, v)
-    gap = bound - val
-    steps = int(2 * gap)
-    if Fraction(steps, 2) < gap:
-        steps += 1
-    if steps == 0:
-        return f
-    return f * ScalarKHat.pihat(f.p, steps)

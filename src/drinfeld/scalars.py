@@ -119,14 +119,6 @@ class ScalarKHat:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def is_rational(self) -> bool:
-        return not self.b
-
-    def rational_value(self) -> Fraction:
-        if self.b:
-            raise InvalidParameters(f"{self} is not rational")
-        return self.a
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
@@ -204,9 +196,6 @@ class ScalarKHat:
             n >>= 1
         return result
 
-    def conjugate(self) -> "ScalarKHat":
-        return _make(self.p, self.a, -self.b)
-
     # -- valuation and reduction ----------------------------------------------
 
     def valuation(self) -> Fraction | float:
@@ -218,36 +207,11 @@ class ScalarKHat:
     def is_integral(self) -> bool:
         return self.valuation() >= 0
 
-    def is_unit(self) -> bool:
-        return self.valuation() == 0
-
     def reduce_mod_pihat(self) -> int:
         """Image in Z/p; requires omega >= 0 (then the pihat part drops)."""
         if self.valuation() < 0:
             raise NegativeValuation(f"{self} has valuation {self.valuation()} < 0")
         return reduce_rational_mod_p(self.a, self.p)
-
-    def residue_mod_pihat_power(self, e: int) -> tuple[int, int]:
-        """Canonical representative of the class mod pihat^e, as component pair.
-
-        Returns (a mod p^ceil(e/2), b mod p^floor(e/2)); requires omega >= 0.
-        """
-        if e < 0:
-            raise InvalidParameters("exponent must be nonnegative")
-        if self.valuation() < 0:
-            raise NegativeValuation(f"{self} has valuation {self.valuation()} < 0")
-        wa, wb = (e + 1) // 2, e // 2
-        ra = (
-            (self.a.numerator * _mod_inverse(self.a.denominator, self.p**wa)) % self.p**wa
-            if wa > 0
-            else 0
-        )
-        rb = (
-            (self.b.numerator * _mod_inverse(self.b.denominator, self.p**wb)) % self.p**wb
-            if wb > 0
-            else 0
-        )
-        return ra, rb
 
     def __repr__(self) -> str:
         if self.b == 0:
@@ -443,12 +407,6 @@ class FiniteField:
 
     def one(self) -> "FqElem":
         return self._one
-
-    def gen(self) -> "FqElem":
-        """Image of x (a generator of the field over Z/p when f > 1)."""
-        if self.f == 1:
-            return self._one
-        return _make_fq(self, self.p)
 
     def primitive_element(self) -> "FqElem":
         """First element, in ``elements`` order, of multiplicative order q-1."""

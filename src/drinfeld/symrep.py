@@ -14,7 +14,7 @@ from typing import Callable, TypeVar
 
 from . import poly
 from .errors import InvalidParameters, NonInvertibleDeterminant
-from .linalg import Matrix, mat_vec, transpose
+from .linalg import Matrix, transpose
 from .scalars import ScalarKHat
 from .tree import Mat2
 
@@ -52,13 +52,6 @@ def chi(g: Mat2, p: int, exponent: int = 1) -> ScalarKHat:
     return ScalarKHat.pihat(p, exponent * int(w))
 
 
-def epsilon(g: Mat2, p: int) -> ScalarKHat:
-    """det(g) scaled to a unit: det * p^(-val(det)). Trivial on the diagonal
-    p-power elements and on determinant-one elements."""
-    w = g.omega_det(p)
-    return ScalarKHat.from_rational(g.det() * Fraction(p) ** (-int(w)), p)
-
-
 def sym_matrix(g: Mat2, k: int, p: int) -> Matrix:
     """Matrix over the quadratic extension of the twisted action
     F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY), the coefficient module the
@@ -72,26 +65,7 @@ def sym_matrix(g: Mat2, k: int, p: int) -> Matrix:
     return [[x * scalar for x in row] for row in base]
 
 
-def sym_act(g: Mat2, coords: list, k: int, p: int) -> list:
-    """Twisted action on a polynomial coordinate column."""
-    return mat_vec(sym_matrix(g, k, p), coords)
-
-
 def dual_act_matrix(g: Mat2, k: int, p: int) -> Matrix:
     """Matrix of the contragredient action (g.h)(F) = h(g^{-1}.F) on dual
     coordinates."""
     return transpose(sym_matrix(g.inv(), k, p))
-
-
-def dual_act(g: Mat2, coords: list, k: int, p: int) -> list:
-    return mat_vec(dual_act_matrix(g, k, p), coords)
-
-
-def dual_zero(k: int, p: int) -> list:
-    return [ScalarKHat.zero(p) for _ in range(k + 1)]
-
-
-def dual_unit(k: int, p: int, j: int) -> list:
-    vec = dual_zero(k, p)
-    vec[j] = ScalarKHat.one(p)
-    return vec

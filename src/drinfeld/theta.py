@@ -1,7 +1,6 @@
 """The (k+1)-fold derivative operator carrying weight -k to weight k+2: its
-polynomial kernel, equivariance with a unit-character correction, vertex-level
-valuation amplification, the Euler-operator factorization identity, and the
-vanishing of residues on its image."""
+polynomial kernel, vertex-level valuation amplification, and the
+Euler-operator factorization identity."""
 
 from __future__ import annotations
 
@@ -10,17 +9,10 @@ from fractions import Fraction
 from math import prod
 
 from .errors import InvalidParameters, ZeroFunction
-from .harmonic import res0
 from .linalg import kernel_basis
-from .rational import (
-    FactoredRational,
-    automorphic_act,
-    gauss_valuation,
-    tube_coordinate_level,
-)
+from .rational import FactoredRational, gauss_valuation, tube_coordinate_level
 from .scalars import INF, ScalarKHat
-from .symrep import epsilon
-from .tree import Mat2, TruncatedTree, Vertex
+from .tree import Vertex
 
 
 def theta(f: FactoredRational, k: int) -> FactoredRational:
@@ -30,7 +22,7 @@ def theta(f: FactoredRational, k: int) -> FactoredRational:
     return f.derivative(k + 1)
 
 
-def kernel_polynomial_dimension(k: int, p: int = 2) -> int:
+def kernel_polynomial_dimension(k: int, p: int) -> int:
     """Dimension of the kernel of the operator on polynomials of degree up to
     k+3, computed by exact rank."""
     cap = k + 3
@@ -51,16 +43,6 @@ def kernel_polynomial_dimension(k: int, p: int = 2) -> int:
     return len(kernel_basis(rows, zero, one))
 
 
-def bol_identity_check(g: Mat2, f: FactoredRational, k: int) -> bool:
-    """theta intertwines the weighted actions up to the unit character of the
-    determinant raised to k+1: applying theta after the weight-(-k) action
-    equals epsilon(g)^(k+1) times the weight-(k+2) action after theta."""
-    p = f.p
-    lhs = theta(automorphic_act(g, f, -k), k)
-    rhs = automorphic_act(g, theta(f, k), k + 2) * epsilon(g, p) ** (k + 1)
-    return lhs == rhs
-
-
 @dataclass(frozen=True)
 class ThetaCertificate:
     vertex: Vertex
@@ -73,9 +55,12 @@ class ThetaCertificate:
     passes: bool
 
 
-def theta_integrality(f: FactoredRational, k: int, v: Vertex) -> ThetaCertificate:
-    """On a tube of coordinate scale n, an input of valuation >= -k*n/2 must
-    map to an output of valuation >= (k+2)*n/2.
+def theta_integrality(
+    f: FactoredRational, image: FactoredRational, k: int, v: Vertex
+) -> ThetaCertificate:
+    """Certificate for f and its image theta(f, k): on a tube of coordinate
+    scale n, an input of valuation >= -k*n/2 must map to an output of
+    valuation >= (k+2)*n/2.
 
     The scale n is the tube coordinate level of the vertex: each of the k+1
     derivatives shifts the Gauss valuation on the tube by at least n, so the
@@ -87,7 +72,6 @@ def theta_integrality(f: FactoredRational, k: int, v: Vertex) -> ThetaCertificat
     in_bound = Fraction(-k * n, 2)
     out_bound = Fraction((k + 2) * n, 2)
     in_val = gauss_valuation(f, v)
-    image = theta(f, k)
     out_val = INF if image.is_zero() else gauss_valuation(image, v)
     applicable = in_val >= in_bound
     passes = (not applicable) or out_val >= out_bound
@@ -103,9 +87,7 @@ def theta_integrality(f: FactoredRational, k: int, v: Vertex) -> ThetaCertificat
     )
 
 
-def complement_b_identity(
-    k: int, a, m_values, p: int = 2
-) -> bool:
+def complement_b_identity(k: int, a: ScalarKHat, m_values, p: int) -> bool:
     """Check the factorization of the conjugated operator through the Euler
     operator at a: both sides act on powers of (z-a) by scalars, the left side
     by the falling product over k+1 consecutive values, the right side by
@@ -116,9 +98,8 @@ def complement_b_identity(
     """
     if k <= 0 or k % 2:
         raise InvalidParameters("the identity is stated for positive even k")
-    root = a if isinstance(a, ScalarKHat) else ScalarKHat.from_rational(a, p)
     half = k // 2
-    lin = FactoredRational(p, ScalarKHat.one(p), [(root, 1)])
+    lin = FactoredRational(p, ScalarKHat.one(p), [(a, 1)])
     for m in m_values:
         lhs_scalar = prod(half + m - i for i in range(k + 1))
         rhs_scalar = m * prod(m * m - j * j for j in range(1, half + 1))
@@ -129,8 +110,3 @@ def complement_b_identity(
         if not functional_lhs == functional_rhs:
             return False
     return True
-
-
-def res_kills_theta(f: FactoredRational, k: int, tree: TruncatedTree) -> bool:
-    """Residue cochain of the theta image is identically zero."""
-    return res0(theta(f, k), k, tree).is_zero()

@@ -30,10 +30,6 @@ class Mat2:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1, 0, 0, 1)
-
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
@@ -50,9 +46,6 @@ class Mat2:
         if det == 0:
             raise SingularMatrix("matrix is singular")
         return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
-    def scale(self, t: Fraction) -> "Mat2":
-        return Mat2(self.a * t, self.b * t, self.c * t, self.d * t)
 
     def itilde(self) -> "Mat2":
         """The det-twisted inverse flip [[d,-c],[-b,a]] (an exact involution)."""
@@ -182,9 +175,6 @@ def vertex_parity(v: Vertex) -> int:
     return 1 if v.m % 2 == 0 else -1
 
 
-parity = vertex_parity
-
-
 # -- edges ---------------------------------------------------------------------
 
 
@@ -224,10 +214,6 @@ def edge_transporter(e: Edge) -> Mat2:
     that endpoint and the base vertex's parent to the endpoint's parent.
     """
     return vertex_transporter(child_endpoint(e))
-
-
-def act_on_edge(g: Mat2, e: Edge) -> Edge:
-    return make_edge(act_on_vertex(g, e.u), act_on_vertex(g, e.v))
 
 
 def edges_at(v: Vertex) -> list[Edge]:
@@ -296,20 +282,3 @@ def truncated_tree(p: int, radius: int) -> TruncatedTree:
                     incident[w] = [e]
         frontier = nxt
     return TruncatedTree(p, radius, vertices, edges, index, incident, n_interior)
-
-
-def geodesic_vertices(u: Vertex, v: Vertex) -> list[Vertex]:
-    """The vertices on the path from u to v (inclusive)."""
-    path_u = [u]
-    path_v = [v]
-    x, y = u, v
-    while distance(x, y) > 0:
-        if x.m >= y.m:
-            x = parent(x)
-            path_u.append(x)
-        else:
-            y = parent(y)
-            path_v.append(y)
-    if path_u[-1] != path_v[-1]:
-        raise InvalidParameters("paths failed to meet")  # pragma: no cover
-    return path_u + path_v[-2::-1]

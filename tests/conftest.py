@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from drinfeld import truncated_tree
+from drinfeld.tree import truncated_tree
 
 
 @pytest.fixture

@@ -1,0 +1,187 @@
+"""Reference computations shared by several test files.  The program does not
+call them: tests compare the program against them, or use them to state a
+result of the paper."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
+
+from drinfeld import poly
+from drinfeld.errors import InvalidParameters, PoleInsideAnnulus
+from drinfeld.harmonic import res0
+from drinfeld.modp import _quotient_structure
+from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
+from drinfeld.scalars import INF, ScalarKHat
+from drinfeld.symrep import dual_act_matrix
+from drinfeld.theta import theta
+from drinfeld.tree import Edge, Mat2, TruncatedTree, Vertex, act_on_vertex, make_edge
+
+# -- linear algebra and the module actions ----------------------------------------
+
+
+def mat_vec(a: list, v: list) -> list:
+    """Matrix times column vector."""
+    return [sum((x * y for x, y in zip(row[1:], v[1:])), row[0] * v[0]) for row in a]
+
+
+def dual_act(g: Mat2, coords: list, k: int, p: int) -> list:
+    """The contragredient action on a dual coordinate column."""
+    return mat_vec(dual_act_matrix(g, k, p), coords)
+
+
+def epsilon(g: Mat2, p: int) -> ScalarKHat:
+    """det(g) scaled to a unit: det * p^(-val(det)). Trivial on the diagonal
+    p-power elements and on determinant-one elements."""
+    w = g.omega_det(p)
+    return ScalarKHat.from_rational(g.det() * Fraction(p) ** (-int(w)), p)
+
+
+def act_on_edge(g: Mat2, e: Edge) -> Edge:
+    return make_edge(act_on_vertex(g, e.u), act_on_vertex(g, e.v))
+
+
+def poly_evaluate(u: poly.Poly, x, zero):
+    """The value of the polynomial u at x, by Horner's rule."""
+    acc = zero
+    for c in reversed(u):
+        acc = acc * x + c
+    return acc
+
+
+# -- sections ------------------------------------------------------------------------
+
+
+def raw_gauss_valuation(f: FactoredRational) -> Fraction | float:
+    """Valuation of f on the unit circle of the coordinate (base-vertex tube):
+    omega(lead) + sum mult*min(0, omega(root)) + min over extra coefficients."""
+    if f.is_zero():
+        return INF
+    total = f.lead.valuation()
+    for root, mult in f.factors:
+        total += mult * min(Fraction(0), root.valuation())
+    total += min(c.valuation() for c in f.extra)
+    return total
+
+
+def rescale_to_gauss_bound(
+    f: FactoredRational, v: Vertex, bound: Fraction
+) -> FactoredRational:
+    """Multiply f by the uniformizer power that puts its Gauss valuation at v
+    exactly on the bound (or half a step above when the gap is not a multiple
+    of the uniformizer valuation)."""
+    gap = bound - gauss_valuation(f, v)
+    steps = int(2 * gap)
+    if Fraction(steps, 2) < gap:
+        steps += 1
+    if steps == 0:
+        return f
+    return f * ScalarKHat.pihat(f.p, steps)
+
+
+def res_kills_theta(f: FactoredRational, k: int, tree: TruncatedTree) -> bool:
+    """Residue cochain of the theta image is identically zero."""
+    return res0(theta(f, k), k, tree).support() == []
+
+
+# -- Laurent expansion on the standard annulus ----------------------------------------
+
+
+@dataclass
+class LaurentWindow:
+    """Exact Laurent coefficients of a rational function on the annulus between
+    the base vertex and its parent (coordinate valuation strictly between 0 and
+    1), within [lo, hi], plus affine tail certificates outside the window.
+
+    Each (alpha, beta) pair guarantees every coefficient contribution on that
+    side has valuation >= alpha + beta*j; below-window slopes are <= -1 and
+    above-window slopes are >= 0, so endpoint checks settle ray comparisons.
+    """
+
+    p: int
+    lo: int
+    hi: int
+    coeffs: dict[int, ScalarKHat]
+    below: list[tuple[Fraction, Fraction]]
+    above: list[tuple[Fraction, Fraction]]
+
+    def coefficient(self, j: int) -> ScalarKHat:
+        if not self.lo <= j <= self.hi:
+            raise InvalidParameters(f"index {j} outside window [{self.lo}, {self.hi}]")
+        return self.coeffs.get(j, ScalarKHat.zero(self.p))
+
+
+def laurent_standard(f: FactoredRational, lo: int, hi: int) -> LaurentWindow:
+    """Laurent data of f on the standard annulus. Poles with coordinate
+    valuation >= 1 expand inward (negative side), <= 0 outward (nonnegative
+    side); a pole strictly inside the open annulus admits no expansion."""
+    p = f.p
+    zero = ScalarKHat.zero(p)
+    if f.is_zero():
+        return LaurentWindow(p, lo, hi, {}, [], [])
+    num, den = f.num_den()
+    den_roots = f.denominator_roots()
+    w_lo = min(lo, -sum(m for _, m in den_roots) - 1)
+    w_hi = max(hi, max(0, len(num) - len(den)) + 1)
+    coeffs: dict[int, ScalarKHat] = {}
+    below: list[tuple[Fraction, Fraction]] = []
+    above: list[tuple[Fraction, Fraction]] = []
+
+    quotient, _ = poly.divmod(num, den, zero)
+    for j, c in enumerate(quotient):
+        if w_lo <= j <= w_hi and not c.is_zero():
+            coeffs[j] = coeffs.get(j, zero) + c
+
+    for root, parts in principal_parts(f):
+        principal = dict(enumerate(parts, 1))  # t -> coeff of (z-root)^-t
+        if root.is_zero():
+            for t, a in principal.items():
+                if w_lo <= -t <= w_hi and not a.is_zero():
+                    coeffs[-t] = coeffs.get(-t, zero) + a
+            continue
+        w = root.valuation()
+        if 0 < w < 1:
+            raise PoleInsideAnnulus(
+                f"pole at {root} with valuation {w} sits inside the annulus"
+            )
+        if w >= 1:
+            # (z-x)^-t = sum_{s>=t} C(s-1,t-1) x^(s-t) z^(-s)
+            for t, a in principal.items():
+                if a.is_zero():
+                    continue
+                for s in range(t, -w_lo + 1):
+                    j = -s
+                    if j > w_hi:
+                        continue
+                    term = a * comb(s - 1, t - 1) * root ** (s - t)
+                    coeffs[j] = coeffs.get(j, zero) + term
+                below.append((a.valuation() - t * w, -w))
+        else:
+            # (z-x)^-t = (-1)^t x^-t sum_{i>=0} C(t-1+i, i) (z/x)^i
+            for t, a in principal.items():
+                if a.is_zero():
+                    continue
+                inv_pow = root ** (-t)
+                sign = -ScalarKHat.one(p) if t % 2 else ScalarKHat.one(p)
+                for j in range(max(0, w_lo), w_hi + 1):
+                    term = sign * a * comb(t - 1 + j, j) * inv_pow * root ** (-j)
+                    coeffs[j] = coeffs.get(j, zero) + term
+                above.append((a.valuation() - t * w, -w))
+
+    coeffs = {j: c for j, c in coeffs.items() if not c.is_zero()}
+    return LaurentWindow(p, w_lo, w_hi, coeffs, below, above)
+
+
+# -- the quotient representation over F_q ---------------------------------------------
+
+
+def quotient_reduce(q: int, k: int, i: int, coeffs: dict) -> tuple:
+    """Class of sum coeffs[r] * X^r Y^(t-r) in the quotient, as coordinates
+    against the free monomial classes."""
+    s = _quotient_structure(q, k, i)
+    field, t = s["field"], s["t"]
+    vec = [field.zero()] * (t + 1)
+    for r, c in coeffs.items():
+        vec[r] = vec[r] + field.elem(c)
+    return s["reduce"](vec)

@@ -14,50 +14,41 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from drinfeld import (
-    InvalidParameters,
-    Mat2,
-    ScalarKHat,
-    act_on_vertex,
-    automorphic_act,
-    complement_b_identity,
-    delta,
-    gamma_level,
-    gauss_valuation,
-    kernel_polynomial_dimension,
-    make_edge,
-    make_vertex,
-    parse_rational,
-    res0,
-    res0_integrality,
-    res_kills_theta,
+from drinfeld.errors import InvalidParameters
+from drinfeld.harmonic import delta, res0, res0_integrality
+from drinfeld.lattices import (
+    local_space_report,
     section_lattice_membership,
-    theta_integrality,
-    truncated_tree,
-    tube_coordinate_level,
     vertex_lattice_profile,
 )
-from drinfeld.lattices import local_space_report
 from drinfeld.modp import (
     b_forms_check,
     component_degree,
     gl2_generators,
     global_sections_truncated,
-    quotient_reduce,
     quotient_rep_and_stable_lines,
     symgeom_equivariance,
     symgeom_injectivity_rank,
     symgeom_iso,
     symgeom_parameters,
 )
-from drinfeld.rational import FactoredRational
-from drinfeld.sampling import (
-    random_group_element,
-    random_rational,
-    random_vertex,
-    rescale_to_gauss_bound,
+from drinfeld.rational import (
+    FactoredRational,
+    automorphic_act,
+    gauss_valuation,
+    parse_rational,
+    tube_coordinate_level,
 )
-from drinfeld.scalars import Fq
+from drinfeld.sampling import random_group_element, random_rational, random_vertex
+from drinfeld.scalars import Fq, ScalarKHat
+from drinfeld.theta import (
+    complement_b_identity,
+    kernel_polynomial_dimension,
+    theta,
+    theta_integrality,
+)
+from drinfeld.tree import Mat2, act_on_vertex, gamma_level, make_edge, make_vertex, truncated_tree
+from oracles import quotient_reduce, res_kills_theta, rescale_to_gauss_bound
 from drinfeld.tree import diagonal
 
 SEED = 20260818
@@ -221,7 +212,8 @@ def test_criterion_5_residue_suite():
 
     # part 3: the residue lands in every edge lattice whenever the section
     # lies in all vertex lattices
-    report = res0_integrality(parse_rational("1/z", p), 0, t)
+    f = parse_rational("1/z", p)
+    report = res0_integrality(f, 0, t, res0(f, 0, t))
     assert report["vertex_membership"] is True
     assert report["in_all_edge_lattices"] is True
     rng3 = random.Random(SEED + 5)
@@ -231,7 +223,8 @@ def test_criterion_5_residue_suite():
         f = random_rational(rng3, p)
         if f.is_zero():
             continue
-        out = res0_integrality(f, k, truncated_tree(p, 2))
+        t2 = truncated_tree(p, 2)
+        out = res0_integrality(f, k, t2, res0(f, k, t2))
         if out["vertex_membership"]:
             assert out["in_all_edge_lattices"], (k, str(f))
         implications += 1
@@ -243,7 +236,7 @@ def test_criterion_6_theta_suite():
 
     # part 1: polynomial kernel dimension is exactly k+1
     for k in range(7):
-        assert kernel_polynomial_dimension(k, p=p) == k + 1
+        assert kernel_polynomial_dimension(k, p) == k + 1
 
     # part 2: 30 random sections pinned on the vertex-lattice bound all pass
     rng = random.Random(SEED)
@@ -256,7 +249,7 @@ def test_criterion_6_theta_suite():
         v = random_vertex(rng, p)
         bound = Fraction(-k * tube_coordinate_level(v), 2)
         f_in = rescale_to_gauss_bound(f, v, bound)
-        cert = theta_integrality(f_in, k, v)
+        cert = theta_integrality(f_in, theta(f_in, k), k, v)
         assert cert.applicable, (k, str(v), cert)
         assert cert.passes, (k, str(v), cert)
         checked += 1
@@ -283,7 +276,7 @@ def test_criterion_6_theta_suite():
     # part 4: the Euler-operator factorization identity
     for k in (2, 4, 6):
         for a in (0, 1):
-            assert complement_b_identity(k, Fraction(a), range(-8, 9), p=p)
+            assert complement_b_identity(k, ScalarKHat.from_rational(a, p), range(-8, 9), p)
     print("CRITERION 6: PASS - kernel dims, 30 integrality certificates, 20 residue kills, factorization identity")
 
 

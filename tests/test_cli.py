@@ -225,6 +225,24 @@ class TestInProcessExitCodes:
         assert result.exit_code == 0, result.output
         assert calls == [bool(audit)]
 
+    def test_theta_differentiates_once(self, monkeypatch):
+        # the certificate reads the image that the command computed
+        from drinfeld.rational import FactoredRational
+
+        real = FactoredRational.derivative
+        orders = []
+
+        def counted(self, order=1):
+            orders.append(order)
+            return real(self, order)
+
+        monkeypatch.setattr(FactoredRational, "derivative", counted)
+        result = CliRunner().invoke(
+            cli, ["theta", "--p", "2", "--k", "2", "--f", "1/z", "--level", "1"]
+        )
+        assert result.exit_code == 0, result.output
+        assert orders == [3]
+
     def test_residue_of_the_zero_section_is_the_zero_cochain(self):
         result = CliRunner().invoke(
             cli, ["residue", "--p", "2", "--k", "0", "--f", "0", "--radius", "2"]

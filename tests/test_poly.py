@@ -10,9 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld import FactoredRational, InvalidParameters, ScalarKHat, poly
+from drinfeld import poly
+from drinfeld.errors import InvalidParameters
+from drinfeld.rational import FactoredRational
 from drinfeld.sampling import random_rational
-from drinfeld.scalars import Fq
+from drinfeld.scalars import Fq, ScalarKHat
+from oracles import poly_evaluate
 
 RINGS = [("khat", p) for p in (2, 3, 5)] + [("fq", q) for q in (2, 3, 4, 5, 7, 8, 9)]
 
@@ -77,9 +80,9 @@ class TestArithmetic:
             assert len(w) == len(u) + len(v) - 1
             for _ in range(3):
                 x = ring.draw()
-                assert poly.evaluate(w, x, ring.zero) == poly.evaluate(
+                assert poly_evaluate(w, x, ring.zero) == poly_evaluate(
                     u, x, ring.zero
-                ) * poly.evaluate(v, x, ring.zero)
+                ) * poly_evaluate(v, x, ring.zero)
         assert poly.mul((), ring.poly(), ring.zero) == ()
 
     def test_add_and_neg_cancel(self, ring):
@@ -145,7 +148,7 @@ class TestSeries:
             full = poly.shift(u, x0, len(u))
             for _ in range(3):
                 w = ring.draw()
-                assert poly.evaluate(full, w, ring.zero) == poly.evaluate(
+                assert poly_evaluate(full, w, ring.zero) == poly_evaluate(
                     u, x0 + w, ring.zero
                 )
             for upto in range(len(u) + 2):

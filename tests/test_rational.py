@@ -9,27 +9,97 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld import (
+from drinfeld.errors import PoleInsideAnnulus, ZeroFunction
+from drinfeld.rational import (
     FactoredRational,
-    PoleInsideAnnulus,
-    ScalarKHat,
-    ZeroFunction,
     automorphic_act,
     compose_mobius,
-    derivative,
-    gamma_level,
-    gauss_sample_audit,
     gauss_valuation,
-    laurent_standard,
-    make_vertex,
     parse_rational,
-    raw_gauss_valuation,
-    theta,
-    weyl_flip,
+    transported_gauss_valuation,
 )
-from drinfeld.rational import transported_gauss_valuation
 from drinfeld.sampling import random_group_element, random_rational, random_vertex
-from drinfeld.tree import Mat2
+from drinfeld.scalars import ScalarKHat
+from drinfeld.theta import theta
+from drinfeld.tree import Mat2, gamma_level, make_vertex, vertex_transporter, weyl_flip
+from oracles import laurent_standard, poly_evaluate, raw_gauss_valuation
+
+
+def evaluate(f: FactoredRational, z0: ScalarKHat) -> ScalarKHat:
+    """The value of f at a point z0."""
+    acc = f.lead * poly_evaluate(f.extra, z0, ScalarKHat.zero(f.p))
+    for root, mult in f.factors:
+        base = z0 - root
+        if base.is_zero():
+            if mult < 0:
+                raise ZeroDivisionError(f"pole at {z0}")
+            if mult > 0:
+                return ScalarKHat.zero(f.p)
+            continue
+        acc = acc * base**mult
+    return acc
+
+
+def gauss_sample_audit(
+    f: FactoredRational, v, rng, trials: int = 20
+) -> dict:
+    """Sample exact points on the closed tube of v and compare against the
+    Gauss valuation.
+
+    Sample points are units in the transported coordinate, kept outside the
+    residue class of every unit-valuation pole so that each value is certified
+    to sit at or above the Gauss valuation.  Attaining the minimum needs a unit
+    residue class away from *all* unit-valuation roots and poles; over the
+    ramified quadratic extension the residue field is still F_p, so for small p
+    that class may not exist.  Obstructed verdicts are reported as None rather
+    than False: None means "not decidable by rational points of this field",
+    False means a genuine discrepancy.
+    """
+    p = f.p
+    moved = automorphic_act(vertex_transporter(v).inv(), f, 0)
+    gv = raw_gauss_valuation(moved)
+    unit_residues = set(range(1, p))
+    pole_residues = set()
+    circle_residues = set()  # residues of all unit-valuation roots and poles
+    for root, mult in moved.factors:
+        if root.valuation() == 0:
+            r = root.reduce_mod_pihat()
+            circle_residues.add(r)
+            if mult < 0:
+                pole_residues.add(r)
+    extra_blocks = set()
+    if moved.extra and len(moved.extra) > 1:
+        # residues where the reduced polynomial part drops below its generic
+        # valuation: roots of (extra / p^min_val) mod pihat
+        shift = min(c.valuation() for c in moved.extra)
+        for r in unit_residues:
+            total = ScalarKHat.zero(p)
+            zr = ScalarKHat.from_rational(r, p)
+            for j, c in enumerate(moved.extra):
+                total = total + c * zr**j
+            if total.valuation() > shift:
+                extra_blocks.add(r)
+    attainable = bool(unit_residues - circle_residues - extra_blocks)
+    samplable = bool(unit_residues - pole_residues)
+    sampled = []
+    allowed = sorted(unit_residues - pole_residues)
+    for i in range(trials if samplable else 0):
+        r = allowed[i % len(allowed)]
+        u = r + p * rng.randrange(0, 8)
+        w = rng.randrange(0, p * 8)
+        z_std = ScalarKHat(p, Fraction(u), Fraction(w))
+        sampled.append(evaluate(moved, z_std).valuation())
+    ok = all(val >= gv for val in sampled) if sampled else None
+    if sampled and min(sampled) == gv:
+        attained = True
+    else:
+        attained = None if not attainable else (False if sampled else None)
+    return {
+        "gauss": gv,
+        "samples": sampled,
+        "all_at_or_above": ok,
+        "minimum_attained": attained,
+    }
 
 
 class TestParsing:
@@ -42,17 +112,16 @@ class TestParsing:
         f = parse_rational(text, p)
         num, den = f.num_den()
         # cross-multiplied comparison: f * den == num as rational functions
-        assert f * FactoredRational.from_poly(p, den) == FactoredRational.from_poly(
-            p, num
-        )
+        one = ScalarKHat.one(p)
+        assert f * FactoredRational(p, one, (), den) == FactoredRational(p, one, (), num)
 
     def test_p_literal_is_the_prime(self):
         f = parse_rational("(z-p)", 3)
-        assert f.evaluate(ScalarKHat.from_rational(3, 3)).is_zero()
+        assert evaluate(f, ScalarKHat.from_rational(3, 3)).is_zero()
 
     def test_pihat_literal_squares_to_p(self):
         f = parse_rational("pihat*pihat", 5)
-        assert (f.evaluate(ScalarKHat.one(5)) - ScalarKHat.from_rational(5, 5)).is_zero()
+        assert (evaluate(f, ScalarKHat.one(5)) - ScalarKHat.from_rational(5, 5)).is_zero()
 
     def test_zero_and_one(self):
         assert parse_rational("0", 2).is_zero()
@@ -80,8 +149,9 @@ class TestArithmetic:
         p = 2
         f = parse_rational("z^2*(z-1)", p)
         g = parse_rational("(z-p)^-1", p)
-        assert f.degree() == 3
-        assert (f * g).degree() == 2
+        degree = lambda h: len(h.num_den()[0]) - len(h.num_den()[1])
+        assert degree(f) == 3
+        assert degree(f * g) == 2
 
 
 class TestCalculus:
@@ -92,7 +162,7 @@ class TestCalculus:
             expected = FactoredRational.monomial(
                 p, n - 1, ScalarKHat.from_rational(n, p)
             )
-            assert derivative(f) == expected
+            assert f.derivative() == expected
 
     def test_product_rule_on_samples(self):
         p = 3
@@ -100,18 +170,18 @@ class TestCalculus:
         for _ in range(5):
             f = random_rational(rng, p)
             g = random_rational(rng, p)
-            assert derivative(f * g) == derivative(f) * g + f * derivative(g)
+            assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
     def test_quotient_derivative_on_simple_pole(self):
         p = 2
         f = parse_rational("1/z", p)
-        assert derivative(f) == parse_rational("-1*z^-2", p)
+        assert f.derivative() == parse_rational("-1*z^-2", p)
 
     def test_higher_order_matches_iteration(self):
         p = 2
         rng = random.Random(607)
         f = random_rational(rng, p)
-        assert derivative(f, 3) == derivative(derivative(derivative(f)))
+        assert f.derivative(3) == f.derivative().derivative().derivative()
 
 
 class TestTransport:
@@ -221,7 +291,7 @@ def _gauss_oracle_matrix(rng, p, kind, f):
         return random_group_element(rng, p)
     if kind == "upper":
         return Mat2(scale(), rng.choice([0, scale()]), 0, scale())
-    y = rng.choice(f.factors)[0].rational_value()
+    y = rng.choice(f.factors)[0].a  # the roots of a random_rational are rational
     a, c = scale(), scale()
     b = a * y + scale()  # a*y - b != 0 keeps the matrix invertible
     return Mat2(a, b, c, c * y)

@@ -10,16 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld import (
-    FiniteField,
-    Fq,
-    INF,
-    InvalidParameters,
-    NegativeValuation,
-    ResidueFieldMismatch,
-    ScalarKHat,
-    val_p,
-)
+from drinfeld.errors import InvalidParameters, NegativeValuation, ResidueFieldMismatch
+from drinfeld.scalars import INF, FiniteField, Fq, ScalarKHat, val_p
 
 
 def scalar(x, p, pihat_exp=0):
@@ -82,7 +74,6 @@ class TestFastArithmeticOracle:
             (x + y, _reference_add(x, y)),
             (x - y, _reference_add(x, neg_y)),
             (-y, neg_y),
-            (x.conjugate(), ScalarKHat(p, a, -b)),
             (x * r, _reference_mul(x, rs)),
             (r * x, _reference_mul(rs, x)),
             (x + r, _reference_add(x, rs)),
@@ -164,7 +155,6 @@ class TestValuation:
         # 1 + pihat is a unit: its valuation is 0
         s = ScalarKHat.one(2) + ScalarKHat.pihat(2, 1)
         assert s.valuation() == 0
-        assert s.is_unit()
 
     def test_val_p_on_rationals(self):
         assert val_p(Fraction(12), 2) == 2
@@ -223,12 +213,6 @@ class TestPowers:
 
 
 class TestConjugationAndIntegrality:
-    def test_conjugate_flips_uniformizer_sign(self):
-        s = scalar(3, 2) + ScalarKHat.pihat(2, 1)
-        c = s.conjugate()
-        assert (s + c - scalar(6, 2)).is_zero()
-        assert (s * c).is_rational()
-
     def test_is_integral_matches_valuation(self):
         assert scalar(6, 3).is_integral()
         assert scalar(1, 3, 1).is_integral()
@@ -246,20 +230,6 @@ class TestResidueReduction:
     def test_reduce_requires_integrality(self):
         with pytest.raises(NegativeValuation):
             ScalarKHat.pihat(2, -1).reduce_mod_pihat()
-
-    def test_residue_mod_pihat_power(self):
-        s = ScalarKHat.from_rational(3, 2) + ScalarKHat.pihat(2, 1)
-        # components reduced mod p^ceil(e/2) and p^floor(e/2)
-        assert s.residue_mod_pihat_power(3) == (3, 1)
-        assert s.residue_mod_pihat_power(2) == (1, 1)
-        assert s.residue_mod_pihat_power(1) == (1, 0)
-
-    def test_residue_components_determine_class(self):
-        p = 3
-        s = scalar(4, p) + ScalarKHat.pihat(p, 1) * scalar(5, p)
-        t = s + scalar(p ** 2, p) + ScalarKHat.pihat(p, 1) * scalar(p ** 2, p)
-        # adding pihat^4-divisible terms cannot change the residue mod pihat^4
-        assert s.residue_mod_pihat_power(4) == t.residue_mod_pihat_power(4)
 
 
 class TestFiniteFields:
@@ -280,7 +250,7 @@ class TestFiniteFields:
 
     def test_multiplicative_group(self):
         field = Fq(4)
-        g = field.gen()
+        g = field.elem((0, 1))  # x
         powers = {g ** i for i in range(1, 4)}
         assert len(powers) == 3  # generator of the cyclic group of order q-1
         assert g ** 3 == field.one()
@@ -293,7 +263,7 @@ class TestFiniteFields:
 
     def test_negative_exponent(self):
         field = Fq(9)
-        g = field.gen()
+        g = field.elem((0, 1))
         assert g ** -1 * g == field.one()
 
     def test_mismatched_fields_rejected(self):
@@ -496,13 +466,14 @@ class TestFieldIdentity:
     )
     def test_mixing_prime_field_and_extension_is_rejected(self, op):
         f3, f9 = Fq(3), Fq(9)
-        for x, y in [(f3.one(), f9.gen()), (f9.gen(), f3.one())]:
+        x9 = f9.elem((0, 1))
+        for x, y in [(f3.one(), x9), (x9, f3.one())]:
             with pytest.raises(ResidueFieldMismatch):
                 op(x, y)
         assert f3.one() != f9.one() and f9.one() != f3.one()
 
     def test_elements_are_immutable(self):
-        x = Fq(9).gen()
+        x = Fq(9).elem((0, 1))
         with pytest.raises(AttributeError):
             x.n = 0
         with pytest.raises(AttributeError):

@@ -1,0 +1,102 @@
+"""The package holds only the program: every public function, class and
+method in ``src/drinfeld`` has a caller in ``src/drinfeld``.  Helpers that
+only tests call live in ``tests/`` (``oracles.py`` and the test files)."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "drinfeld"
+
+# called by click or by the interpreter, not by the package
+_ENTRY_POINTS = {"main"}
+_CLICK_DECORATORS = {"command", "group"}
+
+
+def _is_click_command(node: ast.AST) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr in _CLICK_DECORATORS
+        for d in node.decorator_list
+    )
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+class _Module:
+    """One source module: its top-level definitions and what its relative
+    imports bind."""
+
+    def __init__(self, path: Path) -> None:
+        self.name = path.stem
+        self.tree = ast.parse(path.read_text(encoding="utf-8"))
+        self.definitions = [
+            node for node in self.tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        self.imported: dict[str, tuple[str, str]] = {}  # local name -> (module, name)
+        self.modules: dict[str, str] = {}  # local name -> module
+        for node in self.tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        self.modules[local] = alias.name
+                    else:
+                        self.imported[local] = (node.module, alias.name)
+
+
+def _public_definitions(modules: list[_Module]):
+    """(module, qualified name, node) of each public top-level function and
+    class, and of each public method of a public class."""
+    for m in modules:
+        for node in m.definitions:
+            if not _public(node.name):
+                continue
+            if node.name not in _ENTRY_POINTS and not _is_click_command(node):
+                yield m.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _public(item.name):
+                        yield m.name, f"{node.name}.{item.name}", item
+
+
+def _refers_to(m: _Module, ref: ast.AST, module: str, qualname: str) -> bool:
+    """Whether ``ref`` in module ``m`` names the definition.  A top-level name
+    is resolved through the module's own definitions and its imports; a
+    method is reached through any attribute of its name."""
+    if "." in qualname:
+        return (
+            isinstance(ref, ast.Attribute)
+            and ref.attr == qualname.split(".")[1]
+            and not (isinstance(ref.value, ast.Name) and ref.value.id in m.modules)
+        )
+    if isinstance(ref, ast.Name):
+        return m.imported.get(ref.id, (m.name, ref.id)) == (module, qualname)
+    if isinstance(ref, ast.Attribute) and isinstance(ref.value, ast.Name):
+        return (m.modules.get(ref.value.id), ref.attr) == (module, qualname)
+    return False
+
+
+def _uncalled() -> list[str]:
+    """Public definitions with no reference in src/drinfeld outside their own
+    body."""
+    modules = [_Module(path) for path in sorted(SRC.glob("*.py"))]
+    assert any(m.name == "cli" for m in modules), f"no package source under {SRC}"
+    missing = []
+    for module, qualname, node in _public_definitions(modules):
+        own = {id(n) for n in ast.walk(node)}
+        if not any(
+            id(ref) not in own and _refers_to(m, ref, module, qualname)
+            for m in modules
+            for ref in ast.walk(m.tree)
+        ):
+            missing.append(f"{module}.{qualname}")
+    return missing
+
+
+def test_every_public_name_in_src_has_a_caller_in_src():
+    assert _uncalled() == []

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld import (
+from drinfeld.errors import SingularMatrix
+from drinfeld.sampling import random_group_element, random_vertex
+from drinfeld.tree import (
     Mat2,
-    SingularMatrix,
-    act_on_edge,
+    Vertex,
     act_on_vertex,
     ball_size,
     child_endpoint,
@@ -19,7 +20,6 @@ from drinfeld import (
     edge_transporter,
     edges_at,
     gamma_level,
-    geodesic_vertices,
     make_edge,
     make_vertex,
     neighbors,
@@ -34,7 +34,23 @@ from drinfeld import (
     vertex_transporter,
     weyl_flip,
 )
-from drinfeld.sampling import random_group_element, random_vertex
+from oracles import act_on_edge
+
+
+def geodesic_vertices(u: Vertex, v: Vertex) -> list[Vertex]:
+    """The vertices on the path from u to v (inclusive)."""
+    path_u = [u]
+    path_v = [v]
+    x, y = u, v
+    while distance(x, y) > 0:
+        if x.m >= y.m:
+            x = parent(x)
+            path_u.append(x)
+        else:
+            y = parent(y)
+            path_v.append(y)
+    assert path_u[-1] == path_v[-1], "paths failed to meet"
+    return path_u + path_v[-2::-1]
 
 
 def _vertices(seed: int, p: int, count: int):
