@@ -85,9 +85,8 @@ class FactoredRational:
         return FactoredRational(p, ScalarKHat.one(p), [(ScalarKHat.zero(p), 1)])
 
     @staticmethod
-    def monomial(p: int, exponent: int, coeff: ScalarKHat | None = None) -> "FactoredRational":
-        c = coeff if coeff is not None else ScalarKHat.one(p)
-        return FactoredRational(p, c, [(ScalarKHat.zero(p), exponent)])
+    def monomial(p: int, exponent: int) -> "FactoredRational":
+        return FactoredRational(p, ScalarKHat.one(p), [(ScalarKHat.zero(p), exponent)])
 
     # -- structure ---------------------------------------------------------------
 

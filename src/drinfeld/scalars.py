@@ -1,14 +1,15 @@
 """Exact scalar arithmetic: p-adic valuations on rationals, the ramified
 quadratic extension generated by a square root of p, and small finite fields.
 
-All arithmetic is exact (``fractions.Fraction`` underneath); valuations are
-returned as ``Fraction`` values normalized to halves, with ``math.inf`` for zero.
+All arithmetic is exact: a scalar of the extension is a few Python ints (see
+``ScalarKHat``), a finite-field element is one int code (see ``FiniteField``).
+Valuations are returned as ``Fraction`` values normalized to halves, with
+``math.inf`` for zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Union
@@ -27,43 +28,31 @@ def _check_prime(p: int) -> None:
         raise InvalidParameters(f"p must be prime, got {p}")
 
 
+def _vp(n: int, p: int) -> int:
+    """Exponent of p in a nonzero int."""
+    v = 0
+    while not n % p:
+        n //= p
+        v += 1
+    return v
+
+
 def val_p(x: RationalLike, p: int) -> Fraction | float:
     """p-adic valuation of a rational; inf for 0."""
     if type(x) is not Fraction:
         x = Fraction(x)
     if not x:
         return INF
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return Fraction(v)
+    return Fraction(_vp(x.numerator, p) - _vp(x.denominator, p))
 
 
 def _mod_inverse(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
-def reduce_rational_mod_p(x: RationalLike, p: int) -> int:
-    """Image of a p-integral rational in Z/p, via num * den^{-1} mod p."""
-    x = Fraction(x)
-    if x == 0:
-        return 0
-    if val_p(x, p) < 0:
-        raise NegativeValuation(f"{x} has negative valuation at p={p}")
-    return (x.numerator * _mod_inverse(x.denominator, p)) % p
-
-
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
 class ScalarKHat:
     """Element a + b*pihat of the ramified quadratic extension with pihat^2 = p.
 
@@ -71,112 +60,141 @@ class ScalarKHat:
     components have valuations of distinct parity (integers vs half-integers),
     omega(a + b*pihat) = min(val(a), val(b) + 1/2) with no cancellation ever.
 
-    The public constructors check that p is prime and coerce both components
-    to ``Fraction``.  Arithmetic on two valid scalars builds its result with
-    ``_make``, which checks nothing, and skips the products and sums of a
-    zero operand or of a pihat-part that is zero.
+    A scalar is four ints (p, A, B, D) with value (A + B*pihat)/D, D > 0 and
+    gcd(A, B, D) = 1, so equal scalars hold equal ints.  The components
+    a = A/D and b = B/D are read as ``Fraction`` properties.  The public
+    constructors check that p is prime and take rational components.
+    Arithmetic on two valid scalars builds its result with ``_make``, which
+    checks nothing and reduces by one gcd.  Immutable by convention, as
+    ``Fraction`` is: nothing assigns to a scalar's slots once it is built.
     """
 
-    p: int
-    a: Fraction
-    b: Fraction
+    __slots__ = ("p", "A", "B", "D")
 
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, p: int, a: RationalLike, b: RationalLike) -> None:
+        _check_prime(p)
+        a, b = Fraction(a), Fraction(b)
+        da, db = a.denominator, b.denominator
+        d = da * db // math.gcd(da, db)
+        # a and b are in lowest terms, so gcd(A, B, lcm(da, db)) = 1
+        self.p = p
+        self.A = a.numerator * (d // da)
+        self.B = b.numerator * (d // db)
+        self.D = d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D) if self.B else _ZERO
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rational(x: RationalLike, p: int) -> "ScalarKHat":
         _check_prime(p)
-        return _make(p, x if type(x) is Fraction else Fraction(x), _ZERO)
+        if type(x) is int:
+            return _make(p, x, 0, 1)
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        return _make(p, x.numerator, 0, x.denominator)
 
     @staticmethod
     def zero(p: int) -> "ScalarKHat":
         _check_prime(p)
-        return _make(p, _ZERO, _ZERO)
+        return _make(p, 0, 0, 1)
 
     @staticmethod
     def one(p: int) -> "ScalarKHat":
         _check_prime(p)
-        return _make(p, _ONE, _ZERO)
+        return _make(p, 1, 0, 1)
 
     @staticmethod
     def pihat(p: int, exponent: int = 1) -> "ScalarKHat":
         """pihat^exponent for any integer exponent (p^{e/2} for even e)."""
+        _check_prime(p)
         q, r = divmod(exponent, 2)
-        rat = Fraction(p) ** q
-        if r == 0:
-            return ScalarKHat(p, rat, Fraction(0))
-        return ScalarKHat(p, Fraction(0), rat)
+        num, den = (p**q, 1) if q >= 0 else (1, p**-q)
+        return _make(p, 0, num, den) if r else _make(p, num, 0, den)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self.A and not self.B
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ScalarKHat:
+            return NotImplemented
+        return (
+            self.A == other.A and self.B == other.B and self.D == other.D and self.p == other.p
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.a, self.b))
 
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
-        if isinstance(other, ScalarKHat):
+        if other.__class__ is ScalarKHat:
             if other.p != self.p:
                 raise ResidueFieldMismatch(f"mixing p={self.p} and p={other.p}")
             return other
-        return _make(self.p, other if type(other) is Fraction else Fraction(other), _ZERO)
+        return ScalarKHat.from_rational(other, self.p)
 
     def __add__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
-        o = self._coerce(other)
-        if not o.a and not o.b:
+        o = other if other.__class__ is ScalarKHat and other.p == self.p else self._coerce(other)
+        if not o.A and not o.B:
             return self
-        if not self.a and not self.b:
+        A, B, D = self.A, self.B, self.D
+        if not A and not B:
             return o
-        b = self.b + o.b if self.b and o.b else self.b or o.b
-        return _make(self.p, self.a + o.a, b)
+        if D == o.D:
+            return _make(self.p, A + o.A, B + o.B, D)
+        return _make(self.p, A * o.D + o.A * D, B * o.D + o.B * D, D * o.D)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarKHat":
-        return _make(self.p, -self.a, -self.b)
+        return _make(self.p, -self.A, -self.B, self.D)
 
     def __sub__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
-        o = self._coerce(other)
-        if not o.a and not o.b:
+        o = other if other.__class__ is ScalarKHat and other.p == self.p else self._coerce(other)
+        if not o.A and not o.B:
             return self
-        return _make(self.p, self.a - o.a, self.b - o.b if o.b else self.b)
+        A, B, D = self.A, self.B, self.D
+        if D == o.D:
+            return _make(self.p, A - o.A, B - o.B, D)
+        return _make(self.p, A * o.D - o.A * D, B * o.D - o.B * D, D * o.D)
 
     def __rsub__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
         return self._coerce(other) - self
 
     def __mul__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
-        o = self._coerce(other)
-        a, b, c, d = self.a, self.b, o.a, o.b
-        if not b:
-            if not a:
-                return self
-            if not d:
-                return _make(self.p, a * c, _ZERO) if c else o
-            return _make(self.p, a * c, a * d)
-        if not d:
-            if not c:
-                return o
-            return _make(self.p, a * c, b * c)
-        return _make(self.p, a * c + self.p * b * d, a * d + b * c)
+        o = other if other.__class__ is ScalarKHat and other.p == self.p else self._coerce(other)
+        A, B, C, E = self.A, self.B, o.A, o.B
+        if not B:
+            if not E:
+                return _make(self.p, A * C, 0, self.D * o.D)
+            return _make(self.p, A * C, A * E, self.D * o.D)
+        if not E:
+            return _make(self.p, A * C, B * C, self.D * o.D)
+        return _make(self.p, A * C + self.p * B * E, A * E + B * C, self.D * o.D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ScalarKHat":
-        """Multiplicative inverse via the conjugate: (a - b*pihat) / (a^2 - p b^2)."""
-        a, b = self.a, self.b
-        if not b:
-            if not a:
+        """Multiplicative inverse via the conjugate: D (A - B*pihat) / (A^2 - p B^2)."""
+        A, B, D = self.A, self.B, self.D
+        if not B:
+            if not A:
                 raise ZeroDivisionError("inverse of zero")
-            return _make(self.p, 1 / a, _ZERO)
-        norm = a * a - self.p * b * b
-        return _make(self.p, a / norm, -b / norm)
+            return _make(self.p, D, 0, A) if A > 0 else _make(self.p, -D, 0, -A)
+        norm = A * A - self.p * B * B  # never 0: p is not a square
+        if norm < 0:
+            return _make(self.p, -D * A, D * B, -norm)
+        return _make(self.p, D * A, -D * B, norm)
 
     def __truediv__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
         return self * self._coerce(other).inverse()
@@ -187,7 +205,7 @@ class ScalarKHat:
     def __pow__(self, n: int) -> "ScalarKHat":
         if n < 0:
             return self.inverse() ** (-n)
-        result = _make(self.p, _ONE, _ZERO)
+        result = _make(self.p, 1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -199,39 +217,56 @@ class ScalarKHat:
     # -- valuation and reduction ----------------------------------------------
 
     def valuation(self) -> Fraction | float:
-        va = val_p(self.a, self.p)
-        if not self.b:
-            return va
-        return min(va, val_p(self.b, self.p) + _HALF)
+        """min(v(A), v(B) + 1/2) - v(D)."""
+        A, B, p = self.A, self.B, self.p
+        if not B:
+            if not A:
+                return INF
+            twice = 2 * _vp(A, p)
+        elif not A:
+            twice = 2 * _vp(B, p) + 1
+        else:
+            twice = min(2 * _vp(A, p), 2 * _vp(B, p) + 1)
+        if not self.D % p:
+            twice -= 2 * _vp(self.D, p)
+        return Fraction(twice, 2)
 
     def is_integral(self) -> bool:
-        return self.valuation() >= 0
+        # p | D forces p to miss A or B, which puts the valuation below 0
+        return self.D % self.p != 0
 
     def reduce_mod_pihat(self) -> int:
         """Image in Z/p; requires omega >= 0 (then the pihat part drops)."""
-        if self.valuation() < 0:
+        if not self.is_integral():
             raise NegativeValuation(f"{self} has valuation {self.valuation()} < 0")
-        return reduce_rational_mod_p(self.a, self.p)
+        return self.A * _mod_inverse(self.D, self.p) % self.p
 
     def __repr__(self) -> str:
-        if self.b == 0:
+        if not self.B:
             return f"{self.a}"
-        if self.a == 0:
+        if not self.A:
             return f"{self.b}*pihat"
         return f"({self.a} + {self.b}*pihat)"
 
 
 _new_scalar = object.__new__
+_gcd = math.gcd
 
 
-def _make(p: int, a: Fraction, b: Fraction) -> ScalarKHat:
-    """A scalar from a prime p and two ``Fraction``s, unchecked: the fast path
-    for results of arithmetic on scalars that are already valid."""
+def _make(p: int, A: int, B: int, D: int) -> ScalarKHat:
+    """The scalar (A + B*pihat)/D for D > 0, reduced by gcd(A, B, D) and
+    otherwise unchecked: the fast path for results of arithmetic on scalars
+    that are already valid."""
+    g = _gcd(A, B, D)
+    if g != 1:
+        A //= g
+        B //= g
+        D //= g
     s = _new_scalar(ScalarKHat)
-    fields = s.__dict__
-    fields["p"] = p
-    fields["a"] = a
-    fields["b"] = b
+    s.p = p
+    s.A = A
+    s.B = B
+    s.D = D
     return s
 
 

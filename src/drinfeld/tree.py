@@ -28,13 +28,15 @@ class Mat2:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            x = getattr(self, name)
+            if type(x) is not Fraction:
+                object.__setattr__(self, name, Fraction(x))
 
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
+        return _mat2(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -45,17 +47,28 @@ class Mat2:
         det = self.det()
         if det == 0:
             raise SingularMatrix("matrix is singular")
-        return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        return _mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def itilde(self) -> "Mat2":
         """The det-twisted inverse flip [[d,-c],[-b,a]] (an exact involution)."""
-        return Mat2(self.d, -self.c, -self.b, self.a)
+        return _mat2(self.d, -self.c, -self.b, self.a)
 
     def omega_det(self, p: int) -> Fraction:
         v = val_p(self.det(), p)
         if v is INF:
             raise InvalidParameters("matrix is singular")
         return v
+
+
+_new = object.__new__
+
+
+def _mat2(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Mat2:
+    """A matrix from four ``Fraction``s, unchecked: the fast path for results
+    of arithmetic on matrices, whose entries are ``Fraction``s already."""
+    m = _new(Mat2)
+    m.__dict__.update(a=a, b=b, c=c, d=d)
+    return m
 
 
 def gamma_level(n: int, p: int) -> Mat2:
@@ -82,19 +95,27 @@ def diagonal(u: Fraction | int, w: Fraction | int) -> Mat2:
 # -- vertices ------------------------------------------------------------------
 
 
+_ZERO = Fraction(0)
+
+
 def canonical_offset(b: Fraction, m: int, p: int) -> Fraction:
-    """Unique c in [0, p^m) with p-power denominator and val(b - c) >= m."""
-    b = Fraction(b)
-    if b == 0:
-        return Fraction(0)
-    vb = val_p(b, p)
-    j = max(0, -int(vb))
+    """Unique c in [0, p^m) with p-power denominator and val(b - c) >= m.
+
+    With b = n/(p^j u), p not dividing u, c = s/p^j for the s in [0, p^(m+j))
+    with s = n/u mod p^(m+j)."""
+    if type(b) is not Fraction:
+        b = Fraction(b)
+    n, u = b.numerator, b.denominator
+    if not n:
+        return _ZERO
+    j = 0
+    while not u % p:
+        u //= p
+        j += 1
     if m + j <= 0:
-        return Fraction(0)
+        return _ZERO
     mod = p ** (m + j)
-    t = b * p**j  # denominator prime to p now
-    s = (t.numerator * _mod_inverse(t.denominator, mod)) % mod
-    return Fraction(s, p**j)
+    return Fraction(n * _mod_inverse(u, mod) % mod, p**j)
 
 
 @dataclass(frozen=True, order=True)
@@ -106,10 +127,26 @@ class Vertex:
     def __repr__(self) -> str:
         return f"V({self.m},{self.b})"
 
+    def __hash__(self) -> int:
+        # the dataclass hash of (p, m, b), kept after the first call: balls
+        # and lattice tables look vertices up many times
+        fields = self.__dict__
+        h = fields.get("_hash")
+        if h is None:
+            h = fields["_hash"] = hash((self.p, self.m, self.b))
+        return h
+
 
 def make_vertex(p: int, m: int, b: Fraction | int = 0) -> Vertex:
     _check_prime(p)
-    return Vertex(p, m, canonical_offset(Fraction(b), m, p))
+    return _vertex(p, m, canonical_offset(b, m, p))
+
+
+def _vertex(p: int, m: int, b: Fraction) -> Vertex:
+    """The vertex (m, b) for a canonical offset b, unchecked."""
+    v = _new(Vertex)
+    v.__dict__.update(p=p, m=m, b=b)
+    return v
 
 
 def standard_vertex(p: int) -> Vertex:
@@ -150,12 +187,23 @@ def vertex_transporter(v: Vertex) -> Mat2:
 
 
 def parent(v: Vertex) -> Vertex:
-    return make_vertex(v.p, v.m - 1, v.b)
+    # v.b = n/p^j is canonical, so the parent's offset is (n mod p^(m-1+j))/p^j
+    p, m, n, den = v.p, v.m - 1, v.b.numerator, v.b.denominator
+    mod = p**m * den if m >= 0 else den // p**-m
+    return _vertex(p, m, Fraction(n % mod, den) if mod > 1 else _ZERO)
 
 
 def children(v: Vertex) -> list[Vertex]:
-    step = Fraction(v.p) ** v.m
-    return [make_vertex(v.p, v.m + 1, v.b + c * step) for c in range(v.p)]
+    """The vertices (m+1, b + c p^m), c in [0, p): these offsets are canonical."""
+    p, m, n, den = v.p, v.m, v.b.numerator, v.b.denominator
+    # b and p^m as numerators over one power of p
+    if m >= 0:
+        common, step = den, den * p**m
+    else:
+        common = max(den, p**-m)
+        step = common // p**-m
+    n0 = n * (common // den)
+    return [_vertex(p, m + 1, Fraction(n0 + c * step, common)) for c in range(p)]
 
 
 def neighbors(v: Vertex) -> list[Vertex]:

@@ -9,14 +9,182 @@ from fractions import Fraction
 from math import comb
 
 from drinfeld import poly
-from drinfeld.errors import InvalidParameters, PoleInsideAnnulus
+from drinfeld.errors import (
+    InvalidParameters,
+    NegativeValuation,
+    PoleInsideAnnulus,
+    ResidueFieldMismatch,
+)
 from drinfeld.harmonic import res0
 from drinfeld.modp import _quotient_structure
 from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
-from drinfeld.scalars import INF, ScalarKHat
+from drinfeld.scalars import INF, ScalarKHat, _check_prime
 from drinfeld.symrep import dual_act_matrix
 from drinfeld.theta import theta
 from drinfeld.tree import Edge, Mat2, TruncatedTree, Vertex, act_on_vertex, make_edge
+
+# -- scalars and vertex labels on Fractions ----------------------------------------
+#
+# The representations that the int-coded ``ScalarKHat`` and the integer vertex
+# offsets of ``tree`` replaced.  Tests compare the program against them.
+
+
+def _fraction_val(x: Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero rational."""
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@dataclass(frozen=True)
+class FractionScalarKHat:
+    """a + b*pihat with pihat^2 = p, held as two ``Fraction``s.  The public
+    constructor checks p and coerces both components to ``Fraction``;
+    arithmetic skips the products and sums of a zero operand or of a
+    pihat-part that is zero."""
+
+    p: int
+    a: Fraction
+    b: Fraction
+
+    def __post_init__(self) -> None:
+        _check_prime(self.p)
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+
+    def _make(self, a: Fraction, b: Fraction) -> "FractionScalarKHat":
+        return FractionScalarKHat(self.p, a, b)
+
+    def is_zero(self) -> bool:
+        return not self.a and not self.b
+
+    def _coerce(self, other) -> "FractionScalarKHat":
+        if isinstance(other, FractionScalarKHat):
+            if other.p != self.p:
+                raise ResidueFieldMismatch(f"mixing p={self.p} and p={other.p}")
+            return other
+        return self._make(Fraction(other), Fraction(0))
+
+    def __add__(self, other) -> "FractionScalarKHat":
+        o = self._coerce(other)
+        if not o.a and not o.b:
+            return self
+        if not self.a and not self.b:
+            return o
+        b = self.b + o.b if self.b and o.b else self.b or o.b
+        return self._make(self.a + o.a, b)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionScalarKHat":
+        return self._make(-self.a, -self.b)
+
+    def __sub__(self, other) -> "FractionScalarKHat":
+        o = self._coerce(other)
+        if not o.a and not o.b:
+            return self
+        return self._make(self.a - o.a, self.b - o.b if o.b else self.b)
+
+    def __rsub__(self, other) -> "FractionScalarKHat":
+        return self._coerce(other) - self
+
+    def __mul__(self, other) -> "FractionScalarKHat":
+        o = self._coerce(other)
+        a, b, c, d = self.a, self.b, o.a, o.b
+        if not b:
+            if not a:
+                return self
+            if not d:
+                return self._make(a * c, Fraction(0)) if c else o
+            return self._make(a * c, a * d)
+        if not d:
+            if not c:
+                return o
+            return self._make(a * c, b * c)
+        return self._make(a * c + self.p * b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionScalarKHat":
+        a, b = self.a, self.b
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero")
+            return self._make(1 / a, Fraction(0))
+        norm = a * a - self.p * b * b
+        return self._make(a / norm, -b / norm)
+
+    def __truediv__(self, other) -> "FractionScalarKHat":
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other) -> "FractionScalarKHat":
+        return self._coerce(other) * self.inverse()
+
+    def __pow__(self, n: int) -> "FractionScalarKHat":
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self._make(Fraction(1), Fraction(0))
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def valuation(self) -> Fraction | float:
+        va = Fraction(_fraction_val(self.a, self.p)) if self.a else INF
+        if not self.b:
+            return va
+        return min(va, _fraction_val(self.b, self.p) + Fraction(1, 2))
+
+    def is_integral(self) -> bool:
+        return self.valuation() >= 0
+
+    def reduce_mod_pihat(self) -> int:
+        if self.valuation() < 0:
+            raise NegativeValuation(f"{self} has valuation {self.valuation()} < 0")
+        a = self.a
+        return a.numerator * pow(a.denominator, -1, self.p) % self.p if a else 0
+
+    def __repr__(self) -> str:
+        if self.b == 0:
+            return f"{self.a}"
+        if self.a == 0:
+            return f"{self.b}*pihat"
+        return f"({self.a} + {self.b}*pihat)"
+
+
+def fraction_canonical_offset(b: Fraction, m: int, p: int) -> Fraction:
+    """Unique c in [0, p^m) with p-power denominator and val(b - c) >= m."""
+    b = Fraction(b)
+    if b == 0:
+        return Fraction(0)
+    j = max(0, -_fraction_val(b, p))
+    if m + j <= 0:
+        return Fraction(0)
+    mod = p ** (m + j)
+    t = b * p**j  # denominator prime to p now
+    s = (t.numerator * pow(t.denominator, -1, mod)) % mod
+    return Fraction(s, p**j)
+
+
+def fraction_parent(v: Vertex) -> Vertex:
+    return Vertex(v.p, v.m - 1, fraction_canonical_offset(v.b, v.m - 1, v.p))
+
+
+def fraction_children(v: Vertex) -> list[Vertex]:
+    step = Fraction(v.p) ** v.m
+    return [
+        Vertex(v.p, v.m + 1, fraction_canonical_offset(v.b + c * step, v.m + 1, v.p))
+        for c in range(v.p)
+    ]
+
 
 # -- linear algebra and the module actions ----------------------------------------
 

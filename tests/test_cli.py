@@ -313,7 +313,7 @@ _K, _RADIUS = _int_option(-2, 4), _int_option(-1, 2)
 _LEVEL, _I, _SEED = _int_option(-2, 2), _int_option(-1, 4), _int_option(0, 5)
 
 # Each command with the options it takes.  Left out: harmonic --mod-pihat at
-# p >= 5 and modp stable-lines at q >= 7, which take from seconds to minutes.
+# p >= 7 and modp stable-lines at q >= 7, which take from seconds to minutes.
 _COMMANDS = {
     ("tree",): {"p": _P, "radius": _RADIUS},
     ("lattice",): {"p": _P, "k": _K, "level": _LEVEL, "offset": _RATIONAL},
@@ -342,7 +342,7 @@ def _invocations(draw):
     if command == ("residue",) and draw(st.booleans()):
         args.append("--audit")
     p = options.get("p", "2")
-    if command == ("harmonic",) and not (_is_int(p) and int(p) >= 5) and draw(st.booleans()):
+    if command == ("harmonic",) and not (_is_int(p) and int(p) >= 7) and draw(st.booleans()):
         args.append("--mod-pihat")
     return args
 
@@ -393,8 +393,9 @@ class TestGoldenStdout:
     elimination: a change of elimination strategy must leave every byte as it
     was.  ``stable-lines --q 3 --k 5`` has no relations below degree q + 1 and
     is rejected before any elimination; ``--k 6`` reaches it.  The sweep, the
-    balls (radius 0 included) and an off-axis theta certificate, whose tube
-    level is below its vertex level, are pinned the same way."""
+    balls (radius 0 included), an off-axis theta certificate, whose tube
+    level is below its vertex level, the Smith path of ``--mod-pihat`` and a
+    residue with pihat-valued entries are pinned the same way."""
 
     GOLDEN = [
         (("modp", "sections", "--q", "3", "--k", "4", "--radius", "2"), 0,
@@ -425,6 +426,12 @@ class TestGoldenStdout:
          "d1896f30595b008360587baff89e84bb6afb01d23f3c50240c83c99b34ae9aa6"),
         (("theta", "--p", "3", "--k", "2", "--f", "1/z", "--level", "2", "--offset", "1/3"), 0,
          "6274a6f2a71193fb1d385aa407ee02f84c037d99bcf08f2482a25723b2a405d2"),
+        (("harmonic", "--p", "3", "--k", "2", "--radius", "2", "--mod-pihat"), 0,
+         "16f2d5fe0713224d63153a03dd6d45e875cbb173d681fc059b3645f9d0c68e18"),
+        (("harmonic", "--p", "2", "--k", "3", "--radius", "3", "--mod-pihat"), 0,
+         "1982fa8dcf4478676c5c62a1249ee1507724b733c10ab1bc67cd6539206461a7"),
+        (("residue", "--p", "3", "--k", "2", "--f", "pihat/z", "--radius", "2"), 0,
+         "c0fbc7abb17e886b66e1244bb3d78a98d06505f9d7ece369d3f5683d717ac3f2"),
     ]
 
     @pytest.mark.parametrize("args,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])

@@ -158,9 +158,9 @@ class TestCalculus:
     def test_power_rule(self):
         p = 2
         for n in range(1, 6):
-            f = FactoredRational.monomial(p, n, ScalarKHat.one(p))
-            expected = FactoredRational.monomial(
-                p, n - 1, ScalarKHat.from_rational(n, p)
+            f = FactoredRational.monomial(p, n)
+            expected = FactoredRational(
+                p, ScalarKHat.from_rational(n, p), [(ScalarKHat.zero(p), n - 1)]
             )
             assert f.derivative() == expected
 

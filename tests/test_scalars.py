@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from drinfeld.errors import InvalidParameters, NegativeValuation, ResidueFieldMismatch
 from drinfeld.scalars import INF, FiniteField, Fq, ScalarKHat, val_p
+from oracles import FractionScalarKHat
 
 
 def scalar(x, p, pihat_exp=0):
@@ -19,7 +20,8 @@ def scalar(x, p, pihat_exp=0):
 
 
 # Reference arithmetic: the full formulas, every result through the checking
-# public constructor.  The fast paths of ScalarKHat must agree with these.
+# public constructor.  The fast paths of ScalarKHat must agree with these, and
+# with the same operation on the Fraction-held FractionScalarKHat.
 
 
 def _reference_add(x, y):
@@ -52,6 +54,26 @@ _rationals = st.one_of(
     st.integers(-6, 6),
     st.fractions(min_value=-6, max_value=6, max_denominator=6),
 )
+
+
+def _assert_matches_fraction_scalar(got, old):
+    """Every observable of a scalar equals that of the Fraction-held one."""
+    assert (got.p, got.a, got.b) == (old.p, old.a, old.b)
+    assert type(got.a) is Fraction and type(got.b) is Fraction
+    assert hash(got) == hash(old)
+    assert repr(got) == repr(old)
+    assert got.is_zero() == old.is_zero()
+    assert got.valuation() == old.valuation()
+    assert type(got.valuation()) is type(old.valuation())
+    assert got.is_integral() == old.is_integral()
+    if old.is_integral():
+        assert got.reduce_mod_pihat() == old.reduce_mod_pihat()
+    else:
+        with pytest.raises(NegativeValuation) as new_error:
+            got.reduce_mod_pihat()
+        with pytest.raises(NegativeValuation) as old_error:
+            old.reduce_mod_pihat()
+        assert str(new_error.value) == str(old_error.value)
 
 
 class TestFastArithmeticOracle:
@@ -94,6 +116,60 @@ class TestFastArithmeticOracle:
             assert got == expected
             assert type(got.a) is Fraction and type(got.b) is Fraction
             assert hash(got) == hash(expected)
+        ox, oy = FractionScalarKHat(p, a, b), FractionScalarKHat(p, c, d)
+        old_cases = [
+            (x, ox),
+            (y, oy),
+            (x * y, ox * oy),
+            (x + y, ox + oy),
+            (x - y, ox - oy),
+            (-y, -oy),
+            (x * r, ox * r),
+            (r * x, r * ox),
+            (x + r, ox + r),
+            (r + x, r + ox),
+            (x - r, ox - r),
+            (r - x, r - ox),
+        ]
+        if not y.is_zero():
+            old_cases += [(x / y, ox / oy), (y.inverse(), oy.inverse())]
+        if not x.is_zero():
+            old_cases.append((r / x, r / ox))
+        if not x.is_zero() or n >= 0:
+            old_cases.append((x**n, ox**n))
+        if r:
+            old_cases.append((x / r, ox / r))
+        for got, old in old_cases:
+            _assert_matches_fraction_scalar(got, old)
+        assert (x == y) == (ox == oy)
+        assert (x == r) is False and (ox == r) is False
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Fraction(2, 4), Fraction(6, 9)),
+            (6, 4),
+            (Fraction(-3, 12), 0),
+            (0, Fraction(10, 15)),
+            (Fraction(5, 6), Fraction(7, 10)),
+            (Fraction(9, 4), Fraction(3, 8)),
+            (0, 0),
+            ("1/6", "-5/4"),
+        ],
+    )
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_constructor_matches_the_fraction_scalar(self, p, a, b):
+        x, old = ScalarKHat(p, a, b), FractionScalarKHat(p, a, b)
+        _assert_matches_fraction_scalar(x, old)
+        for n in (-3, -2, 1, 2):
+            power = Fraction(p) ** (n // 2)
+            old_pihat = FractionScalarKHat(p, 0, power) if n % 2 else FractionScalarKHat(p, power, 0)
+            _assert_matches_fraction_scalar(ScalarKHat.pihat(p, n), old_pihat)
+            _assert_matches_fraction_scalar(x * ScalarKHat.pihat(p, n), old * old_pihat)
+        rational = ScalarKHat.from_rational(Fraction(a), p)
+        _assert_matches_fraction_scalar(rational, FractionScalarKHat(p, a, 0))
+        assert x == ScalarKHat(p, Fraction(a), Fraction(b))
+        assert hash(x) == hash(ScalarKHat(p, Fraction(a), Fraction(b)))
 
     def test_zero_has_no_inverse(self):
         for p in (2, 3):

@@ -64,13 +64,13 @@ class TestKernel:
     def test_polynomials_up_to_degree_k_die(self, k):
         p = 2
         for d in range(k + 1):
-            f = FactoredRational.monomial(p, d, ScalarKHat.one(p))
+            f = FactoredRational.monomial(p, d)
             assert theta(f, k).is_zero()
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_degree_k_plus_one_survives(self, k):
         p = 2
-        f = FactoredRational.monomial(p, k + 1, ScalarKHat.one(p))
+        f = FactoredRational.monomial(p, k + 1)
         assert not theta(f, k).is_zero()
 
     def test_theta_is_an_iterated_derivative_up_to_normalization(self):

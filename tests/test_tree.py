@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from drinfeld.tree import (
     Vertex,
     act_on_vertex,
     ball_size,
+    canonical_offset,
     child_endpoint,
+    children,
     distance,
     edge_transporter,
     edges_at,
@@ -34,7 +37,12 @@ from drinfeld.tree import (
     vertex_transporter,
     weyl_flip,
 )
-from oracles import act_on_edge
+from oracles import (
+    act_on_edge,
+    fraction_canonical_offset,
+    fraction_children,
+    fraction_parent,
+)
 
 
 def geodesic_vertices(u: Vertex, v: Vertex) -> list[Vertex]:
@@ -259,3 +267,46 @@ class TestBallOracle:
     def test_edges_equal_make_edge(self, p, radius):
         for e in truncated_tree(p, radius).edges:
             assert e == make_edge(e.u, e.v) == make_edge(e.v, e.u)
+
+
+def _assert_same_vertex(got: Vertex, expected: Vertex) -> None:
+    assert got == expected
+    assert type(got.b) is Fraction
+    assert hash(got) == hash(expected) == hash((expected.p, expected.m, expected.b))
+    assert repr(got) == repr(expected)
+
+
+class TestIntegerOffsets:
+    """Vertex labels computed on integer numerators against the same labels
+    computed on ``Fraction``s."""
+
+    def _check(self, v: Vertex) -> None:
+        _assert_same_vertex(parent(v), fraction_parent(v))
+        got, expected = children(v), fraction_children(v)
+        assert len(got) == len(expected) == v.p
+        for w, x in zip(got, expected):
+            _assert_same_vertex(w, x)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("radius", range(5))
+    def test_every_label_of_a_ball(self, p, radius):
+        for v in truncated_tree(p, radius).vertices:
+            _assert_same_vertex(v, Vertex(p, v.m, fraction_canonical_offset(v.b, v.m, p)))
+            self._check(v)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_seeded_vertices_and_offsets(self, p):
+        rng = random.Random(1300 + p)
+        for _ in range(300):
+            m = rng.randint(-6, 6)
+            j = rng.randint(0, 5)
+            unit = rng.choice([1, 1, 2, 3, 7, 10, 11]) * rng.choice([1, -1])
+            b = Fraction(rng.randint(-(p**8), p**8), p**j * unit)
+            expected = fraction_canonical_offset(b, m, p)
+            assert canonical_offset(b, m, p) == expected
+            assert type(canonical_offset(b, m, p)) is Fraction
+            v = make_vertex(p, m, b)
+            _assert_same_vertex(v, Vertex(p, m, expected))
+            self._check(v)
+            for n in (0, -3, 5):
+                assert canonical_offset(n, m, p) == fraction_canonical_offset(n, m, p)
