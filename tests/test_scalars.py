@@ -89,57 +89,36 @@ class TestFastArithmeticOracle:
     @settings(max_examples=300, deadline=None)
     def test_operations_match_the_reference(self, p, a, b, c, d, r, n):
         x, y = ScalarKHat(p, a, b), ScalarKHat(p, c, d)
+        ox, oy = FractionScalarKHat(p, a, b), FractionScalarKHat(p, c, d)
         rs = ScalarKHat(p, r, 0)
         neg_y = ScalarKHat(p, -c, -d)
+        # (result, full-formula reference, the same operation on Fractions)
         cases = [
-            (x * y, _reference_mul(x, y)),
-            (x + y, _reference_add(x, y)),
-            (x - y, _reference_add(x, neg_y)),
-            (-y, neg_y),
-            (x * r, _reference_mul(x, rs)),
-            (r * x, _reference_mul(rs, x)),
-            (x + r, _reference_add(x, rs)),
-            (r + x, _reference_add(rs, x)),
-            (x - r, _reference_add(x, ScalarKHat(p, -r, 0))),
-            (r - x, _reference_add(rs, ScalarKHat(p, -a, -b))),
+            (x, x, ox),
+            (y, y, oy),
+            (x * y, _reference_mul(x, y), ox * oy),
+            (x + y, _reference_add(x, y), ox + oy),
+            (x - y, _reference_add(x, neg_y), ox - oy),
+            (-y, neg_y, -oy),
+            (x * r, _reference_mul(x, rs), ox * r),
+            (r * x, _reference_mul(rs, x), r * ox),
+            (x + r, _reference_add(x, rs), ox + r),
+            (r + x, _reference_add(rs, x), r + ox),
+            (x - r, _reference_add(x, ScalarKHat(p, -r, 0)), ox - r),
+            (r - x, _reference_add(rs, ScalarKHat(p, -a, -b)), r - ox),
         ]
         if not y.is_zero():
-            cases.append((x / y, _reference_mul(x, _reference_inverse(y))))
-            cases.append((y.inverse(), _reference_inverse(y)))
+            cases.append((x / y, _reference_mul(x, _reference_inverse(y)), ox / oy))
+            cases.append((y.inverse(), _reference_inverse(y), oy.inverse()))
         if not x.is_zero():
-            cases.append((r / x, _reference_mul(rs, _reference_inverse(x))))
+            cases.append((r / x, _reference_mul(rs, _reference_inverse(x)), r / ox))
         if not x.is_zero() or n >= 0:
-            cases.append((x**n, _reference_pow(x, n)))
+            cases.append((x**n, _reference_pow(x, n), ox**n))
         if r:
-            cases.append((x / r, _reference_mul(x, _reference_inverse(rs))))
-        for got, expected in cases:
+            cases.append((x / r, _reference_mul(x, _reference_inverse(rs)), ox / r))
+        for got, expected, old in cases:
             assert got == expected
-            assert type(got.a) is Fraction and type(got.b) is Fraction
             assert hash(got) == hash(expected)
-        ox, oy = FractionScalarKHat(p, a, b), FractionScalarKHat(p, c, d)
-        old_cases = [
-            (x, ox),
-            (y, oy),
-            (x * y, ox * oy),
-            (x + y, ox + oy),
-            (x - y, ox - oy),
-            (-y, -oy),
-            (x * r, ox * r),
-            (r * x, r * ox),
-            (x + r, ox + r),
-            (r + x, r + ox),
-            (x - r, ox - r),
-            (r - x, r - ox),
-        ]
-        if not y.is_zero():
-            old_cases += [(x / y, ox / oy), (y.inverse(), oy.inverse())]
-        if not x.is_zero():
-            old_cases.append((r / x, r / ox))
-        if not x.is_zero() or n >= 0:
-            old_cases.append((x**n, ox**n))
-        if r:
-            old_cases.append((x / r, ox / r))
-        for got, old in old_cases:
             _assert_matches_fraction_scalar(got, old)
         assert (x == y) == (ox == oy)
         assert (x == r) is False and (ox == r) is False
