@@ -410,9 +410,7 @@ def harmonic_cmd(ctx, p, k, radius, mod_pihat) -> None:
     if bool(cfg["mod_pihat"]):
         report = integral_kernel(ball, k)
         predicted_star = local_dimension_formulas(p, k)["dimZhar"]
-        stars = {
-            key: val["kernel_dim"] for key, val in report["star_local"].items()
-        }
+        stars = report["star_local"]
         _emit(
             {
                 "command": "harmonic",
@@ -426,14 +424,14 @@ def harmonic_cmd(ctx, p, k, radius, mod_pihat) -> None:
             }
         )
         return
-    report = field_kernel(ball, k)
+    dimension = field_kernel(ball, k)
     _emit(
         {
             "command": "harmonic",
             "config": _config_echo(cfg, ["p", "k", "radius", "mod_pihat"]),
-            "dimension": report["dimension"],
+            "dimension": dimension,
             "predicted": free_rank,
-            "pass": report["dimension"] == free_rank,
+            "pass": dimension == free_rank,
         }
     )
 

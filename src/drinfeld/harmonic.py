@@ -20,7 +20,7 @@ from .lattices import (
     section_lattice_membership,
     star_local_kernel,
 )
-from .linalg import kernel_basis, smith_over_dvr
+from .linalg import rank
 from .rational import FactoredRational, _root_key, principal_parts
 from .scalars import ScalarKHat
 from .symrep import chi, sym_matrix
@@ -156,41 +156,29 @@ def res0_integrality(
     g: FactoredRational, k: int, tree: TruncatedTree, cochain: Cochain
 ) -> dict:
     """Whether the residue cochain ``cochain`` = res0(g, k, tree) lands in
-    every edge lattice; certificates list the per-edge outcome alongside the
-    vertex membership precondition.
+    every edge lattice, alongside the vertex membership precondition.
 
     Only the edges the cochain stores need a lattice solve: every other value
     is the zero vector, which lies in every full-rank lattice."""
     lattices = Lattices(k)
-    per_edge = []
-    all_in = True
-    for e in tree.edges:
-        vec = cochain.values.get(e)
-        ok = vec is None or lattice_contains_vector(lattices.edge(e), vec)
-        all_in = all_in and ok
-        per_edge.append({"edge": e, "in_lattice": ok})
+    all_in = all(
+        lattice_contains_vector(lattices.edge(e), vec) for e, vec in cochain.values.items()
+    )
     # the zero section lies in every lattice; membership tests need f != 0
     vertex_ok = g.is_zero() or all(
         section_lattice_membership(g, k + 2, v)[0] for v in tree.vertices
     )
-    return {
-        "in_all_edge_lattices": all_in,
-        "vertex_membership": vertex_ok,
-        "edges": per_edge,
-    }
+    return {"in_all_edge_lattices": all_in, "vertex_membership": vertex_ok}
 
 
-def field_kernel(tree: TruncatedTree, k: int) -> dict:
-    """Kernel of the signed star-sum operator over the scalar field, with a
-    free boundary.
+def field_kernel(tree: TruncatedTree, k: int) -> int:
+    """Dimension of the kernel of the signed star-sum operator over the
+    scalar field, with a free boundary.
 
     Dual coordinate i of a star sum involves only coordinate i of each
     edge value, so the kernel is k+1 copies of the kernel of the 0/1
-    interior-by-edge incidence matrix: each incidence kernel vector, placed in
-    one coordinate at a time. This is the basis, in order, that elimination
-    of the interleaved (k+1)·E-column matrix gives."""
-    p = tree.p
-    zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
+    interior-by-edge incidence matrix."""
+    zero, one = ScalarKHat.zero(tree.p), ScalarKHat.one(tree.p)
     edges = list(tree.edges)
     index = {e: n for n, e in enumerate(edges)}
     rows = []
@@ -199,29 +187,14 @@ def field_kernel(tree: TruncatedTree, k: int) -> dict:
         for e in tree.edges_at(v):
             row[index[e]] = one
         rows.append(row)
-    vectors = kernel_basis(rows, zero, one) if rows else [
-        [one if t == s else zero for t in range(len(edges))] for s in range(len(edges))
-    ]
-    basis = []
-    for vec in vectors:
-        support = [(e, x) for e, x in zip(edges, vec) if not x.is_zero()]
-        for i in range(k + 1):
-            values = {}
-            for e, x in support:
-                chunk = [zero] * (k + 1)
-                chunk[i] = x
-                values[e] = chunk
-            basis.append(Cochain(p, k, values))
-    return {"dimension": len(basis), "basis": basis}
+    return (k + 1) * (len(edges) - rank(rows, zero))
 
 
 def integral_kernel(tree: TruncatedTree, k: int) -> dict:
     """Kernel of the signed star-sum operator in edge-lattice coordinates:
-    a saturated integral basis reduced modulo the uniformizer, plus the
-    star-local kernel dimensions that measure the reduced harmonic space
-    vertex by vertex."""
-    p = tree.p
-    zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
+    its rank, plus the star-local kernel dimensions that measure the reduced
+    harmonic space vertex by vertex."""
+    zero = ScalarKHat.zero(tree.p)
     edges = list(tree.edges)
     index = {e: n for n, e in enumerate(edges)}
     table = Lattices(k)
@@ -237,23 +210,7 @@ def integral_kernel(tree: TruncatedTree, k: int) -> dict:
                 for j in range(k + 1):
                     row[n * (k + 1) + j] = row[n * (k + 1) + j] + basis_matrix[r][j]
             rows.append(row)
-    if ncols == 0:
-        return {"integral_rank": 0, "reduced_basis": [], "star_local": {}}
-    vectors = kernel_basis(rows, zero, one) if rows else [
-        [one if t == s else zero for t in range(ncols)] for s in range(ncols)
-    ]
-    reduced = []
-    if vectors:
-        columns = [[vec[i] for vec in vectors] for i in range(ncols)]
-        u, _, _ = smith_over_dvr(columns)
-        for s in range(len(vectors)):
-            sat = [u[i][s] for i in range(ncols)]
-            reduced.append([x.reduce_mod_pihat() for x in sat])
     star = {
         str(v): star_local_kernel(v, table) for v in tree.interior_vertices()
     }
-    return {
-        "integral_rank": len(vectors),
-        "reduced_basis": reduced,
-        "star_local": star,
-    }
+    return {"integral_rank": ncols - rank(rows, zero), "star_local": star}

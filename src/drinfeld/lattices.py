@@ -20,7 +20,6 @@ from .linalg import (
     rank,
     rref,
     smith_over_dvr,
-    smith_valuations,
     solve,
     transpose,
 )
@@ -106,7 +105,7 @@ def lattice_contains_vector(l: Lattice, vec: list) -> bool:
 
 def relative_profile(sup: Lattice, sub: Lattice) -> tuple:
     """Ascending elementary-divisor valuations of sub relative to sup."""
-    return tuple(smith_valuations(transition_matrix(sup, sub)))
+    return tuple(smith_over_dvr(transition_matrix(sup, sub))[1])
 
 
 class Lattices:
@@ -173,22 +172,12 @@ def e_space_basis(e: Edge, lattices: Lattices) -> list:
     return _column_space_basis(t, field)
 
 
-def star_local_kernel(v: Vertex, lattices: Lattices) -> dict:
-    """Kernel of the local sum map at v: tuples of edge values, one from each
-    D-space around v, summing to zero in (vertex lattice)/(pihat)."""
-    field = Fq(v.p)
-    blocks = [d_space_basis(e, v, lattices) for e in edges_at(v)]
-    columns: list = []
-    for basis in blocks:
-        columns.extend(basis)
-    if not columns:
-        return {"d_dims": [len(b) for b in blocks], "kernel_dim": 0}
-    m = transpose(columns)  # (k+1) x (total D dims)
-    r = rank(m, field.zero())
-    return {
-        "d_dims": [len(b) for b in blocks],
-        "kernel_dim": len(columns) - r,
-    }
+def star_local_kernel(v: Vertex, lattices: Lattices) -> int:
+    """Dimension of the kernel of the local sum map at v: tuples of edge
+    values, one from each D-space around v, summing to zero in
+    (vertex lattice)/(pihat)."""
+    vectors = [x for e in edges_at(v) for x in d_space_basis(e, v, lattices)]
+    return len(vectors) - rank(vectors, Fq(v.p).zero())
 
 
 def local_dimension_formulas(q: int, k: int) -> dict:
@@ -217,7 +206,7 @@ def local_space_report(p: int, k: int) -> dict:
     computed = {
         "dimD": len(d_space_basis(e, v, lattices)),
         "dimE": len(e_space_basis(e, lattices)),
-        "dimZhar": star_local_kernel(v, lattices)["kernel_dim"],
+        "dimZhar": star_local_kernel(v, lattices),
     }
     predicted = local_dimension_formulas(p, k)
     return {

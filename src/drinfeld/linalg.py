@@ -229,8 +229,3 @@ def smith_over_dvr(m: Matrix) -> tuple[Matrix, list, Matrix]:
                 v[t] = [x + f * y for x, y in zip(v[t], v[j2])]
         evals.append(e)
     return u, evals, v
-
-
-def smith_valuations(m: Matrix) -> list:
-    """Just the elementary divisor valuations of m (ascending)."""
-    return smith_over_dvr(m)[1]

@@ -312,8 +312,8 @@ _P = _Q = _int_option(-3, 10)
 _K, _RADIUS = _int_option(-2, 4), _int_option(-1, 2)
 _LEVEL, _I, _SEED = _int_option(-2, 2), _int_option(-1, 4), _int_option(0, 5)
 
-# Each command with the options it takes.  Left out: harmonic --mod-pihat at
-# p >= 7 and modp stable-lines at q >= 7, which take from seconds to minutes.
+# Each command with the options it takes.  Left out: modp stable-lines at
+# q >= 7, which takes from seconds to minutes.
 _COMMANDS = {
     ("tree",): {"p": _P, "radius": _RADIUS},
     ("lattice",): {"p": _P, "k": _K, "level": _LEVEL, "offset": _RATIONAL},
@@ -341,8 +341,7 @@ def _invocations(draw):
     args = [*command, *(f"--{name}={value}" for name, value in options.items())]
     if command == ("residue",) and draw(st.booleans()):
         args.append("--audit")
-    p = options.get("p", "2")
-    if command == ("harmonic",) and not (_is_int(p) and int(p) >= 7) and draw(st.booleans()):
+    if command == ("harmonic",) and draw(st.booleans()):
         args.append("--mod-pihat")
     return args
 
@@ -394,8 +393,9 @@ class TestGoldenStdout:
     was.  ``stable-lines --q 3 --k 5`` has no relations below degree q + 1 and
     is rejected before any elimination; ``--k 6`` reaches it.  The sweep, the
     balls (radius 0 included), an off-axis theta certificate, whose tube
-    level is below its vertex level, the Smith path of ``--mod-pihat`` and a
-    residue with pihat-valued entries are pinned the same way."""
+    level is below its vertex level, ``--mod-pihat`` (its integral rank and
+    star-local dimensions, at p = 7 too) and a residue with pihat-valued
+    entries are pinned the same way."""
 
     GOLDEN = [
         (("modp", "sections", "--q", "3", "--k", "4", "--radius", "2"), 0,
@@ -430,6 +430,8 @@ class TestGoldenStdout:
          "16f2d5fe0713224d63153a03dd6d45e875cbb173d681fc059b3645f9d0c68e18"),
         (("harmonic", "--p", "2", "--k", "3", "--radius", "3", "--mod-pihat"), 0,
          "1982fa8dcf4478676c5c62a1249ee1507724b733c10ab1bc67cd6539206461a7"),
+        (("harmonic", "--p", "7", "--k", "4", "--radius", "2", "--mod-pihat"), 0,
+         "5682d20b703a14a2cb9732738db97976e1255f28fffe8f9111bf590231d63adf"),
         (("residue", "--p", "3", "--k", "2", "--f", "pihat/z", "--radius", "2"), 0,
          "c0fbc7abb17e886b66e1244bb3d78a98d06505f9d7ece369d3f5683d717ac3f2"),
     ]

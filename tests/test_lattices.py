@@ -78,7 +78,7 @@ def local_spaces(e_or_v, k: int, q: int) -> dict:
             "dimE": len(e_space_basis(e, table)),
         }
     if isinstance(e_or_v, Vertex):
-        return {"dimZhar": star_local_kernel(e_or_v, table)["kernel_dim"]}
+        return {"dimZhar": star_local_kernel(e_or_v, table)}
     raise InvalidParameters("expected a tree vertex or edge")
 
 
@@ -262,9 +262,8 @@ class TestLocalDimensions:
     def test_star_local_kernel_dimensions(self):
         p = 2
         v = standard_vertex(p)
-        assert star_local_kernel(v, Lattices(0))["kernel_dim"] == 2
-        assert star_local_kernel(v, Lattices(1))["kernel_dim"] == 1
-        assert star_local_kernel(v, Lattices(0))["d_dims"] == [1, 1, 1]
+        assert star_local_kernel(v, Lattices(0)) == 2
+        assert star_local_kernel(v, Lattices(1)) == 1
 
 
 class TestDSpaceSplitting:
