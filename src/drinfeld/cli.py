@@ -59,25 +59,6 @@ from .tree import (
 _MAX_RADIUS = 8
 _MAX_BALL_VERTICES = 25_000
 
-_INT_KEYS = ("p", "q", "k", "i", "radius", "seed", "kmax", "mmax", "level")
-
-_DEFAULTS = {
-    "p": 2,
-    "q": 2,
-    "k": 0,
-    "i": 0,
-    "radius": 1,
-    "seed": 0,
-    "audit": False,
-    "mod_pihat": False,
-    "kmax": 6,
-    "mmax": 8,
-    "a": "0",
-    "level": None,
-    "offset": "0",
-    "f": None,
-}
-
 
 # -- serialization --------------------------------------------------------------------
 
@@ -185,78 +166,67 @@ def _emit(payload: dict) -> None:
 # -- configuration --------------------------------------------------------------------
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    out = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidParameters(f"bad config line: {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if value.lower() in ("true", "false"):
-                out[key] = value.lower() == "true"
-            else:
-                try:
-                    out[key] = int(value)
-                except ValueError:
-                    out[key] = value
-    return out
-
-
-def _resolve(ctx: click.Context, **explicit) -> dict:
-    merged = dict(_DEFAULTS)
-    merged.update(ctx.obj.get("file_config", {}))
-    for key, value in explicit.items():
-        if value is not None:
-            merged[key] = value
-    for key in explicit:
-        value = merged[key]
-        if key in _INT_KEYS and value is not None:
-            try:
-                int(value)
-            except (TypeError, ValueError):
-                raise InvalidParameters(f"{key} must be an integer, got {value!r}") from None
-    for key in ("k", "kmax", "mmax"):
-        if key in explicit and int(merged[key]) < 0:
-            raise InvalidParameters(f"{key} must be >= 0, got {merged[key]}")
-    if "p" in explicit:
-        _check_prime(int(merged["p"]))
-    if "q" in explicit:
-        Fq(int(merged["q"]))  # rejects q that is not a prime power >= 2
-    if "radius" in explicit:
-        radius = int(merged["radius"])
-        if not 0 <= radius <= _MAX_RADIUS:
-            raise InvalidParameters(f"radius must be in [0, {_MAX_RADIUS}]")
-        prime = int(merged["p" if "p" in explicit else "q"])
-        size = ball_size(prime, radius)
-        if size > _MAX_BALL_VERTICES:
-            raise InvalidParameters(
-                f"the radius-{radius} ball at p = {prime} has {size} vertices, "
-                f"more than {_MAX_BALL_VERTICES}"
-            )
-    return merged
-
-
-def _config_echo(cfg: dict, keys: list) -> dict:
-    return {key: cfg[key] for key in keys}
-
-
-def _fraction(cfg: dict, key: str) -> Fraction:
+def _load_config(path: str) -> dict:
+    """The values of a file of ``key = value`` lines, as text: click converts
+    and checks each one as it would the flag of that name."""
+    values = {}
     try:
-        return Fraction(str(cfg[key]))
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = list(handle)
+    except UnicodeDecodeError as exc:
+        raise InvalidParameters(f"config file is not UTF-8: {exc.reason}") from None
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidParameters(f"bad config line: {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
+    return values
+
+
+def _fraction(key: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise InvalidParameters(f"{key} must be a rational number, got {cfg[key]!r}") from None
+        raise InvalidParameters(f"{key} must be a rational number, got {text!r}") from None
 
 
-def _parse_vertex(cfg: dict) -> Vertex:
-    level = cfg["level"] if cfg["level"] is not None else 0
-    return make_vertex(int(cfg["p"]), int(level), _fraction(cfg, "offset"))
+def _vertex(p: int, level: int | None, offset: str) -> Vertex:
+    return make_vertex(p, level or 0, _fraction("offset", offset))
+
+
+def _check_ball(prime: int, radius: int) -> None:
+    size = ball_size(prime, radius)
+    if size > _MAX_BALL_VERTICES:
+        raise InvalidParameters(
+            f"the radius-{radius} ball at p = {prime} has {size} vertices, "
+            f"more than {_MAX_BALL_VERTICES}"
+        )
+
+
+def _prime(ctx: click.Context, param: click.Parameter, p: int) -> int:
+    _check_prime(p)
+    return p
+
+
+def _prime_power(ctx: click.Context, param: click.Parameter, q: int) -> int:
+    Fq(q)  # rejects q that is not a prime power >= 2
+    return q
+
+
+# The options that several commands share, each declared once.
+_p = click.option("--p", type=int, default=2, callback=_prime)
+_q = click.option("--q", type=int, default=2, callback=_prime_power)
+_k = click.option("--k", type=click.IntRange(min=0), default=0)
+_kmax = click.option("--kmax", type=click.IntRange(min=0), default=6)
+_radius = click.option("--radius", type=click.IntRange(0, _MAX_RADIUS), default=1)
+_seed = click.option("--seed", type=int, default=0)
+_i = click.option("--i", type=int, default=0)
+_level = click.option("--level", type=int, default=None)
+_offset = click.option("--offset", type=str, default="0")
+_f = click.option("--f", type=str, required=True, help="rational section, e.g. '1/z'")
 
 
 # -- command group --------------------------------------------------------------------
@@ -278,6 +248,10 @@ class _Cli(click.Group):
         except DrinfeldError as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(2)
+        except click.BadParameter as exc:
+            # a value of the wrong type, out of range or missing, from a flag or the file
+            click.echo(f"invalid parameters: {exc.format_message()}", err=True)
+            ctx.exit(2)
         except click.UsageError as exc:
             click.echo(f"usage error: {exc.format_message()}", err=True)
             ctx.exit(2)
@@ -294,17 +268,20 @@ class _Cli(click.Group):
 @click.pass_context
 def cli(ctx: click.Context, config_path: str | None) -> None:
     """Exact computations on the weight-k modules over the (q+1)-regular tree."""
-    ctx.obj = {"file_config": _load_config(config_path)}
+    # Here and not in a callback of --config: the group's own options are
+    # parsed outside invoke, where an error would escape the exit-code contract.
+    if config_path is not None:
+        values = _load_config(config_path)
+        ctx.default_map = dict.fromkeys(cli.commands, values)
+        ctx.default_map["modp"] = dict.fromkeys(modp_group.commands, values)
 
 
 @cli.command("tree")
-@click.option("--p", type=int, default=None)
-@click.option("--radius", type=int, default=None)
-@click.pass_context
-def tree_cmd(ctx: click.Context, p: int | None, radius: int | None) -> None:
+@_p
+@_radius
+def tree_cmd(p: int, radius: int) -> None:
     """Ball statistics and regularity check."""
-    cfg = _resolve(ctx, p=p, radius=radius)
-    p, radius = int(cfg["p"]), int(cfg["radius"])
+    _check_ball(p, radius)
     ball = truncated_tree(p, radius)
     regular = all(len(ball.edges_at(v)) == p + 1 for v in ball.interior_vertices())
     counts = {"vertices": len(ball.vertices), "edges": len(ball.edges)}
@@ -313,7 +290,7 @@ def tree_cmd(ctx: click.Context, p: int | None, radius: int | None) -> None:
     _emit(
         {
             "command": "tree",
-            "config": _config_echo(cfg, ["p", "radius"]),
+            "config": {"p": p, "radius": radius},
             "computed": counts,
             "predicted": predicted,
             "regular": regular,
@@ -342,22 +319,19 @@ def _standard_profiles(p: int, k: int) -> tuple[dict, dict]:
 
 
 @cli.command("lattice")
-@click.option("--p", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--level", type=int, default=None)
-@click.option("--offset", type=str, default=None)
-@click.pass_context
-def lattice_cmd(ctx, p, k, level, offset) -> None:
+@_p
+@_k
+@_level
+@_offset
+def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> None:
     """Diagonal valuation profiles of the vertex and edge lattices."""
-    cfg = _resolve(ctx, p=p, k=k, level=level, offset=offset)
-    p, k = int(cfg["p"]), int(cfg["k"])
-    if cfg["level"] is not None:
-        v = _parse_vertex(cfg)
+    if level is not None:
+        v = _vertex(p, level, offset)
         profile = vertex_lattice_profile(v, k)
         _emit(
             {
                 "command": "lattice",
-                "config": _config_echo(cfg, ["p", "k", "level", "offset"]),
+                "config": {"p": p, "k": k, "level": level, "offset": offset},
                 "vertex": v,
                 "profile": profile,
                 "pass": True,
@@ -368,7 +342,7 @@ def lattice_cmd(ctx, p, k, level, offset) -> None:
     _emit(
         {
             "command": "lattice",
-            "config": _config_echo(cfg, ["p", "k"]),
+            "config": {"p": p, "k": k},
             "computed": computed,
             "predicted": predicted,
             "pass": computed == predicted,
@@ -377,16 +351,14 @@ def lattice_cmd(ctx, p, k, level, offset) -> None:
 
 
 @cli.command("local-dims")
-@click.option("--p", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.pass_context
-def local_dims_cmd(ctx, p, k) -> None:
+@_p
+@_k
+def local_dims_cmd(p: int, k: int) -> None:
     """Brute-force local space dimensions against the closed forms."""
-    cfg = _resolve(ctx, p=p, k=k)
-    report = local_space_report(int(cfg["p"]), int(cfg["k"]))
+    report = local_space_report(p, k)
     payload = {
         "command": "local-dims",
-        "config": _config_echo(cfg, ["p", "k"]),
+        "config": {"p": p, "k": k},
         "predicted": report["predicted"],
         "pass": report["pass"],
     }
@@ -395,26 +367,25 @@ def local_dims_cmd(ctx, p, k) -> None:
 
 
 @cli.command("harmonic")
-@click.option("--p", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--radius", type=int, default=None)
-@click.option("--mod-pihat", "mod_pihat", is_flag=True, default=None)
-@click.pass_context
-def harmonic_cmd(ctx, p, k, radius, mod_pihat) -> None:
+@_p
+@_k
+@_radius
+@click.option("--mod-pihat", "mod_pihat", is_flag=True)
+def harmonic_cmd(p: int, k: int, radius: int, mod_pihat: bool) -> None:
     """Kernel of the signed star-sum operator on a truncation."""
-    cfg = _resolve(ctx, p=p, k=k, radius=radius, mod_pihat=mod_pihat)
-    p, k, radius = int(cfg["p"]), int(cfg["k"]), int(cfg["radius"])
+    _check_ball(p, radius)
     ball = truncated_tree(p, radius)
     interior = len(ball.interior_vertices())
     free_rank = (k + 1) * (len(ball.edges) - interior)
-    if bool(cfg["mod_pihat"]):
+    config = {"p": p, "k": k, "radius": radius, "mod_pihat": mod_pihat}
+    if mod_pihat:
         report = integral_kernel(ball, k)
         predicted_star = local_dimension_formulas(p, k)["dimZhar"]
         stars = report["star_local"]
         _emit(
             {
                 "command": "harmonic",
-                "config": _config_echo(cfg, ["p", "k", "radius", "mod_pihat"]),
+                "config": config,
                 "integral_rank": report["integral_rank"],
                 "predicted_integral_rank": free_rank,
                 "star_local": stars,
@@ -428,7 +399,7 @@ def harmonic_cmd(ctx, p, k, radius, mod_pihat) -> None:
     _emit(
         {
             "command": "harmonic",
-            "config": _config_echo(cfg, ["p", "k", "radius", "mod_pihat"]),
+            "config": config,
             "dimension": dimension,
             "predicted": free_rank,
             "pass": dimension == free_rank,
@@ -437,24 +408,19 @@ def harmonic_cmd(ctx, p, k, radius, mod_pihat) -> None:
 
 
 @cli.command("residue")
-@click.option("--p", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--radius", type=int, default=None)
-@click.option("--f", "f_text", type=str, default=None, help="rational section, e.g. '1/z'")
-@click.option("--audit", is_flag=True, default=None)
-@click.option("--seed", type=int, default=None)
-@click.pass_context
-def residue_cmd(ctx, p, k, radius, f_text, audit, seed) -> None:
+@_p
+@_k
+@_radius
+@_f
+@click.option("--audit", is_flag=True)
+@_seed
+def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> None:
     """Residue cochain of a weight-(k+2) section, with harmonicity and
     integrality reports."""
-    cfg = _resolve(ctx, p=p, k=k, radius=radius, f=f_text, audit=audit, seed=seed)
-    if cfg["f"] is None:
-        raise InvalidParameters("residue requires --f")
-    p, k, radius = int(cfg["p"]), int(cfg["k"]), int(cfg["radius"])
-    g = parse_rational(str(cfg["f"]), p)
+    _check_ball(p, radius)
+    g = parse_rational(f, p)
     ball = truncated_tree(p, radius)
-    rng = random.Random(int(cfg["seed"])) if bool(cfg["audit"]) else None
-    cochain = res0(g, k, ball, audit=bool(cfg["audit"]), rng=rng)
+    cochain = res0(g, k, ball, rng=random.Random(seed) if audit else None)
     star_sums = delta(cochain, ball)
     delta_zero = all(all(x.is_zero() for x in vec) for vec in star_sums.values())
     integrality = res0_integrality(g, k, ball, cochain)
@@ -462,7 +428,9 @@ def residue_cmd(ctx, p, k, radius, f_text, audit, seed) -> None:
     _emit(
         {
             "command": "residue",
-            "config": _config_echo(cfg, ["p", "k", "radius", "f", "audit", "seed"]),
+            "config": {
+                "p": p, "k": k, "radius": radius, "f": f, "audit": audit, "seed": seed
+            },
             "support_size": len(cochain.support()),
             "cochain": cochain,
             "delta_zero": delta_zero,
@@ -474,27 +442,22 @@ def residue_cmd(ctx, p, k, radius, f_text, audit, seed) -> None:
 
 
 @cli.command("theta")
-@click.option("--p", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--f", "f_text", type=str, default=None)
-@click.option("--level", type=int, default=None)
-@click.option("--offset", type=str, default=None)
-@click.pass_context
-def theta_cmd(ctx, p, k, f_text, level, offset) -> None:
+@_p
+@_k
+@_f
+@_level
+@_offset
+def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> None:
     """(k+1)-fold derivative with an integrality certificate at a vertex."""
-    cfg = _resolve(ctx, p=p, k=k, f=f_text, level=level, offset=offset)
-    if cfg["f"] is None:
-        raise InvalidParameters("theta requires --f")
-    p, k = int(cfg["p"]), int(cfg["k"])
-    f = parse_rational(str(cfg["f"]), p)
-    v = _parse_vertex(cfg)
-    image = theta(f, k)
-    cert = theta_integrality(f, image, k, v)
+    section = parse_rational(f, p)
+    v = _vertex(p, level, offset)
+    image = theta(section, k)
+    cert = theta_integrality(section, image, k, v)
     kernel_dim = kernel_polynomial_dimension(k, p)
     _emit(
         {
             "command": "theta",
-            "config": _config_echo(cfg, ["p", "k", "f", "level", "offset"]),
+            "config": {"p": p, "k": k, "f": f, "level": level, "offset": offset},
             "image": image,
             "certificate": asdict(cert),
             "kernel_polynomial_dimension": kernel_dim,
@@ -505,16 +468,13 @@ def theta_cmd(ctx, p, k, f_text, level, offset) -> None:
 
 
 @cli.command("identity-b")
-@click.option("--p", type=int, default=None)
-@click.option("--kmax", type=int, default=None)
-@click.option("--mmax", type=int, default=None)
-@click.option("--a", type=str, default=None)
-@click.pass_context
-def identity_b_cmd(ctx, p, kmax, mmax, a) -> None:
+@_p
+@_kmax
+@click.option("--mmax", type=click.IntRange(min=0), default=8)
+@click.option("--a", type=str, default="0")
+def identity_b_cmd(p: int, kmax: int, mmax: int, a: str) -> None:
     """Euler-operator factorization sweep over even k."""
-    cfg = _resolve(ctx, p=p, kmax=kmax, mmax=mmax, a=a)
-    p, kmax, mmax = int(cfg["p"]), int(cfg["kmax"]), int(cfg["mmax"])
-    shift = ScalarKHat.from_rational(_fraction(cfg, "a"), p)
+    shift = ScalarKHat.from_rational(_fraction("a", a), p)
     rows = []
     for k in range(2, kmax + 1, 2):
         ok = complement_b_identity(k, shift, range(-mmax, mmax + 1), p)
@@ -522,7 +482,7 @@ def identity_b_cmd(ctx, p, kmax, mmax, a) -> None:
     _emit(
         {
             "command": "identity-b",
-            "config": _config_echo(cfg, ["p", "kmax", "mmax", "a"]),
+            "config": {"p": p, "kmax": kmax, "mmax": mmax, "a": a},
             "rows": rows,
             "pass": all(r["pass"] for r in rows),
         }
@@ -535,17 +495,14 @@ def modp_group() -> None:
 
 
 @modp_group.command("degrees")
-@click.option("--q", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.pass_context
-def modp_degrees_cmd(ctx, q, k) -> None:
+@_q
+@_k
+def modp_degrees_cmd(q: int, k: int) -> None:
     """Component degree of the reduced weight-k bundle."""
-    cfg = _resolve(ctx, q=q, k=k)
-    q, k = int(cfg["q"]), int(cfg["k"])
     _emit(
         {
             "command": "modp degrees",
-            "config": _config_echo(cfg, ["q", "k"]),
+            "config": {"q": q, "k": k},
             "degree": component_degree(q, k),
             "parity": "even" if k % 2 == 0 else "odd",
             "pass": True,
@@ -554,36 +511,29 @@ def modp_degrees_cmd(ctx, q, k) -> None:
 
 
 @modp_group.command("sections")
-@click.option("--q", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--radius", type=int, default=None)
-@click.pass_context
-def modp_sections_cmd(ctx, q, k, radius) -> None:
+@_q
+@_k
+@_radius
+def modp_sections_cmd(q: int, k: int, radius: int) -> None:
     """Global sections over a truncation: formula vs direct assembly."""
-    cfg = _resolve(ctx, q=q, k=k, radius=radius)
-    report = global_sections_truncated(int(cfg["q"]), int(cfg["k"]), int(cfg["radius"]))
-    payload = {
-        "command": "modp sections",
-        "config": _config_echo(cfg, ["q", "k", "radius"]),
-    }
+    _check_ball(q, radius)
+    report = global_sections_truncated(q, k, radius)
+    payload = {"command": "modp sections", "config": {"q": q, "k": k, "radius": radius}}
     payload.update(report)
     _emit(payload)
 
 
 @modp_group.command("stable-lines")
-@click.option("--q", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--i", "i_param", type=int, default=None)
-@click.pass_context
-def modp_stable_lines_cmd(ctx, q, k, i_param) -> None:
+@_q
+@_k
+@_i
+def modp_stable_lines_cmd(q: int, k: int, i: int) -> None:
     """Quotient representation and its stable lines."""
-    cfg = _resolve(ctx, q=q, k=k, i=i_param)
-    q, k, i = int(cfg["q"]), int(cfg["k"]), int(cfg["i"])
     report = quotient_rep_and_stable_lines(q, k, i)
     _emit(
         {
             "command": "modp stable-lines",
-            "config": _config_echo(cfg, ["q", "k", "i"]),
+            "config": {"q": q, "k": k, "i": i},
             "dimension": report["dimension"],
             "predicted_dimension": q + 1,
             "free_monomials": report["free_monomials"],
@@ -595,14 +545,11 @@ def modp_stable_lines_cmd(ctx, q, k, i_param) -> None:
 
 
 @modp_group.command("symgeom-check")
-@click.option("--q", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--i", "i_param", type=int, default=None)
-@click.pass_context
-def modp_symgeom_cmd(ctx, q, k, i_param) -> None:
+@_q
+@_k
+@_i
+def modp_symgeom_cmd(q: int, k: int, i: int) -> None:
     """Equivariance and injectivity of the symmetric-power comparison map."""
-    cfg = _resolve(ctx, q=q, k=k, i=i_param)
-    q, k, i = int(cfg["q"]), int(cfg["k"]), int(cfg["i"])
     iso = symgeom_iso(q, k, i)
     equivariant = all(
         symgeom_equivariance(q, k, i, g) for g in gl2_generators(iso["field"])
@@ -611,7 +558,7 @@ def modp_symgeom_cmd(ctx, q, k, i_param) -> None:
     _emit(
         {
             "command": "modp symgeom-check",
-            "config": _config_echo(cfg, ["q", "k", "i"]),
+            "config": {"q": q, "k": k, "i": i},
             "t": iso["t"],
             "shift": iso["shift"],
             "images": iso["images"],
@@ -624,19 +571,10 @@ def modp_symgeom_cmd(ctx, q, k, i_param) -> None:
 
 
 @modp_group.command("b-forms")
-@click.option("--q", type=int, default=None)
-@click.pass_context
-def modp_b_forms_cmd(ctx, q) -> None:
+@_q
+def modp_b_forms_cmd(q: int) -> None:
     """Invariance of the window form and the parity-swapping involution."""
-    cfg = _resolve(ctx, q=q)
-    q = int(cfg["q"])
-    _emit(
-        {
-            "command": "modp b-forms",
-            "config": _config_echo(cfg, ["q"]),
-            "pass": b_forms_check(q),
-        }
-    )
+    _emit({"command": "modp b-forms", "config": {"q": q}, "pass": b_forms_check(q)})
 
 
 def _sweep_item(p: int, k: int, seed: int) -> dict:
@@ -665,19 +603,16 @@ def _sweep_item(p: int, k: int, seed: int) -> dict:
 
 
 @cli.command("sweep")
-@click.option("--p", type=int, default=None)
-@click.option("--kmax", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.pass_context
-def sweep_cmd(ctx, p, kmax, seed) -> None:
+@_p
+@_kmax
+@_seed
+def sweep_cmd(p: int, kmax: int, seed: int) -> None:
     """Batch of pure per-k checks."""
-    cfg = _resolve(ctx, p=p, kmax=kmax, seed=seed)
-    p, kmax, seed = int(cfg["p"]), int(cfg["kmax"]), int(cfg["seed"])
     rows = [_sweep_item(p, k, seed) for k in range(kmax + 1)]
     _emit(
         {
             "command": "sweep",
-            "config": _config_echo(cfg, ["p", "kmax", "seed"]),
+            "config": {"p": p, "kmax": kmax, "seed": seed},
             "rows": rows,
             "pass": all(r["pass"] for r in rows),
         }

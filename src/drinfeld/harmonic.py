@@ -125,20 +125,20 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
     ]
 
 
-def res0(
-    g: FactoredRational, k: int, tree: TruncatedTree, audit: bool = False, rng=None
-) -> Cochain:
+def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
     """Residue cochain of a weight-(k+2) rational section: on each edge, the
     negative Laurent coefficients of the section transported to the standard
     annulus, read from the principal parts of g (computed once), paired
-    through the transporter's module action."""
+    through the transporter's module action.  Given ``rng``, each edge value
+    is also computed through a second, randomly drawn transporter and must
+    agree."""
     # a pole whose principal part vanishes is cancelled by extra: no pole
     parts = [(y, A) for y, A in principal_parts(g) if any(not x.is_zero() for x in A)]
     values = {}
     for e in tree.edges:
         gamma = edge_transporter(e).inv()
         vec = _edge_residue(parts, k, gamma, tree.p)
-        if audit:
+        if rng is not None:
             jitter = unipotent_lower(rng.randrange(1, 5 * tree.p))
             # a second transporter for the same edge: standard-edge stabilizer
             alt = (edge_transporter(e) @ jitter).inv()

@@ -78,7 +78,7 @@ def transition_matrix(src: Lattice, dst: Lattice) -> Matrix:
 
 
 def _adapted(l1: Lattice, l2: Lattice, clamp) -> Lattice:
-    u, evals, _ = smith_over_dvr(transition_matrix(l1, l2))
+    u, evals = smith_over_dvr(transition_matrix(l1, l2))
     adapted = mat_mul(_rows(l1), u)
     n = len(evals)
     scaled = [

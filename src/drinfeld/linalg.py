@@ -172,21 +172,21 @@ def _min_val_position(a: Matrix, start: int) -> tuple[int, int] | None:
     return best if best_val is not INF else None
 
 
-def smith_over_dvr(m: Matrix) -> tuple[Matrix, list, Matrix]:
+def smith_over_dvr(m: Matrix) -> tuple[Matrix, list]:
     """Decompose m = u * d * v with u, v invertible over the valuation ring
     and d diagonal with i-th entry of valuation evals[i] (ascending Fractions
     in halves, realized as exact pihat powers; absent entries are zero).
 
-    Returns (u, evals, v); u is nrows x nrows, v is ncols x ncols.
+    Returns (u, evals); u is nrows x nrows.  v is not built: row t of
+    u^-1 * m is pihat^(2 evals[t]) times row t of v.
     """
     nrows, ncols = len(m), len(m[0]) if m else 0
     if nrows == 0 or ncols == 0:
-        return [], [], []
+        return [], []
     p = m[0][0].p
     a = [list(r) for r in m]
     zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
     u = identity(nrows, zero, one)
-    v = identity(ncols, zero, one)
     evals = []
     for t in range(min(nrows, ncols)):
         pos = _min_val_position(a, t)
@@ -200,7 +200,6 @@ def smith_over_dvr(m: Matrix) -> tuple[Matrix, list, Matrix]:
         if j != t:
             for row in a:
                 row[t], row[j] = row[j], row[t]
-            v[t], v[j] = v[j], v[t]
         pivot = a[t][t]
         e = pivot.valuation()
         # Normalize the pivot to exactly pihat^(2e): scale row t by the unit
@@ -219,13 +218,7 @@ def smith_over_dvr(m: Matrix) -> tuple[Matrix, list, Matrix]:
                 a[i2] = [x - f * y for x, y in zip(a[i2], a[t])]
                 for row in u:
                     row[t] = row[t] + f * row[i2]
-        for j2 in range(t + 1, ncols):
-            if not a[t][j2].is_zero():
-                f = a[t][j2] / a[t][t]
-                if f.valuation() < 0:
-                    raise InternalInvariantError("pivot was not minimal")
-                for row in a:
-                    row[j2] = row[j2] - f * row[t]
-                v[t] = [x + f * y for x, y in zip(v[t], v[j2])]
+        # Row t is not cleared right of the pivot: the column operations
+        # would only build v, and later pivots read the rows below t alone.
         evals.append(e)
-    return u, evals, v
+    return u, evals

@@ -6,8 +6,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -112,18 +114,50 @@ class TestFrozenPayloads:
 
 
 class TestConfigFile:
-    def test_file_supplies_defaults(self, tmp_path):
+    CASES = [
+        (("local-dims",), {"p": "2", "k": "2"}),
+        (("lattice",), {"level": "1", "offset": "1"}),
+        (("identity-b",), {"a": "1"}),
+        (("theta",), {"f": "2", "level": "1"}),
+    ]
+
+    @pytest.mark.parametrize("command,options", CASES, ids=[c[0][0] for c in CASES])
+    def test_file_supplies_defaults(self, tmp_path, command, options):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("p = 2\nk = 2\n")
-        from_file = run_json("--config", str(cfg), "local-dims")
-        explicit = run_json("local-dims", "--p", "2", "--k", "2")
-        assert from_file == explicit
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
+        from_file = CliRunner().invoke(cli, ["--config", str(cfg), *command])
+        flags = [f"--{key}={value}" for key, value in options.items()]
+        explicit = CliRunner().invoke(cli, [*command, *flags])
+        assert from_file.exit_code == explicit.exit_code == 0, from_file.output
+        assert from_file.stdout == explicit.stdout
 
     def test_flags_override_the_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("p = 2\nk = 2\n")
         out = run_json("--config", str(cfg), "local-dims", "--k", "3")
         assert out["config"] == {"k": 3, "p": 2}
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argument vectors of the README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("args", _readme_examples(), ids=" ".join)
+    def test_example_passes(self, args):
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code == 0, (args, result.output)
+        assert json.loads(result.stdout)["pass"] is True
+
+    def test_every_command_has_an_example(self):
+        shown = {tuple(args[: 2 if args[0] == "modp" else 1]) for args in _readme_examples()}
+        modp = cli.commands["modp"]
+        commands = {(name,) for name in cli.commands if name != "modp"}
+        commands |= {("modp", name) for name in modp.commands}
+        assert commands <= shown, commands - shown
 
 
 class TestExitCodes:
@@ -186,6 +220,21 @@ class TestInProcessExitCodes:
         assert result.exit_code == 2, (args, result.output)
         assert "more than 25000" in result.stderr
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"p = 2\ngarbage\n", "bad config line"),
+            (b"p = 2\n\xff = 3\n", "config file is not UTF-8"),
+        ],
+        ids=["no-equals-sign", "not-utf-8"],
+    )
+    def test_malformed_config_file_is_rejected_with_code_two(self, tmp_path, content, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(content)
+        result = CliRunner().invoke(cli, ["--config", str(cfg), "local-dims"])
+        assert result.exit_code == 2, (result.output, repr(result.exception))
+        assert result.stderr.startswith(f"invalid parameters: {message}")
+
     def test_non_integer_config_value_is_rejected_with_code_two(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = abc\n")
@@ -214,7 +263,7 @@ class TestInProcessExitCodes:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("audit", False))
+            calls.append(kwargs.get("rng") is not None)
             return real_res0(*args, **kwargs)
 
         monkeypatch.setattr(harmonic, "res0", counted)
@@ -331,34 +380,58 @@ _COMMANDS = {
 }
 
 
+# A line with no "=" in it, which the config file rejects.
+_MALFORMED = st.sampled_from(["garbage", "k 2", "[tree]", "--p"])
+
+
 @st.composite
 def _invocations(draw):
+    """The arguments of one invocation, and the lines of its config file: each
+    drawn option goes to the file half of the time, and now and then the
+    file gets a malformed line."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    options = {}
+    options = {}  # a flag has the value None
     for name, values in _COMMANDS[command].items():
         if draw(st.booleans()) or name == "f":
             options[name] = draw(values)
-    args = [*command, *(f"--{name}={value}" for name, value in options.items())]
     if command == ("residue",) and draw(st.booleans()):
-        args.append("--audit")
+        options["audit"] = None
     if command == ("harmonic",) and draw(st.booleans()):
-        args.append("--mod-pihat")
-    return args
+        options["mod-pihat"] = None
+    args, lines = [*command], []
+    for name, value in options.items():
+        text = "true" if value is None else value
+        # a value with a line break would not be one line of the file
+        if draw(st.booleans()) and not {"\r", "\n"} & set(text):
+            lines.append(f"{name} = {text}")
+        else:
+            args.append(f"--{name}" if value is None else f"--{name}={value}")
+    if draw(st.integers(0, 7)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_MALFORMED))
+    return args, lines
 
 
 class TestExitCodeFuzz:
-    @given(args=_invocations())
+    @given(invocation=_invocations())
     @settings(max_examples=200, deadline=None)
-    def test_every_input_exits_zero_with_json_or_two_with_one_line(self, args):
-        result = CliRunner().invoke(cli, args)
-        assert result.exit_code in (0, 2), (args, result.output, repr(result.exception))
+    def test_every_input_exits_zero_with_json_or_two_with_one_line(self, invocation):
+        args, lines = invocation
+        # a temporary directory of its own: pytest's tmp_path does not mix with @given
+        with tempfile.TemporaryDirectory() as tmp:
+            if lines:
+                cfg = Path(tmp) / "run.cfg"
+                cfg.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+                args = ["--config", str(cfg), *args]
+            result = CliRunner().invoke(cli, args)
+        assert result.exit_code in (0, 2), (args, lines, result.output, repr(result.exception))
         if result.exit_code == 0:
             assert isinstance(json.loads(result.stdout), dict)
         else:
             message = result.stderr.strip()
-            assert "\n" not in message, (args, message)
+            assert "\n" not in message, (args, lines, message)
             assert message.startswith(("invalid parameters:", "error:", "usage error:")), (
                 args,
+                lines,
                 message,
             )
 

@@ -109,13 +109,13 @@ def _reference_edge_residue(g, k, gamma, p):
     ]
 
 
-def _reference_res0(g, k, tree, audit=False, rng=None):
+def _reference_res0(g, k, tree, rng=None):
     """res0 edge by edge through _reference_edge_residue, with the same
-    second-transporter audit."""
+    second-transporter audit when ``rng`` is given."""
     values = {}
     for e in tree.edges:
         vec = _reference_edge_residue(g, k, edge_transporter(e).inv(), tree.p)
-        if audit:
+        if rng is not None:
             jitter = unipotent_lower(rng.randrange(1, 5 * tree.p))
             alt = (edge_transporter(e) @ jitter).inv()
             other = _reference_edge_residue(g, k, alt, tree.p)
@@ -228,8 +228,8 @@ class TestResidueOracle:
         p = 3
         t = tree_factory(p, 2)
         for n, f in enumerate(_oracle_sections(p, random.Random(77 + k), 6)):
-            want = _outcome(_reference_res0, f, k, t, True, random.Random(n))
-            assert _outcome(res0, f, k, t, True, random.Random(n)) == want
+            want = _outcome(_reference_res0, f, k, t, random.Random(n))
+            assert _outcome(res0, f, k, t, random.Random(n)) == want
 
 
 class TestResidueOfSimplePole:
@@ -386,7 +386,7 @@ class TestTransporterAudit:
         t = tree_factory(p, 2)
         f = parse_rational("1/z", p)
         plain = res0(f, k, t)
-        audited = res0(f, k, t, audit=True, rng=random.Random(5))
+        audited = res0(f, k, t, rng=random.Random(5))
         assert set(plain.support()) == set(audited.support())
         for e in plain.support():
             assert all(

@@ -266,15 +266,25 @@ class TestSmithOverDVR:
         for nrows, ncols in shapes:
             for density in (0.5, 1.0):
                 m = _random_matrix(rng, nrows, ncols, density, zero, draw)
-                u, evals, v = smith_over_dvr(m)
-                assert len(u) == nrows and len(v) == ncols
+                u, evals = smith_over_dvr(m)
+                assert len(u) == nrows
                 assert evals == sorted(evals)
-                diag = [[zero] * ncols for _ in range(nrows)]
-                for i, e in enumerate(evals):
-                    diag[i][i] = ScalarKHat.pihat(p, int(2 * e))
-                assert mat_mul(mat_mul(u, diag), v) == m
-                assert _unimodular(u, p) and _unimodular(v, p)
+                assert _unimodular(u, p)
                 assert len(evals) == rank(m, zero)
+                # A unimodular v with m = u * d * v exists exactly when the
+                # rows of w = u^-1 * m past len(evals) vanish and the rest,
+                # scaled by pihat^(-2 evals[t]), are integral with reductions
+                # mod pihat independent over F_p.
+                w = mat_mul(inverse(u, zero, one), m)
+                assert all(x.is_zero() for row in w[len(evals):] for x in row)
+                scaled = [
+                    [x * ScalarKHat.pihat(p, -int(2 * e)) for x in row]
+                    for row, e in zip(w, evals)
+                ]
+                assert _integral(scaled)
+                field = Fq(p)
+                reduced = [[field.from_int(x.reduce_mod_pihat()) for x in row] for row in scaled]
+                assert rank(reduced, field.zero()) == len(evals)
 
     def test_empty(self):
-        assert smith_over_dvr([]) == ([], [], [])
+        assert smith_over_dvr([]) == ([], [])
