@@ -190,27 +190,12 @@ def field_kernel(tree: TruncatedTree, k: int) -> int:
     return (k + 1) * (len(edges) - rank(rows, zero))
 
 
-def integral_kernel(tree: TruncatedTree, k: int) -> dict:
-    """Kernel of the signed star-sum operator in edge-lattice coordinates:
-    its rank, plus the star-local kernel dimensions that measure the reduced
-    harmonic space vertex by vertex."""
-    zero = ScalarKHat.zero(tree.p)
-    edges = list(tree.edges)
-    index = {e: n for n, e in enumerate(edges)}
+def star_local_kernels(tree: TruncatedTree, k: int) -> dict:
+    """The star-local kernel dimensions mod pihat that measure the reduced
+    harmonic space vertex by vertex, keyed by interior vertex.
+
+    The kernel in edge-lattice coordinates needs no elimination: its rows are
+    the incidence rows tensored with the identity, times the block diagonal
+    of the invertible edge bases, so its rank is ``field_kernel``'s."""
     table = Lattices(k)
-    lattices = [table.edge(e) for e in edges]
-    ncols = (k + 1) * len(edges)
-    rows = []
-    for v in tree.interior_vertices():
-        for r in range(k + 1):
-            row = [zero] * ncols
-            for e in tree.edges_at(v):
-                n = index[e]
-                basis_matrix = lattices[n].matrix
-                for j in range(k + 1):
-                    row[n * (k + 1) + j] = row[n * (k + 1) + j] + basis_matrix[r][j]
-            rows.append(row)
-    star = {
-        str(v): star_local_kernel(v, table) for v in tree.interior_vertices()
-    }
-    return {"integral_rank": ncols - rank(rows, zero), "star_local": star}
+    return {str(v): star_local_kernel(v, table) for v in tree.interior_vertices()}

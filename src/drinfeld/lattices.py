@@ -6,6 +6,13 @@ for rational sections at vertex level.
 Conventions: a lattice is stored as a square basis matrix whose columns
 generate it over the valuation ring; edge profiles are reported relative to
 the lattice at the child (deeper) endpoint.
+
+The lattices are GL2-equivariant, and the child's vertex transporter carries
+the standard edge onto every edge.  At the standard edge the child lattice
+has the identity basis and the parent lattice the basis diag(pihat^(2j-k)),
+j = 0..k.  So the intersection of the two endpoint lattices of any edge is
+the child's basis with column j scaled by pihat^max(0, 2j-k), and their sum
+is the same basis scaled by pihat^min(0, 2j-k).
 """
 
 from __future__ import annotations
@@ -77,23 +84,15 @@ def transition_matrix(src: Lattice, dst: Lattice) -> Matrix:
     return mat_mul(inverse(_rows(src), zero, one), _rows(dst))
 
 
-def _adapted(l1: Lattice, l2: Lattice, clamp) -> Lattice:
-    u, evals = smith_over_dvr(transition_matrix(l1, l2))
-    adapted = mat_mul(_rows(l1), u)
-    n = len(evals)
-    scaled = [
-        [adapted[i][j] * ScalarKHat.pihat(l1.p, clamp(int(2 * evals[j]))) for j in range(n)]
-        for i in range(n)
-    ]
-    return Lattice(l1.p, l1.k, _freeze(scaled))
-
-
-def lattice_intersection(l1: Lattice, l2: Lattice) -> Lattice:
-    return _adapted(l1, l2, lambda e: max(e, 0))
-
-
-def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
-    return _adapted(l1, l2, lambda e: min(e, 0))
+def _scaled_columns(child: Lattice, clamp) -> Lattice:
+    """The child's basis with column j scaled by pihat^clamp(2j - k, 0): with
+    ``max`` the lattice of the edge to the child's parent, with ``min`` the
+    sum of the two endpoint lattices."""
+    k = child.k
+    scale = [ScalarKHat.pihat(child.p, clamp(2 * j - k, 0)) for j in range(k + 1)]
+    return Lattice(
+        child.p, k, _freeze([[x * s for x, s in zip(row, scale)] for row in child.matrix])
+    )
 
 
 def lattice_contains_vector(l: Lattice, vec: list) -> bool:
@@ -123,20 +122,20 @@ class Lattices:
         return self._vertex[v]
 
     def edge(self, e: Edge) -> Lattice:
-        """Intersection of the two endpoint lattices, in a basis adapted to
-        the child endpoint."""
+        """Intersection of the two endpoint lattices: the child endpoint's
+        basis with column j scaled by pihat^max(0, 2j - k)."""
         if e not in self._edge:
-            self._edge[e] = lattice_intersection(
-                self.vertex(child_endpoint(e)), self.vertex(parent_endpoint(e))
-            )
+            self._edge[e] = _scaled_columns(self.vertex(child_endpoint(e)), max)
         return self._edge[e]
 
 
 def edge_lattice_profile(e: Edge, k: int) -> tuple:
     """Elementary-divisor valuations of the edge lattice relative to the
-    child-endpoint lattice, ascending."""
+    child-endpoint lattice, ascending: those of the parent lattice relative
+    to the child lattice, clamped below at 0."""
     lattices = Lattices(k)
-    return relative_profile(lattices.vertex(child_endpoint(e)), lattices.edge(e))
+    child, parent = lattices.vertex(child_endpoint(e)), lattices.vertex(parent_endpoint(e))
+    return tuple(sorted(max(Fraction(0), x) for x in relative_profile(child, parent)))
 
 
 # -- mod-uniformizer local spaces --------------------------------------------------
@@ -165,9 +164,7 @@ def e_space_basis(e: Edge, lattices: Lattices) -> list:
     """Basis of the image of the edge lattice in (sum of the two endpoint
     lattices)/(pihat)."""
     field = Fq(e.u.p)
-    total = lattice_sum(
-        lattices.vertex(child_endpoint(e)), lattices.vertex(parent_endpoint(e))
-    )
+    total = _scaled_columns(lattices.vertex(child_endpoint(e)), min)
     t = _reduced_transition(total, lattices.edge(e), field)
     return _column_space_basis(t, field)
 

@@ -21,10 +21,16 @@ INF = math.inf
 RationalLike = Union[int, Fraction]
 
 
+def _smallest_factor(n: int) -> int:
+    """The least divisor d >= 2 of an int n >= 2, by trial division up to
+    its integer square root."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
 @lru_cache(maxsize=None)
 def _check_prime(p: int) -> None:
     # only primes are cached: a failed check raises, and lru_cache keeps no result
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 2 or _smallest_factor(p) != p:
         raise InvalidParameters(f"p must be prime, got {p}")
 
 
@@ -327,7 +333,7 @@ def Fq(q: int) -> "FiniteField":
     """The finite field with q = p^f elements, with a deterministic modulus."""
     if q < 2:
         raise InvalidParameters(f"q must be a prime power >= 2, got {q}")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    p = _smallest_factor(q)
     f = 0
     m = q
     while m > 1:

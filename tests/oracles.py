@@ -16,6 +16,8 @@ from drinfeld.errors import (
     ResidueFieldMismatch,
 )
 from drinfeld.harmonic import res0
+from drinfeld.lattices import Lattice, _freeze, _rows, transition_matrix
+from drinfeld.linalg import mat_mul, smith_over_dvr
 from drinfeld.modp import _quotient_structure
 from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
 from drinfeld.scalars import INF, ScalarKHat, _check_prime
@@ -216,6 +218,31 @@ def poly_evaluate(u: poly.Poly, x, zero):
     for c in reversed(u):
         acc = acc * x + c
     return acc
+
+
+# -- lattice intersection and sum by Smith reduction ------------------------------
+#
+# The program builds edge lattices and endpoint sums as column scalings of the
+# child's vertex lattice; these find them from the two lattices alone.
+
+
+def _adapted(l1: Lattice, l2: Lattice, clamp) -> Lattice:
+    u, evals = smith_over_dvr(transition_matrix(l1, l2))
+    adapted = mat_mul(_rows(l1), u)
+    n = len(evals)
+    scaled = [
+        [adapted[i][j] * ScalarKHat.pihat(l1.p, clamp(int(2 * evals[j]))) for j in range(n)]
+        for i in range(n)
+    ]
+    return Lattice(l1.p, l1.k, _freeze(scaled))
+
+
+def lattice_intersection(l1: Lattice, l2: Lattice) -> Lattice:
+    return _adapted(l1, l2, lambda e: max(e, 0))
+
+
+def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
+    return _adapted(l1, l2, lambda e: min(e, 0))
 
 
 # -- sections ------------------------------------------------------------------------

@@ -12,12 +12,11 @@ from drinfeld.errors import InvalidParameters
 from drinfeld.lattices import (
     Lattice,
     Lattices,
+    _scaled_columns,
     d_space_basis,
     e_space_basis,
     edge_lattice_profile,
     lattice_contains_vector,
-    lattice_intersection,
-    lattice_sum,
     local_space_report,
     relative_profile,
     section_lattice_membership,
@@ -39,10 +38,17 @@ from drinfeld.tree import (
     parent_endpoint,
     standard_edge,
     standard_vertex,
+    truncated_tree,
     unipotent_lower,
     vertex_transporter,
 )
-from oracles import act_on_edge, dual_act, laurent_standard
+from oracles import (
+    act_on_edge,
+    dual_act,
+    lattice_intersection,
+    lattice_sum,
+    laurent_standard,
+)
 
 
 def lattice_contains(outer: Lattice, inner: Lattice) -> bool:
@@ -227,23 +233,25 @@ class TestLocalDimensions:
 
     @pytest.mark.parametrize("p,k", [(2, 3), (3, 4), (5, 2)])
     def test_report_builds_each_lattice_once(self, p, k, monkeypatch):
-        """The standard vertex, its parent and its p children: p + 2 vertex
-        lattices, and p + 1 edge lattices, one per edge at the vertex."""
+        """The standard vertex and its p children: p + 1 vertex lattices, one
+        per child endpoint of an edge at the vertex (an edge lattice needs no
+        parent lattice), and p + 1 edge lattices, one per edge at the vertex."""
         built = {"vertex": [], "edge": []}
-        real_vertex, real_intersection = lattices.vertex_lattice, lattices.lattice_intersection
+        real_vertex, real_scaled = lattices.vertex_lattice, lattices._scaled_columns
 
         def vertex_lattice_spy(v, k):
             built["vertex"].append(v)
             return real_vertex(v, k)
 
-        def intersection_spy(l1, l2):
-            built["edge"].append((l1, l2))
-            return real_intersection(l1, l2)
+        def scaled_spy(child, clamp):
+            if clamp is max:
+                built["edge"].append(child)
+            return real_scaled(child, clamp)
 
         monkeypatch.setattr(lattices, "vertex_lattice", vertex_lattice_spy)
-        monkeypatch.setattr(lattices, "lattice_intersection", intersection_spy)
+        monkeypatch.setattr(lattices, "_scaled_columns", scaled_spy)
         assert local_space_report(p, k)["pass"] is True
-        assert len(built["vertex"]) == len(set(built["vertex"])) == p + 2
+        assert len(built["vertex"]) == len(set(built["vertex"])) == p + 1
         assert len(built["edge"]) == p + 1
 
     def test_local_spaces_on_edge_and_vertex(self):
@@ -309,6 +317,36 @@ class TestDSpaceSplitting:
         ebasis = e_space_basis(e, Lattices(k))
         report = local_spaces(e, k, p)
         assert len(ebasis) == report["dimE"]
+
+
+class TestEdgeLatticesAgainstSmith:
+    """The column-scaled edge lattice and endpoint sum against the Smith
+    intersection and sum of the two endpoint lattices, by mutual containment."""
+
+    @pytest.mark.parametrize("p,radius", [(2, 3), (3, 3), (5, 2), (7, 2)])
+    def test_every_edge_of_the_ball(self, p, radius):
+        edges = truncated_tree(p, radius).edges
+        for k in range(7):
+            table = Lattices(k)
+            for e in edges:
+                child = table.vertex(child_endpoint(e))
+                parent = table.vertex(parent_endpoint(e))
+                assert lattice_equal(table.edge(e), lattice_intersection(child, parent)), (e, k)
+                assert lattice_equal(_scaled_columns(child, min), lattice_sum(child, parent)), (e, k)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_edge_profile_off_the_standard_edge(self, p):
+        edges = [e for e in truncated_tree(p, 2).edges if e != standard_edge(p)]
+        for k in range(5):
+            table = Lattices(k)
+            for e in edges:
+                child = table.vertex(child_endpoint(e))
+                want = relative_profile(
+                    child, lattice_intersection(child, table.vertex(parent_endpoint(e)))
+                )
+                got = edge_lattice_profile(e, k)
+                assert got == want, (e, k)
+                assert [type(x) for x in got] == [type(x) for x in want], (e, k)
 
 
 class TestLatticeAlgebra:
