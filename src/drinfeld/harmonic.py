@@ -22,7 +22,7 @@ from .lattices import (
 )
 from .linalg import rank
 from .rational import FactoredRational, _root_key, principal_parts
-from .scalars import ScalarKHat
+from .scalars import ScalarKHat, half
 from .symrep import chi, sym_matrix
 from .tree import (
     Edge,
@@ -56,7 +56,7 @@ class Cochain:
 
 def sigma(g: Mat2, p: int) -> int:
     """Parity sign of the determinant valuation: +1 on even levels, -1 on odd."""
-    return -1 if int(g.omega_det(p)) % 2 else 1
+    return -1 if g.omega_det(p) % 2 else 1
 
 
 def delta(c: Cochain, tree: TruncatedTree) -> dict:
@@ -86,22 +86,21 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
     image of w = infinity, the residue theorem gives minus the sum over the
     poles outside it instead.
     """
-    lift = lambda x: ScalarKHat.from_rational(x, p)
-    a, b, c, d = lift(gamma.a), lift(gamma.b), lift(gamma.c), lift(gamma.d)
+    a, b, c, d = gamma.lift(p)
     zero = ScalarKHat.zero(p)
     inner, outer, in_annulus = [], [], []
     for y, principal in parts:
         alpha, beta = a * y - b, d - c * y
-        w = alpha.valuation() - beta.valuation()
-        if 0 < w < 1:
+        w = alpha.valuation() - beta.valuation()  # doubled: the annulus is 0 < w < 2
+        if 0 < w < 2:
             in_annulus.append(alpha / beta)
-        (inner if w >= 1 else outer).append((alpha, beta, principal))
+        (inner if w >= 2 else outer).append((alpha, beta, principal))
     if in_annulus:
         root = min(in_annulus, key=_root_key)
         raise PoleInsideAnnulus(
-            f"pole at {root} with valuation {root.valuation()} sits inside the annulus"
+            f"pole at {root} with valuation {half(root.valuation())} sits inside the annulus"
         )
-    infinity_inside = not c.is_zero() and (a / c).valuation() >= 1
+    infinity_inside = not c.is_zero() and (a / c).valuation() >= 2
     poles = outer if infinity_inside else inner
     coeffs = [zero] * (k + 1)
     for alpha, beta, principal in poles:
@@ -117,7 +116,7 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
     if all(x.is_zero() for x in coeffs):
         return [zero] * (k + 1)
     sign = -sigma(gamma, p) if infinity_inside else sigma(gamma, p)
-    scale = lift(sign) * chi(gamma, p, k + 2) * lift(gamma.det()) ** (-k - 1)
+    scale = chi(gamma, p, k + 2) * gamma.lift_det(p) ** (-k - 1) * sign
     m = sym_matrix(gamma, k, p)
     return [
         scale * sum((coeffs[s] * m[s][i] for s in range(k + 1)), zero)

@@ -12,7 +12,10 @@ the standard edge onto every edge.  At the standard edge the child lattice
 has the identity basis and the parent lattice the basis diag(pihat^(2j-k)),
 j = 0..k.  So the intersection of the two endpoint lattices of any edge is
 the child's basis with column j scaled by pihat^max(0, 2j-k), and their sum
-is the same basis scaled by pihat^min(0, 2j-k).
+is the same basis scaled by pihat^min(0, 2j-k).  The transitions from the
+child's basis and from the sum to the edge lattice are therefore diagonal.
+Profiles are printed, so they are ``Fraction`` valuations; everything else
+compares the doubled int valuations of ``scalars``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .linalg import (
     transpose,
 )
 from .rational import FactoredRational, transported_gauss_valuation
-from .scalars import FiniteField, Fq, ScalarKHat
+from .scalars import FiniteField, Fq, ScalarKHat, half
 from .symrep import dual_act_matrix
 from .tree import (
     Edge,
@@ -75,7 +78,7 @@ def vertex_lattice_profile(v: Vertex, k: int) -> tuple:
     """Per-column valuations of the canonical basis matrix, indexed by the dual
     basis position j = 0..k (diagonal valuations for the level vertices)."""
     cols = vertex_lattice(v, k).columns()
-    return tuple(min(x.valuation() for x in col) for col in cols)
+    return tuple(half(min(x.valuation() for x in col)) for col in cols)
 
 
 def transition_matrix(src: Lattice, dst: Lattice) -> Matrix:
@@ -84,12 +87,11 @@ def transition_matrix(src: Lattice, dst: Lattice) -> Matrix:
     return mat_mul(inverse(_rows(src), zero, one), _rows(dst))
 
 
-def _scaled_columns(child: Lattice, clamp) -> Lattice:
-    """The child's basis with column j scaled by pihat^clamp(2j - k, 0): with
-    ``max`` the lattice of the edge to the child's parent, with ``min`` the
-    sum of the two endpoint lattices."""
+def _scaled_columns(child: Lattice) -> Lattice:
+    """The child's basis with column j scaled by pihat^max(0, 2j - k): the
+    lattice of the edge to the child's parent."""
     k = child.k
-    scale = [ScalarKHat.pihat(child.p, clamp(2 * j - k, 0)) for j in range(k + 1)]
+    scale = [ScalarKHat.pihat(child.p, max(0, 2 * j - k)) for j in range(k + 1)]
     return Lattice(
         child.p, k, _freeze([[x * s for x, s in zip(row, scale)] for row in child.matrix])
     )
@@ -104,7 +106,7 @@ def lattice_contains_vector(l: Lattice, vec: list) -> bool:
 
 def relative_profile(sup: Lattice, sub: Lattice) -> tuple:
     """Ascending elementary-divisor valuations of sub relative to sup."""
-    return tuple(smith_over_dvr(transition_matrix(sup, sub))[1])
+    return tuple(half(e) for e in smith_over_dvr(transition_matrix(sup, sub))[1])
 
 
 class Lattices:
@@ -125,7 +127,7 @@ class Lattices:
         """Intersection of the two endpoint lattices: the child endpoint's
         basis with column j scaled by pihat^max(0, 2j - k)."""
         if e not in self._edge:
-            self._edge[e] = _scaled_columns(self.vertex(child_endpoint(e)), max)
+            self._edge[e] = _scaled_columns(self.vertex(child_endpoint(e)))
         return self._edge[e]
 
 
@@ -152,21 +154,36 @@ def _reduced_transition(src: Lattice, dst: Lattice, field: FiniteField) -> list:
     return [[field.elem(x.reduce_mod_pihat()) for x in row] for row in t]
 
 
+def _reduced_scaling(k: int, exponent, field: FiniteField) -> list:
+    """diag(pihat^exponent(2j - k)), j = 0..k, mod pihat: 1 where the
+    exponent is 0, else 0."""
+    zero, one = field.zero(), field.one()
+    return [
+        [one if i == j and not exponent(2 * j - k) else zero for j in range(k + 1)]
+        for i in range(k + 1)
+    ]
+
+
 def d_space_basis(e: Edge, side: Vertex, lattices: Lattices) -> list:
     """Basis of the image of the edge lattice in (side lattice)/(pihat), as
-    coordinate vectors against the side's basis."""
+    coordinate vectors against the side's basis.  The edge lattice is the
+    child's basis scaled by pihat^max(0, 2j - k), so on the child side the
+    transition is that diagonal."""
     field = Fq(e.u.p)
-    t = _reduced_transition(lattices.vertex(side), lattices.edge(e), field)
+    if side == child_endpoint(e):
+        t = _reduced_scaling(lattices.k, lambda x: max(0, x), field)
+    else:
+        t = _reduced_transition(lattices.vertex(side), lattices.edge(e), field)
     return _column_space_basis(t, field)
 
 
 def e_space_basis(e: Edge, lattices: Lattices) -> list:
     """Basis of the image of the edge lattice in (sum of the two endpoint
-    lattices)/(pihat)."""
+    lattices)/(pihat).  Both are the child's basis, scaled by
+    pihat^max(0, 2j - k) and pihat^min(0, 2j - k): the transition is
+    diag(pihat^|2j - k|)."""
     field = Fq(e.u.p)
-    total = _scaled_columns(lattices.vertex(child_endpoint(e)), min)
-    t = _reduced_transition(total, lattices.edge(e), field)
-    return _column_space_basis(t, field)
+    return _column_space_basis(_reduced_scaling(lattices.k, abs, field), field)
 
 
 def star_local_kernel(v: Vertex, lattices: Lattices) -> int:
@@ -216,12 +233,10 @@ def local_space_report(p: int, k: int) -> dict:
 # -- membership of rational sections ----------------------------------------------
 
 
-def section_lattice_membership(
-    f: FactoredRational, k: int, v: Vertex
-) -> tuple[bool, Fraction]:
+def section_lattice_membership(f: FactoredRational, k: int, v: Vertex) -> tuple[bool, int]:
     """Whether f lies in the weight-k integral module over the vertex open:
     the transported section must be bounded by 1 on the vertex tube. The
-    certificate is the transported Gauss valuation."""
+    certificate is the doubled transported Gauss valuation."""
     if f.is_zero():
         raise ZeroFunction("membership is only defined for nonzero sections")
     val = transported_gauss_valuation(f, vertex_transporter(v).inv(), k)

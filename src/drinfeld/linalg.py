@@ -174,11 +174,11 @@ def _min_val_position(a: Matrix, start: int) -> tuple[int, int] | None:
 
 def smith_over_dvr(m: Matrix) -> tuple[Matrix, list]:
     """Decompose m = u * d * v with u, v invertible over the valuation ring
-    and d diagonal with i-th entry of valuation evals[i] (ascending Fractions
-    in halves, realized as exact pihat powers; absent entries are zero).
+    and d diagonal with i-th entry pihat^evals[i] (ascending ints, the doubled
+    valuations of the entries; absent entries are zero).
 
     Returns (u, evals); u is nrows x nrows.  v is not built: row t of
-    u^-1 * m is pihat^(2 evals[t]) times row t of v.
+    u^-1 * m is pihat^evals[t] times row t of v.
     """
     nrows, ncols = len(m), len(m[0]) if m else 0
     if nrows == 0 or ncols == 0:
@@ -202,9 +202,9 @@ def smith_over_dvr(m: Matrix) -> tuple[Matrix, list]:
                 row[t], row[j] = row[j], row[t]
         pivot = a[t][t]
         e = pivot.valuation()
-        # Normalize the pivot to exactly pihat^(2e): scale row t by the unit
-        # pihat^(2e)/pivot, compensating in u.
-        target = ScalarKHat.pihat(p, int(2 * e))
+        # Normalize the pivot to exactly pihat^e: scale row t by the unit
+        # pihat^e/pivot, compensating in u.
+        target = ScalarKHat.pihat(p, e)
         unit = target / pivot
         a[t] = [x * unit for x in a[t]]
         unit_inv = unit.inverse()

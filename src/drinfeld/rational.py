@@ -304,11 +304,10 @@ def automorphic_act(g: Mat2, f: FactoredRational, k: int) -> FactoredRational:
 # -- tube valuations -----------------------------------------------------------------
 
 
-def transported_gauss_valuation(
-    f: FactoredRational, g: Mat2, k: int
-) -> Fraction | float:
-    """Valuation on the unit circle of the coordinate (the base-vertex tube)
-    of automorphic_act(g, f, k), without building the transported section.
+def transported_gauss_valuation(f: FactoredRational, g: Mat2, k: int) -> int | float:
+    """Doubled valuation 2*omega on the unit circle of the coordinate (the
+    base-vertex tube) of automorphic_act(g, f, k), without building the
+    transported section.
 
     The Gauss valuation is multiplicative (Gauss's lemma), so it is read factor
     by factor: with m = min(omega(a), omega(c)), a factor (w - y) becomes
@@ -319,11 +318,9 @@ def transported_gauss_valuation(
     if f.is_zero():
         return INF
     p = f.p
-    scalar = chi(g, p, k)
-    lift = lambda x: ScalarKHat.from_rational(x, p)
-    a, b, c, d = lift(g.a), lift(g.b), lift(g.c), lift(g.d)
+    a, b, c, d = g.lift(p)
     degree = len(f.extra) - 1
-    total = scalar.valuation() + f.lead.valuation()
+    total = chi(g, p, k).valuation() + f.lead.valuation()
     for root, mult in f.factors:
         degree += mult
         total += mult * min((d - c * root).valuation(), (b - a * root).valuation())
@@ -333,9 +330,9 @@ def transported_gauss_valuation(
     return total - (k + degree) * min(a.valuation(), c.valuation())
 
 
-def gauss_valuation(f: FactoredRational, v: Vertex) -> Fraction | float:
-    """Valuation of f on the tube of vertex v (weight-0 transport, then the
-    base-circle valuation)."""
+def gauss_valuation(f: FactoredRational, v: Vertex) -> int:
+    """Doubled valuation 2*omega of f on the tube of vertex v (weight-0
+    transport, then the base-circle valuation)."""
     if f.is_zero():
         raise ZeroFunction("the zero function has no Gauss valuation")
     return transported_gauss_valuation(f, vertex_transporter(v).inv(), 0)
@@ -353,7 +350,7 @@ def tube_coordinate_level(v: Vertex) -> int:
     """
     if v.b == 0:
         return v.m
-    return 2 * min(v.m, int(val_p(v.b, v.p))) - v.m
+    return 2 * min(v.m, val_p(v.b, v.p)) - v.m
 
 
 # -- principal parts ----------------------------------------------------------------

@@ -3,8 +3,10 @@ quadratic extension generated by a square root of p, and small finite fields.
 
 All arithmetic is exact: a scalar of the extension is a few Python ints (see
 ``ScalarKHat``), a finite-field element is one int code (see ``FiniteField``).
-Valuations are returned as ``Fraction`` values normalized to halves, with
-``math.inf`` for zero.
+Valuations are ints: ``val_p`` returns the p-adic valuation v_p of a rational,
+``ScalarKHat.valuation`` the doubled valuation 2*omega, which is the exponent
+of pihat.  Zero has the valuation ``INF`` (``math.inf``) in both.  ``half``
+turns a doubled valuation into the ``Fraction`` omega where one is printed.
 """
 
 from __future__ import annotations
@@ -43,13 +45,21 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def val_p(x: RationalLike, p: int) -> Fraction | float:
-    """p-adic valuation of a rational; inf for 0."""
+def val_p(x: RationalLike, p: int) -> int | float:
+    """p-adic valuation of a rational; INF for 0."""
+    if type(x) is int:
+        return _vp(x, p) if x else INF
     if type(x) is not Fraction:
         x = Fraction(x)
     if not x:
         return INF
-    return Fraction(_vp(x.numerator, p) - _vp(x.denominator, p))
+    return _vp(x.numerator, p) - _vp(x.denominator, p)
+
+
+def half(twice: int | float) -> Fraction | float:
+    """The valuation omega as a ``Fraction`` from its double 2*omega; INF
+    stays INF.  Valuations are computed doubled and halved only for output."""
+    return twice if twice is INF else Fraction(twice, 2)
 
 
 def _mod_inverse(a: int, m: int) -> int:
@@ -222,8 +232,9 @@ class ScalarKHat:
 
     # -- valuation and reduction ----------------------------------------------
 
-    def valuation(self) -> Fraction | float:
-        """min(v(A), v(B) + 1/2) - v(D)."""
+    def valuation(self) -> int | float:
+        """The doubled valuation 2*omega = min(2 v(A), 2 v(B) + 1) - 2 v(D),
+        an int (the exponent of pihat), or INF for zero."""
         A, B, p = self.A, self.B, self.p
         if not B:
             if not A:
@@ -235,7 +246,7 @@ class ScalarKHat:
             twice = min(2 * _vp(A, p), 2 * _vp(B, p) + 1)
         if not self.D % p:
             twice -= 2 * _vp(self.D, p)
-        return Fraction(twice, 2)
+        return twice
 
     def is_integral(self) -> bool:
         # p | D forces p to miss A or B, which puts the valuation below 0
@@ -244,7 +255,7 @@ class ScalarKHat:
     def reduce_mod_pihat(self) -> int:
         """Image in Z/p; requires omega >= 0 (then the pihat part drops)."""
         if not self.is_integral():
-            raise NegativeValuation(f"{self} has valuation {self.valuation()} < 0")
+            raise NegativeValuation(f"{self} has valuation {half(self.valuation())} < 0")
         return self.A * _mod_inverse(self.D, self.p) % self.p
 
     def __repr__(self) -> str:
@@ -465,15 +476,11 @@ class FiniteField:
 
 class FqElem:
     """An element of a finite field, held as its field and its code ``n``
-    (see ``FiniteField``).  Immutable; build one with ``FiniteField.elem``."""
+    (see ``FiniteField``); build one with ``FiniteField.elem``.  Immutable
+    by convention, as ``ScalarKHat`` is: nothing assigns to an element's
+    slots once it is built."""
 
     __slots__ = ("field", "n")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FqElem is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("FqElem is immutable")
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -568,14 +575,12 @@ class FqElem:
 
 
 _new_elem = object.__new__
-_set_field = FqElem.field.__set__
-_set_code = FqElem.n.__set__
 
 
 def _make_fq(field: FiniteField, n: int) -> FqElem:
     """The element of code n in [0, q), unchecked: the fast path for results
     of arithmetic on elements that are already valid."""
     e = _new_elem(FqElem)
-    _set_field(e, field)
-    _set_code(e, n)
+    e.field = field
+    e.n = n
     return e

@@ -9,7 +9,6 @@ Matrices act on coordinate columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, TypeVar
 
 from . import poly
@@ -46,10 +45,9 @@ def substitution_matrix(
 
 def chi(g: Mat2, p: int, exponent: int = 1) -> ScalarKHat:
     """The uniformizer character: pihat^(exponent * val(det g))."""
-    if g.det() == 0:
+    if g.A * g.D == g.B * g.C:
         raise NonInvertibleDeterminant("determinant is zero")
-    w = g.omega_det(p)
-    return ScalarKHat.pihat(p, exponent * int(w))
+    return ScalarKHat.pihat(p, exponent * g.omega_det(p))
 
 
 def sym_matrix(g: Mat2, k: int, p: int) -> Matrix:
@@ -57,11 +55,9 @@ def sym_matrix(g: Mat2, k: int, p: int) -> Matrix:
     F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY), the coefficient module the
     residue construction pairs against.
     """
-    lift = lambda n: ScalarKHat.from_rational(n, p)
-    base = substitution_matrix(
-        lift(g.a), lift(g.b), lift(g.c), lift(g.d), k, lambda n: lift(Fraction(n))
-    )
-    scalar = lift(g.det()) * chi(g, p, -(k + 2))
+    a, b, c, d = g.lift(p)
+    base = substitution_matrix(a, b, c, d, k, lambda n: ScalarKHat.from_rational(n, p))
+    scalar = g.lift_det(p) * chi(g, p, -(k + 2))
     return [[x * scalar for x in row] for row in base]
 
 

@@ -11,7 +11,7 @@ from math import prod
 from .errors import InvalidParameters, ZeroFunction
 from .linalg import rank
 from .rational import FactoredRational, gauss_valuation, tube_coordinate_level
-from .scalars import INF, ScalarKHat
+from .scalars import INF, ScalarKHat, half
 from .tree import Vertex
 
 
@@ -69,8 +69,8 @@ def theta_integrality(
     if f.is_zero():
         raise ZeroFunction("integrality is only defined for nonzero sections")
     n = tube_coordinate_level(v)
-    in_bound = Fraction(-k * n, 2)
-    out_bound = Fraction((k + 2) * n, 2)
+    # doubled valuations and bounds
+    in_bound, out_bound = -k * n, (k + 2) * n
     in_val = gauss_valuation(f, v)
     out_val = INF if image.is_zero() else gauss_valuation(image, v)
     applicable = in_val >= in_bound
@@ -78,10 +78,10 @@ def theta_integrality(
     return ThetaCertificate(
         vertex=v,
         level=n,
-        input_valuation=in_val,
-        input_bound=in_bound,
-        output_valuation=out_val,
-        output_bound=out_bound,
+        input_valuation=half(in_val),
+        input_bound=half(in_bound),
+        output_valuation=half(out_val),
+        output_bound=half(out_bound),
         applicable=applicable,
         passes=passes,
     )

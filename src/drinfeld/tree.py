@@ -10,78 +10,153 @@ base-vertex tube the unit circle of the coordinate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameters, ResidueFieldMismatch, SingularMatrix
-from .scalars import INF, _check_prime, _mod_inverse, val_p
+from .scalars import RationalLike, ScalarKHat, _check_prime, _make, _mod_inverse, _vp, val_p
 
 
-@dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix over the rationals, row-major entries a b / c d."""
+    """2x2 matrix over the rationals, row-major entries a b / c d.
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    A matrix is five ints (A, B, C, D, N) with value [[A, B], [C, D]] / N,
+    N > 0 and gcd(A, B, C, D, N) = 1, so equal matrices hold equal ints.  The
+    public constructor takes rational entries; arithmetic builds its result
+    with ``_mat2``, which reduces by one gcd.  The entries are read as
+    ``Fraction`` properties, or lifted to the quadratic extension by ``lift``.
+    Immutable by convention, as ``ScalarKHat`` is.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            x = getattr(self, name)
-            if type(x) is not Fraction:
-                object.__setattr__(self, name, Fraction(x))
+    __slots__ = ("A", "B", "C", "D", "N")
+
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> None:
+        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+        # the entries are in lowest terms, so the lcm of their denominators
+        # shares no factor with all four numerators
+        n = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        self.A = a.numerator * (n // a.denominator)
+        self.B = b.numerator * (n // b.denominator)
+        self.C = c.numerator * (n // c.denominator)
+        self.D = d.numerator * (n // d.denominator)
+        self.N = n
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.N)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.N)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.C, self.N)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self.D, self.N)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Mat2:
+            return NotImplemented
+        return (self.A, self.B, self.C, self.D, self.N) == (
+            other.A, other.B, other.C, other.D, other.N
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.A, self.B, self.C, self.D, self.N))
+
+    def __repr__(self) -> str:
+        return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
     def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
+        return Fraction(self.A * self.D - self.B * self.C, self.N * self.N)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
+        A, B, C, D = self.A, self.B, self.C, self.D
+        E, F, G, H = other.A, other.B, other.C, other.D
         return _mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            A * E + B * G, A * F + B * H, C * E + D * G, C * F + D * H, self.N * other.N
         )
 
     def inv(self) -> "Mat2":
-        det = self.det()
-        if det == 0:
+        """N * adj / (AD - BC): the inverse of [[A, B], [C, D]] / N."""
+        A, B, C, D, N = self.A, self.B, self.C, self.D, self.N
+        det = A * D - B * C
+        if not det:
             raise SingularMatrix("matrix is singular")
-        return _mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        if det < 0:
+            N, det = -N, -det
+        return _mat2(N * D, -N * B, -N * C, N * A, det)
 
     def itilde(self) -> "Mat2":
         """The det-twisted inverse flip [[d,-c],[-b,a]] (an exact involution)."""
-        return _mat2(self.d, -self.c, -self.b, self.a)
+        m = _new(Mat2)
+        m.A, m.B, m.C, m.D, m.N = self.D, -self.C, -self.B, self.A, self.N
+        return m
 
-    def omega_det(self, p: int) -> Fraction:
-        v = val_p(self.det(), p)
-        if v is INF:
+    def omega_det(self, p: int) -> int:
+        """v_p of the determinant."""
+        det = self.A * self.D - self.B * self.C
+        if not det:
             raise InvalidParameters("matrix is singular")
-        return v
+        return _vp(det, p) - 2 * _vp(self.N, p)
+
+    def lift(self, p: int) -> tuple[ScalarKHat, ScalarKHat, ScalarKHat, ScalarKHat]:
+        """The entries a, b, c, d as scalars of the quadratic extension."""
+        _check_prime(p)
+        A, B, C, D, N = self.A, self.B, self.C, self.D, self.N
+        return _make(p, A, 0, N), _make(p, B, 0, N), _make(p, C, 0, N), _make(p, D, 0, N)
+
+    def lift_det(self, p: int) -> ScalarKHat:
+        """The determinant as a scalar of the quadratic extension."""
+        _check_prime(p)
+        return _make(p, self.A * self.D - self.B * self.C, 0, self.N * self.N)
 
 
 _new = object.__new__
+_gcd = math.gcd
 
 
-def _mat2(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Mat2:
-    """A matrix from four ``Fraction``s, unchecked: the fast path for results
-    of arithmetic on matrices, whose entries are ``Fraction``s already."""
+def _mat2(A: int, B: int, C: int, D: int, N: int) -> Mat2:
+    """The matrix [[A, B], [C, D]] / N for N > 0, reduced by the gcd of the
+    five ints and otherwise unchecked: the fast path for results of
+    arithmetic on matrices."""
+    g = _gcd(A, B, C, D, N)
+    if g != 1:
+        A //= g
+        B //= g
+        C //= g
+        D //= g
+        N //= g
     m = _new(Mat2)
-    m.__dict__.update(a=a, b=b, c=c, d=d)
+    m.A = A
+    m.B = B
+    m.C = C
+    m.D = D
+    m.N = N
     return m
+
+
+def _scaled(n: int, p: int) -> tuple[int, int]:
+    """p^n as a numerator over a denominator."""
+    return (p**n, 1) if n >= 0 else (1, p**-n)
 
 
 def gamma_level(n: int, p: int) -> Mat2:
     """diag(1, p^n); sends the base vertex to (n, 0)."""
-    return Mat2(1, 0, 0, Fraction(p) ** n)
+    num, den = _scaled(n, p)
+    return _mat2(den, 0, 0, num, den)
 
 
 def unipotent_upper(x: Fraction | int) -> Mat2:
-    return Mat2(1, Fraction(x), 0, 1)
+    return Mat2(1, x, 0, 1)
 
 
 def unipotent_lower(x: Fraction | int) -> Mat2:
-    return Mat2(1, 0, Fraction(x), 1)
+    return Mat2(1, 0, x, 1)
 
 
 def weyl_flip() -> Mat2:
@@ -89,7 +164,7 @@ def weyl_flip() -> Mat2:
 
 
 def diagonal(u: Fraction | int, w: Fraction | int) -> Mat2:
-    return Mat2(Fraction(u), 0, 0, Fraction(w))
+    return Mat2(u, 0, 0, w)
 
 
 # -- vertices ------------------------------------------------------------------
@@ -155,24 +230,31 @@ def standard_vertex(p: int) -> Vertex:
 
 def representative(v: Vertex) -> Mat2:
     """The matrix [[p^m, b],[0,1]] whose column lattice class is v."""
-    return Mat2(Fraction(v.p) ** v.m, v.b, 0, 1)
+    num, den = _scaled(v.m, v.p)
+    # b = n/u and p^m = num/den over the common denominator, u and den being
+    # powers of p
+    n, u = v.b.numerator, v.b.denominator
+    common = max(u, den)
+    return _mat2(num * (common // den), n * (common // u), 0, common, common)
 
 
 def vertex_of_matrix(mat: Mat2, p: int) -> Vertex:
-    """Canonical label of the column lattice class of an invertible matrix."""
-    det = mat.det()
-    if det == 0:
+    """Canonical label of the column lattice class of an invertible matrix.
+
+    The class ignores the scalar 1/N, so this reads the int entries A, B,
+    C, D.  Scaling by p^-mu, mu = min(v(C), v(D)), and taking the column
+    whose bottom entry is a unit to the right brings the matrix to
+    [[x, y], [z, w]] with w a unit, whose class is (v(det) - 2 mu, y/w)."""
+    A, B, C, D = mat.A, mat.B, mat.C, mat.D
+    det = A * D - B * C
+    if not det:
         raise InvalidParameters("matrix is singular")
-    a, b, c, d = mat.a, mat.b, mat.c, mat.d
-    mu = min(val_p(c, p), val_p(d, p))
-    t = Fraction(p) ** (-int(mu))
-    a, b, c, d = a * t, b * t, c * t, d * t
-    if val_p(d, p) > 0:
-        a, b = b, a
-        c, d = d, c
-    b0 = b / d
-    m = val_p(a - c * b0, p)
-    return make_vertex(p, int(m), b0)
+    vc, vd = val_p(C, p), val_p(D, p)
+    if vd > vc:
+        mu, offset = vc, Fraction(A, C)
+    else:
+        mu, offset = vd, Fraction(B, D)
+    return make_vertex(p, _vp(abs(det), p) - 2 * mu, offset)
 
 
 def act_on_vertex(g: Mat2, v: Vertex) -> Vertex:
@@ -182,8 +264,12 @@ def act_on_vertex(g: Mat2, v: Vertex) -> Vertex:
 
 
 def vertex_transporter(v: Vertex) -> Mat2:
-    """Group element carrying the base vertex to v (and base parent to v's parent)."""
-    return Mat2(1, 0, -v.b, Fraction(v.p) ** v.m)
+    """Group element [[1, 0], [-b, p^m]] carrying the base vertex to v (and
+    base parent to v's parent)."""
+    num, den = _scaled(v.m, v.p)
+    n, u = v.b.numerator, v.b.denominator
+    common = max(u, den)
+    return _mat2(common, 0, -n * (common // u), num * (common // den), common)
 
 
 def parent(v: Vertex) -> Vertex:
@@ -214,9 +300,8 @@ def neighbors(v: Vertex) -> list[Vertex]:
 def distance(u: Vertex, v: Vertex) -> int:
     if u.p != v.p:
         raise ResidueFieldMismatch("vertices over different primes")
-    vb = val_p(u.b - v.b, u.p)
-    mstar = min(u.m, v.m, vb if vb is not INF else min(u.m, v.m))
-    return (u.m - int(mstar)) + (v.m - int(mstar))
+    mstar = min(u.m, v.m, val_p(u.b - v.b, u.p))  # INF when the offsets agree
+    return (u.m - mstar) + (v.m - mstar)
 
 
 def vertex_parity(v: Vertex) -> int:

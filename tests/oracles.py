@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 from math import comb
 
 from drinfeld import poly
@@ -14,21 +15,40 @@ from drinfeld.errors import (
     NegativeValuation,
     PoleInsideAnnulus,
     ResidueFieldMismatch,
+    SingularMatrix,
 )
 from drinfeld.harmonic import res0
-from drinfeld.lattices import Lattice, _freeze, _rows, transition_matrix
+from drinfeld.lattices import (
+    Lattice,
+    Lattices,
+    _column_space_basis,
+    _freeze,
+    _reduced_transition,
+    _rows,
+    transition_matrix,
+)
 from drinfeld.linalg import mat_mul, smith_over_dvr
 from drinfeld.modp import _quotient_structure
 from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
-from drinfeld.scalars import INF, ScalarKHat, _check_prime
+from drinfeld.scalars import INF, Fq, ScalarKHat, _check_prime
 from drinfeld.symrep import dual_act_matrix
 from drinfeld.theta import theta
-from drinfeld.tree import Edge, Mat2, TruncatedTree, Vertex, act_on_vertex, make_edge
+from drinfeld.tree import (
+    Edge,
+    Mat2,
+    TruncatedTree,
+    Vertex,
+    act_on_vertex,
+    child_endpoint,
+    make_edge,
+    make_vertex,
+)
 
-# -- scalars and vertex labels on Fractions ----------------------------------------
+# -- scalars, matrices and vertex labels on Fractions --------------------------------
 #
-# The representations that the int-coded ``ScalarKHat`` and the integer vertex
-# offsets of ``tree`` replaced.  Tests compare the program against them.
+# The representations that the int-coded ``ScalarKHat``, its doubled-int
+# valuation, the int-held ``Mat2`` and the integer vertex offsets of ``tree``
+# replaced.  Tests compare the program against them.
 
 
 def _fraction_val(x: Fraction, p: int) -> int:
@@ -162,6 +182,92 @@ class FractionScalarKHat:
         return f"({self.a} + {self.b}*pihat)"
 
 
+def fraction_valuation(x) -> Fraction | float:
+    """omega(a + b*pihat) = min(val(a), val(b) + 1/2) as a ``Fraction``, read
+    from the ``Fraction`` components of a scalar; INF for zero.  The program
+    returns the doubled valuation 2*omega as an int."""
+    va = Fraction(_fraction_val(x.a, x.p)) if x.a else INF
+    if not x.b:
+        return va
+    return min(va, _fraction_val(x.b, x.p) + Fraction(1, 2))
+
+
+@dataclass(frozen=True)
+class FractionMat2:
+    """2x2 matrix over the rationals held as four ``Fraction``s, row-major
+    entries a b / c d: the representation the int-held ``Mat2`` replaced."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+
+    def det(self) -> Fraction:
+        return self.a * self.d - self.b * self.c
+
+    def __matmul__(self, other: "FractionMat2") -> "FractionMat2":
+        return FractionMat2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def inv(self) -> "FractionMat2":
+        det = self.det()
+        if det == 0:
+            raise SingularMatrix("matrix is singular")
+        return FractionMat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+
+    def itilde(self) -> "FractionMat2":
+        return FractionMat2(self.d, -self.c, -self.b, self.a)
+
+    def omega_det(self, p: int) -> Fraction:
+        det = self.det()
+        if det == 0:
+            raise InvalidParameters("matrix is singular")
+        return Fraction(_fraction_val(det, p))
+
+    def lift(self, p: int) -> tuple:
+        return tuple(ScalarKHat.from_rational(x, p) for x in (self.a, self.b, self.c, self.d))
+
+    def lift_det(self, p: int) -> ScalarKHat:
+        return ScalarKHat.from_rational(self.det(), p)
+
+
+def fraction_representative(v: Vertex) -> FractionMat2:
+    return FractionMat2(Fraction(v.p) ** v.m, v.b, 0, 1)
+
+
+def fraction_vertex_transporter(v: Vertex) -> FractionMat2:
+    return FractionMat2(1, 0, -v.b, Fraction(v.p) ** v.m)
+
+
+def fraction_vertex_of_matrix(mat: FractionMat2, p: int) -> Vertex:
+    """Canonical label of the column lattice class, on ``Fraction`` entries."""
+    if mat.det() == 0:
+        raise InvalidParameters("matrix is singular")
+    val = lambda x: _fraction_val(x, p) if x else INF
+    a, b, c, d = mat.a, mat.b, mat.c, mat.d
+    t = Fraction(p) ** -min(val(c), val(d))
+    a, b, c, d = a * t, b * t, c * t, d * t
+    if val(d) > 0:
+        a, b = b, a
+        c, d = d, c
+    b0 = b / d
+    return make_vertex(p, val(a - c * b0), b0)
+
+
+def fraction_act_on_vertex(g: FractionMat2, v: Vertex) -> Vertex:
+    if g.det() == 0:
+        raise SingularMatrix("group element must be invertible")
+    return fraction_vertex_of_matrix(g.itilde() @ fraction_representative(v), v.p)
+
+
 def fraction_canonical_offset(b: Fraction, m: int, p: int) -> Fraction:
     """Unique c in [0, p^m) with p-power denominator and val(b - c) >= m."""
     b = Fraction(b)
@@ -231,7 +337,7 @@ def _adapted(l1: Lattice, l2: Lattice, clamp) -> Lattice:
     adapted = mat_mul(_rows(l1), u)
     n = len(evals)
     scaled = [
-        [adapted[i][j] * ScalarKHat.pihat(l1.p, clamp(int(2 * evals[j]))) for j in range(n)]
+        [adapted[i][j] * ScalarKHat.pihat(l1.p, clamp(evals[j])) for j in range(n)]
         for i in range(n)
     ]
     return Lattice(l1.p, l1.k, _freeze(scaled))
@@ -245,6 +351,36 @@ def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
     return _adapted(l1, l2, lambda e: min(e, 0))
 
 
+# -- local spaces by reduced transition matrices ------------------------------------
+#
+# The program reads the child-side D-space and the E-space off the diagonal
+# scaling that builds the edge lattice; these reduce the full transition
+# matrix between the two bases instead.
+
+
+def transition_d_space_basis(e: Edge, side: Vertex, lattices: Lattices) -> list:
+    field = Fq(e.u.p)
+    t = _reduced_transition(lattices.vertex(side), lattices.edge(e), field)
+    return _column_space_basis(t, field)
+
+
+def endpoint_sum(child: Lattice) -> Lattice:
+    """The sum of an edge's two endpoint lattices as the child's basis with
+    column j scaled by pihat^min(0, 2j - k)."""
+    k = child.k
+    scale = [ScalarKHat.pihat(child.p, min(0, 2 * j - k)) for j in range(k + 1)]
+    return Lattice(
+        child.p, k, _freeze([[x * s for x, s in zip(row, scale)] for row in child.matrix])
+    )
+
+
+def transition_e_space_basis(e: Edge, lattices: Lattices) -> list:
+    field = Fq(e.u.p)
+    total = endpoint_sum(lattices.vertex(child_endpoint(e)))
+    t = _reduced_transition(total, lattices.edge(e), field)
+    return _column_space_basis(t, field)
+
+
 # -- sections ------------------------------------------------------------------------
 
 
@@ -253,10 +389,10 @@ def raw_gauss_valuation(f: FactoredRational) -> Fraction | float:
     omega(lead) + sum mult*min(0, omega(root)) + min over extra coefficients."""
     if f.is_zero():
         return INF
-    total = f.lead.valuation()
+    total = fraction_valuation(f.lead)
     for root, mult in f.factors:
-        total += mult * min(Fraction(0), root.valuation())
-    total += min(c.valuation() for c in f.extra)
+        total += mult * min(Fraction(0), fraction_valuation(root))
+    total += min(fraction_valuation(c) for c in f.extra)
     return total
 
 
@@ -266,10 +402,8 @@ def rescale_to_gauss_bound(
     """Multiply f by the uniformizer power that puts its Gauss valuation at v
     exactly on the bound (or half a step above when the gap is not a multiple
     of the uniformizer valuation)."""
-    gap = bound - gauss_valuation(f, v)
-    steps = int(2 * gap)
-    if Fraction(steps, 2) < gap:
-        steps += 1
+    # the uniformizer power that closes the doubled gap, rounded up
+    steps = math.ceil(2 * bound - gauss_valuation(f, v))
     if steps == 0:
         return f
     return f * ScalarKHat.pihat(f.p, steps)
@@ -335,7 +469,7 @@ def laurent_standard(f: FactoredRational, lo: int, hi: int) -> LaurentWindow:
                 if w_lo <= -t <= w_hi and not a.is_zero():
                     coeffs[-t] = coeffs.get(-t, zero) + a
             continue
-        w = root.valuation()
+        w = fraction_valuation(root)
         if 0 < w < 1:
             raise PoleInsideAnnulus(
                 f"pole at {root} with valuation {w} sits inside the annulus"
@@ -351,7 +485,7 @@ def laurent_standard(f: FactoredRational, lo: int, hi: int) -> LaurentWindow:
                         continue
                     term = a * comb(s - 1, t - 1) * root ** (s - t)
                     coeffs[j] = coeffs.get(j, zero) + term
-                below.append((a.valuation() - t * w, -w))
+                below.append((fraction_valuation(a) - t * w, -w))
         else:
             # (z-x)^-t = (-1)^t x^-t sum_{i>=0} C(t-1+i, i) (z/x)^i
             for t, a in principal.items():
@@ -362,7 +496,7 @@ def laurent_standard(f: FactoredRational, lo: int, hi: int) -> LaurentWindow:
                 for j in range(max(0, w_lo), w_hi + 1):
                     term = sign * a * comb(t - 1 + j, j) * inv_pow * root ** (-j)
                     coeffs[j] = coeffs.get(j, zero) + term
-                above.append((a.valuation() - t * w, -w))
+                above.append((fraction_valuation(a) - t * w, -w))
 
     coeffs = {j: c for j, c in coeffs.items() if not c.is_zero()}
     return LaurentWindow(p, w_lo, w_hi, coeffs, below, above)

@@ -131,7 +131,8 @@ def test_criterion_4_membership_transport_and_affine_valuation_identity():
         checked += 1
 
     # part 2: the affine-factor valuation identity
-    #   -2k*w(a + c*z) + k*w(det) == k*(n' - n)  on the target tube,
+    #   -2k*w(a + c*z) + k*w(det) == k*(n' - n)  on the target tube, where
+    # gauss_valuation returns the doubled valuation 2*w(a + c*z),
     # in its three generating cases.  Tubes carry no points rational over the
     # ramified quadratic extension alone (every residue class is occupied by a
     # rational direction), so the tube-wide Gauss valuation -- exact, and
@@ -145,13 +146,13 @@ def test_criterion_4_membership_transport_and_affine_valuation_identity():
                 n2 = n + m
                 val = gauss_valuation(_affine_factor(g, p), make_vertex(p, n2, 0))
                 for k in ks:
-                    assert -2 * k * val + k * g.omega_det(p) == k * (n2 - n)
+                    assert -k * val + k * g.omega_det(p) == k * (n2 - n)
         # case: scalar matrices at the base vertex
         for s in (1, 3, Fraction(p), Fraction(1, p), 3 * p * p):
             g = diagonal(s, s)
             val = gauss_valuation(_affine_factor(g, p), make_vertex(p, 0, 0))
             for k in ks:
-                assert -2 * k * val + k * g.omega_det(p) == 0
+                assert -k * val + k * g.omega_det(p) == 0
         # case: unit-determinant integral matrices at the base vertex
         rng2 = random.Random(SEED + p)
         found = 0
@@ -168,7 +169,7 @@ def test_criterion_4_membership_transport_and_affine_valuation_identity():
             val = gauss_valuation(_affine_factor(g, p), make_vertex(p, 0, 0))
             assert val == 0, (p, str(g))
             for k in ks:
-                assert -2 * k * val + k * g.omega_det(p) == 0
+                assert -k * val + k * g.omega_det(p) == 0
             found += 1
     print(
         "CRITERION 4: PASS - 30 membership transports and the affine valuation "

@@ -471,7 +471,10 @@ class TestGoldenStdout:
     balls (radius 0 included), an off-axis theta certificate, whose tube
     level is below its vertex level, ``--mod-pihat`` (its star-local
     dimensions, at p = 7 too) and a residue with pihat-valued entries are
-    pinned the same way."""
+    pinned the same way.  So are the paths through the matrix arithmetic: an
+    audited residue (a second transporter, by product and inverse), a theta
+    certificate at a negative level, a deep vertex with a p-adic offset, and
+    the uniformizer involution of ``b-forms``."""
 
     GOLDEN = [
         (("modp", "sections", "--q", "3", "--k", "4", "--radius", "2"), 0,
@@ -510,6 +513,15 @@ class TestGoldenStdout:
          "d751d8f790227963e6746558bcd5cdbe2cb1962b34559effcba7cea4f7606c4f"),
         (("residue", "--p", "3", "--k", "2", "--f", "pihat/z", "--radius", "2"), 0,
          "c0fbc7abb17e886b66e1244bb3d78a98d06505f9d7ece369d3f5683d717ac3f2"),
+        (("residue", "--p", "2", "--k", "2", "--f", "(z-2)^-1*(z-3/2)", "--radius", "3",
+          "--audit", "--seed", "541608"), 0,
+         "1f5f08ff7a59ad05a2dc2dc6686ee512b0caad6f097dd1c533eceec540092fc8"),
+        (("theta", "--p", "3", "--k", "3", "--f", "z^-1*(z+1)^-2*(z+12)", "--level", "-2"), 0,
+         "afcc90eb4bf5ed3f582dc47d1ff9314a3635ca7a4f6141dafb48e7036216de13"),
+        (("lattice", "--p", "3", "--k", "5", "--level", "3", "--offset", "7/9"), 0,
+         "287660990ed09254420fa8b4fc48e6b8e1b534f0bf5471b11b53a87fdafddfe1"),
+        (("modp", "b-forms", "--q", "9"), 0,
+         "81f791a26babd7c7a961e3e3e8813ab7d04b62db4446b9fd268e58e6ccc3037c"),
     ]
 
     @pytest.mark.parametrize("args,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])

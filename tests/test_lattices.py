@@ -12,7 +12,6 @@ from drinfeld.errors import InvalidParameters
 from drinfeld.lattices import (
     Lattice,
     Lattices,
-    _scaled_columns,
     d_space_basis,
     e_space_basis,
     edge_lattice_profile,
@@ -45,9 +44,13 @@ from drinfeld.tree import (
 from oracles import (
     act_on_edge,
     dual_act,
+    endpoint_sum,
+    fraction_valuation,
     lattice_intersection,
     lattice_sum,
     laurent_standard,
+    transition_d_space_basis,
+    transition_e_space_basis,
 )
 
 
@@ -114,7 +117,7 @@ def edge_membership(f: FactoredRational, k: int, e: Edge) -> tuple[bool, dict]:
         win = laurent_standard(moved, lo, hi)
         violations = []
         for j in range(win.lo, win.hi + 1):
-            val = win.coefficient(j).valuation()
+            val = fraction_valuation(win.coefficient(j))
             req = edge_coefficient_requirement(j, k)
             if val < req:
                 violations.append({"j": j, "valuation": val, "required": req})
@@ -235,7 +238,9 @@ class TestLocalDimensions:
     def test_report_builds_each_lattice_once(self, p, k, monkeypatch):
         """The standard vertex and its p children: p + 1 vertex lattices, one
         per child endpoint of an edge at the vertex (an edge lattice needs no
-        parent lattice), and p + 1 edge lattices, one per edge at the vertex."""
+        parent lattice), and p edge lattices, one per edge down to a child.
+        The edge up to the parent, and the endpoint sum, need none: on the
+        child side the transition to the edge lattice is diagonal."""
         built = {"vertex": [], "edge": []}
         real_vertex, real_scaled = lattices.vertex_lattice, lattices._scaled_columns
 
@@ -243,16 +248,15 @@ class TestLocalDimensions:
             built["vertex"].append(v)
             return real_vertex(v, k)
 
-        def scaled_spy(child, clamp):
-            if clamp is max:
-                built["edge"].append(child)
-            return real_scaled(child, clamp)
+        def scaled_spy(child):
+            built["edge"].append(child)
+            return real_scaled(child)
 
         monkeypatch.setattr(lattices, "vertex_lattice", vertex_lattice_spy)
         monkeypatch.setattr(lattices, "_scaled_columns", scaled_spy)
         assert local_space_report(p, k)["pass"] is True
         assert len(built["vertex"]) == len(set(built["vertex"])) == p + 1
-        assert len(built["edge"]) == p + 1
+        assert len(built["edge"]) == p
 
     def test_local_spaces_on_edge_and_vertex(self):
         p = 2
@@ -332,7 +336,20 @@ class TestEdgeLatticesAgainstSmith:
                 child = table.vertex(child_endpoint(e))
                 parent = table.vertex(parent_endpoint(e))
                 assert lattice_equal(table.edge(e), lattice_intersection(child, parent)), (e, k)
-                assert lattice_equal(_scaled_columns(child, min), lattice_sum(child, parent)), (e, k)
+                assert lattice_equal(endpoint_sum(child), lattice_sum(child, parent)), (e, k)
+
+    @pytest.mark.parametrize("p,radius", [(2, 3), (3, 3), (5, 2), (7, 2)])
+    def test_child_side_local_spaces_by_transition(self, p, radius):
+        """The child-side D-space and the E-space read off the diagonal
+        scaling equal the ones reduced from the full transition matrices."""
+        edges = truncated_tree(p, radius).edges
+        for k in range(7):
+            table = Lattices(k)
+            for e in edges:
+                child = child_endpoint(e)
+                got = d_space_basis(e, child, table)
+                assert got == transition_d_space_basis(e, child, table), (e, k)
+                assert e_space_basis(e, table) == transition_e_space_basis(e, table), (e, k)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_edge_profile_off_the_standard_edge(self, p):
@@ -408,14 +425,9 @@ class TestSectionMembership:
     def test_vertex_membership_frozen_pair(self):
         p = 2
         v = make_vertex(p, 1, 0)
-        assert section_lattice_membership(parse_rational("1", p), 2, v) == (
-            False,
-            Fraction(-1),
-        )
-        assert section_lattice_membership(parse_rational("1/z", p), 2, v) == (
-            True,
-            Fraction(0),
-        )
+        # the certificate is the doubled valuation: -2 for omega = -1
+        assert section_lattice_membership(parse_rational("1", p), 2, v) == (False, -2)
+        assert section_lattice_membership(parse_rational("1/z", p), 2, v) == (True, 0)
 
     def test_edge_membership_frozen_triples(self):
         p = 2

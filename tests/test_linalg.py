@@ -273,12 +273,12 @@ class TestSmithOverDVR:
                 assert len(evals) == rank(m, zero)
                 # A unimodular v with m = u * d * v exists exactly when the
                 # rows of w = u^-1 * m past len(evals) vanish and the rest,
-                # scaled by pihat^(-2 evals[t]), are integral with reductions
+                # scaled by pihat^(-evals[t]), are integral with reductions
                 # mod pihat independent over F_p.
                 w = mat_mul(inverse(u, zero, one), m)
                 assert all(x.is_zero() for row in w[len(evals):] for x in row)
                 scaled = [
-                    [x * ScalarKHat.pihat(p, -int(2 * e)) for x in row]
+                    [x * ScalarKHat.pihat(p, -e) for x in row]
                     for row, e in zip(w, evals)
                 ]
                 assert _integral(scaled)

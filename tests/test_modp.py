@@ -29,7 +29,7 @@ from drinfeld.modp import (
     weight_action_p1,
 )
 from drinfeld.rational import FactoredRational, parse_rational, transported_gauss_valuation
-from drinfeld.scalars import Fq, ScalarKHat
+from drinfeld.scalars import Fq, ScalarKHat, half
 from drinfeld.tree import (
     Vertex,
     act_on_vertex,
@@ -112,7 +112,7 @@ def geven_section_membership(f: FactoredRational, k: int, v: Vertex) -> tuple:
     transported valuation must reach floor(k*m/2) - k*m/2 (0 or -1/2)."""
     if f.is_zero():
         raise ZeroFunction("membership is only defined for nonzero sections")
-    val = transported_gauss_valuation(f, vertex_transporter(v).inv(), k)
+    val = half(transported_gauss_valuation(f, vertex_transporter(v).inv(), k))
     threshold = Fraction(k * v.m // 2) - Fraction(k * v.m, 2)
     return val >= threshold, val, threshold
 

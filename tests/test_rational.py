@@ -22,7 +22,7 @@ from drinfeld.sampling import random_group_element, random_rational, random_vert
 from drinfeld.scalars import ScalarKHat
 from drinfeld.theta import theta
 from drinfeld.tree import Mat2, gamma_level, make_vertex, vertex_transporter, weyl_flip
-from oracles import laurent_standard, poly_evaluate, raw_gauss_valuation
+from oracles import fraction_valuation, laurent_standard, poly_evaluate, raw_gauss_valuation
 
 
 def evaluate(f: FactoredRational, z0: ScalarKHat) -> ScalarKHat:
@@ -62,7 +62,7 @@ def gauss_sample_audit(
     pole_residues = set()
     circle_residues = set()  # residues of all unit-valuation roots and poles
     for root, mult in moved.factors:
-        if root.valuation() == 0:
+        if fraction_valuation(root) == 0:
             r = root.reduce_mod_pihat()
             circle_residues.add(r)
             if mult < 0:
@@ -71,13 +71,13 @@ def gauss_sample_audit(
     if moved.extra and len(moved.extra) > 1:
         # residues where the reduced polynomial part drops below its generic
         # valuation: roots of (extra / p^min_val) mod pihat
-        shift = min(c.valuation() for c in moved.extra)
+        shift = min(fraction_valuation(c) for c in moved.extra)
         for r in unit_residues:
             total = ScalarKHat.zero(p)
             zr = ScalarKHat.from_rational(r, p)
             for j, c in enumerate(moved.extra):
                 total = total + c * zr**j
-            if total.valuation() > shift:
+            if fraction_valuation(total) > shift:
                 extra_blocks.add(r)
     attainable = bool(unit_residues - circle_residues - extra_blocks)
     samplable = bool(unit_residues - pole_residues)
@@ -88,7 +88,7 @@ def gauss_sample_audit(
         u = r + p * rng.randrange(0, 8)
         w = rng.randrange(0, p * 8)
         z_std = ScalarKHat(p, Fraction(u), Fraction(w))
-        sampled.append(evaluate(moved, z_std).valuation())
+        sampled.append(fraction_valuation(evaluate(moved, z_std)))
     ok = all(val >= gv for val in sampled) if sampled else None
     if sampled and min(sampled) == gv:
         attained = True
@@ -221,13 +221,13 @@ class TestGaussValuation:
         p = 2
         f = parse_rational("1/z", p)
         for n in range(-2, 3):
-            assert gauss_valuation(f, make_vertex(p, n, 0)) == n
+            assert gauss_valuation(f, make_vertex(p, n, 0)) == 2 * n  # doubled
 
     def test_constant_has_its_scalar_valuation(self):
         p = 3
         f = parse_rational("pihat*p", p)
         v = make_vertex(p, 2, 0)
-        assert gauss_valuation(f, v) == Fraction(3, 2)
+        assert gauss_valuation(f, v) == 3  # doubled: omega = 3/2
 
     def test_zero_function_rejected(self):
         with pytest.raises(ZeroFunction):
@@ -312,7 +312,7 @@ class TestTransportedGaussValuation:
         rng = random.Random(seed)
         f = _gauss_oracle_section(rng, p, f_kind)
         g = _gauss_oracle_matrix(rng, p, g_kind, f)
-        assert transported_gauss_valuation(f, g, k) == raw_gauss_valuation(
+        assert transported_gauss_valuation(f, g, k) == 2 * raw_gauss_valuation(
             automorphic_act(g, f, k)
         )
 
@@ -326,7 +326,7 @@ class TestTransportedGaussValuation:
         p = 3
         f = parse_rational("(z-1)^-2*(z-3)*pihat", p)
         g = Mat2(2, 7, 1, 1)  # d = c*1: the pole at 1 goes to infinity
-        assert transported_gauss_valuation(f, g, k) == raw_gauss_valuation(
+        assert transported_gauss_valuation(f, g, k) == 2 * raw_gauss_valuation(
             automorphic_act(g, f, k)
         )
 

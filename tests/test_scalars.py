@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld.errors import InvalidParameters, NegativeValuation, ResidueFieldMismatch
-from drinfeld.scalars import INF, FiniteField, Fq, ScalarKHat, val_p
-from oracles import FractionScalarKHat
+from drinfeld.scalars import INF, FiniteField, Fq, ScalarKHat, half, val_p
+from oracles import FractionScalarKHat, _fraction_val, fraction_valuation
 
 
 def scalar(x, p, pihat_exp=0):
@@ -63,8 +63,9 @@ def _assert_matches_fraction_scalar(got, old):
     assert hash(got) == hash(old)
     assert repr(got) == repr(old)
     assert got.is_zero() == old.is_zero()
-    assert got.valuation() == old.valuation()
-    assert type(got.valuation()) is type(old.valuation())
+    # the program's valuation is the doubled one, an int, or INF for zero
+    assert got.valuation() == 2 * old.valuation()
+    assert type(got.valuation()) is (float if old.is_zero() else int)
     assert got.is_integral() == old.is_integral()
     if old.is_integral():
         assert got.reduce_mod_pihat() == old.reduce_mod_pihat()
@@ -199,8 +200,8 @@ class TestBoundaryChecks:
 
 class TestValuation:
     def test_half_integer_grid(self):
-        # p^2 * pihat has valuation 2 + 1/2 at p = 2
-        assert scalar(4, 2, 1).valuation() == Fraction(5, 2)
+        # p^2 * pihat has valuation 2 + 1/2 at p = 2, doubled 5
+        assert scalar(4, 2, 1).valuation() == 5
 
     def test_zero_has_infinite_valuation(self):
         assert ScalarKHat.zero(2).valuation() == INF
@@ -210,6 +211,27 @@ class TestValuation:
         # 1 + pihat is a unit: its valuation is 0
         s = ScalarKHat.one(2) + ScalarKHat.pihat(2, 1)
         assert s.valuation() == 0
+
+    @given(a=_components, b=_components, p=st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_doubled_valuation_matches_the_fraction_oracle(self, a, b, p):
+        x = ScalarKHat(p, a, b)
+        twice, omega = x.valuation(), fraction_valuation(x)
+        if x.is_zero():
+            assert twice is INF and omega is INF and half(twice) is INF
+            return
+        assert type(twice) is int
+        assert Fraction(twice, 2) == omega == half(twice)
+        assert twice == 2 * FractionScalarKHat(p, a, b).valuation()
+
+    @given(x=_components, p=st.sampled_from([2, 3, 5, 7]))
+    def test_val_p_is_an_int(self, x, p):
+        for value in (x, x.numerator):
+            got = val_p(value, p)
+            if value:
+                assert type(got) is int and got == _fraction_val(Fraction(value), p)
+            else:
+                assert got is INF
 
     def test_val_p_on_rationals(self):
         assert val_p(Fraction(12), 2) == 2
@@ -528,16 +550,19 @@ class TestFieldIdentity:
         assert f3.one() != f9.one() and f9.one() != f3.one()
 
     def test_elements_are_immutable(self):
+        # immutable by convention: an element holds its two slots and nothing
+        # else, its coefficients are read-only, and arithmetic builds new
+        # elements without touching its operands
         x = Fq(9).elem((0, 1))
         with pytest.raises(AttributeError):
-            x.n = 0
-        with pytest.raises(AttributeError):
-            x.field = Fq(3)
-        with pytest.raises(AttributeError):
-            del x.n
+            x.other = 0
         with pytest.raises(AttributeError):
             x.coeffs = (0, 0)
-        assert x.coeffs == (0, 1)
+        y = Fq(9).elem((2, 1))
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: -x,
+                   lambda: x**3, lambda: x.inverse()):
+            assert op() is not x
+        assert (x.coeffs, y.coeffs) == ((0, 1), (2, 1))
 
     def test_inverse_of_zero_is_rejected(self):
         for q in (5, 9):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld.errors import SingularMatrix
+from drinfeld.errors import InvalidParameters, SingularMatrix
 from drinfeld.sampling import random_group_element, random_vertex
 from drinfeld.tree import (
     Mat2,
@@ -28,20 +29,27 @@ from drinfeld.tree import (
     neighbors,
     parent,
     parent_endpoint,
+    representative,
     standard_edge,
     standard_vertex,
     truncated_tree,
     unipotent_lower,
     unipotent_upper,
+    vertex_of_matrix,
     vertex_parity,
     vertex_transporter,
     weyl_flip,
 )
 from oracles import (
+    FractionMat2,
     act_on_edge,
+    fraction_act_on_vertex,
     fraction_canonical_offset,
     fraction_children,
     fraction_parent,
+    fraction_representative,
+    fraction_vertex_of_matrix,
+    fraction_vertex_transporter,
 )
 
 
@@ -108,6 +116,96 @@ class TestTransporters:
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrix):
             act_on_vertex(Mat2(1, 1, 1, 1), standard_vertex(2))
+
+
+# -- the int-held Mat2 against the Fraction-held oracle -------------------------------
+
+_PRIMES = st.sampled_from([2, 3, 5, 7])
+# zero in a fifth of the draws, so singular matrices and zero entries occur;
+# p-power and mixed denominators alike
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-30, 30).map(Fraction),
+    st.fractions(min_value=-30, max_value=30, max_denominator=60),
+    st.builds(lambda n, j: Fraction(n, 2**j), st.integers(-40, 40), st.integers(0, 5)),
+    st.builds(lambda n, j: Fraction(n, 3**j), st.integers(-40, 40), st.integers(0, 4)),
+)
+_quads = st.tuples(_entries, _entries, _entries, _entries)
+
+
+def _entries_of(g) -> tuple:
+    return (g.a, g.b, g.c, g.d)
+
+
+def _assert_matches(g: Mat2, old: FractionMat2) -> None:
+    """g holds the value of old in its canonical reduced ints."""
+    assert _entries_of(g) == _entries_of(old)
+    assert all(type(x) is Fraction for x in _entries_of(g))
+    assert g.N > 0 and math.gcd(g.A, g.B, g.C, g.D, g.N) == 1
+    assert g == Mat2(*_entries_of(old)) and hash(g) == hash(Mat2(*_entries_of(old)))
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+    return None
+
+
+@st.composite
+def _vertices_deep(draw):
+    """A vertex at level -4..4 whose offset has a p-power denominator up to
+    p^4 beyond what the level forces."""
+    p = draw(_PRIMES)
+    m = draw(st.integers(-4, 4))
+    j = draw(st.integers(0, 4))
+    n = draw(st.integers(0, p ** (abs(m) + j + 2)))
+    return make_vertex(p, m, Fraction(n, p ** (max(0, -m) + j)))
+
+
+class TestMat2AgainstFractionOracle:
+    @given(x=_quads, y=_quads, p=_PRIMES)
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic(self, x, y, p):
+        g, h = Mat2(*x), Mat2(*y)
+        old_g, old_h = FractionMat2(*x), FractionMat2(*y)
+        _assert_matches(g, old_g)
+        assert g.det() == old_g.det() and type(g.det()) is Fraction
+        _assert_matches(g @ h, old_g @ old_h)
+        _assert_matches(g.itilde(), old_g.itilde())
+        assert g.lift(p) == old_g.lift(p)
+        assert g.lift_det(p) == old_g.lift_det(p)
+        if old_g.det() == 0:
+            assert _raised(g.inv) is _raised(old_g.inv) is SingularMatrix
+            assert _raised(g.omega_det, p) is _raised(old_g.omega_det, p) is InvalidParameters
+            assert _raised(vertex_of_matrix, g, p) is InvalidParameters
+            assert _raised(fraction_vertex_of_matrix, old_g, p) is InvalidParameters
+            return
+        _assert_matches(g.inv(), old_g.inv())
+        assert g.omega_det(p) == old_g.omega_det(p) and type(g.omega_det(p)) is int
+        assert vertex_of_matrix(g, p) == fraction_vertex_of_matrix(old_g, p)
+
+    @given(v=_vertices_deep())
+    @settings(max_examples=300, deadline=None)
+    def test_transporter_and_representative(self, v):
+        _assert_matches(vertex_transporter(v), fraction_vertex_transporter(v))
+        _assert_matches(representative(v), fraction_representative(v))
+        assert act_on_vertex(vertex_transporter(v), standard_vertex(v.p)) == v
+
+    @given(x=_quads, v=_vertices_deep())
+    @settings(max_examples=300, deadline=None)
+    def test_act_on_vertex(self, x, v):
+        g, old_g = Mat2(*x), FractionMat2(*x)
+        if old_g.det() == 0:
+            assert _raised(act_on_vertex, g, v) is _raised(fraction_act_on_vertex, old_g, v)
+            assert _raised(act_on_vertex, g, v) is SingularMatrix
+            return
+        assert act_on_vertex(g, v) == fraction_act_on_vertex(old_g, v)
+
+    @given(n=st.integers(-6, 6), p=_PRIMES)
+    def test_gamma_level(self, n, p):
+        _assert_matches(gamma_level(n, p), FractionMat2(1, 0, 0, Fraction(p) ** n))
 
 
 class TestAdjacency:
