@@ -7,19 +7,18 @@ internal invariant.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import click
 
 from .errors import DrinfeldError, InternalInvariantError, InvalidParameters
 from .harmonic import Cochain, delta, field_kernel, res0, res0_integrality, star_local_kernels
 from .lattices import (
-    Lattice,
     edge_lattice_profile,
     local_dimension_formulas,
     local_space_report,
@@ -47,7 +46,6 @@ from .theta import (
     theta_integrality,
 )
 from .tree import (
-    Edge,
     Vertex,
     act_on_vertex,
     ball_size,
@@ -96,17 +94,12 @@ def _rational_str(f: FactoredRational) -> str:
     return " * ".join(parts)
 
 
-def _fq_elem_json(x: FqElem):
-    # the code of a prime-field element is its residue
-    return x.n if x.field.f == 1 else list(x.coeffs)
-
-
 def _fqpoly_str(coeffs) -> str:
     if not coeffs:
         return "0"
     terms = []
     for i, c in enumerate(coeffs):
-        cj = _fq_elem_json(c)
+        cj = _value(c)
         if cj == 0:
             continue
         if i == 0:
@@ -117,17 +110,14 @@ def _fqpoly_str(coeffs) -> str:
     return " + ".join(terms)
 
 
-def _jsonable(x):
-    if type(x) is FqElem:
-        return _fq_elem_json(x)
-    if isinstance(x, bool) or x is None or isinstance(x, str):
+def _value(x):
+    """A payload entry as a str, int, bool, None, dict, list or tuple."""
+    if isinstance(x, (str, int, dict, list, tuple)) or x is None:
         return x
-    if isinstance(x, int):
-        return x
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "infinity"
-        raise InternalInvariantError("floating point values are not emitted")
+    if type(x) is FqElem:  # the code of a prime-field element is its residue
+        return x.n if x.field.f == 1 else list(x.coeffs)
+    if isinstance(x, float) and math.isinf(x):
+        return "infinity"
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, ScalarKHat):
@@ -138,29 +128,35 @@ def _jsonable(x):
         num, den = _fqpoly_str(x.num), _fqpoly_str(x.den)
         return num if den == "1" else f"({num})/({den})"
     if isinstance(x, Vertex):
-        return {"level": x.m, "offset": _jsonable(x.b)}
-    if isinstance(x, Edge):
-        return {"parent": _jsonable(x.u), "child": _jsonable(x.v)}
-    if isinstance(x, Lattice):
-        return [[_jsonable(c) for c in row] for row in x.matrix]
+        return {"level": x.m, "offset": x.b}
     if isinstance(x, Cochain):
         items = sorted(x.values.items(), key=lambda kv: (kv[0].u, kv[0].v))
-        return [
-            {"edge": _jsonable(e), "value": [_jsonable(c) for c in vec]}
-            for e, vec in items
-        ]
-    if isinstance(x, dict):
-        return {
-            (key if isinstance(key, str) else str(_jsonable(key))): _jsonable(val)
-            for key, val in x.items()
-        }
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [{"edge": {"parent": e.u, "child": e.v}, "value": vec} for e, vec in items]
     raise InternalInvariantError(f"cannot serialize {type(x).__name__}")
 
 
+def _dumps(x, pad: str = "\n") -> str:
+    """``x`` as JSON: two-space indent, keys sorted after conversion to str,
+    ASCII with \\uXXXX escapes.  ``pad`` starts each line at ``x``'s depth."""
+    x, inner = _value(x), pad + "  "
+    if isinstance(x, dict):
+        items = {str(_value(key)): val for key, val in x.items()}
+        body = [f"{encode_basestring_ascii(k)}: {_dumps(items[k], inner)}" for k in sorted(items)]
+        return "{" + inner + ("," + inner).join(body) + pad + "}" if x else "{}"
+    if isinstance(x, (list, tuple)):
+        body = ()
+        if set(map(type, x)) == {FqElem} and (field := x[0].field).f == 1:
+            body = [str(v.n) for v in x if v.field is field]  # a prime-field code is its residue
+        if len(body) < len(x):
+            body = map(str, x) if set(map(type, x)) == {int} else [_dumps(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(body) + pad + "]" if x else "[]"
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    return "null" if x is None else ("false", "true")[x] if type(x) is bool else int.__repr__(x)
+
+
 def _emit(payload: dict) -> None:
-    click.echo(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+    click.echo(_dumps(payload))
 
 
 # -- configuration --------------------------------------------------------------------
@@ -188,6 +184,8 @@ def _load_config(path: str) -> dict:
 
 def _fraction(key: str, text: str) -> Fraction:
     try:
+        if "e" in text.lower():  # Fraction("1e-99999999") would build 10^99999999
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidParameters(f"{key} must be a rational number, got {text!r}") from None

@@ -6,18 +6,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import json
 import math
 from math import comb
 
 from drinfeld import poly
+from drinfeld.cli import _fqpoly_str, _rational_str, _scalar_str
 from drinfeld.errors import (
+    InternalInvariantError,
     InvalidParameters,
     NegativeValuation,
     PoleInsideAnnulus,
     ResidueFieldMismatch,
     SingularMatrix,
 )
-from drinfeld.harmonic import res0
+from drinfeld.harmonic import Cochain, res0
 from drinfeld.lattices import (
     Lattice,
     Lattices,
@@ -28,9 +31,9 @@ from drinfeld.lattices import (
     transition_matrix,
 )
 from drinfeld.linalg import mat_mul, smith_over_dvr
-from drinfeld.modp import _quotient_structure
+from drinfeld.modp import FqRatFunc, _quotient_structure
 from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
-from drinfeld.scalars import INF, Fq, ScalarKHat, _check_prime
+from drinfeld.scalars import INF, Fq, FqElem, ScalarKHat, _check_prime
 from drinfeld.symrep import dual_act_matrix
 from drinfeld.theta import theta
 from drinfeld.tree import (
@@ -514,3 +517,61 @@ def quotient_reduce(q: int, k: int, i: int, coeffs: dict) -> tuple:
     for r, c in coeffs.items():
         vec[r] = vec[r] + field.elem(c)
     return s["reduce"](vec)
+
+
+# -- the CLI's JSON output through json.dumps ---------------------------------------
+#
+# The two passes that ``cli._dumps`` replaced: convert the payload to plain
+# JSON values, then print them with the standard library's indenting encoder.
+
+
+def _fq_elem_json(x: FqElem):
+    # the code of a prime-field element is its residue
+    return x.n if x.field.f == 1 else list(x.coeffs)
+
+
+def _jsonable(x):
+    if type(x) is FqElem:
+        return _fq_elem_json(x)
+    if isinstance(x, bool) or x is None or isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return x
+    if isinstance(x, float):
+        if math.isinf(x):
+            return "infinity"
+        raise InternalInvariantError("floating point values are not emitted")
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, ScalarKHat):
+        return _scalar_str(x)
+    if isinstance(x, FactoredRational):
+        return _rational_str(x)
+    if isinstance(x, FqRatFunc):
+        num, den = _fqpoly_str(x.num), _fqpoly_str(x.den)
+        return num if den == "1" else f"({num})/({den})"
+    if isinstance(x, Vertex):
+        return {"level": x.m, "offset": _jsonable(x.b)}
+    if isinstance(x, Edge):
+        return {"parent": _jsonable(x.u), "child": _jsonable(x.v)}
+    if isinstance(x, Lattice):
+        return [[_jsonable(c) for c in row] for row in x.matrix]
+    if isinstance(x, Cochain):
+        items = sorted(x.values.items(), key=lambda kv: (kv[0].u, kv[0].v))
+        return [
+            {"edge": _jsonable(e), "value": [_jsonable(c) for c in vec]}
+            for e, vec in items
+        ]
+    if isinstance(x, dict):
+        return {
+            (key if isinstance(key, str) else str(_jsonable(key))): _jsonable(val)
+            for key, val in x.items()
+        }
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    raise InternalInvariantError(f"cannot serialize {type(x).__name__}")
+
+
+def emit_oracle(payload) -> str:
+    """The text that the CLI printed for ``payload`` before ``cli._dumps``."""
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2)

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drinfeld import cli as cli_module
 from drinfeld.cli import cli
+from drinfeld.errors import InternalInvariantError
+from drinfeld.scalars import Fq, ScalarKHat
+from drinfeld.tree import make_vertex
+from oracles import emit_oracle
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -173,6 +180,24 @@ class TestExitCodes:
         proc = run_cli("no-such-command", expect_code=2)
         assert b"usage error" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("lattice", "--p", "2", "--k", "1", "--level", "1", "--offset", "1e-99999999"),
+            ("identity-b", "--a", "1e-99999999"),
+        ],
+    )
+    def test_exponent_notation_is_refused_at_once(self, args):
+        # Fraction("1e-99999999") would build a denominator of 10^99999999
+        proc = subprocess.run(
+            [sys.executable, "-m", "drinfeld.cli", *args],
+            capture_output=True,
+            env=child_env(),
+            timeout=2,
+        )
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert b"must be a rational number" in proc.stderr
+
 
 class TestInProcessExitCodes:
     @pytest.mark.parametrize(
@@ -182,6 +207,8 @@ class TestInProcessExitCodes:
             ("modp", "degrees", "--q", "0"),
             ("lattice", "--level", "1", "--offset", "abc"),
             ("identity-b", "--a", "1/0"),
+            ("lattice", "--level", "1", "--offset", "1e2"),
+            ("identity-b", "--a", "5E-1"),
             ("sweep", "--kmax", "-1"),
             ("residue", "--p", "2", "--k", "0", "--f", "1/0", "--radius", "1"),
             ("residue", "--p", "2", "--k", "0", "--f", "(z-1/0)", "--radius", "1"),
@@ -474,7 +501,9 @@ class TestGoldenStdout:
     pinned the same way.  So are the paths through the matrix arithmetic: an
     audited residue (a second transporter, by product and inverse), a theta
     certificate at a negative level, a deep vertex with a p-adic offset, and
-    the uniformizer involution of ``b-forms``."""
+    the uniformizer involution of ``b-forms``.  The JSON writer's paths are
+    pinned too: coefficient lists over F_4, the identity basis of an odd k,
+    and a list of dicts holding bools."""
 
     GOLDEN = [
         (("modp", "sections", "--q", "3", "--k", "4", "--radius", "2"), 0,
@@ -522,9 +551,96 @@ class TestGoldenStdout:
          "287660990ed09254420fa8b4fc48e6b8e1b534f0bf5471b11b53a87fdafddfe1"),
         (("modp", "b-forms", "--q", "9"), 0,
          "81f791a26babd7c7a961e3e3e8813ab7d04b62db4446b9fd268e58e6ccc3037c"),
+        (("modp", "stable-lines", "--q", "4", "--k", "12", "--i", "0"), 0,
+         "ca5e103528c97ed14365232524c2dd2da91c8b4be3c86837c9349bc1a0ef8562"),
+        (("modp", "sections", "--q", "3", "--k", "3", "--radius", "1"), 0,
+         "0eaa87eb5d787877a25103fa83468feec42bd045e3f248eb4b63439d2189e210"),
+        (("identity-b", "--p", "2", "--kmax", "4", "--mmax", "6"), 0,
+         "56e7b415e867d6ad338b80ee3b4593a8f68fb9ddb812a588d4766c4402d64889"),
     ]
 
     @pytest.mark.parametrize("args,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
     def test_stdout_digest(self, args, code, digest):
         out = run_cli(*args, expect_code=code).stdout
         assert hashlib.sha256(out).hexdigest() == digest
+
+
+# Payload entries of every kind that the writer renders, and containers of them.
+_F3, _F3_TWIN, _F4 = Fq(3), Fq(3), Fq(4)
+_F3_ELEMS = st.integers(0, 2).map(_F3.elem)
+_F4_ELEMS = st.tuples(st.integers(0, 1), st.integers(0, 1)).map(_F4.elem)
+_INTS = st.one_of(
+    st.integers(-(10**6), 10**6), st.integers(2**64, 2**80).map(lambda n: n * (-1) ** n)
+)
+_FRACTIONS = st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 2]))
+_KHAT = st.builds(lambda a, b: ScalarKHat(3, a, b), _FRACTIONS, _FRACTIONS)
+_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from(
+        ['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "\u00e9\u03c0\u2028", "\U0001f600"]
+    ),
+)
+_SCALARS = st.one_of(
+    _TEXT, _INTS, st.booleans(), st.none(), _FRACTIONS, _KHAT, _F3_ELEMS, _F4_ELEMS
+)
+_LEAVES = st.one_of(
+    _SCALARS,
+    st.sampled_from([math.inf, -math.inf]),
+    st.builds(
+        lambda m, b: make_vertex(3, m, Fraction(b, 3)), st.integers(1, 2), st.integers(0, 2)
+    ),
+)
+_ROWS = st.one_of(
+    st.lists(_F3_ELEMS, min_size=1),
+    st.lists(st.integers(0, 2).map(_F3_TWIN.elem), min_size=1).map(lambda r: [_F3.one(), *r]),
+    st.lists(st.one_of(_F3_ELEMS, _F4_ELEMS, _INTS), min_size=1),
+    st.lists(_INTS, min_size=1).map(tuple),
+)
+_PAYLOADS = st.recursive(
+    st.one_of(_LEAVES, _ROWS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_SCALARS, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+def _payload_cases():
+    """Every GOLDEN and README invocation, with its exit code."""
+    golden = [(args, code) for args, code, _ in TestGoldenStdout.GOLDEN]
+    return golden + [(tuple(args), 0) for args in _readme_examples()]
+
+
+class TestJsonWriter:
+    """``cli._dumps`` prints what ``json.dumps(_jsonable(payload),
+    sort_keys=True, indent=2)`` printed: the old two passes are the oracle."""
+
+    @pytest.mark.parametrize(
+        "args,code", _payload_cases(), ids=[" ".join(a) for a, _ in _payload_cases()]
+    )
+    def test_command_payloads_match_the_oracle(self, args, code, monkeypatch):
+        payloads = []
+        monkeypatch.setattr(cli_module, "_emit", payloads.append)
+        result = CliRunner().invoke(cli, list(args))
+        assert result.exit_code == code, (args, result.output)
+        assert len(payloads) == (code == 0)
+        for payload in payloads:
+            assert cli_module._dumps(payload) == emit_oracle(payload)
+
+    @given(payload=_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_generated_payloads_match_the_oracle(self, payload):
+        assert cli_module._dumps(payload) == emit_oracle(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [math.nan, 1.5, object(), {1, 2}, {"a": [math.nan]}, {math.nan: 1}, [_F3.one(), object()]],
+        ids=["nan", "float", "object", "set", "nested-nan", "nan-key", "row-with-object"],
+    )
+    def test_unprintable_entries_raise_on_both_sides(self, payload):
+        with pytest.raises(InternalInvariantError):
+            cli_module._dumps(payload)
+        with pytest.raises(InternalInvariantError):
+            emit_oracle(payload)
