@@ -140,19 +140,28 @@ def _dumps(x, pad: str = "\n") -> str:
     ASCII with \\uXXXX escapes.  ``pad`` starts each line at ``x``'s depth."""
     x, inner = _value(x), pad + "  "
     if isinstance(x, dict):
-        items = {str(_value(key)): val for key, val in x.items()}
+        items = {}
+        for key, val in x.items():
+            name = _value(key)
+            # an F_q element prints its coefficient list; no other key prints a container
+            if isinstance(name, (dict, list, tuple)) and type(key) is not FqElem:
+                raise InternalInvariantError(f"cannot serialize a {type(key).__name__} key")
+            items[str(name)] = val
         body = [f"{encode_basestring_ascii(k)}: {_dumps(items[k], inner)}" for k in sorted(items)]
         return "{" + inner + ("," + inner).join(body) + pad + "}" if x else "{}"
     if isinstance(x, (list, tuple)):
-        body = ()
-        if set(map(type, x)) == {FqElem} and (field := x[0].field).f == 1:
-            body = [str(v.n) for v in x if v.field is field]  # a prime-field code is its residue
-        if len(body) < len(x):
-            body = map(str, x) if set(map(type, x)) == {int} else [_dumps(v, inner) for v in x]
+        if all(type(v) is FqElem and v.field.f == 1 for v in x):
+            body = [str(v.n) for v in x]  # a prime-field code is its residue
+        else:
+            body = [_dumps(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(body) + pad + "]" if x else "[]"
     if isinstance(x, str):
         return encode_basestring_ascii(x)
-    return "null" if x is None else ("false", "true")[x] if type(x) is bool else int.__repr__(x)
+    if x is None:
+        return "null"
+    if type(x) is bool:
+        return "true" if x else "false"
+    return int.__repr__(x)
 
 
 def _emit(payload: dict) -> None:

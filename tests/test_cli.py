@@ -644,3 +644,19 @@ class TestJsonWriter:
             cli_module._dumps(payload)
         with pytest.raises(InternalInvariantError):
             emit_oracle(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{(1, 2): 0}, {make_vertex(3, 1, Fraction(1, 3)): 0}, {Fraction(1, 2): {(): 0}}],
+        ids=["tuple-key", "vertex-key", "nested-empty-tuple-key"],
+    )
+    def test_container_keys_raise(self, payload):
+        """The oracle printed such a key as Python's repr of its conversion,
+        e.g. "{'level': 1, 'offset': '1/3'}"; no command makes one, and the
+        writer refuses it rather than print text that is not JSON's."""
+        with pytest.raises(InternalInvariantError):
+            cli_module._dumps(payload)
+
+    def test_field_element_keys_match_the_oracle(self):
+        payload = {_F4.elem((0, 1)): 1, _F3.one(): 2}
+        assert cli_module._dumps(payload) == emit_oracle(payload)
