@@ -99,14 +99,13 @@ def _fqpoly_str(coeffs) -> str:
         return "0"
     terms = []
     for i, c in enumerate(coeffs):
-        cj = _value(c)
-        if cj == 0:
+        if c.is_zero():
             continue
         if i == 0:
-            terms.append(str(cj))
+            terms.append(str(_value(c)))
         else:
             zpow = "z" if i == 1 else f"z^{i}"
-            terms.append(zpow if cj == 1 else f"{cj}*{zpow}")
+            terms.append(zpow if c == c.field.one() else f"{_value(c)}*{zpow}")
     return " + ".join(terms)
 
 
@@ -125,8 +124,8 @@ def _value(x):
     if isinstance(x, FactoredRational):
         return _rational_str(x)
     if isinstance(x, FqRatFunc):
-        num, den = _fqpoly_str(x.num), _fqpoly_str(x.den)
-        return num if den == "1" else f"({num})/({den})"
+        num = _fqpoly_str(x.num)
+        return num if x.den == (x.field.one(),) else f"({num})/({_fqpoly_str(x.den)})"
     if isinstance(x, Vertex):
         return {"level": x.m, "offset": x.b}
     if isinstance(x, Cochain):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import poly
 from .errors import InternalInvariantError, PoleInsideAnnulus
 from .lattices import (
-    Lattices,
+    edge_lattice,
     lattice_contains_vector,
     section_lattice_membership,
     star_local_kernel,
@@ -157,11 +157,10 @@ def res0_integrality(
     """Whether the residue cochain ``cochain`` = res0(g, k, tree) lands in
     every edge lattice, alongside the vertex membership precondition.
 
-    Only the edges the cochain stores need a lattice solve: every other value
-    is the zero vector, which lies in every full-rank lattice."""
-    lattices = Lattices(k)
+    Only the edges the cochain stores need a membership test: every other
+    value is the zero vector, which lies in every full-rank lattice."""
     all_in = all(
-        lattice_contains_vector(lattices.edge(e), vec) for e, vec in cochain.values.items()
+        lattice_contains_vector(edge_lattice(e, k), vec) for e, vec in cochain.values.items()
     )
     # the zero section lies in every lattice; membership tests need f != 0
     vertex_ok = g.is_zero() or all(
@@ -196,5 +195,4 @@ def star_local_kernels(tree: TruncatedTree, k: int) -> dict:
     The kernel in edge-lattice coordinates needs no elimination: its rows are
     the incidence rows tensored with the identity, times the block diagonal
     of the invertible edge bases, so its rank is ``field_kernel``'s."""
-    table = Lattices(k)
-    return {str(v): star_local_kernel(v, table) for v in tree.interior_vertices()}
+    return {str(v): star_local_kernel(v, k) for v in tree.interior_vertices()}

@@ -3,17 +3,20 @@
 mod-uniformizer local spaces with their dimensions, and the membership test
 for rational sections at vertex level.
 
-Conventions: a lattice is stored as a square basis matrix whose columns
-generate it over the valuation ring; edge profiles are reported relative to
+Conventions: a lattice is a group element g and a column scaling: it is
+generated over the valuation ring by the columns of
+dual_act(g) * diag(pihat^scale[j]).  Edge profiles are reported relative to
 the lattice at the child (deeper) endpoint.
 
-The lattices are GL2-equivariant, and the child's vertex transporter carries
-the standard edge onto every edge.  At the standard edge the child lattice
-has the identity basis and the parent lattice the basis diag(pihat^(2j-k)),
+The lattices are GL2-equivariant: the vertex lattice of v is the standard
+lattice moved by v's transporter, and the child's transporter carries the
+standard edge onto every edge.  At the standard edge the child lattice has
+the identity basis and the parent lattice the basis diag(pihat^(2j-k)),
 j = 0..k.  So the intersection of the two endpoint lattices of any edge is
 the child's basis with column j scaled by pihat^max(0, 2j-k), and their sum
-is the same basis scaled by pihat^min(0, 2j-k).  The transitions from the
-child's basis and from the sum to the edge lattice are therefore diagonal.
+is the same basis scaled by pihat^min(0, 2j-k).  Since dual_act is a
+homomorphism, the transition between two lattices is one symmetric-power
+matrix between two diagonal scalings, and membership needs no elimination.
 Profiles are printed, so they are ``Fraction`` valuations; everything else
 compares the doubled int valuations of ``scalars``.
 """
@@ -24,20 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ZeroFunction
-from .linalg import (
-    inverse,
-    mat_mul,
-    rank,
-    rref,
-    smith_over_dvr,
-    solve,
-    transpose,
-)
+from .linalg import rank, rref, smith_over_dvr, transpose
 from .rational import FactoredRational, transported_gauss_valuation
-from .scalars import FiniteField, Fq, ScalarKHat, half
-from .symrep import dual_act_matrix
+from .scalars import Fq, ScalarKHat, half
+from .symrep import dual_act_matrix, sym_matrix
 from .tree import (
     Edge,
+    Mat2,
     Vertex,
     child_endpoint,
     edges_at,
@@ -50,58 +46,58 @@ Matrix = list  # list[list[ScalarKHat]]
 
 @dataclass(frozen=True)
 class Lattice:
-    """Full-rank lattice in the dual module, generated by the matrix columns."""
+    """Full-rank lattice in the dual module, generated by the columns of
+    dual_act(g) * diag(pihat^scale[j])."""
 
     p: int
     k: int
-    matrix: tuple
-
-    def columns(self) -> list:
-        return [list(col) for col in zip(*self.matrix)]
-
-
-def _freeze(m: Matrix) -> tuple:
-    return tuple(tuple(row) for row in m)
-
-
-def _rows(l: Lattice) -> Matrix:
-    return [list(row) for row in l.matrix]
+    g: Mat2
+    scale: tuple
 
 
 def vertex_lattice(v: Vertex, k: int) -> Lattice:
     """Transport of the standard dual lattice to the vertex v; any transporter
     carrying the base vertex to v yields the same lattice."""
-    return Lattice(v.p, k, _freeze(dual_act_matrix(vertex_transporter(v), k, v.p)))
+    return Lattice(v.p, k, vertex_transporter(v), (0,) * (k + 1))
+
+
+def edge_lattice(e: Edge, k: int) -> Lattice:
+    """Intersection of the two endpoint lattices: the child endpoint's
+    lattice with column j scaled by pihat^max(0, 2j - k)."""
+    child = child_endpoint(e)
+    return Lattice(
+        child.p, k, vertex_transporter(child), tuple(max(0, 2 * j - k) for j in range(k + 1))
+    )
 
 
 def vertex_lattice_profile(v: Vertex, k: int) -> tuple:
     """Per-column valuations of the canonical basis matrix, indexed by the dual
     basis position j = 0..k (diagonal valuations for the level vertices)."""
-    cols = vertex_lattice(v, k).columns()
-    return tuple(half(min(x.valuation() for x in col)) for col in cols)
+    l = vertex_lattice(v, k)
+    basis = dual_act_matrix(l.g, k, l.p)
+    return tuple(half(min(x.valuation() for x in col)) for col in zip(*basis))
 
 
 def transition_matrix(src: Lattice, dst: Lattice) -> Matrix:
-    """Coordinates of dst's generators in src's basis."""
-    zero, one = ScalarKHat.zero(src.p), ScalarKHat.one(src.p)
-    return mat_mul(inverse(_rows(src), zero, one), _rows(dst))
-
-
-def _scaled_columns(child: Lattice) -> Lattice:
-    """The child's basis with column j scaled by pihat^max(0, 2j - k): the
-    lattice of the edge to the child's parent."""
-    k = child.k
-    scale = [ScalarKHat.pihat(child.p, max(0, 2 * j - k)) for j in range(k + 1)]
-    return Lattice(
-        child.p, k, _freeze([[x * s for x, s in zip(row, scale)] for row in child.matrix])
-    )
+    """Coordinates of dst's generators in src's basis:
+    diag(pihat^-src.scale) * dual_act(src.g^-1 * dst.g) * diag(pihat^dst.scale)."""
+    p = src.p
+    m = dual_act_matrix(src.g.inv() @ dst.g, src.k, p)
+    return [
+        [x * ScalarKHat.pihat(p, t - s) for x, t in zip(row, dst.scale)]
+        for row, s in zip(m, src.scale)
+    ]
 
 
 def lattice_contains_vector(l: Lattice, vec: list) -> bool:
-    coords = solve(_rows(l), vec, ScalarKHat.zero(l.p))
-    if coords is None:
-        return False
-    return all(x.is_integral() for x in coords)
+    """Whether vec's coordinates in l's basis are integral: coordinate j of
+    dual_act(g^-1) * vec, which is sym(g)^T * vec, has doubled valuation at
+    least scale[j]."""
+    zero = ScalarKHat.zero(l.p)
+    return all(
+        sum((x * y for x, y in zip(col, vec)), zero).valuation() >= s
+        for col, s in zip(zip(*sym_matrix(l.g, l.k, l.p)), l.scale)
+    )
 
 
 def relative_profile(sup: Lattice, sub: Lattice) -> tuple:
@@ -109,88 +105,47 @@ def relative_profile(sup: Lattice, sub: Lattice) -> tuple:
     return tuple(half(e) for e in smith_over_dvr(transition_matrix(sup, sub))[1])
 
 
-class Lattices:
-    """The weight-k vertex and edge lattices of one computation, each built on
-    first use and kept only as long as the computation keeps this table."""
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self._vertex: dict = {}
-        self._edge: dict = {}
-
-    def vertex(self, v: Vertex) -> Lattice:
-        if v not in self._vertex:
-            self._vertex[v] = vertex_lattice(v, self.k)
-        return self._vertex[v]
-
-    def edge(self, e: Edge) -> Lattice:
-        """Intersection of the two endpoint lattices: the child endpoint's
-        basis with column j scaled by pihat^max(0, 2j - k)."""
-        if e not in self._edge:
-            self._edge[e] = _scaled_columns(self.vertex(child_endpoint(e)))
-        return self._edge[e]
-
-
 def edge_lattice_profile(e: Edge, k: int) -> tuple:
     """Elementary-divisor valuations of the edge lattice relative to the
     child-endpoint lattice, ascending: those of the parent lattice relative
     to the child lattice, clamped below at 0."""
-    lattices = Lattices(k)
-    child, parent = lattices.vertex(child_endpoint(e)), lattices.vertex(parent_endpoint(e))
+    child, parent = vertex_lattice(child_endpoint(e), k), vertex_lattice(parent_endpoint(e), k)
     return tuple(sorted(max(Fraction(0), x) for x in relative_profile(child, parent)))
 
 
 # -- mod-uniformizer local spaces --------------------------------------------------
 
 
-def _column_space_basis(mat_modp: list, field: FiniteField) -> list:
-    """Basis of the column space of a matrix over the residue field."""
-    reduced, pivots = rref(transpose(mat_modp), field.zero())
-    return [row for row in reduced[: len(pivots)]]
+def _local_space(src: Lattice, dst: Lattice) -> list:
+    """Basis of the image of dst in src/(pihat), as coordinate vectors
+    against src's basis: the column space of the transition mod pihat."""
+    field = Fq(src.p)
+    t = [[field.elem(x.reduce_mod_pihat()) for x in row] for row in transition_matrix(src, dst)]
+    reduced, pivots = rref(transpose(t), field.zero())
+    return reduced[: len(pivots)]
 
 
-def _reduced_transition(src: Lattice, dst: Lattice, field: FiniteField) -> list:
-    t = transition_matrix(src, dst)
-    return [[field.elem(x.reduce_mod_pihat()) for x in row] for row in t]
+def d_space_basis(e: Edge, side: Vertex, k: int) -> list:
+    """Basis of the image of the edge lattice in (side lattice)/(pihat).  On
+    the child side the two lattices share a transporter, so the transition
+    is the diagonal diag(pihat^max(0, 2j - k))."""
+    return _local_space(vertex_lattice(side, k), edge_lattice(e, k))
 
 
-def _reduced_scaling(k: int, exponent, field: FiniteField) -> list:
-    """diag(pihat^exponent(2j - k)), j = 0..k, mod pihat: 1 where the
-    exponent is 0, else 0."""
-    zero, one = field.zero(), field.one()
-    return [
-        [one if i == j and not exponent(2 * j - k) else zero for j in range(k + 1)]
-        for i in range(k + 1)
-    ]
-
-
-def d_space_basis(e: Edge, side: Vertex, lattices: Lattices) -> list:
-    """Basis of the image of the edge lattice in (side lattice)/(pihat), as
-    coordinate vectors against the side's basis.  The edge lattice is the
-    child's basis scaled by pihat^max(0, 2j - k), so on the child side the
-    transition is that diagonal."""
-    field = Fq(e.u.p)
-    if side == child_endpoint(e):
-        t = _reduced_scaling(lattices.k, lambda x: max(0, x), field)
-    else:
-        t = _reduced_transition(lattices.vertex(side), lattices.edge(e), field)
-    return _column_space_basis(t, field)
-
-
-def e_space_basis(e: Edge, lattices: Lattices) -> list:
+def e_space_basis(e: Edge, k: int) -> list:
     """Basis of the image of the edge lattice in (sum of the two endpoint
-    lattices)/(pihat).  Both are the child's basis, scaled by
-    pihat^max(0, 2j - k) and pihat^min(0, 2j - k): the transition is
-    diag(pihat^|2j - k|)."""
-    field = Fq(e.u.p)
-    return _column_space_basis(_reduced_scaling(lattices.k, abs, field), field)
+    lattices)/(pihat).  The sum is the child's lattice scaled by
+    pihat^min(0, 2j - k), so the transition is diag(pihat^|2j - k|)."""
+    edge = edge_lattice(e, k)
+    total = Lattice(edge.p, k, edge.g, tuple(min(0, 2 * j - k) for j in range(k + 1)))
+    return _local_space(total, edge)
 
 
-def star_local_kernel(v: Vertex, lattices: Lattices) -> int:
+def star_local_kernel(v: Vertex, k: int) -> int:
     """Dimension of the kernel of the local sum map at v: tuples of edge
     values, one from each D-space around v, summing to zero in
     (vertex lattice)/(pihat)."""
-    vectors = [x for e in edges_at(v) for x in d_space_basis(e, v, lattices)]
+    vectors = [x for e in edges_at(v) for x in d_space_basis(e, v, k)]
     return len(vectors) - rank(vectors, Fq(v.p).zero())
 
 
@@ -216,11 +171,10 @@ def local_space_report(p: int, k: int) -> dict:
 
     e = standard_edge(p)
     v = standard_vertex(p)
-    lattices = Lattices(k)
     computed = {
-        "dimD": len(d_space_basis(e, v, lattices)),
-        "dimE": len(e_space_basis(e, lattices)),
-        "dimZhar": star_local_kernel(v, lattices),
+        "dimD": len(d_space_basis(e, v, k)),
+        "dimE": len(e_space_basis(e, k)),
+        "dimZhar": star_local_kernel(v, k),
     }
     predicted = local_dimension_formulas(p, k)
     return {

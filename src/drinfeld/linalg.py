@@ -9,7 +9,7 @@ pass explicit zero/one samples so the routines stay agnostic of the scalar type
 from __future__ import annotations
 
 import heapq
-from typing import Sequence, TypeVar
+from typing import TypeVar
 
 from .errors import InternalInvariantError
 from .scalars import INF, ScalarKHat
@@ -25,20 +25,6 @@ def identity(n: int, zero: T, one: T) -> Matrix:
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    bt = transpose(b)
-    return [[_dot(row, col) for col in bt] for row in a]
-
-
-def _dot(u: Sequence[T], v: Sequence[T]) -> T:
-    acc = u[0] * v[0]
-    for x, y in zip(u[1:], v[1:]):
-        acc = acc + x * y
-    return acc
 
 
 def rref(rows: Matrix, zero: T) -> tuple[Matrix, list[int]]:
@@ -131,30 +117,6 @@ def kernel_basis(rows: Matrix, zero: T, one: T) -> list[list]:
                 vec[pc] = zero - x
         basis.append(vec)
     return basis
-
-
-def solve(a: Matrix, b: Sequence[T], zero: T) -> list | None:
-    """One solution of a x = b, or None if inconsistent. Free variables are 0."""
-    if not a:
-        return [] if all(x == zero for x in b) else None
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    r, pivots = rref(aug, zero)
-    ncols = len(a[0])
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for ri, pc in enumerate(pivots):
-        x[pc] = r[ri][ncols]
-    return x
-
-
-def inverse(a: Matrix, zero: T, one: T) -> Matrix:
-    n = len(a)
-    aug = [list(row) + list(idr) for row, idr in zip(a, identity(n, zero, one))]
-    r, pivots = rref(aug, zero)
-    if pivots != list(range(n)):
-        raise InternalInvariantError("matrix is singular")
-    return [row[n:] for row in r]
 
 
 # -- Smith reduction over the valuation ring ---------------------------------

@@ -161,13 +161,15 @@ def gl2_generators(field: FiniteField) -> list:
 
 
 def sl2_generators(field: FiniteField) -> list:
-    one, zero = field.one(), field.zero()
+    """Generators of the determinant-one group: the upper and lower unipotents
+    with entries 1, w, ..., w^(f-1) for a primitive element w.  These entries
+    span F_q over F_p, so they give every unipotent, and the unipotents
+    generate the group."""
+    one, zero, w = field.one(), field.zero(), field.primitive_element()
     gens = []
-    for x in field.elements():
-        if x == zero:
-            continue
-        gens.append(((one, x), (zero, one)))
-        gens.append(((one, zero), (x, one)))
+    for i in range(field.f):
+        x = w**i
+        gens += [((one, x), (zero, one)), ((one, zero), (x, one))]
     return gens
 
 

@@ -21,19 +21,11 @@ from drinfeld.errors import (
     SingularMatrix,
 )
 from drinfeld.harmonic import Cochain, res0
-from drinfeld.lattices import (
-    Lattice,
-    Lattices,
-    _column_space_basis,
-    _freeze,
-    _reduced_transition,
-    _rows,
-    transition_matrix,
-)
-from drinfeld.linalg import mat_mul, smith_over_dvr
+from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
+from drinfeld.linalg import identity, rref, smith_over_dvr
 from drinfeld.modp import FqRatFunc, _quotient_structure
 from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
-from drinfeld.scalars import INF, Fq, FqElem, ScalarKHat, _check_prime
+from drinfeld.scalars import INF, FiniteField, Fq, FqElem, ScalarKHat, _check_prime, half
 from drinfeld.symrep import dual_act_matrix
 from drinfeld.theta import theta
 from drinfeld.tree import (
@@ -329,59 +321,137 @@ def poly_evaluate(u: poly.Poly, x, zero):
     return acc
 
 
-# -- lattice intersection and sum by Smith reduction ------------------------------
+# -- dense linear algebra ----------------------------------------------------------
 #
-# The program builds edge lattices and endpoint sums as column scalings of the
-# child's vertex lattice; these find them from the two lattices alone.
+# The program reads lattice transitions and membership off the transporters;
+# these eliminate over the basis matrices instead.
 
 
-def _adapted(l1: Lattice, l2: Lattice, clamp) -> Lattice:
-    u, evals = smith_over_dvr(transition_matrix(l1, l2))
-    adapted = mat_mul(_rows(l1), u)
-    n = len(evals)
-    scaled = [
-        [adapted[i][j] * ScalarKHat.pihat(l1.p, clamp(evals[j])) for j in range(n)]
-        for i in range(n)
-    ]
-    return Lattice(l1.p, l1.k, _freeze(scaled))
+def mat_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    bt = list(zip(*b))
+    return [[_dot(row, col) for col in bt] for row in a]
 
 
-def lattice_intersection(l1: Lattice, l2: Lattice) -> Lattice:
-    return _adapted(l1, l2, lambda e: max(e, 0))
+def _dot(u, v):
+    acc = u[0] * v[0]
+    for x, y in zip(u[1:], v[1:]):
+        acc = acc + x * y
+    return acc
 
 
-def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
-    return _adapted(l1, l2, lambda e: min(e, 0))
+def solve(a: list, b: list, zero) -> list | None:
+    """One solution of a x = b, or None if inconsistent. Free variables are 0."""
+    if not a:
+        return [] if all(x == zero for x in b) else None
+    aug = [list(row) + [bi] for row, bi in zip(a, b)]
+    r, pivots = rref(aug, zero)
+    ncols = len(a[0])
+    if ncols in pivots:
+        return None
+    x = [zero] * ncols
+    for ri, pc in enumerate(pivots):
+        x[pc] = r[ri][ncols]
+    return x
+
+
+def inverse(a: list, zero, one) -> list:
+    n = len(a)
+    aug = [list(row) + list(idr) for row, idr in zip(a, identity(n, zero, one))]
+    r, pivots = rref(aug, zero)
+    if pivots != list(range(n)):
+        raise InternalInvariantError("matrix is singular")
+    return [row[n:] for row in r]
+
+
+# -- lattices as basis matrices -------------------------------------------------------
+#
+# A lattice here is a square basis matrix whose columns generate it over the
+# valuation ring.  The program builds edge lattices and endpoint sums as
+# column scalings of the child's vertex lattice; Smith reduction finds them
+# from the two lattices alone.
+
+
+def scale_columns(m: list, exponents) -> list:
+    """m with column j multiplied by pihat^exponents[j]."""
+    p = m[0][0].p
+    return [[x * ScalarKHat.pihat(p, e) for x, e in zip(row, exponents)] for row in m]
+
+
+def lattice_basis(l: Lattice) -> list:
+    """The basis matrix dual_act(g) * diag(pihat^scale[j]) of a program lattice."""
+    return scale_columns(dual_act_matrix(l.g, l.k, l.p), l.scale)
+
+
+def basis_transition(src: list, dst: list) -> list:
+    """Coordinates of dst's columns in src's basis."""
+    p = src[0][0].p
+    return mat_mul(inverse(src, ScalarKHat.zero(p), ScalarKHat.one(p)), dst)
+
+
+def basis_contains_vector(basis: list, vec: list) -> bool:
+    coords = solve(basis, vec, ScalarKHat.zero(basis[0][0].p))
+    return coords is not None and all(x.is_integral() for x in coords)
+
+
+def basis_contains(outer: list, inner: list) -> bool:
+    return all(basis_contains_vector(outer, list(col)) for col in zip(*inner))
+
+
+def basis_equal(a: list, b: list) -> bool:
+    return basis_contains(a, b) and basis_contains(b, a)
+
+
+def basis_relative_profile(sup: list, sub: list) -> tuple:
+    """Ascending elementary-divisor valuations of sub relative to sup."""
+    return tuple(half(e) for e in smith_over_dvr(basis_transition(sup, sub))[1])
+
+
+def _adapted(m1: list, m2: list, clamp) -> list:
+    u, evals = smith_over_dvr(basis_transition(m1, m2))
+    return scale_columns(mat_mul(m1, u), [clamp(e) for e in evals])
+
+
+def lattice_intersection(m1: list, m2: list) -> list:
+    return _adapted(m1, m2, lambda e: max(e, 0))
+
+
+def lattice_sum(m1: list, m2: list) -> list:
+    return _adapted(m1, m2, lambda e: min(e, 0))
+
+
+def endpoint_sum(child: list) -> list:
+    """The sum of an edge's two endpoint lattices as the child's basis with
+    column j scaled by pihat^min(0, 2j - k)."""
+    k = len(child) - 1
+    return scale_columns(child, [min(0, 2 * j - k) for j in range(k + 1)])
 
 
 # -- local spaces by reduced transition matrices ------------------------------------
 #
-# The program reads the child-side D-space and the E-space off the diagonal
-# scaling that builds the edge lattice; these reduce the full transition
-# matrix between the two bases instead.
+# The program reduces the transition it reads off two transporters and two
+# column scalings; these reduce the transition between the basis matrices.
 
 
-def transition_d_space_basis(e: Edge, side: Vertex, lattices: Lattices) -> list:
-    field = Fq(e.u.p)
-    t = _reduced_transition(lattices.vertex(side), lattices.edge(e), field)
-    return _column_space_basis(t, field)
+def _reduced_column_space(t: list, field: FiniteField) -> list:
+    """Basis of the column space of t mod pihat."""
+    reduced = [[field.elem(x.reduce_mod_pihat()) for x in row] for row in t]
+    rows, pivots = rref([list(col) for col in zip(*reduced)], field.zero())
+    return rows[: len(pivots)]
 
 
-def endpoint_sum(child: Lattice) -> Lattice:
-    """The sum of an edge's two endpoint lattices as the child's basis with
-    column j scaled by pihat^min(0, 2j - k)."""
-    k = child.k
-    scale = [ScalarKHat.pihat(child.p, min(0, 2 * j - k)) for j in range(k + 1)]
-    return Lattice(
-        child.p, k, _freeze([[x * s for x, s in zip(row, scale)] for row in child.matrix])
+def transition_d_space_basis(e: Edge, side: Vertex, k: int) -> list:
+    t = basis_transition(
+        lattice_basis(vertex_lattice(side, k)), lattice_basis(edge_lattice(e, k))
     )
+    return _reduced_column_space(t, Fq(e.u.p))
 
 
-def transition_e_space_basis(e: Edge, lattices: Lattices) -> list:
-    field = Fq(e.u.p)
-    total = endpoint_sum(lattices.vertex(child_endpoint(e)))
-    t = _reduced_transition(total, lattices.edge(e), field)
-    return _column_space_basis(t, field)
+def transition_e_space_basis(e: Edge, k: int) -> list:
+    total = endpoint_sum(lattice_basis(vertex_lattice(child_endpoint(e), k)))
+    t = basis_transition(total, lattice_basis(edge_lattice(e, k)))
+    return _reduced_column_space(t, Fq(e.u.p))
 
 
 # -- sections ------------------------------------------------------------------------
@@ -548,14 +618,12 @@ def _jsonable(x):
     if isinstance(x, FactoredRational):
         return _rational_str(x)
     if isinstance(x, FqRatFunc):
-        num, den = _fqpoly_str(x.num), _fqpoly_str(x.den)
-        return num if den == "1" else f"({num})/({den})"
+        num = _fqpoly_str(x.num)
+        return num if x.den == (x.field.one(),) else f"({num})/({_fqpoly_str(x.den)})"
     if isinstance(x, Vertex):
         return {"level": x.m, "offset": _jsonable(x.b)}
     if isinstance(x, Edge):
         return {"parent": _jsonable(x.u), "child": _jsonable(x.v)}
-    if isinstance(x, Lattice):
-        return [[_jsonable(c) for c in row] for row in x.matrix]
     if isinstance(x, Cochain):
         items = sorted(x.values.items(), key=lambda kv: (kv[0].u, kv[0].v))
         return [

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from drinfeld import cli as cli_module
 from drinfeld.cli import cli
 from drinfeld.errors import InternalInvariantError
+from drinfeld.modp import FqRatFunc
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.tree import make_vertex
 from oracles import emit_oracle
@@ -512,6 +513,9 @@ class TestGoldenStdout:
          "9e6110454091f07e8b7e159bb470c0fab20a08dbec6e6e39ea1b0ff81e52b048"),
         (("modp", "symgeom-check", "--q", "5", "--k", "4", "--i", "0"), 0,
          "9fbcf346b71ffc718792825188f2737b230aa08ccbe8ee32815aaef0248d531e"),
+        # over F_4 the images print no zero terms and no unit coefficients
+        (("modp", "symgeom-check", "--q", "4", "--k", "4", "--i", "0"), 0,
+         "5149c9ee6c49a69e3c062a2ab1316abb05668ab47269301ae3d9c4db86f3d3bb"),
         (("modp", "stable-lines", "--q", "3", "--k", "5", "--i", "0"), 2,
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         (("modp", "stable-lines", "--q", "3", "--k", "6", "--i", "0"), 0,
@@ -563,6 +567,24 @@ class TestGoldenStdout:
     def test_stdout_digest(self, args, code, digest):
         out = run_cli(*args, expect_code=code).stdout
         assert hashlib.sha256(out).hexdigest() == digest
+
+
+class TestFieldPolynomialText:
+    """A rational function over F_q prints only its nonzero terms and leaves
+    a unit coefficient off, over prime and extension fields alike."""
+
+    def test_extension_field(self):
+        F = Fq(4)
+        one, zero, w = F.one(), F.zero(), F.primitive_element()
+        text = cli_module._value
+        assert text(FqRatFunc.make(F, (one, zero, one, w))) == "[1, 0] + z^2 + [0, 1]*z^3"
+        assert text(FqRatFunc.make(F, (w,), (w, w * w, w))) == "([1, 0])/([1, 0] + [0, 1]*z + z^2)"
+
+    def test_prime_field(self):
+        F = Fq(3)
+        text = cli_module._value
+        assert text(FqRatFunc.make(F, (F.elem(2), F.zero(), F.one()))) == "2 + z^2"
+        assert text(FqRatFunc.make(F, (F.one(),), (F.zero(), F.elem(2)))) == "(2)/(z)"
 
 
 # Payload entries of every kind that the writer renders, and containers of them.

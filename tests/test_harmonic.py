@@ -18,7 +18,7 @@ from drinfeld.harmonic import (
     sigma,
     star_local_kernels,
 )
-from drinfeld.lattices import Lattices, lattice_contains_vector
+from drinfeld.lattices import edge_lattice, lattice_contains_vector
 from drinfeld.rational import FactoredRational, automorphic_act, parse_rational
 from drinfeld.sampling import random_group_element, random_rational
 from drinfeld.scalars import ScalarKHat
@@ -34,7 +34,13 @@ from drinfeld.tree import (
     unipotent_lower,
     weyl_flip,
 )
-from oracles import act_on_edge, dual_act, laurent_standard
+from oracles import (
+    act_on_edge,
+    basis_contains_vector,
+    dual_act,
+    lattice_basis,
+    laurent_standard,
+)
 from test_linalg import _reference_kernel_basis
 
 
@@ -76,8 +82,8 @@ def _lattice_coordinate_rows(tree, k):
     """The star-sum rows in edge-lattice coordinates: the block of edge e at
     interior vertex v is the basis matrix of the edge lattice of e."""
     zero = ScalarKHat.zero(tree.p)
-    lattices = Lattices(k)
     edges = list(tree.edges)
+    bases = {e: lattice_basis(edge_lattice(e, k)) for e in edges}
     rows = []
     for v in tree.interior_vertices():
         incident = set(tree.edges_at(v))
@@ -85,7 +91,7 @@ def _lattice_coordinate_rows(tree, k):
             row = []
             for e in edges:
                 if e in incident:
-                    row.extend(lattices.edge(e).matrix[r])
+                    row.extend(bases[e][r])
                 else:
                     row.extend([zero] * (k + 1))
             rows.append(row)
@@ -335,6 +341,23 @@ class TestEquivariance:
 
 
 class TestIntegrality:
+    @pytest.mark.parametrize("p,radius", [(2, 4), (3, 3), (5, 2)])
+    def test_membership_of_residue_values_against_solve(self, p, radius, tree_factory):
+        """The membership test on every edge value of residue cochains, inside
+        and outside the edge lattices, against solve over the basis matrix."""
+        t = tree_factory(p, radius)
+        seen = set()
+        for text in ("1/z", "pihat^-1/z", "z^-2*(z-2)", "pihat/z/(z-1)"):
+            f = parse_rational(text, p)
+            for k in range(5):
+                c = res0(f, k, t)
+                for e in t.edges:
+                    got = lattice_contains_vector(edge_lattice(e, k), c.value(e))
+                    want = basis_contains_vector(lattice_basis(edge_lattice(e, k)), c.value(e))
+                    assert got is want, (text, k, e)
+                    seen.add(got)
+        assert seen == {True, False}
+
     def test_unit_section_is_integral(self, tree_factory):
         p = 2
         t = tree_factory(p, 3)
@@ -359,8 +382,7 @@ class TestIntegrality:
         f = parse_rational(text, p)
         c = res0(f, k, t)
         report = res0_integrality(f, k, t, c)
-        lattices = Lattices(k)
-        expected = [lattice_contains_vector(lattices.edge(e), c.value(e)) for e in t.edges]
+        expected = [lattice_contains_vector(edge_lattice(e, k), c.value(e)) for e in t.edges]
         assert report["in_all_edge_lattices"] is all(expected)
 
     @pytest.mark.parametrize("k", [0, 1])
@@ -369,9 +391,8 @@ class TestIntegrality:
         t = tree_factory(p, 3)
         f = parse_rational("pihat^-1/z", p)
         c = res0(f, k, t)
-        lattices = Lattices(k)
         failing = [
-            e for e in t.edges if not lattice_contains_vector(lattices.edge(e), c.value(e))
+            e for e in t.edges if not lattice_contains_vector(edge_lattice(e, k), c.value(e))
         ]
         support = set(c.support())
         assert support != set(t.edges) and set(failing) <= support

@@ -7,25 +7,24 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld import lattices
 from drinfeld.errors import InvalidParameters
 from drinfeld.lattices import (
     Lattice,
-    Lattices,
     d_space_basis,
     e_space_basis,
+    edge_lattice,
     edge_lattice_profile,
     lattice_contains_vector,
     local_space_report,
     relative_profile,
     section_lattice_membership,
     star_local_kernel,
+    transition_matrix,
     vertex_lattice,
     vertex_lattice_profile,
 )
 from drinfeld.rational import FactoredRational, automorphic_act, parse_rational
 from drinfeld.sampling import random_group_element, random_rational, random_vertex
-from drinfeld.symrep import dual_act_matrix
 from drinfeld.tree import (
     Edge,
     Vertex,
@@ -43,9 +42,15 @@ from drinfeld.tree import (
 )
 from oracles import (
     act_on_edge,
+    basis_contains,
+    basis_contains_vector,
+    basis_equal,
+    basis_relative_profile,
+    basis_transition,
     dual_act,
     endpoint_sum,
     fraction_valuation,
+    lattice_basis,
     lattice_intersection,
     lattice_sum,
     laurent_standard,
@@ -54,17 +59,9 @@ from oracles import (
 )
 
 
-def lattice_contains(outer: Lattice, inner: Lattice) -> bool:
-    return all(lattice_contains_vector(outer, col) for col in inner.columns())
-
-
-def lattice_equal(l1: Lattice, l2: Lattice) -> bool:
-    return lattice_contains(l1, l2) and lattice_contains(l2, l1)
-
-
-def relative_fdim(sup: Lattice, sub: Lattice) -> int:
+def relative_fdim(sup: list, sub: list) -> int:
     """Residue-field dimension of sup/sub (sum of uniformizer exponents)."""
-    vals = relative_profile(sup, sub)
+    vals = basis_relative_profile(sup, sub)
     if any(v < 0 for v in vals):
         raise InvalidParameters("not a sublattice")
     total = sum(2 * v for v in vals)
@@ -78,16 +75,15 @@ def local_spaces(e_or_v, k: int, q: int) -> dict:
     prime = e_or_v.p if isinstance(e_or_v, Vertex) else e_or_v.u.p
     if q != prime:
         raise InvalidParameters("the residue size must match the tree prime")
-    table = Lattices(k)
     if isinstance(e_or_v, Edge):
         e = e_or_v
         return {
-            "dimD": len(d_space_basis(e, child_endpoint(e), table)),
-            "dimD_parent": len(d_space_basis(e, parent_endpoint(e), table)),
-            "dimE": len(e_space_basis(e, table)),
+            "dimD": len(d_space_basis(e, child_endpoint(e), k)),
+            "dimD_parent": len(d_space_basis(e, parent_endpoint(e), k)),
+            "dimE": len(e_space_basis(e, k)),
         }
     if isinstance(e_or_v, Vertex):
-        return {"dimZhar": star_local_kernel(e_or_v, table)}
+        return {"dimZhar": star_local_kernel(e_or_v, k)}
     raise InvalidParameters("expected a tree vertex or edge")
 
 
@@ -234,30 +230,6 @@ class TestLocalDimensions:
         assert report["predicted"] == expected
         assert report["pass"] is True
 
-    @pytest.mark.parametrize("p,k", [(2, 3), (3, 4), (5, 2)])
-    def test_report_builds_each_lattice_once(self, p, k, monkeypatch):
-        """The standard vertex and its p children: p + 1 vertex lattices, one
-        per child endpoint of an edge at the vertex (an edge lattice needs no
-        parent lattice), and p edge lattices, one per edge down to a child.
-        The edge up to the parent, and the endpoint sum, need none: on the
-        child side the transition to the edge lattice is diagonal."""
-        built = {"vertex": [], "edge": []}
-        real_vertex, real_scaled = lattices.vertex_lattice, lattices._scaled_columns
-
-        def vertex_lattice_spy(v, k):
-            built["vertex"].append(v)
-            return real_vertex(v, k)
-
-        def scaled_spy(child):
-            built["edge"].append(child)
-            return real_scaled(child)
-
-        monkeypatch.setattr(lattices, "vertex_lattice", vertex_lattice_spy)
-        monkeypatch.setattr(lattices, "_scaled_columns", scaled_spy)
-        assert local_space_report(p, k)["pass"] is True
-        assert len(built["vertex"]) == len(set(built["vertex"])) == p + 1
-        assert len(built["edge"]) == p
-
     def test_local_spaces_on_edge_and_vertex(self):
         p = 2
         e = standard_edge(p)
@@ -274,8 +246,8 @@ class TestLocalDimensions:
     def test_star_local_kernel_dimensions(self):
         p = 2
         v = standard_vertex(p)
-        assert star_local_kernel(v, Lattices(0)) == 2
-        assert star_local_kernel(v, Lattices(1)) == 1
+        assert star_local_kernel(v, 0) == 2
+        assert star_local_kernel(v, 1) == 1
 
 
 class TestDSpaceSplitting:
@@ -284,9 +256,9 @@ class TestDSpaceSplitting:
         # low-index and high-index halves
         p, k = 2, 3
         base = standard_vertex(p)
-        low = d_space_basis(standard_edge(p), base, Lattices(k))
+        low = d_space_basis(standard_edge(p), base, k)
         high = d_space_basis(
-            make_edge(make_vertex(p, 0, 0), make_vertex(p, 1, 0)), base, Lattices(k)
+            make_edge(make_vertex(p, 0, 0), make_vertex(p, 1, 0)), base, k
         )
         as_bits = lambda rows: [[0 if x.is_zero() else 1 for x in r] for r in rows]
         assert as_bits(low) == [[1, 0, 0, 0], [0, 1, 0, 0]]
@@ -299,9 +271,9 @@ class TestDSpaceSplitting:
         # ceil(k/2)..k; for even k they share exactly the middle functional,
         # which is the one-dimensional E-space
         base = standard_vertex(p)
-        low = d_space_basis(standard_edge(p), base, Lattices(k))
+        low = d_space_basis(standard_edge(p), base, k)
         high = d_space_basis(
-            make_edge(make_vertex(p, 0, 0), make_vertex(p, 1, 0)), base, Lattices(k)
+            make_edge(make_vertex(p, 0, 0), make_vertex(p, 1, 0)), base, k
         )
         assert len(low) == k // 2 + 1
         assert len(high) == k + 1 - (k + 1) // 2
@@ -318,9 +290,47 @@ class TestDSpaceSplitting:
     def test_e_space_is_inside_both_d_spaces(self):
         p, k = 2, 2
         e = standard_edge(p)
-        ebasis = e_space_basis(e, Lattices(k))
+        ebasis = e_space_basis(e, k)
         report = local_spaces(e, k, p)
         assert len(ebasis) == report["dimE"]
+
+
+class TestTransitionsAgainstElimination:
+    """The transition read off two transporters and two column scalings, and
+    the membership test read off one transporter, against inverse, matrix
+    product and solve over the basis matrices."""
+
+    @pytest.mark.parametrize("p,radius", [(2, 3), (3, 3), (5, 2), (7, 2)])
+    def test_every_edge_of_the_ball(self, p, radius):
+        edges = truncated_tree(p, radius).edges
+        for k in range(7):
+            for e in edges:
+                child, parent = vertex_lattice(child_endpoint(e), k), vertex_lattice(parent_endpoint(e), k)
+                edge = edge_lattice(e, k)
+                for src, dst in ((child, parent), (parent, child), (child, edge), (parent, edge)):
+                    want = basis_transition(lattice_basis(src), lattice_basis(dst))
+                    assert transition_matrix(src, dst) == want, (e, k, src, dst)
+
+    @pytest.mark.parametrize("p,radius", [(2, 3), (3, 2), (5, 1)])
+    def test_membership_of_neighbouring_columns(self, p, radius):
+        """Every column of the endpoint lattices, of the edge lattice and of
+        the endpoint sum, tested against each of the three lattices."""
+        seen = set()
+        for k in range(5):
+            for e in truncated_tree(p, radius).edges:
+                lattices = [
+                    vertex_lattice(child_endpoint(e), k),
+                    vertex_lattice(parent_endpoint(e), k),
+                    edge_lattice(e, k),
+                ]
+                bases = [lattice_basis(l) for l in lattices]
+                columns = [list(col) for b in bases + [endpoint_sum(bases[0])] for col in zip(*b)]
+                for l, b in zip(lattices, bases):
+                    for col in columns:
+                        got = lattice_contains_vector(l, col)
+                        assert got is basis_contains_vector(b, col), (e, k, l, col)
+                        seen.add(got)
+        assert seen == {True, False}
 
 
 class TestEdgeLatticesAgainstSmith:
@@ -331,36 +341,34 @@ class TestEdgeLatticesAgainstSmith:
     def test_every_edge_of_the_ball(self, p, radius):
         edges = truncated_tree(p, radius).edges
         for k in range(7):
-            table = Lattices(k)
             for e in edges:
-                child = table.vertex(child_endpoint(e))
-                parent = table.vertex(parent_endpoint(e))
-                assert lattice_equal(table.edge(e), lattice_intersection(child, parent)), (e, k)
-                assert lattice_equal(endpoint_sum(child), lattice_sum(child, parent)), (e, k)
+                child = lattice_basis(vertex_lattice(child_endpoint(e), k))
+                parent = lattice_basis(vertex_lattice(parent_endpoint(e), k))
+                edge = lattice_basis(edge_lattice(e, k))
+                assert basis_equal(edge, lattice_intersection(child, parent)), (e, k)
+                assert basis_equal(endpoint_sum(child), lattice_sum(child, parent)), (e, k)
 
     @pytest.mark.parametrize("p,radius", [(2, 3), (3, 3), (5, 2), (7, 2)])
     def test_child_side_local_spaces_by_transition(self, p, radius):
-        """The child-side D-space and the E-space read off the diagonal
-        scaling equal the ones reduced from the full transition matrices."""
+        """The D-spaces on both sides and the E-space, reduced from the
+        transitions between transporters, equal the ones reduced from the
+        transitions between the basis matrices."""
         edges = truncated_tree(p, radius).edges
         for k in range(7):
-            table = Lattices(k)
             for e in edges:
-                child = child_endpoint(e)
-                got = d_space_basis(e, child, table)
-                assert got == transition_d_space_basis(e, child, table), (e, k)
-                assert e_space_basis(e, table) == transition_e_space_basis(e, table), (e, k)
+                for side in (child_endpoint(e), parent_endpoint(e)):
+                    got = d_space_basis(e, side, k)
+                    assert got == transition_d_space_basis(e, side, k), (e, side, k)
+                assert e_space_basis(e, k) == transition_e_space_basis(e, k), (e, k)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_edge_profile_off_the_standard_edge(self, p):
         edges = [e for e in truncated_tree(p, 2).edges if e != standard_edge(p)]
         for k in range(5):
-            table = Lattices(k)
             for e in edges:
-                child = table.vertex(child_endpoint(e))
-                want = relative_profile(
-                    child, lattice_intersection(child, table.vertex(parent_endpoint(e)))
-                )
+                child = lattice_basis(vertex_lattice(child_endpoint(e), k))
+                parent = lattice_basis(vertex_lattice(parent_endpoint(e), k))
+                want = basis_relative_profile(child, lattice_intersection(child, parent))
                 got = edge_lattice_profile(e, k)
                 assert got == want, (e, k)
                 assert [type(x) for x in got] == [type(x) for x in want], (e, k)
@@ -372,7 +380,7 @@ class TestLatticeAlgebra:
         p, k = 2, 2
         u = random_vertex(rng, p)
         w = random_vertex(rng, p)
-        return vertex_lattice(u, k), vertex_lattice(w, k)
+        return lattice_basis(vertex_lattice(u, k)), lattice_basis(vertex_lattice(w, k))
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_sum_and_intersection_containments(self, seed):
@@ -380,8 +388,8 @@ class TestLatticeAlgebra:
         s = lattice_sum(a, b)
         i = lattice_intersection(a, b)
         for x in (a, b):
-            assert lattice_contains(s, x)
-            assert lattice_contains(x, i)
+            assert basis_contains(s, x)
+            assert basis_contains(x, i)
 
     @pytest.mark.parametrize("seed", [6, 7, 8, 9, 10])
     def test_modular_index_law(self, seed):
@@ -394,6 +402,7 @@ class TestLatticeAlgebra:
     def test_relative_profile_of_equal_lattices_is_zero(self):
         L = vertex_lattice(make_vertex(2, 1, 1), 2)
         assert relative_profile(L, L) == (0, 0, 0)
+        assert basis_relative_profile(lattice_basis(L), lattice_basis(L)) == (0, 0, 0)
 
     def test_transporter_independence(self):
         # two transporters to the same vertex give the same lattice
@@ -402,8 +411,9 @@ class TestLatticeAlgebra:
         tau = vertex_transporter(v)
         alt = tau @ unipotent_lower(3)  # stabilizer twist at the base
         L1 = vertex_lattice(v, k)
-        L2 = Lattice(p, k, tuple(map(tuple, dual_act_matrix(alt, k, p))))
-        assert lattice_equal(L1, L2)
+        L2 = Lattice(p, k, alt, L1.scale)
+        assert basis_equal(lattice_basis(L1), lattice_basis(L2))
+        assert relative_profile(L1, L2) == (0, 0, 0)
 
     def test_edge_lattice_equivariance(self):
         p, k = 2, 2
@@ -411,14 +421,10 @@ class TestLatticeAlgebra:
         e = standard_edge(p)
         for _ in range(5):
             g = random_group_element(rng, p)
-            source = Lattices(k).edge(e)
-            cols = [dual_act(g, list(col), k, p) for col in source.columns()]
-            rows = tuple(
-                tuple(cols[j][i] for j in range(len(cols))) for i in range(k + 1)
-            )
-            assert lattice_equal(
-                Lattice(p, k, rows), Lattices(k).edge(act_on_edge(g, e))
-            )
+            source = lattice_basis(edge_lattice(e, k))
+            cols = [dual_act(g, list(col), k, p) for col in zip(*source)]
+            moved = [list(row) for row in zip(*cols)]
+            assert basis_equal(moved, lattice_basis(edge_lattice(act_on_edge(g, e), k)))
 
 
 class TestSectionMembership:

@@ -22,6 +22,7 @@ from drinfeld.modp import (
     gl2_generators,
     global_sections_truncated,
     quotient_rep_and_stable_lines,
+    sl2_generators,
     symgeom_equivariance,
     symgeom_injectivity_rank,
     symgeom_iso,
@@ -548,16 +549,18 @@ def _stable_lines_by_full_group(q, k, i):
 class TestGroupGenerators:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_generators_close_up_to_the_whole_group(self, q):
-        gens = gl2_generators(Fq(q))
-        seen, frontier = set(gens), list(gens)
-        while frontier:
-            frontier = [
-                y
-                for y in {_mat_mul_fq(x, g) for x in frontier for g in gens}
-                if y not in seen
-            ]
-            seen.update(frontier)
-        assert len(seen) == (q * q - 1) * (q * q - q)
+        orders = {gl2_generators: (q * q - 1) * (q * q - q), sl2_generators: q * (q * q - 1)}
+        for generators, order in orders.items():
+            gens = generators(Fq(q))
+            seen, frontier = set(gens), list(gens)
+            while frontier:
+                frontier = [
+                    y
+                    for y in {_mat_mul_fq(x, g) for x in frontier for g in gens}
+                    if y not in seen
+                ]
+                seen.update(frontier)
+            assert len(seen) == order, generators.__name__
 
     @pytest.mark.parametrize(
         "q,k,i", [(2, 9, 0), (3, 4, 0), (3, 7, 0), (3, 8, 1), (4, 4, 0), (4, 5, 0)]
