@@ -22,7 +22,6 @@ from .lattices import (
     edge_lattice_profile,
     local_dimension_formulas,
     local_space_report,
-    section_lattice_membership,
     vertex_lattice_profile,
 )
 from .modp import (
@@ -36,8 +35,7 @@ from .modp import (
     symgeom_injectivity_rank,
     symgeom_iso,
 )
-from .rational import FactoredRational, automorphic_act, parse_rational
-from .sampling import random_group_element, random_rational, random_vertex
+from .rational import FactoredRational, parse_rational
 from .scalars import Fq, FqElem, ScalarKHat, _check_prime
 from .theta import (
     complement_b_identity,
@@ -47,7 +45,6 @@ from .theta import (
 )
 from .tree import (
     Vertex,
-    act_on_vertex,
     ball_size,
     make_vertex,
     standard_edge,
@@ -474,7 +471,7 @@ def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> None:
 @click.option("--mmax", type=click.IntRange(min=0), default=8)
 @click.option("--a", type=str, default="0")
 def identity_b_cmd(p: int, kmax: int, mmax: int, a: str) -> None:
-    """Euler-operator factorization sweep over even k."""
+    """Euler-operator factorization at each even k up to kmax."""
     shift = ScalarKHat.from_rational(_fraction("a", a), p)
     rows = []
     for k in range(2, kmax + 1, 2):
@@ -576,48 +573,6 @@ def modp_symgeom_cmd(q: int, k: int, i: int) -> None:
 def modp_b_forms_cmd(q: int) -> None:
     """Invariance of the window form and the parity-swapping involution."""
     _emit({"command": "modp b-forms", "config": {"q": q}, "pass": b_forms_check(q)})
-
-
-def _sweep_item(p: int, k: int, seed: int) -> dict:
-    rng = random.Random((seed << 16) ^ k)
-    local = local_space_report(p, k)
-    kernel_ok = kernel_polynomial_dimension(k, p) == k + 1
-    transport_ok = True
-    for _ in range(3):
-        g = random_group_element(rng, p)
-        f = random_rational(rng, p)
-        v = random_vertex(rng, p)
-        before = section_lattice_membership(f, k, v)[0]
-        after = section_lattice_membership(
-            automorphic_act(g, f, k), k, act_on_vertex(g, v)
-        )[0]
-        if before != after:
-            transport_ok = False
-    return {
-        "k": k,
-        "local_dims_pass": local["pass"],
-        "theta_kernel_pass": kernel_ok,
-        "membership_transport_pass": transport_ok,
-        "degree": component_degree(p, k),
-        "pass": local["pass"] and kernel_ok and transport_ok,
-    }
-
-
-@cli.command("sweep")
-@_p
-@_kmax
-@_seed
-def sweep_cmd(p: int, kmax: int, seed: int) -> None:
-    """Batch of pure per-k checks."""
-    rows = [_sweep_item(p, k, seed) for k in range(kmax + 1)]
-    _emit(
-        {
-            "command": "sweep",
-            "config": {"p": p, "kmax": kmax, "seed": seed},
-            "rows": rows,
-            "pass": all(r["pass"] for r in rows),
-        }
-    )
 
 
 def main() -> None:

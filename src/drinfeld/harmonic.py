@@ -75,8 +75,8 @@ def delta(c: Cochain, tree: TruncatedTree) -> dict:
 def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
     """Residue value on the edge that gamma moves to the standard edge.
 
-    The Laurent coefficient a_{-s-1} of automorphic_act(gamma, f, k + 2) on the
-    standard annulus is the residue of that section times z^s over the inner
+    The Laurent coefficient a_{-s-1} of the weight-(k + 2) transport gamma.f
+    (see ``transported_gauss_valuation``) on the standard annulus is the residue of that section times z^s over the inner
     disc (omega(z) >= 1).  In the coordinate w of f, with gamma = (a b; c d),
     this is chi^(k+2)(gamma) det^(-k-1) times the residue of
     f(w) (a w - b)^s (d - c w)^(k-s) dw over the poles y of f whose image

@@ -1,6 +1,6 @@
 """Exact rational functions of one variable over the ramified quadratic
-extension, in factored form, together with the Möbius pullbacks, the weighted
-group action on sections, tube valuations, and principal parts at the poles.
+extension, in factored form, together with their tube valuations (also under
+the weighted group action on sections) and principal parts at the poles.
 
 A function is lead * extra(z) * prod (z - root)^mult with extra a monic
 polynomial kept for parts that do not factor over the base field (sums,
@@ -69,20 +69,12 @@ class FactoredRational:
     # -- constructors ------------------------------------------------------------
 
     @staticmethod
-    def zero(p: int) -> "FactoredRational":
-        return FactoredRational(p, ScalarKHat.zero(p))
-
-    @staticmethod
     def one(p: int) -> "FactoredRational":
         return FactoredRational(p, ScalarKHat.one(p))
 
     @staticmethod
     def constant(s: ScalarKHat) -> "FactoredRational":
         return FactoredRational(s.p, s)
-
-    @staticmethod
-    def z(p: int) -> "FactoredRational":
-        return FactoredRational(p, ScalarKHat.one(p), [(ScalarKHat.zero(p), 1)])
 
     @staticmethod
     def monomial(p: int, exponent: int) -> "FactoredRational":
@@ -243,71 +235,14 @@ class FactoredRational:
         return "*".join(parts)
 
 
-# -- Möbius pullback and the weighted action ---------------------------------------
-
-
-def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
-    """f((a z + b)/(c z + d)) for the literal matrix entries of mat."""
-    if f.is_zero():
-        return f
-    lift = lambda x: ScalarKHat.from_rational(x, p)
-    A, B, C, D = lift(mat.a), lift(mat.b), lift(mat.c), lift(mat.d)
-    one = ScalarKHat.one(p)
-    lead = f.lead
-    factors: list[tuple[ScalarKHat, int]] = []
-    denom_exp = 0  # accumulated power of (C z + D)
-    for root, mult in f.factors:
-        top_lin = A - root * C
-        top_const = B - root * D
-        if not top_lin.is_zero():
-            lead = lead * top_lin**mult
-            factors.append(((root * D - B) / top_lin, mult))
-        else:
-            lead = lead * top_const**mult
-        denom_exp -= mult
-    extra = f.extra
-    n = len(extra) - 1
-    if n > 0:
-        extra = poly.homogenise(extra, (B, A), (D, C), ScalarKHat.zero(p), one)
-        denom_exp -= n
-    if denom_exp != 0:
-        if not C.is_zero():
-            lead = lead * C**denom_exp
-            factors.append((-D / C, denom_exp))
-        else:
-            lead = lead * D**denom_exp
-    return FactoredRational(p, lead, factors, extra)._refactored()
-
-
-def automorphic_act(g: Mat2, f: FactoredRational, k: int) -> FactoredRational:
-    """Weight-k action: chi^k(g) * (a + c z)^{-k} * f((b + d z)/(a + c z)).
-
-    This is a left action: acting by g1 then by g2 equals acting by g2 g1.
-    """
-    p = f.p
-    if f.is_zero():
-        return f
-    pulled = compose_mobius(f, Mat2(g.d, g.b, g.c, g.a), p)
-    scalar = chi(g, p, k)
-    lift = lambda x: ScalarKHat.from_rational(x, p)
-    if k != 0:
-        if g.c != 0:
-            c = lift(g.c)
-            pulled = pulled * FactoredRational(
-                p, c ** (-k), [(-lift(g.a) / c, -k)]
-            )
-        else:
-            scalar = scalar * lift(g.a) ** (-k)
-    return pulled * scalar
-
-
 # -- tube valuations -----------------------------------------------------------------
 
 
 def transported_gauss_valuation(f: FactoredRational, g: Mat2, k: int) -> int | float:
     """Doubled valuation 2*omega on the unit circle of the coordinate (the
-    base-vertex tube) of automorphic_act(g, f, k), without building the
-    transported section.
+    base-vertex tube) of the weight-k transport
+    g.f = chi^k(g) (a + c z)^(-k) f((b + d z)/(a + c z)), without building
+    the transported section.
 
     The Gauss valuation is multiplicative (Gauss's lemma), so it is read factor
     by factor: with m = min(omega(a), omega(c)), a factor (w - y) becomes

@@ -145,26 +145,8 @@ def _scaled(n: int, p: int) -> tuple[int, int]:
     return (p**n, 1) if n >= 0 else (1, p**-n)
 
 
-def gamma_level(n: int, p: int) -> Mat2:
-    """diag(1, p^n); sends the base vertex to (n, 0)."""
-    num, den = _scaled(n, p)
-    return _mat2(den, 0, 0, num, den)
-
-
-def unipotent_upper(x: Fraction | int) -> Mat2:
-    return Mat2(1, x, 0, 1)
-
-
 def unipotent_lower(x: Fraction | int) -> Mat2:
     return Mat2(1, 0, x, 1)
-
-
-def weyl_flip() -> Mat2:
-    return Mat2(0, 1, 1, 0)
-
-
-def diagonal(u: Fraction | int, w: Fraction | int) -> Mat2:
-    return Mat2(u, 0, 0, w)
 
 
 # -- vertices ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from drinfeld.linalg import identity, rref, smith_over_dvr
 from drinfeld.modp import FqRatFunc, _quotient_structure
 from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
 from drinfeld.scalars import INF, FiniteField, Fq, FqElem, ScalarKHat, _check_prime, half
-from drinfeld.symrep import dual_act_matrix
+from drinfeld.symrep import chi, dual_act_matrix
 from drinfeld.theta import theta
 from drinfeld.tree import (
     Edge,
@@ -455,6 +455,63 @@ def transition_e_space_basis(e: Edge, k: int) -> list:
 
 
 # -- sections ------------------------------------------------------------------------
+
+
+def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
+    """f((a z + b)/(c z + d)) for the literal matrix entries of mat."""
+    if f.is_zero():
+        return f
+    lift = lambda x: ScalarKHat.from_rational(x, p)
+    A, B, C, D = lift(mat.a), lift(mat.b), lift(mat.c), lift(mat.d)
+    one = ScalarKHat.one(p)
+    lead = f.lead
+    factors: list[tuple[ScalarKHat, int]] = []
+    denom_exp = 0  # accumulated power of (C z + D)
+    for root, mult in f.factors:
+        top_lin = A - root * C
+        top_const = B - root * D
+        if not top_lin.is_zero():
+            lead = lead * top_lin**mult
+            factors.append(((root * D - B) / top_lin, mult))
+        else:
+            lead = lead * top_const**mult
+        denom_exp -= mult
+    extra = f.extra
+    n = len(extra) - 1
+    if n > 0:
+        extra = poly.homogenise(extra, (B, A), (D, C), ScalarKHat.zero(p), one)
+        denom_exp -= n
+    if denom_exp != 0:
+        if not C.is_zero():
+            lead = lead * C**denom_exp
+            factors.append((-D / C, denom_exp))
+        else:
+            lead = lead * D**denom_exp
+    return FactoredRational(p, lead, factors, extra)._refactored()
+
+
+def automorphic_act(g: Mat2, f: FactoredRational, k: int) -> FactoredRational:
+    """Weight-k action: chi^k(g) * (a + c z)^{-k} * f((b + d z)/(a + c z)),
+    built as a section; ``transported_gauss_valuation`` reads its valuation
+    without building it.
+
+    This is a left action: acting by g1 then by g2 equals acting by g2 g1.
+    """
+    p = f.p
+    if f.is_zero():
+        return f
+    pulled = compose_mobius(f, Mat2(g.d, g.b, g.c, g.a), p)
+    scalar = chi(g, p, k)
+    lift = lambda x: ScalarKHat.from_rational(x, p)
+    if k != 0:
+        if g.c != 0:
+            c = lift(g.c)
+            pulled = pulled * FactoredRational(
+                p, c ** (-k), [(-lift(g.a) / c, -k)]
+            )
+        else:
+            scalar = scalar * lift(g.a) ** (-k)
+    return pulled * scalar
 
 
 def raw_gauss_valuation(f: FactoredRational) -> Fraction | float:

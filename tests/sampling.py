@@ -1,6 +1,7 @@
-"""Seeded samplers for randomized sweeps: group elements as short products of
+"""Seeded samplers for property tests: group elements as short products of
 standard atoms, rational sections with poles at known points, and vertices
-near the base vertex.  Deterministic for a fixed seed.
+near the base vertex.  Deterministic for a fixed seed.  The program does not
+call them.
 """
 
 from __future__ import annotations
@@ -8,18 +9,26 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .rational import FactoredRational
-from .scalars import ScalarKHat
-from .tree import (
-    Mat2,
-    Vertex,
-    diagonal,
-    gamma_level,
-    make_vertex,
-    unipotent_lower,
-    unipotent_upper,
-    weyl_flip,
-)
+from drinfeld.rational import FactoredRational
+from drinfeld.scalars import ScalarKHat
+from drinfeld.tree import Mat2, Vertex, make_vertex, unipotent_lower
+
+
+def gamma_level(n: int, p: int) -> Mat2:
+    """diag(1, p^n); sends the base vertex to (n, 0)."""
+    return Mat2(1, 0, 0, Fraction(p) ** n)
+
+
+def unipotent_upper(x: Fraction | int) -> Mat2:
+    return Mat2(1, x, 0, 1)
+
+
+def weyl_flip() -> Mat2:
+    return Mat2(0, 1, 1, 0)
+
+
+def diagonal(u: Fraction | int, w: Fraction | int) -> Mat2:
+    return Mat2(u, 0, 0, w)
 
 
 def _atoms(p: int) -> list:

@@ -30,29 +30,26 @@ from oracles import emit_oracle
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def child_env(env_extra=None) -> dict:
+def child_env() -> dict:
     """The environment of a child ``python -m drinfeld.cli``: this checkout's
     ``src/`` first on its path, so a fresh checkout needs no install."""
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return env
 
 
-def run_cli(*args, env_extra=None, expect_code=0):
-    env = child_env(env_extra)
+def run_cli(*args, expect_code=0):
     proc = subprocess.run(
         [sys.executable, "-m", "drinfeld.cli", *args],
         capture_output=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == expect_code, (args, proc.returncode, proc.stderr)
     return proc
 
 
-def run_json(*args, env_extra=None):
-    return json.loads(run_cli(*args, env_extra=env_extra).stdout)
+def run_json(*args):
+    return json.loads(run_cli(*args).stdout)
 
 
 class TestFrozenPayloads:
@@ -210,7 +207,7 @@ class TestInProcessExitCodes:
             ("identity-b", "--a", "1/0"),
             ("lattice", "--level", "1", "--offset", "1e2"),
             ("identity-b", "--a", "5E-1"),
-            ("sweep", "--kmax", "-1"),
+            ("identity-b", "--kmax", "-1"),
             ("residue", "--p", "2", "--k", "0", "--f", "1/0", "--radius", "1"),
             ("residue", "--p", "2", "--k", "0", "--f", "(z-1/0)", "--radius", "1"),
             ("residue", "--p", "2", "--k", "0", "--f", "z/0", "--radius", "1"),
@@ -224,15 +221,6 @@ class TestInProcessExitCodes:
         result = CliRunner().invoke(cli, list(args))
         assert result.exit_code == 2, (args, result.output)
         assert "invalid parameters" in result.stderr
-
-    @pytest.mark.parametrize("threads", ["1", "4", "1.5", "abc"])
-    def test_sweep_ignores_the_thread_count_variable(self, threads):
-        args = ["sweep", "--p", "2", "--kmax", "1", "--seed", "1"]
-        unset = CliRunner(env={"DRINFELD_THREADS": None}).invoke(cli, args)
-        assert unset.exit_code == 0, unset.output
-        result = CliRunner(env={"DRINFELD_THREADS": threads}).invoke(cli, args)
-        assert result.exit_code == 0, (threads, result.output)
-        assert result.stdout == unset.stdout
 
     OVERSIZED = [
         ("tree", "--p", "7", "--radius", "8"),
@@ -402,7 +390,6 @@ _COMMANDS = {
     ("residue",): {"p": _P, "k": _K, "radius": _RADIUS, "f": _SECTION, "seed": _SEED},
     ("theta",): {"p": _P, "k": _K, "f": _SECTION, "level": _LEVEL, "offset": _RATIONAL},
     ("identity-b",): {"p": _P, "kmax": _K, "mmax": _int_option(-1, 3), "a": _RATIONAL},
-    ("sweep",): {"p": _P, "kmax": _K, "seed": _SEED},
     ("modp", "degrees"): {"q": _Q, "k": _K},
     ("modp", "sections"): {"q": _Q, "k": _K, "radius": _RADIUS},
     ("modp", "stable-lines"): {"q": _int_option(-3, 6), "k": _K, "i": _I},
@@ -483,20 +470,13 @@ class TestDeterminism:
             second = run_cli(*args).stdout
             assert first == second, args
 
-    def test_sweep_is_thread_count_independent(self):
-        args = ("sweep", "--p", "2", "--kmax", "2", "--seed", "11")
-        serial = run_cli(*args, env_extra={"DRINFELD_THREADS": "1"}).stdout
-        fanned = run_cli(*args, env_extra={"DRINFELD_THREADS": "4"}).stdout
-        assert serial == fanned
-        assert json.loads(serial)["pass"] is True
-
 
 class TestGoldenStdout:
     """Stdout pinned by sha256 for one invocation per caller of the exact
     elimination: a change of elimination strategy must leave every byte as it
     was.  ``stable-lines --q 3 --k 5`` has no relations below degree q + 1 and
-    is rejected before any elimination; ``--k 6`` reaches it.  The sweep, the
-    balls (radius 0 included), an off-axis theta certificate, whose tube
+    is rejected before any elimination; ``--k 6`` reaches it.  The balls
+    (radius 0 included), an off-axis theta certificate, whose tube
     level is below its vertex level, ``--mod-pihat`` (its star-local
     dimensions, at p = 7 too) and a residue with pihat-valued entries are
     pinned the same way.  So are the paths through the matrix arithmetic: an
@@ -528,8 +508,6 @@ class TestGoldenStdout:
          "2dad988cb67bb05a3f351610f114733d5e2a3891d42fcdaad3027dd015b2007a"),
         (("theta", "--p", "2", "--k", "2", "--f", "1/z", "--level", "1"), 0,
          "99db0918405c9ba9f3635ff073f6eacc57063c0ba83d9c6c76c08c5179b222bd"),
-        (("sweep", "--p", "2", "--kmax", "4", "--seed", "3"), 0,
-         "dc90223b3f65edad48e49e4cf5a4a87fe3e3a13f0736119b7f7f4dae6cca0d1e"),
         (("tree", "--p", "3", "--radius", "4"), 0,
          "8d23bdc1c790756dfee45f1574be9fa777fcab20609596a16713e9446acef73f"),
         (("tree", "--p", "2", "--radius", "0"), 0,

@@ -19,28 +19,27 @@ from drinfeld.harmonic import (
     star_local_kernels,
 )
 from drinfeld.lattices import edge_lattice, lattice_contains_vector
-from drinfeld.rational import FactoredRational, automorphic_act, parse_rational
-from drinfeld.sampling import random_group_element, random_rational
+from drinfeld.rational import FactoredRational, parse_rational
 from drinfeld.scalars import ScalarKHat
 from drinfeld.symrep import sym_matrix
 from drinfeld.tree import (
     Mat2,
     edge_transporter,
-    gamma_level,
     make_edge,
     make_vertex,
     standard_vertex,
     truncated_tree,
     unipotent_lower,
-    weyl_flip,
 )
 from oracles import (
     act_on_edge,
+    automorphic_act,
     basis_contains_vector,
     dual_act,
     lattice_basis,
     laurent_standard,
 )
+from sampling import gamma_level, random_group_element, random_rational, weyl_flip
 from test_linalg import _reference_kernel_basis
 
 

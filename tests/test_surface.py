@@ -1,6 +1,7 @@
 """The package holds only the program: every public function, class and
 method in ``src/drinfeld`` has a caller in ``src/drinfeld``.  Helpers that
-only tests call live in ``tests/`` (``oracles.py`` and the test files)."""
+only tests call live in ``tests/`` (``oracles.py``, ``sampling.py`` and the
+test files).  No module reads the process environment."""
 
 from __future__ import annotations
 
@@ -100,3 +101,38 @@ def _uncalled() -> list[str]:
 
 def test_every_public_name_in_src_has_a_caller_in_src():
     assert _uncalled() == []
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv"}
+
+
+def _environment_reads(path: Path) -> list[str]:
+    """Where the module reads the environment through ``os``: an attribute
+    ``environ``, ``environb`` or ``getenv`` of a name bound to ``os``, or one
+    of those names imported from ``os``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    os_names = set()  # ``import os.path`` binds ``os`` too
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is None and alias.name.split(".")[0] == "os":
+                    os_names.add("os")
+                elif alias.name == "os":
+                    os_names.add(alias.asname)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [alias.name for alias in node.names if alias.name in _ENVIRONMENT]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in _ENVIRONMENT
+            and isinstance(node.value, ast.Name)
+            and node.value.id in os_names
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    return [f"{path.stem}:{name}" for name in found]
+
+
+def test_no_module_reads_the_environment():
+    reads = [r for path in sorted(SRC.glob("*.py")) for r in _environment_reads(path)]
+    assert reads == []

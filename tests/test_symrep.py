@@ -11,11 +11,11 @@ import pytest
 from drinfeld.errors import NonInvertibleDeterminant
 from drinfeld.harmonic import sigma
 from drinfeld.linalg import transpose
-from drinfeld.sampling import random_group_element
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.symrep import chi, substitution_matrix, sym_matrix
-from drinfeld.tree import Mat2, gamma_level
+from drinfeld.tree import Mat2
 from oracles import dual_act, epsilon, mat_vec
+from sampling import gamma_level, random_group_element
 
 
 def sym_act(g: Mat2, coords: list, k: int, p: int) -> list:

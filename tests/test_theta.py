@@ -10,11 +10,9 @@ import pytest
 from drinfeld.lattices import section_lattice_membership
 from drinfeld.rational import (
     FactoredRational,
-    automorphic_act,
     parse_rational,
     tube_coordinate_level,
 )
-from drinfeld.sampling import random_group_element, random_rational, random_vertex
 from drinfeld.scalars import ScalarKHat
 from drinfeld.theta import (
     complement_b_identity,
@@ -23,7 +21,14 @@ from drinfeld.theta import (
     theta_integrality,
 )
 from drinfeld.tree import Mat2, Vertex, make_vertex, vertex_transporter
-from oracles import epsilon, raw_gauss_valuation, res_kills_theta, rescale_to_gauss_bound
+from oracles import (
+    automorphic_act,
+    epsilon,
+    raw_gauss_valuation,
+    res_kills_theta,
+    rescale_to_gauss_bound,
+)
+from sampling import random_group_element, random_rational, random_vertex
 
 
 def bol_identity_check(g: Mat2, f: FactoredRational, k: int) -> bool:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld.errors import InvalidParameters, SingularMatrix
-from drinfeld.sampling import random_group_element, random_vertex
 from drinfeld.tree import (
     Mat2,
     Vertex,
@@ -23,7 +22,6 @@ from drinfeld.tree import (
     distance,
     edge_transporter,
     edges_at,
-    gamma_level,
     make_edge,
     make_vertex,
     neighbors,
@@ -34,11 +32,9 @@ from drinfeld.tree import (
     standard_vertex,
     truncated_tree,
     unipotent_lower,
-    unipotent_upper,
     vertex_of_matrix,
     vertex_parity,
     vertex_transporter,
-    weyl_flip,
 )
 from oracles import (
     FractionMat2,
@@ -51,6 +47,7 @@ from oracles import (
     fraction_vertex_of_matrix,
     fraction_vertex_transporter,
 )
+from sampling import gamma_level, random_group_element, random_vertex, unipotent_upper, weyl_flip
 
 
 def geodesic_vertices(u: Vertex, v: Vertex) -> list[Vertex]:
