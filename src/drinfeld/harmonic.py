@@ -11,6 +11,8 @@ what makes the residue construction equivariant and its image harmonic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from . import poly
 from .errors import InternalInvariantError, PoleInsideAnnulus
@@ -22,8 +24,8 @@ from .lattices import (
 )
 from .linalg import rank
 from .rational import FactoredRational, _root_key, principal_parts
-from .scalars import ScalarKHat, half
-from .symrep import chi, sym_matrix
+from .scalars import ScalarKHat, _common_denominator, _make, half
+from .symrep import sym_ints
 from .tree import (
     Edge,
     Mat2,
@@ -116,11 +118,15 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
     if all(x.is_zero() for x in coeffs):
         return [zero] * (k + 1)
     sign = -sigma(gamma, p) if infinity_inside else sigma(gamma, p)
-    scale = chi(gamma, p, k + 2) * gamma.lift_det(p) ** (-k - 1) * sign
-    m = sym_matrix(gamma, k, p)
+    # sym(gamma) = M / N^k * det(gamma) * chi^-(k+2), and with the factor
+    # chi^(k+2) det(gamma)^(-k-1) only (N / (AD - BC))^k is left
+    m, det, _, _ = sym_ints(gamma, k, p)
+    scale = Fraction(gamma.N, det) ** k * sign
+    num, den = scale.numerator, scale.denominator
+    ca, cb, common = _common_denominator(coeffs)
     return [
-        scale * sum((coeffs[s] * m[s][i] for s in range(k + 1)), zero)
-        for i in range(k + 1)
+        _make(p, num * sum(map(mul, col, ca)), num * sum(map(mul, col, cb)), den * common)
+        for col in zip(*m)
     ]
 
 

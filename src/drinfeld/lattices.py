@@ -5,8 +5,8 @@ for rational sections at vertex level.
 
 Conventions: a lattice is a group element g and a column scaling: it is
 generated over the valuation ring by the columns of
-dual_act(g) * diag(pihat^scale[j]).  Edge profiles are reported relative to
-the lattice at the child (deeper) endpoint.
+dual_act(g) * diag(pihat^scale[j]), where dual_act(g) = sym(g^-1)^T.  Edge
+profiles are reported relative to the lattice at the child (deeper) endpoint.
 
 The lattices are GL2-equivariant: the vertex lattice of v is the standard
 lattice moved by v's transporter, and the child's transporter carries the
@@ -17,20 +17,24 @@ the child's basis with column j scaled by pihat^max(0, 2j-k), and their sum
 is the same basis scaled by pihat^min(0, 2j-k).  Since dual_act is a
 homomorphism, the transition between two lattices is one symmetric-power
 matrix between two diagonal scalings, and membership needs no elimination.
-Profiles are printed, so they are ``Fraction`` valuations; everything else
-compares the doubled int valuations of ``scalars``.
+Each entry is an int of ``symrep.sym_ints``'s M times num/den times pihat^n,
+so valuations and residues are read from ints (only ``transition_matrix``,
+for ``relative_profile``'s Smith reduction, builds scalars).  For even k every
+n is even: the lattices are defined over Q_p.  Profiles are printed, so they
+are ``Fraction`` valuations; everything else compares doubled int valuations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .errors import ZeroFunction
-from .linalg import rank, rref, smith_over_dvr, transpose
+from .errors import NegativeValuation, ZeroFunction
+from .linalg import rank, rref, smith_over_dvr
 from .rational import FactoredRational, transported_gauss_valuation
-from .scalars import Fq, ScalarKHat, half
-from .symrep import dual_act_matrix, sym_matrix
+from .scalars import INF, Fq, _common_denominator, _times_pihat, _vp, half
+from .symrep import sym_ints
 from .tree import (
     Edge,
     Mat2,
@@ -71,33 +75,41 @@ def edge_lattice(e: Edge, k: int) -> Lattice:
 
 
 def vertex_lattice_profile(v: Vertex, k: int) -> tuple:
-    """Per-column valuations of the canonical basis matrix, indexed by the dual
-    basis position j = 0..k (diagonal valuations for the level vertices)."""
-    l = vertex_lattice(v, k)
-    basis = dual_act_matrix(l.g, k, l.p)
-    return tuple(half(min(x.valuation() for x in col)) for col in zip(*basis))
+    """Per-column valuations of the canonical basis matrix dual_act(g), indexed
+    by the dual basis position j = 0..k: the rows of sym(g^-1)."""
+    p, l = v.p, vertex_lattice(v, k)
+    m, num, den, e = sym_ints(l.g.inv(), k, p)
+    shift = 2 * (_vp(num, p) - _vp(den, p)) + e
+    return tuple(half(min(2 * _vp(x, p) for x in row if x) + shift) for row in m)
 
 
 def transition_matrix(src: Lattice, dst: Lattice) -> Matrix:
     """Coordinates of dst's generators in src's basis:
-    diag(pihat^-src.scale) * dual_act(src.g^-1 * dst.g) * diag(pihat^dst.scale)."""
+    diag(pihat^-src.scale) * dual_act(src.g^-1 * dst.g) * diag(pihat^dst.scale),
+    with entries M[j][i] * (num/den) * pihat^(e + t_j - s_i) for sym(dst.g^-1 src.g)."""
     p = src.p
-    m = dual_act_matrix(src.g.inv() @ dst.g, src.k, p)
+    m, num, den, e = sym_ints(dst.g.inv() @ src.g, src.k, p)
     return [
-        [x * ScalarKHat.pihat(p, t - s) for x, t in zip(row, dst.scale)]
-        for row, s in zip(m, src.scale)
+        [_times_pihat(p, m[j][i] * num, den, e + t - s) for j, t in enumerate(dst.scale)]
+        for i, s in enumerate(src.scale)
     ]
 
 
 def lattice_contains_vector(l: Lattice, vec: list) -> bool:
     """Whether vec's coordinates in l's basis are integral: coordinate j of
     dual_act(g^-1) * vec, which is sym(g)^T * vec, has doubled valuation at
-    least scale[j]."""
-    zero = ScalarKHat.zero(l.p)
-    return all(
-        sum((x * y for x, y in zip(col, vec)), zero).valuation() >= s
-        for col, s in zip(zip(*sym_matrix(l.g, l.k, l.p)), l.scale)
-    )
+    least scale[j].  With vec = (a + b*pihat)/L and sym(g) = M * (num/den) *
+    pihat^e, it is (num/(den L)) * pihat^e * (M^T a + pihat * M^T b)."""
+    p = l.p
+    m, num, den, e = sym_ints(l.g, l.k, p)
+    a, b, common = _common_denominator(vec)
+    shift = 2 * (_vp(num, p) - _vp(den * common, p)) + e
+    for col, s in zip(zip(*m), l.scale):
+        sa, sb = sum(map(mul, col, a)), sum(map(mul, col, b))
+        twice = min(2 * _vp(sa, p) if sa else INF, 2 * _vp(sb, p) + 1 if sb else INF)
+        if twice + shift < s:
+            return False
+    return True
 
 
 def relative_profile(sup: Lattice, sub: Lattice) -> tuple:
@@ -118,11 +130,27 @@ def edge_lattice_profile(e: Edge, k: int) -> tuple:
 
 def _local_space(src: Lattice, dst: Lattice) -> list:
     """Basis of the image of dst in src/(pihat), as coordinate vectors
-    against src's basis: the column space of the transition mod pihat."""
-    field = Fq(src.p)
-    t = [[field.elem(x.reduce_mod_pihat()) for x in row] for row in transition_matrix(src, dst)]
-    reduced, pivots = rref(transpose(t), field.zero())
-    return reduced[: len(pivots)]
+    against src's basis: the column space of the transition mod pihat.  An
+    entry (see ``transition_matrix``) of doubled valuation 0 reduces to the unit
+    part of M[j][i] * num/den mod p, a positive one to 0; a negative one raises."""
+    p = src.p
+    field = Fq(p)
+    m, num, den, e = sym_ints(dst.g.inv() @ src.g, src.k, p)
+    vn, vd = _vp(num, p), _vp(den, p)
+    unit = num // p**vn * pow(den // p**vd, -1, p)
+
+    def residue(x: int, twice: int) -> int:
+        v = _vp(x, p) if x else INF
+        if 2 * v + twice < 0:
+            raise NegativeValuation(f"transition entry has valuation {half(2 * v + twice)} < 0")
+        return x // p**v * unit if 2 * v + twice == 0 else 0
+
+    rows = [
+        [field.from_int(residue(x, 2 * (vn - vd) + e + t - s)) for x, s in zip(row, src.scale)]
+        for row, t in zip(m, dst.scale)
+    ]
+    basis, pivots = rref(rows, field.zero())
+    return basis[: len(pivots)]
 
 
 def d_space_basis(e: Edge, side: Vertex, k: int) -> list:

@@ -1,7 +1,7 @@
 """Dense polynomials in one variable: coefficient tuples, little-endian, with
-no trailing zeros; () is zero.  Coefficients (``ScalarKHat``, ``FqElem``) need
-+, -, *, negation, ``inverse()`` and ``is_zero()``; as in ``linalg``, callers
-pass ``zero``/``one`` wherever a routine builds coefficients of its own.
+no trailing zeros; () is zero.  Coefficients (``ScalarKHat``, ``FqElem``, int)
+need +, -, *, negation, ``inverse()`` and to be false exactly at zero; as in
+``linalg``, callers pass ``zero``/``one`` where a routine builds coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ Poly = tuple  # tuple[T, ...]
 
 def trim(coeffs: Sequence[T]) -> Poly:
     n = len(coeffs)
-    while n > 0 and coeffs[n - 1].is_zero():
+    while n > 0 and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
 
@@ -45,7 +45,7 @@ def mul(u: Poly, v: Poly, zero: T) -> Poly:
         return ()
     out = [zero] * (len(u) + len(v) - 1)
     for i, x in enumerate(u):
-        if x.is_zero():
+        if not x:
             continue
         for j, y in enumerate(v):
             out[i + j] = out[i + j] + x * y
@@ -109,7 +109,7 @@ def homogenise(u: Poly, top: Poly, bottom: Poly, zero: T, one: T) -> Poly:
     deg = len(u) - 1
     acc: Poly = ()
     for i, c in enumerate(u):
-        if not c.is_zero():
+        if c:
             term = mul(power(top, i, zero, one), power(bottom, deg - i, zero, one), zero)
             acc = add(acc, scale(term, c))
     return acc

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Union
 
-from .errors import InvalidParameters, NegativeValuation, ResidueFieldMismatch
+from .errors import InvalidParameters, ResidueFieldMismatch
 
 INF = math.inf
 
@@ -37,9 +37,14 @@ def _check_prime(p: int) -> None:
 
 
 def _vp(n: int, p: int) -> int:
-    """Exponent of p in a nonzero int."""
+    """Exponent of p in a nonzero int: one division per factor for the first 8,
+    then twice the exponent of p^2 plus a last factor, so v costs O(log v)
+    rounds (a level-m transporter's symmetric power carries p^(m k))."""
     v = 0
     while not n % p:
+        if v == 8:
+            twice = _vp(n, p * p)
+            return v + 2 * twice + (not n // (p * p) ** twice % p)
         n //= p
         v += 1
     return v
@@ -131,14 +136,15 @@ class ScalarKHat:
     def pihat(p: int, exponent: int = 1) -> "ScalarKHat":
         """pihat^exponent for any integer exponent (p^{e/2} for even e)."""
         _check_prime(p)
-        q, r = divmod(exponent, 2)
-        num, den = (p**q, 1) if q >= 0 else (1, p**-q)
-        return _make(p, 0, num, den) if r else _make(p, num, 0, den)
+        return _times_pihat(p, 1, 1, exponent)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.A and not self.B
+
+    def __bool__(self) -> bool:
+        return self.A != 0 or self.B != 0
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ScalarKHat:
@@ -230,7 +236,7 @@ class ScalarKHat:
             n >>= 1
         return result
 
-    # -- valuation and reduction ----------------------------------------------
+    # -- valuation -------------------------------------------------------------
 
     def valuation(self) -> int | float:
         """The doubled valuation 2*omega = min(2 v(A), 2 v(B) + 1) - 2 v(D),
@@ -247,16 +253,6 @@ class ScalarKHat:
         if not self.D % p:
             twice -= 2 * _vp(self.D, p)
         return twice
-
-    def is_integral(self) -> bool:
-        # p | D forces p to miss A or B, which puts the valuation below 0
-        return self.D % self.p != 0
-
-    def reduce_mod_pihat(self) -> int:
-        """Image in Z/p; requires omega >= 0 (then the pihat part drops)."""
-        if not self.is_integral():
-            raise NegativeValuation(f"{self} has valuation {half(self.valuation())} < 0")
-        return self.A * _mod_inverse(self.D, self.p) % self.p
 
     def __repr__(self) -> str:
         if not self.B:
@@ -285,6 +281,20 @@ def _make(p: int, A: int, B: int, D: int) -> ScalarKHat:
     s.B = B
     s.D = D
     return s
+
+
+def _times_pihat(p: int, a: int, d: int, exponent: int) -> ScalarKHat:
+    """The scalar (a/d) * pihat^exponent for ints a and d > 0."""
+    q, odd = divmod(exponent, 2)
+    a, d = (a * p**q, d) if q >= 0 else (a, d * p**-q)
+    return _make(p, 0, a, d) if odd else _make(p, a, 0, d)
+
+
+def _common_denominator(vec: list) -> tuple[list[int], list[int], int]:
+    """The scalars (A_i + B_i*pihat)/D_i of vec over one denominator L = lcm
+    of the D_i: the ints A_i L/D_i, the ints B_i L/D_i and L."""
+    L = math.lcm(*(x.D for x in vec))
+    return [x.A * (L // x.D) for x in vec], [x.B * (L // x.D) for x in vec], L
 
 
 # -- finite fields -----------------------------------------------------------
@@ -489,6 +499,9 @@ class FqElem:
 
     def is_zero(self) -> bool:
         return not self.n
+
+    def __bool__(self) -> bool:
+        return self.n != 0
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not FqElem:

@@ -4,7 +4,9 @@ which residue cochains take values.
 
 Basis conventions: polynomials use the monomials X^i Y^(k-i) (i = 0..k);
 dual vectors are coordinate lists against the dual basis h_j = (X^j Y^(k-j))^*.
-Matrices act on coordinate columns.
+Matrices act on coordinate columns.  The action of a rational matrix is held
+as ints (``sym_ints``), so the quadratic extension enters through one
+exponent of pihat, even for even k; the dual action of g is sym(g^-1)^T.
 """
 
 from __future__ import annotations
@@ -50,18 +52,14 @@ def chi(g: Mat2, p: int, exponent: int = 1) -> ScalarKHat:
     return ScalarKHat.pihat(p, exponent * g.omega_det(p))
 
 
-def sym_matrix(g: Mat2, k: int, p: int) -> Matrix:
-    """Matrix over the quadratic extension of the twisted action
-    F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY), the coefficient module the
-    residue construction pairs against.
-    """
-    a, b, c, d = g.lift(p)
-    base = substitution_matrix(a, b, c, d, k, lambda n: ScalarKHat.from_rational(n, p))
-    scalar = g.lift_det(p) * chi(g, p, -(k + 2))
-    return [[x * scalar for x in row] for row in base]
-
-
-def dual_act_matrix(g: Mat2, k: int, p: int) -> Matrix:
-    """Matrix of the contragredient action (g.h)(F) = h(g^{-1}.F) on dual
-    coordinates."""
-    return transpose(sym_matrix(g.inv(), k, p))
+def sym_ints(g: Mat2, k: int, p: int) -> tuple[Matrix, int, int, int]:
+    """The twisted action F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY) that
+    residues pair against, as M * (num/den) * pihat^e for g = [[A, B], [C, D]]/N:
+    M is the substitution matrix of the ints A, B, C, D, num/den is
+    (AD - BC)/N^(k+2) and e = -(k+2) v_p(det g).  Returns (M, num, den, e)."""
+    A, B, C, D, N = g.A, g.B, g.C, g.D, g.N
+    num = A * D - B * C
+    if not num:
+        raise NonInvertibleDeterminant("determinant is zero")
+    m = substitution_matrix(A, B, C, D, k, int)
+    return m, num, N ** (k + 2), -(k + 2) * g.omega_det(p)

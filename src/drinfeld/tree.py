@@ -110,11 +110,6 @@ class Mat2:
         A, B, C, D, N = self.A, self.B, self.C, self.D, self.N
         return _make(p, A, 0, N), _make(p, B, 0, N), _make(p, C, 0, N), _make(p, D, 0, N)
 
-    def lift_det(self, p: int) -> ScalarKHat:
-        """The determinant as a scalar of the quadratic extension."""
-        _check_prime(p)
-        return _make(p, self.A * self.D - self.B * self.C, 0, self.N * self.N)
-
 
 _new = object.__new__
 _gcd = math.gcd

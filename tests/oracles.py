@@ -26,7 +26,7 @@ from drinfeld.linalg import identity, rref, smith_over_dvr
 from drinfeld.modp import FqRatFunc, _quotient_structure
 from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
 from drinfeld.scalars import INF, FiniteField, Fq, FqElem, ScalarKHat, _check_prime, half
-from drinfeld.symrep import chi, dual_act_matrix
+from drinfeld.symrep import chi, substitution_matrix
 from drinfeld.theta import theta
 from drinfeld.tree import (
     Edge,
@@ -230,9 +230,6 @@ class FractionMat2:
     def lift(self, p: int) -> tuple:
         return tuple(ScalarKHat.from_rational(x, p) for x in (self.a, self.b, self.c, self.d))
 
-    def lift_det(self, p: int) -> ScalarKHat:
-        return ScalarKHat.from_rational(self.det(), p)
-
 
 def fraction_representative(v: Vertex) -> FractionMat2:
     return FractionMat2(Fraction(v.p) ** v.m, v.b, 0, 1)
@@ -289,7 +286,42 @@ def fraction_children(v: Vertex) -> list[Vertex]:
     ]
 
 
-# -- linear algebra and the module actions ----------------------------------------
+# -- the module actions and reduction over the quadratic extension --------------------
+#
+# The program holds the symmetric-power action as ints (``symrep.sym_ints``)
+# and reads valuations and residues mod pihat from them; these build every
+# entry as a ``ScalarKHat``.
+
+
+def sym_matrix(g: Mat2, k: int, p: int) -> list:
+    """Matrix over the quadratic extension of the twisted action
+    F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY)."""
+    a, b, c, d = g.lift(p)
+    base = substitution_matrix(a, b, c, d, k, lambda n: ScalarKHat.from_rational(n, p))
+    scalar = ScalarKHat.from_rational(g.det(), p) * chi(g, p, -(k + 2))
+    return [[x * scalar for x in row] for row in base]
+
+
+def dual_act_matrix(g: Mat2, k: int, p: int) -> list:
+    """Matrix of the contragredient action (g.h)(F) = h(g^{-1}.F) on dual
+    coordinates."""
+    return [list(col) for col in zip(*sym_matrix(g.inv(), k, p))]
+
+
+def is_integral(x: ScalarKHat) -> bool:
+    """Whether omega(x) >= 0: p | D forces p to miss A or B, which puts the
+    valuation below 0."""
+    return x.D % x.p != 0
+
+
+def reduce_mod_pihat(x: ScalarKHat) -> int:
+    """Image in Z/p; requires omega >= 0 (then the pihat part drops)."""
+    if not is_integral(x):
+        raise NegativeValuation(f"{x} has valuation {half(x.valuation())} < 0")
+    return x.A * pow(x.D, -1, x.p) % x.p
+
+
+# -- linear algebra -------------------------------------------------------------------
 
 
 def mat_vec(a: list, v: list) -> list:
@@ -392,7 +424,7 @@ def basis_transition(src: list, dst: list) -> list:
 
 def basis_contains_vector(basis: list, vec: list) -> bool:
     coords = solve(basis, vec, ScalarKHat.zero(basis[0][0].p))
-    return coords is not None and all(x.is_integral() for x in coords)
+    return coords is not None and all(is_integral(x) for x in coords)
 
 
 def basis_contains(outer: list, inner: list) -> bool:
@@ -434,9 +466,9 @@ def endpoint_sum(child: list) -> list:
 # column scalings; these reduce the transition between the basis matrices.
 
 
-def _reduced_column_space(t: list, field: FiniteField) -> list:
+def reduced_column_space(t: list, field: FiniteField) -> list:
     """Basis of the column space of t mod pihat."""
-    reduced = [[field.elem(x.reduce_mod_pihat()) for x in row] for row in t]
+    reduced = [[field.elem(reduce_mod_pihat(x)) for x in row] for row in t]
     rows, pivots = rref([list(col) for col in zip(*reduced)], field.zero())
     return rows[: len(pivots)]
 
@@ -445,13 +477,13 @@ def transition_d_space_basis(e: Edge, side: Vertex, k: int) -> list:
     t = basis_transition(
         lattice_basis(vertex_lattice(side, k)), lattice_basis(edge_lattice(e, k))
     )
-    return _reduced_column_space(t, Fq(e.u.p))
+    return reduced_column_space(t, Fq(e.u.p))
 
 
 def transition_e_space_basis(e: Edge, k: int) -> list:
     total = endpoint_sum(lattice_basis(vertex_lattice(child_endpoint(e), k)))
     t = basis_transition(total, lattice_basis(edge_lattice(e, k)))
-    return _reduced_column_space(t, Fq(e.u.p))
+    return reduced_column_space(t, Fq(e.u.p))
 
 
 # -- sections ------------------------------------------------------------------------

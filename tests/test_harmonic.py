@@ -21,7 +21,6 @@ from drinfeld.harmonic import (
 from drinfeld.lattices import edge_lattice, lattice_contains_vector
 from drinfeld.rational import FactoredRational, parse_rational
 from drinfeld.scalars import ScalarKHat
-from drinfeld.symrep import sym_matrix
 from drinfeld.tree import (
     Mat2,
     edge_transporter,
@@ -38,6 +37,7 @@ from oracles import (
     dual_act,
     lattice_basis,
     laurent_standard,
+    sym_matrix,
 )
 from sampling import gamma_level, random_group_element, random_rational, weyl_flip
 from test_linalg import _reference_kernel_basis

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from drinfeld.errors import InvalidParameters
+from drinfeld import scalars
+from drinfeld.errors import InvalidParameters, NegativeValuation
 from drinfeld.lattices import (
     Lattice,
+    _local_space,
     d_space_basis,
     e_space_basis,
     edge_lattice,
@@ -24,11 +27,14 @@ from drinfeld.lattices import (
     vertex_lattice_profile,
 )
 from drinfeld.rational import FactoredRational, parse_rational
+from drinfeld.scalars import Fq, ScalarKHat
+from drinfeld.symrep import sym_ints
 from drinfeld.tree import (
     Edge,
     Vertex,
     act_on_vertex,
     child_endpoint,
+    children,
     edge_transporter,
     make_edge,
     make_vertex,
@@ -54,6 +60,7 @@ from oracles import (
     lattice_intersection,
     lattice_sum,
     laurent_standard,
+    reduced_column_space,
     transition_d_space_basis,
     transition_e_space_basis,
 )
@@ -296,21 +303,114 @@ class TestDSpaceSplitting:
         assert len(ebasis) == report["dimE"]
 
 
-class TestTransitionsAgainstElimination:
-    """The transition read off two transporters and two column scalings, and
-    the membership test read off one transporter, against inverse, matrix
-    product and solve over the basis matrices."""
+_BALLS = [(2, 3), (3, 3), (5, 2), (7, 2)]
 
-    @pytest.mark.parametrize("p,radius", [(2, 3), (3, 3), (5, 2), (7, 2)])
+
+def _edge_lattices(e: Edge, k: int) -> tuple:
+    """The child, parent, edge and endpoint-sum lattices of an edge."""
+    edge = edge_lattice(e, k)
+    return (
+        vertex_lattice(child_endpoint(e), k),
+        vertex_lattice(parent_endpoint(e), k),
+        edge,
+        Lattice(edge.p, k, edge.g, tuple(min(0, 2 * j - k) for j in range(k + 1))),
+    )
+
+
+def _transition_pairs(e: Edge, k: int) -> list:
+    """(src, dst) lattice pairs of an edge: both endpoints in each other;
+    the edge lattice in each endpoint and in the endpoint sum (the E-space),
+    which are integral; and the reverses of those three, which are not
+    integral for k >= 1."""
+    child, parent, edge, total = _edge_lattices(e, k)
+    return [
+        (child, parent),
+        (parent, child),
+        (child, edge),
+        (parent, edge),
+        (total, edge),
+        (edge, child),
+        (edge, parent),
+        (edge, total),
+    ]
+
+
+class TestTransitionsAgainstElimination:
+    """The transition read off two transporters and two column scalings, its
+    reduction mod pihat, and the membership test read off one transporter,
+    against inverse, matrix product and solve over the basis matrices."""
+
+    @pytest.mark.parametrize("p,radius", _BALLS)
     def test_every_edge_of_the_ball(self, p, radius):
+        """Where the transition is integral, the local space reduced from the
+        ints equals the column space of the eliminated transition mod pihat;
+        where it is not, both raise."""
+        field = Fq(p)
         edges = truncated_tree(p, radius).edges
+        outcomes = set()
         for k in range(7):
             for e in edges:
-                child, parent = vertex_lattice(child_endpoint(e), k), vertex_lattice(parent_endpoint(e), k)
-                edge = edge_lattice(e, k)
-                for src, dst in ((child, parent), (parent, child), (child, edge), (parent, edge)):
+                for src, dst in _transition_pairs(e, k):
                     want = basis_transition(lattice_basis(src), lattice_basis(dst))
                     assert transition_matrix(src, dst) == want, (e, k, src, dst)
+                    try:
+                        space = reduced_column_space(want, field)
+                    except NegativeValuation:
+                        with pytest.raises(NegativeValuation):
+                            _local_space(src, dst)
+                        outcomes.add("not integral")
+                    else:
+                        assert _local_space(src, dst) == space, (e, k, src, dst)
+                        outcomes.add("integral")
+        assert outcomes == {"integral", "not integral"}
+
+    @pytest.mark.parametrize("p,radius", _BALLS)
+    def test_even_weight_meets_no_odd_pihat_exponent(self, p, radius):
+        """For even k the exponent e of sym_ints and every scaling are even,
+        so every transition entry is rational: the lattices are defined over
+        Q_p.  At odd k entries with a pihat part occur."""
+        edges = truncated_tree(p, radius).edges
+        for k in (0, 2, 4, 6):
+            for e in edges:
+                for src, dst in _transition_pairs(e, k):
+                    _, _, _, exponent = sym_ints(dst.g.inv() @ src.g, k, p)
+                    assert exponent % 2 == 0, (e, k)
+                    assert all(t % 2 == 0 for t in src.scale + dst.scale), (e, k)
+                    assert all(not x.B for row in transition_matrix(src, dst) for x in row)
+        odd = [
+            x.B
+            for e in edges
+            for src, dst in _transition_pairs(e, 1)
+            for row in transition_matrix(src, dst)
+            for x in row
+        ]
+        assert any(odd)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_membership_of_random_vectors(self, p):
+        """Vectors with pihat parts and powers of p in their denominators,
+        against the vertex, edge and endpoint-sum lattices of random edges."""
+        rng = random.Random(7100 + p)
+        units = [u for u in (1, 1, 1, 2, 3, 5, 7, 11) if u % p]
+        seen = set()
+        for _ in range(60):
+            k = rng.randint(0, 5)
+            v = random_vertex(rng, p)
+            e = make_edge(v, rng.choice(children(v)))
+            for l in _edge_lattices(e, k):
+                for _ in range(3):
+                    vec = [
+                        ScalarKHat(
+                            p,
+                            Fraction(rng.randint(-9, 9), p ** rng.randint(0, 3) * rng.choice(units)),
+                            Fraction(rng.randint(-9, 9) * rng.randint(0, 1), p ** rng.randint(0, 3)),
+                        )
+                        for _ in range(k + 1)
+                    ]
+                    got = lattice_contains_vector(l, vec)
+                    assert got is basis_contains_vector(lattice_basis(l), vec), (e, k, l, vec)
+                    seen.add(got)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("p,radius", [(2, 3), (3, 2), (5, 1)])
     def test_membership_of_neighbouring_columns(self, p, radius):
@@ -332,6 +432,50 @@ class TestTransitionsAgainstElimination:
                         assert got is basis_contains_vector(b, col), (e, k, l, col)
                         seen.add(got)
         assert seen == {True, False}
+
+
+def _forbid_scalars(monkeypatch) -> None:
+    """Make building a ``ScalarKHat`` fail.  Every scalar is built by
+    ``scalars._make`` or by ``ScalarKHat.__init__``; ``_make`` is replaced
+    wherever a ``drinfeld`` module has bound it, since modules bind their
+    imports at import time."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ScalarKHat was built")
+
+    original = scalars._make
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "drinfeld" and getattr(module, "_make", None) is original:
+            monkeypatch.setattr(module, "_make", refuse)
+    monkeypatch.setattr(ScalarKHat, "__init__", refuse)
+
+
+class TestIntegerPath:
+    """Profiles, local spaces and membership read ints and build no scalar of
+    the quadratic extension."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_builds_no_scalar(self, p, monkeypatch):
+        cases = []
+        for k in range(6):
+            for e in truncated_tree(p, 2).edges:
+                lattices = _edge_lattices(e, k)
+                # columns with pihat parts and powers of p in their denominators
+                vecs = [list(col) for l in lattices for col in zip(*lattice_basis(l))]
+                cases.append((e, k, lattices, vecs))
+        _forbid_scalars(monkeypatch)
+        for e, k, lattices, vecs in cases:
+            child, parent, edge, total = lattices
+            vertex_lattice_profile(child_endpoint(e), k)
+            vertex_lattice_profile(parent_endpoint(e), k)
+            for src in (child, parent, total):
+                _local_space(src, edge)
+            for l in lattices:
+                for vec in vecs:
+                    lattice_contains_vector(l, vec)
+        # the guard trips where the program does build scalars
+        with pytest.raises(AssertionError, match="ScalarKHat was built"):
+            transition_matrix(child, parent)
 
 
 class TestEdgeLatticesAgainstSmith:

@@ -26,6 +26,7 @@ from oracles import (
     laurent_standard,
     poly_evaluate,
     raw_gauss_valuation,
+    reduce_mod_pihat,
 )
 from sampling import gamma_level, random_group_element, random_rational, random_vertex, weyl_flip
 
@@ -68,7 +69,7 @@ def gauss_sample_audit(
     circle_residues = set()  # residues of all unit-valuation roots and poles
     for root, mult in moved.factors:
         if fraction_valuation(root) == 0:
-            r = root.reduce_mod_pihat()
+            r = reduce_mod_pihat(root)
             circle_residues.add(r)
             if mult < 0:
                 pole_residues.add(r)

@@ -11,8 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld.errors import InvalidParameters, NegativeValuation, ResidueFieldMismatch
-from drinfeld.scalars import INF, FiniteField, Fq, ScalarKHat, half, val_p
-from oracles import FractionScalarKHat, _fraction_val, fraction_valuation
+from drinfeld.scalars import INF, FiniteField, Fq, ScalarKHat, _vp, half, val_p
+from oracles import (
+    FractionScalarKHat,
+    _fraction_val,
+    fraction_valuation,
+    is_integral,
+    reduce_mod_pihat,
+)
 
 
 def scalar(x, p, pihat_exp=0):
@@ -66,12 +72,12 @@ def _assert_matches_fraction_scalar(got, old):
     # the program's valuation is the doubled one, an int, or INF for zero
     assert got.valuation() == 2 * old.valuation()
     assert type(got.valuation()) is (float if old.is_zero() else int)
-    assert got.is_integral() == old.is_integral()
+    assert is_integral(got) == old.is_integral()
     if old.is_integral():
-        assert got.reduce_mod_pihat() == old.reduce_mod_pihat()
+        assert reduce_mod_pihat(got) == old.reduce_mod_pihat()
     else:
         with pytest.raises(NegativeValuation) as new_error:
-            got.reduce_mod_pihat()
+            reduce_mod_pihat(got)
         with pytest.raises(NegativeValuation) as old_error:
             old.reduce_mod_pihat()
         assert str(new_error.value) == str(old_error.value)
@@ -198,7 +204,24 @@ class TestBoundaryChecks:
             op(y, x)
 
 
+def _plain_vp(n: int, p: int) -> int:
+    """Exponent of p in a nonzero int, one division per factor."""
+    v = 0
+    while not n % p:
+        n //= p
+        v += 1
+    return v
+
+
 class TestValuation:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_vp_matches_the_plain_loop(self, p):
+        # past 8 factors _vp divides by p^(2^i); units of both signs and sizes
+        for v in range(301):
+            for unit in (1, -1, p + 1, 1 - 2 * p, -(1 + p**5)):
+                n = unit * p**v
+                assert _vp(n, p) == _plain_vp(n, p) == v, (p, v, unit)
+
     def test_half_integer_grid(self):
         # p^2 * pihat has valuation 2 + 1/2 at p = 2, doubled 5
         assert scalar(4, 2, 1).valuation() == 5
@@ -291,22 +314,22 @@ class TestPowers:
 
 class TestConjugationAndIntegrality:
     def test_is_integral_matches_valuation(self):
-        assert scalar(6, 3).is_integral()
-        assert scalar(1, 3, 1).is_integral()
-        assert not scalar(Fraction(1, 3), 3).is_integral()
-        assert not ScalarKHat.pihat(3, -1).is_integral()
+        assert is_integral(scalar(6, 3))
+        assert is_integral(scalar(1, 3, 1))
+        assert not is_integral(scalar(Fraction(1, 3), 3))
+        assert not is_integral(ScalarKHat.pihat(3, -1))
 
 
 class TestResidueReduction:
     def test_reduce_mod_pihat_examples(self):
-        assert ScalarKHat.from_rational(3, 2).reduce_mod_pihat() == 1
-        assert ScalarKHat.pihat(3, 1).reduce_mod_pihat() == 0
+        assert reduce_mod_pihat(ScalarKHat.from_rational(3, 2)) == 1
+        assert reduce_mod_pihat(ScalarKHat.pihat(3, 1)) == 0
         # 1/3 is a 2-adic unit congruent to 1 mod 2
-        assert ScalarKHat.from_rational(Fraction(1, 3), 2).reduce_mod_pihat() == 1
+        assert reduce_mod_pihat(ScalarKHat.from_rational(Fraction(1, 3), 2)) == 1
 
     def test_reduce_requires_integrality(self):
         with pytest.raises(NegativeValuation):
-            ScalarKHat.pihat(2, -1).reduce_mod_pihat()
+            reduce_mod_pihat(ScalarKHat.pihat(2, -1))
 
 
 class TestFiniteFields:

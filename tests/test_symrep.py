@@ -7,14 +7,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from drinfeld.errors import NonInvertibleDeterminant
 from drinfeld.harmonic import sigma
 from drinfeld.linalg import transpose
 from drinfeld.scalars import Fq, ScalarKHat
-from drinfeld.symrep import chi, substitution_matrix, sym_matrix
+from drinfeld.symrep import chi, substitution_matrix, sym_ints
 from drinfeld.tree import Mat2
-from oracles import dual_act, epsilon, mat_vec
+from oracles import dual_act, epsilon, mat_vec, sym_matrix
 from sampling import gamma_level, random_group_element
 
 
@@ -69,6 +71,15 @@ class TestSubstitutionMatrixOracle:
                 _reference_substitution_matrix(a, b, c, d, k, lift)
             ), (p, k)
 
+    def test_matches_the_term_expansion_over_the_integers(self):
+        rng = random.Random(4100)
+        for k in range(11):
+            for _ in range(3):
+                a, b, c, d = (rng.randrange(-6, 7) * rng.choice([1, 8, 81]) for _ in range(4))
+                assert substitution_matrix(a, b, c, d, k, int) == (
+                    _reference_substitution_matrix(a, b, c, d, k, int)
+                ), (k, a, b, c, d)
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_matches_the_term_expansion_over_finite_fields(self, q):
         field = Fq(q)
@@ -79,6 +90,41 @@ class TestSubstitutionMatrixOracle:
             assert substitution_matrix(a, b, c, d, k, field.from_int) == (
                 _reference_substitution_matrix(a, b, c, d, k, field.from_int)
             ), (q, k)
+
+
+@st.composite
+def _matrices(draw):
+    """(p, g) with entries n p^i / (p^j u): p-power and non-p denominators."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    units = [u for u in (1, 2, 3, 5, 7, 11) if u % p]
+
+    def entry():
+        n = draw(st.integers(-20, 20)) * p ** draw(st.integers(0, 3))
+        return Fraction(n, p ** draw(st.integers(0, 4)) * draw(st.sampled_from(units)))
+
+    g = Mat2(entry(), entry(), entry(), entry())
+    assume(g.A * g.D != g.B * g.C)
+    return p, g
+
+
+class TestIntegerSymmetricPower:
+    @given(pg=_matrices(), k=st.integers(0, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_matrix_over_the_quadratic_extension(self, pg, k):
+        p, g = pg
+        m, num, den, e = sym_ints(g, k, p)
+        want = sym_matrix(g, k, p)
+        assert all(type(x) is int for row in m for x in row)
+        assert e == -(k + 2) * g.omega_det(p)
+        pihat = ScalarKHat.pihat(p, e)
+        for i in range(k + 1):
+            for j in range(k + 1):
+                got = ScalarKHat.from_rational(Fraction(m[i][j] * num, den), p) * pihat
+                assert got == want[i][j], (p, g, k, i, j)
+
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(NonInvertibleDeterminant):
+            sym_ints(Mat2(1, 2, 2, 4), 1, 2)
 
 
 class TestDiagonalEigenvalues:
