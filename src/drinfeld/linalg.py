@@ -1,8 +1,9 @@
 """Exact linear algebra over field-like scalars, plus Smith reduction over the
 valuation ring of the ramified quadratic extension.
 
-Field routines are generic: elements must support +, -, *, / and ==. Callers
-pass explicit zero/one samples so the routines stay agnostic of the scalar type
+Field routines are generic: elements must support +, -, * and / and be false
+exactly at zero, as in ``poly``. Callers pass explicit zero/one samples, used
+only to fill new entries, so the routines stay agnostic of the scalar type
 (used with ScalarKHat, Fraction and FqElem alike).
 """
 
@@ -39,7 +40,7 @@ def rref(rows: Matrix, zero: T) -> tuple[Matrix, list[int]]:
     ncols = len(rows[0])
     pending = {}  # row id -> {column: nonzero entry}
     for i, row in enumerate(rows):
-        entries = {c: x for c, x in enumerate(row) if x != zero}
+        entries = {c: x for c, x in enumerate(row) if x}
         if entries:
             pending[i] = entries
     # (leading column, row id) of each pending row. Every pending row's
@@ -60,14 +61,14 @@ def rref(rows: Matrix, zero: T) -> tuple[Matrix, list[int]]:
         while leads and leads[0][0] == c:
             _, i = heapq.heappop(leads)
             row = pending[i]
-            _eliminate(row, c, tail, zero)
+            _eliminate(row, c, tail)
             if row:
                 heapq.heappush(leads, (min(row), i))
             else:
                 del pending[i]
         for row in reduced:
             if c in row:
-                _eliminate(row, c, tail, zero)
+                _eliminate(row, c, tail)
         pivot_row = dict(tail)
         pivot_row[c] = one
         reduced.append(pivot_row)
@@ -79,20 +80,20 @@ def rref(rows: Matrix, zero: T) -> tuple[Matrix, list[int]]:
     return dense, pivots
 
 
-def _eliminate(row: dict, c: int, tail: list, zero: T) -> None:
+def _eliminate(row: dict, c: int, tail: list) -> None:
     """Clear column c of a sparse row with the pivot row for c, which is 1 at
     c and holds the nonzero entries ``tail`` elsewhere."""
     f = row.pop(c)
     for j, y in tail:
         x = row.get(j)
         if x is None:
-            row[j] = zero - f * y
+            row[j] = -(f * y)
         else:
             x = x - f * y
-            if x == zero:
-                del row[j]
-            else:
+            if x:
                 row[j] = x
+            else:
+                del row[j]
 
 
 def rank(rows: Matrix, zero: T) -> int:
@@ -113,8 +114,8 @@ def kernel_basis(rows: Matrix, zero: T, one: T) -> list[list]:
         vec[fc] = one
         for ri, pc in enumerate(pivots):
             x = r[ri][fc]
-            if x != zero:
-                vec[pc] = zero - x
+            if x:
+                vec[pc] = -x
         basis.append(vec)
     return basis
 

@@ -10,6 +10,7 @@ that edge on its endpoint components.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -242,46 +243,34 @@ def symgeom_iso(q: int, k: int, i: int) -> dict:
 def symgeom_equivariance(q: int, k: int, i: int, g) -> bool:
     """iso(g.F) == (iso F)|_g at weight k, on every monomial.
 
-    With W = z - z^q and e the shift, column r of the symmetric-power matrix
-    M gives the polynomial P_r = sum_j M[j][r] z^j, and the check reads
-        P_r W^e == (b+dz)^r What^e (a+cz)^(-r - qe - k),
-    where What = (b+dz)(a+cz)^(q-1) - (b+dz)^q is the numerator of
-    W((b+dz)/(a+cz)) over (a+cz)^q.  The two sides are compared by
-    cross-multiplying numerators and denominators, with no gcd.
+    With W = z - z^q, e the shift, N = b + dz and D = a + cz, column r of the
+    symmetric-power matrix M gives the polynomial P_r = sum_j M[j][r] z^j,
+    and equivariance is the identity
+        P_r W^e == N^r What^e D^(-r - qe - k),
+    where What = N D^(q-1) - N^q is the numerator of W(N/D) over D^q.  Since
+    a, b, c, d lie in F_q, Frobenius gives N^q = b + d z^q and D^q = a + c z^q,
+    so D What = N D^q - N^q D = det (z - z^q) = det W for every invertible g.
+    The right side is then det^e N^r W^e D^(-e - r - qe - k), and
+    -e - qe - k = t for every (q, k, i) (``symgeom_parameters``), so the
+    identity holds exactly when P_r == det^e N^r D^(t-r).  The columns are
+    checked against that: they run from det^e D^t by one product with N and
+    one exact division by the linear D each.
     """
     field = Fq(q)
     t, shift = symgeom_parameters(q, k, i)
     a, b, c, d = _lift_matrix(field, g)
+    det = a * d - b * c
     m = sym_matrix_fq(field, g, t, shift)
-    n_poly, d_poly = (b, d), (a, c)
     zero, one = field.zero(), field.one()
-    lhs_factor = rhs_factor = (one,)
-    if shift:
-        moved = poly.add(
-            poly.mul(n_poly, poly.power(d_poly, q - 1, zero, one), zero),
-            poly.neg(poly.power(n_poly, q, zero, one)),
-        )
-        window = poly.power(_window_poly(field), abs(shift), zero, one)
-        moved = poly.power(moved, abs(shift), zero, one)
-        # a negative power of W or What moves to the other side
-        lhs_factor, rhs_factor = (window, moved) if shift > 0 else (moved, window)
-    # the power of a + cz on column r has exponent ex0 - r
-    ex0 = -q * shift - k
-    d_powers = [(one,)]
-    for _ in range(max(abs(ex0), abs(ex0 - t))):
-        d_powers.append(poly.mul(d_powers[-1], d_poly, zero))
-    n_power = (one,)
+    n_poly, d_poly = poly.trim((b, d)), poly.trim((a, c))
+    column = poly.scale(poly.power(d_poly, t, zero, one), det**shift)
     for r in range(t + 1):
-        lhs = poly.mul([row[r] for row in m], lhs_factor, zero)
-        rhs = poly.mul(n_power, rhs_factor, zero)
-        ex = ex0 - r
-        if ex > 0:
-            rhs = poly.mul(rhs, d_powers[ex], zero)
-        elif ex < 0:
-            lhs = poly.mul(lhs, d_powers[-ex], zero)
-        if lhs != rhs:
+        if poly.trim([row[r] for row in m]) != column:
             return False
-        n_power = poly.mul(n_power, n_poly, zero)
+        if r < t:
+            column, rest = poly.divmod(poly.mul(n_poly, column, zero), d_poly, zero)
+            if rest:
+                return False
     return True
 
 
@@ -404,7 +393,7 @@ def _quotient_structure(q: int, k: int, i: int) -> dict:
         work = list(vec)
         for row, pc in zip(reduced, pivots):
             coef = work[pc]
-            if coef != field.zero():
+            if coef:
                 work = [w - coef * r for w, r in zip(work, row)]
         return tuple(work[c] for c in free)
 
@@ -417,14 +406,9 @@ def _quotient_structure(q: int, k: int, i: int) -> dict:
     }
 
 
-def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
-    """The induced representation on the quotient by the exponent-shift
-    relations, plus every line fixed by the full invertible group.
-
-    A line's stabiliser is a subgroup, so a line is fixed by the group
-    exactly when each of ``gl2_generators`` fixes it; only those are tested.
-    """
-    s = _quotient_structure(q, k, i)
+def _generator_matrices(s: dict) -> list:
+    """Matrices on the quotient (``_quotient_structure``) of each of
+    ``gl2_generators``, against the free monomial classes."""
     field, t, shift, free, reduce_vector = (
         s["field"],
         s["t"],
@@ -438,48 +422,66 @@ def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
         m = sym_matrix_fq(field, g, t, shift)
         cols = [reduce_vector([row[c] for row in m]) for c in free]
         matrices.append([[cols[j][r] for j in range(dim)] for r in range(dim)])
+    return matrices
 
-    def normalize(vec: tuple) -> tuple:
-        for x in vec:
-            if x != field.zero():
-                inv = x.inverse()
-                return tuple(inv * y for y in vec)
-        return vec
 
+def _normalize(vec) -> tuple:
+    """The vector scaled so that its first nonzero coordinate is 1."""
+    for x in vec:
+        if x:
+            inv = x.inverse()
+            return tuple(inv * y for y in vec)
+    return tuple(vec)
+
+
+def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
+    """The induced representation on the quotient by the exponent-shift
+    relations, plus every line fixed by the full invertible group.
+
+    A line's stabiliser is a subgroup, so a line is fixed by the group
+    exactly when each of ``gl2_generators`` fixes it, that is, when it is an
+    eigenvector of each generator's matrix with a nonzero eigenvalue.  The
+    stable lines are the lines of the common eigenspaces: the nonzero
+    kernels of the rows of M - lambda I stacked over the generators, one
+    lambda in F_q^x for each.
+    """
+    s = _quotient_structure(q, k, i)
+    field = s["field"]
+    zero, one = field.zero(), field.one()
+    dim = len(s["free"])
+    units = [x for x in field.elements() if x]
+    # (stacked rows, kernel basis) of each nonzero common eigenspace so far
+    eigenspaces = [([], identity(dim, zero, one))]
+    for m in _generator_matrices(s):
+        found = []
+        for rows, _ in eigenspaces:
+            for lam in units:
+                stacked = rows + [
+                    [x - lam if j == r else x for j, x in enumerate(row)]
+                    for r, row in enumerate(m)
+                ]
+                basis = kernel_basis(stacked, zero, one)
+                if basis:
+                    found.append((stacked, basis))
+        eigenspaces = found
     lines = set()
     elems = list(field.elements())
-
-    def all_vectors(n: int):
-        if n == 0:
-            yield ()
-            return
-        for rest in all_vectors(n - 1):
-            for x in elems:
-                yield rest + (x,)
-
-    for vec in all_vectors(dim):
-        if all(x == field.zero() for x in vec):
-            continue
-        lines.add(normalize(vec))
-    stable = []
-    for line in sorted(lines, key=lambda v: tuple(x.coeffs for x in v)):
-        ok = True
-        for m in matrices:
-            image = tuple(
-                sum((m[r][j] * line[j] for j in range(dim)), field.zero())
-                for r in range(dim)
-            )
-            if normalize(image) != line:
-                ok = False
-                break
-        if ok:
-            stable.append(line)
+    for _, basis in eigenspaces:
+        # each line once: the combinations led by a coefficient 1
+        for lead, first in enumerate(basis):
+            rest = basis[lead + 1 :]
+            for coeffs in itertools.product(elems, repeat=len(rest)):
+                vec = first
+                for c, v in zip(coeffs, rest):
+                    if c:
+                        vec = [x + c * y for x, y in zip(vec, v)]
+                lines.add(_normalize(vec))
     return {
         "dimension": dim,
-        "t": t,
-        "shift": shift,
-        "free_monomials": free,
-        "stable_lines": stable,
+        "t": s["t"],
+        "shift": s["shift"],
+        "free_monomials": s["free"],
+        "stable_lines": sorted(lines, key=lambda v: tuple(x.coeffs for x in v)),
         "group_order": (q * q - 1) * (q * q - q),
     }
 

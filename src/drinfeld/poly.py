@@ -75,20 +75,21 @@ def derivative(u: Poly, one: T) -> Poly:
 
 
 def divmod(u: Poly, v: Poly, zero: T) -> tuple[Poly, Poly]:
-    """(q, r) with u = q v + r and deg r < deg v."""
+    """(q, r) with u = q v + r and deg r < deg v, by long division in place."""
     if not v:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [zero] * max(0, len(u) - len(v) + 1)
-    r = list(trim(u))
+    n = len(v) - 1
     inv_lead = v[-1].inverse()
-    while len(r) >= len(v):
-        j = len(r) - len(v)
-        c = r[-1] * inv_lead
-        q[j] = c
-        for i, vi in enumerate(v[:-1]):
-            r[j + i] = r[j + i] - c * vi
-        r = list(trim(r[:-1]))
-    return trim(q), tuple(r)
+    r = list(u)
+    q = [zero] * max(0, len(r) - n)
+    for j in reversed(range(len(q))):
+        x = r[j + n]
+        if x:
+            c = x * inv_lead
+            q[j] = c
+            for i in range(n):
+                r[j + i] = r[j + i] - c * v[i]
+    return trim(q), trim(r[:n])
 
 
 def monic_gcd(u: Poly, v: Poly, zero: T) -> Poly:

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import itertools
 import json
 import math
 from math import comb
 
-from drinfeld import poly
+from drinfeld import modp, poly
 from drinfeld.cli import _fqpoly_str, _rational_str, _scalar_str
 from drinfeld.errors import (
     InternalInvariantError,
@@ -23,7 +24,7 @@ from drinfeld.errors import (
 from drinfeld.harmonic import Cochain, res0
 from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
 from drinfeld.linalg import identity, rref, smith_over_dvr
-from drinfeld.modp import FqRatFunc, _quotient_structure
+from drinfeld.modp import FqRatFunc, _generator_matrices, _quotient_structure
 from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
 from drinfeld.scalars import INF, FiniteField, Fq, FqElem, ScalarKHat, _check_prime, half
 from drinfeld.symrep import chi, substitution_matrix
@@ -664,7 +665,81 @@ def laurent_standard(f: FactoredRational, lo: int, hi: int) -> LaurentWindow:
     return LaurentWindow(p, w_lo, w_hi, coeffs, below, above)
 
 
-# -- the quotient representation over F_q ---------------------------------------------
+# -- the quotient representation and the comparison map over F_q ----------------------
+
+
+def stable_lines_by_scan(q: int, k: int, i: int) -> list:
+    """Every line of the quotient fixed by each of ``gl2_generators``, found
+    by normalising each of the q^dim vectors and testing its image under
+    each generator's matrix; a zero image is not fixed.  The reference for
+    the common eigenspaces of ``quotient_rep_and_stable_lines``."""
+    s = _quotient_structure(q, k, i)
+    field = s["field"]
+    zero = field.zero()
+    matrices = _generator_matrices(s)
+
+    def normalize(vec) -> tuple:
+        for x in vec:
+            if x != zero:
+                inv = x.inverse()
+                return tuple(inv * y for y in vec)
+        return tuple(vec)
+
+    lines = {
+        normalize(vec)
+        for vec in itertools.product(list(field.elements()), repeat=len(s["free"]))
+        if any(x != zero for x in vec)
+    }
+    return [
+        line
+        for line in sorted(lines, key=lambda v: tuple(x.coeffs for x in v))
+        if all(normalize(mat_vec(m, list(line))) == line for m in matrices)
+    ]
+
+
+def symgeom_equivariance_by_columns(q: int, k: int, i: int, g) -> bool:
+    """The comparison map's equivariance, column by column: with W = z - z^q,
+    e the shift and P_r = sum_j M[j][r] z^j for the symmetric-power matrix M,
+        P_r W^e == (b+dz)^r What^e (a+cz)^(-r - qe - k),
+    where What = (b+dz)(a+cz)^(q-1) - (b+dz)^q is the numerator of
+    W((b+dz)/(a+cz)) over (a+cz)^q.  The two sides are compared by
+    cross-multiplying, each column by the dense What^|e| and a power of
+    a + cz.  The reference for ``symgeom_equivariance``; it reads
+    ``modp.sym_matrix_fq`` at call time, so a patched matrix reaches both."""
+    field = Fq(q)
+    t, shift = modp.symgeom_parameters(q, k, i)
+    a, b, c, d = modp._lift_matrix(field, g)
+    m = modp.sym_matrix_fq(field, g, t, shift)
+    n_poly, d_poly = (b, d), (a, c)
+    zero, one = field.zero(), field.one()
+    lhs_factor = rhs_factor = (one,)
+    if shift:
+        moved = poly.add(
+            poly.mul(n_poly, poly.power(d_poly, q - 1, zero, one), zero),
+            poly.neg(poly.power(n_poly, q, zero, one)),
+        )
+        window = poly.power(modp._window_poly(field), abs(shift), zero, one)
+        moved = poly.power(moved, abs(shift), zero, one)
+        # a negative power of W or What moves to the other side
+        lhs_factor, rhs_factor = (window, moved) if shift > 0 else (moved, window)
+    # the power of a + cz on column r has exponent ex0 - r
+    ex0 = -q * shift - k
+    d_powers = [(one,)]
+    for _ in range(max(abs(ex0), abs(ex0 - t))):
+        d_powers.append(poly.mul(d_powers[-1], d_poly, zero))
+    n_power = (one,)
+    for r in range(t + 1):
+        lhs = poly.mul([row[r] for row in m], lhs_factor, zero)
+        rhs = poly.mul(n_power, rhs_factor, zero)
+        ex = ex0 - r
+        if ex > 0:
+            rhs = poly.mul(rhs, d_powers[ex], zero)
+        elif ex < 0:
+            lhs = poly.mul(lhs, d_powers[-ex], zero)
+        if lhs != rhs:
+            return False
+        n_power = poly.mul(n_power, n_poly, zero)
+    return True
 
 
 def quotient_reduce(q: int, k: int, i: int, coeffs: dict) -> tuple:

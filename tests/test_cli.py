@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 from drinfeld import cli as cli_module
 from drinfeld.cli import cli
 from drinfeld.errors import InternalInvariantError
-from drinfeld.modp import FqRatFunc
+from drinfeld.modp import FqRatFunc, gl2_generators, sym_matrix_fq, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.tree import make_vertex
-from oracles import emit_oracle
+from oracles import emit_oracle, mat_vec, quotient_reduce
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -380,8 +380,7 @@ _P = _Q = _int_option(-3, 10)
 _K, _RADIUS = _int_option(-2, 4), _int_option(-1, 2)
 _LEVEL, _I, _SEED = _int_option(-2, 2), _int_option(-1, 4), _int_option(0, 5)
 
-# Each command with the options it takes.  Left out: modp stable-lines at
-# q >= 7, which takes from seconds to minutes.
+# Each command with the options it takes.
 _COMMANDS = {
     ("tree",): {"p": _P, "radius": _RADIUS},
     ("lattice",): {"p": _P, "k": _K, "level": _LEVEL, "offset": _RATIONAL},
@@ -392,7 +391,7 @@ _COMMANDS = {
     ("identity-b",): {"p": _P, "kmax": _K, "mmax": _int_option(-1, 3), "a": _RATIONAL},
     ("modp", "degrees"): {"q": _Q, "k": _K},
     ("modp", "sections"): {"q": _Q, "k": _K, "radius": _RADIUS},
-    ("modp", "stable-lines"): {"q": _int_option(-3, 6), "k": _K, "i": _I},
+    ("modp", "stable-lines"): {"q": _Q, "k": _K, "i": _I},
     ("modp", "symgeom-check"): {"q": _Q, "k": _K, "i": _I},
     ("modp", "b-forms"): {"q": _Q},
 }
@@ -454,6 +453,43 @@ class TestExitCodeFuzz:
             )
 
 
+class TestResidueFieldReach:
+    """Stable lines at fields where a scan of the q^(q+1) vectors of the
+    quotient would not finish.  Each printed line is checked on the full
+    monomial coordinates: every generator maps it to a nonzero multiple.
+    The comparison map at a large prime with no window power, where the
+    check builds no polynomial of degree q."""
+
+    def test_symgeom_check_at_a_large_prime_without_a_shift(self):
+        args = ["modp", "symgeom-check", "--q", "1000003", "--k", "0", "--i", "0"]
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code == 0, (result.output, repr(result.exception))
+        out = json.loads(result.stdout)
+        assert out["equivariant"] is True and out["images"] == ["1"]
+
+    @pytest.mark.parametrize("q,k,i", [(7, 4, 0), (8, 4, 0), (9, 10, 0), (11, 10, 0)])
+    def test_every_printed_line_is_fixed_by_every_generator(self, q, k, i):
+        args = ["modp", "stable-lines", "--q", str(q), "--k", str(k), "--i", str(i)]
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code == 0, (result.output, repr(result.exception))
+        out = json.loads(result.stdout)
+        field = Fq(q)
+        t, shift = symgeom_parameters(q, k, i)
+        assert out["stable_lines"]
+        for printed in out["stable_lines"]:
+            line = tuple(field.elem(x) for x in printed)
+            lead = next(x for x in line if x)
+            assert lead == field.one()
+            coords = [field.zero()] * (t + 1)
+            for pos, c in zip(out["free_monomials"], line):
+                coords[pos] = c
+            for g in gl2_generators(field):
+                image = mat_vec(sym_matrix_fq(field, g, t, shift), coords)
+                moved = quotient_reduce(q, k, i, dict(enumerate(image)))
+                scale = next(y for x, y in zip(line, moved) if x)
+                assert scale and moved == tuple(scale * x for x in line), (printed, g)
+
+
 class TestDeterminism:
     COMMANDS = [
         ("local-dims", "--p", "2", "--k", "3"),
@@ -484,7 +520,8 @@ class TestGoldenStdout:
     certificate at a negative level, a deep vertex with a p-adic offset, and
     the uniformizer involution of ``b-forms``.  The JSON writer's paths are
     pinned too: coefficient lists over F_4, the identity basis of an odd k,
-    and a list of dicts holding bools."""
+    and a list of dicts holding bools.  So are the stable lines at q = 5,
+    once a scan of all 5^6 vectors, and the comparison map at q = 101."""
 
     GOLDEN = [
         (("modp", "sections", "--q", "3", "--k", "4", "--radius", "2"), 0,
@@ -535,6 +572,10 @@ class TestGoldenStdout:
          "81f791a26babd7c7a961e3e3e8813ab7d04b62db4446b9fd268e58e6ccc3037c"),
         (("modp", "stable-lines", "--q", "4", "--k", "12", "--i", "0"), 0,
          "ca5e103528c97ed14365232524c2dd2da91c8b4be3c86837c9349bc1a0ef8562"),
+        (("modp", "stable-lines", "--q", "5", "--k", "4", "--i", "0"), 0,
+         "d1ec16eafdd73f438958d91f76373eff53e730c8e8d0606c483a1144185fb68e"),
+        (("modp", "symgeom-check", "--q", "101", "--k", "2", "--i", "0"), 0,
+         "cdccadf6d68fa4f6dee96e0186aed971de646ac92c4bd57779e695887fc67200"),
         (("modp", "sections", "--q", "3", "--k", "3", "--radius", "1"), 0,
          "0eaa87eb5d787877a25103fa83468feec42bd045e3f248eb4b63439d2189e210"),
         (("identity-b", "--p", "2", "--kmax", "4", "--mmax", "6"), 0,

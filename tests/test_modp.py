@@ -13,7 +13,7 @@ import pytest
 
 from drinfeld import modp, poly
 from drinfeld.errors import InternalInvariantError, InvalidParameters, ZeroFunction
-from drinfeld.linalg import kernel_basis
+from drinfeld.linalg import kernel_basis, transpose
 from drinfeld.modp import (
     INFINITY_POINT,
     FqRatFunc,
@@ -40,7 +40,13 @@ from drinfeld.tree import (
     truncated_tree,
     vertex_transporter,
 )
-from oracles import mat_vec, poly_evaluate, quotient_reduce
+from oracles import (
+    mat_vec,
+    poly_evaluate,
+    quotient_reduce,
+    stable_lines_by_scan,
+    symgeom_equivariance_by_columns,
+)
 
 
 def order_at(f: FqRatFunc, point) -> int:
@@ -352,6 +358,31 @@ _SYMGEOM_CASES = [
 ]
 
 
+# every (q, k, i) with 0 <= k <= 9 and 0 <= i <= 2 that has a comparison map
+_COLUMN_CASES = {
+    q: [
+        (k, i)
+        for k in range(10)
+        for i in range(3)
+        if (q - 1) * k - (k % 2) * (q + 1) - 2 * i * (q + 1) >= 0
+    ]
+    for q in (2, 3, 4, 5, 7, 8, 9)
+}
+
+
+def _swap_b_c(honest):
+    return lambda field, g, t, s: honest(field, ((g[0][0], g[1][0]), (g[0][1], g[1][1])), t, s)
+
+
+# broken symmetric-power matrices: each must fail the recurrence wherever it
+# fails the per-column identity
+_MUTATIONS = {
+    "twist exponent s+1": lambda honest: lambda field, g, t, s: honest(field, g, t, s + 1),
+    "transposed matrix": lambda honest: lambda field, g, t, s: transpose(honest(field, g, t, s)),
+    "b and c swapped": _swap_b_c,
+}
+
+
 class TestComparisonMap:
     def test_frozen_parameters_for_q3_k4(self):
         assert symgeom_parameters(3, 4, 0) == (4, -2)
@@ -386,6 +417,26 @@ class TestComparisonMap:
         for g in gl2_generators(Fq(q)):
             expected = _reference_symgeom_equivariance(q, k, i, g)
             assert symgeom_equivariance(q, k, i, g) is expected is True
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_recurrence_matches_the_per_column_identity(self, q):
+        for k, i in _COLUMN_CASES[q]:
+            for g in gl2_generators(Fq(q)):
+                assert symgeom_equivariance(q, k, i, g) is True, (k, i, g)
+                assert symgeom_equivariance_by_columns(q, k, i, g) is True, (k, i, g)
+
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_a_broken_matrix_fails_both_checks_alike(self, q, mutation, monkeypatch):
+        monkeypatch.setattr(modp, "sym_matrix_fq", _MUTATIONS[mutation](modp.sym_matrix_fq))
+        caught = 0
+        for k, i in _COLUMN_CASES[q]:
+            for g in gl2_generators(Fq(q)):
+                expected = symgeom_equivariance_by_columns(q, k, i, g)
+                assert symgeom_equivariance(q, k, i, g) is expected, (k, i, g)
+                caught += not expected
+        # over F_2 every determinant is 1, so a wrong twist changes nothing
+        assert caught or (q, mutation) == (2, "twist exponent s+1")
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
     def test_a_wrong_determinant_twist_is_caught(self, q, monkeypatch):
@@ -546,6 +597,21 @@ def _stable_lines_by_full_group(q, k, i):
     return stable
 
 
+def _quotient_cases(q):
+    """Every (k, i) with -12 <= k <= 24 and -3 <= i <= 3 whose comparison
+    degree t reaches q + 1, so that the quotient has relations."""
+    cases = []
+    for k in range(-12, 25):
+        for i in range(-3, 4):
+            try:
+                t = symgeom_parameters(q, k, i)[0]
+            except InvalidParameters:
+                continue
+            if t >= q + 1:
+                cases.append((k, i))
+    return cases
+
+
 class TestGroupGenerators:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_generators_close_up_to_the_whole_group(self, q):
@@ -568,7 +634,35 @@ class TestGroupGenerators:
     def test_generator_stable_lines_match_the_full_group_scan(self, q, k, i):
         out = quotient_rep_and_stable_lines(q, k, i)
         assert out["stable_lines"] == _stable_lines_by_full_group(q, k, i)
+        assert out["stable_lines"] == stable_lines_by_scan(q, k, i)
         assert out["group_order"] == len(all_invertible_matrices(Fq(q)))
+
+    @pytest.mark.parametrize("keep", ["identity", "upper", "diagonal"])
+    @pytest.mark.parametrize("q,k,i", [(2, 9, 0), (3, 4, 0), (4, 4, 0)])
+    def test_eigenspaces_of_any_dimension_give_all_their_lines(self, q, k, i, keep, monkeypatch):
+        # with fewer generators the common eigenspaces are larger than a line
+        honest = modp.gl2_generators
+
+        def fewer(field):
+            upper, _, *diagonal = honest(field)
+            one, zero = field.one(), field.zero()
+            return {
+                "identity": [((one, zero), (zero, one))],
+                "upper": [upper],
+                "diagonal": diagonal or [upper],
+            }[keep]
+
+        monkeypatch.setattr(modp, "gl2_generators", fewer)
+        got = quotient_rep_and_stable_lines(q, k, i)["stable_lines"]
+        assert got == stable_lines_by_scan(q, k, i)
+        if keep == "identity":
+            assert len(got) == (q ** (q + 1) - 1) // (q - 1)
+
+    @pytest.mark.parametrize("q,count", [(4, 6), (5, 3)])
+    def test_eigenspace_lines_match_the_scan_on_a_sample(self, q, count, rng):
+        for k, i in rng.sample(_quotient_cases(q), count):
+            got = quotient_rep_and_stable_lines(q, k, i)["stable_lines"]
+            assert got == stable_lines_by_scan(q, k, i), (k, i)
 
 
 class TestParityAndIntegerProfiles:
