@@ -161,7 +161,12 @@ def _dumps(x, pad: str = "\n") -> str:
 
 
 def _emit(payload: dict) -> None:
-    click.echo(_dumps(payload))
+    """Print ``payload`` under the running command's header: ``command`` is
+    its path below the program name and ``config`` its resolved options,
+    unless ``payload`` gives a ``config`` of its own."""
+    ctx = click.get_current_context()
+    command = ctx.command_path[len(ctx.find_root().command_path) :].lstrip()
+    click.echo(_dumps({"command": command, "config": ctx.params, **payload}))
 
 
 # -- configuration --------------------------------------------------------------------
@@ -235,29 +240,36 @@ _f = click.option("--f", type=str, required=True, help="rational section, e.g. '
 # -- command group --------------------------------------------------------------------
 
 
+def _fail(code: int, label: str, message) -> int:
+    click.echo(f"{label}: {message}", err=True)
+    return code
+
+
 class _Cli(click.Group):
     """The exit-code contract for every entry point, in-process ones included:
-    2 for invalid parameters, 3 for a broken internal invariant."""
+    2 for invalid parameters or usage, 3 for a broken internal invariant, 1
+    for an abort."""
 
-    def invoke(self, ctx: click.Context):
+    def main(self, *args, **extra):
         try:
-            return super().invoke(ctx)
+            # without standalone mode every error is raised here, and an exit
+            # (--help) is returned
+            code = super().main(*args, standalone_mode=False, **extra)
+        except click.Abort:
+            code = 1
         except InternalInvariantError as exc:
-            click.echo(f"internal invariant violated: {exc}", err=True)
-            ctx.exit(3)
+            code = _fail(3, "internal invariant violated", exc)
         except InvalidParameters as exc:
-            click.echo(f"invalid parameters: {exc}", err=True)
-            ctx.exit(2)
-        except DrinfeldError as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(2)
+            code = _fail(2, "invalid parameters", exc)
         except click.BadParameter as exc:
             # a value of the wrong type, out of range or missing, from a flag or the file
-            click.echo(f"invalid parameters: {exc.format_message()}", err=True)
-            ctx.exit(2)
-        except click.UsageError as exc:
-            click.echo(f"usage error: {exc.format_message()}", err=True)
-            ctx.exit(2)
+            code = _fail(2, "invalid parameters", exc.format_message())
+        except DrinfeldError as exc:
+            code = _fail(2, "error", exc)
+        except click.ClickException as exc:
+            code = _fail(2, "usage error", exc.format_message())
+        if code:
+            sys.exit(code)
 
 
 @click.group(cls=_Cli)
@@ -271,8 +283,6 @@ class _Cli(click.Group):
 @click.pass_context
 def cli(ctx: click.Context, config_path: str | None) -> None:
     """Exact computations on the weight-k modules over the (q+1)-regular tree."""
-    # Here and not in a callback of --config: the group's own options are
-    # parsed outside invoke, where an error would escape the exit-code contract.
     if config_path is not None:
         values = _load_config(config_path)
         ctx.default_map = dict.fromkeys(cli.commands, values)
@@ -292,8 +302,6 @@ def tree_cmd(p: int, radius: int) -> None:
     predicted = {"vertices": predicted_vertices, "edges": predicted_vertices - 1}
     _emit(
         {
-            "command": "tree",
-            "config": {"p": p, "radius": radius},
             "computed": counts,
             "predicted": predicted,
             "regular": regular,
@@ -333,8 +341,6 @@ def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> None:
         profile = vertex_lattice_profile(v, k)
         _emit(
             {
-                "command": "lattice",
-                "config": {"p": p, "k": k, "level": level, "offset": offset},
                 "vertex": v,
                 "profile": profile,
                 "pass": True,
@@ -344,7 +350,6 @@ def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> None:
     computed, predicted = _standard_profiles(p, k)
     _emit(
         {
-            "command": "lattice",
             "config": {"p": p, "k": k},
             "computed": computed,
             "predicted": predicted,
@@ -359,14 +364,7 @@ def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> None:
 def local_dims_cmd(p: int, k: int) -> None:
     """Brute-force local space dimensions against the closed forms."""
     report = local_space_report(p, k)
-    payload = {
-        "command": "local-dims",
-        "config": {"p": p, "k": k},
-        "predicted": report["predicted"],
-        "pass": report["pass"],
-    }
-    payload.update(report["computed"])
-    _emit(payload)
+    _emit({"predicted": report["predicted"], "pass": report["pass"], **report["computed"]})
 
 
 @cli.command("harmonic")
@@ -378,14 +376,11 @@ def harmonic_cmd(p: int, k: int, radius: int, mod_pihat: bool) -> None:
     """Kernel of the signed star-sum operator on a truncation."""
     _check_ball(p, radius)
     ball = truncated_tree(p, radius)
-    config = {"p": p, "k": k, "radius": radius, "mod_pihat": mod_pihat}
     if mod_pihat:
         predicted_star = local_dimension_formulas(p, k)["dimZhar"]
         stars = star_local_kernels(ball, k)
         _emit(
             {
-                "command": "harmonic",
-                "config": config,
                 "star_local": stars,
                 "predicted_star_local": predicted_star,
                 "pass": all(v == predicted_star for v in stars.values()),
@@ -396,8 +391,6 @@ def harmonic_cmd(p: int, k: int, radius: int, mod_pihat: bool) -> None:
     dimension = field_kernel(ball, k)
     _emit(
         {
-            "command": "harmonic",
-            "config": config,
             "dimension": dimension,
             "predicted": free_rank,
             "pass": dimension == free_rank,
@@ -425,10 +418,6 @@ def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> 
     consistent = integrality["in_all_edge_lattices"] or not integrality["vertex_membership"]
     _emit(
         {
-            "command": "residue",
-            "config": {
-                "p": p, "k": k, "radius": radius, "f": f, "audit": audit, "seed": seed
-            },
             "support_size": len(cochain.support()),
             "cochain": cochain,
             "delta_zero": delta_zero,
@@ -454,8 +443,6 @@ def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> None:
     kernel_dim = kernel_polynomial_dimension(k, p)
     _emit(
         {
-            "command": "theta",
-            "config": {"p": p, "k": k, "f": f, "level": level, "offset": offset},
             "image": image,
             "certificate": asdict(cert),
             "kernel_polynomial_dimension": kernel_dim,
@@ -479,8 +466,6 @@ def identity_b_cmd(p: int, kmax: int, mmax: int, a: str) -> None:
         rows.append({"k": k, "pass": ok})
     _emit(
         {
-            "command": "identity-b",
-            "config": {"p": p, "kmax": kmax, "mmax": mmax, "a": a},
             "rows": rows,
             "pass": all(r["pass"] for r in rows),
         }
@@ -499,8 +484,6 @@ def modp_degrees_cmd(q: int, k: int) -> None:
     """Component degree of the reduced weight-k bundle."""
     _emit(
         {
-            "command": "modp degrees",
-            "config": {"q": q, "k": k},
             "degree": component_degree(q, k),
             "parity": "even" if k % 2 == 0 else "odd",
             "pass": True,
@@ -515,10 +498,7 @@ def modp_degrees_cmd(q: int, k: int) -> None:
 def modp_sections_cmd(q: int, k: int, radius: int) -> None:
     """Global sections over a truncation: formula vs direct assembly."""
     _check_ball(q, radius)
-    report = global_sections_truncated(q, k, radius)
-    payload = {"command": "modp sections", "config": {"q": q, "k": k, "radius": radius}}
-    payload.update(report)
-    _emit(payload)
+    _emit(global_sections_truncated(q, k, radius))
 
 
 @modp_group.command("stable-lines")
@@ -530,8 +510,6 @@ def modp_stable_lines_cmd(q: int, k: int, i: int) -> None:
     report = quotient_rep_and_stable_lines(q, k, i)
     _emit(
         {
-            "command": "modp stable-lines",
-            "config": {"q": q, "k": k, "i": i},
             "dimension": report["dimension"],
             "predicted_dimension": q + 1,
             "free_monomials": report["free_monomials"],
@@ -555,8 +533,6 @@ def modp_symgeom_cmd(q: int, k: int, i: int) -> None:
     rank_value = symgeom_injectivity_rank(iso)
     _emit(
         {
-            "command": "modp symgeom-check",
-            "config": {"q": q, "k": k, "i": i},
             "t": iso["t"],
             "shift": iso["shift"],
             "images": iso["images"],
@@ -572,23 +548,11 @@ def modp_symgeom_cmd(q: int, k: int, i: int) -> None:
 @_q
 def modp_b_forms_cmd(q: int) -> None:
     """Invariance of the window form and the parity-swapping involution."""
-    _emit({"command": "modp b-forms", "config": {"q": q}, "pass": b_forms_check(q)})
+    _emit({"pass": b_forms_check(q)})
 
 
 def main() -> None:
-    try:
-        # without standalone mode an exit (--help, or a code set by _Cli) is returned
-        code = cli(standalone_mode=False)
-    except click.exceptions.Abort:
-        sys.exit(1)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        sys.exit(2)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code)
-    if code:
-        sys.exit(code)
+    cli()
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import poly
 from .errors import InternalInvariantError, InvalidParameters, SingularMatrix
-from .linalg import identity, kernel_basis, rank, rref
+from .linalg import identity, kernel_basis, rank
 from .scalars import FiniteField, Fq, FqElem
 from .symrep import substitution_matrix
 from .tree import (
@@ -375,26 +375,19 @@ def global_sections_truncated(q: int, k: int, radius: int) -> dict:
 
 
 def _quotient_structure(q: int, k: int, i: int) -> dict:
+    """The quotient of Sym^t by the relations X^j = X^(j+q-1), j = 1..t-q:
+    each relation folds a low exponent onto a higher one, so the classes of
+    X^0 and the top q exponents are free."""
     field = Fq(q)
     t, shift = symgeom_parameters(q, k, i)
     if t < q + 1:
         raise InvalidParameters("the relation set is empty below degree q+1")
-    relations = []
-    for j in range(1, t - q + 1):
-        row = [field.zero()] * (t + 1)
-        row[j] = field.one()
-        row[q + j - 1] = row[q + j - 1] - field.one()
-        relations.append(row)
-    reduced, pivots = rref(relations, field.zero())
-    pivot_set = set(pivots)
-    free = [c for c in range(t + 1) if c not in pivot_set]
+    free = [0, *range(t - q + 1, t + 1)]
 
     def reduce_vector(vec: list) -> tuple:
         work = list(vec)
-        for row, pc in zip(reduced, pivots):
-            coef = work[pc]
-            if coef:
-                work = [w - coef * r for w, r in zip(work, row)]
+        for j in range(1, t - q + 1):  # ascending: a folded value folds on
+            work[j + q - 1] = work[j + q - 1] + work[j]
         return tuple(work[c] for c in free)
 
     return {

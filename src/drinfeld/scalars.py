@@ -300,6 +300,10 @@ def _common_denominator(vec: list) -> tuple[list[int], list[int], int]:
 # -- finite fields -----------------------------------------------------------
 
 
+# Z/p[x] on int tuples for the modulus and tables of an extension field, not
+# ``poly`` over prime-field FqElem: built that way the tables were the same for
+# 29 fields, but building them took 0.16 s, not 0.07 s, at q = 4096 and 0.33 s,
+# not 0.12 s, at q = 6561 (one core of a 2-vCPU Xeon).
 def _poly_mod_mul(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[int, ...]:
     out = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):
@@ -426,10 +430,12 @@ class FiniteField:
     @cached_property
     def _primitive(self) -> int:
         """Code of the first element, in ``elements`` order, of order q-1."""
-        n = self.q - 1
-        primes = [
-            r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))
-        ]
+        n = rest = self.q - 1
+        primes = []
+        while rest > 1:
+            primes.append(_smallest_factor(rest))
+            while rest % primes[-1] == 0:
+                rest //= primes[-1]
         return next(
             c for c in range(1, self.q) if all(self._slow_pow(c, n // r) != 1 for r in primes)
         )

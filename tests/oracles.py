@@ -24,7 +24,7 @@ from drinfeld.errors import (
 from drinfeld.harmonic import Cochain, res0
 from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
 from drinfeld.linalg import identity, rref, smith_over_dvr
-from drinfeld.modp import FqRatFunc, _generator_matrices, _quotient_structure
+from drinfeld.modp import FqRatFunc, _generator_matrices, _quotient_structure, symgeom_parameters
 from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
 from drinfeld.scalars import INF, FiniteField, Fq, FqElem, ScalarKHat, _check_prime, half
 from drinfeld.symrep import chi, substitution_matrix
@@ -666,6 +666,32 @@ def laurent_standard(f: FactoredRational, lo: int, hi: int) -> LaurentWindow:
 
 
 # -- the quotient representation and the comparison map over F_q ----------------------
+
+
+def quotient_structure_by_elimination(q: int, k: int, i: int) -> tuple[list, object]:
+    """The free monomials and the reduction of ``modp._quotient_structure``,
+    by row reduction of the t - q relation rows X^j - X^(j+q-1): the
+    elimination that the fold replaced."""
+    field = Fq(q)
+    t, _ = symgeom_parameters(q, k, i)
+    relations = []
+    for j in range(1, t - q + 1):
+        row = [field.zero()] * (t + 1)
+        row[j] = field.one()
+        row[q + j - 1] = row[q + j - 1] - field.one()
+        relations.append(row)
+    reduced, pivots = rref(relations, field.zero())
+    free = [c for c in range(t + 1) if c not in set(pivots)]
+
+    def reduce_vector(vec: list) -> tuple:
+        work = list(vec)
+        for row, pc in zip(reduced, pivots):
+            coef = work[pc]
+            if coef:
+                work = [w - coef * r for w, r in zip(work, row)]
+        return tuple(work[c] for c in free)
+
+    return free, reduce_vector
 
 
 def stable_lines_by_scan(q: int, k: int, i: int) -> list:

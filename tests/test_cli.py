@@ -14,6 +14,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -163,6 +164,84 @@ class TestReadmeExamples:
         commands = {(name,) for name in cli.commands if name != "modp"}
         commands |= {("modp", name) for name in modp.commands}
         assert commands <= shown, commands - shown
+
+
+def _resolved_options(args, file_values=()) -> tuple[str, dict]:
+    """The command path that ``args`` invoke, and its options: each one's flag,
+    else its value in the file, else its default, converted by its type."""
+    command, depth = cli, 0
+    while isinstance(command, click.Group):
+        command, depth = command.commands[args[depth]], depth + 1
+    params = {param.name: param for param in command.params}
+    given, rest = dict(file_values), iter(args[depth:])
+    for flag in rest:
+        name = flag[2:].replace("-", "_")
+        given[name] = True if params[name].is_flag else next(rest)
+    config = {}
+    for name, param in params.items():
+        value = given.get(name, param.default)
+        if value is not None and not param.is_flag:
+            value = param.type.convert(value, param, None)
+        config[name] = value
+    return " ".join(args[:depth]), config
+
+
+class TestPayloadHeader:
+    """Every payload opens with the invoked command path and the options
+    that click resolved, whatever the command prints after them."""
+
+    @pytest.mark.parametrize("args", _readme_examples(), ids=" ".join)
+    def test_readme_example_prints_its_path_and_options(self, args):
+        out = json.loads(CliRunner().invoke(cli, args).stdout)
+        assert (out["command"], out["config"]) == _resolved_options(args)
+
+    def test_options_from_a_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 2\ni = 0\n")
+        args = ["modp", "stable-lines", "--k", "9"]
+        result = CliRunner().invoke(cli, ["--config", str(cfg), *args])
+        out = json.loads(result.stdout)
+        assert (out["command"], out["config"]) == _resolved_options(args, {"q": "2", "i": "0"})
+        assert out["config"] == {"q": 2, "k": 9, "i": 0}
+
+    def test_lattice_without_a_level_prints_p_and_k(self):
+        out = json.loads(CliRunner().invoke(cli, ["lattice", "--p", "3", "--k", "2"]).stdout)
+        assert (out["command"], out["config"]) == ("lattice", {"p": 3, "k": 2})
+
+
+class TestOneExitCodeHandler:
+    """Errors raised while the group or a command parses or runs leave by
+    the same handler, whichever entry point runs the program."""
+
+    ERRORS = [
+        ((), "usage error: Usage: drinfeld [OPTIONS] COMMAND"),
+        (("modp",), "usage error: Usage: drinfeld modp [OPTIONS] COMMAND"),
+        (("--config", "/nonexistent/run.cfg", "tree"),
+         "invalid parameters: Invalid value for '--config'"),
+        (("tree", "--p"), "usage error: Option '--p' requires an argument."),
+        (("tree", "--bogus"), "usage error: No such option '--bogus'."),
+        (("modp", "nosuch"), "usage error: No such command 'nosuch'."),
+        (("tree", "--p", "6"), "invalid parameters: p must be prime, got 6"),
+        (("theta", "--p", "2", "--k", "1", "--f", "0", "--level", "1"),
+         "error: integrality is only defined for nonzero sections"),
+    ]
+
+    @pytest.mark.parametrize("args,start", ERRORS, ids=[" ".join(e[0]) for e in ERRORS])
+    def test_every_entry_point_exits_alike(self, args, start, monkeypatch, capsys):
+        proc = run_cli(*args, expect_code=2)
+        # the program name is the one thing the entry points print differently
+        child = proc.stderr.decode().replace("python -m drinfeld.cli", "drinfeld")
+        # click names the program after sys.argv[0] unless __main__ ran by -m
+        monkeypatch.setattr(sys.modules["__main__"], "__package__", None, raising=False)
+        monkeypatch.setattr(sys, "argv", ["drinfeld", *args])
+        with pytest.raises(SystemExit) as exited:
+            cli_module.main()
+        in_process = capsys.readouterr()
+        runner = CliRunner().invoke(cli, list(args), prog_name="drinfeld")
+        assert exited.value.code == runner.exit_code == 2
+        assert child == in_process.err == runner.stderr
+        assert child.startswith(start), child
+        assert proc.stdout == b"" and in_process.out == runner.stdout == ""
 
 
 class TestExitCodes:

@@ -44,6 +44,7 @@ from oracles import (
     mat_vec,
     poly_evaluate,
     quotient_reduce,
+    quotient_structure_by_elimination,
     stable_lines_by_scan,
     symgeom_equivariance_by_columns,
 )
@@ -547,6 +548,24 @@ class TestQuotientRepresentation:
             coords[pos] = c
         image = sym_act_fq(F, g, coords, t, shift)
         assert quotient_reduce(2, 9, 0, {r: int(image[r].coeffs[0]) for r in range(t + 1)}) == line
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+    def test_fold_agrees_with_elimination(self, q):
+        """The free monomials and the reductions of seeded vectors, against
+        row reduction of the relations, at every k < 40 and 0 <= i < 4 with
+        relations."""
+        rng = random.Random(q)
+        field = Fq(q)
+        for k, i in itertools.product(range(40), range(4)):
+            try:
+                s = modp._quotient_structure(q, k, i)
+            except InvalidParameters:
+                continue
+            free, reduce_vector = quotient_structure_by_elimination(q, k, i)
+            assert s["free"] == free, (k, i)
+            for _ in range(3):
+                vec = [field.elem(rng.randrange(q)) for _ in range(s["t"] + 1)]
+                assert s["reduce"](vec) == reduce_vector(vec), (k, i, vec)
 
 
 def _mat_mul_fq(x, y):
