@@ -146,7 +146,9 @@ def _dumps(x, pad: str = "\n") -> str:
         body = [f"{encode_basestring_ascii(k)}: {_dumps(items[k], inner)}" for k in sorted(items)]
         return "{" + inner + ("," + inner).join(body) + pad + "}" if x else "{}"
     if isinstance(x, (list, tuple)):
-        if all(type(v) is FqElem and v.field.f == 1 for v in x):
+        if set(map(type, x)) == {int}:  # a bool is no int here: it prints as true/false
+            body = list(map(int.__repr__, x))
+        elif all(type(v) is FqElem and v.field.f == 1 for v in x):
             body = [str(v.n) for v in x]  # a prime-field code is its residue
         else:
             body = [_dumps(v, inner) for v in x]

@@ -4,7 +4,8 @@ valuation ring of the ramified quadratic extension.
 Field routines are generic: elements must support +, -, * and / and be false
 exactly at zero, as in ``poly``. Callers pass explicit zero/one samples, used
 only to fill new entries, so the routines stay agnostic of the scalar type
-(used with ScalarKHat, Fraction and FqElem alike).
+(used with ScalarKHat, Fraction and FqElem alike).  ``kernel_basis_mod_p``
+runs the same elimination on int residues over a prime field.
 """
 
 from __future__ import annotations
@@ -37,12 +38,19 @@ def rref(rows: Matrix, zero: T) -> tuple[Matrix, list[int]]:
     back dense, the pivot rows in column order followed by the zero rows."""
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    pending = {}  # row id -> {column: nonzero entry}
-    for i, row in enumerate(rows):
-        entries = {c: x for c, x in enumerate(row) if x}
-        if entries:
-            pending[i] = entries
+    reduced, pivots = _gauss_jordan([{c: x for c, x in enumerate(row) if x} for row in rows], None)
+    dense = [[zero] * len(rows[0]) for _ in rows]
+    for out, row in zip(dense, reduced):
+        for j, x in row.items():
+            out[j] = x
+    return dense, pivots
+
+
+def _gauss_jordan(rows: list[dict], p: int | None) -> tuple[list[dict], list[int]]:
+    """The reduced pivot rows, as maps, of rows given as {column: nonzero
+    entry} maps, and their pivot columns: over the scalars' own field when p
+    is None, on int residues mod p otherwise."""
+    pending = {i: entries for i, entries in enumerate(rows) if entries}
     # (leading column, row id) of each pending row. Every pending row's
     # columns are at least the smallest leading column c, so exactly the rows
     # led by c have an entry in column c.
@@ -50,46 +58,42 @@ def rref(rows: Matrix, zero: T) -> tuple[Matrix, list[int]]:
     heapq.heapify(leads)
     reduced: list[dict] = []
     pivots: list[int] = []
-    one = None  # no sample of 1 is passed in: the first pivot over itself
+    one = 1 if p else None  # no sample of 1 is passed in: the first pivot over itself
     while leads:
         c, i = heapq.heappop(leads)
         scale = pending[i].pop(c)
         if one is None:
             one = scale / scale
-        inv = one / scale
-        tail = [(j, x * inv) for j, x in pending.pop(i).items()]
+        inv = pow(scale, -1, p) if p else one / scale
+        tail = [(j, x * inv % p if p else x * inv) for j, x in pending.pop(i).items()]
         while leads and leads[0][0] == c:
             _, i = heapq.heappop(leads)
             row = pending[i]
-            _eliminate(row, c, tail)
+            _eliminate(row, c, tail, p)
             if row:
                 heapq.heappush(leads, (min(row), i))
             else:
                 del pending[i]
         for row in reduced:
             if c in row:
-                _eliminate(row, c, tail)
+                _eliminate(row, c, tail, p)
         pivot_row = dict(tail)
         pivot_row[c] = one
         reduced.append(pivot_row)
         pivots.append(c)
-    dense = [[zero] * ncols for _ in rows]
-    for out, row in zip(dense, reduced):
-        for j, x in row.items():
-            out[j] = x
-    return dense, pivots
+    return reduced, pivots
 
 
-def _eliminate(row: dict, c: int, tail: list) -> None:
+def _eliminate(row: dict, c: int, tail: list, p: int | None) -> None:
     """Clear column c of a sparse row with the pivot row for c, which is 1 at
-    c and holds the nonzero entries ``tail`` elsewhere."""
+    c and holds the nonzero entries ``tail`` elsewhere (mod p unless p is None)."""
     f = row.pop(c)
     for j, y in tail:
         x = row.get(j)
         if x is None:
-            row[j] = -(f * y)
+            row[j] = -(f * y) % p if p else -(f * y)
         else:
-            x = x - f * y
+            x = (x - f * y) % p if p else x - f * y
             if x:
                 row[j] = x
             else:
@@ -104,19 +108,32 @@ def kernel_basis(rows: Matrix, zero: T, one: T) -> list[list]:
     """Basis of the right kernel, one vector per free column."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    r, pivots = rref(rows, zero)
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    return _kernel(sparse, len(rows[0]), None, zero, one)
+
+
+def kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> list[list[int]]:
+    """``kernel_basis`` over the prime field F_p on ints: each row is a
+    {column: int} map read mod p, and each vector a list of residues.  The
+    reduced form is unique, so these are the vectors that ``kernel_basis``
+    returns over ``Fq(p)``; no rows give the whole space."""
+    sparse = [{c: x % p for c, x in row.items() if x % p} for row in rows]
+    return _kernel(sparse, ncols, p, 0, 1)
+
+
+def _kernel(rows: list[dict], ncols: int, p: int | None, zero, one) -> list[list]:
+    """One kernel vector per free column of the sparse rows (``_gauss_jordan``)."""
+    reduced, pivots = _gauss_jordan(rows, p)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for ri, pc in enumerate(pivots):
-            x = r[ri][fc]
-            if x:
-                vec[pc] = -x
-        basis.append(vec)
+    for fc in range(ncols):
+        if fc not in pivot_set:
+            vec = [zero] * ncols
+            vec[fc] = one
+            for row, pc in zip(reduced, pivots):
+                if fc in row:
+                    vec[pc] = -row[fc] % p if p else -row[fc]
+            basis.append(vec)
     return basis
 
 

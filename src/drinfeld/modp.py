@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import poly
 from .errors import InternalInvariantError, InvalidParameters, SingularMatrix
-from .linalg import identity, kernel_basis, rank
+from .linalg import identity, kernel_basis, kernel_basis_mod_p, rank
 from .scalars import FiniteField, Fq, FqElem
 from .symrep import substitution_matrix
 from .tree import (
@@ -318,13 +318,13 @@ def _child_digit(v: Vertex, w: Vertex) -> int | None:
     return None
 
 
-def _evaluation_row(field: FiniteField, point, dim: int, k: int) -> list:
-    """Value functional of a degree < dim polynomial at a reduction point, in
-    the normalization where the finite points carry the sign (-1)^(k/2)."""
+def _evaluation_row(p: int, point, dim: int, k: int) -> list[int]:
+    """Value functional of a degree < dim polynomial at a reduction point, as
+    ints to be read mod p, in the normalization where the finite points carry
+    the sign (-1)^(k/2)."""
     if point == INFINITY_POINT:
-        return [field.one() if j == dim - 1 else field.zero() for j in range(dim)]
-    sign = field.from_int((-1) ** (k // 2))
-    return [sign * point**j for j in range(dim)]
+        return [0] * (dim - 1) + [1]
+    return [(-1) ** (k // 2) * pow(point.n, j, p) for j in range(dim)]
 
 
 def global_sections_truncated(q: int, k: int, radius: int) -> dict:
@@ -346,16 +346,14 @@ def global_sections_truncated(q: int, k: int, radius: int) -> dict:
     rows = []
     for e in glued:
         u, w = parent_endpoint(e), child_endpoint(e)
-        row = [field.zero()] * ncols
-        for j, val in enumerate(_evaluation_row(field, _reduction_point(field, u, w), per_component, k)):
-            row[tree.index[u] * per_component + j] = val
-        for j, val in enumerate(_evaluation_row(field, _reduction_point(field, w, u), per_component, k)):
-            row[tree.index[w] * per_component + j] = -val
+        row = {}
+        for end, other, sign in ((u, w, 1), (w, u, -1)):
+            base = tree.index[end] * per_component
+            values = _evaluation_row(q, _reduction_point(field, end, other), per_component, k)
+            row.update((base + j, sign * x) for j, x in enumerate(values))
         rows.append(row)
-    if rows:
-        basis = kernel_basis(rows, field.zero(), field.one())
-    else:
-        basis = identity(ncols, field.zero(), field.one())
+    # a prime field's code is its residue, so the basis prints as residues
+    basis = kernel_basis_mod_p(rows, ncols, q)
     direct = len(basis)
     matching_rank = ncols - direct
     formula = ncols - len(glued)
@@ -399,22 +397,27 @@ def _quotient_structure(q: int, k: int, i: int) -> dict:
     }
 
 
-def _generator_matrices(s: dict) -> list:
-    """Matrices on the quotient (``_quotient_structure``) of each of
-    ``gl2_generators``, against the free monomial classes."""
-    field, t, shift, free, reduce_vector = (
-        s["field"],
-        s["t"],
-        s["shift"],
-        s["free"],
-        s["reduce"],
-    )
-    dim = len(free)
+def _generator_matrices(s: dict, residues: bool) -> list:
+    """(matrix, unipotent) for each of ``gl2_generators``: its matrix on the
+    quotient (``_quotient_structure``) against the free monomial classes, as
+    ints mod p when ``residues`` (a prime field only), else as ``FqElem``s.
+    A generator of trace 2 and determinant 1 is unipotent or the identity,
+    so 1 is its only eigenvalue, on Sym^t and on the quotient."""
+    field, t, shift, free, reduce_vector = s["field"], s["t"], s["shift"], s["free"], s["reduce"]
+    p, dim = field.p, len(free)
     matrices = []
     for g in gl2_generators(field):
-        m = sym_matrix_fq(field, g, t, shift)
-        cols = [reduce_vector([row[c] for row in m]) for c in free]
-        matrices.append([[cols[j][r] for j in range(dim)] for r in range(dim)])
+        (a, b), (c, d) = g
+        det = a * d - b * c
+        if residues:  # the free columns of the int substitution matrix, mod p
+            m = substitution_matrix(a.n, b.n, c.n, d.n, t, int, free)
+            twist = (det**shift).n
+            cols = [[twist * x % p for x in reduce_vector(col)] for col in zip(*m)]
+        else:
+            m = sym_matrix_fq(field, g, t, shift)
+            cols = [reduce_vector([row[j] for row in m]) for j in free]
+        unipotent = a + d == field.from_int(2) and det == field.one()
+        matrices.append(([[col[r] for col in cols] for r in range(dim)], unipotent))
     return matrices
 
 
@@ -427,39 +430,36 @@ def _normalize(vec) -> tuple:
     return tuple(vec)
 
 
-def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
-    """The induced representation on the quotient by the exponent-shift
-    relations, plus every line fixed by the full invertible group.
-
-    A line's stabiliser is a subgroup, so a line is fixed by the group
-    exactly when each of ``gl2_generators`` fixes it, that is, when it is an
-    eigenvector of each generator's matrix with a nonzero eigenvalue.  The
-    stable lines are the lines of the common eigenspaces: the nonzero
-    kernels of the rows of M - lambda I stacked over the generators, one
-    lambda in F_q^x for each.
-    """
-    s = _quotient_structure(q, k, i)
-    field = s["field"]
-    zero, one = field.zero(), field.one()
-    dim = len(s["free"])
-    units = [x for x in field.elements() if x]
+def _stable_lines(s: dict, residues: bool) -> list:
+    """The stable lines of ``quotient_rep_and_stable_lines``, sorted; the
+    eigenspaces are found on ints mod p when ``residues`` (a prime field
+    only), else on ``FqElem``s."""
+    field, dim = s["field"], len(s["free"])
+    if residues:
+        zero, one, units = 0, 1, range(1, field.p)
+    else:
+        zero, one, units = field.zero(), field.one(), [x for x in field.elements() if x]
     # (stacked rows, kernel basis) of each nonzero common eigenspace so far
     eigenspaces = [([], identity(dim, zero, one))]
-    for m in _generator_matrices(s):
+    for m, unipotent in _generator_matrices(s, residues):
         found = []
         for rows, _ in eigenspaces:
-            for lam in units:
+            for lam in [one] if unipotent else units:
                 stacked = rows + [
                     [x - lam if j == r else x for j, x in enumerate(row)]
                     for r, row in enumerate(m)
                 ]
-                basis = kernel_basis(stacked, zero, one)
+                if residues:
+                    basis = kernel_basis_mod_p(list(map(dict, map(enumerate, stacked))), dim, field.p)
+                else:
+                    basis = kernel_basis(stacked, zero, one)
                 if basis:
                     found.append((stacked, basis))
         eigenspaces = found
     lines = set()
     elems = list(field.elements())
     for _, basis in eigenspaces:
+        basis = [[field.elem(x) for x in vec] for vec in basis]
         # each line once: the combinations led by a coefficient 1
         for lead, first in enumerate(basis):
             rest = basis[lead + 1 :]
@@ -469,12 +469,28 @@ def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
                     if c:
                         vec = [x + c * y for x, y in zip(vec, v)]
                 lines.add(_normalize(vec))
+    return sorted(lines, key=lambda v: tuple(x.coeffs for x in v))
+
+
+def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
+    """The induced representation on the quotient by the exponent-shift
+    relations, plus every line fixed by the full invertible group.
+
+    A line's stabiliser is a subgroup, so a line is fixed by the group
+    exactly when each of ``gl2_generators`` fixes it, that is, when it is an
+    eigenvector of each generator's matrix with a nonzero eigenvalue.  The
+    stable lines are the lines of the common eigenspaces: the nonzero
+    kernels of the rows of M - lambda I stacked over the generators, one
+    lambda in F_q^x for each (only 1 for a unipotent generator).  Over a
+    prime field the eigenspaces are found on int residues.
+    """
+    s = _quotient_structure(q, k, i)
     return {
-        "dimension": dim,
+        "dimension": len(s["free"]),
         "t": s["t"],
         "shift": s["shift"],
         "free_monomials": s["free"],
-        "stable_lines": sorted(lines, key=lambda v: tuple(x.coeffs for x in v)),
+        "stable_lines": _stable_lines(s, s["field"].f == 1),
         "group_order": (q * q - 1) * (q * q - q),
     }
 

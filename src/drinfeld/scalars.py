@@ -29,11 +29,42 @@ def _smallest_factor(n: int) -> int:
     return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below the
+# bound (Sorenson and Webster, 2015); above it no test is run.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether an int n is prime, by a deterministic Miller-Rabin; raises
+    ``InvalidParameters`` at n >= ``_PRIME_BOUND``, where it would not decide."""
+    if n >= _PRIME_BOUND:
+        raise InvalidParameters(f"primality is decided below {_PRIME_BOUND}, got {n}")
+    if n < 2 or n in _PRIME_BASES:
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _PRIME_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        powers = [x] + [x := x * x % n for _ in range(s - 1)]  # b^d, b^2d, ..., b^(2^(s-1) d)
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _check_prime(p: int) -> None:
     # only primes are cached: a failed check raises, and lru_cache keeps no result
-    if p < 2 or _smallest_factor(p) != p:
+    if not _is_prime(p):
         raise InvalidParameters(f"p must be prime, got {p}")
+
+
+def _iroot(n: int, f: int) -> int:
+    """The largest int r with r^f <= n, for an int n >= 0, one bit at a time."""
+    r = 0
+    for bit in reversed(range(n.bit_length() // f + 1)):
+        if (r | 1 << bit) ** f <= n:
+            r |= 1 << bit
+    return r
 
 
 def _vp(n: int, p: int) -> int:
@@ -358,14 +389,11 @@ def Fq(q: int) -> "FiniteField":
     """The finite field with q = p^f elements, with a deterministic modulus."""
     if q < 2:
         raise InvalidParameters(f"q must be a prime power >= 2, got {q}")
-    p = _smallest_factor(q)
-    f = 0
-    m = q
-    while m > 1:
-        if m % p:
-            raise InvalidParameters(f"q={q} is not a prime power")
-        m //= p
-        f += 1
+    # q is m^f for the largest such f, and a prime power exactly when m is prime
+    f = next(f for f in range(q.bit_length(), 0, -1) if _iroot(q, f) ** f == q)
+    p = _iroot(q, f)
+    if not _is_prime(p):
+        raise InvalidParameters(f"q={q} is not a prime power")
     return FiniteField(p, f)
 
 

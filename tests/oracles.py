@@ -23,8 +23,15 @@ from drinfeld.errors import (
 )
 from drinfeld.harmonic import Cochain, res0
 from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
-from drinfeld.linalg import identity, rref, smith_over_dvr
-from drinfeld.modp import FqRatFunc, _generator_matrices, _quotient_structure, symgeom_parameters
+from drinfeld.linalg import identity, kernel_basis, rref, smith_over_dvr
+from drinfeld.modp import (
+    INFINITY_POINT,
+    FqRatFunc,
+    _generator_matrices,
+    _quotient_structure,
+    component_degree,
+    symgeom_parameters,
+)
 from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
 from drinfeld.scalars import INF, FiniteField, Fq, FqElem, ScalarKHat, _check_prime, half
 from drinfeld.symrep import chi, substitution_matrix
@@ -38,6 +45,8 @@ from drinfeld.tree import (
     child_endpoint,
     make_edge,
     make_vertex,
+    parent_endpoint,
+    truncated_tree,
 )
 
 # -- scalars, matrices and vertex labels on Fractions --------------------------------
@@ -702,7 +711,7 @@ def stable_lines_by_scan(q: int, k: int, i: int) -> list:
     s = _quotient_structure(q, k, i)
     field = s["field"]
     zero = field.zero()
-    matrices = _generator_matrices(s)
+    matrices = [m for m, _ in _generator_matrices(s, False)]
 
     def normalize(vec) -> tuple:
         for x in vec:
@@ -766,6 +775,41 @@ def symgeom_equivariance_by_columns(q: int, k: int, i: int, g) -> bool:
             return False
         n_power = poly.mul(n_power, n_poly, zero)
     return True
+
+
+def evaluation_row_fq(field: FiniteField, point, dim: int, k: int) -> list:
+    """``modp._evaluation_row`` over ``FqElem``: the value functional of a
+    degree < dim polynomial at a reduction point, the finite points carrying
+    the sign (-1)^(k/2)."""
+    if point == INFINITY_POINT:
+        return [field.one() if j == dim - 1 else field.zero() for j in range(dim)]
+    sign = field.from_int((-1) ** (k // 2))
+    return [sign * point**j for j in range(dim)]
+
+
+def sections_basis_by_dense_rows(q: int, k: int, radius: int, units=None) -> list:
+    """The kernel basis of ``modp.global_sections_truncated`` from dense
+    ``FqElem`` matching rows and the generic ``kernel_basis``: the assembly
+    that the rows of residues replaced.  ``units(edge)`` gives two unit
+    constants that scale the two sides of an edge's condition (1 and 1 when
+    omitted)."""
+    field = Fq(q)
+    tree = truncated_tree(q, radius)
+    per_component = max(0, component_degree(q, k) + 1)
+    ncols = len(tree.vertices) * per_component
+    rows = []
+    for e in tree.edges if k % 2 == 0 else []:  # odd k has no matching conditions
+        u, w = parent_endpoint(e), child_endpoint(e)
+        cu, cw = units(e) if units else (field.one(), field.one())
+        row = [field.zero()] * ncols
+        for end, other, c in ((u, w, cu), (w, u, -cw)):
+            point = modp._reduction_point(field, end, other)
+            for j, val in enumerate(evaluation_row_fq(field, point, per_component, k)):
+                row[tree.index[end] * per_component + j] = c * val
+        rows.append(row)
+    if not rows:
+        return identity(ncols, field.zero(), field.one())
+    return kernel_basis(rows, field.zero(), field.one())
 
 
 def quotient_reduce(q: int, k: int, i: int, coeffs: dict) -> tuple:

@@ -276,6 +276,28 @@ class TestExitCodes:
         assert b"must be a rational number" in proc.stderr
 
 
+class TestLargePrimes:
+    """Primality by a deterministic Miller-Rabin, not by trial division: a
+    25-digit prime is accepted at once, and the first number beyond the
+    bound of its 13 bases is refused."""
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (("modp", "degrees", "--q", "1000000000000000000000007", "--k", "2"), 0),
+            (("local-dims", "--p", "3317044064679887385961981", "--k", "2"), 2),
+        ],
+    )
+    def test_answered_within_two_seconds(self, args, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "drinfeld.cli", *args],
+            capture_output=True,
+            env=child_env(),
+            timeout=2,
+        )
+        assert proc.returncode == code, (args, proc.stderr)
+
+
 class TestInProcessExitCodes:
     @pytest.mark.parametrize(
         "args",
@@ -291,7 +313,7 @@ class TestInProcessExitCodes:
             ("residue", "--p", "2", "--k", "0", "--f", "(z-1/0)", "--radius", "1"),
             ("residue", "--p", "2", "--k", "0", "--f", "z/0", "--radius", "1"),
             ("theta", "--p", "2", "--k", "1", "--f", "1/0", "--level", "1"),
-            # 353 divides 10^400 + 1: both checks find a factor at once
+            # beyond the bound below which primality is decided
             ("local-dims", "--p", str(10**400 + 1)),
             ("modp", "degrees", "--q", str(10**400 + 1)),
         ],
@@ -546,7 +568,10 @@ class TestResidueFieldReach:
         out = json.loads(result.stdout)
         assert out["equivariant"] is True and out["images"] == ["1"]
 
-    @pytest.mark.parametrize("q,k,i", [(7, 4, 0), (8, 4, 0), (9, 10, 0), (11, 10, 0)])
+    @pytest.mark.parametrize(
+        "q,k,i",
+        [(7, 4, 0), (8, 4, 0), (9, 10, 0), (11, 10, 0), (23, 4, 0), (27, 4, 0), (31, 4, 0)],
+    )
     def test_every_printed_line_is_fixed_by_every_generator(self, q, k, i):
         args = ["modp", "stable-lines", "--q", str(q), "--k", str(k), "--i", str(i)]
         result = CliRunner().invoke(cli, args)
@@ -659,6 +684,16 @@ class TestGoldenStdout:
          "0eaa87eb5d787877a25103fa83468feec42bd045e3f248eb4b63439d2189e210"),
         (("identity-b", "--p", "2", "--kmax", "4", "--mmax", "6"), 0,
          "56e7b415e867d6ad338b80ee3b4593a8f68fb9ddb812a588d4766c4402d64889"),
+        # stable lines on residues at a prime q, and on FqElem at q = 27
+        (("modp", "stable-lines", "--q", "23", "--k", "4", "--i", "0"), 0,
+         "d442f682d9bcfc555fb1b9f15050f09867be07394afdb8c292ee93c88e2a7982"),
+        (("modp", "stable-lines", "--q", "27", "--k", "4", "--i", "0"), 0,
+         "eb2ce4253196a2db0bd262855665171534432fd3c9a76b5697e14b243f5767f6"),
+        # section bases as residue lists, from the mod-p kernel
+        (("modp", "sections", "--q", "7", "--k", "4", "--radius", "1"), 0,
+         "4822f1f6dd8c6431781adbf228190773d6b6ed5425569ca1fe5d330979080411"),
+        (("modp", "sections", "--q", "2", "--k", "6", "--radius", "3"), 0,
+         "072afa68cb132526fc6b18286c1eb95acab203e54dd970da4ff0a9547072dae5"),
     ]
 
     @pytest.mark.parametrize("args,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
@@ -776,6 +811,15 @@ class TestJsonWriter:
         writer refuses it rather than print text that is not JSON's."""
         with pytest.raises(InternalInvariantError):
             cli_module._dumps(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[True, False], [1, True, 0], [0, 1, 2**70, -3], [False, 1], {"a": [2, 0], "b": [True]}],
+        ids=["bools", "int-then-bool", "ints", "bool-then-int", "nested"],
+    )
+    def test_int_and_bool_lists_match_the_oracle(self, payload):
+        # a list of ints only takes the one-pass branch; a bool keeps printing true/false
+        assert cli_module._dumps(payload) == emit_oracle(payload)
 
     def test_field_element_keys_match_the_oracle(self):
         payload = {_F4.elem((0, 1)): 1, _F3.one(): 2}

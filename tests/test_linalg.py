@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from drinfeld.errors import InternalInvariantError
-from drinfeld.linalg import kernel_basis, rank, rref, smith_over_dvr
+from drinfeld.linalg import kernel_basis, kernel_basis_mod_p, rank, rref, smith_over_dvr
 from drinfeld.scalars import Fq, ScalarKHat
 from oracles import inverse, is_integral, mat_mul, reduce_mod_pihat, solve
 
@@ -235,6 +235,33 @@ class TestEliminationOracle:
             assert _reference_inverse(m, zero, one) is None
             with pytest.raises(InternalInvariantError):
                 inverse(m, zero, one)
+
+
+class TestKernelModP:
+    """``kernel_basis_mod_p`` on {column: int} rows against ``kernel_basis``
+    over ``Fq(p)`` on the same matrices."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_matches_the_field_kernel(self, p):
+        name, zero, one, draw = _fq(p)
+        rng = random.Random(f"kernel mod {p}")
+        for _ in range(3):
+            shapes = _shapes(rng, zero, draw)
+            shapes += [(f"invertible {n}", _invertible_matrix(rng, n, 0.5, zero, draw)) for n in (1, 4, 7)]
+            for shape, m in shapes:
+                ncols = len(m[0]) if m else 0
+                # entries off [0, p), and zero residues kept in the map, read mod p
+                rows = [
+                    {c: x.n + p * rng.randint(-2, 2) for c, x in enumerate(row) if x or rng.random() < 0.3}
+                    for row in m
+                ]
+                want = [[x.n for x in vec] for vec in kernel_basis(m, zero, one)]
+                assert kernel_basis_mod_p(rows, ncols, p) == want, shape
+
+    @pytest.mark.parametrize("p", [2, 101])
+    def test_no_rows_give_the_whole_space(self, p):
+        assert kernel_basis_mod_p([], 3, p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert kernel_basis_mod_p([{}, {1: p}], 2, p) == [[1, 0], [0, 1]]
 
 
 # -- Smith reduction over the valuation ring ---------------------------------------------

@@ -45,6 +45,7 @@ from oracles import (
     poly_evaluate,
     quotient_reduce,
     quotient_structure_by_elimination,
+    sections_basis_by_dense_rows,
     stable_lines_by_scan,
     symgeom_equivariance_by_columns,
 )
@@ -123,26 +124,6 @@ def geven_section_membership(f: FactoredRational, k: int, v: Vertex) -> tuple:
     val = half(transported_gauss_valuation(f, vertex_transporter(v).inv(), k))
     threshold = Fraction(k * v.m // 2) - Fraction(k * v.m, 2)
     return val >= threshold, val, threshold
-
-
-def twisted_direct_dimension(q: int, k: int, radius: int, units) -> int:
-    """The direct assembly of global_sections_truncated with the two sides of
-    each edge's matching condition scaled by the unit constants units(edge)."""
-    field = Fq(q)
-    tree = truncated_tree(q, radius)
-    per_component = max(0, component_degree(q, k) + 1)
-    ncols = len(tree.vertices) * per_component
-    rows = []
-    for e in tree.edges if k % 2 == 0 else []:
-        u, w = parent_endpoint(e), child_endpoint(e)
-        cu, cw = units(e)
-        row = [field.zero()] * ncols
-        for end, other, c in ((u, w, cu), (w, u, -cw)):
-            point = modp._reduction_point(field, end, other)
-            for j, val in enumerate(modp._evaluation_row(field, point, per_component, k)):
-                row[tree.index[end] * per_component + j] = c * val
-        rows.append(row)
-    return len(kernel_basis(rows, field.zero(), field.one())) if rows else ncols
 
 
 def all_invertible_matrices(field):
@@ -471,6 +452,14 @@ class TestTruncatedSections:
         assert out["matching_rank"] == 3
         assert len(out["basis"]) == out["direct_dimension"]
 
+    @pytest.mark.parametrize("q,radius", [(2, 3), (3, 2), (5, 1), (7, 1)])
+    def test_basis_matches_the_dense_assembly(self, q, radius):
+        """The residue rows give the basis that dense ``FqElem`` rows give,
+        at every k <= 6, radius 0 included."""
+        for k, r in itertools.product(range(7), range(radius + 1)):
+            want = [[x.n for x in vec] for vec in sections_basis_by_dense_rows(q, k, r)]
+            assert global_sections_truncated(q, k, r)["basis"] == want, (k, r)
+
     def test_dimension_is_stable_under_unit_rescaling(self, rng):
         for q, k, radius in [(2, 2, 1), (2, 4, 1), (3, 2, 1)]:
             F = Fq(q)
@@ -480,7 +469,7 @@ class TestTruncatedSections:
             def random_units(edge):
                 return rng.choice(units), rng.choice(units)
 
-            twisted = twisted_direct_dimension(q, k, radius, random_units)
+            twisted = len(sections_basis_by_dense_rows(q, k, radius, random_units))
             assert twisted == reference["direct_dimension"] == reference["dimension"]
 
 
@@ -631,6 +620,24 @@ def _quotient_cases(q):
     return cases
 
 
+def _fewer_generators(keep: str):
+    """A stand-in for ``gl2_generators`` that keeps the identity alone, the
+    upper unipotent alone, or the diagonal generator alone (the upper
+    unipotent at q = 2, which has none)."""
+    honest = modp.gl2_generators
+
+    def fewer(field):
+        upper, _, *diagonal = honest(field)
+        one, zero = field.one(), field.zero()
+        return {
+            "identity": [((one, zero), (zero, one))],
+            "upper": [upper],
+            "diagonal": diagonal or [upper],
+        }[keep]
+
+    return fewer
+
+
 class TestGroupGenerators:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_generators_close_up_to_the_whole_group(self, q):
@@ -660,22 +667,46 @@ class TestGroupGenerators:
     @pytest.mark.parametrize("q,k,i", [(2, 9, 0), (3, 4, 0), (4, 4, 0)])
     def test_eigenspaces_of_any_dimension_give_all_their_lines(self, q, k, i, keep, monkeypatch):
         # with fewer generators the common eigenspaces are larger than a line
-        honest = modp.gl2_generators
-
-        def fewer(field):
-            upper, _, *diagonal = honest(field)
-            one, zero = field.one(), field.zero()
-            return {
-                "identity": [((one, zero), (zero, one))],
-                "upper": [upper],
-                "diagonal": diagonal or [upper],
-            }[keep]
-
-        monkeypatch.setattr(modp, "gl2_generators", fewer)
+        monkeypatch.setattr(modp, "gl2_generators", _fewer_generators(keep))
         got = quotient_rep_and_stable_lines(q, k, i)["stable_lines"]
         assert got == stable_lines_by_scan(q, k, i)
         if keep == "identity":
             assert len(got) == (q ** (q + 1) - 1) // (q - 1)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_only_the_unipotent_generators_are_flagged(self, q):
+        s = modp._quotient_structure(q, *_quotient_cases(q)[0])
+        flags = [unipotent for _, unipotent in modp._generator_matrices(s, False)]
+        assert flags == [True, True] + [False] * (q > 2)
+
+    @pytest.mark.parametrize("q,count", [(2, 8), (3, 6), (5, 4), (7, 3)])
+    def test_residue_path_matches_the_field_path(self, q, count, rng):
+        """Over a prime field the eigenspaces on int residues give the lines
+        that the ``FqElem`` path gives, and the scan too where it finishes."""
+        for k, i in rng.sample(_quotient_cases(q), count):
+            s = modp._quotient_structure(q, k, i)
+            got = modp._stable_lines(s, True)
+            assert got == modp._stable_lines(s, False), (k, i)
+            if q <= 5:
+                assert got == stable_lines_by_scan(q, k, i), (k, i)
+
+    # not the identity alone at q = 7: each of its 960 800 lines is stable
+    @pytest.mark.parametrize(
+        "q,k,i,keep",
+        [
+            (q, k, i, keep)
+            for q, k, i in [(2, 9, 0), (3, 4, 0), (5, 4, 0), (7, 4, 0)]
+            for keep in ("identity", "upper", "diagonal")
+            if (q, keep) != (7, "identity")
+        ],
+    )
+    def test_residue_path_with_fewer_generators(self, q, k, i, keep, monkeypatch):
+        monkeypatch.setattr(modp, "gl2_generators", _fewer_generators(keep))
+        s = modp._quotient_structure(q, k, i)
+        got = modp._stable_lines(s, True)
+        assert got == modp._stable_lines(s, False)
+        if q <= 5:
+            assert got == stable_lines_by_scan(q, k, i)
 
     @pytest.mark.parametrize("q,count", [(4, 6), (5, 3)])
     def test_eigenspace_lines_match_the_scan_on_a_sample(self, q, count, rng):

@@ -11,7 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld.errors import InvalidParameters, NegativeValuation, ResidueFieldMismatch
-from drinfeld.scalars import INF, FiniteField, Fq, ScalarKHat, _vp, half, val_p
+from drinfeld.scalars import (
+    INF,
+    FiniteField,
+    Fq,
+    ScalarKHat,
+    _is_prime,
+    _PRIME_BOUND,
+    _smallest_factor,
+    _vp,
+    half,
+    val_p,
+)
 from oracles import (
     FractionScalarKHat,
     _fraction_val,
@@ -202,6 +213,46 @@ class TestBoundaryChecks:
             op(x, y)
         with pytest.raises(ResidueFieldMismatch):
             op(y, x)
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_ten_to_the_five(self):
+        for n in range(-3, 10**5):
+            assert _is_prime(n) == (n >= 2 and _smallest_factor(n) == n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+            3825123056546413051,  # to the bases 2 .. 23
+            318665857834031151167461,  # to the bases 2 .. 37
+            _PRIME_BOUND - 2,  # 17 times a prime
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not _is_prime(n)
+
+    # the last is the largest prime below the bound
+    @pytest.mark.parametrize("n", [1000003, 2**61 - 1, 10**24 + 7, 3317044064679887385961813])
+    def test_large_primes(self, n):
+        assert _is_prime(n)
+
+    # the bound is itself a strong pseudoprime to all 13 bases
+    @pytest.mark.parametrize("n", [_PRIME_BOUND, _PRIME_BOUND + 2, 10**400 + 1])
+    def test_undecided_numbers_are_refused(self, n):
+        with pytest.raises(InvalidParameters):
+            _is_prime(n)
+
+    @pytest.mark.parametrize(
+        "q,pf", [(2, (2, 1)), (64, (2, 6)), (243, (3, 5)), (6561, (3, 8)), (10**24 + 7, (10**24 + 7, 1))]
+    )
+    def test_prime_powers_by_integer_roots(self, q, pf):
+        assert (Fq(q).p, Fq(q).f) == pf
+
+    @pytest.mark.parametrize("q", [1, 6, 12, 36, 100, 3 * 2**10, 10**24 + 9, 35**3])
+    def test_other_numbers_are_not_fields(self, q):
+        with pytest.raises(InvalidParameters):
+            Fq(q)
 
 
 def _plain_vp(n: int, p: int) -> int:
