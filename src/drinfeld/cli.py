@@ -34,6 +34,7 @@ from .modp import (
     symgeom_equivariance,
     symgeom_injectivity_rank,
     symgeom_iso,
+    symgeom_parameters,
 )
 from .rational import FactoredRational, parse_rational
 from .scalars import Fq, FqElem, ScalarKHat, _check_prime
@@ -53,6 +54,9 @@ from .tree import (
 
 _MAX_RADIUS = 8
 _MAX_BALL_VERTICES = 25_000
+# The longest list a residue-field command may build, whose work grows about as
+# its square: q + 1 (b-forms), V·(deg+1) (sections), t + 1 (symgeom-check).
+_MAX_LIST = 1000
 
 
 # -- serialization --------------------------------------------------------------------
@@ -123,8 +127,8 @@ def _value(x):
     if isinstance(x, FqRatFunc):
         num = _fqpoly_str(x.num)
         return num if x.den == (x.field.one(),) else f"({num})/({_fqpoly_str(x.den)})"
-    if isinstance(x, Vertex):
-        return {"level": x.m, "offset": x.b}
+    if isinstance(x, Vertex):  # the offset as the Fraction branch prints it
+        return {"level": x.m, "offset": x.n if x.d == 1 else f"{x.n}/{x.d}"}
     if isinstance(x, Cochain):
         items = sorted(x.values.items(), key=lambda kv: (kv[0].u, kv[0].v))
         return [{"edge": {"parent": e.u, "child": e.v}, "value": vec} for e, vec in items]
@@ -207,13 +211,14 @@ def _vertex(p: int, level: int | None, offset: str) -> Vertex:
     return make_vertex(p, level or 0, _fraction("offset", offset))
 
 
+def _check_size(what: str, size: int, unit: str, limit: int) -> None:
+    if size > limit:
+        raise InvalidParameters(f"{what} has {size} {unit}, more than {limit}")
+
+
 def _check_ball(prime: int, radius: int) -> None:
-    size = ball_size(prime, radius)
-    if size > _MAX_BALL_VERTICES:
-        raise InvalidParameters(
-            f"the radius-{radius} ball at p = {prime} has {size} vertices, "
-            f"more than {_MAX_BALL_VERTICES}"
-        )
+    what = f"the radius-{radius} ball at p = {prime}"
+    _check_size(what, ball_size(prime, radius), "vertices", _MAX_BALL_VERTICES)
 
 
 def _prime(ctx: click.Context, param: click.Parameter, p: int) -> int:
@@ -446,7 +451,7 @@ def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> None:
     _emit(
         {
             "image": image,
-            "certificate": asdict(cert),
+            "certificate": {**asdict(cert), "vertex": {"b": v.b, "m": v.m, "p": v.p}},
             "kernel_polynomial_dimension": kernel_dim,
             "predicted_kernel_dimension": k + 1,
             "pass": cert.passes and kernel_dim == k + 1,
@@ -500,6 +505,9 @@ def modp_degrees_cmd(q: int, k: int) -> None:
 def modp_sections_cmd(q: int, k: int, radius: int) -> None:
     """Global sections over a truncation: formula vs direct assembly."""
     _check_ball(q, radius)
+    columns = ball_size(q, radius) * max(0, component_degree(q, k) + 1)
+    what = f"the section matrix at q = {q}, k = {k}, radius {radius}"
+    _check_size(what, columns, "columns", _MAX_LIST)
     _emit(global_sections_truncated(q, k, radius))
 
 
@@ -528,6 +536,8 @@ def modp_stable_lines_cmd(q: int, k: int, i: int) -> None:
 @_i
 def modp_symgeom_cmd(q: int, k: int, i: int) -> None:
     """Equivariance and injectivity of the symmetric-power comparison map."""
+    t, _ = symgeom_parameters(q, k, i)
+    _check_size(f"the comparison map at q = {q}, k = {k}, i = {i}", t + 1, "images", _MAX_LIST)
     iso = symgeom_iso(q, k, i)
     equivariant = all(
         symgeom_equivariance(q, k, i, g) for g in gl2_generators(iso["field"])
@@ -550,6 +560,7 @@ def modp_symgeom_cmd(q: int, k: int, i: int) -> None:
 @_q
 def modp_b_forms_cmd(q: int) -> None:
     """Invariance of the window form and the parity-swapping involution."""
+    _check_size(f"the window form at q = {q}", q + 1, "coefficients", _MAX_LIST)
     _emit({"pass": b_forms_check(q)})
 
 

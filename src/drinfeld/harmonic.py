@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 from . import poly
@@ -24,10 +25,9 @@ from .lattices import (
 )
 from .linalg import rank
 from .rational import FactoredRational, _root_key, principal_parts
-from .scalars import ScalarKHat, _common_denominator, _make, half
+from .scalars import ScalarKHat, _common_denominator, _make, _vp, half
 from .symrep import sym_ints
 from .tree import (
-    Edge,
     Mat2,
     TruncatedTree,
     edge_transporter,
@@ -44,16 +44,8 @@ class Cochain:
     k: int
     values: dict
 
-    def value(self, e: Edge) -> list:
-        got = self.values.get(e)
-        if got is not None:
-            return list(got)
-        return [ScalarKHat.zero(self.p)] * (self.k + 1)
-
     def support(self) -> list:
-        return sorted(
-            e for e, vec in self.values.items() if any(not x.is_zero() for x in vec)
-        )
+        return sorted(e for e, vec in self.values.items() if any(vec))
 
 
 def sigma(g: Mat2, p: int) -> int:
@@ -63,15 +55,21 @@ def sigma(g: Mat2, p: int) -> int:
 
 def delta(c: Cochain, tree: TruncatedTree) -> dict:
     """Signed star sums at the interior vertices."""
-    out = {}
+    zero, values, out = ScalarKHat.zero(c.p), c.values, {}
     for v in tree.interior_vertices():
-        total = [ScalarKHat.zero(c.p)] * (c.k + 1)
-        for e in tree.edges_at(v):
-            val = c.value(e)
-            total = [t + x for t, x in zip(total, val)]
-        sign = ScalarKHat.from_rational(vertex_parity(v), c.p)
-        out[v] = [sign * t for t in total]
+        stored = [values[e] for e in tree.edges_at(v) if e in values]
+        total = [sum(col, zero) for col in zip(*stored)] or [zero] * (c.k + 1)
+        out[v] = total if vertex_parity(v) > 0 else [-t for t in total]
     return out
+
+
+def _raise_in_annulus(roots: list) -> None:
+    """Refuse an edge whose annulus holds the images ``roots`` of poles."""
+    if roots:
+        root = min(roots, key=_root_key)
+        raise PoleInsideAnnulus(
+            f"pole at {root} with valuation {half(root.valuation())} sits inside the annulus"
+        )
 
 
 def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
@@ -97,11 +95,7 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
         if 0 < w < 2:
             in_annulus.append(alpha / beta)
         (inner if w >= 2 else outer).append((alpha, beta, principal))
-    if in_annulus:
-        root = min(in_annulus, key=_root_key)
-        raise PoleInsideAnnulus(
-            f"pole at {root} with valuation {half(root.valuation())} sits inside the annulus"
-        )
+    _raise_in_annulus(in_annulus)
     infinity_inside = not c.is_zero() and (a / c).valuation() >= 2
     poles = outer if infinity_inside else inner
     coeffs = [zero] * (k + 1)
@@ -130,31 +124,69 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
     ]
 
 
+def _pole_vector(y: ScalarKHat, principal: list, k: int) -> list:
+    """R_y[j] = sum_t A_t [u^(t-1)] (y + u)^j, j = 0..k: the residue of
+    f(w) w^j dw at a pole y of f with principal part (A_1, ..., A_r)."""
+    zero = ScalarKHat.zero(y.p)
+    terms = lambda j: (a * comb(j, t) * y ** (j - t) for t, a in enumerate(principal[: j + 1]))
+    return [sum(terms(j), zero) for j in range(k + 1)]
+
+
+def _counted_poles(parts: list, gamma: Mat2, p: int) -> tuple[tuple, int]:
+    """The indices into ``parts`` of the poles summed on the edge that gamma
+    moves to the standard edge, and their sign: those in the disc
+    omega((a y - b)/(d - c y)) >= 1 with sign sigma(gamma), or, when the disc
+    holds -a/c = gamma^-1(infinity), those outside with -sigma(gamma).  A
+    rational pole n/u is inside when v_p(A n - B u) - v_p(D u - C n) >= 1,
+    and infinity when C != 0 and v_p(A) - v_p(C) >= 1; other poles keep the
+    valuation test over K-hat."""
+    A, B, C, D = gamma.A, gamma.B, gamma.C, gamma.D
+    inner, outer, in_annulus, lifted = [], [], [], None
+    for i, (y, _) in enumerate(parts):
+        if y.B:
+            a, b, c, d = lifted = lifted or gamma.lift(p)
+            alpha, beta = a * y - b, d - c * y
+            w = alpha.valuation() - beta.valuation()  # doubled: the annulus is 0 < w < 2
+            if 0 < w < 2:
+                in_annulus.append(alpha / beta)
+            inside = w >= 2
+        else:
+            top, bottom = A * y.A - B * y.D, D * y.D - C * y.A
+            inside = not top or (bottom != 0 and _vp(top, p) - _vp(bottom, p) >= 1)
+        (inner if inside else outer).append(i)
+    _raise_in_annulus(in_annulus)
+    if C and (not A or _vp(A, p) - _vp(C, p) >= 1):
+        return tuple(outer), -sigma(gamma, p)
+    return tuple(inner), sigma(gamma, p)
+
+
 def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
     """Residue cochain of a weight-(k+2) rational section: on each edge, the
-    negative Laurent coefficients of the section transported to the standard
-    annulus, read from the principal parts of g (computed once), paired
-    through the transporter's module action.  Given ``rng``, each edge value
-    is also computed through a second, randomly drawn transporter and must
-    agree."""
+    residue of f(w) w^j dw (j = 0..k) over the disc the edge cuts off, a
+    signed sum of ``_pole_vector``s over the poles ``_counted_poles`` picks.
+    Given ``rng``, each value is checked against the series of
+    ``_edge_residue`` through a second, randomly drawn transporter."""
+    p = tree.p
     # a pole whose principal part vanishes is cancelled by extra: no pole
-    parts = [(y, A) for y, A in principal_parts(g) if any(not x.is_zero() for x in A)]
-    values = {}
+    parts = [(y, A) for y, A in principal_parts(g) if any(A)]
+    vectors = [_pole_vector(y, A, k) for y, A in parts]
+    zero, sums, values = ScalarKHat.zero(p), {}, {}
     for e in tree.edges:
-        gamma = edge_transporter(e).inv()
-        vec = _edge_residue(parts, k, gamma, tree.p)
+        key = _counted_poles(parts, edge_transporter(e).inv(), p)
+        if key not in sums:
+            poles, sign = key
+            total = [sum(col, zero) for col in zip(*(vectors[i] for i in poles))]
+            sums[key] = total if sign > 0 else [-x for x in total]
+        vec = sums[key] or [zero] * (k + 1)
         if rng is not None:
-            jitter = unipotent_lower(rng.randrange(1, 5 * tree.p))
+            jitter = unipotent_lower(rng.randrange(1, 5 * p))
             # a second transporter for the same edge: standard-edge stabilizer
             alt = (edge_transporter(e) @ jitter).inv()
-            other = _edge_residue(parts, k, alt, tree.p)
-            if any(not (a - b).is_zero() for a, b in zip(vec, other)):
-                raise InternalInvariantError(
-                    f"residue value at {e} depends on the transporter choice"
-                )
-        if any(not x.is_zero() for x in vec):
+            if vec != _edge_residue(parts, k, alt, p):
+                raise InternalInvariantError(f"residue value at {e} disagrees with the series")
+        if any(vec):
             values[e] = vec
-    return Cochain(tree.p, k, values)
+    return Cochain(p, k, values)
 
 
 def res0_integrality(

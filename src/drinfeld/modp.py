@@ -312,10 +312,12 @@ def _reduction_point(field: FiniteField, u: Vertex, w: Vertex):
 
 def _child_digit(v: Vertex, w: Vertex) -> int | None:
     """The c in [0, p) with w.b = v.b + c·p^m for v = (m, v.b), or None."""
-    c = (w.b - v.b) / Fraction(v.p) ** v.m
-    if c.denominator == 1 and 0 <= c < v.p:
-        return int(c)
-    return None
+    p, m, common = v.p, v.m, max(v.d, w.d)
+    # (w.b - v.b)/p^m as num/den over the offsets' common power of p
+    num = w.n * (common // w.d) - v.n * (common // v.d)
+    num, den = (num, common * p**m) if m >= 0 else (num * p**-m, common)
+    c, rest = divmod(num, den)
+    return c if not rest and 0 <= c < p else None
 
 
 def _evaluation_row(p: int, point, dim: int, k: int) -> list[int]:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from . import poly
 from .errors import InvalidParameters, ZeroFunction
-from .scalars import INF, ScalarKHat, val_p
+from .scalars import INF, ScalarKHat, _vp
 from .symrep import chi
 from .tree import Mat2, Vertex, vertex_transporter
 
@@ -283,9 +283,9 @@ def tube_coordinate_level(v: Vertex) -> int:
     b = 0.  On the diagonal axis this is the level of the vertex; off the axis
     the tube is a small disc around b and the value is below the level.
     """
-    if v.b == 0:
+    if not v.n:
         return v.m
-    return 2 * min(v.m, val_p(v.b, v.p)) - v.m
+    return 2 * min(v.m, _vp(v.n, v.p) - _vp(v.d, v.p)) - v.m
 
 
 # -- principal parts ----------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import InvalidParameters, ResidueFieldMismatch, SingularMatrix
 from .scalars import RationalLike, ScalarKHat, _check_prime, _make, _mod_inverse, _vp, val_p
@@ -135,11 +136,6 @@ def _mat2(A: int, B: int, C: int, D: int, N: int) -> Mat2:
     return m
 
 
-def _scaled(n: int, p: int) -> tuple[int, int]:
-    """p^n as a numerator over a denominator."""
-    return (p**n, 1) if n >= 0 else (1, p**-n)
-
-
 def unipotent_lower(x: Fraction | int) -> Mat2:
     return Mat2(1, 0, x, 1)
 
@@ -147,72 +143,83 @@ def unipotent_lower(x: Fraction | int) -> Mat2:
 # -- vertices ------------------------------------------------------------------
 
 
-_ZERO = Fraction(0)
-
-
-def canonical_offset(b: Fraction, m: int, p: int) -> Fraction:
-    """Unique c in [0, p^m) with p-power denominator and val(b - c) >= m.
-
-    With b = n/(p^j u), p not dividing u, c = s/p^j for the s in [0, p^(m+j))
-    with s = n/u mod p^(m+j)."""
-    if type(b) is not Fraction:
-        b = Fraction(b)
-    n, u = b.numerator, b.denominator
+def _offset(n: int, u: int, m: int, p: int) -> tuple[int, int]:
+    """The c in [0, p^m) with val(n/u - c) >= m, for n/u in lowest terms and
+    u > 0, in lowest terms over a power of p: with u = p^j u', p not dividing
+    u', c = s/p^j for the s in [0, p^(m+j)) with s = n/u' mod p^(m+j)."""
     if not n:
-        return _ZERO
+        return 0, 1
     j = 0
     while not u % p:
         u //= p
         j += 1
     if m + j <= 0:
-        return _ZERO
+        return 0, 1
     mod = p ** (m + j)
-    return Fraction(n * _mod_inverse(u, mod) % mod, p**j)
+    return n * _mod_inverse(u, mod) % mod, p**j
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Vertex:
-    p: int
-    m: int
-    b: Fraction
+    """The vertex (m, b) over p as ints (p, m, n, d), b = n/d in lowest terms
+    with d a power of p.  ``Vertex(p, m, b)`` takes a canonical offset b.
+    Ordered by (p, m, b); immutable by convention, as ``Mat2`` is."""
+
+    __slots__ = ("p", "m", "n", "d", "_hash")
+
+    def __init__(self, p: int, m: int, b: RationalLike) -> None:
+        n, d = Fraction(b).as_integer_ratio()
+        self.p, self.m, self.n, self.d, self._hash = p, m, n, d, hash((p, m, n, d))
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.n, self.d)
 
     def __repr__(self) -> str:
-        return f"V({self.m},{self.b})"
+        return f"V({self.m},{self.n})" if self.d == 1 else f"V({self.m},{self.n}/{self.d})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Vertex:
+            return NotImplemented
+        return self.n == other.n and self.m == other.m and self.d == other.d and self.p == other.p
+
+    def __lt__(self, other: "Vertex") -> bool:
+        return (self.p, self.m, self.n * other.d) < (other.p, other.m, other.n * self.d)
 
     def __hash__(self) -> int:
-        # the dataclass hash of (p, m, b), kept after the first call: balls
-        # and lattice tables look vertices up many times
-        fields = self.__dict__
-        h = fields.get("_hash")
-        if h is None:
-            h = fields["_hash"] = hash((self.p, self.m, self.b))
-        return h
+        return self._hash
 
 
 def make_vertex(p: int, m: int, b: Fraction | int = 0) -> Vertex:
     _check_prime(p)
-    return _vertex(p, m, canonical_offset(b, m, p))
+    return _vertex(p, m, *_offset(*Fraction(b).as_integer_ratio(), m, p))
 
 
-def _vertex(p: int, m: int, b: Fraction) -> Vertex:
-    """The vertex (m, b) for a canonical offset b, unchecked."""
+def _vertex(p: int, m: int, n: int, d: int) -> Vertex:
+    """The vertex (m, n/d) for a canonical offset n/d in lowest terms, unchecked."""
     v = _new(Vertex)
-    v.__dict__.update(p=p, m=m, b=b)
+    v.p, v.m, v.n, v.d, v._hash = p, m, n, d, hash((p, m, n, d))
     return v
 
 
 def standard_vertex(p: int) -> Vertex:
-    return make_vertex(p, 0, 0)
+    _check_prime(p)
+    return _vertex(p, 0, 0, 1)
+
+
+def _level_and_offset(v: Vertex) -> tuple[int, int, int]:
+    """p^m and b as numerators over one power of p, and that power."""
+    p, m, d = v.p, v.m, v.d
+    if m >= 0:
+        return p**m * d, v.n, d
+    common = max(d, p**-m)
+    return common // p**-m, v.n * (common // d), common
 
 
 def representative(v: Vertex) -> Mat2:
     """The matrix [[p^m, b],[0,1]] whose column lattice class is v."""
-    num, den = _scaled(v.m, v.p)
-    # b = n/u and p^m = num/den over the common denominator, u and den being
-    # powers of p
-    n, u = v.b.numerator, v.b.denominator
-    common = max(u, den)
-    return _mat2(num * (common // den), n * (common // u), 0, common, common)
+    level, offset, common = _level_and_offset(v)
+    return _mat2(level, offset, 0, common, common)
 
 
 def vertex_of_matrix(mat: Mat2, p: int) -> Vertex:
@@ -227,11 +234,8 @@ def vertex_of_matrix(mat: Mat2, p: int) -> Vertex:
     if not det:
         raise InvalidParameters("matrix is singular")
     vc, vd = val_p(C, p), val_p(D, p)
-    if vd > vc:
-        mu, offset = vc, Fraction(A, C)
-    else:
-        mu, offset = vd, Fraction(B, D)
-    return make_vertex(p, _vp(abs(det), p) - 2 * mu, offset)
+    mu, n, u = (vc, A, C) if vd > vc else (vd, B, D)
+    return make_vertex(p, _vp(abs(det), p) - 2 * mu, Fraction(n, u))
 
 
 def act_on_vertex(g: Mat2, v: Vertex) -> Vertex:
@@ -243,30 +247,27 @@ def act_on_vertex(g: Mat2, v: Vertex) -> Vertex:
 def vertex_transporter(v: Vertex) -> Mat2:
     """Group element [[1, 0], [-b, p^m]] carrying the base vertex to v (and
     base parent to v's parent)."""
-    num, den = _scaled(v.m, v.p)
-    n, u = v.b.numerator, v.b.denominator
-    common = max(u, den)
-    return _mat2(common, 0, -n * (common // u), num * (common // den), common)
+    level, offset, common = _level_and_offset(v)
+    return _mat2(common, 0, -offset, level, common)
 
 
 def parent(v: Vertex) -> Vertex:
-    # v.b = n/p^j is canonical, so the parent's offset is (n mod p^(m-1+j))/p^j
-    p, m, n, den = v.p, v.m - 1, v.b.numerator, v.b.denominator
+    # v.b = n/p^j is canonical, so the parent's offset is (n mod p^(m-1+j))/p^j,
+    # in lowest terms when j > 0 because p does not divide n
+    p, m, n, den = v.p, v.m - 1, v.n, v.d
     mod = p**m * den if m >= 0 else den // p**-m
-    return _vertex(p, m, Fraction(n % mod, den) if mod > 1 else _ZERO)
+    n = n % mod if mod > 1 else 0
+    return _vertex(p, m, n, den) if n else _vertex(p, m, 0, 1)
 
 
 def children(v: Vertex) -> list[Vertex]:
-    """The vertices (m+1, b + c p^m), c in [0, p): these offsets are canonical."""
-    p, m, n, den = v.p, v.m, v.b.numerator, v.b.denominator
-    # b and p^m as numerators over one power of p
-    if m >= 0:
-        common, step = den, den * p**m
-    else:
-        common = max(den, p**-m)
-        step = common // p**-m
-    n0 = n * (common // den)
-    return [_vertex(p, m + 1, Fraction(n0 + c * step, common)) for c in range(p)]
+    """The vertices (m+1, b + c p^m), c in [0, p), with canonical offsets."""
+    p, m = v.p, v.m + 1
+    step, n0, common = _level_and_offset(v)
+    return [
+        _vertex(p, m, x, common) if x else _vertex(p, m, 0, 1)
+        for x in range(n0, n0 + p * step, step)
+    ]
 
 
 def neighbors(v: Vertex) -> list[Vertex]:
@@ -277,7 +278,10 @@ def neighbors(v: Vertex) -> list[Vertex]:
 def distance(u: Vertex, v: Vertex) -> int:
     if u.p != v.p:
         raise ResidueFieldMismatch("vertices over different primes")
-    mstar = min(u.m, v.m, val_p(u.b - v.b, u.p))  # INF when the offsets agree
+    # the offsets over their common power of p; val_p is INF when they agree
+    common = max(u.d, v.d)
+    diff = u.n * (common // u.d) - v.n * (common // v.d)
+    mstar = min(u.m, v.m, val_p(diff, u.p) - _vp(common, u.p))
     return (u.m - mstar) + (v.m - mstar)
 
 
@@ -302,7 +306,7 @@ class Edge:
 def make_edge(x: Vertex, y: Vertex) -> Edge:
     if distance(x, y) != 1:
         raise InvalidParameters(f"{x} and {y} are not adjacent")
-    return Edge(x, y) if (x.m, x.b) < (y.m, y.b) else Edge(y, x)
+    return Edge(x, y) if x < y else Edge(y, x)
 
 
 def standard_edge(p: int) -> Edge:

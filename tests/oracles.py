@@ -296,6 +296,29 @@ def fraction_children(v: Vertex) -> list[Vertex]:
     ]
 
 
+def cochain_value(c: Cochain, e: Edge) -> list:
+    """The value of c on e: the stored vector, or the zero vector."""
+    return list(c.values.get(e) or [ScalarKHat.zero(c.p)] * (c.k + 1))
+
+
+def fraction_distance(u: Vertex, v: Vertex) -> int:
+    """The tree distance from the levels and the valuation of the difference
+    of the ``Fraction`` offsets."""
+    diff = u.b - v.b
+    mstar = min(u.m, v.m, _fraction_val(diff, u.p) if diff else INF)
+    return (u.m - mstar) + (v.m - mstar)
+
+
+def fraction_vertex_key(v: Vertex) -> tuple:
+    """The (p, m, b) order of vertices, on ``Fraction`` offsets."""
+    return (v.p, v.m, v.b)
+
+
+def fraction_make_edge(x: Vertex, y: Vertex) -> Edge:
+    """The edge stored with the endpoint of smaller (m, b) first."""
+    return Edge(x, y) if (x.m, x.b) < (y.m, y.b) else Edge(y, x)
+
+
 # -- the module actions and reduction over the quadratic extension --------------------
 #
 # The program holds the symmetric-power action as ints (``symrep.sym_ints``)

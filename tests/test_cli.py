@@ -4,6 +4,7 @@ exit codes, and byte-identical determinism of repeated runs."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -552,6 +553,64 @@ class TestExitCodeFuzz:
                 lines,
                 message,
             )
+
+
+def _benchmark_jobs() -> list[list[str]]:
+    """Every job of the three benchmark lists at seed 1."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [job for name in workloads.WORKLOADS for job in workloads.job_list(name, 1)]
+
+
+class TestListBudget:
+    """``modp b-forms``, ``sections`` and ``symgeom-check`` refuse, before
+    building anything, a list longer than the budget: q + 1, V·(deg+1) and
+    t + 1 entries."""
+
+    _Q = str(10**24 + 7)
+    PROBES = [
+        ("modp", "b-forms", "--q", _Q),
+        ("modp", "sections", "--q", _Q, "--k", "2", "--radius", "0"),
+        ("modp", "symgeom-check", "--q", _Q, "--k", "2", "--i", "0"),
+    ]
+    WORK = ("b_forms_check", "global_sections_truncated", "symgeom_iso")
+
+    @pytest.mark.parametrize("args", PROBES, ids=" ".join)
+    def test_a_list_past_the_budget_is_refused(self, args, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the command's work began")
+
+        for name in self.WORK:
+            monkeypatch.setattr(cli_module, name, refuse)
+        result = CliRunner().invoke(cli, list(args))
+        assert result.exit_code == 2, (args, result.output)
+        message = result.stderr.strip()
+        assert "\n" not in message and message.startswith("invalid parameters:")
+        assert message.endswith(f"more than {cli_module._MAX_LIST}")
+
+    def test_a_large_prime_with_a_short_list_runs(self):
+        args = ["modp", "symgeom-check", "--q", "1000003", "--k", "0", "--i", "0"]
+        assert CliRunner().invoke(cli, args).exit_code == 0
+
+    def test_every_shown_and_benchmarked_invocation_passes_the_check(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*_):
+            raise Reached
+
+        for name in self.WORK:
+            monkeypatch.setattr(cli_module, name, reached)
+        invocations = [list(args) for args, _, _ in TestGoldenStdout.GOLDEN]
+        invocations += _readme_examples() + _benchmark_jobs()
+        commands = (["modp", "b-forms"], ["modp", "sections"], ["modp", "symgeom-check"])
+        budgeted = [args for args in invocations if args[:2] in commands]
+        assert len(budgeted) > 40
+        for args in budgeted:
+            result = CliRunner().invoke(cli, args)
+            assert isinstance(result.exception, Reached), (args, result.output)
 
 
 class TestResidueFieldReach:

@@ -7,10 +7,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drinfeld import harmonic
+from drinfeld.cli import cli
 from drinfeld.errors import PoleInsideAnnulus
 from drinfeld.harmonic import (
     Cochain,
+    _edge_residue,
     delta,
     field_kernel,
     res0,
@@ -19,7 +25,7 @@ from drinfeld.harmonic import (
     star_local_kernels,
 )
 from drinfeld.lattices import edge_lattice, lattice_contains_vector
-from drinfeld.rational import FactoredRational, parse_rational
+from drinfeld.rational import FactoredRational, parse_rational, principal_parts
 from drinfeld.scalars import ScalarKHat
 from drinfeld.tree import (
     Mat2,
@@ -34,6 +40,7 @@ from oracles import (
     act_on_edge,
     automorphic_act,
     basis_contains_vector,
+    cochain_value,
     dual_act,
     lattice_basis,
     laurent_standard,
@@ -237,6 +244,97 @@ class TestResidueOracle:
             assert _outcome(res0, f, k, t, random.Random(n)) == want
 
 
+def _series_values(f, k, tree):
+    """Every edge value by ``_edge_residue``'s series through the edge's own
+    transporter, or the class and message of the first refusal."""
+    parts = [(y, A) for y, A in principal_parts(f) if any(A)]
+    try:
+        return {e: _edge_residue(parts, k, edge_transporter(e).inv(), tree.p) for e in tree.edges}
+    except PoleInsideAnnulus as exc:
+        return (type(exc), str(exc))
+
+
+def _per_pole_values(f, k, tree):
+    """Every edge value of res0, or the class and message of its refusal."""
+    try:
+        c = res0(f, k, tree)
+    except PoleInsideAnnulus as exc:
+        return (type(exc), str(exc))
+    return {e: cochain_value(c, e) for e in tree.edges}
+
+
+def _infinity_inside(e, p) -> bool:
+    """Whether the disc that e cuts off holds gamma^-1(infinity) = -a/c."""
+    a, _, c, _ = edge_transporter(e).inv().lift(p)
+    return not c.is_zero() and (a / c).valuation() >= 2
+
+
+class TestPerPoleResidues:
+    """res0 sums per-pole residue vectors over the poles its disc rule picks;
+    ``_edge_residue`` expands the series through the edge's transporter.  They
+    agree on every edge, refusals included."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", range(5))
+    def test_every_edge_matches_the_series(self, p, k, tree_factory):
+        t = tree_factory(p, 3)
+        lift = lambda x: ScalarKHat.from_rational(x, p)
+        one, pihat = lift(1), ScalarKHat.pihat(p)
+        # poles of order up to 3, and a pihat-shifted pole that no annulus
+        # of the ball holds (v(y - 1) = 7/2)
+        shifted = one + pihat * p**3
+        sections = _oracle_sections(p, random.Random(2600 + 10 * p + k), 9) + [
+            FactoredRational(p, one, [(lift(p), -3), (lift(Fraction(1, p)), -2), (lift(0), 1)]),
+            FactoredRational(p, pihat, [(shifted, -2), (lift(1 + p), -1)]),
+            FactoredRational(p, one, [(lift(p * p), -3), (lift(-1), -1), (lift(2), 2)]),
+        ]
+        refused = 0
+        for f in sections:
+            want = _series_values(f, k, t)
+            assert _per_pole_values(f, k, t) == want
+            refused += isinstance(want, tuple)
+        assert 0 < refused < len(sections) - 3
+        assert any(_infinity_inside(e, p) for e in t.edges)
+
+    @given(
+        p=st.sampled_from([2, 3, 5]),
+        k=st.integers(0, 4),
+        poles=st.lists(
+            st.tuples(
+                st.fractions(min_value=-50, max_value=50, max_denominator=30),
+                st.integers(-3, 2).filter(bool),
+            ),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda x: x[0],
+        ),
+        lead=st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_sections_with_rational_poles(self, p, k, poles, lead):
+        lift = lambda x: ScalarKHat.from_rational(x, p)
+        f = FactoredRational(p, lift(lead), [(lift(y), m) for y, m in poles])
+        t = truncated_tree(p, 2)
+        want = _series_values(f, k, t)
+        assert not isinstance(want, tuple)
+        assert _per_pole_values(f, k, t) == want
+
+    def test_the_series_runs_only_under_audit(self, monkeypatch):
+        calls = []
+
+        def series(*args):
+            calls.append(args)
+            raise AssertionError("the series ran")
+
+        monkeypatch.setattr(harmonic, "_edge_residue", series)
+        args = ["residue", "--p", "2", "--k", "1", "--f", "(z-2)^-1*(z-3/2)", "--radius", "3"]
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code == 0, result.output
+        assert calls == []
+        result = CliRunner().invoke(cli, [*args, "--audit"])
+        assert isinstance(result.exception, AssertionError) and len(calls) == 1
+
+
 class TestResidueOfSimplePole:
     def test_spine_support_and_alternating_sign(self, tree_factory):
         # the residue cochain of 1/z lives on the axis, alternating +1/-1
@@ -251,7 +349,7 @@ class TestResidueOfSimplePole:
         for n in range(-2, 4):
             e = make_edge(make_vertex(p, n - 1, 0), make_vertex(p, n, 0))
             expected = ScalarKHat.from_rational((-1) ** n, p)
-            assert (c.value(e)[0] - expected).is_zero()
+            assert (cochain_value(c, e)[0] - expected).is_zero()
 
     def test_polynomials_have_zero_residue(self, tree_factory):
         p = 2
@@ -265,7 +363,7 @@ class TestResidueOfSimplePole:
         for k in (0, 1, 2):
             c = res0(parse_rational("1/z", p), k, t)
             for e in c.support():
-                assert len(c.value(e)) == k + 1
+                assert len(cochain_value(c, e)) == k + 1
 
 
 class TestHarmonicity:
@@ -313,7 +411,7 @@ class TestEquivariance:
                     compared += 1
                     assert all(
                         (a - b).is_zero()
-                        for a, b in zip(lhs.value(e), rhs.value(e))
+                        for a, b in zip(cochain_value(lhs, e), cochain_value(rhs, e))
                     )
         assert compared >= 10
 
@@ -351,8 +449,8 @@ class TestIntegrality:
             for k in range(5):
                 c = res0(f, k, t)
                 for e in t.edges:
-                    got = lattice_contains_vector(edge_lattice(e, k), c.value(e))
-                    want = basis_contains_vector(lattice_basis(edge_lattice(e, k)), c.value(e))
+                    got = lattice_contains_vector(edge_lattice(e, k), cochain_value(c, e))
+                    want = basis_contains_vector(lattice_basis(edge_lattice(e, k)), cochain_value(c, e))
                     assert got is want, (text, k, e)
                     seen.add(got)
         assert seen == {True, False}
@@ -381,7 +479,7 @@ class TestIntegrality:
         f = parse_rational(text, p)
         c = res0(f, k, t)
         report = res0_integrality(f, k, t, c)
-        expected = [lattice_contains_vector(edge_lattice(e, k), c.value(e)) for e in t.edges]
+        expected = [lattice_contains_vector(edge_lattice(e, k), cochain_value(c, e)) for e in t.edges]
         assert report["in_all_edge_lattices"] is all(expected)
 
     @pytest.mark.parametrize("k", [0, 1])
@@ -391,7 +489,7 @@ class TestIntegrality:
         f = parse_rational("pihat^-1/z", p)
         c = res0(f, k, t)
         failing = [
-            e for e in t.edges if not lattice_contains_vector(edge_lattice(e, k), c.value(e))
+            e for e in t.edges if not lattice_contains_vector(edge_lattice(e, k), cochain_value(c, e))
         ]
         support = set(c.support())
         assert support != set(t.edges) and set(failing) <= support
@@ -411,7 +509,7 @@ class TestTransporterAudit:
         for e in plain.support():
             assert all(
                 (a - b).is_zero()
-                for a, b in zip(plain.value(e), audited.value(e))
+                for a, b in zip(cochain_value(plain, e), cochain_value(audited, e))
             )
 
 

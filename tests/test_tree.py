@@ -16,7 +16,6 @@ from drinfeld.tree import (
     Vertex,
     act_on_vertex,
     ball_size,
-    canonical_offset,
     child_endpoint,
     children,
     distance,
@@ -42,9 +41,12 @@ from oracles import (
     fraction_act_on_vertex,
     fraction_canonical_offset,
     fraction_children,
+    fraction_distance,
+    fraction_make_edge,
     fraction_parent,
     fraction_representative,
     fraction_vertex_of_matrix,
+    fraction_vertex_key,
     fraction_vertex_transporter,
 )
 from sampling import gamma_level, random_group_element, random_vertex, unipotent_upper, weyl_flip
@@ -366,8 +368,16 @@ class TestBallOracle:
 def _assert_same_vertex(got: Vertex, expected: Vertex) -> None:
     assert got == expected
     assert type(got.b) is Fraction
-    assert hash(got) == hash(expected) == hash((expected.p, expected.m, expected.b))
+    assert hash(got) == hash(expected)
     assert repr(got) == repr(expected)
+    # the (p, m, b) order of the Fraction oracle, against a p-power offset
+    # just above and one below
+    p, den = expected.p, expected.b.denominator
+    for step in (Fraction(1, p * den), Fraction(-1, p * p)):
+        other = Vertex(p, expected.m, expected.b + step)
+        assert (got < other) == (fraction_vertex_key(expected) < fraction_vertex_key(other))
+        assert (other < got) == (fraction_vertex_key(other) < fraction_vertex_key(expected))
+        assert (got == other) is False
 
 
 class TestIntegerOffsets:
@@ -397,10 +407,42 @@ class TestIntegerOffsets:
             unit = rng.choice([1, 1, 2, 3, 7, 10, 11]) * rng.choice([1, -1])
             b = Fraction(rng.randint(-(p**8), p**8), p**j * unit)
             expected = fraction_canonical_offset(b, m, p)
-            assert canonical_offset(b, m, p) == expected
-            assert type(canonical_offset(b, m, p)) is Fraction
             v = make_vertex(p, m, b)
+            assert v.b == expected and type(v.b) is Fraction
             _assert_same_vertex(v, Vertex(p, m, expected))
             self._check(v)
             for n in (0, -3, 5):
-                assert canonical_offset(n, m, p) == fraction_canonical_offset(n, m, p)
+                assert make_vertex(p, m, n).b == fraction_canonical_offset(n, m, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("radius", range(4))
+    def test_distance_edges_and_order_of_a_ball(self, p, radius):
+        ball = truncated_tree(p, radius)
+        rng = random.Random(1400 + 10 * p + radius)
+        pairs = [(u, w) for u in ball.vertices[:40] for w in ball.vertices]
+        pairs += [(rng.choice(ball.vertices), random_vertex(rng, p)) for _ in range(200)]
+        for u, w in pairs:
+            assert distance(u, w) == fraction_distance(u, w)
+            assert (u < w) == (fraction_vertex_key(u) < fraction_vertex_key(w))
+            assert (u == w) == (fraction_vertex_key(u) == fraction_vertex_key(w))
+            if fraction_distance(u, w) == 1:
+                assert make_edge(u, w) == fraction_make_edge(u, w)
+        for e in ball.edges:
+            assert make_edge(e.u, e.v) == make_edge(e.v, e.u) == fraction_make_edge(e.v, e.u)
+        key = lambda e: (fraction_vertex_key(e.u), fraction_vertex_key(e.v))
+        assert sorted(ball.edges) == sorted(ball.edges, key=key)
+        assert sorted(ball.vertices) == sorted(ball.vertices, key=fraction_vertex_key)
+
+    def test_ball_builds_no_fraction(self, monkeypatch):
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        ball = truncated_tree(3, 5)
+        Fraction(1, 3)  # the counter sees a construction
+        assert len(ball.vertices) == ball_size(3, 5)
+        assert built == [(1, 3)]
