@@ -55,8 +55,13 @@ from .tree import (
 _MAX_RADIUS = 8
 _MAX_BALL_VERTICES = 25_000
 # The longest list a residue-field command may build, whose work grows about as
-# its square: q + 1 (b-forms), V·(deg+1) (sections), t + 1 (symgeom-check).
+# its square: q + 1 (b-forms), V·(deg+1) (sections), t + 1 (stable-lines and
+# symgeom-check).
 _MAX_LIST = 1000
+# The most entries of an extension field's exp, log and Zech tables, q - 1 each,
+# which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
+# 2.2 s at q = 65536 (one core of a 2-vCPU Xeon).  A prime field has no tables.
+_MAX_TABLE = 10_000
 
 
 # -- serialization --------------------------------------------------------------------
@@ -517,6 +522,8 @@ def modp_sections_cmd(q: int, k: int, radius: int) -> None:
 @_i
 def modp_stable_lines_cmd(q: int, k: int, i: int) -> None:
     """Quotient representation and its stable lines."""
+    t, _ = symgeom_parameters(q, k, i)
+    _check_size(f"Sym^t at q = {q}, k = {k}, i = {i}", t + 1, "monomials", _MAX_LIST)
     report = quotient_rep_and_stable_lines(q, k, i)
     _emit(
         {
@@ -538,6 +545,8 @@ def modp_symgeom_cmd(q: int, k: int, i: int) -> None:
     """Equivariance and injectivity of the symmetric-power comparison map."""
     t, _ = symgeom_parameters(q, k, i)
     _check_size(f"the comparison map at q = {q}, k = {k}, i = {i}", t + 1, "images", _MAX_LIST)
+    if Fq(q).f > 1:
+        _check_size(f"the field of order {q}", q - 1, "table entries", _MAX_TABLE)
     iso = symgeom_iso(q, k, i)
     equivariant = all(
         symgeom_equivariance(q, k, i, g) for g in gl2_generators(iso["field"])

@@ -104,35 +104,22 @@ def rank(rows: Matrix, zero: T) -> int:
     return len(rref(rows, zero)[1])
 
 
-def kernel_basis(rows: Matrix, zero: T, one: T) -> list[list]:
-    """Basis of the right kernel, one vector per free column."""
-    if not rows:
-        return []
-    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    return _kernel(sparse, len(rows[0]), None, zero, one)
-
-
 def kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> list[list[int]]:
-    """``kernel_basis`` over the prime field F_p on ints: each row is a
-    {column: int} map read mod p, and each vector a list of residues.  The
-    reduced form is unique, so these are the vectors that ``kernel_basis``
-    returns over ``Fq(p)``; no rows give the whole space."""
+    """Basis of the right kernel over the prime field F_p on ints, one vector
+    per free column: each row is a {column: int} map read mod p, and each
+    vector a list of residues.  The reduced form is unique, so the basis does
+    not depend on the elimination order; no rows give the whole space."""
     sparse = [{c: x % p for c, x in row.items() if x % p} for row in rows]
-    return _kernel(sparse, ncols, p, 0, 1)
-
-
-def _kernel(rows: list[dict], ncols: int, p: int | None, zero, one) -> list[list]:
-    """One kernel vector per free column of the sparse rows (``_gauss_jordan``)."""
-    reduced, pivots = _gauss_jordan(rows, p)
+    reduced, pivots = _gauss_jordan(sparse, p)
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
         if fc not in pivot_set:
-            vec = [zero] * ncols
-            vec[fc] = one
+            vec = [0] * ncols
+            vec[fc] = 1
             for row, pc in zip(reduced, pivots):
                 if fc in row:
-                    vec[pc] = -row[fc] % p if p else -row[fc]
+                    vec[pc] = -row[fc] % p
             basis.append(vec)
     return basis
 

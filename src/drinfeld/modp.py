@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import poly
 from .errors import InternalInvariantError, InvalidParameters, SingularMatrix
-from .linalg import identity, kernel_basis, kernel_basis_mod_p, rank
+from .linalg import kernel_basis_mod_p, rank
 from .scalars import FiniteField, Fq, FqElem
 from .symrep import substitution_matrix
 from .tree import (
@@ -399,30 +399,6 @@ def _quotient_structure(q: int, k: int, i: int) -> dict:
     }
 
 
-def _generator_matrices(s: dict, residues: bool) -> list:
-    """(matrix, unipotent) for each of ``gl2_generators``: its matrix on the
-    quotient (``_quotient_structure``) against the free monomial classes, as
-    ints mod p when ``residues`` (a prime field only), else as ``FqElem``s.
-    A generator of trace 2 and determinant 1 is unipotent or the identity,
-    so 1 is its only eigenvalue, on Sym^t and on the quotient."""
-    field, t, shift, free, reduce_vector = s["field"], s["t"], s["shift"], s["free"], s["reduce"]
-    p, dim = field.p, len(free)
-    matrices = []
-    for g in gl2_generators(field):
-        (a, b), (c, d) = g
-        det = a * d - b * c
-        if residues:  # the free columns of the int substitution matrix, mod p
-            m = substitution_matrix(a.n, b.n, c.n, d.n, t, int, free)
-            twist = (det**shift).n
-            cols = [[twist * x % p for x in reduce_vector(col)] for col in zip(*m)]
-        else:
-            m = sym_matrix_fq(field, g, t, shift)
-            cols = [reduce_vector([row[j] for row in m]) for j in free]
-        unipotent = a + d == field.from_int(2) and det == field.one()
-        matrices.append(([[col[r] for col in cols] for r in range(dim)], unipotent))
-    return matrices
-
-
 def _normalize(vec) -> tuple:
     """The vector scaled so that its first nonzero coordinate is 1."""
     for x in vec:
@@ -432,45 +408,54 @@ def _normalize(vec) -> tuple:
     return tuple(vec)
 
 
-def _stable_lines(s: dict, residues: bool) -> list:
-    """The stable lines of ``quotient_rep_and_stable_lines``, sorted; the
-    eigenspaces are found on ints mod p when ``residues`` (a prime field
-    only), else on ``FqElem``s."""
-    field, dim = s["field"], len(s["free"])
-    if residues:
-        zero, one, units = 0, 1, range(1, field.p)
-    else:
-        zero, one, units = field.zero(), field.one(), [x for x in field.elements() if x]
-    # (stacked rows, kernel basis) of each nonzero common eigenspace so far
-    eigenspaces = [([], identity(dim, zero, one))]
-    for m, unipotent in _generator_matrices(s, residues):
-        found = []
-        for rows, _ in eigenspaces:
-            for lam in [one] if unipotent else units:
-                stacked = rows + [
-                    [x - lam if j == r else x for j, x in enumerate(row)]
-                    for r, row in enumerate(m)
-                ]
-                if residues:
-                    basis = kernel_basis_mod_p(list(map(dict, map(enumerate, stacked))), dim, field.p)
-                else:
-                    basis = kernel_basis(stacked, zero, one)
-                if basis:
-                    found.append((stacked, basis))
-        eigenspaces = found
-    lines = set()
+def _span_lines(field: FiniteField, basis: list) -> set:
+    """Every line of the span of ``basis`` (vectors of ``FqElem``s), each
+    once: the combinations led by a coefficient 1, normalised."""
     elems = list(field.elements())
-    for _, basis in eigenspaces:
-        basis = [[field.elem(x) for x in vec] for vec in basis]
-        # each line once: the combinations led by a coefficient 1
-        for lead, first in enumerate(basis):
-            rest = basis[lead + 1 :]
-            for coeffs in itertools.product(elems, repeat=len(rest)):
-                vec = first
-                for c, v in zip(coeffs, rest):
-                    if c:
-                        vec = [x + c * y for x, y in zip(vec, v)]
-                lines.add(_normalize(vec))
+    lines = set()
+    for lead, first in enumerate(basis):
+        rest = basis[lead + 1 :]
+        for coeffs in itertools.product(elems, repeat=len(rest)):
+            vec = first
+            for c, v in zip(coeffs, rest):
+                if c:
+                    vec = [x + c * y for x, y in zip(vec, v)]
+            lines.add(_normalize(vec))
+    return lines
+
+
+def _stable_lines(s: dict) -> list:
+    """The stable lines of ``quotient_rep_and_stable_lines``, sorted.
+
+    The unipotents U of ``gl2_generators`` have entries 0 and 1 and
+    determinant 1, so the rows of U - I on the quotient are ints mod p for
+    every q = p^f: the folded free columns of the int substitution matrix,
+    less the identity.  diag(w, 1) sends X^j Y^(t-j) to w^(shift+t-j) X^j
+    Y^(t-j), and folding j onto j + q - 1 keeps that eigenvalue, so it is
+    diagonal on the free monomials.  Its eigenspaces are the classes of free
+    monomials with one value of (shift + t - j) mod (q - 1), one class at
+    q = 2, and the common eigenspaces are the kernels of the U - I rows on
+    each class's columns.  The kernel over F_q of a matrix over F_p has the
+    reduced basis of its kernel over F_p, so each is found on ints mod p."""
+    field, t, shift, free, reduce_vector = s["field"], s["t"], s["shift"], s["free"], s["reduce"]
+    p, dim = field.p, len(free)
+    rows = []
+    for a, b, c, d in ((1, 1, 0, 1), (1, 0, 1, 1)):  # [[a, b], [c, d]]: upper, lower
+        cols = [reduce_vector(col) for col in zip(*substitution_matrix(a, b, c, d, t, int, free))]
+        rows += [[(col[r] - (j == r)) % p for j, col in enumerate(cols)] for r in range(dim)]
+    classes: dict[int, list[int]] = {}
+    for j, e in enumerate(free):
+        classes.setdefault((shift + t - e) % (field.q - 1), []).append(j)
+    lines = set()
+    for members in classes.values():
+        restricted = [{c: row[j] for c, j in enumerate(members)} for row in rows]
+        basis = []
+        for vec in kernel_basis_mod_p(restricted, len(members), p):
+            full = [field.zero()] * dim
+            for j, x in zip(members, vec):
+                full[j] = field.elem(x)
+            basis.append(full)
+        lines |= _span_lines(field, basis)
     return sorted(lines, key=lambda v: tuple(x.coeffs for x in v))
 
 
@@ -480,11 +465,11 @@ def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
 
     A line's stabiliser is a subgroup, so a line is fixed by the group
     exactly when each of ``gl2_generators`` fixes it, that is, when it is an
-    eigenvector of each generator's matrix with a nonzero eigenvalue.  The
-    stable lines are the lines of the common eigenspaces: the nonzero
-    kernels of the rows of M - lambda I stacked over the generators, one
-    lambda in F_q^x for each (only 1 for a unipotent generator).  Over a
-    prime field the eigenspaces are found on int residues.
+    eigenvector of each generator's matrix with a nonzero eigenvalue.  A
+    unipotent has 1 as its only eigenvalue, and the diagonal generator is
+    diagonal on the free monomials, so the stable lines are the lines of
+    the unipotents' common fixed space within one eigenspace of the
+    diagonal generator (``_stable_lines``).
     """
     s = _quotient_structure(q, k, i)
     return {
@@ -492,7 +477,7 @@ def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
         "t": s["t"],
         "shift": s["shift"],
         "free_monomials": s["free"],
-        "stable_lines": _stable_lines(s, s["field"].f == 1),
+        "stable_lines": _stable_lines(s),
         "group_order": (q * q - 1) * (q * q - q),
     }
 

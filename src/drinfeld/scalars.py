@@ -405,8 +405,9 @@ class FiniteField:
     ``elements``.  A prime field computes on the codes mod p.  An extension
     field multiplies through exp/log tables of ``primitive_element`` w and
     adds through a Zech table: w^i + w^j = w^(i + Z(j - i)) with
-    w^Z(k) = 1 + w^k.  The three tables have q - 1 entries each and are
-    built on the first arithmetic operation, not by the constructor.
+    w^Z(k) = 1 + w^k.  The three tables have q - 1 entries each.  They and
+    the modulus are built on first use, not by the constructor, so a field
+    that only names q (``modp degrees``) costs nothing at any q.
     """
 
     def __init__(self, p: int, f: int) -> None:
@@ -416,7 +417,6 @@ class FiniteField:
         self.p = p
         self.f = f
         self.q = p**f
-        self.modulus = _find_modulus(p, f) if f > 1 else (0, 1)
         self._zero = _make_fq(self, 0)
         self._one = _make_fq(self, 1)
 
@@ -432,6 +432,12 @@ class FiniteField:
         return hash(("FiniteField", self.p, self.f))
 
     # -- codes and tables ------------------------------------------------------
+
+    @cached_property
+    def modulus(self) -> tuple[int, ...]:
+        """The monic irreducible of degree f, little-endian; x for a prime
+        field.  Found on first use, as the tables are."""
+        return _find_modulus(self.p, self.f) if self.f > 1 else (0, 1)
 
     def _digits(self, n: int) -> tuple[int, ...]:
         p = self.p
@@ -461,7 +467,9 @@ class FiniteField:
         n = rest = self.q - 1
         primes = []
         while rest > 1:
-            primes.append(_smallest_factor(rest))
+            # a prime cofactor ends the trial division
+            prime = rest < _PRIME_BOUND and _is_prime(rest)
+            primes.append(rest if prime else _smallest_factor(rest))
             while rest % primes[-1] == 0:
                 rest //= primes[-1]
         return next(

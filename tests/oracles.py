@@ -23,12 +23,12 @@ from drinfeld.errors import (
 )
 from drinfeld.harmonic import Cochain, res0
 from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
-from drinfeld.linalg import identity, kernel_basis, rref, smith_over_dvr
+from drinfeld.linalg import identity, rref, smith_over_dvr
 from drinfeld.modp import (
     INFINITY_POINT,
     FqRatFunc,
-    _generator_matrices,
     _quotient_structure,
+    _span_lines,
     component_degree,
     symgeom_parameters,
 )
@@ -421,6 +421,26 @@ def solve(a: list, b: list, zero) -> list | None:
     return x
 
 
+def kernel_basis(rows: list, zero, one) -> list[list]:
+    """Basis of the right kernel over the scalars' own field, one vector per
+    free column: the generic form of ``linalg.kernel_basis_mod_p``, which
+    gives these vectors as residues over a prime field."""
+    if not rows:
+        return []
+    reduced, pivots = rref(rows, zero)
+    ncols, pivot_set = len(rows[0]), set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivot_set:
+            vec = [zero] * ncols
+            vec[fc] = one
+            for row, pc in zip(reduced, pivots):
+                if row[fc]:
+                    vec[pc] = -row[fc]
+            basis.append(vec)
+    return basis
+
+
 def inverse(a: list, zero, one) -> list:
     n = len(a)
     aug = [list(row) + list(idr) for row, idr in zip(a, identity(n, zero, one))]
@@ -726,6 +746,54 @@ def quotient_structure_by_elimination(q: int, k: int, i: int) -> tuple[list, obj
     return free, reduce_vector
 
 
+def generator_matrices_fq(s: dict) -> list:
+    """(matrix, unipotent) for each of ``modp.gl2_generators``: its ``FqElem``
+    matrix on the quotient ``s`` (``modp._quotient_structure``) against the
+    free monomial classes, and whether it has trace 2 and determinant 1,
+    which makes 1 its only eigenvalue, on Sym^t and on the quotient.  Both
+    the generators and ``modp.sym_matrix_fq`` are read at call time, so a
+    patch of either reaches it."""
+    field, t, shift, free, reduce_vector = s["field"], s["t"], s["shift"], s["free"], s["reduce"]
+    matrices = []
+    for g in modp.gl2_generators(field):
+        (a, b), (c, d) = g
+        m = modp.sym_matrix_fq(field, g, t, shift)
+        cols = [reduce_vector([row[j] for row in m]) for j in free]
+        unipotent = a + d == field.from_int(2) and a * d - b * c == field.one()
+        matrices.append(([[col[r] for col in cols] for r in range(len(free))], unipotent))
+    return matrices
+
+
+def stable_lines_by_eigenvalues(q: int, k: int, i: int) -> list:
+    """The stable lines by the eigenvalue scan that ``modp._stable_lines``
+    replaced: the rows of M - lambda I stacked over ``generator_matrices_fq``,
+    one lambda in F_q^x for each (only 1 for a unipotent), keeping the stacks
+    with a nonzero kernel over ``FqElem`` (the common eigenspaces), whose
+    lines ``modp._span_lines`` lists."""
+    s = _quotient_structure(q, k, i)
+    field, dim = s["field"], len(s["free"])
+    zero, one = field.zero(), field.one()
+    units = [x for x in field.elements() if x]
+    # (stacked rows, kernel basis) of each nonzero common eigenspace so far
+    eigenspaces = [([], identity(dim, zero, one))]
+    for m, unipotent in generator_matrices_fq(s):
+        found = []
+        for rows, _ in eigenspaces:
+            for lam in [one] if unipotent else units:
+                stacked = rows + [
+                    [x - lam if j == r else x for j, x in enumerate(row)]
+                    for r, row in enumerate(m)
+                ]
+                basis = kernel_basis(stacked, zero, one)
+                if basis:
+                    found.append((stacked, basis))
+        eigenspaces = found
+    lines = set()
+    for _, basis in eigenspaces:
+        lines |= _span_lines(field, basis)
+    return sorted(lines, key=lambda v: tuple(x.coeffs for x in v))
+
+
 def stable_lines_by_scan(q: int, k: int, i: int) -> list:
     """Every line of the quotient fixed by each of ``gl2_generators``, found
     by normalising each of the q^dim vectors and testing its image under
@@ -734,7 +802,7 @@ def stable_lines_by_scan(q: int, k: int, i: int) -> list:
     s = _quotient_structure(q, k, i)
     field = s["field"]
     zero = field.zero()
-    matrices = [m for m, _ in _generator_matrices(s, False)]
+    matrices = [m for m, _ in generator_matrices_fq(s)]
 
     def normalize(vec) -> tuple:
         for x in vec:

@@ -299,6 +299,41 @@ class TestLargePrimes:
         assert proc.returncode == code, (args, proc.stderr)
 
 
+class TestAnsweredAtOnce:
+    """Inputs at huge q or t, each answered or refused within two seconds as
+    a child process, with no traceback.  The lazy modulus lets q = 2^100 name
+    its field without finding an irreducible, the factorisation of q - 1
+    stops at a prime cofactor, and the budgets refuse the rest before any
+    work."""
+
+    _Q, _Q2 = str(10**24 + 7), str(2**100)
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (("modp", "stable-lines", "--q", _Q, "--k", "4", "--i", "0"), 2),
+            (("modp", "stable-lines", "--q", "1009", "--k", "4", "--i", "0"), 2),
+            (("modp", "stable-lines", "--q", "3", "--k", "3000", "--i", "0"), 2),
+            (("modp", "stable-lines", "--q", "49", "--k", "4", "--i", "0"), 0),
+            (("modp", "degrees", "--q", _Q2, "--k", "2"), 0),
+            (("modp", "symgeom-check", "--q", _Q, "--k", "0", "--i", "0"), 0),
+            (("modp", "symgeom-check", "--q", _Q2, "--k", "0", "--i", "0"), 2),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x),
+    )
+    def test_answered_within_two_seconds(self, args, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "drinfeld.cli", *args],
+            capture_output=True,
+            env=child_env(),
+            timeout=2,
+        )
+        assert proc.returncode == code, (args, proc.stderr)
+        assert b"Traceback" not in proc.stderr
+        if code == 2:
+            assert proc.stderr.startswith(b"invalid parameters:") and proc.stderr.count(b"\n") == 1
+
+
 class TestInProcessExitCodes:
     @pytest.mark.parametrize(
         "args",
@@ -565,17 +600,19 @@ def _benchmark_jobs() -> list[list[str]]:
 
 
 class TestListBudget:
-    """``modp b-forms``, ``sections`` and ``symgeom-check`` refuse, before
-    building anything, a list longer than the budget: q + 1, V·(deg+1) and
-    t + 1 entries."""
+    """``modp b-forms``, ``sections``, ``stable-lines`` and ``symgeom-check``
+    refuse, before building anything, a list longer than the budget: q + 1,
+    V·(deg+1) and, for the last two, t + 1 entries.  ``symgeom-check`` also refuses an
+    extension field whose tables would pass their budget of entries."""
 
     _Q = str(10**24 + 7)
     PROBES = [
         ("modp", "b-forms", "--q", _Q),
         ("modp", "sections", "--q", _Q, "--k", "2", "--radius", "0"),
+        ("modp", "stable-lines", "--q", _Q, "--k", "4", "--i", "0"),
         ("modp", "symgeom-check", "--q", _Q, "--k", "2", "--i", "0"),
     ]
-    WORK = ("b_forms_check", "global_sections_truncated", "symgeom_iso")
+    WORK = ("b_forms_check", "global_sections_truncated", "quotient_rep_and_stable_lines", "symgeom_iso")
 
     @pytest.mark.parametrize("args", PROBES, ids=" ".join)
     def test_a_list_past_the_budget_is_refused(self, args, monkeypatch):
@@ -594,6 +631,21 @@ class TestListBudget:
         args = ["modp", "symgeom-check", "--q", "1000003", "--k", "0", "--i", "0"]
         assert CliRunner().invoke(cli, args).exit_code == 0
 
+    @pytest.mark.parametrize("q", [2**100, 3**9])
+    def test_a_large_extension_field_is_refused_before_its_tables(self, q, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the command's work began")
+
+        monkeypatch.setattr(cli_module, "symgeom_iso", refuse)
+        args = ["modp", "symgeom-check", "--q", str(q), "--k", "0", "--i", "0"]
+        result = CliRunner().invoke(cli, args)
+        assert result.exit_code == 2, (args, result.output)
+        message = result.stderr.strip()
+        assert message == (
+            f"invalid parameters: the field of order {q} has {q - 1} table entries, "
+            f"more than {cli_module._MAX_TABLE}"
+        )
+
     def test_every_shown_and_benchmarked_invocation_passes_the_check(self, monkeypatch):
         class Reached(Exception):
             pass
@@ -605,7 +657,12 @@ class TestListBudget:
             monkeypatch.setattr(cli_module, name, reached)
         invocations = [list(args) for args, _, _ in TestGoldenStdout.GOLDEN]
         invocations += _readme_examples() + _benchmark_jobs()
-        commands = (["modp", "b-forms"], ["modp", "sections"], ["modp", "symgeom-check"])
+        commands = (
+            ["modp", "b-forms"],
+            ["modp", "sections"],
+            ["modp", "stable-lines"],
+            ["modp", "symgeom-check"],
+        )
         budgeted = [args for args in invocations if args[:2] in commands]
         assert len(budgeted) > 40
         for args in budgeted:
@@ -629,7 +686,10 @@ class TestResidueFieldReach:
 
     @pytest.mark.parametrize(
         "q,k,i",
-        [(7, 4, 0), (8, 4, 0), (9, 10, 0), (11, 10, 0), (23, 4, 0), (27, 4, 0), (31, 4, 0)],
+        [
+            (7, 4, 0), (8, 4, 0), (9, 10, 0), (11, 10, 0), (23, 4, 0), (27, 4, 0), (31, 4, 0),
+            (49, 4, 0), (64, 4, 0), (101, 4, 0), (128, 4, 0),
+        ],
     )
     def test_every_printed_line_is_fixed_by_every_generator(self, q, k, i):
         args = ["modp", "stable-lines", "--q", str(q), "--k", str(k), "--i", str(i)]
@@ -743,11 +803,14 @@ class TestGoldenStdout:
          "0eaa87eb5d787877a25103fa83468feec42bd045e3f248eb4b63439d2189e210"),
         (("identity-b", "--p", "2", "--kmax", "4", "--mmax", "6"), 0,
          "56e7b415e867d6ad338b80ee3b4593a8f68fb9ddb812a588d4766c4402d64889"),
-        # stable lines on residues at a prime q, and on FqElem at q = 27
+        # stable lines at a prime q and at q = 27 and 49, all from kernels over
+        # F_p; the q = 49 digest is the output of the eigenvalue scan over F_49
         (("modp", "stable-lines", "--q", "23", "--k", "4", "--i", "0"), 0,
          "d442f682d9bcfc555fb1b9f15050f09867be07394afdb8c292ee93c88e2a7982"),
         (("modp", "stable-lines", "--q", "27", "--k", "4", "--i", "0"), 0,
          "eb2ce4253196a2db0bd262855665171534432fd3c9a76b5697e14b243f5767f6"),
+        (("modp", "stable-lines", "--q", "49", "--k", "4", "--i", "0"), 0,
+         "1842f3cc57c30957f6edf43fadf2b7daffdde30780bf418e762a56bb877b15a4"),
         # section bases as residue lists, from the mod-p kernel
         (("modp", "sections", "--q", "7", "--k", "4", "--radius", "1"), 0,
          "4822f1f6dd8c6431781adbf228190773d6b6ed5425569ca1fe5d330979080411"),

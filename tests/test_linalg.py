@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from drinfeld.errors import InternalInvariantError
-from drinfeld.linalg import kernel_basis, kernel_basis_mod_p, rank, rref, smith_over_dvr
+from drinfeld.linalg import kernel_basis_mod_p, rank, rref, smith_over_dvr
 from drinfeld.scalars import Fq, ScalarKHat
-from oracles import inverse, is_integral, mat_mul, reduce_mod_pihat, solve
+from oracles import inverse, is_integral, kernel_basis, mat_mul, reduce_mod_pihat, solve
 
 # -- the dense reference -----------------------------------------------------------
 
@@ -238,8 +238,8 @@ class TestEliminationOracle:
 
 
 class TestKernelModP:
-    """``kernel_basis_mod_p`` on {column: int} rows against ``kernel_basis``
-    over ``Fq(p)`` on the same matrices."""
+    """``kernel_basis_mod_p`` on {column: int} rows against the oracle
+    ``kernel_basis`` over ``Fq(p)`` on the same matrices."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
     def test_matches_the_field_kernel(self, p):

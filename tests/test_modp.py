@@ -13,7 +13,7 @@ import pytest
 
 from drinfeld import modp, poly
 from drinfeld.errors import InternalInvariantError, InvalidParameters, ZeroFunction
-from drinfeld.linalg import kernel_basis, transpose
+from drinfeld.linalg import transpose
 from drinfeld.modp import (
     INFINITY_POINT,
     FqRatFunc,
@@ -41,11 +41,13 @@ from drinfeld.tree import (
     vertex_transporter,
 )
 from oracles import (
+    generator_matrices_fq,
     mat_vec,
     poly_evaluate,
     quotient_reduce,
     quotient_structure_by_elimination,
     sections_basis_by_dense_rows,
+    stable_lines_by_eigenvalues,
     stable_lines_by_scan,
     symgeom_equivariance_by_columns,
 )
@@ -666,9 +668,10 @@ class TestGroupGenerators:
     @pytest.mark.parametrize("keep", ["identity", "upper", "diagonal"])
     @pytest.mark.parametrize("q,k,i", [(2, 9, 0), (3, 4, 0), (4, 4, 0)])
     def test_eigenspaces_of_any_dimension_give_all_their_lines(self, q, k, i, keep, monkeypatch):
-        # with fewer generators the common eigenspaces are larger than a line
+        # with fewer generators the common eigenspaces are larger than a line,
+        # so the eigenvalue scan hands ``_span_lines`` bases of dimension >= 2
         monkeypatch.setattr(modp, "gl2_generators", _fewer_generators(keep))
-        got = quotient_rep_and_stable_lines(q, k, i)["stable_lines"]
+        got = stable_lines_by_eigenvalues(q, k, i)
         assert got == stable_lines_by_scan(q, k, i)
         if keep == "identity":
             assert len(got) == (q ** (q + 1) - 1) // (q - 1)
@@ -676,17 +679,33 @@ class TestGroupGenerators:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_only_the_unipotent_generators_are_flagged(self, q):
         s = modp._quotient_structure(q, *_quotient_cases(q)[0])
-        flags = [unipotent for _, unipotent in modp._generator_matrices(s, False)]
+        flags = [unipotent for _, unipotent in generator_matrices_fq(s)]
         assert flags == [True, True] + [False] * (q > 2)
 
-    @pytest.mark.parametrize("q,count", [(2, 8), (3, 6), (5, 4), (7, 3)])
-    def test_residue_path_matches_the_field_path(self, q, count, rng):
-        """Over a prime field the eigenspaces on int residues give the lines
-        that the ``FqElem`` path gives, and the scan too where it finishes."""
-        for k, i in rng.sample(_quotient_cases(q), count):
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 25])
+    def test_the_diagonal_generator_is_diagonal_on_the_free_monomials(self, q, rng):
+        """diag(w, 1) scales the class of X^e by w^(shift + t - e): the fact
+        that splits ``_stable_lines`` into one kernel per eigenvalue class."""
+        w = Fq(q).primitive_element()
+        for k, i in rng.sample(_quotient_cases(q), 3):
             s = modp._quotient_structure(q, k, i)
-            got = modp._stable_lines(s, True)
-            assert got == modp._stable_lines(s, False), (k, i)
+            m, _ = generator_matrices_fq(s)[2]
+            want = [
+                [w ** (s["shift"] + s["t"] - e) if r == c else Fq(q).zero() for c in range(len(s["free"]))]
+                for r, e in enumerate(s["free"])
+            ]
+            assert m == want, (k, i)
+
+    @pytest.mark.parametrize(
+        "q,count", [(2, 8), (3, 6), (5, 4), (7, 3), (4, 6), (8, 3), (9, 3), (16, 2), (25, 2), (27, 2)]
+    )
+    def test_residue_path_matches_the_field_path(self, q, count, rng):
+        """The kernels on int residues give the lines that the eigenvalue scan
+        over ``FqElem`` gives, at q = p^f too, where the rows of U - I are
+        ints mod p, and the scan of every vector too where it finishes."""
+        for k, i in rng.sample(_quotient_cases(q), count):
+            got = modp._stable_lines(modp._quotient_structure(q, k, i))
+            assert got == stable_lines_by_eigenvalues(q, k, i), (k, i)
             if q <= 5:
                 assert got == stable_lines_by_scan(q, k, i), (k, i)
 
@@ -701,10 +720,15 @@ class TestGroupGenerators:
         ],
     )
     def test_residue_path_with_fewer_generators(self, q, k, i, keep, monkeypatch):
+        """The eigenvalue scan with fewer generators: every line it gives is
+        fixed by each kept generator, and it gives the scan's lines where the
+        scan finishes."""
         monkeypatch.setattr(modp, "gl2_generators", _fewer_generators(keep))
-        s = modp._quotient_structure(q, k, i)
-        got = modp._stable_lines(s, True)
-        assert got == modp._stable_lines(s, False)
+        got = stable_lines_by_eigenvalues(q, k, i)
+        assert got and len(set(got)) == len(got)
+        for m, _ in generator_matrices_fq(modp._quotient_structure(q, k, i)):
+            for line in got:
+                assert modp._normalize(mat_vec(m, list(line))) == line, (line, m)
         if q <= 5:
             assert got == stable_lines_by_scan(q, k, i)
 

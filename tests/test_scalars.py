@@ -412,6 +412,20 @@ class TestFiniteFields:
         w = field.primitive_element()
         assert len({w**n for n in range(q - 1)}) == q - 1
 
+    def test_a_field_finds_its_modulus_on_first_use(self):
+        field = Fq(2**100)
+        assert (field.p, field.f) == (2, 100)
+        assert "modulus" not in vars(field)
+        assert Fq(4).modulus == (1, 1, 1) and "modulus" in vars(Fq(4))
+
+    def test_primitive_element_at_a_large_prime(self):
+        # q - 1 has a 22-digit prime cofactor, which trial division would
+        # have to pass before stopping
+        q, factors = 10**24 + 7, (2, 7, 29, 2463054187192118226601)
+        assert math.prod(factors) == q - 1
+        w = Fq(q).primitive_element()
+        assert all(w ** ((q - 1) // r) != Fq(q).one() for r in factors)
+
     def test_negative_exponent(self):
         field = Fq(9)
         g = field.elem((0, 1))
