@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -54,10 +54,16 @@ from .tree import (
 
 _MAX_RADIUS = 8
 _MAX_BALL_VERTICES = 25_000
-# The longest list a residue-field command may build, whose work grows about as
-# its square: q + 1 (b-forms), V·(deg+1) (sections), t + 1 (stable-lines and
-# symgeom-check).
+# The longest list a command may build, whose work grows about as its square
+# for the residue-field commands: q + 1 (b-forms), V·(deg+1) (sections), t + 1
+# (stable-lines and symgeom-check), and the p + 1 edges of the star (local-dims).
 _MAX_LIST = 1000
+# The largest |exponent| in a section's text, which also bounds the orders of
+# its z-factors added up, and the largest |level| of a vertex: a pole of order
+# 1000 took 7 s in residue, joining 1000 distinct factors took 2.3 s, and the
+# ints of a vertex lattice grow as p^(level k).
+_MAX_EXPONENT = 100
+_MAX_LEVEL = 100
 # The most entries of an extension field's exp, log and Zech tables, q - 1 each,
 # which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
 # 2.2 s at q = 65536 (one core of a 2-vCPU Xeon).  A prime field has no tables.
@@ -67,13 +73,18 @@ _MAX_TABLE = 10_000
 # -- serialization --------------------------------------------------------------------
 
 
+def _ratio(n: int, d: int) -> str:
+    """n/d for ints n and d > 0, as ``str(Fraction(n, d))`` prints it."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def _scalar_str(s: ScalarKHat) -> str:
-    if s.b == 0:
-        return str(s.a)
-    pihat = "pihat" if s.b == 1 else f"{s.b}*pihat"
-    if s.a == 0:
-        return pihat
-    return f"{s.a} + {pihat}"
+    A, B, D = s.A, s.B, s.D
+    if not B:
+        return _ratio(A, D)
+    pihat = "pihat" if B == D else f"{_ratio(B, D)}*pihat"
+    return f"{_ratio(A, D)} + {pihat}" if A else pihat
 
 
 def _rational_str(f: FactoredRational) -> str:
@@ -132,17 +143,16 @@ def _value(x):
     if isinstance(x, FqRatFunc):
         num = _fqpoly_str(x.num)
         return num if x.den == (x.field.one(),) else f"({num})/({_fqpoly_str(x.den)})"
-    if isinstance(x, Vertex):  # the offset as the Fraction branch prints it
-        return {"level": x.m, "offset": x.n if x.d == 1 else f"{x.n}/{x.d}"}
-    if isinstance(x, Cochain):
-        items = sorted(x.values.items(), key=lambda kv: (kv[0].u, kv[0].v))
-        return [{"edge": {"parent": e.u, "child": e.v}, "value": vec} for e, vec in items]
     raise InternalInvariantError(f"cannot serialize {type(x).__name__}")
 
 
 def _dumps(x, pad: str = "\n") -> str:
     """``x`` as JSON: two-space indent, keys sorted after conversion to str,
     ASCII with \\uXXXX escapes.  ``pad`` starts each line at ``x``'s depth."""
+    if type(x) is Cochain:
+        return _cochain_json(x, pad)
+    if type(x) is Vertex:
+        return _vertex_json(x, pad)
     x, inner = _value(x), pad + "  "
     if isinstance(x, dict):
         items = {}
@@ -153,15 +163,17 @@ def _dumps(x, pad: str = "\n") -> str:
                 raise InternalInvariantError(f"cannot serialize a {type(key).__name__} key")
             items[str(name)] = val
         body = [f"{encode_basestring_ascii(k)}: {_dumps(items[k], inner)}" for k in sorted(items)]
-        return "{" + inner + ("," + inner).join(body) + pad + "}" if x else "{}"
+        return _wrap("{}", body, pad)
     if isinstance(x, (list, tuple)):
         if set(map(type, x)) == {int}:  # a bool is no int here: it prints as true/false
             body = list(map(int.__repr__, x))
         elif all(type(v) is FqElem and v.field.f == 1 for v in x):
             body = [str(v.n) for v in x]  # a prime-field code is its residue
+        elif all(type(v) is ScalarKHat for v in x):
+            body = [f'"{_scalar_str(v)}"' for v in x]  # plain ASCII, nothing to escape
         else:
             body = [_dumps(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(body) + pad + "]" if x else "[]"
+        return _wrap("[]", body, pad)
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if x is None:
@@ -169,6 +181,31 @@ def _dumps(x, pad: str = "\n") -> str:
     if type(x) is bool:
         return "true" if x else "false"
     return int.__repr__(x)
+
+
+def _wrap(brackets: str, body: list, pad: str) -> str:
+    """A JSON object or array at depth ``pad`` from its printed entries, one
+    a line."""
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(body) + pad + brackets[1] if body else brackets
+
+
+def _vertex_json(v: Vertex, pad: str) -> str:
+    """{"level", "offset"}, the offset as the ``Fraction`` branch prints it."""
+    offset = str(v.n) if v.d == 1 else f'"{v.n}/{v.d}"'
+    return _wrap("{}", [f'"level": {v.m}', f'"offset": {offset}'], pad)
+
+
+def _cochain_json(c: Cochain, pad: str) -> str:
+    """The list of {"edge": {"child", "parent"}, "value"} entries, one per
+    stored edge in edge order, as ``_dumps`` prints it, written item by item."""
+    item, edge, ends = pad + "  ", pad + "    ", pad + "      "
+    body = []
+    for e in sorted(c.values):
+        pair = ['"child": ' + _vertex_json(e.v, ends), '"parent": ' + _vertex_json(e.u, ends)]
+        entries = ['"edge": ' + _wrap("{}", pair, edge), '"value": ' + _dumps(c.values[e], edge)]
+        body.append(_wrap("{}", entries, item))
+    return _wrap("[]", body, pad)
 
 
 def _emit(payload: dict) -> None:
@@ -226,6 +263,22 @@ def _check_ball(prime: int, radius: int) -> None:
     _check_size(what, ball_size(prime, radius), "vertices", _MAX_BALL_VERTICES)
 
 
+def _exponents(ctx: click.Context, param: click.Parameter, f: str) -> str:
+    """Refuse a section whose text holds an exponent past ``_MAX_EXPONENT``,
+    or z-factors whose orders add up past it, each written factor counting at
+    least 1: read from its digits before any is converted or parsed.  Equal
+    roots add up when the factors are joined, so that sum bounds the parsed
+    section's total order."""
+    text = f.replace(" ", "")
+    for digits in re.findall(r"\^-?(\d+)", text):
+        if len(digits.lstrip("0")) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+            raise InvalidParameters(f"--f has an exponent past {_MAX_EXPONENT} in absolute value")
+    orders = re.findall(r"(?:\(z[^)]*\)|z)(?:\^-?(\d+))?", text)
+    if sum(max(1, int(e or 1)) for e in orders) > _MAX_EXPONENT:
+        raise InvalidParameters(f"--f has z-factors of total order past {_MAX_EXPONENT}")
+    return f
+
+
 def _prime(ctx: click.Context, param: click.Parameter, p: int) -> int:
     _check_prime(p)
     return p
@@ -244,9 +297,11 @@ _kmax = click.option("--kmax", type=click.IntRange(min=0), default=6)
 _radius = click.option("--radius", type=click.IntRange(0, _MAX_RADIUS), default=1)
 _seed = click.option("--seed", type=int, default=0)
 _i = click.option("--i", type=int, default=0)
-_level = click.option("--level", type=int, default=None)
+_level = click.option("--level", type=click.IntRange(-_MAX_LEVEL, _MAX_LEVEL), default=None)
 _offset = click.option("--offset", type=str, default="0")
-_f = click.option("--f", type=str, required=True, help="rational section, e.g. '1/z'")
+_f = click.option(
+    "--f", type=str, required=True, callback=_exponents, help="rational section, e.g. '1/z'"
+)
 
 
 # -- command group --------------------------------------------------------------------
@@ -375,6 +430,7 @@ def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> None:
 @_k
 def local_dims_cmd(p: int, k: int) -> None:
     """Brute-force local space dimensions against the closed forms."""
+    _check_size(f"the star at p = {p}", p + 1, "edges", _MAX_LIST)
     report = local_space_report(p, k)
     _emit({"predicted": report["predicted"], "pass": report["pass"], **report["computed"]})
 
@@ -456,7 +512,7 @@ def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> None:
     _emit(
         {
             "image": image,
-            "certificate": {**asdict(cert), "vertex": {"b": v.b, "m": v.m, "p": v.p}},
+            "certificate": {**vars(cert), "vertex": {"b": v.b, "m": v.m, "p": v.p}},
             "kernel_polynomial_dimension": kernel_dim,
             "predicted_kernel_dimension": k + 1,
             "pass": cert.passes and kernel_dim == k + 1,

@@ -23,7 +23,7 @@ from .lattices import (
     section_lattice_membership,
     star_local_kernel,
 )
-from .linalg import rank
+from .linalg import _gauss_jordan
 from .rational import FactoredRational, _root_key, principal_parts
 from .scalars import ScalarKHat, _common_denominator, _make, _vp, half
 from .symrep import sym_ints
@@ -76,8 +76,8 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
     """Residue value on the edge that gamma moves to the standard edge.
 
     The Laurent coefficient a_{-s-1} of the weight-(k + 2) transport gamma.f
-    (see ``transported_gauss_valuation``) on the standard annulus is the residue of that section times z^s over the inner
-    disc (omega(z) >= 1).  In the coordinate w of f, with gamma = (a b; c d),
+    (see ``rational.gauss_valuation``) on the standard annulus is the residue
+    of that section times z^s over the inner disc (omega(z) >= 1).  In the coordinate w of f, with gamma = (a b; c d),
     this is chi^(k+2)(gamma) det^(-k-1) times the residue of
     f(w) (a w - b)^s (d - c w)^(k-s) dw over the poles y of f whose image
     (a y - b)/(d - c y) lies in the disc; a pole with principal part
@@ -213,17 +213,12 @@ def field_kernel(tree: TruncatedTree, k: int) -> int:
 
     Dual coordinate i of a star sum involves only coordinate i of each
     edge value, so the kernel is k+1 copies of the kernel of the 0/1
-    interior-by-edge incidence matrix."""
-    zero, one = ScalarKHat.zero(tree.p), ScalarKHat.one(tree.p)
-    edges = list(tree.edges)
-    index = {e: n for n, e in enumerate(edges)}
-    rows = []
-    for v in tree.interior_vertices():
-        row = [zero] * len(edges)
-        for e in tree.edges_at(v):
-            row[index[e]] = one
-        rows.append(row)
-    return (k + 1) * (len(edges) - rank(rows, zero))
+    interior-by-edge incidence matrix.  A tree is bipartite, so that matrix
+    is totally unimodular: every minor is 0 or +-1, and its rank over the
+    field is its rank over F_p, taken on sparse int rows."""
+    index = {e: n for n, e in enumerate(tree.edges)}
+    rows = [{index[e]: 1 for e in tree.edges_at(v)} for v in tree.interior_vertices()]
+    return (k + 1) * (len(index) - len(_gauss_jordan(rows, tree.p)[1]))
 
 
 def star_local_kernels(tree: TruncatedTree, k: int) -> dict:

@@ -32,8 +32,8 @@ from operator import mul
 
 from .errors import NegativeValuation, ZeroFunction
 from .linalg import rank, rref, smith_over_dvr
-from .rational import FactoredRational, transported_gauss_valuation
-from .scalars import INF, Fq, _common_denominator, _times_pihat, _vp, half
+from .rational import FactoredRational, gauss_valuation
+from .scalars import INF, Fq, _common_denominator, _times_pihat, _twice_valuation, _vp, half
 from .symrep import sym_ints
 from .tree import (
     Edge,
@@ -105,9 +105,7 @@ def lattice_contains_vector(l: Lattice, vec: list) -> bool:
     a, b, common = _common_denominator(vec)
     shift = 2 * (_vp(num, p) - _vp(den * common, p)) + e
     for col, s in zip(zip(*m), l.scale):
-        sa, sb = sum(map(mul, col, a)), sum(map(mul, col, b))
-        twice = min(2 * _vp(sa, p) if sa else INF, 2 * _vp(sb, p) + 1 if sb else INF)
-        if twice + shift < s:
+        if _twice_valuation(sum(map(mul, col, a)), sum(map(mul, col, b)), p) + shift < s:
             return False
     return True
 
@@ -221,5 +219,5 @@ def section_lattice_membership(f: FactoredRational, k: int, v: Vertex) -> tuple[
     certificate is the doubled transported Gauss valuation."""
     if f.is_zero():
         raise ZeroFunction("membership is only defined for nonzero sections")
-    val = transported_gauss_valuation(f, vertex_transporter(v).inv(), k)
+    val = gauss_valuation(f, v, k)
     return val >= 0, val

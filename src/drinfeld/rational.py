@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
+from operator import mul
 from typing import Iterable
 
 from . import poly
 from .errors import InvalidParameters, ZeroFunction
-from .scalars import INF, ScalarKHat, _vp
-from .symrep import chi
-from .tree import Mat2, Vertex, vertex_transporter
+from .scalars import ScalarKHat, _common_denominator, _twice_valuation, _vp
+from .tree import Vertex, _level_and_offset
 
 # -- factored rational functions --------------------------------------------------
 
@@ -238,39 +239,39 @@ class FactoredRational:
 # -- tube valuations -----------------------------------------------------------------
 
 
-def transported_gauss_valuation(f: FactoredRational, g: Mat2, k: int) -> int | float:
-    """Doubled valuation 2*omega on the unit circle of the coordinate (the
-    base-vertex tube) of the weight-k transport
-    g.f = chi^k(g) (a + c z)^(-k) f((b + d z)/(a + c z)), without building
-    the transported section.
+def gauss_valuation(f: FactoredRational, v: Vertex, k: int = 0) -> int:
+    """Doubled valuation 2*omega, on the base-vertex tube, of the weight-k
+    transport g.f = chi^k(g) (a + c z)^(-k) f((b + d z)/(a + c z)) by the
+    inverse g of v's transporter, read from ints; at k = 0 that is the
+    Gauss valuation of f on the tube of v.
 
     The Gauss valuation is multiplicative (Gauss's lemma), so it is read factor
-    by factor: with m = min(omega(a), omega(c)), a factor (w - y) becomes
-    ((b - a y) + (d - c y) z) / (a + c z), extra becomes its homogenisation
-    sum e_i (b + d z)^i (a + c z)^(n - i) over (a + c z)^n, and the automorphy
-    factor chi^k(g) (a + c z)^(-k) contributes k omega(chi(g)) - k m.
-    """
-    if f.is_zero():
-        return INF
-    p = f.p
-    a, b, c, d = g.lift(p)
-    degree = len(f.extra) - 1
-    total = chi(g, p, k).valuation() + f.lead.valuation()
-    for root, mult in f.factors:
-        degree += mult
-        total += mult * min((d - c * root).valuation(), (b - a * root).valuation())
-    if len(f.extra) > 1:
-        moved = poly.homogenise(f.extra, (b, d), (a, c), ScalarKHat.zero(p), ScalarKHat.one(p))
-        total += min(x.valuation() for x in moved)
-    return total - (k + degree) * min(a.valuation(), c.valuation())
-
-
-def gauss_valuation(f: FactoredRational, v: Vertex) -> int:
-    """Doubled valuation 2*omega of f on the tube of vertex v (weight-0
-    transport, then the base-circle valuation)."""
+    by factor.  With (L, O, C) from ``_level_and_offset``, g = (a b; c d) =
+    [[L, 0], [O, C]] / L, so chi^k(g) has doubled valuation -k m and
+    min(omega(a), omega(c)) is min(0, omega(O/L)); a factor (z - y), y =
+    (A + B pihat)/D, becomes ((b - a y) + (d - c y) z) / (a + c z), with
+    min(omega(d - c y), omega(y)) and d - c y = (C D - O A - O B pihat)/(L D);
+    extra, of degree n, becomes sum e_i C^i z^i (L + O z)^(n - i) / L^n over
+    (a + c z)^n; and (a + c z)^(-k) gives -k min(omega(a), omega(c))."""
     if f.is_zero():
         raise ZeroFunction("the zero function has no Gauss valuation")
-    return transported_gauss_valuation(f, vertex_transporter(v).inv(), 0)
+    p = v.p
+    L, O, C = _level_and_offset(v)
+    vl = _vp(L, p)
+    val = f.lead.valuation() - k * v.m
+    n = degree = len(f.extra) - 1
+    for root, mult in f.factors:
+        moved = _twice_valuation(C * root.D - O * root.A, O * root.B, p) - 2 * (vl + _vp(root.D, p))
+        val += mult * min(moved, root.valuation())
+        degree += mult
+    if n:
+        a, b, den = _common_denominator(f.extra)
+        coeffs = []
+        for j in range(n + 1):
+            terms = [C**i * comb(n - i, j - i) * O ** (j - i) * L ** (n - j) for i in range(j + 1)]
+            coeffs.append(_twice_valuation(sum(map(mul, terms, a)), sum(map(mul, terms, b)), p))
+        val += min(coeffs) - 2 * (_vp(den, p) + n * vl)
+    return val - (k + degree) * (min(0, 2 * (_vp(O, p) - vl)) if O else 0)
 
 
 def tube_coordinate_level(v: Vertex) -> int:
@@ -342,6 +343,8 @@ def _literal(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise InvalidParameters(f"zero denominator in {text!r}") from None
+    except ValueError:  # more digits than int() converts
+        raise InvalidParameters(f"a literal of {len(text)} characters is too long") from None
 
 
 def _parse_root(inner: str, p: int) -> ScalarKHat:

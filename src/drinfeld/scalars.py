@@ -16,17 +16,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Union
 
-from .errors import InvalidParameters, ResidueFieldMismatch
+from .errors import InternalInvariantError, InvalidParameters, ResidueFieldMismatch
 
 INF = math.inf
 
 RationalLike = Union[int, Fraction]
-
-
-def _smallest_factor(n: int) -> int:
-    """The least divisor d >= 2 of an int n >= 2, by trial division up to
-    its integer square root."""
-    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
 
 
 # Miller-Rabin with the first 13 primes as bases decides every n below the
@@ -49,6 +43,58 @@ def _is_prime(n: int) -> bool:
         if powers[0] != 1 and n - 1 not in powers:
             return False
     return True
+
+
+def _rho_factor(n: int) -> int:
+    """A factor 1 < f < n of an odd composite n, by Pollard's rho with
+    Brent's cycle finding: the walk x -> x^2 + c mod n from 2, for c = 1,
+    2, ... until one splits n, with the differences multiplied in batches of
+    128 between gcds."""
+    for c in range(1, n):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for start in range(0, r, 128):
+                saved = y
+                for _ in range(min(128, r - start)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = math.gcd(acc, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: step it again one difference at a time
+            y, g = saved, 1
+            while g == 1:
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+        if g != n:
+            return g
+    raise InternalInvariantError(f"{n} is not an odd composite")  # pragma: no cover
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The prime factors of an int n >= 1: trial division below 2^10, then
+    ``_rho_factor`` on what is left, until ``_is_prime`` accepts each part."""
+    found = set()
+    for d in range(2, 1 << 10):
+        if d * d > n:
+            break
+        if not n % d:
+            found.add(d)
+            while not n % d:
+                n //= d
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if _is_prime(m):
+            found.add(m)
+        else:
+            f = _rho_factor(m)
+            parts += [f, m // f]
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -328,6 +374,11 @@ def _common_denominator(vec: list) -> tuple[list[int], list[int], int]:
     return [x.A * (L // x.D) for x in vec], [x.B * (L // x.D) for x in vec], L
 
 
+def _twice_valuation(a: int, b: int, p: int) -> int | float:
+    """The doubled valuation of a + b*pihat for ints a and b; INF for 0."""
+    return min(2 * _vp(a, p) if a else INF, 2 * _vp(b, p) + 1 if b else INF)
+
+
 # -- finite fields -----------------------------------------------------------
 
 
@@ -464,14 +515,8 @@ class FiniteField:
     @cached_property
     def _primitive(self) -> int:
         """Code of the first element, in ``elements`` order, of order q-1."""
-        n = rest = self.q - 1
-        primes = []
-        while rest > 1:
-            # a prime cofactor ends the trial division
-            prime = rest < _PRIME_BOUND and _is_prime(rest)
-            primes.append(rest if prime else _smallest_factor(rest))
-            while rest % primes[-1] == 0:
-                rest //= primes[-1]
+        n = self.q - 1
+        primes = _prime_factors(n)
         return next(
             c for c in range(1, self.q) if all(self._slow_pow(c, n // r) != 1 for r in primes)
         )

@@ -16,7 +16,6 @@ from typing import Callable, TypeVar
 from . import poly
 from .errors import InvalidParameters, NonInvertibleDeterminant
 from .linalg import Matrix, transpose
-from .scalars import ScalarKHat
 from .tree import Mat2
 
 T = TypeVar("T")
@@ -44,13 +43,6 @@ def substitution_matrix(
         col = poly.mul(left[i], right[k - i], zero)
         cols.append(list(col) + [zero] * (k + 1 - len(col)))
     return transpose(cols)  # rows indexed by monomial, columns by source index
-
-
-def chi(g: Mat2, p: int, exponent: int = 1) -> ScalarKHat:
-    """The uniformizer character: pihat^(exponent * val(det g))."""
-    if g.A * g.D == g.B * g.C:
-        raise NonInvertibleDeterminant("determinant is zero")
-    return ScalarKHat.pihat(p, exponent * g.omega_det(p))
 
 
 def sym_ints(g: Mat2, k: int, p: int) -> tuple[Matrix, int, int, int]:

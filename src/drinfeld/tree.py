@@ -292,15 +292,32 @@ def vertex_parity(v: Vertex) -> int:
 # -- edges ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Edge:
-    """Unordered adjacent pair, stored parent-end first (smaller level)."""
+    """Unordered adjacent pair, stored parent-end first (smaller level).
+    Ordered, compared and hashed as the pair (u, v), its hash taken once at
+    construction; immutable by convention, as ``Vertex`` is."""
 
-    u: Vertex
-    v: Vertex
+    __slots__ = ("u", "v", "_hash")
+
+    def __init__(self, u: Vertex, v: Vertex) -> None:
+        self.u, self.v, self._hash = u, v, hash((u, v))
 
     def __repr__(self) -> str:
         return f"E[{self.u},{self.v}]"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Edge:
+            return NotImplemented
+        return self.u == other.u and self.v == other.v
+
+    def __lt__(self, other: "Edge") -> bool:
+        if other.__class__ is not Edge:
+            return NotImplemented
+        return (self.u, self.v) < (other.u, other.v)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def make_edge(x: Vertex, y: Vertex) -> Edge:

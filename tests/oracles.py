@@ -12,11 +12,12 @@ import math
 from math import comb
 
 from drinfeld import modp, poly
-from drinfeld.cli import _fqpoly_str, _rational_str, _scalar_str
+from drinfeld.cli import _fqpoly_str, _rational_str
 from drinfeld.errors import (
     InternalInvariantError,
     InvalidParameters,
     NegativeValuation,
+    NonInvertibleDeterminant,
     PoleInsideAnnulus,
     ResidueFieldMismatch,
     SingularMatrix,
@@ -32,9 +33,13 @@ from drinfeld.modp import (
     component_degree,
     symgeom_parameters,
 )
-from drinfeld.rational import FactoredRational, gauss_valuation, principal_parts
+from drinfeld.rational import (
+    FactoredRational,
+    gauss_valuation,
+    principal_parts,
+)
 from drinfeld.scalars import INF, FiniteField, Fq, FqElem, ScalarKHat, _check_prime, half
-from drinfeld.symrep import chi, substitution_matrix
+from drinfeld.symrep import substitution_matrix
 from drinfeld.theta import theta
 from drinfeld.tree import (
     Edge,
@@ -47,7 +52,18 @@ from drinfeld.tree import (
     make_vertex,
     parent_endpoint,
     truncated_tree,
+    vertex_transporter,
 )
+
+
+# -- integer factoring ---------------------------------------------------------------
+
+
+def smallest_factor(n: int) -> int:
+    """The least divisor d >= 2 of an int n >= 2, by trial division up to
+    its integer square root: what ``scalars._prime_factors`` replaced."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
 
 # -- scalars, matrices and vertex labels on Fractions --------------------------------
 #
@@ -319,6 +335,54 @@ def fraction_make_edge(x: Vertex, y: Vertex) -> Edge:
     return Edge(x, y) if (x.m, x.b) < (y.m, y.b) else Edge(y, x)
 
 
+@dataclass(frozen=True, order=True)
+class FrozenEdge:
+    """``tree.Edge`` as the frozen dataclass it was: ordered, compared and
+    hashed as the pair (u, v)."""
+
+    u: Vertex
+    v: Vertex
+
+
+# -- the per-vertex and per-edge passes on scalars -------------------------------------
+#
+# What the kernel rank, the vertex membership and the scalar printer were
+# before they read the ball's ints.
+
+
+def dense_field_kernel(tree: TruncatedTree, k: int) -> int:
+    """``harmonic.field_kernel`` by the rank over K-hat of the dense 0/1
+    interior-by-edge incidence matrix of ``ScalarKHat``s."""
+    zero, one = ScalarKHat.zero(tree.p), ScalarKHat.one(tree.p)
+    edges = list(tree.edges)
+    index = {e: n for n, e in enumerate(edges)}
+    rows = []
+    for v in tree.interior_vertices():
+        row = [zero] * len(edges)
+        for e in tree.edges_at(v):
+            row[index[e]] = one
+        rows.append(row)
+    return (k + 1) * (len(edges) - len(rref(rows, zero)[1]))
+
+
+def membership_by_transport(f: FactoredRational, k: int, v: Vertex) -> tuple[bool, int]:
+    """``lattices.section_lattice_membership`` through the transporter's
+    inverse and the Gauss valuation over K-hat, which is also
+    ``rational.gauss_valuation(f, v, k)``."""
+    val = transported_gauss_valuation(f, vertex_transporter(v).inv(), k)
+    return val >= 0, val
+
+
+def fraction_scalar_str(s: ScalarKHat) -> str:
+    """``cli._scalar_str`` from the ``Fraction`` components."""
+    if s.b == 0:
+        return str(s.a)
+    pihat = "pihat" if s.b == 1 else f"{s.b}*pihat"
+    if s.a == 0:
+        return pihat
+    return f"{s.a} + {pihat}"
+
+
 # -- the module actions and reduction over the quadratic extension --------------------
 #
 # The program holds the symmetric-power action as ints (``symrep.sym_ints``)
@@ -573,6 +637,41 @@ def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
         else:
             lead = lead * D**denom_exp
     return FactoredRational(p, lead, factors, extra)._refactored()
+
+
+def chi(g: Mat2, p: int, exponent: int = 1) -> ScalarKHat:
+    """The uniformizer character: pihat^(exponent * val(det g))."""
+    if g.A * g.D == g.B * g.C:
+        raise NonInvertibleDeterminant("determinant is zero")
+    return ScalarKHat.pihat(p, exponent * g.omega_det(p))
+
+
+def transported_gauss_valuation(f: FactoredRational, g: Mat2, k: int) -> int | float:
+    """Doubled valuation 2*omega on the unit circle of the coordinate (the
+    base-vertex tube) of the weight-k transport
+    g.f = chi^k(g) (a + c z)^(-k) f((b + d z)/(a + c z)), without building
+    the transported section, for any invertible g over K-hat: what
+    ``rational.gauss_valuation`` reads from a vertex's ints.
+
+    The Gauss valuation is multiplicative (Gauss's lemma), so it is read factor
+    by factor: with m = min(omega(a), omega(c)), a factor (w - y) becomes
+    ((b - a y) + (d - c y) z) / (a + c z), extra becomes its homogenisation
+    sum e_i (b + d z)^i (a + c z)^(n - i) over (a + c z)^n, and the automorphy
+    factor chi^k(g) (a + c z)^(-k) contributes k omega(chi(g)) - k m.
+    """
+    if f.is_zero():
+        return INF
+    p = f.p
+    a, b, c, d = g.lift(p)
+    degree = len(f.extra) - 1
+    total = chi(g, p, k).valuation() + f.lead.valuation()
+    for root, mult in f.factors:
+        degree += mult
+        total += mult * min((d - c * root).valuation(), (b - a * root).valuation())
+    if len(f.extra) > 1:
+        moved = poly.homogenise(f.extra, (b, d), (a, c), ScalarKHat.zero(p), ScalarKHat.one(p))
+        total += min(x.valuation() for x in moved)
+    return total - (k + degree) * min(a.valuation(), c.valuation())
 
 
 def automorphic_act(g: Mat2, f: FactoredRational, k: int) -> FactoredRational:
@@ -939,7 +1038,7 @@ def _jsonable(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, ScalarKHat):
-        return _scalar_str(x)
+        return fraction_scalar_str(x)
     if isinstance(x, FactoredRational):
         return _rational_str(x)
     if isinstance(x, FqRatFunc):

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -24,10 +25,12 @@ from hypothesis import strategies as st
 from drinfeld import cli as cli_module
 from drinfeld.cli import cli
 from drinfeld.errors import InternalInvariantError
+from drinfeld.harmonic import Cochain, res0
 from drinfeld.modp import FqRatFunc, gl2_generators, sym_matrix_fq, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
-from drinfeld.tree import make_vertex
-from oracles import emit_oracle, mat_vec, quotient_reduce
+from drinfeld.rational import parse_rational
+from drinfeld.tree import make_vertex, truncated_tree
+from oracles import emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -318,6 +321,13 @@ class TestAnsweredAtOnce:
             (("modp", "degrees", "--q", _Q2, "--k", "2"), 0),
             (("modp", "symgeom-check", "--q", _Q, "--k", "0", "--i", "0"), 0),
             (("modp", "symgeom-check", "--q", _Q2, "--k", "0", "--i", "0"), 2),
+            # q - 1 = 2 * 100000000003 * 100000000283, split by Pollard's rho
+            (("modp", "symgeom-check", "--q", "20000000057200000001699", "--k", "0", "--i", "0"), 0),
+            (("residue", "--p", "2", "--k", "0", "--f", "1/z^99999999", "--radius", "1"), 2),
+            # equal roots add up to (z - 1/3)^-1000 when the factors are joined
+            (("residue", "--p", "3", "--k", "2", "--f", "*".join(["(z-1/3)^-100"] * 10), "--radius", "3"), 2),
+            (("lattice", "--p", "2", "--k", "1", "--level", "99999999", "--offset", "0"), 2),
+            (("local-dims", "--p", "1000003", "--k", "2"), 2),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x),
     )
@@ -349,6 +359,9 @@ class TestInProcessExitCodes:
             ("residue", "--p", "2", "--k", "0", "--f", "(z-1/0)", "--radius", "1"),
             ("residue", "--p", "2", "--k", "0", "--f", "z/0", "--radius", "1"),
             ("theta", "--p", "2", "--k", "1", "--f", "1/0", "--level", "1"),
+            # more digits than int() converts, in a literal and in an exponent
+            ("residue", "--p", "2", "--k", "0", "--f", "9" * 5000 + "/z", "--radius", "1"),
+            ("theta", "--p", "2", "--k", "0", "--f", "z^-" + "9" * 5000, "--level", "1"),
             # beyond the bound below which primality is decided
             ("local-dims", "--p", str(10**400 + 1)),
             ("modp", "degrees", "--q", str(10**400 + 1)),
@@ -590,12 +603,18 @@ class TestExitCodeFuzz:
             )
 
 
-def _benchmark_jobs() -> list[list[str]]:
-    """Every job of the three benchmark lists at seed 1."""
+def _workloads():
+    """``perfbench/workloads.py``, imported from its file."""
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _benchmark_jobs() -> list[list[str]]:
+    """Every job of the three benchmark lists at seed 1."""
+    workloads = _workloads()
     return [job for name in workloads.WORKLOADS for job in workloads.job_list(name, 1)]
 
 
@@ -668,6 +687,103 @@ class TestListBudget:
         for args in budgeted:
             result = CliRunner().invoke(cli, args)
             assert isinstance(result.exception, Reached), (args, result.output)
+
+
+class TestCostLimits:
+    """``residue`` and ``theta`` refuse an exponent past ``_MAX_EXPONENT`` in
+    ``--f``, or z-factors whose orders add up past it, ``lattice`` and
+    ``theta`` a level past ``_MAX_LEVEL``, and ``local-dims`` a star of more
+    than ``_MAX_LIST`` edges, each read in closed form before any work."""
+
+    WORK = {
+        "residue": "parse_rational",
+        "theta": "parse_rational",
+        "lattice": "vertex_lattice_profile",
+        "local-dims": "local_space_report",
+    }
+    PROBES = [
+        ("residue", "--p", "2", "--k", "0", "--f", "1/z^99999999", "--radius", "1"),
+        ("residue", "--p", "3", "--k", "1", "--f", "(z-1)^-101", "--radius", "1"),
+        ("residue", "--p", "2", "--k", "0", "--f", "p^0000101/z", "--radius", "1"),
+        ("theta", "--p", "2", "--k", "0", "--f", "(z-pihat^-200)^-1", "--level", "1"),
+        ("theta", "--p", "2", "--k", "0", "--f", "1/z", "--level", "-101"),
+        ("lattice", "--p", "2", "--k", "1", "--level", "99999999", "--offset", "0"),
+        ("local-dims", "--p", "1009", "--k", "2"),
+        ("residue", "--p", "3", "--k", "2", "--f", "*".join(["(z-1/3)^-100"] * 10), "--radius", "3"),
+        ("residue", "--p", "3", "--k", "2", "--f", "1" + "/(z-1/3)^100" * 2, "--radius", "1"),
+        ("theta", "--p", "3", "--k", "0", "--f", "z^-60*(z-1)^0041", "--level", "1"),
+        ("theta", "--p", "3", "--k", "0", "--f", "(z-1)^0*" * 101 + "z", "--level", "1"),
+        ("residue", "--p", "3", "--k", "0", "--f", "*".join(f"(z-{i})" for i in range(1000)), "--radius", "1"),
+    ]
+
+    def _patch(self, monkeypatch, action):
+        for name in set(self.WORK.values()):
+            monkeypatch.setattr(cli_module, name, action)
+
+    @pytest.mark.parametrize("args", PROBES, ids=lambda args: " ".join(args)[:80])
+    def test_a_costly_input_is_refused(self, args, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the command's work began")
+
+        self._patch(monkeypatch, refuse)
+        result = CliRunner().invoke(cli, list(args))
+        assert result.exit_code == 2, (args, result.output)
+        message = result.stderr.strip()
+        assert "\n" not in message and message.startswith("invalid parameters:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("residue", "--p", "2", "--k", "0", "--f", "(z-1)^-100", "--radius", "1"),
+            ("residue", "--p", "2", "--k", "0", "--f", "z^-50*(z-1)^0050", "--radius", "1"),
+            ("theta", "--p", "3", "--k", "0", "--f", "(z-1)^0*" * 99 + "z", "--level", "1"),
+            ("theta", "--p", "2", "--k", "0", "--f", "1/z", "--level", "100"),
+            ("lattice", "--p", "2", "--k", "1", "--level", "-100", "--offset", "0"),
+            ("local-dims", "--p", "997", "--k", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_the_limits_themselves_run(self, args):
+        assert CliRunner().invoke(cli, list(args)).exit_code == 0
+
+    def test_every_shown_and_benchmarked_invocation_passes_the_check(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*_):
+            raise Reached
+
+        self._patch(monkeypatch, reached)
+        invocations = [list(args) for args, _, _ in TestGoldenStdout.GOLDEN]
+        invocations += _readme_examples() + _benchmark_jobs()
+        limited = [args for args in invocations if args[0] in self.WORK]
+        assert {args[0] for args in limited} == set(self.WORK) and len(limited) > 250
+        for args in limited:
+            result = CliRunner().invoke(cli, args)
+            assert isinstance(result.exception, Reached), (args, result.output)
+
+
+class TestListDigests:
+    """The stdout of every job of each benchmark list at seed 1, pinned by
+    one sha256 over the (argv, exit code, stdout) of its jobs in run order,
+    run in-process.  A change that alters a payload on purpose updates these
+    digests and says so."""
+
+    DIGESTS = {
+        "local-lattices": "b8ecfedfad6d60734f2dd647fda56173ca043c163f13d5de88865b9bfbf60a98",
+        "tree-cochains": "90e2f57f284de2491437da07d0eb3046f8a361e2382e16d80afc8e345bd33593",
+        "residue-field": "3cef6da0eeb4a26ecf4b64c21b78cb8cd5edf279217cf8a2e8a01ae8b12fb353",
+    }
+
+    @pytest.mark.parametrize("workload", sorted(DIGESTS))
+    def test_list_digest_at_seed_one(self, workload):
+        digest = hashlib.sha256()
+        jobs = _workloads().job_list(workload, 1)
+        for job in jobs:
+            result = CliRunner().invoke(cli, job)
+            digest.update(json.dumps([job, result.exit_code, result.stdout]).encode())
+        assert len(jobs) > 90
+        assert digest.hexdigest() == self.DIGESTS[workload]
 
 
 class TestResidueFieldReach:
@@ -816,6 +932,13 @@ class TestGoldenStdout:
          "4822f1f6dd8c6431781adbf228190773d6b6ed5425569ca1fe5d330979080411"),
         (("modp", "sections", "--q", "2", "--k", "6", "--radius", "3"), 0,
          "072afa68cb132526fc6b18286c1eb95acab203e54dd970da4ff0a9547072dae5"),
+        # the incidence rank mod p on 364 edges, and the int vertex membership
+        # and cochain writer on a pole shifted by pihat p^3 and a pihat lead
+        (("harmonic", "--p", "3", "--k", "2", "--radius", "5"), 0,
+         "99c32fd15d45b3ea335f5f11e92a518e6c5c3d1191e8a578ae6e6bd4882a3a59"),
+        (("residue", "--p", "2", "--k", "1", "--f", "pihat*(z-1-p^3*pihat)^-2*(z-3)^-1",
+          "--radius", "3"), 0,
+         "99274e2c6917f7fc8e2acde51dd1f93eb3987660a9066a52d21866e0e595aa5f"),
     ]
 
     @pytest.mark.parametrize("args,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
@@ -946,3 +1069,46 @@ class TestJsonWriter:
     def test_field_element_keys_match_the_oracle(self):
         payload = {_F4.elem((0, 1)): 1, _F3.one(): 2}
         assert cli_module._dumps(payload) == emit_oracle(payload)
+
+
+class TestCochainWriter:
+    """``_scalar_str`` prints from the ints A, B and D, a list of scalars
+    prints in one pass and a ``Cochain`` item by item; the ``Fraction``
+    printer and the generic two-pass writer are their oracles."""
+
+    @given(a=_FRACTIONS, b=_FRACTIONS, big=st.integers(-(2**70), 2**70))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_text_matches_the_fraction_printer(self, a, b, big):
+        for s in (ScalarKHat(3, a, b), ScalarKHat(2, Fraction(big, 7), a), ScalarKHat(5, 0, b)):
+            assert cli_module._scalar_str(s) == fraction_scalar_str(s)
+            assert cli_module._dumps([s, -s]) == emit_oracle([s, -s])
+
+    @pytest.mark.parametrize(
+        "p,k,text,radius",
+        [
+            (2, 0, "1/z", 3),
+            (3, 2, "pihat/z", 2),
+            (2, 1, "pihat*(z-1-p^3*pihat)^-2*(z-3)^-1", 3),
+            (3, 1, "(z-1)^-1*(z-1/3)^2*z^-2", 2),
+            (5, 3, "-7/4*z^-3*(z-5)^2", 2),
+            (2, 2, "1", 2),  # no pole: an empty support
+        ],
+    )
+    def test_residue_cochains_match_the_generic_writer(self, p, k, text, radius):
+        c = res0(parse_rational(text, p), k, truncated_tree(p, radius))
+        assert cli_module._dumps(c) == emit_oracle(c)
+        payload = {"cochain": c, "support_size": len(c.support())}
+        assert cli_module._dumps(payload) == emit_oracle(payload)
+
+    @given(seed=st.integers(0, 10**6), p=st.sampled_from([2, 3, 5]), k=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_cochains_match_the_generic_writer(self, seed, p, k):
+        rng = random.Random(seed)
+        edges = truncated_tree(p, 2).edges
+        values = {
+            e: [ScalarKHat(p, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-2, 2))
+                for _ in range(k + 1)]
+            for e in rng.sample(edges, rng.randint(0, len(edges)))
+        }
+        c = Cochain(p, k, values)
+        assert cli_module._dumps({"a": [c]}) == emit_oracle({"a": [c]})

@@ -41,6 +41,7 @@ from oracles import (
     automorphic_act,
     basis_contains_vector,
     cochain_value,
+    dense_field_kernel,
     dual_act,
     lattice_basis,
     laurent_standard,
@@ -531,6 +532,18 @@ class TestKernelDimensions:
         t = truncated_tree(p, radius)
         for k in range(4):
             assert field_kernel(t, k) == _reference_field_kernel(t, k)
+
+    @pytest.mark.parametrize(
+        "p, radius",
+        [(p, r) for p in (2, 3, 5, 7) for r in range(5)] + [(2, 5), (2, 6)],
+    )
+    def test_incidence_rank_mod_p_equals_the_dense_rank(self, p, radius):
+        """The rank over F_p of the sparse int rows is the rank over K-hat
+        of the dense ones: the incidence matrix of a tree is totally
+        unimodular."""
+        t = truncated_tree(p, radius)
+        k = radius % 3
+        assert field_kernel(t, k) == dense_field_kernel(t, k)
 
     def test_mod_pihat_kernel_shape(self):
         # the star rows in edge-lattice coordinates are the incidence rows

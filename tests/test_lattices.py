@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import scalars
 from drinfeld.errors import InvalidParameters, NegativeValuation
@@ -60,6 +62,7 @@ from oracles import (
     lattice_intersection,
     lattice_sum,
     laurent_standard,
+    membership_by_transport,
     reduced_column_space,
     transition_d_space_basis,
     transition_e_space_basis,
@@ -629,6 +632,57 @@ class TestSectionMembership:
                 assert before == after, (p, k, str(g), str(v))
                 checked += 1
             assert checked >= 8
+
+
+def _membership_sections(p: int) -> list:
+    """Sections whose roots sit at 0, units, p-powers, pihat and pihat-shifted
+    points, with poles and zeros of order up to 3 and p-power or pihat leads,
+    and derivatives and sums of them, whose extra is not 1."""
+    lift = lambda x: ScalarKHat.from_rational(Fraction(x), p)
+    pihat = ScalarKHat.pihat(p)
+    roots = [lift(0), lift(1), lift(p), lift(Fraction(1, p)), lift(p * p + 1), pihat,
+             lift(1) + pihat, pihat * p, lift(Fraction(3, p**2)) + pihat * p**3]
+    leads = [lift(1), lift(p**3), lift(Fraction(1, p**2)), pihat, ScalarKHat.pihat(p, -3)]
+    rng = random.Random(7 * p)
+    sections = []
+    for lead in leads:
+        for _ in range(3):
+            factors = [(rng.choice(roots), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(3)]
+            sections.append(FactoredRational(p, lead, factors))
+    sections += [f.derivative() for f in sections[::3]]
+    sections += [f + g for f, g in zip(sections[::4], sections[1::4])]
+    return [f for f in sections if not f.is_zero()]
+
+
+class TestIntegerMembership:
+    """``section_lattice_membership`` reads the transported Gauss valuation
+    from the vertex's ints; the transport over K-hat is its oracle."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_vertex_of_the_radius_three_ball(self, p):
+        sections = _membership_sections(p)
+        assert any(len(f.extra) > 1 for f in sections)
+        seen = set()
+        for v in truncated_tree(p, 3).vertices:
+            for k in range(3):
+                for f in sections:
+                    got = section_lattice_membership(f, k, v)
+                    assert got == membership_by_transport(f, k, v), (p, k, v, f)
+                    seen.add(got[0])
+        assert seen == {True, False}
+
+    @given(
+        seed=st.integers(0, 10**6),
+        p=st.sampled_from([2, 3, 5, 7]),
+        k=st.integers(0, 6),
+        level=st.integers(-4, 4),
+        digits=st.integers(0, 10**4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_sections_and_vertices(self, seed, p, k, level, digits):
+        f = random_rational(random.Random(seed), p)
+        v = make_vertex(p, level, Fraction(digits % p**4, p ** (digits % 3)))
+        assert section_lattice_membership(f, k, v) == membership_by_transport(f, k, v)
 
 
 class TestProductModules:

@@ -29,7 +29,7 @@ from drinfeld.modp import (
     symgeom_parameters,
     weight_action_p1,
 )
-from drinfeld.rational import FactoredRational, parse_rational, transported_gauss_valuation
+from drinfeld.rational import FactoredRational, parse_rational
 from drinfeld.scalars import Fq, ScalarKHat, half
 from drinfeld.tree import (
     Vertex,
@@ -50,6 +50,7 @@ from oracles import (
     stable_lines_by_eigenvalues,
     stable_lines_by_scan,
     symgeom_equivariance_by_columns,
+    transported_gauss_valuation,
 )
 
 

@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld.errors import PoleInsideAnnulus, ZeroFunction
-from drinfeld.rational import (
-    FactoredRational,
-    gauss_valuation,
-    parse_rational,
-    transported_gauss_valuation,
-)
+from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational
 from drinfeld.scalars import ScalarKHat
 from drinfeld.theta import theta
 from drinfeld.tree import Mat2, make_vertex, vertex_transporter
@@ -27,6 +22,7 @@ from oracles import (
     poly_evaluate,
     raw_gauss_valuation,
     reduce_mod_pihat,
+    transported_gauss_valuation,
 )
 from sampling import gamma_level, random_group_element, random_rational, random_vertex, weyl_flip
 

@@ -18,7 +18,8 @@ from drinfeld.scalars import (
     ScalarKHat,
     _is_prime,
     _PRIME_BOUND,
-    _smallest_factor,
+    _prime_factors,
+    _rho_factor,
     _vp,
     half,
     val_p,
@@ -29,6 +30,7 @@ from oracles import (
     fraction_valuation,
     is_integral,
     reduce_mod_pihat,
+    smallest_factor,
 )
 
 
@@ -218,7 +220,35 @@ class TestBoundaryChecks:
 class TestPrimality:
     def test_agrees_with_trial_division_below_ten_to_the_five(self):
         for n in range(-3, 10**5):
-            assert _is_prime(n) == (n >= 2 and _smallest_factor(n) == n), n
+            assert _is_prime(n) == (n >= 2 and smallest_factor(n) == n), n
+
+    def test_prime_factors_agree_with_trial_division_below_ten_to_the_five(self):
+        for n in range(1, 10**5):
+            want, rest = set(), n
+            while rest > 1:
+                d = smallest_factor(rest)
+                want.add(d)
+                rest //= d
+            assert _prime_factors(n) == want, n
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (1009, 1009),  # a square past the trial division
+            (1009, 1009, 1009, 1013),
+            (1021, 2**61 - 1),
+            (2, 100000000003, 100000000283),  # two 12-digit primes
+            (274177, 67280421310721),  # 2^64 + 1
+            (3, 3, 5, 17, 257, 641, 65537, 6700417),  # 2^64 - 1
+        ],
+    )
+    def test_prime_factors_of_products_past_trial_division(self, factors):
+        assert _prime_factors(math.prod(factors)) == set(factors)
+
+    @pytest.mark.parametrize("n", [1009 * 1013, 1009**2, 100000000003 * 100000000283, 3**2 * 1031**3])
+    def test_rho_splits_an_odd_composite(self, n):
+        f = _rho_factor(n)
+        assert 1 < f < n and n % f == 0
 
     @pytest.mark.parametrize(
         "n",
@@ -417,6 +447,14 @@ class TestFiniteFields:
         assert (field.p, field.f) == (2, 100)
         assert "modulus" not in vars(field)
         assert Fq(4).modulus == (1, 1, 1) and "modulus" in vars(Fq(4))
+
+    def test_primitive_element_with_two_large_prime_factors(self):
+        # q - 1 = 2 * 100000000003 * 100000000283: trial division would have
+        # to pass the first 12-digit factor
+        q, factors = 20000000057200000001699, (2, 100000000003, 100000000283)
+        assert math.prod(factors) == q - 1 and _is_prime(q)
+        w = Fq(q).primitive_element()
+        assert all(w ** ((q - 1) // r) != Fq(q).one() for r in factors)
 
     def test_primitive_element_at_a_large_prime(self):
         # q - 1 has a 22-digit prime cofactor, which trial division would

@@ -14,9 +14,9 @@ from drinfeld.errors import NonInvertibleDeterminant
 from drinfeld.harmonic import sigma
 from drinfeld.linalg import transpose
 from drinfeld.scalars import Fq, ScalarKHat
-from drinfeld.symrep import chi, substitution_matrix, sym_ints
+from drinfeld.symrep import substitution_matrix, sym_ints
 from drinfeld.tree import Mat2
-from oracles import dual_act, epsilon, mat_vec, sym_matrix
+from oracles import chi, dual_act, epsilon, mat_vec, sym_matrix
 from sampling import gamma_level, random_group_element
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -37,6 +38,7 @@ from drinfeld.tree import (
 )
 from oracles import (
     FractionMat2,
+    FrozenEdge,
     act_on_edge,
     fraction_act_on_vertex,
     fraction_canonical_offset,
@@ -446,3 +448,30 @@ class TestIntegerOffsets:
         Fraction(1, 3)  # the counter sees a construction
         assert len(ball.vertices) == ball_size(3, 5)
         assert built == [(1, 3)]
+
+
+class TestEdgeOracle:
+    """``Edge`` is a slotted class with a cached hash; the frozen dataclass
+    it replaced is the oracle for its order, equality and hash, so dicts
+    and sets of edges iterate as before."""
+
+    @pytest.mark.parametrize("p,radius", [(2, 3), (3, 2), (5, 1)])
+    def test_order_equality_and_hash_of_a_ball(self, p, radius):
+        edges = truncated_tree(p, radius).edges
+        frozen = [FrozenEdge(e.u, e.v) for e in edges]
+        for e, fe in zip(edges, frozen):
+            assert hash(e) == hash(fe) == hash((e.u, e.v))
+            assert repr(e) == f"E[{e.u},{e.v}]"
+        for (e1, f1), (e2, f2) in itertools.product(zip(edges, frozen), repeat=2):
+            assert (e1 < e2, e1 <= e2, e1 == e2, e1 > e2) == (f1 < f2, f1 <= f2, f1 == f2, f1 > f2)
+        assert [(e.u, e.v) for e in sorted(edges)] == [(e.u, e.v) for e in sorted(frozen)]
+        # equal hashes inserted in the same order: a set iterates as before
+        assert [(e.u, e.v) for e in set(edges)] == [(e.u, e.v) for e in set(frozen)]
+        twins = [make_edge(e.v, e.u) for e in edges]
+        assert twins == edges and [hash(e) for e in twins] == [hash(e) for e in edges]
+
+    def test_an_edge_is_no_tuple_or_dataclass(self):
+        e = standard_edge(2)
+        assert e != (e.u, e.v) and e != FrozenEdge(e.u, e.v)
+        with pytest.raises(TypeError):
+            e < (e.u, e.v)
