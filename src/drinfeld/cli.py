@@ -64,6 +64,10 @@ _MAX_LIST = 1000
 # ints of a vertex lattice grow as p^(level k).
 _MAX_EXPONENT = 100
 _MAX_LEVEL = 100
+# The most digits of each int of a parsed section's lead: a product of
+# literals, p-powers and pihat-powers has no bound of its own, and an int of
+# more than 4300 digits does not print.
+_MAX_LEAD_DIGITS = 1000
 # The most entries of an extension field's exp, log and Zech tables, q - 1 each,
 # which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
 # 2.2 s at q = 65536 (one core of a 2-vCPU Xeon).  A prime field has no tables.
@@ -279,6 +283,14 @@ def _exponents(ctx: click.Context, param: click.Parameter, f: str) -> str:
     return f
 
 
+def _section(f: str, p: int) -> FactoredRational:
+    """``--f`` parsed, refused if its lead has an int past ``_MAX_LEAD_DIGITS`` digits."""
+    g = parse_rational(f, p)
+    if max(abs(g.lead.A), abs(g.lead.B), g.lead.D) >= 10**_MAX_LEAD_DIGITS:
+        raise InvalidParameters(f"--f has a lead of more than {_MAX_LEAD_DIGITS} digits")
+    return g
+
+
 def _prime(ctx: click.Context, param: click.Parameter, p: int) -> int:
     _check_prime(p)
     return p
@@ -477,7 +489,7 @@ def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> 
     """Residue cochain of a weight-(k+2) section, with harmonicity and
     integrality reports."""
     _check_ball(p, radius)
-    g = parse_rational(f, p)
+    g = _section(f, p)
     ball = truncated_tree(p, radius)
     cochain = res0(g, k, ball, rng=random.Random(seed) if audit else None)
     star_sums = delta(cochain, ball)
@@ -504,7 +516,7 @@ def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> 
 @_offset
 def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> None:
     """(k+1)-fold derivative with an integrality certificate at a vertex."""
-    section = parse_rational(f, p)
+    section = _section(f, p)
     v = _vertex(p, level, offset)
     image = theta(section, k)
     cert = theta_integrality(section, image, k, v)

@@ -17,12 +17,7 @@ from operator import mul
 
 from . import poly
 from .errors import InternalInvariantError, PoleInsideAnnulus
-from .lattices import (
-    edge_lattice,
-    lattice_contains_vector,
-    section_lattice_membership,
-    star_local_kernel,
-)
+from .lattices import in_edge_lattice, section_lattice_membership, star_local_kernel
 from .linalg import _gauss_jordan
 from .rational import FactoredRational, _root_key, principal_parts
 from .scalars import ScalarKHat, _common_denominator, _make, _vp, half
@@ -30,6 +25,9 @@ from .symrep import sym_ints
 from .tree import (
     Mat2,
     TruncatedTree,
+    Vertex,
+    _level_and_offset,
+    child_endpoint,
     edge_transporter,
     unipotent_lower,
     vertex_parity,
@@ -132,32 +130,34 @@ def _pole_vector(y: ScalarKHat, principal: list, k: int) -> list:
     return [sum(terms(j), zero) for j in range(k + 1)]
 
 
-def _counted_poles(parts: list, gamma: Mat2, p: int) -> tuple[tuple, int]:
-    """The indices into ``parts`` of the poles summed on the edge that gamma
-    moves to the standard edge, and their sign: those in the disc
-    omega((a y - b)/(d - c y)) >= 1 with sign sigma(gamma), or, when the disc
-    holds -a/c = gamma^-1(infinity), those outside with -sigma(gamma).  A
-    rational pole n/u is inside when v_p(A n - B u) - v_p(D u - C n) >= 1,
-    and infinity when C != 0 and v_p(A) - v_p(C) >= 1; other poles keep the
-    valuation test over K-hat."""
-    A, B, C, D = gamma.A, gamma.B, gamma.C, gamma.D
-    inner, outer, in_annulus, lifted = [], [], [], None
+def _counted_poles(parts: list, v: Vertex) -> tuple[tuple, int]:
+    """The indices into ``parts`` of the poles summed on the edge whose child
+    is v, and their sign.  With (L, O, C) from ``_level_and_offset``, the
+    inverse gamma = [[L, 0], [O, C]] / L of v's transporter moves that edge to
+    the standard edge: the poles y in the disc omega(L y / (C - O y)) >= 1 count with sign
+    sigma(gamma), the parity of v_p(C) - v_p(L), or, when the disc holds
+    gamma^-1(infinity) = -L/O (O != 0 and v_p(L) - v_p(O) >= 1), those outside
+    with -sigma(gamma).  Only a pole with a pihat part is tested over K-hat."""
+    p, (L, O, C) = v.p, _level_and_offset(v)
+    inner, outer, in_annulus, c = [], [], [], None
     for i, (y, _) in enumerate(parts):
         if y.B:
-            a, b, c, d = lifted = lifted or gamma.lift(p)
-            alpha, beta = a * y - b, d - c * y
-            w = alpha.valuation() - beta.valuation()  # doubled: the annulus is 0 < w < 2
+            if c is None:
+                c, d = _make(p, O, 0, L), _make(p, C, 0, L)
+            beta = d - c * y
+            w = y.valuation() - beta.valuation()  # doubled: the annulus is 0 < w < 2
             if 0 < w < 2:
-                in_annulus.append(alpha / beta)
+                in_annulus.append(y / beta)
             inside = w >= 2
         else:
-            top, bottom = A * y.A - B * y.D, D * y.D - C * y.A
+            top, bottom = L * y.A, C * y.D - O * y.A
             inside = not top or (bottom != 0 and _vp(top, p) - _vp(bottom, p) >= 1)
         (inner if inside else outer).append(i)
     _raise_in_annulus(in_annulus)
-    if C and (not A or _vp(A, p) - _vp(C, p) >= 1):
-        return tuple(outer), -sigma(gamma, p)
-    return tuple(inner), sigma(gamma, p)
+    sign = -1 if (_vp(C, p) - _vp(L, p)) % 2 else 1
+    if O and _vp(L, p) - _vp(O, p) >= 1:
+        return tuple(outer), -sign
+    return tuple(inner), sign
 
 
 def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
@@ -172,7 +172,7 @@ def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
     vectors = [_pole_vector(y, A, k) for y, A in parts]
     zero, sums, values = ScalarKHat.zero(p), {}, {}
     for e in tree.edges:
-        key = _counted_poles(parts, edge_transporter(e).inv(), p)
+        key = _counted_poles(parts, child_endpoint(e))
         if key not in sums:
             poles, sign = key
             total = [sum(col, zero) for col in zip(*(vectors[i] for i in poles))]
@@ -197,9 +197,7 @@ def res0_integrality(
 
     Only the edges the cochain stores need a membership test: every other
     value is the zero vector, which lies in every full-rank lattice."""
-    all_in = all(
-        lattice_contains_vector(edge_lattice(e, k), vec) for e, vec in cochain.values.items()
-    )
+    all_in = all(in_edge_lattice(e, k, vec) for e, vec in cochain.values.items())
     # the zero section lies in every lattice; membership tests need f != 0
     vertex_ok = g.is_zero() or all(
         section_lattice_membership(g, k + 2, v)[0] for v in tree.vertices

@@ -18,10 +18,11 @@ is the same basis scaled by pihat^min(0, 2j-k).  Since dual_act is a
 homomorphism, the transition between two lattices is one symmetric-power
 matrix between two diagonal scalings, and membership needs no elimination.
 Each entry is an int of ``symrep.sym_ints``'s M times num/den times pihat^n,
-so valuations and residues are read from ints (only ``transition_matrix``,
-for ``relative_profile``'s Smith reduction, builds scalars).  For even k every
-n is even: the lattices are defined over Q_p.  Profiles are printed, so they
-are ``Fraction`` valuations; everything else compares doubled int valuations.
+so valuations and residues are read from ints and no scalar is built.  The
+transporters are lower triangular, so the transition at the standard edge is
+diagonal.  For even k every n is even: the lattices are defined over Q_p.
+Profiles are printed, so they are ``Fraction`` valuations; everything else
+compares doubled int valuations.
 """
 
 from __future__ import annotations
@@ -30,22 +31,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import NegativeValuation, ZeroFunction
-from .linalg import rank, rref, smith_over_dvr
+from .errors import InternalInvariantError, NegativeValuation, ZeroFunction
+from .linalg import rank, rref
 from .rational import FactoredRational, gauss_valuation
-from .scalars import INF, Fq, _common_denominator, _times_pihat, _twice_valuation, _vp, half
-from .symrep import sym_ints
+from .scalars import INF, Fq, _common_denominator, _twice_valuation, _vp, half
+from .symrep import _lower_triangular, sym_ints
 from .tree import (
     Edge,
     Mat2,
     Vertex,
+    _level_and_offset,
     child_endpoint,
     edges_at,
-    parent_endpoint,
+    make_vertex,
+    standard_edge,
+    standard_vertex,
     vertex_transporter,
 )
-
-Matrix = list  # list[list[ScalarKHat]]
 
 
 @dataclass(frozen=True)
@@ -83,44 +85,37 @@ def vertex_lattice_profile(v: Vertex, k: int) -> tuple:
     return tuple(half(min(2 * _vp(x, p) for x in row if x) + shift) for row in m)
 
 
-def transition_matrix(src: Lattice, dst: Lattice) -> Matrix:
-    """Coordinates of dst's generators in src's basis:
-    diag(pihat^-src.scale) * dual_act(src.g^-1 * dst.g) * diag(pihat^dst.scale),
-    with entries M[j][i] * (num/den) * pihat^(e + t_j - s_i) for sym(dst.g^-1 src.g)."""
-    p = src.p
-    m, num, den, e = sym_ints(dst.g.inv() @ src.g, src.k, p)
-    return [
-        [_times_pihat(p, m[j][i] * num, den, e + t - s) for j, t in enumerate(dst.scale)]
-        for i, s in enumerate(src.scale)
-    ]
-
-
-def lattice_contains_vector(l: Lattice, vec: list) -> bool:
-    """Whether vec's coordinates in l's basis are integral: coordinate j of
-    dual_act(g^-1) * vec, which is sym(g)^T * vec, has doubled valuation at
-    least scale[j].  With vec = (a + b*pihat)/L and sym(g) = M * (num/den) *
-    pihat^e, it is (num/(den L)) * pihat^e * (M^T a + pihat * M^T b)."""
-    p = l.p
-    m, num, den, e = sym_ints(l.g, l.k, p)
-    a, b, common = _common_denominator(vec)
-    shift = 2 * (_vp(num, p) - _vp(den * common, p)) + e
-    for col, s in zip(zip(*m), l.scale):
-        if _twice_valuation(sum(map(mul, col, a)), sum(map(mul, col, b)), p) + shift < s:
-            return False
-    return True
-
-
-def relative_profile(sup: Lattice, sub: Lattice) -> tuple:
-    """Ascending elementary-divisor valuations of sub relative to sup."""
-    return tuple(half(e) for e in smith_over_dvr(transition_matrix(sup, sub))[1])
-
-
 def edge_lattice_profile(e: Edge, k: int) -> tuple:
     """Elementary-divisor valuations of the edge lattice relative to the
     child-endpoint lattice, ascending: those of the parent lattice relative
-    to the child lattice, clamped below at 0."""
-    child, parent = vertex_lattice(child_endpoint(e), k), vertex_lattice(parent_endpoint(e), k)
-    return tuple(sorted(max(Fraction(0), x) for x in relative_profile(child, parent)))
+    to the child lattice, clamped below at 0.  The child's transporter moves
+    the standard edge onto e, and there the transition is sym(g^-1) for the
+    parent's transporter g: diagonal, so the divisors are its diagonal's
+    valuations.  Any other shape is a broken invariant."""
+    p = e.u.p
+    m, num, den, shift = sym_ints(vertex_transporter(make_vertex(p, -1, 0)).inv(), k, p)
+    if any((x != 0) != (i == j) for i, row in enumerate(m) for j, x in enumerate(row)):
+        raise InternalInvariantError("the transition at the standard edge is not diagonal")
+    shift += 2 * (_vp(num, p) - _vp(den, p))
+    profile = (max(Fraction(0), half(2 * _vp(row[i], p) + shift)) for i, row in enumerate(m))
+    return tuple(sorted(profile))
+
+
+def in_edge_lattice(e: Edge, k: int, vec: list) -> bool:
+    """Whether coordinate j of vec in the basis of ``edge_lattice(e, k)``,
+    sym(g)^T * vec for the child's transporter g, has doubled valuation at
+    least max(0, 2j - k).  With (L, O, C) from ``_level_and_offset``, g is
+    [[C, 0], [-O, L]] / C, so sym(g) is the lower triangular M of the ints
+    C, -O, L times L/C^(k+1) and pihat^((k+2)(v_p(C) - v_p(L)))."""
+    p, (L, O, C) = e.v.p, _level_and_offset(e.v)
+    a, b, common = _common_denominator(vec)
+    vl, vc = _vp(L, p), _vp(C, p)
+    shift = 2 * (vl - (k + 1) * vc - _vp(common, p)) + (k + 2) * (vc - vl)
+    for j, col in enumerate(zip(*_lower_triangular(C, -O, L, k))):
+        twice = _twice_valuation(sum(map(mul, col, a)), sum(map(mul, col, b)), p)
+        if twice + shift < max(0, 2 * j - k):
+            return False
+    return True
 
 
 # -- mod-uniformizer local spaces --------------------------------------------------
@@ -128,9 +123,10 @@ def edge_lattice_profile(e: Edge, k: int) -> tuple:
 
 def _local_space(src: Lattice, dst: Lattice) -> list:
     """Basis of the image of dst in src/(pihat), as coordinate vectors
-    against src's basis: the column space of the transition mod pihat.  An
-    entry (see ``transition_matrix``) of doubled valuation 0 reduces to the unit
-    part of M[j][i] * num/den mod p, a positive one to 0; a negative one raises."""
+    against src's basis: the column space mod pihat of the transition
+    M[j][i] * (num/den) * pihat^(e + t_j - s_i), for sym(dst.g^-1 src.g) =
+    M * (num/den) * pihat^e.  An entry of doubled valuation 0 reduces to the
+    unit part of M[j][i] * num/den mod p, a positive one to 0; a negative one raises."""
     p = src.p
     field = Fq(p)
     m, num, den, e = sym_ints(dst.g.inv() @ src.g, src.k, p)
@@ -193,8 +189,6 @@ def local_dimension_formulas(q: int, k: int) -> dict:
 def local_space_report(p: int, k: int) -> dict:
     """Brute-force local dimensions at the standard edge and vertex, paired
     with the closed forms."""
-    from .tree import standard_edge, standard_vertex
-
     e = standard_edge(p)
     v = standard_vertex(p)
     computed = {

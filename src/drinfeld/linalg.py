@@ -1,7 +1,6 @@
-"""Exact linear algebra over field-like scalars, plus Smith reduction over the
-valuation ring of the ramified quadratic extension.
+"""Exact linear algebra over field-like scalars.
 
-Field routines are generic: elements must support +, -, * and / and be false
+The routines are generic: elements must support +, -, * and / and be false
 exactly at zero, as in ``poly``. Callers pass explicit zero/one samples, used
 only to fill new entries, so the routines stay agnostic of the scalar type
 (used with ScalarKHat, Fraction and FqElem alike).  ``kernel_basis_mod_p``
@@ -13,16 +12,9 @@ from __future__ import annotations
 import heapq
 from typing import TypeVar
 
-from .errors import InternalInvariantError
-from .scalars import INF, ScalarKHat
-
 T = TypeVar("T")
 
 Matrix = list  # list[list[T]], row-major
-
-
-def identity(n: int, zero: T, one: T) -> Matrix:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -122,70 +114,3 @@ def kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> list[list[int]]:
                     vec[pc] = -row[fc] % p
             basis.append(vec)
     return basis
-
-
-# -- Smith reduction over the valuation ring ---------------------------------
-
-
-def _min_val_position(a: Matrix, start: int) -> tuple[int, int] | None:
-    best = None
-    best_val = INF
-    for i in range(start, len(a)):
-        for j in range(start, len(a[0])):
-            v = a[i][j].valuation()
-            if v < best_val:
-                best_val = v
-                best = (i, j)
-    return best if best_val is not INF else None
-
-
-def smith_over_dvr(m: Matrix) -> tuple[Matrix, list]:
-    """Decompose m = u * d * v with u, v invertible over the valuation ring
-    and d diagonal with i-th entry pihat^evals[i] (ascending ints, the doubled
-    valuations of the entries; absent entries are zero).
-
-    Returns (u, evals); u is nrows x nrows.  v is not built: row t of
-    u^-1 * m is pihat^evals[t] times row t of v.
-    """
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    if nrows == 0 or ncols == 0:
-        return [], []
-    p = m[0][0].p
-    a = [list(r) for r in m]
-    zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
-    u = identity(nrows, zero, one)
-    evals = []
-    for t in range(min(nrows, ncols)):
-        pos = _min_val_position(a, t)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-            for row in u:
-                row[t], row[i] = row[i], row[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-        pivot = a[t][t]
-        e = pivot.valuation()
-        # Normalize the pivot to exactly pihat^e: scale row t by the unit
-        # pihat^e/pivot, compensating in u.
-        target = ScalarKHat.pihat(p, e)
-        unit = target / pivot
-        a[t] = [x * unit for x in a[t]]
-        unit_inv = unit.inverse()
-        for row in u:
-            row[t] = row[t] * unit_inv
-        for i2 in range(t + 1, nrows):
-            if not a[i2][t].is_zero():
-                f = a[i2][t] / a[t][t]
-                if f.valuation() < 0:
-                    raise InternalInvariantError("pivot was not minimal")
-                a[i2] = [x - f * y for x, y in zip(a[i2], a[t])]
-                for row in u:
-                    row[t] = row[t] + f * row[i2]
-        # Row t is not cleared right of the pivot: the column operations
-        # would only build v, and later pivots read the rows below t alone.
-        evals.append(e)
-    return u, evals

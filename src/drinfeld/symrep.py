@@ -11,6 +11,7 @@ exponent of pihat, even for even k; the dual action of g is sym(g^-1)^T.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Callable, TypeVar
 
 from . import poly
@@ -43,6 +44,14 @@ def substitution_matrix(
         col = poly.mul(left[i], right[k - i], zero)
         cols.append(list(col) + [zero] * (k + 1 - len(col)))
     return transpose(cols)  # rows indexed by monomial, columns by source index
+
+
+def _lower_triangular(a: int, c: int, d: int, k: int) -> Matrix:
+    """``substitution_matrix(a, 0, c, d, k, int)`` in closed form, with no
+    polynomial product: column i is (dX)^i (cX + aY)^(k-i), so entry (r, i) is
+    d^i C(k-i, r-i) c^(r-i) a^(k-r) on and below the diagonal, 0 above it."""
+    entry = lambda r, i: d**i * comb(k - i, r - i) * c ** (r - i) * a ** (k - r) if i <= r else 0
+    return [[entry(r, i) for i in range(k + 1)] for r in range(k + 1)]
 
 
 def sym_ints(g: Mat2, k: int, p: int) -> tuple[Matrix, int, int, int]:

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 from math import comb
+from operator import mul
 
 from drinfeld import modp, poly
 from drinfeld.cli import _fqpoly_str, _rational_str
@@ -22,9 +23,9 @@ from drinfeld.errors import (
     ResidueFieldMismatch,
     SingularMatrix,
 )
-from drinfeld.harmonic import Cochain, res0
+from drinfeld.harmonic import Cochain, _raise_in_annulus, res0, sigma
 from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
-from drinfeld.linalg import identity, rref, smith_over_dvr
+from drinfeld.linalg import rref
 from drinfeld.modp import (
     INFINITY_POINT,
     FqRatFunc,
@@ -38,8 +39,20 @@ from drinfeld.rational import (
     gauss_valuation,
     principal_parts,
 )
-from drinfeld.scalars import INF, FiniteField, Fq, FqElem, ScalarKHat, _check_prime, half
-from drinfeld.symrep import substitution_matrix
+from drinfeld.scalars import (
+    INF,
+    FiniteField,
+    Fq,
+    FqElem,
+    ScalarKHat,
+    _check_prime,
+    _common_denominator,
+    _times_pihat,
+    _twice_valuation,
+    _vp,
+    half,
+)
+from drinfeld.symrep import substitution_matrix, sym_ints
 from drinfeld.theta import theta
 from drinfeld.tree import (
     Edge,
@@ -514,6 +527,113 @@ def inverse(a: list, zero, one) -> list:
     return [row[n:] for row in r]
 
 
+# -- Smith reduction over the valuation ring ---------------------------------------
+#
+# The program reads every profile off a diagonal transition and every
+# membership off a triangular one; these reduce a general transition.
+
+
+def identity(n: int, zero, one) -> list:
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _min_val_position(a: list, start: int) -> tuple[int, int] | None:
+    best = None
+    best_val = INF
+    for i in range(start, len(a)):
+        for j in range(start, len(a[0])):
+            v = a[i][j].valuation()
+            if v < best_val:
+                best_val = v
+                best = (i, j)
+    return best if best_val is not INF else None
+
+
+def smith_over_dvr(m: list) -> tuple[list, list]:
+    """Decompose m = u * d * v with u, v invertible over the valuation ring
+    and d diagonal with i-th entry pihat^evals[i] (ascending ints, the doubled
+    valuations of the entries; absent entries are zero).
+
+    Returns (u, evals); u is nrows x nrows.  v is not built: row t of
+    u^-1 * m is pihat^evals[t] times row t of v.
+    """
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    if nrows == 0 or ncols == 0:
+        return [], []
+    p = m[0][0].p
+    a = [list(r) for r in m]
+    zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
+    u = identity(nrows, zero, one)
+    evals = []
+    for t in range(min(nrows, ncols)):
+        pos = _min_val_position(a, t)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            for row in u:
+                row[t], row[i] = row[i], row[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+        pivot = a[t][t]
+        e = pivot.valuation()
+        # Normalize the pivot to exactly pihat^e: scale row t by the unit
+        # pihat^e/pivot, compensating in u.
+        target = ScalarKHat.pihat(p, e)
+        unit = target / pivot
+        a[t] = [x * unit for x in a[t]]
+        unit_inv = unit.inverse()
+        for row in u:
+            row[t] = row[t] * unit_inv
+        for i2 in range(t + 1, nrows):
+            if not a[i2][t].is_zero():
+                f = a[i2][t] / a[t][t]
+                if f.valuation() < 0:
+                    raise InternalInvariantError("pivot was not minimal")
+                a[i2] = [x - f * y for x, y in zip(a[i2], a[t])]
+                for row in u:
+                    row[t] = row[t] + f * row[i2]
+        # Row t is not cleared right of the pivot: the column operations
+        # would only build v, and later pivots read the rows below t alone.
+        evals.append(e)
+    return u, evals
+
+
+def transition_matrix(src: Lattice, dst: Lattice) -> list:
+    """Coordinates of dst's generators in src's basis:
+    diag(pihat^-src.scale) * dual_act(src.g^-1 * dst.g) * diag(pihat^dst.scale),
+    with entries M[j][i] * (num/den) * pihat^(e + t_j - s_i) for sym(dst.g^-1 src.g)."""
+    p = src.p
+    m, num, den, e = sym_ints(dst.g.inv() @ src.g, src.k, p)
+    return [
+        [_times_pihat(p, m[j][i] * num, den, e + t - s) for j, t in enumerate(dst.scale)]
+        for i, s in enumerate(src.scale)
+    ]
+
+
+def relative_profile(sup: Lattice, sub: Lattice) -> tuple:
+    """Ascending elementary-divisor valuations of sub relative to sup."""
+    return tuple(half(e) for e in smith_over_dvr(transition_matrix(sup, sub))[1])
+
+
+def lattice_contains_vector(l: Lattice, vec: list) -> bool:
+    """Whether vec's coordinates in l's basis are integral: coordinate j of
+    dual_act(g^-1) * vec, which is sym(g)^T * vec, has doubled valuation at
+    least scale[j], for any lattice.  With vec = (a + b*pihat)/L and sym(g) =
+    M * (num/den) * pihat^e, it is (num/(den L)) * pihat^e * (M^T a + pihat * M^T b).
+    The program's ``in_edge_lattice`` reads edge lattices off the triangular M."""
+    p = l.p
+    m, num, den, e = sym_ints(l.g, l.k, p)
+    a, b, common = _common_denominator(vec)
+    shift = 2 * (_vp(num, p) - _vp(den * common, p)) + e
+    for col, s in zip(zip(*m), l.scale):
+        if _twice_valuation(sum(map(mul, col, a)), sum(map(mul, col, b)), p) + shift < s:
+            return False
+    return True
+
+
 # -- lattices as basis matrices -------------------------------------------------------
 #
 # A lattice here is a square basis matrix whose columns generate it over the
@@ -721,6 +841,29 @@ def rescale_to_gauss_bound(
     if steps == 0:
         return f
     return f * ScalarKHat.pihat(f.p, steps)
+
+
+def counted_poles_by_transporter(parts: list, gamma: Mat2, p: int) -> tuple[tuple, int]:
+    """The poles ``harmonic.res0`` sums on the edge that gamma moves to the
+    standard edge, and their sign, from the four entries of any such gamma:
+    those in the disc omega((a y - b)/(d - c y)) >= 1 with sign sigma(gamma),
+    or, when the disc holds -a/c = gamma^-1(infinity), those outside with
+    -sigma(gamma).  The program reads them from the child vertex's ints."""
+    a, b, c, d = gamma.lift(p)
+    inner, outer, in_annulus = [], [], []
+    for i, (y, _) in enumerate(parts):
+        alpha, beta = a * y - b, d - c * y
+        if beta.is_zero():  # y = gamma^-1(infinity) lies outside every disc
+            outer.append(i)
+            continue
+        w = alpha.valuation() - beta.valuation()  # doubled: the annulus is 0 < w < 2
+        if 0 < w < 2:
+            in_annulus.append(alpha / beta)
+        (inner if w >= 2 else outer).append(i)
+    _raise_in_annulus(in_annulus)
+    if not c.is_zero() and (a / c).valuation() >= 2:
+        return tuple(outer), -sigma(gamma, p)
+    return tuple(inner), sigma(gamma, p)
 
 
 def res_kills_theta(f: FactoredRational, k: int, tree: TruncatedTree) -> bool:

@@ -344,6 +344,22 @@ class TestAnsweredAtOnce:
             assert proc.stderr.startswith(b"invalid parameters:") and proc.stderr.count(b"\n") == 1
 
 
+    # two 4 000-digit literals join into an 8 000-digit lead, more digits
+    # than an int prints
+    _LONG_LEAD = "7" * 4000 + "*" + "7" * 4000 + "/z"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("residue", "--p", "2", "--k", "0", "--radius", "1"),
+            ("theta", "--p", "2", "--k", "0", "--level", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_a_long_lead_is_refused_within_two_seconds(self, args):
+        self.test_answered_within_two_seconds((*args, "--f", self._LONG_LEAD), 2)
+
+
 class TestInProcessExitCodes:
     @pytest.mark.parametrize(
         "args",
@@ -746,6 +762,45 @@ class TestCostLimits:
     def test_the_limits_themselves_run(self, args):
         assert CliRunner().invoke(cli, list(args)).exit_code == 0
 
+    # the work that follows the lead check, once ``--f`` is parsed
+    AFTER_PARSE = {"residue": "truncated_tree", "theta": "theta"}
+    LEADS = [
+        ("residue", "--p", "2", "--k", "0", "--f", TestAnsweredAtOnce._LONG_LEAD, "--radius", "1"),
+        ("theta", "--p", "2", "--k", "0", "--f", TestAnsweredAtOnce._LONG_LEAD, "--level", "0"),
+        # 3^2500 has 1 193 digits, and 1/(10^600 - 1)^2 a denominator of 1 200
+        ("theta", "--p", "3", "--k", "1", "--f", "*".join(["p^100"] * 25) + "/z", "--level", "0"),
+        ("residue", "--p", "2", "--k", "0", "--f", "(z-1)*1/" + "9" * 600 + "*1/" + "9" * 600),
+    ]
+
+    @pytest.mark.parametrize("args", LEADS, ids=lambda args: " ".join(args)[:40])
+    def test_a_long_lead_is_refused_before_the_work(self, args, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the command's work began")
+
+        for name in self.AFTER_PARSE.values():
+            monkeypatch.setattr(cli_module, name, refuse)
+        result = CliRunner().invoke(cli, list(args))
+        assert result.exit_code == 2, (args[:4], result.output[:200])
+        limit = cli_module._MAX_LEAD_DIGITS
+        assert result.stderr == f"invalid parameters: --f has a lead of more than {limit} digits\n"
+
+    def test_every_shown_and_benchmarked_section_passes_the_lead_check(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*_):
+            raise Reached
+
+        for name in self.AFTER_PARSE.values():
+            monkeypatch.setattr(cli_module, name, reached)
+        invocations = [list(args) for args, _, _ in TestGoldenStdout.GOLDEN]
+        invocations += _readme_examples() + _benchmark_jobs()
+        sections = [args for args in invocations if args[0] in self.AFTER_PARSE]
+        assert {args[0] for args in sections} == set(self.AFTER_PARSE) and len(sections) > 100
+        for args in sections:
+            result = CliRunner().invoke(cli, args)
+            assert isinstance(result.exception, Reached), (args, result.output)
+
     def test_every_shown_and_benchmarked_invocation_passes_the_check(self, monkeypatch):
         class Reached(Exception):
             pass
@@ -764,7 +819,7 @@ class TestCostLimits:
 
 
 class TestListDigests:
-    """The stdout of every job of each benchmark list at seed 1, pinned by
+    """The stdout of every job of each benchmark list at seeds 1 and 2, pinned by
     one sha256 over the (argv, exit code, stdout) of its jobs in run order,
     run in-process.  A change that alters a payload on purpose updates these
     digests and says so."""
@@ -775,15 +830,29 @@ class TestListDigests:
         "residue-field": "3cef6da0eeb4a26ecf4b64c21b78cb8cd5edf279217cf8a2e8a01ae8b12fb353",
     }
 
-    @pytest.mark.parametrize("workload", sorted(DIGESTS))
-    def test_list_digest_at_seed_one(self, workload):
+    DIGESTS_AT_SEED_TWO = {
+        "local-lattices": "73512650a20fe684e59c2103e1f895c25e0aca4d37162b8888ea14598877d53f",
+        "tree-cochains": "40ca97fbda1a7513c6eea7deda4829c3a90fe2a775db35c181dd19c048c25789",
+        "residue-field": "b52b0c09790eb0311a19782f64180a8dac8c8cea872edf4a92bf5b73e00f2565",
+    }
+
+    @staticmethod
+    def _digest(workload: str, seed: int) -> str:
         digest = hashlib.sha256()
-        jobs = _workloads().job_list(workload, 1)
+        jobs = _workloads().job_list(workload, seed)
         for job in jobs:
             result = CliRunner().invoke(cli, job)
             digest.update(json.dumps([job, result.exit_code, result.stdout]).encode())
         assert len(jobs) > 90
-        assert digest.hexdigest() == self.DIGESTS[workload]
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("workload", sorted(DIGESTS))
+    def test_list_digest_at_seed_one(self, workload):
+        assert self._digest(workload, 1) == self.DIGESTS[workload]
+
+    @pytest.mark.parametrize("workload", sorted(DIGESTS_AT_SEED_TWO))
+    def test_list_digest_at_seed_two(self, workload):
+        assert self._digest(workload, 2) == self.DIGESTS_AT_SEED_TWO[workload]
 
 
 class TestResidueFieldReach:

@@ -16,6 +16,7 @@ from drinfeld.cli import cli
 from drinfeld.errors import PoleInsideAnnulus
 from drinfeld.harmonic import (
     Cochain,
+    _counted_poles,
     _edge_residue,
     delta,
     field_kernel,
@@ -24,11 +25,12 @@ from drinfeld.harmonic import (
     sigma,
     star_local_kernels,
 )
-from drinfeld.lattices import edge_lattice, lattice_contains_vector
+from drinfeld.lattices import edge_lattice
 from drinfeld.rational import FactoredRational, parse_rational, principal_parts
 from drinfeld.scalars import ScalarKHat
 from drinfeld.tree import (
     Mat2,
+    child_endpoint,
     edge_transporter,
     make_edge,
     make_vertex,
@@ -41,9 +43,11 @@ from oracles import (
     automorphic_act,
     basis_contains_vector,
     cochain_value,
+    counted_poles_by_transporter,
     dense_field_kernel,
     dual_act,
     lattice_basis,
+    lattice_contains_vector,
     laurent_standard,
     sym_matrix,
 )
@@ -436,6 +440,69 @@ class TestEquivariance:
             for n in range(-2, 4)
         }
         assert set(flipped.support()) == spine
+
+
+def _outcome_of(fn, *args):
+    """What fn returns, or the class and message of its refusal."""
+    try:
+        return fn(*args)
+    except PoleInsideAnnulus as exc:
+        return (type(exc), str(exc))
+
+
+class TestCountedPolesOnInts:
+    """``_counted_poles`` reads the disc rule from the child vertex's ints;
+    its oracle reads it from the entries of a transporter's inverse over
+    K-hat, both the edge's own transporter and one twisted by the stabilizer
+    of the standard edge."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_edge_of_the_radius_three_ball(self, p, tree_factory):
+        t = tree_factory(p, 3)
+        lift = lambda x: ScalarKHat.from_rational(x, p)
+        one, pihat = lift(1), ScalarKHat.pihat(p)
+        sections = _oracle_sections(p, random.Random(3200 + p), 24) + [
+            # pihat-shifted poles: v(y - 1) = 7/2 and v(y - p) = 3/2
+            FactoredRational(p, pihat, [(one + pihat * p**3, -2), (lift(1 + p), -1)]),
+            FactoredRational(p, one, [(lift(p) + pihat * p, -1), (lift(Fraction(1, p)), -2)]),
+            FactoredRational(p, one, [(lift(p * p), -3), (lift(-1), -1), (lift(2), 2)]),
+        ]
+        rng = random.Random(p)
+        seen = set()
+        for f in sections:
+            parts = [(y, A) for y, A in principal_parts(f) if any(A)]
+            for e in t.edges:
+                got = _outcome_of(_counted_poles, parts, child_endpoint(e))
+                want = _outcome_of(counted_poles_by_transporter, parts, edge_transporter(e).inv(), p)
+                assert got == want, (f, e)
+                # a refusal names the pole's image, which depends on the transporter
+                alt = (edge_transporter(e) @ unipotent_lower(rng.randrange(1, 5 * p))).inv()
+                other = _outcome_of(counted_poles_by_transporter, parts, alt, p)
+                assert other[0] == want[0] and (other == want or want[0] is PoleInsideAnnulus)
+                if want[0] is PoleInsideAnnulus:
+                    seen.add("refused")
+                else:
+                    poles, sign = got
+                    seen.add((bool(poles), sign, any(y.B for i, (y, _) in enumerate(parts) if i in poles)))
+        assert any(_infinity_inside(e, p) for e in t.edges)
+        assert "refused" in seen
+        # counted sets with and without pihat poles, under both signs
+        assert {(True, 1, True), (True, -1, True), (True, 1, False), (True, -1, False)} <= seen
+
+    def test_res0_builds_no_transporter_unless_audited(self, monkeypatch, tree_factory):
+        p = 3
+        t = tree_factory(p, 3)
+        sections = _oracle_sections(p, random.Random(31), 6)
+        want = [_outcome(res0, f, 2, t) for f in sections]
+
+        def refuse(*_):
+            raise AssertionError("an edge transporter was built")
+
+        monkeypatch.setattr(harmonic, "edge_transporter", refuse)
+        assert [_outcome(res0, f, 2, t) for f in sections] == want
+        # the guard trips on the audited path, which draws a second transporter
+        with pytest.raises(AssertionError, match="edge transporter was built"):
+            res0(parse_rational("1/z", p), 2, t, rng=random.Random(1))
 
 
 class TestIntegrality:

@@ -10,8 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld import scalars
-from drinfeld.errors import InvalidParameters, NegativeValuation
+from click.testing import CliRunner
+
+from drinfeld import lattices, scalars
+from drinfeld.cli import cli
+from drinfeld.errors import InvalidParameters, NegativeValuation, PoleInsideAnnulus
+from drinfeld.harmonic import res0
 from drinfeld.lattices import (
     Lattice,
     _local_space,
@@ -19,16 +23,14 @@ from drinfeld.lattices import (
     e_space_basis,
     edge_lattice,
     edge_lattice_profile,
-    lattice_contains_vector,
+    in_edge_lattice,
     local_space_report,
-    relative_profile,
     section_lattice_membership,
     star_local_kernel,
-    transition_matrix,
     vertex_lattice,
     vertex_lattice_profile,
 )
-from drinfeld.rational import FactoredRational, parse_rational
+from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.symrep import sym_ints
 from drinfeld.tree import (
@@ -55,17 +57,21 @@ from oracles import (
     basis_equal,
     basis_relative_profile,
     basis_transition,
+    cochain_value,
     dual_act,
     endpoint_sum,
     fraction_valuation,
     lattice_basis,
+    lattice_contains_vector,
     lattice_intersection,
     lattice_sum,
     laurent_standard,
     membership_by_transport,
     reduced_column_space,
+    relative_profile,
     transition_d_space_basis,
     transition_e_space_basis,
+    transition_matrix,
 )
 from sampling import random_group_element, random_rational, random_vertex
 
@@ -476,9 +482,117 @@ class TestIntegerPath:
             for l in lattices:
                 for vec in vecs:
                     lattice_contains_vector(l, vec)
+            edge_lattice_profile(e, k)
+            for vec in vecs:
+                in_edge_lattice(e, k, vec)
         # the guard trips where the program does build scalars
         with pytest.raises(AssertionError, match="ScalarKHat was built"):
             transition_matrix(child, parent)
+
+
+class TestEdgeMembershipOnInts:
+    """``in_edge_lattice`` reads an edge lattice's coordinates off the child
+    transporter's triangular symmetric power; ``lattice_contains_vector``,
+    which reads them off the full symmetric power of any lattice, is its
+    oracle, on vectors inside the edge lattices as well as outside."""
+
+    @pytest.mark.parametrize("p,radius", [(2, 3), (3, 3), (5, 2)])
+    def test_columns_of_the_neighbouring_lattices(self, p, radius):
+        """Every column of the endpoint lattices, the edge lattice and the
+        endpoint sum, against the edge lattice of every edge of the ball."""
+        seen = {True: 0, False: 0}
+        for k in range(5):
+            for e in truncated_tree(p, radius).edges:
+                edge = edge_lattice(e, k)
+                for l in _edge_lattices(e, k):
+                    for col in zip(*lattice_basis(l)):
+                        got = in_edge_lattice(e, k, list(col))
+                        assert got is lattice_contains_vector(edge, list(col)), (e, k, l)
+                        seen[got] += 1
+        assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_residues_of_integral_sections(self, p):
+        """Drawn sections, scaled by the pihat-power that puts their least
+        doubled Gauss valuation over the radius-three ball at 0, pass the
+        vertex membership test; their residues lie in every edge lattice, and
+        divided by pihat some leave it."""
+        t = truncated_tree(p, 3)
+        rng = random.Random(4300 + p)
+        seen, integral = {True: 0, False: 0}, 0
+        for _ in range(100):
+            f = random_rational(rng, p)
+            if f.is_zero():
+                continue
+            k = rng.randint(0, 4)
+            f = f * ScalarKHat.pihat(p, -min(gauss_valuation(f, v, k + 2) for v in t.vertices))
+            assert all(section_lattice_membership(f, k + 2, v)[0] for v in t.vertices)
+            try:
+                c = res0(f, k, t)
+            except PoleInsideAnnulus:
+                continue
+            integral += 1
+            for e in t.edges:
+                vec = cochain_value(c, e)
+                assert in_edge_lattice(e, k, vec) and lattice_contains_vector(edge_lattice(e, k), vec)
+                if any(vec):
+                    seen[True] += 1
+                    shifted = [x / ScalarKHat.pihat(p) for x in vec]
+                    got = in_edge_lattice(e, k, shifted)
+                    assert got is lattice_contains_vector(edge_lattice(e, k), shifted), (f, k, e)
+                    seen[got] += 1
+        assert integral > 50 and min(seen.values()) > 20, (integral, seen)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        p=st.sampled_from([2, 3, 5, 7]),
+        k=st.integers(0, 4),
+        shift=st.integers(-2, 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_edges_and_vectors(self, seed, p, k, shift):
+        """Integral combinations of the edge lattice's basis times pihat^shift,
+        plus a drawn vector with pihat parts and powers of p in its denominators:
+        inside for shift >= 0 when the drawn part is integral."""
+        rng = random.Random(seed)
+        v = random_vertex(rng, p)
+        e = make_edge(v, rng.choice(children(v)))
+        lift = lambda x: ScalarKHat(p, Fraction(x), Fraction(rng.randint(-3, 3)))
+        coeffs = [lift(rng.randint(-9, 9)) * ScalarKHat.pihat(p, shift) for _ in range(k + 1)]
+        basis = lattice_basis(edge_lattice(e, k))
+        vec = [sum((c * x for c, x in zip(coeffs, row)), ScalarKHat.zero(p)) for row in basis]
+        noise = ScalarKHat(p, Fraction(rng.randint(-9, 9), p ** rng.randint(0, 2)), Fraction(0))
+        vec[rng.randrange(k + 1)] += noise * rng.randint(0, 1)
+        assert in_edge_lattice(e, k, vec) is lattice_contains_vector(edge_lattice(e, k), vec)
+
+
+class TestStandardEdgeGate:
+    """``edge_lattice_profile`` reads the diagonal of the transition at the
+    standard edge, and refuses any other shape."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_diagonal_profile_equals_smith(self, p):
+        e = standard_edge(p)
+        for k in range(13):
+            child = vertex_lattice(child_endpoint(e), k)
+            parent = vertex_lattice(parent_endpoint(e), k)
+            want = tuple(sorted(max(Fraction(0), x) for x in relative_profile(child, parent)))
+            assert edge_lattice_profile(e, k) == want, (p, k)
+
+    def test_an_off_diagonal_entry_exits_three(self, monkeypatch):
+        def skewed(g, k, p):
+            m, num, den, e = sym_ints(g, k, p)
+            m = [list(row) for row in m]
+            m[0][k] += 1  # above the diagonal of a lower triangular matrix
+            return m, num, den, e
+
+        monkeypatch.setattr(lattices, "sym_ints", skewed)
+        result = CliRunner().invoke(cli, ["lattice", "--p", "2", "--k", "3"])
+        assert result.exit_code == 3, (result.output, repr(result.exception))
+        assert result.stdout == "" and "Traceback" not in result.stderr
+        assert result.stderr == (
+            "internal invariant violated: the transition at the standard edge is not diagonal\n"
+        )
 
 
 class TestEdgeLatticesAgainstSmith:

@@ -10,9 +10,17 @@ from fractions import Fraction
 import pytest
 
 from drinfeld.errors import InternalInvariantError
-from drinfeld.linalg import kernel_basis_mod_p, rank, rref, smith_over_dvr
+from drinfeld.linalg import kernel_basis_mod_p, rank, rref
 from drinfeld.scalars import Fq, ScalarKHat
-from oracles import inverse, is_integral, kernel_basis, mat_mul, reduce_mod_pihat, solve
+from oracles import (
+    inverse,
+    is_integral,
+    kernel_basis,
+    mat_mul,
+    reduce_mod_pihat,
+    smith_over_dvr,
+    solve,
+)
 
 # -- the dense reference -----------------------------------------------------------
 
