@@ -68,6 +68,11 @@ _MAX_LEVEL = 100
 # literals, p-powers and pihat-powers has no bound of its own, and an int of
 # more than 4300 digits does not print.
 _MAX_LEAD_DIGITS = 1000
+# The most digits of a section's roots, added up, times k + 2 plus the orders
+# of its factors added up: residue values and derivatives carry about that
+# many digits (a root of 874 digits gave residue values past the 4300 that
+# print at k = 7), and the lead adds up to _MAX_LEAD_DIGITS of its own.
+_MAX_ROOT_DIGITS = 3000
 # The most entries of an extension field's exp, log and Zech tables, q - 1 each,
 # which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
 # 2.2 s at q = 65536 (one core of a 2-vCPU Xeon).  A prime field has no tables.
@@ -150,6 +155,15 @@ def _value(x):
     raise InternalInvariantError(f"cannot serialize {type(x).__name__}")
 
 
+# The printed form of each scalar type that ``_value`` passes through unchanged.
+_LEAVES = {
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+}
+
+
 def _dumps(x, pad: str = "\n") -> str:
     """``x`` as JSON: two-space indent, keys sorted after conversion to str,
     ASCII with \\uXXXX escapes.  ``pad`` starts each line at ``x``'s depth."""
@@ -166,7 +180,12 @@ def _dumps(x, pad: str = "\n") -> str:
             if isinstance(name, (dict, list, tuple)) and type(key) is not FqElem:
                 raise InternalInvariantError(f"cannot serialize a {type(key).__name__} key")
             items[str(name)] = val
-        body = [f"{encode_basestring_ascii(k)}: {_dumps(items[k], inner)}" for k in sorted(items)]
+        body = []
+        for name in sorted(items):
+            val = items[name]
+            leaf = _LEAVES.get(type(val))  # a scalar value prints without a recursive call
+            text = leaf(val) if leaf else _dumps(val, inner)
+            body.append(f"{encode_basestring_ascii(name)}: {text}")
         return _wrap("{}", body, pad)
     if isinstance(x, (list, tuple)):
         if set(map(type, x)) == {int}:  # a bool is no int here: it prints as true/false
@@ -217,8 +236,18 @@ def _emit(payload: dict) -> None:
     its path below the program name and ``config`` its resolved options,
     unless ``payload`` gives a ``config`` of its own."""
     ctx = click.get_current_context()
-    command = ctx.command_path[len(ctx.find_root().command_path) :].lstrip()
-    click.echo(_dumps({"command": command, "config": ctx.params, **payload}))
+    click.echo(_dumps({"command": _command_name(ctx), "config": ctx.params, **payload}))
+
+
+def _command_name(ctx: click.Context) -> str:
+    """The names the command was invoked by below the program name, such as
+    ``modp stable-lines``: what ``ctx.command_path`` gives after the root's
+    part, since no group takes an argument, read without its usage pieces."""
+    names = []
+    while ctx.parent is not None:
+        names.append(ctx.info_name)
+        ctx = ctx.parent
+    return " ".join(reversed(names))
 
 
 # -- configuration --------------------------------------------------------------------
@@ -283,11 +312,27 @@ def _exponents(ctx: click.Context, param: click.Parameter, f: str) -> str:
     return f
 
 
-def _section(f: str, p: int) -> FactoredRational:
-    """``--f`` parsed, refused if its lead has an int past ``_MAX_LEAD_DIGITS`` digits."""
+def _digits(s: ScalarKHat) -> int:
+    """At least the number of decimal digits of the largest of ``s``'s ints,
+    read from its bits: an int past 4300 digits does not convert to text."""
+    return int(max(abs(s.A), abs(s.B), s.D).bit_length() * 0.30103) + 1
+
+
+def _section(f: str, p: int, k: int) -> FactoredRational:
+    """``--f`` parsed, refused if its lead has an int past ``_MAX_LEAD_DIGITS``
+    digits, or if the digits of its roots, added up, times k + 2 plus its
+    total order pass ``_MAX_ROOT_DIGITS``."""
     g = parse_rational(f, p)
     if max(abs(g.lead.A), abs(g.lead.B), g.lead.D) >= 10**_MAX_LEAD_DIGITS:
         raise InvalidParameters(f"--f has a lead of more than {_MAX_LEAD_DIGITS} digits")
+    digits = sum(_digits(root) for root, _ in g.factors)
+    order = sum(abs(mult) for _, mult in g.factors)
+    weight = k + 2 + order
+    if digits * weight > _MAX_ROOT_DIGITS:
+        raise InvalidParameters(
+            f"--f has roots of {digits} digits in all at k + 2 plus total order {weight}, "
+            f"past {_MAX_ROOT_DIGITS} digits in their product"
+        )
     return g
 
 
@@ -324,10 +369,45 @@ def _fail(code: int, label: str, message) -> int:
     return code
 
 
-class _Cli(click.Group):
+class _ParseOnce:
+    """A click command that builds its parameter list and option parser on
+    first use and keeps them.  click rebuilds both on every invocation, the
+    list several times, though neither changes between the invocations of one
+    process: the options are fixed at import, and the context settings that
+    both read when built (the help option's names, interspersed arguments,
+    unknown options) are the same for every invocation of one command.  The
+    parser reads its context as it parses, for its errors, resilient parsing
+    and token normalisation, so it is given each new one."""
+
+    _params = None
+    _parser = None
+
+    def get_params(self, ctx: click.Context) -> list:
+        if self._params is None:
+            self._params = super().get_params(ctx)
+        return self._params
+
+    def make_parser(self, ctx: click.Context):
+        if self._parser is None:
+            self._parser = super().make_parser(ctx)
+        self._parser.ctx = ctx
+        return self._parser
+
+
+class _Command(_ParseOnce, click.Command):
+    pass
+
+
+class _Group(_ParseOnce, click.Group):
+    command_class = _Command
+
+
+class _Cli(_Group):
     """The exit-code contract for every entry point, in-process ones included:
     2 for invalid parameters or usage, 3 for a broken internal invariant, 1
     for an abort."""
+
+    group_class = _Group
 
     def main(self, *args, **extra):
         try:
@@ -489,7 +569,7 @@ def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> 
     """Residue cochain of a weight-(k+2) section, with harmonicity and
     integrality reports."""
     _check_ball(p, radius)
-    g = _section(f, p)
+    g = _section(f, p, k)
     ball = truncated_tree(p, radius)
     cochain = res0(g, k, ball, rng=random.Random(seed) if audit else None)
     star_sums = delta(cochain, ball)
@@ -516,7 +596,7 @@ def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> 
 @_offset
 def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> None:
     """(k+1)-fold derivative with an integrality certificate at a vertex."""
-    section = _section(f, p)
+    section = _section(f, p, k)
     v = _vertex(p, level, offset)
     image = theta(section, k)
     cert = theta_integrality(section, image, k, v)

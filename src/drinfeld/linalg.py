@@ -114,3 +114,24 @@ def kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> list[list[int]]:
                     vec[pc] = -row[fc] % p
             basis.append(vec)
     return basis
+
+
+def kernel_of_columns_mod_p(columns: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the right kernel over F_p of the matrix with these columns,
+    ints read mod p, all of one length n: the relations among the columns.
+    Column j is eliminated as a row with a 1 appended in place n + j, and a
+    reduced row whose pivot lies past n has no entry below n, so its
+    appended part is a relation.  The work grows with the columns, not the
+    rows: a few long columns cost what reading them costs."""
+    n = len(columns[0]) if columns else 0
+    rows = []
+    for j, column in enumerate(columns):
+        row = {r: x for r, x in enumerate(map(p.__rmod__, column)) if x}
+        row[n + j] = 1
+        rows.append(row)
+    reduced, pivots = _gauss_jordan(rows, p)
+    return [
+        [row.get(n + j, 0) for j in range(len(columns))]
+        for row, c in zip(reduced, pivots)
+        if c >= n
+    ]

@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import poly
 from .errors import InternalInvariantError, InvalidParameters, SingularMatrix
-from .linalg import kernel_basis_mod_p, rank
+from .linalg import kernel_basis_mod_p, kernel_of_columns_mod_p, rank
 from .scalars import FiniteField, Fq, FqElem
 from .symrep import substitution_matrix
 from .tree import (
@@ -386,9 +387,12 @@ def _quotient_structure(q: int, k: int, i: int) -> dict:
 
     def reduce_vector(vec: list) -> tuple:
         work = list(vec)
-        for j in range(1, t - q + 1):  # ascending: a folded value folds on
-            work[j + q - 1] = work[j + q - 1] + work[j]
-        return tuple(work[c] for c in free)
+        # X^j folds onto X^(j+q-1) for j = 1..t-q, a block of q - 1 exponents
+        # at a time: ascending, so a block is whole before it folds on
+        for j in range(1, t - q + 1, q - 1):
+            end = min(j + q - 1, t - q + 1)
+            work[j + q - 1 : end + q - 1] = map(add, work[j + q - 1 : end + q - 1], work[j:end])
+        return (work[0], *work[t - q + 1 :])
 
     return {
         "field": field,
@@ -411,7 +415,7 @@ def _normalize(vec) -> tuple:
 def _span_lines(field: FiniteField, basis: list) -> set:
     """Every line of the span of ``basis`` (vectors of ``FqElem``s), each
     once: the combinations led by a coefficient 1, normalised."""
-    elems = list(field.elements())
+    elems = list(field.elements()) if basis else []
     lines = set()
     for lead, first in enumerate(basis):
         rest = basis[lead + 1 :]
@@ -424,33 +428,70 @@ def _span_lines(field: FiniteField, basis: list) -> set:
     return lines
 
 
+def _binomials_mod_p(p: int):
+    """The function n -> [C(n, r) mod p for r = 0..n], with no big int: by
+    Lucas' theorem C(n, r) is the product of the binomials of the base-p
+    digits of n and r, so the row of each digit of n, from factorials mod p,
+    is spread over the row of the digits below it."""
+    fact = list(itertools.accumulate(range(1, p), lambda x, j: x * j % p, initial=1))
+    inverse = [pow(x, -1, p) for x in fact]
+
+    def digit_row(d: int) -> list[int]:
+        return [fact[d] * a * b % p for a, b in zip(inverse[: d + 1], inverse[d::-1])]
+
+    def row(n: int) -> list[int]:
+        rest, low = divmod(n, p)
+        out, scale = digit_row(low), p
+        while rest:
+            rest, d = divmod(rest, p)
+            out += [0] * (scale - len(out))
+            out = [y for c in digit_row(d) for y in (out if c == 1 else [x * c % p for x in out])]
+            scale *= p
+        return out[: n + 1]
+
+    return row
+
+
+def _unipotent_column(s: dict, j: int, binomials) -> list[int]:
+    """Column j of U - I on the quotient ``s``, mod p, with the entries for the
+    upper unipotent [[1, 1], [0, 1]] over those for the lower [[1, 0], [1, 1]]:
+    the folded images of the j-th free monomial X^e Y^(t-e), which are
+    (X + Y)^e Y^(t-e), with coefficients C(e, r), and X^e (X + Y)^(t-e),
+    with coefficients C(t - e, r - e), less the monomial itself.
+    ``binomials`` is ``_binomials_mod_p(p)``."""
+    t, e, dim, reduce_vector = s["t"], s["free"][j], len(s["free"]), s["reduce"]
+    upper = reduce_vector(binomials(e) + [0] * (t - e))
+    lower = reduce_vector([0] * e + binomials(t - e))
+    column = [*upper, *lower]
+    column[j] -= 1
+    column[dim + j] -= 1
+    return column
+
+
 def _stable_lines(s: dict) -> list:
     """The stable lines of ``quotient_rep_and_stable_lines``, sorted.
 
     The unipotents U of ``gl2_generators`` have entries 0 and 1 and
-    determinant 1, so the rows of U - I on the quotient are ints mod p for
-    every q = p^f: the folded free columns of the int substitution matrix,
-    less the identity.  diag(w, 1) sends X^j Y^(t-j) to w^(shift+t-j) X^j
-    Y^(t-j), and folding j onto j + q - 1 keeps that eigenvalue, so it is
-    diagonal on the free monomials.  Its eigenspaces are the classes of free
-    monomials with one value of (shift + t - j) mod (q - 1), one class at
-    q = 2, and the common eigenspaces are the kernels of the U - I rows on
-    each class's columns.  The kernel over F_q of a matrix over F_p has the
-    reduced basis of its kernel over F_p, so each is found on ints mod p."""
-    field, t, shift, free, reduce_vector = s["field"], s["t"], s["shift"], s["free"], s["reduce"]
+    determinant 1, so U - I on the quotient is a matrix of ints mod p for
+    every q = p^f, whose columns are binomials (``_unipotent_column``).
+    diag(w, 1) sends X^j Y^(t-j) to w^(shift+t-j) X^j Y^(t-j), and folding j
+    onto j + q - 1 keeps that eigenvalue, so it is diagonal on the free
+    monomials.  Its eigenspaces are the classes of free monomials with one
+    value of (shift + t - j) mod (q - 1), one class at q = 2, and the common
+    eigenspaces are the relations among each class's columns of U - I.  The
+    kernel over F_q of a matrix over F_p has a basis over F_p, so each is
+    found on ints mod p."""
+    field, t, shift, free = s["field"], s["t"], s["shift"], s["free"]
     p, dim = field.p, len(free)
-    rows = []
-    for a, b, c, d in ((1, 1, 0, 1), (1, 0, 1, 1)):  # [[a, b], [c, d]]: upper, lower
-        cols = [reduce_vector(col) for col in zip(*substitution_matrix(a, b, c, d, t, int, free))]
-        rows += [[(col[r] - (j == r)) % p for j, col in enumerate(cols)] for r in range(dim)]
     classes: dict[int, list[int]] = {}
     for j, e in enumerate(free):
         classes.setdefault((shift + t - e) % (field.q - 1), []).append(j)
+    binomials = _binomials_mod_p(p)
     lines = set()
     for members in classes.values():
-        restricted = [{c: row[j] for c, j in enumerate(members)} for row in rows]
         basis = []
-        for vec in kernel_basis_mod_p(restricted, len(members), p):
+        columns = [_unipotent_column(s, j, binomials) for j in members]
+        for vec in kernel_of_columns_mod_p(columns, p):
             full = [field.zero()] * dim
             for j, x in zip(members, vec):
                 full[j] = field.elem(x)

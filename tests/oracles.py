@@ -1006,6 +1006,23 @@ def generator_matrices_fq(s: dict) -> list:
     return matrices
 
 
+def unipotent_columns_by_substitution(s: dict) -> list[list[int]]:
+    """The columns of U - I that ``modp._unipotent_column`` builds from
+    binomials mod p, as ``modp._stable_lines`` read them before: the folded
+    free columns of the int substitution matrix of the upper unipotent over
+    those of the lower one, big ints and all, less the identity, mod p."""
+    t, free, reduce_vector, p = s["t"], s["free"], s["reduce"], s["field"].p
+    dim = len(free)
+    upper, lower = (
+        [reduce_vector(col) for col in zip(*substitution_matrix(a, b, c, d, t, int, free))]
+        for a, b, c, d in ((1, 1, 0, 1), (1, 0, 1, 1))
+    )
+    return [
+        [(x - (r % dim == j)) % p for r, x in enumerate((*up, *low))]
+        for j, (up, low) in enumerate(zip(upper, lower))
+    ]
+
+
 def stable_lines_by_eigenvalues(q: int, k: int, i: int) -> list:
     """The stable lines by the eigenvalue scan that ``modp._stable_lines``
     replaced: the rows of M - lambda I stacked over ``generator_matrices_fq``,

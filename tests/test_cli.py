@@ -248,6 +248,143 @@ class TestOneExitCodeHandler:
         assert proc.stdout == b"" and in_process.out == runner.stdout == ""
 
 
+def _commands(group: click.Group = cli, path: str = "") -> list:
+    """(path, command) of ``group`` and of every command and group below it."""
+    found = [(path, group)]
+    for name, command in group.commands.items():
+        sub = f"{path} {name}".strip()
+        if isinstance(command, click.Group):
+            found += _commands(command, sub)
+        else:
+            found.append((sub, command))
+    return found
+
+
+def _declared_twice(group: click.Group = cli) -> list:
+    """(path, option string) for each option string that a command or group
+    declares more than once among its own parameters."""
+    twice = []
+    for path, command in _commands(group):
+        opts = [o for param in command.params for o in (*param.opts, *param.secondary_opts)]
+        twice += [(path, o) for o in sorted(set(opts)) if opts.count(o) > 1]
+    return twice
+
+
+class TestParseOnce:
+    """Each command's parameter list and option parser are built once per
+    process and kept: click's own ``get_params`` and ``make_parser`` run at
+    most once per command object, and a kept parser reports errors, help and
+    ``--config`` defaults as a fresh interpreter does."""
+
+    RUNS = [
+        ["tree", "--p", "2", "--radius", "1"],
+        ["modp", "degrees", "--q", "7", "--k", "3"],
+        ["lattice", "--p", "2", "--k", "1", "--level", "1"],
+        ["modp", "degrees", "--q", "5", "--k", "2"],
+        ["tree", "--p", "3", "--radius", "0"],
+        ["tree", "--bogus"],
+        ["modp", "nosuch"],
+    ]
+
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """Every command's kept list and parser dropped for the test, and
+        click's own builders counted per command object."""
+        calls = {"get_params": {}, "make_parser": {}}
+        for _, command in _commands():
+            monkeypatch.setattr(command, "_params", None)
+            monkeypatch.setattr(command, "_parser", None)
+        for name, counts in calls.items():
+            build = getattr(click.Command, name)
+
+            def counted(self, ctx, build=build, counts=counts):
+                counts[id(self)] = counts.get(id(self), 0) + 1
+                return build(self, ctx)
+
+            monkeypatch.setattr(click.Command, name, counted)
+        return calls
+
+    def test_click_builds_each_command_once(self, cold, monkeypatch, capsys):
+        for _ in range(3):
+            for args in self.RUNS:
+                CliRunner().invoke(cli, args)
+                monkeypatch.setattr(sys, "argv", ["drinfeld", *args])
+                try:
+                    cli_module.main()
+                except SystemExit:
+                    pass
+        capsys.readouterr()
+        names = {id(command): path or "drinfeld" for path, command in _commands()}
+        for builder, counts in cold.items():
+            assert max(counts.values()) == 1, (builder, {names[i]: n for i, n in counts.items()})
+            built = {names[i] for i in counts}
+            assert {"drinfeld", "tree", "modp", "modp degrees", "lattice"} <= built, builder
+
+    def test_errors_after_a_kept_parser_match_a_fresh_interpreter(self):
+        for args in self.RUNS[:3]:
+            assert CliRunner().invoke(cli, args).exit_code == 0
+        for args in (["tree", "--bogus"], ["modp", "degrees", "--bogus"], ["lattice", "--p"]):
+            child = run_cli(*args, expect_code=2).stderr.decode()
+            result = CliRunner().invoke(cli, args, prog_name="drinfeld")
+            assert result.exit_code == 2
+            assert result.stderr == child.replace("python -m drinfeld.cli", "drinfeld"), args
+            assert result.stderr.startswith("usage error: "), args
+
+    @pytest.mark.parametrize("prog", ["first", "second"])
+    def test_a_kept_parser_reports_in_the_running_context(self, prog):
+        """The error that a kept parser raises carries the context of the
+        invocation it parses, not of the one that built it."""
+        tree = cli.commands["tree"]
+        root = cli.make_context(prog, ["tree"])
+        with pytest.raises(click.NoSuchOption) as raised:
+            tree.make_context("tree", ["--bogus"], parent=root)
+        assert raised.value.ctx.command_path == f"{prog} tree"
+
+    HELP = [[], ["modp"], ["tree"], ["modp", "stable-lines"]]
+
+    @pytest.mark.parametrize("args", HELP, ids=lambda args: " ".join(args) or "root")
+    def test_help_after_a_kept_parser_matches_a_fresh_interpreter(self, args):
+        for run in self.RUNS:
+            CliRunner().invoke(cli, run)
+        child = run_cli(*args, "--help").stdout.decode()
+        result = CliRunner().invoke(cli, [*args, "--help"], prog_name="drinfeld")
+        assert result.exit_code == 0
+        assert result.stdout == child.replace("python -m drinfeld.cli", "drinfeld")
+
+    def test_config_file_after_a_kept_parser(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 5\nradius = 2\nk = 4\n")
+        outputs = []
+        config = ["--config", str(cfg)]
+        for args in (["tree"], [*config, "tree"], ["tree"], [*config, "modp", "degrees"]):
+            result = CliRunner().invoke(cli, args)
+            assert result.exit_code == 0, result.output
+            outputs.append(json.loads(result.stdout)["config"])
+        assert outputs == [
+            {"p": 2, "radius": 1},
+            {"p": 5, "radius": 2},
+            {"p": 2, "radius": 1},
+            {"q": 2, "k": 4},
+        ]
+
+
+class TestNoOptionDeclaredTwice:
+    """click checks a command's options for duplicates each time it builds
+    their list, which is now once per process; this walks every command and
+    group instead."""
+
+    def test_no_command_or_group_declares_an_option_twice(self):
+        assert _declared_twice() == []
+
+    @pytest.mark.parametrize(
+        "path,option", [("", "--config"), ("tree", "--p"), ("modp degrees", "--k")], ids=str
+    )
+    def test_a_duplicate_put_in_is_found(self, path, option, monkeypatch):
+        command = dict(_commands())[path]
+        monkeypatch.setattr(command, "params", [*command.params, click.Option([option, "--spare"])])
+        assert _declared_twice() == [(path, option)]
+
+
 class TestExitCodes:
     def test_composite_p_is_rejected_with_code_two(self):
         proc = run_cli("tree", "--p", "6", "--radius", "1", expect_code=2)
@@ -318,6 +455,8 @@ class TestAnsweredAtOnce:
             (("modp", "stable-lines", "--q", "1009", "--k", "4", "--i", "0"), 2),
             (("modp", "stable-lines", "--q", "3", "--k", "3000", "--i", "0"), 2),
             (("modp", "stable-lines", "--q", "49", "--k", "4", "--i", "0"), 0),
+            # the largest admitted q at k = 4, from binomials mod p
+            (("modp", "stable-lines", "--q", "499", "--k", "4", "--i", "0"), 0),
             (("modp", "degrees", "--q", _Q2, "--k", "2"), 0),
             (("modp", "symgeom-check", "--q", _Q, "--k", "0", "--i", "0"), 0),
             (("modp", "symgeom-check", "--q", _Q2, "--k", "0", "--i", "0"), 2),
@@ -358,6 +497,18 @@ class TestAnsweredAtOnce:
     )
     def test_a_long_lead_is_refused_within_two_seconds(self, args):
         self.test_answered_within_two_seconds((*args, "--f", self._LONG_LEAD), 2)
+
+    # a root of 1 500 digits: the residue values carry its cube at k = 3, and
+    # the derivative's numerator the product of its powers with another root's
+    _LONG_ROOT = "7" * 1500
+    ROOTS = [
+        ("residue", "--p", "2", "--k", "3", "--f", f"1/(z-{_LONG_ROOT})", "--radius", "1"),
+        ("theta", "--p", "2", "--k", "3", "--f", f"1/(z-{_LONG_ROOT})/(z-1)", "--level", "0"),
+    ]
+
+    @pytest.mark.parametrize("args", ROOTS, ids=lambda args: args[0])
+    def test_a_long_root_is_refused_within_two_seconds(self, args):
+        self.test_answered_within_two_seconds(args, 2)
 
 
 class TestInProcessExitCodes:
@@ -707,7 +858,8 @@ class TestListBudget:
 
 class TestCostLimits:
     """``residue`` and ``theta`` refuse an exponent past ``_MAX_EXPONENT`` in
-    ``--f``, or z-factors whose orders add up past it, ``lattice`` and
+    ``--f``, or z-factors whose orders add up past it, or roots whose digits
+    times k + 2 plus the total order pass ``_MAX_ROOT_DIGITS``, ``lattice`` and
     ``theta`` a level past ``_MAX_LEVEL``, and ``local-dims`` a star of more
     than ``_MAX_LIST`` edges, each read in closed form before any work."""
 
@@ -784,6 +936,31 @@ class TestCostLimits:
         limit = cli_module._MAX_LEAD_DIGITS
         assert result.stderr == f"invalid parameters: --f has a lead of more than {limit} digits\n"
 
+    @pytest.mark.parametrize("args", TestAnsweredAtOnce.ROOTS, ids=lambda args: args[0])
+    def test_a_long_root_is_refused_before_the_work(self, args, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the command's work began")
+
+        for name in self.AFTER_PARSE.values():
+            monkeypatch.setattr(cli_module, name, refuse)
+        result = CliRunner().invoke(cli, list(args))
+        assert result.exit_code == 2, (args[:4], result.output[:200])
+        message = result.stderr.strip()
+        assert "\n" not in message and message.startswith("invalid parameters: --f has roots of")
+
+    # 999 digits, counted as 1 000, times k + 2 plus the order, 3, is the bound
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("residue", "--p", "2", "--k", "0", "--f", "1/(z-" + "7" * 999 + ")", "--radius", "1"),
+            ("theta", "--p", "2", "--k", "0", "--f", "1/(z-" + "7" * 999 + ")", "--level", "0"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_the_root_limit_itself_runs(self, args):
+        assert CliRunner().invoke(cli, list(args)).exit_code == 0
+
+    # ``_section`` holds the root check as well as the lead check
     def test_every_shown_and_benchmarked_section_passes_the_lead_check(self, monkeypatch):
         class Reached(Exception):
             pass

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from drinfeld.errors import InternalInvariantError
-from drinfeld.linalg import kernel_basis_mod_p, rank, rref
+from drinfeld.linalg import kernel_basis_mod_p, kernel_of_columns_mod_p, rank, rref
 from drinfeld.scalars import Fq, ScalarKHat
 from oracles import (
     inverse,
@@ -270,6 +271,38 @@ class TestKernelModP:
     def test_no_rows_give_the_whole_space(self, p):
         assert kernel_basis_mod_p([], 3, p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert kernel_basis_mod_p([{}, {1: p}], 2, p) == [[1, 0], [0, 1]]
+
+
+class TestKernelOfColumnsModP:
+    """``kernel_of_columns_mod_p`` on dense int columns spans the kernel that
+    the oracle ``kernel_basis`` over ``Fq(p)`` finds on the same matrices,
+    each vector in the kernel and the vectors independent."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_spans_the_field_kernel(self, p):
+        name, zero, one, draw = _fq(p)
+        field = Fq(p)
+        rng = random.Random(f"column kernel mod {p}")
+        for _ in range(3):
+            shapes = _shapes(rng, zero, draw)
+            shapes += [(f"invertible {n}", _invertible_matrix(rng, n, 0.5, zero, draw)) for n in (1, 4, 7)]
+            for shape, m in shapes:
+                if not m:
+                    continue
+                # entries off [0, p), read mod p
+                columns = [[x.n + p * rng.randint(-2, 2) for x in col] for col in zip(*m)]
+                got = kernel_of_columns_mod_p(columns, p)
+                want = kernel_basis(m, zero, one)
+                as_field = [[field.elem(x) for x in vec] for vec in got]
+                assert rref(as_field, zero) == rref(want, zero), shape
+                for vec in got:
+                    assert all(sum(map(mul, row, vec)) % p == 0 for row in zip(*columns))
+
+    @pytest.mark.parametrize("p", [2, 101])
+    def test_zero_and_empty_columns(self, p):
+        assert kernel_of_columns_mod_p([], p) == []
+        assert kernel_of_columns_mod_p([[], []], p) == [[1, 0], [0, 1]]
+        assert kernel_of_columns_mod_p([[p, 0], [1, 2]], p) == [[1, 0]]
 
 
 # -- Smith reduction over the valuation ring ---------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -51,6 +52,7 @@ from oracles import (
     stable_lines_by_scan,
     symgeom_equivariance_by_columns,
     transported_gauss_valuation,
+    unipotent_columns_by_substitution,
 )
 
 
@@ -739,6 +741,32 @@ class TestGroupGenerators:
             got = quotient_rep_and_stable_lines(q, k, i)["stable_lines"]
             assert got == stable_lines_by_scan(q, k, i), (k, i)
 
+
+class TestUnipotentColumns:
+    """The columns of U - I that ``_stable_lines`` reads come from binomials
+    mod p by Lucas' theorem, with no big int: against ``math.comb`` and
+    against the int substitution matrix that they replaced, at q <= 31."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 499])
+    def test_binomials_mod_p_match_math_comb(self, p):
+        row = modp._binomials_mod_p(p)
+        # every n below 60, a spread up to 1000, and where n gains a third digit
+        third_digit = range(p * p - 1, p * p + 2) if p < 31 else ()
+        for n in [*range(60), *range(60, 1000, 37), *third_digit]:
+            assert row(n) == [comb(n, r) % p for r in range(n + 1)], n
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 31])
+    def test_columns_match_the_substitution_matrix(self, q, rng):
+        p = Fq(q).p
+        binomials = modp._binomials_mod_p(p)
+        cases = _quotient_cases(q)
+        for k, i in rng.sample(cases, min(4, len(cases))):
+            s = modp._quotient_structure(q, k, i)
+            got = [
+                [x % p for x in modp._unipotent_column(s, j, binomials)]
+                for j in range(len(s["free"]))
+            ]
+            assert got == unipotent_columns_by_substitution(s), (k, i)
 
 class TestParityAndIntegerProfiles:
     @pytest.mark.parametrize("q", [2, 3, 4])
