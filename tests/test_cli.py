@@ -289,7 +289,8 @@ class TestParseOnce:
     @pytest.fixture
     def cold(self, monkeypatch):
         """Every command's kept list and parser dropped for the test, and
-        click's own builders counted per command object."""
+        click's own ``get_params`` and ``make_parser`` calls counted per
+        command object."""
         calls = {"get_params": {}, "make_parser": {}}
         for _, command in _commands():
             monkeypatch.setattr(command, "_params", None)
@@ -315,10 +316,10 @@ class TestParseOnce:
                     pass
         capsys.readouterr()
         names = {id(command): path or "drinfeld" for path, command in _commands()}
-        for builder, counts in cold.items():
-            assert max(counts.values()) == 1, (builder, {names[i]: n for i, n in counts.items()})
+        for method, counts in cold.items():
+            assert max(counts.values()) == 1, (method, {names[i]: n for i, n in counts.items()})
             built = {names[i] for i in counts}
-            assert {"drinfeld", "tree", "modp", "modp degrees", "lattice"} <= built, builder
+            assert {"drinfeld", "tree", "modp", "modp degrees", "lattice"} <= built, method
 
     def test_errors_after_a_kept_parser_match_a_fresh_interpreter(self):
         for args in self.RUNS[:3]:
