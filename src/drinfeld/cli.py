@@ -73,6 +73,11 @@ _MAX_LEAD_DIGITS = 1000
 # many digits (a root of 874 digits gave residue values past the 4300 that
 # print at k = 7), and the lead adds up to _MAX_LEAD_DIGITS of its own.
 _MAX_ROOT_DIGITS = 3000
+# The most digits of the lead of theta's image, read before the derivative
+# runs: the (k+1)-th derivative of f, of total degree d, has the lead
+# lead(f) d (d - 1) ... (d - k) up to sign.  An int past 4300 digits does not
+# print, and the image of 1/z at k = 1600 carries 1601!, of 4 437 digits.
+_MAX_IMAGE_DIGITS = 4000
 # The most entries of an extension field's exp, log and Zech tables, q - 1 each,
 # which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
 # 2.2 s at q = 65536 (one core of a 2-vCPU Xeon).  A prime field has no tables.
@@ -336,6 +341,20 @@ def _section(f: str, p: int, k: int) -> FactoredRational:
     return g
 
 
+def _check_image(g: FactoredRational, k: int) -> None:
+    """Refuse a theta image whose lead would pass ``_MAX_IMAGE_DIGITS``
+    digits, bounded in closed form by the digits of g's lead plus those of
+    prod_(i <= k) (max(|d|, 1) + i) >= |d (d - 1) ... (d - k)|, for d the total
+    degree of g.  Past _MAX_IMAGE_DIGITS factors, (k + 1)! alone is longer."""
+    w = max(abs(sum(m for _, m in g.factors) + len(g.extra) - 1), 1)
+    n = min(k + 1, _MAX_IMAGE_DIGITS)
+    digits = _digits(g.lead) + (math.lgamma(w + n) - math.lgamma(w)) / math.log(10)
+    if digits > _MAX_IMAGE_DIGITS:
+        raise InvalidParameters(
+            f"theta's image at k = {k} may have a lead of more than {_MAX_IMAGE_DIGITS} digits"
+        )
+
+
 def _prime(ctx: click.Context, param: click.Parameter, p: int) -> int:
     _check_prime(p)
     return p
@@ -597,6 +616,7 @@ def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> 
 def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> None:
     """(k+1)-fold derivative with an integrality certificate at a vertex."""
     section = _section(f, p, k)
+    _check_image(section, k)
     v = _vertex(p, level, offset)
     image = theta(section, k)
     cert = theta_integrality(section, image, k, v)

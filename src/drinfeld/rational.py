@@ -11,14 +11,43 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 from typing import Iterable
 
 from . import poly
 from .errors import InvalidParameters, ZeroFunction
-from .scalars import ScalarKHat, _common_denominator, _twice_valuation, _vp
+from .scalars import ScalarKHat, _common_denominator, _make, _twice_valuation, _vp
 from .symrep import _lower_triangular
 from .tree import Vertex, _level_and_offset
+
+# -- polynomials over Z[pihat] ------------------------------------------------------
+# A pair (a, b) of int polynomials stands for a + b pihat, with pihat^2 = p.
+
+
+def _zadd(u: tuple, v: tuple) -> tuple:
+    if not u[1] and not v[1]:
+        return poly.add(u[0], v[0]), ()
+    return poly.add(u[0], v[0]), poly.add(u[1], v[1])
+
+
+def _zscale(u: tuple, s: int) -> tuple:
+    return poly.scale(u[0], s), poly.scale(u[1], s) if u[1] else ()
+
+
+def _zmul(u: tuple, v: tuple, p: int) -> tuple:
+    (a, b), (c, d) = u, v
+    if not b and not d:
+        return poly.mul(a, c, 0), ()
+    return (
+        poly.add(poly.mul(a, c, 0), poly.scale(poly.mul(b, d, 0), p)),
+        poly.add(poly.mul(a, d, 0), poly.mul(b, c, 0)),
+    )
+
+
+def _zderivative(u: tuple) -> tuple:
+    return poly.derivative(u[0], 1), poly.derivative(u[1], 1) if u[1] else ()
+
 
 # -- factored rational functions --------------------------------------------------
 
@@ -72,14 +101,6 @@ class FactoredRational:
     @staticmethod
     def one(p: int) -> "FactoredRational":
         return FactoredRational(p, ScalarKHat.one(p))
-
-    @staticmethod
-    def constant(s: ScalarKHat) -> "FactoredRational":
-        return FactoredRational(s.p, s)
-
-    @staticmethod
-    def monomial(p: int, exponent: int) -> "FactoredRational":
-        return FactoredRational(p, ScalarKHat.one(p), [(ScalarKHat.zero(p), exponent)])
 
     # -- structure ---------------------------------------------------------------
 
@@ -198,32 +219,53 @@ class FactoredRational:
         raise TypeError("FactoredRational is unhashable")
 
     def derivative(self, order: int = 1) -> "FactoredRational":
-        """Exact derivative; factors extracted back out where roots are known."""
+        """The exact n-th derivative, n = ``order``, in one pass over int
+        coefficient tuples.
+
+        Write f = lead * E * prod (z - r_i)^m_i.  While the set S of roots
+        still in f^(j) (the poles, and the zeros with m_i > j) stays the same,
+        f^(j) = lead * Q_j * prod_S (z - r_i)^(m_i - j) with Q_0 = E and
+        Q_(j+1) = Q_j' L + Q_j (A - j L'), where L = prod_S (z - r_i) and
+        A = sum_S m_i L / (z - r_i); a zero leaves S at the step where its
+        exponent reaches 0.  So the image keeps as explicit factors every pole
+        of f, every zero of f of multiplicity above n, and z to its true
+        order, and every other zero of f^(n) stays in extra.  This is the form
+        that n single derivatives print, each refactored over the roots left
+        and 0, so f.derivative(n) and f.derivative(n - 1).derivative() print
+        alike.  At n >= 1 an extra that one of f's roots or 0 divides is
+        refactored first, so the rule reads the roots' true multiplicities.
+
+        The recurrence runs on D L, D A and c Q_j over Z[pihat], for D the
+        product of the denominators D_i of the roots in S and c the common
+        denominator so far, with no gcd until the image is built."""
         if order < 0:
             raise InvalidParameters("order must be >= 0")
-        out = self
-        for _ in range(order):
-            out = out._derivative_once()
-        return out
-
-    def _derivative_once(self) -> "FactoredRational":
-        if self.is_zero():
+        if order == 0 or self.is_zero():
             return self
-        zero, one = ScalarKHat.zero(self.p), ScalarKHat.one(self.p)
-        lins = [(-r, one) for r, _ in self.factors]
-        prod_all: poly.Poly = (one,)
-        for lin in lins:
-            prod_all = poly.mul(prod_all, lin, zero)
-        bracket = poly.mul(poly.derivative(self.extra, one), prod_all, zero)
-        for i, (root, mult) in enumerate(self.factors):
-            partial: poly.Poly = (one,)
-            for j, lin in enumerate(lins):
-                if j != i:
-                    partial = poly.mul(partial, lin, zero)
-            term = poly.scale(poly.mul(self.extra, partial, zero), ScalarKHat.from_rational(mult, self.p))
-            bracket = poly.add(bracket, term)
-        reduced = [(r, m - 1) for r, m in self.factors]
-        return FactoredRational(self.p, self.lead, reduced, bracket)._refactored()
+        f = self._refactored()
+        p = f.p
+        real, pihat, scale = _common_denominator(f.extra)
+        q = (poly.trim(real), poly.trim(pihat))
+        live = None
+        for j in range(order):
+            now = [(r, m) for r, m in f.factors if m < 0 or m > j]
+            if now != live:
+                live, ell, weighted, denominator = now, ((1,), ()), ((), ()), 1
+                for r, m in live:
+                    lin = ((-r.A, r.D), poly.trim((-r.B,)))
+                    weighted = _zadd(_zmul(weighted, lin, p), _zscale(ell, m * r.D))
+                    ell = _zmul(ell, lin, p)
+                    denominator *= r.D
+                neg_ell_prime = _zscale(_zderivative(ell), -1)
+                bracket = _zadd(weighted, _zscale(neg_ell_prime, j))
+            q = _zadd(_zmul(_zderivative(q), ell, p), _zmul(q, bracket, p))
+            bracket = _zadd(bracket, neg_ell_prime)
+            scale *= denominator
+        coeffs = [_make(p, a, b, 1) for a, b in zip_longest(*q, fillvalue=0)]
+        low = next((i for i, c in enumerate(coeffs) if c), 0)
+        kept = [(r, m - order) for r, m in f.factors if m < 0 or m > order]
+        kept.append((ScalarKHat.zero(p), low))
+        return FactoredRational(p, f.lead / scale, kept, coeffs[low:])
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -379,11 +421,14 @@ def _parse_root(inner: str, p: int) -> ScalarKHat:
 
 def parse_rational(text: str, p: int) -> FactoredRational:
     """Parse expressions like '3*(z-1)^2*(z-1/2)^-1', 'pihat*z^-1', '1/z',
-    '(z-p)/z'. Factors are separated by * or /; roots may use pihat terms."""
+    '(z-p)/z'. Factors are separated by * or /; roots may use pihat terms.
+    The scalar tokens multiply into one lead and the z-factors are collected
+    as (root, exponent) pairs, so one section is built at the end."""
     expr = text.replace(" ", "")
     if not expr:
         raise InvalidParameters("empty expression")
-    result = FactoredRational.one(p)
+    lead = ScalarKHat.one(p)
+    factors = []
     pos = 0
     op = "*"
     while pos < len(expr):
@@ -394,27 +439,19 @@ def parse_rational(text: str, p: int) -> FactoredRational:
         m = _TOKEN.match(expr, pos)
         if not m:
             raise InvalidParameters(f"cannot parse {text!r} at position {pos}")
+        sign = 1 if op == "*" else -1
         if m.group("pihat"):
-            e = int(m.group("pe") or 1)
-            factor = FactoredRational.constant(ScalarKHat.pihat(p, e))
+            lead = lead * ScalarKHat.pihat(p, sign * int(m.group("pe") or 1))
         elif m.group("prime"):
-            e = int(m.group("ppe") or 1)
-            factor = FactoredRational.constant(
-                ScalarKHat.from_rational(Fraction(p) ** e, p)
-            )
+            lead = lead * ScalarKHat.from_rational(Fraction(p) ** (sign * int(m.group("ppe") or 1)), p)
         elif m.group("zpow"):
-            e = int(m.group("ze") or 1)
-            factor = FactoredRational.monomial(p, e)
+            factors.append((ScalarKHat.zero(p), sign * int(m.group("ze") or 1)))
         elif m.group("paren"):
-            root = _parse_root(m.group("inner"), p)
-            e = int(m.group("fe") or 1)
-            factor = FactoredRational(p, ScalarKHat.one(p), [(root, e)])
+            factors.append((_parse_root(m.group("inner"), p), sign * int(m.group("fe") or 1)))
         else:
-            factor = FactoredRational.constant(
-                ScalarKHat.from_rational(_literal(m.group("rat")), p)
-            )
-        if op == "/" and factor.is_zero():
-            raise InvalidParameters(f"division by zero in {text!r}")
-        result = result * factor if op == "*" else result / factor
+            value = _literal(m.group("rat"))
+            if sign < 0 and not value:
+                raise InvalidParameters(f"division by zero in {text!r}")
+            lead = lead * ScalarKHat.from_rational(value if sign > 0 else 1 / value, p)
         pos = m.end()
-    return result
+    return FactoredRational(p, lead, factors)

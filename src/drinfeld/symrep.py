@@ -23,10 +23,9 @@ T = TypeVar("T")
 
 
 def substitution_matrix(
-    a: T, b: T, c: T, d: T, k: int, from_int: Callable[[int], T], columns=None
+    a: T, b: T, c: T, d: T, k: int, from_int: Callable[[int], T]
 ) -> Matrix:
-    """Matrix of F(X, Y) -> F(dX + bY, cX + aY) on homogeneous degree-k forms,
-    or only its ``columns`` (source indices, in the order given).
+    """Matrix of F(X, Y) -> F(dX + bY, cX + aY) on homogeneous degree-k forms.
 
     Column i holds the monomial coefficients of (dX+bY)^i (cX+aY)^(k-i): the
     product of two rows of the power tables below, O(k^3) products in all.
@@ -40,7 +39,7 @@ def substitution_matrix(
         left.append(poly.mul(left[-1], (b, d), zero))
         right.append(poly.mul(right[-1], (a, c), zero))
     cols = []
-    for i in range(k + 1) if columns is None else columns:
+    for i in range(k + 1):
         col = poly.mul(left[i], right[k - i], zero)
         cols.append(list(col) + [zero] * (k + 1 - len(col)))
     return transpose(cols)  # rows indexed by monomial, columns by source index

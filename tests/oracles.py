@@ -759,6 +759,36 @@ def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
     return FactoredRational(p, lead, factors, extra)._refactored()
 
 
+def _derivative_once(f: FactoredRational) -> FactoredRational:
+    """f' = lead * [E' L + E sum m_i L / (z - r_i)] * prod (z - r_i)^(m_i - 1)
+    for L = prod (z - r_i), refactored over the roots left and 0."""
+    if f.is_zero():
+        return f
+    zero, one = ScalarKHat.zero(f.p), ScalarKHat.one(f.p)
+    lins = [(-r, one) for r, _ in f.factors]
+    prod_all: poly.Poly = (one,)
+    for lin in lins:
+        prod_all = poly.mul(prod_all, lin, zero)
+    bracket = poly.mul(poly.derivative(f.extra, one), prod_all, zero)
+    for i, (root, mult) in enumerate(f.factors):
+        partial: poly.Poly = (one,)
+        for j, lin in enumerate(lins):
+            if j != i:
+                partial = poly.mul(partial, lin, zero)
+        term = poly.scale(poly.mul(f.extra, partial, zero), ScalarKHat.from_rational(mult, f.p))
+        bracket = poly.add(bracket, term)
+    reduced = [(r, m - 1) for r, m in f.factors]
+    return FactoredRational(f.p, f.lead, reduced, bracket)._refactored()
+
+
+def derivative_by_steps(f: FactoredRational, order: int) -> FactoredRational:
+    """The order-th derivative as ``order`` single derivatives, each one
+    refactored: what ``FactoredRational.derivative`` does in one pass."""
+    for _ in range(order):
+        f = _derivative_once(f)
+    return f
+
+
 def chi(g: Mat2, p: int, exponent: int = 1) -> ScalarKHat:
     """The uniformizer character: pihat^(exponent * val(det g))."""
     if g.A * g.D == g.B * g.C:
@@ -1013,10 +1043,12 @@ def unipotent_columns_by_substitution(s: dict) -> list[list[int]]:
     those of the lower one, big ints and all, less the identity, mod p."""
     t, free, reduce_vector, p = s["t"], s["free"], s["reduce"], s["field"].p
     dim = len(free)
-    upper, lower = (
-        [reduce_vector(col) for col in zip(*substitution_matrix(a, b, c, d, t, int, free))]
-        for a, b, c, d in ((1, 1, 0, 1), (1, 0, 1, 1))
-    )
+
+    def free_columns(a: int, b: int, c: int, d: int) -> list:
+        columns = list(zip(*substitution_matrix(a, b, c, d, t, int)))
+        return [reduce_vector(columns[i]) for i in free]
+
+    upper, lower = free_columns(1, 1, 0, 1), free_columns(1, 0, 1, 1)
     return [
         [(x - (r % dim == j)) % p for r, x in enumerate((*up, *low))]
         for j, (up, low) in enumerate(zip(upper, lower))

@@ -66,6 +66,11 @@ def _pole_points(p: int) -> list:
     ]
 
 
+def monomial(p: int, exponent: int) -> FactoredRational:
+    """z^exponent as a section."""
+    return FactoredRational(p, ScalarKHat.one(p), [(ScalarKHat.zero(p), exponent)])
+
+
 def random_rational(rng: random.Random, p: int) -> FactoredRational:
     """Nonzero product of a leading scalar and up to three linear factors with
     exponents in [-2, 2], poles and zeros at a fixed small point set."""

@@ -468,6 +468,8 @@ class TestAnsweredAtOnce:
             (("residue", "--p", "3", "--k", "2", "--f", "*".join(["(z-1/3)^-100"] * 10), "--radius", "3"), 2),
             (("lattice", "--p", "2", "--k", "1", "--level", "99999999", "--offset", "0"), 2),
             (("local-dims", "--p", "1000003", "--k", "2"), 2),
+            # the image's lead would carry 1601!, of 4 437 digits
+            (("theta", "--p", "2", "--k", "1600", "--f", "1/z", "--level", "0"), 2),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x),
     )
@@ -961,7 +963,36 @@ class TestCostLimits:
     def test_the_root_limit_itself_runs(self, args):
         assert CliRunner().invoke(cli, list(args)).exit_code == 0
 
-    # ``_section`` holds the root check as well as the lead check
+    # (k + 1)! for 1/z and (k + 2)! for z^2 past the limit, or within it but
+    # for a lead of 978 digits; a constant at a huge k, which was
+    # differentiated k + 1 times, one step at a time
+    IMAGES = [
+        ("theta", "--p", "2", "--k", "1600", "--f", "1/z", "--level", "0"),
+        ("theta", "--p", "3", "--k", "1463", "--f", "z^2", "--level", "0"),
+        ("theta", "--p", "2", "--k", "1" + "0" * 40, "--f", "3", "--level", "0"),
+        ("theta", "--p", "5", "--k", "1200", "--f", "*".join(["p^100"] * 14) + "/z", "--level", "0"),
+    ]
+
+    @pytest.mark.parametrize("args", IMAGES, ids=lambda args: " ".join(args)[:60])
+    def test_a_long_image_is_refused_before_the_derivative(self, args, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the derivative began")
+
+        monkeypatch.setattr(cli_module, "theta", refuse)
+        result = CliRunner().invoke(cli, list(args))
+        assert result.exit_code == 2, (args[:4], result.output[:200])
+        limit = cli_module._MAX_IMAGE_DIGITS
+        assert result.stderr == (
+            f"invalid parameters: theta's image at k = {args[4]} may have a lead of more than {limit} digits\n"
+        )
+
+    # 1463! has 3 993 digits
+    def test_the_image_limit_itself_runs(self):
+        args = ["theta", "--p", "2", "--k", "1462", "--f", "1/z", "--level", "0"]
+        assert CliRunner().invoke(cli, args).exit_code == 0
+
+    # ``_section`` holds the root check as well as the lead check, and
+    # ``theta`` checks its image's lead before it calls ``theta``
     def test_every_shown_and_benchmarked_section_passes_the_lead_check(self, monkeypatch):
         class Reached(Exception):
             pass

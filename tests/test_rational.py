@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drinfeld.cli import _value
 from drinfeld.errors import PoleInsideAnnulus, ZeroFunction
 from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational
 from drinfeld.scalars import ScalarKHat
@@ -17,6 +18,7 @@ from drinfeld.tree import Mat2, make_vertex, vertex_transporter
 from oracles import (
     automorphic_act,
     compose_mobius,
+    derivative_by_steps,
     fraction_valuation,
     laurent_standard,
     poly_evaluate,
@@ -24,7 +26,7 @@ from oracles import (
     reduce_mod_pihat,
     transported_gauss_valuation,
 )
-from sampling import gamma_level, random_group_element, random_rational, random_vertex, weyl_flip
+from sampling import gamma_level, monomial, random_group_element, random_rational, random_vertex, weyl_flip
 
 
 def evaluate(f: FactoredRational, z0: ScalarKHat) -> ScalarKHat:
@@ -160,7 +162,7 @@ class TestCalculus:
     def test_power_rule(self):
         p = 2
         for n in range(1, 6):
-            f = FactoredRational.monomial(p, n)
+            f = monomial(p, n)
             expected = FactoredRational(
                 p, ScalarKHat.from_rational(n, p), [(ScalarKHat.zero(p), n - 1)]
             )
@@ -184,6 +186,78 @@ class TestCalculus:
         rng = random.Random(607)
         f = random_rational(rng, p)
         assert f.derivative(3) == f.derivative().derivative().derivative()
+
+
+@st.composite
+def _sections(draw):
+    """A section at p in {2, 3, 5} with up to four factors of multiplicity
+    -3..4 at rational roots, 0, pihat powers and sums of the two, and half
+    the time plus a one-factor section, so that extra is not 1."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    rationals = st.sampled_from([0, 1, -1, 2, Fraction(1, p), p, p * p, 1 + p, Fraction(3, 4)])
+    roots = st.one_of(
+        rationals.map(lambda x: ScalarKHat.from_rational(x, p)),
+        st.integers(-2, 3).map(lambda e: ScalarKHat.pihat(p, e)),
+        st.tuples(rationals, st.integers(-1, 2)).map(
+            lambda t: ScalarKHat.from_rational(t[0], p) + ScalarKHat.pihat(p, t[1])
+        ),
+    )
+    lead = ScalarKHat.from_rational(draw(st.sampled_from([1, Fraction(2, 3), -p])), p)
+    f = FactoredRational(p, lead, draw(st.lists(st.tuples(roots, st.integers(-3, 4)), max_size=4)))
+    if draw(st.booleans()):
+        f = f + FactoredRational(p, ScalarKHat.one(p), [(draw(roots), draw(st.integers(-2, 2)))])
+    return f
+
+
+class TestOnePassDerivative:
+    """``derivative(n)`` runs one recurrence and builds the image once.  The
+    oracle is n single derivatives, each refactored over the roots left and 0."""
+
+    @given(f=_sections(), n=st.integers(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_repeated_derivative_as_function_and_text(self, f, n):
+        got, expected = f.derivative(n), derivative_by_steps(f, n)
+        assert got == expected
+        assert repr(got) == repr(expected)
+        assert _value(got) == _value(expected)
+
+    @given(f=_sections(), n=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_one_more_derivative_prints_alike(self, f, n):
+        once, twice = f.derivative(n), f.derivative(n - 1).derivative()
+        assert repr(once) == repr(twice)
+        assert _value(once) == _value(twice)
+
+    @pytest.mark.parametrize("order", [1, 5, 40])
+    def test_builds_two_sections_at_any_order(self, order, monkeypatch):
+        # the refactored section and the image: a sum's extra is not 1
+        f = parse_rational("z^-1*(z-2/3)^-2*(z-110/3)", 5) + parse_rational("(z-1)^-1", 5)
+        assert len(f.extra) > 1
+        built = []
+        real = FactoredRational.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(FactoredRational, "__init__", counted)
+        f.derivative(order)
+        assert len(built) == 2
+
+    def test_an_extra_that_a_root_divides_is_refactored_first(self):
+        # z (z - 2) in extra beside (z - 2)^1: n single derivatives would drop
+        # z - 2 after one step, the refactored section z (z - 2)^2 keeps it
+        p = 3
+        zero, one, two = ScalarKHat.zero(p), ScalarKHat.one(p), ScalarKHat.from_rational(2, p)
+        f = FactoredRational(p, one, [(two, 1)], (zero, -two, one))
+        refactored = f._refactored()
+        assert refactored.factors == ((zero, 1), (two, 2)) and len(refactored.extra) == 1
+        assert f.derivative(0) is f
+        for n in range(1, 4):
+            got = f.derivative(n)
+            assert got == derivative_by_steps(f, n)
+            assert repr(got) == repr(derivative_by_steps(refactored, n))
+        assert repr(f.derivative(1)) != repr(derivative_by_steps(f, 1))
 
 
 class TestTransport:

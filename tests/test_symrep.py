@@ -80,15 +80,6 @@ class TestSubstitutionMatrixOracle:
                     _reference_substitution_matrix(a, b, c, d, k, int)
                 ), (k, a, b, c, d)
 
-    def test_chosen_columns_are_those_of_the_whole_matrix(self):
-        rng = random.Random(4101)
-        for k in range(11):
-            a, b, c, d = (rng.randrange(-6, 7) for _ in range(4))
-            columns = rng.sample(range(k + 1), rng.randint(0, k + 1))
-            whole = transpose(substitution_matrix(a, b, c, d, k, int))
-            some = substitution_matrix(a, b, c, d, k, int, columns)
-            assert transpose(some) == [whole[i] for i in columns], (k, columns)
-
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_matches_the_term_expansion_over_finite_fields(self, q):
         field = Fq(q)
