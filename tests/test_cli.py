@@ -986,7 +986,7 @@ class TestCostLimits:
             f"invalid parameters: theta's image at k = {args[4]} may have a lead of more than {limit} digits\n"
         )
 
-    # 1463! has 3 993 digits
+    # 1463! has 3 998 digits
     def test_the_image_limit_itself_runs(self):
         args = ["theta", "--p", "2", "--k", "1462", "--f", "1/z", "--level", "0"]
         assert CliRunner().invoke(cli, args).exit_code == 0
