@@ -246,21 +246,22 @@ class FactoredRational:
         p = f.p
         real, pihat, scale = _common_denominator(f.extra)
         q = (poly.trim(real), poly.trim(pihat))
-        live = None
-        for j in range(order):
-            now = [(r, m) for r, m in f.factors if m < 0 or m > j]
-            if now != live:
-                live, ell, weighted, denominator = now, ((1,), ()), ((), ()), 1
-                for r, m in live:
+        # S changes only where a zero's exponent reaches 0
+        cuts = sorted({m for _, m in f.factors if 0 < m < order} | {0, order})
+        for start, stop in zip(cuts, cuts[1:]):
+            ell, weighted, denominator = ((1,), ()), ((), ()), 1
+            for r, m in f.factors:
+                if m < 0 or m > start:
                     lin = ((-r.A, r.D), poly.trim((-r.B,)))
                     weighted = _zadd(_zmul(weighted, lin, p), _zscale(ell, m * r.D))
                     ell = _zmul(ell, lin, p)
                     denominator *= r.D
-                neg_ell_prime = _zscale(_zderivative(ell), -1)
-                bracket = _zadd(weighted, _zscale(neg_ell_prime, j))
-            q = _zadd(_zmul(_zderivative(q), ell, p), _zmul(q, bracket, p))
-            bracket = _zadd(bracket, neg_ell_prime)
-            scale *= denominator
+            neg_ell_prime = _zscale(_zderivative(ell), -1)
+            bracket = _zadd(weighted, _zscale(neg_ell_prime, start))
+            for _ in range(start, stop):
+                q = _zadd(_zmul(_zderivative(q), ell, p), _zmul(q, bracket, p))
+                bracket = _zadd(bracket, neg_ell_prime)
+            scale *= denominator ** (stop - start)
         coeffs = [_make(p, a, b, 1) for a, b in zip_longest(*q, fillvalue=0)]
         low = next((i for i, c in enumerate(coeffs) if c), 0)
         kept = [(r, m - order) for r, m in f.factors if m < 0 or m > order]
