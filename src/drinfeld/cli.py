@@ -78,6 +78,16 @@ _MAX_ROOT_DIGITS = 3000
 # lead(f) d (d - 1) ... (d - k) up to sign.  An int past 4300 digits does not
 # print, and the image of 1/z at k = 1600 carries 1601!, of 4 437 digits.
 _MAX_IMAGE_DIGITS = 4000
+# The largest degree that the polynomial part of theta's image may reach, read
+# before the derivative runs: it gains (roots - 1) a step, to at most
+# deg(extra) + (k + 1)(roots - 1), and the derivative's work grows with it.  At
+# degree 500 two poles (k = 499) took 1.4 s and five (k = 124) 0.8 s as child
+# processes; two poles at k = 1461 ran past 15 s.
+_MAX_IMAGE_DEGREE = 500
+# The largest (p + 1)(k + 1)^3 that local-dims may cost: it admits
+# local-dims --p 997 --k 20 (3.7 s as a child process) and --p 2 --k 200
+# (0.6 s), and refuses --p 2 --k 2000, which ran past 15 s.
+_MAX_STAR_COST = 25_000_000
 # The most entries of an extension field's exp, log and Zech tables, q - 1 each,
 # which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
 # 2.2 s at q = 65536 (one core of a 2-vCPU Xeon).  A prime field has no tables.
@@ -160,6 +170,11 @@ def _value(x):
     raise InternalInvariantError(f"cannot serialize {type(x).__name__}")
 
 
+# The text of every int from -1024 to 1023, read from a table where
+# the residues of a section basis and most other int lists fall: a lookup is
+# cheaper than ``int.__repr__``, the fallback for every other int.
+_INT_TEXT = {n: repr(n) for n in range(-1024, 1024)}
+
 # The printed form of each scalar type that ``_value`` passes through unchanged.
 _LEAVES = {
     int: int.__repr__,
@@ -194,7 +209,10 @@ def _dumps(x, pad: str = "\n") -> str:
         return _wrap("{}", body, pad)
     if isinstance(x, (list, tuple)):
         if set(map(type, x)) == {int}:  # a bool is no int here: it prints as true/false
-            body = list(map(int.__repr__, x))
+            try:
+                body = list(map(_INT_TEXT.__getitem__, x))
+            except KeyError:  # an int past the table
+                body = list(map(int.__repr__, x))
         elif all(type(v) is FqElem and v.field.f == 1 for v in x):
             body = [str(v.n) for v in x]  # a prime-field code is its residue
         elif all(type(v) is ScalarKHat for v in x):
@@ -345,13 +363,22 @@ def _check_image(g: FactoredRational, k: int) -> None:
     """Refuse a theta image whose lead would pass ``_MAX_IMAGE_DIGITS``
     digits, bounded in closed form by the digits of g's lead plus those of
     prod_(i <= k) (max(|d|, 1) + i) >= |d (d - 1) ... (d - k)|, for d the total
-    degree of g.  Past _MAX_IMAGE_DIGITS factors, (k + 1)! alone is longer."""
+    degree of g.  Past _MAX_IMAGE_DIGITS factors, (k + 1)! alone is longer.
+    Refuse one whose polynomial part may pass degree ``_MAX_IMAGE_DEGREE``:
+    each of the k + 1 steps of ``FactoredRational.derivative`` raises it by
+    at most the number of g's roots less one."""
     w = max(abs(sum(m for _, m in g.factors) + len(g.extra) - 1), 1)
     n = min(k + 1, _MAX_IMAGE_DIGITS)
     digits = _digits(g.lead) + (math.lgamma(w + n) - math.lgamma(w)) / math.log(10)
     if digits > _MAX_IMAGE_DIGITS:
         raise InvalidParameters(
             f"theta's image at k = {k} may have a lead of more than {_MAX_IMAGE_DIGITS} digits"
+        )
+    degree = len(g.extra) - 1 + (k + 1) * max(len(g.factors) - 1, 0)
+    if degree > _MAX_IMAGE_DEGREE:
+        raise InvalidParameters(
+            f"theta's image at k = {k} may have a polynomial part of degree {degree}, "
+            f"more than {_MAX_IMAGE_DEGREE}"
         )
 
 
@@ -542,6 +569,11 @@ def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> None:
 def local_dims_cmd(p: int, k: int) -> None:
     """Brute-force local space dimensions against the closed forms."""
     _check_size(f"the star at p = {p}", p + 1, "edges", _MAX_LIST)
+    cost = (p + 1) * (k + 1) ** 3
+    if cost > _MAX_STAR_COST:
+        raise InvalidParameters(
+            f"local-dims at p = {p}, k = {k} costs (p + 1)(k + 1)^3 = {cost}, more than {_MAX_STAR_COST}"
+        )
     report = local_space_report(p, k)
     _emit({"predicted": report["predicted"], "pass": report["pass"], **report["computed"]})
 

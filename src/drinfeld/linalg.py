@@ -3,8 +3,9 @@
 The routines are generic: elements must support +, -, * and / and be false
 exactly at zero, as in ``poly``. Callers pass explicit zero/one samples, used
 only to fill new entries, so the routines stay agnostic of the scalar type
-(used with ScalarKHat, Fraction and FqElem alike).  ``kernel_basis_mod_p``
-runs the same elimination on int residues over a prime field.
+(used with ScalarKHat, Fraction and FqElem alike).  ``rref`` and ``rank``
+given p, ``kernel_basis_mod_p`` and ``kernel_of_columns_mod_p`` run the same
+elimination on int residues over a prime field.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def rref(rows: Matrix, zero: T) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices (exact Gauss-Jordan).
+def rref(rows: Matrix, zero: T, p: int | None = None) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot column indices (exact Gauss-Jordan),
+    over the entries' own field, or over F_p for int entries read mod p when
+    p is given.
 
     Rows are eliminated as column -> nonzero maps, so a row update walks only
     the nonzero entries of the pivot row. The reduced form of a row space is
@@ -30,7 +33,9 @@ def rref(rows: Matrix, zero: T) -> tuple[Matrix, list[int]]:
     back dense, the pivot rows in column order followed by the zero rows."""
     if not rows:
         return [], []
-    reduced, pivots = _gauss_jordan([{c: x for c, x in enumerate(row) if x} for row in rows], None)
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    reduced, pivots = _gauss_jordan([{c: x for c, x in enumerate(row) if x} for row in rows], p)
     dense = [[zero] * len(rows[0]) for _ in rows]
     for out, row in zip(dense, reduced):
         for j, x in row.items():
@@ -92,8 +97,8 @@ def _eliminate(row: dict, c: int, tail: list, p: int | None) -> None:
                 del row[j]
 
 
-def rank(rows: Matrix, zero: T) -> int:
-    return len(rref(rows, zero)[1])
+def rank(rows: Matrix, zero: T, p: int | None = None) -> int:
+    return len(rref(rows, zero, p)[1])
 
 
 def kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> list[list[int]]:

@@ -66,14 +66,6 @@ class FqRatFunc:
     def zero(field: FiniteField) -> "FqRatFunc":
         return FqRatFunc(field, (), (field.one(),))
 
-    @staticmethod
-    def constant(field: FiniteField, c: FqElem) -> "FqRatFunc":
-        return FqRatFunc.make(field, (c,))
-
-    @staticmethod
-    def z(field: FiniteField) -> "FqRatFunc":
-        return FqRatFunc.make(field, (field.zero(), field.one()))
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -206,13 +198,20 @@ def symgeom_parameters(q: int, k: int, i: int) -> tuple[int, int]:
     return t, shift
 
 
-def sym_matrix_fq(field: FiniteField, g, t: int, s: int) -> list:
-    """Matrix over F_q of the twisted symmetric-power action on degree-t
-    forms: F -> det(g)^s * F(dX+bY, cX+aY)."""
+def sym_matrix_codes(field: FiniteField, g, t: int, s: int) -> list:
+    """Codes (see ``FiniteField``) of the matrix of the twisted
+    symmetric-power action on degree-t forms: F -> det(g)^s * F(dX+bY, cX+aY).
+    The code of an element of the prime field is its residue, so when every
+    entry of g lies there the matrix is ``substitution_matrix`` on those ints,
+    read mod p, with no product over F_q."""
     a, b, c, d = _lift_matrix(field, g)
+    if max(a.n, b.n, c.n, d.n) < field.p:
+        p, (a, b, c, d) = field.p, (a.n, b.n, c.n, d.n)
+        scalar = pow(a * d - b * c, s, p)
+        return [[scalar * x % p for x in row] for row in substitution_matrix(a, b, c, d, t, int)]
     scalar = (a * d - b * c) ** s
     m = substitution_matrix(a, b, c, d, t, field.from_int)
-    return [[scalar * x for x in row] for row in m]
+    return [[(scalar * x).n for x in row] for row in m]
 
 
 def _window_poly(field: FiniteField) -> tuple:
@@ -223,21 +222,53 @@ def _window_poly(field: FiniteField) -> tuple:
     return tuple(coeffs)
 
 
+def _lift_poly(field: FiniteField, terms: dict) -> tuple:
+    """The coefficient tuple over F_q of a nonzero polynomial given as
+    {exponent: residue mod p}."""
+    coeffs = [field.zero()] * (max(terms) + 1)
+    for x, c in terms.items():
+        coeffs[x] = field.from_int(c)
+    return tuple(coeffs)
+
+
 def symgeom_iso(q: int, k: int, i: int) -> dict:
     """The monomial-by-monomial comparison map from the twisted symmetric power
-    to rational sections: X^r Y^(t-r) goes to z^r (z - z^q)^shift."""
+    to rational sections: X^r Y^(t-r) goes to z^r W^shift, W = z - z^q.
+
+    W = z (1 - z^(q-1)) has coefficients in F_p, and
+    (1 - z^(q-1))^e = sum_j (-1)^j C(e, j) z^(j(q-1)), so every image is built
+    in lowest terms on ints mod p, for every q: z^(r+e) (1 - z^(q-1))^e over 1
+    at a shift e >= 0, and (-1)^e z^(r-e) over P = (z^(q-1) - 1)^e, which is
+    monic, at a shift -e < 0, with z^(e-r) moved to the denominator when
+    r < e.  ``images`` are these as ``FqRatFunc``s, and ``numerators`` their
+    numerators over the common denominator, z^e P or 1, as sparse int rows."""
     field = Fq(q)
+    p = field.p
     t, shift = symgeom_parameters(q, k, i)
-    window_power = FqRatFunc.constant(field, field.one())
-    if shift:
-        window_power = FqRatFunc.make(field, _window_poly(field)) ** shift
-    zfun = FqRatFunc.z(field)
-    images = [zfun**r * window_power for r in range(t + 1)]
+    e = abs(shift)
+    window = {0: 1}  # (1 - z^(q-1))^e; at e = 0 no binomial table of p entries
+    if e:
+        binomials = _binomials_mod_p(p)(e)
+        window = {j * (q - 1): (-1) ** j * c % p for j, c in enumerate(binomials) if c}
+    if shift >= 0:
+        numerators = [{x + r + e: c for x, c in window.items()} for r in range(t + 1)]
+        images = [FqRatFunc(field, _lift_poly(field, num), (field.one(),)) for num in numerators]
+    else:
+        sign = (-1) ** e % p
+        common = _lift_poly(field, {x: sign * c % p for x, c in window.items()})
+        lead = (field.from_int(sign),)
+        zero = (field.zero(),)
+        images = [
+            FqRatFunc(field, zero * max(r - e, 0) + lead, zero * max(e - r, 0) + common)
+            for r in range(t + 1)
+        ]
+        numerators = [{r: sign} for r in range(t + 1)]
     return {
         "field": field,
         "t": t,
         "shift": shift,
         "images": images,
+        "numerators": numerators,
     }
 
 
@@ -255,42 +286,72 @@ def symgeom_equivariance(q: int, k: int, i: int, g) -> bool:
     -e - qe - k = t for every (q, k, i) (``symgeom_parameters``), so the
     identity holds exactly when P_r == det^e N^r D^(t-r).  The columns are
     checked against that: they run from det^e D^t by one product with N and
-    one exact division by the linear D each.
+    one exact division by the linear D each, on ints mod p when a, b, c, d
+    lie in the prime field (every generator at a prime q, and the unipotents
+    at every q), and over F_q otherwise.
     """
     field = Fq(q)
     t, shift = symgeom_parameters(q, k, i)
-    a, b, c, d = _lift_matrix(field, g)
-    det = a * d - b * c
-    m = sym_matrix_fq(field, g, t, shift)
+    m = sym_matrix_codes(field, g, t, shift)
+    entries = _lift_matrix(field, g)
+    if max(x.n for x in entries) < field.p:
+        columns = _columns_mod_p(field.p, *(x.n for x in entries), t, shift)
+    else:
+        columns = _columns_fq(*entries, t, shift)
+    return all(column == [row[r] for row in m] for r, column in enumerate(columns))
+
+
+def _columns_mod_p(p: int, a: int, b: int, c: int, d: int, t: int, s: int):
+    """The codes of det^s N^r D^(t-r), r = 0..t, for N = b + dz and D = a + cz
+    with a, b, c, d ints mod p, each a list of t + 1 residues, or None after a
+    division by D that leaves a remainder."""
+    scale = pow(a * d - b * c, s, p)
+    column, binomial = [], 1
+    for j in range(t + 1):  # det^s (a + cz)^t by the binomial theorem
+        column.append(scale * binomial * pow(a, t - j, p) * pow(c, j, p) % p)
+        binomial = binomial * (t - j) // (j + 1)
+    inverse = pow(c or a, -1, p)
+    for r in range(t + 1):
+        yield column
+        if r == t:
+            return
+        product = [(b * x + d * y) % p for x, y in zip(column + [0], [0, *column])]
+        if not c:  # D = a: the top coefficient must vanish
+            column = [x * inverse % p for x in product[:-1]]
+            rest = product[-1]
+        else:  # from the top: product[j + 1] = a w[j + 1] + c w[j]
+            column, rest = [0] * (t + 1), product.pop()
+            for j in range(t, -1, -1):
+                column[j] = w = rest * inverse % p
+                rest = (product[j] - a * w) % p
+        if rest:
+            yield None
+            return
+
+
+def _columns_fq(a: FqElem, b: FqElem, c: FqElem, d: FqElem, t: int, s: int):
+    """``_columns_mod_p`` over F_q, on polynomials of ``FqElem``s."""
+    field = a.field
     zero, one = field.zero(), field.one()
     n_poly, d_poly = poly.trim((b, d)), poly.trim((a, c))
-    column = poly.scale(poly.power(d_poly, t, zero, one), det**shift)
+    column = poly.scale(poly.power(d_poly, t, zero, one), (a * d - b * c) ** s)
     for r in range(t + 1):
-        if poly.trim([row[r] for row in m]) != column:
-            return False
-        if r < t:
-            column, rest = poly.divmod(poly.mul(n_poly, column, zero), d_poly, zero)
-            if rest:
-                return False
-    return True
+        yield [x.n for x in column] + [0] * (t + 1 - len(column))
+        if r == t:
+            return
+        column, rest = poly.divmod(poly.mul(n_poly, column, zero), d_poly, zero)
+        if rest:
+            yield None
+            return
 
 
 def symgeom_injectivity_rank(iso: dict) -> int:
     """Rank of the comparison map ``iso`` (from ``symgeom_iso``) as a matrix
-    over F_q."""
-    field = iso["field"]
-    zero = field.zero()
-    common = iso["images"][0].den
-    for img in iso["images"]:
-        g = poly.monic_gcd(common, img.den, zero)
-        common = poly.divmod(poly.mul(common, img.den, zero), g, zero)[0]
-    numerators = []
-    for img in iso["images"]:
-        extra = poly.divmod(common, img.den, zero)[0]
-        numerators.append(poly.mul(img.num, extra, zero))
-    width = max(len(n) for n in numerators)
-    rows = [list(n) + [field.zero()] * (width - len(n)) for n in numerators]
-    return rank(rows, field.zero())
+    over F_q: the rank of its numerators over their common denominator, ints
+    mod p, since they lie in F_p."""
+    numerators = iso["numerators"]
+    width = 1 + max(max(num) for num in numerators)
+    return rank([[num.get(j, 0) for j in range(width)] for num in numerators], 0, iso["field"].p)
 
 
 # -- truncated-tree global sections --------------------------------------------------

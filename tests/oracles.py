@@ -25,7 +25,7 @@ from drinfeld.errors import (
 )
 from drinfeld.harmonic import Cochain, _raise_in_annulus, res0, sigma
 from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
-from drinfeld.linalg import rref
+from drinfeld.linalg import rank, rref
 from drinfeld.modp import (
     INFINITY_POINT,
     FqRatFunc,
@@ -47,6 +47,7 @@ from drinfeld.scalars import (
     ScalarKHat,
     _check_prime,
     _common_denominator,
+    _make_fq,
     _times_pihat,
     _twice_valuation,
     _vp,
@@ -67,6 +68,7 @@ from drinfeld.tree import (
     truncated_tree,
     vertex_transporter,
 )
+from sampling import fq_constant, fq_z
 
 
 # -- integer factoring ---------------------------------------------------------------
@@ -1023,13 +1025,13 @@ def generator_matrices_fq(s: dict) -> list:
     matrix on the quotient ``s`` (``modp._quotient_structure``) against the
     free monomial classes, and whether it has trace 2 and determinant 1,
     which makes 1 its only eigenvalue, on Sym^t and on the quotient.  Both
-    the generators and ``modp.sym_matrix_fq`` are read at call time, so a
+    the generators and ``modp.sym_matrix_codes`` are read at call time, so a
     patch of either reaches it."""
     field, t, shift, free, reduce_vector = s["field"], s["t"], s["shift"], s["free"], s["reduce"]
     matrices = []
     for g in modp.gl2_generators(field):
         (a, b), (c, d) = g
-        m = modp.sym_matrix_fq(field, g, t, shift)
+        m = sym_matrix_fq(field, g, t, shift)
         cols = [reduce_vector([row[j] for row in m]) for j in free]
         unipotent = a + d == field.from_int(2) and a * d - b * c == field.one()
         matrices.append(([[col[r] for col in cols] for r in range(len(free))], unipotent))
@@ -1114,6 +1116,56 @@ def stable_lines_by_scan(q: int, k: int, i: int) -> list:
     ]
 
 
+def sym_matrix_fq(field: FiniteField, g, t: int, s: int) -> list:
+    """``modp.sym_matrix_codes`` as ``FqElem``s, read at call time, so that a
+    patched builder reaches every check that goes through this one."""
+    return [[_make_fq(field, n) for n in row] for row in modp.sym_matrix_codes(field, g, t, s)]
+
+
+def sym_matrix_by_substitution(field: FiniteField, g, t: int, s: int) -> list:
+    """The matrix over F_q of F -> det(g)^s * F(dX+bY, cX+aY) on degree-t
+    forms, from ``substitution_matrix`` on ``FqElem``s whatever the entries
+    of g: the reference for ``modp.sym_matrix_codes``."""
+    a, b, c, d = modp._lift_matrix(field, g)
+    scalar = (a * d - b * c) ** s
+    m = substitution_matrix(a, b, c, d, t, field.from_int)
+    return [[scalar * x for x in row] for row in m]
+
+
+def symgeom_images_by_products(q: int, k: int, i: int) -> list:
+    """The comparison map's images z^r W^shift, W = z - z^q, as products of
+    ``FqRatFunc``s in normal form, each through a gcd: the reference for the
+    closed form of ``modp.symgeom_iso``."""
+    field = Fq(q)
+    t, shift = symgeom_parameters(q, k, i)
+    window_power = fq_constant(field, field.one())
+    if shift:
+        window_power = FqRatFunc.make(field, modp._window_poly(field)) ** shift
+    zfun = fq_z(field)
+    return [zfun**r * window_power for r in range(t + 1)]
+
+
+def symgeom_numerators_by_fq(images: list) -> list:
+    """The numerators of ``images`` over their least common denominator, as
+    polynomials over F_q, the denominator built by gcds."""
+    field = images[0].field
+    zero = field.zero()
+    common = images[0].den
+    for img in images:
+        g = poly.monic_gcd(common, img.den, zero)
+        common = poly.divmod(poly.mul(common, img.den, zero), g, zero)[0]
+    return [poly.mul(img.num, poly.divmod(common, img.den, zero)[0], zero) for img in images]
+
+
+def symgeom_rank_by_fq(images: list) -> int:
+    """Rank over F_q of the comparison map with these images: the reference
+    for ``modp.symgeom_injectivity_rank``."""
+    numerators = symgeom_numerators_by_fq(images)
+    zero = images[0].field.zero()
+    width = max(len(n) for n in numerators)
+    return rank([list(n) + [zero] * (width - len(n)) for n in numerators], zero)
+
+
 def symgeom_equivariance_by_columns(q: int, k: int, i: int, g) -> bool:
     """The comparison map's equivariance, column by column: with W = z - z^q,
     e the shift and P_r = sum_j M[j][r] z^j for the symmetric-power matrix M,
@@ -1122,11 +1174,11 @@ def symgeom_equivariance_by_columns(q: int, k: int, i: int, g) -> bool:
     W((b+dz)/(a+cz)) over (a+cz)^q.  The two sides are compared by
     cross-multiplying, each column by the dense What^|e| and a power of
     a + cz.  The reference for ``symgeom_equivariance``; it reads
-    ``modp.sym_matrix_fq`` at call time, so a patched matrix reaches both."""
+    ``modp.sym_matrix_codes`` at call time, so a patched matrix reaches both."""
     field = Fq(q)
     t, shift = modp.symgeom_parameters(q, k, i)
     a, b, c, d = modp._lift_matrix(field, g)
-    m = modp.sym_matrix_fq(field, g, t, shift)
+    m = sym_matrix_fq(field, g, t, shift)
     n_poly, d_poly = (b, d), (a, c)
     zero, one = field.zero(), field.one()
     lhs_factor = rhs_factor = (one,)

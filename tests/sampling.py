@@ -9,8 +9,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from drinfeld.modp import FqRatFunc
 from drinfeld.rational import FactoredRational
-from drinfeld.scalars import ScalarKHat
+from drinfeld.scalars import FiniteField, FqElem, ScalarKHat
 from drinfeld.tree import Mat2, Vertex, make_vertex, unipotent_lower
 
 
@@ -64,6 +65,16 @@ def _pole_points(p: int) -> list:
         ScalarKHat.from_rational(Fraction(1, p), p),
         ScalarKHat.from_rational(1 + p, p),
     ]
+
+
+def fq_constant(field: FiniteField, c: FqElem) -> FqRatFunc:
+    """The constant rational function c over F_q."""
+    return FqRatFunc.make(field, (c,))
+
+
+def fq_z(field: FiniteField) -> FqRatFunc:
+    """The coordinate z as a rational function over F_q."""
+    return FqRatFunc.make(field, (field.zero(), field.one()))
 
 
 def monomial(p: int, exponent: int) -> FactoredRational:

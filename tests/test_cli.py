@@ -26,11 +26,11 @@ from drinfeld import cli as cli_module
 from drinfeld.cli import cli
 from drinfeld.errors import InternalInvariantError
 from drinfeld.harmonic import Cochain, res0
-from drinfeld.modp import FqRatFunc, gl2_generators, sym_matrix_fq, symgeom_parameters
+from drinfeld.modp import FqRatFunc, gl2_generators, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.rational import parse_rational
 from drinfeld.tree import make_vertex, truncated_tree
-from oracles import emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce
+from oracles import emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce, sym_matrix_fq
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -470,6 +470,10 @@ class TestAnsweredAtOnce:
             (("local-dims", "--p", "1000003", "--k", "2"), 2),
             # the image's lead would carry 1601!, of 4 437 digits
             (("theta", "--p", "2", "--k", "1600", "--f", "1/z", "--level", "0"), 2),
+            # polynomial parts of degree up to 1 992 and 1 462
+            (("theta", "--p", "2", "--k", "995", "--f", "(z-1)^-1*(z-2)^-1*(z-3)^-1", "--level", "0"), 2),
+            (("theta", "--p", "2", "--k", "1461", "--f", "1/(z-1/3)/(z-1/5)", "--level", "0"), 2),
+            (("local-dims", "--p", "2", "--k", "2000"), 2),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x),
     )
@@ -880,6 +884,8 @@ class TestCostLimits:
         ("theta", "--p", "2", "--k", "0", "--f", "1/z", "--level", "-101"),
         ("lattice", "--p", "2", "--k", "1", "--level", "99999999", "--offset", "0"),
         ("local-dims", "--p", "1009", "--k", "2"),
+        ("local-dims", "--p", "2", "--k", "2000"),
+        ("local-dims", "--p", "997", "--k", "29"),
         ("residue", "--p", "3", "--k", "2", "--f", "*".join(["(z-1/3)^-100"] * 10), "--radius", "3"),
         ("residue", "--p", "3", "--k", "2", "--f", "1" + "/(z-1/3)^100" * 2, "--radius", "1"),
         ("theta", "--p", "3", "--k", "0", "--f", "z^-60*(z-1)^0041", "--level", "1"),
@@ -911,6 +917,8 @@ class TestCostLimits:
             ("theta", "--p", "2", "--k", "0", "--f", "1/z", "--level", "100"),
             ("lattice", "--p", "2", "--k", "1", "--level", "-100", "--offset", "0"),
             ("local-dims", "--p", "997", "--k", "0"),
+            # 3 * 202^3 is within the budget, and 3 * 203^3 past it
+            ("local-dims", "--p", "2", "--k", "201"),
         ],
         ids=" ".join,
     )
@@ -985,6 +993,32 @@ class TestCostLimits:
         assert result.stderr == (
             f"invalid parameters: theta's image at k = {args[4]} may have a lead of more than {limit} digits\n"
         )
+
+    # deg(extra) + (k + 1)(roots - 1) past the limit: a zero among the
+    # roots counts, though it leaves the recurrence after its multiplicity
+    DEGREES = [
+        ("theta", "--p", "2", "--k", "995", "--f", "(z-1)^-1*(z-2)^-1*(z-3)^-1", "--level", "0"),
+        ("theta", "--p", "2", "--k", "1461", "--f", "1/(z-1/3)/(z-1/5)", "--level", "0"),
+        ("theta", "--p", "2", "--k", "500", "--f", "(z-1)^-1*(z-3)", "--level", "0"),
+        ("theta", "--p", "3", "--k", "100", "--f", "*".join(f"(z-{r})^-1" for r in range(1, 7)), "--level", "0"),
+    ]
+
+    @pytest.mark.parametrize("args", DEGREES, ids=lambda args: " ".join(args)[:60])
+    def test_a_long_polynomial_part_is_refused_before_the_derivative(self, args, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the derivative began")
+
+        monkeypatch.setattr(cli_module, "theta", refuse)
+        result = CliRunner().invoke(cli, list(args))
+        assert result.exit_code == 2, (args[:4], result.output[:200])
+        limit = cli_module._MAX_IMAGE_DEGREE
+        assert result.stderr.startswith(f"invalid parameters: theta's image at k = {args[4]} may have")
+        assert result.stderr.endswith(f"more than {limit}\n")
+
+    # the degree bound is 500 exactly: the zero at 3 leaves after one step
+    def test_the_degree_limit_itself_runs(self):
+        args = ["theta", "--p", "2", "--k", "499", "--f", "(z-1)^-1*(z-3)", "--level", "0"]
+        assert CliRunner().invoke(cli, args).exit_code == 0
 
     # 1463! has 3 998 digits
     def test_the_image_limit_itself_runs(self):
@@ -1107,6 +1141,21 @@ class TestResidueFieldReach:
                 assert scale and moved == tuple(scale * x for x in line), (printed, g)
 
 
+class TestComparisonMapReach:
+    """The comparison map at t = 998, the longest list its budget admits at
+    q = 3: images in closed form and matrices and columns on ints mod 3."""
+
+    def test_the_longest_admitted_map_is_answered_within_ten_seconds(self):
+        args = ["modp", "symgeom-check", "--q", "3", "--k", "998", "--i", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "drinfeld.cli", *args], capture_output=True, env=child_env(), timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert (out["t"], out["shift"], len(out["images"])) == (998, -499, 999)
+        assert out["equivariant"] is True and out["injectivity_rank"] == 999 and out["pass"] is True
+
+
 class TestDeterminism:
     COMMANDS = [
         ("local-dims", "--p", "2", "--k", "3"),
@@ -1193,6 +1242,14 @@ class TestGoldenStdout:
          "d1ec16eafdd73f438958d91f76373eff53e730c8e8d0606c483a1144185fb68e"),
         (("modp", "symgeom-check", "--q", "101", "--k", "2", "--i", "0"), 0,
          "cdccadf6d68fa4f6dee96e0186aed971de646ac92c4bd57779e695887fc67200"),
+        # comparison maps with every generator on ints mod 7, and over F_8 and
+        # F_9 with the unipotents on ints and diag(w, 1) on field elements
+        (("modp", "symgeom-check", "--q", "7", "--k", "4", "--i", "0"), 0,
+         "90bfe5cbff54c58191256854e6278513c22ce578f6c8420984efc3d7bfa4f79c"),
+        (("modp", "symgeom-check", "--q", "8", "--k", "4", "--i", "0"), 0,
+         "25f78f051634dbb2b5fca1d2527ae06e42c568325a34055645a4331e1753a891"),
+        (("modp", "symgeom-check", "--q", "9", "--k", "10", "--i", "0"), 0,
+         "c729970a111e8077a6f9e3112145ce7740d595ae905e1b7e1a98a44592226b1d"),
         (("modp", "sections", "--q", "3", "--k", "3", "--radius", "1"), 0,
          "0eaa87eb5d787877a25103fa83468feec42bd045e3f248eb4b63439d2189e210"),
         (("identity-b", "--p", "2", "--kmax", "4", "--mmax", "6"), 0,
@@ -1337,8 +1394,20 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize(
         "payload",
-        [[True, False], [1, True, 0], [0, 1, 2**70, -3], [False, 1], {"a": [2, 0], "b": [True]}],
-        ids=["bools", "int-then-bool", "ints", "bool-then-int", "nested"],
+        [
+            [True, False],
+            [1, True, 0],
+            [0, 1, 2**70, -3],
+            [False, 1],
+            {"a": [2, 0], "b": [True]},
+            [-1025, -1024, 1023, 1024],
+            [2, 0, 1, False, 2],
+            [1, 2**69 + 5, -(2**69) - 5, 0],
+        ],
+        ids=[
+            "bools", "int-then-bool", "ints", "bool-then-int", "nested",
+            "table-ends", "bool-among-table-ints", "70-bit-ints",
+        ],
     )
     def test_int_and_bool_lists_match_the_oracle(self, payload):
         # a list of ints only takes the one-pass branch; a bool keeps printing true/false

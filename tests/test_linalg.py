@@ -305,6 +305,25 @@ class TestKernelOfColumnsModP:
         assert kernel_of_columns_mod_p([[p, 0], [1, 2]], p) == [[1, 0]]
 
 
+class TestRrefModP:
+    """``rref`` and ``rank`` given p, on dense int rows read mod p, against the
+    same routines over ``Fq(p)`` on the same matrices."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_matches_the_field_form(self, p):
+        name, zero, one, draw = _fq(p)
+        rng = random.Random(f"rref mod {p}")
+        for _ in range(3):
+            shapes = _shapes(rng, zero, draw)
+            shapes += [(f"invertible {n}", _invertible_matrix(rng, n, 0.5, zero, draw)) for n in (1, 4, 7)]
+            for shape, m in shapes:
+                # entries off [0, p), read mod p
+                rows = [[x.n + p * rng.randint(-2, 2) for x in row] for row in m]
+                reduced, pivots = rref(m, zero)
+                assert rref(rows, 0, p) == ([[x.n for x in row] for row in reduced], pivots), shape
+                assert rank(rows, 0, p) == len(pivots), shape
+
+
 # -- Smith reduction over the valuation ring ---------------------------------------------
 
 

@@ -13,6 +13,7 @@ from math import comb
 import pytest
 
 from drinfeld import modp, poly
+from drinfeld.cli import _value
 from drinfeld.errors import InternalInvariantError, InvalidParameters, ZeroFunction
 from drinfeld.linalg import transpose
 from drinfeld.modp import (
@@ -41,6 +42,7 @@ from drinfeld.tree import (
     truncated_tree,
     vertex_transporter,
 )
+from sampling import fq_constant, fq_z
 from oracles import (
     generator_matrices_fq,
     mat_vec,
@@ -50,7 +52,12 @@ from oracles import (
     sections_basis_by_dense_rows,
     stable_lines_by_eigenvalues,
     stable_lines_by_scan,
+    sym_matrix_by_substitution,
+    sym_matrix_fq,
     symgeom_equivariance_by_columns,
+    symgeom_images_by_products,
+    symgeom_numerators_by_fq,
+    symgeom_rank_by_fq,
     transported_gauss_valuation,
     unipotent_columns_by_substitution,
 )
@@ -85,13 +92,13 @@ def section_space_basis(field, divisor: dict) -> list:
     deg = divisor_degree(divisor)
     if deg < 0:
         return []
-    base = FqRatFunc.constant(field, field.one())
+    base = fq_constant(field, field.one())
     for point, mult in divisor.items():
         if point == INFINITY_POINT:
             continue
         lin = FqRatFunc.make(field, (-point, field.one()))
         base = base * lin ** (-mult)
-    zfun = FqRatFunc.z(field)
+    zfun = fq_z(field)
     return [zfun**j * base for j in range(deg + 1)]
 
 
@@ -101,7 +108,7 @@ def h0_dimension(divisor: dict) -> int:
 
 def sym_act_fq(field, g, coords: list, t: int, s: int) -> list:
     """Twisted symmetric-power action on a coordinate column over F_q."""
-    return mat_vec(modp.sym_matrix_fq(field, g, t, s), coords)
+    return mat_vec(sym_matrix_fq(field, g, t, s), coords)
 
 
 def symgeom_apply(iso: dict, coords: list) -> FqRatFunc:
@@ -109,7 +116,7 @@ def symgeom_apply(iso: dict, coords: list) -> FqRatFunc:
     field = iso["field"]
     total = FqRatFunc.zero(field)
     for c, img in zip(coords, iso["images"]):
-        total = total + img * FqRatFunc.constant(field, c)
+        total = total + img * fq_constant(field, c)
     return total
 
 
@@ -223,11 +230,11 @@ class TestRationalFunctions:
 
     def test_field_operations_are_consistent(self):
         F = Fq(4)
-        z = FqRatFunc.z(F)
-        g = (z * z + z) / (z + FqRatFunc.constant(F, F.one()))
+        z = fq_z(F)
+        g = (z * z + z) / (z + fq_constant(F, F.one()))
         # z(z+1)/(z+1) reduces to z
         assert (g - z).is_zero()
-        assert ((z**3) * (z**-3) - FqRatFunc.constant(F, F.one())).is_zero()
+        assert ((z**3) * (z**-3) - fq_constant(F, F.one())).is_zero()
 
     def test_zero_has_no_inverse(self):
         F = Fq(2)
@@ -238,10 +245,10 @@ class TestRationalFunctions:
 class TestWeightedAction:
     def test_translation_at_weight_zero_shifts_the_coordinate(self):
         F = Fq(3)
-        z = FqRatFunc.z(F)
+        z = fq_z(F)
         g = ((F.one(), F.one()), (F.zero(), F.one()))
         moved = weight_action_p1(g, z, 0)
-        assert (moved - (z + FqRatFunc.constant(F, F.one()))).is_zero()
+        assert (moved - (z + fq_constant(F, F.one()))).is_zero()
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_window_inverse_is_fixed_at_weight_q_plus_one(self, q):
@@ -254,8 +261,8 @@ class TestWeightedAction:
 
     def test_action_composes_as_a_left_action_on_samples(self):
         F = Fq(3)
-        z = FqRatFunc.z(F)
-        f = (z * z + FqRatFunc.constant(F, F.one())) / z
+        z = fq_z(F)
+        f = (z * z + fq_constant(F, F.one())) / z
         g1 = ((F.one(), F.one()), (F.zero(), F.one()))
         g2 = ((F.zero(), -F.one()), (F.one(), F.zero()))
         # product g1*g2 computed in the field
@@ -326,7 +333,7 @@ def _reference_symgeom_equivariance(q, k, i, g):
     transformed monomial against the weighted action on the image."""
     iso = symgeom_iso(q, k, i)
     field, t, shift = iso["field"], iso["t"], iso["shift"]
-    m = modp.sym_matrix_fq(field, g, t, shift)
+    m = sym_matrix_fq(field, g, t, shift)
     for r in range(t + 1):
         lhs = symgeom_apply(iso, [row[r] for row in m])
         rhs = weight_action_p1(g, iso["images"][r], k)
@@ -392,7 +399,7 @@ class TestComparisonMap:
         F = iso["field"]
         coords = [F.one() if j == 2 else F.zero() for j in range(iso["t"] + 1)]
         img = symgeom_apply(iso, coords)
-        z = FqRatFunc.z(F)
+        z = fq_z(F)
         expected = z * z * _window_inverse(F) ** 2
         assert (img - expected).is_zero()
 
@@ -415,7 +422,7 @@ class TestComparisonMap:
     @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_a_broken_matrix_fails_both_checks_alike(self, q, mutation, monkeypatch):
-        monkeypatch.setattr(modp, "sym_matrix_fq", _MUTATIONS[mutation](modp.sym_matrix_fq))
+        monkeypatch.setattr(modp, "sym_matrix_codes", _MUTATIONS[mutation](modp.sym_matrix_codes))
         caught = 0
         for k, i in _COLUMN_CASES[q]:
             for g in gl2_generators(Fq(q)):
@@ -428,14 +435,100 @@ class TestComparisonMap:
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
     def test_a_wrong_determinant_twist_is_caught(self, q, monkeypatch):
         k, i = 4, 0
-        honest = modp.sym_matrix_fq
+        honest = modp.sym_matrix_codes
         monkeypatch.setattr(
-            modp, "sym_matrix_fq", lambda field, g, t, s: honest(field, g, t, s + 1)
+            modp, "sym_matrix_codes", lambda field, g, t, s: honest(field, g, t, s + 1)
         )
         upper, lower, diagonal = gl2_generators(Fq(q))
         for g, expected in ((upper, True), (lower, True), (diagonal, False)):
             assert symgeom_equivariance(q, k, i, g) is expected
             assert _reference_symgeom_equivariance(q, k, i, g) is expected
+
+
+# every case above, over every field of the column cases, with the
+# positive shifts that negative k and i give
+_IMAGE_CASES = sorted(
+    set(_SYMGEOM_CASES)
+    | {(q, k, i) for q, cases in _COLUMN_CASES.items() for k, i in cases}
+    | {(9, 10, 0), (5, 12, 0), (2, -8, -2), (3, -6, -2), (4, -8, -3), (5, -26, -9), (7, -30, -12), (8, -10, -4)}
+)
+
+
+def _invertible(field, rng, entries):
+    """A random invertible 2x2 matrix over ``field`` with entries drawn from
+    ``entries``."""
+    while True:
+        a, b, c, d = (rng.choice(entries) for _ in range(4))
+        if a * d - b * c != field.zero():
+            return ((a, b), (c, d))
+
+
+class TestComparisonMapOnInts:
+    """The closed-form images, the int matrix builder and the int column
+    recurrence against the products over F_q that they replace."""
+
+    @pytest.mark.parametrize("q,k,i", _IMAGE_CASES)
+    def test_closed_form_images_match_the_products(self, q, k, i):
+        iso = symgeom_iso(q, k, i)
+        expected = symgeom_images_by_products(q, k, i)
+        assert iso["images"] == expected
+        assert [_value(f) for f in iso["images"]] == [_value(f) for f in expected]
+        numerators = [
+            {x: c.n for x, c in enumerate(n) if c} for n in symgeom_numerators_by_fq(expected)
+        ]
+        assert iso["numerators"] == numerators
+        assert symgeom_injectivity_rank(iso) == symgeom_rank_by_fq(expected) == iso["t"] + 1
+
+    def test_a_large_prime_at_shift_zero_builds_no_table(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("a binomial table was built")
+
+        monkeypatch.setattr(modp, "_binomials_mod_p", refuse)
+        iso = symgeom_iso(1000003, 0, 0)
+        assert iso["images"] == [fq_constant(iso["field"], iso["field"].one())]
+        assert symgeom_injectivity_rank(iso) == 1
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_matrix_codes_match_the_field_matrix(self, q, rng):
+        field = Fq(q)
+        elems = list(field.elements())
+        gens = gl2_generators(field) + [_invertible(field, rng, elems) for _ in range(6)]
+        for g in gens:
+            for t in range(7):
+                for s in range(-2, 3):
+                    expected = [[x.n for x in row] for row in sym_matrix_by_substitution(field, g, t, s)]
+                    assert modp.sym_matrix_codes(field, g, t, s) == expected, (g, t, s)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+    def test_int_columns_match_the_field_columns(self, q, rng):
+        field = Fq(q)
+        prime = [field.from_int(n) for n in range(field.p)]
+        for _ in range(12):
+            g = _invertible(field, rng, prime)
+            (a, b), (c, d) = g
+            for t in range(6):
+                for s in range(-2, 3):
+                    ints = list(modp._columns_mod_p(field.p, a.n, b.n, c.n, d.n, t, s))
+                    assert ints == list(modp._columns_fq(a, b, c, d, t, s)), (g, t, s)
+                    assert None not in ints
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_only_the_diagonal_generator_over_an_extension_field_leaves_the_ints(
+        self, q, monkeypatch
+    ):
+        on_field = []
+        honest = modp._columns_fq
+
+        def record(*args):
+            on_field.append(args[:4])
+            return honest(*args)
+
+        monkeypatch.setattr(modp, "_columns_fq", record)
+        field = Fq(q)
+        for g in gl2_generators(field):
+            assert symgeom_equivariance(q, 4, 0, g) is True
+        w = field.primitive_element()
+        assert on_field == ([(w, field.zero(), field.zero(), field.one())] if field.f > 1 else [])
 
 
 class TestTruncatedSections:
