@@ -82,11 +82,11 @@ _MAX_IMAGE_DIGITS = 4000
 # before the derivative runs: it gains (roots - 1) a step, to at most
 # deg(extra) + (k + 1)(roots - 1), and the derivative's work grows with it.  At
 # degree 500 two poles (k = 499) took 1.4 s and five (k = 124) 0.8 s as child
-# processes; two poles at k = 1461 ran past 15 s.
+# processes on a 2-vCPU machine; two poles at k = 1461 ran past 15 s.
 _MAX_IMAGE_DEGREE = 500
 # The largest (p + 1)(k + 1)^3 that local-dims may cost: it admits
-# local-dims --p 997 --k 20 (3.7 s as a child process) and --p 2 --k 200
-# (0.6 s), and refuses --p 2 --k 2000, which ran past 15 s.
+# local-dims --p 997 --k 20 (3.7 s as a child process on a 2-vCPU machine) and
+# --p 2 --k 200 (0.6 s), and refuses --p 2 --k 2000, which ran past 15 s.
 _MAX_STAR_COST = 25_000_000
 # The most entries of an extension field's exp, log and Zech tables, q - 1 each,
 # which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
@@ -170,9 +170,9 @@ def _value(x):
     raise InternalInvariantError(f"cannot serialize {type(x).__name__}")
 
 
-# The text of every int from -1024 to 1023, read from a table where
-# the residues of a section basis and most other int lists fall: a lookup is
-# cheaper than ``int.__repr__``, the fallback for every other int.
+# The text of every int from -1024 to 1023, where the residues of a section
+# basis and most other int lists fall: a lookup is cheaper than
+# ``int.__repr__``, the fallback for every other int.
 _INT_TEXT = {n: repr(n) for n in range(-1024, 1024)}
 
 # The printed form of each scalar type that ``_value`` passes through unchanged.
