@@ -42,7 +42,6 @@ from drinfeld.tree import (
     truncated_tree,
     vertex_transporter,
 )
-from sampling import fq_constant, fq_z
 from oracles import (
     generator_matrices_fq,
     mat_vec,
@@ -61,6 +60,7 @@ from oracles import (
     transported_gauss_valuation,
     unipotent_columns_by_substitution,
 )
+from sampling import fq_constant, fq_z
 
 
 def order_at(f: FqRatFunc, point) -> int:
