@@ -19,23 +19,22 @@ homomorphism, the transition between two lattices is one symmetric-power
 matrix between two diagonal scalings, and membership needs no elimination.
 Each entry is an int of ``symrep.sym_ints``'s M times num/den times pihat^n,
 so valuations and residues are read from ints and no scalar is built.  The
-transporters are lower triangular, so the transition at the standard edge is
-diagonal.  For even k every n is even: the lattices are defined over Q_p.
-Profiles are printed, so they are ``Fraction`` valuations; everything else
-compares doubled int valuations.
+transporters are lower triangular: the transition at the standard edge is
+diagonal, and membership applies the triangular M to a vector, unbuilt.  For
+even k every n is even: the lattices are defined over Q_p.  Profiles are
+printed as ``Fraction`` valuations; everything else compares doubled ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import InternalInvariantError, NegativeValuation, ZeroFunction
 from .linalg import rank, rref
 from .rational import FactoredRational, gauss_valuation
 from .scalars import INF, Fq, _common_denominator, _twice_valuation, _vp, half
-from .symrep import _lower_triangular, sym_ints
+from .symrep import sym_ints, triangular_apply
 from .tree import (
     Edge,
     Mat2,
@@ -106,16 +105,13 @@ def in_edge_lattice(e: Edge, k: int, vec: list) -> bool:
     sym(g)^T * vec for the child's transporter g, has doubled valuation at
     least max(0, 2j - k).  With (L, O, C) from ``_level_and_offset``, g is
     [[C, 0], [-O, L]] / C, so sym(g) is the lower triangular M of the ints
-    C, -O, L times L/C^(k+1) and pihat^((k+2)(v_p(C) - v_p(L)))."""
+    C, -O, L (applied by ``triangular_apply``) times L/C^(k+1) and
+    pihat^((k+2)(v_p(C) - v_p(L))), of doubled valuation -k (v_p(L) + v_p(C))."""
     p, (L, O, C) = e.v.p, _level_and_offset(e.v)
     a, b, common = _common_denominator(vec)
-    vl, vc = _vp(L, p), _vp(C, p)
-    shift = 2 * (vl - (k + 1) * vc - _vp(common, p)) + (k + 2) * (vc - vl)
-    for j, col in enumerate(zip(*_lower_triangular(C, -O, L, k))):
-        twice = _twice_valuation(sum(map(mul, col, a)), sum(map(mul, col, b)), p)
-        if twice + shift < max(0, 2 * j - k):
-            return False
-    return True
+    shift = -k * (_vp(L, p) + _vp(C, p)) - 2 * _vp(common, p)
+    coords = zip(triangular_apply(C, -O, L, a, True), triangular_apply(C, -O, L, b, True))
+    return all(_twice_valuation(x, y, p) + shift >= max(0, 2 * j - k) for j, (x, y) in enumerate(coords))
 
 
 # -- mod-uniformizer local spaces --------------------------------------------------

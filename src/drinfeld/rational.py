@@ -12,13 +12,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from operator import mul
 from typing import Iterable
 
 from . import poly
 from .errors import InvalidParameters, ZeroFunction
 from .scalars import ScalarKHat, _common_denominator, _make, _twice_valuation, _vp
-from .symrep import _lower_triangular
+from .symrep import triangular_apply
 from .tree import Vertex, _level_and_offset
 
 # -- polynomials over Z[pihat] ------------------------------------------------------
@@ -295,9 +294,8 @@ def gauss_valuation(f: FactoredRational, v: Vertex, k: int = 0) -> int:
     (A + B pihat)/D, becomes ((b - a y) + (d - c y) z) / (a + c z), with
     min(omega(d - c y), omega(y)) and d - c y = (C D - O A - O B pihat)/(L D);
     extra, of degree n, becomes sum e_i C^i z^i (L + O z)^(n - i) / L^n over
-    (a + c z)^n, whose z^j coefficient pairs the e_i with row j of the
-    symmetric power of [[L, 0], [O, C]]; and (a + c z)^(-k) gives
-    -k min(omega(a), omega(c))."""
+    (a + c z)^n, whose coefficients Horner's rule in L + O z builds from ints
+    (``triangular_apply``); and (a + c z)^(-k) gives -k min(omega(a), omega(c))."""
     if f.is_zero():
         raise ZeroFunction("the zero function has no Gauss valuation")
     p = v.p
@@ -311,11 +309,8 @@ def gauss_valuation(f: FactoredRational, v: Vertex, k: int = 0) -> int:
         degree += mult
     if n:
         a, b, den = _common_denominator(f.extra)
-        coeffs = [
-            _twice_valuation(sum(map(mul, row, a)), sum(map(mul, row, b)), p)
-            for row in _lower_triangular(L, O, C, n)
-        ]
-        val += min(coeffs) - 2 * (_vp(den, p) + n * vl)
+        coeffs = zip(triangular_apply(L, O, C, a), triangular_apply(L, O, C, b))
+        val += min(_twice_valuation(x, y, p) for x, y in coeffs) - 2 * (_vp(den, p) + n * vl)
     return val - (k + degree) * (min(0, 2 * (_vp(O, p) - vl)) if O else 0)
 
 

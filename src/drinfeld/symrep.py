@@ -11,7 +11,6 @@ exponent of pihat, even for even k; the dual action of g is sym(g^-1)^T.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Callable, TypeVar
 
 from . import poly
@@ -45,12 +44,22 @@ def substitution_matrix(
     return transpose(cols)  # rows indexed by monomial, columns by source index
 
 
-def _lower_triangular(a: int, c: int, d: int, k: int) -> Matrix:
-    """``substitution_matrix(a, 0, c, d, k, int)`` in closed form, with no
-    polynomial product: column i is (dX)^i (cX + aY)^(k-i), so entry (r, i) is
-    d^i C(k-i, r-i) c^(r-i) a^(k-r) on and below the diagonal, 0 above it."""
-    entry = lambda r, i: d**i * comb(k - i, r - i) * c ** (r - i) * a ** (k - r) if i <= r else 0
-    return [[entry(r, i) for i in range(k + 1)] for r in range(k + 1)]
+def triangular_apply(a: int, c: int, d: int, vec: list, transposed: bool = False) -> list:
+    """M * vec, or M^T * vec if ``transposed``, for the unbuilt lower triangular M =
+    ``substitution_matrix(a, 0, c, d, k, int)``, k = len(vec) - 1, in O(k^2) steps:
+    M * vec is sum_i d^i vec[i] t^i (a + c t)^(k-i), by Horner's rule; M^T * vec is
+    d^j sum_m C(k-j, m) c^m a^(k-j-m) vec[j+m] at j, by Pascal's rule in u = vec:
+    n steps of u <- a u[j] + c u[j+1] leave that sum in u[k-n]."""
+    out = []
+    if transposed:
+        while vec:
+            out.append(vec[-1] * d ** (len(vec) - 1))
+            vec = [a * x + c * y for x, y in zip(vec, vec[1:])]
+        return out[::-1]
+    for i, x in enumerate(vec):
+        out = [a * y + c * z for y, z in zip(out + [0], [0] + out)]
+        out[-1] += d**i * x
+    return out
 
 
 def sym_ints(g: Mat2, k: int, p: int) -> tuple[Matrix, int, int, int]:

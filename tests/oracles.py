@@ -25,7 +25,7 @@ from drinfeld.errors import (
 )
 from drinfeld.harmonic import Cochain, _raise_in_annulus, res0, sigma
 from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
-from drinfeld.linalg import rank, rref
+from drinfeld.linalg import Matrix, rank, rref
 from drinfeld.modp import (
     INFINITY_POINT,
     FqRatFunc,
@@ -418,6 +418,14 @@ def dual_act_matrix(g: Mat2, k: int, p: int) -> list:
     """Matrix of the contragredient action (g.h)(F) = h(g^{-1}.F) on dual
     coordinates."""
     return [list(col) for col in zip(*sym_matrix(g.inv(), k, p))]
+
+
+def _lower_triangular(a: int, c: int, d: int, k: int) -> Matrix:
+    """``substitution_matrix(a, 0, c, d, k, int)`` in closed form, with no
+    polynomial product: column i is (dX)^i (cX + aY)^(k-i), so entry (r, i) is
+    d^i C(k-i, r-i) c^(r-i) a^(k-r) on and below the diagonal, 0 above it."""
+    entry = lambda r, i: d**i * comb(k - i, r - i) * c ** (r - i) * a ** (k - r) if i <= r else 0
+    return [[entry(r, i) for i in range(k + 1)] for r in range(k + 1)]
 
 
 def is_integral(x: ScalarKHat) -> bool:

@@ -1156,6 +1156,32 @@ class TestComparisonMapReach:
         assert out["equivariant"] is True and out["injectivity_rank"] == 999 and out["pass"] is True
 
 
+class TestEdgeLatticeReach:
+    """The integrality report at large k: ``in_edge_lattice`` applies the
+    triangular symmetric power to each edge value in O(k^2) int multiply-adds.
+    Built as a (k+1)^2 table of closed-form entries, the k = 1 000 run took
+    about 14 s and the k = 2 997 run more than 30 s.  1/z lies in no edge
+    lattice at any k, and the k = 1 000 stdout is the one printed with the table."""
+
+    @pytest.mark.parametrize(
+        "k, timeout, digest",
+        [
+            (1000, 5, "c210626dedbc4aeceff51633921a8a4d8845c1195c09ddb6d8e5b24c05051e67"),
+            (2997, 10, None),
+        ],
+    )
+    def test_the_report_at_large_k_is_answered_in_seconds(self, k, timeout, digest):
+        args = ["residue", "--p", "2", "--k", str(k), "--f", "1/z", "--radius", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "drinfeld.cli", *args], capture_output=True, env=child_env(), timeout=timeout
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["in_all_edge_lattices"] is False and out["support_size"] == 2 and out["pass"] is True
+        if digest is not None:
+            assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 class TestDeterminism:
     COMMANDS = [
         ("local-dims", "--p", "2", "--k", "3"),

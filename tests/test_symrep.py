@@ -14,9 +14,9 @@ from drinfeld.errors import NonInvertibleDeterminant
 from drinfeld.harmonic import sigma
 from drinfeld.linalg import transpose
 from drinfeld.scalars import Fq, ScalarKHat
-from drinfeld.symrep import substitution_matrix, sym_ints
+from drinfeld.symrep import substitution_matrix, sym_ints, triangular_apply
 from drinfeld.tree import Mat2
-from oracles import chi, dual_act, epsilon, mat_vec, sym_matrix
+from oracles import _lower_triangular, chi, dual_act, epsilon, mat_vec, sym_matrix
 from sampling import gamma_level, random_group_element
 
 
@@ -125,6 +125,29 @@ class TestIntegerSymmetricPower:
     def test_singular_matrix_rejected(self):
         with pytest.raises(NonInvertibleDeterminant):
             sym_ints(Mat2(1, 2, 2, 4), 1, 2)
+
+
+class TestTriangularApply:
+    """``triangular_apply`` against the products of the closed-form matrix, in
+    both directions: c = 0, negative entries and 300-digit entries included."""
+
+    @pytest.mark.parametrize("k", range(31))
+    def test_matches_the_closed_form_matrix_products(self, k):
+        rng = random.Random(7100 + k)
+        for bound in (1, 1, 50, 50, 10**300, 10**300):
+            a, c, d = (rng.randint(-bound, bound) for _ in range(3))
+            for c in (c, 0):
+                m = _lower_triangular(a, c, d, k)
+                vec = [rng.randint(-(10**300), 10**300) for _ in range(k + 1)]
+                assert triangular_apply(a, c, d, vec) == mat_vec(m, vec), (a, c, d, k)
+                assert triangular_apply(a, c, d, vec, True) == mat_vec(transpose(m), vec), (a, c, d, k)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_the_closed_form_is_the_substitution_matrix(self, k):
+        rng = random.Random(7200 + k)
+        for _ in range(5):
+            a, c, d = (rng.randint(-30, 30) for _ in range(3))
+            assert _lower_triangular(a, c, d, k) == substitution_matrix(a, 0, c, d, k, int)
 
 
 class TestDiagonalEigenvalues:
