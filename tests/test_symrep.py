@@ -140,7 +140,7 @@ class TestTriangularApply:
                 m = _lower_triangular(a, c, d, k)
                 vec = [rng.randint(-(10**300), 10**300) for _ in range(k + 1)]
                 assert triangular_apply(a, c, d, vec) == mat_vec(m, vec), (a, c, d, k)
-                assert triangular_apply(a, c, d, vec, True) == mat_vec(transpose(m), vec), (a, c, d, k)
+                assert triangular_apply(a, c, d, vec, transposed=True) == mat_vec(transpose(m), vec), (a, c, d, k)
 
     @pytest.mark.parametrize("k", range(8))
     def test_the_closed_form_is_the_substitution_matrix(self, k):
