@@ -8,13 +8,12 @@ internal invariant.
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-
-import click
 
 from .errors import DrinfeldError, InternalInvariantError, InvalidParameters
 from .harmonic import Cochain, delta, field_kernel, res0, res0_integrality, star_local_kernels
@@ -122,32 +121,23 @@ def _rational_str(f: FactoredRational) -> str:
         base = "z" if root.is_zero() else f"(z - ({_scalar_str(root)}))"
         parts.append(base if mult == 1 else f"{base}^{mult}")
     if len(f.extra) > 1:
-        terms = []
-        for i, c in enumerate(f.extra):
-            if c.is_zero():
-                continue
-            if i == 0:
-                terms.append(_scalar_str(c))
-            else:
-                zpow = "z" if i == 1 else f"z^{i}"
-                terms.append(zpow if c == one else f"({_scalar_str(c)})*{zpow}")
-        parts.append("[" + " + ".join(terms) + "]")
+        parts.append("[" + _terms(f.extra, one, _scalar_str, "({})") + "]")
     return " * ".join(parts)
 
 
-def _fqpoly_str(coeffs) -> str:
-    if not coeffs:
-        return "0"
+def _terms(coeffs, one, text, frame: str = "{}") -> str:
+    """The nonzero terms of sum_i c_i z^i joined by " + ": a unit coefficient
+    is left off, and any other but c_0 prints as its ``text`` in ``frame``."""
     terms = []
     for i, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        if i == 0:
-            terms.append(str(_value(c)))
-        else:
-            zpow = "z" if i == 1 else f"z^{i}"
-            terms.append(zpow if c == c.field.one() else f"{_value(c)}*{zpow}")
+        zpow = "z" if i == 1 else f"z^{i}"
+        if not c.is_zero():
+            terms.append(text(c) if i == 0 else zpow if c == one else f"{frame.format(text(c))}*{zpow}")
     return " + ".join(terms)
+
+
+def _fqpoly_str(coeffs) -> str:
+    return _terms(coeffs, coeffs[0].field.one(), lambda c: str(_value(c))) if coeffs else "0"
 
 
 def _value(x):
@@ -254,45 +244,30 @@ def _cochain_json(c: Cochain, pad: str) -> str:
     return _wrap("[]", body, pad)
 
 
-def _emit(payload: dict) -> None:
-    """Print ``payload`` under the running command's header: ``command`` is
-    its path below the program name and ``config`` its resolved options,
-    unless ``payload`` gives a ``config`` of its own."""
-    ctx = click.get_current_context()
-    click.echo(_dumps({"command": _command_name(ctx), "config": ctx.params, **payload}))
-
-
-def _command_name(ctx: click.Context) -> str:
-    """The names the command was invoked by below the program name, such as
-    ``modp stable-lines``: what ``ctx.command_path`` gives after the root's
-    part, since no group takes an argument, read without its usage pieces."""
-    names = []
-    while ctx.parent is not None:
-        names.append(ctx.info_name)
-        ctx = ctx.parent
-    return " ".join(reversed(names))
+def _emit(document: dict) -> None:
+    print(_dumps(document))
 
 
 # -- configuration --------------------------------------------------------------------
 
 
 def _load_config(path: str) -> dict:
-    """The values of a file of ``key = value`` lines, as text: click converts
-    and checks each one as it would the flag of that name."""
+    """The values of a file of ``key = value`` lines, as text: each is
+    converted and checked as the flag of that name would be."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = list(handle)
     except UnicodeDecodeError as exc:
         raise InvalidParameters(f"config file is not UTF-8: {exc.reason}") from None
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidParameters(f"bad config line: {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+    except OSError:
+        raise InvalidParameters(f"Invalid value for '--config': File {path!r} is not readable.") from None
+    for line in map(str.strip, lines):
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise InvalidParameters(f"bad config line: {line!r}")
+            key, _, value = line.partition("=")
+            values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -319,7 +294,7 @@ def _check_ball(prime: int, radius: int) -> None:
     _check_size(what, ball_size(prime, radius), "vertices", _MAX_BALL_VERTICES)
 
 
-def _exponents(ctx: click.Context, param: click.Parameter, f: str) -> str:
+def _exponents(f: str) -> str:
     """Refuse a section whose text holds an exponent past ``_MAX_EXPONENT``,
     or z-factors whose orders add up past it, each written factor counting at
     least 1: read from its digits before any is converted or parsed.  Equal
@@ -382,137 +357,236 @@ def _check_image(g: FactoredRational, k: int) -> None:
         )
 
 
-def _prime(ctx: click.Context, param: click.Parameter, p: int) -> int:
+# -- command line ---------------------------------------------------------------------
+
+
+class _UsageError(Exception):
+    """A command line that names no command or option, or misuses one."""
+
+
+def _flag_of(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _int(text: str, kind: str = "integer") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid {kind}.") from None
+
+
+def _ranged(lo: int, hi: int | None, default) -> tuple:
+    """The entry of an int option in [lo, hi], or in [lo, oo) for hi None."""
+    bounds = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+
+    def convert(text: str) -> int:
+        n = _int(text, "integer range")
+        if n < lo or (hi is not None and n > hi):
+            raise ValueError(f"{n} is not in the range {bounds}.")
+        return n
+
+    return convert, default, "INTEGER RANGE", f"[{bounds}]"
+
+
+def _prime(text: str) -> int:
+    p = _int(text)
     _check_prime(p)
     return p
 
 
-def _prime_power(ctx: click.Context, param: click.Parameter, q: int) -> int:
+def _prime_power(text: str) -> int:
+    q = _int(text)
     Fq(q)  # rejects q that is not a prime power >= 2
     return q
 
 
-# The options that several commands share, each declared once.
-_p = click.option("--p", type=int, default=2, callback=_prime)
-_q = click.option("--q", type=int, default=2, callback=_prime_power)
-_k = click.option("--k", type=click.IntRange(min=0), default=0)
-_kmax = click.option("--kmax", type=click.IntRange(min=0), default=6)
-_radius = click.option("--radius", type=click.IntRange(0, _MAX_RADIUS), default=1)
-_seed = click.option("--seed", type=int, default=0)
-_i = click.option("--i", type=int, default=0)
-_level = click.option("--level", type=click.IntRange(-_MAX_LEVEL, _MAX_LEVEL), default=None)
-_offset = click.option("--offset", type=str, default="0")
-_f = click.option(
-    "--f", type=str, required=True, callback=_exponents, help="rational section, e.g. '1/z'"
-)
+_TRUE = ("1", "true", "t", "yes", "y", "on")
+_BOOLEANS = {text: text in _TRUE for text in (*_TRUE, "0", "false", "f", "no", "n", "off", "")}
 
 
-# -- command group --------------------------------------------------------------------
+def _flag(text: str) -> bool:
+    """A flag's value in a --config file; the flag itself gives "true"."""
+    state = _BOOLEANS.get(text.strip().lower())
+    if state is None:
+        raise ValueError(f"{text!r} is not a valid boolean. Recognized values: {', '.join(sorted(_BOOLEANS))}")
+    return state
+
+
+def _config_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise ValueError(f"File {path!r} does not exist.")
+    if os.path.isdir(path):
+        raise ValueError(f"File {path!r} is a directory.")
+    return path
+
+
+# Every option, declared once: its converter from text, which refuses a bad
+# value with ValueError or InvalidParameters, its default (... if required),
+# and the metavar and note that --help prints.  A flag is False unless given,
+# and takes a value only in a --config file.
+_OPTIONS = {
+    "p": (_prime, 2, "INTEGER", ""),
+    "q": (_prime_power, 2, "INTEGER", ""),
+    "k": _ranged(0, None, 0),
+    "kmax": _ranged(0, None, 6),
+    "mmax": _ranged(0, None, 8),
+    "radius": _ranged(0, _MAX_RADIUS, 1),
+    "level": _ranged(-_MAX_LEVEL, _MAX_LEVEL, None),
+    "seed": (_int, 0, "INTEGER", ""),
+    "i": (_int, 0, "INTEGER", ""),
+    "offset": (str, "0", "TEXT", ""),
+    "a": (str, "0", "TEXT", ""),
+    "f": (_exponents, ..., "TEXT", "rational section, e.g. '1/z'  [required]"),
+    "audit": (_flag, False, "", ""),
+    "mod_pihat": (_flag, False, "", ""),
+    "config": (_config_file, None, "FILE", "key=value file supplying defaults for any option"),
+    "help": (_flag, False, "", "Show this message and exit."),
+}
+_NAMES = {_flag_of(name): name for name in _OPTIONS}
+
+# Each command and group by its path below the program name: its function
+# (None for a group), the options it takes besides --help, and its help text.
+_COMMANDS = {
+    (): (None, ("config",), "Exact computations on the weight-k modules over the (q+1)-regular tree."),
+    ("modp",): (None, (), "Residue-field geometry commands."),
+}
+
+
+def _command(path: str, *options: str):
+    """Register the decorated function as the command at ``path``."""
+
+    def register(fn):
+        _COMMANDS[tuple(path.split())] = (fn, options, fn.__doc__)
+        return fn
+
+    return register
+
+
+def _children(path: tuple) -> list:
+    return sorted(sub[-1] for sub in _COMMANDS if sub and sub[:-1] == path)
+
+
+def _help(path: tuple) -> str:
+    """The usage line, help text and options of the command or group at ``path``."""
+    fn, options, doc = _COMMANDS[path]
+    usage = " ".join(("Usage: drinfeld", *path, "[OPTIONS]" if fn else "[OPTIONS] COMMAND [ARGS]..."))
+    rows = [(f"{_flag_of(n)} {_OPTIONS[n][2]}".rstrip(), _OPTIONS[n][3]) for n in (*options, "help")]
+    if fn is None:
+        rows += [("", "Commands:")] + [(c, " ".join(_COMMANDS[(*path, c)][2].split())) for c in _children(path)]
+    width = max(len(left) for left, _ in rows)
+    lines = [usage, "", *("  " + line.strip() for line in doc.splitlines()), "", "Options:"]
+    for left, note in rows:
+        lines += [f"  {left:<{width}}  {note}".rstrip()] if left else ["", note]
+    return "\n".join(lines)
+
+
+def _suggest(message: str, word: str, known: list) -> _UsageError:
+    """``message``, followed by the entries of ``known`` close to ``word``."""
+    from difflib import get_close_matches
+
+    close = ", ".join(map(repr, sorted(get_close_matches(word, known))))
+    hint = f"(Did you mean one of: {close}?)" if "," in close else f"Did you mean {close}?" if close else ""
+    return _UsageError(f"{message} {hint}".rstrip())
+
+
+def _parse(path: tuple, args: list) -> tuple[dict, list]:
+    """The options given to the command or group at ``path`` in ``args``, as
+    text in the order first given, and the other arguments: all of them for
+    a command, and from the first, its command's name, for a group."""
+    fn, options, _ = _COMMANDS[path]
+    given, rest, tokens = {}, [], iter(args)
+    for arg in tokens:
+        if arg == "--":
+            return given, rest + list(tokens)
+        if arg[:1] != "-" or arg == "-":
+            if fn is None:
+                return given, [arg, *tokens]
+            rest.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        name = _NAMES.get(flag)
+        if name not in options and name != "help":
+            if arg[1] != "-":  # one letter at a time, as a short option
+                raise _UsageError(f"No such option {arg[:2]!r}.")
+            raise _suggest(f"No such option {flag!r}.", flag, [_flag_of(n) for n in (*options, "help")])
+        if _OPTIONS[name][0] is _flag:
+            if eq:
+                raise _UsageError(f"Option {flag!r} does not take a value.")
+            value = "true"
+        elif not eq and (value := next(tokens, None)) is None:
+            raise _UsageError(f"Option {flag!r} requires an argument.")
+        given[name] = value
+    return given, rest
+
+
+def _convert(name: str, text: str):
+    try:
+        return _OPTIONS[name][0](text)
+    except ValueError as exc:
+        raise InvalidParameters(f"Invalid value for {_flag_of(name)!r}: {exc}") from None
+
+
+def _resolve(options: tuple, given: dict, defaults: dict) -> dict:
+    """Each option's value from its flag, else from ``defaults``, else its
+    default, converted and checked: those given in the order given, then
+    the rest in the order declared."""
+    values = {}
+    for name in (*given, *options):
+        if name in values:
+            continue
+        text = given.get(name, defaults.get(name))
+        if text is not None:
+            values[name] = _convert(name, text)
+        elif _OPTIONS[name][1] is ...:
+            raise InvalidParameters(f"Missing option {_flag_of(name)!r}.")
+        else:
+            values[name] = _OPTIONS[name][1]
+    return values
+
+
+def _run(args: list) -> None:
+    """Walk ``args`` down the groups to a command and run it, the --config
+    file's values the defaults of its options; or print the help asked for."""
+    path, file_values = (), {}
+    while _COMMANDS[path][0] is None:
+        if not args:
+            raise _UsageError(_help(path))
+        given, args = _parse(path, args)
+        if given.pop("help", None):
+            return print(_help(path))
+        config = _resolve(_COMMANDS[path][1], given, {}).get("config")
+        if not args:
+            raise _UsageError("Missing command.")
+        if (*path, args[0]) not in _COMMANDS:
+            raise _suggest(f"No such command {args[0]!r}.", args[0], _children(path))
+        file_values = _load_config(config) if config else file_values
+        path, args = (*path, args[0]), args[1:]
+    fn, options, _ = _COMMANDS[path]
+    given, rest = _parse(path, args)
+    if _convert("help", given.pop("help", file_values.get("help", ""))):
+        return print(_help(path))
+    values = _resolve(options, given, file_values)
+    if rest:
+        raise _UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})")
+    # the header: the command's path below the program name and its resolved
+    # options, unless its payload gives a config of its own
+    _emit({"command": " ".join(path), "config": values, **fn(**values)})
 
 
 def _fail(code: int, label: str, message) -> int:
-    click.echo(f"{label}: {message}", err=True)
+    print(f"{label}: {message}", file=sys.stderr)
     return code
 
 
-class _ParseOnce:
-    """A click command that builds its parameter list and option parser on
-    first use and keeps them.  click rebuilds both on every invocation, the
-    list several times, though neither changes between the invocations of one
-    process: the options are fixed at import, and the context settings that
-    both read when built (the help option's names, interspersed arguments,
-    unknown options) are the same for every invocation of one command.  The
-    parser reads its context as it parses, for its errors, resilient parsing
-    and token normalisation, so it is given each new one."""
-
-    _params = None
-    _parser = None
-
-    def get_params(self, ctx: click.Context) -> list:
-        if self._params is None:
-            self._params = super().get_params(ctx)
-        return self._params
-
-    def make_parser(self, ctx: click.Context):
-        if self._parser is None:
-            self._parser = super().make_parser(ctx)
-        self._parser.ctx = ctx
-        return self._parser
-
-
-class _Command(_ParseOnce, click.Command):
-    pass
-
-
-class _Group(_ParseOnce, click.Group):
-    command_class = _Command
-
-
-class _Cli(_Group):
-    """The exit-code contract for every entry point, in-process ones included:
-    2 for invalid parameters or usage, 3 for a broken internal invariant, 1
-    for an abort."""
-
-    group_class = _Group
-
-    def main(self, *args, **extra):
-        try:
-            # without standalone mode every error is raised here, and an exit
-            # (--help) is returned
-            code = super().main(*args, standalone_mode=False, **extra)
-        except click.Abort:
-            code = 1
-        except InternalInvariantError as exc:
-            code = _fail(3, "internal invariant violated", exc)
-        except InvalidParameters as exc:
-            code = _fail(2, "invalid parameters", exc)
-        except click.BadParameter as exc:
-            # a value of the wrong type, out of range or missing, from a flag or the file
-            code = _fail(2, "invalid parameters", exc.format_message())
-        except DrinfeldError as exc:
-            code = _fail(2, "error", exc)
-        except click.ClickException as exc:
-            code = _fail(2, "usage error", exc.format_message())
-        if code:
-            sys.exit(code)
-
-
-@click.group(cls=_Cli)
-@click.option(
-    "--config",
-    "config_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="key=value file supplying defaults for any option",
-)
-@click.pass_context
-def cli(ctx: click.Context, config_path: str | None) -> None:
-    """Exact computations on the weight-k modules over the (q+1)-regular tree."""
-    if config_path is not None:
-        values = _load_config(config_path)
-        ctx.default_map = dict.fromkeys(cli.commands, values)
-        ctx.default_map["modp"] = dict.fromkeys(modp_group.commands, values)
-
-
-@cli.command("tree")
-@_p
-@_radius
-def tree_cmd(p: int, radius: int) -> None:
+@_command("tree", "p", "radius")
+def tree_cmd(p: int, radius: int) -> dict:
     """Ball statistics and regularity check."""
     _check_ball(p, radius)
     ball = truncated_tree(p, radius)
     regular = all(len(ball.edges_at(v)) == p + 1 for v in ball.interior_vertices())
     counts = {"vertices": len(ball.vertices), "edges": len(ball.edges)}
-    predicted_vertices = ball_size(p, radius)
-    predicted = {"vertices": predicted_vertices, "edges": predicted_vertices - 1}
-    _emit(
-        {
-            "computed": counts,
-            "predicted": predicted,
-            "regular": regular,
-            "pass": counts == predicted and regular,
-        }
-    )
+    predicted = {"vertices": ball_size(p, radius), "edges": ball_size(p, radius) - 1}
+    return {"computed": counts, "predicted": predicted, "regular": regular, "pass": counts == predicted and regular}
 
 
 def _standard_profiles(p: int, k: int) -> tuple[dict, dict]:
@@ -534,39 +608,18 @@ def _standard_profiles(p: int, k: int) -> tuple[dict, dict]:
     return computed, predicted
 
 
-@cli.command("lattice")
-@_p
-@_k
-@_level
-@_offset
-def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> None:
+@_command("lattice", "p", "k", "level", "offset")
+def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> dict:
     """Diagonal valuation profiles of the vertex and edge lattices."""
     if level is not None:
         v = _vertex(p, level, offset)
-        profile = vertex_lattice_profile(v, k)
-        _emit(
-            {
-                "vertex": v,
-                "profile": profile,
-                "pass": True,
-            }
-        )
-        return
+        return {"vertex": v, "profile": vertex_lattice_profile(v, k), "pass": True}
     computed, predicted = _standard_profiles(p, k)
-    _emit(
-        {
-            "config": {"p": p, "k": k},
-            "computed": computed,
-            "predicted": predicted,
-            "pass": computed == predicted,
-        }
-    )
+    return {"config": {"p": p, "k": k}, "computed": computed, "predicted": predicted, "pass": computed == predicted}
 
 
-@cli.command("local-dims")
-@_p
-@_k
-def local_dims_cmd(p: int, k: int) -> None:
+@_command("local-dims", "p", "k")
+def local_dims_cmd(p: int, k: int) -> dict:
     """Brute-force local space dimensions against the closed forms."""
     _check_size(f"the star at p = {p}", p + 1, "edges", _MAX_LIST)
     cost = (p + 1) * (k + 1) ** 3
@@ -575,77 +628,47 @@ def local_dims_cmd(p: int, k: int) -> None:
             f"local-dims at p = {p}, k = {k} costs (p + 1)(k + 1)^3 = {cost}, more than {_MAX_STAR_COST}"
         )
     report = local_space_report(p, k)
-    _emit({"predicted": report["predicted"], "pass": report["pass"], **report["computed"]})
+    return {"predicted": report["predicted"], "pass": report["pass"], **report["computed"]}
 
 
-@cli.command("harmonic")
-@_p
-@_k
-@_radius
-@click.option("--mod-pihat", "mod_pihat", is_flag=True)
-def harmonic_cmd(p: int, k: int, radius: int, mod_pihat: bool) -> None:
+@_command("harmonic", "p", "k", "radius", "mod_pihat")
+def harmonic_cmd(p: int, k: int, radius: int, mod_pihat: bool) -> dict:
     """Kernel of the signed star-sum operator on a truncation."""
     _check_ball(p, radius)
     ball = truncated_tree(p, radius)
     if mod_pihat:
         predicted_star = local_dimension_formulas(p, k)["dimZhar"]
         stars = star_local_kernels(ball, k)
-        _emit(
-            {
-                "star_local": stars,
-                "predicted_star_local": predicted_star,
-                "pass": all(v == predicted_star for v in stars.values()),
-            }
-        )
-        return
+        passes = all(v == predicted_star for v in stars.values())
+        return {"star_local": stars, "predicted_star_local": predicted_star, "pass": passes}
     free_rank = (k + 1) * (len(ball.edges) - len(ball.interior_vertices()))
     dimension = field_kernel(ball, k)
-    _emit(
-        {
-            "dimension": dimension,
-            "predicted": free_rank,
-            "pass": dimension == free_rank,
-        }
-    )
+    return {"dimension": dimension, "predicted": free_rank, "pass": dimension == free_rank}
 
 
-@cli.command("residue")
-@_p
-@_k
-@_radius
-@_f
-@click.option("--audit", is_flag=True)
-@_seed
-def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> None:
+@_command("residue", "p", "k", "radius", "f", "audit", "seed")
+def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> dict:
     """Residue cochain of a weight-(k+2) section, with harmonicity and
     integrality reports."""
     _check_ball(p, radius)
     g = _section(f, p, k)
     ball = truncated_tree(p, radius)
     cochain = res0(g, k, ball, rng=random.Random(seed) if audit else None)
-    star_sums = delta(cochain, ball)
-    delta_zero = all(all(x.is_zero() for x in vec) for vec in star_sums.values())
+    delta_zero = all(all(x.is_zero() for x in vec) for vec in delta(cochain, ball).values())
     integrality = res0_integrality(g, k, ball, cochain)
     consistent = integrality["in_all_edge_lattices"] or not integrality["vertex_membership"]
-    _emit(
-        {
-            "support_size": len(cochain.support()),
-            "cochain": cochain,
-            "delta_zero": delta_zero,
-            "in_all_edge_lattices": integrality["in_all_edge_lattices"],
-            "vertex_membership": integrality["vertex_membership"],
-            "pass": delta_zero and consistent,
-        }
-    )
+    return {
+        "support_size": len(cochain.support()),
+        "cochain": cochain,
+        "delta_zero": delta_zero,
+        "in_all_edge_lattices": integrality["in_all_edge_lattices"],
+        "vertex_membership": integrality["vertex_membership"],
+        "pass": delta_zero and consistent,
+    }
 
 
-@cli.command("theta")
-@_p
-@_k
-@_f
-@_level
-@_offset
-def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> None:
+@_command("theta", "p", "k", "f", "level", "offset")
+def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> dict:
     """(k+1)-fold derivative with an integrality certificate at a vertex."""
     section = _section(f, p, k)
     _check_image(section, k)
@@ -653,128 +676,102 @@ def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> None:
     image = theta(section, k)
     cert = theta_integrality(section, image, k, v)
     kernel_dim = kernel_polynomial_dimension(k, p)
-    _emit(
-        {
-            "image": image,
-            "certificate": {**vars(cert), "vertex": {"b": v.b, "m": v.m, "p": v.p}},
-            "kernel_polynomial_dimension": kernel_dim,
-            "predicted_kernel_dimension": k + 1,
-            "pass": cert.passes and kernel_dim == k + 1,
-        }
-    )
+    return {
+        "image": image,
+        "certificate": {**vars(cert), "vertex": {"b": v.b, "m": v.m, "p": v.p}},
+        "kernel_polynomial_dimension": kernel_dim,
+        "predicted_kernel_dimension": k + 1,
+        "pass": cert.passes and kernel_dim == k + 1,
+    }
 
 
-@cli.command("identity-b")
-@_p
-@_kmax
-@click.option("--mmax", type=click.IntRange(min=0), default=8)
-@click.option("--a", type=str, default="0")
-def identity_b_cmd(p: int, kmax: int, mmax: int, a: str) -> None:
+@_command("identity-b", "p", "kmax", "mmax", "a")
+def identity_b_cmd(p: int, kmax: int, mmax: int, a: str) -> dict:
     """Euler-operator factorization at each even k up to kmax."""
     shift = ScalarKHat.from_rational(_fraction("a", a), p)
-    rows = []
-    for k in range(2, kmax + 1, 2):
-        ok = complement_b_identity(k, shift, range(-mmax, mmax + 1), p)
-        rows.append({"k": k, "pass": ok})
-    _emit(
-        {
-            "rows": rows,
-            "pass": all(r["pass"] for r in rows),
-        }
-    )
+    window = range(-mmax, mmax + 1)
+    rows = [{"k": k, "pass": complement_b_identity(k, shift, window, p)} for k in range(2, kmax + 1, 2)]
+    return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
-@cli.group("modp")
-def modp_group() -> None:
-    """Residue-field geometry commands."""
-
-
-@modp_group.command("degrees")
-@_q
-@_k
-def modp_degrees_cmd(q: int, k: int) -> None:
+@_command("modp degrees", "q", "k")
+def modp_degrees_cmd(q: int, k: int) -> dict:
     """Component degree of the reduced weight-k bundle."""
-    _emit(
-        {
-            "degree": component_degree(q, k),
-            "parity": "even" if k % 2 == 0 else "odd",
-            "pass": True,
-        }
-    )
+    return {"degree": component_degree(q, k), "parity": "even" if k % 2 == 0 else "odd", "pass": True}
 
 
-@modp_group.command("sections")
-@_q
-@_k
-@_radius
-def modp_sections_cmd(q: int, k: int, radius: int) -> None:
+@_command("modp sections", "q", "k", "radius")
+def modp_sections_cmd(q: int, k: int, radius: int) -> dict:
     """Global sections over a truncation: formula vs direct assembly."""
     _check_ball(q, radius)
     columns = ball_size(q, radius) * max(0, component_degree(q, k) + 1)
     what = f"the section matrix at q = {q}, k = {k}, radius {radius}"
     _check_size(what, columns, "columns", _MAX_LIST)
-    _emit(global_sections_truncated(q, k, radius))
+    return global_sections_truncated(q, k, radius)
 
 
-@modp_group.command("stable-lines")
-@_q
-@_k
-@_i
-def modp_stable_lines_cmd(q: int, k: int, i: int) -> None:
+@_command("modp stable-lines", "q", "k", "i")
+def modp_stable_lines_cmd(q: int, k: int, i: int) -> dict:
     """Quotient representation and its stable lines."""
     t, _ = symgeom_parameters(q, k, i)
     _check_size(f"Sym^t at q = {q}, k = {k}, i = {i}", t + 1, "monomials", _MAX_LIST)
     report = quotient_rep_and_stable_lines(q, k, i)
-    _emit(
-        {
-            "dimension": report["dimension"],
-            "predicted_dimension": q + 1,
-            "free_monomials": report["free_monomials"],
-            "stable_lines": [list(line) for line in report["stable_lines"]],
-            "group_order": report["group_order"],
-            "pass": report["dimension"] == q + 1,
-        }
-    )
+    return {
+        "dimension": report["dimension"],
+        "predicted_dimension": q + 1,
+        "free_monomials": report["free_monomials"],
+        "stable_lines": [list(line) for line in report["stable_lines"]],
+        "group_order": report["group_order"],
+        "pass": report["dimension"] == q + 1,
+    }
 
 
-@modp_group.command("symgeom-check")
-@_q
-@_k
-@_i
-def modp_symgeom_cmd(q: int, k: int, i: int) -> None:
+@_command("modp symgeom-check", "q", "k", "i")
+def modp_symgeom_cmd(q: int, k: int, i: int) -> dict:
     """Equivariance and injectivity of the symmetric-power comparison map."""
     t, _ = symgeom_parameters(q, k, i)
     _check_size(f"the comparison map at q = {q}, k = {k}, i = {i}", t + 1, "images", _MAX_LIST)
     if Fq(q).f > 1:
         _check_size(f"the field of order {q}", q - 1, "table entries", _MAX_TABLE)
     iso = symgeom_iso(q, k, i)
-    equivariant = all(
-        symgeom_equivariance(q, k, i, g) for g in gl2_generators(iso["field"])
-    )
+    equivariant = all(symgeom_equivariance(q, k, i, g) for g in gl2_generators(iso["field"]))
     rank_value = symgeom_injectivity_rank(iso)
-    _emit(
-        {
-            "t": iso["t"],
-            "shift": iso["shift"],
-            "images": iso["images"],
-            "equivariant": equivariant,
-            "injectivity_rank": rank_value,
-            "predicted_rank": iso["t"] + 1,
-            "pass": equivariant and rank_value == iso["t"] + 1,
-        }
-    )
+    return {
+        "t": iso["t"],
+        "shift": iso["shift"],
+        "images": iso["images"],
+        "equivariant": equivariant,
+        "injectivity_rank": rank_value,
+        "predicted_rank": iso["t"] + 1,
+        "pass": equivariant and rank_value == iso["t"] + 1,
+    }
 
 
-@modp_group.command("b-forms")
-@_q
-def modp_b_forms_cmd(q: int) -> None:
+@_command("modp b-forms", "q")
+def modp_b_forms_cmd(q: int) -> dict:
     """Invariance of the window form and the parity-swapping involution."""
     _check_size(f"the window form at q = {q}", q + 1, "coefficients", _MAX_LIST)
-    _emit({"pass": b_forms_check(q)})
+    return {"pass": b_forms_check(q)}
 
 
-def main() -> None:
-    cli()
+def main(argv: list[str] | None = None) -> None:
+    """Run the command line ``argv``, by default ``sys.argv[1:]``; exit with
+    the error's code if it fails: 2 for invalid parameters or usage, 3 for a
+    broken internal invariant, 1 for an interrupt."""
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    except KeyboardInterrupt:
+        print(file=sys.stderr)  # end the line that the interrupt cut
+        code = 1
+    except InternalInvariantError as exc:
+        code = _fail(3, "internal invariant violated", exc)
+    except InvalidParameters as exc:
+        code = _fail(2, "invalid parameters", exc)
+    except DrinfeldError as exc:
+        code = _fail(2, "error", exc)
+    except _UsageError as exc:
+        code = _fail(2, "usage error", exc)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -110,8 +110,9 @@ def in_edge_lattice(e: Edge, k: int, vec: list) -> bool:
     p, (L, O, C) = e.v.p, _level_and_offset(e.v)
     a, b, common = _common_denominator(vec)
     shift = -k * (_vp(L, p) + _vp(C, p)) - 2 * _vp(common, p)
-    coords = zip(triangular_apply(C, -O, L, a, transposed=True), triangular_apply(C, -O, L, b, transposed=True))
-    return all(_twice_valuation(x, y, p) + shift >= max(0, 2 * j - k) for j, (x, y) in enumerate(coords))
+    # a zero part, such as the pihat part of most residues, has zero coordinates
+    xs, ys = (triangular_apply(C, -O, L, u, transposed=True) if any(u) else u for u in (a, b))
+    return all(_twice_valuation(x, y, p) + shift >= max(0, 2 * j - k) for j, (x, y) in enumerate(zip(xs, ys)))
 
 
 # -- mod-uniformizer local spaces --------------------------------------------------

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -16,20 +18,18 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import cli as cli_module
-from drinfeld.cli import cli
 from drinfeld.errors import InternalInvariantError
 from drinfeld.harmonic import Cochain, res0
 from drinfeld.modp import FqRatFunc, gl2_generators, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.rational import parse_rational
 from drinfeld.tree import make_vertex, truncated_tree
+from inprocess import invoke
 from oracles import emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce, sym_matrix_fq
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -135,9 +135,9 @@ class TestConfigFile:
     def test_file_supplies_defaults(self, tmp_path, command, options):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
-        from_file = CliRunner().invoke(cli, ["--config", str(cfg), *command])
+        from_file = invoke(["--config", str(cfg), *command])
         flags = [f"--{key}={value}" for key, value in options.items()]
-        explicit = CliRunner().invoke(cli, [*command, *flags])
+        explicit = invoke([*command, *flags])
         assert from_file.exit_code == explicit.exit_code == 0, from_file.output
         assert from_file.stdout == explicit.stdout
 
@@ -158,58 +158,52 @@ def _readme_examples() -> list[list[str]]:
 class TestReadmeExamples:
     @pytest.mark.parametrize("args", _readme_examples(), ids=" ".join)
     def test_example_passes(self, args):
-        result = CliRunner().invoke(cli, args)
+        result = invoke(args)
         assert result.exit_code == 0, (args, result.output)
         assert json.loads(result.stdout)["pass"] is True
 
     def test_every_command_has_an_example(self):
         shown = {tuple(args[: 2 if args[0] == "modp" else 1]) for args in _readme_examples()}
-        modp = cli.commands["modp"]
-        commands = {(name,) for name in cli.commands if name != "modp"}
-        commands |= {("modp", name) for name in modp.commands}
+        commands = {path for path, (fn, _, _) in cli_module._COMMANDS.items() if fn}
         assert commands <= shown, commands - shown
 
 
 def _resolved_options(args, file_values=()) -> tuple[str, dict]:
     """The command path that ``args`` invoke, and its options: each one's flag,
-    else its value in the file, else its default, converted by its type."""
-    command, depth = cli, 0
-    while isinstance(command, click.Group):
-        command, depth = command.commands[args[depth]], depth + 1
-    params = {param.name: param for param in command.params}
+    else its value in the file, else its default, converted by its converter."""
+    depth = 1 + (args[0] == "modp")
+    _, options, _ = cli_module._COMMANDS[tuple(args[:depth])]
     given, rest = dict(file_values), iter(args[depth:])
     for flag in rest:
         name = flag[2:].replace("-", "_")
-        given[name] = True if params[name].is_flag else next(rest)
+        given[name] = "true" if cli_module._OPTIONS[name][0] is cli_module._flag else next(rest)
     config = {}
-    for name, param in params.items():
-        value = given.get(name, param.default)
-        if value is not None and not param.is_flag:
-            value = param.type.convert(value, param, None)
-        config[name] = value
+    for name in options:
+        convert, default = cli_module._OPTIONS[name][:2]
+        config[name] = convert(given[name]) if name in given else default
     return " ".join(args[:depth]), config
 
 
 class TestPayloadHeader:
     """Every payload opens with the invoked command path and the options
-    that click resolved, whatever the command prints after them."""
+    that the command line resolved, whatever the command prints after them."""
 
     @pytest.mark.parametrize("args", _readme_examples(), ids=" ".join)
     def test_readme_example_prints_its_path_and_options(self, args):
-        out = json.loads(CliRunner().invoke(cli, args).stdout)
+        out = json.loads(invoke(args).stdout)
         assert (out["command"], out["config"]) == _resolved_options(args)
 
     def test_options_from_a_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("q = 2\ni = 0\n")
         args = ["modp", "stable-lines", "--k", "9"]
-        result = CliRunner().invoke(cli, ["--config", str(cfg), *args])
+        result = invoke(["--config", str(cfg), *args])
         out = json.loads(result.stdout)
         assert (out["command"], out["config"]) == _resolved_options(args, {"q": "2", "i": "0"})
         assert out["config"] == {"q": 2, "k": 9, "i": 0}
 
     def test_lattice_without_a_level_prints_p_and_k(self):
-        out = json.loads(CliRunner().invoke(cli, ["lattice", "--p", "3", "--k", "2"]).stdout)
+        out = json.loads(invoke(["lattice", "--p", "3", "--k", "2"]).stdout)
         assert (out["command"], out["config"]) == ("lattice", {"p": 3, "k": 2})
 
 
@@ -234,47 +228,34 @@ class TestOneExitCodeHandler:
     def test_every_entry_point_exits_alike(self, args, start, monkeypatch, capsys):
         proc = run_cli(*args, expect_code=2)
         # the program name is the one thing the entry points print differently
-        child = proc.stderr.decode().replace("python -m drinfeld.cli", "drinfeld")
-        # click names the program after sys.argv[0] unless __main__ ran by -m
-        monkeypatch.setattr(sys.modules["__main__"], "__package__", None, raising=False)
+        child = proc.stderr.decode()
         monkeypatch.setattr(sys, "argv", ["drinfeld", *args])
         with pytest.raises(SystemExit) as exited:
             cli_module.main()
         in_process = capsys.readouterr()
-        runner = CliRunner().invoke(cli, list(args), prog_name="drinfeld")
+        runner = invoke(args)
         assert exited.value.code == runner.exit_code == 2
         assert child == in_process.err == runner.stderr
         assert child.startswith(start), child
         assert proc.stdout == b"" and in_process.out == runner.stdout == ""
 
 
-def _commands(group: click.Group = cli, path: str = "") -> list:
-    """(path, command) of ``group`` and of every command and group below it."""
-    found = [(path, group)]
-    for name, command in group.commands.items():
-        sub = f"{path} {name}".strip()
-        if isinstance(command, click.Group):
-            found += _commands(command, sub)
-        else:
-            found.append((sub, command))
-    return found
-
-
-def _declared_twice(group: click.Group = cli) -> list:
-    """(path, option string) for each option string that a command or group
-    declares more than once among its own parameters."""
+def _declared_twice() -> list:
+    """(path, option) for each option that a command or group takes more than
+    once, its --help included."""
     twice = []
-    for path, command in _commands(group):
-        opts = [o for param in command.params for o in (*param.opts, *param.secondary_opts)]
-        twice += [(path, o) for o in sorted(set(opts)) if opts.count(o) > 1]
+    for path, (_, options, _) in cli_module._COMMANDS.items():
+        names = [*options, "help"]
+        twice += [(" ".join(path), name) for name in sorted(set(names)) if names.count(name) > 1]
     return twice
 
 
 class TestParseOnce:
-    """Each command's parameter list and option parser are built once per
-    process and kept: click's own ``get_params`` and ``make_parser`` run at
-    most once per command object, and a kept parser reports errors, help and
-    ``--config`` defaults as a fresh interpreter does."""
+    """The parser is kept: the option table and the command table are built
+    once, at import, and read by every invocation that the process runs.
+    After many in-process runs the tables are as import left them, and
+    errors, --help and ``--config`` defaults are those of a fresh
+    interpreter."""
 
     RUNS = [
         ["tree", "--p", "2", "--radius", "1"],
@@ -284,82 +265,67 @@ class TestParseOnce:
         ["tree", "--p", "3", "--radius", "0"],
         ["tree", "--bogus"],
         ["modp", "nosuch"],
+        ["tree", "--help"],
+        ["residue", "--p", "2", "--k", "0", "--f", "1/z", "--radius", "1", "--audit"],
     ]
 
-    @pytest.fixture
-    def cold(self, monkeypatch):
-        """Every command's kept list and parser dropped for the test, and
-        click's own ``get_params`` and ``make_parser`` calls counted per
-        command object."""
-        calls = {"get_params": {}, "make_parser": {}}
-        for _, command in _commands():
-            monkeypatch.setattr(command, "_params", None)
-            monkeypatch.setattr(command, "_parser", None)
-        for name, counts in calls.items():
-            build = getattr(click.Command, name)
-
-            def counted(self, ctx, build=build, counts=counts):
-                counts[id(self)] = counts.get(id(self), 0) + 1
-                return build(self, ctx)
-
-            monkeypatch.setattr(click.Command, name, counted)
-        return calls
-
-    def test_click_builds_each_command_once(self, cold, monkeypatch, capsys):
+    def _run_many(self):
         for _ in range(3):
             for args in self.RUNS:
-                CliRunner().invoke(cli, args)
-                monkeypatch.setattr(sys, "argv", ["drinfeld", *args])
-                try:
-                    cli_module.main()
-                except SystemExit:
-                    pass
-        capsys.readouterr()
-        names = {id(command): path or "drinfeld" for path, command in _commands()}
-        for method, counts in cold.items():
-            assert max(counts.values()) == 1, (method, {names[i]: n for i, n in counts.items()})
-            built = {names[i] for i in counts}
-            assert {"drinfeld", "tree", "modp", "modp degrees", "lattice"} <= built, method
+                invoke(args)
+
+    def test_runs_leave_the_tables_as_import_built_them(self, tmp_path):
+        commands, options = dict(cli_module._COMMANDS), dict(cli_module._OPTIONS)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 5\nradius = 2\nhelp = 0\naudit = 1\n")
+        self._run_many()
+        invoke(["--config", str(cfg), "tree"])
+        assert cli_module._COMMANDS == commands and cli_module._OPTIONS == options
 
     def test_errors_after_a_kept_parser_match_a_fresh_interpreter(self):
-        for args in self.RUNS[:3]:
-            assert CliRunner().invoke(cli, args).exit_code == 0
-        for args in (["tree", "--bogus"], ["modp", "degrees", "--bogus"], ["lattice", "--p"]):
+        self._run_many()
+        for args in (
+            ["tree", "--bogus"], ["modp", "degrees", "--bogus"], ["lattice", "--p"],
+            ["tree", "--rad", "1"], ["modp", "nosuch"], ["residue", "--p", "2"],
+        ):
             child = run_cli(*args, expect_code=2).stderr.decode()
-            result = CliRunner().invoke(cli, args, prog_name="drinfeld")
+            result = invoke(args)
             assert result.exit_code == 2
-            assert result.stderr == child.replace("python -m drinfeld.cli", "drinfeld"), args
-            assert result.stderr.startswith("usage error: "), args
+            assert result.stderr == child, args
+            assert result.stderr.startswith(("usage error: ", "invalid parameters: ")), args
 
-    @pytest.mark.parametrize("prog", ["first", "second"])
-    def test_a_kept_parser_reports_in_the_running_context(self, prog):
-        """The error that a kept parser raises carries the context of the
-        invocation it parses, not of the one that built it."""
-        tree = cli.commands["tree"]
-        root = cli.make_context(prog, ["tree"])
-        with pytest.raises(click.NoSuchOption) as raised:
-            tree.make_context("tree", ["--bogus"], parent=root)
-        assert raised.value.ctx.command_path == f"{prog} tree"
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_a_kept_parser_reports_in_the_running_context(self, order):
+        """An error names and suggests the options of the command being run,
+        whichever command ran before it."""
+        runs = [["tree", "--kk", "1"], ["local-dims", "--kk", "1"]]
+        for args in runs if order == "first" else runs[::-1]:
+            result = invoke(args)
+            assert result.exit_code == 2
+            assert result.stderr == run_cli(*args, expect_code=2).stderr.decode(), args
+        assert invoke(runs[0]).stderr == "usage error: No such option '--kk'.\n"
+        assert invoke(runs[1]).stderr == "usage error: No such option '--kk'. Did you mean '--k'?\n"
 
     HELP = [[], ["modp"], ["tree"], ["modp", "stable-lines"]]
 
     @pytest.mark.parametrize("args", HELP, ids=lambda args: " ".join(args) or "root")
     def test_help_after_a_kept_parser_matches_a_fresh_interpreter(self, args):
-        for run in self.RUNS:
-            CliRunner().invoke(cli, run)
+        self._run_many()
         child = run_cli(*args, "--help").stdout.decode()
-        result = CliRunner().invoke(cli, [*args, "--help"], prog_name="drinfeld")
+        result = invoke([*args, "--help"])
         assert result.exit_code == 0
-        assert result.stdout == child.replace("python -m drinfeld.cli", "drinfeld")
+        assert result.stdout == child
 
     def test_config_file_after_a_kept_parser(self, tmp_path):
+        self._run_many()
         cfg = tmp_path / "run.cfg"
         cfg.write_text("p = 5\nradius = 2\nk = 4\n")
         outputs = []
         config = ["--config", str(cfg)]
         for args in (["tree"], [*config, "tree"], ["tree"], [*config, "modp", "degrees"]):
-            result = CliRunner().invoke(cli, args)
+            result = invoke(args)
             assert result.exit_code == 0, result.output
+            assert result.stdout == run_cli(*args).stdout.decode(), args
             outputs.append(json.loads(result.stdout)["config"])
         assert outputs == [
             {"p": 2, "radius": 1},
@@ -370,20 +336,65 @@ class TestParseOnce:
 
 
 class TestNoOptionDeclaredTwice:
-    """click checks a command's options for duplicates each time it builds
-    their list, which is now once per process; this walks every command and
-    group instead."""
+    """No command or group takes an option twice, --help included: the
+    parser would read both as one and never say so."""
 
     def test_no_command_or_group_declares_an_option_twice(self):
         assert _declared_twice() == []
 
     @pytest.mark.parametrize(
-        "path,option", [("", "--config"), ("tree", "--p"), ("modp degrees", "--k")], ids=str
+        "path,option",
+        [("", "--config"), ("tree", "--p"), ("modp degrees", "--k"), ("modp", "--help")],
+        ids=str,
     )
     def test_a_duplicate_put_in_is_found(self, path, option, monkeypatch):
-        command = dict(_commands())[path]
-        monkeypatch.setattr(command, "params", [*command.params, click.Option([option, "--spare"])])
-        assert _declared_twice() == [(path, option)]
+        fn, options, doc = cli_module._COMMANDS[tuple(path.split())]
+        name = option[2:]
+        monkeypatch.setitem(cli_module._COMMANDS, tuple(path.split()), (fn, (*options, name), doc))
+        assert _declared_twice() == [(path, name)]
+
+    def test_each_command_takes_the_options_it_declares(self):
+        for path, (fn, options, _) in cli_module._COMMANDS.items():
+            assert set(options) <= set(cli_module._OPTIONS) - {"help"}, path
+            if fn is not None:
+                assert tuple(inspect.signature(fn).parameters) == options, path
+
+
+class TestChildProcessSurface:
+    """The command line as a fresh interpreter runs it: it imports no click,
+    --help answers for the root, for ``modp`` and for every command, and an
+    interrupt inside a command exits 1 with no traceback."""
+
+    def test_click_is_not_imported(self):
+        code = "import sys, drinfeld.cli; print('click' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env())
+        assert proc.returncode == 0 and proc.stdout == b"False\n", proc.stderr
+
+    @pytest.mark.parametrize(
+        "path", sorted(cli_module._COMMANDS), ids=lambda path: " ".join(path) or "root"
+    )
+    def test_help_names_every_option(self, path):
+        proc = run_cli(*path, "--help")
+        out = proc.stdout.decode()
+        assert proc.stderr == b"" and out.startswith(" ".join(("Usage: drinfeld", *path, "[OPTIONS]")))
+        fn, options, _ = cli_module._COMMANDS[path]
+        named = [cli_module._flag_of(name) for name in (*options, "help")]
+        if fn is None:
+            named += [sub[-1] for sub in cli_module._COMMANDS if sub[:-1] == path and sub]
+        for name in named:
+            assert re.search(rf"^  {re.escape(name)}( |$)", out, re.M), (name, out)
+
+    def test_an_interrupt_in_a_command_exits_one_without_a_traceback(self):
+        code = (
+            "from drinfeld import cli\n"
+            "def interrupted(*args):\n"
+            "    raise KeyboardInterrupt\n"
+            "cli.truncated_tree = interrupted\n"
+            "cli.main(['tree', '--p', '3'])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env(), timeout=30)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == b"" and b"Traceback" not in proc.stderr
 
 
 class TestExitCodes:
@@ -542,7 +553,7 @@ class TestInProcessExitCodes:
         ],
     )
     def test_input_outside_the_domain_is_rejected_with_code_two(self, args):
-        result = CliRunner().invoke(cli, list(args))
+        result = invoke(list(args))
         assert result.exit_code == 2, (args, result.output)
         assert "invalid parameters" in result.stderr
 
@@ -559,7 +570,7 @@ class TestInProcessExitCodes:
 
         monkeypatch.setattr("drinfeld.cli.truncated_tree", refuse)
         monkeypatch.setattr("drinfeld.modp.truncated_tree", refuse)
-        result = CliRunner().invoke(cli, list(args))
+        result = invoke(list(args))
         assert result.exit_code == 2, (args, result.output)
         assert "more than 25000" in result.stderr
 
@@ -574,14 +585,14 @@ class TestInProcessExitCodes:
     def test_malformed_config_file_is_rejected_with_code_two(self, tmp_path, content, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(content)
-        result = CliRunner().invoke(cli, ["--config", str(cfg), "local-dims"])
+        result = invoke(["--config", str(cfg), "local-dims"])
         assert result.exit_code == 2, (result.output, repr(result.exception))
         assert result.stderr.startswith(f"invalid parameters: {message}")
 
     def test_non_integer_config_value_is_rejected_with_code_two(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = abc\n")
-        result = CliRunner().invoke(cli, ["--config", str(cfg), "local-dims"])
+        result = invoke(["--config", str(cfg), "local-dims"])
         assert result.exit_code == 2
         assert "invalid parameters" in result.stderr
 
@@ -590,10 +601,10 @@ class TestInProcessExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"radius = {radius}\n")
         args = ["local-dims", "--p", "2", "--k", "1"]
-        result = CliRunner().invoke(cli, ["--config", str(cfg), *args])
+        result = invoke(["--config", str(cfg), *args])
         assert result.exit_code == 0, result.output
-        assert result.stdout == CliRunner().invoke(cli, args).stdout
-        rejected = CliRunner().invoke(cli, ["--config", str(cfg), "tree"])
+        assert result.stdout == invoke(args).stdout
+        rejected = invoke(["--config", str(cfg), "tree"])
         assert rejected.exit_code == 2
         assert "invalid parameters" in rejected.stderr
 
@@ -611,8 +622,7 @@ class TestInProcessExitCodes:
 
         monkeypatch.setattr(harmonic, "res0", counted)
         monkeypatch.setattr(cli_module, "res0", counted)
-        result = CliRunner().invoke(
-            cli, ["residue", "--p", "2", "--k", "1", "--f", "1/z", "--radius", "2", *audit]
+        result = invoke(["residue", "--p", "2", "--k", "1", "--f", "1/z", "--radius", "2", *audit]
         )
         assert result.exit_code == 0, result.output
         assert calls == [bool(audit)]
@@ -629,15 +639,13 @@ class TestInProcessExitCodes:
             return real(self, order)
 
         monkeypatch.setattr(FactoredRational, "derivative", counted)
-        result = CliRunner().invoke(
-            cli, ["theta", "--p", "2", "--k", "2", "--f", "1/z", "--level", "1"]
+        result = invoke(["theta", "--p", "2", "--k", "2", "--f", "1/z", "--level", "1"]
         )
         assert result.exit_code == 0, result.output
         assert orders == [3]
 
     def test_residue_of_the_zero_section_is_the_zero_cochain(self):
-        result = CliRunner().invoke(
-            cli, ["residue", "--p", "2", "--k", "0", "--f", "0", "--radius", "2"]
+        result = invoke(["residue", "--p", "2", "--k", "0", "--f", "0", "--radius", "2"]
         )
         assert result.exit_code == 0, result.output
         out = json.loads(result.stdout)
@@ -763,7 +771,7 @@ class TestExitCodeFuzz:
                 cfg = Path(tmp) / "run.cfg"
                 cfg.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
                 args = ["--config", str(cfg), *args]
-            result = CliRunner().invoke(cli, args)
+            result = invoke(args)
         assert result.exit_code in (0, 2), (args, lines, result.output, repr(result.exception))
         if result.exit_code == 0:
             assert isinstance(json.loads(result.stdout), dict)
@@ -814,7 +822,7 @@ class TestListBudget:
 
         for name in self.WORK:
             monkeypatch.setattr(cli_module, name, refuse)
-        result = CliRunner().invoke(cli, list(args))
+        result = invoke(list(args))
         assert result.exit_code == 2, (args, result.output)
         message = result.stderr.strip()
         assert "\n" not in message and message.startswith("invalid parameters:")
@@ -822,7 +830,7 @@ class TestListBudget:
 
     def test_a_large_prime_with_a_short_list_runs(self):
         args = ["modp", "symgeom-check", "--q", "1000003", "--k", "0", "--i", "0"]
-        assert CliRunner().invoke(cli, args).exit_code == 0
+        assert invoke(args).exit_code == 0
 
     @pytest.mark.parametrize("q", [2**100, 3**9])
     def test_a_large_extension_field_is_refused_before_its_tables(self, q, monkeypatch):
@@ -831,7 +839,7 @@ class TestListBudget:
 
         monkeypatch.setattr(cli_module, "symgeom_iso", refuse)
         args = ["modp", "symgeom-check", "--q", str(q), "--k", "0", "--i", "0"]
-        result = CliRunner().invoke(cli, args)
+        result = invoke(args)
         assert result.exit_code == 2, (args, result.output)
         message = result.stderr.strip()
         assert message == (
@@ -859,7 +867,7 @@ class TestListBudget:
         budgeted = [args for args in invocations if args[:2] in commands]
         assert len(budgeted) > 40
         for args in budgeted:
-            result = CliRunner().invoke(cli, args)
+            result = invoke(args)
             assert isinstance(result.exception, Reached), (args, result.output)
 
 
@@ -903,7 +911,7 @@ class TestCostLimits:
             raise AssertionError("the command's work began")
 
         self._patch(monkeypatch, refuse)
-        result = CliRunner().invoke(cli, list(args))
+        result = invoke(list(args))
         assert result.exit_code == 2, (args, result.output)
         message = result.stderr.strip()
         assert "\n" not in message and message.startswith("invalid parameters:")
@@ -923,7 +931,7 @@ class TestCostLimits:
         ids=" ".join,
     )
     def test_the_limits_themselves_run(self, args):
-        assert CliRunner().invoke(cli, list(args)).exit_code == 0
+        assert invoke(list(args)).exit_code == 0
 
     # the work that follows the lead check, once ``--f`` is parsed
     AFTER_PARSE = {"residue": "truncated_tree", "theta": "theta"}
@@ -942,7 +950,7 @@ class TestCostLimits:
 
         for name in self.AFTER_PARSE.values():
             monkeypatch.setattr(cli_module, name, refuse)
-        result = CliRunner().invoke(cli, list(args))
+        result = invoke(list(args))
         assert result.exit_code == 2, (args[:4], result.output[:200])
         limit = cli_module._MAX_LEAD_DIGITS
         assert result.stderr == f"invalid parameters: --f has a lead of more than {limit} digits\n"
@@ -954,7 +962,7 @@ class TestCostLimits:
 
         for name in self.AFTER_PARSE.values():
             monkeypatch.setattr(cli_module, name, refuse)
-        result = CliRunner().invoke(cli, list(args))
+        result = invoke(list(args))
         assert result.exit_code == 2, (args[:4], result.output[:200])
         message = result.stderr.strip()
         assert "\n" not in message and message.startswith("invalid parameters: --f has roots of")
@@ -969,7 +977,7 @@ class TestCostLimits:
         ids=lambda args: args[0],
     )
     def test_the_root_limit_itself_runs(self, args):
-        assert CliRunner().invoke(cli, list(args)).exit_code == 0
+        assert invoke(list(args)).exit_code == 0
 
     # (k + 1)! for 1/z and (k + 2)! for z^2 past the limit, or within it but
     # for a lead of 978 digits; a constant at a huge k, which was
@@ -987,7 +995,7 @@ class TestCostLimits:
             raise AssertionError("the derivative began")
 
         monkeypatch.setattr(cli_module, "theta", refuse)
-        result = CliRunner().invoke(cli, list(args))
+        result = invoke(list(args))
         assert result.exit_code == 2, (args[:4], result.output[:200])
         limit = cli_module._MAX_IMAGE_DIGITS
         assert result.stderr == (
@@ -1009,7 +1017,7 @@ class TestCostLimits:
             raise AssertionError("the derivative began")
 
         monkeypatch.setattr(cli_module, "theta", refuse)
-        result = CliRunner().invoke(cli, list(args))
+        result = invoke(list(args))
         assert result.exit_code == 2, (args[:4], result.output[:200])
         limit = cli_module._MAX_IMAGE_DEGREE
         assert result.stderr.startswith(f"invalid parameters: theta's image at k = {args[4]} may have")
@@ -1018,12 +1026,12 @@ class TestCostLimits:
     # the degree bound is 500 exactly: the zero at 3 leaves after one step
     def test_the_degree_limit_itself_runs(self):
         args = ["theta", "--p", "2", "--k", "499", "--f", "(z-1)^-1*(z-3)", "--level", "0"]
-        assert CliRunner().invoke(cli, args).exit_code == 0
+        assert invoke(args).exit_code == 0
 
     # 1463! has 3 998 digits
     def test_the_image_limit_itself_runs(self):
         args = ["theta", "--p", "2", "--k", "1462", "--f", "1/z", "--level", "0"]
-        assert CliRunner().invoke(cli, args).exit_code == 0
+        assert invoke(args).exit_code == 0
 
     # ``_section`` holds the root check as well as the lead check, and
     # ``theta`` checks its image's lead before it calls ``theta``
@@ -1041,7 +1049,7 @@ class TestCostLimits:
         sections = [args for args in invocations if args[0] in self.AFTER_PARSE]
         assert {args[0] for args in sections} == set(self.AFTER_PARSE) and len(sections) > 100
         for args in sections:
-            result = CliRunner().invoke(cli, args)
+            result = invoke(args)
             assert isinstance(result.exception, Reached), (args, result.output)
 
     def test_every_shown_and_benchmarked_invocation_passes_the_check(self, monkeypatch):
@@ -1057,7 +1065,7 @@ class TestCostLimits:
         limited = [args for args in invocations if args[0] in self.WORK]
         assert {args[0] for args in limited} == set(self.WORK) and len(limited) > 250
         for args in limited:
-            result = CliRunner().invoke(cli, args)
+            result = invoke(args)
             assert isinstance(result.exception, Reached), (args, result.output)
 
 
@@ -1084,7 +1092,7 @@ class TestListDigests:
         digest = hashlib.sha256()
         jobs = _workloads().job_list(workload, seed)
         for job in jobs:
-            result = CliRunner().invoke(cli, job)
+            result = invoke(job)
             digest.update(json.dumps([job, result.exit_code, result.stdout]).encode())
         assert len(jobs) > 90
         return digest.hexdigest()
@@ -1107,7 +1115,7 @@ class TestResidueFieldReach:
 
     def test_symgeom_check_at_a_large_prime_without_a_shift(self):
         args = ["modp", "symgeom-check", "--q", "1000003", "--k", "0", "--i", "0"]
-        result = CliRunner().invoke(cli, args)
+        result = invoke(args)
         assert result.exit_code == 0, (result.output, repr(result.exception))
         out = json.loads(result.stdout)
         assert out["equivariant"] is True and out["images"] == ["1"]
@@ -1121,7 +1129,7 @@ class TestResidueFieldReach:
     )
     def test_every_printed_line_is_fixed_by_every_generator(self, q, k, i):
         args = ["modp", "stable-lines", "--q", str(q), "--k", str(k), "--i", str(i)]
-        result = CliRunner().invoke(cli, args)
+        result = invoke(args)
         assert result.exit_code == 0, (result.output, repr(result.exception))
         out = json.loads(result.stdout)
         field = Fq(q)
@@ -1384,7 +1392,7 @@ class TestJsonWriter:
     def test_command_payloads_match_the_oracle(self, args, code, monkeypatch):
         payloads = []
         monkeypatch.setattr(cli_module, "_emit", payloads.append)
-        result = CliRunner().invoke(cli, list(args))
+        result = invoke(list(args))
         assert result.exit_code == code, (args, result.output)
         assert len(payloads) == (code == 0)
         for payload in payloads:

@@ -7,12 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import harmonic
-from drinfeld.cli import cli
 from drinfeld.errors import PoleInsideAnnulus
 from drinfeld.harmonic import (
     Cochain,
@@ -38,6 +36,7 @@ from drinfeld.tree import (
     truncated_tree,
     unipotent_lower,
 )
+from inprocess import invoke
 from oracles import (
     act_on_edge,
     automorphic_act,
@@ -333,10 +332,10 @@ class TestPerPoleResidues:
 
         monkeypatch.setattr(harmonic, "_edge_residue", series)
         args = ["residue", "--p", "2", "--k", "1", "--f", "(z-2)^-1*(z-3/2)", "--radius", "3"]
-        result = CliRunner().invoke(cli, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         assert calls == []
-        result = CliRunner().invoke(cli, [*args, "--audit"])
+        result = invoke([*args, "--audit"])
         assert isinstance(result.exception, AssertionError) and len(calls) == 1
 
 

@@ -10,10 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from click.testing import CliRunner
-
 from drinfeld import lattices, scalars
-from drinfeld.cli import cli
 from drinfeld.errors import InvalidParameters, NegativeValuation, PoleInsideAnnulus
 from drinfeld.harmonic import res0
 from drinfeld.lattices import (
@@ -49,6 +46,7 @@ from drinfeld.tree import (
     unipotent_lower,
     vertex_transporter,
 )
+from inprocess import invoke
 from oracles import (
     act_on_edge,
     automorphic_act,
@@ -587,7 +585,7 @@ class TestStandardEdgeGate:
             return m, num, den, e
 
         monkeypatch.setattr(lattices, "sym_ints", skewed)
-        result = CliRunner().invoke(cli, ["lattice", "--p", "2", "--k", "3"])
+        result = invoke(["lattice", "--p", "2", "--k", "3"])
         assert result.exit_code == 3, (result.output, repr(result.exception))
         assert result.stdout == "" and "Traceback" not in result.stderr
         assert result.stderr == (

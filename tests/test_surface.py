@@ -10,16 +10,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "drinfeld"
 
-# called by click or by the interpreter, not by the package
+# called by the interpreter, not by the package
 _ENTRY_POINTS = {"main"}
-_CLICK_DECORATORS = {"command", "group"}
 
 
-def _is_click_command(node: ast.AST) -> bool:
+def _is_command(node: ast.AST) -> bool:
+    """Whether ``node`` is registered in the CLI's command table by
+    ``@_command(...)``, which ``cli.main`` calls it from."""
     return any(
-        isinstance(d, ast.Call)
-        and isinstance(d.func, ast.Attribute)
-        and d.func.attr in _CLICK_DECORATORS
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_command"
         for d in node.decorator_list
     )
 
@@ -57,7 +56,7 @@ def _public_definitions(modules: list[_Module]):
         for node in m.definitions:
             if not _public(node.name):
                 continue
-            if node.name not in _ENTRY_POINTS and not _is_click_command(node):
+            if node.name not in _ENTRY_POINTS and not _is_command(node):
                 yield m.name, node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
