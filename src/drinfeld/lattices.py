@@ -33,7 +33,7 @@ from fractions import Fraction
 from .errors import InternalInvariantError, NegativeValuation, ZeroFunction
 from .linalg import rank, rref
 from .rational import FactoredRational, gauss_valuation
-from .scalars import INF, Fq, _common_denominator, _twice_valuation, _vp, half
+from .scalars import INF, _common_denominator, _twice_valuation, _vp, half
 from .symrep import sym_ints, triangular_apply
 from .tree import (
     Edge,
@@ -119,13 +119,12 @@ def in_edge_lattice(e: Edge, k: int, vec: list) -> bool:
 
 
 def _local_space(src: Lattice, dst: Lattice) -> list:
-    """Basis of the image of dst in src/(pihat), as coordinate vectors
-    against src's basis: the column space mod pihat of the transition
-    M[j][i] * (num/den) * pihat^(e + t_j - s_i), for sym(dst.g^-1 src.g) =
-    M * (num/den) * pihat^e.  An entry of doubled valuation 0 reduces to the
+    """Basis of the image of dst in src/(pihat), as coordinate vectors of
+    residues mod p against src's basis: the column space mod pihat of the
+    transition M[j][i] * (num/den) * pihat^(e + t_j - s_i), for
+    sym(dst.g^-1 src.g) = M * (num/den) * pihat^e.  An entry of doubled valuation 0 reduces to the
     unit part of M[j][i] * num/den mod p, a positive one to 0; a negative one raises."""
     p = src.p
-    field = Fq(p)
     m, num, den, e = sym_ints(dst.g.inv() @ src.g, src.k, p)
     vn, vd = _vp(num, p), _vp(den, p)
     unit = num // p**vn * pow(den // p**vd, -1, p)
@@ -137,24 +136,26 @@ def _local_space(src: Lattice, dst: Lattice) -> list:
         return x // p**v * unit if 2 * v + twice == 0 else 0
 
     rows = [
-        [field.from_int(residue(x, 2 * (vn - vd) + e + t - s)) for x, s in zip(row, src.scale)]
+        [residue(x, 2 * (vn - vd) + e + t - s) for x, s in zip(row, src.scale)]
         for row, t in zip(m, dst.scale)
     ]
-    basis, pivots = rref(rows, field.zero())
+    basis, pivots = rref(rows, p)
     return basis[: len(pivots)]
 
 
 def d_space_basis(e: Edge, side: Vertex, k: int) -> list:
-    """Basis of the image of the edge lattice in (side lattice)/(pihat).  On
-    the child side the two lattices share a transporter, so the transition
-    is the diagonal diag(pihat^max(0, 2j - k))."""
+    """Basis of the image of the edge lattice in (side lattice)/(pihat), as
+    rows of residues mod p against the side lattice's basis.  On the child
+    side the two lattices share a transporter, so the transition is the
+    diagonal diag(pihat^max(0, 2j - k))."""
     return _local_space(vertex_lattice(side, k), edge_lattice(e, k))
 
 
 def e_space_basis(e: Edge, k: int) -> list:
     """Basis of the image of the edge lattice in (sum of the two endpoint
-    lattices)/(pihat).  The sum is the child's lattice scaled by
-    pihat^min(0, 2j - k), so the transition is diag(pihat^|2j - k|)."""
+    lattices)/(pihat), as rows of residues mod p against the sum's basis.
+    The sum is the child's lattice scaled by pihat^min(0, 2j - k), so the
+    transition is diag(pihat^|2j - k|)."""
     edge = edge_lattice(e, k)
     total = Lattice(edge.p, k, edge.g, tuple(min(0, 2 * j - k) for j in range(k + 1)))
     return _local_space(total, edge)
@@ -165,7 +166,7 @@ def star_local_kernel(v: Vertex, k: int) -> int:
     values, one from each D-space around v, summing to zero in
     (vertex lattice)/(pihat)."""
     vectors = [x for e in edges_at(v) for x in d_space_basis(e, v, k)]
-    return len(vectors) - rank(vectors, Fq(v.p).zero())
+    return len(vectors) - rank(vectors, v.p)
 
 
 def local_dimension_formulas(q: int, k: int) -> dict:

@@ -1,31 +1,24 @@
-"""Exact linear algebra over field-like scalars.
+"""Exact linear algebra over the prime field F_p, on int residues.
 
-The routines are generic: elements must support +, -, * and / and be false
-exactly at zero, as in ``poly``. Callers pass explicit zero/one samples, used
-only to fill new entries, so the routines stay agnostic of the scalar type
-(used with ScalarKHat, Fraction and FqElem alike).  ``rref`` and ``rank``
-given p, ``kernel_basis_mod_p`` and ``kernel_of_columns_mod_p`` run the same
-elimination on int residues over a prime field.
+``rref``, ``rank``, ``kernel_basis_mod_p`` and ``kernel_of_columns_mod_p``
+run one sparse Gauss-Jordan elimination on ints read mod p; the program row
+reduces over no other field.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TypeVar
 
-T = TypeVar("T")
-
-Matrix = list  # list[list[T]], row-major
+Matrix = list  # list[list], row-major
 
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def rref(rows: Matrix, zero: T, p: int | None = None) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices (exact Gauss-Jordan),
-    over the entries' own field, or over F_p for int entries read mod p when
-    p is given.
+def rref(rows: Matrix, p: int) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form over F_p of int rows read mod p, as residues,
+    and the pivot column indices (exact Gauss-Jordan).
 
     Rows are eliminated as column -> nonzero maps, so a row update walks only
     the nonzero entries of the pivot row. The reduced form of a row space is
@@ -33,20 +26,17 @@ def rref(rows: Matrix, zero: T, p: int | None = None) -> tuple[Matrix, list[int]
     back dense, the pivot rows in column order followed by the zero rows."""
     if not rows:
         return [], []
-    if p:
-        rows = [[x % p for x in row] for row in rows]
-    reduced, pivots = _gauss_jordan([{c: x for c, x in enumerate(row) if x} for row in rows], p)
-    dense = [[zero] * len(rows[0]) for _ in rows]
+    reduced, pivots = _gauss_jordan([{c: r for c, x in enumerate(row) if (r := x % p)} for row in rows], p)
+    dense = [[0] * len(rows[0]) for _ in rows]
     for out, row in zip(dense, reduced):
         for j, x in row.items():
             out[j] = x
     return dense, pivots
 
 
-def _gauss_jordan(rows: list[dict], p: int | None) -> tuple[list[dict], list[int]]:
-    """The reduced pivot rows, as maps, of rows given as {column: nonzero
-    entry} maps, and their pivot columns: over the scalars' own field when p
-    is None, on int residues mod p otherwise."""
+def _gauss_jordan(rows: list[dict], p: int) -> tuple[list[dict], list[int]]:
+    """The reduced pivot rows of rows given as {column: nonzero residue mod p}
+    maps, as maps of the same kind, and their pivot columns."""
     pending = {i: entries for i, entries in enumerate(rows) if entries}
     # (leading column, row id) of each pending row. Every pending row's
     # columns are at least the smallest leading column c, so exactly the rows
@@ -55,14 +45,10 @@ def _gauss_jordan(rows: list[dict], p: int | None) -> tuple[list[dict], list[int
     heapq.heapify(leads)
     reduced: list[dict] = []
     pivots: list[int] = []
-    one = 1 if p else None  # no sample of 1 is passed in: the first pivot over itself
     while leads:
         c, i = heapq.heappop(leads)
-        scale = pending[i].pop(c)
-        if one is None:
-            one = scale / scale
-        inv = pow(scale, -1, p) if p else one / scale
-        tail = [(j, x * inv % p if p else x * inv) for j, x in pending.pop(i).items()]
+        inv = pow(pending[i].pop(c), -1, p)
+        tail = [(j, x * inv % p) for j, x in pending.pop(i).items()]
         while leads and leads[0][0] == c:
             _, i = heapq.heappop(leads)
             row = pending[i]
@@ -75,30 +61,30 @@ def _gauss_jordan(rows: list[dict], p: int | None) -> tuple[list[dict], list[int
             if c in row:
                 _eliminate(row, c, tail, p)
         pivot_row = dict(tail)
-        pivot_row[c] = one
+        pivot_row[c] = 1
         reduced.append(pivot_row)
         pivots.append(c)
     return reduced, pivots
 
 
-def _eliminate(row: dict, c: int, tail: list, p: int | None) -> None:
+def _eliminate(row: dict, c: int, tail: list, p: int) -> None:
     """Clear column c of a sparse row with the pivot row for c, which is 1 at
-    c and holds the nonzero entries ``tail`` elsewhere (mod p unless p is None)."""
+    c and holds the nonzero residues ``tail`` elsewhere."""
     f = row.pop(c)
     for j, y in tail:
         x = row.get(j)
         if x is None:
-            row[j] = -(f * y) % p if p else -(f * y)
+            row[j] = -(f * y) % p
         else:
-            x = (x - f * y) % p if p else x - f * y
+            x = (x - f * y) % p
             if x:
                 row[j] = x
             else:
                 del row[j]
 
 
-def rank(rows: Matrix, zero: T, p: int | None = None) -> int:
-    return len(rref(rows, zero, p)[1])
+def rank(rows: Matrix, p: int) -> int:
+    return len(rref(rows, p)[1])
 
 
 def kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> list[list[int]]:

@@ -351,7 +351,7 @@ def symgeom_injectivity_rank(iso: dict) -> int:
     mod p, since they lie in F_p."""
     numerators = iso["numerators"]
     width = 1 + max(max(num) for num in numerators)
-    return rank([[num.get(j, 0) for j in range(width)] for num in numerators], 0, iso["field"].p)
+    return rank([[num.get(j, 0) for j in range(width)] for num in numerators], iso["field"].p)
 
 
 # -- truncated-tree global sections --------------------------------------------------

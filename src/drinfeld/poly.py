@@ -1,7 +1,7 @@
 """Dense polynomials in one variable: coefficient tuples, little-endian, with
 no trailing zeros; () is zero.  Coefficients (``ScalarKHat``, ``FqElem``, int)
-need +, -, *, negation, ``inverse()`` and to be false exactly at zero; as in
-``linalg``, callers pass ``zero``/``one`` where a routine builds coefficients.
+need +, -, *, negation, ``inverse()`` and to be false exactly at zero;
+callers pass ``zero``/``one`` where a routine builds coefficients.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The (k+1)-fold derivative operator carrying weight -k to weight k+2: its
-polynomial kernel, vertex-level valuation amplification, and the
-Euler-operator factorization identity."""
+vertex-level valuation amplification and the Euler-operator factorization
+identity.  Its kernel on polynomials is those of degree at most k."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from fractions import Fraction
 from math import prod
 
 from .errors import InvalidParameters, ZeroFunction
-from .linalg import rank
 from .rational import FactoredRational, gauss_valuation, tube_coordinate_level
 from .scalars import INF, ScalarKHat, half
 from .tree import Vertex
@@ -20,27 +19,6 @@ def theta(f: FactoredRational, k: int) -> FactoredRational:
     if k < 0:
         raise InvalidParameters("k must be nonnegative")
     return f.derivative(k + 1)
-
-
-def kernel_polynomial_dimension(k: int, p: int) -> int:
-    """Dimension of the kernel of the operator on polynomials of degree up to
-    k+3, computed by exact rank."""
-    cap = k + 3
-    zero = ScalarKHat.zero(p)
-    rows = []
-    # row r = coefficient of z^r in theta(z^c), columns c = 0..cap
-    out_len = max(1, cap - k)
-    for r in range(out_len):
-        row = []
-        for c in range(cap + 1):
-            if c - (k + 1) == r:
-                row.append(ScalarKHat.from_rational(
-                    prod(range(c - k, c + 1)), p
-                ))
-            else:
-                row.append(zero)
-        rows.append(row)
-    return cap + 1 - rank(rows, zero)
 
 
 @dataclass(frozen=True)

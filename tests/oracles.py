@@ -9,7 +9,7 @@ from fractions import Fraction
 import itertools
 import json
 import math
-from math import comb
+from math import comb, prod
 from operator import mul
 
 from drinfeld import modp, poly
@@ -25,7 +25,7 @@ from drinfeld.errors import (
 )
 from drinfeld.harmonic import Cochain, _raise_in_annulus, res0, sigma
 from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
-from drinfeld.linalg import Matrix, rank, rref
+from drinfeld.linalg import Matrix
 from drinfeld.modp import (
     INFINITY_POINT,
     FqRatFunc,
@@ -377,7 +377,7 @@ def dense_field_kernel(tree: TruncatedTree, k: int) -> int:
         for e in tree.edges_at(v):
             row[index[e]] = one
         rows.append(row)
-    return (k + 1) * (len(edges) - len(rref(rows, zero)[1]))
+    return (k + 1) * (len(edges) - reference_rank(rows, zero))
 
 
 def membership_by_transport(f: FactoredRational, k: int, v: Vertex) -> tuple[bool, int]:
@@ -475,8 +475,42 @@ def poly_evaluate(u: poly.Poly, x, zero):
 
 # -- dense linear algebra ----------------------------------------------------------
 #
-# The program reads lattice transitions and membership off the transporters;
-# these eliminate over the basis matrices instead.
+# The program row-reduces only int residues over F_p (``linalg``), and reads
+# lattice transitions and membership off the transporters.  These eliminate
+# over the scalars' own field (F_q, K-hat, the rationals) and over the basis
+# matrices instead.
+
+
+def reference_rref(rows: list, zero) -> tuple[list, list[int]]:
+    """Dense Gauss-Jordan over the scalars' own field: pivot on the first row
+    with a nonzero entry in each column, then clear that column in every
+    other row.  The reference for ``linalg.rref`` on residues mod p."""
+    a = [list(r) for r in rows]
+    if not a:
+        return a, []
+    ncols = len(a[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(a)) if a[i][c] != zero), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != zero:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a, pivots
+
+
+def reference_rank(rows: list, zero) -> int:
+    return len(reference_rref(rows, zero)[1])
 
 
 def mat_mul(a: list, b: list) -> list:
@@ -498,7 +532,7 @@ def solve(a: list, b: list, zero) -> list | None:
     if not a:
         return [] if all(x == zero for x in b) else None
     aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    r, pivots = rref(aug, zero)
+    r, pivots = reference_rref(aug, zero)
     ncols = len(a[0])
     if ncols in pivots:
         return None
@@ -509,29 +543,28 @@ def solve(a: list, b: list, zero) -> list | None:
 
 
 def kernel_basis(rows: list, zero, one) -> list[list]:
-    """Basis of the right kernel over the scalars' own field, one vector per
-    free column: the generic form of ``linalg.kernel_basis_mod_p``, which
-    gives these vectors as residues over a prime field."""
+    """Basis of the right kernel over the scalars' own field from the
+    reference form, one vector per free column: the generic form of
+    ``linalg.kernel_basis_mod_p``, which gives these vectors as residues
+    over a prime field."""
     if not rows:
         return []
-    reduced, pivots = rref(rows, zero)
-    ncols, pivot_set = len(rows[0]), set(pivots)
+    ncols = len(rows[0])
+    r, pivots = reference_rref(rows, zero)
     basis = []
-    for fc in range(ncols):
-        if fc not in pivot_set:
-            vec = [zero] * ncols
-            vec[fc] = one
-            for row, pc in zip(reduced, pivots):
-                if row[fc]:
-                    vec[pc] = -row[fc]
-            basis.append(vec)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
+        vec[fc] = one
+        for ri, pc in enumerate(pivots):
+            vec[pc] = zero - r[ri][fc]
+        basis.append(vec)
     return basis
 
 
 def inverse(a: list, zero, one) -> list:
     n = len(a)
     aug = [list(row) + list(idr) for row, idr in zip(a, identity(n, zero, one))]
-    r, pivots = rref(aug, zero)
+    r, pivots = reference_rref(aug, zero)
     if pivots != list(range(n)):
         raise InternalInvariantError("matrix is singular")
     return [row[n:] for row in r]
@@ -714,10 +747,11 @@ def endpoint_sum(child: list) -> list:
 
 
 def reduced_column_space(t: list, field: FiniteField) -> list:
-    """Basis of the column space of t mod pihat."""
+    """Basis of the column space of t mod pihat, as rows of residues mod p:
+    the reference form over ``field``, F_p."""
     reduced = [[field.elem(reduce_mod_pihat(x)) for x in row] for row in t]
-    rows, pivots = rref([list(col) for col in zip(*reduced)], field.zero())
-    return rows[: len(pivots)]
+    rows, pivots = reference_rref([list(col) for col in zip(*reduced)], field.zero())
+    return [[x.n for x in row] for row in rows[: len(pivots)]]
 
 
 def transition_d_space_basis(e: Edge, side: Vertex, k: int) -> list:
@@ -911,6 +945,25 @@ def res_kills_theta(f: FactoredRational, k: int, tree: TruncatedTree) -> bool:
     return res0(theta(f, k), k, tree).support() == []
 
 
+def kernel_polynomial_dimension(k: int, p: int) -> int:
+    """Dimension of the kernel of theta on polynomials of degree up to k+3,
+    by the reference rank over K-hat: the reference for the k + 1 that the
+    CLI prints."""
+    cap = k + 3
+    zero = ScalarKHat.zero(p)
+    rows = []
+    # row r = coefficient of z^r in theta(z^c), columns c = 0..cap
+    for r in range(max(1, cap - k)):
+        row = []
+        for c in range(cap + 1):
+            if c - (k + 1) == r:
+                row.append(ScalarKHat.from_rational(prod(range(c - k, c + 1)), p))
+            else:
+                row.append(zero)
+        rows.append(row)
+    return cap + 1 - reference_rank(rows, zero)
+
+
 # -- Laurent expansion on the standard annulus ----------------------------------------
 
 
@@ -1014,7 +1067,7 @@ def quotient_structure_by_elimination(q: int, k: int, i: int) -> tuple[list, obj
         row[j] = field.one()
         row[q + j - 1] = row[q + j - 1] - field.one()
         relations.append(row)
-    reduced, pivots = rref(relations, field.zero())
+    reduced, pivots = reference_rref(relations, field.zero())
     free = [c for c in range(t + 1) if c not in set(pivots)]
 
     def reduce_vector(vec: list) -> tuple:
@@ -1171,7 +1224,7 @@ def symgeom_rank_by_fq(images: list) -> int:
     numerators = symgeom_numerators_by_fq(images)
     zero = images[0].field.zero()
     width = max(len(n) for n in numerators)
-    return rank([list(n) + [zero] * (width - len(n)) for n in numerators], zero)
+    return reference_rank([list(n) + [zero] * (width - len(n)) for n in numerators], zero)
 
 
 def symgeom_equivariance_by_columns(q: int, k: int, i: int, g) -> bool:

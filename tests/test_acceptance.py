@@ -6,6 +6,7 @@ the pytest -v report gives the per-criterion pass/fail ledger.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -38,20 +39,17 @@ from drinfeld.rational import (
     tube_coordinate_level,
 )
 from drinfeld.scalars import Fq, ScalarKHat
-from drinfeld.theta import (
-    complement_b_identity,
-    kernel_polynomial_dimension,
-    theta,
-    theta_integrality,
-)
+from drinfeld.theta import complement_b_identity, theta, theta_integrality
 from drinfeld.tree import Mat2, act_on_vertex, make_edge, make_vertex, truncated_tree
 from oracles import (
     automorphic_act,
     cochain_value,
+    kernel_polynomial_dimension,
     quotient_reduce,
     res_kills_theta,
     rescale_to_gauss_bound,
 )
+from inprocess import invoke
 from sampling import (
     diagonal,
     gamma_level,
@@ -244,9 +242,11 @@ def test_criterion_5_residue_suite():
 def test_criterion_6_theta_suite():
     p = 2
 
-    # part 1: polynomial kernel dimension is exactly k+1
-    for k in range(7):
-        assert kernel_polynomial_dimension(k, p) == k + 1
+    # part 1: polynomial kernel dimension is exactly k+1, as printed and by rank
+    for q in (2, 3, 5):
+        for k in range(13):
+            out = json.loads(invoke(["theta", "--p", str(q), "--k", str(k), "--f", "1/z"]).stdout)
+            assert out["kernel_polynomial_dimension"] == kernel_polynomial_dimension(k, q) == k + 1, (q, k)
 
     # part 2: 30 random sections pinned on the vertex-lattice bound all pass
     rng = random.Random(SEED)

@@ -608,6 +608,19 @@ class TestInProcessExitCodes:
         assert rejected.exit_code == 2
         assert "invalid parameters" in rejected.stderr
 
+    @pytest.mark.parametrize("value", ["1", "x"])
+    def test_a_config_help_key_is_ignored(self, tmp_path, value):
+        """--help is read from the command line only: a file's help key is
+        ignored like any key that names no option of the command."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"help = {value}\n")
+        args = ["local-dims", "--p", "2", "--k", "1"]
+        result = invoke(["--config", str(cfg), *args])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == invoke(args).stdout and result.stderr == ""
+        asked = invoke(["--config", str(cfg), *args, "--help"])
+        assert asked.exit_code == 0 and asked.stdout.startswith("Usage: drinfeld local-dims [OPTIONS]")
+
     @pytest.mark.parametrize("audit", [[], ["--audit", "--seed", "3"]])
     def test_residue_computes_its_cochain_once(self, monkeypatch, audit):
         # the CLI and res0_integrality each hold a reference to res0
@@ -1259,6 +1272,11 @@ class TestGoldenStdout:
          "39316429f03c31821cb38c4f0417004c35f1a3836f3f0bb3312ae2ed19af668f"),
         (("harmonic", "--p", "7", "--k", "4", "--radius", "2", "--mod-pihat"), 0,
          "d751d8f790227963e6746558bcd5cdbe2cb1962b34559effcba7cea4f7606c4f"),
+        # local spaces and star kernels eliminated on residues mod p
+        (("local-dims", "--p", "101", "--k", "8"), 0,
+         "dd90ba70f63e4cf1a2a9f31d416c9b3e4670e485ef57e4ced54a53a4d1d9d891"),
+        (("harmonic", "--p", "5", "--k", "6", "--radius", "2", "--mod-pihat"), 0,
+         "33fc084266d063bcf576aaf61acbd70ef6c3021a634fec1cfd35a726cdfed814"),
         (("residue", "--p", "3", "--k", "2", "--f", "pihat/z", "--radius", "2"), 0,
          "c0fbc7abb17e886b66e1244bb3d78a98d06505f9d7ece369d3f5683d717ac3f2"),
         (("residue", "--p", "2", "--k", "2", "--f", "(z-2)^-1*(z-3/2)", "--radius", "3",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from drinfeld import lattices, scalars
 from drinfeld.errors import InvalidParameters, NegativeValuation, PoleInsideAnnulus
-from drinfeld.harmonic import res0
+from drinfeld.harmonic import res0, star_local_kernels
 from drinfeld.lattices import (
     Lattice,
     _local_space,
@@ -264,6 +264,21 @@ class TestLocalDimensions:
         assert star_local_kernel(v, 0) == 2
         assert star_local_kernel(v, 1) == 1
 
+    def test_local_spaces_build_no_field_element(self, monkeypatch):
+        """The local spaces and the star kernels are eliminated on int
+        residues mod p: every ``FqElem`` is made by ``scalars._make_fq``,
+        and it is never called."""
+
+        def refused(*_):
+            raise AssertionError("an FqElem was built")
+
+        monkeypatch.setattr(scalars, "_make_fq", refused)
+        for p, k in ((2, 3), (3, 4), (5, 6), (7, 5)):
+            report = local_space_report(p, k)
+            assert report["pass"] is True, (p, k)
+            stars = star_local_kernels(truncated_tree(p, 1), k)
+            assert set(stars.values()) == {report["predicted"]["dimZhar"]}, (p, k)
+
 
 class TestDSpaceSplitting:
     def test_low_and_high_halves_at_weight_three(self):
@@ -275,7 +290,7 @@ class TestDSpaceSplitting:
         high = d_space_basis(
             make_edge(make_vertex(p, 0, 0), make_vertex(p, 1, 0)), base, k
         )
-        as_bits = lambda rows: [[0 if x.is_zero() else 1 for x in r] for r in rows]
+        as_bits = lambda rows: [[0 if x == 0 else 1 for x in r] for r in rows]
         assert as_bits(low) == [[1, 0, 0, 0], [0, 1, 0, 0]]
         assert as_bits(high) == [[0, 0, 1, 0], [0, 0, 0, 1]]
 
@@ -293,10 +308,10 @@ class TestDSpaceSplitting:
         assert len(low) == k // 2 + 1
         assert len(high) == k + 1 - (k + 1) // 2
         low_support = {
-            tuple(i for i, x in enumerate(row) if not x.is_zero()) for row in low
+            tuple(i for i, x in enumerate(row) if x) for row in low
         }
         high_support = {
-            tuple(i for i, x in enumerate(row) if not x.is_zero()) for row in high
+            tuple(i for i, x in enumerate(row) if x) for row in high
         }
         overlap = low_support & high_support
         expected_dim_e = local_space_report(p, k)["computed"]["dimE"]

@@ -1,6 +1,7 @@
-"""Exact linear algebra: the sparse Gauss-Jordan elimination and everything
-built on it, checked against a dense reference elimination over F_q, K̂ and
-the rationals, and Smith reduction over the valuation ring of K̂."""
+"""Exact linear algebra: the sparse Gauss-Jordan elimination over F_p and
+everything built on it, checked against the dense reference elimination of
+``oracles``, which is itself checked over F_q, K̂ and the rationals; and
+Smith reduction over the valuation ring of K̂."""
 
 from __future__ import annotations
 
@@ -19,77 +20,11 @@ from oracles import (
     kernel_basis,
     mat_mul,
     reduce_mod_pihat,
+    reference_rank,
+    reference_rref,
     smith_over_dvr,
     solve,
 )
-
-# -- the dense reference -----------------------------------------------------------
-
-
-def _reference_rref(rows, zero):
-    """Dense Gauss-Jordan: pivot on the first row with a nonzero entry in each
-    column, then clear that column in every other row."""
-    a = [list(r) for r in rows]
-    if not a:
-        return a, []
-    ncols = len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(a)) if a[i][c] != zero), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != zero:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a, pivots
-
-
-def _reference_kernel_basis(rows, zero, one):
-    """Right kernel from the reference form, one vector per free column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    r, pivots = _reference_rref(rows, zero)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [zero] * ncols
-        vec[fc] = one
-        for ri, pc in enumerate(pivots):
-            vec[pc] = zero - r[ri][fc]
-        basis.append(vec)
-    return basis
-
-
-def _reference_solve(a, b, zero):
-    if not a:
-        return [] if all(x == zero for x in b) else None
-    r, pivots = _reference_rref([list(row) + [bi] for row, bi in zip(a, b)], zero)
-    ncols = len(a[0])
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for ri, pc in enumerate(pivots):
-        x[pc] = r[ri][ncols]
-    return x
-
-
-def _reference_inverse(a, zero, one):
-    n = len(a)
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
-    r, pivots = _reference_rref(aug, zero)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in r]
-
 
 # -- seeded scalars and matrices ------------------------------------------------------
 
@@ -171,36 +106,90 @@ def scalars(request):
     return request.param
 
 
-# -- field routines against the reference ----------------------------------------------
+# -- the reference, and the elimination mod p against it --------------------------------
+
+
+def _prime(name):
+    """p for the prime field F_p of these scalars, else None."""
+    return int(name[1:]) if name[0] == "F" and Fq(int(name[1:])).f == 1 else None
+
+
+def _dot(row, vec, zero):
+    return sum((x * y for x, y in zip(row, vec)), zero)
+
+
+def _check_reduced_form(m, reduced, pivots, zero, one):
+    """``reduced`` is in reduced row echelon form with these pivots, and each
+    row of m is the combination of its pivot rows that its pivot entries
+    give; the rank is that of the transpose, so no pivot row is spurious."""
+    assert pivots == sorted(set(pivots)) and len(reduced) == len(m)
+    for i, row in enumerate(reduced):
+        if i >= len(pivots):
+            assert all(x == zero for x in row)
+            continue
+        c = pivots[i]
+        assert row[c] == one and all(x == zero for x in row[:c])
+        assert all(other[c] == zero for j, other in enumerate(reduced) if j != i)
+    for row in m:
+        if pivots:
+            combination = [_dot([row[c] for c in pivots], column, zero) for column in zip(*reduced[: len(pivots)])]
+            assert combination == row
+        else:
+            assert all(x == zero for x in row)
+    if m and m[0]:
+        assert reference_rank([list(col) for col in zip(*m)], zero) == len(pivots)
 
 
 class TestEliminationOracle:
+    """The reference elimination over each field's own scalars, and
+    ``rref``, ``rank`` and ``kernel_basis_mod_p`` on int residues against it
+    over a prime field."""
+
     def test_rref_and_rank(self, scalars):
         name, zero, one, draw = scalars
+        p = _prime(name)
         rng = random.Random(f"rref {name}")
         for _ in range(3):
             for shape, m in _shapes(rng, zero, draw):
-                want = _reference_rref(m, zero)
-                assert rref(m, zero) == want, shape
-                assert rank(m, zero) == len(want[1]), shape
+                reduced, pivots = reference_rref(m, zero)
+                _check_reduced_form(m, reduced, pivots, zero, one)
+                if p:
+                    # entries off [0, p), read mod p
+                    rows = [[x.n + p * rng.randint(-2, 2) for x in row] for row in m]
+                    assert rref(rows, p) == ([[x.n for x in row] for row in reduced], pivots), shape
+                    assert rank(rows, p) == len(pivots), shape
 
     def test_rref_leaves_its_input_alone(self, scalars):
         name, zero, one, draw = scalars
+        p = _prime(name)
         rng = random.Random(f"input {name}")
         m = _random_matrix(rng, 5, 6, 0.5, zero, draw)
         copy = [list(row) for row in m]
-        rref(m, zero)
+        reference_rref(m, zero)
         assert m == copy
+        if p:
+            rows = [[x.n + p for x in row] for row in m]
+            copy = [list(row) for row in rows]
+            rref(rows, p)
+            assert rows == copy
 
     def test_kernel_basis(self, scalars):
         name, zero, one, draw = scalars
+        p = _prime(name)
         rng = random.Random(f"kernel {name}")
         for _ in range(3):
             for shape, m in _shapes(rng, zero, draw):
                 got = kernel_basis(m, zero, one)
-                assert got == _reference_kernel_basis(m, zero, one), shape
-                for vec in got:
-                    assert all(sum((x * y for x, y in zip(row, vec)), zero) == zero for row in m)
+                ncols = len(m[0]) if m else 0
+                free = [c for c in range(ncols) if c not in reference_rref(m, zero)[1]]
+                assert len(got) == len(free), shape
+                for fc, vec in zip(free, got):
+                    assert [vec[c] for c in free] == [one if c == fc else zero for c in free], shape
+                    assert all(_dot(row, vec, zero) == zero for row in m), shape
+                if p:
+                    sparse = [{c: x.n for c, x in enumerate(row) if x} for row in m]
+                    want = [[x.n for x in vec] for vec in got]
+                    assert kernel_basis_mod_p(sparse, ncols, p) == want, shape
 
     def test_solve_consistent(self, scalars):
         name, zero, one, draw = scalars
@@ -209,10 +198,13 @@ class TestEliminationOracle:
             for shape, m in _shapes(rng, zero, draw):
                 ncols = len(m[0]) if m else 0
                 x = [draw(rng) if rng.random() < 0.6 else zero for _ in range(ncols)]
-                b = [sum((u * v for u, v in zip(row, x)), zero) for row in m]
+                b = [_dot(row, x, zero) for row in m]
                 got = solve(m, b, zero)
                 assert got is not None, shape
-                assert got == _reference_solve(m, b, zero), shape
+                assert [_dot(row, got, zero) for row in m] == b, shape
+                # the free variables are 0
+                pivots = reference_rref(m, zero)[1]
+                assert all(v == zero for c, v in enumerate(got) if c not in pivots), shape
 
     def test_solve_inconsistent(self, scalars):
         name, zero, one, draw = scalars
@@ -221,7 +213,6 @@ class TestEliminationOracle:
             m = _combination_matrix(rng, nrows, ncols, r, zero, draw)
             m[0] = [zero] * ncols
             b = [one] + [zero] * (nrows - 1)
-            assert _reference_solve(m, b, zero) is None
             assert solve(m, b, zero) is None
         assert solve([], [one], zero) is None
 
@@ -232,8 +223,8 @@ class TestEliminationOracle:
             for density in (0.3, 0.9):
                 m = _invertible_matrix(rng, n, density, zero, draw)
                 got = inverse(m, zero, one)
-                assert got == _reference_inverse(m, zero, one)
-                assert mat_mul(m, got) == [[one if i == j else zero for j in range(n)] for i in range(n)]
+                identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+                assert mat_mul(m, got) == mat_mul(got, m) == identity
         assert inverse([], zero, one) == []
 
     def test_singular_inverse_raises(self, scalars):
@@ -241,7 +232,7 @@ class TestEliminationOracle:
         rng = random.Random(f"singular {name}")
         for n, r in ((2, 1), (4, 3), (6, 2)):
             m = _combination_matrix(rng, n, n, r, zero, draw)
-            assert _reference_inverse(m, zero, one) is None
+            assert reference_rank(m, zero) <= r
             with pytest.raises(InternalInvariantError):
                 inverse(m, zero, one)
 
@@ -294,7 +285,7 @@ class TestKernelOfColumnsModP:
                 got = kernel_of_columns_mod_p(columns, p)
                 want = kernel_basis(m, zero, one)
                 as_field = [[field.elem(x) for x in vec] for vec in got]
-                assert rref(as_field, zero) == rref(want, zero), shape
+                assert reference_rref(as_field, zero) == reference_rref(want, zero), shape
                 for vec in got:
                     assert all(sum(map(mul, row, vec)) % p == 0 for row in zip(*columns))
 
@@ -306,8 +297,8 @@ class TestKernelOfColumnsModP:
 
 
 class TestRrefModP:
-    """``rref`` and ``rank`` given p, on dense int rows read mod p, against the
-    same routines over ``Fq(p)`` on the same matrices."""
+    """``rref`` and ``rank`` on dense int rows read mod p, against the
+    reference form over ``Fq(p)`` of the same matrices."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
     def test_matches_the_field_form(self, p):
@@ -319,9 +310,9 @@ class TestRrefModP:
             for shape, m in shapes:
                 # entries off [0, p), read mod p
                 rows = [[x.n + p * rng.randint(-2, 2) for x in row] for row in m]
-                reduced, pivots = rref(m, zero)
-                assert rref(rows, 0, p) == ([[x.n for x in row] for row in reduced], pivots), shape
-                assert rank(rows, 0, p) == len(pivots), shape
+                reduced, pivots = reference_rref(m, zero)
+                assert rref(rows, p) == ([[x.n for x in row] for row in reduced], pivots), shape
+                assert rank(rows, p) == len(pivots), shape
 
 
 # -- Smith reduction over the valuation ring ---------------------------------------------
@@ -350,7 +341,7 @@ class TestSmithOverDVR:
                 assert len(u) == nrows
                 assert evals == sorted(evals)
                 assert _unimodular(u, p)
-                assert len(evals) == rank(m, zero)
+                assert len(evals) == reference_rank(m, zero)
                 # A unimodular v with m = u * d * v exists exactly when the
                 # rows of w = u^-1 * m past len(evals) vanish and the rest,
                 # scaled by pihat^(-evals[t]), are integral with reductions
@@ -362,9 +353,8 @@ class TestSmithOverDVR:
                     for row, e in zip(w, evals)
                 ]
                 assert _integral(scaled)
-                field = Fq(p)
-                reduced = [[field.from_int(reduce_mod_pihat(x)) for x in row] for row in scaled]
-                assert rank(reduced, field.zero()) == len(evals)
+                reduced = [[reduce_mod_pihat(x) for x in row] for row in scaled]
+                assert rank(reduced, p) == len(evals)
 
     def test_empty(self):
         assert smith_over_dvr([]) == ([], [])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -14,16 +15,13 @@ from drinfeld.rational import (
     tube_coordinate_level,
 )
 from drinfeld.scalars import ScalarKHat
-from drinfeld.theta import (
-    complement_b_identity,
-    kernel_polynomial_dimension,
-    theta,
-    theta_integrality,
-)
+from drinfeld.theta import complement_b_identity, theta, theta_integrality
 from drinfeld.tree import Mat2, Vertex, make_vertex, vertex_transporter
+from inprocess import invoke
 from oracles import (
     automorphic_act,
     epsilon,
+    kernel_polynomial_dimension,
     raw_gauss_valuation,
     res_kills_theta,
     rescale_to_gauss_bound,
@@ -64,6 +62,15 @@ class TestKernel:
     @pytest.mark.parametrize("k", range(7))
     def test_kernel_dimension_is_k_plus_one(self, k):
         assert kernel_polynomial_dimension(k, 2) == k + 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_printed_kernel_dimension_is_the_reference_rank(self, p):
+        """The CLI prints k + 1 from the closed form: it ranks no matrix."""
+        for k in range(13):
+            result = invoke(["theta", "--p", str(p), "--k", str(k), "--f", "1/z"])
+            assert result.exit_code == 0, result.output
+            printed = json.loads(result.stdout)["kernel_polynomial_dimension"]
+            assert printed == kernel_polynomial_dimension(k, p) == k + 1, (p, k)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_polynomials_up_to_degree_k_die(self, k):
