@@ -120,8 +120,9 @@ def _dot(row, vec, zero):
 
 def _check_reduced_form(m, reduced, pivots, zero, one):
     """``reduced`` is in reduced row echelon form with these pivots, and each
-    row of m is the combination of its pivot rows that its pivot entries
-    give; the rank is that of the transpose, so no pivot row is spurious."""
+    row of m is the combination of the pivot rows whose coefficients are its
+    own entries at the pivot columns; the rank is that of the transpose, so
+    no pivot row is spurious."""
     assert pivots == sorted(set(pivots)) and len(reduced) == len(m)
     for i, row in enumerate(reduced):
         if i >= len(pivots):
