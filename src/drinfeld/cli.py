@@ -23,6 +23,7 @@ from .lattices import (
     local_space_report,
     vertex_lattice_profile,
 )
+from .linalg import SparseRows
 from .modp import (
     FqRatFunc,
     b_forms_check,
@@ -173,10 +174,9 @@ _LEAVES = {
 def _dumps(x, pad: str = "\n") -> str:
     """``x`` as JSON: two-space indent, keys sorted after conversion to str,
     ASCII with \\uXXXX escapes.  ``pad`` starts each line at ``x``'s depth."""
-    if type(x) is Cochain:
-        return _cochain_json(x, pad)
-    if type(x) is Vertex:
-        return _vertex_json(x, pad)
+    writer = _WRITERS.get(type(x))
+    if writer is not None:
+        return writer(x, pad)
     x, inner = _value(x), pad + "  "
     if isinstance(x, dict):
         items = {}
@@ -238,6 +238,40 @@ def _cochain_json(c: Cochain, pad: str) -> str:
         entries = ['"edge": ' + _wrap("{}", pair, edge), '"value": ' + _dumps(c.values[e], edge)]
         body.append(_wrap("{}", entries, item))
     return _wrap("[]", body, pad)
+
+
+def _sparse_rows_json(vectors: SparseRows, pad: str) -> str:
+    """The vectors as ``_dumps`` prints their dense int lists.  Each run of
+    zeros is a slice of one text of ``ncols`` zeros, each followed by the
+    separator; the separator after a vector's last entry is left off."""
+    if not vectors.rows:
+        return "[]"
+    inner = pad + "  "
+    entry = inner + "  "
+    sep = "," + entry
+    zeros = ("0" + sep) * vectors.ncols
+    width = len(sep) + 1
+    opening, closing = inner + "[" + entry, inner + "],"
+    out = ["["]
+    for vec in vectors.rows:
+        out.append(opening)
+        start = 0
+        for c in sorted(vec):
+            x = vec[c]
+            out += zeros[: (c - start) * width], _INT_TEXT.get(x) or int.__repr__(x), sep
+            start = c + 1
+        tail = (vectors.ncols - start) * width
+        if tail:
+            out.append(zeros[: tail - len(sep)])
+        else:
+            out.pop()  # the separator after a nonzero last entry
+        out.append(closing)
+    out[-1] = inner + "]" + pad + "]"
+    return "".join(out)
+
+
+# The writers of the types that ``_dumps`` prints without ``_value``.
+_WRITERS = {Cochain: _cochain_json, Vertex: _vertex_json, SparseRows: _sparse_rows_json}
 
 
 def _emit(document: dict) -> None:
@@ -754,11 +788,18 @@ def modp_b_forms_cmd(q: int) -> dict:
 def main(argv: list[str] | None = None) -> None:
     """Run the command line ``argv``, by default ``sys.argv[1:]``; exit with
     the error's code if it fails: 2 for invalid parameters or usage, 3 for a
-    broken internal invariant, 1 for an interrupt."""
+    broken internal invariant, 1 for an interrupt or a closed stdout."""
     try:
-        return _run(sys.argv[1:] if argv is None else argv)
+        _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return
     except KeyboardInterrupt:
         print(file=sys.stderr)  # end the line that the interrupt cut
+        code = 1
+    except BrokenPipeError:
+        # the reader left, e.g. ``| head``: the interpreter's exit flush of
+        # what is still buffered goes to the null device, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     except InternalInvariantError as exc:
         code = _fail(3, "internal invariant violated", exc)

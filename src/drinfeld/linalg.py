@@ -2,14 +2,26 @@
 
 ``rref``, ``rank``, ``kernel_basis_mod_p`` and ``kernel_of_columns_mod_p``
 run one sparse Gauss-Jordan elimination on ints read mod p; the program row
-reduces over no other field.
+reduces over no other field.  ``kernel_basis_mod_p`` keeps its vectors sparse,
+as ``SparseRows``.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 
 Matrix = list  # list[list], row-major
+
+
+@dataclass(frozen=True)
+class SparseRows:
+    """Vectors of length ``ncols`` over F_p, in order, each a {column:
+    nonzero residue} map in no set column order: a column that a map leaves
+    out holds 0."""
+
+    ncols: int
+    rows: list
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -87,24 +99,25 @@ def rank(rows: Matrix, p: int) -> int:
     return len(rref(rows, p)[1])
 
 
-def kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> list[list[int]]:
+def kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> SparseRows:
     """Basis of the right kernel over the prime field F_p on ints, one vector
-    per free column: each row is a {column: int} map read mod p, and each
-    vector a list of residues.  The reduced form is unique, so the basis does
-    not depend on the elimination order; no rows give the whole space."""
+    per free column in column order: each row is a {column: int} map read
+    mod p.  The reduced form is unique, so the basis does not depend on the
+    elimination order; no rows give the whole space.
+
+    A reduced row is 1 at its pivot pc and nonzero elsewhere only at free
+    columns, so its entry x at free column fc puts -x at pc into the vector
+    of fc: past the elimination, the work is one step per column and per
+    nonzero entry, and no dense vector is built."""
     sparse = [{c: x % p for c, x in row.items() if x % p} for row in rows]
     reduced, pivots = _gauss_jordan(sparse, p)
     pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc not in pivot_set:
-            vec = [0] * ncols
-            vec[fc] = 1
-            for row, pc in zip(reduced, pivots):
-                if fc in row:
-                    vec[pc] = -row[fc] % p
-            basis.append(vec)
-    return basis
+    vectors = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(reduced, pivots):
+        del row[pc]
+        for fc, x in row.items():
+            vectors[fc][pc] = p - x
+    return SparseRows(ncols, list(vectors.values()))
 
 
 def kernel_of_columns_mod_p(columns: list[list[int]], p: int) -> list[list[int]]:

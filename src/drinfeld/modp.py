@@ -418,7 +418,7 @@ def global_sections_truncated(q: int, k: int, radius: int) -> dict:
         rows.append(row)
     # a prime field's code is its residue, so the basis prints as residues
     basis = kernel_basis_mod_p(rows, ncols, q)
-    direct = len(basis)
+    direct = len(basis.rows)
     matching_rank = ncols - direct
     formula = ncols - len(glued)
     return {

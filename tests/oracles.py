@@ -25,7 +25,7 @@ from drinfeld.errors import (
 )
 from drinfeld.harmonic import Cochain, _raise_in_annulus, res0, sigma
 from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
-from drinfeld.linalg import Matrix
+from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan
 from drinfeld.modp import (
     INFINITY_POINT,
     FqRatFunc,
@@ -559,6 +559,37 @@ def kernel_basis(rows: list, zero, one) -> list[list]:
             vec[pc] = zero - r[ri][fc]
         basis.append(vec)
     return basis
+
+
+def dense_kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> list[list[int]]:
+    """``linalg.kernel_basis_mod_p`` as dense residue lists, by the loop it
+    replaced: one zero vector per free column, with a 1 at the free column
+    and, for each pivot row holding the free column, minus that entry at
+    the pivot."""
+    sparse = [{c: x % p for c, x in row.items() if x % p} for row in rows]
+    reduced, pivots = _gauss_jordan(sparse, p)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivot_set:
+            vec = [0] * ncols
+            vec[fc] = 1
+            for row, pc in zip(reduced, pivots):
+                if fc in row:
+                    vec[pc] = -row[fc] % p
+            basis.append(vec)
+    return basis
+
+
+def densify(vectors: SparseRows) -> list[list[int]]:
+    """The vectors as dense lists of residues."""
+    dense = []
+    for vec in vectors.rows:
+        row = [0] * vectors.ncols
+        for c, x in vec.items():
+            row[c] = x
+        dense.append(row)
+    return dense
 
 
 def inverse(a: list, zero, one) -> list:
@@ -1353,6 +1384,8 @@ def _jsonable(x):
         return {"level": x.m, "offset": _jsonable(x.b)}
     if isinstance(x, Edge):
         return {"parent": _jsonable(x.u), "child": _jsonable(x.v)}
+    if isinstance(x, SparseRows):
+        return densify(x)
     if isinstance(x, Cochain):
         items = sorted(x.values.items(), key=lambda kv: (kv[0].u, kv[0].v))
         return [

@@ -25,12 +25,13 @@ from hypothesis import strategies as st
 from drinfeld import cli as cli_module
 from drinfeld.errors import InternalInvariantError
 from drinfeld.harmonic import Cochain, res0
+from drinfeld.linalg import SparseRows
 from drinfeld.modp import FqRatFunc, gl2_generators, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.rational import parse_rational
 from drinfeld.tree import make_vertex, truncated_tree
 from inprocess import invoke
-from oracles import emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce, sym_matrix_fq
+from oracles import densify, emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce, sym_matrix_fq
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -395,6 +396,23 @@ class TestChildProcessSurface:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env(), timeout=30)
         assert proc.returncode == 1, proc.stderr
         assert proc.stdout == b"" and b"Traceback" not in proc.stderr
+
+    def test_a_closed_stdout_exits_one_without_a_traceback(self):
+        """The reader takes 10 bytes of a 0.5 MB basis and closes the pipe,
+        as ``| head -c 10`` does: the pipe holds less than the output, so
+        the child is still writing when it closes."""
+        args = ["modp", "sections", "--q", "3", "--k", "4", "--radius", "3"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "drinfeld.cli", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        assert proc.stdout.read(10) == b'{\n  "basis'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=30) == 1, err
+        assert err == b"", err
 
 
 class TestExitCodes:
@@ -1319,6 +1337,11 @@ class TestGoldenStdout:
          "4822f1f6dd8c6431781adbf228190773d6b6ed5425569ca1fe5d330979080411"),
         (("modp", "sections", "--q", "2", "--k", "6", "--radius", "3"), 0,
          "072afa68cb132526fc6b18286c1eb95acab203e54dd970da4ff0a9547072dae5"),
+        # a basis of width 0, and the basis [[1]] of width 1
+        (("modp", "sections", "--q", "3", "--k", "1", "--radius", "1"), 0,
+         "ce0d998f37d448b18d6a9a8536a141e9e4ee9264f619c1cf5a1fcda3b3cb3605"),
+        (("modp", "sections", "--q", "2", "--k", "0", "--radius", "0"), 0,
+         "3f1e3fe3ae55df63b5d1ebdfcb93a5cfc784c0a5951248eb6d3cae79d1b53dc0"),
         # the incidence rank mod p on 364 edges, and the int vertex membership
         # and cochain writer on a pole shifted by pihat p^3 and a pihat lead
         (("harmonic", "--p", "3", "--k", "2", "--radius", "5"), 0,
@@ -1511,3 +1534,38 @@ class TestCochainWriter:
         }
         c = Cochain(p, k, values)
         assert cli_module._dumps({"a": [c]}) == emit_oracle({"a": [c]})
+
+
+class TestSparseRowsWriter:
+    """A ``SparseRows`` prints as ``_dumps`` prints its dense int lists, at
+    any depth, with its zeros cut from runs."""
+
+    CASES = {
+        "width-0": SparseRows(0, []),
+        "empty-basis": SparseRows(5, []),
+        "width-1": SparseRows(1, [{0: 1}]),
+        "width-1-twice": SparseRows(1, [{0: 1}, {0: 2}]),
+        "first-column": SparseRows(4, [{0: 1}, {0: 2, 1: 1}]),
+        "last-column": SparseRows(4, [{3: 1}, {2: 1, 3: 4}]),
+        "first-and-last": SparseRows(3, [{2: 1, 0: 6}]),
+        "dense-row": SparseRows(3, [{0: 1, 1: 2, 2: 3}, {1: 1}]),
+        "past-the-table": SparseRows(6, [{1: 1024, 5: 1}, {0: 1023, 2: 10**30, 4: 1}]),
+    }
+
+    @pytest.mark.parametrize("pad", ["\n", "\n  ", "\n    "], ids=["depth-0", "depth-1", "depth-2"])
+    @pytest.mark.parametrize("vectors", list(CASES.values()), ids=list(CASES))
+    def test_cases_print_as_the_dense_lists(self, vectors, pad):
+        assert cli_module._dumps(vectors, pad) == cli_module._dumps(densify(vectors), pad)
+        payload = {"basis": vectors, "dimension": len(vectors.rows)}
+        assert cli_module._dumps(payload) == emit_oracle(payload)
+
+    @given(
+        ncols=st.integers(1, 12),
+        data=st.data(),
+        pad=st.sampled_from(["\n", "\n  ", "\n    "]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_vectors_print_as_the_dense_lists(self, ncols, data, pad):
+        entry = st.dictionaries(st.integers(0, ncols - 1), st.integers(1, 2000), min_size=1)
+        vectors = SparseRows(ncols, data.draw(st.lists(entry, max_size=4)))
+        assert cli_module._dumps(vectors, pad) == cli_module._dumps(densify(vectors), pad)

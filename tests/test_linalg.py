@@ -15,6 +15,8 @@ from drinfeld.errors import InternalInvariantError
 from drinfeld.linalg import kernel_basis_mod_p, kernel_of_columns_mod_p, rank, rref
 from drinfeld.scalars import Fq, ScalarKHat
 from oracles import (
+    dense_kernel_basis_mod_p,
+    densify,
     inverse,
     is_integral,
     kernel_basis,
@@ -190,7 +192,7 @@ class TestEliminationOracle:
                 if p:
                     sparse = [{c: x.n for c, x in enumerate(row) if x} for row in m]
                     want = [[x.n for x in vec] for vec in got]
-                    assert kernel_basis_mod_p(sparse, ncols, p) == want, shape
+                    assert densify(kernel_basis_mod_p(sparse, ncols, p)) == want, shape
 
     def test_solve_consistent(self, scalars):
         name, zero, one, draw = scalars
@@ -257,12 +259,39 @@ class TestKernelModP:
                     for row in m
                 ]
                 want = [[x.n for x in vec] for vec in kernel_basis(m, zero, one)]
-                assert kernel_basis_mod_p(rows, ncols, p) == want, shape
+                assert densify(kernel_basis_mod_p(rows, ncols, p)) == want, shape
 
     @pytest.mark.parametrize("p", [2, 101])
     def test_no_rows_give_the_whole_space(self, p):
-        assert kernel_basis_mod_p([], 3, p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert kernel_basis_mod_p([{}, {1: p}], 2, p) == [[1, 0], [0, 1]]
+        assert densify(kernel_basis_mod_p([], 3, p)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert densify(kernel_basis_mod_p([{}, {1: p}], 2, p)) == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_sparse_vectors_match_the_dense_loop(self, p):
+        """Densified, the basis is what the dense loop of ``oracles`` builds,
+        at every width from 0 to 12, for no rows, zero rows, random sparse
+        rows and rows of full rank; each vector stores only nonzero
+        residues, and has the width given."""
+        rng = random.Random(f"sparse kernel mod {p}")
+        for ncols in range(13):
+            cases = [[], [{}, {c: p for c in range(ncols)}]]
+            for nrows in range(1, ncols + 2):
+                cases.append([
+                    {c: rng.randrange(-2 * p, 2 * p) for c in range(ncols) if rng.random() < 0.3}
+                    for _ in range(nrows)
+                ])
+            # full rank: a unit triangle under a random part, in shuffled columns
+            order = rng.sample(range(ncols), ncols)
+            rank = rng.randint(0, ncols)
+            cases.append([
+                {order[r]: rng.randrange(1, p), **{order[c]: rng.randrange(p) for c in range(r + 1, ncols)}}
+                for r in range(rank)
+            ])
+            for rows in cases:
+                got = kernel_basis_mod_p(rows, ncols, p)
+                assert got.ncols == ncols
+                assert densify(got) == dense_kernel_basis_mod_p(rows, ncols, p), (ncols, rows)
+                assert all(0 <= c < ncols and 0 < x < p for vec in got.rows for c, x in vec.items())
 
 
 class TestKernelOfColumnsModP:
