@@ -50,8 +50,8 @@ from .tree import (
 _MAX_RADIUS = 8
 _MAX_BALL_VERTICES = 25_000
 # The longest list a command may build, whose work grows about as its square
-# for the residue-field commands: q + 1 (b-forms), V·(deg+1) (sections), t + 1
-# (stable-lines and symgeom-check), and the p + 1 edges of the star (local-dims).
+# for the residue-field commands: V·(deg+1) (sections), t + 1 (stable-lines
+# and symgeom-check), and the p + 1 edges of the star (local-dims).
 _MAX_LIST = 1000
 # The largest |exponent| in a section's text, which also bounds the orders of
 # its z-factors added up, and the largest |level| of a vertex: a pole of order
@@ -780,8 +780,8 @@ def modp_symgeom_cmd(q: int, k: int, i: int) -> dict:
 
 @_command("modp b-forms", "q")
 def modp_b_forms_cmd(q: int) -> dict:
-    """Invariance of the window form and the parity-swapping involution."""
-    _check_size(f"the window form at q = {q}", q + 1, "coefficients", _MAX_LIST)
+    """The uniformizer involution swaps the vertex parities on the radius-2 ball."""
+    _check_ball(Fq(q).p, 2)
     return {"pass": b_forms_check(q)}
 
 

@@ -1,7 +1,8 @@
-"""Residue-field geometry over F_q: rational functions on the projective line
-with the weight-k action, the symmetric-power comparison map, component
-degrees, global sections over truncated trees, quotient representations with
-stable-line search, and the parity-swapping involution checks.
+"""Residue-field geometry over F_q: the symmetric-power comparison map, whose
+images are rational functions on the projective line in lowest terms,
+component degrees, global sections over truncated trees, quotient
+representations with stable-line search, and the check that the uniformizer
+involution swaps the vertex parities.
 
 The coordinate on each component is the reduction of the global coordinate;
 matching of sections across an edge happens at the two reduction points of
@@ -38,72 +39,12 @@ INFINITY_POINT = "inf"
 
 @dataclass(frozen=True)
 class FqRatFunc:
-    """num/den with den monic and gcd(num, den) = 1; zero is ()/(1)."""
+    """num/den over F_q with den monic and gcd(num, den) = 1, as
+    ``symgeom_iso`` builds it: a record that the CLI prints."""
 
     field: FiniteField
     num: tuple
     den: tuple
-
-    @staticmethod
-    def make(field: FiniteField, num, den=None) -> "FqRatFunc":
-        zero = field.zero()
-        num = poly.trim(tuple(num))
-        den = poly.trim(tuple(den)) if den is not None else (field.one(),)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return FqRatFunc(field, (), (field.one(),))
-        g = poly.monic_gcd(num, den, zero)
-        if len(g) > 1:
-            num = poly.divmod(num, g, zero)[0]
-            den = poly.divmod(den, g, zero)[0]
-        lead_inv = den[-1].inverse()
-        num = poly.scale(num, lead_inv)
-        den = poly.scale(den, lead_inv)
-        return FqRatFunc(field, num, den)
-
-    @staticmethod
-    def zero(field: FiniteField) -> "FqRatFunc":
-        return FqRatFunc(field, (), (field.one(),))
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __add__(self, other: "FqRatFunc") -> "FqRatFunc":
-        f, zero = self.field, self.field.zero()
-        num = poly.add(
-            poly.mul(self.num, other.den, zero), poly.mul(other.num, self.den, zero)
-        )
-        return FqRatFunc.make(f, num, poly.mul(self.den, other.den, zero))
-
-    def __neg__(self) -> "FqRatFunc":
-        return FqRatFunc(self.field, poly.neg(self.num), self.den)
-
-    def __sub__(self, other: "FqRatFunc") -> "FqRatFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "FqRatFunc") -> "FqRatFunc":
-        f, zero = self.field, self.field.zero()
-        return FqRatFunc.make(
-            f, poly.mul(self.num, other.num, zero), poly.mul(self.den, other.den, zero)
-        )
-
-    def inverse(self) -> "FqRatFunc":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return FqRatFunc.make(self.field, self.den, self.num)
-
-    def __truediv__(self, other: "FqRatFunc") -> "FqRatFunc":
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "FqRatFunc":
-        if n < 0:
-            return self.inverse() ** (-n)
-        # powers of coprime polynomials stay coprime, and of a monic one monic
-        zero, one = self.field.zero(), self.field.one()
-        return FqRatFunc(
-            self.field, poly.power(self.num, n, zero, one), poly.power(self.den, n, zero, one)
-        )
 
 
 # -- group elements over F_q ---------------------------------------------------------
@@ -119,26 +60,6 @@ def _lift_matrix(field: FiniteField, g) -> tuple:
     return m
 
 
-def weight_action_p1(g, f: FqRatFunc, k: int) -> FqRatFunc:
-    """(a+cz)^(-k) * f((b+dz)/(a+cz)) for g = [[a,b],[c,d]]."""
-    field = f.field
-    zero, one = field.zero(), field.one()
-    a, b, c, d = _lift_matrix(field, g)
-    n_poly = (b, d)  # b + d z
-    d_poly = (a, c)  # a + c z
-    num = poly.homogenise(f.num, n_poly, d_poly, zero, one)
-    den = poly.homogenise(f.den, n_poly, d_poly, zero, one)
-    # rebalance the homogenization: multiply by d_poly^(deg den - deg num - k)
-    e = (len(f.den) - 1) - (len(f.num) - 1) - k if not f.is_zero() else -k
-    if f.is_zero():
-        return FqRatFunc.zero(field)
-    if e >= 0:
-        num = poly.mul(num, poly.power(d_poly, e, zero, one), zero)
-    else:
-        den = poly.mul(den, poly.power(d_poly, -e, zero, one), zero)
-    return FqRatFunc.make(field, num, den)
-
-
 def gl2_generators(field: FiniteField) -> list:
     """Generators of the general linear group of rank 2: the two unipotent
     elements with entry 1 and diag(w, 1) for a primitive element w.
@@ -151,19 +72,6 @@ def gl2_generators(field: FiniteField) -> list:
     gens = [((one, one), (zero, one)), ((one, zero), (one, one))]
     if w != one:
         gens.append(((w, zero), (zero, one)))
-    return gens
-
-
-def sl2_generators(field: FiniteField) -> list:
-    """Generators of the determinant-one group: the upper and lower unipotents
-    with entries 1, w, ..., w^(f-1) for a primitive element w.  These entries
-    span F_q over F_p, so they give every unipotent, and the unipotents
-    generate the group."""
-    one, zero, w = field.one(), field.zero(), field.primitive_element()
-    gens = []
-    for i in range(field.f):
-        x = w**i
-        gens += [((one, x), (zero, one)), ((one, zero), (x, one))]
     return gens
 
 
@@ -212,14 +120,6 @@ def sym_matrix_codes(field: FiniteField, g, t: int, s: int) -> list:
     scalar = (a * d - b * c) ** s
     m = substitution_matrix(a, b, c, d, t, field.from_int)
     return [[(scalar * x).n for x in row] for row in m]
-
-
-def _window_poly(field: FiniteField) -> tuple:
-    """z - z^q, whose reciprocal is the weight-(q+1) window form."""
-    coeffs = [field.zero()] * (field.q + 1)
-    coeffs[1] = field.one()
-    coeffs[field.q] = -field.one()
-    return tuple(coeffs)
 
 
 def _lift_poly(field: FiniteField, terms: dict) -> tuple:
@@ -588,15 +488,15 @@ def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
 
 
 def b_forms_check(q: int) -> bool:
-    """Component-level content of the parity pair: the weight-(q+1) window
-    function is invariant under the determinant-one subgroup, and the
-    uniformizer involution swaps the two vertex parities with trivial square."""
-    field = Fq(q)
-    window = FqRatFunc.make(field, _window_poly(field)).inverse()
-    for g in sl2_generators(field):
-        if not (weight_action_p1(g, window, q + 1) - window).is_zero():
-            return False
-    p = field.p
+    """The parity half of the parity pair, at q = p^f: the uniformizer
+    involution [[0, 1], [p, 0]] swaps the two vertex parities on the
+    radius-2 ball at p and squares to the identity there.
+
+    The other half, the invariance of the weight-(q+1) window form
+    1/(z - z^q) under the determinant-one group, holds for every such g by
+    the identity D What = det W (``symgeom_equivariance``), so it is not
+    checked here."""
+    p = Fq(q).p
     iota = Mat2(0, 1, Fraction(p), 0)
     tree = truncated_tree(p, 2)
     for v in tree.vertices:

@@ -1,7 +1,9 @@
 """Dense polynomials in one variable: coefficient tuples, little-endian, with
 no trailing zeros; () is zero.  Coefficients (``ScalarKHat``, ``FqElem``, int)
 need +, -, *, negation, ``inverse()`` and to be false exactly at zero;
-callers pass ``zero``/``one`` where a routine builds coefficients.
+callers pass ``zero``/``one`` where a routine builds coefficients.  Here are
+the ring operations, division with remainder, and the shift and series
+inverse that ``rational.principal_parts`` expands with.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ def add(u: Poly, v: Poly) -> Poly:
     for i, x in enumerate(v):
         out[i] = out[i] + x
     return trim(out)
-
-
-def neg(u: Poly) -> Poly:
-    return tuple(-x for x in u)
 
 
 def scale(u: Poly, s: T) -> Poly:
@@ -90,30 +88,6 @@ def divmod(u: Poly, v: Poly, zero: T) -> tuple[Poly, Poly]:
             for i in range(n):
                 r[j + i] = r[j + i] - c * v[i]
     return trim(q), trim(r[:n])
-
-
-def monic_gcd(u: Poly, v: Poly, zero: T) -> Poly:
-    """The monic greatest common divisor; () when u and v are both zero."""
-    while v:
-        u, v = v, divmod(u, v, zero)[1]
-    if not u:
-        return ()
-    return scale(u, u[-1].inverse())
-
-
-def homogenise(u: Poly, top: Poly, bottom: Poly, zero: T, one: T) -> Poly:
-    """u(top/bottom) * bottom^deg(u) as a polynomial: the sum of
-    c_i top^i bottom^(deg - i) over the nonzero coefficients c_i only.  Each
-    power is taken by squaring; in characteristic p the squares of a linear
-    form stay sparse ((x + y z)^p = x^p + y^p z^p), which makes this cheaper
-    than a table of all powers for sparse u such as z - z^q."""
-    deg = len(u) - 1
-    acc: Poly = ()
-    for i, c in enumerate(u):
-        if c:
-            term = mul(power(top, i, zero, one), power(bottom, deg - i, zero, one), zero)
-            acc = add(acc, scale(term, c))
-    return acc
 
 
 def shift(u: Poly, x0: T, upto: int) -> Poly:

@@ -68,8 +68,6 @@ from drinfeld.tree import (
     truncated_tree,
     vertex_transporter,
 )
-from sampling import fq_constant, fq_z
-
 
 # -- integer factoring ---------------------------------------------------------------
 
@@ -823,7 +821,7 @@ def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
     extra = f.extra
     n = len(extra) - 1
     if n > 0:
-        extra = poly.homogenise(extra, (B, A), (D, C), ScalarKHat.zero(p), one)
+        extra = homogenise(extra, (B, A), (D, C), ScalarKHat.zero(p), one)
         denom_exp -= n
     if denom_exp != 0:
         if not C.is_zero():
@@ -894,7 +892,7 @@ def transported_gauss_valuation(f: FactoredRational, g: Mat2, k: int) -> int | f
         degree += mult
         total += mult * min((d - c * root).valuation(), (b - a * root).valuation())
     if len(f.extra) > 1:
-        moved = poly.homogenise(f.extra, (b, d), (a, c), ScalarKHat.zero(p), ScalarKHat.one(p))
+        moved = homogenise(f.extra, (b, d), (a, c), ScalarKHat.zero(p), ScalarKHat.one(p))
         total += min(x.valuation() for x in moved)
     return total - (k + degree) * min(a.valuation(), c.valuation())
 
@@ -1083,6 +1081,154 @@ def laurent_standard(f: FactoredRational, lo: int, hi: int) -> LaurentWindow:
     return LaurentWindow(p, w_lo, w_hi, coeffs, below, above)
 
 
+# -- polynomials and rational functions over F_q -----------------------------------
+
+
+def poly_neg(u: poly.Poly) -> poly.Poly:
+    return tuple(-x for x in u)
+
+
+def monic_gcd(u: poly.Poly, v: poly.Poly, zero) -> poly.Poly:
+    """The monic greatest common divisor; () when u and v are both zero."""
+    while v:
+        u, v = v, poly.divmod(u, v, zero)[1]
+    if not u:
+        return ()
+    return poly.scale(u, u[-1].inverse())
+
+
+def homogenise(u: poly.Poly, top: poly.Poly, bottom: poly.Poly, zero, one) -> poly.Poly:
+    """u(top/bottom) * bottom^deg(u) as a polynomial: the sum of
+    c_i top^i bottom^(deg - i) over the nonzero coefficients c_i only.  Each
+    power is taken by squaring; in characteristic p the squares of a linear
+    form stay sparse ((x + y z)^p = x^p + y^p z^p), which makes this cheaper
+    than a table of all powers for sparse u such as z - z^q."""
+    deg = len(u) - 1
+    acc: poly.Poly = ()
+    for i, c in enumerate(u):
+        if c:
+            term = poly.mul(poly.power(top, i, zero, one), poly.power(bottom, deg - i, zero, one), zero)
+            acc = poly.add(acc, poly.scale(term, c))
+    return acc
+
+
+@dataclass(frozen=True)
+class FqFraction:
+    """num/den over F_q with den monic and gcd(num, den) = 1, zero being
+    ()/(1), with the field operations, each result reduced through a gcd: the
+    reference that ``modp.FqRatFunc``'s closed forms are compared against."""
+
+    field: FiniteField
+    num: tuple
+    den: tuple
+
+    @staticmethod
+    def make(field: FiniteField, num, den=None) -> "FqFraction":
+        zero = field.zero()
+        num = poly.trim(tuple(num))
+        den = poly.trim(tuple(den)) if den is not None else (field.one(),)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            return FqFraction(field, (), (field.one(),))
+        g = monic_gcd(num, den, zero)
+        if len(g) > 1:
+            num = poly.divmod(num, g, zero)[0]
+            den = poly.divmod(den, g, zero)[0]
+        lead_inv = den[-1].inverse()
+        return FqFraction(field, poly.scale(num, lead_inv), poly.scale(den, lead_inv))
+
+    @staticmethod
+    def of(f: FqRatFunc) -> "FqFraction":
+        return FqFraction(f.field, f.num, f.den)
+
+    @staticmethod
+    def zero(field: FiniteField) -> "FqFraction":
+        return FqFraction(field, (), (field.one(),))
+
+    def record(self) -> FqRatFunc:
+        """The same function as the program's record, which the CLI prints."""
+        return FqRatFunc(self.field, self.num, self.den)
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __add__(self, other: "FqFraction") -> "FqFraction":
+        zero = self.field.zero()
+        num = poly.add(poly.mul(self.num, other.den, zero), poly.mul(other.num, self.den, zero))
+        return FqFraction.make(self.field, num, poly.mul(self.den, other.den, zero))
+
+    def __neg__(self) -> "FqFraction":
+        return FqFraction(self.field, poly_neg(self.num), self.den)
+
+    def __sub__(self, other: "FqFraction") -> "FqFraction":
+        return self + (-other)
+
+    def __mul__(self, other: "FqFraction") -> "FqFraction":
+        zero = self.field.zero()
+        return FqFraction.make(
+            self.field, poly.mul(self.num, other.num, zero), poly.mul(self.den, other.den, zero)
+        )
+
+    def inverse(self) -> "FqFraction":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return FqFraction.make(self.field, self.den, self.num)
+
+    def __truediv__(self, other: "FqFraction") -> "FqFraction":
+        return self * other.inverse()
+
+    def __pow__(self, n: int) -> "FqFraction":
+        if n < 0:
+            return self.inverse() ** (-n)
+        # powers of coprime polynomials stay coprime, and of a monic one monic
+        zero, one = self.field.zero(), self.field.one()
+        return FqFraction(
+            self.field, poly.power(self.num, n, zero, one), poly.power(self.den, n, zero, one)
+        )
+
+
+def window_poly(field: FiniteField) -> tuple:
+    """z - z^q, whose reciprocal is the weight-(q+1) window form."""
+    coeffs = [field.zero()] * (field.q + 1)
+    coeffs[1] = field.one()
+    coeffs[field.q] = -field.one()
+    return tuple(coeffs)
+
+
+def weight_action_p1(g, f: FqFraction, k: int) -> FqFraction:
+    """(a+cz)^(-k) * f((b+dz)/(a+cz)) for g = [[a,b],[c,d]]."""
+    field = f.field
+    if f.is_zero():
+        return FqFraction.zero(field)
+    zero, one = field.zero(), field.one()
+    a, b, c, d = modp._lift_matrix(field, g)
+    n_poly = (b, d)  # b + d z
+    d_poly = (a, c)  # a + c z
+    num = homogenise(f.num, n_poly, d_poly, zero, one)
+    den = homogenise(f.den, n_poly, d_poly, zero, one)
+    # rebalance the homogenization: multiply by d_poly^(deg den - deg num - k)
+    e = (len(f.den) - 1) - (len(f.num) - 1) - k
+    if e >= 0:
+        num = poly.mul(num, poly.power(d_poly, e, zero, one), zero)
+    else:
+        den = poly.mul(den, poly.power(d_poly, -e, zero, one), zero)
+    return FqFraction.make(field, num, den)
+
+
+def sl2_generators(field: FiniteField) -> list:
+    """Generators of the determinant-one group: the upper and lower unipotents
+    with entries 1, w, ..., w^(f-1) for a primitive element w.  These entries
+    span F_q over F_p, so they give every unipotent, and the unipotents
+    generate the group."""
+    one, zero, w = field.one(), field.zero(), field.primitive_element()
+    gens = []
+    for i in range(field.f):
+        x = w**i
+        gens += [((one, x), (zero, one)), ((one, zero), (x, one))]
+    return gens
+
+
 # -- the quotient representation and the comparison map over F_q ----------------------
 
 
@@ -1226,15 +1372,15 @@ def sym_matrix_by_substitution(field: FiniteField, g, t: int, s: int) -> list:
 
 def symgeom_images_by_products(q: int, k: int, i: int) -> list:
     """The comparison map's images z^r W^shift, W = z - z^q, as products of
-    ``FqRatFunc``s in normal form, each through a gcd: the reference for the
-    closed form of ``modp.symgeom_iso``."""
+    ``FqFraction``s, each reduced through a gcd, as the program's records:
+    the reference for the closed form of ``modp.symgeom_iso``."""
     field = Fq(q)
     t, shift = symgeom_parameters(q, k, i)
-    window_power = fq_constant(field, field.one())
+    window_power = FqFraction.make(field, (field.one(),))
     if shift:
-        window_power = FqRatFunc.make(field, modp._window_poly(field)) ** shift
-    zfun = fq_z(field)
-    return [zfun**r * window_power for r in range(t + 1)]
+        window_power = FqFraction.make(field, window_poly(field)) ** shift
+    zfun = FqFraction.make(field, (field.zero(), field.one()))
+    return [(zfun**r * window_power).record() for r in range(t + 1)]
 
 
 def symgeom_numerators_by_fq(images: list) -> list:
@@ -1244,7 +1390,7 @@ def symgeom_numerators_by_fq(images: list) -> list:
     zero = field.zero()
     common = images[0].den
     for img in images:
-        g = poly.monic_gcd(common, img.den, zero)
+        g = monic_gcd(common, img.den, zero)
         common = poly.divmod(poly.mul(common, img.den, zero), g, zero)[0]
     return [poly.mul(img.num, poly.divmod(common, img.den, zero)[0], zero) for img in images]
 
@@ -1277,9 +1423,9 @@ def symgeom_equivariance_by_columns(q: int, k: int, i: int, g) -> bool:
     if shift:
         moved = poly.add(
             poly.mul(n_poly, poly.power(d_poly, q - 1, zero, one), zero),
-            poly.neg(poly.power(n_poly, q, zero, one)),
+            poly_neg(poly.power(n_poly, q, zero, one)),
         )
-        window = poly.power(modp._window_poly(field), abs(shift), zero, one)
+        window = poly.power(window_poly(field), abs(shift), zero, one)
         moved = poly.power(moved, abs(shift), zero, one)
         # a negative power of W or What moves to the other side
         lhs_factor, rhs_factor = (window, moved) if shift > 0 else (moved, window)

@@ -9,10 +9,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from drinfeld.modp import FqRatFunc
 from drinfeld.rational import FactoredRational
 from drinfeld.scalars import FiniteField, FqElem, ScalarKHat
 from drinfeld.tree import Mat2, Vertex, make_vertex, unipotent_lower
+from oracles import FqFraction
 
 
 def gamma_level(n: int, p: int) -> Mat2:
@@ -67,14 +67,14 @@ def _pole_points(p: int) -> list:
     ]
 
 
-def fq_constant(field: FiniteField, c: FqElem) -> FqRatFunc:
+def fq_constant(field: FiniteField, c: FqElem) -> FqFraction:
     """The constant rational function c over F_q."""
-    return FqRatFunc.make(field, (c,))
+    return FqFraction.make(field, (c,))
 
 
-def fq_z(field: FiniteField) -> FqRatFunc:
+def fq_z(field: FiniteField) -> FqFraction:
     """The coordinate z as a rational function over F_q."""
-    return FqRatFunc.make(field, (field.zero(), field.one()))
+    return FqFraction.make(field, (field.zero(), field.one()))
 
 
 def monomial(p: int, exponent: int) -> FactoredRational:

@@ -23,15 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import cli as cli_module
+from drinfeld import modp
 from drinfeld.errors import InternalInvariantError
 from drinfeld.harmonic import Cochain, res0
 from drinfeld.linalg import SparseRows
-from drinfeld.modp import FqRatFunc, gl2_generators, symgeom_parameters
+from drinfeld.modp import gl2_generators, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.rational import parse_rational
 from drinfeld.tree import make_vertex, truncated_tree
 from inprocess import invoke
-from oracles import densify, emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce, sym_matrix_fq
+from oracles import FqFraction, densify, emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce, sym_matrix_fq
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -122,6 +123,13 @@ class TestFrozenPayloads:
         assert sections["pass"] is True
         forms = run_json("modp", "b-forms", "--q", "3")
         assert forms["pass"] is True
+
+    def test_b_forms_fails_when_the_involution_keeps_the_parity(self, monkeypatch):
+        # every vertex fixed: iota squares to the identity but swaps no parity
+        monkeypatch.setattr(modp, "act_on_vertex", lambda g, v: v)
+        result = invoke(["modp", "b-forms", "--q", "3"])
+        assert result.exit_code == 0, result.output
+        assert '"pass": false' in result.stdout
 
 
 class TestConfigFile:
@@ -488,6 +496,10 @@ class TestAnsweredAtOnce:
             # the largest admitted q at k = 4, from binomials mod p
             (("modp", "stable-lines", "--q", "499", "--k", "4", "--i", "0"), 0),
             (("modp", "degrees", "--q", _Q2, "--k", "2"), 0),
+            # b-forms walks the radius-2 ball at p: 996 005 vertices at p = 997,
+            # and 10 at p = 2
+            (("modp", "b-forms", "--q", "997"), 2),
+            (("modp", "b-forms", "--q", _Q2), 0),
             (("modp", "symgeom-check", "--q", _Q, "--k", "0", "--i", "0"), 0),
             (("modp", "symgeom-check", "--q", _Q2, "--k", "0", "--i", "0"), 2),
             # q - 1 = 2 * 100000000003 * 100000000283, split by Pollard's rho
@@ -832,10 +844,11 @@ def _benchmark_jobs() -> list[list[str]]:
 
 
 class TestListBudget:
-    """``modp b-forms``, ``sections``, ``stable-lines`` and ``symgeom-check``
-    refuse, before building anything, a list longer than the budget: q + 1,
-    V·(deg+1) and, for the last two, t + 1 entries.  ``symgeom-check`` also refuses an
-    extension field whose tables would pass their budget of entries."""
+    """``modp sections``, ``stable-lines`` and ``symgeom-check`` refuse,
+    before building anything, a list longer than the budget: V·(deg+1) and,
+    for the last two, t + 1 entries.  ``symgeom-check`` also refuses an
+    extension field whose tables would pass their budget of entries.
+    ``b-forms`` refuses as early by the radius-2 ball at p that it walks."""
 
     _Q = str(10**24 + 7)
     PROBES = [
@@ -857,7 +870,12 @@ class TestListBudget:
         assert result.exit_code == 2, (args, result.output)
         message = result.stderr.strip()
         assert "\n" not in message and message.startswith("invalid parameters:")
-        assert message.endswith(f"more than {cli_module._MAX_LIST}")
+        if args[1] == "b-forms":
+            ball = f"the radius-2 ball at p = {args[3]} has "
+            assert message.startswith(f"invalid parameters: {ball}")
+            assert message.endswith(f"vertices, more than {cli_module._MAX_BALL_VERTICES}")
+        else:
+            assert message.endswith(f"more than {cli_module._MAX_LIST}")
 
     def test_a_large_prime_with_a_short_list_runs(self):
         args = ["modp", "symgeom-check", "--q", "1000003", "--k", "0", "--i", "0"]
@@ -1365,14 +1383,14 @@ class TestFieldPolynomialText:
         F = Fq(4)
         one, zero, w = F.one(), F.zero(), F.primitive_element()
         text = cli_module._value
-        assert text(FqRatFunc.make(F, (one, zero, one, w))) == "[1, 0] + z^2 + [0, 1]*z^3"
-        assert text(FqRatFunc.make(F, (w,), (w, w * w, w))) == "([1, 0])/([1, 0] + [0, 1]*z + z^2)"
+        assert text(FqFraction.make(F, (one, zero, one, w)).record()) == "[1, 0] + z^2 + [0, 1]*z^3"
+        assert text(FqFraction.make(F, (w,), (w, w * w, w)).record()) == "([1, 0])/([1, 0] + [0, 1]*z + z^2)"
 
     def test_prime_field(self):
         F = Fq(3)
         text = cli_module._value
-        assert text(FqRatFunc.make(F, (F.elem(2), F.zero(), F.one()))) == "2 + z^2"
-        assert text(FqRatFunc.make(F, (F.one(),), (F.zero(), F.elem(2)))) == "(2)/(z)"
+        assert text(FqFraction.make(F, (F.elem(2), F.zero(), F.one())).record()) == "2 + z^2"
+        assert text(FqFraction.make(F, (F.one(),), (F.zero(), F.elem(2))).record()) == "(2)/(z)"
 
 
 # Payload entries of every kind that the writer renders, and containers of them.

@@ -1,7 +1,8 @@
-"""The package holds only the program: every public function, class and
-method in ``src/drinfeld`` has a caller in ``src/drinfeld``.  Helpers that
-only tests call live in ``tests/`` (``oracles.py``, ``sampling.py`` and the
-test files).  No module reads the process environment."""
+"""The package holds only the program: every function, class and method in
+``src/drinfeld``, private ones included, has a caller in ``src/drinfeld``.
+Helpers that only tests call live in ``tests/`` (``oracles.py``,
+``sampling.py`` and the test files).  No module reads the process
+environment."""
 
 from __future__ import annotations
 
@@ -23,8 +24,9 @@ def _is_command(node: ast.AST) -> bool:
     )
 
 
-def _public(name: str) -> bool:
-    return not name.startswith("_")
+def _covered(name: str) -> bool:
+    """Every name but a dunder, which the interpreter calls."""
+    return not (name.startswith("__") and name.endswith("__"))
 
 
 class _Module:
@@ -49,18 +51,18 @@ class _Module:
                         self.imported[local] = (node.module, alias.name)
 
 
-def _public_definitions(modules: list[_Module]):
-    """(module, qualified name, node) of each public top-level function and
-    class, and of each public method of a public class."""
+def _definitions(modules: list[_Module]):
+    """(module, qualified name, node) of each top-level function and class,
+    and of each method of a class, dunders left out."""
     for m in modules:
         for node in m.definitions:
-            if not _public(node.name):
+            if not _covered(node.name):
                 continue
             if node.name not in _ENTRY_POINTS and not _is_command(node):
                 yield m.name, node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and _public(item.name):
+                    if isinstance(item, ast.FunctionDef) and _covered(item.name):
                         yield m.name, f"{node.name}.{item.name}", item
 
 
@@ -82,12 +84,11 @@ def _refers_to(m: _Module, ref: ast.AST, module: str, qualname: str) -> bool:
 
 
 def _uncalled() -> list[str]:
-    """Public definitions with no reference in src/drinfeld outside their own
-    body."""
+    """Definitions with no reference in src/drinfeld outside their own body."""
     modules = [_Module(path) for path in sorted(SRC.glob("*.py"))]
     assert any(m.name == "cli" for m in modules), f"no package source under {SRC}"
     missing = []
-    for module, qualname, node in _public_definitions(modules):
+    for module, qualname, node in _definitions(modules):
         own = {id(n) for n in ast.walk(node)}
         if not any(
             id(ref) not in own and _refers_to(m, ref, module, qualname)
