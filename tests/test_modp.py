@@ -1,7 +1,8 @@
 """Residue-field geometry: rational functions over F_q and the weighted action
-on the projective line (as oracles), divisor section spaces, the symmetric-power comparison
-map, truncated global sections, the quotient representation with its stable
-lines, the parity-swapping checks, and integer-valuation profiles."""
+on the projective line (as oracles), divisor section spaces, the
+symmetric-power comparison map, truncated global sections, the quotient
+representation with its stable lines, the parity-swap check, and
+integer-valuation profiles."""
 
 from __future__ import annotations
 
