@@ -43,6 +43,7 @@ from .tree import (
     Vertex,
     ball_size,
     make_vertex,
+    neighbors,
     standard_edge,
     truncated_tree,
 )
@@ -613,9 +614,14 @@ def tree_cmd(p: int, radius: int) -> dict:
     """Ball statistics and regularity check."""
     _check_ball(p, radius)
     ball = truncated_tree(p, radius)
-    regular = all(len(ball.edges_at(v)) == p + 1 for v in ball.interior_vertices())
-    counts = {"vertices": len(ball.vertices), "edges": len(ball.edges)}
+    counts = {"vertices": len(ball.vertices), "edges": ball.n_edges}
     predicted = {"vertices": ball_size(p, radius), "edges": ball_size(p, radius) - 1}
+    # an interior vertex's p + 1 distinct neighbours are the far ends of its
+    # star, which the layout places only in a ball of the predicted size
+    far = ({ball.vertices[x] for j in ball.star(i) for x in ball.ends(j) if x != i} for i in range(ball.n_interior))
+    regular = counts == predicted and all(
+        len(ends) == p + 1 and ends == set(neighbors(v)) for v, ends in zip(ball.interior_vertices(), far)
+    )
     return {"computed": counts, "predicted": predicted, "regular": regular, "pass": counts == predicted and regular}
 
 
@@ -671,7 +677,7 @@ def harmonic_cmd(p: int, k: int, radius: int, mod_pihat: bool) -> dict:
         stars = star_local_kernels(ball, k)
         passes = all(v == predicted_star for v in stars.values())
         return {"star_local": stars, "predicted_star_local": predicted_star, "pass": passes}
-    free_rank = (k + 1) * (len(ball.edges) - len(ball.interior_vertices()))
+    free_rank = (k + 1) * (ball.n_edges - ball.n_interior)
     dimension = field_kernel(ball, k)
     return {"dimension": dimension, "predicted": free_rank, "pass": dimension == free_rank}
 

@@ -27,10 +27,9 @@ from .tree import (
     TruncatedTree,
     Vertex,
     _level_and_offset,
-    child_endpoint,
-    edge_transporter,
     unipotent_lower,
     vertex_parity,
+    vertex_transporter,
 )
 
 
@@ -52,13 +51,16 @@ def sigma(g: Mat2, p: int) -> int:
 
 
 def delta(c: Cochain, tree: TruncatedTree) -> dict:
-    """Signed star sums at the interior vertices."""
-    zero, values, out = ScalarKHat.zero(c.p), c.values, {}
-    for v in tree.interior_vertices():
-        stored = [values[e] for e in tree.edges_at(v) if e in values]
-        total = [sum(col, zero) for col in zip(*stored)] or [zero] * (c.k + 1)
-        out[v] = total if vertex_parity(v) > 0 else [-t for t in total]
-    return out
+    """Signed star sums at the interior vertices, each stored value added at
+    its two ends: every edge at an interior vertex lies in the ball."""
+    zeros, sums = [ScalarKHat.zero(c.p)] * (c.k + 1), {}
+    for e, vec in c.values.items():
+        for end in (e.u, e.v):
+            sums[end] = [x + y for x, y in zip(sums.get(end, zeros), vec)]
+    return {
+        v: sums.get(v, zeros) if vertex_parity(v) > 0 else [-x for x in sums.get(v, zeros)]
+        for v in tree.interior_vertices()
+    }
 
 
 def _raise_in_annulus(roots: list) -> None:
@@ -171,8 +173,9 @@ def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
     parts = [(y, A) for y, A in principal_parts(g) if any(A)]
     vectors = [_pole_vector(y, A, k) for y, A in parts]
     zero, sums, values = ScalarKHat.zero(p), {}, {}
-    for e in tree.edges:
-        key = _counted_poles(parts, child_endpoint(e))
+    for j in range(tree.n_edges):
+        child = tree.vertices[tree.ends(j)[1]]
+        key = _counted_poles(parts, child)
         if key not in sums:
             poles, sign = key
             total = [sum(col, zero) for col in zip(*(vectors[i] for i in poles))]
@@ -181,11 +184,11 @@ def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
         if rng is not None:
             jitter = unipotent_lower(rng.randrange(1, 5 * p))
             # a second transporter for the same edge: standard-edge stabilizer
-            alt = (edge_transporter(e) @ jitter).inv()
+            alt = (vertex_transporter(child) @ jitter).inv()
             if vec != _edge_residue(parts, k, alt, p):
-                raise InternalInvariantError(f"residue value at {e} disagrees with the series")
+                raise InternalInvariantError(f"residue value at {tree.edge(j)} disagrees with the series")
         if any(vec):
-            values[e] = vec
+            values[tree.edge(j)] = vec
     return Cochain(p, k, values)
 
 
@@ -214,9 +217,12 @@ def field_kernel(tree: TruncatedTree, k: int) -> int:
     interior-by-edge incidence matrix.  A tree is bipartite, so that matrix
     is totally unimodular: every minor is 0 or +-1, and its rank over the
     field is its rank over F_p, taken on sparse int rows."""
-    index = {e: n for n, e in enumerate(tree.edges)}
-    rows = [{index[e]: 1 for e in tree.edges_at(v)} for v in tree.interior_vertices()]
-    return (k + 1) * (len(index) - len(_gauss_jordan(rows, tree.p)[1]))
+    # edge j is column E - 1 - j, numbered from the boundary inward: each
+    # row's smallest column is then the edge to its last child, which no
+    # pending row shares, so the pending rows take no fill-in
+    last = tree.n_edges - 1
+    rows = [{last - j: 1 for j in tree.star(i)} for i in range(tree.n_interior)]
+    return (k + 1) * (tree.n_edges - len(_gauss_jordan(rows, tree.p)[1]))
 
 
 def star_local_kernels(tree: TruncatedTree, k: int) -> dict:

@@ -25,8 +25,6 @@ from .tree import (
     Mat2,
     Vertex,
     act_on_vertex,
-    child_endpoint,
-    parent_endpoint,
     truncated_tree,
     vertex_parity,
 )
@@ -301,20 +299,18 @@ def global_sections_truncated(q: int, k: int, radius: int) -> dict:
     if field.f != 1:
         raise InvalidParameters("truncated sections require a prime q")
     tree = truncated_tree(q, radius)
-    n_vertices = len(tree.vertices)
-    n_edges = len(tree.edges)
-    deg = component_degree(q, k)
-    per_component = max(0, deg + 1)
-    ncols = n_vertices * per_component
-    glued = tree.edges if k % 2 == 0 else []  # odd k has no matching conditions
+    vertices = tree.vertices
+    per_component = max(0, component_degree(q, k) + 1)
+    ncols = len(vertices) * per_component
+    glued = range(tree.n_edges) if k % 2 == 0 else []  # odd k has no matching conditions
     rows = []
-    for e in glued:
-        u, w = parent_endpoint(e), child_endpoint(e)
+    for edge in glued:
+        u, w = tree.ends(edge)
         row = {}
         for end, other, sign in ((u, w, 1), (w, u, -1)):
-            base = tree.index[end] * per_component
-            values = _evaluation_row(q, _reduction_point(field, end, other), per_component, k)
-            row.update((base + j, sign * x) for j, x in enumerate(values))
+            point = _reduction_point(field, vertices[end], vertices[other])
+            values = _evaluation_row(q, point, per_component, k)
+            row.update((end * per_component + j, sign * x) for j, x in enumerate(values))
         rows.append(row)
     # a prime field's code is its residue, so the basis prints as residues
     basis = kernel_basis_mod_p(rows, ncols, q)
@@ -325,8 +321,8 @@ def global_sections_truncated(q: int, k: int, radius: int) -> dict:
         "dimension": formula,
         "direct_dimension": direct,
         "matching_rank": matching_rank,
-        "edge_count": n_edges,
-        "vertex_count": n_vertices,
+        "edge_count": tree.n_edges,
+        "vertex_count": len(vertices),
         "per_component_dimension": per_component,
         "basis": basis,
         "pass": formula == direct,

@@ -334,21 +334,10 @@ def child_endpoint(e: Edge) -> Vertex:
     return e.v
 
 
-def parent_endpoint(e: Edge) -> Vertex:
-    return e.u
-
-
-def edge_transporter(e: Edge) -> Mat2:
-    """Deterministic group element mapping the standard edge onto e.
-
-    The transporter of the deeper endpoint works: it carries the base vertex to
-    that endpoint and the base vertex's parent to the endpoint's parent.
-    """
-    return vertex_transporter(child_endpoint(e))
-
-
 def edges_at(v: Vertex) -> list[Edge]:
-    return [make_edge(v, w) for w in neighbors(v)]
+    """The p + 1 edges at v: the parent edge, then the child edges in
+    offset order."""
+    return [Edge(parent(v), v)] + [Edge(v, w) for w in children(v)]
 
 
 # -- truncated balls -------------------------------------------------------------
@@ -362,54 +351,56 @@ def ball_size(p: int, radius: int) -> int:
 
 @dataclass
 class TruncatedTree:
-    """Ball around the base vertex.  ``n_interior`` counts the vertices at
-    distance below the radius, which come first in ``vertices``."""
+    """Ball around the base vertex, as index arithmetic on its vertex list in
+    breadth-first order, whose first ``n_interior`` vertices lie below the
+    radius.  Vertex i >= 1 hangs off vertex ``up(i)`` through edge i - 1;
+    ``edge(j)`` builds the ``Edge`` that prints and keys edge j."""
 
     p: int
-    radius: int
     vertices: list[Vertex]
-    edges: list[Edge]
-    index: dict[Vertex, int]
-    incident: dict[Vertex, list[Edge]]
     n_interior: int
 
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self.index
+    @property
+    def n_edges(self) -> int:
+        return len(self.vertices) - 1
 
     def interior_vertices(self) -> list[Vertex]:
         return self.vertices[: self.n_interior]
 
-    def edges_at(self, v: Vertex) -> list[Edge]:
-        """The ball's edges at v, in the order of ``edges``."""
-        return list(self.incident.get(v, ()))
+    def up(self, i: int) -> int:
+        """The base vertex's p + 1 neighbours come first, then p from each
+        vertex in turn."""
+        return 0 if i <= self.p + 1 else (i - 2) // self.p
+
+    def star(self, i: int) -> range | list[int]:
+        """The edges at interior vertex i: edge i - 1, then p*i + 1 ... p*i + p."""
+        p = self.p
+        return range(p + 1) if i == 0 else [i - 1, *range(p * i + 1, p * i + p + 1)]
+
+    def ends(self, j: int) -> tuple[int, int]:
+        """Edge j's parent end (the smaller level) and child end.  On the
+        spine through levels -1, -2, ... the child end is ``up(j + 1)``."""
+        a, b = self.up(j + 1), j + 1
+        return (a, b) if self.vertices[a].m < self.vertices[b].m else (b, a)
+
+    def edge(self, j: int) -> Edge:
+        a, b = self.ends(j)
+        return Edge(self.vertices[a], self.vertices[b])
 
 
 def truncated_tree(p: int, radius: int) -> TruncatedTree:
-    """Ball of the given radius around the base vertex, vertices in
-    breadth-first order (neighbors visited parent first, then children by
-    offset).  Each vertex's incident edges are recorded as the edges are
-    appended, so they keep edge order."""
+    """Ball of the given radius around the base vertex, neighbors visited
+    parent first, then children by offset.  A tree's frontier vertex skips
+    only the neighbour it came from, so the walk hashes nothing: that is its
+    parent, but at the base vertex and on the spine through levels < 0."""
     if radius < 0:
         raise InvalidParameters("radius must be >= 0")
-    center = standard_vertex(p)
-    vertices = [center]
-    index = {center: 0}
-    edges: list[Edge] = []
-    incident: dict[Vertex, list[Edge]] = {center: []}
-    frontier = [center]
-    n_interior = 0
+    ball = TruncatedTree(p, [standard_vertex(p)], 0)
+    vertices, start = ball.vertices, 0
     for _ in range(radius):
-        n_interior = len(vertices)
-        nxt: list[Vertex] = []
-        for v in frontier:
-            for w in neighbors(v):
-                if w not in index:
-                    index[w] = len(vertices)
-                    vertices.append(w)
-                    nxt.append(w)
-                    e = Edge(v, w) if v.m < w.m else Edge(w, v)
-                    edges.append(e)
-                    incident[v].append(e)
-                    incident[w] = [e]
-        frontier = nxt
-    return TruncatedTree(p, radius, vertices, edges, index, incident, n_interior)
+        ball.n_interior = end = len(vertices)
+        for i in range(start, end):
+            v, came_from = vertices[i], vertices[ball.up(i)]  # up(0) is 0
+            vertices += children(v) if came_from.m < v.m else [w for w in neighbors(v) if w != came_from]
+        start = end
+    return ball

@@ -64,8 +64,8 @@ from drinfeld.tree import (
     child_endpoint,
     make_edge,
     make_vertex,
-    parent_endpoint,
-    truncated_tree,
+    neighbors,
+    standard_vertex,
     vertex_transporter,
 )
 
@@ -357,6 +357,82 @@ class FrozenEdge:
     v: Vertex
 
 
+# -- the ball as hashed vertices and edges --------------------------------------------
+#
+# The breadth-first walk that ``tree.truncated_tree``'s index arithmetic
+# replaced: every neighbour is looked up in a vertex index, and each vertex
+# keeps its incident edges.  Below it, the edge helpers that only tests call.
+
+
+@dataclass
+class ReferenceBall:
+    p: int
+    vertices: list[Vertex]
+    edges: list[Edge]
+    index: dict[Vertex, int]
+    incident: dict[Vertex, list[Edge]]
+    n_interior: int
+
+    def edges_at(self, v: Vertex) -> list[Edge]:
+        """The ball's edges at v, in the order of ``edges``."""
+        return list(self.incident.get(v, ()))
+
+
+def reference_ball(p: int, radius: int) -> ReferenceBall:
+    """The ball of the given radius around the base vertex, vertices in
+    breadth-first order (neighbors visited parent first, then children by
+    offset), each new vertex found by a miss in the vertex index."""
+    center = standard_vertex(p)
+    vertices = [center]
+    index = {center: 0}
+    edges: list[Edge] = []
+    incident: dict[Vertex, list[Edge]] = {center: []}
+    frontier = [center]
+    n_interior = 0
+    for _ in range(radius):
+        n_interior = len(vertices)
+        nxt: list[Vertex] = []
+        for v in frontier:
+            for w in neighbors(v):
+                if w not in index:
+                    index[w] = len(vertices)
+                    vertices.append(w)
+                    nxt.append(w)
+                    e = Edge(v, w) if v.m < w.m else Edge(w, v)
+                    edges.append(e)
+                    incident[v].append(e)
+                    incident[w] = [e]
+        frontier = nxt
+    return ReferenceBall(p, vertices, edges, index, incident, n_interior)
+
+
+def parent_endpoint(e: Edge) -> Vertex:
+    return e.u
+
+
+def edge_transporter(e: Edge) -> Mat2:
+    """Deterministic group element mapping the standard edge onto e.
+
+    The transporter of the deeper endpoint works: it carries the base vertex to
+    that endpoint and the base vertex's parent to the endpoint's parent.
+    """
+    return vertex_transporter(child_endpoint(e))
+
+
+def ball_edges(tree: TruncatedTree) -> list[Edge]:
+    """The ball's edges as ``Edge``s, in edge order."""
+    return [tree.edge(j) for j in range(tree.n_edges)]
+
+
+def incident_positions(edges: list[Edge]) -> dict[Vertex, list[int]]:
+    """The positions in ``edges`` of each vertex's edges, by a scan."""
+    at: dict[Vertex, list[int]] = {}
+    for n, e in enumerate(edges):
+        at.setdefault(e.u, []).append(n)
+        at.setdefault(e.v, []).append(n)
+    return at
+
+
 # -- the per-vertex and per-edge passes on scalars -------------------------------------
 #
 # What the kernel rank, the vertex membership and the scalar printer were
@@ -367,13 +443,13 @@ def dense_field_kernel(tree: TruncatedTree, k: int) -> int:
     """``harmonic.field_kernel`` by the rank over K-hat of the dense 0/1
     interior-by-edge incidence matrix of ``ScalarKHat``s."""
     zero, one = ScalarKHat.zero(tree.p), ScalarKHat.one(tree.p)
-    edges = list(tree.edges)
-    index = {e: n for n, e in enumerate(edges)}
+    edges = ball_edges(tree)
+    at = incident_positions(edges)
     rows = []
     for v in tree.interior_vertices():
         row = [zero] * len(edges)
-        for e in tree.edges_at(v):
-            row[index[e]] = one
+        for n in at[v]:
+            row[n] = one
         rows.append(row)
     return (k + 1) * (len(edges) - reference_rank(rows, zero))
 
@@ -1466,7 +1542,7 @@ def sections_basis_by_dense_rows(q: int, k: int, radius: int, units=None) -> lis
     constants that scale the two sides of an edge's condition (1 and 1 when
     omitted)."""
     field = Fq(q)
-    tree = truncated_tree(q, radius)
+    tree = reference_ball(q, radius)
     per_component = max(0, component_degree(q, k) + 1)
     ncols = len(tree.vertices) * per_component
     rows = []

@@ -23,16 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import cli as cli_module
-from drinfeld import modp
+from drinfeld import modp, tree
 from drinfeld.errors import InternalInvariantError
 from drinfeld.harmonic import Cochain, res0
 from drinfeld.linalg import SparseRows
 from drinfeld.modp import gl2_generators, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.rational import parse_rational
-from drinfeld.tree import make_vertex, truncated_tree
+from drinfeld.tree import TruncatedTree, make_vertex, neighbors as _neighbors, truncated_tree
 from inprocess import invoke
-from oracles import FqFraction, densify, emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce, sym_matrix_fq
+from oracles import FqFraction, ball_edges, densify, emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce, sym_matrix_fq
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -130,6 +130,54 @@ class TestFrozenPayloads:
         result = invoke(["modp", "b-forms", "--q", "3"])
         assert result.exit_code == 0, result.output
         assert '"pass": false' in result.stdout
+
+
+def _drop_last_child(v):
+    return _neighbors(v)[:-1]
+
+
+def _star_off_by_one(self, i):
+    p = self.p
+    return range(p + 1) if i == 0 else [i - 1, *range(p * i + 2, p * i + p + 2)]
+
+
+def _up_off_by_one(self, i):
+    return 0 if i <= self.p + 1 else (i - 1) // self.p
+
+
+class TestBallMutations:
+    """One mutation of the ball per gate that reads it, each failing that
+    gate: ``tree`` walks ``neighbors`` and checks every interior star,
+    ``residue`` sums its cochain at the edges' ends, and ``modp sections``
+    refuses a glued pair of vertices that are not adjacent.  No mutation of
+    the ball fails ``harmonic``'s ``dimension == predicted``: both sides
+    count the same ball, and the interior incidence rows stay independent."""
+
+    CASES = [
+        (tree, "neighbors", _drop_last_child, ("tree", "--p", "3", "--radius", "3"), '"pass": false'),
+        (TruncatedTree, "star", _star_off_by_one, ("tree", "--p", "3", "--radius", "3"), '"regular": false'),
+        (
+            TruncatedTree,
+            "up",
+            _up_off_by_one,
+            ("residue", "--p", "2", "--k", "0", "--f", "1/z", "--radius", "3"),
+            '"delta_zero": false',
+        ),
+        (TruncatedTree, "up", _up_off_by_one, ("modp", "sections", "--q", "3", "--k", "2", "--radius", "2"), None),
+    ]
+
+    @pytest.mark.parametrize(
+        "owner,name,mutant,args,verdict", CASES, ids=[f"{c[2].__name__}-{c[3][0]}" for c in CASES]
+    )
+    def test_the_gate_fails(self, monkeypatch, owner, name, mutant, args, verdict):
+        assert invoke(args).exit_code == 0
+        monkeypatch.setattr(owner, name, mutant)
+        result = invoke(args)
+        if verdict is None:
+            assert result.exit_code == 3, result.output
+        else:
+            assert result.exit_code == 0, result.output
+            assert verdict in result.stdout
 
 
 class TestConfigFile:
@@ -515,6 +563,14 @@ class TestAnsweredAtOnce:
             (("theta", "--p", "2", "--k", "995", "--f", "(z-1)^-1*(z-2)^-1*(z-3)^-1", "--level", "0"), 2),
             (("theta", "--p", "2", "--k", "1461", "--f", "1/(z-1/3)/(z-1/5)", "--level", "0"), 2),
             (("local-dims", "--p", "2", "--k", "2000"), 2),
+            # the largest balls the vertex budget admits, at their primes
+            (("harmonic", "--p", "5", "--k", "2", "--radius", "6"), 0),
+            (("harmonic", "--p", "7", "--k", "0", "--radius", "5"), 0),
+            (("harmonic", "--p", "3", "--k", "0", "--radius", "8"), 0),
+            (("harmonic", "--p", "11", "--k", "0", "--radius", "4"), 0),
+            (("tree", "--p", "5", "--radius", "6"), 0),
+            (("tree", "--p", "157", "--radius", "2"), 0),
+            (("modp", "b-forms", "--q", "157"), 0),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x),
     )
@@ -1544,7 +1600,7 @@ class TestCochainWriter:
     @settings(max_examples=60, deadline=None)
     def test_drawn_cochains_match_the_generic_writer(self, seed, p, k):
         rng = random.Random(seed)
-        edges = truncated_tree(p, 2).edges
+        edges = ball_edges(truncated_tree(p, 2))
         values = {
             e: [ScalarKHat(p, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-2, 2))
                 for _ in range(k + 1)]

@@ -29,7 +29,6 @@ from drinfeld.scalars import ScalarKHat
 from drinfeld.tree import (
     Mat2,
     child_endpoint,
-    edge_transporter,
     make_edge,
     make_vertex,
     standard_vertex,
@@ -40,11 +39,14 @@ from inprocess import invoke
 from oracles import (
     act_on_edge,
     automorphic_act,
+    ball_edges,
     basis_contains_vector,
     cochain_value,
     counted_poles_by_transporter,
     dense_field_kernel,
     dual_act,
+    edge_transporter,
+    incident_positions,
     kernel_basis,
     lattice_basis,
     lattice_contains_vector,
@@ -74,12 +76,12 @@ def _reference_field_kernel(tree, k):
     (k+1)·E-column star-sum matrix."""
     p = tree.p
     zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
-    edges = list(tree.edges)
-    index = {e: n for n, e in enumerate(edges)}
+    edges = ball_edges(tree)
+    at = incident_positions(edges)
     ncols = (k + 1) * len(edges)
     rows = []
     for v in tree.interior_vertices():
-        incident = [index[e] for e in tree.edges_at(v)]
+        incident = at[v]
         for i in range(k + 1):
             row = [zero] * ncols
             for n in incident:
@@ -92,15 +94,16 @@ def _lattice_coordinate_rows(tree, k):
     """The star-sum rows in edge-lattice coordinates: the block of edge e at
     interior vertex v is the basis matrix of the edge lattice of e."""
     zero = ScalarKHat.zero(tree.p)
-    edges = list(tree.edges)
+    edges = ball_edges(tree)
     bases = {e: lattice_basis(edge_lattice(e, k)) for e in edges}
+    at = incident_positions(edges)
     rows = []
     for v in tree.interior_vertices():
-        incident = set(tree.edges_at(v))
+        incident = set(at[v])
         for r in range(k + 1):
             row = []
-            for e in edges:
-                if e in incident:
+            for n, e in enumerate(edges):
+                if n in incident:
                     row.extend(bases[e][r])
                 else:
                     row.extend([zero] * (k + 1))
@@ -129,7 +132,7 @@ def _reference_res0(g, k, tree, rng=None):
     """res0 edge by edge through _reference_edge_residue, with the same
     second-transporter audit when ``rng`` is given."""
     values = {}
-    for e in tree.edges:
+    for e in ball_edges(tree):
         vec = _reference_edge_residue(g, k, edge_transporter(e).inv(), tree.p)
         if rng is not None:
             jitter = unipotent_lower(rng.randrange(1, 5 * tree.p))
@@ -253,7 +256,7 @@ def _series_values(f, k, tree):
     transporter, or the class and message of the first refusal."""
     parts = [(y, A) for y, A in principal_parts(f) if any(A)]
     try:
-        return {e: _edge_residue(parts, k, edge_transporter(e).inv(), tree.p) for e in tree.edges}
+        return {e: _edge_residue(parts, k, edge_transporter(e).inv(), tree.p) for e in ball_edges(tree)}
     except PoleInsideAnnulus as exc:
         return (type(exc), str(exc))
 
@@ -264,7 +267,7 @@ def _per_pole_values(f, k, tree):
         c = res0(f, k, tree)
     except PoleInsideAnnulus as exc:
         return (type(exc), str(exc))
-    return {e: cochain_value(c, e) for e in tree.edges}
+    return {e: cochain_value(c, e) for e in ball_edges(tree)}
 
 
 def _infinity_inside(e, p) -> bool:
@@ -298,7 +301,7 @@ class TestPerPoleResidues:
             assert _per_pole_values(f, k, t) == want
             refused += isinstance(want, tuple)
         assert 0 < refused < len(sections) - 3
-        assert any(_infinity_inside(e, p) for e in t.edges)
+        assert any(_infinity_inside(e, p) for e in ball_edges(t))
 
     @given(
         p=st.sampled_from([2, 3, 5]),
@@ -387,7 +390,7 @@ class TestHarmonicity:
         # a one-edge bump is not harmonic at its interior endpoints
         p = 2
         t = tree_factory(p, 2)
-        e = next(iter(t.edges))
+        e = next(iter(ball_edges(t)))
         bump = Cochain(p, 0, {e: [ScalarKHat.one(p)]})
         star_sums = delta(bump, t)
         assert any(not _vec_is_zero(vec) for vec in star_sums.values())
@@ -470,7 +473,7 @@ class TestCountedPolesOnInts:
         seen = set()
         for f in sections:
             parts = [(y, A) for y, A in principal_parts(f) if any(A)]
-            for e in t.edges:
+            for e in ball_edges(t):
                 got = _outcome_of(_counted_poles, parts, child_endpoint(e))
                 want = _outcome_of(counted_poles_by_transporter, parts, edge_transporter(e).inv(), p)
                 assert got == want, (f, e)
@@ -483,7 +486,7 @@ class TestCountedPolesOnInts:
                 else:
                     poles, sign = got
                     seen.add((bool(poles), sign, any(y.B for i, (y, _) in enumerate(parts) if i in poles)))
-        assert any(_infinity_inside(e, p) for e in t.edges)
+        assert any(_infinity_inside(e, p) for e in ball_edges(t))
         assert "refused" in seen
         # counted sets with and without pihat poles, under both signs
         assert {(True, 1, True), (True, -1, True), (True, 1, False), (True, -1, False)} <= seen
@@ -497,7 +500,8 @@ class TestCountedPolesOnInts:
         def refuse(*_):
             raise AssertionError("an edge transporter was built")
 
-        monkeypatch.setattr(harmonic, "edge_transporter", refuse)
+        # an edge's transporter is its child end's
+        monkeypatch.setattr(harmonic, "vertex_transporter", refuse)
         assert [_outcome(res0, f, 2, t) for f in sections] == want
         # the guard trips on the audited path, which draws a second transporter
         with pytest.raises(AssertionError, match="edge transporter was built"):
@@ -515,7 +519,7 @@ class TestIntegrality:
             f = parse_rational(text, p)
             for k in range(5):
                 c = res0(f, k, t)
-                for e in t.edges:
+                for e in ball_edges(t):
                     got = lattice_contains_vector(edge_lattice(e, k), cochain_value(c, e))
                     want = basis_contains_vector(lattice_basis(edge_lattice(e, k)), cochain_value(c, e))
                     assert got is want, (text, k, e)
@@ -546,7 +550,7 @@ class TestIntegrality:
         f = parse_rational(text, p)
         c = res0(f, k, t)
         report = res0_integrality(f, k, t, c)
-        expected = [lattice_contains_vector(edge_lattice(e, k), cochain_value(c, e)) for e in t.edges]
+        expected = [lattice_contains_vector(edge_lattice(e, k), cochain_value(c, e)) for e in ball_edges(t)]
         assert report["in_all_edge_lattices"] is all(expected)
 
     @pytest.mark.parametrize("k", [0, 1])
@@ -556,10 +560,10 @@ class TestIntegrality:
         f = parse_rational("pihat^-1/z", p)
         c = res0(f, k, t)
         failing = [
-            e for e in t.edges if not lattice_contains_vector(edge_lattice(e, k), cochain_value(c, e))
+            e for e in ball_edges(t) if not lattice_contains_vector(edge_lattice(e, k), cochain_value(c, e))
         ]
         support = set(c.support())
-        assert support != set(t.edges) and set(failing) <= support
+        assert support != set(ball_edges(t)) and set(failing) <= support
         assert len(failing) > 1
         assert res0_integrality(f, k, t, c)["in_all_edge_lattices"] is False
 
@@ -587,7 +591,7 @@ class TestKernelDimensions:
     def test_field_kernel_has_boundary_dimension(self, p, k, radius):
         # dim ker(delta) = (k+1) * (edges - interior vertices) on a ball
         t = truncated_tree(p, radius)
-        boundary_excess = len(t.edges) - len(t.interior_vertices())
+        boundary_excess = len(ball_edges(t)) - len(t.interior_vertices())
         assert field_kernel(t, k) == (k + 1) * boundary_excess
 
     @pytest.mark.parametrize(

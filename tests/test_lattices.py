@@ -36,10 +36,8 @@ from drinfeld.tree import (
     act_on_vertex,
     child_endpoint,
     children,
-    edge_transporter,
     make_edge,
     make_vertex,
-    parent_endpoint,
     standard_edge,
     standard_vertex,
     truncated_tree,
@@ -50,6 +48,7 @@ from inprocess import invoke
 from oracles import (
     act_on_edge,
     automorphic_act,
+    ball_edges,
     basis_contains,
     basis_contains_vector,
     basis_equal,
@@ -57,6 +56,7 @@ from oracles import (
     basis_transition,
     cochain_value,
     dual_act,
+    edge_transporter,
     endpoint_sum,
     fraction_valuation,
     lattice_basis,
@@ -65,6 +65,7 @@ from oracles import (
     lattice_sum,
     laurent_standard,
     membership_by_transport,
+    parent_endpoint,
     reduced_column_space,
     relative_profile,
     transition_d_space_basis,
@@ -368,7 +369,7 @@ class TestTransitionsAgainstElimination:
         ints equals the column space of the eliminated transition mod pihat;
         where it is not, both raise."""
         field = Fq(p)
-        edges = truncated_tree(p, radius).edges
+        edges = ball_edges(truncated_tree(p, radius))
         outcomes = set()
         for k in range(7):
             for e in edges:
@@ -391,7 +392,7 @@ class TestTransitionsAgainstElimination:
         """For even k the exponent e of sym_ints and every scaling are even,
         so every transition entry is rational: the lattices are defined over
         Q_p.  At odd k entries with a pihat part occur."""
-        edges = truncated_tree(p, radius).edges
+        edges = ball_edges(truncated_tree(p, radius))
         for k in (0, 2, 4, 6):
             for e in edges:
                 for src, dst in _transition_pairs(e, k):
@@ -440,7 +441,7 @@ class TestTransitionsAgainstElimination:
         the endpoint sum, tested against each of the three lattices."""
         seen = set()
         for k in range(5):
-            for e in truncated_tree(p, radius).edges:
+            for e in ball_edges(truncated_tree(p, radius)):
                 lattices = [
                     vertex_lattice(child_endpoint(e), k),
                     vertex_lattice(parent_endpoint(e), k),
@@ -480,7 +481,7 @@ class TestIntegerPath:
     def test_builds_no_scalar(self, p, monkeypatch):
         cases = []
         for k in range(6):
-            for e in truncated_tree(p, 2).edges:
+            for e in ball_edges(truncated_tree(p, 2)):
                 lattices = _edge_lattices(e, k)
                 # columns with pihat parts and powers of p in their denominators
                 vecs = [list(col) for l in lattices for col in zip(*lattice_basis(l))]
@@ -515,7 +516,7 @@ class TestEdgeMembershipOnInts:
         endpoint sum, against the edge lattice of every edge of the ball."""
         seen = {True: 0, False: 0}
         for k in range(5):
-            for e in truncated_tree(p, radius).edges:
+            for e in ball_edges(truncated_tree(p, radius)):
                 edge = edge_lattice(e, k)
                 for l in _edge_lattices(e, k):
                     for col in zip(*lattice_basis(l)):
@@ -545,7 +546,7 @@ class TestEdgeMembershipOnInts:
             except PoleInsideAnnulus:
                 continue
             integral += 1
-            for e in t.edges:
+            for e in ball_edges(t):
                 vec = cochain_value(c, e)
                 assert in_edge_lattice(e, k, vec) and lattice_contains_vector(edge_lattice(e, k), vec)
                 if any(vec):
@@ -614,7 +615,7 @@ class TestEdgeLatticesAgainstSmith:
 
     @pytest.mark.parametrize("p,radius", [(2, 3), (3, 3), (5, 2), (7, 2)])
     def test_every_edge_of_the_ball(self, p, radius):
-        edges = truncated_tree(p, radius).edges
+        edges = ball_edges(truncated_tree(p, radius))
         for k in range(7):
             for e in edges:
                 child = lattice_basis(vertex_lattice(child_endpoint(e), k))
@@ -628,7 +629,7 @@ class TestEdgeLatticesAgainstSmith:
         """The D-spaces on both sides and the E-space, reduced from the
         transitions between transporters, equal the ones reduced from the
         transitions between the basis matrices."""
-        edges = truncated_tree(p, radius).edges
+        edges = ball_edges(truncated_tree(p, radius))
         for k in range(7):
             for e in edges:
                 for side in (child_endpoint(e), parent_endpoint(e)):
@@ -638,7 +639,7 @@ class TestEdgeLatticesAgainstSmith:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_edge_profile_off_the_standard_edge(self, p):
-        edges = [e for e in truncated_tree(p, 2).edges if e != standard_edge(p)]
+        edges = [e for e in ball_edges(truncated_tree(p, 2)) if e != standard_edge(p)]
         for k in range(5):
             for e in edges:
                 child = lattice_basis(vertex_lattice(child_endpoint(e), k))

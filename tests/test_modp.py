@@ -36,16 +36,17 @@ from drinfeld.tree import (
     act_on_vertex,
     child_endpoint,
     make_vertex,
-    parent_endpoint,
     truncated_tree,
     vertex_transporter,
 )
 from oracles import (
     FqFraction,
+    ball_edges,
     densify,
     generator_matrices_fq,
     homogenise,
     mat_vec,
+    parent_endpoint,
     poly_evaluate,
     quotient_reduce,
     quotient_structure_by_elimination,
@@ -603,7 +604,7 @@ class TestReductionPointOracle:
     def test_labels_match_transport_on_every_edge(self, q, tree_factory):
         field = Fq(q)
         for radius in range(4):
-            for e in tree_factory(q, radius).edges:
+            for e in ball_edges(tree_factory(q, radius)):
                 for u, w in ((e.u, e.v), (e.v, e.u)):
                     assert modp._reduction_point(field, u, w) == (
                         _reference_reduction_point(field, u, w)

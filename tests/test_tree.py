@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drinfeld.cli import _MAX_BALL_VERTICES
 from drinfeld.errors import InvalidParameters, SingularMatrix
 from drinfeld.tree import (
+    Edge,
     Mat2,
     Vertex,
     act_on_vertex,
@@ -20,13 +22,11 @@ from drinfeld.tree import (
     child_endpoint,
     children,
     distance,
-    edge_transporter,
     edges_at,
     make_edge,
     make_vertex,
     neighbors,
     parent,
-    parent_endpoint,
     representative,
     standard_edge,
     standard_vertex,
@@ -40,6 +40,8 @@ from oracles import (
     FractionMat2,
     FrozenEdge,
     act_on_edge,
+    ball_edges,
+    edge_transporter,
     fraction_act_on_vertex,
     fraction_canonical_offset,
     fraction_children,
@@ -50,6 +52,8 @@ from oracles import (
     fraction_vertex_of_matrix,
     fraction_vertex_key,
     fraction_vertex_transporter,
+    parent_endpoint,
+    reference_ball,
 )
 from sampling import gamma_level, random_group_element, random_vertex, unipotent_upper, weyl_flip
 
@@ -311,30 +315,36 @@ class TestTruncations:
         q = p
         expected_vertices = 1 + (q + 1) * (q**radius - 1) // (q - 1) if radius else 1
         assert len(t.vertices) == expected_vertices
-        assert len(t.edges) == expected_vertices - 1  # a ball in a tree
+        assert len(ball_edges(t)) == expected_vertices - 1  # a ball in a tree
 
     def test_oracle_seventeen_vertices(self):
         t = truncated_tree(3, 2)
         assert len(t.vertices) == 17
-        assert len(t.edges) == 16
+        assert len(ball_edges(t)) == 16
 
     def test_interior_regularity(self):
         t = truncated_tree(2, 3)
-        for v in t.interior_vertices():
-            assert len(t.edges_at(v)) == 3
+        for i, v in enumerate(t.interior_vertices()):
             assert len(edges_at(v)) == 3
+            assert sorted(t.edge(j) for j in t.star(i)) == sorted(edges_at(v))
 
     def test_edges_at_matches_global_adjacency(self):
         t = truncated_tree(3, 2)
         for v in t.interior_vertices():
-            assert {e for e in t.edges_at(v)} <= set(t.edges)
+            assert set(edges_at(v)) <= set(ball_edges(t))
+            assert edges_at(v) == [make_edge(v, w) for w in neighbors(v)]
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_edges_at_equals_a_scan_of_every_edge(self, p):
+    def test_star_equals_a_scan_of_every_edge(self, p):
+        """The arithmetic star of an interior vertex, and the one edge of a
+        boundary vertex other than the base, against a scan of the ball's
+        edges."""
         for radius in range(5):
             t = truncated_tree(p, radius)
-            for v in t.vertices:
-                assert t.edges_at(v) == [e for e in t.edges if v in (e.u, e.v)]
+            edges = ball_edges(t)
+            for i, v in enumerate(t.vertices):
+                star = t.star(i) if i < t.n_interior else [i - 1] if i else []
+                assert [edges[j] for j in star] == [e for e in edges if v in (e.u, e.v)]
 
     def test_ball_is_centered(self):
         t = truncated_tree(2, 2)
@@ -360,10 +370,27 @@ class TestBallOracle:
         c = standard_vertex(p)
         assert t.interior_vertices() == [v for v in t.vertices if distance(c, v) <= radius - 1]
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_index_arithmetic_equals_the_hashed_walk(self, p):
+        """The ball against the dict-based breadth-first walk, at every
+        radius that the CLI's vertex budget admits: the vertex order, the
+        edges with their parent ends, and the star of every interior
+        vertex."""
+        radius = 0
+        while ball_size(p, radius) <= _MAX_BALL_VERTICES:
+            t, ref = truncated_tree(p, radius), reference_ball(p, radius)
+            assert t.vertices == ref.vertices and t.n_interior == ref.n_interior
+            edges = ball_edges(t)
+            assert [(e.u, e.v) for e in edges] == [(e.u, e.v) for e in ref.edges]
+            for i, v in enumerate(t.interior_vertices()):
+                assert [ref.edges[j] for j in t.star(i)] == ref.edges_at(v)
+            radius += 1
+        assert radius - 1 >= 4
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", range(5))
     def test_edges_equal_make_edge(self, p, radius):
-        for e in truncated_tree(p, radius).edges:
+        for e in ball_edges(truncated_tree(p, radius)):
             assert e == make_edge(e.u, e.v) == make_edge(e.v, e.u)
 
 
@@ -429,10 +456,10 @@ class TestIntegerOffsets:
             assert (u == w) == (fraction_vertex_key(u) == fraction_vertex_key(w))
             if fraction_distance(u, w) == 1:
                 assert make_edge(u, w) == fraction_make_edge(u, w)
-        for e in ball.edges:
+        for e in ball_edges(ball):
             assert make_edge(e.u, e.v) == make_edge(e.v, e.u) == fraction_make_edge(e.v, e.u)
         key = lambda e: (fraction_vertex_key(e.u), fraction_vertex_key(e.v))
-        assert sorted(ball.edges) == sorted(ball.edges, key=key)
+        assert sorted(ball_edges(ball)) == sorted(ball_edges(ball), key=key)
         assert sorted(ball.vertices) == sorted(ball.vertices, key=fraction_vertex_key)
 
     def test_ball_builds_no_fraction(self, monkeypatch):
@@ -449,6 +476,13 @@ class TestIntegerOffsets:
         assert len(ball.vertices) == ball_size(3, 5)
         assert built == [(1, 3)]
 
+    def test_ball_builds_no_edge(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("an edge was built")
+
+        monkeypatch.setattr(Edge, "__init__", refuse)
+        assert len(truncated_tree(3, 5).vertices) == ball_size(3, 5)
+
 
 class TestEdgeOracle:
     """``Edge`` is a slotted class with a cached hash; the frozen dataclass
@@ -457,7 +491,7 @@ class TestEdgeOracle:
 
     @pytest.mark.parametrize("p,radius", [(2, 3), (3, 2), (5, 1)])
     def test_order_equality_and_hash_of_a_ball(self, p, radius):
-        edges = truncated_tree(p, radius).edges
+        edges = ball_edges(truncated_tree(p, radius))
         frozen = [FrozenEdge(e.u, e.v) for e in edges]
         for e, fe in zip(edges, frozen):
             assert hash(e) == hash(fe) == hash((e.u, e.v))
