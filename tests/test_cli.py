@@ -147,8 +147,8 @@ def _up_off_by_one(self, i):
 
 class TestBallMutations:
     """One mutation of the ball per gate that reads it, each failing that
-    gate: ``tree`` walks ``neighbors`` and checks every interior star,
-    ``residue`` sums its cochain at the edges' ends, and ``modp sections``
+    gate: ``tree`` counts the walk's vertices and checks every interior star
+    against ``neighbors``, ``residue`` sums its cochain at the edges' ends, and ``modp sections``
     refuses a glued pair of vertices that are not adjacent.  No mutation of
     the ball fails ``harmonic``'s ``dimension == predicted``: both sides
     count the same ball, and the interior incidence rows stay independent."""
