@@ -42,8 +42,8 @@ from .theta import complement_b_identity, theta, theta_integrality
 from .tree import (
     Vertex,
     ball_size,
+    distance,
     make_vertex,
-    neighbors,
     standard_edge,
     truncated_tree,
 )
@@ -204,6 +204,8 @@ def _dumps(x, pad: str = "\n") -> str:
             body = [str(v.n) for v in x]  # a prime-field code is its residue
         elif all(type(v) is ScalarKHat for v in x):
             body = [f'"{_scalar_str(v)}"' for v in x]  # plain ASCII, nothing to escape
+        elif all(type(v) is Fraction for v in x):
+            body = [str(v.numerator) if v.denominator == 1 else f'"{v}"' for v in x]
         else:
             body = [_dumps(v, inner) for v in x]
         return _wrap("[]", body, pad)
@@ -616,31 +618,23 @@ def tree_cmd(p: int, radius: int) -> dict:
     ball = truncated_tree(p, radius)
     counts = {"vertices": len(ball.vertices), "edges": ball.n_edges}
     predicted = {"vertices": ball_size(p, radius), "edges": ball_size(p, radius) - 1}
-    # an interior vertex's p + 1 distinct neighbours are the far ends of its
-    # star, which the layout places only in a ball of the predicted size
-    far = ({ball.vertices[x] for j in ball.star(i) for x in ball.ends(j) if x != i} for i in range(ball.n_interior))
-    regular = counts == predicted and all(
-        len(ends) == p + 1 and ends == set(neighbors(v)) for v, ends in zip(ball.interior_vertices(), far)
+    # distinct vertices, each a step from its up, and p + 1 distinct edges ending at each
+    # interior vertex: in the (p + 1)-regular tree its star then reaches every neighbour
+    vs, up, stars = ball.vertices, ball.up, list(map(ball.star, range(ball.n_interior)))
+    regular = counts == predicted and len(set(vs)) == len(vs) and all(len(set(s)) == p + 1 for s in stars)
+    regular = regular and all(distance(vs[i], vs[up(i)]) == 1 for i in range(1, len(vs))) and all(
+        j < ball.n_edges and (i == j + 1 or i == up(j + 1)) for i, s in enumerate(stars) for j in s
     )
     return {"computed": counts, "predicted": predicted, "regular": regular, "pass": counts == predicted and regular}
 
 
 def _standard_profiles(p: int, k: int) -> tuple[dict, dict]:
-    base = make_vertex(p, 0, 0)
-    up = make_vertex(p, 1, 0)
-    down = make_vertex(p, -1, 0)
-    computed = {
-        "gamma0": list(vertex_lattice_profile(base, k)),
-        "gamma1": list(vertex_lattice_profile(up, k)),
-        "gamma-1": list(vertex_lattice_profile(down, k)),
-        "standard_edge": list(edge_lattice_profile(standard_edge(p), k)),
-    }
-    predicted = {
-        "gamma0": [Fraction(0)] * (k + 1),
-        "gamma1": [Fraction(k - 2 * j, 2) for j in range(k + 1)],
-        "gamma-1": [Fraction(2 * j - k, 2) for j in range(k + 1)],
-        "standard_edge": sorted(max(Fraction(0), Fraction(2 * j - k, 2)) for j in range(k + 1)),
-    }
+    """The profiles of the vertices at levels 0, 1 and -1 on the axis, and of
+    the standard edge, with their closed forms."""
+    computed = {f"gamma{m}": list(vertex_lattice_profile(make_vertex(p, m, 0), k)) for m in (0, 1, -1)}
+    computed["standard_edge"] = list(edge_lattice_profile(standard_edge(p), k))
+    predicted = {f"gamma{m}": [Fraction(m * (k - 2 * j), 2) for j in range(k + 1)] for m in (0, 1, -1)}
+    predicted["standard_edge"] = sorted(max(Fraction(0), Fraction(2 * j - k, 2)) for j in range(k + 1))
     return computed, predicted
 
 

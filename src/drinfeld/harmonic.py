@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from operator import mul
 
 from . import poly
@@ -21,7 +20,7 @@ from .lattices import in_edge_lattice, section_lattice_membership, star_local_ke
 from .linalg import _gauss_jordan
 from .rational import FactoredRational, _root_key, principal_parts
 from .scalars import ScalarKHat, _common_denominator, _make, _vp, half
-from .symrep import sym_ints
+from .symrep import triangular_apply
 from .tree import (
     Mat2,
     TruncatedTree,
@@ -112,24 +111,23 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
     if all(x.is_zero() for x in coeffs):
         return [zero] * (k + 1)
     sign = -sigma(gamma, p) if infinity_inside else sigma(gamma, p)
-    # sym(gamma) = M / N^k * det(gamma) * chi^-(k+2), and with the factor
-    # chi^(k+2) det(gamma)^(-k-1) only (N / (AD - BC))^k is left
-    m, det, _, _ = sym_ints(gamma, k, p)
-    scale = Fraction(gamma.N, det) ** k * sign
+    # sym(gamma) = M / N^k * det(gamma) * chi^-(k+2) for the lower triangular M of
+    # A, C, D; with the factor chi^(k+2) det(gamma)^(-k-1) only (N / AD)^k is left
+    scale = Fraction(gamma.N, gamma.A * gamma.D) ** k * sign
     num, den = scale.numerator, scale.denominator
     ca, cb, common = _common_denominator(coeffs)
-    return [
-        _make(p, num * sum(map(mul, col, ca)), num * sum(map(mul, col, cb)), den * common)
-        for col in zip(*m)
-    ]
+    xs, ys = (triangular_apply(gamma.A, gamma.C, gamma.D, u, transposed=True) for u in (ca, cb))
+    return [_make(p, num * x, num * y, den * common) for x, y in zip(xs, ys)]
 
 
 def _pole_vector(y: ScalarKHat, principal: list, k: int) -> list:
     """R_y[j] = sum_t A_t [u^(t-1)] (y + u)^j, j = 0..k: the residue of
     f(w) w^j dw at a pole y of f with principal part (A_1, ..., A_r)."""
-    zero = ScalarKHat.zero(y.p)
-    terms = lambda j: (a * comb(j, t) * y ** (j - t) for t, a in enumerate(principal[: j + 1]))
-    return [sum(terms(j), zero) for j in range(k + 1)]
+    zero, row, out = ScalarKHat.zero(y.p), [ScalarKHat.one(y.p)], []
+    for _ in range(k + 1):  # Pascal's rule: row holds [u^t] (y + u)^j = C(j, t) y^(j-t), t below r
+        out.append(sum(map(mul, principal, row), zero))
+        row = [y * x + z for x, z in zip(row + [zero], [zero] + row)][: len(principal)]
+    return out
 
 
 def _counted_poles(parts: list, v: Vertex) -> tuple[tuple, int]:

@@ -17,18 +17,21 @@ the child's basis with column j scaled by pihat^max(0, 2j-k), and their sum
 is the same basis scaled by pihat^min(0, 2j-k).  Since dual_act is a
 homomorphism, the transition between two lattices is one symmetric-power
 matrix between two diagonal scalings, and membership needs no elimination.
-Each entry is an int of ``symrep.sym_ints``'s M times num/den times pihat^n,
-so valuations and residues are read from ints and no scalar is built.  The
-transporters are lower triangular: the transition at the standard edge is
-diagonal, and membership applies the triangular M to a vector, unbuilt.  For
-even k every n is even: the lattices are defined over Q_p.  Profiles are
-printed as ``Fraction`` valuations; everything else compares doubled ints.
+The transporters are lower triangular, so each entry of that matrix is the
+closed form of ``symrep.sym_ints`` times num/den times pihat^n: profiles read
+the least valuation of each row from it with no matrix, local spaces read
+residues from the matrix built by Pascal's rule, and membership applies it
+to a vector, unbuilt.  No scalar is built.  For even k every n is even: the
+lattices are defined over Q_p.  Profiles are printed as ``Fraction``
+valuations; everything else compares doubled ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 
 from .errors import InternalInvariantError, NegativeValuation, ZeroFunction
 from .linalg import rank, rref
@@ -77,11 +80,18 @@ def edge_lattice(e: Edge, k: int) -> Lattice:
 
 def vertex_lattice_profile(v: Vertex, k: int) -> tuple:
     """Per-column valuations of the canonical basis matrix dual_act(g), indexed
-    by the dual basis position j = 0..k: the rows of sym(g^-1)."""
-    p, l = v.p, vertex_lattice(v, k)
-    m, num, den, e = sym_ints(l.g.inv(), k, p)
-    shift = 2 * (_vp(num, p) - _vp(den, p)) + e
-    return tuple(half(min(2 * _vp(x, p) for x in row if x) + shift) for row in m)
+    by the dual basis position j = 0..k: the least in each row i of sym(g^-1),
+    with no matrix built.  For g^-1 = [[a, 0], [c, d]]/N, entry (i, j), j <= i,
+    of ``sym_ints``'s M is d^j C(k-j, i-j) c^(i-j) a^(k-i), and the twist has
+    doubled valuation -k (v_p(a) + v_p(d)): O(k^2) steps, or O(k) when c = 0."""
+    p, g = v.p, vertex_lattice(v, k).g.inv()
+    va, vd = _vp(g.A, p), _vp(g.D, p)
+    if not g.C:  # only the diagonal is nonzero
+        return tuple(half((2 * i - k) * (vd - va)) for i in range(k + 1))
+    vc, fact = _vp(g.C, p), list(accumulate((_vp(n, p) for n in range(1, k + 1)), initial=0))  # v_p(n!)
+    by_column = [j * (vd - vc) + fact[k - j] for j in range(k + 1)]
+    least = (min(map(sub, by_column, fact[i::-1])) + i * vc + (k - i) * va - fact[k - i] for i in range(k + 1))
+    return tuple(half(2 * x - k * (va + vd)) for x in least)
 
 
 def edge_lattice_profile(e: Edge, k: int) -> tuple:
@@ -89,15 +99,13 @@ def edge_lattice_profile(e: Edge, k: int) -> tuple:
     child-endpoint lattice, ascending: those of the parent lattice relative
     to the child lattice, clamped below at 0.  The child's transporter moves
     the standard edge onto e, and there the transition is sym(g^-1) for the
-    parent's transporter g: diagonal, so the divisors are its diagonal's
-    valuations.  Any other shape is a broken invariant."""
-    p = e.u.p
-    m, num, den, shift = sym_ints(vertex_transporter(make_vertex(p, -1, 0)).inv(), k, p)
-    if any((x != 0) != (i == j) for i, row in enumerate(m) for j, x in enumerate(row)):
+    parent's transporter g: diagonal, so the divisors are the parent's vertex
+    profile.  A g with b or c nonzero is a broken invariant."""
+    parent = make_vertex(e.u.p, -1, 0)
+    g = vertex_transporter(parent)
+    if g.B or g.C:
         raise InternalInvariantError("the transition at the standard edge is not diagonal")
-    shift += 2 * (_vp(num, p) - _vp(den, p))
-    profile = (max(Fraction(0), half(2 * _vp(row[i], p) + shift)) for i, row in enumerate(m))
-    return tuple(sorted(profile))
+    return tuple(sorted(max(Fraction(0), x) for x in vertex_lattice_profile(parent, k)))
 
 
 def in_edge_lattice(e: Edge, k: int, vec: list) -> bool:
@@ -170,18 +178,10 @@ def star_local_kernel(v: Vertex, k: int) -> int:
 
 
 def local_dimension_formulas(q: int, k: int) -> dict:
-    """Closed forms for the local space dimensions."""
-    if k % 2 == 0:
-        return {
-            "dimD": (k + 2) // 2,
-            "dimE": 1,
-            "dimZhar": (q - 1) * (k + 2) // 2 + 1,
-        }
-    return {
-        "dimD": (k + 1) // 2,
-        "dimE": 0,
-        "dimZhar": (q - 1) * (k + 1) // 2,
-    }
+    """Closed forms for the local space dimensions: dim D = floor(k/2) + 1,
+    dim E = 1 for even k and 0 for odd k, dim Z_har = (q - 1) dim D + dim E."""
+    dim_d, dim_e = k // 2 + 1, 1 - k % 2
+    return {"dimD": dim_d, "dimE": dim_e, "dimZhar": (q - 1) * dim_d + dim_e}
 
 
 def local_space_report(p: int, k: int) -> dict:

@@ -4,9 +4,10 @@ which residue cochains take values.
 
 Basis conventions: polynomials use the monomials X^i Y^(k-i) (i = 0..k);
 dual vectors are coordinate lists against the dual basis h_j = (X^j Y^(k-j))^*.
-Matrices act on coordinate columns.  The action of a rational matrix is held
-as ints (``sym_ints``), so the quadratic extension enters through one
-exponent of pihat, even for even k; the dual action of g is sym(g^-1)^T.
+Matrices act on coordinate columns; the dual action of g is sym(g^-1)^T.  The
+lattices and residues take powers only of lower triangular matrices, held as
+ints (``sym_ints``, by Pascal's rule) or applied unbuilt (``triangular_apply``),
+so the quadratic extension enters through one exponent of pihat.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, TypeVar
 
 from . import poly
-from .errors import InvalidParameters, NonInvertibleDeterminant
+from .errors import InternalInvariantError, InvalidParameters, NonInvertibleDeterminant
 from .linalg import Matrix, transpose
 from .tree import Mat2
 
@@ -63,13 +64,18 @@ def triangular_apply(a: int, c: int, d: int, vec: list, transposed: bool = False
 
 
 def sym_ints(g: Mat2, k: int, p: int) -> tuple[Matrix, int, int, int]:
-    """The twisted action F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY) that
-    residues pair against, as M * (num/den) * pihat^e for g = [[A, B], [C, D]]/N:
-    M is the substitution matrix of the ints A, B, C, D, num/den is
-    (AD - BC)/N^(k+2) and e = -(k+2) v_p(det g).  Returns (M, num, den, e)."""
+    """The twisted action F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY) as
+    M * (num/den) * pihat^e for g = [[A, 0], [C, D]]/N: num/den is AD/N^(k+2),
+    e = -(k+2) v_p(det g), and column j of M is D^j (A + C t)^(k-j) from row j
+    down, so entry (i, j), j <= i, is D^j C(k-j, i-j) C^(i-j) A^(k-i): O(k^2)
+    int operations by Pascal's rule.  B != 0 is a broken invariant."""
     A, B, C, D, N = g.A, g.B, g.C, g.D, g.N
-    num = A * D - B * C
-    if not num:
+    if A * D == B * C:
         raise NonInvertibleDeterminant("determinant is zero")
-    m = substitution_matrix(A, B, C, D, k, int)
-    return m, num, N ** (k + 2), -(k + 2) * g.omega_det(p)
+    if B:
+        raise InternalInvariantError("a symmetric power is taken only of a lower triangular matrix")
+    rows = [[1]]
+    for _ in range(k):
+        rows.append([A * x + C * y for x, y in zip(rows[-1] + [0], [0] + rows[-1])])
+    columns = [[0] * j + [D**j * x for x in rows[k - j]] for j in range(k + 1)]
+    return transpose(columns), A * D, N ** (k + 2), -(k + 2) * g.omega_det(p)

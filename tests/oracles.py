@@ -782,6 +782,63 @@ def lattice_contains_vector(l: Lattice, vec: list) -> bool:
     return True
 
 
+# -- lattice profiles and local spaces over the dense symmetric power -----------------
+#
+# The program reads the profiles from the closed form of the entries
+# (``symrep.sym_row_valuations``) and builds ``sym_ints``'s lower triangular
+# matrix by Pascal's rule; these build the matrix of any g by
+# ``substitution_matrix``'s polynomial products and read every entry.
+
+
+def dense_sym_ints(g: Mat2, k: int, p: int) -> tuple:
+    """``sym_ints``'s (M, num, den, e) for any invertible g, with M the
+    ``substitution_matrix`` of the ints A, B, C, D."""
+    A, B, C, D, N = g.A, g.B, g.C, g.D, g.N
+    if A * D == B * C:
+        raise NonInvertibleDeterminant("determinant is zero")
+    return substitution_matrix(A, B, C, D, k, int), A * D - B * C, N ** (k + 2), -(k + 2) * g.omega_det(p)
+
+
+def dense_row_valuations(g: Mat2, k: int, p: int) -> list:
+    """Doubled valuation of the least entry in each row of M * (num/den) * pihat^e."""
+    m, num, den, e = dense_sym_ints(g, k, p)
+    shift = 2 * (_vp(num, p) - _vp(den, p)) + e
+    return [min(2 * _vp(x, p) for x in row if x) + shift for row in m]
+
+
+def reference_vertex_profile(v: Vertex, k: int) -> tuple:
+    """``vertex_lattice_profile`` as the row minimums of the dense sym(g^-1)."""
+    return tuple(map(half, dense_row_valuations(vertex_transporter(v).inv(), k, v.p)))
+
+
+def reference_edge_profile(e: Edge, k: int) -> tuple:
+    """``edge_lattice_profile`` as the sorted, clamped diagonal of the dense
+    transition at the standard edge, checked entry by entry to be diagonal."""
+    p = e.u.p
+    m, num, den, shift = dense_sym_ints(vertex_transporter(make_vertex(p, -1, 0)).inv(), k, p)
+    if any((x != 0) != (i == j) for i, row in enumerate(m) for j, x in enumerate(row)):
+        raise InternalInvariantError("the transition at the standard edge is not diagonal")
+    shift += 2 * (_vp(num, p) - _vp(den, p))
+    return tuple(sorted(max(Fraction(0), half(2 * _vp(row[i], p) + shift)) for i, row in enumerate(m)))
+
+
+def reference_local_rows(src: Lattice, dst: Lattice) -> list:
+    """The rows of residues mod p that ``_local_space`` reduces, read from
+    the dense transition: entry (j, i) is M[j][i] * (num/den) *
+    pihat^(e + t_j - s_i) mod pihat, and a negative valuation raises."""
+    p = src.p
+    m, num, den, e = dense_sym_ints(dst.g.inv() @ src.g, src.k, p)
+    rows = []
+    for row, t in zip(m, dst.scale):
+        rows.append([])
+        for x, s in zip(row, src.scale):
+            twice = 2 * (_vp(x * num, p) - _vp(den, p)) + e + t - s if x else INF
+            if twice < 0:
+                raise NegativeValuation(f"transition entry has valuation {half(twice)} < 0")
+            rows[-1].append(0 if twice else x * num // p ** _vp(x * num, p) * pow(den // p ** _vp(den, p), -1, p) % p)
+    return rows
+
+
 # -- lattices as basis matrices -------------------------------------------------------
 #
 # A lattice here is a square basis matrix whose columns generate it over the

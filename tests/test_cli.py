@@ -147,8 +147,8 @@ def _up_off_by_one(self, i):
 
 class TestBallMutations:
     """One mutation of the ball per gate that reads it, each failing that
-    gate: ``tree`` counts the walk's vertices and checks every interior star
-    against ``neighbors``, ``residue`` sums its cochain at the edges' ends, and ``modp sections``
+    gate: ``tree`` counts the walk's vertices and checks that every interior
+    star has p + 1 distinct edges at its vertex, ``residue`` sums its cochain at the edges' ends, and ``modp sections``
     refuses a glued pair of vertices that are not adjacent.  No mutation of
     the ball fails ``harmonic``'s ``dimension == predicted``: both sides
     count the same ball, and the interior incidence rows stay independent."""
@@ -556,6 +556,9 @@ class TestAnsweredAtOnce:
             # equal roots add up to (z - 1/3)^-1000 when the factors are joined
             (("residue", "--p", "3", "--k", "2", "--f", "*".join(["(z-1/3)^-100"] * 10), "--radius", "3"), 2),
             (("lattice", "--p", "2", "--k", "1", "--level", "99999999", "--offset", "0"), 2),
+            # the diagonal profiles in O(k), and an off-axis vertex's in O(k^2)
+            (("lattice", "--p", "2", "--k", "3000"), 0),
+            (("lattice", "--p", "3", "--k", "300", "--level", "4", "--offset", "5"), 0),
             (("local-dims", "--p", "1000003", "--k", "2"), 2),
             # the image's lead would carry 1601!, of 4 437 digits
             (("theta", "--p", "2", "--k", "1600", "--f", "1/z", "--level", "0"), 2),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from drinfeld import lattices, scalars
 from drinfeld.errors import InvalidParameters, NegativeValuation, PoleInsideAnnulus
 from drinfeld.harmonic import res0, star_local_kernels
+from drinfeld.linalg import rref
 from drinfeld.lattices import (
     Lattice,
     _local_space,
@@ -67,6 +68,9 @@ from oracles import (
     membership_by_transport,
     parent_endpoint,
     reduced_column_space,
+    reference_edge_profile,
+    reference_local_rows,
+    reference_vertex_profile,
     relative_profile,
     transition_d_space_basis,
     transition_e_space_basis,
@@ -582,7 +586,7 @@ class TestEdgeMembershipOnInts:
 
 class TestStandardEdgeGate:
     """``edge_lattice_profile`` reads the diagonal of the transition at the
-    standard edge, and refuses any other shape."""
+    standard edge, and refuses a transition with b or c nonzero."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_diagonal_profile_equals_smith(self, p):
@@ -594,19 +598,72 @@ class TestStandardEdgeGate:
             assert edge_lattice_profile(e, k) == want, (p, k)
 
     def test_an_off_diagonal_entry_exits_three(self, monkeypatch):
-        def skewed(g, k, p):
-            m, num, den, e = sym_ints(g, k, p)
-            m = [list(row) for row in m]
-            m[0][k] += 1  # above the diagonal of a lower triangular matrix
-            return m, num, den, e
+        def skewed(v):
+            # still a transporter of v, but with c != 0: the transition at the
+            # standard edge gets entries below the diagonal
+            return vertex_transporter(v) @ unipotent_lower(1)
 
-        monkeypatch.setattr(lattices, "sym_ints", skewed)
+        monkeypatch.setattr(lattices, "vertex_transporter", skewed)
         result = invoke(["lattice", "--p", "2", "--k", "3"])
         assert result.exit_code == 3, (result.output, repr(result.exception))
         assert result.stdout == "" and "Traceback" not in result.stderr
         assert result.stderr == (
             "internal invariant violated: the transition at the standard edge is not diagonal\n"
         )
+
+
+def _profile_vertices(p: int) -> list:
+    """The axis at levels -4..4 and every vertex within distance 2 of the
+    base: every canonical offset at levels -2..2 that the ball reaches."""
+    axis = [make_vertex(p, m, 0) for m in range(-4, 5)]
+    return axis + [v for v in truncated_tree(p, 2).vertices if v not in axis]
+
+
+
+
+class TestClosedFormsAgainstTheDenseMatrix:
+    """The profiles read from the closed form of the entries, and the residue
+    rows that ``_local_space`` reads from the Pascal matrix, against the same
+    read from ``substitution_matrix``'s dense matrix."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_vertex_profiles(self, p):
+        for v in _profile_vertices(p):
+            for k in range(41):
+                assert vertex_lattice_profile(v, k) == reference_vertex_profile(v, k), (v, k)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_edge_profiles(self, p):
+        edges = ball_edges(truncated_tree(p, 1))
+        for k in range(41):
+            want = reference_edge_profile(standard_edge(p), k)
+            assert all(edge_lattice_profile(e, k) == want for e in edges), k
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_local_space_residue_rows(self, p, monkeypatch):
+        seen = []
+
+        def recording(rows, prime):
+            seen.append(rows)
+            return rref(rows, prime)
+
+        monkeypatch.setattr(lattices, "rref", recording)
+        outcomes = set()
+        for e in ball_edges(truncated_tree(p, 2)):
+            for k in range(0, 41, 3):
+                for src, dst in _transition_pairs(e, k):
+                    try:
+                        want = reference_local_rows(src, dst)
+                    except NegativeValuation:
+                        with pytest.raises(NegativeValuation):
+                            _local_space(src, dst)
+                        outcomes.add("not integral")
+                    else:
+                        _local_space(src, dst)
+                        got = seen.pop()
+                        assert [[x % p for x in row] for row in got] == want, (e, k, src, dst)
+                        outcomes.add("integral")
+        assert outcomes == {"integral", "not integral"}
 
 
 class TestEdgeLatticesAgainstSmith:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drinfeld.errors import NonInvertibleDeterminant
+from drinfeld.errors import InternalInvariantError, NonInvertibleDeterminant
 from drinfeld.harmonic import sigma
 from drinfeld.linalg import transpose
 from drinfeld.scalars import Fq, ScalarKHat
@@ -94,7 +94,9 @@ class TestSubstitutionMatrixOracle:
 
 @st.composite
 def _matrices(draw):
-    """(p, g) with entries n p^i / (p^j u): p-power and non-p denominators."""
+    """(p, g) for a lower triangular g, the only shape the program takes a
+    symmetric power of, with entries n p^i / (p^j u): p-power and non-p
+    denominators."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     units = [u for u in (1, 2, 3, 5, 7, 11) if u % p]
 
@@ -102,8 +104,8 @@ def _matrices(draw):
         n = draw(st.integers(-20, 20)) * p ** draw(st.integers(0, 3))
         return Fraction(n, p ** draw(st.integers(0, 4)) * draw(st.sampled_from(units)))
 
-    g = Mat2(entry(), entry(), entry(), entry())
-    assume(g.A * g.D != g.B * g.C)
+    g = Mat2(entry(), 0, entry(), entry())
+    assume(g.A * g.D != 0)
     return p, g
 
 
@@ -125,6 +127,11 @@ class TestIntegerSymmetricPower:
     def test_singular_matrix_rejected(self):
         with pytest.raises(NonInvertibleDeterminant):
             sym_ints(Mat2(1, 2, 2, 4), 1, 2)
+
+    def test_a_nonzero_b_is_a_broken_invariant(self):
+        for g in (Mat2(1, 1, 0, 1), Mat2(3, Fraction(1, 2), 2, 5), Mat2(0, 1, 1, 0)):
+            with pytest.raises(InternalInvariantError, match="lower triangular"):
+                sym_ints(g, 3, 2)
 
 
 class TestTriangularApply:
