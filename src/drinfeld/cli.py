@@ -634,7 +634,7 @@ def _standard_profiles(p: int, k: int) -> tuple[dict, dict]:
     computed = {f"gamma{m}": list(vertex_lattice_profile(make_vertex(p, m, 0), k)) for m in (0, 1, -1)}
     computed["standard_edge"] = list(edge_lattice_profile(standard_edge(p), k))
     predicted = {f"gamma{m}": [Fraction(m * (k - 2 * j), 2) for j in range(k + 1)] for m in (0, 1, -1)}
-    predicted["standard_edge"] = sorted(max(Fraction(0), Fraction(2 * j - k, 2)) for j in range(k + 1))
+    predicted["standard_edge"] = [Fraction(max(0, 2 * j - k), 2) for j in range(k + 1)]  # ascending
     return computed, predicted
 
 

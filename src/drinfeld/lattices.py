@@ -99,13 +99,15 @@ def edge_lattice_profile(e: Edge, k: int) -> tuple:
     child-endpoint lattice, ascending: those of the parent lattice relative
     to the child lattice, clamped below at 0.  The child's transporter moves
     the standard edge onto e, and there the transition is sym(g^-1) for the
-    parent's transporter g: diagonal, so the divisors are the parent's vertex
-    profile.  A g with b or c nonzero is a broken invariant."""
-    parent = make_vertex(e.u.p, -1, 0)
-    g = vertex_transporter(parent)
+    parent's transporter g: diagonal, so the divisors are the valuations of
+    its diagonal, as ``vertex_lattice_profile`` reads them.  A g with b or c
+    nonzero is a broken invariant."""
+    p = e.u.p
+    g = vertex_transporter(make_vertex(p, -1, 0))
     if g.B or g.C:
         raise InternalInvariantError("the transition at the standard edge is not diagonal")
-    return tuple(sorted(max(Fraction(0), x) for x in vertex_lattice_profile(parent, k)))
+    slope = _vp(g.A, p) - _vp(g.D, p)  # v_p(d) - v_p(a) for g^-1 = [[a, 0], [0, d]]/N
+    return tuple(map(half, sorted(max(0, (2 * i - k) * slope) for i in range(k + 1))))
 
 
 def in_edge_lattice(e: Edge, k: int, vec: list) -> bool:

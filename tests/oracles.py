@@ -785,8 +785,8 @@ def lattice_contains_vector(l: Lattice, vec: list) -> bool:
 # -- lattice profiles and local spaces over the dense symmetric power -----------------
 #
 # The program reads the profiles from the closed form of the entries
-# (``symrep.sym_row_valuations``) and builds ``sym_ints``'s lower triangular
-# matrix by Pascal's rule; these build the matrix of any g by
+# (``lattices.vertex_lattice_profile``) and builds ``sym_ints``'s lower
+# triangular matrix by Pascal's rule; these build the matrix of any g by
 # ``substitution_matrix``'s polynomial products and read every entry.
 
 
@@ -799,16 +799,12 @@ def dense_sym_ints(g: Mat2, k: int, p: int) -> tuple:
     return substitution_matrix(A, B, C, D, k, int), A * D - B * C, N ** (k + 2), -(k + 2) * g.omega_det(p)
 
 
-def dense_row_valuations(g: Mat2, k: int, p: int) -> list:
-    """Doubled valuation of the least entry in each row of M * (num/den) * pihat^e."""
-    m, num, den, e = dense_sym_ints(g, k, p)
-    shift = 2 * (_vp(num, p) - _vp(den, p)) + e
-    return [min(2 * _vp(x, p) for x in row if x) + shift for row in m]
-
-
 def reference_vertex_profile(v: Vertex, k: int) -> tuple:
-    """``vertex_lattice_profile`` as the row minimums of the dense sym(g^-1)."""
-    return tuple(map(half, dense_row_valuations(vertex_transporter(v).inv(), k, v.p)))
+    """``vertex_lattice_profile`` as the least valuation in each row of the
+    dense sym(g^-1) = M * (num/den) * pihat^e."""
+    m, num, den, e = dense_sym_ints(vertex_transporter(v).inv(), k, v.p)
+    shift = 2 * (_vp(num, v.p) - _vp(den, v.p)) + e
+    return tuple(half(min(2 * _vp(x, v.p) for x in row if x) + shift) for row in m)
 
 
 def reference_edge_profile(e: Edge, k: int) -> tuple:
@@ -828,6 +824,10 @@ def reference_local_rows(src: Lattice, dst: Lattice) -> list:
     pihat^(e + t_j - s_i) mod pihat, and a negative valuation raises."""
     p = src.p
     m, num, den, e = dense_sym_ints(dst.g.inv() @ src.g, src.k, p)
+
+    def unit(n: int) -> int:
+        return n // p ** _vp(n, p)
+
     rows = []
     for row, t in zip(m, dst.scale):
         rows.append([])
@@ -835,7 +835,7 @@ def reference_local_rows(src: Lattice, dst: Lattice) -> list:
             twice = 2 * (_vp(x * num, p) - _vp(den, p)) + e + t - s if x else INF
             if twice < 0:
                 raise NegativeValuation(f"transition entry has valuation {half(twice)} < 0")
-            rows[-1].append(0 if twice else x * num // p ** _vp(x * num, p) * pow(den // p ** _vp(den, p), -1, p) % p)
+            rows[-1].append(0 if twice else unit(x * num) * pow(unit(den), -1, p) % p)
     return rows
 
 

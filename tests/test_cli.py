@@ -148,7 +148,8 @@ def _up_off_by_one(self, i):
 class TestBallMutations:
     """One mutation of the ball per gate that reads it, each failing that
     gate: ``tree`` counts the walk's vertices and checks that every interior
-    star has p + 1 distinct edges at its vertex, ``residue`` sums its cochain at the edges' ends, and ``modp sections``
+    star has p + 1 distinct edges ending at its vertex, ``residue`` sums its
+    cochain at the edges' ends, and ``modp sections``
     refuses a glued pair of vertices that are not adjacent.  No mutation of
     the ball fails ``harmonic``'s ``dimension == predicted``: both sides
     count the same ball, and the interior incidence rows stay independent."""

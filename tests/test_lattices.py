@@ -619,8 +619,6 @@ def _profile_vertices(p: int) -> list:
     return axis + [v for v in truncated_tree(p, 2).vertices if v not in axis]
 
 
-
-
 class TestClosedFormsAgainstTheDenseMatrix:
     """The profiles read from the closed form of the entries, and the residue
     rows that ``_local_space`` reads from the Pascal matrix, against the same
