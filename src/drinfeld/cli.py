@@ -620,10 +620,11 @@ def tree_cmd(p: int, radius: int) -> dict:
     predicted = {"vertices": ball_size(p, radius), "edges": ball_size(p, radius) - 1}
     # distinct vertices, each a step from its up, and p + 1 distinct edges ending at each
     # interior vertex: in the (p + 1)-regular tree its star then reaches every neighbour
-    vs, up, stars = ball.vertices, ball.up, list(map(ball.star, range(ball.n_interior)))
-    regular = counts == predicted and len(set(vs)) == len(vs) and all(len(set(s)) == p + 1 for s in stars)
+    vs, up, n = ball.vertices, ball.up, ball.n_edges
+    regular = counts == predicted and len(set(vs)) == len(vs)
     regular = regular and all(distance(vs[i], vs[up(i)]) == 1 for i in range(1, len(vs))) and all(
-        j < ball.n_edges and (i == j + 1 or i == up(j + 1)) for i, s in enumerate(stars) for j in s
+        len(set(s)) == p + 1 and all(j < n and (i == j + 1 or i == up(j + 1)) for j in s)
+        for i, s in enumerate(map(ball.star, range(ball.n_interior)))
     )
     return {"computed": counts, "predicted": predicted, "regular": regular, "pass": counts == predicted and regular}
 

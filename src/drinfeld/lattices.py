@@ -99,9 +99,8 @@ def edge_lattice_profile(e: Edge, k: int) -> tuple:
     child-endpoint lattice, ascending: those of the parent lattice relative
     to the child lattice, clamped below at 0.  The child's transporter moves
     the standard edge onto e, and there the transition is sym(g^-1) for the
-    parent's transporter g: diagonal, so the divisors are the valuations of
-    its diagonal, as ``vertex_lattice_profile`` reads them.  A g with b or c
-    nonzero is a broken invariant."""
+    parent's transporter g, diagonal: the divisors are its diagonal's valuations
+    (see ``vertex_lattice_profile``).  A g with b or c nonzero is a broken invariant."""
     p = e.u.p
     g = vertex_transporter(make_vertex(p, -1, 0))
     if g.B or g.C:
