@@ -25,7 +25,6 @@ from .lattices import (
 )
 from .linalg import SparseRows
 from .modp import (
-    FqRatFunc,
     b_forms_check,
     component_degree,
     gl2_generators,
@@ -37,7 +36,7 @@ from .modp import (
     symgeom_parameters,
 )
 from .rational import FactoredRational, parse_rational
-from .scalars import Fq, FqElem, ScalarKHat, _check_prime
+from .scalars import Fq, ScalarKHat, _check_prime
 from .theta import complement_b_identity, theta, theta_integrality
 from .tree import (
     Vertex,
@@ -129,21 +128,24 @@ def _terms(coeffs, one, text, frame: str = "{}") -> str:
     terms = []
     for i, c in enumerate(coeffs):
         zpow = "z" if i == 1 else f"z^{i}"
-        if not c.is_zero():
+        if c:
             terms.append(text(c) if i == 0 else zpow if c == one else f"{frame.format(text(c))}*{zpow}")
     return " + ".join(terms)
 
 
-def _fqpoly_str(coeffs) -> str:
-    return _terms(coeffs, coeffs[0].field.one(), lambda c: str(_value(c))) if coeffs else "0"
+def _image_str(num: tuple, den: tuple, f: int) -> str:
+    """An image of ``modp.symgeom_iso``, num or (num)/(den): each code, a
+    residue mod p, prints as c over F_p and as its coefficient list
+    [c, 0, ...] over F_(p^f)."""
+    text = str if f == 1 else lambda c: str([c] + [0] * (f - 1))
+    top = _terms(num, 1, text)
+    return top if den == (1,) else f"({top})/({_terms(den, 1, text)})"
 
 
 def _value(x):
     """A payload entry as a str, int, bool, None, dict, list or tuple."""
     if isinstance(x, (str, int, dict, list, tuple)) or x is None:
         return x
-    if type(x) is FqElem:  # the code of a prime-field element is its residue
-        return x.n if x.field.f == 1 else list(x.coeffs)
     if isinstance(x, float) and math.isinf(x):
         return "infinity"
     if isinstance(x, Fraction):
@@ -152,9 +154,6 @@ def _value(x):
         return _scalar_str(x)
     if isinstance(x, FactoredRational):
         return _rational_str(x)
-    if isinstance(x, FqRatFunc):
-        num = _fqpoly_str(x.num)
-        return num if x.den == (x.field.one(),) else f"({num})/({_fqpoly_str(x.den)})"
     raise InternalInvariantError(f"cannot serialize {type(x).__name__}")
 
 
@@ -183,8 +182,7 @@ def _dumps(x, pad: str = "\n") -> str:
         items = {}
         for key, val in x.items():
             name = _value(key)
-            # an F_q element prints its coefficient list; no other key prints a container
-            if isinstance(name, (dict, list, tuple)) and type(key) is not FqElem:
+            if isinstance(name, (dict, list, tuple)):
                 raise InternalInvariantError(f"cannot serialize a {type(key).__name__} key")
             items[str(name)] = val
         body = []
@@ -200,8 +198,6 @@ def _dumps(x, pad: str = "\n") -> str:
                 body = list(map(_INT_TEXT.__getitem__, x))
             except KeyError:  # an int past the table
                 body = list(map(int.__repr__, x))
-        elif all(type(v) is FqElem and v.field.f == 1 for v in x):
-            body = [str(v.n) for v in x]  # a prime-field code is its residue
         elif all(type(v) is ScalarKHat for v in x):
             body = [f'"{_scalar_str(v)}"' for v in x]  # plain ASCII, nothing to escape
         elif all(type(v) is Fraction for v in x):
@@ -748,11 +744,13 @@ def modp_stable_lines_cmd(q: int, k: int, i: int) -> dict:
     t, _ = symgeom_parameters(q, k, i)
     _check_size(f"Sym^t at q = {q}, k = {k}, i = {i}", t + 1, "monomials", _MAX_LIST)
     report = quotient_rep_and_stable_lines(q, k, i)
+    # a coordinate prints as its residue over F_p and as its digits over F_(p^f)
+    prime = Fq(q).f == 1
     return {
         "dimension": report["dimension"],
         "predicted_dimension": q + 1,
         "free_monomials": report["free_monomials"],
-        "stable_lines": [list(line) for line in report["stable_lines"]],
+        "stable_lines": [[c for c, in line] if prime else line for line in report["stable_lines"]],
         "group_order": report["group_order"],
         "pass": report["dimension"] == q + 1,
     }
@@ -766,12 +764,12 @@ def modp_symgeom_cmd(q: int, k: int, i: int) -> dict:
     if Fq(q).f > 1:
         _check_size(f"the field of order {q}", q - 1, "table entries", _MAX_TABLE)
     iso = symgeom_iso(q, k, i)
-    equivariant = all(symgeom_equivariance(q, k, i, g) for g in gl2_generators(iso["field"]))
+    equivariant = all(symgeom_equivariance(q, k, i, g) for g in gl2_generators(Fq(q)))
     rank_value = symgeom_injectivity_rank(iso)
     return {
         "t": iso["t"],
         "shift": iso["shift"],
-        "images": iso["images"],
+        "images": [_image_str(num, den, iso["f"]) for num, den in iso["images"]],
         "equivariant": equivariant,
         "injectivity_rank": rank_value,
         "predicted_rank": iso["t"] + 1,

@@ -7,12 +7,15 @@ involution swaps the vertex parities.
 The coordinate on each component is the reduction of the global coordinate;
 matching of sections across an edge happens at the two reduction points of
 that edge on its endpoint components.
+
+Every printed value is a residue mod p or an F_q coefficient list, computed on
+ints; only the comparison map's equivariance check (``symgeom_equivariance``
+and the generators and matrices it reads) works on ``FqElem``s.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -30,19 +33,6 @@ from .tree import (
 )
 
 INFINITY_POINT = "inf"
-
-
-# -- rational functions over a finite field -----------------------------------------
-
-
-@dataclass(frozen=True)
-class FqRatFunc:
-    """num/den over F_q with den monic and gcd(num, den) = 1, as
-    ``symgeom_iso`` builds it: a record that the CLI prints."""
-
-    field: FiniteField
-    num: tuple
-    den: tuple
 
 
 # -- group elements over F_q ---------------------------------------------------------
@@ -120,53 +110,39 @@ def sym_matrix_codes(field: FiniteField, g, t: int, s: int) -> list:
     return [[(scalar * x).n for x in row] for row in m]
 
 
-def _lift_poly(field: FiniteField, terms: dict) -> tuple:
-    """The coefficient tuple over F_q of a nonzero polynomial given as
-    {exponent: residue mod p}."""
-    coeffs = [field.zero()] * (max(terms) + 1)
-    for x, c in terms.items():
-        coeffs[x] = field.from_int(c)
-    return tuple(coeffs)
-
-
 def symgeom_iso(q: int, k: int, i: int) -> dict:
     """The monomial-by-monomial comparison map from the twisted symmetric power
     to rational sections: X^r Y^(t-r) goes to z^r W^shift, W = z - z^q.
 
+    t + (q + 1) shift + k = 0 (``symgeom_parameters``), so the shift -e is at
+    most 0 for k >= 0; a positive shift, which needs k < 0, is refused.
     W = z (1 - z^(q-1)) has coefficients in F_p, and
     (1 - z^(q-1))^e = sum_j (-1)^j C(e, j) z^(j(q-1)), so every image is built
-    in lowest terms on ints mod p, for every q: z^(r+e) (1 - z^(q-1))^e over 1
-    at a shift e >= 0, and (-1)^e z^(r-e) over P = (z^(q-1) - 1)^e, which is
-    monic, at a shift -e < 0, with z^(e-r) moved to the denominator when
-    r < e.  ``images`` are these as ``FqRatFunc``s, and ``numerators`` their
-    numerators over the common denominator, z^e P or 1, as sparse int rows."""
+    in lowest terms on ints mod p, for every q: (-1)^e z^(r-e) over
+    P = (z^(q-1) - 1)^e, which is monic, with z^(e-r) moved to the
+    denominator when r < e.  ``images`` are these as (numerator, denominator)
+    pairs of residue tuples, little-endian, and ``numerators`` the
+    numerators over the common denominator z^e P as sparse int rows."""
     field = Fq(q)
     p = field.p
     t, shift = symgeom_parameters(q, k, i)
-    e = abs(shift)
+    if shift > 0:
+        raise InvalidParameters(f"the comparison map at q={q}, k={k}, i={i} has a positive shift")
+    e = -shift
     window = {0: 1}  # (1 - z^(q-1))^e; at e = 0 no binomial table of p entries
     if e:
         binomials = _binomials_mod_p(p)(e)
         window = {j * (q - 1): (-1) ** j * c % p for j, c in enumerate(binomials) if c}
-    if shift >= 0:
-        numerators = [{x + r + e: c for x, c in window.items()} for r in range(t + 1)]
-        images = [FqRatFunc(field, _lift_poly(field, num), (field.one(),)) for num in numerators]
-    else:
-        sign = (-1) ** e % p
-        common = _lift_poly(field, {x: sign * c % p for x, c in window.items()})
-        lead = (field.from_int(sign),)
-        zero = (field.zero(),)
-        images = [
-            FqRatFunc(field, zero * max(r - e, 0) + lead, zero * max(e - r, 0) + common)
-            for r in range(t + 1)
-        ]
-        numerators = [{r: sign} for r in range(t + 1)]
+    sign = (-1) ** e % p
+    common = tuple(sign * window.get(x, 0) % p for x in range(max(window) + 1))
+    images = [((0,) * max(r - e, 0) + (sign,), (0,) * max(e - r, 0) + common) for r in range(t + 1)]
     return {
-        "field": field,
+        "p": p,
+        "f": field.f,
         "t": t,
         "shift": shift,
         "images": images,
-        "numerators": numerators,
+        "numerators": [{r: sign} for r in range(t + 1)],
     }
 
 
@@ -249,24 +225,25 @@ def symgeom_injectivity_rank(iso: dict) -> int:
     mod p, since they lie in F_p."""
     numerators = iso["numerators"]
     width = 1 + max(max(num) for num in numerators)
-    return rank([[num.get(j, 0) for j in range(width)] for num in numerators], iso["field"].p)
+    return rank([[num.get(j, 0) for j in range(width)] for num in numerators], iso["p"])
 
 
 # -- truncated-tree global sections --------------------------------------------------
 
 
-def _reduction_point(field: FiniteField, u: Vertex, w: Vertex):
+def _reduction_point(u: Vertex, w: Vertex):
     """Point of u's component where neighbor w's component meets it, read from
-    the labels: 0 for u's parent, and for the child (m+1, b + c·p^m) of
-    u = (m, b) the point 1/c mod p, or infinity when c = 0."""
+    the labels: the residue 0 for u's parent, and for the child
+    (m+1, b + c·p^m) of u = (m, b) the residue 1/c mod p, or infinity when
+    c = 0."""
     if w.m == u.m - 1 and _child_digit(w, u) is not None:
-        return field.zero()
+        return 0
     if w.m == u.m + 1:
         c = _child_digit(u, w)
         if c == 0:
             return INFINITY_POINT
         if c is not None:
-            return field.elem(pow(c, -1, field.p))
+            return pow(c, -1, u.p)
     raise InternalInvariantError(f"{w} is not a neighbor of {u}")
 
 
@@ -286,7 +263,7 @@ def _evaluation_row(p: int, point, dim: int, k: int) -> list[int]:
     the sign (-1)^(k/2)."""
     if point == INFINITY_POINT:
         return [0] * (dim - 1) + [1]
-    return [(-1) ** (k // 2) * pow(point.n, j, p) for j in range(dim)]
+    return [(-1) ** (k // 2) * pow(point, j, p) for j in range(dim)]
 
 
 def global_sections_truncated(q: int, k: int, radius: int) -> dict:
@@ -295,8 +272,7 @@ def global_sections_truncated(q: int, k: int, radius: int) -> dict:
     conditions (one per edge for even k, none for odd k)."""
     if k < 0:
         raise InvalidParameters("k must be nonnegative")
-    field = Fq(q)
-    if field.f != 1:
+    if Fq(q).f != 1:
         raise InvalidParameters("truncated sections require a prime q")
     tree = truncated_tree(q, radius)
     vertices = tree.vertices
@@ -308,11 +284,10 @@ def global_sections_truncated(q: int, k: int, radius: int) -> dict:
         u, w = tree.ends(edge)
         row = {}
         for end, other, sign in ((u, w, 1), (w, u, -1)):
-            point = _reduction_point(field, vertices[end], vertices[other])
+            point = _reduction_point(vertices[end], vertices[other])
             values = _evaluation_row(q, point, per_component, k)
             row.update((end * per_component + j, sign * x) for j, x in enumerate(values))
         rows.append(row)
-    # a prime field's code is its residue, so the basis prints as residues
     basis = kernel_basis_mod_p(rows, ncols, q)
     direct = len(basis.rows)
     matching_rank = ncols - direct
@@ -352,37 +327,14 @@ def _quotient_structure(q: int, k: int, i: int) -> dict:
         return (work[0], *work[t - q + 1 :])
 
     return {
-        "field": field,
+        "p": field.p,
+        "f": field.f,
+        "q": q,
         "t": t,
         "shift": shift,
         "free": free,
         "reduce": reduce_vector,
     }
-
-
-def _normalize(vec) -> tuple:
-    """The vector scaled so that its first nonzero coordinate is 1."""
-    for x in vec:
-        if x:
-            inv = x.inverse()
-            return tuple(inv * y for y in vec)
-    return tuple(vec)
-
-
-def _span_lines(field: FiniteField, basis: list) -> set:
-    """Every line of the span of ``basis`` (vectors of ``FqElem``s), each
-    once: the combinations led by a coefficient 1, normalised."""
-    elems = list(field.elements()) if basis else []
-    lines = set()
-    for lead, first in enumerate(basis):
-        rest = basis[lead + 1 :]
-        for coeffs in itertools.product(elems, repeat=len(rest)):
-            vec = first
-            for c, v in zip(coeffs, rest):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, v)]
-            lines.add(_normalize(vec))
-    return lines
 
 
 def _binomials_mod_p(p: int):
@@ -426,7 +378,9 @@ def _unipotent_column(s: dict, j: int, binomials) -> list[int]:
 
 
 def _stable_lines(s: dict) -> list:
-    """The stable lines of ``quotient_rep_and_stable_lines``, sorted.
+    """The stable lines of ``quotient_rep_and_stable_lines``, sorted, each a
+    tuple of coordinates, and each coordinate the tuple of its f base-p
+    digits (its coefficients on 1, x, ..., x^(f-1)).
 
     The unipotents U of ``gl2_generators`` have entries 0 and 1 and
     determinant 1, so U - I on the quotient is a matrix of ints mod p for
@@ -437,24 +391,35 @@ def _stable_lines(s: dict) -> list:
     value of (shift + t - j) mod (q - 1), one class at q = 2, and the common
     eigenspaces are the relations among each class's columns of U - I.  The
     kernel over F_q of a matrix over F_p has a basis over F_p, so each is
-    found on ints mod p."""
-    field, t, shift, free = s["field"], s["t"], s["shift"], s["free"]
-    p, dim = field.p, len(free)
+    found on ints mod p.
+
+    That basis is in reduced echelon form with ascending pivots, so each line
+    of its span over F_q is once a combination first + sum c_i rest_i of a
+    basis vector and the ones after it, which is already led by a 1.  Digit u
+    of that combination is [u = 0] first + sum c_i[u] rest_i, so each digit
+    runs over the F_p-span of ``rest``, and no product over F_q is taken."""
+    p, f, t, shift, free = s["p"], s["f"], s["t"], s["shift"], s["free"]
+    dim = len(free)
     classes: dict[int, list[int]] = {}
     for j, e in enumerate(free):
-        classes.setdefault((shift + t - e) % (field.q - 1), []).append(j)
+        classes.setdefault((shift + t - e) % (s["q"] - 1), []).append(j)
     binomials = _binomials_mod_p(p)
-    lines = set()
+    lines = []
     for members in classes.values():
         basis = []
         columns = [_unipotent_column(s, j, binomials) for j in members]
         for vec in kernel_of_columns_mod_p(columns, p):
-            full = [field.zero()] * dim
+            full = [0] * dim
             for j, x in zip(members, vec):
-                full[j] = field.elem(x)
+                full[j] = x
             basis.append(full)
-        lines |= _span_lines(field, basis)
-    return sorted(lines, key=lambda v: tuple(x.coeffs for x in v))
+        for lead, first in enumerate(basis):
+            span = [(0,) * dim]
+            for v in basis[lead + 1 :]:
+                span = [tuple((x + c * y) % p for x, y in zip(u, v)) for c in range(p) for u in span]
+            led = [tuple((x + y) % p for x, y in zip(first, u)) for u in span]
+            lines += (tuple(zip(*planes)) for planes in itertools.product(led, *[span] * (f - 1)))
+    return sorted(lines)
 
 
 def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:

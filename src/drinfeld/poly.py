@@ -1,9 +1,10 @@
 """Dense polynomials in one variable: coefficient tuples, little-endian, with
-no trailing zeros; () is zero.  Coefficients (``ScalarKHat``, ``FqElem``, int)
-need +, -, *, negation, ``inverse()`` and to be false exactly at zero;
-callers pass ``zero``/``one`` where a routine builds coefficients.  Here are
-the ring operations, division with remainder, and the shift and series
-inverse that ``rational.principal_parts`` expands with.
+no trailing zeros; () is zero.  Coefficients (``ScalarKHat``, int, and
+``FqElem`` in ``modp``'s equivariance check only) need +, -, *, negation,
+``inverse()`` and to be false exactly at zero; callers pass ``zero``/``one``
+where a routine builds coefficients.  Here are the ring operations, division
+with remainder, and the shift and series inverse that
+``rational.principal_parts`` expands with.
 """
 
 from __future__ import annotations

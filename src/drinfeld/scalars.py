@@ -3,6 +3,9 @@ quadratic extension generated by a square root of p, and small finite fields.
 
 All arithmetic is exact: a scalar of the extension is a few Python ints (see
 ``ScalarKHat``), a finite-field element is one int code (see ``FiniteField``).
+``Fq`` also validates q and names its p and f for the residue-field commands,
+which compute on int residues; ``FqElem`` arithmetic serves only the
+comparison map's equivariance check (``modp.symgeom_equivariance``).
 Valuations are ints: ``val_p`` returns the p-adic valuation v_p of a rational,
 ``ScalarKHat.valuation`` the doubled valuation 2*omega, which is the exponent
 of pihat.  Zero has the valuation ``INF`` (``math.inf``) in both.  ``half``
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import InternalInvariantError, InvalidParameters, ResidueFieldMismatch
 
@@ -452,13 +455,13 @@ class FiniteField:
     """F_{p^f} as Z/p[x] modulo a fixed monic irreducible of degree f.
 
     An element is coded by the int n = c_0 + c_1 p + ... + c_{f-1} p^{f-1}
-    of its coefficients on 1, x, ..., x^{f-1}, which is its index in
-    ``elements``.  A prime field computes on the codes mod p.  An extension
-    field multiplies through exp/log tables of ``primitive_element`` w and
-    adds through a Zech table: w^i + w^j = w^(i + Z(j - i)) with
-    w^Z(k) = 1 + w^k.  The three tables have q - 1 entries each.  They and
-    the modulus are built on first use, not by the constructor, so a field
-    that only names q (``modp degrees``) costs nothing at any q.
+    of its coefficients on 1, x, ..., x^{f-1}.  A prime field computes on the
+    codes mod p.  An extension field multiplies through exp/log tables of
+    ``primitive_element`` w and adds through a Zech table:
+    w^i + w^j = w^(i + Z(j - i)) with w^Z(k) = 1 + w^k.  The three tables
+    have q - 1 entries each.  They and the modulus are built on first use,
+    not by the constructor, so a field that only names q (``modp degrees``)
+    costs nothing at any q.
     """
 
     def __init__(self, p: int, f: int) -> None:
@@ -514,7 +517,7 @@ class FiniteField:
 
     @cached_property
     def _primitive(self) -> int:
-        """Code of the first element, in ``elements`` order, of order q-1."""
+        """The least code of an element of order q-1."""
         n = self.q - 1
         primes = _prime_factors(n)
         return next(
@@ -558,13 +561,8 @@ class FiniteField:
         return self._one
 
     def primitive_element(self) -> "FqElem":
-        """First element, in ``elements`` order, of multiplicative order q-1."""
+        """The element of least code of multiplicative order q-1."""
         return _make_fq(self, self._primitive)
-
-    def elements(self) -> Iterator["FqElem"]:
-        """All q elements, in deterministic base-p order."""
-        for n in range(self.q):
-            yield _make_fq(self, n)
 
     def from_int(self, n: int) -> "FqElem":
         """Image of the integer n through Z -> Z/p -> F_q."""

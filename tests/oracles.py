@@ -13,7 +13,7 @@ from math import comb, prod
 from operator import mul
 
 from drinfeld import modp, poly
-from drinfeld.cli import _fqpoly_str, _rational_str
+from drinfeld.cli import _rational_str
 from drinfeld.errors import (
     InternalInvariantError,
     InvalidParameters,
@@ -28,9 +28,7 @@ from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
 from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan
 from drinfeld.modp import (
     INFINITY_POINT,
-    FqRatFunc,
     _quotient_structure,
-    _span_lines,
     component_degree,
     symgeom_parameters,
 )
@@ -43,7 +41,6 @@ from drinfeld.scalars import (
     INF,
     FiniteField,
     Fq,
-    FqElem,
     ScalarKHat,
     _check_prime,
     _common_denominator,
@@ -1245,11 +1242,52 @@ def homogenise(u: poly.Poly, top: poly.Poly, bottom: poly.Poly, zero, one) -> po
     return acc
 
 
+def field_elements(field: FiniteField) -> list:
+    """All q elements of ``field``, in code order: the enumeration that the
+    oracles below scan, which the program does not need."""
+    return [_make_fq(field, n) for n in range(field.q)]
+
+
+@dataclass(frozen=True)
+class FqRatFunc:
+    """num/den over F_q as tuples of ``FqElem``s, with den monic and
+    gcd(num, den) = 1: the record of an ``FqFraction``."""
+
+    field: FiniteField
+    num: tuple
+    den: tuple
+
+
+def fq_function_str(f: FqRatFunc) -> str:
+    """``f`` as num or (num)/(den), each the nonzero terms c*z^i joined by
+    " + ", a unit c left off but at i = 0, and c printed as its residue over
+    F_p and as its coefficient list past it: the text that
+    ``cli._image_str`` prints from codes."""
+
+    def text(coeffs) -> str:
+        terms = []
+        for i, c in enumerate(coeffs):
+            code = str(c.n if c.field.f == 1 else list(c.coeffs))
+            zpow = "z" if i == 1 else f"z^{i}"
+            if c:
+                terms.append(code if i == 0 else zpow if c == c.field.one() else f"{code}*{zpow}")
+        return " + ".join(terms)
+
+    num = text(f.num)
+    return num if f.den == (f.field.one(),) else f"({num})/({text(f.den)})"
+
+
+def image_codes(f: FqRatFunc) -> tuple:
+    """``f``, whose coefficients lie in F_p, as the (numerator, denominator)
+    residue tuples that ``modp.symgeom_iso`` returns."""
+    return tuple(c.n for c in f.num), tuple(c.n for c in f.den)
+
+
 @dataclass(frozen=True)
 class FqFraction:
     """num/den over F_q with den monic and gcd(num, den) = 1, zero being
     ()/(1), with the field operations, each result reduced through a gcd: the
-    reference that ``modp.FqRatFunc``'s closed forms are compared against."""
+    reference that ``modp.symgeom_iso``'s closed forms are compared against."""
 
     field: FiniteField
     num: tuple
@@ -1280,7 +1318,8 @@ class FqFraction:
         return FqFraction(field, (), (field.one(),))
 
     def record(self) -> FqRatFunc:
-        """The same function as the program's record, which the CLI prints."""
+        """The same function as an ``FqRatFunc`` record, the form the
+        comparison-map oracles return."""
         return FqRatFunc(self.field, self.num, self.den)
 
     def is_zero(self) -> bool:
@@ -1398,7 +1437,7 @@ def generator_matrices_fq(s: dict) -> list:
     which makes 1 its only eigenvalue, on Sym^t and on the quotient.  Both
     the generators and ``modp.sym_matrix_codes`` are read at call time, so a
     patch of either reaches it."""
-    field, t, shift, free, reduce_vector = s["field"], s["t"], s["shift"], s["free"], s["reduce"]
+    field, t, shift, free, reduce_vector = Fq(s["q"]), s["t"], s["shift"], s["free"], s["reduce"]
     matrices = []
     for g in modp.gl2_generators(field):
         (a, b), (c, d) = g
@@ -1414,7 +1453,7 @@ def unipotent_columns_by_substitution(s: dict) -> list[list[int]]:
     binomials mod p, as ``modp._stable_lines`` read them before: the folded
     free columns of the int substitution matrix of the upper unipotent over
     those of the lower one, big ints and all, less the identity, mod p."""
-    t, free, reduce_vector, p = s["t"], s["free"], s["reduce"], s["field"].p
+    t, free, reduce_vector, p = s["t"], s["free"], s["reduce"], s["p"]
     dim = len(free)
 
     def free_columns(a: int, b: int, c: int, d: int) -> list:
@@ -1428,16 +1467,47 @@ def unipotent_columns_by_substitution(s: dict) -> list[list[int]]:
     ]
 
 
+def _normalize(vec) -> tuple:
+    """The vector scaled so that its first nonzero coordinate is 1."""
+    for x in vec:
+        if x:
+            inv = x.inverse()
+            return tuple(inv * y for y in vec)
+    return tuple(vec)
+
+
+def _span_lines(field: FiniteField, basis: list) -> set:
+    """Every line of the span of ``basis`` (vectors of ``FqElem``s), each
+    once: the combinations led by a coefficient 1, normalised."""
+    elems = field_elements(field) if basis else []
+    lines = set()
+    for lead, first in enumerate(basis):
+        rest = basis[lead + 1 :]
+        for coeffs in itertools.product(elems, repeat=len(rest)):
+            vec = first
+            for c, v in zip(coeffs, rest):
+                if c:
+                    vec = [x + c * y for x, y in zip(vec, v)]
+            lines.add(_normalize(vec))
+    return lines
+
+
+def digit_lines(lines: list) -> list:
+    """Lines of ``FqElem``s as ``modp._stable_lines`` gives them: each
+    coordinate as its tuple of coefficients."""
+    return [tuple(x.coeffs for x in line) for line in lines]
+
+
 def stable_lines_by_eigenvalues(q: int, k: int, i: int) -> list:
     """The stable lines by the eigenvalue scan that ``modp._stable_lines``
     replaced: the rows of M - lambda I stacked over ``generator_matrices_fq``,
     one lambda in F_q^x for each (only 1 for a unipotent), keeping the stacks
     with a nonzero kernel over ``FqElem`` (the common eigenspaces), whose
-    lines ``modp._span_lines`` lists."""
+    lines ``_span_lines`` lists."""
     s = _quotient_structure(q, k, i)
-    field, dim = s["field"], len(s["free"])
+    field, dim = Fq(q), len(s["free"])
     zero, one = field.zero(), field.one()
-    units = [x for x in field.elements() if x]
+    units = [x for x in field_elements(field) if x]
     # (stacked rows, kernel basis) of each nonzero common eigenspace so far
     eigenspaces = [([], identity(dim, zero, one))]
     for m, unipotent in generator_matrices_fq(s):
@@ -1464,7 +1534,7 @@ def stable_lines_by_scan(q: int, k: int, i: int) -> list:
     each generator's matrix; a zero image is not fixed.  The reference for
     the common eigenspaces of ``quotient_rep_and_stable_lines``."""
     s = _quotient_structure(q, k, i)
-    field = s["field"]
+    field = Fq(q)
     zero = field.zero()
     matrices = [m for m, _ in generator_matrices_fq(s)]
 
@@ -1477,7 +1547,7 @@ def stable_lines_by_scan(q: int, k: int, i: int) -> list:
 
     lines = {
         normalize(vec)
-        for vec in itertools.product(list(field.elements()), repeat=len(s["free"]))
+        for vec in itertools.product(field_elements(field), repeat=len(s["free"]))
         if any(x != zero for x in vec)
     }
     return [
@@ -1608,7 +1678,8 @@ def sections_basis_by_dense_rows(q: int, k: int, radius: int, units=None) -> lis
         cu, cw = units(e) if units else (field.one(), field.one())
         row = [field.zero()] * ncols
         for end, other, c in ((u, w, cu), (w, u, -cw)):
-            point = modp._reduction_point(field, end, other)
+            point = modp._reduction_point(end, other)
+            point = point if point == INFINITY_POINT else field.elem(point)
             for j, val in enumerate(evaluation_row_fq(field, point, per_component, k)):
                 row[tree.index[end] * per_component + j] = c * val
         rows.append(row)
@@ -1621,7 +1692,7 @@ def quotient_reduce(q: int, k: int, i: int, coeffs: dict) -> tuple:
     """Class of sum coeffs[r] * X^r Y^(t-r) in the quotient, as coordinates
     against the free monomial classes."""
     s = _quotient_structure(q, k, i)
-    field, t = s["field"], s["t"]
+    field, t = Fq(q), s["t"]
     vec = [field.zero()] * (t + 1)
     for r, c in coeffs.items():
         vec[r] = vec[r] + field.elem(c)
@@ -1634,14 +1705,7 @@ def quotient_reduce(q: int, k: int, i: int, coeffs: dict) -> tuple:
 # JSON values, then print them with the standard library's indenting encoder.
 
 
-def _fq_elem_json(x: FqElem):
-    # the code of a prime-field element is its residue
-    return x.n if x.field.f == 1 else list(x.coeffs)
-
-
 def _jsonable(x):
-    if type(x) is FqElem:
-        return _fq_elem_json(x)
     if isinstance(x, bool) or x is None or isinstance(x, str):
         return x
     if isinstance(x, int):
@@ -1656,9 +1720,6 @@ def _jsonable(x):
         return fraction_scalar_str(x)
     if isinstance(x, FactoredRational):
         return _rational_str(x)
-    if isinstance(x, FqRatFunc):
-        num = _fqpoly_str(x.num)
-        return num if x.den == (x.field.one(),) else f"({num})/({_fqpoly_str(x.den)})"
     if isinstance(x, Vertex):
         return {"level": x.m, "offset": _jsonable(x.b)}
     if isinstance(x, Edge):

@@ -23,16 +23,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import cli as cli_module
-from drinfeld import modp, tree
+from drinfeld import modp, scalars, tree
 from drinfeld.errors import InternalInvariantError
 from drinfeld.harmonic import Cochain, res0
 from drinfeld.linalg import SparseRows
-from drinfeld.modp import gl2_generators, symgeom_parameters
+from drinfeld.modp import gl2_generators, symgeom_iso, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.rational import parse_rational
 from drinfeld.tree import TruncatedTree, make_vertex, neighbors as _neighbors, truncated_tree
 from inprocess import invoke
-from oracles import FqFraction, ball_edges, densify, emit_oracle, fraction_scalar_str, mat_vec, quotient_reduce, sym_matrix_fq
+from oracles import (
+    FqFraction,
+    ball_edges,
+    densify,
+    emit_oracle,
+    fq_function_str,
+    fraction_scalar_str,
+    mat_vec,
+    quotient_reduce,
+    sym_matrix_fq,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -1436,27 +1446,67 @@ class TestGoldenStdout:
 
 
 class TestFieldPolynomialText:
-    """A rational function over F_q prints only its nonzero terms and leaves
-    a unit coefficient off, over prime and extension fields alike."""
+    """A comparison-map image prints only its nonzero terms and leaves a unit
+    coefficient off, over prime and extension fields alike, as the printer
+    over ``FqElem`` prints the same function."""
 
     def test_extension_field(self):
-        F = Fq(4)
-        one, zero, w = F.one(), F.zero(), F.primitive_element()
-        text = cli_module._value
-        assert text(FqFraction.make(F, (one, zero, one, w)).record()) == "[1, 0] + z^2 + [0, 1]*z^3"
-        assert text(FqFraction.make(F, (w,), (w, w * w, w)).record()) == "([1, 0])/([1, 0] + [0, 1]*z + z^2)"
+        F = Fq(9)
+        one, zero, two = F.one(), F.zero(), F.elem(2)
+        text = cli_module._image_str
+        assert text((1, 0, 1, 2), (1,), 2) == "[1, 0] + z^2 + [2, 0]*z^3"
+        assert text((2,), (0, 2, 1), 2) == "([2, 0])/([2, 0]*z + z^2)"
+        assert fq_function_str(FqFraction.make(F, (one, zero, one, two)).record()) == text((1, 0, 1, 2), (1,), 2)
+        assert fq_function_str(FqFraction.make(F, (one,), (zero, one, two)).record()) == text((2,), (0, 2, 1), 2)
 
     def test_prime_field(self):
         F = Fq(3)
-        text = cli_module._value
-        assert text(FqFraction.make(F, (F.elem(2), F.zero(), F.one())).record()) == "2 + z^2"
-        assert text(FqFraction.make(F, (F.one(),), (F.zero(), F.elem(2))).record()) == "(2)/(z)"
+        text = cli_module._image_str
+        assert text((2, 0, 1), (1,), 1) == "2 + z^2"
+        assert text((2,), (0, 1), 1) == "(2)/(z)"
+        assert fq_function_str(FqFraction.make(F, (F.elem(2), F.zero(), F.one())).record()) == "2 + z^2"
+        assert fq_function_str(FqFraction.make(F, (F.one(),), (F.zero(), F.elem(2))).record()) == "(2)/(z)"
+
+
+class TestFieldElementsConfined:
+    """Every residue-field command but symgeom-check prints values computed
+    on ints: with ``Fq(q)`` built, each prints the same when
+    ``scalars._make_fq``, through which every ``FqElem`` is made, refuses,
+    and so do the comparison map's images."""
+
+    RUNS = [
+        *(["modp", "stable-lines", "--q", str(q), "--k", "4", "--i", "0"] for q in (4, 8, 9, 27)),
+        ["modp", "sections", "--q", "3", "--k", "4", "--radius", "2"],
+        ["modp", "degrees", "--q", "9", "--k", "4"],
+        ["modp", "b-forms", "--q", "9"],
+    ]
+
+    @staticmethod
+    def _images():
+        iso = symgeom_iso(9, 4, 0)
+        return [cli_module._image_str(num, den, iso["f"]) for num, den in iso["images"]]
+
+    def test_no_field_element_is_built(self, monkeypatch):
+        for q in (3, 4, 8, 9, 27):
+            Fq(q)
+        honest = [invoke(args) for args in self.RUNS]
+        images = self._images()
+
+        def refused(*_):
+            raise AssertionError("an FqElem was built")
+
+        monkeypatch.setattr(scalars, "_make_fq", refused)
+        for args, want in zip(self.RUNS, honest):
+            got = invoke(args)
+            assert want.exit_code == got.exit_code == 0, (args, got.output)
+            assert got.stdout == want.stdout, args
+        assert self._images() == images
 
 
 # Payload entries of every kind that the writer renders, and containers of them.
-_F3, _F3_TWIN, _F4 = Fq(3), Fq(3), Fq(4)
-_F3_ELEMS = st.integers(0, 2).map(_F3.elem)
-_F4_ELEMS = st.tuples(st.integers(0, 1), st.integers(0, 1)).map(_F4.elem)
+_F3, _F4 = Fq(3), Fq(4)
+_RESIDUES = st.integers(0, 2)
+_DIGITS = st.tuples(st.integers(0, 1), st.integers(0, 1))  # a coordinate of a line over F_4
 _INTS = st.one_of(
     st.integers(-(10**6), 10**6), st.integers(2**64, 2**80).map(lambda n: n * (-1) ** n)
 )
@@ -1468,9 +1518,7 @@ _TEXT = st.one_of(
         ['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "\u00e9\u03c0\u2028", "\U0001f600"]
     ),
 )
-_SCALARS = st.one_of(
-    _TEXT, _INTS, st.booleans(), st.none(), _FRACTIONS, _KHAT, _F3_ELEMS, _F4_ELEMS
-)
+_SCALARS = st.one_of(_TEXT, _INTS, st.booleans(), st.none(), _FRACTIONS, _KHAT)
 _LEAVES = st.one_of(
     _SCALARS,
     st.sampled_from([math.inf, -math.inf]),
@@ -1479,9 +1527,9 @@ _LEAVES = st.one_of(
     ),
 )
 _ROWS = st.one_of(
-    st.lists(_F3_ELEMS, min_size=1),
-    st.lists(st.integers(0, 2).map(_F3_TWIN.elem), min_size=1).map(lambda r: [_F3.one(), *r]),
-    st.lists(st.one_of(_F3_ELEMS, _F4_ELEMS, _INTS), min_size=1),
+    st.lists(_RESIDUES, min_size=1),
+    st.lists(_DIGITS, min_size=1).map(tuple),
+    st.lists(st.one_of(_RESIDUES, _DIGITS, _INTS), min_size=1),
     st.lists(_INTS, min_size=1).map(tuple),
 )
 _PAYLOADS = st.recursive(
@@ -1524,7 +1572,7 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize(
         "payload",
-        [math.nan, 1.5, object(), {1, 2}, {"a": [math.nan]}, {math.nan: 1}, [_F3.one(), object()]],
+        [math.nan, 1.5, object(), {1, 2}, {"a": [math.nan]}, {math.nan: 1}, [1, object()]],
         ids=["nan", "float", "object", "set", "nested-nan", "nan-key", "row-with-object"],
     )
     def test_unprintable_entries_raise_on_both_sides(self, payload):
@@ -1566,9 +1614,12 @@ class TestJsonWriter:
         # a list of ints only takes the one-pass branch; a bool keeps printing true/false
         assert cli_module._dumps(payload) == emit_oracle(payload)
 
-    def test_field_element_keys_match_the_oracle(self):
-        payload = {_F4.elem((0, 1)): 1, _F3.one(): 2}
-        assert cli_module._dumps(payload) == emit_oracle(payload)
+    def test_field_elements_are_refused(self):
+        """No payload holds an ``FqElem``: a command prints its residues and
+        coefficient lists as ints."""
+        for payload in ({_F4.elem((0, 1)): 1}, {"a": _F3.one()}, [_F3.one(), _F3.zero()]):
+            with pytest.raises(InternalInvariantError):
+                cli_module._dumps(payload)
 
 
 class TestCochainWriter:

@@ -17,6 +17,7 @@ from drinfeld.scalars import Fq, ScalarKHat
 from oracles import (
     dense_kernel_basis_mod_p,
     densify,
+    field_elements,
     inverse,
     is_integral,
     kernel_basis,
@@ -33,8 +34,7 @@ from oracles import (
 
 def _fq(q):
     field = Fq(q)
-    elements = field.elements()
-    units = [x for x in elements if x != field.zero()]
+    units = [x for x in field_elements(field) if x != field.zero()]
     return f"F{q}", field.zero(), field.one(), lambda rng: rng.choice(units)
 
 

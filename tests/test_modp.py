@@ -12,9 +12,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from drinfeld import modp, poly
-from drinfeld.cli import _value
+from drinfeld.cli import _image_str
 from drinfeld.errors import InternalInvariantError, InvalidParameters, ZeroFunction
 from drinfeld.linalg import transpose
 from drinfeld.modp import (
@@ -41,10 +43,15 @@ from drinfeld.tree import (
 )
 from oracles import (
     FqFraction,
+    _normalize,
     ball_edges,
     densify,
+    digit_lines,
+    field_elements,
+    fq_function_str,
     generator_matrices_fq,
     homogenise,
+    image_codes,
     mat_vec,
     parent_endpoint,
     poly_evaluate,
@@ -116,11 +123,12 @@ def sym_act_fq(field, g, coords: list, t: int, s: int) -> list:
     return mat_vec(sym_matrix_fq(field, g, t, s), coords)
 
 
-def symgeom_apply(iso: dict, coords: list) -> FqFraction:
-    """The comparison map ``iso`` applied to a coordinate column."""
-    field = iso["field"]
+def symgeom_apply(images: list, coords: list) -> FqFraction:
+    """The comparison map with these images (``FqRatFunc``s) applied to a
+    coordinate column."""
+    field = images[0].field
     total = FqFraction.zero(field)
-    for c, img in zip(coords, iso["images"]):
+    for c, img in zip(coords, images):
         total = total + FqFraction.of(img) * fq_constant(field, c)
     return total
 
@@ -146,7 +154,7 @@ def geven_section_membership(f: FactoredRational, k: int, v: Vertex) -> tuple:
 def all_invertible_matrices(field):
     """Every element of the general linear group of rank 2, as 2x2 tuples:
     the reference that the generator-based checks are tested against."""
-    elems = list(field.elements())
+    elems = field_elements(field)
     out = []
     for a in elems:
         for b in elems:
@@ -178,7 +186,7 @@ class TestHomogeneousEvaluationOracle:
     def test_matches_the_reference(self, q):
         F = Fq(q)
         rng = random.Random(q)
-        elems = list(F.elements())
+        elems = field_elements(F)
         pick = lambda: elems[rng.randrange(q)]
         nonzero = lambda: elems[rng.randrange(1, q)]
         window = window_poly(F)
@@ -290,7 +298,7 @@ class TestSectionSpaces:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_random_divisors_match_the_dimension_formula(self, q, rng):
         F = Fq(q)
-        points = list(F.elements()) + [INFINITY_POINT]
+        points = field_elements(F) + [INFINITY_POINT]
         for _ in range(50 // len(points) + 12):
             divisor = {}
             for pt in points:
@@ -309,7 +317,7 @@ class TestSectionSpaces:
                     assert order_at(f, pt) + bound >= 0, (divisor, pt)
                 # denominators split into linear factors over the field
                 pole_total = sum(
-                    max(0, -order_at(f, b)) for b in F.elements()
+                    max(0, -order_at(f, b)) for b in field_elements(F)
                 )
                 assert pole_total == len(f.den) - 1
             # independence: pairwise distinct orders at infinity
@@ -334,13 +342,14 @@ class TestComponentDegrees:
 
 def _reference_symgeom_equivariance(q, k, i, g):
     """The comparison on rational functions in normal form: each image of the
-    transformed monomial against the weighted action on the image."""
-    iso = symgeom_iso(q, k, i)
-    field, t, shift = iso["field"], iso["t"], iso["shift"]
-    m = sym_matrix_fq(field, g, t, shift)
+    transformed monomial against the weighted action on the image, the
+    images built as products (``symgeom_images_by_products``)."""
+    images = symgeom_images_by_products(q, k, i)
+    t, shift = symgeom_parameters(q, k, i)
+    m = sym_matrix_fq(Fq(q), g, t, shift)
     for r in range(t + 1):
-        lhs = symgeom_apply(iso, [row[r] for row in m])
-        rhs = weight_action_p1(g, FqFraction.of(iso["images"][r]), k)
+        lhs = symgeom_apply(images, [row[r] for row in m])
+        rhs = weight_action_p1(g, FqFraction.of(images[r]), k)
         if not (lhs - rhs).is_zero():
             return False
     return True
@@ -400,9 +409,10 @@ class TestComparisonMap:
 
     def test_image_of_a_monomial_matches_the_window_power(self):
         iso = symgeom_iso(3, 4, 0)
-        F = iso["field"]
+        F = Fq(3)
+        images = [FqFraction.make(F, map(F.elem, n), map(F.elem, d)).record() for n, d in iso["images"]]
         coords = [F.one() if j == 2 else F.zero() for j in range(iso["t"] + 1)]
-        img = symgeom_apply(iso, coords)
+        img = symgeom_apply(images, coords)
         z = fq_z(F)
         expected = z * z * _window_inverse(F) ** 2
         assert (img - expected).is_zero()
@@ -415,6 +425,23 @@ class TestComparisonMap:
         for g in gl2_generators(Fq(q)):
             expected = _reference_symgeom_equivariance(q, k, i, g)
             assert symgeom_equivariance(q, k, i, g) is expected is True
+
+    @given(
+        q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 101]),
+        k=st.integers(0, 400),
+        i=st.integers(-300, 300),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_the_shift_is_never_positive(self, q, k, i):
+        """t + (q + 1) shift + k = 0 with t, k >= 0, so the shift is at most
+        0, and 0 only where t = k = 0: ``symgeom_iso`` has no branch for a
+        positive shift."""
+        try:
+            t, shift = symgeom_parameters(q, k, i)
+        except InvalidParameters:
+            assume(False)
+        assert t + (q + 1) * shift + k == 0
+        assert shift < 0 or (shift, k, i) == (0, 0, 0)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_recurrence_matches_the_per_column_identity(self, q):
@@ -450,7 +477,7 @@ class TestComparisonMap:
 
 
 # every case above, over every field of the column cases, with the
-# positive shifts that negative k and i give
+# positive shifts that negative k and i give, which ``symgeom_iso`` refuses
 _IMAGE_CASES = sorted(
     set(_SYMGEOM_CASES)
     | {(q, k, i) for q, cases in _COLUMN_CASES.items() for k, i in cases}
@@ -473,10 +500,15 @@ class TestComparisonMapOnInts:
 
     @pytest.mark.parametrize("q,k,i", _IMAGE_CASES)
     def test_closed_form_images_match_the_products(self, q, k, i):
+        if symgeom_parameters(q, k, i)[1] > 0:  # k < 0, past what the CLI admits
+            with pytest.raises(InvalidParameters):
+                symgeom_iso(q, k, i)
+            return
         iso = symgeom_iso(q, k, i)
         expected = symgeom_images_by_products(q, k, i)
-        assert iso["images"] == expected
-        assert [_value(f) for f in iso["images"]] == [_value(f) for f in expected]
+        assert iso["images"] == [image_codes(f) for f in expected]
+        printed = [_image_str(num, den, iso["f"]) for num, den in iso["images"]]
+        assert printed == [fq_function_str(f) for f in expected]
         numerators = [
             {x: c.n for x, c in enumerate(n) if c} for n in symgeom_numerators_by_fq(expected)
         ]
@@ -489,13 +521,13 @@ class TestComparisonMapOnInts:
 
         monkeypatch.setattr(modp, "_binomials_mod_p", refuse)
         iso = symgeom_iso(1000003, 0, 0)
-        assert iso["images"] == [fq_constant(iso["field"], iso["field"].one()).record()]
+        assert iso["images"] == [((1,), (1,))]
         assert symgeom_injectivity_rank(iso) == 1
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_matrix_codes_match_the_field_matrix(self, q, rng):
         field = Fq(q)
-        elems = list(field.elements())
+        elems = field_elements(field)
         gens = gl2_generators(field) + [_invertible(field, rng, elems) for _ in range(6)]
         for g in gens:
             for t in range(7):
@@ -573,7 +605,7 @@ class TestTruncatedSections:
     def test_dimension_is_stable_under_unit_rescaling(self, rng):
         for q, k, radius in [(2, 2, 1), (2, 4, 1), (3, 2, 1)]:
             F = Fq(q)
-            units = [x for x in F.elements() if x != F.zero()]
+            units = [x for x in field_elements(F) if x != F.zero()]
             reference = global_sections_truncated(q, k, radius)
 
             def random_units(edge):
@@ -583,41 +615,37 @@ class TestTruncatedSections:
             assert twisted == reference["direct_dimension"] == reference["dimension"]
 
 
-def _reference_reduction_point(field, u, w):
+def _reference_reduction_point(u, w):
     """Point of u's component where neighbor w's component meets it, by
     transporting w with the inverse of u's transporter: the parent of u goes
     to (-1, 0), which meets at 0, and a child of u goes to the base child
-    (1, c), which meets at 1/c (infinity for c = 0)."""
+    (1, c), which meets at 1/c mod p (infinity for c = 0)."""
     moved = act_on_vertex(vertex_transporter(u).inv(), w)
     if moved.m == -1 and moved.b == 0:
-        return field.zero()
+        return 0
     if moved.m == 1:
         c = moved.b
         if c == 0:
             return INFINITY_POINT
-        return field.elem(pow(int(c), -1, field.p))
+        return pow(int(c), -1, u.p)
     raise InternalInvariantError(f"{w} did not normalize to a base neighbor")
 
 
 class TestReductionPointOracle:
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_labels_match_transport_on_every_edge(self, q, tree_factory):
-        field = Fq(q)
         for radius in range(4):
             for e in ball_edges(tree_factory(q, radius)):
                 for u, w in ((e.u, e.v), (e.v, e.u)):
-                    assert modp._reduction_point(field, u, w) == (
-                        _reference_reduction_point(field, u, w)
-                    ), (u, w)
+                    assert modp._reduction_point(u, w) == _reference_reduction_point(u, w), (u, w)
 
     def test_non_adjacent_pair_raises(self):
-        field = Fq(3)
         base = make_vertex(3, 0, 0)
         for w in (base, make_vertex(3, 2, 4), make_vertex(3, 0, Fraction(1, 3)), make_vertex(3, -2, 0)):
             with pytest.raises(InternalInvariantError):
-                _reference_reduction_point(field, base, w)
+                _reference_reduction_point(base, w)
             with pytest.raises(InternalInvariantError):
-                modp._reduction_point(field, base, w)
+                modp._reduction_point(base, w)
 
 
 class TestQuotientRepresentation:
@@ -626,8 +654,7 @@ class TestQuotientRepresentation:
         assert out["dimension"] == 3
         assert out["free_monomials"] == [0, 2, 3]
         assert out["group_order"] == len(all_invertible_matrices(Fq(2)))
-        lines = [tuple(x.coeffs for x in line) for line in out["stable_lines"]]
-        assert lines == [((1,), (1,), (1,))]
+        assert out["stable_lines"] == [((1,), (1,), (1,))]
 
     def test_two_cubic_combinations_fall_in_the_same_class(self):
         r1 = quotient_reduce(2, 9, 0, {3: 1, 0: 1, 2: 1})
@@ -638,7 +665,7 @@ class TestQuotientRepresentation:
     def test_stable_line_is_preserved_by_a_nontrivial_element(self):
         out = quotient_rep_and_stable_lines(2, 9, 0)
         F = Fq(2)
-        line = out["stable_lines"][0]
+        line = tuple(map(F.elem, out["stable_lines"][0]))
         t, shift = out["t"], out["shift"]
         g = ((F.one(), F.one()), (F.zero(), F.one()))
         # lift the line to full monomial coordinates on the free positions
@@ -696,7 +723,7 @@ def _stable_lines_by_full_group(q, k, i):
 
     lines = {
         normalize(vec)
-        for vec in itertools.product(list(F.elements()), repeat=dim)
+        for vec in itertools.product(field_elements(F), repeat=dim)
         if any(x != F.zero() for x in vec)
     }
     stable = []
@@ -769,8 +796,8 @@ class TestGroupGenerators:
     )
     def test_generator_stable_lines_match_the_full_group_scan(self, q, k, i):
         out = quotient_rep_and_stable_lines(q, k, i)
-        assert out["stable_lines"] == _stable_lines_by_full_group(q, k, i)
-        assert out["stable_lines"] == stable_lines_by_scan(q, k, i)
+        assert out["stable_lines"] == digit_lines(_stable_lines_by_full_group(q, k, i))
+        assert out["stable_lines"] == digit_lines(stable_lines_by_scan(q, k, i))
         assert out["group_order"] == len(all_invertible_matrices(Fq(q)))
 
     @pytest.mark.parametrize("keep", ["identity", "upper", "diagonal"])
@@ -813,9 +840,9 @@ class TestGroupGenerators:
         ints mod p, and the scan of every vector too where it finishes."""
         for k, i in rng.sample(_quotient_cases(q), count):
             got = modp._stable_lines(modp._quotient_structure(q, k, i))
-            assert got == stable_lines_by_eigenvalues(q, k, i), (k, i)
+            assert got == digit_lines(stable_lines_by_eigenvalues(q, k, i)), (k, i)
             if q <= 5:
-                assert got == stable_lines_by_scan(q, k, i), (k, i)
+                assert got == digit_lines(stable_lines_by_scan(q, k, i)), (k, i)
 
     # not the identity alone at q = 7: each of its 960 800 lines is stable
     @pytest.mark.parametrize(
@@ -836,7 +863,7 @@ class TestGroupGenerators:
         assert got and len(set(got)) == len(got)
         for m, _ in generator_matrices_fq(modp._quotient_structure(q, k, i)):
             for line in got:
-                assert modp._normalize(mat_vec(m, list(line))) == line, (line, m)
+                assert _normalize(mat_vec(m, list(line))) == line, (line, m)
         if q <= 5:
             assert got == stable_lines_by_scan(q, k, i)
 
@@ -844,7 +871,7 @@ class TestGroupGenerators:
     def test_eigenspace_lines_match_the_scan_on_a_sample(self, q, count, rng):
         for k, i in rng.sample(_quotient_cases(q), count):
             got = quotient_rep_and_stable_lines(q, k, i)["stable_lines"]
-            assert got == stable_lines_by_scan(q, k, i), (k, i)
+            assert got == digit_lines(stable_lines_by_scan(q, k, i)), (k, i)
 
 
 class TestUnipotentColumns:

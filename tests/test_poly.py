@@ -14,7 +14,7 @@ from drinfeld import poly
 from drinfeld.errors import InvalidParameters
 from drinfeld.rational import FactoredRational
 from drinfeld.scalars import Fq, ScalarKHat
-from oracles import monic_gcd, poly_evaluate, poly_neg
+from oracles import field_elements, monic_gcd, poly_evaluate, poly_neg
 from sampling import monomial, random_rational
 
 RINGS = [("khat", p) for p in (2, 3, 5)] + [("fq", q) for q in (2, 3, 4, 5, 7, 8, 9)]
@@ -31,7 +31,7 @@ class Ring:
         else:
             field = Fq(n)
             self.zero, self.one = field.zero(), field.one()
-            self.elements = list(field.elements())
+            self.elements = field_elements(field)
         self.kind = kind
 
     def draw(self):

@@ -27,6 +27,7 @@ from drinfeld.scalars import (
 from oracles import (
     FractionScalarKHat,
     _fraction_val,
+    field_elements,
     fraction_valuation,
     is_integral,
     reduce_mod_pihat,
@@ -425,7 +426,7 @@ class TestFiniteFields:
     def test_enumeration_and_cardinality(self):
         for q in (2, 3, 4, 5, 9):
             field = Fq(q)
-            elems = list(field.elements())
+            elems = field_elements(field)
             assert len(elems) == q
             assert len(set(elems)) == q
 
@@ -615,7 +616,7 @@ class TestFiniteFieldOracle:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_every_operation_matches_the_polynomial_basis(self, q):
         field, ref = Fq(q), _ReferenceField(q)
-        fast_elems, ref_elems = list(field.elements()), list(ref.elements())
+        fast_elems, ref_elems = field_elements(field), list(ref.elements())
         assert [x.coeffs for x in fast_elems] == [x.coeffs for x in ref_elems]
         assert [repr(x) for x in fast_elems] == [repr(x) for x in ref_elems]
         assert field.primitive_element().coeffs == ref.primitive_element().coeffs
@@ -652,7 +653,7 @@ class TestFieldIdentity:
     def test_equal_fields_built_apart_give_equal_elements(self):
         cached, apart = Fq(9), FiniteField(3, 2)
         assert cached is not apart and cached == apart
-        for x, y in zip(cached.elements(), apart.elements()):
+        for x, y in zip(field_elements(cached), field_elements(apart)):
             assert x == y and hash(x) == hash(y)
             assert x * y == apart.elem(x.coeffs) * cached.elem(y.coeffs)
             assert apart.elem(x) is x

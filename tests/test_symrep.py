@@ -16,7 +16,7 @@ from drinfeld.linalg import transpose
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.symrep import substitution_matrix, sym_ints, triangular_apply
 from drinfeld.tree import Mat2
-from oracles import _lower_triangular, chi, dual_act, epsilon, mat_vec, sym_matrix
+from oracles import _lower_triangular, chi, dual_act, epsilon, field_elements, mat_vec, sym_matrix
 from sampling import gamma_level, random_group_element
 
 
@@ -83,7 +83,7 @@ class TestSubstitutionMatrixOracle:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_matches_the_term_expansion_over_finite_fields(self, q):
         field = Fq(q)
-        elems = list(field.elements())
+        elems = field_elements(field)
         rng = random.Random(5000 + q)
         for k in range(11):
             a, b, c, d = (rng.choice(elems) for _ in range(4))
