@@ -18,6 +18,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import DrinfeldError, InternalInvariantError, InvalidParameters
 from .harmonic import Cochain, delta, field_kernel, res0, res0_integrality, star_local_kernels
 from .lattices import (
+    Doubled,
     edge_lattice_profile,
     local_dimension_formulas,
     local_space_report,
@@ -41,8 +42,8 @@ from .theta import complement_b_identity, theta, theta_integrality
 from .tree import (
     Vertex,
     ball_size,
-    distance,
     make_vertex,
+    parent,
     standard_edge,
     truncated_tree,
 )
@@ -200,8 +201,6 @@ def _dumps(x, pad: str = "\n") -> str:
                 body = list(map(int.__repr__, x))
         elif all(type(v) is ScalarKHat for v in x):
             body = [f'"{_scalar_str(v)}"' for v in x]  # plain ASCII, nothing to escape
-        elif all(type(v) is Fraction for v in x):
-            body = [str(v.numerator) if v.denominator == 1 else f'"{v}"' for v in x]
         else:
             body = [_dumps(v, inner) for v in x]
         return _wrap("[]", body, pad)
@@ -222,7 +221,7 @@ def _wrap(brackets: str, body: list, pad: str) -> str:
 
 
 def _vertex_json(v: Vertex, pad: str) -> str:
-    """{"level", "offset"}, the offset as the ``Fraction`` branch prints it."""
+    """{"level", "offset"}, the offset as ``_value`` prints a ``Fraction``."""
     offset = str(v.n) if v.d == 1 else f'"{v.n}/{v.d}"'
     return _wrap("{}", [f'"level": {v.m}', f'"offset": {offset}'], pad)
 
@@ -269,8 +268,19 @@ def _sparse_rows_json(vectors: SparseRows, pad: str) -> str:
     return "".join(out)
 
 
+def _doubled_json(x: Doubled, pad: str) -> str:
+    """The doubled valuations x halved, as ``_value`` prints the ``Fraction``
+    x/2: an even entry as an int, an odd one as the string "x/2"."""
+    return _wrap("[]", [repr(t >> 1) if t & 1 == 0 else f'"{t}/2"' for t in x], pad)
+
+
 # The writers of the types that ``_dumps`` prints without ``_value``.
-_WRITERS = {Cochain: _cochain_json, Vertex: _vertex_json, SparseRows: _sparse_rows_json}
+_WRITERS = {
+    Cochain: _cochain_json,
+    Vertex: _vertex_json,
+    SparseRows: _sparse_rows_json,
+    Doubled: _doubled_json,
+}
 
 
 def _emit(document: dict) -> None:
@@ -614,24 +624,31 @@ def tree_cmd(p: int, radius: int) -> dict:
     ball = truncated_tree(p, radius)
     counts = {"vertices": len(ball.vertices), "edges": ball.n_edges}
     predicted = {"vertices": ball_size(p, radius), "edges": ball_size(p, radius) - 1}
-    # distinct vertices, each a step from its up, and p + 1 distinct edges ending at each
-    # interior vertex: in the (p + 1)-regular tree its star then reaches every neighbour
+    # distinct vertices, each a step from its up (one level apart, the deeper one's
+    # parent the other), and p + 1 distinct edges ending at each interior vertex:
+    # in the (p + 1)-regular tree its star then reaches every neighbour
     vs, up, n = ball.vertices, ball.up, ball.n_edges
     regular = counts == predicted and len(set(vs)) == len(vs)
-    regular = regular and all(distance(vs[i], vs[up(i)]) == 1 for i in range(1, len(vs))) and all(
+    regular = regular and all(_adjacent(vs[i], vs[up(i)]) for i in range(1, len(vs))) and all(
         len(set(s)) == p + 1 and all(j < n and (i == j + 1 or i == up(j + 1)) for j in s)
         for i, s in enumerate(map(ball.star, range(ball.n_interior)))
     )
     return {"computed": counts, "predicted": predicted, "regular": regular, "pass": counts == predicted and regular}
 
 
+def _adjacent(u: Vertex, w: Vertex) -> bool:
+    """Whether the deeper of u and w has the other as its parent, one level
+    up: every edge of the tree joins a vertex to its parent."""
+    return parent(u) == w if u.m > w.m else parent(w) == u
+
+
 def _standard_profiles(p: int, k: int) -> tuple[dict, dict]:
-    """The profiles of the vertices at levels 0, 1 and -1 on the axis, and of
-    the standard edge, with their closed forms."""
-    computed = {f"gamma{m}": list(vertex_lattice_profile(make_vertex(p, m, 0), k)) for m in (0, 1, -1)}
-    computed["standard_edge"] = list(edge_lattice_profile(standard_edge(p), k))
-    predicted = {f"gamma{m}": [Fraction(m * (k - 2 * j), 2) for j in range(k + 1)] for m in (0, 1, -1)}
-    predicted["standard_edge"] = [Fraction(max(0, 2 * j - k), 2) for j in range(k + 1)]  # ascending
+    """The doubled profiles of the vertices at levels 0, 1 and -1 on the axis,
+    and of the standard edge, with their closed forms."""
+    computed = {f"gamma{m}": vertex_lattice_profile(make_vertex(p, m, 0), k) for m in (0, 1, -1)}
+    computed["standard_edge"] = edge_lattice_profile(standard_edge(p), k)
+    predicted = {f"gamma{m}": Doubled(m * (k - 2 * j) for j in range(k + 1)) for m in (0, 1, -1)}
+    predicted["standard_edge"] = Doubled(max(0, 2 * j - k) for j in range(k + 1))  # ascending
     return computed, predicted
 
 

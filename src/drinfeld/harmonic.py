@@ -225,9 +225,11 @@ def field_kernel(tree: TruncatedTree, k: int) -> int:
 
 def star_local_kernels(tree: TruncatedTree, k: int) -> dict:
     """The star-local kernel dimensions mod pihat that measure the reduced
-    harmonic space vertex by vertex, keyed by interior vertex.
+    harmonic space vertex by vertex, keyed by interior vertex.  Every star
+    has the standard star's transitions, so one kernel fills them all.
 
     The kernel in edge-lattice coordinates needs no elimination: its rows are
     the incidence rows tensored with the identity, times the block diagonal
     of the invertible edge bases, so its rank is ``field_kernel``'s."""
-    return {str(v): star_local_kernel(v, k) for v in tree.interior_vertices()}
+    dim = star_local_kernel(tree.p, k)
+    return {str(v): dim for v in tree.interior_vertices()}

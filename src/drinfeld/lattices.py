@@ -22,19 +22,23 @@ closed form of ``symrep.sym_ints`` times num/den times pihat^n: profiles read
 the least valuation of each row from it with no matrix, local spaces read
 residues from the matrix built by Pascal's rule, and membership applies it
 to a vector, unbuilt.  No scalar is built.  For even k every n is even: the
-lattices are defined over Q_p.  Profiles are printed as ``Fraction``
-valuations; everything else compares doubled ints.
+lattices are defined over Q_p.  Every valuation is a doubled int: profiles
+are ``Doubled`` tuples, which the CLI prints halved.
+
+Equivariance also fixes the local spaces: the transporter of v's c-th child
+is v's transporter times that of the standard vertex's c-th child, so every
+star has the standard star's transitions, and one star's kernel is every
+star's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import sub
 
 from .errors import InternalInvariantError, NegativeValuation, ZeroFunction
-from .linalg import rank, rref
+from .linalg import rank_up_to, rref
 from .rational import FactoredRational, gauss_valuation
 from .scalars import INF, _common_denominator, _twice_valuation, _vp, half
 from .symrep import sym_ints, triangular_apply
@@ -44,12 +48,17 @@ from .tree import (
     Vertex,
     _level_and_offset,
     child_endpoint,
-    edges_at,
     make_vertex,
     standard_edge,
     standard_vertex,
     vertex_transporter,
 )
+
+
+class Doubled(tuple):
+    """Valuations held doubled, as ints: entry x stands for x/2."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -78,24 +87,24 @@ def edge_lattice(e: Edge, k: int) -> Lattice:
     )
 
 
-def vertex_lattice_profile(v: Vertex, k: int) -> tuple:
-    """Per-column valuations of the canonical basis matrix dual_act(g), indexed
-    by the dual basis position j = 0..k: the least in each row i of sym(g^-1),
-    with no matrix built.  For g^-1 = [[a, 0], [c, d]]/N, entry (i, j), j <= i,
+def vertex_lattice_profile(v: Vertex, k: int) -> Doubled:
+    """Per-column doubled valuations of the canonical basis matrix dual_act(g),
+    indexed by the dual basis position j = 0..k: the least in each row i of
+    sym(g^-1), with no matrix built.  For g^-1 = [[a, 0], [c, d]]/N, entry (i, j), j <= i,
     of ``sym_ints``'s M is d^j C(k-j, i-j) c^(i-j) a^(k-i), and the twist has
     doubled valuation -k (v_p(a) + v_p(d)): O(k^2) steps, or O(k) when c = 0."""
     p, g = v.p, vertex_lattice(v, k).g.inv()
     va, vd = _vp(g.A, p), _vp(g.D, p)
     if not g.C:  # only the diagonal is nonzero
-        return tuple(half((2 * i - k) * (vd - va)) for i in range(k + 1))
+        return Doubled((2 * i - k) * (vd - va) for i in range(k + 1))
     vc, fact = _vp(g.C, p), list(accumulate((_vp(n, p) for n in range(1, k + 1)), initial=0))  # v_p(n!)
     by_column = [j * (vd - vc) + fact[k - j] for j in range(k + 1)]
     least = (min(map(sub, by_column, fact[i::-1])) + i * vc + (k - i) * va - fact[k - i] for i in range(k + 1))
-    return tuple(half(2 * x - k * (va + vd)) for x in least)
+    return Doubled(2 * x - k * (va + vd) for x in least)
 
 
-def edge_lattice_profile(e: Edge, k: int) -> tuple:
-    """Elementary-divisor valuations of the edge lattice relative to the
+def edge_lattice_profile(e: Edge, k: int) -> Doubled:
+    """Doubled elementary-divisor valuations of the edge lattice relative to the
     child-endpoint lattice, ascending: those of the parent lattice relative
     to the child lattice, clamped below at 0.  The child's transporter moves
     the standard edge onto e, and there the transition is sym(g^-1) for the
@@ -106,7 +115,7 @@ def edge_lattice_profile(e: Edge, k: int) -> tuple:
     if g.B or g.C:
         raise InternalInvariantError("the transition at the standard edge is not diagonal")
     slope = _vp(g.A, p) - _vp(g.D, p)  # v_p(d) - v_p(a) for g^-1 = [[a, 0], [0, d]]/N
-    return tuple(map(half, sorted(max(0, (2 * i - k) * slope) for i in range(k + 1))))
+    return Doubled(sorted(max(0, (2 * i - k) * slope) for i in range(k + 1)))
 
 
 def in_edge_lattice(e: Edge, k: int, vec: list) -> bool:
@@ -132,9 +141,22 @@ def _local_space(src: Lattice, dst: Lattice) -> list:
     residues mod p against src's basis: the column space mod pihat of the
     transition M[j][i] * (num/den) * pihat^(e + t_j - s_i), for
     sym(dst.g^-1 src.g) = M * (num/den) * pihat^e.  An entry of doubled valuation 0 reduces to the
-    unit part of M[j][i] * num/den mod p, a positive one to 0; a negative one raises."""
-    p = src.p
-    m, num, den, e = sym_ints(dst.g.inv() @ src.g, src.k, p)
+    unit part of M[j][i] * num/den mod p, a positive one to 0; a negative one raises.
+    A diagonal g = diag(A, D)/N needs neither M nor an elimination: entry j of
+    its diagonal has doubled valuation (2j - k)(v_p(D) - v_p(A)) + t_j - s_j,
+    and the basis is the unit vectors e_j at which that is 0."""
+    p, k = src.p, src.k
+    g = dst.g.inv() @ src.g
+    if not (g.B or g.C):
+        slope, basis = _vp(g.D, p) - _vp(g.A, p), []
+        for j, (t, s) in enumerate(zip(dst.scale, src.scale)):
+            twice = (2 * j - k) * slope + t - s
+            if twice < 0:
+                raise NegativeValuation(f"transition entry has valuation {half(twice)} < 0")
+            if not twice:
+                basis.append([0] * j + [1] + [0] * (k - j))
+        return basis
+    m, num, den, e = sym_ints(g, k, p)
     vn, vd = _vp(num, p), _vp(den, p)
     unit = num // p**vn * pow(den // p**vd, -1, p)
 
@@ -170,12 +192,28 @@ def e_space_basis(e: Edge, k: int) -> list:
     return _local_space(total, edge)
 
 
-def star_local_kernel(v: Vertex, k: int) -> int:
-    """Dimension of the kernel of the local sum map at v: tuples of edge
-    values, one from each D-space around v, summing to zero in
-    (vertex lattice)/(pihat)."""
-    vectors = [x for e in edges_at(v) for x in d_space_basis(e, v, k)]
-    return len(vectors) - rank(vectors, v.p)
+def star_local_kernel(p: int, k: int) -> int:
+    """Dimension of the kernel of the local sum map at any vertex: tuples of
+    edge values, one from each D-space around it, summing to zero in
+    (vertex lattice)/(pihat).  Every star has the standard star's
+    transitions (see the module docstring), so this is the standard star's."""
+    v = standard_vertex(p)
+    return _star_kernel(v, k, d_space_basis(standard_edge(p), v, k))
+
+
+def _star_kernel(v: Vertex, k: int, parent: list) -> int:
+    """``star_local_kernel`` at the standard vertex v, given the D-space of
+    its parent edge, the standard edge.  Child c = 2..p-1 is child 1
+    conjugated by diag(c, 1), so its D-space is child 1's with column j
+    times c^-j mod p: the rows number len(parent) + len(first) + (p - 1)
+    len(second) unbuilt, and the rank stops at k + 1, the most it can be.
+    The parent's and child 0's D-spaces, the low and high halves of the
+    basis, reach it by themselves, so no copy is built."""
+    p = v.p
+    first, second = (d_space_basis(Edge(v, make_vertex(p, 1, c)), v, k) for c in (0, 1))
+    copies = ([x * pow(c, -j, p) % p for j, x in enumerate(row)] for c in range(2, p) for row in second)
+    count = len(parent) + len(first) + (p - 1) * len(second)
+    return count - rank_up_to(chain(parent, first, second, copies), p, k + 1)
 
 
 def local_dimension_formulas(q: int, k: int) -> dict:
@@ -187,13 +225,15 @@ def local_dimension_formulas(q: int, k: int) -> dict:
 
 def local_space_report(p: int, k: int) -> dict:
     """Brute-force local dimensions at the standard edge and vertex, paired
-    with the closed forms."""
+    with the closed forms.  The standard edge is the standard vertex's
+    parent edge, so its D-space enters the star kernel too."""
     e = standard_edge(p)
     v = standard_vertex(p)
+    d_space = d_space_basis(e, v, k)
     computed = {
-        "dimD": len(d_space_basis(e, v, k)),
+        "dimD": len(d_space),
         "dimE": len(e_space_basis(e, k)),
-        "dimZhar": star_local_kernel(v, k),
+        "dimZhar": _star_kernel(v, k, d_space),
     }
     predicted = local_dimension_formulas(p, k)
     return {

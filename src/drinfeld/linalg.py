@@ -1,7 +1,8 @@
 """Exact linear algebra over the prime field F_p, on int residues.
 
 ``rref``, ``rank``, ``kernel_basis_mod_p`` and ``kernel_of_columns_mod_p``
-run one sparse Gauss-Jordan elimination on ints read mod p; the program row
+run one sparse Gauss-Jordan elimination on ints read mod p, and
+``rank_up_to`` one that takes its rows one at a time; the program row
 reduces over no other field.  ``kernel_basis_mod_p`` keeps its vectors sparse,
 as ``SparseRows``.
 """
@@ -9,6 +10,7 @@ as ``SparseRows``.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 Matrix = list  # list[list], row-major
@@ -97,6 +99,28 @@ def _eliminate(row: dict, c: int, tail: list, p: int) -> None:
 
 def rank(rows: Matrix, p: int) -> int:
     return len(rref(rows, p)[1])
+
+
+def rank_up_to(rows: Iterable[list], p: int, bound: int) -> int:
+    """min(rank, bound) over F_p of int rows read mod p, taking them one at a
+    time: no row past the one that brings the rank to ``bound`` is read.
+    The pivot rows are kept reduced, each 1 at its pivot and 0 at the
+    others, so one pass over a new row's entries at pivots reduces it."""
+    reduced: dict[int, dict] = {}  # pivot column -> the rest of its row
+    rows = iter(rows)
+    while len(reduced) < bound and (row := next(rows, None)) is not None:
+        entries = {c: r for c, x in enumerate(row) if (r := x % p)}
+        for c in [c for c in entries if c in reduced]:
+            _eliminate(entries, c, reduced[c].items(), p)
+        if entries:
+            c = min(entries)
+            inv = pow(entries.pop(c), -1, p)
+            tail = {j: x * inv % p for j, x in entries.items()}
+            for other in reduced.values():
+                if c in other:
+                    _eliminate(other, c, tail.items(), p)
+            reduced[c] = tail
+    return len(reduced)
 
 
 def kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> SparseRows:

@@ -334,12 +334,6 @@ def child_endpoint(e: Edge) -> Vertex:
     return e.v
 
 
-def edges_at(v: Vertex) -> list[Edge]:
-    """The p + 1 edges at v: the parent edge, then the child edges in
-    offset order."""
-    return [Edge(parent(v), v)] + [Edge(v, w) for w in children(v)]
-
-
 # -- truncated balls -------------------------------------------------------------
 
 

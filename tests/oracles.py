@@ -24,8 +24,8 @@ from drinfeld.errors import (
     SingularMatrix,
 )
 from drinfeld.harmonic import Cochain, _raise_in_annulus, res0, sigma
-from drinfeld.lattices import Lattice, edge_lattice, vertex_lattice
-from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan
+from drinfeld.lattices import Doubled, Lattice, d_space_basis, edge_lattice, vertex_lattice
+from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan, rank
 from drinfeld.modp import (
     INFINITY_POINT,
     _quotient_structure,
@@ -59,9 +59,12 @@ from drinfeld.tree import (
     Vertex,
     act_on_vertex,
     child_endpoint,
+    children,
     make_edge,
     make_vertex,
     neighbors,
+    parent,
+    standard_edge,
     standard_vertex,
     vertex_transporter,
 )
@@ -405,6 +408,12 @@ def reference_ball(p: int, radius: int) -> ReferenceBall:
 
 def parent_endpoint(e: Edge) -> Vertex:
     return e.u
+
+
+def edges_at(v: Vertex) -> list[Edge]:
+    """The p + 1 edges at v: the parent edge, then the child edges in
+    offset order."""
+    return [Edge(parent(v), v)] + [Edge(v, w) for w in children(v)]
 
 
 def edge_transporter(e: Edge) -> Mat2:
@@ -834,6 +843,25 @@ def reference_local_rows(src: Lattice, dst: Lattice) -> list:
                 raise NegativeValuation(f"transition entry has valuation {half(twice)} < 0")
             rows[-1].append(0 if twice else unit(x * num) * pow(unit(den), -1, p) % p)
     return rows
+
+
+def fraction_standard_profiles(p: int, k: int) -> tuple[dict, dict]:
+    """``cli._standard_profiles`` as the ``Fraction`` lists it once built:
+    the dense profiles of the axis vertices at levels 0, 1 and -1 and of the
+    standard edge, and their closed forms."""
+    computed = {f"gamma{m}": list(reference_vertex_profile(make_vertex(p, m, 0), k)) for m in (0, 1, -1)}
+    computed["standard_edge"] = list(reference_edge_profile(standard_edge(p), k))
+    predicted = {f"gamma{m}": [Fraction(m * (k - 2 * j), 2) for j in range(k + 1)] for m in (0, 1, -1)}
+    predicted["standard_edge"] = [Fraction(max(0, 2 * j - k), 2) for j in range(k + 1)]
+    return computed, predicted
+
+
+def reference_star_local_kernel(v: Vertex, k: int) -> int:
+    """``lattices.star_local_kernel`` as the star at v itself: one D-space
+    per edge at v, each reduced from v's own transition, stacked and ranked
+    in one elimination."""
+    vectors = [x for e in edges_at(v) for x in d_space_basis(e, v, k)]
+    return len(vectors) - rank(vectors, v.p)
 
 
 # -- lattices as basis matrices -------------------------------------------------------
@@ -1726,6 +1754,8 @@ def _jsonable(x):
         return {"parent": _jsonable(x.u), "child": _jsonable(x.v)}
     if isinstance(x, SparseRows):
         return densify(x)
+    if isinstance(x, Doubled):
+        return [_jsonable(Fraction(t, 2)) for t in x]
     if isinstance(x, Cochain):
         items = sorted(x.values.items(), key=lambda kv: (kv[0].u, kv[0].v))
         return [

@@ -79,7 +79,7 @@ def test_criterion_1_vertex_lattice_diagonal_profiles():
             for n in (0, 1, -1):
                 profile = vertex_lattice_profile(make_vertex(p, n, 0), k)
                 expected = tuple(Fraction(n * (k - 2 * j), 2) for j in range(k + 1))
-                assert tuple(profile) == expected, (p, k, n, profile)
+                assert tuple(Fraction(x, 2) for x in profile) == expected, (p, k, n, profile)
     print("CRITERION 1: PASS - diagonal vertex lattice profiles exact for k in 0..6")
 
 

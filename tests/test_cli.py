@@ -26,6 +26,7 @@ from drinfeld import cli as cli_module
 from drinfeld import modp, scalars, tree
 from drinfeld.errors import InternalInvariantError
 from drinfeld.harmonic import Cochain, res0
+from drinfeld.lattices import Doubled
 from drinfeld.linalg import SparseRows
 from drinfeld.modp import gl2_generators, symgeom_iso, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
@@ -39,6 +40,7 @@ from oracles import (
     emit_oracle,
     fq_function_str,
     fraction_scalar_str,
+    fraction_standard_profiles,
     mat_vec,
     quotient_reduce,
     sym_matrix_fq,
@@ -585,6 +587,11 @@ class TestAnsweredAtOnce:
             (("tree", "--p", "5", "--radius", "6"), 0),
             (("tree", "--p", "157", "--radius", "2"), 0),
             (("modp", "b-forms", "--q", "157"), 0),
+            # one star's local spaces, at the largest p or k admitted
+            (("local-dims", "--p", "997", "--k", "28"), 0),
+            (("harmonic", "--p", "997", "--k", "40", "--radius", "1", "--mod-pihat"), 0),
+            (("harmonic", "--p", "2", "--k", "60", "--radius", "8", "--mod-pihat"), 0),
+            (("harmonic", "--p", "2", "--k", "200", "--radius", "8", "--mod-pihat"), 0),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x),
     )
@@ -1620,6 +1627,31 @@ class TestJsonWriter:
         for payload in ({_F4.elem((0, 1)): 1}, {"a": _F3.one()}, [_F3.one(), _F3.zero()]):
             with pytest.raises(InternalInvariantError):
                 cli_module._dumps(payload)
+
+
+class TestDoubledWriter:
+    """A lattice profile is a ``Doubled`` tuple of ints, printed halved as the
+    ``Fraction`` lists that the profiles once were printed."""
+
+    def test_every_half_up_to_3000_in_size(self):
+        # lattice --p 2 --k 3000 prints halves up to 1500 in size, past the
+        # ints of _INT_TEXT
+        values = range(-6001, 6002)
+        fractions = [Fraction(t, 2) for t in values]
+        old = [str(v.numerator) if v.denominator == 1 else f'"{v}"' for v in fractions]
+        for payload in (Doubled(values), {"a": {"b": Doubled(values)}}):
+            assert cli_module._dumps(payload) == emit_oracle(payload)
+        assert cli_module._dumps(Doubled(values)) == "[\n  " + ",\n  ".join(old) + "\n]"
+        assert cli_module._dumps(Doubled(values)) == emit_oracle(fractions)
+        assert cli_module._dumps({"p": Doubled()}) == emit_oracle({"p": []})
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_standard_profiles_halve_to_the_fraction_profiles(self, p):
+        for k in range(21):
+            computed, predicted = cli_module._standard_profiles(p, k)
+            halved = [{key: [Fraction(t, 2) for t in x] for key, x in d.items()} for d in (computed, predicted)]
+            assert halved == list(fraction_standard_profiles(p, k)), (p, k)
+            assert all(type(x) is Doubled for d in (computed, predicted) for x in d.values())
 
 
 class TestCochainWriter:

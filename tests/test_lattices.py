@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from drinfeld import lattices, scalars
 from drinfeld.errors import InvalidParameters, NegativeValuation, PoleInsideAnnulus
 from drinfeld.harmonic import res0, star_local_kernels
-from drinfeld.linalg import rref
+from drinfeld.linalg import rank_up_to, rref
 from drinfeld.lattices import (
     Lattice,
     _local_space,
@@ -22,6 +22,7 @@ from drinfeld.lattices import (
     edge_lattice,
     edge_lattice_profile,
     in_edge_lattice,
+    local_dimension_formulas,
     local_space_report,
     section_lattice_membership,
     star_local_kernel,
@@ -29,7 +30,7 @@ from drinfeld.lattices import (
     vertex_lattice_profile,
 )
 from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational
-from drinfeld.scalars import Fq, ScalarKHat
+from drinfeld.scalars import Fq, ScalarKHat, half
 from drinfeld.symrep import sym_ints
 from drinfeld.tree import (
     Edge,
@@ -70,6 +71,7 @@ from oracles import (
     reduced_column_space,
     reference_edge_profile,
     reference_local_rows,
+    reference_star_local_kernel,
     reference_vertex_profile,
     relative_profile,
     transition_d_space_basis,
@@ -103,7 +105,7 @@ def local_spaces(e_or_v, k: int, q: int) -> dict:
             "dimE": len(e_space_basis(e, k)),
         }
     if isinstance(e_or_v, Vertex):
-        return {"dimZhar": star_local_kernel(e_or_v, k)}
+        return {"dimZhar": star_local_kernel(e_or_v.p, k)}
     raise InvalidParameters("expected a tree vertex or edge")
 
 
@@ -207,14 +209,15 @@ def product_module_comparison(k1: int, k2: int) -> dict:
 class TestDiagonalProfiles:
     def test_vertex_profiles_weight_two(self):
         p = 2
+        # doubled valuations: the profile (1, 0, -1) is (2, 0, -2)
         assert vertex_lattice_profile(make_vertex(p, 0, 0), 2) == (0, 0, 0)
-        assert vertex_lattice_profile(make_vertex(p, 1, 0), 2) == (1, 0, -1)
-        assert vertex_lattice_profile(make_vertex(p, -1, 0), 2) == (-1, 0, 1)
+        assert vertex_lattice_profile(make_vertex(p, 1, 0), 2) == (2, 0, -2)
+        assert vertex_lattice_profile(make_vertex(p, -1, 0), 2) == (-2, 0, 2)
 
     def test_standard_edge_profiles(self):
         p = 2
-        assert edge_lattice_profile(standard_edge(p), 2) == (0, 0, 1)
-        assert edge_lattice_profile(standard_edge(p), 1) == (0, Fraction(1, 2))
+        assert edge_lattice_profile(standard_edge(p), 2) == (0, 0, 2)
+        assert edge_lattice_profile(standard_edge(p), 1) == (0, 1)
 
     def test_profile_shifts_along_the_axis(self):
         # moving one level along the axis tilts each diagonal entry by one step
@@ -223,9 +226,9 @@ class TestDiagonalProfiles:
             base = vertex_lattice_profile(make_vertex(p, 0, 0), k)
             up = vertex_lattice_profile(make_vertex(p, 1, 0), k)
             assert len(base) == k + 1
-            assert sorted(Fraction(u - b) for u, b in zip(up, base)) == sorted(
-                Fraction(k - 2 * i, 2) * 2 / 2 for i in range(k + 1)
-            ) or all(u - b in (1, 0, -1) for u, b in zip(up, base))
+            assert sorted(u - b for u, b in zip(up, base)) == sorted(
+                k - 2 * i for i in range(k + 1)
+            ) or all(u - b in (2, 0, -2) for u, b in zip(up, base))
 
     def test_profile_is_offset_invariant(self):
         p = 2
@@ -266,8 +269,8 @@ class TestLocalDimensions:
     def test_star_local_kernel_dimensions(self):
         p = 2
         v = standard_vertex(p)
-        assert star_local_kernel(v, 0) == 2
-        assert star_local_kernel(v, 1) == 1
+        assert star_local_kernel(v.p, 0) == 2
+        assert star_local_kernel(v.p, 1) == 1
 
     def test_local_spaces_build_no_field_element(self, monkeypatch):
         """The local spaces and the star kernels are eliminated on int
@@ -328,6 +331,71 @@ class TestDSpaceSplitting:
         ebasis = e_space_basis(e, k)
         report = local_spaces(e, k, p)
         assert len(ebasis) == report["dimE"]
+
+
+class TestStarsFromTheStandardStar:
+    """``star_local_kernel`` builds the standard star's parent, child 0 and
+    child 1 D-spaces and stops its rank at k + 1; the per-edge star at every
+    vertex is its oracle, and the two identities it rests on are checked
+    apart."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_kernel_equals_the_per_edge_star(self, p):
+        for k in range(13):
+            want = reference_star_local_kernel(standard_vertex(p), k)
+            assert star_local_kernel(p, k) == want, (p, k)
+            assert local_space_report(p, k)["computed"]["dimZhar"] == want, (p, k)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_interior_vertex_of_the_ball(self, p):
+        """At every interior vertex of the radius-2 ball, the axis below the
+        base vertex included, the star built there has the same kernel."""
+        t = truncated_tree(p, 2)
+        assert any(v.m < 0 for v in t.interior_vertices())
+        for k in range(7):
+            got = star_local_kernels(t, k)
+            for v in t.interior_vertices():
+                assert got[str(v)] == reference_star_local_kernel(v, k), (v, k)
+
+    @pytest.mark.parametrize("p,radius", [(2, 3), (3, 3), (5, 3), (7, 2)])
+    def test_child_transporters_compose(self, p, radius):
+        """The c-th child's transporter is the vertex's times the standard
+        vertex's c-th child's, so every child edge has the standard star's
+        transition.  The ball reaches levels -radius..radius."""
+        t = truncated_tree(p, radius)
+        standard = [vertex_transporter(make_vertex(p, 1, c)) for c in range(p)]
+        for v in t.interior_vertices():
+            g = vertex_transporter(v)
+            for w, h in zip(children(v), standard):
+                assert vertex_transporter(w) == g @ h, (v, w)
+        assert min(v.m for v in t.vertices) == -radius
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_children_are_torus_scaled_copies(self, p):
+        """Child c's D-space at the standard vertex is child 1's with column
+        j times c^-j mod p, once reduced."""
+        v = standard_vertex(p)
+        for k in range(13):
+            spaces = [d_space_basis(make_edge(v, make_vertex(p, 1, c)), v, k) for c in range(p)]
+            for c in range(2, p):
+                scaled = [[x * pow(c, -j, p) % p for j, x in enumerate(row)] for row in spaces[1]]
+                basis, pivots = rref(scaled, p)
+                assert spaces[c] == basis[: len(pivots)], (p, k, c)
+
+    def test_the_rank_stops_at_k_plus_one(self, monkeypatch):
+        """The parent's and child 0's D-spaces reach the full rank, so the
+        rank reads no row of child 1 and builds no torus copy."""
+        read = []
+
+        def counting(rows, p, bound):
+            return rank_up_to((read.append(row) or row for row in rows), p, bound)
+
+        monkeypatch.setattr(lattices, "rank_up_to", counting)
+        for p, k in ((2, 6), (5, 7), (997, 28)):
+            read.clear()
+            assert star_local_kernel(p, k) == local_dimension_formulas(p, k)["dimZhar"]
+            # the low half 0..k/2 and the high half k/2..k, one row each
+            assert len(read) == (k // 2 + 1) + (k + 1 - (k + 1) // 2), (p, k)
 
 
 _BALLS = [(2, 3), (3, 3), (5, 2), (7, 2)]
@@ -595,7 +663,7 @@ class TestStandardEdgeGate:
             child = vertex_lattice(child_endpoint(e), k)
             parent = vertex_lattice(parent_endpoint(e), k)
             want = tuple(sorted(max(Fraction(0), x) for x in relative_profile(child, parent)))
-            assert edge_lattice_profile(e, k) == want, (p, k)
+            assert tuple(map(half, edge_lattice_profile(e, k))) == want, (p, k)
 
     def test_an_off_diagonal_entry_exits_three(self, monkeypatch):
         def skewed(v):
@@ -628,17 +696,20 @@ class TestClosedFormsAgainstTheDenseMatrix:
     def test_vertex_profiles(self, p):
         for v in _profile_vertices(p):
             for k in range(41):
-                assert vertex_lattice_profile(v, k) == reference_vertex_profile(v, k), (v, k)
+                got = vertex_lattice_profile(v, k)
+                assert tuple(map(half, got)) == reference_vertex_profile(v, k), (v, k)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_edge_profiles(self, p):
         edges = ball_edges(truncated_tree(p, 1))
         for k in range(41):
             want = reference_edge_profile(standard_edge(p), k)
-            assert all(edge_lattice_profile(e, k) == want for e in edges), k
+            assert all(tuple(map(half, edge_lattice_profile(e, k))) == want for e in edges), k
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_local_space_residue_rows(self, p, monkeypatch):
+        """Every other transition's rows go to ``rref``; a diagonal one's
+        basis is read from its diagonal, and equals the reduced rows."""
         seen = []
 
         def recording(rows, prime):
@@ -657,11 +728,18 @@ class TestClosedFormsAgainstTheDenseMatrix:
                             _local_space(src, dst)
                         outcomes.add("not integral")
                     else:
-                        _local_space(src, dst)
-                        got = seen.pop()
-                        assert [[x % p for x in row] for row in got] == want, (e, k, src, dst)
-                        outcomes.add("integral")
-        assert outcomes == {"integral", "not integral"}
+                        space = _local_space(src, dst)
+                        g = dst.g.inv() @ src.g
+                        if g.B or g.C:
+                            got = seen.pop()
+                            assert [[x % p for x in row] for row in got] == want, (e, k, src, dst)
+                            outcomes.add("integral")
+                        else:
+                            assert not seen
+                            basis, pivots = rref(want, p)
+                            assert space == basis[: len(pivots)], (e, k, src, dst)
+                            outcomes.add("diagonal")
+        assert outcomes == {"integral", "diagonal", "not integral"}
 
 
 class TestEdgeLatticesAgainstSmith:
@@ -701,8 +779,8 @@ class TestEdgeLatticesAgainstSmith:
                 parent = lattice_basis(vertex_lattice(parent_endpoint(e), k))
                 want = basis_relative_profile(child, lattice_intersection(child, parent))
                 got = edge_lattice_profile(e, k)
-                assert got == want, (e, k)
-                assert [type(x) for x in got] == [type(x) for x in want], (e, k)
+                assert tuple(map(half, got)) == want, (e, k)
+                assert all(type(x) is int for x in got), (e, k)
 
 
 class TestLatticeAlgebra:

@@ -12,7 +12,7 @@ from operator import mul
 import pytest
 
 from drinfeld.errors import InternalInvariantError
-from drinfeld.linalg import kernel_basis_mod_p, kernel_of_columns_mod_p, rank, rref
+from drinfeld.linalg import kernel_basis_mod_p, kernel_of_columns_mod_p, rank, rank_up_to, rref
 from drinfeld.scalars import Fq, ScalarKHat
 from oracles import (
     dense_kernel_basis_mod_p,
@@ -343,6 +343,28 @@ class TestRrefModP:
                 reduced, pivots = reference_rref(m, zero)
                 assert rref(rows, p) == ([[x.n for x in row] for row in reduced], pivots), shape
                 assert rank(rows, p) == len(pivots), shape
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_rank_up_to_stops_at_its_bound(self, p):
+        """``rank_up_to`` is min(rank, bound), and reads no row past the one
+        that brings the rank to the bound."""
+        name, zero, one, draw = _fq(p)
+        rng = random.Random(f"rank up to {p}")
+        for _ in range(3):
+            for shape, m in _shapes(rng, zero, draw):
+                rows = [[x.n + p * rng.randint(-2, 2) for x in row] for row in m]
+                full = len(reference_rref(m, zero)[1])
+                for bound in range(full + 2):
+                    read = []
+                    got = rank_up_to((read.append(row) or row for row in rows), p, bound)
+                    assert got == min(full, bound), (shape, bound)
+                    assert read == rows[: len(read)], (shape, bound)
+                    if got < bound:
+                        assert read == rows, (shape, bound)
+                    elif bound:  # the last row read brought the rank to the bound
+                        assert rank(read[:-1], p) < bound, (shape, bound)
+                    else:
+                        assert not read, shape
 
 
 # -- Smith reduction over the valuation ring ---------------------------------------------

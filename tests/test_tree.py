@@ -22,7 +22,6 @@ from drinfeld.tree import (
     child_endpoint,
     children,
     distance,
-    edges_at,
     make_edge,
     make_vertex,
     neighbors,
@@ -42,6 +41,7 @@ from oracles import (
     act_on_edge,
     ball_edges,
     edge_transporter,
+    edges_at,
     fraction_act_on_vertex,
     fraction_canonical_offset,
     fraction_children,
