@@ -82,8 +82,9 @@ _MAX_IMAGE_DIGITS = 4000
 _MAX_IMAGE_DEGREE = 500
 # The largest (p + 1)(k + 1)^3 that local-dims may cost: it admits
 # local-dims --p 997 --k 20 (1.2 to 1.7 s as a child process on a 2-vCPU
-# machine) and --p 2 --k 200 (0.6 s), and refuses --p 2 --k 2000, which ran
-# past 15 s.
+# machine, when each edge of the star built its own D-space) and --p 2 --k 200
+# (0.6 s), and refuses --p 2 --k 2000, which ran past 15 s.  One star of three
+# local spaces now costs the same at every p, so this form no longer fits.
 _MAX_STAR_COST = 25_000_000
 # The most entries of an extension field's exp, log and Zech tables, q - 1 each,
 # which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
