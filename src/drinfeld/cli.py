@@ -13,7 +13,9 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import eq, or_
 
 from .errors import DrinfeldError, InternalInvariantError, InvalidParameters
 from .harmonic import Cochain, delta, field_kernel, res0, res0_integrality, star_local_kernels
@@ -39,14 +41,7 @@ from .modp import (
 from .rational import FactoredRational, parse_rational
 from .scalars import Fq, ScalarKHat, _check_prime
 from .theta import complement_b_identity, theta, theta_integrality
-from .tree import (
-    Vertex,
-    ball_size,
-    make_vertex,
-    parent,
-    standard_edge,
-    truncated_tree,
-)
+from .tree import TruncatedTree, Vertex, _parent_label, ball_size, make_vertex, standard_edge, truncated_tree
 
 _MAX_RADIUS = 8
 _MAX_BALL_VERTICES = 25_000
@@ -222,20 +217,37 @@ def _wrap(brackets: str, body: list, pad: str) -> str:
 
 
 def _vertex_json(v: Vertex, pad: str) -> str:
-    """{"level", "offset"}, the offset as ``_value`` prints a ``Fraction``."""
-    offset = str(v.n) if v.d == 1 else f'"{v.n}/{v.d}"'
-    return _wrap("{}", [f'"level": {v.m}', f'"offset": {offset}'], pad)
+    return _label_json(v.m, v.n, v.d, pad)
+
+
+def _label_json(m: int, n: int, d: int, pad: str) -> str:
+    """{"level", "offset"} of the vertex (m, n/d), the offset as ``_value``
+    prints a ``Fraction``."""
+    offset = str(n) if d == 1 else f'"{n}/{d}"'
+    return _wrap("{}", [f'"level": {m}', f'"offset": {offset}'], pad)
 
 
 def _cochain_json(c: Cochain, pad: str) -> str:
     """The list of {"edge": {"child", "parent"}, "value"} entries, one per
-    stored edge in edge order, as ``_dumps`` prints it, written item by item."""
-    item, edge, ends = pad + "  ", pad + "    ", pad + "      "
-    body = []
-    for e in sorted(c.values):
-        pair = ['"child": ' + _vertex_json(e.v, ends), '"parent": ' + _vertex_json(e.u, ends)]
-        entries = ['"edge": ' + _wrap("{}", pair, edge), '"value": ' + _dumps(c.values[e], edge)]
-        body.append(_wrap("{}", entries, item))
+    stored edge in the order of ``Edge``s, as ``_dumps`` prints it, written
+    item by item from the ball's labels: a vertex's place in that order is
+    its level, then its offset over the ball's largest denominator.  Each
+    vertex prints once, and so does each value list, which ``res0`` shares
+    among the edges of one counted-pole key."""
+    ball, item, edge, ends = c.ball, pad + "  ", pad + "    ", pad + "      "
+    levels, nums, dens, top = ball.levels, ball.nums, ball.dens, max(ball.dens)
+    labels, values, body = {}, {}, []
+    for _, (u, v), vec in sorted(
+        ([(levels[i], nums[i] * (top // dens[i])) for i in ball.ends(j)], ball.ends(j), vec)
+        for j, vec in c.values.items()
+    ):
+        for i in (u, v):
+            if i not in labels:
+                labels[i] = _label_json(levels[i], nums[i], dens[i], ends)
+        if id(vec) not in values:
+            values[id(vec)] = _dumps(vec, edge)
+        pair = _wrap("{}", [f'"child": {labels[v]}', f'"parent": {labels[u]}'], edge)
+        body.append(_wrap("{}", [f'"edge": {pair}', f'"value": {values[id(vec)]}'], item))
     return _wrap("[]", body, pad)
 
 
@@ -623,24 +635,35 @@ def tree_cmd(p: int, radius: int) -> dict:
     """Ball statistics and regularity check."""
     _check_ball(p, radius)
     ball = truncated_tree(p, radius)
-    counts = {"vertices": len(ball.vertices), "edges": ball.n_edges}
+    counts = {"vertices": len(ball.levels), "edges": ball.n_edges}
     predicted = {"vertices": ball_size(p, radius), "edges": ball_size(p, radius) - 1}
-    # distinct vertices, each a step from its up (one level apart, the deeper one's
-    # parent the other), and p + 1 distinct edges ending at each interior vertex:
-    # in the (p + 1)-regular tree its star then reaches every neighbour
-    vs, up, n = ball.vertices, ball.up, ball.n_edges
-    regular = counts == predicted and len(set(vs)) == len(vs)
-    regular = regular and all(_adjacent(vs[i], vs[up(i)]) for i in range(1, len(vs))) and all(
-        len(set(s)) == p + 1 and all(j < n and (i == j + 1 or i == up(j + 1)) for j in s)
-        for i, s in enumerate(map(ball.star, range(ball.n_interior)))
-    )
+    regular = counts == predicted and _regular(ball)
     return {"computed": counts, "predicted": predicted, "regular": regular, "pass": counts == predicted and regular}
 
 
-def _adjacent(u: Vertex, w: Vertex) -> bool:
-    """Whether the deeper of u and w has the other as its parent, one level
-    up: every edge of the tree joins a vertex to its parent."""
-    return parent(u) == w if u.m > w.m else parent(w) == u
+def _regular(ball: TruncatedTree) -> bool:
+    """Whether the ball's labels are distinct, each vertex's label and its
+    up's are a step apart (the deeper one's parent label is the other's), and
+    each interior star holds p + 1 distinct edges of the ball, each ending at
+    its vertex: in the (p + 1)-regular tree the star then reaches every
+    neighbour.  Each test maps over whole arrays."""
+    p, levels, nums, dens = ball.p, ball.levels, ball.nums, ball.dens
+    labels = list(zip(levels, nums, dens))
+    parents = list(map(_parent_label, repeat(p), levels, nums, dens))
+    ups = list(map(ball.up, range(1, len(labels))))  # edge j joins vertex j + 1 to ups[j]
+    edges = list(zip(ups, range(1, len(labels))))
+    stars = list(map(ball.star, range(ball.n_interior)))
+    at = list(chain.from_iterable(stars))  # the edges of every star, and whose star each is in
+    owner = chain.from_iterable(map(repeat, range(len(stars)), map(len, stars)))
+    below = map(eq, parents[1:], map(labels.__getitem__, ups))  # vertex j + 1 a child of ups[j]
+    above = map(eq, map(parents.__getitem__, ups), labels[1:])  # or its parent, on the spine
+    return (
+        len(set(labels)) == len(labels)
+        and all(map(or_, below, above))
+        and set(map(len, map(set, stars))) <= {p + 1}
+        and max(at, default=-1) < ball.n_edges
+        and all(map(tuple.__contains__, map(edges.__getitem__, at), owner))
+    )
 
 
 def _standard_profiles(p: int, k: int) -> tuple[dict, dict]:
@@ -703,7 +726,7 @@ def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> 
     integrality = res0_integrality(g, k, ball, cochain)
     consistent = integrality["in_all_edge_lattices"] or not integrality["vertex_membership"]
     return {
-        "support_size": len(cochain.support()),
+        "support_size": len(cochain.values),
         "cochain": cochain,
         "delta_zero": delta_zero,
         "in_all_edge_lattices": integrality["in_all_edge_lattices"],

@@ -12,36 +12,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 
 from . import poly
 from .errors import InternalInvariantError, PoleInsideAnnulus
-from .lattices import in_edge_lattice, section_lattice_membership, star_local_kernel
-from .linalg import _gauss_jordan
-from .rational import FactoredRational, _root_key, principal_parts
-from .scalars import ScalarKHat, _common_denominator, _make, _vp, half
+from .lattices import _in_edge_lattice, star_local_kernel
+from .linalg import _pivots
+from .rational import FactoredRational, _one_minus_by, _root_key, _transported_valuations, principal_parts
+from .scalars import ScalarKHat, _common_denominator, _make, half
 from .symrep import triangular_apply
-from .tree import (
-    Mat2,
-    TruncatedTree,
-    Vertex,
-    _level_and_offset,
-    unipotent_lower,
-    vertex_parity,
-    vertex_transporter,
-)
+from .tree import Mat2, TruncatedTree, _level_and_offset, unipotent_lower, vertex_transporter
 
 
 @dataclass
 class Cochain:
-    """Sparse edge-indexed family of dual coordinate vectors (length k+1)."""
+    """Sparse family of dual coordinate vectors (length k+1) on the edges of a
+    ball, keyed by edge index.  One that ``res0`` computes stores only nonzero
+    vectors, and holds the ``rational._one_minus_by`` rows of its section at
+    the ball's vertices that ``_ball_pass`` read."""
 
-    p: int
+    ball: TruncatedTree
     k: int
     values: dict
+    geometry: tuple | None = None
 
-    def support(self) -> list:
-        return sorted(e for e, vec in self.values.items() if any(vec))
+    @property
+    def p(self) -> int:
+        return self.ball.p
 
 
 def sigma(g: Mat2, p: int) -> int:
@@ -50,15 +48,17 @@ def sigma(g: Mat2, p: int) -> int:
 
 
 def delta(c: Cochain, tree: TruncatedTree) -> dict:
-    """Signed star sums at the interior vertices, each stored value added at
-    its two ends: every edge at an interior vertex lies in the ball."""
-    zeros, sums = [ScalarKHat.zero(c.p)] * (c.k + 1), {}
-    for e, vec in c.values.items():
-        for end in (e.u, e.v):
-            sums[end] = [x + y for x, y in zip(sums.get(end, zeros), vec)]
+    """Signed star sums at the interior vertices, keyed by index: each stored
+    value is added at those of the two ends of its edge that are interior,
+    and every edge at an interior vertex lies in the ball."""
+    zeros, sums, interior = [ScalarKHat.zero(c.p)] * (c.k + 1), {}, tree.n_interior
+    for j, vec in c.values.items():
+        for end in tree.ends(j):
+            if end < interior:
+                sums[end] = [x + y for x, y in zip(sums.get(end, zeros), vec)]
     return {
-        v: sums.get(v, zeros) if vertex_parity(v) > 0 else [-x for x in sums.get(v, zeros)]
-        for v in tree.interior_vertices()
+        i: [-x for x in sums.get(i, zeros)] if tree.levels[i] % 2 else sums.get(i, zeros)
+        for i in range(tree.n_interior)
     }
 
 
@@ -130,79 +130,92 @@ def _pole_vector(y: ScalarKHat, principal: list, k: int) -> list:
     return out
 
 
-def _counted_poles(parts: list, v: Vertex) -> tuple[tuple, int]:
-    """The indices into ``parts`` of the poles summed on the edge whose child
-    is v, and their sign.  With (L, O, C) from ``_level_and_offset``, the
-    inverse gamma = [[L, 0], [O, C]] / L of v's transporter moves that edge to
-    the standard edge: the poles y in the disc omega(L y / (C - O y)) >= 1 count with sign
-    sigma(gamma), the parity of v_p(C) - v_p(L), or, when the disc holds
-    gamma^-1(infinity) = -L/O (O != 0 and v_p(L) - v_p(O) >= 1), those outside
-    with -sigma(gamma).  Only a pole with a pihat part is tested over K-hat."""
-    p, (L, O, C) = v.p, _level_and_offset(v)
-    inner, outer, in_annulus, c = [], [], [], None
-    for i, (y, _) in enumerate(parts):
-        if y.B:
-            if c is None:
-                c, d = _make(p, O, 0, L), _make(p, C, 0, L)
-            beta = d - c * y
-            w = y.valuation() - beta.valuation()  # doubled: the annulus is 0 < w < 2
-            if 0 < w < 2:
-                in_annulus.append(y / beta)
-            inside = w >= 2
-        else:
-            top, bottom = L * y.A, C * y.D - O * y.A
-            inside = not top or (bottom != 0 and _vp(top, p) - _vp(bottom, p) >= 1)
-        (inner if inside else outer).append(i)
-    _raise_in_annulus(in_annulus)
-    sign = -1 if (_vp(C, p) - _vp(L, p)) % 2 else 1
-    if O and _vp(L, p) - _vp(O, p) >= 1:
-        return tuple(outer), -sign
-    return tuple(inner), sign
+def _ball_pass(g: FactoredRational, parts: list, tree: TruncatedTree) -> tuple[list, tuple]:
+    """The key (indices into ``parts``, sign) of the poles summed on each edge
+    of the ball, by index, and the pass over the vertices it reads them from:
+    ``rational._one_minus_by``'s v_p(b) and omega(1 - b y), for each root y of
+    g, at each vertex (m, b).  The vertex gives the key of the edge whose child
+    end it is, and ``rational._transported_valuations`` reads its Gauss
+    valuations from the same pass.
+
+    The inverse gamma = (a b; c d) = [[p^m, 0], [b, 1]] / p^m of the child's
+    transporter moves the edge to the standard edge: the poles y in the disc
+    omega(y / (d - c y)) = omega(y) - omega(1 - b y) + 2m >= 2 count with sign
+    sigma(gamma) = (-1)^m, or, when the disc holds gamma^-1(infinity) = -p^m/b
+    (v_p(b) < m), those outside with -sigma(gamma).  A vertex's key depends
+    only on which poles its disc holds, that flip and m's parity.  The first
+    edge, in edge order, whose annulus 0 < omega < 2 holds a pole refuses."""
+    p, levels = tree.p, tree.levels
+    vbs, rows = geometry = _one_minus_by(g, p, tree.nums, tree.dens)
+    # each pole's doubled valuation omega(y / (d - c y)) at each vertex
+    row_of = {(y.A, y.B, y.D): row for (y, _), row in zip(g.factors, rows)}
+    ws = [[y.valuation() - u + 2 * m for u, m in zip(row_of[y.A, y.B, y.D], levels)] for y, _ in parts]
+    refused = {}  # each vertex's images of the poles in its edge's annulus, if any
+    if any(1 in row for row in ws):
+        for i in range(len(levels)):
+            if in_annulus := [y for (y, _), row in zip(parts, ws) if row[i] == 1]:
+                L, O, C = _level_and_offset(p, levels[i], tree.nums[i], tree.dens[i])
+                gc, gd = _make(p, O, 0, L), _make(p, C, 0, L)
+                refused[i] = [y / (gd - gc * y) for y in in_annulus]
+    inside = zip(*([w >= 2 for w in row] for row in ws)) if ws else repeat(())
+    shapes = list(zip(inside, [vb is not None and vb < m for vb, m in zip(vbs, levels)], [m & 1 for m in levels]))
+    key_of = {}
+    for shape in set(shapes):
+        inside, flip, odd = shape
+        key_of[shape] = tuple(n for n, x in enumerate(inside) if x is not flip), -1 if flip ^ odd else 1
+    children = [tree.ends(j)[1] for j in range(tree.n_edges)]
+    for child in children if refused else ():
+        if child in refused:
+            _raise_in_annulus(refused[child])
+    return [key_of[shapes[child]] for child in children], geometry
 
 
 def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
     """Residue cochain of a weight-(k+2) rational section: on each edge, the
     residue of f(w) w^j dw (j = 0..k) over the disc the edge cuts off, a
-    signed sum of ``_pole_vector``s over the poles ``_counted_poles`` picks.
+    signed sum of ``_pole_vector``s over the poles ``_ball_pass`` picks.
     Given ``rng``, each value is checked against the series of
     ``_edge_residue`` through a second, randomly drawn transporter."""
     p = tree.p
     # a pole whose principal part vanishes is cancelled by extra: no pole
     parts = [(y, A) for y, A in principal_parts(g) if any(A)]
     vectors = [_pole_vector(y, A, k) for y, A in parts]
+    keys, geometry = _ball_pass(g, parts, tree)
     zero, sums, values = ScalarKHat.zero(p), {}, {}
-    for j in range(tree.n_edges):
-        child = tree.vertices[tree.ends(j)[1]]
-        key = _counted_poles(parts, child)
-        if key not in sums:
-            poles, sign = key
-            total = [sum(col, zero) for col in zip(*(vectors[i] for i in poles))]
-            sums[key] = total if sign > 0 else [-x for x in total]
-        vec = sums[key] or [zero] * (k + 1)
+    for poles, sign in set(keys):
+        total = [sum(col, zero) for col in zip(*(vectors[i] for i in poles))] or [zero] * (k + 1)
+        sums[poles, sign] = total if sign > 0 else [-x for x in total]
+    for j, key in enumerate(keys):
+        vec = sums[key]
         if rng is not None:
             jitter = unipotent_lower(rng.randrange(1, 5 * p))
             # a second transporter for the same edge: standard-edge stabilizer
-            alt = (vertex_transporter(child) @ jitter).inv()
+            alt = (vertex_transporter(tree.vertex(tree.ends(j)[1])) @ jitter).inv()
             if vec != _edge_residue(parts, k, alt, p):
                 raise InternalInvariantError(f"residue value at {tree.edge(j)} disagrees with the series")
         if any(vec):
-            values[tree.edge(j)] = vec
-    return Cochain(p, k, values)
+            values[j] = vec
+    return Cochain(tree, k, values, geometry)
 
 
 def res0_integrality(
     g: FactoredRational, k: int, tree: TruncatedTree, cochain: Cochain
 ) -> dict:
     """Whether the residue cochain ``cochain`` = res0(g, k, tree) lands in
-    every edge lattice, alongside the vertex membership precondition.
+    every edge lattice, alongside the vertex membership precondition, read
+    from the pass over the vertices that ``res0`` made: the valuations stop
+    at the first negative one.
 
     Only the edges the cochain stores need a membership test: every other
     value is the zero vector, which lies in every full-rank lattice."""
-    all_in = all(in_edge_lattice(e, k, vec) for e, vec in cochain.values.items())
-    # the zero section lies in every lattice; membership tests need f != 0
-    vertex_ok = g.is_zero() or all(
-        section_lattice_membership(g, k + 2, v)[0] for v in tree.vertices
+    p, levels, nums, dens = tree.p, tree.levels, tree.nums, tree.dens
+    children = ((tree.ends(j)[1], vec) for j, vec in cochain.values.items())
+    all_in = all(
+        _in_edge_lattice(p, *_level_and_offset(p, levels[i], nums[i], dens[i]), k, vec) for i, vec in children
     )
+    # the zero section lies in every lattice; membership tests need f != 0
+    valuations = _transported_valuations(g, k + 2, p, levels, nums, dens, *cochain.geometry)
+    vertex_ok = g.is_zero() or all(x >= 0 for x in valuations)
     return {"in_all_edge_lattices": all_in, "vertex_membership": vertex_ok}
 
 
@@ -220,7 +233,7 @@ def field_kernel(tree: TruncatedTree, k: int) -> int:
     # pending row shares, so the pending rows take no fill-in
     last = tree.n_edges - 1
     rows = [{last - j: 1 for j in tree.star(i)} for i in range(tree.n_interior)]
-    return (k + 1) * (tree.n_edges - len(_gauss_jordan(rows, tree.p)[1]))
+    return (k + 1) * (tree.n_edges - sum(1 for _ in _pivots(rows, tree.p)))
 
 
 def star_local_kernels(tree: TruncatedTree, k: int) -> dict:

@@ -1,7 +1,7 @@
 """Integral lattices attached to tree vertices and edges inside the
 (k+1)-dimensional dual coefficient module: elementary-divisor profiles,
 mod-uniformizer local spaces with their dimensions, and the membership test
-for rational sections at vertex level.
+of edge values.
 
 Conventions: a lattice is a group element g and a column scaling: it is
 generated over the valuation ring by the columns of
@@ -37,16 +37,14 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import sub
 
-from .errors import InternalInvariantError, NegativeValuation, ZeroFunction
+from .errors import InternalInvariantError, NegativeValuation
 from .linalg import rank_up_to, rref
-from .rational import FactoredRational, gauss_valuation
 from .scalars import INF, _common_denominator, _twice_valuation, _vp, half
 from .symrep import sym_ints, triangular_apply
 from .tree import (
     Edge,
     Mat2,
     Vertex,
-    _level_and_offset,
     child_endpoint,
     make_vertex,
     standard_edge,
@@ -118,14 +116,14 @@ def edge_lattice_profile(e: Edge, k: int) -> Doubled:
     return Doubled(sorted(max(0, (2 * i - k) * slope) for i in range(k + 1)))
 
 
-def in_edge_lattice(e: Edge, k: int, vec: list) -> bool:
-    """Whether coordinate j of vec in the basis of ``edge_lattice(e, k)``,
-    sym(g)^T * vec for the child's transporter g, has doubled valuation at
-    least max(0, 2j - k).  With (L, O, C) from ``_level_and_offset``, g is
-    [[C, 0], [-O, L]] / C, so sym(g) is the lower triangular M of the ints
-    C, -O, L (applied by ``triangular_apply``) times L/C^(k+1) and
-    pihat^((k+2)(v_p(C) - v_p(L))), of doubled valuation -k (v_p(L) + v_p(C))."""
-    p, (L, O, C) = e.v.p, _level_and_offset(e.v)
+def _in_edge_lattice(p: int, L: int, O: int, C: int, k: int, vec: list) -> bool:
+    """Whether coordinate j of vec in the basis of the edge lattice of the
+    edge whose child end has (L, O, C) from ``_level_and_offset``, sym(g)^T *
+    vec for the child's transporter g, has doubled valuation at least
+    max(0, 2j - k).  g is [[C, 0], [-O, L]] / C, so sym(g) is the lower
+    triangular M of the ints C, -O, L (applied by ``triangular_apply``) times
+    L/C^(k+1) and pihat^((k+2)(v_p(C) - v_p(L))), of doubled valuation
+    -k (v_p(L) + v_p(C))."""
     a, b, common = _common_denominator(vec)
     shift = -k * (_vp(L, p) + _vp(C, p)) - 2 * _vp(common, p)
     # a zero part, such as the pihat part of most residues, has zero coordinates
@@ -241,16 +239,3 @@ def local_space_report(p: int, k: int) -> dict:
         "predicted": predicted,
         "pass": computed == predicted,
     }
-
-
-# -- membership of rational sections ----------------------------------------------
-
-
-def section_lattice_membership(f: FactoredRational, k: int, v: Vertex) -> tuple[bool, int]:
-    """Whether f lies in the weight-k integral module over the vertex open:
-    the transported section must be bounded by 1 on the vertex tube. The
-    certificate is the doubled transported Gauss valuation."""
-    if f.is_zero():
-        raise ZeroFunction("membership is only defined for nonzero sections")
-    val = gauss_valuation(f, v, k)
-    return val >= 0, val

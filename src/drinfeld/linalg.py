@@ -2,15 +2,16 @@
 
 ``rref``, ``rank``, ``kernel_basis_mod_p`` and ``kernel_of_columns_mod_p``
 run one sparse Gauss-Jordan elimination on ints read mod p, and
-``rank_up_to`` one that takes its rows one at a time; the program row
-reduces over no other field.  ``kernel_basis_mod_p`` keeps its vectors sparse,
-as ``SparseRows``.
+``rank_up_to`` one that takes its rows one at a time; ``_pivots``, the
+forward half of the first, counts a rank with no back-substitution.  The
+program row reduces over no other field.  ``kernel_basis_mod_p`` keeps its
+vectors sparse, as ``SparseRows``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 Matrix = list  # list[list], row-major
@@ -50,15 +51,30 @@ def rref(rows: Matrix, p: int) -> tuple[Matrix, list[int]]:
 
 def _gauss_jordan(rows: list[dict], p: int) -> tuple[list[dict], list[int]]:
     """The reduced pivot rows of rows given as {column: nonzero residue mod p}
-    maps, as maps of the same kind, and their pivot columns."""
+    maps, as maps of the same kind, and their pivot columns: each pivot row
+    that ``_pivots`` gives clears its column from the reduced rows before it."""
+    reduced: list[dict] = []
+    pivots: list[int] = []
+    for c, tail in _pivots(rows, p):
+        for row in reduced:
+            if c in row:
+                _eliminate(row, c, tail, p)
+        reduced.append(dict(tail) | {c: 1})
+        pivots.append(c)
+    return reduced, pivots
+
+
+def _pivots(rows: list[dict], p: int) -> Iterator[tuple[int, list]]:
+    """Forward elimination of rows given as {column: nonzero residue mod p}
+    maps: each pivot column in increasing order, with the rest of its row
+    scaled to 1 at the pivot as (column, residue) pairs, once every pending
+    row is cleared at that column.  Their count is the rank."""
     pending = {i: entries for i, entries in enumerate(rows) if entries}
     # (leading column, row id) of each pending row. Every pending row's
     # columns are at least the smallest leading column c, so exactly the rows
     # led by c have an entry in column c.
     leads = [(min(entries), i) for i, entries in pending.items()]
     heapq.heapify(leads)
-    reduced: list[dict] = []
-    pivots: list[int] = []
     while leads:
         c, i = heapq.heappop(leads)
         inv = pow(pending[i].pop(c), -1, p)
@@ -71,14 +87,7 @@ def _gauss_jordan(rows: list[dict], p: int) -> tuple[list[dict], list[int]]:
                 heapq.heappush(leads, (min(row), i))
             else:
                 del pending[i]
-        for row in reduced:
-            if c in row:
-                _eliminate(row, c, tail, p)
-        pivot_row = dict(tail)
-        pivot_row[c] = 1
-        reduced.append(pivot_row)
-        pivots.append(c)
-    return reduced, pivots
+        yield c, tail
 
 
 def _eliminate(row: dict, c: int, tail: list, p: int) -> None:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import poly
 from .errors import InvalidParameters, ZeroFunction
-from .scalars import ScalarKHat, _common_denominator, _make, _twice_valuation, _vp
+from .scalars import INF, ScalarKHat, _common_denominator, _make, _twice_valuation, _vp
 from .symrep import triangular_apply
 from .tree import Vertex, _level_and_offset
 
@@ -288,30 +288,56 @@ def gauss_valuation(f: FactoredRational, v: Vertex, k: int = 0) -> int:
     Gauss valuation of f on the tube of v.
 
     The Gauss valuation is multiplicative (Gauss's lemma), so it is read factor
-    by factor.  With (L, O, C) from ``_level_and_offset``, g = (a b; c d) =
-    [[L, 0], [O, C]] / L, so chi^k(g) has doubled valuation -k m and
-    min(omega(a), omega(c)) is min(0, omega(O/L)); a factor (z - y), y =
-    (A + B pihat)/D, becomes ((b - a y) + (d - c y) z) / (a + c z), with
-    min(omega(d - c y), omega(y)) and d - c y = (C D - O A - O B pihat)/(L D);
-    extra, of degree n, becomes sum e_i C^i z^i (L + O z)^(n - i) / L^n over
-    (a + c z)^n, whose coefficients Horner's rule in L + O z builds from ints
+    by factor.  For v = (m, b), g = (a b; c d) = [[p^m, 0], [b, 1]] / p^m, so
+    chi^k(g) has doubled valuation -k m and min(omega(a), omega(c)) is
+    min(0, 2 (v_p(b) - m)); a factor (z - y) becomes ((b - a y) + (d - c y) z)
+    / (a + c z), with min(omega(d - c y), omega(y)) and d - c y = (1 - b y) /
+    p^m; extra, of degree n, becomes sum e_i C^i z^i (L + O z)^(n - i) / L^n
+    over (a + c z)^n for (L, O, C) from ``_level_and_offset``, whose
+    coefficients Horner's rule in L + O z builds from ints
     (``triangular_apply``); and (a + c z)^(-k) gives -k min(omega(a), omega(c))."""
     if f.is_zero():
         raise ZeroFunction("the zero function has no Gauss valuation")
-    p = v.p
-    L, O, C = _level_and_offset(v)
-    vl = _vp(L, p)
-    val = f.lead.valuation() - k * v.m
-    n = degree = len(f.extra) - 1
-    for root, mult in f.factors:
-        moved = _twice_valuation(C * root.D - O * root.A, O * root.B, p) - 2 * (vl + _vp(root.D, p))
-        val += mult * min(moved, root.valuation())
-        degree += mult
-    if n:
-        a, b, den = _common_denominator(f.extra)
-        coeffs = zip(triangular_apply(L, O, C, a), triangular_apply(L, O, C, b))
-        val += min(_twice_valuation(x, y, p) for x, y in coeffs) - 2 * (_vp(den, p) + n * vl)
-    return val - (k + degree) * (min(0, 2 * (_vp(O, p) - vl)) if O else 0)
+    label = [v.m], [v.n], [v.d]
+    return next(_transported_valuations(f, k, v.p, *label, *_one_minus_by(f, v.p, *label[1:])))
+
+
+def _one_minus_by(f: FactoredRational, p: int, nums: list, dens: list) -> tuple[list, list]:
+    """v_p(b) of each offset b = nums[i]/dens[i] (None for b = 0), and for each
+    factor (z - y) of f, in the order of f.factors, the row of omega(1 - b y)
+    over the offsets.  With b = n/d = n/p^j and y = (A + B pihat)/D, that is
+    min(0, omega(b y)) unless omega(b y) = 0, and only then read from the
+    ints d D - n A - n B pihat."""
+    roots = [(y.A, y.B, y.D, 2 * _vp(y.D, p), y.valuation()) for y, _ in f.factors]
+    vbs, rows = [], [[] for _ in roots]
+    for n, d in zip(nums, dens):
+        j = _vp(d, p) if d > 1 else 0
+        vb = (-j if j else _vp(n, p)) if n else None
+        for (A, B, D, twice_d, t), row in zip(roots, rows):
+            s = INF if vb is None else 2 * vb + t
+            row.append(0 if s > 0 else s if s < 0 else _twice_valuation(d * D - n * A, n * B, p) - 2 * j - twice_d)
+        vbs.append(vb)
+    return vbs, rows
+
+
+def _transported_valuations(
+    f: FactoredRational, k: int, p: int, levels: list, nums: list, dens: list, vbs: list, rows: list
+) -> Iterator[int]:
+    """``gauss_valuation`` at each vertex (m, b) = (levels[i], nums[i]/dens[i])
+    in turn, read from the v_p(b) and omega(1 - b y) rows of ``_one_minus_by``
+    there: a factor (z - y)^mult gives mult min(omega(1 - b y) - 2m, omega(y))."""
+    lead, degree = f.lead.valuation(), len(f.extra) - 1 + sum(mult for _, mult in f.factors)
+    terms = [(mult, y.valuation(), row) for (y, mult), row in zip(f.factors, rows)]
+    for i, (m, vb) in enumerate(zip(levels, vbs)):
+        val = lead - k * m - (k + degree) * (2 * min(0, vb - m) if vb is not None else 0)
+        for mult, t, row in terms:
+            val += mult * min(row[i] - 2 * m, t)
+        if len(f.extra) > 1:
+            L, O, C = _level_and_offset(p, m, nums[i], dens[i])
+            a, b, den = _common_denominator(f.extra)
+            coeffs = zip(triangular_apply(L, O, C, a), triangular_apply(L, O, C, b))
+            val += min(_twice_valuation(x, y, p) for x, y in coeffs) - 2 * (_vp(den, p) + (len(a) - 1) * _vp(L, p))
+        yield val
 
 
 def tube_coordinate_level(v: Vertex) -> int:

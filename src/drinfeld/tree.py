@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
 from .errors import InvalidParameters, ResidueFieldMismatch, SingularMatrix
 from .scalars import RationalLike, ScalarKHat, _check_prime, _make, _mod_inverse, _vp, val_p
@@ -207,18 +207,18 @@ def standard_vertex(p: int) -> Vertex:
     return _vertex(p, 0, 0, 1)
 
 
-def _level_and_offset(v: Vertex) -> tuple[int, int, int]:
-    """p^m and b as numerators over one power of p, and that power."""
-    p, m, d = v.p, v.m, v.d
+def _level_and_offset(p: int, m: int, n: int, d: int) -> tuple[int, int, int]:
+    """p^m and b = n/d, the label of the vertex (m, b), as numerators over one
+    power of p, and that power."""
     if m >= 0:
-        return p**m * d, v.n, d
+        return p**m * d, n, d
     common = max(d, p**-m)
-    return common // p**-m, v.n * (common // d), common
+    return common // p**-m, n * (common // d), common
 
 
 def representative(v: Vertex) -> Mat2:
     """The matrix [[p^m, b],[0,1]] whose column lattice class is v."""
-    level, offset, common = _level_and_offset(v)
+    level, offset, common = _level_and_offset(v.p, v.m, v.n, v.d)
     return _mat2(level, offset, 0, common, common)
 
 
@@ -247,32 +247,26 @@ def act_on_vertex(g: Mat2, v: Vertex) -> Vertex:
 def vertex_transporter(v: Vertex) -> Mat2:
     """Group element [[1, 0], [-b, p^m]] carrying the base vertex to v (and
     base parent to v's parent)."""
-    level, offset, common = _level_and_offset(v)
+    level, offset, common = _level_and_offset(v.p, v.m, v.n, v.d)
     return _mat2(common, 0, -offset, level, common)
 
 
-def parent(v: Vertex) -> Vertex:
-    # v.b = n/p^j is canonical, so the parent's offset is (n mod p^(m-1+j))/p^j,
+def _parent_label(p: int, m: int, n: int, d: int) -> tuple[int, int, int]:
+    """The label (m - 1, n', d') of the parent of the vertex (m, n/d)."""
+    # n/d = n/p^j is canonical, so the parent's offset is (n mod p^(m-1+j))/p^j,
     # in lowest terms when j > 0 because p does not divide n
-    p, m, n, den = v.p, v.m - 1, v.n, v.d
-    mod = p**m * den if m >= 0 else den // p**-m
+    m -= 1
+    mod = p**m * d if m >= 0 else d // p**-m
     n = n % mod if mod > 1 else 0
-    return _vertex(p, m, n, den) if n else _vertex(p, m, 0, 1)
+    return (m, n, d) if n else (m, 0, 1)
 
 
-def children(v: Vertex) -> list[Vertex]:
-    """The vertices (m+1, b + c p^m), c in [0, p), with canonical offsets."""
-    p, m = v.p, v.m + 1
-    step, n0, common = _level_and_offset(v)
-    return [
-        _vertex(p, m, x, common) if x else _vertex(p, m, 0, 1)
-        for x in range(n0, n0 + p * step, step)
-    ]
-
-
-def neighbors(v: Vertex) -> list[Vertex]:
-    """All p+1 adjacent vertices, parent first, children in offset order."""
-    return [parent(v)] + children(v)
+def _child_offsets(p: int, m: int, n: int, d: int) -> tuple[range, int]:
+    """The offsets of the children (m + 1, b + c p^m), c in [0, p), of the
+    vertex (m, b = n/d), as numerators over one power of p, and that power.
+    Each is in lowest terms but a zero one, whose canonical form is 0/1."""
+    step, n0, common = _level_and_offset(p, m, n, d)
+    return range(n0, n0 + p * step, step), common
 
 
 def distance(u: Vertex, v: Vertex) -> int:
@@ -345,18 +339,30 @@ def ball_size(p: int, radius: int) -> int:
 
 @dataclass
 class TruncatedTree:
-    """Ball around the base vertex, as index arithmetic on its vertex list in
+    """Ball around the base vertex, as index arithmetic on its vertices in
     breadth-first order, whose first ``n_interior`` vertices lie below the
-    radius.  Vertex i >= 1 hangs off vertex ``up(i)`` through edge i - 1;
-    ``edge(j)`` builds the ``Edge`` that prints and keys edge j."""
+    radius.  Vertex i is labeled (m, n/d) = (levels[i], nums[i], dens[i]), the
+    ``Vertex`` label held as three int arrays; vertex i >= 1 hangs off vertex
+    ``up(i)`` through edge i - 1.  ``vertex(i)`` and ``edge(j)`` build the
+    ``Vertex`` and ``Edge`` objects, and ``vertices`` lists them all, built on
+    its first read."""
 
     p: int
-    vertices: list[Vertex]
+    levels: list[int]
+    nums: list[int]
+    dens: list[int]
     n_interior: int
 
     @property
     def n_edges(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.levels) - 1
+
+    def vertex(self, i: int) -> Vertex:
+        return _vertex(self.p, self.levels[i], self.nums[i], self.dens[i])
+
+    @cached_property
+    def vertices(self) -> list[Vertex]:
+        return list(map(self.vertex, range(len(self.levels))))
 
     def interior_vertices(self) -> list[Vertex]:
         return self.vertices[: self.n_interior]
@@ -375,26 +381,35 @@ class TruncatedTree:
         """Edge j's parent end (the smaller level) and child end.  On the
         spine through levels -1, -2, ... the child end is ``up(j + 1)``."""
         a, b = self.up(j + 1), j + 1
-        return (a, b) if self.vertices[a].m < self.vertices[b].m else (b, a)
+        return (a, b) if self.levels[a] < self.levels[b] else (b, a)
 
     def edge(self, j: int) -> Edge:
         a, b = self.ends(j)
-        return Edge(self.vertices[a], self.vertices[b])
+        return Edge(self.vertex(a), self.vertex(b))
 
 
 def truncated_tree(p: int, radius: int) -> TruncatedTree:
     """Ball of the given radius around the base vertex, neighbors visited
-    parent first, then children by offset.  A tree's frontier vertex skips
-    only the neighbour it came from, so the walk hashes nothing: that is its
-    parent, but at the base vertex and on the spine through levels < 0."""
+    parent first, then children by offset, its labels built shell by shell
+    from ``_child_offsets``.  A vertex's new neighbours are its children but
+    on the spine (-s, 0), s >= 0, which opens each shell: its parent is new
+    too, and, but at the base, its child 0 is the vertex it was reached from."""
+    _check_prime(p)
     if radius < 0:
         raise InvalidParameters("radius must be >= 0")
-    ball = TruncatedTree(p, [standard_vertex(p)], 0)
-    vertices, start = ball.vertices, 0
+    levels, nums, dens, n_interior = [0], [0], [1], 0
     for _ in range(radius):
-        ball.n_interior = end = len(vertices)
-        for i in range(start, end):
-            v, came_from = vertices[i], vertices[ball.up(i)]  # up(0) is 0
-            vertices += children(v) if came_from.m < v.m else [w for w in neighbors(v) if w != came_from]
-        start = end
-    return ball
+        start, n_interior = n_interior, len(levels)
+        for i in range(start, n_interior):
+            m = levels[i]
+            offsets, common = _child_offsets(p, m, nums[i], dens[i])
+            if i == start:
+                levels.append(m - 1)
+                nums.append(0)
+                dens.append(1)
+                offsets = offsets[1:] if i else offsets
+            # a zero offset is only the base's child 0, whose common power is 1
+            levels += [m + 1] * len(offsets)
+            nums += offsets
+            dens += [common] * len(offsets)
+    return TruncatedTree(p, levels, nums, dens, n_interior)

@@ -22,9 +22,10 @@ from drinfeld.errors import (
     PoleInsideAnnulus,
     ResidueFieldMismatch,
     SingularMatrix,
+    ZeroFunction,
 )
 from drinfeld.harmonic import Cochain, _raise_in_annulus, res0, sigma
-from drinfeld.lattices import Doubled, Lattice, d_space_basis, edge_lattice, vertex_lattice
+from drinfeld.lattices import Doubled, Lattice, _in_edge_lattice, d_space_basis, edge_lattice, vertex_lattice
 from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan, rank
 from drinfeld.modp import (
     INFINITY_POINT,
@@ -44,6 +45,7 @@ from drinfeld.scalars import (
     ScalarKHat,
     _check_prime,
     _common_denominator,
+    _make,
     _make_fq,
     _times_pihat,
     _twice_valuation,
@@ -57,13 +59,14 @@ from drinfeld.tree import (
     Mat2,
     TruncatedTree,
     Vertex,
+    _child_offsets,
+    _level_and_offset,
+    _parent_label,
+    _vertex,
     act_on_vertex,
     child_endpoint,
-    children,
     make_edge,
     make_vertex,
-    neighbors,
-    parent,
     standard_edge,
     standard_vertex,
     vertex_transporter,
@@ -325,9 +328,31 @@ def fraction_children(v: Vertex) -> list[Vertex]:
     ]
 
 
-def cochain_value(c: Cochain, e: Edge) -> list:
+@dataclass
+class EdgeCochain:
+    """A family of edge values keyed by ``Edge``, on no ball: a residue
+    cochain moved by the group, or one computed edge by edge."""
+
+    p: int
+    k: int
+    values: dict
+
+
+def edge_values(c: Cochain | EdgeCochain) -> dict:
+    """The values of c keyed by ``Edge``."""
+    if isinstance(c, EdgeCochain):
+        return c.values
+    return {c.ball.edge(j): vec for j, vec in c.values.items()}
+
+
+def support(c: Cochain | EdgeCochain) -> list:
+    """The edges of c's nonzero values, sorted."""
+    return sorted(e for e, vec in edge_values(c).items() if any(vec))
+
+
+def cochain_value(c: Cochain | EdgeCochain, e: Edge) -> list:
     """The value of c on e: the stored vector, or the zero vector."""
-    return list(c.values.get(e) or [ScalarKHat.zero(c.p)] * (c.k + 1))
+    return list(edge_values(c).get(e) or [ScalarKHat.zero(c.p)] * (c.k + 1))
 
 
 def fraction_distance(u: Vertex, v: Vertex) -> int:
@@ -410,6 +435,22 @@ def parent_endpoint(e: Edge) -> Vertex:
     return e.u
 
 
+def parent(v: Vertex) -> Vertex:
+    return _vertex(v.p, *_parent_label(v.p, v.m, v.n, v.d))
+
+
+def children(v: Vertex) -> list[Vertex]:
+    """The vertices (m+1, b + c p^m), c in [0, p), with canonical offsets."""
+    p, m = v.p, v.m + 1
+    offsets, common = _child_offsets(p, v.m, v.n, v.d)
+    return [_vertex(p, m, x, common) if x else _vertex(p, m, 0, 1) for x in offsets]
+
+
+def neighbors(v: Vertex) -> list[Vertex]:
+    """All p+1 adjacent vertices, parent first, children in offset order."""
+    return [parent(v)] + children(v)
+
+
 def edges_at(v: Vertex) -> list[Edge]:
     """The p + 1 edges at v: the parent edge, then the child edges in
     offset order."""
@@ -460,8 +501,25 @@ def dense_field_kernel(tree: TruncatedTree, k: int) -> int:
     return (k + 1) * (len(edges) - reference_rank(rows, zero))
 
 
+def in_edge_lattice(e: Edge, k: int, vec: list) -> bool:
+    """``lattices._in_edge_lattice`` for the ``Edge`` e, from its child end's
+    (L, O, C)."""
+    v = e.v
+    return _in_edge_lattice(v.p, *_level_and_offset(v.p, v.m, v.n, v.d), k, vec)
+
+
+def section_lattice_membership(f: FactoredRational, k: int, v: Vertex) -> tuple[bool, int]:
+    """Whether f lies in the weight-k integral module over the vertex open:
+    the transported section must be bounded by 1 on the vertex tube.  The
+    certificate is the doubled transported Gauss valuation."""
+    if f.is_zero():
+        raise ZeroFunction("membership is only defined for nonzero sections")
+    val = gauss_valuation(f, v, k)
+    return val >= 0, val
+
+
 def membership_by_transport(f: FactoredRational, k: int, v: Vertex) -> tuple[bool, int]:
-    """``lattices.section_lattice_membership`` through the transporter's
+    """``section_lattice_membership`` through the transporter's
     inverse and the Gauss valuation over K-hat, which is also
     ``rational.gauss_valuation(f, v, k)``."""
     val = transported_gauss_valuation(f, vertex_transporter(v).inv(), k)
@@ -1127,9 +1185,40 @@ def counted_poles_by_transporter(parts: list, gamma: Mat2, p: int) -> tuple[tupl
     return tuple(inner), sigma(gamma, p)
 
 
+def counted_poles_at_vertex(parts: list, v: Vertex) -> tuple[tuple, int]:
+    """The poles ``harmonic.res0`` sums on the edge whose child is v, and
+    their sign, read from the ints (L, O, C) of ``_level_and_offset``, one
+    vertex at a time: the inverse gamma = [[L, 0], [O, C]] / L of v's
+    transporter moves that edge to the standard edge, so the poles y in the
+    disc omega(L y / (C - O y)) >= 1 count with sign sigma(gamma), the parity
+    of v_p(C) - v_p(L), or, when the disc holds gamma^-1(infinity) = -L/O
+    (O != 0 and v_p(L) - v_p(O) >= 1), those outside with -sigma(gamma).
+    Only a pole with a pihat part is tested over K-hat."""
+    p, (L, O, C) = v.p, _level_and_offset(v.p, v.m, v.n, v.d)
+    inner, outer, in_annulus, c = [], [], [], None
+    for i, (y, _) in enumerate(parts):
+        if y.B:
+            if c is None:
+                c, d = _make(p, O, 0, L), _make(p, C, 0, L)
+            beta = d - c * y
+            w = y.valuation() - beta.valuation()  # doubled: the annulus is 0 < w < 2
+            if 0 < w < 2:
+                in_annulus.append(y / beta)
+            inside = w >= 2
+        else:
+            top, bottom = L * y.A, C * y.D - O * y.A
+            inside = not top or (bottom != 0 and _vp(top, p) - _vp(bottom, p) >= 1)
+        (inner if inside else outer).append(i)
+    _raise_in_annulus(in_annulus)
+    sign = -1 if (_vp(C, p) - _vp(L, p)) % 2 else 1
+    if O and _vp(L, p) - _vp(O, p) >= 1:
+        return tuple(outer), -sign
+    return tuple(inner), sign
+
+
 def res_kills_theta(f: FactoredRational, k: int, tree: TruncatedTree) -> bool:
     """Residue cochain of the theta image is identically zero."""
-    return res0(theta(f, k), k, tree).support() == []
+    return support(res0(theta(f, k), k, tree)) == []
 
 
 def kernel_polynomial_dimension(k: int, p: int) -> int:
@@ -1757,7 +1846,7 @@ def _jsonable(x):
     if isinstance(x, Doubled):
         return [_jsonable(Fraction(t, 2)) for t in x]
     if isinstance(x, Cochain):
-        items = sorted(x.values.items(), key=lambda kv: (kv[0].u, kv[0].v))
+        items = sorted(edge_values(x).items(), key=lambda kv: (kv[0].u, kv[0].v))
         return [
             {"edge": _jsonable(e), "value": [_jsonable(c) for c in vec]}
             for e, vec in items

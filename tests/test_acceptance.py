@@ -18,7 +18,6 @@ from drinfeld.errors import InvalidParameters
 from drinfeld.harmonic import delta, res0, res0_integrality
 from drinfeld.lattices import (
     local_space_report,
-    section_lattice_membership,
     vertex_lattice_profile,
 )
 from drinfeld.modp import (
@@ -48,6 +47,8 @@ from oracles import (
     quotient_reduce,
     res_kills_theta,
     rescale_to_gauss_bound,
+    section_lattice_membership,
+    support,
 )
 from inprocess import invoke
 from sampling import (
@@ -195,7 +196,7 @@ def test_criterion_5_residue_suite():
         make_edge(make_vertex(p, n - 1, 0), make_vertex(p, n, 0))
         for n in range(-2, 4)
     }
-    assert set(c.support()) == expected_support
+    assert set(support(c)) == expected_support
     for n in range(-2, 4):
         e = make_edge(make_vertex(p, n - 1, 0), make_vertex(p, n, 0))
         expected = ScalarKHat.from_rational((-1) ** n, p)

@@ -31,11 +31,10 @@ from drinfeld.linalg import SparseRows
 from drinfeld.modp import gl2_generators, symgeom_iso, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.rational import parse_rational
-from drinfeld.tree import TruncatedTree, make_vertex, neighbors as _neighbors, truncated_tree
+from drinfeld.tree import TruncatedTree, _child_offsets, make_vertex, truncated_tree
 from inprocess import invoke
 from oracles import (
     FqFraction,
-    ball_edges,
     densify,
     emit_oracle,
     fq_function_str,
@@ -43,6 +42,7 @@ from oracles import (
     fraction_standard_profiles,
     mat_vec,
     quotient_reduce,
+    support,
     sym_matrix_fq,
 )
 
@@ -144,8 +144,15 @@ class TestFrozenPayloads:
         assert '"pass": false' in result.stdout
 
 
-def _drop_last_child(v):
-    return _neighbors(v)[:-1]
+def _drop_last_child(p, m, n, d):
+    offsets, common = _child_offsets(p, m, n, d)
+    return offsets[:-1], common
+
+
+def _child_onto_its_sibling(p, m, n, d):
+    """Child 0's offset shifted by one step of the label arithmetic, onto child 1's."""
+    offsets, common = _child_offsets(p, m, n, d)
+    return [offsets[0] + offsets.step, *offsets[1:]], common
 
 
 def _star_off_by_one(self, i):
@@ -159,15 +166,16 @@ def _up_off_by_one(self, i):
 
 class TestBallMutations:
     """One mutation of the ball per gate that reads it, each failing that
-    gate: ``tree`` counts the walk's vertices and checks that every interior
-    star has p + 1 distinct edges ending at its vertex, ``residue`` sums its
-    cochain at the edges' ends, and ``modp sections``
+    gate: ``tree`` counts the walk's vertices, checks that their labels are
+    distinct and that every interior star has p + 1 distinct edges ending at
+    its vertex, ``residue`` sums its cochain at the edges' ends, and ``modp sections``
     refuses a glued pair of vertices that are not adjacent.  No mutation of
     the ball fails ``harmonic``'s ``dimension == predicted``: both sides
     count the same ball, and the interior incidence rows stay independent."""
 
     CASES = [
-        (tree, "neighbors", _drop_last_child, ("tree", "--p", "3", "--radius", "3"), '"pass": false'),
+        (tree, "_child_offsets", _drop_last_child, ("tree", "--p", "3", "--radius", "3"), '"pass": false'),
+        (tree, "_child_offsets", _child_onto_its_sibling, ("tree", "--p", "3", "--radius", "3"), '"regular": false'),
         (TruncatedTree, "star", _star_off_by_one, ("tree", "--p", "3", "--radius", "3"), '"regular": false'),
         (
             TruncatedTree,
@@ -585,6 +593,8 @@ class TestAnsweredAtOnce:
             (("harmonic", "--p", "3", "--k", "0", "--radius", "8"), 0),
             (("harmonic", "--p", "11", "--k", "0", "--radius", "4"), 0),
             (("tree", "--p", "5", "--radius", "6"), 0),
+            (("residue", "--p", "5", "--k", "2", "--f", "z^-1*(z-1)^-1", "--radius", "6"), 0),
+            (("residue", "--p", "3", "--k", "0", "--f", "1/z", "--radius", "8"), 0),
             (("tree", "--p", "157", "--radius", "2"), 0),
             (("modp", "b-forms", "--q", "157"), 0),
             # one star's local spaces, at the largest p or k admitted
@@ -1510,6 +1520,29 @@ class TestFieldElementsConfined:
         assert self._images() == images
 
 
+class TestLabelFreePaths:
+    """``tree`` reads the ball's labels as int arrays and ``harmonic``'s field
+    kernel reads no label: with ``tree._vertex``, through which every
+    ``Vertex`` is made, refusing, each prints what it printed before."""
+
+    RUNS = [
+        *(["harmonic", "--p", str(p), "--k", str(k), "--radius", str(r)] for p in (2, 3, 5) for k in range(3) for r in range(5)),
+        *(["tree", "--p", str(p), "--radius", str(r)] for p in (2, 3) for r in range(7)),
+    ]
+
+    def test_no_vertex_is_built(self, monkeypatch):
+        honest = [invoke(args) for args in self.RUNS]
+
+        def refused(*_):
+            raise AssertionError("a Vertex was built")
+
+        monkeypatch.setattr(tree, "_vertex", refused)
+        for args, want in zip(self.RUNS, honest):
+            got = invoke(args)
+            assert want.exit_code == got.exit_code == 0, (args, got.output)
+            assert got.stdout == want.stdout, args
+
+
 # Payload entries of every kind that the writer renders, and containers of them.
 _F3, _F4 = Fq(3), Fq(4)
 _RESIDUES = st.integers(0, 2)
@@ -1680,20 +1713,20 @@ class TestCochainWriter:
     def test_residue_cochains_match_the_generic_writer(self, p, k, text, radius):
         c = res0(parse_rational(text, p), k, truncated_tree(p, radius))
         assert cli_module._dumps(c) == emit_oracle(c)
-        payload = {"cochain": c, "support_size": len(c.support())}
+        payload = {"cochain": c, "support_size": len(support(c))}
         assert cli_module._dumps(payload) == emit_oracle(payload)
 
     @given(seed=st.integers(0, 10**6), p=st.sampled_from([2, 3, 5]), k=st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_drawn_cochains_match_the_generic_writer(self, seed, p, k):
         rng = random.Random(seed)
-        edges = ball_edges(truncated_tree(p, 2))
+        ball = truncated_tree(p, 2)
         values = {
-            e: [ScalarKHat(p, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-2, 2))
+            j: [ScalarKHat(p, Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-2, 2))
                 for _ in range(k + 1)]
-            for e in rng.sample(edges, rng.randint(0, len(edges)))
+            for j in rng.sample(range(ball.n_edges), rng.randint(0, ball.n_edges))
         }
-        c = Cochain(p, k, values)
+        c = Cochain(ball, k, values)
         assert cli_module._dumps({"a": [c]}) == emit_oracle({"a": [c]})
 
 

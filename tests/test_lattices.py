@@ -21,10 +21,8 @@ from drinfeld.lattices import (
     e_space_basis,
     edge_lattice,
     edge_lattice_profile,
-    in_edge_lattice,
     local_dimension_formulas,
     local_space_report,
-    section_lattice_membership,
     star_local_kernel,
     vertex_lattice,
     vertex_lattice_profile,
@@ -37,7 +35,6 @@ from drinfeld.tree import (
     Vertex,
     act_on_vertex,
     child_endpoint,
-    children,
     make_edge,
     make_vertex,
     standard_edge,
@@ -56,11 +53,13 @@ from oracles import (
     basis_equal,
     basis_relative_profile,
     basis_transition,
+    children,
     cochain_value,
     dual_act,
     edge_transporter,
     endpoint_sum,
     fraction_valuation,
+    in_edge_lattice,
     lattice_basis,
     lattice_contains_vector,
     lattice_intersection,
@@ -74,6 +73,7 @@ from oracles import (
     reference_star_local_kernel,
     reference_vertex_profile,
     relative_profile,
+    section_lattice_membership,
     transition_d_space_basis,
     transition_e_space_basis,
     transition_matrix,

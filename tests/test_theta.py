@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld.lattices import section_lattice_membership
 from drinfeld.rational import (
     FactoredRational,
     parse_rational,
@@ -25,6 +24,7 @@ from oracles import (
     raw_gauss_valuation,
     res_kills_theta,
     rescale_to_gauss_bound,
+    section_lattice_membership,
 )
 from sampling import monomial, random_group_element, random_rational, random_vertex
 

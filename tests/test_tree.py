@@ -20,12 +20,9 @@ from drinfeld.tree import (
     act_on_vertex,
     ball_size,
     child_endpoint,
-    children,
     distance,
     make_edge,
     make_vertex,
-    neighbors,
-    parent,
     representative,
     standard_edge,
     standard_vertex,
@@ -40,6 +37,7 @@ from oracles import (
     FrozenEdge,
     act_on_edge,
     ball_edges,
+    children,
     edge_transporter,
     edges_at,
     fraction_act_on_vertex,
@@ -49,9 +47,11 @@ from oracles import (
     fraction_make_edge,
     fraction_parent,
     fraction_representative,
-    fraction_vertex_of_matrix,
     fraction_vertex_key,
+    fraction_vertex_of_matrix,
     fraction_vertex_transporter,
+    neighbors,
+    parent,
     parent_endpoint,
     reference_ball,
 )
