@@ -236,11 +236,10 @@ def _cochain_json(c: Cochain, pad: str) -> str:
     among the edges of one counted-pole key."""
     ball, item, edge, ends = c.ball, pad + "  ", pad + "    ", pad + "      "
     levels, nums, dens, top = ball.levels, ball.nums, ball.dens, max(ball.dens)
+    stored = [(ball.ends(j), vec) for j, vec in c.values.items()]
+    stored.sort(key=lambda e: [(levels[i], nums[i] * (top // dens[i])) for i in e[0]])
     labels, values, body = {}, {}, []
-    for _, (u, v), vec in sorted(
-        ([(levels[i], nums[i] * (top // dens[i])) for i in ball.ends(j)], ball.ends(j), vec)
-        for j, vec in c.values.items()
-    ):
+    for (u, v), vec in stored:
         for i in (u, v):
             if i not in labels:
                 labels[i] = _label_json(levels[i], nums[i], dens[i], ends)

@@ -298,8 +298,8 @@ def gauss_valuation(f: FactoredRational, v: Vertex, k: int = 0) -> int:
     (``triangular_apply``); and (a + c z)^(-k) gives -k min(omega(a), omega(c))."""
     if f.is_zero():
         raise ZeroFunction("the zero function has no Gauss valuation")
-    label = [v.m], [v.n], [v.d]
-    return next(_transported_valuations(f, k, v.p, *label, *_one_minus_by(f, v.p, *label[1:])))
+    nums, dens = [v.n], [v.d]
+    return next(_transported_valuations(f, k, v.p, [v.m], nums, dens, *_one_minus_by(f, v.p, nums, dens)))
 
 
 def _one_minus_by(f: FactoredRational, p: int, nums: list, dens: list) -> tuple[list, list]:

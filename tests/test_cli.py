@@ -168,8 +168,8 @@ class TestBallMutations:
     """One mutation of the ball per gate that reads it, each failing that
     gate: ``tree`` counts the walk's vertices, checks that their labels are
     distinct and that every interior star has p + 1 distinct edges ending at
-    its vertex, ``residue`` sums its cochain at the edges' ends, and ``modp sections``
-    refuses a glued pair of vertices that are not adjacent.  No mutation of
+    its vertex, ``residue`` sums its cochain at the edges' ends, and ``modp
+    sections`` refuses a glued pair of vertices that are not adjacent.  No mutation of
     the ball fails ``harmonic``'s ``dimension == predicted``: both sides
     count the same ball, and the interior incidence rows stay independent."""
 
@@ -1526,7 +1526,12 @@ class TestLabelFreePaths:
     ``Vertex`` is made, refusing, each prints what it printed before."""
 
     RUNS = [
-        *(["harmonic", "--p", str(p), "--k", str(k), "--radius", str(r)] for p in (2, 3, 5) for k in range(3) for r in range(5)),
+        *(
+            ["harmonic", "--p", str(p), "--k", str(k), "--radius", str(r)]
+            for p in (2, 3, 5)
+            for k in range(3)
+            for r in range(5)
+        ),
         *(["tree", "--p", str(p), "--radius", str(r)] for p in (2, 3) for r in range(7)),
     ]
 
