@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import mul
 
 from . import poly
@@ -162,7 +162,7 @@ def _ball_pass(g: FactoredRational, parts: list, tree: TruncatedTree) -> tuple[l
     key_of = {}
     for shape in set(shapes):
         inside, flip, odd = shape
-        key_of[shape] = tuple(n for n, x in enumerate(inside) if x is not flip), -1 if flip ^ odd else 1
+        key_of[shape] = tuple(compress(count(), map(flip.__ne__, inside))), -1 if flip ^ odd else 1
     children = [tree.ends(j)[1] for j in range(tree.n_edges)]
     for child in children if refused else ():
         if child in refused:
@@ -181,21 +181,19 @@ def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
     parts = [(y, A) for y, A in principal_parts(g) if any(A)]
     vectors = [_pole_vector(y, A, k) for y, A in parts]
     keys, geometry = _ball_pass(g, parts, tree)
-    zero, sums, values = ScalarKHat.zero(p), {}, {}
+    zero, sums = ScalarKHat.zero(p), {}
     for poles, sign in set(keys):
         total = [sum(col, zero) for col in zip(*(vectors[i] for i in poles))] or [zero] * (k + 1)
         sums[poles, sign] = total if sign > 0 else [-x for x in total]
-    for j, key in enumerate(keys):
-        vec = sums[key]
-        if rng is not None:
+    if rng is not None:
+        for j, key in enumerate(keys):
             jitter = unipotent_lower(rng.randrange(1, 5 * p))
             # a second transporter for the same edge: standard-edge stabilizer
             alt = (vertex_transporter(tree.vertex(tree.ends(j)[1])) @ jitter).inv()
-            if vec != _edge_residue(parts, k, alt, p):
+            if sums[key] != _edge_residue(parts, k, alt, p):
                 raise InternalInvariantError(f"residue value at {tree.edge(j)} disagrees with the series")
-        if any(vec):
-            values[j] = vec
-    return Cochain(tree, k, values, geometry)
+    stored = {key for key, vec in sums.items() if any(vec)}
+    return Cochain(tree, k, {j: sums[key] for j, key in enumerate(keys) if key in stored}, geometry)
 
 
 def res0_integrality(
