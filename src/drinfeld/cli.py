@@ -245,8 +245,9 @@ def _cochain_json(c: Cochain, pad: str) -> str:
                 labels[i] = _label_json(levels[i], nums[i], dens[i], ends)
         if id(vec) not in values:
             values[id(vec)] = _dumps(vec, edge)
-        pair = _wrap("{}", [f'"child": {labels[v]}', f'"parent": {labels[u]}'], edge)
-        body.append(_wrap("{}", [f'"edge": {pair}', f'"value": {values[id(vec)]}'], item))
+        # {"edge": {"child", "parent"}, "value"} as two nested ``_wrap``s print it
+        pair = f'{{{ends}"child": {labels[v]},{ends}"parent": {labels[u]}{edge}}}'
+        body.append(f'{{{edge}"edge": {pair},{edge}"value": {values[id(vec)]}{item}}}')
     return _wrap("[]", body, pad)
 
 

@@ -55,9 +55,9 @@ def delta(c: Cochain, tree: TruncatedTree) -> dict:
     for j, vec in c.values.items():
         for end in tree.ends(j):
             if end < interior:
-                sums[end] = [x + y for x, y in zip(sums.get(end, zeros), vec)]
+                sums[end] = [x + y for x, y in zip(sums[end], vec)] if end in sums else vec
     return {
-        i: [-x for x in sums.get(i, zeros)] if tree.levels[i] % 2 else sums.get(i, zeros)
+        i: [-x for x in sums[i]] if i in sums and tree.levels[i] % 2 else sums.get(i, zeros)
         for i in range(tree.n_interior)
     }
 
@@ -149,7 +149,7 @@ def _ball_pass(g: FactoredRational, parts: list, tree: TruncatedTree) -> tuple[l
     vbs, rows = geometry = _one_minus_by(g, p, tree.nums, tree.dens)
     # each pole's doubled valuation omega(y / (d - c y)) at each vertex
     row_of = {(y.A, y.B, y.D): row for (y, _), row in zip(g.factors, rows)}
-    ws = [[y.valuation() - u + 2 * m for u, m in zip(row_of[y.A, y.B, y.D], levels)] for y, _ in parts]
+    ws = [[t - u + 2 * m for u, m in zip(row_of[y.A, y.B, y.D], levels)] for y, _ in parts for t in [y.valuation()]]
     refused = {}  # each vertex's images of the poles in its edge's annulus, if any
     if any(1 in row for row in ws):
         for i in range(len(levels)):
@@ -163,7 +163,7 @@ def _ball_pass(g: FactoredRational, parts: list, tree: TruncatedTree) -> tuple[l
     for shape in set(shapes):
         inside, flip, odd = shape
         key_of[shape] = tuple(compress(count(), map(flip.__ne__, inside))), -1 if flip ^ odd else 1
-    children = [tree.ends(j)[1] for j in range(tree.n_edges)]
+    children = tree.child_ends()
     for child in children if refused else ():
         if child in refused:
             _raise_in_annulus(refused[child])
@@ -207,7 +207,10 @@ def res0_integrality(
     Only the edges the cochain stores need a membership test: every other
     value is the zero vector, which lies in every full-rank lattice."""
     p, levels, nums, dens = tree.p, tree.levels, tree.nums, tree.dens
-    children = ((tree.ends(j)[1], vec) for j, vec in cochain.values.items())
+    # res0 shares one value list among the edges of a key: its ints are read once
+    ints = {id(vec): vec for vec in cochain.values.values()}
+    ints = {key: _common_denominator(vec) for key, vec in ints.items()}
+    children = ((tree.ends(j)[1], ints[id(vec)]) for j, vec in cochain.values.items())
     all_in = all(
         _in_edge_lattice(p, *_level_and_offset(p, levels[i], nums[i], dens[i]), k, vec) for i, vec in children
     )

@@ -39,7 +39,7 @@ from operator import sub
 
 from .errors import InternalInvariantError, NegativeValuation
 from .linalg import rank_up_to, rref
-from .scalars import INF, _common_denominator, _twice_valuation, _vp, half
+from .scalars import INF, _twice_valuation, _vp, half
 from .symrep import sym_ints, triangular_apply
 from .tree import (
     Edge,
@@ -116,18 +116,19 @@ def edge_lattice_profile(e: Edge, k: int) -> Doubled:
     return Doubled(sorted(max(0, (2 * i - k) * slope) for i in range(k + 1)))
 
 
-def _in_edge_lattice(p: int, L: int, O: int, C: int, k: int, vec: list) -> bool:
-    """Whether coordinate j of vec in the basis of the edge lattice of the
-    edge whose child end has (L, O, C) from ``_level_and_offset``, sym(g)^T *
-    vec for the child's transporter g, has doubled valuation at least
-    max(0, 2j - k).  g is [[C, 0], [-O, L]] / C, so sym(g) is the lower
-    triangular M of the ints C, -O, L (applied by ``triangular_apply``) times
-    L/C^(k+1) and pihat^((k+2)(v_p(C) - v_p(L))), of doubled valuation
-    -k (v_p(L) + v_p(C))."""
-    a, b, common = _common_denominator(vec)
+def _in_edge_lattice(p: int, L: int, O: int, C: int, k: int, ints: tuple) -> bool:
+    """Whether coordinate j of the vector vec with ``_common_denominator``
+    ints ``ints`` in the basis of the edge lattice of the edge whose child
+    end has (L, O, C) from ``_level_and_offset``, sym(g)^T * vec for the
+    child's transporter g, has doubled valuation at least max(0, 2j - k).
+    g is [[C, 0], [-O, L]] / C, so sym(g) is the lower triangular M of the
+    ints C, -O, L (applied by ``triangular_apply``) times L/C^(k+1) and
+    pihat^((k+2)(v_p(C) - v_p(L))), of doubled valuation -k (v_p(L) + v_p(C))."""
+    a, b, common = ints
     shift = -k * (_vp(L, p) + _vp(C, p)) - 2 * _vp(common, p)
     # a zero part, such as the pihat part of most residues, has zero coordinates
-    xs, ys = (triangular_apply(C, -O, L, u, transposed=True) if any(u) else u for u in (a, b))
+    xs = triangular_apply(C, -O, L, a, transposed=True) if any(a) else a
+    ys = triangular_apply(C, -O, L, b, transposed=True) if any(b) else b
     return all(_twice_valuation(x, y, p) + shift >= max(0, 2 * j - k) for j, (x, y) in enumerate(zip(xs, ys)))
 
 

@@ -3,8 +3,7 @@ no trailing zeros; () is zero.  Coefficients (``ScalarKHat``, int, and
 ``FqElem`` in ``modp``'s equivariance check only) need +, -, *, negation,
 ``inverse()`` and to be false exactly at zero; callers pass ``zero``/``one``
 where a routine builds coefficients.  Here are the ring operations, division
-with remainder, and the shift and series inverse that
-``rational.principal_parts`` expands with.
+with remainder, and the shift that ``rational.principal_parts`` expands with.
 """
 
 from __future__ import annotations
@@ -104,18 +103,4 @@ def shift(u: Poly, x0: T, upto: int) -> Poly:
             quotient.append(acc)
         out.append(quotient.pop())
         rest = quotient[::-1]
-    return trim(out)
-
-
-def series_inverse(u: Poly, upto: int, zero: T) -> Poly:
-    """Multiplicative inverse of a power series with invertible constant term,
-    truncated below degree `upto`."""
-    inv0 = u[0].inverse()
-    out = [zero] * upto
-    out[0] = inv0
-    for n in range(1, upto):
-        acc = zero
-        for i in range(1, min(n, len(u) - 1) + 1):
-            acc = acc + u[i] * out[n - i]
-        out[n] = -inv0 * acc
     return trim(out)

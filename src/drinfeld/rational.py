@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from . import poly
 from .errors import InvalidParameters, ZeroFunction
-from .scalars import INF, ScalarKHat, _common_denominator, _make, _twice_valuation, _vp
+from .scalars import ScalarKHat, _common_denominator, _make, _twice_valuation, _vp
 from .symrep import triangular_apply
 from .tree import Vertex, _level_and_offset
 
@@ -76,9 +76,9 @@ class FactoredRational:
             self.factors = ()
             self.extra = (ScalarKHat.one(p),)
             return
-        merged: dict[tuple, list] = {}
+        merged: dict[tuple, list] = {}  # by the ints of each root, which equal roots share
         for root, mult in factors:
-            key = _root_key(root)
+            key = root.A, root.B, root.D
             if key in merged:
                 merged[key][1] += mult
             else:
@@ -90,7 +90,7 @@ class FactoredRational:
         self.lead = lead
         self.factors = tuple(
             (root, mult)
-            for _, (root, mult) in sorted(merged.items())
+            for root, mult in sorted(merged.values(), key=lambda e: _root_key(e[0]))
             if mult != 0
         )
         self.extra = extra
@@ -308,15 +308,15 @@ def _one_minus_by(f: FactoredRational, p: int, nums: list, dens: list) -> tuple[
     over the offsets.  With b = n/d = n/p^j and y = (A + B pihat)/D, that is
     min(0, omega(b y)) unless omega(b y) = 0, and only then read from the
     ints d D - n A - n B pihat."""
-    roots = [(y.A, y.B, y.D, 2 * _vp(y.D, p), y.valuation()) for y, _ in f.factors]
-    vbs, rows = [], [[] for _ in roots]
-    for n, d in zip(nums, dens):
-        j = _vp(d, p) if d > 1 else 0
-        vb = (-j if j else _vp(n, p)) if n else None
-        for (A, B, D, twice_d, t), row in zip(roots, rows):
-            s = INF if vb is None else 2 * vb + t
-            row.append(0 if s > 0 else s if s < 0 else _twice_valuation(d * D - n * A, n * B, p) - 2 * j - twice_d)
-        vbs.append(vb)
+    vbs = [(_vp(n, p) if d == 1 else -_vp(d, p)) if n else None for n, d in zip(nums, dens)]
+    rows = []
+    for y, _ in f.factors:
+        A, B, D, t, twice_d = y.A, y.B, y.D, y.valuation(), 2 * _vp(y.D, p)
+        rows.append([
+            0 if vb is None or (s := 2 * vb + t) > 0 else s if s < 0
+            else _twice_valuation(d * D - n * A, n * B, p) + 2 * min(vb, 0) - twice_d
+            for n, d, vb in zip(nums, dens, vbs)
+        ])
     return vbs, rows
 
 
@@ -363,22 +363,24 @@ def principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
     (z - y)^-1, ..., (z - y)^-r in the expansion of f around y, in the order
     of f.factors.  The order is the one f.factors states: when extra vanishes
     at y the leading coefficients are zero, and all of them are when y is no
-    pole at all."""
-    num, _ = f.num_den()
-    den_roots = f.denominator_roots()
-    zero, one = ScalarKHat.zero(f.p), ScalarKHat.one(f.p)
+    pole at all.
+
+    f (z - y)^r at z = y + u is lead extra(y + u) times, for each other factor
+    (z - x)^m, c^m (1 + u/c)^m with c = y - x, whose binomial series has
+    [u^(t+1)] = [u^t] (m - t) / ((t + 1) c); all are read below u^r."""
+    zero = ScalarKHat.zero(f.p)
     out = []
-    for root, r in den_roots:
-        others = (one,)
-        for other_root, other_r in den_roots:
-            if other_root is not root:
-                others = poly.mul(others, poly.power((-other_root, one), other_r, zero, one), zero)
-        # f (z - y)^r = num / others; its Taylor coefficients below r at y
-        num_shift = poly.shift(num, root, r)
-        den_shift = poly.shift(others, root, r)
-        series = poly.mul(num_shift, poly.series_inverse(den_shift, r, zero), zero)[:r]
+    for y, r in f.denominator_roots():
+        series = poly.scale(poly.shift(f.extra, y, r), f.lead)
+        for x, m in f.factors:
+            if x is not y:
+                inv = (y - x).inverse()
+                term = [inv ** -m if m < 0 else (y - x) ** m]
+                for t in range(r - 1):
+                    term.append(term[-1] * inv * Fraction(m - t, t + 1))
+                series = poly.mul(series, term, zero)[:r]
         series = series + (zero,) * (r - len(series))
-        out.append((root, [series[r - t] for t in range(1, r + 1)]))
+        out.append((y, [series[r - t] for t in range(1, r + 1)]))
     return out
 
 

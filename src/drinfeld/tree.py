@@ -383,6 +383,11 @@ class TruncatedTree:
         a, b = self.up(j + 1), j + 1
         return (a, b) if self.levels[a] < self.levels[b] else (b, a)
 
+    def child_ends(self) -> list[int]:
+        """Each edge's child end, by edge index, as ``ends`` gives it."""
+        levels, ids = self.levels, range(1, len(self.levels))
+        return [i if levels[u] < levels[i] else u for i, u in zip(ids, map(self.up, ids))]
+
     def edge(self, j: int) -> Edge:
         a, b = self.ends(j)
         return Edge(self.vertex(a), self.vertex(b))

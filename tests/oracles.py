@@ -505,7 +505,7 @@ def in_edge_lattice(e: Edge, k: int, vec: list) -> bool:
     """``lattices._in_edge_lattice`` for the ``Edge`` e, from its child end's
     (L, O, C)."""
     v = e.v
-    return _in_edge_lattice(v.p, *_level_and_offset(v.p, v.m, v.n, v.d), k, vec)
+    return _in_edge_lattice(v.p, *_level_and_offset(v.p, v.m, v.n, v.d), k, _common_denominator(vec))
 
 
 def section_lattice_membership(f: FactoredRational, k: int, v: Vertex) -> tuple[bool, int]:
@@ -1265,6 +1265,39 @@ class LaurentWindow:
         if not self.lo <= j <= self.hi:
             raise InvalidParameters(f"index {j} outside window [{self.lo}, {self.hi}]")
         return self.coeffs.get(j, ScalarKHat.zero(self.p))
+
+
+def series_inverse(u: poly.Poly, upto: int, zero):
+    """Multiplicative inverse of a power series with invertible constant term,
+    truncated below degree `upto`."""
+    inv0 = u[0].inverse()
+    out = [zero] * upto
+    out[0] = inv0
+    for n in range(1, upto):
+        acc = zero
+        for i in range(1, min(n, len(u) - 1) + 1):
+            acc = acc + u[i] * out[n - i]
+        out[n] = -inv0 * acc
+    return poly.trim(out)
+
+
+def reference_principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
+    """``rational.principal_parts`` from the expanded numerator over the
+    product of the other poles' factors: the Taylor series of their quotient
+    at each pole y of order r, below u^r, by shifts and a series inverse."""
+    num, _ = f.num_den()
+    den_roots = f.denominator_roots()
+    zero, one = ScalarKHat.zero(f.p), ScalarKHat.one(f.p)
+    out = []
+    for root, r in den_roots:
+        others = (one,)
+        for other_root, other_r in den_roots:
+            if other_root is not root:
+                others = poly.mul(others, poly.power((-other_root, one), other_r, zero, one), zero)
+        series = poly.mul(poly.shift(num, root, r), series_inverse(poly.shift(others, root, r), r, zero), zero)[:r]
+        series = series + (zero,) * (r - len(series))
+        out.append((root, [series[r - t] for t in range(1, r + 1)]))
+    return out
 
 
 def laurent_standard(f: FactoredRational, lo: int, hi: int) -> LaurentWindow:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from drinfeld.cli import _value
 from drinfeld.errors import PoleInsideAnnulus, ZeroFunction
-from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational
+from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational, principal_parts
 from drinfeld.scalars import ScalarKHat
 from drinfeld.theta import theta
 from drinfeld.tree import Mat2, make_vertex, vertex_transporter
@@ -24,6 +24,7 @@ from oracles import (
     poly_evaluate,
     raw_gauss_valuation,
     reduce_mod_pihat,
+    reference_principal_parts,
     transported_gauss_valuation,
 )
 from sampling import gamma_level, monomial, random_group_element, random_rational, random_vertex, weyl_flip
@@ -405,6 +406,24 @@ class TestTransportedGaussValuation:
         assert transported_gauss_valuation(f, g, k) == 2 * raw_gauss_valuation(
             automorphic_act(g, f, k)
         )
+
+
+class TestPrincipalParts:
+    """principal_parts multiplies binomial series of the other factors at
+    each pole; the oracle divides the expanded numerator by the product of
+    the other poles' factors."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_equal_the_expanded_quotient(self, p):
+        rng = random.Random(f"principal/{p}")
+        sections = [_gauss_oracle_section(rng, p, kind) for kind in ["product", "theta", "sum"] * 30]
+        sections += [
+            parse_rational(text, p)
+            for text in ("(z-pihat)^-3*(z-1)^2", "(z-1/2*pihat)^-2*(z-p)^-1*z^3", "pihat^-1*z^-3*(z-1)^-3*(z+1)")
+        ]
+        assert sum(any(r > 1 for _, r in f.denominator_roots()) for f in sections) > 10
+        for f in sections:
+            assert principal_parts(f) == reference_principal_parts(f), f
 
 
 class TestLaurentWindows:
