@@ -123,10 +123,11 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
 def _pole_vector(y: ScalarKHat, principal: list, k: int) -> list:
     """R_y[j] = sum_t A_t [u^(t-1)] (y + u)^j, j = 0..k: the residue of
     f(w) w^j dw at a pole y of f with principal part (A_1, ..., A_r)."""
-    zero, row, out = ScalarKHat.zero(y.p), [ScalarKHat.one(y.p)], []
-    for _ in range(k + 1):  # Pascal's rule: row holds [u^t] (y + u)^j = C(j, t) y^(j-t), t below r
-        out.append(sum(map(mul, principal, row), zero))
+    zero, row = ScalarKHat.zero(y.p), [ScalarKHat.one(y.p)]
+    out = [sum(map(mul, principal, row), zero)]
+    for _ in range(k):  # Pascal's rule: row holds [u^t] (y + u)^j = C(j, t) y^(j-t), t below r
         row = [y * x + z for x, z in zip(row + [zero], [zero] + row)][: len(principal)]
+        out.append(sum(map(mul, principal, row), zero))
     return out
 
 
@@ -208,8 +209,8 @@ def res0_integrality(
     value is the zero vector, which lies in every full-rank lattice."""
     p, levels, nums, dens = tree.p, tree.levels, tree.nums, tree.dens
     # res0 shares one value list among the edges of a key: its ints are read once
-    ints = {id(vec): vec for vec in cochain.values.values()}
-    ints = {key: _common_denominator(vec) for key, vec in ints.items()}
+    shared = {id(vec): vec for vec in cochain.values.values()}
+    ints = {key: _common_denominator(vec) for key, vec in shared.items()}
     children = ((tree.ends(j)[1], ints[id(vec)]) for j, vec in cochain.values.items())
     all_in = all(
         _in_edge_lattice(p, *_level_and_offset(p, levels[i], nums[i], dens[i]), k, vec) for i, vec in children

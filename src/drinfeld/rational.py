@@ -374,10 +374,10 @@ def principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
         series = poly.scale(poly.shift(f.extra, y, r), f.lead)
         for x, m in f.factors:
             if x is not y:
-                inv = (y - x).inverse()
-                term = [inv ** -m if m < 0 else (y - x) ** m]
+                c = y - x
+                term = [c.inverse() ** -m if m < 0 else c**m]
                 for t in range(r - 1):
-                    term.append(term[-1] * inv * Fraction(m - t, t + 1))
+                    term.append(term[-1] * Fraction(m - t, t + 1) / c)
                 series = poly.mul(series, term, zero)[:r]
         series = series + (zero,) * (r - len(series))
         out.append((y, [series[r - t] for t in range(1, r + 1)]))
@@ -407,8 +407,9 @@ _INNER_TERM = re.compile(
 
 def _literal(text: str) -> Fraction:
     """A rational literal such as '3' or '1/2'; a zero denominator is bad input."""
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise InvalidParameters(f"zero denominator in {text!r}") from None
     except ValueError:  # more digits than int() converts
