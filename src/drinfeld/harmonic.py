@@ -235,7 +235,7 @@ def field_kernel(tree: TruncatedTree, k: int) -> int:
     # pending row shares, so the pending rows take no fill-in
     last = tree.n_edges - 1
     rows = [{last - j: 1 for j in tree.star(i)} for i in range(tree.n_interior)]
-    return (k + 1) * (tree.n_edges - sum(1 for _ in _pivots(rows, tree.p)))
+    return (k + 1) * (tree.n_edges - len(_pivots(rows, tree.p)))
 
 
 def star_local_kernels(tree: TruncatedTree, k: int) -> dict:

@@ -11,7 +11,7 @@ vectors sparse, as ``SparseRows``.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 Matrix = list  # list[list], row-major
@@ -59,22 +59,25 @@ def _gauss_jordan(rows: list[dict], p: int) -> tuple[list[dict], list[int]]:
         for row in reduced:
             if c in row:
                 _eliminate(row, c, tail, p)
-        reduced.append(dict(tail) | {c: 1})
+        pivot_row = dict(tail)
+        pivot_row[c] = 1
+        reduced.append(pivot_row)
         pivots.append(c)
     return reduced, pivots
 
 
-def _pivots(rows: list[dict], p: int) -> Iterator[tuple[int, list]]:
+def _pivots(rows: list[dict], p: int) -> list[tuple[int, list]]:
     """Forward elimination of rows given as {column: nonzero residue mod p}
     maps: each pivot column in increasing order, with the rest of its row
-    scaled to 1 at the pivot as (column, residue) pairs, once every pending
-    row is cleared at that column.  Their count is the rank."""
+    scaled to 1 at the pivot as (column, residue) pairs, taken once every
+    pending row is cleared at that column.  Their count is the rank."""
     pending = {i: entries for i, entries in enumerate(rows) if entries}
     # (leading column, row id) of each pending row. Every pending row's
     # columns are at least the smallest leading column c, so exactly the rows
     # led by c have an entry in column c.
     leads = [(min(entries), i) for i, entries in pending.items()]
     heapq.heapify(leads)
+    out = []
     while leads:
         c, i = heapq.heappop(leads)
         inv = pow(pending[i].pop(c), -1, p)
@@ -87,7 +90,8 @@ def _pivots(rows: list[dict], p: int) -> Iterator[tuple[int, list]]:
                 heapq.heappush(leads, (min(row), i))
             else:
                 del pending[i]
-        yield c, tail
+        out.append((c, tail))
+    return out
 
 
 def _eliminate(row: dict, c: int, tail: list, p: int) -> None:
