@@ -13,9 +13,9 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
-from operator import eq, or_
+from operator import ne
 
 from .errors import DrinfeldError, InternalInvariantError, InvalidParameters
 from .harmonic import Cochain, delta, field_kernel, res0, res0_integrality, star_local_kernels
@@ -41,7 +41,7 @@ from .modp import (
 from .rational import FactoredRational, parse_rational
 from .scalars import Fq, ScalarKHat, _check_prime
 from .theta import complement_b_identity, theta, theta_integrality
-from .tree import TruncatedTree, Vertex, _parent_label, ball_size, make_vertex, standard_edge, truncated_tree
+from .tree import TruncatedTree, _parent_label, ball_size, truncated_tree, vertex_label
 
 _MAX_RADIUS = 8
 _MAX_BALL_VERTICES = 25_000
@@ -216,10 +216,6 @@ def _wrap(brackets: str, body: list, pad: str) -> str:
     return brackets[0] + inner + ("," + inner).join(body) + pad + brackets[1] if body else brackets
 
 
-def _vertex_json(v: Vertex, pad: str) -> str:
-    return _label_json(v.m, v.n, v.d, pad)
-
-
 def _label_json(m: int, n: int, d: int, pad: str) -> str:
     """{"level", "offset"} of the vertex (m, n/d), the offset as ``_value``
     prints a ``Fraction``."""
@@ -229,9 +225,10 @@ def _label_json(m: int, n: int, d: int, pad: str) -> str:
 
 def _cochain_json(c: Cochain, pad: str) -> str:
     """The list of {"edge": {"child", "parent"}, "value"} entries, one per
-    stored edge in the order of ``Edge``s, as ``_dumps`` prints it, written
-    item by item from the ball's labels: a vertex's place in that order is
-    its level, then its offset over the ball's largest denominator.  Each
+    stored edge, ordered by the labels of its parent end, then its child
+    end, and written item by item from the ball's labels: a vertex's place
+    in that order is its level, then its offset over the ball's largest
+    denominator.  Each
     vertex prints once, and so does each value list, which ``res0`` shares
     among the edges of one counted-pole key."""
     ball, item, edge, ends = c.ball, pad + "  ", pad + "    ", pad + "      "
@@ -290,7 +287,6 @@ def _doubled_json(x: Doubled, pad: str) -> str:
 # The writers of the types that ``_dumps`` prints without ``_value``.
 _WRITERS = {
     Cochain: _cochain_json,
-    Vertex: _vertex_json,
     SparseRows: _sparse_rows_json,
     Doubled: _doubled_json,
 }
@@ -332,8 +328,9 @@ def _fraction(key: str, text: str) -> Fraction:
         raise InvalidParameters(f"{key} must be a rational number, got {text!r}") from None
 
 
-def _vertex(p: int, level: int | None, offset: str) -> Vertex:
-    return make_vertex(p, level or 0, _fraction("offset", offset))
+def _vertex(p: int, level: int | None, offset: str) -> tuple[int, int, int, int]:
+    """The label (p, m, n, d) of the vertex that ``--level`` and ``--offset`` name."""
+    return vertex_label(p, level or 0, _fraction("offset", offset))
 
 
 def _check_size(what: str, size: int, unit: str, limit: int) -> None:
@@ -644,33 +641,33 @@ def tree_cmd(p: int, radius: int) -> dict:
 def _regular(ball: TruncatedTree) -> bool:
     """Whether the ball's labels are distinct, each vertex's label and its
     up's are a step apart (the deeper one's parent label is the other's), and
-    each interior star holds p + 1 distinct edges of the ball, each ending at
-    its vertex: in the (p + 1)-regular tree the star then reaches every
-    neighbour.  Each test maps over whole arrays."""
-    p, levels, nums, dens = ball.p, ball.levels, ball.nums, ball.dens
-    labels = list(zip(levels, nums, dens))
+    each interior star holds the edges that end at its vertex: in the
+    (p + 1)-regular tree the star then reaches every neighbour.  Vertex j + 1
+    hangs off up(j + 1) through edge j: the base's p + 1 neighbours come
+    first, then p from each vertex i >= 1 in turn, so star i >= 1 is edge
+    i - 1 and edges p i + 1 ... p i + p.  Each test compares whole arrays,
+    shell by shell."""
+    p, levels, nums, dens, n = ball.p, ball.levels, ball.nums, ball.dens, ball.n_interior
+    labels, size = list(zip(levels, nums, dens)), len(levels)
     parents = list(map(_parent_label, repeat(p), levels, nums, dens))
-    ups = list(map(ball.up, range(1, len(labels))))  # edge j joins vertex j + 1 to ups[j]
-    edges = list(zip(ups, range(1, len(labels))))
-    stars = list(map(ball.star, range(ball.n_interior)))
-    at = list(chain.from_iterable(stars))  # the edges of every star, and whose star each is in
-    owner = chain.from_iterable(map(repeat, range(len(stars)), map(len, stars)))
-    below = map(eq, parents[1:], map(labels.__getitem__, ups))  # vertex j + 1 a child of ups[j]
-    above = map(eq, map(parents.__getitem__, ups), labels[1:])  # or its parent, on the spine
+    ups = chain(repeat(labels[0], p + 1), chain.from_iterable(map(repeat, labels[1:n], repeat(p))))
+    # vertex j is a child of up(j), or on the spine its parent
+    misses = compress(range(1, size), map(ne, parents[1:], ups))
+    rest = zip(range(n - 1), *(range(p + c, p * n + c, p) for c in range(1, p + 1)))
+    stars = list(chain(range(p + 1), chain.from_iterable(rest))) if n else []
     return (
-        len(set(labels)) == len(labels)
-        and all(map(or_, below, above))
-        and set(map(len, map(set, stars))) <= {p + 1}
-        and max(at, default=-1) < ball.n_edges
-        and all(map(tuple.__contains__, map(edges.__getitem__, at), owner))
+        size - 1 == (p * n + 1 if n else 0)
+        and len(set(labels)) == size
+        and all(parents[ball.up(j)] == labels[j] for j in misses)
+        and list(chain.from_iterable(map(ball.star, range(n)))) == stars
     )
 
 
 def _standard_profiles(p: int, k: int) -> tuple[dict, dict]:
     """The doubled profiles of the vertices at levels 0, 1 and -1 on the axis,
     and of the standard edge, with their closed forms."""
-    computed = {f"gamma{m}": vertex_lattice_profile(make_vertex(p, m, 0), k) for m in (0, 1, -1)}
-    computed["standard_edge"] = edge_lattice_profile(standard_edge(p), k)
+    computed = {f"gamma{m}": vertex_lattice_profile((p, m, 0, 1), k) for m in (0, 1, -1)}
+    computed["standard_edge"] = edge_lattice_profile(p, k)
     predicted = {f"gamma{m}": Doubled(m * (k - 2 * j) for j in range(k + 1)) for m in (0, 1, -1)}
     predicted["standard_edge"] = Doubled(max(0, 2 * j - k) for j in range(k + 1))  # ascending
     return computed, predicted
@@ -681,7 +678,8 @@ def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> dict:
     """Diagonal valuation profiles of the vertex and edge lattices."""
     if level is not None:
         v = _vertex(p, level, offset)
-        return {"vertex": v, "profile": vertex_lattice_profile(v, k), "pass": True}
+        vertex = {"level": v[1], "offset": Fraction(v[2], v[3])}
+        return {"vertex": vertex, "profile": vertex_lattice_profile(v, k), "pass": True}
     computed, predicted = _standard_profiles(p, k)
     return {"config": {"p": p, "k": k}, "computed": computed, "predicted": predicted, "pass": computed == predicted}
 
@@ -745,7 +743,7 @@ def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> dict:
     cert = theta_integrality(section, image, k, v)
     return {
         "image": image,
-        "certificate": {**vars(cert), "vertex": {"b": v.b, "m": v.m, "p": v.p}},
+        "certificate": {**vars(cert), "vertex": {"b": Fraction(v[2], v[3]), "m": v[1], "p": p}},
         # theta sends z^c to a nonzero multiple of z^(c-k-1) for c > k and to
         # 0 for c <= k, so its kernel on polynomials is those of degree <= k
         "kernel_polynomial_dimension": k + 1,

@@ -190,9 +190,12 @@ def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
         for j, key in enumerate(keys):
             jitter = unipotent_lower(rng.randrange(1, 5 * p))
             # a second transporter for the same edge: standard-edge stabilizer
-            alt = (vertex_transporter(tree.vertex(tree.ends(j)[1])) @ jitter).inv()
+            u, v = tree.ends(j)
+            alt = (vertex_transporter(tree.label(v)) @ jitter).inv()
             if sums[key] != _edge_residue(parts, k, alt, p):
-                raise InternalInvariantError(f"residue value at {tree.edge(j)} disagrees with the series")
+                raise InternalInvariantError(
+                    f"residue value at the edge {tree.label(u)}-{tree.label(v)} disagrees with the series"
+                )
     stored = {key for key, vec in sums.items() if any(vec)}
     return Cochain(tree, k, {j: sums[key] for j, key in enumerate(keys) if key in stored}, geometry)
 
@@ -240,11 +243,15 @@ def field_kernel(tree: TruncatedTree, k: int) -> int:
 
 def star_local_kernels(tree: TruncatedTree, k: int) -> dict:
     """The star-local kernel dimensions mod pihat that measure the reduced
-    harmonic space vertex by vertex, keyed by interior vertex.  Every star
-    has the standard star's transitions, so one kernel fills them all.
+    harmonic space vertex by vertex, keyed by interior vertex (m, n/d) as
+    the text V(m,n/d), or V(m,n) when d = 1.  Every star has the standard
+    star's transitions, so one kernel fills them all.
 
     The kernel in edge-lattice coordinates needs no elimination: its rows are
     the incidence rows tensored with the identity, times the block diagonal
     of the invertible edge bases, so its rank is ``field_kernel``'s."""
-    dim = star_local_kernel(tree.p, k)
-    return {str(v): dim for v in tree.interior_vertices()}
+    dim, n = star_local_kernel(tree.p, k), tree.n_interior
+    return {
+        f"V({m},{b})" if d == 1 else f"V({m},{b}/{d})": dim
+        for m, b, d in zip(tree.levels[:n], tree.nums[:n], tree.dens[:n])
+    }

@@ -17,20 +17,15 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from operator import add
 
 from . import poly
 from .errors import InternalInvariantError, InvalidParameters, SingularMatrix
 from .linalg import kernel_basis_mod_p, kernel_of_columns_mod_p, rank
-from .scalars import FiniteField, Fq, FqElem
+from .scalars import FiniteField, Fq, FqElem, _vp
 from .symrep import substitution_matrix
-from .tree import (
-    Mat2,
-    Vertex,
-    act_on_vertex,
-    truncated_tree,
-    vertex_parity,
-)
+from .tree import _offset, truncated_tree
 
 INFINITY_POINT = "inf"
 
@@ -231,27 +226,30 @@ def symgeom_injectivity_rank(iso: dict) -> int:
 # -- truncated-tree global sections --------------------------------------------------
 
 
-def _reduction_point(u: Vertex, w: Vertex):
+def _reduction_point(u: tuple, w: tuple):
     """Point of u's component where neighbor w's component meets it, read from
     the labels: the residue 0 for u's parent, and for the child
     (m+1, b + c·p^m) of u = (m, b) the residue 1/c mod p, or infinity when
     c = 0."""
-    if w.m == u.m - 1 and _child_digit(w, u) is not None:
+    (p, m, _, _), (_, level, _, _) = u, w
+    if level == m - 1 and _child_digit(w, u) is not None:
         return 0
-    if w.m == u.m + 1:
+    if level == m + 1:
         c = _child_digit(u, w)
         if c == 0:
             return INFINITY_POINT
         if c is not None:
-            return pow(c, -1, u.p)
-    raise InternalInvariantError(f"{w} is not a neighbor of {u}")
+            return pow(c, -1, p)
+    raise InternalInvariantError(f"the vertex {tuple(w)} is not a neighbor of {tuple(u)}")
 
 
-def _child_digit(v: Vertex, w: Vertex) -> int | None:
-    """The c in [0, p) with w.b = v.b + c·p^m for v = (m, v.b), or None."""
-    p, m, common = v.p, v.m, max(v.d, w.d)
-    # (w.b - v.b)/p^m as num/den over the offsets' common power of p
-    num = w.n * (common // w.d) - v.n * (common // v.d)
+def _child_digit(v: tuple, w: tuple) -> int | None:
+    """The c in [0, p) with b' = b + c·p^m for the labels v = (p, m, b = n/d)
+    and w = (p, m', b' = n'/d'), or None."""
+    (p, m, n, d), (_, _, n2, d2) = v, w
+    common = max(d, d2)
+    # (b' - b)/p^m as num/den over the offsets' common power of p
+    num = n2 * (common // d2) - n * (common // d)
     num, den = (num, common * p**m) if m >= 0 else (num * p**-m, common)
     c, rest = divmod(num, den)
     return c if not rest and 0 <= c < p else None
@@ -275,16 +273,16 @@ def global_sections_truncated(q: int, k: int, radius: int) -> dict:
     if Fq(q).f != 1:
         raise InvalidParameters("truncated sections require a prime q")
     tree = truncated_tree(q, radius)
-    vertices = tree.vertices
+    n_vertices = len(tree.levels)
     per_component = max(0, component_degree(q, k) + 1)
-    ncols = len(vertices) * per_component
+    ncols = n_vertices * per_component
     glued = range(tree.n_edges) if k % 2 == 0 else []  # odd k has no matching conditions
     rows = []
     for edge in glued:
         u, w = tree.ends(edge)
         row = {}
         for end, other, sign in ((u, w, 1), (w, u, -1)):
-            point = _reduction_point(vertices[end], vertices[other])
+            point = _reduction_point(tree.label(end), tree.label(other))
             values = _evaluation_row(q, point, per_component, k)
             row.update((end * per_component + j, sign * x) for j, x in enumerate(values))
         rows.append(row)
@@ -297,7 +295,7 @@ def global_sections_truncated(q: int, k: int, radius: int) -> dict:
         "direct_dimension": direct,
         "matching_rank": matching_rank,
         "edge_count": tree.n_edges,
-        "vertex_count": len(vertices),
+        "vertex_count": n_vertices,
         "per_component_dimension": per_component,
         "basis": basis,
         "pass": formula == direct,
@@ -448,22 +446,34 @@ def quotient_rep_and_stable_lines(q: int, k: int, i: int) -> dict:
 # -- parity-swapping forms ------------------------------------------------------------
 
 
+def _iota(v: tuple) -> tuple:
+    """The label of iota v for the uniformizer involution iota = [[0, 1],
+    [p, 0]] and the vertex v = (m, b): iota's flipped inverse [[0, -p], [-1,
+    0]] takes v's representative [[p^m, b], [0, 1]] to the columns (0, -p^m)
+    and (-p, -b), whose class is (1 - m, 0) when b = 0, and else
+    (m + 1 - 2 v_p(b), p/b)."""
+    p, m, n, d = v
+    if not n:
+        return p, 1 - m, 0, 1
+    g = gcd(p * d, n)  # p/b = p d/n in lowest terms
+    m = m + 1 - 2 * (_vp(n, p) - _vp(d, p))
+    return (p, m, *_offset(p * d // g, n // g, m, p))
+
+
 def b_forms_check(q: int) -> bool:
     """The parity half of the parity pair, at q = p^f: the uniformizer
-    involution [[0, 1], [p, 0]] swaps the two vertex parities on the
-    radius-2 ball at p and squares to the identity there.
+    involution iota = [[0, 1], [p, 0]] swaps the two vertex parities, the
+    parities of the levels, on the radius-2 ball at p and squares to the
+    identity there.
 
     The other half, the invariance of the weight-(q+1) window form
     1/(z - z^q) under the determinant-one group, holds for every such g by
     the identity D What = det W (``symgeom_equivariance``), so it is not
     checked here."""
-    p = Fq(q).p
-    iota = Mat2(0, 1, Fraction(p), 0)
-    tree = truncated_tree(p, 2)
-    for v in tree.vertices:
-        w = act_on_vertex(iota, v)
-        if vertex_parity(w) != -vertex_parity(v):
-            return False
-        if act_on_vertex(iota, w) != v:
+    tree = truncated_tree(Fq(q).p, 2)
+    for i in range(len(tree.levels)):
+        v = tree.label(i)
+        w = _iota(v)
+        if (w[1] - v[1]) % 2 != 1 or _iota(w) != v:
             return False
     return True

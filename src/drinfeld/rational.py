@@ -18,7 +18,7 @@ from . import poly
 from .errors import InvalidParameters, ZeroFunction
 from .scalars import ScalarKHat, _common_denominator, _make, _twice_valuation, _vp
 from .symrep import triangular_apply
-from .tree import Vertex, _level_and_offset
+from .tree import _level_and_offset
 
 # -- polynomials over Z[pihat] ------------------------------------------------------
 # A pair (a, b) of int polynomials stands for a + b pihat, with pihat^2 = p.
@@ -281,11 +281,11 @@ class FactoredRational:
 # -- tube valuations -----------------------------------------------------------------
 
 
-def gauss_valuation(f: FactoredRational, v: Vertex, k: int = 0) -> int:
+def gauss_valuation(f: FactoredRational, v: tuple, k: int = 0) -> int:
     """Doubled valuation 2*omega, on the base-vertex tube, of the weight-k
     transport g.f = chi^k(g) (a + c z)^(-k) f((b + d z)/(a + c z)) by the
-    inverse g of v's transporter, read from ints; at k = 0 that is the
-    Gauss valuation of f on the tube of v.
+    inverse g of the transporter of the vertex of label v = (p, m, n, d), read
+    from ints; at k = 0 that is the Gauss valuation of f on the tube of v.
 
     The Gauss valuation is multiplicative (Gauss's lemma), so it is read factor
     by factor.  For v = (m, b), g = (a b; c d) = [[p^m, 0], [b, 1]] / p^m, so
@@ -298,8 +298,8 @@ def gauss_valuation(f: FactoredRational, v: Vertex, k: int = 0) -> int:
     (``triangular_apply``); and (a + c z)^(-k) gives -k min(omega(a), omega(c))."""
     if f.is_zero():
         raise ZeroFunction("the zero function has no Gauss valuation")
-    nums, dens = [v.n], [v.d]
-    return next(_transported_valuations(f, k, v.p, [v.m], nums, dens, *_one_minus_by(f, v.p, nums, dens)))
+    p, m, n, d = v
+    return next(_transported_valuations(f, k, p, [m], [n], [d], *_one_minus_by(f, p, [n], [d])))
 
 
 def _one_minus_by(f: FactoredRational, p: int, nums: list, dens: list) -> tuple[list, list]:
@@ -340,7 +340,7 @@ def _transported_valuations(
         yield val
 
 
-def tube_coordinate_level(v: Vertex) -> int:
+def tube_coordinate_level(v: tuple) -> int:
     """Signed scale of the tube of v: differentiating a section once shifts its
     Gauss valuation on that tube by at least this amount.
 
@@ -350,9 +350,8 @@ def tube_coordinate_level(v: Vertex) -> int:
     b = 0.  On the diagonal axis this is the level of the vertex; off the axis
     the tube is a small disc around b and the value is below the level.
     """
-    if not v.n:
-        return v.m
-    return 2 * min(v.m, _vp(v.n, v.p) - _vp(v.d, v.p)) - v.m
+    p, m, n, d = v
+    return 2 * min(m, _vp(n, p) - _vp(d, p)) - m if n else m
 
 
 # -- principal parts ----------------------------------------------------------------

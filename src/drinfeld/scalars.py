@@ -6,9 +6,9 @@ All arithmetic is exact: a scalar of the extension is a few Python ints (see
 ``Fq`` also validates q and names its p and f for the residue-field commands,
 which compute on int residues; ``FqElem`` arithmetic serves only the
 comparison map's equivariance check (``modp.symgeom_equivariance``).
-Valuations are ints: ``val_p`` returns the p-adic valuation v_p of a rational,
-``ScalarKHat.valuation`` the doubled valuation 2*omega, which is the exponent
-of pihat.  Zero has the valuation ``INF`` (``math.inf``) in both.  ``half``
+Valuations are ints: ``_vp`` returns the p-adic valuation v_p of a nonzero
+int, ``ScalarKHat.valuation`` the doubled valuation 2*omega, which is the
+exponent of pihat, and ``INF`` (``math.inf``) for zero.  ``half``
 turns a doubled valuation into the ``Fraction`` omega where one is printed.
 """
 
@@ -128,17 +128,6 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def val_p(x: RationalLike, p: int) -> int | float:
-    """p-adic valuation of a rational; INF for 0."""
-    if type(x) is int:
-        return _vp(x, p) if x else INF
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    if not x:
-        return INF
-    return _vp(x.numerator, p) - _vp(x.denominator, p)
 
 
 def half(twice: int | float) -> Fraction | float:

@@ -11,7 +11,6 @@ from math import prod
 from .errors import InvalidParameters, ZeroFunction
 from .rational import FactoredRational, gauss_valuation, tube_coordinate_level
 from .scalars import INF, ScalarKHat, half
-from .tree import Vertex
 
 
 def theta(f: FactoredRational, k: int) -> FactoredRational:
@@ -23,7 +22,7 @@ def theta(f: FactoredRational, k: int) -> FactoredRational:
 
 @dataclass(frozen=True)
 class ThetaCertificate:
-    vertex: Vertex
+    vertex: tuple
     level: int
     input_valuation: Fraction | float
     input_bound: Fraction
@@ -34,15 +33,16 @@ class ThetaCertificate:
 
 
 def theta_integrality(
-    f: FactoredRational, image: FactoredRational, k: int, v: Vertex
+    f: FactoredRational, image: FactoredRational, k: int, v: tuple
 ) -> ThetaCertificate:
     """Certificate for f and its image theta(f, k): on a tube of coordinate
     scale n, an input of valuation >= -k*n/2 must map to an output of
     valuation >= (k+2)*n/2.
 
-    The scale n is the tube coordinate level of the vertex: each of the k+1
-    derivatives shifts the Gauss valuation on the tube by at least n, so the
-    bound follows from -k*n/2 + (k+1)*n = (k+2)*n/2.  On the diagonal axis the
+    The scale n is the tube coordinate level of the vertex of label v, which
+    the certificate holds: each of the k+1 derivatives shifts the Gauss
+    valuation on the tube by at least n, so the bound follows from
+    -k*n/2 + (k+1)*n = (k+2)*n/2.  On the diagonal axis the
     scale coincides with the vertex level."""
     if f.is_zero():
         raise ZeroFunction("integrality is only defined for nonzero sections")

@@ -1,11 +1,13 @@
 """The (p+1)-regular tree of lattice classes for GL2 over the p-adic rationals,
-with exact vertex labels, the group action, and canonical transporters.
+as int labels, with the transporters of its vertices.
 
-A vertex is labeled (m, b): the class of the column lattice of [[p^m, b],[0,1]],
-with b reduced to the unique representative in [0, p^m) having p-power
-denominator. Group elements act through the contragredient-flip convention,
-which pins the diagonal p-power elements to the vertices (n, 0) and makes the
-base-vertex tube the unit circle of the coordinate.
+A vertex is labeled (p, m, n, d): the class of the column lattice of
+[[p^m, b],[0,1]] for b = n/d, reduced to the unique representative in
+[0, p^m) having p-power denominator d.  The ball around the base vertex is
+index arithmetic on three int arrays of these labels.  Group elements act
+through the contragredient-flip convention, which pins the diagonal p-power
+elements to the vertices (n, 0) and makes the base-vertex tube the unit circle
+of the coordinate.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, total_ordering
 
-from .errors import InvalidParameters, ResidueFieldMismatch, SingularMatrix
-from .scalars import RationalLike, ScalarKHat, _check_prime, _make, _mod_inverse, _vp, val_p
+from .errors import InvalidParameters, SingularMatrix
+from .scalars import RationalLike, ScalarKHat, _check_prime, _make, _mod_inverse, _vp
 
 
 class Mat2:
@@ -72,9 +73,6 @@ class Mat2:
     def __repr__(self) -> str:
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
-    def det(self) -> Fraction:
-        return Fraction(self.A * self.D - self.B * self.C, self.N * self.N)
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         A, B, C, D = self.A, self.B, self.C, self.D
         E, F, G, H = other.A, other.B, other.C, other.D
@@ -91,12 +89,6 @@ class Mat2:
         if det < 0:
             N, det = -N, -det
         return _mat2(N * D, -N * B, -N * C, N * A, det)
-
-    def itilde(self) -> "Mat2":
-        """The det-twisted inverse flip [[d,-c],[-b,a]] (an exact involution)."""
-        m = _new(Mat2)
-        m.A, m.B, m.C, m.D, m.N = self.D, -self.C, -self.B, self.A, self.N
-        return m
 
     def omega_det(self, p: int) -> int:
         """v_p of the determinant."""
@@ -140,7 +132,7 @@ def unipotent_lower(x: Fraction | int) -> Mat2:
     return Mat2(1, 0, x, 1)
 
 
-# -- vertices ------------------------------------------------------------------
+# -- vertex labels ---------------------------------------------------------------
 
 
 def _offset(n: int, u: int, m: int, p: int) -> tuple[int, int]:
@@ -159,52 +151,10 @@ def _offset(n: int, u: int, m: int, p: int) -> tuple[int, int]:
     return n * _mod_inverse(u, mod) % mod, p**j
 
 
-@total_ordering
-class Vertex:
-    """The vertex (m, b) over p as ints (p, m, n, d), b = n/d in lowest terms
-    with d a power of p.  ``Vertex(p, m, b)`` takes a canonical offset b.
-    Ordered by (p, m, b); immutable by convention, as ``Mat2`` is."""
-
-    __slots__ = ("p", "m", "n", "d", "_hash")
-
-    def __init__(self, p: int, m: int, b: RationalLike) -> None:
-        n, d = Fraction(b).as_integer_ratio()
-        self.p, self.m, self.n, self.d, self._hash = p, m, n, d, hash((p, m, n, d))
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.n, self.d)
-
-    def __repr__(self) -> str:
-        return f"V({self.m},{self.n})" if self.d == 1 else f"V({self.m},{self.n}/{self.d})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Vertex:
-            return NotImplemented
-        return self.n == other.n and self.m == other.m and self.d == other.d and self.p == other.p
-
-    def __lt__(self, other: "Vertex") -> bool:
-        return (self.p, self.m, self.n * other.d) < (other.p, other.m, other.n * self.d)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-def make_vertex(p: int, m: int, b: Fraction | int = 0) -> Vertex:
-    _check_prime(p)
-    return _vertex(p, m, *_offset(*Fraction(b).as_integer_ratio(), m, p))
-
-
-def _vertex(p: int, m: int, n: int, d: int) -> Vertex:
-    """The vertex (m, n/d) for a canonical offset n/d in lowest terms, unchecked."""
-    v = _new(Vertex)
-    v.p, v.m, v.n, v.d, v._hash = p, m, n, d, hash((p, m, n, d))
-    return v
-
-
-def standard_vertex(p: int) -> Vertex:
-    _check_prime(p)
-    return _vertex(p, 0, 0, 1)
+def vertex_label(p: int, m: int, b: Fraction) -> tuple[int, int, int, int]:
+    """The label (p, m, n, d) of the vertex (m, b): b reduced to its canonical
+    offset n/d."""
+    return (p, m, *_offset(b.numerator, b.denominator, m, p))
 
 
 def _level_and_offset(p: int, m: int, n: int, d: int) -> tuple[int, int, int]:
@@ -216,38 +166,10 @@ def _level_and_offset(p: int, m: int, n: int, d: int) -> tuple[int, int, int]:
     return common // p**-m, n * (common // d), common
 
 
-def representative(v: Vertex) -> Mat2:
-    """The matrix [[p^m, b],[0,1]] whose column lattice class is v."""
-    level, offset, common = _level_and_offset(v.p, v.m, v.n, v.d)
-    return _mat2(level, offset, 0, common, common)
-
-
-def vertex_of_matrix(mat: Mat2, p: int) -> Vertex:
-    """Canonical label of the column lattice class of an invertible matrix.
-
-    The class ignores the scalar 1/N, so this reads the int entries A, B,
-    C, D.  Scaling by p^-mu, mu = min(v(C), v(D)), and taking the column
-    whose bottom entry is a unit to the right brings the matrix to
-    [[x, y], [z, w]] with w a unit, whose class is (v(det) - 2 mu, y/w)."""
-    A, B, C, D = mat.A, mat.B, mat.C, mat.D
-    det = A * D - B * C
-    if not det:
-        raise InvalidParameters("matrix is singular")
-    vc, vd = val_p(C, p), val_p(D, p)
-    mu, n, u = (vc, A, C) if vd > vc else (vd, B, D)
-    return make_vertex(p, _vp(abs(det), p) - 2 * mu, Fraction(n, u))
-
-
-def act_on_vertex(g: Mat2, v: Vertex) -> Vertex:
-    if g.det() == 0:
-        raise SingularMatrix("group element must be invertible")
-    return vertex_of_matrix(g.itilde() @ representative(v), v.p)
-
-
-def vertex_transporter(v: Vertex) -> Mat2:
-    """Group element [[1, 0], [-b, p^m]] carrying the base vertex to v (and
-    base parent to v's parent)."""
-    level, offset, common = _level_and_offset(v.p, v.m, v.n, v.d)
+def vertex_transporter(v: tuple) -> Mat2:
+    """Group element [[1, 0], [-b, p^m]] carrying the base vertex to the
+    vertex of label v = (p, m, n, d) (and base parent to v's parent)."""
+    level, offset, common = _level_and_offset(*v)
     return _mat2(common, 0, -offset, level, common)
 
 
@@ -269,65 +191,6 @@ def _child_offsets(p: int, m: int, n: int, d: int) -> tuple[range, int]:
     return range(n0, n0 + p * step, step), common
 
 
-def distance(u: Vertex, v: Vertex) -> int:
-    if u.p != v.p:
-        raise ResidueFieldMismatch("vertices over different primes")
-    # the offsets over their common power of p; val_p is INF when they agree
-    common = max(u.d, v.d)
-    diff = u.n * (common // u.d) - v.n * (common // v.d)
-    mstar = min(u.m, v.m, val_p(diff, u.p) - _vp(common, u.p))
-    return (u.m - mstar) + (v.m - mstar)
-
-
-def vertex_parity(v: Vertex) -> int:
-    return 1 if v.m % 2 == 0 else -1
-
-
-# -- edges ---------------------------------------------------------------------
-
-
-@total_ordering
-class Edge:
-    """Unordered adjacent pair, stored parent-end first (smaller level).
-    Ordered, compared and hashed as the pair (u, v), its hash taken once at
-    construction; immutable by convention, as ``Vertex`` is."""
-
-    __slots__ = ("u", "v", "_hash")
-
-    def __init__(self, u: Vertex, v: Vertex) -> None:
-        self.u, self.v, self._hash = u, v, hash((u, v))
-
-    def __repr__(self) -> str:
-        return f"E[{self.u},{self.v}]"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Edge:
-            return NotImplemented
-        return self.u == other.u and self.v == other.v
-
-    def __lt__(self, other: "Edge") -> bool:
-        if other.__class__ is not Edge:
-            return NotImplemented
-        return (self.u, self.v) < (other.u, other.v)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-def make_edge(x: Vertex, y: Vertex) -> Edge:
-    if distance(x, y) != 1:
-        raise InvalidParameters(f"{x} and {y} are not adjacent")
-    return Edge(x, y) if x < y else Edge(y, x)
-
-
-def standard_edge(p: int) -> Edge:
-    return make_edge(standard_vertex(p), make_vertex(p, -1, 0))
-
-
-def child_endpoint(e: Edge) -> Vertex:
-    return e.v
-
-
 # -- truncated balls -------------------------------------------------------------
 
 
@@ -341,11 +204,9 @@ def ball_size(p: int, radius: int) -> int:
 class TruncatedTree:
     """Ball around the base vertex, as index arithmetic on its vertices in
     breadth-first order, whose first ``n_interior`` vertices lie below the
-    radius.  Vertex i is labeled (m, n/d) = (levels[i], nums[i], dens[i]), the
-    ``Vertex`` label held as three int arrays; vertex i >= 1 hangs off vertex
-    ``up(i)`` through edge i - 1.  ``vertex(i)`` and ``edge(j)`` build the
-    ``Vertex`` and ``Edge`` objects, and ``vertices`` lists them all, built on
-    its first read."""
+    radius.  Vertex i is labeled (p, m, n, d) = (p, levels[i], nums[i],
+    dens[i]), the label held as three int arrays; vertex i >= 1 hangs off
+    vertex ``up(i)`` through edge i - 1."""
 
     p: int
     levels: list[int]
@@ -357,15 +218,8 @@ class TruncatedTree:
     def n_edges(self) -> int:
         return len(self.levels) - 1
 
-    def vertex(self, i: int) -> Vertex:
-        return _vertex(self.p, self.levels[i], self.nums[i], self.dens[i])
-
-    @cached_property
-    def vertices(self) -> list[Vertex]:
-        return list(map(self.vertex, range(len(self.levels))))
-
-    def interior_vertices(self) -> list[Vertex]:
-        return self.vertices[: self.n_interior]
+    def label(self, i: int) -> tuple[int, int, int, int]:
+        return self.p, self.levels[i], self.nums[i], self.dens[i]
 
     def up(self, i: int) -> int:
         """The base vertex's p + 1 neighbours come first, then p from each
@@ -387,10 +241,6 @@ class TruncatedTree:
         """Each edge's child end, by edge index, as ``ends`` gives it."""
         levels, ids = self.levels, range(1, len(self.levels))
         return [i if levels[u] < levels[i] else u for i, u in zip(ids, map(self.up, ids))]
-
-    def edge(self, j: int) -> Edge:
-        a, b = self.ends(j)
-        return Edge(self.vertex(a), self.vertex(b))
 
 
 def truncated_tree(p: int, radius: int) -> TruncatedTree:

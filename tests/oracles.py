@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ from math import comb, prod
 from operator import mul
 
 from drinfeld import modp, poly
-from drinfeld.cli import _rational_str
+from drinfeld.cli import _MAX_BALL_VERTICES, _MAX_RADIUS, _rational_str
 from drinfeld.errors import (
     InternalInvariantError,
     InvalidParameters,
@@ -25,8 +26,8 @@ from drinfeld.errors import (
     ZeroFunction,
 )
 from drinfeld.harmonic import Cochain, _raise_in_annulus, res0, sigma
-from drinfeld.lattices import Doubled, Lattice, _in_edge_lattice, d_space_basis, edge_lattice, vertex_lattice
-from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan, rank
+from drinfeld.lattices import Doubled, _in_edge_lattice
+from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan, rank, rref
 from drinfeld.modp import (
     INFINITY_POINT,
     _quotient_structure,
@@ -55,20 +56,16 @@ from drinfeld.scalars import (
 from drinfeld.symrep import substitution_matrix, sym_ints
 from drinfeld.theta import theta
 from drinfeld.tree import (
-    Edge,
     Mat2,
     TruncatedTree,
-    Vertex,
     _child_offsets,
     _level_and_offset,
+    _mat2,
+    _new,
+    _offset,
     _parent_label,
-    _vertex,
-    act_on_vertex,
-    child_endpoint,
-    make_edge,
-    make_vertex,
-    standard_edge,
-    standard_vertex,
+    ball_size,
+    truncated_tree,
     vertex_transporter,
 )
 
@@ -79,6 +76,291 @@ def smallest_factor(n: int) -> int:
     """The least divisor d >= 2 of an int n >= 2, by trial division up to
     its integer square root: what ``scalars._prime_factors`` replaced."""
     return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
+# -- vertices, edges and lattices as objects ------------------------------------------
+#
+# The program takes a vertex as its int label (p, m, n, d) and reads a ball's
+# vertices and edges from its index arithmetic.  These are the objects it took
+# before: a hashed, ordered ``Vertex``, an ``Edge`` of two of them, the group
+# action on vertices through ``Fraction``-free matrices, and the ``Lattice``
+# record of a transporter and a column scaling.  They stay the reference for
+# the label arithmetic.
+
+
+def val_p(x, p: int) -> int | float:
+    """p-adic valuation of a rational; INF for 0."""
+    if type(x) is int:
+        return _vp(x, p) if x else INF
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if not x:
+        return INF
+    return _vp(x.numerator, p) - _vp(x.denominator, p)
+
+
+def det(g: Mat2) -> Fraction:
+    return Fraction(g.A * g.D - g.B * g.C, g.N * g.N)
+
+
+def itilde(g: Mat2) -> Mat2:
+    """The det-twisted inverse flip [[d,-c],[-b,a]] (an exact involution)."""
+    m = _new(Mat2)
+    m.A, m.B, m.C, m.D, m.N = g.D, -g.C, -g.B, g.A, g.N
+    return m
+
+
+@functools.total_ordering
+class Vertex:
+    """The vertex (m, b) over p as ints (p, m, n, d), b = n/d in lowest terms
+    with d a power of p.  ``Vertex(p, m, b)`` takes a canonical offset b.
+    Ordered by (p, m, b); immutable by convention, as ``Mat2`` is.  It
+    unpacks to its label (p, m, n, d), so the program's functions of a label
+    take it as they take the label."""
+
+    __slots__ = ("p", "m", "n", "d", "_hash")
+
+    def __init__(self, p: int, m: int, b) -> None:
+        n, d = Fraction(b).as_integer_ratio()
+        self.p, self.m, self.n, self.d, self._hash = p, m, n, d, hash((p, m, n, d))
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.n, self.d)
+
+    @property
+    def label(self) -> tuple[int, int, int, int]:
+        return self.p, self.m, self.n, self.d
+
+    def __iter__(self):
+        return iter(self.label)
+
+    def __repr__(self) -> str:
+        return f"V({self.m},{self.n})" if self.d == 1 else f"V({self.m},{self.n}/{self.d})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Vertex:
+            return NotImplemented
+        return self.n == other.n and self.m == other.m and self.d == other.d and self.p == other.p
+
+    def __lt__(self, other: "Vertex") -> bool:
+        return (self.p, self.m, self.n * other.d) < (other.p, other.m, other.n * self.d)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+def make_vertex(p: int, m: int, b: Fraction | int = 0) -> Vertex:
+    _check_prime(p)
+    return _vertex(p, m, *_offset(*Fraction(b).as_integer_ratio(), m, p))
+
+
+def _vertex(p: int, m: int, n: int, d: int) -> Vertex:
+    """The vertex (m, n/d) for a canonical offset n/d in lowest terms, unchecked."""
+    v = _new(Vertex)
+    v.p, v.m, v.n, v.d, v._hash = p, m, n, d, hash((p, m, n, d))
+    return v
+
+
+def standard_vertex(p: int) -> Vertex:
+    _check_prime(p)
+    return _vertex(p, 0, 0, 1)
+
+
+def representative(v: Vertex) -> Mat2:
+    """The matrix [[p^m, b],[0,1]] whose column lattice class is v."""
+    level, offset, common = _level_and_offset(*v)
+    return _mat2(level, offset, 0, common, common)
+
+
+def vertex_of_matrix(mat: Mat2, p: int) -> Vertex:
+    """Canonical label of the column lattice class of an invertible matrix.
+
+    The class ignores the scalar 1/N, so this reads the int entries A, B,
+    C, D.  Scaling by p^-mu, mu = min(v(C), v(D)), and taking the column
+    whose bottom entry is a unit to the right brings the matrix to
+    [[x, y], [z, w]] with w a unit, whose class is (v(det) - 2 mu, y/w)."""
+    A, B, C, D = mat.A, mat.B, mat.C, mat.D
+    det = A * D - B * C
+    if not det:
+        raise InvalidParameters("matrix is singular")
+    vc, vd = val_p(C, p), val_p(D, p)
+    mu, n, u = (vc, A, C) if vd > vc else (vd, B, D)
+    return make_vertex(p, _vp(abs(det), p) - 2 * mu, Fraction(n, u))
+
+
+def act_on_vertex(g: Mat2, v: Vertex) -> Vertex:
+    if det(g) == 0:
+        raise SingularMatrix("group element must be invertible")
+    return vertex_of_matrix(itilde(g) @ representative(v), v.p)
+
+
+def distance(u: Vertex, v: Vertex) -> int:
+    if u.p != v.p:
+        raise ResidueFieldMismatch("vertices over different primes")
+    # the offsets over their common power of p; val_p is INF when they agree
+    common = max(u.d, v.d)
+    diff = u.n * (common // u.d) - v.n * (common // v.d)
+    mstar = min(u.m, v.m, val_p(diff, u.p) - _vp(common, u.p))
+    return (u.m - mstar) + (v.m - mstar)
+
+
+def vertex_parity(v: Vertex) -> int:
+    return 1 if v.m % 2 == 0 else -1
+
+
+@functools.total_ordering
+class Edge:
+    """Unordered adjacent pair, stored parent-end first (smaller level).
+    Ordered, compared and hashed as the pair (u, v), its hash taken once at
+    construction; immutable by convention, as ``Vertex`` is."""
+
+    __slots__ = ("u", "v", "_hash")
+
+    def __init__(self, u: Vertex, v: Vertex) -> None:
+        self.u, self.v, self._hash = u, v, hash((u, v))
+
+    def __repr__(self) -> str:
+        return f"E[{self.u},{self.v}]"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Edge:
+            return NotImplemented
+        return self.u == other.u and self.v == other.v
+
+    def __lt__(self, other: "Edge") -> bool:
+        if other.__class__ is not Edge:
+            return NotImplemented
+        return (self.u, self.v) < (other.u, other.v)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+def make_edge(x: Vertex, y: Vertex) -> Edge:
+    if distance(x, y) != 1:
+        raise InvalidParameters(f"{x} and {y} are not adjacent")
+    return Edge(x, y) if x < y else Edge(y, x)
+
+
+def standard_edge(p: int) -> Edge:
+    return make_edge(standard_vertex(p), make_vertex(p, -1, 0))
+
+
+def child_endpoint(e: Edge) -> Vertex:
+    return e.v
+
+
+def admitted_ball(p: int) -> TruncatedTree:
+    """The largest ball that the CLI's radius and vertex budgets admit at p.
+    Its arrays begin with every smaller ball's."""
+    radius = 0
+    while radius < _MAX_RADIUS and ball_size(p, radius + 1) <= _MAX_BALL_VERTICES:
+        radius += 1
+    return truncated_tree(p, radius)
+
+
+def ball_vertex(tree: TruncatedTree, i: int) -> Vertex:
+    return _vertex(*tree.label(i))
+
+
+def ball_vertices(tree: TruncatedTree) -> list[Vertex]:
+    """The ball's vertices as ``Vertex``es, in index order."""
+    return [ball_vertex(tree, i) for i in range(len(tree.levels))]
+
+
+def interior_vertices(tree: TruncatedTree) -> list[Vertex]:
+    return ball_vertices(tree)[: tree.n_interior]
+
+
+def ball_edge(tree: TruncatedTree, j: int) -> Edge:
+    a, b = tree.ends(j)
+    return Edge(ball_vertex(tree, a), ball_vertex(tree, b))
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Full-rank lattice in the dual module, generated by the columns of
+    dual_act(g) * diag(pihat^scale[j])."""
+
+    p: int
+    k: int
+    g: Mat2
+    scale: tuple
+
+
+def vertex_lattice(v: Vertex, k: int) -> Lattice:
+    """Transport of the standard dual lattice to the vertex v; any transporter
+    carrying the base vertex to v yields the same lattice."""
+    return Lattice(v.p, k, vertex_transporter(v), (0,) * (k + 1))
+
+
+def edge_lattice(e: Edge, k: int) -> Lattice:
+    """Intersection of the two endpoint lattices: the child endpoint's
+    lattice with column j scaled by pihat^max(0, 2j - k)."""
+    child = child_endpoint(e)
+    return Lattice(
+        child.p, k, vertex_transporter(child), tuple(max(0, 2 * j - k) for j in range(k + 1))
+    )
+
+
+def local_space(src: Lattice, dst: Lattice) -> list:
+    """Basis of the image of dst in src/(pihat), as coordinate vectors of
+    residues mod p against src's basis: the column space mod pihat of the
+    transition M[j][i] * (num/den) * pihat^(e + t_j - s_i), for
+    sym(dst.g^-1 src.g) = M * (num/den) * pihat^e.  An entry of doubled
+    valuation 0 reduces to the unit part of M[j][i] * num/den mod p, a
+    positive one to 0; a negative one raises.  A diagonal g = diag(A, D)/N
+    needs neither M nor an elimination: entry j of its diagonal has doubled
+    valuation (2j - k)(v_p(D) - v_p(A)) + t_j - s_j, and the basis is the unit
+    vectors e_j at which that is 0.  ``lattices._local_space`` on any two
+    lattices, which the program reads at the standard star's three fixed
+    transitions only."""
+    p, k = src.p, src.k
+    g = dst.g.inv() @ src.g
+    if not (g.B or g.C):
+        slope, basis = _vp(g.D, p) - _vp(g.A, p), []
+        for j, (t, s) in enumerate(zip(dst.scale, src.scale)):
+            twice = (2 * j - k) * slope + t - s
+            if twice < 0:
+                raise NegativeValuation(f"transition entry has valuation {half(twice)} < 0")
+            if not twice:
+                basis.append([0] * j + [1] + [0] * (k - j))
+        return basis
+    m, num, den, e = sym_ints(g, k, p)
+    vn, vd = _vp(num, p), _vp(den, p)
+    unit = num // p**vn * pow(den // p**vd, -1, p)
+
+    def residue(x: int, twice: int) -> int:
+        v = _vp(x, p) if x else INF
+        if 2 * v + twice < 0:
+            raise NegativeValuation(f"transition entry has valuation {half(2 * v + twice)} < 0")
+        return x // p**v * unit if 2 * v + twice == 0 else 0
+
+    rows = [
+        [residue(x, 2 * (vn - vd) + e + t - s) for x, s in zip(row, src.scale)]
+        for row, t in zip(m, dst.scale)
+    ]
+    basis, pivots = rref(rows, p)
+    return basis[: len(pivots)]
+
+
+def d_space_basis(e: Edge, side: Vertex, k: int) -> list:
+    """Basis of the image of the edge lattice in (side lattice)/(pihat), as
+    rows of residues mod p against the side lattice's basis.  On the child
+    side the two lattices share a transporter, so the transition is the
+    diagonal diag(pihat^max(0, 2j - k))."""
+    return local_space(vertex_lattice(side, k), edge_lattice(e, k))
+
+
+def e_space_basis(e: Edge, k: int) -> list:
+    """Basis of the image of the edge lattice in (sum of the two endpoint
+    lattices)/(pihat), as rows of residues mod p against the sum's basis.
+    The sum is the child's lattice scaled by pihat^min(0, 2j - k), so the
+    transition is diag(pihat^|2j - k|)."""
+    edge = edge_lattice(e, k)
+    total = Lattice(edge.p, k, edge.g, tuple(min(0, 2 * j - k) for j in range(k + 1)))
+    return local_space(total, edge)
 
 
 # -- scalars, matrices and vertex labels on Fractions --------------------------------
@@ -342,7 +624,7 @@ def edge_values(c: Cochain | EdgeCochain) -> dict:
     """The values of c keyed by ``Edge``."""
     if isinstance(c, EdgeCochain):
         return c.values
-    return {c.ball.edge(j): vec for j, vec in c.values.items()}
+    return {ball_edge(c.ball, j): vec for j, vec in c.values.items()}
 
 
 def support(c: Cochain | EdgeCochain) -> list:
@@ -468,7 +750,7 @@ def edge_transporter(e: Edge) -> Mat2:
 
 def ball_edges(tree: TruncatedTree) -> list[Edge]:
     """The ball's edges as ``Edge``s, in edge order."""
-    return [tree.edge(j) for j in range(tree.n_edges)]
+    return [ball_edge(tree, j) for j in range(tree.n_edges)]
 
 
 def incident_positions(edges: list[Edge]) -> dict[Vertex, list[int]]:
@@ -493,7 +775,7 @@ def dense_field_kernel(tree: TruncatedTree, k: int) -> int:
     edges = ball_edges(tree)
     at = incident_positions(edges)
     rows = []
-    for v in tree.interior_vertices():
+    for v in interior_vertices(tree):
         row = [zero] * len(edges)
         for n in at[v]:
             row[n] = one
@@ -548,7 +830,7 @@ def sym_matrix(g: Mat2, k: int, p: int) -> list:
     F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY)."""
     a, b, c, d = g.lift(p)
     base = substitution_matrix(a, b, c, d, k, lambda n: ScalarKHat.from_rational(n, p))
-    scalar = ScalarKHat.from_rational(g.det(), p) * chi(g, p, -(k + 2))
+    scalar = ScalarKHat.from_rational(det(g), p) * chi(g, p, -(k + 2))
     return [[x * scalar for x in row] for row in base]
 
 
@@ -596,7 +878,7 @@ def epsilon(g: Mat2, p: int) -> ScalarKHat:
     """det(g) scaled to a unit: det * p^(-val(det)). Trivial on the diagonal
     p-power elements and on determinant-one elements."""
     w = g.omega_det(p)
-    return ScalarKHat.from_rational(g.det() * Fraction(p) ** (-int(w)), p)
+    return ScalarKHat.from_rational(det(g) * Fraction(p) ** (-int(w)), p)
 
 
 def act_on_edge(g: Mat2, e: Edge) -> Edge:
@@ -883,7 +1165,7 @@ def reference_edge_profile(e: Edge, k: int) -> tuple:
 
 
 def reference_local_rows(src: Lattice, dst: Lattice) -> list:
-    """The rows of residues mod p that ``_local_space`` reduces, read from
+    """The rows of residues mod p that ``local_space`` reduces, read from
     the dense transition: entry (j, i) is M[j][i] * (num/den) *
     pihat^(e + t_j - s_i) mod pihat, and a negative valuation raises."""
     p = src.p

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from drinfeld.rational import FactoredRational
 from drinfeld.scalars import FiniteField, FqElem, ScalarKHat
-from drinfeld.tree import Mat2, Vertex, make_vertex, unipotent_lower
-from oracles import FqFraction
+from drinfeld.tree import Mat2, unipotent_lower
+from oracles import FqFraction, Vertex, make_vertex
 
 
 def gamma_level(n: int, p: int) -> Mat2:

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld import cli as cli_module
-from drinfeld import modp, scalars, tree
+from drinfeld import lattices, modp, scalars, tree
 from drinfeld.errors import InternalInvariantError
 from drinfeld.harmonic import Cochain, res0
 from drinfeld.lattices import Doubled
@@ -31,7 +31,7 @@ from drinfeld.linalg import SparseRows
 from drinfeld.modp import gl2_generators, symgeom_iso, symgeom_parameters
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.rational import parse_rational
-from drinfeld.tree import TruncatedTree, _child_offsets, make_vertex, truncated_tree
+from drinfeld.tree import TruncatedTree, _child_offsets, truncated_tree
 from inprocess import invoke
 from oracles import (
     FqFraction,
@@ -40,6 +40,7 @@ from oracles import (
     fq_function_str,
     fraction_scalar_str,
     fraction_standard_profiles,
+    make_vertex,
     mat_vec,
     quotient_reduce,
     support,
@@ -138,7 +139,7 @@ class TestFrozenPayloads:
 
     def test_b_forms_fails_when_the_involution_keeps_the_parity(self, monkeypatch):
         # every vertex fixed: iota squares to the identity but swaps no parity
-        monkeypatch.setattr(modp, "act_on_vertex", lambda g, v: v)
+        monkeypatch.setattr(modp, "_iota", lambda v: v)
         result = invoke(["modp", "b-forms", "--q", "3"])
         assert result.exit_code == 0, result.output
         assert '"pass": false' in result.stdout
@@ -199,6 +200,27 @@ class TestBallMutations:
         else:
             assert result.exit_code == 0, result.output
             assert verdict in result.stdout
+
+
+class TestModPihatMutation:
+    """``harmonic --mod-pihat`` compares each star's kernel with its closed
+    form: with one row of child 0's local-space basis dropped, the star
+    kernel loses a dimension and the gate fails."""
+
+    ARGS = ("harmonic", "--p", "3", "--k", "2", "--radius", "2", "--mod-pihat")
+
+    def test_the_gate_fails(self, monkeypatch):
+        assert '"pass": true' in invoke(self.ARGS).stdout
+        local_space = lattices._local_space
+
+        def short(p, k, a, c, low=False):
+            basis = local_space(p, k, a, c, low)
+            return basis[1:] if (a, c) == (p, 0) else basis  # child 0's transition
+
+        monkeypatch.setattr(lattices, "_local_space", short)
+        result = invoke(self.ARGS)
+        assert result.exit_code == 0, result.output
+        assert '"pass": false' in result.stdout
 
 
 class TestConfigFile:
@@ -1520,34 +1542,6 @@ class TestFieldElementsConfined:
         assert self._images() == images
 
 
-class TestLabelFreePaths:
-    """``tree`` reads the ball's labels as int arrays and ``harmonic``'s field
-    kernel reads no label: with ``tree._vertex``, through which every
-    ``Vertex`` is made, refusing, each prints what it printed before."""
-
-    RUNS = [
-        *(
-            ["harmonic", "--p", str(p), "--k", str(k), "--radius", str(r)]
-            for p in (2, 3, 5)
-            for k in range(3)
-            for r in range(5)
-        ),
-        *(["tree", "--p", str(p), "--radius", str(r)] for p in (2, 3) for r in range(7)),
-    ]
-
-    def test_no_vertex_is_built(self, monkeypatch):
-        honest = [invoke(args) for args in self.RUNS]
-
-        def refused(*_):
-            raise AssertionError("a Vertex was built")
-
-        monkeypatch.setattr(tree, "_vertex", refused)
-        for args, want in zip(self.RUNS, honest):
-            got = invoke(args)
-            assert want.exit_code == got.exit_code == 0, (args, got.output)
-            assert got.stdout == want.stdout, args
-
-
 # Payload entries of every kind that the writer renders, and containers of them.
 _F3, _F4 = Fq(3), Fq(4)
 _RESIDUES = st.integers(0, 2)
@@ -1564,13 +1558,7 @@ _TEXT = st.one_of(
     ),
 )
 _SCALARS = st.one_of(_TEXT, _INTS, st.booleans(), st.none(), _FRACTIONS, _KHAT)
-_LEAVES = st.one_of(
-    _SCALARS,
-    st.sampled_from([math.inf, -math.inf]),
-    st.builds(
-        lambda m, b: make_vertex(3, m, Fraction(b, 3)), st.integers(1, 2), st.integers(0, 2)
-    ),
-)
+_LEAVES = st.one_of(_SCALARS, st.sampled_from([math.inf, -math.inf]))
 _ROWS = st.one_of(
     st.lists(_RESIDUES, min_size=1),
     st.lists(_DIGITS, min_size=1).map(tuple),

@@ -10,61 +10,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from drinfeld import lattices, scalars
 from drinfeld.errors import InvalidParameters, NegativeValuation, PoleInsideAnnulus
 from drinfeld.harmonic import res0, star_local_kernels
 from drinfeld.linalg import rank_up_to, rref
 from drinfeld.lattices import (
-    Lattice,
-    _local_space,
-    d_space_basis,
-    e_space_basis,
-    edge_lattice,
     edge_lattice_profile,
     local_dimension_formulas,
     local_space_report,
     star_local_kernel,
-    vertex_lattice,
     vertex_lattice_profile,
 )
 from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational
 from drinfeld.scalars import Fq, ScalarKHat, half
 from drinfeld.symrep import sym_ints
-from drinfeld.tree import (
-    Edge,
-    Vertex,
-    act_on_vertex,
-    child_endpoint,
-    make_edge,
-    make_vertex,
-    standard_edge,
-    standard_vertex,
-    truncated_tree,
-    unipotent_lower,
-    vertex_transporter,
-)
+from drinfeld.tree import _level_and_offset, truncated_tree, unipotent_lower, vertex_transporter
 from inprocess import invoke
 from oracles import (
+    Edge,
+    Lattice,
+    Vertex,
     act_on_edge,
+    act_on_vertex,
     automorphic_act,
     ball_edges,
+    ball_vertices,
     basis_contains,
     basis_contains_vector,
     basis_equal,
     basis_relative_profile,
     basis_transition,
+    child_endpoint,
     children,
     cochain_value,
+    d_space_basis,
     dual_act,
+    e_space_basis,
+    edge_lattice,
     edge_transporter,
     endpoint_sum,
     fraction_valuation,
     in_edge_lattice,
+    interior_vertices,
     lattice_basis,
     lattice_contains_vector,
     lattice_intersection,
     lattice_sum,
     laurent_standard,
+    local_space,
+    make_edge,
+    make_vertex,
     membership_by_transport,
     parent_endpoint,
     reduced_column_space,
@@ -74,9 +70,12 @@ from oracles import (
     reference_vertex_profile,
     relative_profile,
     section_lattice_membership,
+    standard_edge,
+    standard_vertex,
     transition_d_space_basis,
     transition_e_space_basis,
     transition_matrix,
+    vertex_lattice,
 )
 from sampling import random_group_element, random_rational, random_vertex
 
@@ -216,8 +215,8 @@ class TestDiagonalProfiles:
 
     def test_standard_edge_profiles(self):
         p = 2
-        assert edge_lattice_profile(standard_edge(p), 2) == (0, 0, 2)
-        assert edge_lattice_profile(standard_edge(p), 1) == (0, 1)
+        assert edge_lattice_profile(p, 2) == (0, 0, 2)
+        assert edge_lattice_profile(p, 1) == (0, 1)
 
     def test_profile_shifts_along_the_axis(self):
         # moving one level along the axis tilts each diagonal entry by one step
@@ -351,10 +350,10 @@ class TestStarsFromTheStandardStar:
         """At every interior vertex of the radius-2 ball, the axis below the
         base vertex included, the star built there has the same kernel."""
         t = truncated_tree(p, 2)
-        assert any(v.m < 0 for v in t.interior_vertices())
+        assert any(v.m < 0 for v in interior_vertices(t))
         for k in range(7):
             got = star_local_kernels(t, k)
-            for v in t.interior_vertices():
+            for v in interior_vertices(t):
                 assert got[str(v)] == reference_star_local_kernel(v, k), (v, k)
 
     @pytest.mark.parametrize("p,radius", [(2, 3), (3, 3), (5, 3), (7, 2)])
@@ -364,11 +363,11 @@ class TestStarsFromTheStandardStar:
         transition.  The ball reaches levels -radius..radius."""
         t = truncated_tree(p, radius)
         standard = [vertex_transporter(make_vertex(p, 1, c)) for c in range(p)]
-        for v in t.interior_vertices():
+        for v in interior_vertices(t):
             g = vertex_transporter(v)
             for w, h in zip(children(v), standard):
                 assert vertex_transporter(w) == g @ h, (v, w)
-        assert min(v.m for v in t.vertices) == -radius
+        assert min(v.m for v in ball_vertices(t)) == -radius
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_children_are_torus_scaled_copies(self, p):
@@ -452,10 +451,10 @@ class TestTransitionsAgainstElimination:
                         space = reduced_column_space(want, field)
                     except NegativeValuation:
                         with pytest.raises(NegativeValuation):
-                            _local_space(src, dst)
+                            local_space(src, dst)
                         outcomes.add("not integral")
                     else:
-                        assert _local_space(src, dst) == space, (e, k, src, dst)
+                        assert local_space(src, dst) == space, (e, k, src, dst)
                         outcomes.add("integral")
         assert outcomes == {"integral", "not integral"}
 
@@ -564,11 +563,12 @@ class TestIntegerPath:
             vertex_lattice_profile(child_endpoint(e), k)
             vertex_lattice_profile(parent_endpoint(e), k)
             for src in (child, parent, total):
-                _local_space(src, edge)
+                local_space(src, edge)
             for l in lattices:
                 for vec in vecs:
                     lattice_contains_vector(l, vec)
-            edge_lattice_profile(e, k)
+            edge_lattice_profile(p, k)
+            local_space_report(p, k)
             for vec in vecs:
                 in_edge_lattice(e, k, vec)
         # the guard trips where the program does build scalars
@@ -611,8 +611,8 @@ class TestEdgeMembershipOnInts:
             if f.is_zero():
                 continue
             k = rng.randint(0, 4)
-            f = f * ScalarKHat.pihat(p, -min(gauss_valuation(f, v, k + 2) for v in t.vertices))
-            assert all(section_lattice_membership(f, k + 2, v)[0] for v in t.vertices)
+            f = f * ScalarKHat.pihat(p, -min(gauss_valuation(f, v, k + 2) for v in ball_vertices(t)))
+            assert all(section_lattice_membership(f, k + 2, v)[0] for v in ball_vertices(t))
             try:
                 c = res0(f, k, t)
             except PoleInsideAnnulus:
@@ -663,15 +663,16 @@ class TestStandardEdgeGate:
             child = vertex_lattice(child_endpoint(e), k)
             parent = vertex_lattice(parent_endpoint(e), k)
             want = tuple(sorted(max(Fraction(0), x) for x in relative_profile(child, parent)))
-            assert tuple(map(half, edge_lattice_profile(e, k))) == want, (p, k)
+            assert tuple(map(half, edge_lattice_profile(p, k))) == want, (p, k)
 
     def test_an_off_diagonal_entry_exits_three(self, monkeypatch):
-        def skewed(v):
-            # still a transporter of v, but with c != 0: the transition at the
-            # standard edge gets entries below the diagonal
-            return vertex_transporter(v) @ unipotent_lower(1)
+        def skewed(p, m, n, d):
+            # a transporter [[C, 0], [-O, L]]/C with O != 0 at the standard
+            # edge's parent: the transition there gets entries below the diagonal
+            L, O, C = _level_and_offset(p, m, n, d)
+            return L, O + 1, C
 
-        monkeypatch.setattr(lattices, "vertex_transporter", skewed)
+        monkeypatch.setattr(lattices, "_level_and_offset", skewed)
         result = invoke(["lattice", "--p", "2", "--k", "3"])
         assert result.exit_code == 3, (result.output, repr(result.exception))
         assert result.stdout == "" and "Traceback" not in result.stderr
@@ -684,7 +685,7 @@ def _profile_vertices(p: int) -> list:
     """The axis at levels -4..4 and every vertex within distance 2 of the
     base: every canonical offset at levels -2..2 that the ball reaches."""
     axis = [make_vertex(p, m, 0) for m in range(-4, 5)]
-    return axis + [v for v in truncated_tree(p, 2).vertices if v not in axis]
+    return axis + [v for v in ball_vertices(truncated_tree(p, 2)) if v not in axis]
 
 
 class TestClosedFormsAgainstTheDenseMatrix:
@@ -704,7 +705,7 @@ class TestClosedFormsAgainstTheDenseMatrix:
         edges = ball_edges(truncated_tree(p, 1))
         for k in range(41):
             want = reference_edge_profile(standard_edge(p), k)
-            assert all(tuple(map(half, edge_lattice_profile(e, k))) == want for e in edges), k
+            assert all(tuple(map(half, edge_lattice_profile(p, k))) == want for e in edges), k
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_local_space_residue_rows(self, p, monkeypatch):
@@ -716,7 +717,7 @@ class TestClosedFormsAgainstTheDenseMatrix:
             seen.append(rows)
             return rref(rows, prime)
 
-        monkeypatch.setattr(lattices, "rref", recording)
+        monkeypatch.setattr(oracles, "rref", recording)
         outcomes = set()
         for e in ball_edges(truncated_tree(p, 2)):
             for k in range(0, 41, 3):
@@ -725,10 +726,10 @@ class TestClosedFormsAgainstTheDenseMatrix:
                         want = reference_local_rows(src, dst)
                     except NegativeValuation:
                         with pytest.raises(NegativeValuation):
-                            _local_space(src, dst)
+                            local_space(src, dst)
                         outcomes.add("not integral")
                     else:
-                        space = _local_space(src, dst)
+                        space = local_space(src, dst)
                         g = dst.g.inv() @ src.g
                         if g.B or g.C:
                             got = seen.pop()
@@ -740,6 +741,23 @@ class TestClosedFormsAgainstTheDenseMatrix:
                             assert space == basis[: len(pivots)], (e, k, src, dst)
                             outcomes.add("diagonal")
         assert outcomes == {"integral", "diagonal", "not integral"}
+
+
+class TestStandardStarTransitions:
+    """``lattices._local_space`` reads the standard star's three fixed
+    transitions, and the E-space's, from ints; the oracle ``local_space``
+    reduces the same from the ``Lattice`` records of the standard vertex and
+    its edges."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_equal_the_lattice_records(self, p):
+        v, e = standard_vertex(p), standard_edge(p)
+        children = [make_edge(v, make_vertex(p, 1, c)) for c in (0, 1)]
+        for k in range(0, 41, 3):
+            assert lattices._local_space(p, k, 1, 0) == d_space_basis(e, v, k), k
+            assert lattices._local_space(p, k, 1, 0, low=True) == e_space_basis(e, k), k
+            for c, child in enumerate(children):
+                assert lattices._local_space(p, k, p, c) == d_space_basis(child, v, k), (c, k)
 
 
 class TestEdgeLatticesAgainstSmith:
@@ -778,7 +796,7 @@ class TestEdgeLatticesAgainstSmith:
                 child = lattice_basis(vertex_lattice(child_endpoint(e), k))
                 parent = lattice_basis(vertex_lattice(parent_endpoint(e), k))
                 want = basis_relative_profile(child, lattice_intersection(child, parent))
-                got = edge_lattice_profile(e, k)
+                got = edge_lattice_profile(p, k)
                 assert tuple(map(half, got)) == want, (e, k)
                 assert all(type(x) is int for x in got), (e, k)
 
@@ -924,7 +942,7 @@ class TestIntegerMembership:
         sections = _membership_sections(p)
         assert any(len(f.extra) > 1 for f in sections)
         seen = set()
-        for v in truncated_tree(p, 3).vertices:
+        for v in ball_vertices(truncated_tree(p, 3)):
             for k in range(3):
                 for f in sections:
                     got = section_lattice_membership(f, k, v)

@@ -33,18 +33,16 @@ from drinfeld.modp import (
 )
 from drinfeld.rational import FactoredRational, parse_rational
 from drinfeld.scalars import Fq, ScalarKHat, half
-from drinfeld.tree import (
-    Vertex,
-    act_on_vertex,
-    child_endpoint,
-    make_vertex,
-    truncated_tree,
-    vertex_transporter,
-)
+from drinfeld.tree import truncated_tree, vertex_transporter
 from oracles import (
     FqFraction,
+    Vertex,
     _normalize,
+    act_on_vertex,
+    admitted_ball,
     ball_edges,
+    ball_vertex,
+    child_endpoint,
     densify,
     digit_lines,
     field_elements,
@@ -52,6 +50,7 @@ from oracles import (
     generator_matrices_fq,
     homogenise,
     image_codes,
+    make_vertex,
     mat_vec,
     parent_endpoint,
     poly_evaluate,
@@ -638,6 +637,18 @@ class TestReductionPointOracle:
             for e in ball_edges(tree_factory(q, radius)):
                 for u, w in ((e.u, e.v), (e.v, e.u)):
                     assert modp._reduction_point(u, w) == _reference_reduction_point(u, w), (u, w)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_labels_from_the_arrays_on_every_admitted_ball(self, p):
+        """The points that ``global_sections_truncated`` reads from the
+        ball's label arrays, at both ends of every edge of the largest ball
+        the budget admits, against transport of the ``Vertex``es."""
+        ball = admitted_ball(p)
+        for j in range(ball.n_edges):
+            u, w = ball.ends(j)
+            for a, b in ((u, w), (w, u)):
+                want = _reference_reduction_point(ball_vertex(ball, a), ball_vertex(ball, b))
+                assert modp._reduction_point(ball.label(a), ball.label(b)) == want, (a, b)
 
     def test_non_adjacent_pair_raises(self):
         base = make_vertex(3, 0, 0)

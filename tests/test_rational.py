@@ -14,13 +14,14 @@ from drinfeld.errors import PoleInsideAnnulus, ZeroFunction
 from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational, principal_parts
 from drinfeld.scalars import ScalarKHat
 from drinfeld.theta import theta
-from drinfeld.tree import Mat2, make_vertex, vertex_transporter
+from drinfeld.tree import Mat2, vertex_transporter
 from oracles import (
     automorphic_act,
     compose_mobius,
     derivative_by_steps,
     fraction_valuation,
     laurent_standard,
+    make_vertex,
     poly_evaluate,
     raw_gauss_valuation,
     reduce_mod_pihat,

@@ -22,7 +22,6 @@ from drinfeld.scalars import (
     _rho_factor,
     _vp,
     half,
-    val_p,
 )
 from oracles import (
     FractionScalarKHat,
@@ -32,6 +31,7 @@ from oracles import (
     is_integral,
     reduce_mod_pihat,
     smallest_factor,
+    val_p,
 )
 
 

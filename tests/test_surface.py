@@ -2,7 +2,7 @@
 ``src/drinfeld``, private ones included, has a caller in ``src/drinfeld``.
 Helpers that only tests call live in ``tests/`` (``oracles.py``,
 ``sampling.py`` and the test files).  No module reads the process
-environment."""
+environment, and no object stands in for a vertex, an edge or a lattice."""
 
 from __future__ import annotations
 
@@ -136,3 +136,33 @@ def _environment_reads(path: Path) -> list[str]:
 def test_no_module_reads_the_environment():
     reads = [r for path in sorted(SRC.glob("*.py")) for r in _environment_reads(path)]
     assert reads == []
+
+
+# The objects that once stood for a vertex, an edge and a lattice: the program
+# takes a vertex as its int label (p, m, n, d) or a ball index.
+_OBJECT_NAMES = {"Vertex", "Edge", "Lattice"}
+
+
+def _bound_or_named(path: Path) -> set[str]:
+    """The names that a module defines, imports (as bound or as imported) or
+    refers to."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update({alias.name.split(".")[-1], alias.asname or alias.name})
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return names
+
+
+def test_no_module_defines_or_imports_a_vertex_edge_or_lattice():
+    found = [
+        f"{path.stem}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in sorted(_bound_or_named(path) & _OBJECT_NAMES)
+    ]
+    assert found == []

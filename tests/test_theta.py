@@ -15,12 +15,14 @@ from drinfeld.rational import (
 )
 from drinfeld.scalars import ScalarKHat
 from drinfeld.theta import complement_b_identity, theta, theta_integrality
-from drinfeld.tree import Mat2, Vertex, make_vertex, vertex_transporter
+from drinfeld.tree import Mat2, vertex_transporter
 from inprocess import invoke
 from oracles import (
+    Vertex,
     automorphic_act,
     epsilon,
     kernel_polynomial_dimension,
+    make_vertex,
     raw_gauss_valuation,
     res_kills_theta,
     rescale_to_gauss_bound,

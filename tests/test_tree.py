@@ -11,33 +11,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drinfeld import modp
 from drinfeld.cli import _MAX_BALL_VERTICES
 from drinfeld.errors import InvalidParameters, SingularMatrix
-from drinfeld.tree import (
-    Edge,
-    Mat2,
-    Vertex,
-    act_on_vertex,
-    ball_size,
-    child_endpoint,
-    distance,
-    make_edge,
-    make_vertex,
-    representative,
-    standard_edge,
-    standard_vertex,
-    truncated_tree,
-    unipotent_lower,
-    vertex_of_matrix,
-    vertex_parity,
-    vertex_transporter,
-)
+from drinfeld.harmonic import star_local_kernels
+from drinfeld.lattices import vertex_lattice_profile
+from drinfeld.rational import gauss_valuation, parse_rational
+from drinfeld.scalars import half
+from drinfeld.tree import Mat2, ball_size, truncated_tree, unipotent_lower, vertex_transporter
 from oracles import (
+    Edge,
     FractionMat2,
     FrozenEdge,
+    Vertex,
     act_on_edge,
+    act_on_vertex,
+    admitted_ball,
+    ball_edge,
     ball_edges,
+    ball_vertices,
+    child_endpoint,
     children,
+    det,
+    distance,
     edge_transporter,
     edges_at,
     fraction_act_on_vertex,
@@ -50,10 +46,21 @@ from oracles import (
     fraction_vertex_key,
     fraction_vertex_of_matrix,
     fraction_vertex_transporter,
+    interior_vertices,
+    itilde,
+    make_edge,
+    make_vertex,
     neighbors,
     parent,
     parent_endpoint,
     reference_ball,
+    reference_vertex_profile,
+    representative,
+    standard_edge,
+    standard_vertex,
+    transported_gauss_valuation,
+    vertex_of_matrix,
+    vertex_parity,
 )
 from sampling import gamma_level, random_group_element, random_vertex, unipotent_upper, weyl_flip
 
@@ -176,9 +183,9 @@ class TestMat2AgainstFractionOracle:
         g, h = Mat2(*x), Mat2(*y)
         old_g, old_h = FractionMat2(*x), FractionMat2(*y)
         _assert_matches(g, old_g)
-        assert g.det() == old_g.det() and type(g.det()) is Fraction
+        assert det(g) == old_g.det() and type(det(g)) is Fraction
         _assert_matches(g @ h, old_g @ old_h)
-        _assert_matches(g.itilde(), old_g.itilde())
+        _assert_matches(itilde(g), old_g.itilde())
         assert g.lift(p) == old_g.lift(p)
         if old_g.det() == 0:
             assert _raised(g.inv) is _raised(old_g.inv) is SingularMatrix
@@ -314,23 +321,23 @@ class TestTruncations:
         t = truncated_tree(p, radius)
         q = p
         expected_vertices = 1 + (q + 1) * (q**radius - 1) // (q - 1) if radius else 1
-        assert len(t.vertices) == expected_vertices
+        assert len(ball_vertices(t)) == expected_vertices
         assert len(ball_edges(t)) == expected_vertices - 1  # a ball in a tree
 
     def test_oracle_seventeen_vertices(self):
         t = truncated_tree(3, 2)
-        assert len(t.vertices) == 17
+        assert len(ball_vertices(t)) == 17
         assert len(ball_edges(t)) == 16
 
     def test_interior_regularity(self):
         t = truncated_tree(2, 3)
-        for i, v in enumerate(t.interior_vertices()):
+        for i, v in enumerate(interior_vertices(t)):
             assert len(edges_at(v)) == 3
-            assert sorted(t.edge(j) for j in t.star(i)) == sorted(edges_at(v))
+            assert sorted(ball_edge(t, j) for j in t.star(i)) == sorted(edges_at(v))
 
     def test_edges_at_matches_global_adjacency(self):
         t = truncated_tree(3, 2)
-        for v in t.interior_vertices():
+        for v in interior_vertices(t):
             assert set(edges_at(v)) <= set(ball_edges(t))
             assert edges_at(v) == [make_edge(v, w) for w in neighbors(v)]
 
@@ -342,20 +349,20 @@ class TestTruncations:
         for radius in range(5):
             t = truncated_tree(p, radius)
             edges = ball_edges(t)
-            for i, v in enumerate(t.vertices):
+            for i, v in enumerate(ball_vertices(t)):
                 star = t.star(i) if i < t.n_interior else [i - 1] if i else []
                 assert [edges[j] for j in star] == [e for e in edges if v in (e.u, e.v)]
 
     def test_ball_is_centered(self):
         t = truncated_tree(2, 2)
         c = standard_vertex(2)
-        assert all(distance(c, v) <= 2 for v in t.vertices)
-        assert any(distance(c, v) == 2 for v in t.vertices)
+        assert all(distance(c, v) <= 2 for v in ball_vertices(t))
+        assert any(distance(c, v) == 2 for v in ball_vertices(t))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_ball_size_counts_the_ball(self, p):
         for radius in range(5):
-            assert ball_size(p, radius) == len(truncated_tree(p, radius).vertices)
+            assert ball_size(p, radius) == len(ball_vertices(truncated_tree(p, radius)))
 
 
 class TestBallOracle:
@@ -368,7 +375,7 @@ class TestBallOracle:
     def test_interior_is_the_distance_filter(self, p, radius):
         t = truncated_tree(p, radius)
         c = standard_vertex(p)
-        assert t.interior_vertices() == [v for v in t.vertices if distance(c, v) <= radius - 1]
+        assert interior_vertices(t) == [v for v in ball_vertices(t) if distance(c, v) <= radius - 1]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_index_arithmetic_equals_the_hashed_walk(self, p):
@@ -379,13 +386,43 @@ class TestBallOracle:
         radius = 0
         while ball_size(p, radius) <= _MAX_BALL_VERTICES:
             t, ref = truncated_tree(p, radius), reference_ball(p, radius)
-            assert t.vertices == ref.vertices and t.n_interior == ref.n_interior
+            assert ball_vertices(t) == ref.vertices and t.n_interior == ref.n_interior
             edges = ball_edges(t)
             assert [(e.u, e.v) for e in edges] == [(e.u, e.v) for e in ref.edges]
-            for i, v in enumerate(t.interior_vertices()):
+            for i, v in enumerate(interior_vertices(t)):
                 assert [ref.edges[j] for j in t.star(i)] == ref.edges_at(v)
             radius += 1
         assert radius - 1 >= 4
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_iota_on_labels_equals_the_matrix_action(self, p):
+        """b-forms' involution on labels against ``act_on_vertex`` of the
+        matrix [[0, 1], [p, 0]], and its parity swap against
+        ``vertex_parity``, at every vertex of every admitted ball."""
+        iota = Mat2(0, 1, p, 0)
+        for v in ball_vertices(admitted_ball(p)):
+            w = act_on_vertex(iota, v)
+            assert modp._iota(v.label) == w.label, v
+            assert vertex_parity(w) == -vertex_parity(v), v
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_mod_pihat_keys_are_the_vertex_text(self, p):
+        ball = admitted_ball(p)
+        assert list(star_local_kernels(ball, 0)) == [str(v) for v in interior_vertices(ball)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_profiles_and_gauss_valuations_at_labels(self, p):
+        """``vertex_lattice_profile`` and ``gauss_valuation`` at each label
+        against the dense profile and the transported Gauss valuation of the
+        ``Vertex``, through its transporter's matrix."""
+        ball = admitted_ball(p)
+        f = parse_rational(f"z^-1*(z-1)^-2*(z-{p + 1}/{p})^3*(z+{p})", p)
+        for i, v in enumerate(ball_vertices(ball)):
+            label = ball.label(i)
+            assert tuple(map(half, vertex_lattice_profile(label, 3))) == reference_vertex_profile(v, 3), v
+            g = vertex_transporter(v).inv()
+            for k in (0, 2):
+                assert gauss_valuation(f, label, k) == transported_gauss_valuation(f, g, k), (v, k)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("radius", range(5))
@@ -423,7 +460,7 @@ class TestIntegerOffsets:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("radius", range(5))
     def test_every_label_of_a_ball(self, p, radius):
-        for v in truncated_tree(p, radius).vertices:
+        for v in ball_vertices(truncated_tree(p, radius)):
             _assert_same_vertex(v, Vertex(p, v.m, fraction_canonical_offset(v.b, v.m, p)))
             self._check(v)
 
@@ -448,8 +485,8 @@ class TestIntegerOffsets:
     def test_distance_edges_and_order_of_a_ball(self, p, radius):
         ball = truncated_tree(p, radius)
         rng = random.Random(1400 + 10 * p + radius)
-        pairs = [(u, w) for u in ball.vertices[:40] for w in ball.vertices]
-        pairs += [(rng.choice(ball.vertices), random_vertex(rng, p)) for _ in range(200)]
+        pairs = [(u, w) for u in ball_vertices(ball)[:40] for w in ball_vertices(ball)]
+        pairs += [(rng.choice(ball_vertices(ball)), random_vertex(rng, p)) for _ in range(200)]
         for u, w in pairs:
             assert distance(u, w) == fraction_distance(u, w)
             assert (u < w) == (fraction_vertex_key(u) < fraction_vertex_key(w))
@@ -460,7 +497,7 @@ class TestIntegerOffsets:
             assert make_edge(e.u, e.v) == make_edge(e.v, e.u) == fraction_make_edge(e.v, e.u)
         key = lambda e: (fraction_vertex_key(e.u), fraction_vertex_key(e.v))
         assert sorted(ball_edges(ball)) == sorted(ball_edges(ball), key=key)
-        assert sorted(ball.vertices) == sorted(ball.vertices, key=fraction_vertex_key)
+        assert sorted(ball_vertices(ball)) == sorted(ball_vertices(ball), key=fraction_vertex_key)
 
     def test_ball_builds_no_fraction(self, monkeypatch):
         built = []
@@ -473,7 +510,7 @@ class TestIntegerOffsets:
         monkeypatch.setattr(Fraction, "__new__", counting)
         ball = truncated_tree(3, 5)
         Fraction(1, 3)  # the counter sees a construction
-        assert len(ball.vertices) == ball_size(3, 5)
+        assert len(ball_vertices(ball)) == ball_size(3, 5)
         assert built == [(1, 3)]
 
     def test_ball_builds_no_edge(self, monkeypatch):
@@ -481,7 +518,7 @@ class TestIntegerOffsets:
             raise AssertionError("an edge was built")
 
         monkeypatch.setattr(Edge, "__init__", refuse)
-        assert len(truncated_tree(3, 5).vertices) == ball_size(3, 5)
+        assert len(ball_vertices(truncated_tree(3, 5))) == ball_size(3, 5)
 
 
 class TestEdgeOracle:
