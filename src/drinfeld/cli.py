@@ -650,9 +650,9 @@ def _regular(ball: TruncatedTree) -> bool:
     p, levels, nums, dens, n = ball.p, ball.levels, ball.nums, ball.dens, ball.n_interior
     labels, size = list(zip(levels, nums, dens)), len(levels)
     parents = list(map(_parent_label, repeat(p), levels, nums, dens))
-    ups = chain(repeat(labels[0], p + 1), chain.from_iterable(map(repeat, labels[1:n], repeat(p))))
+    up_labels = chain(repeat(labels[0], p + 1), chain.from_iterable(map(repeat, labels[1:n], repeat(p))))
     # vertex j is a child of up(j), or on the spine its parent
-    misses = compress(range(1, size), map(ne, parents[1:], ups))
+    misses = compress(range(1, size), map(ne, parents[1:], up_labels))
     rest = zip(range(n - 1), *(range(p + c, p * n + c, p) for c in range(1, p + 1)))
     stars = list(chain(range(p + 1), chain.from_iterable(rest))) if n else []
     return (

@@ -113,24 +113,25 @@ def _in_edge_lattice(p: int, L: int, O: int, C: int, k: int, ints: tuple) -> boo
 def _local_space(p: int, k: int, a: int, c: int, low: bool = False) -> list:
     """Basis of the image of an edge lattice in S/(pihat), as coordinate
     vectors of residues mod p against S's basis.  S is the standard vertex's
-    lattice, or with ``low`` the sum of its parent edge's two endpoint
-    lattices: that lattice with column j scaled by pihat^s_j, s_j = min(0,
-    2j - k), or s_j = 0.  The edge lattice is its child end's lattice with
-    column j scaled by pihat^t_j, t_j = max(0, 2j - k), where the child's
-    transporter is the inverse of [[a, 0], [c, 1]]: (a, c) = (1, 0) for the
-    parent edge, whose child end is the standard vertex, and (p, c) for the
-    edge to the child (1, c).  The transition is then M[j][i] * (num/den) *
+    lattice with column j scaled by pihat^s_j: s_j = 0, or with ``low``
+    s_j = min(0, 2j - k), which makes S the sum of the two endpoint lattices
+    of the standard vertex's parent edge.  The edge lattice is its child
+    end's lattice with column j scaled by pihat^t_j, t_j = max(0, 2j - k),
+    where the child's transporter is the inverse of [[a, 0], [c, 1]]:
+    (a, c) = (1, 0) for the parent edge, whose child end is the standard
+    vertex, and (p, c) for the edge to the child (1, c).  The transition is
+    then M[j][i] * (num/den) *
     pihat^(e + t_j - s_i) for sym([[a, 0], [c, 1]]) = M * (num/den) * pihat^e.
     An entry of doubled valuation 0 reduces to the unit part of M[j][i] *
     num/den mod p, a positive one to 0; a negative one raises.  At c = 0 it
     needs neither M nor an elimination: entry j of the diagonal has doubled
     valuation (2j - k) v_p(a) + t_j - s_j, and the basis is the unit vectors
     e_j at which that is 0."""
-    dst = [max(0, 2 * j - k) for j in range(k + 1)]
-    src = [min(0, 2 * j - k) for j in range(k + 1)] if low else [0] * (k + 1)
+    ts = [max(0, 2 * j - k) for j in range(k + 1)]
+    ss = [min(0, 2 * j - k) for j in range(k + 1)] if low else [0] * (k + 1)
     if not c:
         slope, basis = -_vp(a, p), []
-        for j, (t, s) in enumerate(zip(dst, src)):
+        for j, (t, s) in enumerate(zip(ts, ss)):
             twice = (2 * j - k) * slope + t - s
             if twice < 0:
                 raise NegativeValuation(f"transition entry has valuation {half(twice)} < 0")
@@ -147,7 +148,7 @@ def _local_space(p: int, k: int, a: int, c: int, low: bool = False) -> list:
             raise NegativeValuation(f"transition entry has valuation {half(2 * v + twice)} < 0")
         return x // p**v * unit if 2 * v + twice == 0 else 0
 
-    rows = [[residue(x, 2 * (vn - vd) + e + t - s) for x, s in zip(row, src)] for row, t in zip(m, dst)]
+    rows = [[residue(x, 2 * (vn - vd) + e + t - s) for x, s in zip(row, ss)] for row, t in zip(m, ts)]
     basis, pivots = rref(rows, p)
     return basis[: len(pivots)]
 

@@ -240,7 +240,7 @@ def _reduction_point(u: tuple, w: tuple):
             return INFINITY_POINT
         if c is not None:
             return pow(c, -1, p)
-    raise InternalInvariantError(f"the vertex {tuple(w)} is not a neighbor of {tuple(u)}")
+    raise InternalInvariantError(f"the vertex {w} is not a neighbor of {u}")
 
 
 def _child_digit(v: tuple, w: tuple) -> int | None:
