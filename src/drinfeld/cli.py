@@ -75,12 +75,12 @@ _MAX_IMAGE_DIGITS = 4000
 # degree 500 two poles (k = 499) took 1.4 s and five (k = 124) 0.8 s as child
 # processes on a 2-vCPU machine; two poles at k = 1461 ran past 15 s.
 _MAX_IMAGE_DEGREE = 500
-# The largest (p + 1)(k + 1)^3 that local-dims may cost: it admits
-# local-dims --p 997 --k 20 (1.2 to 1.7 s as a child process on a 2-vCPU
-# machine, when each edge of the star built its own D-space) and --p 2 --k 200
-# (0.6 s), and refuses --p 2 --k 2000, which ran past 15 s.  One star of three
-# local spaces now costs the same at every p, so this form no longer fits.
-_MAX_STAR_COST = 25_000_000
+# The most entries, (k + 1)^2, of child 1's transition, the one star local
+# space of local-dims and harmonic --mod-pihat that is not diagonal, read from
+# a factorial table at any p.  As child processes on a 2-vCPU machine the star
+# took 0.095 s + 1.5e-7 s (k + 1)^2 where every binomial is a unit (p > k:
+# 0.43 s and a 94 MB peak at k = 1499), and about half that slope at p = 2.
+_MAX_STAR_COST = 2_250_000
 # The most entries of an extension field's exp, log and Zech tables, q - 1 each,
 # which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
 # 2.2 s at q = 65536 (one core of a 2-vCPU Xeon).  A prime field has no tables.
@@ -130,13 +130,14 @@ def _terms(coeffs, one, text, frame: str = "{}") -> str:
     return " + ".join(terms)
 
 
-def _image_str(num: tuple, den: tuple, f: int) -> str:
-    """An image of ``modp.symgeom_iso``, num or (num)/(den): each code, a
-    residue mod p, prints as c over F_p and as its coefficient list
-    [c, 0, ...] over F_(p^f)."""
+def _image_strs(images: list, f: int) -> list[str]:
+    """The images of ``modp.symgeom_iso``, each num or (num)/(den): each code,
+    a residue mod p, prints as c over F_p and as its coefficient list
+    [c, 0, ...] over F_(p^f).  Each distinct denominator is printed once."""
     text = str if f == 1 else lambda c: str([c] + [0] * (f - 1))
-    top = _terms(num, 1, text)
-    return top if den == (1,) else f"({top})/({_terms(den, 1, text)})"
+    bottoms = {den: _terms(den, 1, text) for den in {den for _, den in images} - {(1,)}}
+    tops = (_terms(num, 1, text) for num, _ in images)
+    return [f"({top})/({bottoms[den]})" if den in bottoms else top for top, (_, den) in zip(tops, images)]
 
 
 def _value(x):
@@ -688,11 +689,7 @@ def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> dict:
 def local_dims_cmd(p: int, k: int) -> dict:
     """Brute-force local space dimensions against the closed forms."""
     _check_size(f"the star at p = {p}", p + 1, "edges", _MAX_LIST)
-    cost = (p + 1) * (k + 1) ** 3
-    if cost > _MAX_STAR_COST:
-        raise InvalidParameters(
-            f"local-dims at p = {p}, k = {k} costs (p + 1)(k + 1)^3 = {cost}, more than {_MAX_STAR_COST}"
-        )
+    _check_size(f"child 1's transition at k = {k}", (k + 1) ** 2, "entries", _MAX_STAR_COST)
     report = local_space_report(p, k)
     return {"predicted": report["predicted"], "pass": report["pass"], **report["computed"]}
 
@@ -701,12 +698,13 @@ def local_dims_cmd(p: int, k: int) -> dict:
 def harmonic_cmd(p: int, k: int, radius: int, mod_pihat: bool) -> dict:
     """Kernel of the signed star-sum operator on a truncation."""
     _check_ball(p, radius)
-    ball = truncated_tree(p, radius)
     if mod_pihat:
+        _check_size(f"child 1's transition at k = {k}", (k + 1) ** 2, "entries", _MAX_STAR_COST)
         predicted_star = local_dimension_formulas(p, k)["dimZhar"]
-        stars = star_local_kernels(ball, k)
+        stars = star_local_kernels(truncated_tree(p, radius), k)
         passes = all(v == predicted_star for v in stars.values())
         return {"star_local": stars, "predicted_star_local": predicted_star, "pass": passes}
+    ball = truncated_tree(p, radius)
     free_rank = (k + 1) * (ball.n_edges - ball.n_interior)
     dimension = field_kernel(ball, k)
     return {"dimension": dimension, "predicted": free_rank, "pass": dimension == free_rank}
@@ -808,7 +806,7 @@ def modp_symgeom_cmd(q: int, k: int, i: int) -> dict:
     return {
         "t": iso["t"],
         "shift": iso["shift"],
-        "images": [_image_str(num, den, iso["f"]) for num, den in iso["images"]],
+        "images": _image_strs(iso["images"], iso["f"]),
         "equivariant": equivariant,
         "injectivity_rank": rank_value,
         "predicted_rank": iso["t"] + 1,

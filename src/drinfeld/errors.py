@@ -27,10 +27,6 @@ class SingularMatrix(DrinfeldError):
     """A matrix with determinant zero was used where invertibility is required."""
 
 
-class NonInvertibleDeterminant(DrinfeldError):
-    """The determinant is not invertible in the coefficient ring."""
-
-
 class PoleInsideAnnulus(DrinfeldError):
     """A pole sits strictly inside the expansion annulus, so no Laurent series exists."""
 

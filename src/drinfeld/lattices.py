@@ -17,13 +17,14 @@ the child's basis with column j scaled by pihat^max(0, 2j-k), and their sum
 is the same basis scaled by pihat^min(0, 2j-k).  Since dual_act is a
 homomorphism, the transition between two lattices is one symmetric-power
 matrix between two diagonal scalings, and membership needs no elimination.
-The transporters are lower triangular, so each entry of that matrix is the
-closed form of ``symrep.sym_ints`` times num/den times pihat^n: profiles read
-the least valuation of each row from it with no matrix, local spaces read
-residues from the matrix built by Pascal's rule, and membership applies it
-to a vector, unbuilt.  No scalar is built.  For even k every n is even: the
-lattices are defined over Q_p.  Every valuation is a doubled int: profiles
-are ``Doubled`` tuples, which the CLI prints halved.
+The transporters are lower triangular, so entry (i, j), j <= i, of that
+matrix is D^j C(k-j, i-j) C^(i-j) A^(k-i) times num/den times pihat^n for
+the transition [[A, 0], [C, D]]/N.  Profiles read each row's least
+valuation, and local spaces each entry's valuation and unit part mod p, from
+one table of p-adic factorials (``scalars._factorials``); membership applies
+the matrix to a vector, unbuilt.  No scalar is built.  For even k every n is
+even: the lattices are defined over Q_p.  Every valuation is a doubled int:
+profiles are ``Doubled`` tuples, which the CLI prints halved.
 
 Equivariance also fixes the local spaces: the transporter of v's c-th child
 is v's transporter times that of the standard vertex's c-th child, so every
@@ -33,14 +34,14 @@ star's.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import chain
 from operator import sub
 
 from .errors import InternalInvariantError, NegativeValuation
-from .linalg import rank_up_to, rref
-from .scalars import INF, _twice_valuation, _vp, half
-from .symrep import sym_ints, triangular_apply
-from .tree import _level_and_offset, _mat2
+from .linalg import rank_up_to
+from .scalars import _factorials, _twice_valuation, _vp, half
+from .symrep import triangular_apply
+from .tree import _level_and_offset
 
 
 class Doubled(tuple):
@@ -61,8 +62,8 @@ def vertex_lattice_profile(v: tuple, k: int) -> Doubled:
     """Per-column doubled valuations of the canonical basis matrix dual_act(g)
     of the vertex of label v = (p, m, n, d), indexed by the dual basis position
     j = 0..k: the least in each row i of sym(g^-1), with no matrix built.  For
-    g^-1 = [[a, 0], [c, d]]/N, entry (i, j), j <= i, of ``sym_ints``'s M is
-    d^j C(k-j, i-j) c^(i-j) a^(k-i), and the twist has doubled valuation
+    g^-1 = [[a, 0], [c, d]]/N, entry (i, j), j <= i, of its lower triangular
+    M is d^j C(k-j, i-j) c^(i-j) a^(k-i), and the twist has doubled valuation
     -k (v_p(a) + v_p(d)): O(k^2) steps, or O(k) when c = 0.  A factor common
     to a, c and d leaves every entry's doubled valuation unchanged."""
     p, _, _, _ = v
@@ -70,7 +71,7 @@ def vertex_lattice_profile(v: tuple, k: int) -> Doubled:
     va, vd = _vp(a, p), _vp(d, p)
     if not c:  # only the diagonal is nonzero
         return Doubled((2 * i - k) * (vd - va) for i in range(k + 1))
-    vc, fact = _vp(c, p), list(accumulate((_vp(n, p) for n in range(1, k + 1)), initial=0))  # v_p(n!)
+    vc, fact = _vp(c, p), _factorials(p, k)[0]  # v_p(n!)
     by_column = [j * (vd - vc) + fact[k - j] for j in range(k + 1)]
     least = (min(map(sub, by_column, fact[i::-1])) + i * vc + (k - i) * va - fact[k - i] for i in range(k + 1))
     return Doubled(2 * x - k * (va + vd) for x in least)
@@ -110,23 +111,20 @@ def _in_edge_lattice(p: int, L: int, O: int, C: int, k: int, ints: tuple) -> boo
 # -- mod-uniformizer local spaces --------------------------------------------------
 
 
-def _local_space(p: int, k: int, a: int, c: int, low: bool = False) -> list:
-    """Basis of the image of an edge lattice in S/(pihat), as coordinate
-    vectors of residues mod p against S's basis.  S is the standard vertex's
-    lattice with column j scaled by pihat^s_j: s_j = 0, or with ``low``
-    s_j = min(0, 2j - k), which makes S the sum of the two endpoint lattices
-    of the standard vertex's parent edge.  The edge lattice is its child
-    end's lattice with column j scaled by pihat^t_j, t_j = max(0, 2j - k),
-    where the child's transporter is the inverse of [[a, 0], [c, 1]]:
-    (a, c) = (1, 0) for the parent edge, whose child end is the standard
-    vertex, and (p, c) for the edge to the child (1, c).  The transition is
-    then M[j][i] * (num/den) *
-    pihat^(e + t_j - s_i) for sym([[a, 0], [c, 1]]) = M * (num/den) * pihat^e.
-    An entry of doubled valuation 0 reduces to the unit part of M[j][i] *
-    num/den mod p, a positive one to 0; a negative one raises.  At c = 0 it
-    needs neither M nor an elimination: entry j of the diagonal has doubled
-    valuation (2j - k) v_p(a) + t_j - s_j, and the basis is the unit vectors
-    e_j at which that is 0."""
+def _local_space(p: int, k: int, a: int, c: int, low: bool = False) -> list[dict]:
+    """Basis of the image of an edge lattice in S/(pihat), as {column:
+    nonzero residue mod p} maps against S's basis.  S is the standard
+    vertex's lattice with column j scaled by pihat^s_j: s_j = 0, or with
+    ``low`` s_j = min(0, 2j - k), the sum of the endpoint lattices of the
+    standard vertex's parent edge.  The edge lattice is its child end's with
+    column j scaled by pihat^t_j, t_j = max(0, 2j - k), the child's
+    transporter the inverse of [[a, 0], [c, 1]]: (1, 0) at the parent edge
+    and (p, c) at the edge to the child (1, c).  Child 1's residue rows
+    (``_residue_rows``) are 0 for 2i < k and end at their diagonal unit for
+    2i >= k, at any p, so the nonzero ones are a basis; two that end at one
+    column are a broken invariant.  At c = 0 the basis is the unit vectors
+    e_j at which the diagonal's doubled valuation (2j - k) v_p(a) + t_j - s_j
+    is 0."""
     ts = [max(0, 2 * j - k) for j in range(k + 1)]
     ss = [min(0, 2 * j - k) for j in range(k + 1)] if low else [0] * (k + 1)
     if not c:
@@ -136,21 +134,37 @@ def _local_space(p: int, k: int, a: int, c: int, low: bool = False) -> list:
             if twice < 0:
                 raise NegativeValuation(f"transition entry has valuation {half(twice)} < 0")
             if not twice:
-                basis.append([0] * j + [1] + [0] * (k - j))
+                basis.append({j: 1})
         return basis
-    m, num, den, e = sym_ints(_mat2(a, 0, c, 1, 1), k, p)
-    vn, vd = _vp(num, p), _vp(den, p)
-    unit = num // p**vn * pow(den // p**vd, -1, p)
+    va = _vp(a, p)
+    rows = _residue_rows(p, k, a, c, 1, -k * va, a // p**va % p, ts, ss)
+    basis = [row for row in rows if row]
+    if len({max(row) for row in basis}) < len(basis):
+        raise InternalInvariantError("two residue rows of a local space end at one column")
+    return basis
 
-    def residue(x: int, twice: int) -> int:
-        v = _vp(x, p) if x else INF
-        if 2 * v + twice < 0:
-            raise NegativeValuation(f"transition entry has valuation {half(2 * v + twice)} < 0")
-        return x // p**v * unit if 2 * v + twice == 0 else 0
 
-    rows = [[residue(x, 2 * (vn - vd) + e + t - s) for x, s in zip(row, ss)] for row, t in zip(m, ts)]
-    basis, pivots = rref(rows, p)
-    return basis[: len(pivots)]
+def _residue_rows(p: int, k: int, A: int, C: int, D: int, shift: int, unit: int, ts: list, ss: list) -> list:
+    """The residues mod p of M[i][j] * w * pihat^(shift + t_i - s_j), a
+    {column: nonzero residue} map per row i = 0..k, for the lower triangular
+    symmetric power M of the ints [[A, 0], [C, D]], C nonzero, and a w of
+    doubled valuation 0 and unit part ``unit``.  Entry (i, j), j <= i, of M
+    is D^j C(k-j, i-j) C^(i-j) A^(k-i), read from ``_factorials``: a doubled
+    valuation 0 gives its unit part, a positive one 0, a negative one raises."""
+    vals, units, inverses = _factorials(p, k)
+    va, vc, vd = _vp(A, p), _vp(C, p), _vp(D, p)
+    ua, uc, ud = A // p**va % p, C // p**vc % p, D // p**vd % p
+    col_v = [2 * (j * (vd - vc) + vals[k - j]) - s for j, s in enumerate(ss)]
+    col_u = [pow(ud, j, p) * pow(uc, -j, p) * units[k - j] % p for j in range(k + 1)]
+    rows = []
+    for i, t in enumerate(ts):
+        row_v = 2 * (i * vc + (k - i) * va - vals[k - i]) + shift + t
+        row_u = unit * pow(uc, i, p) * pow(ua, k - i, p) * inverses[k - i] % p
+        twice = [row_v + col_v[j] - 2 * vals[i - j] for j in range(i + 1)]
+        if min(twice) < 0:
+            raise NegativeValuation(f"transition entry has valuation {half(min(twice))} < 0")
+        rows.append({j: row_u * col_u[j] * inverses[i - j] % p for j, x in enumerate(twice) if not x})
+    return rows
 
 
 def star_local_kernel(p: int, k: int) -> int:
@@ -170,7 +184,7 @@ def _star_kernel(p: int, k: int, parent: list) -> int:
     D-spaces, the low and high halves of the basis, reach it by themselves,
     so no copy is built."""
     first, second = (_local_space(p, k, p, c) for c in (0, 1))
-    copies = ([x * pow(c, -j, p) % p for j, x in enumerate(row)] for c in range(2, p) for row in second)
+    copies = ({j: x * pow(c, -j, p) % p for j, x in row.items()} for c in range(2, p) for row in second)
     count = len(parent) + len(first) + (p - 1) * len(second)
     return count - rank_up_to(chain(parent, first, second, copies), p, k + 1)
 

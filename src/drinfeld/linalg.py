@@ -114,15 +114,15 @@ def rank(rows: Matrix, p: int) -> int:
     return len(rref(rows, p)[1])
 
 
-def rank_up_to(rows: Iterable[list], p: int, bound: int) -> int:
-    """min(rank, bound) over F_p of int rows read mod p, taking them one at a
-    time: no row past the one that brings the rank to ``bound`` is read.
-    The pivot rows are kept reduced, each 1 at its pivot and 0 at the
-    others, so one pass over a new row's entries at pivots reduces it."""
+def rank_up_to(rows: Iterable[dict], p: int, bound: int) -> int:
+    """min(rank, bound) over F_p of {column: int} rows read mod p, taken one
+    at a time: no row past the one that brings the rank to ``bound`` is read.
+    The pivot rows are kept reduced, each 1 at its pivot and 0 at the others,
+    so one pass over a new row's entries at pivots reduces it."""
     reduced: dict[int, dict] = {}  # pivot column -> the rest of its row
     rows = iter(rows)
     while len(reduced) < bound and (row := next(rows, None)) is not None:
-        entries = {c: r for c, x in enumerate(row) if (r := x % p)}
+        entries = {c: r for c, x in row.items() if (r := x % p)}
         for c in [c for c in entries if c in reduced]:
             _eliminate(entries, c, reduced[c].items(), p)
         if entries:

@@ -23,7 +23,7 @@ from operator import add
 from . import poly
 from .errors import InternalInvariantError, InvalidParameters, SingularMatrix
 from .linalg import kernel_basis_mod_p, kernel_of_columns_mod_p, rank
-from .scalars import FiniteField, Fq, FqElem, _vp
+from .scalars import FiniteField, Fq, FqElem, _binomials_mod, _factorials, _vp
 from .symrep import substitution_matrix
 from .tree import _offset, truncated_tree
 
@@ -112,22 +112,21 @@ def symgeom_iso(q: int, k: int, i: int) -> dict:
     t + (q + 1) shift + k = 0 (``symgeom_parameters``), so the shift -e is at
     most 0 for k >= 0; a positive shift, which needs k < 0, is refused.
     W = z (1 - z^(q-1)) has coefficients in F_p, and
-    (1 - z^(q-1))^e = sum_j (-1)^j C(e, j) z^(j(q-1)), so every image is built
-    in lowest terms on ints mod p, for every q: (-1)^e z^(r-e) over
-    P = (z^(q-1) - 1)^e, which is monic, with z^(e-r) moved to the
-    denominator when r < e.  ``images`` are these as (numerator, denominator)
-    pairs of residue tuples, little-endian, and ``numerators`` the
-    numerators over the common denominator z^e P as sparse int rows."""
+    (1 - z^(q-1))^e = sum_j (-1)^j C(e, j) z^(j(q-1)), C(e, j) mod p read from
+    ``scalars._factorials(p, e)``, so every image is built in lowest terms on
+    ints mod p, for every q: (-1)^e z^(r-e) over P = (z^(q-1) - 1)^e, which
+    is monic, with z^(e-r) moved to the denominator when r < e.  ``images``
+    are these as (numerator, denominator) pairs of residue tuples,
+    little-endian, and ``numerators`` the numerators over the common
+    denominator z^e P as sparse int rows."""
     field = Fq(q)
     p = field.p
     t, shift = symgeom_parameters(q, k, i)
     if shift > 0:
         raise InvalidParameters(f"the comparison map at q={q}, k={k}, i={i} has a positive shift")
     e = -shift
-    window = {0: 1}  # (1 - z^(q-1))^e; at e = 0 no binomial table of p entries
-    if e:
-        binomials = _binomials_mod_p(p)(e)
-        window = {j * (q - 1): (-1) ** j * c % p for j, c in enumerate(binomials) if c}
+    binomials = _binomials_mod(p, e, _factorials(p, e))  # of (1 - z^(q-1))^e
+    window = {j * (q - 1): (-1) ** j * c % p for j, c in enumerate(binomials) if c}
     sign = (-1) ** e % p
     common = tuple(sign * window.get(x, 0) % p for x in range(max(window) + 1))
     images = [((0,) * max(r - e, 0) + (sign,), (0,) * max(e - r, 0) + common) for r in range(t + 1)]
@@ -175,10 +174,8 @@ def _columns_mod_p(p: int, a: int, b: int, c: int, d: int, t: int, s: int):
     with a, b, c, d ints mod p, each a list of t + 1 residues, or None after a
     division by D that leaves a remainder."""
     scale = pow(a * d - b * c, s, p)
-    column, binomial = [], 1
-    for j in range(t + 1):  # det^s (a + cz)^t by the binomial theorem
-        column.append(scale * binomial * pow(a, t - j, p) * pow(c, j, p) % p)
-        binomial = binomial * (t - j) // (j + 1)
+    binomials = _binomials_mod(p, t, _factorials(p, t))  # det^s (a + cz)^t by the binomial theorem
+    column = [scale * x * pow(a, t - j, p) * pow(c, j, p) % p for j, x in enumerate(binomials)]
     inverse = pow(c or a, -1, p)
     for r in range(t + 1):
         yield column
@@ -335,40 +332,16 @@ def _quotient_structure(q: int, k: int, i: int) -> dict:
     }
 
 
-def _binomials_mod_p(p: int):
-    """The function n -> [C(n, r) mod p for r = 0..n], with no big int: by
-    Lucas' theorem C(n, r) is the product of the binomials of the base-p
-    digits of n and r, so the row of each digit of n, from factorials mod p,
-    is spread over the row of the digits below it."""
-    fact = list(itertools.accumulate(range(1, p), lambda x, j: x * j % p, initial=1))
-    inverse = [pow(x, -1, p) for x in fact]
-
-    def digit_row(d: int) -> list[int]:
-        return [fact[d] * a * b % p for a, b in zip(inverse[: d + 1], inverse[d::-1])]
-
-    def row(n: int) -> list[int]:
-        rest, low = divmod(n, p)
-        out, scale = digit_row(low), p
-        while rest:
-            rest, d = divmod(rest, p)
-            out += [0] * (scale - len(out))
-            out = [y for c in digit_row(d) for y in (out if c == 1 else [x * c % p for x in out])]
-            scale *= p
-        return out[: n + 1]
-
-    return row
-
-
-def _unipotent_column(s: dict, j: int, binomials) -> list[int]:
+def _unipotent_column(s: dict, j: int, table: tuple) -> list[int]:
     """Column j of U - I on the quotient ``s``, mod p, with the entries for the
     upper unipotent [[1, 1], [0, 1]] over those for the lower [[1, 0], [1, 1]]:
     the folded images of the j-th free monomial X^e Y^(t-e), which are
     (X + Y)^e Y^(t-e), with coefficients C(e, r), and X^e (X + Y)^(t-e),
-    with coefficients C(t - e, r - e), less the monomial itself.
-    ``binomials`` is ``_binomials_mod_p(p)``."""
+    with coefficients C(t - e, r - e), less the monomial itself.  The
+    binomials mod p are read from ``table``, ``scalars._factorials(p, t)``."""
     t, e, dim, reduce_vector = s["t"], s["free"][j], len(s["free"]), s["reduce"]
-    upper = reduce_vector(binomials(e) + [0] * (t - e))
-    lower = reduce_vector([0] * e + binomials(t - e))
+    upper = reduce_vector(_binomials_mod(s["p"], e, table) + [0] * (t - e))
+    lower = reduce_vector([0] * e + _binomials_mod(s["p"], t - e, table))
     column = [*upper, *lower]
     column[j] -= 1
     column[dim + j] -= 1
@@ -382,10 +355,10 @@ def _stable_lines(s: dict) -> list:
 
     The unipotents U of ``gl2_generators`` have entries 0 and 1 and
     determinant 1, so U - I on the quotient is a matrix of ints mod p for
-    every q = p^f, whose columns are binomials (``_unipotent_column``).
-    diag(w, 1) sends X^j Y^(t-j) to w^(shift+t-j) X^j Y^(t-j), and folding j
-    onto j + q - 1 keeps that eigenvalue, so it is diagonal on the free
-    monomials.  Its eigenspaces are the classes of free monomials with one
+    every q = p^f, whose columns are binomials mod p read from one table of
+    p-adic factorials (``_unipotent_column``).  diag(w, 1) sends X^j Y^(t-j)
+    to w^(shift+t-j) X^j Y^(t-j), and folding j onto j + q - 1 keeps that
+    eigenvalue, so it is diagonal on the free monomials.  Its eigenspaces are the classes of free monomials with one
     value of (shift + t - j) mod (q - 1), one class at q = 2, and the common
     eigenspaces are the relations among each class's columns of U - I.  The
     kernel over F_q of a matrix over F_p has a basis over F_p, so each is
@@ -401,11 +374,11 @@ def _stable_lines(s: dict) -> list:
     classes: dict[int, list[int]] = {}
     for j, e in enumerate(free):
         classes.setdefault((shift + t - e) % (s["q"] - 1), []).append(j)
-    binomials = _binomials_mod_p(p)
+    table = _factorials(p, t)
     lines = []
     for members in classes.values():
         basis = []
-        columns = [_unipotent_column(s, j, binomials) for j in members]
+        columns = [_unipotent_column(s, j, table) for j in members]
         for vec in kernel_of_columns_mod_p(columns, p):
             full = [0] * dim
             for j, x in zip(members, vec):

@@ -130,6 +130,25 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _factorials(p: int, n: int) -> tuple[list[int], list[int], list[int]]:
+    """For i = 0..n: v_p(i!), the unit part of i! mod p and its inverse mod
+    p, step i adding v_p(i) and multiplying by i/p^v_p(i) (Legendre).  Every
+    p-adic binomial is read from them: C(n, r) has valuation
+    v(n) - v(r) - v(n - r) and unit part u(n) u(r)^-1 u(n - r)^-1."""
+    vals, units = [0], [1]
+    for i in range(1, n + 1):
+        v = _vp(i, p)
+        vals.append(vals[-1] + v)
+        units.append(units[-1] * (i // p**v) % p)
+    return vals, units, [pow(u, -1, p) for u in units]
+
+
+def _binomials_mod(p: int, n: int, table: tuple) -> list[int]:
+    """C(n, r) mod p for r = 0..n from a ``_factorials`` table that reaches n."""
+    v, u, inv = table
+    return [u[n] * inv[r] * inv[n - r] % p if v[r] + v[n - r] == v[n] else 0 for r in range(n + 1)]
+
+
 def half(twice: int | float) -> Fraction | float:
     """The valuation omega as a ``Fraction`` from its double 2*omega; INF
     stays INF.  Valuations are computed doubled and halved only for output."""

@@ -1,13 +1,14 @@
-"""Degree-k symmetric powers of the standard 2-dimensional representation,
-their determinant and uniformizer-character twists, and the dual modules in
-which residue cochains take values.
+"""Degree-k symmetric powers of the standard 2-dimensional representation:
+the substitution matrix of any g over any coefficients, and the power of a
+lower triangular g applied to a vector without building it.
 
 Basis conventions: polynomials use the monomials X^i Y^(k-i) (i = 0..k);
 dual vectors are coordinate lists against the dual basis h_j = (X^j Y^(k-j))^*.
 Matrices act on coordinate columns; the dual action of g is sym(g^-1)^T.  The
-lattices and residues take powers only of lower triangular matrices, held as
-ints (``sym_ints``, by Pascal's rule) or applied unbuilt (``triangular_apply``),
-so the quadratic extension enters through one exponent of pihat.
+lattices and residues take powers only of lower triangular matrices, whose
+entries ``lattices`` reads in closed form from a table of p-adic factorials
+or applies unbuilt (``triangular_apply``), so the quadratic extension enters
+through one exponent of pihat.
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ from __future__ import annotations
 from typing import Callable, TypeVar
 
 from . import poly
-from .errors import InternalInvariantError, InvalidParameters, NonInvertibleDeterminant
+from .errors import InvalidParameters
 from .linalg import Matrix, transpose
-from .tree import Mat2
 
 T = TypeVar("T")
 
 
-def substitution_matrix(
-    a: T, b: T, c: T, d: T, k: int, from_int: Callable[[int], T]
-) -> Matrix:
+def substitution_matrix(a: T, b: T, c: T, d: T, k: int, from_int: Callable[[int], T]) -> Matrix:
     """Matrix of F(X, Y) -> F(dX + bY, cX + aY) on homogeneous degree-k forms.
 
     Column i holds the monomial coefficients of (dX+bY)^i (cX+aY)^(k-i): the
@@ -61,21 +59,3 @@ def triangular_apply(a: int, c: int, d: int, vec: list, transposed: bool = False
         out = [a * y + c * z for y, z in zip(out + [0], [0] + out)]
         out[-1] += d**i * x
     return out
-
-
-def sym_ints(g: Mat2, k: int, p: int) -> tuple[Matrix, int, int, int]:
-    """The twisted action F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY) as
-    M * (num/den) * pihat^e for g = [[A, 0], [C, D]]/N: num/den is AD/N^(k+2),
-    e = -(k+2) v_p(det g), and column j of M is D^j (A + C t)^(k-j) from row j
-    down, so entry (i, j), j <= i, is D^j C(k-j, i-j) C^(i-j) A^(k-i): O(k^2)
-    int operations by Pascal's rule.  B != 0 is a broken invariant."""
-    A, B, C, D, N = g.A, g.B, g.C, g.D, g.N
-    if A * D == B * C:
-        raise NonInvertibleDeterminant("determinant is zero")
-    if B:
-        raise InternalInvariantError("a symmetric power is taken only of a lower triangular matrix")
-    rows = [[1]]
-    for _ in range(k):
-        rows.append([A * x + C * y for x, y in zip(rows[-1] + [0], [0] + rows[-1])])
-    columns = [[0] * j + [D**j * x for x in rows[k - j]] for j in range(k + 1)]
-    return transpose(columns), A * D, N ** (k + 2), -(k + 2) * g.omega_det(p)

@@ -16,18 +16,18 @@ from operator import mul
 from drinfeld import modp, poly
 from drinfeld.cli import _MAX_BALL_VERTICES, _MAX_RADIUS, _rational_str
 from drinfeld.errors import (
+    DrinfeldError,
     InternalInvariantError,
     InvalidParameters,
     NegativeValuation,
-    NonInvertibleDeterminant,
     PoleInsideAnnulus,
     ResidueFieldMismatch,
     SingularMatrix,
     ZeroFunction,
 )
 from drinfeld.harmonic import Cochain, _raise_in_annulus, res0, sigma
-from drinfeld.lattices import Doubled, _in_edge_lattice
-from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan, rank, rref
+from drinfeld.lattices import Doubled, _in_edge_lattice, _residue_rows
+from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan, rank, rref, transpose
 from drinfeld.modp import (
     INFINITY_POINT,
     _quotient_structure,
@@ -53,7 +53,7 @@ from drinfeld.scalars import (
     _vp,
     half,
 )
-from drinfeld.symrep import substitution_matrix, sym_ints
+from drinfeld.symrep import substitution_matrix
 from drinfeld.theta import theta
 from drinfeld.tree import (
     Mat2,
@@ -313,9 +313,9 @@ def local_space(src: Lattice, dst: Lattice) -> list:
     positive one to 0; a negative one raises.  A diagonal g = diag(A, D)/N
     needs neither M nor an elimination: entry j of its diagonal has doubled
     valuation (2j - k)(v_p(D) - v_p(A)) + t_j - s_j, and the basis is the unit
-    vectors e_j at which that is 0.  ``lattices._local_space`` on any two
-    lattices, which the program reads at the standard star's three fixed
-    transitions only."""
+    vectors e_j at which that is 0.  The reduced form of
+    ``lattices._local_space``'s span on any two lattices, which the program
+    reads at the standard star's three fixed transitions only."""
     p, k = src.p, src.k
     g = dst.g.inv() @ src.g
     if not (g.B or g.C):
@@ -327,7 +327,18 @@ def local_space(src: Lattice, dst: Lattice) -> list:
             if not twice:
                 basis.append([0] * j + [1] + [0] * (k - j))
         return basis
-    m, num, den, e = sym_ints(g, k, p)
+    basis, pivots = rref(local_rows(src, dst), p)
+    return basis[: len(pivots)]
+
+
+def local_rows(src: Lattice, dst: Lattice) -> list:
+    """The rows of residues mod p that ``local_space`` reduces, read from the
+    big ints of ``sym_ints``'s matrix with one ``_vp`` per entry, as the
+    program read them before ``lattices._residue_rows``: entry (i, j) is
+    M[i][j] * (num/den) * pihat^(e + t_i - s_j) mod pihat, and a negative
+    valuation raises."""
+    p, k = src.p, src.k
+    m, num, den, e = sym_ints(dst.g.inv() @ src.g, k, p)
     vn, vd = _vp(num, p), _vp(den, p)
     unit = num // p**vn * pow(den // p**vd, -1, p)
 
@@ -335,14 +346,27 @@ def local_space(src: Lattice, dst: Lattice) -> list:
         v = _vp(x, p) if x else INF
         if 2 * v + twice < 0:
             raise NegativeValuation(f"transition entry has valuation {half(2 * v + twice)} < 0")
-        return x // p**v * unit if 2 * v + twice == 0 else 0
+        return x // p**v * unit % p if 2 * v + twice == 0 else 0
 
-    rows = [
+    return [
         [residue(x, 2 * (vn - vd) + e + t - s) for x, s in zip(row, src.scale)]
         for row, t in zip(m, dst.scale)
     ]
-    basis, pivots = rref(rows, p)
-    return basis[: len(pivots)]
+
+
+def closed_form_rows(src: Lattice, dst: Lattice) -> list:
+    """``lattices._residue_rows`` on the transition g = dst.g^-1 src.g =
+    [[A, 0], [C, D]]/N, C nonzero, as dense rows: its twist AD/N^(k+2) *
+    pihat^(-(k+2) v_p(det g)) read as a doubled valuation and a unit part
+    mod p from g itself, with no ``sym_ints``."""
+    p, k = src.p, src.k
+    g = dst.g.inv() @ src.g
+    num, den = g.A * g.D, g.N ** (k + 2)
+    vn, vd = _vp(num, p), _vp(den, p)
+    shift = 2 * (vn - vd) - (k + 2) * g.omega_det(p)
+    unit = num // p**vn * pow(den // p**vd, -1, p) % p
+    rows = _residue_rows(p, k, g.A, g.C, g.D, shift, unit, dst.scale, src.scale)
+    return [[row.get(j, 0) for j in range(k + 1)] for row in rows]
 
 
 def d_space_basis(e: Edge, side: Vertex, k: int) -> list:
@@ -1128,12 +1152,36 @@ def lattice_contains_vector(l: Lattice, vec: list) -> bool:
     return True
 
 
-# -- lattice profiles and local spaces over the dense symmetric power -----------------
+# -- lattice profiles and local spaces over the symmetric power's ints ----------------
 #
-# The program reads the profiles from the closed form of the entries
-# (``lattices.vertex_lattice_profile``) and builds ``sym_ints``'s lower
-# triangular matrix by Pascal's rule; these build the matrix of any g by
-# ``substitution_matrix``'s polynomial products and read every entry.
+# The program reads the profiles and the local spaces' residues from the
+# closed form of the entries and a table of p-adic factorials
+# (``lattices.vertex_lattice_profile``, ``lattices._residue_rows``).  These
+# build the matrix of big ints and read every entry: ``sym_ints`` the lower
+# triangular one by Pascal's rule, ``dense_sym_ints`` that of any g by
+# ``substitution_matrix``'s polynomial products.
+
+
+class NonInvertibleDeterminant(DrinfeldError):
+    """The determinant is not invertible in the coefficient ring."""
+
+
+def sym_ints(g: Mat2, k: int, p: int) -> tuple:
+    """The twisted action F -> det(g) * chi(g)^-(k+2) * F(dX+bY, cX+aY) as
+    M * (num/den) * pihat^e for g = [[A, 0], [C, D]]/N: num/den is AD/N^(k+2),
+    e = -(k+2) v_p(det g), and column j of M is D^j (A + C t)^(k-j) from row j
+    down, so entry (i, j), j <= i, is D^j C(k-j, i-j) C^(i-j) A^(k-i): O(k^2)
+    int operations by Pascal's rule.  B != 0 is a broken invariant."""
+    A, B, C, D, N = g.A, g.B, g.C, g.D, g.N
+    if A * D == B * C:
+        raise NonInvertibleDeterminant("determinant is zero")
+    if B:
+        raise InternalInvariantError("a symmetric power is taken only of a lower triangular matrix")
+    rows = [[1]]
+    for _ in range(k):
+        rows.append([A * x + C * y for x, y in zip(rows[-1] + [0], [0] + rows[-1])])
+    columns = [[0] * j + [D**j * x for x in rows[k - j]] for j in range(k + 1)]
+    return transpose(columns), A * D, N ** (k + 2), -(k + 2) * g.omega_det(p)
 
 
 def dense_sym_ints(g: Mat2, k: int, p: int) -> tuple:
@@ -1694,7 +1742,7 @@ def fq_function_str(f: FqRatFunc) -> str:
     """``f`` as num or (num)/(den), each the nonzero terms c*z^i joined by
     " + ", a unit c left off but at i = 0, and c printed as its residue over
     F_p and as its coefficient list past it: the text that
-    ``cli._image_str`` prints from codes."""
+    ``cli._image_strs`` prints from codes."""
 
     def text(coeffs) -> str:
         terms = []

@@ -624,6 +624,13 @@ class TestAnsweredAtOnce:
             (("harmonic", "--p", "997", "--k", "40", "--radius", "1", "--mod-pihat"), 0),
             (("harmonic", "--p", "2", "--k", "60", "--radius", "8", "--mod-pihat"), 0),
             (("harmonic", "--p", "2", "--k", "200", "--radius", "8", "--mod-pihat"), 0),
+            (("harmonic", "--p", "2", "--k", "1000", "--radius", "8", "--mod-pihat"), 0),
+            # the star budget's edge, (k + 1)^2 <= 2 250 000, at the largest p
+            # each command takes: past k, every binomial is a unit
+            (("local-dims", "--p", "997", "--k", "1499"), 0),
+            (("local-dims", "--p", "997", "--k", "1500"), 2),
+            (("harmonic", "--p", "1000003", "--k", "1499", "--radius", "0", "--mod-pihat"), 0),
+            (("harmonic", "--p", "2", "--k", "1500", "--radius", "8", "--mod-pihat"), 2),
         ],
         ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x),
     )
@@ -1033,14 +1040,17 @@ class TestCostLimits:
     """``residue`` and ``theta`` refuse an exponent past ``_MAX_EXPONENT`` in
     ``--f``, or z-factors whose orders add up past it, or roots whose digits
     times k + 2 plus the total order pass ``_MAX_ROOT_DIGITS``, ``lattice`` and
-    ``theta`` a level past ``_MAX_LEVEL``, and ``local-dims`` a star of more
-    than ``_MAX_LIST`` edges, each read in closed form before any work."""
+    ``theta`` a level past ``_MAX_LEVEL``, ``local-dims`` a star of more
+    than ``_MAX_LIST`` edges, and ``local-dims`` and ``harmonic --mod-pihat``
+    a child 1 transition of more than ``_MAX_STAR_COST`` entries, each read
+    in closed form before any work."""
 
     WORK = {
         "residue": "parse_rational",
         "theta": "parse_rational",
         "lattice": "vertex_lattice_profile",
         "local-dims": "local_space_report",
+        "harmonic": "truncated_tree",
     }
     PROBES = [
         ("residue", "--p", "2", "--k", "0", "--f", "1/z^99999999", "--radius", "1"),
@@ -1051,7 +1061,8 @@ class TestCostLimits:
         ("lattice", "--p", "2", "--k", "1", "--level", "99999999", "--offset", "0"),
         ("local-dims", "--p", "1009", "--k", "2"),
         ("local-dims", "--p", "2", "--k", "2000"),
-        ("local-dims", "--p", "997", "--k", "29"),
+        ("local-dims", "--p", "997", "--k", "1500"),
+        ("harmonic", "--p", "2", "--k", "1500", "--radius", "8", "--mod-pihat"),
         ("residue", "--p", "3", "--k", "2", "--f", "*".join(["(z-1/3)^-100"] * 10), "--radius", "3"),
         ("residue", "--p", "3", "--k", "2", "--f", "1" + "/(z-1/3)^100" * 2, "--radius", "1"),
         ("theta", "--p", "3", "--k", "0", "--f", "z^-60*(z-1)^0041", "--level", "1"),
@@ -1083,8 +1094,9 @@ class TestCostLimits:
             ("theta", "--p", "2", "--k", "0", "--f", "1/z", "--level", "100"),
             ("lattice", "--p", "2", "--k", "1", "--level", "-100", "--offset", "0"),
             ("local-dims", "--p", "997", "--k", "0"),
-            # 3 * 202^3 is within the budget, and 3 * 203^3 past it
             ("local-dims", "--p", "2", "--k", "201"),
+            # 1500^2 is within the star budget, and 1501^2 past it
+            ("local-dims", "--p", "2", "--k", "1499"),
         ],
         ids=" ".join,
     )
@@ -1262,6 +1274,48 @@ class TestListDigests:
     @pytest.mark.parametrize("workload", sorted(DIGESTS_AT_SEED_TWO))
     def test_list_digest_at_seed_two(self, workload):
         assert self._digest(workload, 2) == self.DIGESTS_AT_SEED_TWO[workload]
+
+
+class TestGridDigests:
+    """The stdout of the commands that read binomials from the factorial
+    table, on two fixed grids, pinned like ``TestListDigests`` by one sha256
+    over the (argv, exit code, stdout) of the grid's invocations in order.
+    The star grid is local-dims at p in {2, 3, 5, 7, 11, 13} and k = 0..13,
+    then harmonic --mod-pihat at the same p, r in {1, 2} and k = 0..6; the
+    field grid is stable-lines, then symgeom-check, at q in
+    {4, 8, 9, 16, 25, 27}, k = 0..11 and i = 0..2, refusals included."""
+
+    PRIMES = (2, 3, 5, 7, 11, 13)
+    FIELDS = (4, 8, 9, 16, 25, 27)
+
+    @staticmethod
+    def _digest(jobs: list) -> str:
+        digest = hashlib.sha256()
+        for job in jobs:
+            result = invoke(job)
+            digest.update(json.dumps([job, result.exit_code, result.stdout]).encode())
+        return digest.hexdigest()
+
+    def test_star_grid(self):
+        jobs = [["local-dims", "--p", str(p), "--k", str(k)] for p in self.PRIMES for k in range(14)]
+        jobs += [
+            ["harmonic", "--p", str(p), "--k", str(k), "--radius", str(r), "--mod-pihat"]
+            for p in self.PRIMES
+            for r in (1, 2)
+            for k in range(7)
+        ]
+        assert len(jobs) == 168
+        assert self._digest(jobs) == "9da5bf5992b0515562aecdf71cb54057d1b906b08a22807f30177d96d31ba2e2"
+
+    def test_field_grid(self):
+        jobs = [
+            ["modp", command, "--q", str(q), "--k", str(k), "--i", str(i)]
+            for command in ("stable-lines", "symgeom-check")
+            for q in self.FIELDS
+            for k in range(12)
+            for i in range(3)
+        ]
+        assert self._digest(jobs) == "76d0bec61ee01b00e5e9e7bc6a3191d4cd682d9ade4b31cda98c283fb41ec467"
 
 
 class TestResidueFieldReach:
@@ -1489,18 +1543,36 @@ class TestFieldPolynomialText:
     coefficient off, over prime and extension fields alike, as the printer
     over ``FqElem`` prints the same function."""
 
+    @staticmethod
+    def _text(num: tuple, den: tuple, f: int) -> str:
+        return cli_module._image_strs([(num, den)], f)[0]
+
     def test_extension_field(self):
         F = Fq(9)
         one, zero, two = F.one(), F.zero(), F.elem(2)
-        text = cli_module._image_str
+        text = self._text
         assert text((1, 0, 1, 2), (1,), 2) == "[1, 0] + z^2 + [2, 0]*z^3"
         assert text((2,), (0, 2, 1), 2) == "([2, 0])/([2, 0]*z + z^2)"
         assert fq_function_str(FqFraction.make(F, (one, zero, one, two)).record()) == text((1, 0, 1, 2), (1,), 2)
         assert fq_function_str(FqFraction.make(F, (one,), (zero, one, two)).record()) == text((2,), (0, 2, 1), 2)
 
+    def test_each_distinct_denominator_is_printed_once(self, monkeypatch):
+        iso = symgeom_iso(27, 4, 0)
+        honest, printed = cli_module._terms, []
+
+        def record(coeffs, *args):
+            printed.append(coeffs)
+            return honest(coeffs, *args)
+
+        monkeypatch.setattr(cli_module, "_terms", record)
+        texts = cli_module._image_strs(iso["images"], iso["f"])
+        denominators = {den for _, den in iso["images"] if den != (1,)}
+        assert len(denominators) == 3 and len(texts) == iso["t"] + 1 == 53
+        assert len(printed) == len(texts) + len(denominators)
+
     def test_prime_field(self):
         F = Fq(3)
-        text = cli_module._image_str
+        text = self._text
         assert text((2, 0, 1), (1,), 1) == "2 + z^2"
         assert text((2,), (0, 1), 1) == "(2)/(z)"
         assert fq_function_str(FqFraction.make(F, (F.elem(2), F.zero(), F.one())).record()) == "2 + z^2"
@@ -1523,7 +1595,7 @@ class TestFieldElementsConfined:
     @staticmethod
     def _images():
         iso = symgeom_iso(9, 4, 0)
-        return [cli_module._image_str(num, den, iso["f"]) for num, den in iso["images"]]
+        return cli_module._image_strs(iso["images"], iso["f"])
 
     def test_no_field_element_is_built(self, monkeypatch):
         for q in (3, 4, 8, 9, 27):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from drinfeld import lattices, scalars
-from drinfeld.errors import InvalidParameters, NegativeValuation, PoleInsideAnnulus
+from drinfeld.errors import InternalInvariantError, InvalidParameters, NegativeValuation, PoleInsideAnnulus
 from drinfeld.harmonic import res0, star_local_kernels
 from drinfeld.linalg import rank_up_to, rref
 from drinfeld.lattices import (
@@ -24,7 +24,6 @@ from drinfeld.lattices import (
 )
 from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational
 from drinfeld.scalars import Fq, ScalarKHat, half
-from drinfeld.symrep import sym_ints
 from drinfeld.tree import _level_and_offset, truncated_tree, unipotent_lower, vertex_transporter
 from inprocess import invoke
 from oracles import (
@@ -43,6 +42,7 @@ from oracles import (
     basis_transition,
     child_endpoint,
     children,
+    closed_form_rows,
     cochain_value,
     d_space_basis,
     dual_act,
@@ -58,6 +58,7 @@ from oracles import (
     lattice_intersection,
     lattice_sum,
     laurent_standard,
+    local_rows,
     local_space,
     make_edge,
     make_vertex,
@@ -72,6 +73,7 @@ from oracles import (
     section_lattice_membership,
     standard_edge,
     standard_vertex,
+    sym_ints,
     transition_d_space_basis,
     transition_e_space_basis,
     transition_matrix,
@@ -688,10 +690,35 @@ def _profile_vertices(p: int) -> list:
     return axis + [v for v in ball_vertices(truncated_tree(p, 2)) if v not in axis]
 
 
+def _closed_form_mismatches(p: int) -> tuple[list, set]:
+    """The transition pairs of every edge of the radius-2 ball at
+    k = 0, 3, ..., 39 whose transition is not diagonal and whose closed-form
+    rows (``lattices._residue_rows``, read from ``scalars._factorials``)
+    differ from the rows read from ``sym_ints``'s big ints, a raise of
+    ``NegativeValuation`` on one side only included; and the outcomes seen."""
+    mismatches, outcomes = [], set()
+    for e in ball_edges(truncated_tree(p, 2)):
+        for k in range(0, 41, 3):
+            for src, dst in _transition_pairs(e, k):
+                if not (dst.g.inv() @ src.g).C:
+                    continue
+                sides = []
+                for rows in (local_rows, closed_form_rows):
+                    try:
+                        sides.append(rows(src, dst))
+                    except NegativeValuation:
+                        sides.append("not integral")
+                outcomes.add("not integral" if sides[0] == "not integral" else "integral")
+                if sides[0] != sides[1]:
+                    mismatches.append((e, k, src, dst))
+    return mismatches, outcomes
+
+
 class TestClosedFormsAgainstTheDenseMatrix:
-    """The profiles read from the closed form of the entries, and the residue
-    rows that ``_local_space`` reads from the Pascal matrix, against the same
-    read from ``substitution_matrix``'s dense matrix."""
+    """The profiles and the local spaces' residue rows read from the closed
+    form of the entries against the same read from ``sym_ints``'s lower
+    triangular matrix of big ints, and those against ``substitution_matrix``'s
+    dense matrix."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_vertex_profiles(self, p):
@@ -742,22 +769,68 @@ class TestClosedFormsAgainstTheDenseMatrix:
                             outcomes.add("diagonal")
         assert outcomes == {"integral", "diagonal", "not integral"}
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_closed_form_rows_equal_the_pascal_rows(self, p):
+        mismatches, outcomes = _closed_form_mismatches(p)
+        assert mismatches == []
+        assert outcomes == {"integral", "not integral"}
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_a_unit_part_off_by_one_is_found(self, p, monkeypatch):
+        """With the unit part of one factorial, 2!'s, one more in the table,
+        the closed-form rows no longer match."""
+        honest = scalars._factorials
+
+        def off_by_one(prime, n):
+            vals, units, inverses = honest(prime, n)
+            if n >= 2:
+                units[2] += 1
+            return vals, units, inverses
+
+        monkeypatch.setattr(lattices, "_factorials", off_by_one)
+        mismatches, _ = _closed_form_mismatches(p)
+        assert mismatches
+
+
+def _dense(rows: list[dict], k: int) -> list[list[int]]:
+    return [[row.get(j, 0) for j in range(k + 1)] for row in rows]
+
+
+def _echelon_from_the_right(rows: list[dict], p: int, k: int) -> list:
+    """The reduced form of {column: nonzero residue} rows that are a basis in
+    echelon form from the last column: no two end at one column."""
+    ends = [max(row) for row in rows]
+    assert len(set(ends)) == len(ends)
+    assert all(0 < x < p for row in rows for x in row.values())
+    basis, pivots = rref(_dense(rows, k), p) if rows else ([], [])
+    return basis[: len(pivots)]
+
 
 class TestStandardStarTransitions:
     """``lattices._local_space`` reads the standard star's three fixed
     transitions, and the E-space's, from ints; the oracle ``local_space``
     reduces the same from the ``Lattice`` records of the standard vertex and
-    its edges."""
+    its edges.  The diagonal ones give the same unit vectors, and child 1's
+    the nonzero residue rows, an echelon basis from the last column of the
+    same span, all as {column: residue} maps."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_equal_the_lattice_records(self, p):
         v, e = standard_vertex(p), standard_edge(p)
         children = [make_edge(v, make_vertex(p, 1, c)) for c in (0, 1)]
         for k in range(0, 41, 3):
-            assert lattices._local_space(p, k, 1, 0) == d_space_basis(e, v, k), k
-            assert lattices._local_space(p, k, 1, 0, low=True) == e_space_basis(e, k), k
-            for c, child in enumerate(children):
-                assert lattices._local_space(p, k, p, c) == d_space_basis(child, v, k), (c, k)
+            assert _dense(lattices._local_space(p, k, 1, 0), k) == d_space_basis(e, v, k), k
+            assert _dense(lattices._local_space(p, k, 1, 0, low=True), k) == e_space_basis(e, k), k
+            assert _dense(lattices._local_space(p, k, p, 0), k) == d_space_basis(children[0], v, k), k
+            got = _echelon_from_the_right(lattices._local_space(p, k, p, 1), p, k)
+            assert got == d_space_basis(children[1], v, k), k
+
+    def test_two_rows_ending_at_one_column_raise(self, monkeypatch):
+        """Child 1's nonzero residue rows end at distinct columns, which makes
+        them a basis with no elimination; rows that do not are refused."""
+        monkeypatch.setattr(lattices, "_residue_rows", lambda *_: [{0: 1}, {0: 1, 1: 2}, {1: 1}])
+        with pytest.raises(InternalInvariantError, match="end at one column"):
+            lattices._local_space(3, 2, 3, 1)
 
 
 class TestEdgeLatticesAgainstSmith:

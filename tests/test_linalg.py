@@ -353,16 +353,17 @@ class TestRrefModP:
         for _ in range(3):
             for shape, m in _shapes(rng, zero, draw):
                 rows = [[x.n + p * rng.randint(-2, 2) for x in row] for row in m]
+                maps = [dict(enumerate(row)) for row in rows]
                 full = len(reference_rref(m, zero)[1])
                 for bound in range(full + 2):
                     read = []
-                    got = rank_up_to((read.append(row) or row for row in rows), p, bound)
+                    got = rank_up_to((read.append(row) or row for row in maps), p, bound)
                     assert got == min(full, bound), (shape, bound)
-                    assert read == rows[: len(read)], (shape, bound)
+                    assert read == maps[: len(read)], (shape, bound)
                     if got < bound:
-                        assert read == rows, (shape, bound)
+                        assert read == maps, (shape, bound)
                     elif bound:  # the last row read brought the rank to the bound
-                        assert rank(read[:-1], p) < bound, (shape, bound)
+                        assert rank(rows[: len(read) - 1], p) < bound, (shape, bound)
                     else:
                         assert not read, shape
 

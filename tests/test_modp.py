@@ -15,8 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drinfeld import modp, poly
-from drinfeld.cli import _image_str
+from drinfeld import modp, poly, scalars
+from drinfeld.cli import _image_strs
 from drinfeld.errors import InternalInvariantError, InvalidParameters, ZeroFunction
 from drinfeld.linalg import transpose
 from drinfeld.modp import (
@@ -506,7 +506,7 @@ class TestComparisonMapOnInts:
         iso = symgeom_iso(q, k, i)
         expected = symgeom_images_by_products(q, k, i)
         assert iso["images"] == [image_codes(f) for f in expected]
-        printed = [_image_str(num, den, iso["f"]) for num, den in iso["images"]]
+        printed = _image_strs(iso["images"], iso["f"])
         assert printed == [fq_function_str(f) for f in expected]
         numerators = [
             {x: c.n for x, c in enumerate(n) if c} for n in symgeom_numerators_by_fq(expected)
@@ -515,10 +515,15 @@ class TestComparisonMapOnInts:
         assert symgeom_injectivity_rank(iso) == symgeom_rank_by_fq(expected) == iso["t"] + 1
 
     def test_a_large_prime_at_shift_zero_builds_no_table(self, monkeypatch):
-        def refuse(p):
-            raise AssertionError("a binomial table was built")
+        """The factorial table reaches the shift, 0 here, and not p."""
+        honest = modp._factorials
 
-        monkeypatch.setattr(modp, "_binomials_mod_p", refuse)
+        def refuse(p, n):
+            if n:
+                raise AssertionError(f"a factorial table of {n + 1} entries was built")
+            return honest(p, n)
+
+        monkeypatch.setattr(modp, "_factorials", refuse)
         iso = symgeom_iso(1000003, 0, 0)
         assert iso["images"] == [((1,), (1,))]
         assert symgeom_injectivity_rank(iso) == 1
@@ -887,26 +892,28 @@ class TestGroupGenerators:
 
 class TestUnipotentColumns:
     """The columns of U - I that ``_stable_lines`` reads come from binomials
-    mod p by Lucas' theorem, with no big int: against ``math.comb`` and
-    against the int substitution matrix that they replaced, at q <= 31."""
+    mod p read from a table of p-adic factorials, with no big int: against
+    ``math.comb`` and against the int substitution matrix that they
+    replaced, at q <= 31."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 499])
     def test_binomials_mod_p_match_math_comb(self, p):
-        row = modp._binomials_mod_p(p)
         # every n below 60, a spread up to 1000, and where n gains a third digit
         third_digit = range(p * p - 1, p * p + 2) if p < 31 else ()
-        for n in [*range(60), *range(60, 1000, 37), *third_digit]:
-            assert row(n) == [comb(n, r) % p for r in range(n + 1)], n
+        ns = [*range(60), *range(60, 1000, 37), *third_digit]
+        table = scalars._factorials(p, max(ns))
+        for n in ns:
+            assert scalars._binomials_mod(p, n, table) == [comb(n, r) % p for r in range(n + 1)], n
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 31])
     def test_columns_match_the_substitution_matrix(self, q, rng):
         p = Fq(q).p
-        binomials = modp._binomials_mod_p(p)
         cases = _quotient_cases(q)
         for k, i in rng.sample(cases, min(4, len(cases))):
             s = modp._quotient_structure(q, k, i)
+            table = scalars._factorials(p, s["t"])
             got = [
-                [x % p for x in modp._unipotent_column(s, j, binomials)]
+                [x % p for x in modp._unipotent_column(s, j, table)]
                 for j in range(len(s["free"]))
             ]
             assert got == unipotent_columns_by_substitution(s), (k, i)

@@ -18,6 +18,8 @@ from drinfeld.scalars import (
     ScalarKHat,
     _is_prime,
     _PRIME_BOUND,
+    _binomials_mod,
+    _factorials,
     _prime_factors,
     _rho_factor,
     _vp,
@@ -380,6 +382,33 @@ class TestValuation:
         for x, y in pairs:
             s = x + y
             assert s.valuation() >= min(x.valuation(), y.valuation())
+
+
+class TestFactorialTable:
+    """``_factorials`` against ``math.factorial``, and the binomials mod p
+    read from it against ``math.comb``."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_valuations_and_unit_parts(self, p):
+        vals, units, inverses = _factorials(p, 300)
+        for i in range(301):
+            f = math.factorial(i)
+            assert vals[i] == _vp(f, p), i
+            assert units[i] == f // p ** vals[i] % p, i
+            assert units[i] * inverses[i] % p == 1, i
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_binomials_mod_p(self, p):
+        table = _factorials(p, 300)
+        for n in range(301):
+            assert _binomials_mod(p, n, table) == [math.comb(n, r) % p for r in range(n + 1)], n
+
+    def test_a_prime_past_n_and_an_empty_reach(self):
+        p = 10**24 + 7
+        vals, units, _ = _factorials(p, 30)
+        assert vals == [0] * 31 and units == [math.factorial(i) % p for i in range(31)]
+        assert _factorials(5, 0) == ([0], [1], [1])
+        assert _binomials_mod(5, 0, _factorials(5, 0)) == [1]
 
 
 class TestPowers:

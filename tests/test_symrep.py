@@ -10,13 +10,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drinfeld.errors import InternalInvariantError, NonInvertibleDeterminant
+from drinfeld.errors import InternalInvariantError
 from drinfeld.harmonic import sigma
 from drinfeld.linalg import transpose
 from drinfeld.scalars import Fq, ScalarKHat
-from drinfeld.symrep import substitution_matrix, sym_ints, triangular_apply
+from drinfeld.symrep import substitution_matrix, triangular_apply
 from drinfeld.tree import Mat2
-from oracles import _lower_triangular, chi, dual_act, epsilon, field_elements, mat_vec, sym_matrix
+from oracles import (
+    NonInvertibleDeterminant,
+    _lower_triangular,
+    chi,
+    dual_act,
+    epsilon,
+    field_elements,
+    mat_vec,
+    sym_ints,
+    sym_matrix,
+)
 from sampling import gamma_level, random_group_element
 
 
