@@ -1317,6 +1317,29 @@ class TestGridDigests:
         ]
         assert self._digest(jobs) == "76d0bec61ee01b00e5e9e7bc6a3191d4cd682d9ade4b31cda98c283fb41ec467"
 
+    # simple and double poles, a zero above the derivative order, pihat roots
+    # (a pole past the ball, a zero), sections refused in an annulus, and 0
+    SECTIONS = (
+        "1/z", "z^-1*(z-1)^-1", "(z-1)^-2", "z^-2*(z-3)^-1", "(z-1)^5*z^-2", "pihat/z",
+        "3*(z-1/2)^-1*(z-2)^-2", "z^2*(z-4)^-3", "(z-pihat^9)^-1*(z-2)^-1",
+        "pihat*(z-pihat)*z^-1*(z-1)^-1", "(z-1-p^3*pihat)^-2*(z-3)^-1", "(z-pihat^-3)^-1",
+        "pihat^-1*(z-pihat^3)^-2*(z-1)", "0",
+    )
+
+    def test_residue_grid(self):
+        """residue at (p, radius) in {(2, 4), (3, 3), (5, 2)}, k = 0..3, on
+        ``SECTIONS``, each plain and audited: stdout only, so a refusal's
+        message may change while its exit code and empty stdout may not."""
+        jobs = [
+            ["residue", "--p", str(p), "--k", str(k), "--f", f, "--radius", str(r), *audit]
+            for p, r in ((2, 4), (3, 3), (5, 2))
+            for k in range(4)
+            for f in self.SECTIONS
+            for audit in ((), ("--audit", "--seed", "1"))
+        ]
+        assert len(jobs) == 336
+        assert self._digest(jobs) == "cd9b2e29e02c3fbe0e0ff4afd6c4698cce57e0ab2f4ff1fe78bd2679bd86fbcb"
+
 
 class TestResidueFieldReach:
     """Stable lines at fields where a scan of the q^(q+1) vectors of the
