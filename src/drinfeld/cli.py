@@ -41,7 +41,7 @@ from .modp import (
 from .rational import FactoredRational, parse_rational
 from .scalars import Fq, ScalarKHat, _check_prime
 from .theta import complement_b_identity, theta, theta_integrality
-from .tree import TruncatedTree, _parent_label, ball_size, truncated_tree, vertex_label
+from .tree import TruncatedTree, ball_size, truncated_tree, vertex_label
 
 _MAX_RADIUS = 8
 _MAX_BALL_VERTICES = 25_000
@@ -97,7 +97,11 @@ def _ratio(n: int, d: int) -> str:
 
 
 def _scalar_str(s: ScalarKHat) -> str:
-    A, B, D = s.A, s.B, s.D
+    return _khat_str(s.A, s.B, s.D)
+
+
+def _khat_str(A: int, B: int, D: int) -> str:
+    """(A + B*pihat)/D, in lowest terms or not, as ``_scalar_str`` prints it."""
     if not B:
         return _ratio(A, D)
     pihat = "pihat" if B == D else f"{_ratio(B, D)}*pihat"
@@ -179,7 +183,7 @@ def _dumps(x, pad: str = "\n") -> str:
     if isinstance(x, dict):
         items = {}
         for key, val in x.items():
-            name = _value(key)
+            name = key if type(key) is str else _value(key)
             if isinstance(name, (dict, list, tuple)):
                 raise InternalInvariantError(f"cannot serialize a {type(key).__name__} key")
             items[str(name)] = val
@@ -218,10 +222,10 @@ def _wrap(brackets: str, body: list, pad: str) -> str:
 
 
 def _label_json(m: int, n: int, d: int, pad: str) -> str:
-    """{"level", "offset"} of the vertex (m, n/d), the offset as ``_value``
-    prints a ``Fraction``."""
-    offset = str(n) if d == 1 else f'"{n}/{d}"'
-    return _wrap("{}", [f'"level": {m}', f'"offset": {offset}'], pad)
+    """{"level", "offset"} of the vertex (m, n/d) as ``_wrap`` prints it, the
+    offset as ``_value`` prints a ``Fraction``."""
+    offset = n if d == 1 else f'"{n}/{d}"'
+    return f'{{{pad}  "level": {m},{pad}  "offset": {offset}{pad}}}'
 
 
 def _cochain_json(c: Cochain, pad: str) -> str:
@@ -230,19 +234,23 @@ def _cochain_json(c: Cochain, pad: str) -> str:
     end, and written item by item from the ball's labels: a vertex's place
     in that order is its level, then its offset over the ball's largest
     denominator.  Each
-    vertex prints once, and so does each value list, which ``res0`` shares
-    among the edges of one counted-pole key."""
+    vertex prints once, and so does each value list, from its ints, which
+    ``res0`` shares among the edges of one counted-pole key."""
     ball, item, edge, ends = c.ball, pad + "  ", pad + "    ", pad + "      "
     levels, nums, dens, top = ball.levels, ball.nums, ball.dens, max(ball.dens)
-    stored = [(ball.ends(j), vec) for j, vec in c.values.items()]
-    stored.sort(key=lambda e: [(levels[i], nums[i] * (top // dens[i])) for i in e[0]])
+    stored = []
+    for j in c.ints:
+        u, v = ball.ends(j)
+        stored.append((levels[u], nums[u] * (top // dens[u]), levels[v], nums[v] * (top // dens[v]), u, v, j))
     labels, values, body = {}, {}, []
-    for (u, v), vec in stored:
+    for *_, u, v, j in sorted(stored):
+        vec = c.ints[j]
         for i in (u, v):
             if i not in labels:
                 labels[i] = _label_json(levels[i], nums[i], dens[i], ends)
         if id(vec) not in values:
-            values[id(vec)] = _dumps(vec, edge)
+            a, b, L = vec
+            values[id(vec)] = _wrap("[]", [f'"{_khat_str(x, y, L)}"' for x, y in zip(a, b)], edge)
         # {"edge": {"child", "parent"}, "value"} as two nested ``_wrap``s print it
         pair = f'{{{ends}"child": {labels[v]},{ends}"parent": {labels[u]}{edge}}}'
         body.append(f'{{{edge}"edge": {pair},{edge}"value": {values[id(vec)]}{item}}}')
@@ -647,10 +655,15 @@ def _regular(ball: TruncatedTree) -> bool:
     hangs off up(j + 1) through edge j: the base's p + 1 neighbours come
     first, then p from each vertex i >= 1 in turn, so star i >= 1 is edge
     i - 1 and edges p i + 1 ... p i + p.  Each test compares whole arrays,
-    shell by shell."""
+    shell by shell.  The parent of (m, n/d) is (m - 1, n mod p^(m-1) d, d),
+    or (m - 1, 0, 1) when that offset is 0, with p^(m-1) d read as d /
+    p^(1-m) below level 1, and as 1 when that is below 1."""
     p, levels, nums, dens, n = ball.p, ball.levels, ball.nums, ball.dens, ball.n_interior
-    labels, size = list(zip(levels, nums, dens)), len(levels)
-    parents = list(map(_parent_label, repeat(p), levels, nums, dens))
+    labels, size, pw = list(zip(levels, nums, dens)), len(levels), {m: p ** abs(m - 1) for m in set(levels)}
+    parents = [
+        (m - 1, r, d) if (r := b % (pw[m] * d if m > 0 else max(1, d // pw[m]))) else (m - 1, 0, 1)
+        for m, b, d in labels
+    ]
     up_labels = chain(repeat(labels[0], p + 1), chain.from_iterable(map(repeat, labels[1:n], repeat(p))))
     # vertex j is a child of up(j), or on the spine its parent
     misses = compress(range(1, size), map(ne, parents[1:], up_labels))
@@ -718,11 +731,11 @@ def residue_cmd(p: int, k: int, radius: int, f: str, audit: bool, seed: int) -> 
     g = _section(f, p, k)
     ball = truncated_tree(p, radius)
     cochain = res0(g, k, ball, rng=random.Random(seed) if audit else None)
-    delta_zero = all(all(x.is_zero() for x in vec) for vec in delta(cochain, ball).values())
+    delta_zero = not any(any(a) or any(b) for a, b, _ in delta(cochain, ball).values())
     integrality = res0_integrality(g, k, ball, cochain)
     consistent = integrality["in_all_edge_lattices"] or not integrality["vertex_membership"]
     return {
-        "support_size": len(cochain.values),
+        "support_size": len(cochain.ints),
         "cochain": cochain,
         "delta_zero": delta_zero,
         "in_all_edge_lattices": integrality["in_all_edge_lattices"],

@@ -10,10 +10,11 @@ what makes the residue construction equivariant and its image harmonic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
-from operator import mul
+from functools import cached_property
+from operator import add, mul, neg
 
 from . import poly
 from .errors import InternalInvariantError, PoleInsideAnnulus
@@ -28,18 +29,28 @@ from .tree import Mat2, TruncatedTree, _level_and_offset, unipotent_lower, verte
 @dataclass
 class Cochain:
     """Sparse family of dual coordinate vectors (length k+1) on the edges of a
-    ball, keyed by edge index.  One that ``res0`` computes stores only nonzero
-    vectors, and holds the ``rational._one_minus_by`` rows of its section at
-    the ball's vertices that ``_ball_pass`` read."""
+    ball, keyed by edge index, each held as the ints (a, b, L) of
+    ``scalars._common_denominator``: entry j is (a[j] + b[j] pihat)/L,
+    unreduced.  One that ``res0`` computes stores only nonzero vectors,
+    shares one triple among the edges of a key and one L among all, and
+    holds the ``rational._one_minus_by`` rows of its section at the ball's
+    vertices that ``_ball_pass`` read."""
 
     ball: TruncatedTree
     k: int
-    values: dict
+    ints: dict
     geometry: tuple | None = None
 
     @property
     def p(self) -> int:
         return self.ball.p
+
+    @cached_property
+    def values(self) -> dict:
+        """The vectors as ``ScalarKHat`` lists, built on first read, one list
+        per shared triple."""
+        lists = {id(x): [_make(self.p, a, b, x[2]) for a, b in zip(*x[:2])] for x in self.ints.values()}
+        return {j: lists[id(x)] for j, x in self.ints.items()}
 
 
 def sigma(g: Mat2, p: int) -> int:
@@ -48,26 +59,34 @@ def sigma(g: Mat2, p: int) -> int:
 
 
 def delta(c: Cochain, tree: TruncatedTree) -> dict:
-    """Signed star sums at the interior vertices, keyed by index: each stored
-    value is added at those of the two ends of its edge that are interior,
+    """Signed star sums at the interior vertices that a stored edge meets,
+    keyed by index, as ints (a, b, L) over the lcm L of the cochain's
+    denominators; the sum at every other one is 0.  Each stored value is
+    added at those of its edge's ends j + 1 and up(j + 1) that are interior,
     and every edge at an interior vertex lies in the ball."""
-    zeros, sums, interior = [ScalarKHat.zero(c.p)] * (c.k + 1), {}, tree.n_interior
-    for j, vec in c.values.items():
-        for end in tree.ends(j):
+    L, k, sums, interior = math.lcm(*{x[2] for x in c.ints.values()}), c.k, {}, tree.n_interior
+    for j, (a, b, den) in c.ints.items():
+        vec = a + b if den == L else [x * (L // den) for x in a + b]
+        for end in (j + 1, tree.up(j + 1)):
             if end < interior:
                 sums[end] = [x + y for x, y in zip(sums[end], vec)] if end in sums else vec
-    return {
-        i: [-x for x in sums[i]] if i in sums and tree.levels[i] % 2 else sums.get(i, zeros)
-        for i in range(tree.n_interior)
-    }
+    signed = {i: [-x for x in vec] if tree.levels[i] % 2 else vec for i, vec in sums.items()}
+    return {i: (vec[: k + 1], vec[k + 1 :], L) for i, vec in signed.items()}
 
 
-def _raise_in_annulus(roots: list) -> None:
-    """Refuse an edge whose annulus holds the images ``roots`` of poles."""
-    if roots:
-        root = min(roots, key=_root_key)
+def _vertex_name(m: int, n: int, d: int) -> str:
+    """The vertex (m, n/d) as the text V(m,n/d), or V(m,n) when d = 1."""
+    return f"V({m},{n})" if d == 1 else f"V({m},{n}/{d})"
+
+
+def _raise_in_annulus(poles: list, child: tuple) -> None:
+    """Refuse the edge whose child end has label ``child``, (p, m, n, d), and
+    whose annulus holds the poles ``poles`` of the section, if any."""
+    if poles:
+        y, (_, m, n, d) = min(poles, key=_root_key), child
         raise PoleInsideAnnulus(
-            f"pole at {root} with valuation {half(root.valuation())} sits inside the annulus"
+            f"pole at {y} with valuation {half(y.valuation())} sits inside the annulus"
+            f" of the edge whose child end is {_vertex_name(m, n, d)}"
         )
 
 
@@ -83,18 +102,16 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
     sum A_t (w - y)^-t gives sum A_t [u^(t-1)] (alpha + a u)^s (beta - c u)^(k-s)
     with alpha = a y - b and beta = d - c y.  When the disc holds -a/c, the
     image of w = infinity, the residue theorem gives minus the sum over the
-    poles outside it instead.
+    poles outside it instead.  The annulus 0 < omega(z) < 1 must hold no
+    image of a pole (``_ball_pass`` refuses those edges first).
     """
     a, b, c, d = gamma.lift(p)
     zero = ScalarKHat.zero(p)
-    inner, outer, in_annulus = [], [], []
+    inner, outer = [], []
     for y, principal in parts:
         alpha, beta = a * y - b, d - c * y
-        w = alpha.valuation() - beta.valuation()  # doubled: the annulus is 0 < w < 2
-        if 0 < w < 2:
-            in_annulus.append(alpha / beta)
-        (inner if w >= 2 else outer).append((alpha, beta, principal))
-    _raise_in_annulus(in_annulus)
+        # doubled: the disc is w >= 2
+        (inner if alpha.valuation() - beta.valuation() >= 2 else outer).append((alpha, beta, principal))
     infinity_inside = not c.is_zero() and (a / c).valuation() >= 2
     poles = outer if infinity_inside else inner
     coeffs = [zero] * (k + 1)
@@ -120,22 +137,24 @@ def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
     return [_make(p, num * x, num * y, den * common) for x, y in zip(xs, ys)]
 
 
-def _pole_vector(y: ScalarKHat, principal: list, k: int) -> list:
+def _pole_vector(y: ScalarKHat, principal: list, k: int) -> tuple[list, list, int]:
     """R_y[j] = sum_t A_t [u^(t-1)] (y + u)^j, j = 0..k: the residue of
-    f(w) w^j dw at a pole y of f with principal part (A_1, ..., A_r)."""
+    f(w) w^j dw at a pole y of f with principal part (A_1, ..., A_r), as
+    the ints of ``_common_denominator``."""
     zero, row = ScalarKHat.zero(y.p), [ScalarKHat.one(y.p)]
     out = [sum(map(mul, principal, row), zero)]
     for _ in range(k):  # Pascal's rule: row holds [u^t] (y + u)^j = C(j, t) y^(j-t), t below r
         row = [y * x + z for x, z in zip(row + [zero], [zero] + row)][: len(principal)]
         out.append(sum(map(mul, principal, row), zero))
-    return out
+    return _common_denominator(out)
 
 
 def _ball_pass(g: FactoredRational, parts: list, tree: TruncatedTree) -> tuple[list, tuple]:
-    """The key (indices into ``parts``, sign) of the poles summed on each edge
-    of the ball, by index, and the pass over the vertices it reads them from:
-    ``rational._one_minus_by``'s v_p(b) and omega(1 - b y), for each root y of
-    g, at each vertex (m, b).  The vertex gives the key of the edge whose child
+    """The key of the poles summed on each edge of the ball, by index, and
+    the pass over the vertices it reads them from: ``rational._one_minus_by``'s
+    v_p(b) and omega(1 - b y), for each root y of g, at each vertex (m, b).
+    A key is an int: bit 0 is set for the sign -1, and bit i + 1 when pole i
+    of ``parts`` is summed.  The vertex gives the key of the edge whose child
     end it is, and ``rational._transported_valuations`` reads its Gauss
     valuations from the same pass.
 
@@ -148,56 +167,55 @@ def _ball_pass(g: FactoredRational, parts: list, tree: TruncatedTree) -> tuple[l
     edge, in edge order, whose annulus 0 < omega < 2 holds a pole refuses."""
     p, levels = tree.p, tree.levels
     vbs, rows = geometry = _one_minus_by(g, p, tree.nums, tree.dens)
-    # each pole's doubled valuation omega(y / (d - c y)) at each vertex
     row_of = {(y.A, y.B, y.D): row for (y, _), row in zip(g.factors, rows)}
-    ws = [[t - u + 2 * m for u, m in zip(row_of[y.A, y.B, y.D], levels)] for y, _ in parts for t in [y.valuation()]]
-    refused = {}  # each vertex's images of the poles in its edge's annulus, if any
-    if any(1 in row for row in ws):
-        for i in range(len(levels)):
-            if in_annulus := [y for (y, _), row in zip(parts, ws) if row[i] == 1]:
-                L, O, C = _level_and_offset(p, levels[i], tree.nums[i], tree.dens[i])
-                gc, gd = _make(p, O, 0, L), _make(p, C, 0, L)
-                refused[i] = [y / (gd - gc * y) for y in in_annulus]
-    inside = zip(*([w >= 2 for w in row] for row in ws)) if ws else repeat(())
-    shapes = list(zip(inside, [vb is not None and vb < m for vb, m in zip(vbs, levels)], [m & 1 for m in levels]))
-    key_of = {}
-    for shape in set(shapes):
-        inside, flip, odd = shape
-        key_of[shape] = tuple(compress(count(), map(flip.__ne__, inside))), -1 if flip ^ odd else 1
-    children = tree.child_ends()
+    flipped = (2 << len(parts)) - 1  # every pole's bit and the sign's
+    keys = [flipped ^ m & 1 if vb is not None and vb < m else m & 1 for vb, m in zip(vbs, levels)]
+    refused = []  # each pole's doubled omega(y / (d - c y)) at each vertex, if one is 1
+    for i, (y, _) in enumerate(parts):
+        t = y.valuation()
+        ws = [t - u + 2 * m for u, m in zip(row_of[y.A, y.B, y.D], levels)]
+        keys = [key ^ 2 << i if w >= 2 else key for key, w in zip(keys, ws)]
+        if 1 in ws:
+            refused.append((y, ws))
+    children = tree.child_ends
     for child in children if refused else ():
-        if child in refused:
-            _raise_in_annulus(refused[child])
-    return [key_of[shapes[child]] for child in children], geometry
+        _raise_in_annulus([y for y, ws in refused if ws[child] == 1], tree.label(child))
+    return [keys[i] for i in children], geometry
 
 
 def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
     """Residue cochain of a weight-(k+2) rational section: on each edge, the
     residue of f(w) w^j dw (j = 0..k) over the disc the edge cuts off, a
-    signed sum of ``_pole_vector``s over the poles ``_ball_pass`` picks.
-    Given ``rng``, each value is checked against the series of
-    ``_edge_residue`` through a second, randomly drawn transporter."""
+    signed sum of ``_pole_vector``s over the poles ``_ball_pass`` picks,
+    over one denominator.  Given ``rng``, each value is checked against the
+    series of ``_edge_residue`` through a second, randomly drawn transporter."""
     p = tree.p
     # a pole whose principal part vanishes is cancelled by extra: no pole
     parts = [(y, A) for y, A in principal_parts(g) if any(A)]
-    vectors = [_pole_vector(y, A, k) for y, A in parts]
     keys, geometry = _ball_pass(g, parts, tree)
-    zero, sums = ScalarKHat.zero(p), {}
-    for poles, sign in set(keys):
-        total = [sum(col, zero) for col in zip(*(vectors[i] for i in poles))] or [zero] * (k + 1)
-        sums[poles, sign] = total if sign > 0 else [-x for x in total]
-    if rng is not None:
-        for j, key in enumerate(keys):
-            jitter = unipotent_lower(rng.randrange(1, 5 * p))
-            # a second transporter for the same edge: standard-edge stabilizer
-            u, v = tree.ends(j)
-            alt = (vertex_transporter(tree.label(v)) @ jitter).inv()
-            if sums[key] != _edge_residue(parts, k, alt, p):
-                raise InternalInvariantError(
-                    f"residue value at the edge {tree.label(u)}-{tree.label(v)} disagrees with the series"
-                )
-    stored = {key for key, vec in sums.items() if any(vec)}
-    return Cochain(tree, k, {j: sums[key] for j, key in enumerate(keys) if key in stored}, geometry)
+    vectors = [_pole_vector(y, A, k) for y, A in parts]
+    L = math.lcm(*(den for _, _, den in vectors))
+    # each pole's bit in a key, and its vector's a, then b, over L
+    columns = [(2 << i, [x * (L // den) for x in a + b]) for i, (a, b, den) in enumerate(vectors)]
+    sums = {}
+    for key in set(keys):
+        total = [0] * (2 * k + 2)
+        for bit, column in columns:
+            total = list(map(add, total, column)) if key & bit else total
+        if any(total):
+            total = list(map(neg, total)) if key & 1 else total
+            sums[key] = total[: k + 1], total[k + 1 :], L
+    cochain = Cochain(tree, k, {j: sums[key] for j, key in enumerate(keys) if key in sums}, geometry)
+    for j in range(len(keys) if rng is not None else 0):
+        zeros, jitter = [ScalarKHat.zero(p)] * (k + 1), unipotent_lower(rng.randrange(1, 5 * p))
+        # a second transporter for the same edge: standard-edge stabilizer
+        u, v = tree.ends(j)
+        alt = (vertex_transporter(tree.label(v)) @ jitter).inv()
+        if cochain.values.get(j, zeros) != _edge_residue(parts, k, alt, p):
+            raise InternalInvariantError(
+                f"residue value at the edge {tree.label(u)}-{tree.label(v)} disagrees with the series"
+            )
+    return cochain
 
 
 def res0_integrality(
@@ -210,17 +228,12 @@ def res0_integrality(
 
     Only the edges the cochain stores need a membership test: every other
     value is the zero vector, which lies in every full-rank lattice."""
-    p, levels, nums, dens = tree.p, tree.levels, tree.nums, tree.dens
-    # res0 shares one value list among the edges of a key: its ints are read once
-    shared = {id(vec): vec for vec in cochain.values.values()}
-    ints = {key: _common_denominator(vec) for key, vec in shared.items()}
-    children = ((tree.ends(j)[1], ints[id(vec)]) for j, vec in cochain.values.items())
-    all_in = all(
-        _in_edge_lattice(p, *_level_and_offset(p, levels[i], nums[i], dens[i]), k, vec) for i, vec in children
-    )
+    p, levels, nums, dens, children = tree.p, tree.levels, tree.nums, tree.dens, tree.child_ends
+    ends = ((children[j], vec) for j, vec in cochain.ints.items())
+    all_in = all(_in_edge_lattice(p, *_level_and_offset(p, levels[i], nums[i], dens[i]), k, vec) for i, vec in ends)
     # the zero section lies in every lattice; membership tests need f != 0
     valuations = _transported_valuations(g, k + 2, p, levels, nums, dens, *cochain.geometry)
-    vertex_ok = g.is_zero() or all(x >= 0 for x in valuations)
+    vertex_ok = g.is_zero() or all(map((0).__le__, valuations))
     return {"in_all_edge_lattices": all_in, "vertex_membership": vertex_ok}
 
 
@@ -251,7 +264,4 @@ def star_local_kernels(tree: TruncatedTree, k: int) -> dict:
     the incidence rows tensored with the identity, times the block diagonal
     of the invertible edge bases, so its rank is ``field_kernel``'s."""
     dim, n = star_local_kernel(tree.p, k), tree.n_interior
-    return {
-        f"V({m},{b})" if d == 1 else f"V({m},{b}/{d})": dim
-        for m, b, d in zip(tree.levels[:n], tree.nums[:n], tree.dens[:n])
-    }
+    return {_vertex_name(*label): dim for label in zip(tree.levels[:n], tree.nums[:n], tree.dens[:n])}

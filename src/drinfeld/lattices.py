@@ -35,6 +35,7 @@ star's.
 from __future__ import annotations
 
 from itertools import chain
+from typing import Iterator
 from operator import sub
 
 from .errors import InternalInvariantError, NegativeValuation
@@ -136,17 +137,23 @@ def _local_space(p: int, k: int, a: int, c: int, low: bool = False) -> list[dict
             if not twice:
                 basis.append({j: 1})
         return basis
-    va = _vp(a, p)
-    rows = _residue_rows(p, k, a, c, 1, -k * va, a // p**va % p, ts, ss)
-    basis = [row for row in rows if row]
-    if len({max(row) for row in basis}) < len(basis):
-        raise InternalInvariantError("two residue rows of a local space end at one column")
-    return basis
+    return list(_basis_rows(p, k, a, c, ts, ss))
 
 
-def _residue_rows(p: int, k: int, A: int, C: int, D: int, shift: int, unit: int, ts: list, ss: list) -> list:
+def _basis_rows(p: int, k: int, a: int, c: int, ts: list, ss: list) -> Iterator[dict]:
+    """``_local_space``'s basis at c != 0, the nonzero ``_residue_rows``, as
+    they are made: two that end at one column are a broken invariant."""
+    va, ends = _vp(a, p), set()
+    for row in filter(None, _residue_rows(p, k, a, c, 1, -k * va, a // p**va % p, ts, ss)):
+        if (end := max(row)) in ends:
+            raise InternalInvariantError("two residue rows of a local space end at one column")
+        ends.add(end)
+        yield row
+
+
+def _residue_rows(p: int, k: int, A: int, C: int, D: int, shift: int, unit: int, ts: list, ss: list) -> Iterator[dict]:
     """The residues mod p of M[i][j] * w * pihat^(shift + t_i - s_j), a
-    {column: nonzero residue} map per row i = 0..k, for the lower triangular
+    {column: nonzero residue} map per row i = 0..k, made one at a time, for the lower triangular
     symmetric power M of the ints [[A, 0], [C, D]], C nonzero, and a w of
     doubled valuation 0 and unit part ``unit``.  Entry (i, j), j <= i, of M
     is D^j C(k-j, i-j) C^(i-j) A^(k-i), read from ``_factorials``: a doubled
@@ -156,15 +163,13 @@ def _residue_rows(p: int, k: int, A: int, C: int, D: int, shift: int, unit: int,
     ua, uc, ud = A // p**va % p, C // p**vc % p, D // p**vd % p
     col_v = [2 * (j * (vd - vc) + vals[k - j]) - s for j, s in enumerate(ss)]
     col_u = [pow(ud, j, p) * pow(uc, -j, p) * units[k - j] % p for j in range(k + 1)]
-    rows = []
     for i, t in enumerate(ts):
         row_v = 2 * (i * vc + (k - i) * va - vals[k - i]) + shift + t
         row_u = unit * pow(uc, i, p) * pow(ua, k - i, p) * inverses[k - i] % p
         twice = [row_v + col_v[j] - 2 * vals[i - j] for j in range(i + 1)]
         if min(twice) < 0:
             raise NegativeValuation(f"transition entry has valuation {half(min(twice))} < 0")
-        rows.append({j: row_u * col_u[j] * inverses[i - j] % p for j, x in enumerate(twice) if not x})
-    return rows
+        yield {j: row_u * col_u[j] * inverses[i - j] % p for j, x in enumerate(twice) if not x}
 
 
 def star_local_kernel(p: int, k: int) -> int:
@@ -179,14 +184,15 @@ def _star_kernel(p: int, k: int, parent: list) -> int:
     """``star_local_kernel`` at the standard vertex, given the D-space of its
     parent edge.  Child c = 2..p-1 is child 1 conjugated by diag(c, 1), so
     its D-space is child 1's with column j times c^-j mod p: the rows number
-    len(parent) + len(first) + (p - 1) len(second) unbuilt, and the rank
-    stops at k + 1, the most it can be.  The parent's and child 0's
-    D-spaces, the low and high halves of the basis, reach it by themselves,
-    so no copy is built."""
-    first, second = (_local_space(p, k, p, c) for c in (0, 1))
-    copies = ({j: x * pow(c, -j, p) % p for j, x in row.items()} for c in range(2, p) for row in second)
-    count = len(parent) + len(first) + (p - 1) * len(second)
-    return count - rank_up_to(chain(parent, first, second, copies), p, k + 1)
+    len(parent) + len(first) + (p - 1) len(second), child 1's counted as
+    they are made and none kept, and the rank stops at k + 1, the most it
+    can be.  The parent's and child 0's D-spaces, the low and high halves of
+    the basis, reach it by themselves, so child 1's rows are made again only
+    if the rank reads them, and no copy is built."""
+    first, ts, ss = _local_space(p, k, p, 0), [max(0, 2 * j - k) for j in range(k + 1)], [0] * (k + 1)
+    copies = ({j: x * pow(c, -j, p) % p for j, x in row.items()} for c in range(2, p) for row in _basis_rows(p, k, p, 1, ts, ss))
+    count = len(parent) + len(first) + (p - 1) * sum(map(bool, _basis_rows(p, k, p, 1, ts, ss)))
+    return count - rank_up_to(chain(parent, first, _basis_rows(p, k, p, 1, ts, ss), copies), p, k + 1)
 
 
 def local_dimension_formulas(q: int, k: int) -> dict:

@@ -307,7 +307,7 @@ def _one_minus_by(f: FactoredRational, p: int, nums: list, dens: list) -> tuple[
     factor (z - y) of f, in the order of f.factors, the row of omega(1 - b y)
     over the offsets.  With b = n/d = n/p^j and y = (A + B pihat)/D, that is
     min(0, omega(b y)) unless omega(b y) = 0, and only then read from the
-    ints d D - n A - n B pihat."""
+    ints d D - n A - n B pihat.  For y = 0 the row is 0."""
     vbs = [(_vp(n, p) if d == 1 else -_vp(d, p)) if n else None for n, d in zip(nums, dens)]
     rows = []
     for y, _ in f.factors:
@@ -316,7 +316,7 @@ def _one_minus_by(f: FactoredRational, p: int, nums: list, dens: list) -> tuple[
             0 if vb is None or (s := 2 * vb + t) > 0 else s if s < 0
             else _twice_valuation(d * D - n * A, n * B, p) + 2 * min(vb, 0) - twice_d
             for n, d, vb in zip(nums, dens, vbs)
-        ])
+        ] if A or B else [0] * len(nums))
     return vbs, rows
 
 
@@ -370,13 +370,14 @@ def principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
     zero = ScalarKHat.zero(f.p)
     out = []
     for y, r in f.denominator_roots():
-        series = poly.scale(poly.shift(f.extra, y, r), f.lead)
+        series = poly.scale(poly.shift(f.extra, y, r), f.lead) if len(f.extra) > 1 else (f.lead,)
         for x, m in f.factors:
             if x is not y:
                 c = y - x
-                term = [c.inverse() ** -m if m < 0 else c**m]
+                inv = c.inverse()
+                term = [inv**-m if m < 0 else c**m]
                 for t in range(r - 1):
-                    term.append(term[-1] * Fraction(m - t, t + 1) / c)
+                    term.append(term[-1] * inv * _make(f.p, m - t, 0, t + 1))
                 series = poly.mul(series, term, zero)[:r]
         series = series + (zero,) * (r - len(series))
         out.append((y, [series[r - t] for t in range(1, r + 1)]))

@@ -320,8 +320,8 @@ class ScalarKHat:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            base = base * base if n else base
         return result
 
     # -- valuation -------------------------------------------------------------

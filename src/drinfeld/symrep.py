@@ -51,9 +51,9 @@ def triangular_apply(a: int, c: int, d: int, vec: list, transposed: bool = False
     n steps of u <- a u[j] + c u[j+1] leave that sum in u[k-n]."""
     out = []
     if transposed:
-        while vec:
-            out.append(vec[-1] * d ** (len(vec) - 1))
-            vec = [a * x + c * y for x, y in zip(vec, vec[1:])]
+        for n in range(len(vec) - 1, -1, -1):
+            out.append(vec[-1] * d**n)
+            vec = [a * x + c * y for x, y in zip(vec, vec[1:])] if n else vec
         return out[::-1]
     for i, x in enumerate(vec):
         out = [a * y + c * z for y, z in zip(out + [0], [0] + out)]

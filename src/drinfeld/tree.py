@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import InvalidParameters, SingularMatrix
@@ -173,16 +174,6 @@ def vertex_transporter(v: tuple) -> Mat2:
     return _mat2(common, 0, -offset, level, common)
 
 
-def _parent_label(p: int, m: int, n: int, d: int) -> tuple[int, int, int]:
-    """The label (m - 1, n', d') of the parent of the vertex (m, n/d)."""
-    # n/d = n/p^j is canonical, so the parent's offset is (n mod p^(m-1+j))/p^j,
-    # in lowest terms when j > 0 because p does not divide n
-    m -= 1
-    mod = p**m * d if m >= 0 else d // p**-m
-    n = n % mod if mod > 1 else 0
-    return (m, n, d) if n else (m, 0, 1)
-
-
 def _child_offsets(p: int, m: int, n: int, d: int) -> tuple[range, int]:
     """The offsets of the children (m + 1, b + c p^m), c in [0, p), of the
     vertex (m, b = n/d), as numerators over one power of p, and that power.
@@ -237,8 +228,10 @@ class TruncatedTree:
         a, b = self.up(j + 1), j + 1
         return (a, b) if self.levels[a] < self.levels[b] else (b, a)
 
+    @cached_property
     def child_ends(self) -> list[int]:
-        """Each edge's child end, by edge index, as ``ends`` gives it."""
+        """Each edge's child end, by edge index, as ``ends`` gives it,
+        computed on the first read."""
         levels, ids = self.levels, range(1, len(self.levels))
         return [i if levels[u] < levels[i] else u for i, u in zip(ids, map(self.up, ids))]
 

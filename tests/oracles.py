@@ -63,7 +63,6 @@ from drinfeld.tree import (
     _mat2,
     _new,
     _offset,
-    _parent_label,
     ball_size,
     truncated_tree,
     vertex_transporter,
@@ -739,6 +738,17 @@ def reference_ball(p: int, radius: int) -> ReferenceBall:
 
 def parent_endpoint(e: Edge) -> Vertex:
     return e.u
+
+
+def _parent_label(p: int, m: int, n: int, d: int) -> tuple[int, int, int]:
+    """The label (m - 1, n', d') of the parent of the vertex (m, n/d): the
+    reference for the parent labels that ``cli._regular`` computes inline."""
+    # n/d = n/p^j is canonical, so the parent's offset is (n mod p^(m-1+j))/p^j,
+    # in lowest terms when j > 0 because p does not divide n
+    m -= 1
+    mod = p**m * d if m >= 0 else d // p**-m
+    n = n % mod if mod > 1 else 0
+    return (m, n, d) if n else (m, 0, 1)
 
 
 def parent(v: Vertex) -> Vertex:
@@ -1497,7 +1507,9 @@ def counted_poles_by_transporter(parts: list, gamma: Mat2, p: int) -> tuple[tupl
     standard edge, and their sign, from the four entries of any such gamma:
     those in the disc omega((a y - b)/(d - c y)) >= 1 with sign sigma(gamma),
     or, when the disc holds -a/c = gamma^-1(infinity), those outside with
-    -sigma(gamma).  The program reads them from the child vertex's ints."""
+    -sigma(gamma).  The program reads them from the child vertex's ints.  A
+    refusal names the least pole in the annulus and the edge's child end,
+    gamma^-1 applied to the standard vertex."""
     a, b, c, d = gamma.lift(p)
     inner, outer, in_annulus = [], [], []
     for i, (y, _) in enumerate(parts):
@@ -1507,9 +1519,9 @@ def counted_poles_by_transporter(parts: list, gamma: Mat2, p: int) -> tuple[tupl
             continue
         w = alpha.valuation() - beta.valuation()  # doubled: the annulus is 0 < w < 2
         if 0 < w < 2:
-            in_annulus.append(alpha / beta)
+            in_annulus.append(y)
         (inner if w >= 2 else outer).append(i)
-    _raise_in_annulus(in_annulus)
+    _raise_in_annulus(in_annulus, act_on_vertex(gamma.inv(), standard_vertex(p)))
     if not c.is_zero() and (a / c).valuation() >= 2:
         return tuple(outer), -sigma(gamma, p)
     return tuple(inner), sigma(gamma, p)
@@ -1523,7 +1535,8 @@ def counted_poles_at_vertex(parts: list, v: Vertex) -> tuple[tuple, int]:
     disc omega(L y / (C - O y)) >= 1 count with sign sigma(gamma), the parity
     of v_p(C) - v_p(L), or, when the disc holds gamma^-1(infinity) = -L/O
     (O != 0 and v_p(L) - v_p(O) >= 1), those outside with -sigma(gamma).
-    Only a pole with a pihat part is tested over K-hat."""
+    Only a pole with a pihat part is tested over K-hat.  A refusal names the
+    least pole in the annulus, and v."""
     p, (L, O, C) = v.p, _level_and_offset(v.p, v.m, v.n, v.d)
     inner, outer, in_annulus, c = [], [], [], None
     for i, (y, _) in enumerate(parts):
@@ -1533,13 +1546,13 @@ def counted_poles_at_vertex(parts: list, v: Vertex) -> tuple[tuple, int]:
             beta = d - c * y
             w = y.valuation() - beta.valuation()  # doubled: the annulus is 0 < w < 2
             if 0 < w < 2:
-                in_annulus.append(y / beta)
+                in_annulus.append(y)
             inside = w >= 2
         else:
             top, bottom = L * y.A, C * y.D - O * y.A
             inside = not top or (bottom != 0 and _vp(top, p) - _vp(bottom, p) >= 1)
         (inner if inside else outer).append(i)
-    _raise_in_annulus(in_annulus)
+    _raise_in_annulus(in_annulus, v)
     sign = -1 if (_vp(C, p) - _vp(L, p)) % 2 else 1
     if O and _vp(L, p) - _vp(O, p) >= 1:
         return tuple(outer), -sign

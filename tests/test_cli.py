@@ -29,12 +29,13 @@ from drinfeld.harmonic import Cochain, res0
 from drinfeld.lattices import Doubled
 from drinfeld.linalg import SparseRows
 from drinfeld.modp import gl2_generators, symgeom_iso, symgeom_parameters
-from drinfeld.scalars import Fq, ScalarKHat
+from drinfeld.scalars import Fq, ScalarKHat, _common_denominator
 from drinfeld.rational import parse_rational
 from drinfeld.tree import TruncatedTree, _child_offsets, truncated_tree
 from inprocess import invoke
 from oracles import (
     FqFraction,
+    _parent_label,
     densify,
     emit_oracle,
     fq_function_str,
@@ -200,6 +201,44 @@ class TestBallMutations:
         else:
             assert result.exit_code == 0, result.output
             assert verdict in result.stdout
+
+
+def _oracle_regular(ball: TruncatedTree) -> bool:
+    """``cli._regular``'s label tests through ``_parent_label`` at each
+    vertex: distinct labels, and each vertex and its up a step apart."""
+    labels = list(zip(ball.levels, ball.nums, ball.dens))
+
+    def step(a: int, b: int) -> bool:
+        return _parent_label(ball.p, *labels[a]) == labels[b]
+
+    return len(set(labels)) == len(labels) and all(
+        step(j, ball.up(j)) or step(ball.up(j), j) for j in range(1, len(labels))
+    )
+
+
+class TestRegularParents:
+    """``cli._regular`` computes every parent label inline; ``_parent_label``,
+    one vertex at a time, is its oracle, on the walk's balls and on balls
+    with one label moved: to another vertex's, or by a step of its level."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_inline_parents_match_the_oracle(self, p):
+        rng = random.Random(p)
+        seen = set()
+        for radius in range(5):
+            ball = truncated_tree(p, radius)
+            assert cli_module._regular(ball) is _oracle_regular(ball) is True
+            for _ in range(12 if radius else 0):
+                j, other = rng.randrange(1, len(ball.levels)), rng.randrange(len(ball.levels))
+                bad = TruncatedTree(p, list(ball.levels), list(ball.nums), list(ball.dens), ball.n_interior)
+                if rng.random() < 0.5:
+                    bad.levels[j], bad.nums[j], bad.dens[j] = ball.levels[other], ball.nums[other], ball.dens[other]
+                else:
+                    bad.nums[j] += bad.dens[j] * p ** max(bad.levels[j] - 1, 0)
+                got = cli_module._regular(bad)
+                assert got is _oracle_regular(bad), (p, radius, j, other)
+                seen.add(got)
+        assert seen == {True, False}
 
 
 class TestModPihatMutation:
@@ -645,6 +684,21 @@ class TestAnsweredAtOnce:
         assert b"Traceback" not in proc.stderr
         if code == 2:
             assert proc.stderr.startswith(b"invalid parameters:") and proc.stderr.count(b"\n") == 1
+
+    def test_the_star_budget_edge_peaks_below_fifty_megabytes(self):
+        """Child 1's residue rows, about (3/8)(k + 1)^2 entries at the star
+        budget's edge, are counted as they are made and none is kept: the
+        largest input peaks at about the size of a small run (17 MB).  A
+        small parent starts the command: a process started by a fork of this
+        large one would count this one's pages in its ru_maxrss."""
+        code = "import resource, subprocess, sys; proc = subprocess.run([sys.executable, '-m', 'drinfeld.cli', "
+        code += "*sys.argv[1:]], capture_output=True); print(proc.returncode, b'\"pass\": true' in proc.stdout, "
+        code += "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        args = ["harmonic", "--p", "1000003", "--k", "1499", "--radius", "0", "--mod-pihat"]
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=child_env(), timeout=10)
+        code, passed, peak = proc.stdout.split()
+        assert (code, passed) == (b"0", b"True"), proc.stderr
+        assert int(peak) < 50 * 1024  # ru_maxrss counts KB on Linux
 
 
     # two 4 000-digit literals join into an 8 000-digit lead, more digits
@@ -1787,6 +1841,12 @@ class TestCochainWriter:
             assert cli_module._scalar_str(s) == fraction_scalar_str(s)
             assert cli_module._dumps([s, -s]) == emit_oracle([s, -s])
 
+    @given(a=st.integers(-(10**30), 10**30), b=st.integers(-9, 9), d=st.integers(1, 10**6), g=st.integers(1, 50))
+    @settings(max_examples=300, deadline=None)
+    def test_unreduced_ints_print_as_the_reduced_scalar(self, a, b, d, g):
+        """A residue prints from the unreduced ints of one denominator."""
+        assert cli_module._khat_str(a * g, b * g, d * g) == cli_module._scalar_str(ScalarKHat(3, Fraction(a, d), Fraction(b, d)))
+
     @pytest.mark.parametrize(
         "p,k,text,radius",
         [
@@ -1814,7 +1874,7 @@ class TestCochainWriter:
                 for _ in range(k + 1)]
             for j in rng.sample(range(ball.n_edges), rng.randint(0, ball.n_edges))
         }
-        c = Cochain(ball, k, values)
+        c = Cochain(ball, k, {j: _common_denominator(vec) for j, vec in values.items()})
         assert cli_module._dumps({"a": [c]}) == emit_oracle({"a": [c]})
 
 
