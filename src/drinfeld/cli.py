@@ -59,6 +59,7 @@ _MAX_LEVEL = 100
 # literals, p-powers and pihat-powers has no bound of its own, and an int of
 # more than 4300 digits does not print.
 _MAX_LEAD_DIGITS = 1000
+_LEAD_BOUND = 10**_MAX_LEAD_DIGITS  # built once, not at each parse
 # The most digits of a section's roots, added up, times k + 2 plus the orders
 # of its factors added up: residue values and derivatives carry about that
 # many digits (a root of 874 digits gave residue values past the 4300 that
@@ -379,7 +380,7 @@ def _section(f: str, p: int, k: int) -> FactoredRational:
     digits, or if the digits of its roots, added up, times k + 2 plus its
     total order pass ``_MAX_ROOT_DIGITS``."""
     g = parse_rational(f, p)
-    if max(abs(g.lead.A), abs(g.lead.B), g.lead.D) >= 10**_MAX_LEAD_DIGITS:
+    if max(abs(g.lead.A), abs(g.lead.B), g.lead.D) >= _LEAD_BOUND:
         raise InvalidParameters(f"--f has a lead of more than {_MAX_LEAD_DIGITS} digits")
     digits = sum(_digits(root) for root, _ in g.factors)
     order = sum(abs(mult) for _, mult in g.factors)

@@ -49,8 +49,8 @@ class Cochain:
     def values(self) -> dict:
         """The vectors as ``ScalarKHat`` lists, built on first read, one list
         per shared triple."""
-        lists = {id(x): [_make(self.p, a, b, x[2]) for a, b in zip(*x[:2])] for x in self.ints.values()}
-        return {j: lists[id(x)] for j, x in self.ints.items()}
+        lists = {id(v): [_make(self.p, a, b, v[2]) for a, b in zip(v[0], v[1])] for v in self.ints.values()}
+        return {j: lists[id(v)] for j, v in self.ints.items()}
 
 
 def sigma(g: Mat2, p: int) -> int:
@@ -206,15 +206,17 @@ def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
             total = list(map(neg, total)) if key & 1 else total
             sums[key] = total[: k + 1], total[k + 1 :], L
     cochain = Cochain(tree, k, {j: sums[key] for j, key in enumerate(keys) if key in sums}, geometry)
-    for j in range(len(keys) if rng is not None else 0):
-        zeros, jitter = [ScalarKHat.zero(p)] * (k + 1), unipotent_lower(rng.randrange(1, 5 * p))
-        # a second transporter for the same edge: standard-edge stabilizer
-        u, v = tree.ends(j)
-        alt = (vertex_transporter(tree.label(v)) @ jitter).inv()
-        if cochain.values.get(j, zeros) != _edge_residue(parts, k, alt, p):
-            raise InternalInvariantError(
-                f"residue value at the edge {tree.label(u)}-{tree.label(v)} disagrees with the series"
-            )
+    if rng is not None:
+        zeros = [ScalarKHat.zero(p)] * (k + 1)
+        for j in range(len(keys)):
+            jitter = unipotent_lower(rng.randrange(1, 5 * p))
+            # a second transporter for the same edge: standard-edge stabilizer
+            u, v = tree.ends(j)
+            alt = (vertex_transporter(tree.label(v)) @ jitter).inv()
+            if cochain.values.get(j, zeros) != _edge_residue(parts, k, alt, p):
+                raise InternalInvariantError(
+                    f"residue value at the edge {tree.label(u)}-{tree.label(v)} disagrees with the series"
+                )
     return cochain
 
 

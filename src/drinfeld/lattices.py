@@ -35,8 +35,8 @@ star's.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator
 from operator import sub
+from typing import Iterator
 
 from .errors import InternalInvariantError, NegativeValuation
 from .linalg import rank_up_to
@@ -153,9 +153,9 @@ def _basis_rows(p: int, k: int, a: int, c: int, ts: list, ss: list) -> Iterator[
 
 def _residue_rows(p: int, k: int, A: int, C: int, D: int, shift: int, unit: int, ts: list, ss: list) -> Iterator[dict]:
     """The residues mod p of M[i][j] * w * pihat^(shift + t_i - s_j), a
-    {column: nonzero residue} map per row i = 0..k, made one at a time, for the lower triangular
-    symmetric power M of the ints [[A, 0], [C, D]], C nonzero, and a w of
-    doubled valuation 0 and unit part ``unit``.  Entry (i, j), j <= i, of M
+    {column: nonzero residue} map per row i = 0..k, made one at a time, for
+    the lower triangular symmetric power M of the ints [[A, 0], [C, D]], C
+    nonzero, and a w of doubled valuation 0 and unit part ``unit``.  Entry (i, j), j <= i, of M
     is D^j C(k-j, i-j) C^(i-j) A^(k-i), read from ``_factorials``: a doubled
     valuation 0 gives its unit part, a positive one 0, a negative one raises."""
     vals, units, inverses = _factorials(p, k)
@@ -190,9 +190,10 @@ def _star_kernel(p: int, k: int, parent: list) -> int:
     the basis, reach it by themselves, so child 1's rows are made again only
     if the rank reads them, and no copy is built."""
     first, ts, ss = _local_space(p, k, p, 0), [max(0, 2 * j - k) for j in range(k + 1)], [0] * (k + 1)
-    copies = ({j: x * pow(c, -j, p) % p for j, x in row.items()} for c in range(2, p) for row in _basis_rows(p, k, p, 1, ts, ss))
-    count = len(parent) + len(first) + (p - 1) * sum(map(bool, _basis_rows(p, k, p, 1, ts, ss)))
-    return count - rank_up_to(chain(parent, first, _basis_rows(p, k, p, 1, ts, ss), copies), p, k + 1)
+    second = (p, k, p, 1, ts, ss)  # child 1's (a, c) = (p, 1), made anew at each read
+    copies = ({j: x * pow(c, -j, p) % p for j, x in row.items()} for c in range(2, p) for row in _basis_rows(*second))
+    count = len(parent) + len(first) + (p - 1) * sum(map(bool, _basis_rows(*second)))
+    return count - rank_up_to(chain(parent, first, _basis_rows(*second), copies), p, k + 1)
 
 
 def local_dimension_formulas(q: int, k: int) -> dict:

@@ -84,7 +84,7 @@ class FactoredRational:
             else:
                 merged[key] = [root, mult]
         top = extra[-1]
-        if not (top - ScalarKHat.one(p)).is_zero():
+        if (top.A, top.B, top.D) != (1, 0, 1):  # scalars are reduced: only 1 is (1, 0, 1)
             lead = lead * top
             extra = poly.scale(extra, top.inverse())
         self.lead = lead
@@ -328,13 +328,13 @@ def _transported_valuations(
     there: a factor (z - y)^mult gives mult min(omega(1 - b y) - 2m, omega(y))."""
     lead, degree = f.lead.valuation(), len(f.extra) - 1 + sum(mult for _, mult in f.factors)
     terms = [(mult, y.valuation(), row) for (y, mult), row in zip(f.factors, rows)]
+    extra = _common_denominator(f.extra) if len(f.extra) > 1 else None
     for i, (m, vb) in enumerate(zip(levels, vbs)):
-        val = lead - k * m - (k + degree) * (2 * min(0, vb - m) if vb is not None else 0)
+        val = lead - k * m - (k + degree) * (2 * (vb - m) if vb is not None and vb < m else 0)
         for mult, t, row in terms:
             val += mult * min(row[i] - 2 * m, t)
-        if len(f.extra) > 1:
-            L, O, C = _level_and_offset(p, m, nums[i], dens[i])
-            a, b, den = _common_denominator(f.extra)
+        if extra:
+            (a, b, den), (L, O, C) = extra, _level_and_offset(p, m, nums[i], dens[i])
             coeffs = zip(triangular_apply(L, O, C, a), triangular_apply(L, O, C, b))
             val += min(_twice_valuation(x, y, p) for x, y in coeffs) - 2 * (_vp(den, p) + (len(a) - 1) * _vp(L, p))
         yield val

@@ -315,6 +315,8 @@ class ScalarKHat:
     def __pow__(self, n: int) -> "ScalarKHat":
         if n < 0:
             return self.inverse() ** (-n)
+        if n == 1:
+            return self
         result = _make(self.p, 1, 0, 1)
         base = self
         while n:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidParameters, SingularMatrix
 from .scalars import RationalLike, ScalarKHat, _check_prime, _make, _mod_inverse, _vp
