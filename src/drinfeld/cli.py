@@ -184,10 +184,12 @@ def _dumps(x, pad: str = "\n") -> str:
     if isinstance(x, dict):
         items = {}
         for key, val in x.items():
-            name = key if type(key) is str else _value(key)
-            if isinstance(name, (dict, list, tuple)):
-                raise InternalInvariantError(f"cannot serialize a {type(key).__name__} key")
-            items[str(name)] = val
+            if type(key) is not str:
+                name = _value(key)
+                if isinstance(name, (dict, list, tuple)):
+                    raise InternalInvariantError(f"cannot serialize a {type(key).__name__} key")
+                key = str(name)
+            items[key] = val
         body = []
         for name in sorted(items):
             val = items[name]
@@ -244,7 +246,7 @@ def _cochain_json(c: Cochain, pad: str) -> str:
         u, v = ball.ends(j)
         stored.append((levels[u], nums[u] * (top // dens[u]), levels[v], nums[v] * (top // dens[v]), u, v, j))
     labels, values, body = {}, {}, []
-    for *_, u, v, j in sorted(stored):
+    for _, _, _, _, u, v, j in sorted(stored):
         vec = c.ints[j]
         for i in (u, v):
             if i not in labels:

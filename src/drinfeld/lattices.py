@@ -102,7 +102,7 @@ def _in_edge_lattice(p: int, L: int, O: int, C: int, k: int, ints: tuple) -> boo
     ints C, -O, L (applied by ``triangular_apply``) times L/C^(k+1) and
     pihat^((k+2)(v_p(C) - v_p(L))), of doubled valuation -k (v_p(L) + v_p(C))."""
     a, b, common = ints
-    shift = -k * (_vp(L, p) + _vp(C, p)) - 2 * _vp(common, p)
+    shift = (-k * (_vp(L, p) + _vp(C, p)) if k else 0) - 2 * _vp(common, p)
     # a zero part, such as the pihat part of most residues, has zero coordinates
     xs = triangular_apply(C, -O, L, a, transposed=True) if any(a) else a
     ys = triangular_apply(C, -O, L, b, transposed=True) if any(b) else b
