@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from operator import add, mul, neg
 
 from . import poly
@@ -21,9 +19,9 @@ from .errors import InternalInvariantError, PoleInsideAnnulus
 from .lattices import _in_edge_lattice, star_local_kernel
 from .linalg import _pivots
 from .rational import FactoredRational, _one_minus_by, _root_key, _transported_valuations, principal_parts
-from .scalars import ScalarKHat, _common_denominator, _make, half
+from .scalars import ScalarKHat, _common_denominator, _make, _vp, half
 from .symrep import triangular_apply
-from .tree import Mat2, TruncatedTree, _level_and_offset, unipotent_lower, vertex_transporter
+from .tree import TruncatedTree, _level_and_offset
 
 
 @dataclass
@@ -34,7 +32,9 @@ class Cochain:
     unreduced.  One that ``res0`` computes stores only nonzero vectors,
     shares one triple among the edges of a key and one L among all, and
     holds the ``rational._one_minus_by`` rows of its section at the ball's
-    vertices that ``_ball_pass`` read."""
+    vertices that ``_ball_pass`` read.  The audit, ``delta``, the integrality
+    report and the printer all read the ints; no other value format is
+    built."""
 
     ball: TruncatedTree
     k: int
@@ -44,18 +44,6 @@ class Cochain:
     @property
     def p(self) -> int:
         return self.ball.p
-
-    @cached_property
-    def values(self) -> dict:
-        """The vectors as ``ScalarKHat`` lists, built on first read, one list
-        per shared triple."""
-        lists = {id(v): [_make(self.p, a, b, v[2]) for a, b in zip(v[0], v[1])] for v in self.ints.values()}
-        return {j: lists[id(v)] for j, v in self.ints.items()}
-
-
-def sigma(g: Mat2, p: int) -> int:
-    """Parity sign of the determinant valuation: +1 on even levels, -1 on odd."""
-    return -1 if g.omega_det(p) % 2 else 1
 
 
 def delta(c: Cochain, tree: TruncatedTree) -> dict:
@@ -90,51 +78,50 @@ def _raise_in_annulus(poles: list, child: tuple) -> None:
         )
 
 
-def _edge_residue(parts: list, k: int, gamma: Mat2, p: int) -> list:
-    """Residue value on the edge that gamma moves to the standard edge.
+def _edge_residue(parts: list, k: int, A: int, C: int, D: int, p: int) -> tuple[list, list, int]:
+    """Residue value on the edge that gamma = [[A, 0], [C, D]] / A, A and D
+    positive, moves to the standard edge, as the ints of
+    ``scalars._common_denominator``.
 
     The Laurent coefficient a_{-s-1} of the weight-(k + 2) transport gamma.f
     (see ``rational.gauss_valuation``) on the standard annulus is the residue
-    of that section times z^s over the inner disc (omega(z) >= 1).  In the coordinate w of f, with gamma = (a b; c d),
-    this is chi^(k+2)(gamma) det^(-k-1) times the residue of
-    f(w) (a w - b)^s (d - c w)^(k-s) dw over the poles y of f whose image
-    (a y - b)/(d - c y) lies in the disc; a pole with principal part
-    sum A_t (w - y)^-t gives sum A_t [u^(t-1)] (alpha + a u)^s (beta - c u)^(k-s)
-    with alpha = a y - b and beta = d - c y.  When the disc holds -a/c, the
-    image of w = infinity, the residue theorem gives minus the sum over the
-    poles outside it instead.  The annulus 0 < omega(z) < 1 must hold no
+    of that section times z^s over the inner disc (omega(z) >= 1).  In the
+    coordinate w of f, with gamma = (1 0; c d), this is chi^(k+2)(gamma)
+    det^(-k-1) times the residue of f(w) w^s (d - c w)^(k-s) dw over the
+    poles y of f whose image y/(d - c y) lies in the disc; a pole with
+    principal part sum A_t (w - y)^-t gives
+    sum A_t [u^(t-1)] (alpha + u)^s (beta - c u)^(k-s) with alpha = y and
+    beta = d - c y.  When the disc holds -1/c, the image of w = infinity
+    (v_p(A) > v_p(C)), the residue theorem gives minus the sum over the
+    poles outside it instead.  The sign is the parity of the determinant's
+    valuation v_p(D) - v_p(A).  The annulus 0 < omega(z) < 1 must hold no
     image of a pole (``_ball_pass`` refuses those edges first).
     """
-    a, b, c, d = gamma.lift(p)
-    zero = ScalarKHat.zero(p)
+    c, d = _make(p, C, 0, A), _make(p, D, 0, A)
+    zero, one = ScalarKHat.zero(p), ScalarKHat.one(p)
     inner, outer = [], []
     for y, principal in parts:
-        alpha, beta = a * y - b, d - c * y
+        beta = d - c * y
         # doubled: the disc is w >= 2
-        (inner if alpha.valuation() - beta.valuation() >= 2 else outer).append((alpha, beta, principal))
-    infinity_inside = not c.is_zero() and (a / c).valuation() >= 2
-    poles = outer if infinity_inside else inner
+        (inner if y.valuation() - beta.valuation() >= 2 else outer).append((y, beta, principal))
+    infinity_inside = C != 0 and _vp(A, p) > _vp(C, p)
     coeffs = [zero] * (k + 1)
-    for alpha, beta, principal in poles:
+    for alpha, beta, principal in outer if infinity_inside else inner:
         r = len(principal)
-        left, right = [(ScalarKHat.one(p),)], [(ScalarKHat.one(p),)]
-        for _ in range(k):  # (alpha + a u)^n and (beta - c u)^n below u^r
-            left.append(poly.mul(left[-1], (alpha, a), zero)[:r])
+        left, right = [(one,)], [(one,)]
+        for _ in range(k):  # (alpha + u)^n and (beta - c u)^n below u^r
+            left.append(poly.mul(left[-1], (alpha, one), zero)[:r])
             right.append(poly.mul(right[-1], (beta, -c), zero)[:r])
         for s in range(k + 1):
             series = poly.mul(left[s], right[k - s], zero)
             for t, x in enumerate(principal[: len(series)]):
                 coeffs[s] = coeffs[s] + x * series[t]
-    if all(x.is_zero() for x in coeffs):
-        return [zero] * (k + 1)
-    sign = -sigma(gamma, p) if infinity_inside else sigma(gamma, p)
-    # sym(gamma) = M / N^k * det(gamma) * chi^-(k+2) for the lower triangular M of
-    # A, C, D; with the factor chi^(k+2) det(gamma)^(-k-1) only (N / AD)^k is left
-    scale = Fraction(gamma.N, gamma.A * gamma.D) ** k * sign
-    num, den = scale.numerator, scale.denominator
+    sign = -1 if (_vp(D, p) - _vp(A, p) + infinity_inside) % 2 else 1
+    # sym(gamma) = M / A^k * det(gamma) * chi^-(k+2) for the lower triangular M of
+    # A, C, D; with the factor chi^(k+2) det(gamma)^(-k-1) only M / D^k is left
     ca, cb, common = _common_denominator(coeffs)
-    xs, ys = (triangular_apply(gamma.A, gamma.C, gamma.D, u, transposed=True) for u in (ca, cb))
-    return [_make(p, num * x, num * y, den * common) for x, y in zip(xs, ys)]
+    xs, ys = (triangular_apply(A, C, D, [sign * x for x in u], transposed=True) for u in (ca, cb))
+    return xs, ys, common * D**k
 
 
 def _pole_vector(y: ScalarKHat, principal: list, k: int) -> tuple[list, list, int]:
@@ -188,7 +175,9 @@ def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
     residue of f(w) w^j dw (j = 0..k) over the disc the edge cuts off, a
     signed sum of ``_pole_vector``s over the poles ``_ball_pass`` picks,
     over one denominator.  Given ``rng``, each value is checked against the
-    series of ``_edge_residue`` through a second, randomly drawn transporter."""
+    series of ``_edge_residue`` through a second transporter of its edge,
+    the inverse of the child's transporter times a random [[1, 0], [x, 1]],
+    built from the child's label ints alone."""
     p = tree.p
     # a pole whose principal part vanishes is cancelled by extra: no pole
     parts = [(y, A) for y, A in principal_parts(g) if any(A)]
@@ -207,13 +196,17 @@ def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
             sums[key] = total[: k + 1], total[k + 1 :], L
     cochain = Cochain(tree, k, {j: sums[key] for j, key in enumerate(keys) if key in sums}, geometry)
     if rng is not None:
-        zeros = [ScalarKHat.zero(p)] * (k + 1)
-        for j in range(len(keys)):
-            jitter = unipotent_lower(rng.randrange(1, 5 * p))
-            # a second transporter for the same edge: standard-edge stabilizer
+        zero = [0] * (k + 1), [0] * (k + 1), 1
+        for j in range(tree.n_edges):
+            x = rng.randrange(1, 5 * p)
             u, v = tree.ends(j)
-            alt = (vertex_transporter(tree.label(v)) @ jitter).inv()
-            if cochain.values.get(j, zeros) != _edge_residue(parts, k, alt, p):
+            L, O, C = _level_and_offset(*tree.label(v))
+            # the child's transporter [[C, 0], [-O, L]] / C times the standard
+            # edge's stabilizer element [[1, 0], [x, 1]], inverted
+            xs, ys, common = _edge_residue(parts, k, L, O - L * x, C, p)
+            a, b, den = cochain.ints.get(j, zero)
+            # the two values over their own denominators, cross-multiplied
+            if any(s * common != t * den for s, t in zip(a + b, xs + ys)):
                 raise InternalInvariantError(
                     f"residue value at the edge {tree.label(u)}-{tree.label(v)} disagrees with the series"
                 )

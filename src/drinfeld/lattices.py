@@ -112,37 +112,38 @@ def _in_edge_lattice(p: int, L: int, O: int, C: int, k: int, ints: tuple) -> boo
 # -- mod-uniformizer local spaces --------------------------------------------------
 
 
-def _local_space(p: int, k: int, a: int, c: int, low: bool = False) -> list[dict]:
+def _local_space(p: int, k: int, a: int, low: bool = False) -> list[dict]:
     """Basis of the image of an edge lattice in S/(pihat), as {column:
-    nonzero residue mod p} maps against S's basis.  S is the standard
-    vertex's lattice with column j scaled by pihat^s_j: s_j = 0, or with
-    ``low`` s_j = min(0, 2j - k), the sum of the endpoint lattices of the
-    standard vertex's parent edge.  The edge lattice is its child end's with
-    column j scaled by pihat^t_j, t_j = max(0, 2j - k), the child's
-    transporter the inverse of [[a, 0], [c, 1]]: (1, 0) at the parent edge
-    and (p, c) at the edge to the child (1, c).  Child 1's residue rows
-    (``_residue_rows``) are 0 for 2i < k and end at their diagonal unit for
-    2i >= k, at any p, so the nonzero ones are a basis; two that end at one
-    column are a broken invariant.  At c = 0 the basis is the unit vectors
-    e_j at which the diagonal's doubled valuation (2j - k) v_p(a) + t_j - s_j
-    is 0."""
+    nonzero residue mod p} maps against S's basis, for a diagonal
+    transition.  S is the standard vertex's lattice with column j scaled by
+    pihat^s_j: s_j = 0, or with ``low`` s_j = min(0, 2j - k), the sum of the
+    endpoint lattices of the standard vertex's parent edge.  The edge
+    lattice is its child end's with column j scaled by pihat^t_j,
+    t_j = max(0, 2j - k), the child's transporter the inverse of
+    [[a, 0], [0, 1]]: a = 1 at the parent edge and a = p at the edge to
+    child 0.  The basis is the unit vectors e_j at which the diagonal's
+    doubled valuation (2j - k) v_p(a) + t_j - s_j is 0.  Child 1's basis is
+    ``_basis_rows``'s."""
     ts = [max(0, 2 * j - k) for j in range(k + 1)]
     ss = [min(0, 2 * j - k) for j in range(k + 1)] if low else [0] * (k + 1)
-    if not c:
-        slope, basis = -_vp(a, p), []
-        for j, (t, s) in enumerate(zip(ts, ss)):
-            twice = (2 * j - k) * slope + t - s
-            if twice < 0:
-                raise NegativeValuation(f"transition entry has valuation {half(twice)} < 0")
-            if not twice:
-                basis.append({j: 1})
-        return basis
-    return list(_basis_rows(p, k, a, c, ts, ss))
+    slope, basis = -_vp(a, p), []
+    for j, (t, s) in enumerate(zip(ts, ss)):
+        twice = (2 * j - k) * slope + t - s
+        if twice < 0:
+            raise NegativeValuation(f"transition entry has valuation {half(twice)} < 0")
+        if not twice:
+            basis.append({j: 1})
+    return basis
 
 
 def _basis_rows(p: int, k: int, a: int, c: int, ts: list, ss: list) -> Iterator[dict]:
-    """``_local_space``'s basis at c != 0, the nonzero ``_residue_rows``, as
-    they are made: two that end at one column are a broken invariant."""
+    """The basis of the image in S/(pihat) of the edge lattice whose child's
+    transporter is the inverse of [[a, 0], [c, 1]], c != 0, with the column
+    scalings ts and ss of ``_local_space``: the nonzero ``_residue_rows``,
+    as they are made.  Child 1's residue rows, (a, c) = (p, 1), are 0 for
+    2i < k and end at their diagonal unit for 2i >= k, at any p, so the
+    nonzero ones are a basis; two that end at one column are a broken
+    invariant."""
     va, ends = _vp(a, p), set()
     for row in filter(None, _residue_rows(p, k, a, c, 1, -k * va, a // p**va % p, ts, ss)):
         if (end := max(row)) in ends:
@@ -177,7 +178,7 @@ def star_local_kernel(p: int, k: int) -> int:
     edge values, one from each D-space around it, summing to zero in
     (vertex lattice)/(pihat).  Every star has the standard star's
     transitions (see the module docstring), so this is the standard star's."""
-    return _star_kernel(p, k, _local_space(p, k, 1, 0))
+    return _star_kernel(p, k, _local_space(p, k, 1))
 
 
 def _star_kernel(p: int, k: int, parent: list) -> int:
@@ -189,7 +190,7 @@ def _star_kernel(p: int, k: int, parent: list) -> int:
     can be.  The parent's and child 0's D-spaces, the low and high halves of
     the basis, reach it by themselves, so child 1's rows are made again only
     if the rank reads them, and no copy is built."""
-    first, ts, ss = _local_space(p, k, p, 0), [max(0, 2 * j - k) for j in range(k + 1)], [0] * (k + 1)
+    first, ts, ss = _local_space(p, k, p), [max(0, 2 * j - k) for j in range(k + 1)], [0] * (k + 1)
     second = (p, k, p, 1, ts, ss)  # child 1's (a, c) = (p, 1), made anew at each read
     copies = ({j: x * pow(c, -j, p) % p for j, x in row.items()} for c in range(2, p) for row in _basis_rows(*second))
     count = len(parent) + len(first) + (p - 1) * sum(map(bool, _basis_rows(*second)))
@@ -207,10 +208,10 @@ def local_space_report(p: int, k: int) -> dict:
     """Brute-force local dimensions at the standard edge and vertex, paired
     with the closed forms.  The standard edge is the standard vertex's
     parent edge, so its D-space enters the star kernel too."""
-    d_space = _local_space(p, k, 1, 0)
+    d_space = _local_space(p, k, 1)
     computed = {
         "dimD": len(d_space),
-        "dimE": len(_local_space(p, k, 1, 0, low=True)),
+        "dimE": len(_local_space(p, k, 1, low=True)),
         "dimZhar": _star_kernel(p, k, d_space),
     }
     predicted = local_dimension_formulas(p, k)

@@ -16,7 +16,6 @@ and the generators and matrices it reads) works on ``FqElem``s.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 from operator import add
 
@@ -60,13 +59,7 @@ def gl2_generators(field: FiniteField) -> list:
 
 def component_degree(q: int, k: int) -> int:
     """Degree of the reduced weight-k bundle on one component."""
-    if k % 2 == 0:
-        total = Fraction((q - 1) * k, 2)
-    else:
-        total = Fraction((q - 1) * (k - 1), 2) - 1
-    if total.denominator != 1:
-        raise InternalInvariantError("component degree must be an integer")
-    return int(total)
+    return (q - 1) * k // 2 if k % 2 == 0 else (q - 1) * (k - 1) // 2 - 1
 
 
 # -- the symmetric-power comparison map ----------------------------------------------

@@ -1,136 +1,26 @@
 """The (p+1)-regular tree of lattice classes for GL2 over the p-adic rationals,
-as int labels, with the transporters of its vertices.
+as int labels.
 
 A vertex is labeled (p, m, n, d): the class of the column lattice of
 [[p^m, b],[0,1]] for b = n/d, reduced to the unique representative in
 [0, p^m) having p-power denominator d.  The ball around the base vertex is
-index arithmetic on three int arrays of these labels.  Group elements act
-through the contragredient-flip convention, which pins the diagonal p-power
-elements to the vertices (n, 0) and makes the base-vertex tube the unit circle
-of the coordinate.
+index arithmetic on three int arrays of these labels.  The transporter
+[[1, 0], [-b, p^m]] carries the base vertex to (m, b); the program reads it
+from the label's ints (L, O, C) of ``_level_and_offset``, p^m = L/C and
+b = O/C, with no matrix object.  Group elements act through the
+contragredient-flip convention, which pins the diagonal p-power elements to
+the vertices (n, 0) and makes the base-vertex tube the unit circle of the
+coordinate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InvalidParameters, SingularMatrix
-from .scalars import RationalLike, ScalarKHat, _check_prime, _make, _mod_inverse, _vp
-
-
-class Mat2:
-    """2x2 matrix over the rationals, row-major entries a b / c d.
-
-    A matrix is five ints (A, B, C, D, N) with value [[A, B], [C, D]] / N,
-    N > 0 and gcd(A, B, C, D, N) = 1, so equal matrices hold equal ints.  The
-    public constructor takes rational entries; arithmetic builds its result
-    with ``_mat2``, which reduces by one gcd.  The entries are read as
-    ``Fraction`` properties, or lifted to the quadratic extension by ``lift``.
-    Immutable by convention, as ``ScalarKHat`` is.
-    """
-
-    __slots__ = ("A", "B", "C", "D", "N")
-
-    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> None:
-        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-        # the entries are in lowest terms, so the lcm of their denominators
-        # shares no factor with all four numerators
-        n = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        self.A = a.numerator * (n // a.denominator)
-        self.B = b.numerator * (n // b.denominator)
-        self.C = c.numerator * (n // c.denominator)
-        self.D = d.numerator * (n // d.denominator)
-        self.N = n
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self.A, self.N)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.B, self.N)
-
-    @property
-    def c(self) -> Fraction:
-        return Fraction(self.C, self.N)
-
-    @property
-    def d(self) -> Fraction:
-        return Fraction(self.D, self.N)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Mat2:
-            return NotImplemented
-        return (self.A, self.B, self.C, self.D, self.N) == (
-            other.A, other.B, other.C, other.D, other.N
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.A, self.B, self.C, self.D, self.N))
-
-    def __repr__(self) -> str:
-        return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        A, B, C, D = self.A, self.B, self.C, self.D
-        E, F, G, H = other.A, other.B, other.C, other.D
-        return _mat2(
-            A * E + B * G, A * F + B * H, C * E + D * G, C * F + D * H, self.N * other.N
-        )
-
-    def inv(self) -> "Mat2":
-        """N * adj / (AD - BC): the inverse of [[A, B], [C, D]] / N."""
-        A, B, C, D, N = self.A, self.B, self.C, self.D, self.N
-        det = A * D - B * C
-        if not det:
-            raise SingularMatrix("matrix is singular")
-        if det < 0:
-            N, det = -N, -det
-        return _mat2(N * D, -N * B, -N * C, N * A, det)
-
-    def omega_det(self, p: int) -> int:
-        """v_p of the determinant."""
-        det = self.A * self.D - self.B * self.C
-        if not det:
-            raise InvalidParameters("matrix is singular")
-        return _vp(det, p) - 2 * _vp(self.N, p)
-
-    def lift(self, p: int) -> tuple[ScalarKHat, ScalarKHat, ScalarKHat, ScalarKHat]:
-        """The entries a, b, c, d as scalars of the quadratic extension."""
-        _check_prime(p)
-        A, B, C, D, N = self.A, self.B, self.C, self.D, self.N
-        return _make(p, A, 0, N), _make(p, B, 0, N), _make(p, C, 0, N), _make(p, D, 0, N)
-
-
-_new = object.__new__
-_gcd = math.gcd
-
-
-def _mat2(A: int, B: int, C: int, D: int, N: int) -> Mat2:
-    """The matrix [[A, B], [C, D]] / N for N > 0, reduced by the gcd of the
-    five ints and otherwise unchecked: the fast path for results of
-    arithmetic on matrices."""
-    g = _gcd(A, B, C, D, N)
-    if g != 1:
-        A //= g
-        B //= g
-        C //= g
-        D //= g
-        N //= g
-    m = _new(Mat2)
-    m.A = A
-    m.B = B
-    m.C = C
-    m.D = D
-    m.N = N
-    return m
-
-
-def unipotent_lower(x: Fraction | int) -> Mat2:
-    return Mat2(1, 0, x, 1)
+from .errors import InvalidParameters
+from .scalars import _check_prime, _mod_inverse
 
 
 # -- vertex labels ---------------------------------------------------------------
@@ -165,13 +55,6 @@ def _level_and_offset(p: int, m: int, n: int, d: int) -> tuple[int, int, int]:
         return p**m * d, n, d
     common = max(d, p**-m)
     return common // p**-m, n * (common // d), common
-
-
-def vertex_transporter(v: tuple) -> Mat2:
-    """Group element [[1, 0], [-b, p^m]] carrying the base vertex to the
-    vertex of label v = (p, m, n, d) (and base parent to v's parent)."""
-    level, offset, common = _level_and_offset(*v)
-    return _mat2(common, 0, -offset, level, common)
 
 
 def _child_offsets(p: int, m: int, n: int, d: int) -> tuple[range, int]:

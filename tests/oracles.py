@@ -25,7 +25,7 @@ from drinfeld.errors import (
     SingularMatrix,
     ZeroFunction,
 )
-from drinfeld.harmonic import Cochain, _raise_in_annulus, res0, sigma
+from drinfeld.harmonic import Cochain, _raise_in_annulus, res0
 from drinfeld.lattices import Doubled, _in_edge_lattice, _residue_rows
 from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan, rank, rref, transpose
 from drinfeld.modp import (
@@ -43,6 +43,7 @@ from drinfeld.scalars import (
     INF,
     FiniteField,
     Fq,
+    RationalLike,
     ScalarKHat,
     _check_prime,
     _common_denominator,
@@ -56,16 +57,12 @@ from drinfeld.scalars import (
 from drinfeld.symrep import substitution_matrix
 from drinfeld.theta import theta
 from drinfeld.tree import (
-    Mat2,
     TruncatedTree,
     _child_offsets,
     _level_and_offset,
-    _mat2,
-    _new,
     _offset,
     ball_size,
     truncated_tree,
-    vertex_transporter,
 )
 
 # -- integer factoring ---------------------------------------------------------------
@@ -75,6 +72,138 @@ def smallest_factor(n: int) -> int:
     """The least divisor d >= 2 of an int n >= 2, by trial division up to
     its integer square root: what ``scalars._prime_factors`` replaced."""
     return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
+# -- group elements ------------------------------------------------------------------
+#
+# The program reads a transporter from its vertex's label ints
+# (``tree._level_and_offset``) and the audit's lower triangular transporters
+# from the same ints.  ``Mat2`` is the general element of GL2 over the
+# rationals that the tests act with.
+
+
+class Mat2:
+    """2x2 matrix over the rationals, row-major entries a b / c d.
+
+    A matrix is five ints (A, B, C, D, N) with value [[A, B], [C, D]] / N,
+    N > 0 and gcd(A, B, C, D, N) = 1, so equal matrices hold equal ints.  The
+    public constructor takes rational entries; arithmetic builds its result
+    with ``_mat2``, which reduces by one gcd.  The entries are read as
+    ``Fraction`` properties, or lifted to the quadratic extension by ``lift``.
+    Immutable by convention, as ``ScalarKHat`` is.
+    """
+
+    __slots__ = ("A", "B", "C", "D", "N")
+
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike) -> None:
+        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+        # the entries are in lowest terms, so the lcm of their denominators
+        # shares no factor with all four numerators
+        n = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        self.A = a.numerator * (n // a.denominator)
+        self.B = b.numerator * (n // b.denominator)
+        self.C = c.numerator * (n // c.denominator)
+        self.D = d.numerator * (n // d.denominator)
+        self.N = n
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.N)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.N)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.C, self.N)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self.D, self.N)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Mat2:
+            return NotImplemented
+        return (self.A, self.B, self.C, self.D, self.N) == (
+            other.A, other.B, other.C, other.D, other.N
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.A, self.B, self.C, self.D, self.N))
+
+    def __repr__(self) -> str:
+        return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
+
+    def __matmul__(self, other: "Mat2") -> "Mat2":
+        A, B, C, D = self.A, self.B, self.C, self.D
+        E, F, G, H = other.A, other.B, other.C, other.D
+        return _mat2(
+            A * E + B * G, A * F + B * H, C * E + D * G, C * F + D * H, self.N * other.N
+        )
+
+    def inv(self) -> "Mat2":
+        """N * adj / (AD - BC): the inverse of [[A, B], [C, D]] / N."""
+        A, B, C, D, N = self.A, self.B, self.C, self.D, self.N
+        det = A * D - B * C
+        if not det:
+            raise SingularMatrix("matrix is singular")
+        if det < 0:
+            N, det = -N, -det
+        return _mat2(N * D, -N * B, -N * C, N * A, det)
+
+    def omega_det(self, p: int) -> int:
+        """v_p of the determinant."""
+        det = self.A * self.D - self.B * self.C
+        if not det:
+            raise InvalidParameters("matrix is singular")
+        return _vp(det, p) - 2 * _vp(self.N, p)
+
+    def lift(self, p: int) -> tuple[ScalarKHat, ScalarKHat, ScalarKHat, ScalarKHat]:
+        """The entries a, b, c, d as scalars of the quadratic extension."""
+        _check_prime(p)
+        A, B, C, D, N = self.A, self.B, self.C, self.D, self.N
+        return _make(p, A, 0, N), _make(p, B, 0, N), _make(p, C, 0, N), _make(p, D, 0, N)
+
+
+_new = object.__new__
+_gcd = math.gcd
+
+
+def _mat2(A: int, B: int, C: int, D: int, N: int) -> Mat2:
+    """The matrix [[A, B], [C, D]] / N for N > 0, reduced by the gcd of the
+    five ints and otherwise unchecked: the fast path for results of
+    arithmetic on matrices."""
+    g = _gcd(A, B, C, D, N)
+    if g != 1:
+        A //= g
+        B //= g
+        C //= g
+        D //= g
+        N //= g
+    m = _new(Mat2)
+    m.A = A
+    m.B = B
+    m.C = C
+    m.D = D
+    m.N = N
+    return m
+
+
+def unipotent_lower(x: Fraction | int) -> Mat2:
+    return Mat2(1, 0, x, 1)
+
+
+def vertex_transporter(v: tuple) -> Mat2:
+    """Group element [[1, 0], [-b, p^m]] carrying the base vertex to the
+    vertex of label v = (p, m, n, d) (and base parent to v's parent)."""
+    level, offset, common = _level_and_offset(*v)
+    return _mat2(common, 0, -offset, level, common)
+
+
+def sigma(g: Mat2, p: int) -> int:
+    """Parity sign of the determinant valuation: +1 on even levels, -1 on odd."""
+    return -1 if g.omega_det(p) % 2 else 1
 
 
 # -- vertices, edges and lattices as objects ------------------------------------------
@@ -647,7 +776,13 @@ def edge_values(c: Cochain | EdgeCochain) -> dict:
     """The values of c keyed by ``Edge``."""
     if isinstance(c, EdgeCochain):
         return c.values
-    return {ball_edge(c.ball, j): vec for j, vec in c.values.items()}
+    return {ball_edge(c.ball, j): vec for j, vec in cochain_values(c).items()}
+
+
+def cochain_values(c: Cochain) -> dict:
+    """The vectors of a ``Cochain`` as ``ScalarKHat`` lists, keyed by edge
+    index, from the ints it holds."""
+    return {j: [_make(c.p, x, y, L) for x, y in zip(a, b)] for j, (a, b, L) in c.ints.items()}
 
 
 def support(c: Cochain | EdgeCochain) -> list:

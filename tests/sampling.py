@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from drinfeld.rational import FactoredRational
 from drinfeld.scalars import FiniteField, FqElem, ScalarKHat
-from drinfeld.tree import Mat2, unipotent_lower
-from oracles import FqFraction, Vertex, make_vertex
+from oracles import FqFraction, Mat2, Vertex, make_vertex, unipotent_lower
 
 
 def gamma_level(n: int, p: int) -> Mat2:

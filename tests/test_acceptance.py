@@ -36,8 +36,9 @@ from drinfeld.rational import (
 )
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.theta import complement_b_identity, theta, theta_integrality
-from drinfeld.tree import Mat2, truncated_tree
+from drinfeld.tree import truncated_tree
 from oracles import (
+    Mat2,
     act_on_vertex,
     automorphic_act,
     cochain_value,

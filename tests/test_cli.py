@@ -252,9 +252,9 @@ class TestModPihatMutation:
         assert '"pass": true' in invoke(self.ARGS).stdout
         local_space = lattices._local_space
 
-        def short(p, k, a, c, low=False):
-            basis = local_space(p, k, a, c, low)
-            return basis[1:] if (a, c) == (p, 0) else basis  # child 0's transition
+        def short(p, k, a, low=False):
+            basis = local_space(p, k, a, low)
+            return basis[1:] if a == p else basis  # child 0's transition
 
         monkeypatch.setattr(lattices, "_local_space", short)
         result = invoke(self.ARGS)

@@ -20,15 +20,15 @@ from drinfeld.harmonic import (
     field_kernel,
     res0,
     res0_integrality,
-    sigma,
     star_local_kernels,
 )
 from drinfeld.rational import FactoredRational, _transported_valuations, gauss_valuation, parse_rational, principal_parts
-from drinfeld.scalars import ScalarKHat
-from drinfeld.tree import Mat2, truncated_tree, unipotent_lower
+from drinfeld.scalars import ScalarKHat, _make
+from drinfeld.tree import truncated_tree
 from inprocess import invoke
 from oracles import (
     EdgeCochain,
+    Mat2,
     act_on_edge,
     automorphic_act,
     ball_edges,
@@ -51,9 +51,11 @@ from oracles import (
     laurent_standard,
     make_edge,
     make_vertex,
+    sigma,
     standard_vertex,
     support,
     sym_matrix,
+    unipotent_lower,
 )
 from sampling import gamma_level, random_group_element, random_rational, weyl_flip
 
@@ -271,16 +273,23 @@ class TestResidueOracle:
 
 def _series_values(f, k, tree):
     """Every edge value by ``_edge_residue``'s series through the edge's own
-    transporter, or the class and message of the first refusal, which the
-    disc rule's oracle reads from the same transporter."""
-    parts = [(y, A) for y, A in principal_parts(f) if any(A)]
+    transporter, as scalars, or the class and message of the first refusal,
+    which the disc rule's oracle reads from the same transporter.  The
+    inverse of every edge transporter is lower triangular with a = 1, the
+    form ``_edge_residue`` takes."""
+    p, parts = tree.p, [(y, A) for y, A in principal_parts(f) if any(A)]
     gammas = {e: edge_transporter(e).inv() for e in ball_edges(tree)}
     try:
         for gamma in gammas.values():
-            counted_poles_by_transporter(parts, gamma, tree.p)
+            counted_poles_by_transporter(parts, gamma, p)
     except PoleInsideAnnulus as exc:
         return (type(exc), str(exc))
-    return {e: _edge_residue(parts, k, gamma, tree.p) for e, gamma in gammas.items()}
+    values = {}
+    for e, gamma in gammas.items():
+        assert gamma.B == 0 and gamma.N == gamma.A, gamma
+        a, b, den = _edge_residue(parts, k, gamma.A, gamma.C, gamma.D, p)
+        values[e] = [_make(p, x, y, den) for x, y in zip(a, b)]
+    return values
 
 
 def _per_pole_values(f, k, tree):
@@ -348,7 +357,7 @@ class TestPerPoleResidues:
         assert not isinstance(want, tuple)
         assert _per_pole_values(f, k, t) == want
 
-    def test_the_series_runs_only_under_audit(self, monkeypatch):
+    def test_the_series_runs_only_under_audit(self, monkeypatch, tree_factory):
         calls = []
 
         def series(*args):
@@ -362,6 +371,32 @@ class TestPerPoleResidues:
         assert calls == []
         result = invoke([*args, "--audit"])
         assert isinstance(result.exception, AssertionError) and len(calls) == 1
+        # in-process too: plain res0 runs no series on any section, the audited one does
+        p, t = 3, tree_factory(3, 3)
+        sections = _oracle_sections(p, random.Random(31), 6)
+        for f in sections:
+            _outcome(res0, f, 2, t)
+        assert len(calls) == 1
+        with pytest.raises(AssertionError, match="the series ran"):
+            res0(parse_rational("1/z", p), 2, t, rng=random.Random(1))
+        assert len(calls) == 2
+
+    def test_the_audit_fails_on_a_wrong_pole_vector(self, monkeypatch):
+        """With L added to the first entry of every pole vector, the cochain
+        no longer matches the series: the audited command exits 3 and the
+        plain one, which runs no series, exits 0."""
+        honest = harmonic._pole_vector
+
+        def off(y, principal, k):
+            a, b, L = honest(y, principal, k)
+            return [a[0] + L, *a[1:]], b, L
+
+        monkeypatch.setattr(harmonic, "_pole_vector", off)
+        args = ["residue", "--p", "2", "--k", "1", "--f", "(z-2)^-1*(z-3/2)", "--radius", "3"]
+        result = invoke([*args, "--audit", "--seed", "3"])
+        assert result.exit_code == 3, result.output
+        assert "disagrees with the series" in result.output
+        assert invoke(args).exit_code == 0
 
 
 class TestResidueOfSimplePole:
@@ -516,22 +551,6 @@ class TestCountedPolesOnInts:
         assert "refused" in seen
         # counted sets with and without pihat poles, under both signs
         assert {(True, 1, True), (True, -1, True), (True, 1, False), (True, -1, False)} <= seen
-
-    def test_res0_builds_no_transporter_unless_audited(self, monkeypatch, tree_factory):
-        p = 3
-        t = tree_factory(p, 3)
-        sections = _oracle_sections(p, random.Random(31), 6)
-        want = [_outcome(res0, f, 2, t) for f in sections]
-
-        def refuse(*_):
-            raise AssertionError("an edge transporter was built")
-
-        # an edge's transporter is its child end's
-        monkeypatch.setattr(harmonic, "vertex_transporter", refuse)
-        assert [_outcome(res0, f, 2, t) for f in sections] == want
-        # the guard trips on the audited path, which draws a second transporter
-        with pytest.raises(AssertionError, match="edge transporter was built"):
-            res0(parse_rational("1/z", p), 2, t, rng=random.Random(1))
 
 
 class TestOnePassOverTheBall:

@@ -24,7 +24,7 @@ from drinfeld.lattices import (
 )
 from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational
 from drinfeld.scalars import Fq, ScalarKHat, half
-from drinfeld.tree import _level_and_offset, truncated_tree, unipotent_lower, vertex_transporter
+from drinfeld.tree import _level_and_offset, truncated_tree
 from inprocess import invoke
 from oracles import (
     Edge,
@@ -77,7 +77,9 @@ from oracles import (
     transition_d_space_basis,
     transition_e_space_basis,
     transition_matrix,
+    unipotent_lower,
     vertex_lattice,
+    vertex_transporter,
 )
 from sampling import random_group_element, random_rational, random_vertex
 
@@ -806,9 +808,17 @@ def _echelon_from_the_right(rows: list[dict], p: int, k: int) -> list:
     return basis[: len(pivots)]
 
 
+def _child_one_rows(p: int, k: int) -> list[dict]:
+    """Child 1's basis, (a, c) = (p, 1), by ``lattices._basis_rows`` with
+    the column scalings of a D-space."""
+    ts = [max(0, 2 * j - k) for j in range(k + 1)]
+    return list(lattices._basis_rows(p, k, p, 1, ts, [0] * (k + 1)))
+
+
 class TestStandardStarTransitions:
-    """``lattices._local_space`` reads the standard star's three fixed
-    transitions, and the E-space's, from ints; the oracle ``local_space``
+    """``lattices._local_space`` reads the standard star's two diagonal
+    transitions, and the E-space's, from ints, and ``_basis_rows`` child 1's;
+    the oracle ``local_space``
     reduces the same from the ``Lattice`` records of the standard vertex and
     its edges.  The diagonal ones give the same unit vectors, and child 1's
     the nonzero residue rows, an echelon basis from the last column of the
@@ -819,10 +829,10 @@ class TestStandardStarTransitions:
         v, e = standard_vertex(p), standard_edge(p)
         children = [make_edge(v, make_vertex(p, 1, c)) for c in (0, 1)]
         for k in range(0, 41, 3):
-            assert _dense(lattices._local_space(p, k, 1, 0), k) == d_space_basis(e, v, k), k
-            assert _dense(lattices._local_space(p, k, 1, 0, low=True), k) == e_space_basis(e, k), k
-            assert _dense(lattices._local_space(p, k, p, 0), k) == d_space_basis(children[0], v, k), k
-            got = _echelon_from_the_right(lattices._local_space(p, k, p, 1), p, k)
+            assert _dense(lattices._local_space(p, k, 1), k) == d_space_basis(e, v, k), k
+            assert _dense(lattices._local_space(p, k, 1, low=True), k) == e_space_basis(e, k), k
+            assert _dense(lattices._local_space(p, k, p), k) == d_space_basis(children[0], v, k), k
+            got = _echelon_from_the_right(_child_one_rows(p, k), p, k)
             assert got == d_space_basis(children[1], v, k), k
 
     def test_two_rows_ending_at_one_column_raise(self, monkeypatch):
@@ -830,7 +840,7 @@ class TestStandardStarTransitions:
         them a basis with no elimination; rows that do not are refused."""
         monkeypatch.setattr(lattices, "_residue_rows", lambda *_: [{0: 1}, {0: 1, 1: 2}, {1: 1}])
         with pytest.raises(InternalInvariantError, match="end at one column"):
-            lattices._local_space(3, 2, 3, 1)
+            _child_one_rows(3, 2)
 
 
 class TestEdgeLatticesAgainstSmith:

@@ -33,7 +33,7 @@ from drinfeld.modp import (
 )
 from drinfeld.rational import FactoredRational, parse_rational
 from drinfeld.scalars import Fq, ScalarKHat, half
-from drinfeld.tree import truncated_tree, vertex_transporter
+from drinfeld.tree import truncated_tree
 from oracles import (
     FqFraction,
     Vertex,
@@ -68,6 +68,7 @@ from oracles import (
     symgeom_rank_by_fq,
     transported_gauss_valuation,
     unipotent_columns_by_substitution,
+    vertex_transporter,
     weight_action_p1,
     window_poly,
 )

@@ -14,8 +14,8 @@ from drinfeld.errors import PoleInsideAnnulus, ZeroFunction
 from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational, principal_parts
 from drinfeld.scalars import ScalarKHat
 from drinfeld.theta import theta
-from drinfeld.tree import Mat2, vertex_transporter
 from oracles import (
+    Mat2,
     automorphic_act,
     compose_mobius,
     derivative_by_steps,
@@ -27,6 +27,7 @@ from oracles import (
     reduce_mod_pihat,
     reference_principal_parts,
     transported_gauss_valuation,
+    vertex_transporter,
 )
 from sampling import gamma_level, monomial, random_group_element, random_rational, random_vertex, weyl_flip
 

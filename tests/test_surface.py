@@ -2,7 +2,8 @@
 ``src/drinfeld``, private ones included, has a caller in ``src/drinfeld``.
 Helpers that only tests call live in ``tests/`` (``oracles.py``,
 ``sampling.py`` and the test files).  No module reads the process
-environment, and no object stands in for a vertex, an edge or a lattice."""
+environment, and no object stands in for a vertex, an edge, a lattice or a
+group element."""
 
 from __future__ import annotations
 
@@ -138,9 +139,10 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
-# The objects that once stood for a vertex, an edge and a lattice: the program
-# takes a vertex as its int label (p, m, n, d) or a ball index.
-_OBJECT_NAMES = {"Vertex", "Edge", "Lattice"}
+# The objects that once stood for a vertex, an edge, a lattice and a group
+# element: the program takes a vertex as its int label (p, m, n, d) or a ball
+# index, and a transporter as that label's ints.
+_OBJECT_NAMES = {"Vertex", "Edge", "Lattice", "Mat2"}
 
 
 def _bound_or_named(path: Path) -> set[str]:

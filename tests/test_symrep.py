@@ -11,12 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drinfeld.errors import InternalInvariantError
-from drinfeld.harmonic import sigma
 from drinfeld.linalg import transpose
 from drinfeld.scalars import Fq, ScalarKHat
 from drinfeld.symrep import substitution_matrix, triangular_apply
-from drinfeld.tree import Mat2
 from oracles import (
+    Mat2,
     NonInvertibleDeterminant,
     _lower_triangular,
     chi,
@@ -24,6 +23,7 @@ from oracles import (
     epsilon,
     field_elements,
     mat_vec,
+    sigma,
     sym_ints,
     sym_matrix,
 )

@@ -15,9 +15,9 @@ from drinfeld.rational import (
 )
 from drinfeld.scalars import ScalarKHat
 from drinfeld.theta import complement_b_identity, theta, theta_integrality
-from drinfeld.tree import Mat2, vertex_transporter
 from inprocess import invoke
 from oracles import (
+    Mat2,
     Vertex,
     automorphic_act,
     epsilon,
@@ -27,6 +27,7 @@ from oracles import (
     res_kills_theta,
     rescale_to_gauss_bound,
     section_lattice_membership,
+    vertex_transporter,
 )
 from sampling import monomial, random_group_element, random_rational, random_vertex
 

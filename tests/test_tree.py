@@ -18,11 +18,12 @@ from drinfeld.harmonic import star_local_kernels
 from drinfeld.lattices import vertex_lattice_profile
 from drinfeld.rational import gauss_valuation, parse_rational
 from drinfeld.scalars import half
-from drinfeld.tree import Mat2, ball_size, truncated_tree, unipotent_lower, vertex_transporter
+from drinfeld.tree import ball_size, truncated_tree
 from oracles import (
     Edge,
     FractionMat2,
     FrozenEdge,
+    Mat2,
     Vertex,
     act_on_edge,
     act_on_vertex,
@@ -59,8 +60,10 @@ from oracles import (
     standard_edge,
     standard_vertex,
     transported_gauss_valuation,
+    unipotent_lower,
     vertex_of_matrix,
     vertex_parity,
+    vertex_transporter,
 )
 from sampling import gamma_level, random_group_element, random_vertex, unipotent_upper, weyl_flip
 
