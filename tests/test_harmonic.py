@@ -357,7 +357,7 @@ class TestPerPoleResidues:
         assert not isinstance(want, tuple)
         assert _per_pole_values(f, k, t) == want
 
-    def test_the_series_runs_only_under_audit(self, monkeypatch, tree_factory):
+    def test_the_series_runs_only_under_audit(self, monkeypatch):
         calls = []
 
         def series(*args):
@@ -371,15 +371,6 @@ class TestPerPoleResidues:
         assert calls == []
         result = invoke([*args, "--audit"])
         assert isinstance(result.exception, AssertionError) and len(calls) == 1
-        # in-process too: plain res0 runs no series on any section, the audited one does
-        p, t = 3, tree_factory(3, 3)
-        sections = _oracle_sections(p, random.Random(31), 6)
-        for f in sections:
-            _outcome(res0, f, 2, t)
-        assert len(calls) == 1
-        with pytest.raises(AssertionError, match="the series ran"):
-            res0(parse_rational("1/z", p), 2, t, rng=random.Random(1))
-        assert len(calls) == 2
 
     def test_the_audit_fails_on_a_wrong_pole_vector(self, monkeypatch):
         """With L added to the first entry of every pole vector, the cochain
@@ -551,6 +542,21 @@ class TestCountedPolesOnInts:
         assert "refused" in seen
         # counted sets with and without pihat poles, under both signs
         assert {(True, 1, True), (True, -1, True), (True, 1, False), (True, -1, False)} <= seen
+
+    def test_res0_builds_no_transporter_unless_audited(self, monkeypatch, tree_factory):
+        p = 3
+        t = tree_factory(p, 3)
+        sections = _oracle_sections(p, random.Random(31), 6)
+        want = [_outcome(res0, f, 2, t) for f in sections]
+
+        def refuse(*_):
+            raise AssertionError("an edge transporter was built")
+
+        # only the audit builds a transporter, from the child end's ints and a jitter
+        monkeypatch.setattr(harmonic, "_edge_residue", refuse)
+        assert [_outcome(res0, f, 2, t) for f in sections] == want
+        with pytest.raises(AssertionError, match="edge transporter was built"):
+            res0(parse_rational("1/z", p), 2, t, rng=random.Random(1))
 
 
 class TestOnePassOverTheBall:
