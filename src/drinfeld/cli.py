@@ -47,7 +47,8 @@ _MAX_RADIUS = 8
 _MAX_BALL_VERTICES = 25_000
 # The longest list a command may build, whose work grows about as its square
 # for the residue-field commands: V·(deg+1) (sections), t + 1 (stable-lines
-# and symgeom-check), and the p + 1 edges of the star (local-dims).
+# and symgeom-check), the e + 1 binomials of symgeom-check's window
+# (1 - z^(q-1))^e, and the p + 1 edges of the star (local-dims).
 _MAX_LIST = 1000
 # The largest |exponent| in a section's text, which also bounds the orders of
 # its z-factors added up, and the largest |level| of a vertex: a pole of order
@@ -120,15 +121,16 @@ def _rational_str(f: FactoredRational) -> str:
         base = "z" if root.is_zero() else f"(z - ({_scalar_str(root)}))"
         parts.append(base if mult == 1 else f"{base}^{mult}")
     if len(f.extra) > 1:
-        parts.append("[" + _terms(f.extra, one, _scalar_str, "({})") + "]")
+        parts.append("[" + _terms(enumerate(f.extra), one, _scalar_str, "({})") + "]")
     return " * ".join(parts)
 
 
-def _terms(coeffs, one, text, frame: str = "{}") -> str:
-    """The nonzero terms of sum_i c_i z^i joined by " + ": a unit coefficient
-    is left off, and any other but c_0 prints as its ``text`` in ``frame``."""
+def _terms(pairs, one, text, frame: str = "{}") -> str:
+    """The nonzero terms of sum_i c_i z^i, given as (i, c_i) pairs by rising
+    i, joined by " + ": a unit coefficient is left off, and any other but c_0
+    prints as its ``text`` in ``frame``."""
     terms = []
-    for i, c in enumerate(coeffs):
+    for i, c in pairs:
         zpow = "z" if i == 1 else f"z^{i}"
         if c:
             terms.append(text(c) if i == 0 else zpow if c == one else f"{frame.format(text(c))}*{zpow}")
@@ -138,9 +140,10 @@ def _terms(coeffs, one, text, frame: str = "{}") -> str:
 def _image_strs(images: list, f: int) -> list[str]:
     """The images of ``modp.symgeom_iso``, each num or (num)/(den): each code,
     a residue mod p, prints as c over F_p and as its coefficient list
-    [c, 0, ...] over F_(p^f).  Each distinct denominator is printed once."""
+    [c, 0, ...] over F_(p^f).  Each distinct denominator but 1 is printed
+    once."""
     text = str if f == 1 else lambda c: str([c] + [0] * (f - 1))
-    bottoms = {den: _terms(den, 1, text) for den in {den for _, den in images} - {(1,)}}
+    bottoms = {den: _terms(den, 1, text) for den in {den for _, den in images} - {((0, 1),)}}
     tops = (_terms(num, 1, text) for num, _ in images)
     return [f"({top})/({bottoms[den]})" if den in bottoms else top for top, (_, den) in zip(tops, images)]
 
@@ -812,8 +815,10 @@ def modp_stable_lines_cmd(q: int, k: int, i: int) -> dict:
 @_command("modp symgeom-check", "q", "k", "i")
 def modp_symgeom_cmd(q: int, k: int, i: int) -> dict:
     """Equivariance and injectivity of the symmetric-power comparison map."""
-    t, _ = symgeom_parameters(q, k, i)
+    t, shift = symgeom_parameters(q, k, i)
     _check_size(f"the comparison map at q = {q}, k = {k}, i = {i}", t + 1, "images", _MAX_LIST)
+    what = f"the window (1 - z^(q-1))^{-shift} at q = {q}, k = {k}, i = {i}"
+    _check_size(what, 1 - shift, "binomials", _MAX_LIST)
     if Fq(q).f > 1:
         _check_size(f"the field of order {q}", q - 1, "table entries", _MAX_TABLE)
     iso = symgeom_iso(q, k, i)

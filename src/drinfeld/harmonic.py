@@ -41,10 +41,6 @@ class Cochain:
     ints: dict
     geometry: tuple | None = None
 
-    @property
-    def p(self) -> int:
-        return self.ball.p
-
 
 def delta(c: Cochain, tree: TruncatedTree) -> dict:
     """Signed star sums at the interior vertices that a stored edge meets,

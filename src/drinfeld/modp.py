@@ -109,9 +109,10 @@ def symgeom_iso(q: int, k: int, i: int) -> dict:
     ``scalars._factorials(p, e)``, so every image is built in lowest terms on
     ints mod p, for every q: (-1)^e z^(r-e) over P = (z^(q-1) - 1)^e, which
     is monic, with z^(e-r) moved to the denominator when r < e.  ``images``
-    are these as (numerator, denominator) pairs of residue tuples,
-    little-endian, and ``numerators`` the numerators over the common
-    denominator z^e P as sparse int rows."""
+    are these as (numerator, denominator) pairs, each polynomial a tuple of
+    its nonzero terms as (exponent, residue) pairs by rising exponent, so
+    their length grows with e and not with q; and ``numerators`` the
+    numerators over the common denominator z^e P as sparse int rows."""
     field = Fq(q)
     p = field.p
     t, shift = symgeom_parameters(q, k, i)
@@ -119,10 +120,12 @@ def symgeom_iso(q: int, k: int, i: int) -> dict:
         raise InvalidParameters(f"the comparison map at q={q}, k={k}, i={i} has a positive shift")
     e = -shift
     binomials = _binomials_mod(p, e, _factorials(p, e))  # of (1 - z^(q-1))^e
-    window = {j * (q - 1): (-1) ** j * c % p for j, c in enumerate(binomials) if c}
     sign = (-1) ** e % p
-    common = tuple(sign * window.get(x, 0) % p for x in range(max(window) + 1))
-    images = [((0,) * max(r - e, 0) + (sign,), (0,) * max(e - r, 0) + common) for r in range(t + 1)]
+    common = tuple((j * (q - 1), (-1) ** (e + j) * c % p) for j, c in enumerate(binomials) if c)
+    images = [
+        (((max(r - e, 0), sign),), tuple((x + max(e - r, 0), c) for x, c in common))
+        for r in range(t + 1)
+    ]
     return {
         "p": p,
         "f": field.f,

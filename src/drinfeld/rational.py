@@ -3,8 +3,10 @@ extension, in factored form, together with their tube valuations (also under
 the weighted group action on sections) and principal parts at the poles.
 
 A function is lead * extra(z) * prod (z - root)^mult with extra a monic
-polynomial kept for parts that do not factor over the base field (sums,
-derivatives); the denominator always stays inside the explicit factors.
+polynomial kept for parts that do not factor over the base field
+(derivatives); the denominator always stays inside the explicit factors.
+Its operations are those the commands run: products, powers, the inverse,
+exact equality and derivatives; a function is not hashable.
 """
 
 from __future__ import annotations
@@ -95,12 +97,6 @@ class FactoredRational:
         )
         self.extra = extra
 
-    # -- constructors ------------------------------------------------------------
-
-    @staticmethod
-    def one(p: int) -> "FactoredRational":
-        return FactoredRational(p, ScalarKHat.one(p))
-
     # -- structure ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -170,9 +166,6 @@ class FactoredRational:
             self.p, self.lead.inverse(), [(r, -m) for r, m in self.factors]
         )
 
-    def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        return self * other.inverse()
-
     def __pow__(self, n: int) -> "FactoredRational":
         if n < 0:
             return self.inverse() ** (-n)
@@ -184,28 +177,6 @@ class FactoredRational:
             poly.power(self.extra, n, zero, one),
         )
 
-    def __neg__(self) -> "FactoredRational":
-        return FactoredRational(self.p, -self.lead, self.factors, self.extra)
-
-    def __add__(self, other: "FactoredRational") -> "FactoredRational":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        n1, d1 = self.num_den()
-        n2, d2 = other.num_den()
-        zero = ScalarKHat.zero(self.p)
-        num = poly.add(poly.mul(n1, d2, zero), poly.mul(n2, d1, zero))
-        den_factors = [(r, -m) for r, m in self.denominator_roots()] + [
-            (r, -m) for r, m in other.denominator_roots()
-        ]
-        return FactoredRational(
-            self.p, ScalarKHat.one(self.p), den_factors, num
-        )._refactored()
-
-    def __sub__(self, other: "FactoredRational") -> "FactoredRational":
-        return self + (-other)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactoredRational):
             return NotImplemented
@@ -213,9 +184,6 @@ class FactoredRational:
         n2, d2 = other.num_den()
         zero = ScalarKHat.zero(self.p)
         return poly.mul(n1, d2, zero) == poly.mul(n2, d1, zero)
-
-    def __hash__(self) -> int:  # pragma: no cover
-        raise TypeError("FactoredRational is unhashable")
 
     def derivative(self, order: int = 1) -> "FactoredRational":
         """The exact n-th derivative, n = ``order``, in one pass over int
@@ -266,16 +234,6 @@ class FactoredRational:
         kept = [(r, m - order) for r, m in f.factors if m < 0 or m > order]
         kept.append((ScalarKHat.zero(p), low))
         return FactoredRational(p, f.lead / scale, kept, coeffs[low:])
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = [repr(self.lead)]
-        if len(self.extra) > 1:
-            parts.append(f"poly{self.extra}")
-        for root, mult in self.factors:
-            parts.append(f"(z-{root!r})^{mult}")
-        return "*".join(parts)
 
 
 # -- tube valuations -----------------------------------------------------------------

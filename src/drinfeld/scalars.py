@@ -172,24 +172,15 @@ class ScalarKHat:
     A scalar is four ints (p, A, B, D) with value (A + B*pihat)/D, D > 0 and
     gcd(A, B, D) = 1, so equal scalars hold equal ints.  The components
     a = A/D and b = B/D are read as ``Fraction`` properties.  The public
-    constructors check that p is prime and take rational components.
+    constructors (``from_rational``, ``zero``, ``one``, ``pihat``) check that
+    p is prime.  A scalar is not hashable, and it takes a rational operand on
+    either side of + and *, but only on the right of - and /.
     Arithmetic on two valid scalars builds its result with ``_make``, which
     checks nothing and reduces by one gcd.  Immutable by convention, as
     ``Fraction`` is: nothing assigns to a scalar's slots once it is built.
     """
 
     __slots__ = ("p", "A", "B", "D")
-
-    def __init__(self, p: int, a: RationalLike, b: RationalLike) -> None:
-        _check_prime(p)
-        a, b = Fraction(a), Fraction(b)
-        da, db = a.denominator, b.denominator
-        d = da * db // math.gcd(da, db)
-        # a and b are in lowest terms, so gcd(A, B, lcm(da, db)) = 1
-        self.p = p
-        self.A = a.numerator * (d // da)
-        self.B = b.numerator * (d // db)
-        self.D = d
 
     @property
     def a(self) -> Fraction:
@@ -241,9 +232,6 @@ class ScalarKHat:
             self.A == other.A and self.B == other.B and self.D == other.D and self.p == other.p
         )
 
-    def __hash__(self) -> int:
-        return hash((self.p, self.a, self.b))
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
@@ -278,9 +266,6 @@ class ScalarKHat:
             return _make(self.p, A - o.A, B - o.B, D)
         return _make(self.p, A * o.D - o.A * D, B * o.D - o.B * D, D * o.D)
 
-    def __rsub__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
-        return self._coerce(other) - self
-
     def __mul__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
         o = other if other.__class__ is ScalarKHat and other.p == self.p else self._coerce(other)
         A, B, C, E = self.A, self.B, o.A, o.B
@@ -308,9 +293,6 @@ class ScalarKHat:
 
     def __truediv__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
         return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
-        return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "ScalarKHat":
         if n < 0:

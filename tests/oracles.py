@@ -522,6 +522,17 @@ def e_space_basis(e: Edge, k: int) -> list:
 # replaced.  Tests compare the program against them.
 
 
+def khat(p: int, a: RationalLike, b: RationalLike) -> ScalarKHat:
+    """The scalar a + b*pihat from rational components, p checked to be
+    prime: the constructor the tests build scalars with, where the program
+    builds them from ints by ``scalars._make``."""
+    _check_prime(p)
+    a, b = Fraction(a), Fraction(b)
+    d = math.lcm(a.denominator, b.denominator)
+    # a and b are in lowest terms, so gcd(A, B, d) = 1
+    return _make(p, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
+
+
 def _fraction_val(x: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     num, den, v = x.numerator, x.denominator, 0
@@ -782,7 +793,8 @@ def edge_values(c: Cochain | EdgeCochain) -> dict:
 def cochain_values(c: Cochain) -> dict:
     """The vectors of a ``Cochain`` as ``ScalarKHat`` lists, keyed by edge
     index, from the ints it holds."""
-    return {j: [_make(c.p, x, y, L) for x, y in zip(a, b)] for j, (a, b, L) in c.ints.items()}
+    p = c.ball.p
+    return {j: [_make(p, x, y, L) for x, y in zip(a, b)] for j, (a, b, L) in c.ints.items()}
 
 
 def support(c: Cochain | EdgeCochain) -> list:
@@ -792,7 +804,8 @@ def support(c: Cochain | EdgeCochain) -> list:
 
 def cochain_value(c: Cochain | EdgeCochain, e: Edge) -> list:
     """The value of c on e: the stored vector, or the zero vector."""
-    return list(edge_values(c).get(e) or [ScalarKHat.zero(c.p)] * (c.k + 1))
+    p = c.p if isinstance(c, EdgeCochain) else c.ball.p
+    return list(edge_values(c).get(e) or [ScalarKHat.zero(p)] * (c.k + 1))
 
 
 def fraction_distance(u: Vertex, v: Vertex) -> int:
@@ -1545,6 +1558,32 @@ def _derivative_once(f: FactoredRational) -> FactoredRational:
     return FactoredRational(f.p, f.lead, reduced, bracket)._refactored()
 
 
+def neg_rational(f: FactoredRational) -> FactoredRational:
+    return FactoredRational(f.p, -f.lead, f.factors, f.extra)
+
+
+def add_rational(f: FactoredRational, g: FactoredRational) -> FactoredRational:
+    """f + g: the numerators cross-multiplied over the product of the
+    denominators, then the known roots and 0 pulled out of the sum."""
+    if f.is_zero():
+        return g
+    if g.is_zero():
+        return f
+    (n1, d1), (n2, d2) = f.num_den(), g.num_den()
+    zero = ScalarKHat.zero(f.p)
+    num = poly.add(poly.mul(n1, d2, zero), poly.mul(n2, d1, zero))
+    poles = [(r, -m) for r, m in f.denominator_roots() + g.denominator_roots()]
+    return FactoredRational(f.p, ScalarKHat.one(f.p), poles, num)._refactored()
+
+
+def sub_rational(f: FactoredRational, g: FactoredRational) -> FactoredRational:
+    return add_rational(f, neg_rational(g))
+
+
+def div_rational(f: FactoredRational, g: FactoredRational) -> FactoredRational:
+    return f * g.inverse()
+
+
 def derivative_by_steps(f: FactoredRational, order: int) -> FactoredRational:
     """The order-th derivative as ``order`` single derivatives, each one
     refactored: what ``FactoredRational.derivative`` does in one pass."""
@@ -1907,8 +1946,17 @@ def fq_function_str(f: FqRatFunc) -> str:
 
 def image_codes(f: FqRatFunc) -> tuple:
     """``f``, whose coefficients lie in F_p, as the (numerator, denominator)
-    residue tuples that ``modp.symgeom_iso`` returns."""
-    return tuple(c.n for c in f.num), tuple(c.n for c in f.den)
+    that ``modp.symgeom_iso`` returns: each the (exponent, residue) pairs of
+    its nonzero terms."""
+    terms = lambda coeffs: tuple((x, c.n) for x, c in enumerate(coeffs) if c)
+    return terms(f.num), terms(f.den)
+
+
+def dense_terms(pairs: tuple) -> list[int]:
+    """The residues c_0, ..., c_n of a polynomial given as the (i, c_i) pairs
+    of its nonzero terms by rising i."""
+    coeffs = dict(pairs)
+    return [coeffs.get(i, 0) for i in range(pairs[-1][0] + 1)]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from oracles import (
     EdgeCochain,
     Mat2,
     act_on_edge,
+    add_rational,
     automorphic_act,
     ball_edges,
     ball_vertices,
@@ -63,12 +64,13 @@ from sampling import gamma_level, random_group_element, random_rational, weyl_fl
 def cochain_transport(g: Mat2, c: Cochain) -> EdgeCochain:
     """Push a cochain forward: the value on the image edge is the module action
     of g on the old value, times the determinant parity sign."""
-    sign = ScalarKHat.from_rational(sigma(g, c.p), c.p)
+    p = c.ball.p
+    sign = ScalarKHat.from_rational(sigma(g, p), p)
     values = {}
     for e, vec in edge_values(c).items():
-        moved = dual_act(g, list(vec), c.k, c.p)
+        moved = dual_act(g, list(vec), c.k, p)
         values[act_on_edge(g, e)] = [sign * x for x in moved]
-    return EdgeCochain(c.p, c.k, values)
+    return EdgeCochain(p, c.k, values)
 
 
 def _vec_is_zero(ints):
@@ -191,7 +193,7 @@ def _oracle_sections(p, rng, count):
 
     out = []
     while len(out) < count:
-        f = product() + product() if len(out) % 3 == 2 else product()
+        f = add_rational(product(), product()) if len(out) % 3 == 2 else product()
         if not f.is_zero():
             out.append(f)
     return out
@@ -222,7 +224,7 @@ class TestResidueOracle:
         for y in _oracle_roots(p):
             for m in (1, 2, 3):
                 f = FactoredRational(p, one, [(y, -m)])
-                g = f + FactoredRational(p, one, [(ScalarKHat.zero(p), -1)])
+                g = add_rational(f, FactoredRational(p, one, [(ScalarKHat.zero(p), -1)]))
                 for k in (0, 2):
                     for h in (f, g):
                         assert _outcome(res0, h, k, t) == _outcome(

@@ -31,6 +31,7 @@ from oracles import (
     Lattice,
     Vertex,
     act_on_edge,
+    add_rational,
     act_on_vertex,
     automorphic_act,
     ball_edges,
@@ -53,6 +54,7 @@ from oracles import (
     fraction_valuation,
     in_edge_lattice,
     interior_vertices,
+    khat,
     lattice_basis,
     lattice_contains_vector,
     lattice_intersection,
@@ -498,7 +500,7 @@ class TestTransitionsAgainstElimination:
             for l in _edge_lattices(e, k):
                 for _ in range(3):
                     vec = [
-                        ScalarKHat(
+                        khat(
                             p,
                             Fraction(rng.randint(-9, 9), p ** rng.randint(0, 3) * rng.choice(units)),
                             Fraction(rng.randint(-9, 9) * rng.randint(0, 1), p ** rng.randint(0, 3)),
@@ -647,11 +649,11 @@ class TestEdgeMembershipOnInts:
         rng = random.Random(seed)
         v = random_vertex(rng, p)
         e = make_edge(v, rng.choice(children(v)))
-        lift = lambda x: ScalarKHat(p, Fraction(x), Fraction(rng.randint(-3, 3)))
+        lift = lambda x: khat(p, Fraction(x), Fraction(rng.randint(-3, 3)))
         coeffs = [lift(rng.randint(-9, 9)) * ScalarKHat.pihat(p, shift) for _ in range(k + 1)]
         basis = lattice_basis(edge_lattice(e, k))
         vec = [sum((c * x for c, x in zip(coeffs, row)), ScalarKHat.zero(p)) for row in basis]
-        noise = ScalarKHat(p, Fraction(rng.randint(-9, 9), p ** rng.randint(0, 2)), Fraction(0))
+        noise = khat(p, Fraction(rng.randint(-9, 9), p ** rng.randint(0, 2)), Fraction(0))
         vec[rng.randrange(k + 1)] += noise * rng.randint(0, 1)
         assert in_edge_lattice(e, k, vec) is lattice_contains_vector(edge_lattice(e, k), vec)
 
@@ -1012,7 +1014,7 @@ def _membership_sections(p: int) -> list:
             factors = [(rng.choice(roots), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(3)]
             sections.append(FactoredRational(p, lead, factors))
     sections += [f.derivative() for f in sections[::3]]
-    sections += [f + g for f, g in zip(sections[::4], sections[1::4])]
+    sections += [add_rational(f, g) for f, g in zip(sections[::4], sections[1::4])]
     return [f for f in sections if not f.is_zero()]
 
 

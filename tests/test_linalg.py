@@ -21,6 +21,7 @@ from oracles import (
     inverse,
     is_integral,
     kernel_basis,
+    khat,
     mat_mul,
     reduce_mod_pihat,
     reference_rank,
@@ -46,7 +47,7 @@ def _khat(p):
 
     def unit(rng):
         while True:
-            x = ScalarKHat(p, rational(rng), rational(rng) if rng.random() < 0.7 else 0)
+            x = khat(p, rational(rng), rational(rng) if rng.random() < 0.7 else 0)
             if not x.is_zero():
                 return x
 

@@ -9,23 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld.cli import _value
+from drinfeld.cli import _rational_str
 from drinfeld.errors import PoleInsideAnnulus, ZeroFunction
 from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational, principal_parts
 from drinfeld.scalars import ScalarKHat
 from drinfeld.theta import theta
 from oracles import (
     Mat2,
+    add_rational,
     automorphic_act,
     compose_mobius,
     derivative_by_steps,
+    div_rational,
     fraction_valuation,
+    khat,
     laurent_standard,
     make_vertex,
     poly_evaluate,
     raw_gauss_valuation,
     reduce_mod_pihat,
     reference_principal_parts,
+    sub_rational,
     transported_gauss_valuation,
     vertex_transporter,
 )
@@ -94,7 +98,7 @@ def gauss_sample_audit(
         r = allowed[i % len(allowed)]
         u = r + p * rng.randrange(0, 8)
         w = rng.randrange(0, p * 8)
-        z_std = ScalarKHat(p, Fraction(u), Fraction(w))
+        z_std = khat(p, Fraction(u), Fraction(w))
         sampled.append(fraction_valuation(evaluate(moved, z_std)))
     ok = all(val >= gv for val in sampled) if sampled else None
     if sampled and min(sampled) == gv:
@@ -132,7 +136,7 @@ class TestParsing:
 
     def test_zero_and_one(self):
         assert parse_rational("0", 2).is_zero()
-        assert (parse_rational("1", 2) - FactoredRational.one(2)).is_zero()
+        assert sub_rational(parse_rational("1", 2), FactoredRational(2, ScalarKHat.one(2))).is_zero()
 
 
 class TestArithmetic:
@@ -143,10 +147,10 @@ class TestArithmetic:
             f = random_rational(rng, p)
             g = random_rational(rng, p)
             h = random_rational(rng, p)
-            assert (f + g) * h == f * h + g * h
-            assert f - f == FactoredRational(p, ScalarKHat.zero(p))
+            assert add_rational(f, g) * h == add_rational(f * h, g * h)
+            assert sub_rational(f, f) == FactoredRational(p, ScalarKHat.zero(p))
             if not g.is_zero():
-                assert (f / g) * g == f
+                assert div_rational(f, g) * g == f
 
     def test_inverse_of_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -177,7 +181,7 @@ class TestCalculus:
         for _ in range(5):
             f = random_rational(rng, p)
             g = random_rational(rng, p)
-            assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+            assert (f * g).derivative() == add_rational(f.derivative() * g, f * g.derivative())
 
     def test_quotient_derivative_on_simple_pole(self):
         p = 2
@@ -208,7 +212,7 @@ def _sections(draw):
     lead = ScalarKHat.from_rational(draw(st.sampled_from([1, Fraction(2, 3), -p])), p)
     f = FactoredRational(p, lead, draw(st.lists(st.tuples(roots, st.integers(-3, 4)), max_size=4)))
     if draw(st.booleans()):
-        f = f + FactoredRational(p, ScalarKHat.one(p), [(draw(roots), draw(st.integers(-2, 2)))])
+        f = add_rational(f, FactoredRational(p, ScalarKHat.one(p), [(draw(roots), draw(st.integers(-2, 2)))]))
     return f
 
 
@@ -221,20 +225,18 @@ class TestOnePassDerivative:
     def test_matches_the_repeated_derivative_as_function_and_text(self, f, n):
         got, expected = f.derivative(n), derivative_by_steps(f, n)
         assert got == expected
-        assert repr(got) == repr(expected)
-        assert _value(got) == _value(expected)
+        assert _rational_str(got) == _rational_str(expected)
 
     @given(f=_sections(), n=st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
     def test_one_more_derivative_prints_alike(self, f, n):
         once, twice = f.derivative(n), f.derivative(n - 1).derivative()
-        assert repr(once) == repr(twice)
-        assert _value(once) == _value(twice)
+        assert _rational_str(once) == _rational_str(twice)
 
     @pytest.mark.parametrize("order", [1, 5, 40])
     def test_builds_two_sections_at_any_order(self, order, monkeypatch):
         # the refactored section and the image: a sum's extra is not 1
-        f = parse_rational("z^-1*(z-2/3)^-2*(z-110/3)", 5) + parse_rational("(z-1)^-1", 5)
+        f = add_rational(parse_rational("z^-1*(z-2/3)^-2*(z-110/3)", 5), parse_rational("(z-1)^-1", 5))
         assert len(f.extra) > 1
         built = []
         real = FactoredRational.__init__
@@ -259,8 +261,8 @@ class TestOnePassDerivative:
         for n in range(1, 4):
             got = f.derivative(n)
             assert got == derivative_by_steps(f, n)
-            assert repr(got) == repr(derivative_by_steps(refactored, n))
-        assert repr(f.derivative(1)) != repr(derivative_by_steps(f, 1))
+            assert _rational_str(got) == _rational_str(derivative_by_steps(refactored, n))
+        assert _rational_str(f.derivative(1)) != _rational_str(derivative_by_steps(f, 1))
 
 
 class TestTransport:
@@ -357,7 +359,7 @@ def _gauss_oracle_section(rng, p, kind):
     if kind == "theta":
         return theta(f, rng.randint(0, 2))
     if kind == "sum":
-        return f + random_rational(rng, p)
+        return add_rational(f, random_rational(rng, p))
     return FactoredRational(p, ScalarKHat.zero(p)) if kind == "zero" else f
 
 
@@ -469,7 +471,7 @@ class TestLaurentWindows:
         g = parse_rational("(z-1)^-1", p)
         wf = laurent_standard(f, -2, 2)
         wg = laurent_standard(g, -2, 2)
-        wsum = laurent_standard(f + g, -2, 2)
+        wsum = laurent_standard(add_rational(f, g), -2, 2)
         for j in range(-2, 3):
             assert (
                 wsum.coefficient(j) - wf.coefficient(j) - wg.coefficient(j)

@@ -22,6 +22,7 @@ from oracles import (
     dual_act,
     epsilon,
     field_elements,
+    khat,
     mat_vec,
     sigma,
     sym_ints,
@@ -69,7 +70,7 @@ class TestSubstitutionMatrixOracle:
         lift = lambda n: ScalarKHat.from_rational(n, p)
 
         def draw():
-            return ScalarKHat(
+            return khat(
                 p,
                 Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)),
                 Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)),
