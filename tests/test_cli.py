@@ -1399,6 +1399,32 @@ class TestGridDigests:
         assert len(jobs) == 336
         assert self._digest(jobs) == "cd9b2e29e02c3fbe0e0ff4afd6c4698cce57e0ab2f4ff1fe78bd2679bd86fbcb"
 
+    # simple and double poles, pihat roots (poles and zeros), zeros of
+    # multiplicity above the derivative order at small k, a polynomial part of
+    # degree >= n at k <= 1, a polynomial, a polynomial that theta kills, and 0
+    THETA_SECTIONS = (
+        "1/z", "z^-1*(z-1)^-1", "(z-1)^-2", "z^3*(z-1)^-1", "(z-5)^3*(z-4)^-1*(z-2)^3",
+        "(z-1)^5*z^-2", "(z-pihat^3)^-1*(z-2)^-1", "pihat*(z-pihat)*z^-1*(z-1)^-1",
+        "(z-1-p^3*pihat)^-2*(z-3)^-1", "3*(z-1/2)^-1*(z-2)^-2", "(z-pihat)^4*(z-1/p)^-1",
+        "z^4*(z-1/3)^3", "z^2", "0",
+    )
+
+    def test_theta_grid(self):
+        """theta at p in {2, 3, 5} and k in {0..6, 50, 499} on
+        ``THETA_SECTIONS``, at the base vertex and at an off-axis one, then
+        identity-b to k = 40: stdout only, as in the residue grid.  At
+        k = 499 the sections of three roots or more are refused."""
+        jobs = [
+            ["theta", "--p", str(p), "--k", str(k), "--f", f, "--level", *vertex]
+            for p in (2, 3, 5)
+            for k in (*range(7), 50, 499)
+            for f in self.THETA_SECTIONS
+            for vertex in (("0",), ("2", "--offset", "3/4"))
+        ]
+        jobs.append(["identity-b", "--p", "2", "--kmax", "40", "--mmax", "8"])
+        assert len(jobs) == 757
+        assert self._digest(jobs) == "850268d5273c5f98ebf5427ca5e124a9712e91305f9e535b362ab73bc2ead1c6"
+
 
 class TestResidueFieldReach:
     """Stable lines at fields where a scan of the q^(q+1) vectors of the
