@@ -39,7 +39,7 @@ from .modp import (
     symgeom_parameters,
 )
 from .rational import FactoredRational, parse_rational
-from .scalars import Fq, ScalarKHat, _check_prime
+from .scalars import INF, Fq, ScalarKHat, _check_prime
 from .theta import complement_b_identity, theta, theta_integrality
 from .tree import TruncatedTree, ball_size, truncated_tree, vertex_label
 
@@ -72,10 +72,10 @@ _MAX_ROOT_DIGITS = 3000
 # print, and the image of 1/z at k = 1600 carries 1601!, of 4 437 digits.
 _MAX_IMAGE_DIGITS = 4000
 # The largest degree that the polynomial part of theta's image may reach, read
-# before the derivative runs: it gains (roots - 1) a step, to at most
-# deg(extra) + (k + 1)(roots - 1), and the derivative's work grows with it.  At
-# degree 500 two poles (k = 499) took 1.4 s and five (k = 124) 0.8 s as child
-# processes on a 2-vCPU machine; two poles at k = 1461 ran past 15 s.
+# before the derivative runs: each of k + 1 single steps adds (roots - 1), to at
+# most deg(extra) + (k + 1)(roots - 1), and the derivative's work grows with it.
+# At degree 500 two poles (k = 499) took 0.09 s and five (k = 124) 0.17 s as
+# child processes on a 2-vCPU machine.
 _MAX_IMAGE_DEGREE = 500
 # The most entries, (k + 1)^2, of child 1's transition, the one star local
 # space of local-dims and harmonic --mod-pihat that is not diagonal, read from
@@ -87,6 +87,15 @@ _MAX_STAR_COST = 2_250_000
 # which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
 # 2.2 s at q = 65536 (one core of a 2-vCPU Xeon).  A prime field has no tables.
 _MAX_TABLE = 10_000
+# The most entries, (k + 1)^2, of the triangle whose rows an off-axis vertex
+# profile of lattice takes its least from; each other profile reads k + 1, and
+# that bound keeps their text near 0.3 MB.  As child processes on a 2-vCPU
+# machine the triangle took 0.09 s + 2.3e-8 s (k + 1)^2, 1.6 s at k = 8 000.
+_MAX_PROFILE = 10_000_000
+# identity-b's steps: (kmax // 2) rows of 2 mmax + 1 exponents, each about
+# kmax + mmax^2 steps (a product of k + 1 ints, and sections of degree about
+# |m| expanded), read 0.09 s + 1.5e-8 to 2.3e-7 s a step as child processes.
+_MAX_IDENTITY_STEPS = 10_000_000
 
 
 # -- serialization --------------------------------------------------------------------
@@ -158,8 +167,6 @@ def _value(x):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, ScalarKHat):
         return _scalar_str(x)
-    if isinstance(x, FactoredRational):
-        return _rational_str(x)
     raise InternalInvariantError(f"cannot serialize {type(x).__name__}")
 
 
@@ -299,11 +306,18 @@ def _doubled_json(x: Doubled, pad: str) -> str:
     return _wrap("[]", [repr(t >> 1) if t & 1 == 0 else f'"{t}/2"' for t in x], pad)
 
 
+def _halved(t: int | float) -> int | str:
+    """The doubled valuation t halved, as ``_value`` prints the ``Fraction``
+    t/2: an int, the string "t/2", or "infinity" for INF."""
+    return "infinity" if t is INF else t >> 1 if t & 1 == 0 else f"{t}/2"
+
+
 # The writers of the types that ``_dumps`` prints without ``_value``.
 _WRITERS = {
     Cochain: _cochain_json,
     SparseRows: _sparse_rows_json,
     Doubled: _doubled_json,
+    FactoredRational: lambda f, pad: f'"{_rational_str(f)}"',  # plain ASCII, nothing to escape
 }
 
 
@@ -358,6 +372,10 @@ def _check_ball(prime: int, radius: int) -> None:
     _check_size(what, ball_size(prime, radius), "vertices", _MAX_BALL_VERTICES)
 
 
+_EXPONENT = re.compile(r"\^-?(\d+)")
+_Z_FACTOR = re.compile(r"(?:\(z[^)]*\)|z)(?:\^-?(\d+))?")  # its exponent, or "" for 1
+
+
 def _exponents(f: str) -> str:
     """Refuse a section whose text holds an exponent past ``_MAX_EXPONENT``,
     or z-factors whose orders add up past it, each written factor counting at
@@ -365,10 +383,10 @@ def _exponents(f: str) -> str:
     roots add up when the factors are joined, so that sum bounds the parsed
     section's total order."""
     text = f.replace(" ", "")
-    for digits in re.findall(r"\^-?(\d+)", text):
+    for digits in _EXPONENT.findall(text):
         if len(digits.lstrip("0")) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
             raise InvalidParameters(f"--f has an exponent past {_MAX_EXPONENT} in absolute value")
-    orders = re.findall(r"(?:\(z[^)]*\)|z)(?:\^-?(\d+))?", text)
+    orders = _Z_FACTOR.findall(text)
     if sum(max(1, int(e or 1)) for e in orders) > _MAX_EXPONENT:
         raise InvalidParameters(f"--f has z-factors of total order past {_MAX_EXPONENT}")
     return f
@@ -403,16 +421,14 @@ def _check_image(g: FactoredRational, k: int) -> None:
     digits, bounded in closed form by the digits of g's lead plus those of
     prod_(i <= k) (max(|d|, 1) + i) >= |d (d - 1) ... (d - k)|, for d the total
     degree of g.  Past _MAX_IMAGE_DIGITS factors, (k + 1)! alone is longer.
-    Refuse one whose polynomial part may pass degree ``_MAX_IMAGE_DEGREE``:
-    each of the k + 1 steps of ``FactoredRational.derivative`` raises it by
-    at most the number of g's roots less one."""
+    Refuse one whose polynomial part may pass degree ``_MAX_IMAGE_DEGREE``,
+    deg(extra) + (k + 1)(roots - 1): the degree that k + 1 single derivatives
+    reach, each raising it by at most the number of g's roots less one."""
     w = max(abs(sum(m for _, m in g.factors) + len(g.extra) - 1), 1)
     n = min(k + 1, _MAX_IMAGE_DIGITS)
     digits = _digits(g.lead) + (math.lgamma(w + n) - math.lgamma(w)) / math.log(10)
     if digits > _MAX_IMAGE_DIGITS:
-        raise InvalidParameters(
-            f"theta's image at k = {k} may have a lead of more than {_MAX_IMAGE_DIGITS} digits"
-        )
+        raise InvalidParameters(f"theta's image at k = {k} may have a lead of more than {_MAX_IMAGE_DIGITS} digits")
     degree = len(g.extra) - 1 + (k + 1) * max(len(g.factors) - 1, 0)
     if degree > _MAX_IMAGE_DEGREE:
         raise InvalidParameters(
@@ -696,6 +712,7 @@ def _standard_profiles(p: int, k: int) -> tuple[dict, dict]:
 @_command("lattice", "p", "k", "level", "offset")
 def lattice_cmd(p: int, k: int, level: int | None, offset: str) -> dict:
     """Diagonal valuation profiles of the vertex and edge lattices."""
+    _check_size(f"the profile at k = {k}", (k + 1) ** 2, "triangle entries", _MAX_PROFILE)
     if level is not None:
         v = _vertex(p, level, offset)
         vertex = {"level": v[1], "offset": Fraction(v[2], v[3])}
@@ -758,20 +775,25 @@ def theta_cmd(p: int, k: int, f: str, level: int | None, offset: str) -> dict:
     v = _vertex(p, level, offset)
     image = theta(section, k)
     cert = theta_integrality(section, image, k, v)
+    doubled = ("input_valuation", "input_bound", "output_valuation", "output_bound")
+    halved = {name: _halved(cert[name]) for name in doubled}
+    vertex = {"b": v[2] if v[3] == 1 else f"{v[2]}/{v[3]}", "m": v[1], "p": p}
     return {
         "image": image,
-        "certificate": {**vars(cert), "vertex": {"b": Fraction(v[2], v[3]), "m": v[1], "p": p}},
+        "certificate": {**cert, **halved, "vertex": vertex},
         # theta sends z^c to a nonzero multiple of z^(c-k-1) for c > k and to
         # 0 for c <= k, so its kernel on polynomials is those of degree <= k
         "kernel_polynomial_dimension": k + 1,
         "predicted_kernel_dimension": k + 1,
-        "pass": cert.passes,
+        "pass": cert["passes"],
     }
 
 
 @_command("identity-b", "p", "kmax", "mmax", "a")
 def identity_b_cmd(p: int, kmax: int, mmax: int, a: str) -> dict:
     """Euler-operator factorization at each even k up to kmax."""
+    steps = kmax // 2 * (2 * mmax + 1) * (kmax + mmax**2)
+    _check_size(f"the identity to k = {kmax} at |m| <= {mmax}", steps, "steps", _MAX_IDENTITY_STEPS)
     shift = ScalarKHat.from_rational(_fraction("a", a), p)
     window = range(-mmax, mmax + 1)
     rows = [{"k": k, "pass": complement_b_identity(k, shift, window, p)} for k in range(2, kmax + 1, 2)]

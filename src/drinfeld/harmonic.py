@@ -18,7 +18,7 @@ from . import poly
 from .errors import InternalInvariantError, PoleInsideAnnulus
 from .lattices import _in_edge_lattice, star_local_kernel
 from .linalg import _pivots
-from .rational import FactoredRational, _one_minus_by, _root_key, _transported_valuations, principal_parts
+from .rational import FactoredRational, _one_minus_by, _transported_valuations, _value_key, principal_parts
 from .scalars import ScalarKHat, _common_denominator, _make, _vp, half
 from .symrep import triangular_apply
 from .tree import TruncatedTree, _level_and_offset
@@ -67,7 +67,7 @@ def _raise_in_annulus(poles: list, child: tuple) -> None:
     """Refuse the edge whose child end has label ``child``, (p, m, n, d), and
     whose annulus holds the poles ``poles`` of the section, if any."""
     if poles:
-        y, (_, m, n, d) = min(poles, key=_root_key), child
+        y, (_, m, n, d) = min(poles, key=_value_key(poles)), child
         raise PoleInsideAnnulus(
             f"pole at {y} with valuation {half(y.valuation())} sits inside the annulus"
             f" of the edge whose child end is {_vertex_name(m, n, d)}"

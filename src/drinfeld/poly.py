@@ -64,14 +64,6 @@ def power(u: Poly, n: int, zero: T, one: T) -> Poly:
     return out
 
 
-def derivative(u: Poly, one: T) -> Poly:
-    out, i = [], one
-    for c in u[1:]:
-        out.append(c * i)
-        i = i + one
-    return trim(out)
-
-
 def divmod(u: Poly, v: Poly, zero: T) -> tuple[Poly, Poly]:
     """(q, r) with u = q v + r and deg r < deg v, by long division in place."""
     if not v:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Iterable, Iterator
+from itertools import repeat, zip_longest
+from math import factorial, lcm, perm
+from typing import Callable, Iterable, Iterator
 
 from . import poly
 from .errors import InvalidParameters, ZeroFunction
@@ -32,35 +33,56 @@ def _zadd(u: tuple, v: tuple) -> tuple:
     return poly.add(u[0], v[0]), poly.add(u[1], v[1])
 
 
-def _zscale(u: tuple, s: int) -> tuple:
-    return poly.scale(u[0], s), poly.scale(u[1], s) if u[1] else ()
-
-
 def _zmul(u: tuple, v: tuple, p: int) -> tuple:
     (a, b), (c, d) = u, v
     if not b and not d:
         return poly.mul(a, c, 0), ()
-    return (
-        poly.add(poly.mul(a, c, 0), poly.scale(poly.mul(b, d, 0), p)),
-        poly.add(poly.mul(a, d, 0), poly.mul(b, c, 0)),
-    )
+    return poly.add(poly.mul(a, c, 0), poly.scale(poly.mul(b, d, 0), p)), poly.add(poly.mul(a, d, 0), poly.mul(b, c, 0))
 
 
-def _zderivative(u: tuple) -> tuple:
-    return poly.derivative(u[0], 1), poly.derivative(u[1], 1) if u[1] else ()
+def _binomial_row(y: ScalarKHat, e: int, p: int) -> tuple:
+    """(D z - c)^e for y = c/D, c = A + B pihat: C(e, j) D^j (-c)^(e - j) at z^j,
+    from D^e at z^e down, each coefficient the one above times -c j / ((e - j + 1) D)."""
+    A, B, D = y.A, y.B, y.D
+    row = [(D**e, 0)]
+    for j in range(e, 0, -1):
+        (x, v), below = row[-1], (e - j + 1) * D
+        row.append(((-A * x - p * B * v) * j // below, (-A * v - B * x) * j // below))
+    return poly.trim([x for x, _ in reversed(row)]), poly.trim([v for _, v in reversed(row)])
+
+
+def _divide_out(pairs: list, r: ScalarKHat, e: int, scale: int, p: int) -> tuple[list, int]:
+    """The pairs (x, y) of x + y pihat of a numerator over ``scale``, divided
+    by (z - r)^e, and its new scale, for r = c/D a root of it at least e
+    times: D^d N(w/D), d its degree, is divided by the monic w - c e times on
+    ints, and w = D z put back."""
+    A, B, D, d = r.A, r.B, r.D, len(pairs) - 1
+    pairs = [(x * D ** (d - j), y * D ** (d - j)) for j, (x, y) in enumerate(pairs)]
+    for _ in range(e):  # synthetic division; the remainder is 0
+        out, x, y = [], 0, 0
+        for u, v in reversed(pairs):
+            x, y = u + A * x + p * B * y, v + A * y + B * x
+            out.append((x, y))
+        pairs = out[-2::-1]
+    return [(x * D**j, y * D**j) for j, (x, y) in enumerate(pairs)], scale * D ** (d - e)
 
 
 # -- factored rational functions --------------------------------------------------
 
 
-def _root_key(x: ScalarKHat) -> tuple:
-    return (x.a, x.b)
+def _value_key(roots: Iterable[ScalarKHat]) -> Callable[[ScalarKHat], tuple]:
+    """The sort key that orders ``roots`` by a, then b, as the Fractions a and
+    b would: the ints A L/D and B L/D over the roots' common denominator L."""
+    L = lcm(*(r.D for r in roots))
+    return lambda r: (r.A * (L // r.D), r.B * (L // r.D))
 
 
 class FactoredRational:
-    """lead * extra(z) * prod (z - root)^mult, extra monic; 0 has lead 0."""
+    """lead * extra(z) * prod (z - root)^mult, extra monic; 0 has lead 0.
+    ``ints`` holds extra's ints as ``_common_denominator`` gives them when the
+    derivative built it, and None otherwise."""
 
-    __slots__ = ("p", "lead", "factors", "extra")
+    __slots__ = ("p", "lead", "factors", "extra", "ints")
 
     def __init__(
         self,
@@ -69,7 +91,7 @@ class FactoredRational:
         factors: Iterable[tuple[ScalarKHat, int]] = (),
         extra: poly.Poly = None,
     ) -> None:
-        self.p = p
+        self.p, self.ints = p, None
         if extra is None:
             extra = (ScalarKHat.one(p),)
         extra = poly.trim(tuple(extra))
@@ -80,21 +102,17 @@ class FactoredRational:
             return
         merged: dict[tuple, list] = {}  # by the ints of each root, which equal roots share
         for root, mult in factors:
-            key = root.A, root.B, root.D
-            if key in merged:
-                merged[key][1] += mult
-            else:
-                merged[key] = [root, mult]
+            merged.setdefault((root.A, root.B, root.D), [root, 0])[1] += mult
         top = extra[-1]
         if (top.A, top.B, top.D) != (1, 0, 1):  # scalars are reduced: only 1 is (1, 0, 1)
             lead = lead * top
             extra = poly.scale(extra, top.inverse())
         self.lead = lead
-        self.factors = tuple(
-            (root, mult)
-            for root, mult in sorted(merged.values(), key=lambda e: _root_key(e[0]))
-            if mult != 0
-        )
+        entries = [(root, mult) for root, mult in merged.values() if mult != 0]
+        if len(entries) > 1:
+            key = _value_key(root for root, _ in entries)
+            entries.sort(key=lambda e: key(e[0]))
+        self.factors = tuple(entries)
         self.extra = extra
 
     # -- structure ---------------------------------------------------------------
@@ -123,37 +141,26 @@ class FactoredRational:
         if self.is_zero() or len(self.extra) <= 1:
             return self
         extra = self.extra
-        factors = {_root_key(r): [r, m] for r, m in self.factors}
+        factors = {(r.A, r.B, r.D): [r, m] for r, m in self.factors}
         zero = ScalarKHat.zero(self.p)
-        by_key = {_root_key(r): r for r, _ in self.factors} | {_root_key(zero): zero}
-        candidates = [by_key[key] for key in sorted(by_key)]
-        for root in candidates:
+        by_key = {key: r for key, (r, _) in factors.items()} | {(0, 0, 1): zero}
+        for root in sorted(by_key.values(), key=_value_key(by_key.values())):
             lin = (-root, ScalarKHat.one(self.p))
             while len(extra) > 1:
                 q, r = poly.divmod(extra, lin, zero)
                 if r:
                     break
                 extra = q
-                key = _root_key(root)
-                if key in factors:
-                    factors[key][1] += 1
-                else:
-                    factors[key] = [root, 1]
-        return FactoredRational(
-            self.p, self.lead, [(r, m) for r, m in factors.values()], extra
-        )
+                factors.setdefault((root.A, root.B, root.D), [root, 0])[1] += 1
+        return FactoredRational(self.p, self.lead, [(r, m) for r, m in factors.values()], extra)
 
     # -- ring operations ------------------------------------------------------------
 
     def __mul__(self, other: "FactoredRational | ScalarKHat") -> "FactoredRational":
         if isinstance(other, ScalarKHat):
             return FactoredRational(self.p, self.lead * other, self.factors, self.extra)
-        return FactoredRational(
-            self.p,
-            self.lead * other.lead,
-            list(self.factors) + list(other.factors),
-            poly.mul(self.extra, other.extra, ScalarKHat.zero(self.p)),
-        )
+        extra = poly.mul(self.extra, other.extra, ScalarKHat.zero(self.p))
+        return FactoredRational(self.p, self.lead * other.lead, list(self.factors) + list(other.factors), extra)
 
     __rmul__ = __mul__
 
@@ -162,20 +169,13 @@ class FactoredRational:
             raise ZeroDivisionError("inverse of the zero function")
         if len(self.extra) > 1:
             raise InvalidParameters("cannot invert an unfactored polynomial part")
-        return FactoredRational(
-            self.p, self.lead.inverse(), [(r, -m) for r, m in self.factors]
-        )
+        return FactoredRational(self.p, self.lead.inverse(), [(r, -m) for r, m in self.factors])
 
     def __pow__(self, n: int) -> "FactoredRational":
         if n < 0:
             return self.inverse() ** (-n)
-        zero, one = ScalarKHat.zero(self.p), ScalarKHat.one(self.p)
-        return FactoredRational(
-            self.p,
-            self.lead**n,
-            [(r, m * n) for r, m in self.factors],
-            poly.power(self.extra, n, zero, one),
-        )
+        extra = poly.power(self.extra, n, ScalarKHat.zero(self.p), ScalarKHat.one(self.p))
+        return FactoredRational(self.p, self.lead**n, [(r, m * n) for r, m in self.factors], extra)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactoredRational):
@@ -186,54 +186,56 @@ class FactoredRational:
         return poly.mul(n1, d2, zero) == poly.mul(n2, d1, zero)
 
     def derivative(self, order: int = 1) -> "FactoredRational":
-        """The exact n-th derivative, n = ``order``, in one pass over int
-        coefficient tuples.
-
-        Write f = lead * E * prod (z - r_i)^m_i.  While the set S of roots
-        still in f^(j) (the poles, and the zeros with m_i > j) stays the same,
-        f^(j) = lead * Q_j * prod_S (z - r_i)^(m_i - j) with Q_0 = E and
-        Q_(j+1) = Q_j' L + Q_j (A - j L'), where L = prod_S (z - r_i) and
-        A = sum_S m_i L / (z - r_i); a zero leaves S at the step where its
-        exponent reaches 0.  So the image keeps as explicit factors every pole
-        of f, every zero of f of multiplicity above n, and z to its true
-        order, and every other zero of f^(n) stays in extra.  This is the form
-        that n single derivatives print, each refactored over the roots left
-        and 0, so f.derivative(n) and f.derivative(n - 1).derivative() print
-        alike.  At n >= 1 an extra that one of f's roots or 0 divides is
-        refactored first, so the rule reads the roots' true multiplicities.
-
-        The recurrence runs on D L, D A and c Q_j over Z[pihat], for D the
-        product of the denominators D_i of the roots in S and c the common
-        denominator so far, with no gcd until the image is built."""
+        """The exact n-th derivative, n = ``order``, in closed form from the partial
+        fractions f = P + sum c_(i,t) (z - y_i)^-t (``principal_parts``; P, the
+        polynomial part, counts when deg f >= n):
+            f^(n) = P^(n) + sum c_(i,t) (-1)^n t (t + 1) ... (t + n - 1) (z - y_i)^(-t-n).
+        For y_i = c_i/D_i and l_i = D_i z - c_i, its numerator over prod l_i^(T_i + n),
+        T_i the pole's order, is P^(n) prod l_i^(T_i + n) + sum_i S_i prod_(j != i)
+        l_j^(T_j + n), S_i = sum_t c_(i,t) (-1)^n (t)_n D_i^(t + n) l_i^(T_i - t): binomial
+        rows on ints over Z[pihat].  It keeps the poles of f, each zero of f of
+        multiplicity m > n as (z - r)^(m - n), divided out, and z to its true order
+        as factors, and the rest in a monic extra: the form n single derivatives
+        print, each refactored over the roots left and 0.  f is refactored first,
+        so that the rule reads its roots' true multiplicities."""
         if order < 0:
             raise InvalidParameters("order must be >= 0")
         if order == 0 or self.is_zero():
             return self
-        f = self._refactored()
-        p = f.p
-        real, pihat, scale = _common_denominator(f.extra)
-        q = (poly.trim(real), poly.trim(pihat))
-        # S changes only where a zero's exponent reaches 0
-        cuts = sorted({m for _, m in f.factors if 0 < m < order} | {0, order})
-        for start, stop in zip(cuts, cuts[1:]):
-            ell, weighted, denominator = ((1,), ()), ((), ()), 1
-            for r, m in f.factors:
-                if m < 0 or m > start:
-                    lin = ((-r.A, r.D), poly.trim((-r.B,)))
-                    weighted = _zadd(_zmul(weighted, lin, p), _zscale(ell, m * r.D))
-                    ell = _zmul(ell, lin, p)
-                    denominator *= r.D
-            neg_ell_prime = _zscale(_zderivative(ell), -1)
-            bracket = _zadd(weighted, _zscale(neg_ell_prime, start))
-            for _ in range(start, stop):
-                q = _zadd(_zmul(_zderivative(q), ell, p), _zmul(q, bracket, p))
-                bracket = _zadd(bracket, neg_ell_prime)
-            scale *= denominator ** (stop - start)
-        coeffs = [_make(p, a, b, 1) for a, b in zip_longest(*q, fillvalue=0)]
-        low = next((i for i, c in enumerate(coeffs) if c), 0)
-        kept = [(r, m - order) for r, m in f.factors if m < 0 or m > order]
-        kept.append((ScalarKHat.zero(p), low))
-        return FactoredRational(p, f.lead / scale, kept, coeffs[low:])
+        f, n = self._refactored(), order
+        p, zero, parts = f.p, ScalarKHat.zero(f.p), principal_parts(f)
+        whole = []
+        if len(f.extra) - 1 + sum(m for _, m in f.factors) >= n:
+            top, bottom = f.num_den()
+            whole = [c * perm(j, n) for j, c in enumerate(poly.divmod(top, bottom, zero)[0]) if j >= n]
+        real, pihat, scale = _common_denominator(whole + [c for _, cs in parts for c in cs])
+        at = len(whole)
+        num, below = (poly.trim(real[:at]), poly.trim(pihat[:at])), ((1,), ())
+        for (y, cs), more in zip(parts, range(len(parts) - 1, -1, -1)):
+            T, D, s, rising = len(cs), y.D, ((), ()), (-1) ** n * factorial(n)
+            for t in range(1, T + 1):  # S by Horner's rule in l
+                w = rising * D ** (t + n)
+                term = poly.trim((real[at] * w,)), poly.trim((pihat[at] * w,))
+                s = _zadd(_zmul(s, ((-y.A, D), poly.trim((-y.B,))), p), term)
+                rising, at = rising * (t + n) // t, at + 1
+            row = _binomial_row(y, T + n, p)
+            num, below = _zadd(_zmul(num, row, p), _zmul(s, below, p)), _zmul(below, row, p) if more else below
+            scale *= D ** (T + n)
+        pairs = list(zip_longest(*num, fillvalue=0))
+        if not pairs:
+            return FactoredRational(p, zero)
+        for r, m in f.factors:
+            pairs, scale = _divide_out(pairs, r, m - n, scale, p) if m > n else (pairs, scale)
+        low = next(i for i, (x, y) in enumerate(pairs) if x or y)
+        kept = [(r, m - n) for r, m in f.factors if m < 0 or m > n] + [(zero, low)]
+        (A, B), pairs = pairs[-1], pairs[low:]
+        norm = A * A - p * B * B  # never 0: p is not a square; extra is pairs times (A - B pihat)/norm
+        cA, cB = (A, -B) if norm > 0 else (-A, B)
+        real, pihat = [x * cA + p * y * cB for x, y in pairs], [x * cB + y * cA for x, y in pairs]
+        extra = [_make(p, x, y, abs(norm)) for x, y in zip(real, pihat)]
+        image = FactoredRational(p, _make(p, A, B, scale), kept, extra)
+        image.ints = real, pihat, abs(norm)
+        return image
 
 
 # -- tube valuations -----------------------------------------------------------------
@@ -286,15 +288,19 @@ def _transported_valuations(
     there: a factor (z - y)^mult gives mult min(omega(1 - b y) - 2m, omega(y))."""
     lead, degree = f.lead.valuation(), len(f.extra) - 1 + sum(mult for _, mult in f.factors)
     terms = [(mult, y.valuation(), row) for (y, mult), row in zip(f.factors, rows)]
-    extra = _common_denominator(f.extra) if len(f.extra) > 1 else None
+    extra = (f.ints or _common_denominator(f.extra)) if len(f.extra) > 1 else None
     for i, (m, vb) in enumerate(zip(levels, vbs)):
         val = lead - k * m - (k + degree) * (2 * (vb - m) if vb is not None and vb < m else 0)
         for mult, t, row in terms:
             val += mult * min(row[i] - 2 * m, t)
         if extra:
             (a, b, den), (L, O, C) = extra, _level_and_offset(p, m, nums[i], dens[i])
-            coeffs = zip(triangular_apply(L, O, C, a), triangular_apply(L, O, C, b))
-            val += min(_twice_valuation(x, y, p) for x, y in coeffs) - 2 * (_vp(den, p) + (len(a) - 1) * _vp(L, p))
+            if O:
+                coeffs = zip(triangular_apply(L, O, C, a), triangular_apply(L, O, C, b) if any(b) else repeat(0))
+                val += min(_twice_valuation(x, y, p) for x, y in coeffs) - 2 * (_vp(den, p) + (len(a) - 1) * _vp(L, p))
+            else:  # b = 0: e_i sits at z^i times L^(n - i) C^i
+                step = 2 * (_vp(C, p) - _vp(L, p))
+                val += min(_twice_valuation(x, y, p) + step * j for j, (x, y) in enumerate(zip(a, b))) - 2 * _vp(den, p)
         yield val
 
 
@@ -332,6 +338,9 @@ def principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
         for x, m in f.factors:
             if x is not y:
                 c = y - x
+                if r == 1:  # the value at y alone
+                    series = (series[0] * c**m,) if series else series
+                    continue
                 inv = c.inverse()
                 term = [inv**-m if m < 0 else c**m]
                 for t in range(r - 1):

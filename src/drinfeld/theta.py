@@ -4,13 +4,11 @@ identity.  Its kernel on polynomials is those of degree at most k."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .errors import InvalidParameters, ZeroFunction
 from .rational import FactoredRational, gauss_valuation, tube_coordinate_level
-from .scalars import INF, ScalarKHat, half
+from .scalars import INF, ScalarKHat
 
 
 def theta(f: FactoredRational, k: int) -> FactoredRational:
@@ -20,49 +18,24 @@ def theta(f: FactoredRational, k: int) -> FactoredRational:
     return f.derivative(k + 1)
 
 
-@dataclass(frozen=True)
-class ThetaCertificate:
-    vertex: tuple
-    level: int
-    input_valuation: Fraction | float
-    input_bound: Fraction
-    output_valuation: Fraction | float
-    output_bound: Fraction
-    applicable: bool
-    passes: bool
-
-
-def theta_integrality(
-    f: FactoredRational, image: FactoredRational, k: int, v: tuple
-) -> ThetaCertificate:
+def theta_integrality(f: FactoredRational, image: FactoredRational, k: int, v: tuple) -> dict:
     """Certificate for f and its image theta(f, k): on a tube of coordinate
     scale n, an input of valuation >= -k*n/2 must map to an output of
-    valuation >= (k+2)*n/2.
+    valuation >= (k+2)*n/2.  Its valuations and bounds are doubled, 2*omega
+    (INF for the zero image), and halved only when printed.
 
-    The scale n is the tube coordinate level of the vertex of label v, which
-    the certificate holds: each of the k+1 derivatives shifts the Gauss
-    valuation on the tube by at least n, so the bound follows from
-    -k*n/2 + (k+1)*n = (k+2)*n/2.  On the diagonal axis the
-    scale coincides with the vertex level."""
+    The scale n ("level") is the tube coordinate level of the vertex of label
+    v: each of the k+1 derivatives shifts the Gauss valuation on the tube by
+    at least n, so the bound follows from -k*n/2 + (k+1)*n = (k+2)*n/2.  On
+    the diagonal axis the scale coincides with the vertex level."""
     if f.is_zero():
         raise ZeroFunction("integrality is only defined for nonzero sections")
     n = tube_coordinate_level(v)
-    # doubled valuations and bounds
-    in_bound, out_bound = -k * n, (k + 2) * n
-    in_val = gauss_valuation(f, v)
+    in_val, out_bound = gauss_valuation(f, v), (k + 2) * n
     out_val = INF if image.is_zero() else gauss_valuation(image, v)
-    applicable = in_val >= in_bound
-    passes = (not applicable) or out_val >= out_bound
-    return ThetaCertificate(
-        vertex=v,
-        level=n,
-        input_valuation=half(in_val),
-        input_bound=half(in_bound),
-        output_valuation=half(out_val),
-        output_bound=half(out_bound),
-        applicable=applicable,
-        passes=passes,
-    )
+    applicable = in_val >= -k * n
+    return {"level": n, "input_valuation": in_val, "input_bound": -k * n, "output_valuation": out_val,
+            "output_bound": out_bound, "applicable": applicable, "passes": not applicable or out_val >= out_bound}
 
 
 def complement_b_identity(k: int, a: ScalarKHat, m_values, p: int) -> bool:

@@ -36,6 +36,8 @@ from drinfeld.modp import (
 )
 from drinfeld.rational import (
     FactoredRational,
+    _zadd,
+    _zmul,
     gauss_valuation,
     principal_parts,
 )
@@ -1536,6 +1538,15 @@ def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
     return FactoredRational(p, lead, factors, extra)._refactored()
 
 
+def poly_derivative(u: poly.Poly, one) -> poly.Poly:
+    """u' for a dense polynomial over the ring of ``one``."""
+    out, i = [], one
+    for c in u[1:]:
+        out.append(c * i)
+        i = i + one
+    return poly.trim(out)
+
+
 def _derivative_once(f: FactoredRational) -> FactoredRational:
     """f' = lead * [E' L + E sum m_i L / (z - r_i)] * prod (z - r_i)^(m_i - 1)
     for L = prod (z - r_i), refactored over the roots left and 0."""
@@ -1546,7 +1557,7 @@ def _derivative_once(f: FactoredRational) -> FactoredRational:
     prod_all: poly.Poly = (one,)
     for lin in lins:
         prod_all = poly.mul(prod_all, lin, zero)
-    bracket = poly.mul(poly.derivative(f.extra, one), prod_all, zero)
+    bracket = poly.mul(poly_derivative(f.extra, one), prod_all, zero)
     for i, (root, mult) in enumerate(f.factors):
         partial: poly.Poly = (one,)
         for j, lin in enumerate(lins):
@@ -1590,6 +1601,56 @@ def derivative_by_steps(f: FactoredRational, order: int) -> FactoredRational:
     for _ in range(order):
         f = _derivative_once(f)
     return f
+
+
+def _zscale(u: tuple, s: int) -> tuple:
+    return poly.scale(u[0], s), poly.scale(u[1], s) if u[1] else ()
+
+
+def _zderivative(u: tuple) -> tuple:
+    return poly_derivative(u[0], 1), poly_derivative(u[1], 1) if u[1] else ()
+
+
+def derivative_by_recurrence(f: FactoredRational, order: int) -> FactoredRational:
+    """The order-th derivative by one recurrence on int coefficient tuples,
+    the reference at large orders, where ``derivative_by_steps`` refactors
+    too often to run.
+
+    Write f = lead * E * prod (z - r_i)^m_i, refactored.  While the set S of
+    roots still in f^(j) (the poles, and the zeros with m_i > j) stays the
+    same, f^(j) = lead * Q_j * prod_S (z - r_i)^(m_i - j) with Q_0 = E and
+    Q_(j+1) = Q_j' L + Q_j (A - j L'), where L = prod_S (z - r_i) and
+    A = sum_S m_i L / (z - r_i); a zero leaves S at the step where its
+    exponent reaches 0.  The recurrence runs on D L, D A and c Q_j over
+    Z[pihat], for D the product of the denominators D_i of the roots in S
+    and c the common denominator so far, and the image is built once."""
+    if order == 0 or f.is_zero():
+        return f
+    f = f._refactored()
+    p = f.p
+    real, pihat, scale = _common_denominator(f.extra)
+    q = (poly.trim(real), poly.trim(pihat))
+    # S changes only where a zero's exponent reaches 0
+    cuts = sorted({m for _, m in f.factors if 0 < m < order} | {0, order})
+    for start, stop in zip(cuts, cuts[1:]):
+        ell, weighted, denominator = ((1,), ()), ((), ()), 1
+        for r, m in f.factors:
+            if m < 0 or m > start:
+                lin = ((-r.A, r.D), poly.trim((-r.B,)))
+                weighted = _zadd(_zmul(weighted, lin, p), _zscale(ell, m * r.D))
+                ell = _zmul(ell, lin, p)
+                denominator *= r.D
+        neg_ell_prime = _zscale(_zderivative(ell), -1)
+        bracket = _zadd(weighted, _zscale(neg_ell_prime, start))
+        for _ in range(start, stop):
+            q = _zadd(_zmul(_zderivative(q), ell, p), _zmul(q, bracket, p))
+            bracket = _zadd(bracket, neg_ell_prime)
+        scale *= denominator ** (stop - start)
+    coeffs = [_make(p, a, b, 1) for a, b in itertools.zip_longest(*q, fillvalue=0)]
+    low = next((i for i, c in enumerate(coeffs) if c), 0)
+    kept = [(r, m - order) for r, m in f.factors if m < 0 or m > order]
+    kept.append((ScalarKHat.zero(p), low))
+    return FactoredRational(p, f.lead / scale, kept, coeffs[low:])
 
 
 def chi(g: Mat2, p: int, exponent: int = 1) -> ScalarKHat:

@@ -262,8 +262,8 @@ def test_criterion_6_theta_suite():
         bound = Fraction(-k * tube_coordinate_level(v), 2)
         f_in = rescale_to_gauss_bound(f, v, bound)
         cert = theta_integrality(f_in, theta(f_in, k), k, v)
-        assert cert.applicable, (k, str(v), cert)
-        assert cert.passes, (k, str(v), cert)
+        assert cert["applicable"], (k, str(v), cert)
+        assert cert["passes"], (k, str(v), cert)
         checked += 1
 
     # part 3: residues annihilate derivative images for 20 random sections

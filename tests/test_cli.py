@@ -646,6 +646,21 @@ class TestAnsweredAtOnce:
             # the diagonal profiles in O(k), and an off-axis vertex's in O(k^2)
             (("lattice", "--p", "2", "--k", "3000"), 0),
             (("lattice", "--p", "3", "--k", "300", "--level", "4", "--offset", "5"), 0),
+            # the profile budget's edge, (k + 1)^2 <= 10 000 000, on and off the
+            # axis; --k 300000 printed 28.6 MB, and the off-axis profile at
+            # k = 20 000 took 14.3 s
+            (("lattice", "--p", "2", "--k", "3161"), 0),
+            (("lattice", "--p", "2", "--k", "3162"), 2),
+            (("lattice", "--p", "3", "--k", "3161", "--level", "2", "--offset", "1"), 0),
+            (("lattice", "--p", "3", "--k", "3162", "--level", "2", "--offset", "1"), 2),
+            (("lattice", "--p", "2", "--k", "300000"), 2),
+            (("lattice", "--p", "3", "--k", "20000", "--level", "2", "--offset", "1"), 2),
+            # identity-b's step budget along --mmax, and --mmax 10^8, which ran
+            # past 15 s
+            (("identity-b", "--p", "2", "--kmax", "2", "--mmax", "170"), 0),
+            (("identity-b", "--p", "2", "--kmax", "2", "--mmax", "171"), 2),
+            (("identity-b", "--p", "2", "--kmax", "2", "--mmax", "100000000"), 2),
+            (("identity-b", "--p", "2", "--kmax", "1054", "--mmax", "8"), 2),
             (("local-dims", "--p", "1000003", "--k", "2"), 2),
             # the image's lead would carry 1601!, of 4 437 digits
             (("theta", "--p", "2", "--k", "1600", "--f", "1/z", "--level", "0"), 2),
@@ -689,6 +704,15 @@ class TestAnsweredAtOnce:
         assert b"Traceback" not in proc.stderr
         if code == 2:
             assert proc.stderr.startswith(b"invalid parameters:") and proc.stderr.count(b"\n") == 1
+
+    def test_the_identity_budget_edge_along_kmax_runs_within_ten_seconds(self):
+        """(kmax // 2)(2 mmax + 1)(kmax + mmax^2) <= 10 000 000: kmax = 1 053 at
+        mmax = 8 is inside (about 1.5 s as a child process), 1 054 outside."""
+        args = ["identity-b", "--p", "2", "--kmax", "1053", "--mmax", "8"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "drinfeld.cli", *args], capture_output=True, env=child_env(), timeout=10
+        )
+        assert proc.returncode == 0 and json.loads(proc.stdout)["pass"] is True, proc.stderr
 
     def test_the_star_budget_edge_peaks_below_fifty_megabytes(self):
         """Child 1's residue rows, about (3/8)(k + 1)^2 entries at the star
@@ -1100,14 +1124,17 @@ class TestCostLimits:
     ``--f``, or z-factors whose orders add up past it, or roots whose digits
     times k + 2 plus the total order pass ``_MAX_ROOT_DIGITS``, ``lattice`` and
     ``theta`` a level past ``_MAX_LEVEL``, ``local-dims`` a star of more
-    than ``_MAX_LIST`` edges, and ``local-dims`` and ``harmonic --mod-pihat``
-    a child 1 transition of more than ``_MAX_STAR_COST`` entries, each read
-    in closed form before any work."""
+    than ``_MAX_LIST`` edges, ``local-dims`` and ``harmonic --mod-pihat``
+    a child 1 transition of more than ``_MAX_STAR_COST`` entries, ``lattice``
+    a profile triangle of more than ``_MAX_PROFILE`` entries, and
+    ``identity-b`` more than ``_MAX_IDENTITY_STEPS`` steps, each read in
+    closed form before any work."""
 
     WORK = {
         "residue": "parse_rational",
         "theta": "parse_rational",
         "lattice": "vertex_lattice_profile",
+        "identity-b": "complement_b_identity",
         "local-dims": "local_space_report",
         "harmonic": "truncated_tree",
     }
@@ -1118,6 +1145,9 @@ class TestCostLimits:
         ("theta", "--p", "2", "--k", "0", "--f", "(z-pihat^-200)^-1", "--level", "1"),
         ("theta", "--p", "2", "--k", "0", "--f", "1/z", "--level", "-101"),
         ("lattice", "--p", "2", "--k", "1", "--level", "99999999", "--offset", "0"),
+        ("lattice", "--p", "2", "--k", "3162", "--level", "1", "--offset", "1/2"),
+        ("identity-b", "--p", "2", "--kmax", "2", "--mmax", "171"),
+        ("identity-b", "--p", "2", "--kmax", "10" + "0" * 30, "--mmax", "0"),
         ("local-dims", "--p", "1009", "--k", "2"),
         ("local-dims", "--p", "2", "--k", "2000"),
         ("local-dims", "--p", "997", "--k", "1500"),
@@ -1152,6 +1182,8 @@ class TestCostLimits:
             ("theta", "--p", "3", "--k", "0", "--f", "(z-1)^0*" * 99 + "z", "--level", "1"),
             ("theta", "--p", "2", "--k", "0", "--f", "1/z", "--level", "100"),
             ("lattice", "--p", "2", "--k", "1", "--level", "-100", "--offset", "0"),
+            ("lattice", "--p", "2", "--k", "3161", "--level", "1", "--offset", "1/2"),
+            ("identity-b", "--p", "2", "--kmax", "2", "--mmax", "170"),
             ("local-dims", "--p", "997", "--k", "0"),
             ("local-dims", "--p", "2", "--k", "201"),
             # 1500^2 is within the star budget, and 1501^2 past it

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from drinfeld.cli import _rational_str
 from drinfeld.errors import PoleInsideAnnulus, ZeroFunction
-from drinfeld.rational import FactoredRational, gauss_valuation, parse_rational, principal_parts
-from drinfeld.scalars import ScalarKHat
+from drinfeld.rational import FactoredRational, _value_key, gauss_valuation, parse_rational, principal_parts
+from drinfeld.scalars import ScalarKHat, _make
 from drinfeld.theta import theta
 from oracles import (
     Mat2,
     add_rational,
     automorphic_act,
     compose_mobius,
+    derivative_by_recurrence,
     derivative_by_steps,
     div_rational,
     fraction_valuation,
@@ -195,37 +196,90 @@ class TestCalculus:
         assert f.derivative(3) == f.derivative().derivative().derivative()
 
 
+_ROOT_KINDS = lambda p: st.one_of(  # noqa: E731
+    st.sampled_from([0, 1, -1, 2, Fraction(1, p), p, p * p, 1 + p, Fraction(3, 4)]).map(
+        lambda x: ScalarKHat.from_rational(x, p)
+    ),
+    st.integers(-2, 3).map(lambda e: ScalarKHat.pihat(p, e)),
+    st.tuples(
+        st.sampled_from([0, 1, -1, 2, Fraction(1, p), p, Fraction(3, 4)]), st.integers(-1, 2)
+    ).map(lambda t: ScalarKHat.from_rational(t[0], p) + ScalarKHat.pihat(p, t[1])),
+)
+
+
 @st.composite
 def _sections(draw):
     """A section at p in {2, 3, 5} with up to four factors of multiplicity
     -3..4 at rational roots, 0, pihat powers and sums of the two, and half
-    the time plus a one-factor section, so that extra is not 1."""
+    the time plus a one-factor section, so that extra is not 1; a quarter
+    of the time a derivative of it, whose extra has positive degree, as a
+    theta image has; and now and then the zero section."""
     p = draw(st.sampled_from([2, 3, 5]))
-    rationals = st.sampled_from([0, 1, -1, 2, Fraction(1, p), p, p * p, 1 + p, Fraction(3, 4)])
-    roots = st.one_of(
-        rationals.map(lambda x: ScalarKHat.from_rational(x, p)),
-        st.integers(-2, 3).map(lambda e: ScalarKHat.pihat(p, e)),
-        st.tuples(rationals, st.integers(-1, 2)).map(
-            lambda t: ScalarKHat.from_rational(t[0], p) + ScalarKHat.pihat(p, t[1])
-        ),
-    )
-    lead = ScalarKHat.from_rational(draw(st.sampled_from([1, Fraction(2, 3), -p])), p)
+    roots = _ROOT_KINDS(p)
+    lead = ScalarKHat.from_rational(draw(st.sampled_from([1, Fraction(2, 3), -p, 0])), p)
     f = FactoredRational(p, lead, draw(st.lists(st.tuples(roots, st.integers(-3, 4)), max_size=4)))
     if draw(st.booleans()):
         f = add_rational(f, FactoredRational(p, ScalarKHat.one(p), [(draw(roots), draw(st.integers(-2, 2)))]))
+    if draw(st.integers(0, 3)) == 0:
+        f = derivative_by_steps(f, draw(st.integers(1, 2)))
     return f
 
 
 class TestOnePassDerivative:
-    """``derivative(n)`` runs one recurrence and builds the image once.  The
-    oracle is n single derivatives, each refactored over the roots left and 0."""
+    """``derivative(n)`` reads f^(n) from the partial fractions of f in closed
+    form and builds the image once.  Its oracles are n single derivatives,
+    each refactored over the roots left and 0, and the recurrence that ran
+    before, which also reaches large n."""
 
     @given(f=_sections(), n=st.integers(0, 6))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_repeated_derivative_as_function_and_text(self, f, n):
-        got, expected = f.derivative(n), derivative_by_steps(f, n)
+        got = f.derivative(n)
+        for expected in (derivative_by_steps(f, n), derivative_by_recurrence(f, n)):
+            assert got == expected
+            assert _rational_str(got) == _rational_str(expected)
+
+    @given(f=_sections(), n=st.integers(7, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_recurrence_at_large_orders(self, f, n):
+        got, expected = f.derivative(n), derivative_by_recurrence(f, n)
         assert got == expected
         assert _rational_str(got) == _rational_str(expected)
+
+    @pytest.mark.parametrize(
+        "text,p,n",
+        [
+            # pihat roots as poles and as a zero kept at n = 1, 2
+            ("(z-pihat^3)^-1*(z-2)^-1", 2, 40),
+            ("pihat*(z-pihat)^3*z^-1*(z-1)^-1", 3, 2),
+            ("(z-1-p^3*pihat)^-2*(z-3)^-1*(z-1/5)^4", 5, 3),
+            # zeros kept above n at roots with a denominator, and at 0
+            ("(z-3/4)^5*(z-1/2)^-1*z^4", 3, 2),
+            # a polynomial part of degree >= n, and a polynomial
+            ("z^3*(z-1)^-1", 2, 1),
+            ("z^4*(z-1/3)^3", 3, 5),
+            ("z^2", 2, 3),
+        ],
+    )
+    def test_named_shapes_match_both_oracles(self, text, p, n):
+        f = parse_rational(text, p)
+        got = f.derivative(n)
+        for expected in (derivative_by_steps(f, n), derivative_by_recurrence(f, n)):
+            assert _rational_str(got) == _rational_str(expected), (text, n)
+
+    def test_order_zero_and_the_zero_section_are_returned_as_they_are(self):
+        f, zero = parse_rational("z^-1*(z-1)^-1", 3), FactoredRational(3, ScalarKHat.zero(3))
+        assert f.derivative(0) is f
+        assert zero.derivative(4) is zero
+        assert parse_rational("z^2", 3).derivative(3).is_zero()
+
+    def test_a_theta_image_differentiated_again(self):
+        # extra of degree 2 after one step; each further order still prints
+        # as the steps print it
+        f = parse_rational("z^-1*(z-1)^-1*(z-pihat)^-1", 2).derivative(1)
+        assert len(f.extra) > 2
+        for n in range(1, 5):
+            assert _rational_str(f.derivative(n)) == _rational_str(derivative_by_steps(f, n))
 
     @given(f=_sections(), n=st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
@@ -263,6 +317,25 @@ class TestOnePassDerivative:
             assert got == derivative_by_steps(f, n)
             assert _rational_str(got) == _rational_str(derivative_by_steps(refactored, n))
         assert _rational_str(f.derivative(1)) != _rational_str(derivative_by_steps(f, 1))
+
+    def test_the_image_carries_its_extra_as_the_common_denominator_ints(self):
+        # gauss_valuation reads them in place of _common_denominator
+        image = parse_rational("(z-pihat)^-1*(z-1/3)^-2", 3).derivative(3)
+        real, pihat, den = image.ints
+        assert [_make(3, x, y, den) for x, y in zip(real, pihat)] == list(image.extra)
+
+
+class TestRootOrder:
+    @given(p=st.sampled_from([2, 3, 5]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_int_key_sorts_as_the_fractions_a_and_b(self, p, data):
+        roots = data.draw(st.lists(_ROOT_KINDS(p), min_size=1, max_size=6))
+        assert sorted(roots, key=_value_key(roots)) == sorted(roots, key=lambda r: (r.a, r.b))
+
+    def test_factors_are_stored_in_that_order(self):
+        f = parse_rational("(z-1/2)*(z+pihat)^-1*(z-1/3)^2*z*(z-1/4*pihat)^-1", 2)
+        roots = [r for r, _ in f.factors]
+        assert roots == sorted(roots, key=lambda r: (r.a, r.b))
 
 
 class TestTransport:

@@ -91,6 +91,8 @@ _REFUSED = [
     ["residue", "--f", "(z-q)"],
     ["residue", "--f", ""],
     ["theta", "--k", "2000", "--f", "1/z"],
+    ["lattice", "--k", "3162"],
+    ["identity-b", "--kmax", "2", "--mmax", "171"],
     ["theta", "--k", "300", "--f", "z^-1*(z-1)^-1*(z-2)^-1"],
     ["modp", "sections", "--q", "2", "--k", "4", "--radius", "8"],
     ["modp", "stable-lines", "--q", "1009", "--k", "4"],
@@ -104,8 +106,9 @@ _REFUSED = [
 def _corpus(tmp_path: Path) -> list[list[str]]:
     """The pin's command lines: the three benchmark lists at seed 1, every
     ``GOLDEN`` invocation and README example, --help at each level, config
-    files good and bad, ``_REFUSED``, a pole refused in an annulus (its
-    message prints the pole by ``ScalarKHat.__repr__``), and a field whose
+    files good and bad, ``_REFUSED``, two poles refused in an annulus (each
+    message prints the pole by ``ScalarKHat.__repr__``, one with a rational
+    part and one without), and a field whose
     q - 1 = 2 * 1031 * 1033 reaches Pollard's rho."""
     good, bad_line, bad_flag = (tmp_path / name for name in ("good.cfg", "line.cfg", "flag.cfg"))
     good.write_text("p = 3\nk = 2\n", encoding="utf-8")
@@ -129,6 +132,7 @@ def _corpus(tmp_path: Path) -> list[list[str]]:
         *configs,
         *_REFUSED,
         ["residue", "--p", "2", "--k", "1", "--f", "(z-pihat)^-1", "--radius", "2"],
+        ["residue", "--p", "2", "--k", "1", "--f", "(z-1-pihat)^-1", "--radius", "2"],
         ["modp", "symgeom-check", "--q", "2130047", "--k", "2130046", "--i", "1065022"],
     ]
 
@@ -167,6 +171,9 @@ _NOT_RUN = {
     "scalars.FqElem.__repr__": _FIELD,
     "scalars.FiniteField.__hash__": _FIELD,
     "scalars.FiniteField.__repr__": _FIELD,
+    "scalars.ScalarKHat.__truediv__": (
+        "the oracles divide scalars; no command does, since the derivative reads its image's lead from ints"
+    ),
     "poly.shift": (
         "principal_parts calls it only on a polynomial part of degree >= 1, which no parsed "
         "section has; whether a command can meet one waits on one printed form per section"
