@@ -87,14 +87,13 @@ _MAX_STAR_COST = 2_250_000
 # which symgeom-check builds at any t: building them took 0.10 s at q = 6561 and
 # 2.2 s at q = 65536 (one core of a 2-vCPU Xeon).  A prime field has no tables.
 _MAX_TABLE = 10_000
-# The most entries, (k + 1)^2, of the triangle whose rows an off-axis vertex
-# profile of lattice takes its least from; each other profile reads k + 1, and
-# that bound keeps their text near 0.3 MB.  As child processes on a 2-vCPU
-# machine the triangle took 0.09 s + 2.3e-8 s (k + 1)^2, 1.6 s at k = 8 000.
+# The most entries, (k + 1)^2, of the triangle an off-axis lattice profile reads;
+# each other profile reads k + 1, and this keeps their text near 0.3 MB.  As child
+# processes on a 2-vCPU machine the triangle took 0.09 s + 2.3e-8 s (k + 1)^2.
 _MAX_PROFILE = 10_000_000
-# identity-b's steps: (kmax // 2) rows of 2 mmax + 1 exponents, each about
-# kmax + mmax^2 steps (a product of k + 1 ints, and sections of degree about
-# |m| expanded), read 0.09 s + 1.5e-8 to 2.3e-7 s a step as child processes.
+# identity-b's steps: kmax // 2 rows of 2 mmax + 1 exponents, each about kmax +
+# mmax^2 steps (k + 1 ints multiplied, sections of degree about |m| expanded); as
+# child processes that read 0.09 s + 1.5e-8 to 2.3e-7 s a step.
 _MAX_IDENTITY_STEPS = 10_000_000
 
 
@@ -192,20 +191,19 @@ def _dumps(x, pad: str = "\n") -> str:
         return writer(x, pad)
     x, inner = _value(x), pad + "  "
     if isinstance(x, dict):
-        items = {}
-        for key, val in x.items():
-            if type(key) is not str:
-                name = _value(key)
+        items = x
+        if not all(type(key) is str for key in x):
+            items = {}
+            for key, val in x.items():
+                name = key if type(key) is str else _value(key)
                 if isinstance(name, (dict, list, tuple)):
                     raise InternalInvariantError(f"cannot serialize a {type(key).__name__} key")
-                key = str(name)
-            items[key] = val
-        body = []
-        for name in sorted(items):
-            val = items[name]
-            leaf = _LEAVES.get(type(val))  # a scalar value prints without a recursive call
-            text = leaf(val) if leaf else _dumps(val, inner)
-            body.append(f"{encode_basestring_ascii(name)}: {text}")
+                items[str(name)] = val
+        # a scalar value prints without a recursive call
+        body = [
+            f"{encode_basestring_ascii(name)}: {leaf(val) if (leaf := _LEAVES.get(type(val))) else _dumps(val, inner)}"
+            for name, val in sorted(items.items())
+        ]
         return _wrap("{}", body, pad)
     if isinstance(x, (list, tuple)):
         if set(map(type, x)) == {int}:  # a bool is no int here: it prints as true/false
@@ -307,8 +305,7 @@ def _doubled_json(x: Doubled, pad: str) -> str:
 
 
 def _halved(t: int | float) -> int | str:
-    """The doubled valuation t halved, as ``_value`` prints the ``Fraction``
-    t/2: an int, the string "t/2", or "infinity" for INF."""
+    """The doubled t halved as ``_value`` prints t/2: an int, "t/2", or "infinity"."""
     return "infinity" if t is INF else t >> 1 if t & 1 == 0 else f"{t}/2"
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import repeat, zip_longest
-from math import factorial, lcm, perm
+from math import factorial, gcd, lcm, perm
 from typing import Callable, Iterable, Iterator
 
 from . import poly
@@ -44,6 +44,11 @@ def _binomial_row(y: ScalarKHat, e: int, p: int) -> tuple:
     """(D z - c)^e for y = c/D, c = A + B pihat: C(e, j) D^j (-c)^(e - j) at z^j,
     from D^e at z^e down, each coefficient the one above times -c j / ((e - j + 1) D)."""
     A, B, D = y.A, y.B, y.D
+    if not B:  # the same rule on one int list
+        real = [D**e]
+        for j in range(e, 0, -1):
+            real.append(-A * real[-1] * j // ((e - j + 1) * D))
+        return poly.trim(real[::-1]), ()
     row = [(D**e, 0)]
     for j in range(e, 0, -1):
         (x, v), below = row[-1], (e - j + 1) * D
@@ -78,9 +83,8 @@ def _value_key(roots: Iterable[ScalarKHat]) -> Callable[[ScalarKHat], tuple]:
 
 
 class FactoredRational:
-    """lead * extra(z) * prod (z - root)^mult, extra monic; 0 has lead 0.
-    ``ints`` holds extra's ints as ``_common_denominator`` gives them when the
-    derivative built it, and None otherwise."""
+    """lead * extra(z) * prod (z - root)^mult, extra monic; 0 has lead 0.  ``ints``
+    is extra as ``_common_denominator`` gives it when the derivative built it."""
 
     __slots__ = ("p", "lead", "factors", "extra", "ints")
 
@@ -216,7 +220,7 @@ class FactoredRational:
             for t in range(1, T + 1):  # S by Horner's rule in l
                 w = rising * D ** (t + n)
                 term = poly.trim((real[at] * w,)), poly.trim((pihat[at] * w,))
-                s = _zadd(_zmul(s, ((-y.A, D), poly.trim((-y.B,))), p), term)
+                s = _zadd(_zmul(s, ((-y.A, D), poly.trim((-y.B,))), p), term) if t > 1 else term
                 rising, at = rising * (t + n) // t, at + 1
             row = _binomial_row(y, T + n, p)
             num, below = _zadd(_zmul(num, row, p), _zmul(s, below, p)), _zmul(below, row, p) if more else below
@@ -228,13 +232,14 @@ class FactoredRational:
             pairs, scale = _divide_out(pairs, r, m - n, scale, p) if m > n else (pairs, scale)
         low = next(i for i, (x, y) in enumerate(pairs) if x or y)
         kept = [(r, m - n) for r, m in f.factors if m < 0 or m > n] + [(zero, low)]
-        (A, B), pairs = pairs[-1], pairs[low:]
-        norm = A * A - p * B * B  # never 0: p is not a square; extra is pairs times (A - B pihat)/norm
-        cA, cB = (A, -B) if norm > 0 else (-A, B)
+        g = gcd(*(c for pair in pairs for c in pair))
+        lead, pairs = _make(p, *pairs[-1], scale), [(x // g, y // g) for x, y in pairs[low:]]
+        A, B = pairs[-1]  # extra is pairs times the conjugate of A + B pihat over its norm, or over A
+        cA, cB, norm = (1, 0, A) if not B else (A, -B, A * A - p * B * B)  # never 0: p is not a square
+        cA, cB, norm = (cA, cB, norm) if norm > 0 else (-cA, -cB, -norm)
         real, pihat = [x * cA + p * y * cB for x, y in pairs], [x * cB + y * cA for x, y in pairs]
-        extra = [_make(p, x, y, abs(norm)) for x, y in zip(real, pihat)]
-        image = FactoredRational(p, _make(p, A, B, scale), kept, extra)
-        image.ints = real, pihat, abs(norm)
+        image = FactoredRational(p, lead, kept, [_make(p, x, y, norm) for x, y in zip(real, pihat)])
+        image.ints = real, pihat, norm
         return image
 
 
