@@ -191,7 +191,6 @@ def _dumps(x, pad: str = "\n") -> str:
         return writer(x, pad)
     x, inner = _value(x), pad + "  "
     if isinstance(x, dict):
-        items = x
         if not all(type(key) is str for key in x):
             items = {}
             for key, val in x.items():
@@ -199,11 +198,12 @@ def _dumps(x, pad: str = "\n") -> str:
                 if isinstance(name, (dict, list, tuple)):
                     raise InternalInvariantError(f"cannot serialize a {type(key).__name__} key")
                 items[str(name)] = val
-        # a scalar value prints without a recursive call
-        body = [
-            f"{encode_basestring_ascii(name)}: {leaf(val) if (leaf := _LEAVES.get(type(val))) else _dumps(val, inner)}"
-            for name, val in sorted(items.items())
-        ]
+            x = items
+        body = []
+        for name in sorted(x):
+            val = x[name]
+            leaf = _LEAVES.get(type(val))  # a scalar value prints without a recursive call
+            body.append(f"{encode_basestring_ascii(name)}: {leaf(val) if leaf else _dumps(val, inner)}")
         return _wrap("{}", body, pad)
     if isinstance(x, (list, tuple)):
         if set(map(type, x)) == {int}:  # a bool is no int here: it prints as true/false

@@ -395,25 +395,19 @@ def _parse_root(inner: str, p: int) -> ScalarKHat:
     inner = inner.replace(" ", "")
     while pos < len(inner):
         m = _INNER_TERM.match(inner, pos)
-        if not m or (m.group("coef") is None and m.group("pihat") is None):
+        sign, raw_coef, cpe, pihat, tpe = m.group("sign", "coef", "cpe", "pihat", "tpe") if m else (None,) * 5
+        if raw_coef is None and pihat is None:
             raise InvalidParameters(f"cannot parse factor tail {inner!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        raw_coef = m.group("coef")
         if raw_coef is None:
             coef = Fraction(1)
         elif raw_coef.startswith("p"):
-            coef = Fraction(p) ** int(m.group("cpe") or 1)
+            coef = Fraction(p) ** int(cpe or 1)
         else:
             coef = _literal(raw_coef)
-        coef *= sign
-        if m.group("pihat"):
-            term = ScalarKHat.pihat(p, int(m.group("tpe") or 1)) * coef
-        else:
-            term = ScalarKHat.from_rational(coef, p)
-        total = total + term
+        coef = coef if sign == "-" else -coef  # inner holds z - root: the root is the tail negated
+        total = total + (ScalarKHat.pihat(p, int(tpe or 1)) * coef if pihat else ScalarKHat.from_rational(coef, p))
         pos = m.end()
-    # inner holds z - root, so the root is the negated tail
-    return -total
+    return total
 
 
 def parse_rational(text: str, p: int) -> FactoredRational:
@@ -436,14 +430,14 @@ def parse_rational(text: str, p: int) -> FactoredRational:
         m = _TOKEN.match(expr, pos)
         if not m:
             raise InvalidParameters(f"cannot parse {text!r} at position {pos}")
-        sign = 1 if op == "*" else -1
-        if m.group("pihat"):
+        sign, kind = 1 if op == "*" else -1, m.lastgroup  # the token's outermost group
+        if kind == "pihat":
             lead = lead * ScalarKHat.pihat(p, sign * int(m.group("pe") or 1))
-        elif m.group("prime"):
+        elif kind == "prime":
             lead = lead * ScalarKHat.from_rational(Fraction(p) ** (sign * int(m.group("ppe") or 1)), p)
-        elif m.group("zpow"):
+        elif kind == "zpow":
             factors.append((ScalarKHat.zero(p), sign * int(m.group("ze") or 1)))
-        elif m.group("paren"):
+        elif kind == "paren":
             factors.append((_parse_root(m.group("inner"), p), sign * int(m.group("fe") or 1)))
         else:
             value = _literal(m.group("rat"))
