@@ -214,7 +214,7 @@ class FactoredRational:
             whole = [c * perm(j, n) for j, c in enumerate(poly.divmod(top, bottom, zero)[0]) if j >= n]
         real, pihat, scale = _common_denominator(whole + [c for _, cs in parts for c in cs])
         at = len(whole)
-        num, below = (poly.trim(real[:at]), poly.trim(pihat[:at])), ((1,), ())
+        num, below = (poly.trim(real[:at]), poly.trim(pihat[:at])), None  # below: the rows so far, None for 1
         for (y, cs), more in zip(parts, range(len(parts) - 1, -1, -1)):
             T, D, s, rising = len(cs), y.D, ((), ()), (-1) ** n * factorial(n)
             for t in range(1, T + 1):  # S by Horner's rule in l
@@ -223,7 +223,8 @@ class FactoredRational:
                 s = _zadd(_zmul(s, ((-y.A, D), poly.trim((-y.B,))), p), term) if t > 1 else term
                 rising, at = rising * (t + n) // t, at + 1
             row = _binomial_row(y, T + n, p)
-            num, below = _zadd(_zmul(num, row, p), _zmul(s, below, p)), _zmul(below, row, p) if more else below
+            num = _zadd(_zmul(num, row, p), _zmul(s, below, p) if below else s)
+            below = (_zmul(below, row, p) if below else row) if more else below
             scale *= D ** (T + n)
         pairs = list(zip_longest(*num, fillvalue=0))
         if not pairs:
