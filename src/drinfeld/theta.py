@@ -31,10 +31,11 @@ def theta_integrality(f: FactoredRational, image: FactoredRational, k: int, v: t
     if f.is_zero():
         raise ZeroFunction("integrality is only defined for nonzero sections")
     n = tube_coordinate_level(v)
-    in_val, out_bound = gauss_valuation(f, v), (k + 2) * n
+    in_bound, out_bound = -k * n, (k + 2) * n
+    in_val = gauss_valuation(f, v)
     out_val = INF if image.is_zero() else gauss_valuation(image, v)
-    applicable = in_val >= -k * n
-    return {"level": n, "input_valuation": in_val, "input_bound": -k * n, "output_valuation": out_val,
+    applicable = in_val >= in_bound
+    return {"level": n, "input_valuation": in_val, "input_bound": in_bound, "output_valuation": out_val,
             "output_bound": out_bound, "applicable": applicable, "passes": not applicable or out_val >= out_bound}
 
 
