@@ -425,7 +425,9 @@ def _check_image(g: FactoredRational, k: int) -> None:
     n = min(k + 1, _MAX_IMAGE_DIGITS)
     digits = _digits(g.lead) + (math.lgamma(w + n) - math.lgamma(w)) / math.log(10)
     if digits > _MAX_IMAGE_DIGITS:
-        raise InvalidParameters(f"theta's image at k = {k} may have a lead of more than {_MAX_IMAGE_DIGITS} digits")
+        raise InvalidParameters(
+            f"theta's image at k = {k} may have a lead of more than {_MAX_IMAGE_DIGITS} digits"
+        )
     degree = len(g.extra) - 1 + (k + 1) * max(len(g.factors) - 1, 0)
     if degree > _MAX_IMAGE_DEGREE:
         raise InvalidParameters(

@@ -37,7 +37,10 @@ def _zmul(u: tuple, v: tuple, p: int) -> tuple:
     (a, b), (c, d) = u, v
     if not b and not d:
         return poly.mul(a, c, 0), ()
-    return poly.add(poly.mul(a, c, 0), poly.scale(poly.mul(b, d, 0), p)), poly.add(poly.mul(a, d, 0), poly.mul(b, c, 0))
+    return (
+        poly.add(poly.mul(a, c, 0), poly.scale(poly.mul(b, d, 0), p)),
+        poly.add(poly.mul(a, d, 0), poly.mul(b, c, 0)),
+    )
 
 
 def _binomial_row(y: ScalarKHat, e: int, p: int) -> tuple:
