@@ -61,6 +61,9 @@ _MAX_LEVEL = 100
 # more than 4300 digits does not print.
 _MAX_LEAD_DIGITS = 1000
 _LEAD_BOUND = 10**_MAX_LEAD_DIGITS  # built once, not at each parse
+# The longest rational option that a refusal echoes: an int of more than 4300
+# digits does not convert, so a longer text is refused by its length.
+_MAX_RATIONAL_TEXT = 4300
 # The most digits of a section's roots, added up, times k + 2 plus the orders
 # of its factors added up: residue values and derivatives carry about that
 # many digits (a root of 874 digits gave residue values past the 4300 that
@@ -73,7 +76,7 @@ _MAX_ROOT_DIGITS = 3000
 _MAX_IMAGE_DIGITS = 4000
 # The largest degree that the polynomial part of theta's image may reach, read
 # before the derivative runs: each of k + 1 single steps adds (roots - 1), to at
-# most deg(extra) + (k + 1)(roots - 1), and the derivative's work grows with it.
+# most (k + 1)(roots - 1), and the derivative's work grows with it.
 # At degree 500 two poles (k = 499) took 0.09 s and five (k = 124) 0.17 s as
 # child processes on a 2-vCPU machine.
 _MAX_IMAGE_DEGREE = 500
@@ -122,14 +125,15 @@ def _rational_str(f: FactoredRational) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    one = ScalarKHat.one(f.p)
-    if f.lead != one or (not f.factors and len(f.extra) == 1):
+    if f.lead != ScalarKHat.one(f.p) or not (f.factors or f.extra):
         parts.append(_scalar_str(f.lead))
     for root, mult in f.factors:
         base = "z" if root.is_zero() else f"(z - ({_scalar_str(root)}))"
         parts.append(base if mult == 1 else f"{base}^{mult}")
-    if len(f.extra) > 1:
-        parts.append("[" + _terms(enumerate(f.extra), one, _scalar_str, "({})") + "]")
+    if f.extra:
+        real, pihat, norm = f.extra
+        terms = ((i, (x, y)) for i, (x, y) in enumerate(zip(real, pihat)) if x or y)
+        parts.append("[" + _terms(terms, (norm, 0), lambda c: _khat_str(*c, norm), "({})") + "]")
     return " * ".join(parts)
 
 
@@ -156,25 +160,12 @@ def _image_strs(images: list, f: int) -> list[str]:
     return [f"({top})/({bottoms[den]})" if den in bottoms else top for top, (_, den) in zip(tops, images)]
 
 
-def _value(x):
-    """A payload entry as a str, int, bool, None, dict, list or tuple."""
-    if isinstance(x, (str, int, dict, list, tuple)) or x is None:
-        return x
-    if isinstance(x, float) and math.isinf(x):
-        return "infinity"
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, ScalarKHat):
-        return _scalar_str(x)
-    raise InternalInvariantError(f"cannot serialize {type(x).__name__}")
-
-
 # The text of every int from -1024 to 1023, where the residues of a section
 # basis and most other int lists fall: a lookup is cheaper than
 # ``int.__repr__``, the fallback for every other int.
 _INT_TEXT = {n: repr(n) for n in range(-1024, 1024)}
 
-# The printed form of each scalar type that ``_value`` passes through unchanged.
+# The printed form of each scalar type, at any depth.
 _LEAVES = {
     int: int.__repr__,
     bool: lambda b: "true" if b else "false",
@@ -184,21 +175,16 @@ _LEAVES = {
 
 
 def _dumps(x, pad: str = "\n") -> str:
-    """``x`` as JSON: two-space indent, keys sorted after conversion to str,
-    ASCII with \\uXXXX escapes.  ``pad`` starts each line at ``x``'s depth."""
+    """``x`` as JSON: two-space indent, str keys sorted, ASCII with \\uXXXX
+    escapes.  ``pad`` starts each line at ``x``'s depth."""
+    leaf = _LEAVES.get(type(x))
+    if leaf is not None:
+        return leaf(x)
     writer = _WRITERS.get(type(x))
     if writer is not None:
         return writer(x, pad)
-    x, inner = _value(x), pad + "  "
-    if isinstance(x, dict):
-        if not all(type(key) is str for key in x):
-            items = {}
-            for key, val in x.items():
-                name = key if type(key) is str else _value(key)
-                if isinstance(name, (dict, list, tuple)):
-                    raise InternalInvariantError(f"cannot serialize a {type(key).__name__} key")
-                items[str(name)] = val
-            x = items
+    inner = pad + "  "
+    if isinstance(x, dict) and all(type(key) is str for key in x):
         body = []
         for name in sorted(x):
             val = x[name]
@@ -207,22 +193,11 @@ def _dumps(x, pad: str = "\n") -> str:
         return _wrap("{}", body, pad)
     if isinstance(x, (list, tuple)):
         if set(map(type, x)) == {int}:  # a bool is no int here: it prints as true/false
-            try:
-                body = list(map(_INT_TEXT.__getitem__, x))
-            except KeyError:  # an int past the table
-                body = list(map(int.__repr__, x))
-        elif all(type(v) is ScalarKHat for v in x):
-            body = [f'"{_scalar_str(v)}"' for v in x]  # plain ASCII, nothing to escape
+            body = [_INT_TEXT.get(v) or int.__repr__(v) for v in x]
         else:
             body = [_dumps(v, inner) for v in x]
         return _wrap("[]", body, pad)
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if type(x) is bool:
-        return "true" if x else "false"
-    return int.__repr__(x)
+    raise InternalInvariantError(f"cannot serialize a {type(x).__name__} or one of its keys")
 
 
 def _wrap(brackets: str, body: list, pad: str) -> str:
@@ -234,7 +209,7 @@ def _wrap(brackets: str, body: list, pad: str) -> str:
 
 def _label_json(m: int, n: int, d: int, pad: str) -> str:
     """{"level", "offset"} of the vertex (m, n/d) as ``_wrap`` prints it, the
-    offset as ``_value`` prints a ``Fraction``."""
+    offset as ``_fraction_json`` prints it."""
     offset = n if d == 1 else f'"{n}/{d}"'
     return f'{{{pad}  "level": {m},{pad}  "offset": {offset}{pad}}}'
 
@@ -298,22 +273,30 @@ def _sparse_rows_json(vectors: SparseRows, pad: str) -> str:
     return "".join(out)
 
 
+def _fraction_json(x: Fraction, pad: str) -> str:
+    """A ``Fraction`` as an int, or as the string "n/d"."""
+    return int.__repr__(x.numerator) if x.denominator == 1 else f'"{x.numerator}/{x.denominator}"'
+
+
 def _doubled_json(x: Doubled, pad: str) -> str:
-    """The doubled valuations x halved, as ``_value`` prints the ``Fraction``
-    x/2: an even entry as an int, an odd one as the string "x/2"."""
+    """The doubled valuations x halved, as ``_fraction_json`` prints x/2: an
+    even entry as an int, an odd one as the string "x/2"."""
     return _wrap("[]", [repr(t >> 1) if t & 1 == 0 else f'"{t}/2"' for t in x], pad)
 
 
 def _halved(t: int | float) -> int | str:
-    """The doubled t halved as ``_value`` prints t/2: an int, "t/2", or "infinity"."""
+    """The doubled t halved as ``_fraction_json`` prints t/2, as an int or
+    "t/2", or "infinity" for INF."""
     return "infinity" if t is INF else t >> 1 if t & 1 == 0 else f"{t}/2"
 
 
-# The writers of the types that ``_dumps`` prints without ``_value``.
+# The writers of the types that ``_dumps`` prints that are not scalars,
+# dicts or lists.
 _WRITERS = {
     Cochain: _cochain_json,
     SparseRows: _sparse_rows_json,
     Doubled: _doubled_json,
+    Fraction: _fraction_json,
     FactoredRational: lambda f, pad: f'"{_rational_str(f)}"',  # plain ASCII, nothing to escape
 }
 
@@ -351,6 +334,8 @@ def _fraction(key: str, text: str) -> Fraction:
             raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        if len(text) > _MAX_RATIONAL_TEXT:
+            raise InvalidParameters(f"{key}: a literal of {len(text)} characters is too long") from None
         raise InvalidParameters(f"{key} must be a rational number, got {text!r}") from None
 
 
@@ -419,16 +404,16 @@ def _check_image(g: FactoredRational, k: int) -> None:
     prod_(i <= k) (max(|d|, 1) + i) >= |d (d - 1) ... (d - k)|, for d the total
     degree of g.  Past _MAX_IMAGE_DIGITS factors, (k + 1)! alone is longer.
     Refuse one whose polynomial part may pass degree ``_MAX_IMAGE_DEGREE``,
-    deg(extra) + (k + 1)(roots - 1): the degree that k + 1 single derivatives
-    reach, each raising it by at most the number of g's roots less one."""
-    w = max(abs(sum(m for _, m in g.factors) + len(g.extra) - 1), 1)
+    (k + 1)(roots - 1): the degree that k + 1 single derivatives reach from a
+    parsed g, each raising it by at most the number of g's roots less one."""
+    w = max(abs(sum(m for _, m in g.factors)), 1)
     n = min(k + 1, _MAX_IMAGE_DIGITS)
     digits = _digits(g.lead) + (math.lgamma(w + n) - math.lgamma(w)) / math.log(10)
     if digits > _MAX_IMAGE_DIGITS:
         raise InvalidParameters(
             f"theta's image at k = {k} may have a lead of more than {_MAX_IMAGE_DIGITS} digits"
         )
-    degree = len(g.extra) - 1 + (k + 1) * max(len(g.factors) - 1, 0)
+    degree = (k + 1) * max(len(g.factors) - 1, 0)
     if degree > _MAX_IMAGE_DEGREE:
         raise InvalidParameters(
             f"theta's image at k = {k} may have a polynomial part of degree {degree}, "

@@ -175,8 +175,7 @@ def res0(g: FactoredRational, k: int, tree: TruncatedTree, rng=None) -> Cochain:
     the inverse of the child's transporter times a random [[1, 0], [x, 1]],
     built from the child's label ints alone."""
     p = tree.p
-    # a pole whose principal part vanishes is cancelled by extra: no pole
-    parts = [(y, A) for y, A in principal_parts(g) if any(A)]
+    parts = principal_parts(g)
     keys, geometry = _ball_pass(g, parts, tree)
     vectors = [_pole_vector(y, A, k) for y, A in parts]
     L = math.lcm(*(den for _, _, den in vectors))

@@ -20,7 +20,7 @@ matrix between two diagonal scalings, and membership needs no elimination.
 The transporters are lower triangular, so entry (i, j), j <= i, of that
 matrix is D^j C(k-j, i-j) C^(i-j) A^(k-i) times num/den times pihat^n for
 the transition [[A, 0], [C, D]]/N.  Profiles read each row's least
-valuation, and local spaces each entry's valuation and unit part mod p, from
+valuation, and child 1's local space its binomials C(k-j, i-j) mod p, from
 one table of p-adic factorials (``scalars._factorials``); membership applies
 the matrix to a vector, unbuilt.  No scalar is built.  For even k every n is
 even: the lattices are defined over Q_p.  Every valuation is a doubled int:
@@ -123,7 +123,7 @@ def _local_space(p: int, k: int, a: int, low: bool = False) -> list[dict]:
     [[a, 0], [0, 1]]: a = 1 at the parent edge and a = p at the edge to
     child 0.  The basis is the unit vectors e_j at which the diagonal's
     doubled valuation (2j - k) v_p(a) + t_j - s_j is 0.  Child 1's basis is
-    ``_basis_rows``'s."""
+    ``_child_rows``'s."""
     ts = [max(0, 2 * j - k) for j in range(k + 1)]
     ss = [min(0, 2 * j - k) for j in range(k + 1)] if low else [0] * (k + 1)
     slope, basis = -_vp(a, p), []
@@ -136,41 +136,18 @@ def _local_space(p: int, k: int, a: int, low: bool = False) -> list[dict]:
     return basis
 
 
-def _basis_rows(p: int, k: int, a: int, c: int, ts: list, ss: list) -> Iterator[dict]:
-    """The basis of the image in S/(pihat) of the edge lattice whose child's
-    transporter is the inverse of [[a, 0], [c, 1]], c != 0, with the column
-    scalings ts and ss of ``_local_space``: the nonzero ``_residue_rows``,
-    as they are made.  Child 1's residue rows, (a, c) = (p, 1), are 0 for
-    2i < k and end at their diagonal unit for 2i >= k, at any p, so the
-    nonzero ones are a basis; two that end at one column are a broken
-    invariant."""
-    va, ends = _vp(a, p), set()
-    for row in filter(None, _residue_rows(p, k, a, c, 1, -k * va, a // p**va % p, ts, ss)):
-        if (end := max(row)) in ends:
-            raise InternalInvariantError("two residue rows of a local space end at one column")
-        ends.add(end)
-        yield row
-
-
-def _residue_rows(p: int, k: int, A: int, C: int, D: int, shift: int, unit: int, ts: list, ss: list) -> Iterator[dict]:
-    """The residues mod p of M[i][j] * w * pihat^(shift + t_i - s_j), a
-    {column: nonzero residue} map per row i = 0..k, made one at a time, for
-    the lower triangular symmetric power M of the ints [[A, 0], [C, D]], C
-    nonzero, and a w of doubled valuation 0 and unit part ``unit``.  Entry (i, j), j <= i, of M
-    is D^j C(k-j, i-j) C^(i-j) A^(k-i), read from ``_factorials``: a doubled
-    valuation 0 gives its unit part, a positive one 0, a negative one raises."""
+def _child_rows(p: int, k: int) -> Iterator[dict]:
+    """The basis of the image in S/(pihat) of the edge lattice of child 1,
+    whose transporter is the inverse of [[p, 0], [1, 1]], with the column
+    scalings of a D-space (``_local_space`` with a = p): row i, for 2i >= k,
+    is {j: C(k - j, i - j) mod p} over its nonzero entries, read from
+    ``_factorials``; the rows for 2i < k are 0 and are not made.  Row i ends
+    at its diagonal entry C(k - i, 0) = 1, so the rows are a basis as they
+    are made."""
     vals, units, inverses = _factorials(p, k)
-    va, vc, vd = _vp(A, p), _vp(C, p), _vp(D, p)
-    ua, uc, ud = A // p**va % p, C // p**vc % p, D // p**vd % p
-    col_v = [2 * (j * (vd - vc) + vals[k - j]) - s for j, s in enumerate(ss)]
-    col_u = [pow(ud, j, p) * pow(uc, -j, p) * units[k - j] % p for j in range(k + 1)]
-    for i, t in enumerate(ts):
-        row_v = 2 * (i * vc + (k - i) * va - vals[k - i]) + shift + t
-        row_u = unit * pow(uc, i, p) * pow(ua, k - i, p) * inverses[k - i] % p
-        twice = [row_v + col_v[j] - 2 * vals[i - j] for j in range(i + 1)]
-        if min(twice) < 0:
-            raise NegativeValuation(f"transition entry has valuation {half(min(twice))} < 0")
-        yield {j: row_u * col_u[j] * inverses[i - j] % p for j, x in enumerate(twice) if not x}
+    for i in range((k + 1) // 2, k + 1):
+        v, u = vals[k - i], inverses[k - i]
+        yield {j: units[k - j] * inverses[i - j] * u % p for j in range(i + 1) if vals[k - j] - vals[i - j] == v}
 
 
 def star_local_kernel(p: int, k: int) -> int:
@@ -190,11 +167,10 @@ def _star_kernel(p: int, k: int, parent: list) -> int:
     can be.  The parent's and child 0's D-spaces, the low and high halves of
     the basis, reach it by themselves, so child 1's rows are made again only
     if the rank reads them, and no copy is built."""
-    first, ts, ss = _local_space(p, k, p), [max(0, 2 * j - k) for j in range(k + 1)], [0] * (k + 1)
-    second = (p, k, p, 1, ts, ss)  # child 1's (a, c) = (p, 1), made anew at each read
-    copies = ({j: x * pow(c, -j, p) % p for j, x in row.items()} for c in range(2, p) for row in _basis_rows(*second))
-    count = len(parent) + len(first) + (p - 1) * sum(map(bool, _basis_rows(*second)))
-    return count - rank_up_to(chain(parent, first, _basis_rows(*second), copies), p, k + 1)
+    first = _local_space(p, k, p)  # child 1's rows are made anew at each read
+    copies = ({j: x * pow(c, -j, p) % p for j, x in row.items()} for c in range(2, p) for row in _child_rows(p, k))
+    count = len(parent) + len(first) + (p - 1) * sum(map(bool, _child_rows(p, k)))
+    return count - rank_up_to(chain(parent, first, _child_rows(p, k), copies), p, k + 1)
 
 
 def local_dimension_formulas(q: int, k: int) -> dict:

@@ -39,10 +39,8 @@ def rref(rows: Matrix, p: int) -> tuple[Matrix, list[int]]:
     the nonzero entries of the pivot row. The reduced form of a row space is
     unique, so the result does not depend on the elimination order; it comes
     back dense, the pivot rows in column order followed by the zero rows."""
-    if not rows:
-        return [], []
     reduced, pivots = _gauss_jordan([{c: r for c, x in enumerate(row) if (r := x % p)} for row in rows], p)
-    dense = [[0] * len(rows[0]) for _ in rows]
+    dense = [[0] * len(row) for row in rows]
     for out, row in zip(dense, reduced):
         for j, x in row.items():
             out[j] = x
@@ -117,23 +115,19 @@ def rank(rows: Matrix, p: int) -> int:
 def rank_up_to(rows: Iterable[dict], p: int, bound: int) -> int:
     """min(rank, bound) over F_p of {column: int} rows read mod p, taken one
     at a time: no row past the one that brings the rank to ``bound`` is read.
-    The pivot rows are kept reduced, each 1 at its pivot and 0 at the others,
-    so one pass over a new row's entries at pivots reduces it."""
-    reduced: dict[int, dict] = {}  # pivot column -> the rest of its row
+    The pivot rows are kept in echelon form, each 1 at its pivot, its least
+    column, so a new row is cleared at its least column while a pivot row
+    leads there."""
+    echelon: dict[int, dict] = {}  # pivot column -> the rest of its row
     rows = iter(rows)
-    while len(reduced) < bound and (row := next(rows, None)) is not None:
+    while len(echelon) < bound and (row := next(rows, None)) is not None:
         entries = {c: r for c, x in row.items() if (r := x % p)}
-        for c in [c for c in entries if c in reduced]:
-            _eliminate(entries, c, reduced[c].items(), p)
+        while entries and (c := min(entries)) in echelon:
+            _eliminate(entries, c, echelon[c].items(), p)
         if entries:
-            c = min(entries)
             inv = pow(entries.pop(c), -1, p)
-            tail = {j: x * inv % p for j, x in entries.items()}
-            for other in reduced.values():
-                if c in other:
-                    _eliminate(other, c, tail.items(), p)
-            reduced[c] = tail
-    return len(reduced)
+            echelon[c] = {j: x * inv % p for j, x in entries.items()}
+    return len(echelon)
 
 
 def kernel_basis_mod_p(rows: list[dict], ncols: int, p: int) -> SparseRows:

@@ -2,8 +2,8 @@
 no trailing zeros; () is zero.  Coefficients (``ScalarKHat``, int, and
 ``FqElem`` in ``modp``'s equivariance check only) need +, -, *, negation,
 ``inverse()`` and to be false exactly at zero; callers pass ``zero``/``one``
-where a routine builds coefficients.  Here are the ring operations, division
-with remainder, and the shift that ``rational.principal_parts`` expands with.
+where a routine builds coefficients.  Here are the ring operations and
+division with remainder, which the derivative reads a polynomial part with.
 """
 
 from __future__ import annotations
@@ -81,18 +81,3 @@ def divmod(u: Poly, v: Poly, zero: T) -> tuple[Poly, Poly]:
                 r[j + i] = r[j + i] - c * v[i]
     return trim(q), trim(r[:n])
 
-
-def shift(u: Poly, x0: T, upto: int) -> Poly:
-    """Coefficients of u(x0 + w) in w below degree `upto`: the remainders of
-    repeated synthetic division by z - x0."""
-    out = []
-    rest = list(u)
-    while rest and len(out) < upto:
-        acc = rest[-1]
-        quotient = [acc]
-        for c in reversed(rest[:-1]):
-            acc = acc * x0 + c
-            quotient.append(acc)
-        out.append(quotient.pop())
-        rest = quotient[::-1]
-    return trim(out)

@@ -2,11 +2,12 @@
 extension, in factored form, together with their tube valuations (also under
 the weighted group action on sections) and principal parts at the poles.
 
-A function is lead * extra(z) * prod (z - root)^mult with extra a monic
-polynomial kept for parts that do not factor over the base field
-(derivatives); the denominator always stays inside the explicit factors.
-Its operations are those the commands run: products, powers, the inverse,
-exact equality and derivatives; a function is not hashable.
+A function is lead * extra(z) * prod (z - root)^mult.  extra, a monic
+polynomial of degree >= 1, holds what a derivative leaves unfactored over the
+base field, as the ints of its coefficients; a parsed section has none, and
+the denominator always stays inside the explicit factors.  The operations are
+those the commands run: products, powers, the inverse, exact equality and
+derivatives, each of a function with no extra; a function is not hashable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import factorial, gcd, lcm, perm
 from typing import Callable, Iterable, Iterator
 
 from . import poly
-from .errors import InvalidParameters, ZeroFunction
+from .errors import InternalInvariantError, InvalidParameters, ZeroFunction
 from .scalars import ScalarKHat, _common_denominator, _make, _twice_valuation, _vp
 from .symrep import triangular_apply
 from .tree import _level_and_offset
@@ -86,52 +87,50 @@ def _value_key(roots: Iterable[ScalarKHat]) -> Callable[[ScalarKHat], tuple]:
 
 
 class FactoredRational:
-    """lead * extra(z) * prod (z - root)^mult, extra monic; 0 has lead 0.  ``ints``
-    is extra as ``_common_denominator`` gives it when the derivative built it."""
+    """lead * extra(z) * prod (z - root)^mult; 0 has lead 0.  extra is None,
+    or the ints (real, pihat, norm) of a monic polynomial of degree >= 1 with
+    coefficients (real[i] + pihat[i] pihat)/norm, unreduced, norm > 0: only
+    ``derivative`` builds one.  The factors are merged by root, sorted and
+    nonzero, so a function with no extra has one factored form."""
 
-    __slots__ = ("p", "lead", "factors", "extra", "ints")
+    __slots__ = ("p", "lead", "factors", "extra")
 
     def __init__(
         self,
         p: int,
         lead: ScalarKHat,
         factors: Iterable[tuple[ScalarKHat, int]] = (),
-        extra: poly.Poly = None,
+        extra: tuple | None = None,
     ) -> None:
-        self.p, self.ints = p, None
-        if extra is None:
-            extra = (ScalarKHat.one(p),)
-        extra = poly.trim(tuple(extra))
-        if lead.is_zero() or not extra:
-            self.lead = ScalarKHat.zero(p)
-            self.factors = ()
-            self.extra = (ScalarKHat.one(p),)
+        self.p = p
+        if lead.is_zero():
+            self.lead, self.factors, self.extra = ScalarKHat.zero(p), (), None
             return
         merged: dict[tuple, list] = {}  # by the ints of each root, which equal roots share
         for root, mult in factors:
             merged.setdefault((root.A, root.B, root.D), [root, 0])[1] += mult
-        top = extra[-1]
-        if (top.A, top.B, top.D) != (1, 0, 1):  # scalars are reduced: only 1 is (1, 0, 1)
-            lead = lead * top
-            extra = poly.scale(extra, top.inverse())
-        self.lead = lead
         entries = [(root, mult) for root, mult in merged.values() if mult != 0]
         if len(entries) > 1:
             key = _value_key(root for root, _ in entries)
             entries.sort(key=lambda e: key(e[0]))
-        self.factors = tuple(entries)
-        self.extra = extra
+        self.lead, self.factors, self.extra = lead, tuple(entries), extra
 
     # -- structure ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.lead.is_zero()
 
+    def _factored(self) -> "FactoredRational":
+        """self, refused if it has an extra: the algebra below reads a
+        function from its lead and factors alone."""
+        if self.extra is not None:
+            raise InternalInvariantError("a function with an unfactored polynomial part has no algebra here")
+        return self
+
     def num_den(self) -> tuple[poly.Poly, poly.Poly]:
         """Expanded (numerator, denominator); denominator monic."""
         zero, one = ScalarKHat.zero(self.p), ScalarKHat.one(self.p)
-        num = poly.scale(self.extra, self.lead)
-        den: poly.Poly = (one,)
+        num, den = poly.trim((self._factored().lead,)), (one,)
         for root, mult in self.factors:
             lin = (-root, one)
             if mult > 0:
@@ -143,54 +142,31 @@ class FactoredRational:
     def denominator_roots(self) -> list[tuple[ScalarKHat, int]]:
         return [(r, -m) for r, m in self.factors if m < 0]
 
-    def _refactored(self) -> "FactoredRational":
-        """Pull candidate linear factors (known roots and 0) out of extra."""
-        if self.is_zero() or len(self.extra) <= 1:
-            return self
-        extra = self.extra
-        factors = {(r.A, r.B, r.D): [r, m] for r, m in self.factors}
-        zero = ScalarKHat.zero(self.p)
-        by_key = {key: r for key, (r, _) in factors.items()} | {(0, 0, 1): zero}
-        for root in sorted(by_key.values(), key=_value_key(by_key.values())):
-            lin = (-root, ScalarKHat.one(self.p))
-            while len(extra) > 1:
-                q, r = poly.divmod(extra, lin, zero)
-                if r:
-                    break
-                extra = q
-                factors.setdefault((root.A, root.B, root.D), [root, 0])[1] += 1
-        return FactoredRational(self.p, self.lead, [(r, m) for r, m in factors.values()], extra)
-
     # -- ring operations ------------------------------------------------------------
 
     def __mul__(self, other: "FactoredRational | ScalarKHat") -> "FactoredRational":
         if isinstance(other, ScalarKHat):
-            return FactoredRational(self.p, self.lead * other, self.factors, self.extra)
-        extra = poly.mul(self.extra, other.extra, ScalarKHat.zero(self.p))
-        return FactoredRational(self.p, self.lead * other.lead, list(self.factors) + list(other.factors), extra)
+            return FactoredRational(self.p, self._factored().lead * other, self.factors)
+        factors = list(self._factored().factors) + list(other._factored().factors)
+        return FactoredRational(self.p, self.lead * other.lead, factors)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FactoredRational":
-        if self.is_zero():
+        if self._factored().is_zero():
             raise ZeroDivisionError("inverse of the zero function")
-        if len(self.extra) > 1:
-            raise InvalidParameters("cannot invert an unfactored polynomial part")
         return FactoredRational(self.p, self.lead.inverse(), [(r, -m) for r, m in self.factors])
 
     def __pow__(self, n: int) -> "FactoredRational":
         if n < 0:
             return self.inverse() ** (-n)
-        extra = poly.power(self.extra, n, ScalarKHat.zero(self.p), ScalarKHat.one(self.p))
-        return FactoredRational(self.p, self.lead**n, [(r, m * n) for r, m in self.factors], extra)
+        return FactoredRational(self.p, self._factored().lead**n, [(r, m * n) for r, m in self.factors])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FactoredRational):
-            return NotImplemented
-        n1, d1 = self.num_den()
-        n2, d2 = other.num_den()
-        zero = ScalarKHat.zero(self.p)
-        return poly.mul(n1, d2, zero) == poly.mul(n2, d1, zero)
+    def __eq__(self, other: "FactoredRational") -> bool:
+        """Equal functions with no extra have one factored form: lead times
+        prod (z - root)^mult with the factors merged, sorted and nonzero."""
+        f, g = self._factored(), other._factored()
+        return f.p == g.p and f.lead == g.lead and f.factors == g.factors
 
     def derivative(self, order: int = 1) -> "FactoredRational":
         """The exact n-th derivative, n = ``order``, in closed form from the partial
@@ -202,17 +178,17 @@ class FactoredRational:
         l_j^(T_j + n), S_i = sum_t c_(i,t) (-1)^n (t)_n D_i^(t + n) l_i^(T_i - t): binomial
         rows on ints over Z[pihat].  It keeps the poles of f, each zero of f of
         multiplicity m > n as (z - r)^(m - n), divided out, and z to its true order
-        as factors, and the rest in a monic extra: the form n single derivatives
-        print, each refactored over the roots left and 0.  f is refactored first,
-        so that the rule reads its roots' true multiplicities."""
+        as factors, and the rest in the ints of a monic extra: the form n single
+        derivatives print, each refactored over the roots left and 0.  f has no
+        extra, so its factors give its roots' true multiplicities."""
         if order < 0:
             raise InvalidParameters("order must be >= 0")
-        if order == 0 or self.is_zero():
+        if order == 0 or self._factored().is_zero():
             return self
-        f, n = self._refactored(), order
+        f, n = self, order
         p, zero, parts = f.p, ScalarKHat.zero(f.p), principal_parts(f)
         whole = []
-        if len(f.extra) - 1 + sum(m for _, m in f.factors) >= n:
+        if sum(m for _, m in f.factors) >= n:
             top, bottom = f.num_den()
             whole = [c * perm(j, n) for j, c in enumerate(poly.divmod(top, bottom, zero)[0]) if j >= n]
         real, pihat, scale = _common_denominator(whole + [c for _, cs in parts for c in cs])
@@ -242,9 +218,7 @@ class FactoredRational:
         cA, cB, norm = (1, 0, A) if not B else (A, -B, A * A - p * B * B)  # never 0: p is not a square
         cA, cB, norm = (cA, cB, norm) if norm > 0 else (-cA, -cB, -norm)
         real, pihat = [x * cA + p * y * cB for x, y in pairs], [x * cB + y * cA for x, y in pairs]
-        image = FactoredRational(p, lead, kept, [_make(p, x, y, norm) for x, y in zip(real, pihat)])
-        image.ints = real, pihat, norm
-        return image
+        return FactoredRational(p, lead, kept, (real, pihat, norm) if len(pairs) > 1 else None)
 
 
 # -- tube valuations -----------------------------------------------------------------
@@ -295,9 +269,8 @@ def _transported_valuations(
     """``gauss_valuation`` at each vertex (m, b) = (levels[i], nums[i]/dens[i])
     in turn, read from the v_p(b) and omega(1 - b y) rows of ``_one_minus_by``
     there: a factor (z - y)^mult gives mult min(omega(1 - b y) - 2m, omega(y))."""
-    lead, degree = f.lead.valuation(), len(f.extra) - 1 + sum(mult for _, mult in f.factors)
-    terms = [(mult, y.valuation(), row) for (y, mult), row in zip(f.factors, rows)]
-    extra = (f.ints or _common_denominator(f.extra)) if len(f.extra) > 1 else None
+    extra, degree = f.extra, sum(mult for _, mult in f.factors) + (len(f.extra[0]) - 1 if f.extra else 0)
+    lead, terms = f.lead.valuation(), [(mult, y.valuation(), row) for (y, mult), row in zip(f.factors, rows)]
     for i, (m, vb) in enumerate(zip(levels, vbs)):
         val = lead - k * m - (k + degree) * (2 * (vb - m) if vb is not None and vb < m else 0)
         for mult, t, row in terms:
@@ -333,22 +306,20 @@ def tube_coordinate_level(v: tuple) -> int:
 def principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, list]]:
     """For each pole y of f, of order r, the coefficients [A_1, ..., A_r] of
     (z - y)^-1, ..., (z - y)^-r in the expansion of f around y, in the order
-    of f.factors.  The order is the one f.factors states: when extra vanishes
-    at y the leading coefficients are zero, and all of them are when y is no
-    pole at all.
+    of f.factors; f has no extra, so A_r is not 0.
 
-    f (z - y)^r at z = y + u is lead extra(y + u) times, for each other factor
-    (z - x)^m, c^m (1 + u/c)^m with c = y - x, whose binomial series has
+    f (z - y)^r at z = y + u is lead times, for each other factor (z - x)^m,
+    c^m (1 + u/c)^m with c = y - x, whose binomial series has
     [u^(t+1)] = [u^t] (m - t) / ((t + 1) c); all are read below u^r."""
     zero = ScalarKHat.zero(f.p)
     out = []
-    for y, r in f.denominator_roots():
-        series = poly.scale(poly.shift(f.extra, y, r), f.lead) if len(f.extra) > 1 else (f.lead,)
+    for y, r in f._factored().denominator_roots():
+        series = (f.lead,)
         for x, m in f.factors:
             if x is not y:
                 c = y - x
                 if r == 1:  # the value at y alone
-                    series = (series[0] * c**m,) if series else series
+                    series = (series[0] * c**m,)
                     continue
                 inv = c.inverse()
                 term = [inv**-m if m < 0 else c**m]

@@ -174,7 +174,8 @@ class ScalarKHat:
     a = A/D and b = B/D are read as ``Fraction`` properties.  The public
     constructors (``from_rational``, ``zero``, ``one``, ``pihat``) check that
     p is prime.  A scalar is not hashable, and it takes a rational operand on
-    either side of + and *, but only on the right of - and /.
+    either side of + and *, but only on the right of -; no command divides
+    scalars, so there is no /, only ``inverse``.
     Arithmetic on two valid scalars builds its result with ``_make``, which
     checks nothing and reduces by one gcd.  Immutable by convention, as
     ``Fraction`` is: nothing assigns to a scalar's slots once it is built.
@@ -197,8 +198,6 @@ class ScalarKHat:
         _check_prime(p)
         if type(x) is int:
             return _make(p, x, 0, 1)
-        if type(x) is not Fraction:
-            x = Fraction(x)
         return _make(p, x.numerator, 0, x.denominator)
 
     @staticmethod
@@ -226,19 +225,18 @@ class ScalarKHat:
         return self.A != 0 or self.B != 0
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ScalarKHat:
-            return NotImplemented
         return (
-            self.A == other.A and self.B == other.B and self.D == other.D and self.p == other.p
+            other.__class__ is ScalarKHat
+            and self.A == other.A and self.B == other.B and self.D == other.D and self.p == other.p
         )
 
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
+        """A rational operand as a scalar at self's p; the callers take a
+        scalar at self's p as it is, so a scalar here has another p."""
         if other.__class__ is ScalarKHat:
-            if other.p != self.p:
-                raise ResidueFieldMismatch(f"mixing p={self.p} and p={other.p}")
-            return other
+            raise ResidueFieldMismatch(f"mixing p={self.p} and p={other.p}")
         return ScalarKHat.from_rational(other, self.p)
 
     def __add__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
@@ -290,9 +288,6 @@ class ScalarKHat:
         if norm < 0:
             return _make(self.p, -D * A, D * B, -norm)
         return _make(self.p, D * A, -D * B, norm)
-
-    def __truediv__(self, other: "ScalarKHat | RationalLike") -> "ScalarKHat":
-        return self * self._coerce(other).inverse()
 
     def __pow__(self, n: int) -> "ScalarKHat":
         if n < 0:

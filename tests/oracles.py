@@ -26,7 +26,7 @@ from drinfeld.errors import (
     ZeroFunction,
 )
 from drinfeld.harmonic import Cochain, _raise_in_annulus, res0
-from drinfeld.lattices import Doubled, _in_edge_lattice, _residue_rows
+from drinfeld.lattices import Doubled, _in_edge_lattice
 from drinfeld.linalg import Matrix, SparseRows, _gauss_jordan, rank, rref, transpose
 from drinfeld.modp import (
     INFINITY_POINT,
@@ -36,10 +36,10 @@ from drinfeld.modp import (
 )
 from drinfeld.rational import (
     FactoredRational,
+    _value_key,
     _zadd,
     _zmul,
     gauss_valuation,
-    principal_parts,
 )
 from drinfeld.scalars import (
     INF,
@@ -49,6 +49,7 @@ from drinfeld.scalars import (
     ScalarKHat,
     _check_prime,
     _common_denominator,
+    _factorials,
     _make,
     _make_fq,
     _times_pihat,
@@ -464,7 +465,7 @@ def local_space(src: Lattice, dst: Lattice) -> list:
 def local_rows(src: Lattice, dst: Lattice) -> list:
     """The rows of residues mod p that ``local_space`` reduces, read from the
     big ints of ``sym_ints``'s matrix with one ``_vp`` per entry, as the
-    program read them before ``lattices._residue_rows``: entry (i, j) is
+    program read them before ``_residue_rows``: entry (i, j) is
     M[i][j] * (num/den) * pihat^(e + t_i - s_j) mod pihat, and a negative
     valuation raises."""
     p, k = src.p, src.k
@@ -484,8 +485,40 @@ def local_rows(src: Lattice, dst: Lattice) -> list:
     ]
 
 
+def _residue_rows(p: int, k: int, A: int, C: int, D: int, shift: int, unit: int, ts: list, ss: list):
+    """The residues mod p of M[i][j] * w * pihat^(shift + t_i - s_j), a
+    {column: nonzero residue} map per row i = 0..k, made one at a time, for
+    the lower triangular symmetric power M of the ints [[A, 0], [C, D]], C
+    nonzero, and a w of doubled valuation 0 and unit part ``unit``.  Entry
+    (i, j), j <= i, of M is D^j C(k-j, i-j) C^(i-j) A^(k-i), read from
+    ``_factorials``: a doubled valuation 0 gives its unit part, a positive
+    one 0, a negative one raises.  The general transition that
+    ``lattices._child_rows`` reads child 1's rows from in closed form."""
+    vals, units, inverses = _factorials(p, k)
+    va, vc, vd = _vp(A, p), _vp(C, p), _vp(D, p)
+    ua, uc, ud = A // p**va % p, C // p**vc % p, D // p**vd % p
+    col_v = [2 * (j * (vd - vc) + vals[k - j]) - s for j, s in enumerate(ss)]
+    col_u = [pow(ud, j, p) * pow(uc, -j, p) * units[k - j] % p for j in range(k + 1)]
+    for i, t in enumerate(ts):
+        row_v = 2 * (i * vc + (k - i) * va - vals[k - i]) + shift + t
+        row_u = unit * pow(uc, i, p) * pow(ua, k - i, p) * inverses[k - i] % p
+        twice = [row_v + col_v[j] - 2 * vals[i - j] for j in range(i + 1)]
+        if min(twice) < 0:
+            raise NegativeValuation(f"transition entry has valuation {half(min(twice))} < 0")
+        yield {j: row_u * col_u[j] * inverses[i - j] % p for j, x in enumerate(twice) if not x}
+
+
+def child_one_rows(p: int, k: int) -> list[dict]:
+    """Child 1's local space as ``_residue_rows`` reads it from the general
+    transition: the child's transporter is the inverse of [[p, 0], [1, 1]],
+    the twist has doubled valuation -k and unit part 1, and the column
+    scalings are a D-space's; the nonzero rows."""
+    ts = [max(0, 2 * j - k) for j in range(k + 1)]
+    return list(filter(None, _residue_rows(p, k, p, 1, 1, -k, 1, ts, [0] * (k + 1))))
+
+
 def closed_form_rows(src: Lattice, dst: Lattice) -> list:
-    """``lattices._residue_rows`` on the transition g = dst.g^-1 src.g =
+    """``_residue_rows`` on the transition g = dst.g^-1 src.g =
     [[A, 0], [C, D]]/N, C nonzero, as dense rows: its twist AD/N^(k+2) *
     pihat^(-(k+2) v_p(det g)) read as a doubled valuation and a unit part
     mod p from g itself, with no ``sym_ints``."""
@@ -1101,7 +1134,7 @@ def reference_rref(rows: list, zero) -> tuple[list, list[int]]:
             continue
         a[r], a[pr] = a[pr], a[r]
         inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        a[r] = [scalar_div(x, inv) for x in a[r]]
         for i in range(len(a)):
             if i != r and a[i][c] != zero:
                 f = a[i][c]
@@ -1260,14 +1293,14 @@ def smith_over_dvr(m: list) -> tuple[list, list]:
         # Normalize the pivot to exactly pihat^e: scale row t by the unit
         # pihat^e/pivot, compensating in u.
         target = ScalarKHat.pihat(p, e)
-        unit = target / pivot
+        unit = scalar_div(target, pivot)
         a[t] = [x * unit for x in a[t]]
         unit_inv = unit.inverse()
         for row in u:
             row[t] = row[t] * unit_inv
         for i2 in range(t + 1, nrows):
             if not a[i2][t].is_zero():
-                f = a[i2][t] / a[t][t]
+                f = scalar_div(a[i2][t], a[t][t])
                 if f.valuation() < 0:
                     raise InternalInvariantError("pivot was not minimal")
                 a[i2] = [x - f * y for x, y in zip(a[i2], a[t])]
@@ -1316,7 +1349,8 @@ def lattice_contains_vector(l: Lattice, vec: list) -> bool:
 #
 # The program reads the profiles and the local spaces' residues from the
 # closed form of the entries and a table of p-adic factorials
-# (``lattices.vertex_lattice_profile``, ``lattices._residue_rows``).  These
+# (``lattices.vertex_lattice_profile``, ``lattices._child_rows``, and the
+# general ``_residue_rows`` above).  These
 # build the matrix of big ints and read every entry: ``sym_ints`` the lower
 # triangular one by Pascal's rule, ``dense_sym_ints`` that of any g by
 # ``substitution_matrix``'s polynomial products.
@@ -1505,10 +1539,136 @@ def transition_e_space_basis(e: Edge, k: int) -> list:
 # -- sections ------------------------------------------------------------------------
 
 
-def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
+def scalar_div(a, b):
+    """a / b in a field of the tests, where a or b may be a ``ScalarKHat``
+    and the other a rational: no command divides scalars, so ``ScalarKHat``
+    has no ``/``."""
+    if not isinstance(a, ScalarKHat) and not isinstance(b, ScalarKHat):
+        return a / b
+    p = a.p if isinstance(a, ScalarKHat) else b.p
+    lift = lambda x: x if isinstance(x, ScalarKHat) else ScalarKHat.from_rational(x, p)
+    return lift(a) * lift(b).inverse()
+
+
+def poly_shift(u: poly.Poly, x0, upto: int) -> poly.Poly:
+    """Coefficients of u(x0 + w) in w below degree `upto`: the remainders of
+    repeated synthetic division by z - x0."""
+    out = []
+    rest = list(u)
+    while rest and len(out) < upto:
+        acc = rest[-1]
+        quotient = [acc]
+        for c in reversed(rest[:-1]):
+            acc = acc * x0 + c
+            quotient.append(acc)
+        out.append(quotient.pop())
+        rest = quotient[::-1]
+    return poly.trim(out)
+
+
+class OracleRational(FactoredRational):
+    """lead * extra(z) * prod (z - root)^mult with extra, monic, held as the
+    scalar tuple ``coeffs`` ((one,) for none) beside the program's ints, so
+    that the program's printer and valuations read it as they read a theta
+    image.  It has the algebra that the program keeps only for functions with
+    no extra: products, powers, the inverse, equality of the expanded
+    numerators cross-multiplied, and ``refactored``, which pulls the known
+    roots and 0 out of extra.  Sums, single derivatives and Mobius transforms
+    build it."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(
+        self,
+        p: int,
+        lead: ScalarKHat,
+        factors=(),
+        extra: poly.Poly | None = None,
+    ) -> None:
+        one = ScalarKHat.one(p)
+        coeffs = poly.trim(tuple(extra)) if extra is not None else (one,)
+        if lead.is_zero() or not coeffs:
+            super().__init__(p, ScalarKHat.zero(p))
+            self.coeffs = (one,)
+            return
+        top = coeffs[-1]
+        if top != one:
+            lead, coeffs = lead * top, poly.scale(coeffs, top.inverse())
+        super().__init__(p, lead, factors, _common_denominator(list(coeffs)) if len(coeffs) > 1 else None)
+        self.coeffs = coeffs
+
+    @classmethod
+    def of(cls, f: FactoredRational) -> "OracleRational":
+        """f as an oracle section: its extra's ints read back as scalars."""
+        if isinstance(f, cls):
+            return f
+        extra = [_make(f.p, x, y, f.extra[2]) for x, y in zip(*f.extra[:2])] if f.extra else None
+        return cls(f.p, f.lead, f.factors, extra)
+
+    def num_den(self) -> tuple[poly.Poly, poly.Poly]:
+        """Expanded (numerator, denominator); denominator monic."""
+        zero, one = ScalarKHat.zero(self.p), ScalarKHat.one(self.p)
+        num, den = poly.scale(self.coeffs, self.lead), (one,)
+        for root, mult in self.factors:
+            lin = (-root, one)
+            if mult > 0:
+                num = poly.mul(num, poly.power(lin, mult, zero, one), zero)
+            else:
+                den = poly.mul(den, poly.power(lin, -mult, zero, one), zero)
+        return num, den
+
+    def refactored(self) -> "OracleRational":
+        """Pull candidate linear factors (known roots and 0) out of extra."""
+        if self.is_zero() or len(self.coeffs) <= 1:
+            return self
+        extra = self.coeffs
+        factors = {(r.A, r.B, r.D): [r, m] for r, m in self.factors}
+        zero = ScalarKHat.zero(self.p)
+        by_key = {key: r for key, (r, _) in factors.items()} | {(0, 0, 1): zero}
+        for root in sorted(by_key.values(), key=_value_key(by_key.values())):
+            lin = (-root, ScalarKHat.one(self.p))
+            while len(extra) > 1:
+                q, r = poly.divmod(extra, lin, zero)
+                if r:
+                    break
+                extra = q
+                factors.setdefault((root.A, root.B, root.D), [root, 0])[1] += 1
+        return OracleRational(self.p, self.lead, [(r, m) for r, m in factors.values()], extra)
+
+    def __mul__(self, other: "FactoredRational | ScalarKHat") -> "OracleRational":
+        if isinstance(other, ScalarKHat):
+            return OracleRational(self.p, self.lead * other, self.factors, self.coeffs)
+        other = OracleRational.of(other)
+        extra = poly.mul(self.coeffs, other.coeffs, ScalarKHat.zero(self.p))
+        return OracleRational(self.p, self.lead * other.lead, self.factors + other.factors, extra)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "OracleRational":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of the zero function")
+        if len(self.coeffs) > 1:
+            raise InvalidParameters("cannot invert an unfactored polynomial part")
+        return OracleRational(self.p, self.lead.inverse(), [(r, -m) for r, m in self.factors])
+
+    def __pow__(self, n: int) -> "OracleRational":
+        if n < 0:
+            return self.inverse() ** (-n)
+        extra = poly.power(self.coeffs, n, ScalarKHat.zero(self.p), ScalarKHat.one(self.p))
+        return OracleRational(self.p, self.lead**n, [(r, m * n) for r, m in self.factors], extra)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FactoredRational):
+            return NotImplemented
+        (n1, d1), (n2, d2) = self.num_den(), OracleRational.of(other).num_den()
+        zero = ScalarKHat.zero(self.p)
+        return poly.mul(n1, d2, zero) == poly.mul(n2, d1, zero)
+
+
+def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> OracleRational:
     """f((a z + b)/(c z + d)) for the literal matrix entries of mat."""
     if f.is_zero():
-        return f
+        return OracleRational.of(f)
     lift = lambda x: ScalarKHat.from_rational(x, p)
     A, B, C, D = lift(mat.a), lift(mat.b), lift(mat.c), lift(mat.d)
     one = ScalarKHat.one(p)
@@ -1520,11 +1680,11 @@ def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
         top_const = B - root * D
         if not top_lin.is_zero():
             lead = lead * top_lin**mult
-            factors.append(((root * D - B) / top_lin, mult))
+            factors.append((scalar_div(root * D - B, top_lin), mult))
         else:
             lead = lead * top_const**mult
         denom_exp -= mult
-    extra = f.extra
+    extra = OracleRational.of(f).coeffs
     n = len(extra) - 1
     if n > 0:
         extra = homogenise(extra, (B, A), (D, C), ScalarKHat.zero(p), one)
@@ -1532,10 +1692,10 @@ def compose_mobius(f: FactoredRational, mat: Mat2, p: int) -> FactoredRational:
     if denom_exp != 0:
         if not C.is_zero():
             lead = lead * C**denom_exp
-            factors.append((-D / C, denom_exp))
+            factors.append((scalar_div(-D, C), denom_exp))
         else:
             lead = lead * D**denom_exp
-    return FactoredRational(p, lead, factors, extra)._refactored()
+    return OracleRational(p, lead, factors, extra).refactored()
 
 
 def poly_derivative(u: poly.Poly, one) -> poly.Poly:
@@ -1547,9 +1707,10 @@ def poly_derivative(u: poly.Poly, one) -> poly.Poly:
     return poly.trim(out)
 
 
-def _derivative_once(f: FactoredRational) -> FactoredRational:
+def _derivative_once(f: FactoredRational) -> OracleRational:
     """f' = lead * [E' L + E sum m_i L / (z - r_i)] * prod (z - r_i)^(m_i - 1)
     for L = prod (z - r_i), refactored over the roots left and 0."""
+    f = OracleRational.of(f)
     if f.is_zero():
         return f
     zero, one = ScalarKHat.zero(f.p), ScalarKHat.one(f.p)
@@ -1557,25 +1718,26 @@ def _derivative_once(f: FactoredRational) -> FactoredRational:
     prod_all: poly.Poly = (one,)
     for lin in lins:
         prod_all = poly.mul(prod_all, lin, zero)
-    bracket = poly.mul(poly_derivative(f.extra, one), prod_all, zero)
+    bracket = poly.mul(poly_derivative(f.coeffs, one), prod_all, zero)
     for i, (root, mult) in enumerate(f.factors):
         partial: poly.Poly = (one,)
         for j, lin in enumerate(lins):
             if j != i:
                 partial = poly.mul(partial, lin, zero)
-        term = poly.scale(poly.mul(f.extra, partial, zero), ScalarKHat.from_rational(mult, f.p))
+        term = poly.scale(poly.mul(f.coeffs, partial, zero), ScalarKHat.from_rational(mult, f.p))
         bracket = poly.add(bracket, term)
     reduced = [(r, m - 1) for r, m in f.factors]
-    return FactoredRational(f.p, f.lead, reduced, bracket)._refactored()
+    return OracleRational(f.p, f.lead, reduced, bracket).refactored()
 
 
-def neg_rational(f: FactoredRational) -> FactoredRational:
-    return FactoredRational(f.p, -f.lead, f.factors, f.extra)
+def neg_rational(f: FactoredRational) -> OracleRational:
+    return OracleRational(f.p, -f.lead, f.factors, OracleRational.of(f).coeffs)
 
 
-def add_rational(f: FactoredRational, g: FactoredRational) -> FactoredRational:
+def add_rational(f: FactoredRational, g: FactoredRational) -> OracleRational:
     """f + g: the numerators cross-multiplied over the product of the
     denominators, then the known roots and 0 pulled out of the sum."""
+    f, g = OracleRational.of(f), OracleRational.of(g)
     if f.is_zero():
         return g
     if g.is_zero():
@@ -1584,7 +1746,7 @@ def add_rational(f: FactoredRational, g: FactoredRational) -> FactoredRational:
     zero = ScalarKHat.zero(f.p)
     num = poly.add(poly.mul(n1, d2, zero), poly.mul(n2, d1, zero))
     poles = [(r, -m) for r, m in f.denominator_roots() + g.denominator_roots()]
-    return FactoredRational(f.p, ScalarKHat.one(f.p), poles, num)._refactored()
+    return OracleRational(f.p, ScalarKHat.one(f.p), poles, num).refactored()
 
 
 def sub_rational(f: FactoredRational, g: FactoredRational) -> FactoredRational:
@@ -1595,9 +1757,10 @@ def div_rational(f: FactoredRational, g: FactoredRational) -> FactoredRational:
     return f * g.inverse()
 
 
-def derivative_by_steps(f: FactoredRational, order: int) -> FactoredRational:
+def derivative_by_steps(f: FactoredRational, order: int) -> OracleRational:
     """The order-th derivative as ``order`` single derivatives, each one
     refactored: what ``FactoredRational.derivative`` does in one pass."""
+    f = OracleRational.of(f)
     for _ in range(order):
         f = _derivative_once(f)
     return f
@@ -1624,11 +1787,11 @@ def derivative_by_recurrence(f: FactoredRational, order: int) -> FactoredRationa
     exponent reaches 0.  The recurrence runs on D L, D A and c Q_j over
     Z[pihat], for D the product of the denominators D_i of the roots in S
     and c the common denominator so far, and the image is built once."""
+    f = OracleRational.of(f).refactored()
     if order == 0 or f.is_zero():
         return f
-    f = f._refactored()
     p = f.p
-    real, pihat, scale = _common_denominator(f.extra)
+    real, pihat, scale = _common_denominator(list(f.coeffs))
     q = (poly.trim(real), poly.trim(pihat))
     # S changes only where a zero's exponent reaches 0
     cuts = sorted({m for _, m in f.factors if 0 < m < order} | {0, order})
@@ -1650,7 +1813,7 @@ def derivative_by_recurrence(f: FactoredRational, order: int) -> FactoredRationa
     low = next((i for i, c in enumerate(coeffs) if c), 0)
     kept = [(r, m - order) for r, m in f.factors if m < 0 or m > order]
     kept.append((ScalarKHat.zero(p), low))
-    return FactoredRational(p, f.lead / scale, kept, coeffs[low:])
+    return OracleRational(p, f.lead * _make(p, 1, 0, scale), kept, coeffs[low:])
 
 
 def chi(g: Mat2, p: int, exponent: int = 1) -> ScalarKHat:
@@ -1675,15 +1838,15 @@ def transported_gauss_valuation(f: FactoredRational, g: Mat2, k: int) -> int | f
     """
     if f.is_zero():
         return INF
-    p = f.p
+    p, f = f.p, OracleRational.of(f)
     a, b, c, d = g.lift(p)
-    degree = len(f.extra) - 1
+    degree = len(f.coeffs) - 1
     total = chi(g, p, k).valuation() + f.lead.valuation()
     for root, mult in f.factors:
         degree += mult
         total += mult * min((d - c * root).valuation(), (b - a * root).valuation())
-    if len(f.extra) > 1:
-        moved = homogenise(f.extra, (b, d), (a, c), ScalarKHat.zero(p), ScalarKHat.one(p))
+    if len(f.coeffs) > 1:
+        moved = homogenise(f.coeffs, (b, d), (a, c), ScalarKHat.zero(p), ScalarKHat.one(p))
         total += min(x.valuation() for x in moved)
     return total - (k + degree) * min(a.valuation(), c.valuation())
 
@@ -1705,7 +1868,7 @@ def automorphic_act(g: Mat2, f: FactoredRational, k: int) -> FactoredRational:
         if g.c != 0:
             c = lift(g.c)
             pulled = pulled * FactoredRational(
-                p, c ** (-k), [(-lift(g.a) / c, -k)]
+                p, c ** (-k), [(scalar_div(-lift(g.a), c), -k)]
             )
         else:
             scalar = scalar * lift(g.a) ** (-k)
@@ -1720,7 +1883,7 @@ def raw_gauss_valuation(f: FactoredRational) -> Fraction | float:
     total = fraction_valuation(f.lead)
     for root, mult in f.factors:
         total += mult * min(Fraction(0), fraction_valuation(root))
-    total += min(fraction_valuation(c) for c in f.extra)
+    total += min(fraction_valuation(c) for c in OracleRational.of(f).coeffs)
     return total
 
 
@@ -1757,7 +1920,7 @@ def counted_poles_by_transporter(parts: list, gamma: Mat2, p: int) -> tuple[tupl
             in_annulus.append(y)
         (inner if w >= 2 else outer).append(i)
     _raise_in_annulus(in_annulus, act_on_vertex(gamma.inv(), standard_vertex(p)))
-    if not c.is_zero() and (a / c).valuation() >= 2:
+    if not c.is_zero() and scalar_div(a, c).valuation() >= 2:
         return tuple(outer), -sigma(gamma, p)
     return tuple(inner), sigma(gamma, p)
 
@@ -1863,7 +2026,7 @@ def reference_principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, lis
     """``rational.principal_parts`` from the expanded numerator over the
     product of the other poles' factors: the Taylor series of their quotient
     at each pole y of order r, below u^r, by shifts and a series inverse."""
-    num, _ = f.num_den()
+    num, _ = OracleRational.of(f).num_den()
     den_roots = f.denominator_roots()
     zero, one = ScalarKHat.zero(f.p), ScalarKHat.one(f.p)
     out = []
@@ -1872,7 +2035,7 @@ def reference_principal_parts(f: FactoredRational) -> list[tuple[ScalarKHat, lis
         for other_root, other_r in den_roots:
             if other_root is not root:
                 others = poly.mul(others, poly.power((-other_root, one), other_r, zero, one), zero)
-        series = poly.mul(poly.shift(num, root, r), series_inverse(poly.shift(others, root, r), r, zero), zero)[:r]
+        series = poly.mul(poly_shift(num, root, r), series_inverse(poly_shift(others, root, r), r, zero), zero)[:r]
         series = series + (zero,) * (r - len(series))
         out.append((root, [series[r - t] for t in range(1, r + 1)]))
     return out
@@ -1886,7 +2049,7 @@ def laurent_standard(f: FactoredRational, lo: int, hi: int) -> LaurentWindow:
     zero = ScalarKHat.zero(p)
     if f.is_zero():
         return LaurentWindow(p, lo, hi, {}, [], [])
-    num, den = f.num_den()
+    num, den = OracleRational.of(f).num_den()
     den_roots = f.denominator_roots()
     w_lo = min(lo, -sum(m for _, m in den_roots) - 1)
     w_hi = max(hi, max(0, len(num) - len(den)) + 1)
@@ -1899,7 +2062,7 @@ def laurent_standard(f: FactoredRational, lo: int, hi: int) -> LaurentWindow:
         if w_lo <= j <= w_hi and not c.is_zero():
             coeffs[j] = coeffs.get(j, zero) + c
 
-    for root, parts in principal_parts(f):
+    for root, parts in reference_principal_parts(f):
         principal = dict(enumerate(parts, 1))  # t -> coeff of (z-root)^-t
         if root.is_zero():
             for t, a in principal.items():

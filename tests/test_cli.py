@@ -585,6 +585,17 @@ class TestExitCodes:
         assert proc.returncode == 2, (args, proc.stderr)
         assert b"must be a rational number" in proc.stderr
 
+    @pytest.mark.parametrize("option", ["--offset", "--a"])
+    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "3" * 4400, "x" * 4400])
+    def test_an_over_long_rational_is_refused_by_its_length(self, option, text):
+        # an int of more than 4300 digits does not convert; the message names
+        # the length and does not echo the text
+        args = ["lattice", "--level", "5", option, text] if option == "--offset" else ["identity-b", option, text]
+        result = invoke(args)
+        assert result.exit_code == 2, result.output
+        assert f"a literal of {len(text)} characters is too long" in result.stderr
+        assert len(result.stderr) < 200
+
 
 class TestLargePrimes:
     """Primality by a deterministic Miller-Rabin, not by trial division: a
@@ -1771,9 +1782,8 @@ _TEXT = st.one_of(
         ['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "\u00e9\u03c0\u2028", "\U0001f600"]
     ),
 )
-_KEYS = st.one_of(_TEXT, _INTS, st.booleans(), st.none(), _FRACTIONS)  # a scalar is no key: it has no hash
-_SCALARS = st.one_of(_KEYS, _KHAT)
-_LEAVES = st.one_of(_SCALARS, st.sampled_from([math.inf, -math.inf]))
+_KEYS = _TEXT  # every payload's keys are str
+_LEAVES = st.one_of(_TEXT, _INTS, st.booleans(), st.none(), _FRACTIONS)
 _ROWS = st.one_of(
     st.lists(_RESIDUES, min_size=1),
     st.lists(_DIGITS, min_size=1).map(tuple),
@@ -1828,6 +1838,18 @@ class TestJsonWriter:
             cli_module._dumps(payload)
         with pytest.raises(InternalInvariantError):
             emit_oracle(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [khat(3, 1, 2), [khat(2, 0, 1)], math.inf, {"a": -math.inf}, {1: 0}, {None: 0}, {Fraction(1, 2): 0}],
+        ids=["scalar", "scalar-list", "infinity", "nested-infinity", "int-key", "none-key", "fraction-key"],
+    )
+    def test_what_no_payload_carries_is_refused(self, payload):
+        """The oracle printed these; no command puts a scalar, a float or a
+        key that is not a str in a payload, and the writer refuses them."""
+        with pytest.raises(InternalInvariantError, match="cannot serialize"):
+            cli_module._dumps(payload)
+        emit_oracle(payload)
 
     @pytest.mark.parametrize(
         "payload",
@@ -1896,16 +1918,15 @@ class TestDoubledWriter:
 
 
 class TestCochainWriter:
-    """``_scalar_str`` prints from the ints A, B and D, a list of scalars
-    prints in one pass and a ``Cochain`` item by item; the ``Fraction``
-    printer and the generic two-pass writer are their oracles."""
+    """``_scalar_str`` prints from the ints A, B and D, and a ``Cochain``
+    item by item; the ``Fraction`` printer and the generic two-pass writer
+    are their oracles."""
 
     @given(a=_FRACTIONS, b=_FRACTIONS, big=st.integers(-(2**70), 2**70))
     @settings(max_examples=300, deadline=None)
     def test_scalar_text_matches_the_fraction_printer(self, a, b, big):
         for s in (khat(3, a, b), khat(2, Fraction(big, 7), a), khat(5, 0, b)):
             assert cli_module._scalar_str(s) == fraction_scalar_str(s)
-            assert cli_module._dumps([s, -s]) == emit_oracle([s, -s])
 
     @given(a=st.integers(-(10**30), 10**30), b=st.integers(-9, 9), d=st.integers(1, 10**6), g=st.integers(1, 50))
     @settings(max_examples=300, deadline=None)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from drinfeld import lattices, scalars
-from drinfeld.errors import InternalInvariantError, InvalidParameters, NegativeValuation, PoleInsideAnnulus
+from drinfeld.errors import InvalidParameters, NegativeValuation, PoleInsideAnnulus
 from drinfeld.harmonic import res0, star_local_kernels
 from drinfeld.linalg import rank_up_to, rref
 from drinfeld.lattices import (
@@ -42,6 +42,7 @@ from oracles import (
     basis_relative_profile,
     basis_transition,
     child_endpoint,
+    child_one_rows,
     children,
     closed_form_rows,
     cochain_value,
@@ -72,6 +73,7 @@ from oracles import (
     reference_star_local_kernel,
     reference_vertex_profile,
     relative_profile,
+    scalar_div,
     section_lattice_membership,
     standard_edge,
     standard_vertex,
@@ -629,7 +631,7 @@ class TestEdgeMembershipOnInts:
                 assert in_edge_lattice(e, k, vec) and lattice_contains_vector(edge_lattice(e, k), vec)
                 if any(vec):
                     seen[True] += 1
-                    shifted = [x / ScalarKHat.pihat(p) for x in vec]
+                    shifted = [scalar_div(x, ScalarKHat.pihat(p)) for x in vec]
                     got = in_edge_lattice(e, k, shifted)
                     assert got is lattice_contains_vector(edge_lattice(e, k), shifted), (f, k, e)
                     seen[got] += 1
@@ -697,7 +699,7 @@ def _profile_vertices(p: int) -> list:
 def _closed_form_mismatches(p: int) -> tuple[list, set]:
     """The transition pairs of every edge of the radius-2 ball at
     k = 0, 3, ..., 39 whose transition is not diagonal and whose closed-form
-    rows (``lattices._residue_rows``, read from ``scalars._factorials``)
+    rows (``oracles._residue_rows``, read from ``scalars._factorials``)
     differ from the rows read from ``sym_ints``'s big ints, a raise of
     ``NegativeValuation`` on one side only included; and the outcomes seen."""
     mismatches, outcomes = [], set()
@@ -782,7 +784,8 @@ class TestClosedFormsAgainstTheDenseMatrix:
     @pytest.mark.parametrize("p", [2, 5])
     def test_a_unit_part_off_by_one_is_found(self, p, monkeypatch):
         """With the unit part of one factorial, 2!'s, one more in the table,
-        the closed-form rows no longer match."""
+        the closed-form rows no longer match, the oracle's general ones and
+        the program's child 1 rows alike."""
         honest = scalars._factorials
 
         def off_by_one(prime, n):
@@ -791,9 +794,12 @@ class TestClosedFormsAgainstTheDenseMatrix:
                 units[2] += 1
             return vals, units, inverses
 
-        monkeypatch.setattr(lattices, "_factorials", off_by_one)
+        monkeypatch.setattr(oracles, "_factorials", off_by_one)
         mismatches, _ = _closed_form_mismatches(p)
         assert mismatches
+        monkeypatch.undo()
+        monkeypatch.setattr(lattices, "_factorials", off_by_one)
+        assert any(list(lattices._child_rows(p, k)) != child_one_rows(p, k) for k in range(2, 30))
 
 
 def _dense(rows: list[dict], k: int) -> list[list[int]]:
@@ -810,16 +816,9 @@ def _echelon_from_the_right(rows: list[dict], p: int, k: int) -> list:
     return basis[: len(pivots)]
 
 
-def _child_one_rows(p: int, k: int) -> list[dict]:
-    """Child 1's basis, (a, c) = (p, 1), by ``lattices._basis_rows`` with
-    the column scalings of a D-space."""
-    ts = [max(0, 2 * j - k) for j in range(k + 1)]
-    return list(lattices._basis_rows(p, k, p, 1, ts, [0] * (k + 1)))
-
-
 class TestStandardStarTransitions:
     """``lattices._local_space`` reads the standard star's two diagonal
-    transitions, and the E-space's, from ints, and ``_basis_rows`` child 1's;
+    transitions, and the E-space's, from ints, and ``_child_rows`` child 1's;
     the oracle ``local_space``
     reduces the same from the ``Lattice`` records of the standard vertex and
     its edges.  The diagonal ones give the same unit vectors, and child 1's
@@ -834,15 +833,18 @@ class TestStandardStarTransitions:
             assert _dense(lattices._local_space(p, k, 1), k) == d_space_basis(e, v, k), k
             assert _dense(lattices._local_space(p, k, 1, low=True), k) == e_space_basis(e, k), k
             assert _dense(lattices._local_space(p, k, p), k) == d_space_basis(children[0], v, k), k
-            got = _echelon_from_the_right(_child_one_rows(p, k), p, k)
+            got = _echelon_from_the_right(list(lattices._child_rows(p, k)), p, k)
             assert got == d_space_basis(children[1], v, k), k
 
-    def test_two_rows_ending_at_one_column_raise(self, monkeypatch):
-        """Child 1's nonzero residue rows end at distinct columns, which makes
-        them a basis with no elimination; rows that do not are refused."""
-        monkeypatch.setattr(lattices, "_residue_rows", lambda *_: [{0: 1}, {0: 1, 1: 2}, {1: 1}])
-        with pytest.raises(InternalInvariantError, match="end at one column"):
-            _child_one_rows(3, 2)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_child_rows_are_the_general_transitions_rows(self, p):
+        """Row i of child 1's local space, 2i >= k, is {j: C(k - j, i - j)
+        mod p} over its nonzero entries, and ends at its diagonal entry 1:
+        the nonzero rows that the general transition makes, row for row."""
+        for k in range(60):
+            rows = list(lattices._child_rows(p, k))
+            assert rows == child_one_rows(p, k), k
+            assert [(max(row), row[max(row)]) for row in rows] == [(i, 1) for i in range((k + 1) // 2, k + 1)], k
 
 
 class TestEdgeLatticesAgainstSmith:
@@ -1025,7 +1027,7 @@ class TestIntegerMembership:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_every_vertex_of_the_radius_three_ball(self, p):
         sections = _membership_sections(p)
-        assert any(len(f.extra) > 1 for f in sections)
+        assert any(f.extra for f in sections)
         seen = set()
         for v in ball_vertices(truncated_tree(p, 3)):
             for k in range(3):

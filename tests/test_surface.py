@@ -1,12 +1,15 @@
 """The package holds only the program.  A child process installs a
-``sys.setprofile`` hook before it imports ``drinfeld.cli``, runs a fixed
-corpus of command lines through ``cli.main``, and every ``def`` in
+``sys.settrace`` hook before it imports ``drinfeld.cli`` and runs a fixed
+corpus of command lines through ``cli.main``.  Every ``def`` in
 ``src/drinfeld`` must have been entered: functions, methods, dunders,
-nested defs and the calls made at import time alike.  The few that no
-command reaches are listed in ``_NOT_RUN``, each with its reason.  Helpers
-that only tests call live in ``tests/`` (``oracles.py``, ``sampling.py`` and
-the test files).  No module reads the process environment, and no object
-stands in for a vertex, an edge, a lattice or a group element."""
+nested defs and the calls made at import time alike; and every line that a
+compiled code object of the package lists must have run, but for the lines
+of a ``raise`` statement and item 21's finite-field region.  The few defs
+and lines that no command reaches are listed in ``_NOT_RUN`` and
+``_LINES_NOT_RUN``, each with its reason.  Helpers that only tests call live
+in ``tests/`` (``oracles.py``, ``sampling.py`` and the test files).  No
+module reads the process environment, and no object stands in for a
+vertex, an edge, a lattice or a group element."""
 
 from __future__ import annotations
 
@@ -18,25 +21,43 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
 import test_cli
 from drinfeld import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "drinfeld"
 
-# Runs the corpus read from stdin and prints the exit codes and the
-# (file, first line, name) of every code object of the package it entered.
+# Runs the corpus read from stdin and prints the exit codes, the (file,
+# first line, name) of every code object of the package it entered, and the
+# (file, line) of every line of the package that ran: a frame's first line
+# at its call event, which is its def's (or a generator's resume point),
+# and each line event after.
 _TRACED_RUN = r"""
 import contextlib, io, json, os, sys
 
-entered = set()
+package = os.path.join(os.path.realpath(sys.argv[1]), "drinfeld")
+entered, ran, inside = set(), set(), {}
 
 
-def record(frame, event, arg):
-    if event == "call":
-        entered.add(frame.f_code)
+def lines(frame, event, arg):
+    if event == "line":
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
+    return lines
 
 
-sys.setprofile(record)
+def calls(frame, event, arg):
+    code = frame.f_code
+    entered.add(code)
+    name = code.co_filename
+    if name not in inside:
+        inside[name] = os.path.dirname(os.path.realpath(name)) == package
+    if inside[name]:
+        ran.add((name, frame.f_lineno))
+        return lines
+    return None
+
+
+sys.settrace(calls)
 from drinfeld import cli
 
 codes = []
@@ -47,11 +68,13 @@ for args in json.load(sys.stdin):
             codes.append(0)
         except SystemExit as exc:
             codes.append(exc.code)
-sys.setprofile(None)
-package = os.path.dirname(os.path.realpath(cli.__file__))
-files = {c.co_filename: os.path.realpath(c.co_filename) for c in entered}
-keys = [(files[c.co_filename], c.co_firstlineno, c.co_name) for c in entered]
-json.dump({"exit_codes": codes, "entered": sorted(k for k in keys if os.path.dirname(k[0]) == package)}, sys.stdout)
+sys.settrace(None)
+keys = [(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in entered if inside[c.co_filename]]
+json.dump({
+    "exit_codes": codes,
+    "entered": sorted(keys),
+    "ran": sorted((os.path.realpath(name), line) for name, line in ran),
+}, sys.stdout)
 """
 
 # One input per refusal path: usage errors, values a converter refuses,
@@ -66,6 +89,7 @@ _REFUSED = [
     ["residue", "--audit=1"],
     ["tree", "--p"],
     ["tree", "extra"],
+    ["tree", "--", "x"],
     ["residue"],
     ["tree", "--p", "6"],
     ["tree", "--p", "x"],
@@ -76,6 +100,7 @@ _REFUSED = [
     ["tree", "--p", "7", "--radius", "8"],
     ["lattice", "--level", "1", "--offset", "abc"],
     ["lattice", "--level", "1", "--offset", "1e2"],
+    ["lattice", "--level", "5", "--offset", "1" * 5000],
     ["identity-b", "--a", "1/0"],
     ["local-dims", "--p", "1009", "--k", "1"],
     ["local-dims", "--p", "2", "--k", "1500"],
@@ -91,6 +116,7 @@ _REFUSED = [
     ["residue", "--f", "(z-q)"],
     ["residue", "--f", ""],
     ["theta", "--k", "2000", "--f", "1/z"],
+    ["theta", "--f", "0"],
     ["lattice", "--k", "3162"],
     ["identity-b", "--kmax", "2", "--mmax", "171"],
     ["theta", "--k", "300", "--f", "z^-1*(z-1)^-1*(z-2)^-1"],
@@ -103,13 +129,26 @@ _REFUSED = [
 ]
 
 
+# Command lines that run a line no other input of the corpus runs.
+_REACHED = [
+    ["theta", "--p", "2", "--k", "3", "--f", "z^2"],  # the zero image
+    ["theta", "--p", "2", "--k", "1", "--f", "(z-pihat)^-1*(z-1)^-1", "--level", "1"],  # pihat rows
+    ["theta", "--p", "2", "--k", "2", "--f", "(z-1)^-1*(z-3)^-1", "--level", "2", "--offset", "3/4"],  # off the axis
+    ["theta", "--p", "2", "--k", "0", "--f", "z^3*(z-1)^-1"],  # poly.divmod's loop
+    ["theta", "--p", "2", "--k", "0", "--f", "(z-pihat)^-2*(z-3)^-1"],  # the inverse of a scalar of norm > 0
+    ["residue", "--p", "2", "--f", "p^2/z", "--radius", "1"],
+    ["lattice", "--p", "2", "--k", "2", "--level", "20"],
+    ["lattice", "--p", "2", "--k", "2", "--level", "-3", "--offset", "1/2"],
+]
+
+
 def _corpus(tmp_path: Path) -> list[list[str]]:
     """The pin's command lines: the three benchmark lists at seed 1, every
     ``GOLDEN`` invocation and README example, --help at each level, config
     files good and bad, ``_REFUSED``, two poles refused in an annulus (each
     message prints the pole by ``ScalarKHat.__repr__``, one with a rational
-    part and one without), and a field whose
-    q - 1 = 2 * 1031 * 1033 reaches Pollard's rho."""
+    part and one without), a field whose q - 1 = 2 * 1031 * 1033 reaches
+    Pollard's rho, and ``_REACHED``."""
     good, bad_line, bad_flag = (tmp_path / name for name in ("good.cfg", "line.cfg", "flag.cfg"))
     good.write_text("p = 3\nk = 2\n", encoding="utf-8")
     bad_line.write_text("p = 2\ngarbage\n", encoding="utf-8")
@@ -123,6 +162,7 @@ def _corpus(tmp_path: Path) -> list[list[str]]:
         ["--config", str(bad_flag), "residue", "--f", "1/z"],
         ["--config", str(tmp_path / "missing.cfg"), "tree"],
         ["--config", str(tmp_path), "tree"],
+        ["--config", str(good)],
     ]
     return [
         *test_cli._benchmark_jobs(),
@@ -134,6 +174,7 @@ def _corpus(tmp_path: Path) -> list[list[str]]:
         ["residue", "--p", "2", "--k", "1", "--f", "(z-pihat)^-1", "--radius", "2"],
         ["residue", "--p", "2", "--k", "1", "--f", "(z-1-pihat)^-1", "--radius", "2"],
         ["modp", "symgeom-check", "--q", "2130047", "--k", "2130046", "--i", "1065022"],
+        *_REACHED,
     ]
 
 
@@ -171,20 +212,48 @@ _NOT_RUN = {
     "scalars.FqElem.__repr__": _FIELD,
     "scalars.FiniteField.__hash__": _FIELD,
     "scalars.FiniteField.__repr__": _FIELD,
-    "scalars.ScalarKHat.__truediv__": (
-        "the oracles divide scalars; no command does, since the derivative reads its image's lead from ints"
+}
+
+# The top-level defs and classes of ``scalars`` that leave src/ with F_q
+# arithmetic (ROADMAP item 21): their lines are not pinned.
+_FIELD_REGION = {
+    "_rho_factor", "_prime_factors", "_poly_mod_mul", "_poly_mod_rem", "_is_irreducible",
+    "_find_modulus", "FiniteField", "FqElem", "_make_fq",
+}
+
+# The lines that no command runs, by the qualified name of the def or class
+# that holds them (the module's name at the top level) and their text, each
+# with its reason.
+_GATE = "the failing path of a gate that no input fails"
+_LINES_NOT_RUN = {
+    ("cli._load_config", "except OSError:"): (
+        "a config file that exists and is not a directory, yet cannot be read: "
+        "a file without read permission, which a test that runs as root cannot make"
     ),
-    "poly.shift": (
-        "principal_parts calls it only on a polynomial part of degree >= 1, which no parsed "
-        "section has; whether a command can meet one waits on one printed form per section"
+    ("cli.main", "print(file=sys.stderr)  # end the line that the interrupt cut"): "a keyboard interrupt",
+    ("cli.main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"): "a reader that closes stdout",
+    ("cli.main", "code = 1"): "after an interrupt or a closed stdout",
+    ("cli.main", 'code = _fail(3, "internal invariant violated", exc)'): "no input breaks an invariant",
+    ("cli", "main()"): "python -m drinfeld.cli runs it; the corpus calls cli.main in-process",
+    ("linalg._pivots", "del pending[i]"): "no command eliminates a row to zero",
+    ("modp._columns_mod_p", "yield None"): _GATE,
+    ("modp._columns_mod_p", "return"): _GATE,
+    ("modp._columns_fq", "yield None"): _GATE,
+    ("modp._columns_fq", "return"): _GATE,
+    ("modp.b_forms_check", "return False"): _GATE,
+    ("theta.complement_b_identity", "return False"): _GATE,
+    ("scalars.ScalarKHat.__repr__", 'return f"{self.a}"'): (
+        "only a refused pole is printed by repr, and a pole in an annulus has a pihat part"
     ),
 }
 
 
-def test_every_def_in_src_is_entered_by_a_command(tmp_path):
-    corpus = _corpus(tmp_path)
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory) -> tuple[list, dict]:
+    """The corpus, and what its child process printed."""
+    corpus = _corpus(tmp_path_factory.mktemp("configs"))
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_RUN],
+        [sys.executable, "-c", _TRACED_RUN, str(SRC.parent)],
         input=json.dumps(corpus),
         capture_output=True,
         text=True,
@@ -192,7 +261,11 @@ def test_every_def_in_src_is_entered_by_a_command(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    run = json.loads(proc.stdout)
+    return corpus, json.loads(proc.stdout)
+
+
+def test_every_def_in_src_is_entered_by_a_command(traced_run):
+    corpus, run = traced_run
     assert 1 not in run["exit_codes"]  # no command line of the corpus ends in a traceback
     assert [code for args, code in zip(corpus, run["exit_codes"]) if args in _REFUSED] == [2] * len(_REFUSED)
     defs = _defs()
@@ -203,6 +276,53 @@ def test_every_def_in_src_is_entered_by_a_command(tmp_path):
     # each exception names a def that is still there and still not entered
     stale = sorted(_NOT_RUN.keys() - missed)
     assert not stale, "listed in _NOT_RUN, yet entered or gone: " + ", ".join(stale)
+
+
+def _lines(path: Path) -> dict[int, tuple[str, str]]:
+    """Each line of the module at ``path`` that a compiled code object of it
+    lists in ``co_lines()``, but for the lines of a ``raise`` statement and
+    of ``_FIELD_REGION``: its (qualified name, stripped text), where the name
+    is that of the innermost def or class around it, or the module's."""
+    text = path.read_text(encoding="utf-8")
+    found, stack = set(), [compile(text, str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        found.update(line for _, _, line in code.co_lines() if line)
+        stack += [inner for inner in code.co_consts if isinstance(inner, types.CodeType)]
+    tree, names, exempt = ast.parse(text), {}, set()
+    scopes = [(tree, path.stem)]
+    while scopes:
+        node, name = scopes.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}"
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                names.update(dict.fromkeys(range(first, child.end_lineno + 1), inner))
+                if node is tree and path.stem == "scalars" and child.name in _FIELD_REGION:
+                    exempt.update(range(first, child.end_lineno + 1))
+                scopes.append((child, inner))
+            else:
+                scopes.append((child, name))
+    exempt.update(line for node in ast.walk(tree) if isinstance(node, ast.Raise)
+                  for line in range(node.lineno, node.end_lineno + 1))
+    source = text.splitlines()
+    return {line: (names.get(line, path.stem), source[line - 1].strip()) for line in sorted(found - exempt)}
+
+
+def test_every_line_in_src_is_run_by_a_command(traced_run):
+    _, run = traced_run
+    ran, unrun, total = {tuple(key) for key in run["ran"]}, {}, 0
+    for path in sorted(SRC.glob("*.py")):
+        name, lines = str(path.resolve()), _lines(path)
+        unrun.update({(path.name, line): key for line, key in lines.items() if (name, line) not in ran})
+        total += len(lines)
+    assert total
+    missed = [f"{file}:{line}: {text} (in {qualname})" for (file, line), (qualname, text) in unrun.items()
+              if (qualname, text) not in _LINES_NOT_RUN]
+    assert not missed, "run by no command:\n" + "\n".join(missed)
+    # each exception names a line that is still there and still not run
+    stale = sorted(map(str, _LINES_NOT_RUN.keys() - set(unrun.values())))
+    assert not stale, "listed in _LINES_NOT_RUN, yet run or gone: " + ", ".join(stale)
 
 
 _ENVIRONMENT = {"environ", "environb", "getenv"}
