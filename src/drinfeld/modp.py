@@ -381,9 +381,9 @@ def _stable_lines(s: dict) -> list:
                 full[j] = x
             basis.append(full)
         for lead, first in enumerate(basis):
-            rest = basis[lead + 1 :]  # each c . rest over c in F_p^len(rest), once
-            span = [tuple(sum(c * v[j] for c, v in zip(cs, rest)) % p for j in range(dim))
-                    for cs in itertools.product(range(p), repeat=len(rest))]
+            span = [(0,) * dim]
+            for v in basis[lead + 1 :]:
+                span = [tuple((x + c * y) % p for x, y in zip(u, v)) for c in range(p) for u in span]
             led = [tuple((x + y) % p for x, y in zip(first, u)) for u in span]
             lines += (tuple(zip(*planes)) for planes in itertools.product(led, *[span] * (f - 1)))
     return sorted(lines)
