@@ -4,7 +4,7 @@ corpus of command lines through ``cli.main``.  Every ``def`` in
 ``src/drinfeld`` must have been entered: functions, methods, dunders,
 nested defs and the calls made at import time alike; and every line that a
 compiled code object of the package lists must have run, but for the lines
-of a ``raise`` statement and item 21's finite-field region.  The few defs
+of a ``raise`` statement and the finite-field region.  The few defs
 and lines that no command reaches are listed in ``_NOT_RUN`` and
 ``_LINES_NOT_RUN``, each with its reason.  Helpers that only tests call live
 in ``tests/`` (``oracles.py``, ``sampling.py`` and the test files).  No
@@ -215,7 +215,7 @@ _NOT_RUN = {
 }
 
 # The top-level defs and classes of ``scalars`` that leave src/ with F_q
-# arithmetic (ROADMAP item 21): their lines are not pinned.
+# arithmetic (see ROADMAP.md): their lines are not pinned.
 _FIELD_REGION = {
     "_rho_factor", "_prime_factors", "_poly_mod_mul", "_poly_mod_rem", "_is_irreducible",
     "_find_modulus", "FiniteField", "FqElem", "_make_fq",
